@@ -27,7 +27,7 @@ use siteselect_storage::DiskModel;
 use siteselect_storage::{DurableStore, RecoveryOutcome};
 use siteselect_locks::{Acquire, LockTable, QueueDiscipline, WaitForGraph};
 use siteselect_types::{
-    AbortReason, ExperimentConfig, InlineVec, LockMode, ObjectId, SimDuration, SimTime, SiteId,
+    AbortReason, ExperimentConfig, FixedState, InlineVec, LockMode, ObjectId, SimDuration, SimTime, SiteId,
     TransactionId, TransactionSpec, TxnOutcome,
 };
 use siteselect_workload::Trace;
@@ -109,7 +109,9 @@ pub struct CentralizedSim {
     /// The generated trace, arena-style: transactions reference their spec
     /// by index instead of carrying a clone through the pipeline.
     specs: Vec<TransactionSpec>,
-    txns: HashMap<Key, CeTxn>,
+    /// Keyed by transaction id with the fixed-state hasher, so the map
+    /// rehashes (and allocates) at the same steps in every process.
+    txns: HashMap<Key, CeTxn, FixedState>,
     /// Recycled buffer for the lock-grant path's still-blocked walk.
     scratch_objs: Vec<ObjectId>,
     inflight: usize,
@@ -164,7 +166,7 @@ impl CentralizedSim {
             disk: DiskModel::new(cfg.server.disk.page_service_time),
             store: DurableStore::new(cfg.database.num_objects, cfg.server.buffer_objects.max(1)),
             specs: Vec::new(),
-            txns: HashMap::new(),
+            txns: HashMap::default(),
             scratch_objs: Vec::new(),
             inflight: 0,
             now: SimTime::ZERO,
@@ -247,6 +249,9 @@ impl CentralizedSim {
     /// Closes out the run and returns its metrics.
     #[must_use]
     pub fn finalize(mut self) -> RunMetrics {
+        // Every transaction reached an outcome, so nobody waits for anybody.
+        debug_assert_eq!(self.wfg.check_invariants(), Ok(()));
+        debug_assert_eq!((self.wfg.waiting_nodes(), self.wfg.edge_count()), (0, 0));
         let span = self
             .now
             .duration_since(SimTime::ZERO)
@@ -504,7 +509,6 @@ impl CentralizedSim {
                 .emit(self.now, SiteId::Server, || Event::WalAbort { txn: id });
         }
         self.release_locks(key);
-        self.wfg.remove_node(key);
         self.inflight -= 1;
         self.send_result(i, false);
         if self.measured_at(i) {

@@ -52,6 +52,8 @@ pub mod protocol_costs;
 mod reference;
 pub mod table;
 pub mod waitfor;
+#[cfg(test)]
+mod waitfor_reference;
 pub mod window;
 
 pub use callback::{CallbackTracker, RecallProgress};

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
-use siteselect_types::{LockMode, ObjectId, SimTime};
+use siteselect_types::{FixedState, LockMode, ObjectId, SimTime};
 
 use crate::inline::InlineVec;
 
@@ -156,11 +156,14 @@ pub struct LockTable<O> {
     // locked set (not every object ever touched) and steady-state requests
     // never allocate: they pop a warm box instead.
     free: Vec<Box<ObjectLocks<O>>>,
-    held_by: HashMap<O, InlineVec<ObjectId, 16>>,
+    // Both owner maps hash with `FixedState`: owners are program-generated
+    // ids, and a process-random hasher would move the maps' rehash points
+    // (and so the engine's allocation counts) from run to run.
+    held_by: HashMap<O, InlineVec<ObjectId, 16>, FixedState>,
     // Reverse index of queued waiters (multiset: one entry per queued
     // waiter), so release_all never has to scan the whole slab for an
     // owner's pending requests.
-    waits_of: HashMap<O, InlineVec<ObjectId, 4>>,
+    waits_of: HashMap<O, InlineVec<ObjectId, 4>, FixedState>,
     // Recycled between release_all / cancel_expired calls so the per-
     // transaction cleanup path stays allocation-free at steady state.
     scratch: Vec<ObjectId>,
@@ -175,8 +178,8 @@ impl<O: LockOwner> LockTable<O> {
             discipline,
             objects: Vec::new(),
             free: Vec::new(),
-            held_by: HashMap::new(),
-            waits_of: HashMap::new(),
+            held_by: HashMap::default(),
+            waits_of: HashMap::default(),
             scratch: Vec::new(),
             next_seq: 0,
         }
@@ -184,7 +187,7 @@ impl<O: LockOwner> LockTable<O> {
 
     /// Removes one instance of `object` from `owner`'s waiting index.
     fn forget_wait_one(
-        waits_of: &mut HashMap<O, InlineVec<ObjectId, 4>>,
+        waits_of: &mut HashMap<O, InlineVec<ObjectId, 4>, FixedState>,
         owner: O,
         object: ObjectId,
     ) {
@@ -203,7 +206,7 @@ impl<O: LockOwner> LockTable<O> {
     /// (the counterpart of a `retain` that drops all of the owner's
     /// waiters on that object).
     fn forget_wait_all(
-        waits_of: &mut HashMap<O, InlineVec<ObjectId, 4>>,
+        waits_of: &mut HashMap<O, InlineVec<ObjectId, 4>, FixedState>,
         owner: O,
         object: ObjectId,
     ) {

@@ -341,48 +341,91 @@ pub enum Event {
     },
 }
 
+/// Declares the non-span event kinds once: their labels, a dense numbering
+/// (a fieldless twin enum, so no index is written by hand) and the
+/// exhaustive `Event -> index` match. Span events follow, one index per
+/// [`SpanKind`].
+macro_rules! plain_kinds {
+    ($($variant:ident => $name:literal,)*) => {
+        #[derive(Clone, Copy)]
+        enum PlainKind {
+            $($variant,)*
+        }
+
+        const PLAIN_KIND_NAMES: &[&str] = &[$($name,)*];
+
+        impl Event {
+            /// Dense index of this event's kind, below [`Event::KINDS`].
+            #[must_use]
+            pub(crate) fn kind_index(&self) -> usize {
+                match self {
+                    $(Event::$variant { .. } => PlainKind::$variant as usize,)*
+                    Event::Span { kind, .. } => PLAIN_KIND_NAMES.len() + *kind as usize,
+                }
+            }
+        }
+    };
+}
+
+plain_kinds! {
+    TxnSubmit => "txn_submit",
+    H1Admit => "h1_admit",
+    H1Reject => "h1_reject",
+    H2Choose => "h2_choose",
+    ExecStart => "exec_start",
+    LockWait => "lock_wait",
+    CallbackIssued => "callback_issued",
+    CallbackAcked => "callback_acked",
+    WindowOpen => "window_open",
+    WindowClose => "window_close",
+    ForwardHop => "forward_hop",
+    Shipped => "shipped",
+    Decomposed => "decomposed",
+    Commit => "commit",
+    Abort => "abort",
+    ServerReject => "server_reject",
+    MsgDropped => "msg_dropped",
+    MsgDelayed => "msg_delayed",
+    SiteCrash => "site_crash",
+    SiteRecover => "site_recover",
+    RetrySent => "retry_sent",
+    LeaseExpired => "lease_expired",
+    LockHeld => "lock_held",
+    UnitEnd => "unit_end",
+    CacheInstall => "cache_install",
+    CacheDowngrade => "cache_downgrade",
+    CacheDrop => "cache_drop",
+    CacheWipe => "cache_wipe",
+    Outcome => "outcome",
+    WalWrite => "wal_write",
+    WalCommit => "wal_commit",
+    WalAbort => "wal_abort",
+    WalCheckpoint => "wal_checkpoint",
+    RecoveryDone => "recovery_done",
+    WalState => "wal_state",
+}
+
 impl Event {
+    /// Number of distinct kinds ([`kind_index`](Self::kind_index) range).
+    pub(crate) const KINDS: usize = PLAIN_KIND_NAMES.len() + SpanKind::COUNT;
+
+    /// The label of the kind numbered `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below [`Event::KINDS`].
+    #[must_use]
+    pub(crate) fn kind_name(index: usize) -> &'static str {
+        match PLAIN_KIND_NAMES.get(index) {
+            Some(name) => name,
+            None => SpanKind::ALL[index - PLAIN_KIND_NAMES.len()].event_kind(),
+        }
+    }
+
     /// Stable snake_case label for the event kind.
     #[must_use]
     pub fn kind(&self) -> &'static str {
-        match self {
-            Event::TxnSubmit { .. } => "txn_submit",
-            Event::H1Admit { .. } => "h1_admit",
-            Event::H1Reject { .. } => "h1_reject",
-            Event::H2Choose { .. } => "h2_choose",
-            Event::ExecStart { .. } => "exec_start",
-            Event::LockWait { .. } => "lock_wait",
-            Event::CallbackIssued { .. } => "callback_issued",
-            Event::CallbackAcked { .. } => "callback_acked",
-            Event::WindowOpen { .. } => "window_open",
-            Event::WindowClose { .. } => "window_close",
-            Event::ForwardHop { .. } => "forward_hop",
-            Event::Shipped { .. } => "shipped",
-            Event::Decomposed { .. } => "decomposed",
-            Event::Commit { .. } => "commit",
-            Event::Abort { .. } => "abort",
-            Event::ServerReject { .. } => "server_reject",
-            Event::MsgDropped { .. } => "msg_dropped",
-            Event::MsgDelayed { .. } => "msg_delayed",
-            Event::SiteCrash { .. } => "site_crash",
-            Event::SiteRecover { .. } => "site_recover",
-            Event::RetrySent { .. } => "retry_sent",
-            Event::LeaseExpired { .. } => "lease_expired",
-            Event::LockHeld { .. } => "lock_held",
-            Event::UnitEnd { .. } => "unit_end",
-            Event::CacheInstall { .. } => "cache_install",
-            Event::CacheDowngrade { .. } => "cache_downgrade",
-            Event::CacheDrop { .. } => "cache_drop",
-            Event::CacheWipe { .. } => "cache_wipe",
-            Event::Outcome { .. } => "outcome",
-            Event::WalWrite { .. } => "wal_write",
-            Event::WalCommit { .. } => "wal_commit",
-            Event::WalAbort { .. } => "wal_abort",
-            Event::WalCheckpoint { .. } => "wal_checkpoint",
-            Event::RecoveryDone { .. } => "recovery_done",
-            Event::WalState { .. } => "wal_state",
-            Event::Span { kind, .. } => kind.event_kind(),
-        }
+        Event::kind_name(self.kind_index())
     }
 
     /// The transaction this event concerns, if any.
@@ -616,6 +659,23 @@ mod tests {
         };
         assert_eq!(e.kind(), "commit");
         assert_eq!(e.txn(), Some(TransactionId::new(ClientId(1), 2)));
+    }
+
+    #[test]
+    fn kind_indexes_are_dense_and_name_distinct_kinds() {
+        let names: std::collections::BTreeSet<&str> =
+            (0..Event::KINDS).map(Event::kind_name).collect();
+        assert_eq!(names.len(), Event::KINDS);
+        for kind in SpanKind::ALL {
+            let e = Event::Span {
+                txn: None,
+                kind,
+                start: SimTime::ZERO,
+                blocker: None,
+            };
+            assert_eq!(e.kind(), kind.event_kind());
+            assert!(e.kind_index() < Event::KINDS);
+        }
     }
 
     #[test]

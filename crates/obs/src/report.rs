@@ -24,6 +24,31 @@ pub struct SiteSummary {
     pub last: SimTime,
 }
 
+impl SiteSummary {
+    /// The rollup of a site whose first event is at `time`.
+    pub(crate) fn starting(time: SimTime) -> Self {
+        SiteSummary {
+            events: 0,
+            commits: 0,
+            aborts: 0,
+            first: time,
+            last: time,
+        }
+    }
+
+    /// Folds one record emitted at this site.
+    pub(crate) fn observe(&mut self, rec: &TraceRecord) {
+        self.events += 1;
+        self.first = self.first.min(rec.time);
+        self.last = self.last.max(rec.time);
+        match rec.event {
+            Event::Commit { .. } => self.commits += 1,
+            Event::Abort { .. } => self.aborts += 1,
+            _ => {}
+        }
+    }
+}
+
 /// Summary of one traced run, maintained streamingly as events are emitted
 /// so ring-buffer eviction never loses aggregate information.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,34 +92,31 @@ impl ObsReport {
 
     /// Folds one record into the summary.
     pub fn observe(&mut self, rec: &TraceRecord) {
-        self.events += 1;
         *self.kinds.entry(rec.event.kind()).or_insert(0) += 1;
-        let site = self.per_site.entry(rec.site).or_insert(SiteSummary {
-            events: 0,
-            commits: 0,
-            aborts: 0,
-            first: rec.time,
-            last: rec.time,
-        });
-        site.events += 1;
-        site.first = site.first.min(rec.time);
-        site.last = site.last.max(rec.time);
-        match rec.event {
-            Event::Commit {
-                latency_us,
-                slack_us,
-                ..
-            } => {
-                site.commits += 1;
-                self.latency.record(latency_us);
-                if slack_us >= 0 {
-                    self.slack.record(slack_us as u64);
-                } else {
-                    self.tardiness.record(slack_us.unsigned_abs());
-                }
+        self.per_site
+            .entry(rec.site)
+            .or_insert(SiteSummary::starting(rec.time))
+            .observe(rec);
+        self.observe_totals(rec);
+    }
+
+    /// The map-free part of [`observe`](Self::observe): the event total and
+    /// the commit histograms. The sink calls this per record and counts
+    /// kinds and sites densely, filling the two maps when it is drained.
+    pub(crate) fn observe_totals(&mut self, rec: &TraceRecord) {
+        self.events += 1;
+        if let Event::Commit {
+            latency_us,
+            slack_us,
+            ..
+        } = rec.event
+        {
+            self.latency.record(latency_us);
+            if slack_us >= 0 {
+                self.slack.record(slack_us as u64);
+            } else {
+                self.tardiness.record(slack_us.unsigned_abs());
             }
-            Event::Abort { .. } => site.aborts += 1,
-            _ => {}
         }
     }
 

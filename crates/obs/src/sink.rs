@@ -10,10 +10,10 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use siteselect_types::{SimTime, SiteId};
+use siteselect_types::{ClientId, SimTime, SiteId};
 
 use crate::event::Event;
-use crate::report::ObsReport;
+use crate::report::{ObsReport, SiteSummary};
 
 /// One captured event: when, where, in what global order, and what.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,12 +28,79 @@ pub struct TraceRecord {
     pub event: Event,
 }
 
+/// Per-kind and per-site counts as dense arrays. [`ObsReport`] publishes
+/// them as two `BTreeMap`s; probing those for every record (a string
+/// compare per level, a hundred-odd sites) was about half the cost of an
+/// emit, so the sink counts here and fills the maps when it is drained.
+#[derive(Debug)]
+struct Tally {
+    /// By [`Event::kind_index`].
+    kinds: [u64; Event::KINDS],
+    /// By [`site_ordinal`], grown to the largest site seen.
+    sites: Vec<Option<SiteSummary>>,
+}
+
+/// Server, directory, then the clients in id order.
+fn site_ordinal(site: SiteId) -> usize {
+    match site {
+        SiteId::Server => 0,
+        SiteId::Directory => 1,
+        SiteId::Client(c) => 2 + c.index(),
+    }
+}
+
+/// Inverse of [`site_ordinal`].
+fn site_at(ordinal: usize) -> SiteId {
+    match ordinal {
+        0 => SiteId::Server,
+        1 => SiteId::Directory,
+        n => SiteId::Client(ClientId((n - 2) as u16)),
+    }
+}
+
+impl Tally {
+    fn new() -> Self {
+        Tally {
+            kinds: [0; Event::KINDS],
+            sites: Vec::new(),
+        }
+    }
+
+    fn observe(&mut self, rec: &TraceRecord) {
+        self.kinds[rec.event.kind_index()] += 1;
+        let ordinal = site_ordinal(rec.site);
+        if ordinal >= self.sites.len() {
+            self.sites.resize(ordinal + 1, None);
+        }
+        self.sites[ordinal]
+            .get_or_insert(SiteSummary::starting(rec.time))
+            .observe(rec);
+    }
+
+    /// Writes the counts into `report`'s (empty) kind and site maps.
+    fn fill(&self, report: &mut ObsReport) {
+        for (index, &count) in self.kinds.iter().enumerate() {
+            if count > 0 {
+                report.kinds.insert(Event::kind_name(index), count);
+            }
+        }
+        for (ordinal, summary) in self.sites.iter().enumerate() {
+            if let Some(summary) = summary {
+                report.per_site.insert(site_at(ordinal), *summary);
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct SinkInner {
     capacity: usize,
     next_seq: u64,
     ring: VecDeque<TraceRecord>,
+    /// Totals, drops and histograms; its kind and site maps stay empty
+    /// (see [`Tally`]).
     report: ObsReport,
+    tally: Tally,
 }
 
 /// A shareable, optionally-enabled event sink.
@@ -79,6 +146,7 @@ impl EventSink {
             next_seq: 0,
             ring: VecDeque::with_capacity(capacity.min(4096)),
             report: ObsReport::new(),
+            tally: Tally::new(),
         }))))
     }
 
@@ -101,7 +169,8 @@ impl EventSink {
                 event: event(),
             };
             g.next_seq += 1;
-            g.report.observe(&rec);
+            g.report.observe_totals(&rec);
+            g.tally.observe(&rec);
             if g.ring.len() == g.capacity {
                 g.ring.pop_front();
                 g.report.dropped += 1;
@@ -117,9 +186,11 @@ impl EventSink {
     pub fn finish(&self) -> Option<TraceData> {
         self.0.as_ref().map(|inner| {
             let mut g = inner.lock().expect("sink poisoned");
+            let mut report = g.report.clone();
+            g.tally.fill(&mut report);
             TraceData {
                 records: g.ring.drain(..).collect(),
-                report: g.report.clone(),
+                report,
             }
         })
     }
@@ -183,6 +254,46 @@ mod tests {
         assert_eq!(trace.records[0].seq, 3);
         assert_eq!(trace.report.events, 5);
         assert_eq!(trace.report.dropped, 3);
+    }
+
+    #[test]
+    fn drained_report_equals_the_map_based_fold() {
+        let sink = EventSink::enabled(64);
+        let sites = [
+            SiteId::Client(ClientId(7)),
+            SiteId::Server,
+            SiteId::Directory,
+            SiteId::Client(ClientId(0)),
+        ];
+        for i in 0..40u64 {
+            let site = sites[(i % 4) as usize];
+            sink.emit(SimTime::from_micros(100 - i), site, || match i % 5 {
+                0 => Event::Commit {
+                    txn: TransactionId::new(ClientId(0), i),
+                    latency_us: 10 * i,
+                    slack_us: 50 - 10 * i as i64,
+                },
+                1 => Event::Abort {
+                    txn: TransactionId::new(ClientId(0), i),
+                    reason: siteselect_types::AbortReason::Expired,
+                },
+                2 => Event::Span {
+                    txn: None,
+                    kind: crate::SpanKind::ALL[(i % 10) as usize],
+                    start: SimTime::ZERO,
+                    blocker: None,
+                },
+                _ => exec(i),
+            });
+        }
+        let trace = sink.finish().unwrap();
+        let mut folded = ObsReport::new();
+        for rec in &trace.records {
+            folded.observe(rec);
+        }
+        assert_eq!(trace.report, folded);
+        // Draining does not reset the summary: a second drain repeats it.
+        assert_eq!(sink.finish().unwrap().report, folded);
     }
 
     #[test]

@@ -10,6 +10,15 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> wait-for graph vs its reference, full case count (debug builds run a slice)"
+cargo test --release -q -p siteselect-locks waitfor
+
+echo "==> benchmark package (a workspace of its own: its tests must build and pass against the public crates)"
+# BENCHMARK.json's program reaches locks/obs/core only through their
+# public API and sits outside `--workspace`; without this step an API
+# break there fails the benchmark pipeline instead of CI.
+cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+
 echo "==> detlint (determinism & safety contract, see detlint.toml)"
 # --ratchet: a baseline entry that over-accepts (findings were fixed but
 # the baseline not regenerated) fails the gate instead of rotting.
