@@ -816,7 +816,7 @@ impl ClientServerSim {
             self.cfg.runtime.duration,
             self.cfg.runtime.seed,
         );
-        self.specs = trace.transactions().to_vec();
+        self.specs = trace.into_transactions();
         for (i, spec) in self.specs.iter().enumerate() {
             self.queue.push(spec.arrival, Ev::Arrive(i));
         }

@@ -78,9 +78,19 @@ impl<O> Acquire<O> {
     }
 }
 
+/// One granted lock.
+#[derive(Debug, Clone, Copy)]
+struct Holder<O> {
+    owner: O,
+    mode: LockMode,
+    /// Where the object sits in `held_by[owner]`: a release finds the
+    /// owner's index entry without scanning the owner's other locks.
+    slot: u32,
+}
+
 #[derive(Debug)]
 struct ObjectLocks<O> {
-    holders: InlineVec<(O, LockMode), 2>,
+    holders: InlineVec<Holder<O>, 2>,
     waiters: InlineVec<Waiter<O>, 2>,
 }
 
@@ -97,8 +107,21 @@ impl<O: LockOwner> ObjectLocks<O> {
     fn holder_mode(&self, owner: O) -> Option<LockMode> {
         self.holders
             .iter()
-            .find(|(o, _)| *o == owner)
-            .map(|&(_, m)| m)
+            .find(|h| h.owner == owner)
+            .map(|h| h.mode)
+    }
+
+    fn sole_holder(&self, owner: O) -> bool {
+        self.holders.iter().all(|h| h.owner == owner)
+    }
+
+    /// Converts `owner`'s held lock to `mode` in place.
+    fn set_mode(&mut self, owner: O, mode: LockMode) {
+        for h in self.holders.iter_mut() {
+            if h.owner == owner {
+                h.mode = mode;
+            }
+        }
     }
 
     /// Allocation-free conflict probe: the granted fast path only needs to
@@ -106,14 +129,14 @@ impl<O: LockOwner> ObjectLocks<O> {
     fn has_conflict(&self, owner: O, mode: LockMode) -> bool {
         self.holders
             .iter()
-            .any(|(o, m)| *o != owner && !m.compatible_with(mode))
+            .any(|h| h.owner != owner && !h.mode.compatible_with(mode))
     }
 
     fn conflicts_with(&self, owner: O, mode: LockMode) -> Vec<O> {
         self.holders
             .iter()
-            .filter(|(o, m)| *o != owner && !m.compatible_with(mode))
-            .map(|&(o, _)| o)
+            .filter(|h| h.owner != owner && !h.mode.compatible_with(mode))
+            .map(|h| h.owner)
             .collect()
     }
 
@@ -128,6 +151,10 @@ impl<O: LockOwner> ObjectLocks<O> {
 /// per transaction, far below the database size — so seeding is capped well
 /// under the paper's 10 000-object database.
 const FREE_POOL_SEED: usize = 1024;
+
+/// The objects each owner holds, in no particular order: every holder
+/// entry carries its object's position here.
+type HeldBy<O> = HashMap<O, InlineVec<ObjectId, 16>, FixedState>;
 
 /// Waiters cancelled by [`LockTable::cancel_expired`], tagged by object.
 pub type ExpiredWaiters<O> = Vec<(ObjectId, Waiter<O>)>;
@@ -159,7 +186,7 @@ pub struct LockTable<O> {
     // Both owner maps hash with `FixedState`: owners are program-generated
     // ids, and a process-random hasher would move the maps' rehash points
     // (and so the engine's allocation counts) from run to run.
-    held_by: HashMap<O, InlineVec<ObjectId, 16>, FixedState>,
+    held_by: HeldBy<O>,
     // Reverse index of queued waiters (multiset: one entry per queued
     // waiter), so release_all never has to scan the whole slab for an
     // owner's pending requests.
@@ -168,6 +195,9 @@ pub struct LockTable<O> {
     // transaction cleanup path stays allocation-free at steady state.
     scratch: Vec<ObjectId>,
     next_seq: u64,
+    /// Holder entries inspected by releases; the shape tests read it.
+    #[cfg(test)]
+    visits: std::cell::Cell<u64>,
 }
 
 impl<O: LockOwner> LockTable<O> {
@@ -182,6 +212,8 @@ impl<O: LockOwner> LockTable<O> {
             waits_of: HashMap::default(),
             scratch: Vec::new(),
             next_seq: 0,
+            #[cfg(test)]
+            visits: std::cell::Cell::new(0),
         }
     }
 
@@ -242,14 +274,70 @@ impl<O: LockOwner> LockTable<O> {
 
     /// Mutable entry access, growing the slab on demand. An empty slot is
     /// filled from the recycling pool, so inside a pre-seeded table a fresh
-    /// object costs no allocation.
-    fn entry_mut(&mut self, object: ObjectId) -> &mut ObjectLocks<O> {
+    /// object costs no allocation. Borrows the slab and the pool alone, so
+    /// the caller can update the owner indexes with the entry in hand.
+    fn entry_in<'a>(
+        objects: &'a mut Vec<Option<Box<ObjectLocks<O>>>>,
+        free: &mut Vec<Box<ObjectLocks<O>>>,
+        object: ObjectId,
+    ) -> &'a mut ObjectLocks<O> {
         let idx = object.index() as usize;
-        if idx >= self.objects.len() {
-            self.objects.resize_with(idx + 1, || None);
+        if idx >= objects.len() {
+            objects.resize_with(idx + 1, || None);
         }
-        let free = &mut self.free;
-        self.objects[idx].get_or_insert_with(|| free.pop().unwrap_or_default())
+        objects[idx].get_or_insert_with(|| free.pop().unwrap_or_default())
+    }
+
+    /// Grants `mode` on `entry`'s object to `owner`: one entry in each
+    /// index, the holder's recording where the owner's went.
+    fn hold(
+        held_by: &mut HeldBy<O>,
+        entry: &mut ObjectLocks<O>,
+        object: ObjectId,
+        owner: O,
+        mode: LockMode,
+    ) {
+        let held = held_by.entry(owner).or_default();
+        // Lossless: an owner holds an object once and object ids are `u32`.
+        let slot = held.len() as u32;
+        held.push(object);
+        entry.holders.push(Holder { owner, mode, slot });
+    }
+
+    /// Takes `owner` off `object`'s holders and `object` out of the owner's
+    /// index, looking only at that object's holders and at those of the
+    /// one object whose index entry moves into the vacated slot.
+    fn unhold(&mut self, object: ObjectId, owner: O) {
+        let entry = self.objects.get_mut(object.index() as usize);
+        let Some(entry) = entry.and_then(|s| s.as_deref_mut()) else {
+            return;
+        };
+        let Some(pos) = entry.holders.iter().position(|h| h.owner == owner) else {
+            return;
+        };
+        let slot = entry.holders.remove(pos).slot;
+        self.note_visits(pos + 1);
+        let Some(held) = self.held_by.get_mut(&owner) else {
+            return;
+        };
+        held.swap_remove(slot as usize);
+        let Some(&moved) = held.get(slot as usize) else {
+            return;
+        };
+        let entry = self.objects.get_mut(moved.index() as usize);
+        if let Some(entry) = entry.and_then(|s| s.as_deref_mut()) {
+            let seen = entry.holders.len();
+            for h in entry.holders.iter_mut().filter(|h| h.owner == owner) {
+                h.slot = slot;
+            }
+            self.note_visits(seen);
+        }
+    }
+
+    #[inline]
+    fn note_visits(&self, _n: usize) {
+        #[cfg(test)]
+        self.visits.set(self.visits.get() + _n as u64);
     }
 
     /// Returns an emptied slot's box to the recycling pool.
@@ -280,26 +368,22 @@ impl<O: LockOwner> LockTable<O> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let discipline = self.discipline;
-        let entry = self.entry_mut(object);
+        let entry = Self::entry_in(&mut self.objects, &mut self.free, object);
 
         if let Some(held) = entry.holder_mode(owner) {
             if held.covers(mode) {
                 return Acquire::AlreadyHeld;
             }
             // Upgrade SL -> EL: immediate only as the sole holder.
-            if entry.holders.iter().all(|(o, _)| *o == owner) {
-                for h in entry.holders.iter_mut() {
-                    if h.0 == owner {
-                        h.1 = LockMode::Exclusive;
-                    }
-                }
+            if entry.sole_holder(owner) {
+                entry.set_mode(owner, LockMode::Exclusive);
                 return Acquire::Upgraded;
             }
             let others: Vec<O> = entry
                 .holders
                 .iter()
-                .filter(|(o, _)| *o != owner)
-                .map(|&(o, _)| o)
+                .filter(|h| h.owner != owner)
+                .map(|h| h.owner)
                 .collect();
             let waiter = Waiter {
                 owner,
@@ -316,8 +400,7 @@ impl<O: LockOwner> LockTable<O> {
         }
 
         if !entry.has_conflict(owner, mode) && entry.waiters.is_empty() {
-            entry.holders.push((owner, mode));
-            self.held_by.entry(owner).or_default().push(object);
+            Self::hold(&mut self.held_by, entry, object, owner, mode);
             return Acquire::Granted;
         }
         let conflicts = entry.conflicts_with(owner, mode);
@@ -367,27 +450,21 @@ impl<O: LockOwner> LockTable<O> {
     /// queued compatible readers. Returns `false` (taking no lock) when a
     /// conflicting holder exists.
     pub fn try_grant_bypass(&mut self, object: ObjectId, owner: O, mode: LockMode) -> bool {
-        let entry = self.entry_mut(object);
+        let entry = Self::entry_in(&mut self.objects, &mut self.free, object);
         if let Some(held) = entry.holder_mode(owner) {
             if held.covers(mode) {
                 return true;
             }
-            let sole = entry.holders.iter().all(|(o, _)| *o == owner);
+            let sole = entry.sole_holder(owner);
             if sole {
-                for h in entry.holders.iter_mut() {
-                    if h.0 == owner {
-                        h.1 = LockMode::Exclusive;
-                    }
-                }
-                return true;
+                entry.set_mode(owner, LockMode::Exclusive);
             }
-            return false;
+            return sole;
         }
         if entry.has_conflict(owner, mode) {
             return false;
         }
-        entry.holders.push((owner, mode));
-        self.held_by.entry(owner).or_default().push(object);
+        Self::hold(&mut self.held_by, entry, object, owner, mode);
         true
     }
 
@@ -395,17 +472,11 @@ impl<O: LockOwner> LockTable<O> {
     /// by the same owner). Returns the waiters granted as a result, in grant
     /// order.
     pub fn release(&mut self, object: ObjectId, owner: O) -> Vec<Waiter<O>> {
+        self.unhold(object, owner);
         let idx = object.index() as usize;
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
             return Vec::new();
         };
-        let before = entry.holders.len();
-        entry.holders.retain(|(o, _)| *o != owner);
-        if entry.holders.len() != before {
-            if let Some(v) = self.held_by.get_mut(&owner) {
-                v.retain(|&o| o != object);
-            }
-        }
         let waiting = entry.waiters.len();
         entry.waiters.retain(|w| w.owner != owner);
         if entry.waiters.len() != waiting {
@@ -443,7 +514,7 @@ impl<O: LockOwner> LockTable<O> {
                 .get_mut(obj.index() as usize)
                 .and_then(|s| s.as_deref_mut())
             {
-                entry.holders.retain(|(o, _)| *o != owner);
+                entry.holders.retain(|h| h.owner != owner);
                 entry.waiters.retain(|w| w.owner != owner);
             }
             let granted = self.promote(obj);
@@ -465,14 +536,9 @@ impl<O: LockOwner> LockTable<O> {
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
             return Vec::new();
         };
-        let mut changed = false;
-        for h in entry.holders.iter_mut() {
-            if h.0 == owner && h.1 == LockMode::Exclusive {
-                h.1 = LockMode::Shared;
-                changed = true;
-            }
-        }
+        let changed = entry.holder_mode(owner) == Some(LockMode::Exclusive);
         if changed {
+            entry.set_mode(owner, LockMode::Shared);
             self.promote(object)
         } else {
             Vec::new()
@@ -556,13 +622,9 @@ impl<O: LockOwner> LockTable<O> {
         while let Some(head) = entry.waiters.first().copied() {
             // Upgrade waiter: grantable when it is the sole holder.
             if let Some(held) = entry.holder_mode(head.owner) {
-                let sole = entry.holders.iter().all(|(o, _)| *o == head.owner);
+                let sole = entry.sole_holder(head.owner);
                 if sole && held == LockMode::Shared && head.mode == LockMode::Exclusive {
-                    for h in entry.holders.iter_mut() {
-                        if h.0 == head.owner {
-                            h.1 = LockMode::Exclusive;
-                        }
-                    }
+                    entry.set_mode(head.owner, LockMode::Exclusive);
                     entry.waiters.remove(0);
                     Self::forget_wait_one(&mut self.waits_of, head.owner, object);
                     granted.push(Waiter {
@@ -574,8 +636,7 @@ impl<O: LockOwner> LockTable<O> {
                 break;
             }
             if !entry.has_conflict(head.owner, head.mode) {
-                entry.holders.push((head.owner, head.mode));
-                self.held_by.entry(head.owner).or_default().push(object);
+                Self::hold(&mut self.held_by, entry, object, head.owner, head.mode);
                 entry.waiters.remove(0);
                 Self::forget_wait_one(&mut self.waits_of, head.owner, object);
                 granted.push(head);
@@ -590,7 +651,7 @@ impl<O: LockOwner> LockTable<O> {
     #[must_use]
     pub fn holders(&self, object: ObjectId) -> Vec<(O, LockMode)> {
         self.entry(object)
-            .map(|e| e.holders.to_vec())
+            .map(|e| e.holders.iter().map(|h| (h.owner, h.mode)).collect())
             .unwrap_or_default()
     }
 
@@ -639,33 +700,38 @@ impl<O: LockOwner> LockTable<O> {
     /// Internal consistency check (tests / debug builds): no conflicting
     /// holders coexist and the reverse index matches.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let mut held = 0;
         for (i, slot) in self.objects.iter().enumerate() {
             let Some(e) = slot.as_deref() else { continue };
             let obj = ObjectId(i as u32);
-            let holders: Vec<(O, LockMode)> = e.holders.to_vec();
+            let holders = e.holders.to_vec();
             for i in 0..holders.len() {
                 for j in (i + 1)..holders.len() {
-                    let (a, ma) = holders[i];
-                    let (b, mb) = holders[j];
-                    if a == b {
-                        return Err(format!("{obj}: duplicate holder {a:?}"));
+                    let (x, y) = (holders[i], holders[j]);
+                    if x.owner == y.owner {
+                        return Err(format!("{obj}: duplicate holder {:?}", x.owner));
                     }
-                    if !ma.compatible_with(mb) {
+                    if !x.mode.compatible_with(y.mode) {
                         return Err(format!(
-                            "{obj}: conflicting holders {a:?}:{ma} and {b:?}:{mb}"
+                            "{obj}: conflicting holders {:?}:{} and {:?}:{}",
+                            x.owner, x.mode, y.owner, y.mode
                         ));
                     }
                 }
             }
-            for (o, _) in &holders {
-                let listed = self
+            for h in &holders {
+                let indexed = self
                     .held_by
-                    .get(o)
-                    .is_some_and(|v| v.iter().any(|&x| x == obj));
-                if !listed {
-                    return Err(format!("{obj}: holder {o:?} missing from reverse index"));
+                    .get(&h.owner)
+                    .and_then(|v| v.get(h.slot as usize));
+                if indexed != Some(&obj) {
+                    return Err(format!(
+                        "{obj}: holder {:?} says slot {} of the owner index, which has {indexed:?}",
+                        h.owner, h.slot
+                    ));
                 }
             }
+            held += holders.len();
             for w in e.waiters.iter() {
                 let indexed = self
                     .waits_of
@@ -680,8 +746,14 @@ impl<O: LockOwner> LockTable<O> {
                 }
             }
         }
-        // No stale entries: everything in the waiting index must point at a
-        // live waiter.
+        // No stale entries: every holder vouched for one distinct entry of
+        // the owner index above, so equal counts leave none over.
+        let indexed: usize = self.held_by.values().map(InlineVec::len).sum();
+        if indexed != held {
+            return Err(format!("{indexed} owner index entries for {held} holders"));
+        }
+        // Likewise everything in the waiting index must point at a live
+        // waiter.
         // detlint: allow(D2) — validation sweep; any violation fails the
         // check regardless of visit order
         for (o, objs) in &self.waits_of {
@@ -973,5 +1045,36 @@ mod tests {
         assert!(lt.release(OBJ, A).is_empty());
         assert!(lt.downgrade(OBJ, A).is_empty());
         assert!(lt.release_all(A).is_empty());
+    }
+
+    #[test]
+    fn release_by_a_hoarding_owner_inspects_only_that_objects_holders() {
+        let mut lt = table();
+        for i in 0..1_000 {
+            assert!(lt.request(ObjectId(i), A, Shared, t(10)).is_granted());
+        }
+        // Two more holders on the object released, one more on the object
+        // whose index entry takes over the vacated slot (the last granted).
+        assert!(lt.request(ObjectId(500), B, Shared, t(10)).is_granted());
+        assert!(lt.request(ObjectId(500), C, Shared, t(10)).is_granted());
+        assert!(lt.request(ObjectId(999), B, Shared, t(10)).is_granted());
+        assert_eq!(lt.visits.get(), 0, "granting inspects no index");
+        lt.release(ObjectId(500), A);
+        assert_eq!(
+            lt.visits.get(),
+            1 + 2,
+            "A came first of 500's three holders"
+        );
+        lt.release(ObjectId(500), C);
+        assert_eq!(
+            lt.visits.get(),
+            3 + 2,
+            "C held nothing else: no entry moved"
+        );
+        assert_eq!(lt.locks_of(A).len(), 999);
+        // Releasing the last-indexed object moves nothing either.
+        lt.release(ObjectId(998), A);
+        assert_eq!(lt.visits.get(), 5 + 1);
+        lt.check_invariants().unwrap();
     }
 }

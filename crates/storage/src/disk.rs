@@ -73,14 +73,27 @@ impl DiskFile {
         Some(p)
     }
 
-    /// Writes a page back, counting one I/O.
+    /// [`read`](Self::read) into a page the caller already owns, reusing
+    /// its buffer. Leaves `into` alone and returns `false` for an
+    /// out-of-range id.
+    pub(crate) fn read_into(&mut self, id: ObjectId, into: &mut Page) -> bool {
+        let Some(page) = self.pages.get(id.index() as usize) else {
+            return false;
+        };
+        into.clone_from(page);
+        self.stats.reads += 1;
+        true
+    }
+
+    /// Writes a page back, counting one I/O. The bytes are copied into the
+    /// buffer of the page they overwrite.
     ///
     /// Returns `false` (and writes nothing) for an out-of-range id.
     pub fn write(&mut self, page: &Page) -> bool {
         let idx = page.id().index() as usize;
         match self.pages.get_mut(idx) {
             Some(slot) => {
-                *slot = page.clone();
+                slot.clone_from(page);
                 self.stats.writes += 1;
                 true
             }

@@ -32,6 +32,8 @@
 //! ```
 
 pub mod buffer;
+#[cfg(test)]
+mod buffer_reference;
 pub mod cache;
 pub mod disk;
 pub mod model;

@@ -24,18 +24,36 @@ pub const PAGE_SIZE: usize = 2_048;
 /// assert_eq!(p.read_u64_at(16), 0xDEAD_BEEF);
 /// assert_eq!(p.id(), ObjectId(7));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Page {
     id: ObjectId,
     /// Empty means "pristine all-zero page": no buffer is allocated until the
     /// first mutable access. This keeps `DiskFile::new` (tens of thousands of
     /// pages) and clones of never-written pages allocation-free on the
-    /// simulation hot path.
+    /// simulation hot path. (Empty is a length: a page copied over a
+    /// written one with `clone_from` keeps that page's capacity for later.)
     data: Vec<u8>,
 }
 
 /// Backing bytes for pristine pages that were never written.
 static ZEROES: [u8; PAGE_SIZE] = [0u8; PAGE_SIZE];
+
+impl Clone for Page {
+    fn clone(&self) -> Self {
+        Page {
+            id: self.id,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies into the buffer `self` already has, so that moving a page
+    /// between a frame and the file allocates only when the destination
+    /// never held bytes.
+    fn clone_from(&mut self, source: &Self) {
+        self.id = source.id;
+        self.data.clone_from(&source.data);
+    }
+}
 
 impl PartialEq for Page {
     fn eq(&self, other: &Self) -> bool {
@@ -56,10 +74,11 @@ impl Page {
         }
     }
 
-    /// Allocates the backing buffer if this page is still pristine.
+    /// Gives this page its backing bytes if it is still pristine, reusing
+    /// a buffer left behind by the page it was copied over.
     fn materialize(&mut self) {
         if self.data.is_empty() {
-            self.data = vec![0u8; PAGE_SIZE];
+            self.data.resize(PAGE_SIZE, 0);
         }
     }
 

@@ -172,6 +172,21 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         out
     }
 
+    /// Removes and returns the element at `pos`, moving the last element
+    /// into its place: constant time, order not preserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= len`.
+    pub fn swap_remove(&mut self, pos: usize) -> T {
+        assert!(pos < self.len, "swap_remove position out of bounds");
+        let out = self.get_copy(pos);
+        let last = self.len - 1;
+        self.set(pos, self.get_copy(last));
+        self.truncate(last);
+        out
+    }
+
     /// Keeps only the elements for which `keep` returns true, preserving
     /// order. Allocation-free.
     pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
@@ -270,6 +285,22 @@ mod tests {
     }
 
     #[test]
+    fn swap_remove_matches_vec_at_every_position() {
+        // Lengths on both sides of the spill boundary.
+        for len in 1..6u32 {
+            for pos in 0..len as usize {
+                let mut iv: InlineVec<u32, 2> = InlineVec::new();
+                let mut model: Vec<u32> = (10..10 + len).collect();
+                for &v in &model {
+                    iv.push(v);
+                }
+                assert_eq!(iv.swap_remove(pos), model.swap_remove(pos));
+                check_equals(&iv, &model);
+            }
+        }
+    }
+
+    #[test]
     fn retain_matches_vec() {
         let mut iv: InlineVec<u32, 2> = InlineVec::new();
         let mut model: Vec<u32> = (0..9).collect();
@@ -327,7 +358,7 @@ mod tests {
         let mut iv: InlineVec<u32, 2> = InlineVec::new();
         let mut model: Vec<u32> = Vec::new();
         for step in 0..2000 {
-            match rng() % 4 {
+            match rng() % 5 {
                 0 => {
                     iv.push(step);
                     model.push(step);
@@ -340,6 +371,10 @@ mod tests {
                 2 if !model.is_empty() => {
                     let pos = (rng() as usize) % model.len();
                     assert_eq!(iv.remove(pos), model.remove(pos));
+                }
+                4 if !model.is_empty() => {
+                    let pos = (rng() as usize) % model.len();
+                    assert_eq!(iv.swap_remove(pos), model.swap_remove(pos));
                 }
                 3 => {
                     let bit = rng() % 2 == 0;

@@ -6,9 +6,6 @@
 //! commit. All three system models consume the same specs so that
 //! configurations are compared on identical workloads.
 
-use std::collections::BTreeMap;
-
-
 use crate::ids::{ClientId, ObjectId, TransactionId};
 use crate::lock::LockMode;
 use crate::time::{SimDuration, SimTime};
@@ -135,15 +132,14 @@ impl TransactionSpec {
     /// Normalizes the access list: one entry per object, `write` if any
     /// access to that object writes, sorted by object id for determinism.
     pub fn normalize_accesses(&mut self) {
-        let mut map: BTreeMap<ObjectId, bool> = BTreeMap::new();
-        for a in &self.accesses {
-            let e = map.entry(a.object).or_insert(false);
-            *e |= a.write;
-        }
-        self.accesses = map
-            .into_iter()
-            .map(|(object, write)| AccessSpec { object, write })
-            .collect();
+        // In place: this runs once per generated transaction. Which of an
+        // object's duplicates sorts first is immaterial once they are merged.
+        self.accesses.sort_unstable_by_key(|a| a.object);
+        self.accesses.dedup_by(|dup, kept| {
+            let same = dup.object == kept.object;
+            kept.write |= same && dup.write;
+            same
+        });
     }
 
     /// Splits the access list into `k` contiguous, non-empty groups, used by
@@ -251,6 +247,25 @@ mod tests {
         assert_eq!(
             t.accesses,
             vec![AccessSpec::write(ObjectId(2)), AccessSpec::write(ObjectId(5))]
+        );
+        // Reads stay reads, a write anywhere among three duplicates wins,
+        // and a write does not leak into the next object.
+        let mut t = spec(vec![
+            AccessSpec::read(ObjectId(7)),
+            AccessSpec::read(ObjectId(3)),
+            AccessSpec::write(ObjectId(3)),
+            AccessSpec::read(ObjectId(9)),
+            AccessSpec::read(ObjectId(3)),
+            AccessSpec::read(ObjectId(7)),
+        ]);
+        t.normalize_accesses();
+        assert_eq!(
+            t.accesses,
+            vec![
+                AccessSpec::write(ObjectId(3)),
+                AccessSpec::read(ObjectId(7)),
+                AccessSpec::read(ObjectId(9)),
+            ]
         );
     }
 

@@ -10,8 +10,10 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> wait-for graph vs its reference, full case count (debug builds run a slice)"
+echo "==> wait-for graph, lock table and buffer pool vs their references, full case count (debug builds run a slice)"
 cargo test --release -q -p siteselect-locks waitfor
+cargo test --release -q -p siteselect-locks --lib dense_table_matches
+cargo test --release -q -p siteselect-storage --lib buffer_reference
 
 echo "==> benchmark package (a workspace of its own: its tests must build and pass against the public crates)"
 # BENCHMARK.json's program reaches locks/obs/core only through their
