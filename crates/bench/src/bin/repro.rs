@@ -7,23 +7,15 @@
 //!
 //! Targets: `table1`, `figure1`, `figure2`, `figure3`, `figure4`,
 //! `figure5`, `table2`, `table3`, `table4`, `ablations`, `faults`,
-//! `trace`, `blame`, `check`, `bench`, `all`.
+//! `trace`, `blame`, `check`, `all`. One target per invocation; a flag
+//! outside the `FLAGS` table below, a second target, or a value flag
+//! without its value is a usage error, not something to skip over.
 //! `--quick` shortens the simulated runs (coarser numbers, same shapes).
 //! `--clients N` overrides the Table 4 (or `faults` / `trace` / `check`)
 //! cluster size.
 //! `--jobs N` sets the sweep worker-thread count (absent = one per core;
 //! must be at least 1 when given); results are merged in cell order, so
 //! output is byte-identical at every job count.
-//! `bench` runs the regression-tracked benchmark suite and writes its
-//! JSON report to `--out FILE` (default `BENCH_sim.json`); with
-//! `--baseline FILE` it additionally compares against a previous report
-//! and fails on a missing benchmark or a >2x regression. `bench
-//! --compare OLD.json NEW.json` instead diffs two saved reports without
-//! running anything: per benchmark it prints old/new times, the signed
-//! delta percent and throughput movement (`--json` for the
-//! machine-readable form), and exits non-zero when a benchmark vanished
-//! or slowed past the regression limit — the shape CI uses as its
-//! regression gate.
 //! `faults` is not part of `all`: it sweeps the fault-injection subsystem
 //! (crash/loss/slow-disk chaos) rather than a paper figure, and follows up
 //! with the crash-restart table contrasting write-ahead-log recovery
@@ -72,7 +64,50 @@ use siteselect_locks::protocol_costs;
 use siteselect_obs::{BlameReport, MetricsRegistry, MetricsSnapshot};
 use siteselect_types::{ConfigError, ExperimentConfig, FaultConfig, SimDuration, SystemKind};
 
-/// Returns the value following `flag`, if present.
+/// Every flag `repro` knows and whether a value follows it: the one table
+/// behind both telling targets from flag values and rejecting the rest.
+const FLAGS: [(&str, bool); 14] = [
+    ("--quick", false),
+    ("--restart", false),
+    ("--clients", true),
+    ("--seed", true),
+    ("--out", true),
+    ("--jobs", true),
+    ("--system", true),
+    ("--update", true),
+    ("--chaos", true),
+    ("--duration", true),
+    ("--warmup", true),
+    ("--seeds", true),
+    ("--top", true),
+    ("--inject-violation", true),
+];
+
+/// Checks the command line against [`FLAGS`] and returns its one target
+/// (`all` when none is named). An unknown flag, a value flag without its
+/// value, or a second target is an error that names the offender.
+fn parse_target(args: &[String]) -> Result<&str, String> {
+    let mut target = None;
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            if let Some(first) = target.replace(arg) {
+                return Err(format!("more than one target: {first} and {arg}"));
+            }
+            continue;
+        }
+        let Some(&(_, takes_value)) = FLAGS.iter().find(|(name, _)| *name == arg) else {
+            return Err(format!("unknown flag: {arg}"));
+        };
+        if takes_value && rest.next().is_none_or(|value| value.starts_with("--")) {
+            return Err(format!("{arg} needs a value"));
+        }
+    }
+    Ok(target.unwrap_or("all"))
+}
+
+/// Returns the value following `flag`, if present ([`parse_target`] has
+/// already established that a present value flag has one).
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -80,17 +115,14 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-/// Strictly parses the value of `flag`: present-and-garbled (or missing
-/// its value) is an error, never a silent fallback.
+/// Strictly parses the value of `flag`: present-and-garbled is an error,
+/// never a silent fallback.
 fn parsed_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String>
 where
     T::Err: std::fmt::Display,
 {
-    let Some(pos) = args.iter().position(|a| a == flag) else {
+    let Some(raw) = flag_value(args, flag) else {
         return Ok(None);
-    };
-    let Some(raw) = args.get(pos + 1) else {
-        return Err(format!("{flag} needs a value"));
     };
     raw.parse::<T>()
         .map(Some)
@@ -176,6 +208,10 @@ fn usage_error(message: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let target = match parse_target(&args) {
+        Ok(v) => v,
+        Err(e) => return usage_error(&e),
+    };
     let quick = args.iter().any(|a| a == "--quick");
     let clients_override = match parsed_flag::<u16>(&args, "--clients") {
         Ok(v) => v,
@@ -207,47 +243,6 @@ fn main() -> ExitCode {
         return usage_error("--top must be at least 1");
     }
     let out_dir = flag_value(&args, "--out").unwrap_or("target/trace");
-    let baseline = flag_value(&args, "--baseline");
-    // A target is any token that is neither a flag nor a flag's value.
-    let value_slots: Vec<usize> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| {
-            matches!(
-                a.as_str(),
-                "--clients"
-                    | "--seed"
-                    | "--out"
-                    | "--jobs"
-                    | "--baseline"
-                    | "--system"
-                    | "--update"
-                    | "--chaos"
-                    | "--duration"
-                    | "--warmup"
-                    | "--seeds"
-                    | "--top"
-                    | "--inject-violation"
-            )
-        })
-        .map(|(i, _)| i + 1)
-        .collect();
-    // `--compare` is the one flag that takes two values.
-    let compare_pos = args.iter().position(|a| a == "--compare");
-    let value_slots: Vec<usize> = match compare_pos {
-        Some(pos) => value_slots
-            .into_iter()
-            .chain([pos + 1, pos + 2])
-            .collect(),
-        None => value_slots,
-    };
-    let targets: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && !value_slots.contains(i))
-        .map(|(_, a)| a.as_str())
-        .collect();
-    let target = targets.first().copied().unwrap_or("all");
     let mut opts = repro_options(quick);
     opts.jobs = jobs.unwrap_or(0);
 
@@ -280,30 +275,11 @@ fn main() -> ExitCode {
             &check_flags,
         ),
         "check" => check(opts, clients_override, seed_override, &check_flags),
-        "bench" => match compare_pos {
-            Some(pos) => {
-                let (Some(old), Some(new)) = (args.get(pos + 1), args.get(pos + 2)) else {
-                    return usage_error(
-                        "--compare needs two report paths: --compare OLD.json NEW.json",
-                    );
-                };
-                if old.starts_with("--") || new.starts_with("--") {
-                    return usage_error(
-                        "--compare needs two report paths: --compare OLD.json NEW.json",
-                    );
-                }
-                bench_compare(old, new, args.iter().any(|a| a == "--json"))
-            }
-            None => {
-                let out = flag_value(&args, "--out").unwrap_or("BENCH_sim.json");
-                bench_suite(out, baseline)
-            }
-        },
         "all" => all(opts, clients_override.unwrap_or(100)),
         other => {
             eprintln!("unknown target: {other}");
             eprintln!(
-                "targets: table1 figure1 figure2 figure3 figure4 figure5 table2 table3 table4 ablations faults trace blame check bench all"
+                "targets: table1 figure1 figure2 figure3 figure4 figure5 table2 table3 table4 ablations faults trace blame check all"
             );
             return ExitCode::FAILURE;
         }
@@ -751,48 +727,6 @@ fn check(
     } else {
         Err("simcheck found an oracle violation".into())
     }
-}
-
-/// Runs the regression-tracked benchmark suite, writes the JSON report,
-/// and optionally enforces a baseline.
-fn bench_suite(out: &str, baseline: Option<&str>) -> Result<(), AnyError> {
-    banner("Bench: hot-path substrates, end-to-end runs, sweep scaling");
-    let report = siteselect_bench::suite::run_suite();
-    let json = report.to_json();
-    std::fs::write(out, &json)?;
-    println!("\nwrote {out} ({} benchmarks, {} cores, {})", report.benchmarks.len(), report.cores, report.rustc);
-    if let Some(path) = baseline {
-        let base = std::fs::read_to_string(path)?;
-        siteselect_bench::suite::compare_against_baseline(&report, &base)
-            .map_err(|e| format!("baseline check failed: {e}"))?;
-        println!("baseline check passed against {path}");
-    }
-    Ok(())
-}
-
-/// Diffs two saved bench reports (`repro bench --compare OLD NEW`):
-/// per-benchmark delta table (or JSON with `--json`), non-zero exit when a
-/// benchmark vanished or slowed past the regression limit.
-fn bench_compare(old_path: &str, new_path: &str, json: bool) -> Result<(), AnyError> {
-    let old = std::fs::read_to_string(old_path)
-        .map_err(|e| format!("cannot read {old_path}: {e}"))?;
-    let new = std::fs::read_to_string(new_path)
-        .map_err(|e| format!("cannot read {new_path}: {e}"))?;
-    let cmp = siteselect_bench::suite::BenchComparison::from_json(&old, &new)?;
-    if json {
-        print!("{}", cmp.to_json());
-    } else {
-        banner(&format!("Bench compare: {old_path} -> {new_path}"));
-        print!("{}", cmp.to_text());
-    }
-    if cmp.regressed() {
-        return Err(format!(
-            "bench regression: a benchmark vanished or slowed more than {}x (see table above)",
-            siteselect_bench::suite::REGRESSION_LIMIT
-        )
-        .into());
-    }
-    Ok(())
 }
 
 fn all(opts: SweepOptions, table4_clients: u16) -> Result<(), AnyError> {

@@ -1,17 +1,9 @@
-//! Benchmark harness support for the `siteselect` reproduction.
+//! Support for the `repro` binary, which regenerates every table and
+//! figure of the paper (`cargo run -p siteselect-bench --release --bin
+//! repro -- all`).
 //!
-//! The interesting entry points are:
-//!
-//! * `src/bin/repro.rs` — regenerates every table and figure of the paper
-//!   (`cargo run -p siteselect-bench --release --bin repro -- all`);
-//! * `benches/*.rs` — micro/macro benchmarks of the substrates and one
-//!   end-to-end bench per experiment (`cargo bench`), driven by the small
-//!   self-contained [`harness`] in this crate.
-//!
-//! This library only hosts small helpers shared by those targets.
-
-pub mod harness;
-pub mod suite;
+//! Performance is measured by the package under `src/bin/benchmark/`
+//! (see its README.md), not here.
 
 use siteselect_core::experiments::SweepOptions;
 use siteselect_types::SimDuration;

@@ -1,6 +1,7 @@
-//! End-to-end tests of the `repro` command line: argument validation,
-//! the simcheck self-test (`--inject-violation`), a small green explorer
-//! run, and `--jobs` invariance of the printed report.
+//! End-to-end tests of the `repro` command line: argument validation
+//! (values, unknown flags, surplus targets), the simcheck self-test
+//! (`--inject-violation`), a small green explorer run, and `--jobs`
+//! invariance of the printed report.
 
 use std::process::{Command, Output};
 
@@ -94,6 +95,30 @@ fn unknown_target_lists_the_valid_ones() {
     let err = stderr_of(&out);
     assert!(err.contains("unknown target"), "stderr: {err}");
     assert!(err.contains("check"), "stderr: {err}");
+
+    // The removed suite's target is unknown like any other and not offered.
+    let out = repro(&["bench"]);
+    assert!(!out.status.success());
+    let err = stderr_of(&out);
+    assert!(err.contains("unknown target: bench"), "stderr: {err}");
+    assert!(!err.contains(" bench "), "target list still names bench: {err}");
+}
+
+#[test]
+fn unrecognised_arguments_are_usage_errors_that_run_nothing() {
+    for (args, offender) in [
+        (&["figure3", "--quik"][..], "unknown flag: --quik"),
+        (&["figure3", "--quick", "figure4"][..], "more than one target: figure3 and figure4"),
+        (&["table1", "--out"][..], "--out needs a value"),
+        (&["table1", "--out", "--quick"][..], "--out needs a value"),
+        (&["bench", "--compare", "a.json", "b.json"][..], "unknown flag: --compare"),
+    ] {
+        let out = repro(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = stderr_of(&out);
+        assert!(err.contains(offender), "{args:?} stderr missing {offender:?}: {err}");
+        assert_eq!(stdout_of(&out), "", "{args:?} ran something before failing");
+    }
 }
 
 #[test]

@@ -46,7 +46,6 @@
 
 pub mod callback;
 pub mod forward;
-pub mod inline;
 pub mod protocol_costs;
 #[cfg(test)]
 mod reference;
@@ -58,7 +57,6 @@ pub mod window;
 
 pub use callback::{CallbackTracker, RecallProgress};
 pub use forward::{ForwardEntry, ForwardList};
-pub use inline::InlineVec;
 pub use table::{Acquire, LockTable, QueueDiscipline, Waiter};
 pub use waitfor::WaitForGraph;
 pub use window::{WindowManager, WindowOffer};

@@ -2,7 +2,7 @@
 //! Figure 2 (lock grouping): build the actual message sequences and count
 //! them.
 //!
-//! These traces are used by the `repro figure1` / `repro figure2` bench
+//! These traces are used by the `repro figure1` / `repro figure2`
 //! targets and by property tests verifying the `4n-1` vs `2n+1` message
 //! economics for arbitrary `n`.
 

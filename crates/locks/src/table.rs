@@ -15,9 +15,7 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::hash::Hash;
 
-use siteselect_types::{FixedState, LockMode, ObjectId, SimTime};
-
-use crate::inline::InlineVec;
+use siteselect_types::{FixedState, InlineVec, LockMode, ObjectId, SimTime};
 
 /// Trait alias for lock-owner identifiers (clients at the server's global
 /// table, transactions at a site's local table).

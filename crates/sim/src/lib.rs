@@ -31,4 +31,4 @@ pub mod stats;
 
 pub use queue::EventQueue;
 pub use rng::Prng;
-pub use stats::{Counter, Histogram, OnlineStats, Ratio, TimeWeighted};
+pub use stats::{OnlineStats, Ratio};

@@ -1,138 +1,209 @@
 #!/usr/bin/env bash
-# The full local/CI gate. The workspace has no external dependencies, so
-# every step runs offline. Pass --fast to skip the paper-scale seedcheck.
+# The one CI definition: a list of named steps. The workspace has no
+# external dependencies, so every step but tsan/miri runs offline.
+#   scripts/ci.sh            the full local gate (every step in GATE)
+#   scripts/ci.sh --fast     the same without the minutes-long SLOW steps
+#   scripts/ci.sh --list     the step names
+#   scripts/ci.sh STEP...    those steps only (.github/workflows/ci.yml)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release"
-cargo build --release --workspace
+GATE=(build test references benchmark-tests detlint detlint-selftest clippy
+  trace-determinism blame-determinism disabled-path jobs-determinism
+  simcheck recovery benchmark)
+SLOW=(seedcheck repro-golden)
+# Steps in neither list (tsan, miri, simcheck-nightly) run only when
+# named: they need a nightly toolchain or most of an hour.
 
-echo "==> cargo test"
-cargo test -q --workspace
+repro() { cargo run --release -q -p siteselect-bench --bin repro -- "$@"; }
+detlint() { cargo run --release -q -p siteselect-lint --bin detlint -- "$@"; }
+die() { echo "ci.sh: $*" >&2; exit 1; }
+# Same bytes modulo the "wrote <path>" line, which names the output file.
+same_report() { diff <(grep -v '^wrote ' "$1") <(grep -v '^wrote ' "$2"); }
 
-echo "==> wait-for graph, lock table and buffer pool vs their references, full case count (debug builds run a slice)"
-cargo test --release -q -p siteselect-locks waitfor
-cargo test --release -q -p siteselect-locks --lib dense_table_matches
-cargo test --release -q -p siteselect-storage --lib buffer_reference
+tmp="$(mktemp -d)"
+seeded="" # the file a detlint self-test appended to; put back on any exit
+restore() { [[ -z "$seeded" ]] || cp -p "$tmp/seeded" "$seeded"; seeded=""; }
+trap 'restore; rm -rf "$tmp"' EXIT
 
-echo "==> benchmark package (a workspace of its own: its tests must build and pass against the public crates)"
-# BENCHMARK.json's program reaches locks/obs/core only through their
-# public API and sits outside `--workspace`; without this step an API
-# break there fails the benchmark pipeline instead of CI.
-cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+step_build() { cargo build --release --workspace; }
+step_test() { cargo test -q --workspace; }
 
-echo "==> detlint (determinism & safety contract, see detlint.toml)"
-# --ratchet: a baseline entry that over-accepts (findings were fixed but
-# the baseline not regenerated) fails the gate instead of rotting.
-cargo run --release -q -p siteselect-lint --bin detlint -- check --workspace --ratchet
+# The wait-for graph, lock table and buffer pool against their reference
+# implementations at the full case count (debug builds run a slice).
+step_references() {
+  cargo test --release -q -p siteselect-locks waitfor
+  cargo test --release -q -p siteselect-locks --lib dense_table_matches
+  cargo test --release -q -p siteselect-storage --lib buffer_reference
+}
 
-echo "==> cargo clippy (warnings are errors via [workspace.lints])"
-cargo clippy --workspace --all-targets
+# BENCHMARK.json's program is a workspace of its own that reaches the
+# engines through their public API; without this an API break fails the
+# benchmark pipeline instead of CI.
+step_benchmark-tests() {
+  cargo test --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
+}
 
-echo "==> trace determinism (repro trace twice at one seed, byte-diff)"
-tracedir="$(mktemp -d)"
-trap 'rm -rf "$tracedir"' EXIT
-cargo run --release -q -p siteselect-bench --bin repro -- trace --quick --seed 7 --out "$tracedir/a" > "$tracedir/a.out"
-cargo run --release -q -p siteselect-bench --bin repro -- trace --quick --seed 7 --out "$tracedir/b" > "$tracedir/b.out"
-diff "$tracedir/a/trace.jsonl" "$tracedir/b/trace.jsonl"
-diff "$tracedir/a/trace.json" "$tracedir/b/trace.json"
-# The report must match too; only the "wrote <path>" line may differ.
-diff <(grep -v '^wrote ' "$tracedir/a.out") <(grep -v '^wrote ' "$tracedir/b.out")
+# --ratchet: a baseline entry that over-accepts fails instead of rotting.
+step_detlint() { detlint rules; detlint check --workspace --ratchet; }
 
-echo "==> blame determinism (repro blame, jobs 1 vs 8, byte-diff)"
-cargo run --release -q -p siteselect-bench --bin repro -- blame --quick --seed 7 --jobs 1 --out "$tracedir/blame.j1.json" > "$tracedir/blame.j1.out"
-cargo run --release -q -p siteselect-bench --bin repro -- blame --quick --seed 7 --jobs 8 --out "$tracedir/blame.j8.json" > "$tracedir/blame.j8.out"
-diff "$tracedir/blame.j1.json" "$tracedir/blame.j8.json"
-# Stdout must match too; only the "wrote <path>" line may differ.
-diff <(grep -v '^wrote ' "$tracedir/blame.j1.out") <(grep -v '^wrote ' "$tracedir/blame.j8.out")
+# expect_findings FILE TAG...: with stdin appended to FILE, detlint must
+# fail and report every TAG. The gate has to be able to fail.
+expect_findings() {
+  local file="$1" out tag; shift
+  cp -p "$file" "$tmp/seeded"; seeded="$file"; cat >> "$file"
+  if out="$(detlint check --workspace)"; then die "detlint passed a seeded violation in $file"; fi
+  restore
+  for tag in "$@"; do
+    grep -q "$tag" <<< "$out" || { echo "$out"; die "detlint did not report $tag in $file"; }
+  done
+}
+step_detlint-selftest() {
+  expect_findings crates/sim/src/rng.rs 'detlint\[D1\]' << 'EOF'
 
-echo "==> disabled-path guard (untraced repro output is byte-stable)"
-cargo run --release -q -p siteselect-bench --bin repro -- figure3 --quick > "$tracedir/f3.a"
-cargo run --release -q -p siteselect-bench --bin repro -- figure3 --quick > "$tracedir/f3.b"
-diff "$tracedir/f3.a" "$tracedir/f3.b"
+fn _detlint_gate_selftest() {
+    let _t = std::time::Instant::now();
+}
+EOF
+  expect_findings crates/cluster/src/server.rs \
+    'detlint\[D7\]: lock order cycle' 'detlint\[D8\]: channel send while holding' << 'EOF'
 
-echo "==> parallel-sweep determinism (jobs 1 vs 8, byte-diff)"
-cargo run --release -q -p siteselect-bench --bin repro -- figure3 --quick --jobs 1 > "$tracedir/f3.j1"
-cargo run --release -q -p siteselect-bench --bin repro -- figure3 --quick --jobs 8 > "$tracedir/f3.j8"
-diff "$tracedir/f3.j1" "$tracedir/f3.j8"
+impl SharedServer {
+    fn _detlint_gate_selftest_d7(&self) {
+        let a = self.callback_tx.lock();
+        let b = self.inner.lock();
+        drop(b);
+        drop(a);
+    }
 
-echo "==> simcheck (oracle smoke: small seed budget, byte-identical across --jobs)"
-cargo run --release -q -p siteselect-bench --bin repro -- check --seeds 18 --jobs 1 > "$tracedir/sc.j1"
-cargo run --release -q -p siteselect-bench --bin repro -- check --seeds 18 --jobs 8 > "$tracedir/sc.j8"
-diff "$tracedir/sc.j1" "$tracedir/sc.j8"
-# The gate must be able to fail: a seeded synthetic violation has to fire.
-if cargo run --release -q -p siteselect-bench --bin repro -- check --inject-violation coherence > /dev/null 2>&1; then
-  echo "simcheck failed to fail on an injected coherence violation"; exit 1
-fi
+    fn _detlint_gate_selftest_d8(&self) {
+        let g = self.inner.lock();
+        let _ = self.callback_tx.send(0);
+        drop(g);
+    }
+}
+EOF
+  # Not absorbed by detlint.baseline.json: rng.rs has no accepted sites.
+  expect_findings crates/sim/src/rng.rs 'detlint\[D9\]' << 'EOF'
 
-echo "==> recovery (seeded crash-restart run under all four oracles + oracle self-test)"
-# One server crash-restart run per engine family: the WAL replays, the
-# site rejoins, and the recovery oracle judges the post-restart state dump.
-cargo run --release -q -p siteselect-bench --bin repro -- trace --quick --seed 11 --system ce --chaos 1.0 --restart --out "$tracedir/rec_ce" > /dev/null
-cargo run --release -q -p siteselect-bench --bin repro -- trace --quick --seed 11 --system cs --chaos 1.0 --restart --out "$tracedir/rec_cs" > /dev/null
-# The durability gate must be able to fail too.
-if cargo run --release -q -p siteselect-bench --bin repro -- check --inject-violation recovery > /dev/null 2>&1; then
-  echo "simcheck failed to fail on an injected recovery violation"; exit 1
-fi
+fn _detlint_gate_selftest_d9(v: &[u64]) -> u64 {
+    v[0]
+}
+EOF
+}
 
-echo "==> bench smoke (suite runs, report parses, no >2x regression vs fresh rerun)"
-cargo run --release -q -p siteselect-bench --bin repro -- bench --out "$tracedir/bench.json" > "$tracedir/bench.out"
-for field in '"meta"' '"cores"' '"rustc"' '"git_rev"' '"benchmarks"' '"ns_per_iter"' '"events_per_sec"' '"events_per_sec_cpu"'; do
-  grep -q "$field" "$tracedir/bench.json" || { echo "bench.json missing $field"; exit 1; }
-done
-# Sweep benchmarks must report simulated throughput, not null (the sim/*
-# and sweep/* rows double as the tracing-off overhead smoke: the suite
-# times untraced runs, so span instrumentation that leaks into the
-# disabled path shows up here and in the regression gate below).
-if grep -E '"name": "(sim|sweep)/' "$tracedir/bench.json" | grep -q '"events_per_sec": null'; then
-  echo "a sim/ or sweep/ benchmark reported events_per_sec: null"; exit 1
-fi
-# Same-machine regression gate: a second run, diffed against the first by
-# the compare mode, must keep every benchmark present and within the 2x
-# limit (the committed results/BENCH_sim.json baseline documents a
-# reference machine and is not comparable across hardware). The delta
-# table lands in the CI log either way.
-cargo run --release -q -p siteselect-bench --bin repro -- bench --out "$tracedir/bench2.json" > "$tracedir/bench2.out"
-cargo run --release -q -p siteselect-bench --bin repro -- bench --compare "$tracedir/bench.json" "$tracedir/bench2.json"
-# Hot-loop throughput floor: each end-to-end sim row must hold at least
-# 2x the seed-era throughput pinned in results/BENCH_sim.seed.json. The
-# gate reads the CPU-time figure, which host-level steal on shared
-# runners cannot depress (wall-clock swings several-fold on busy boxes
-# while CPU accounting stays steady); it falls back to wall-clock
-# events_per_sec where CPU accounting is unavailable.
-for row in centralized client_server load_sharing; do
-  seed=$(grep "\"sim/${row}_quick\"" results/BENCH_sim.seed.json \
-    | sed 's/.*"events_per_sec": \([0-9.]*\).*/\1/')
-  cur=$(grep "\"sim/${row}_quick\"" "$tracedir/bench.json" \
-    | sed 's/.*"events_per_sec_cpu": \([0-9.]*\).*/\1/')
-  if ! [[ "$cur" =~ ^[0-9.]+$ ]]; then
-    cur=$(grep "\"sim/${row}_quick\"" "$tracedir/bench.json" \
-      | sed 's/.*"events_per_sec": \([0-9.]*\).*/\1/')
+# Warnings are errors through [workspace.lints].
+step_clippy() { cargo clippy --workspace --all-targets; }
+
+step_trace-determinism() {
+  repro trace --quick --seed 7 --out "$tmp/a" > "$tmp/a.out"
+  repro trace --quick --seed 7 --out "$tmp/b" > "$tmp/b.out"
+  diff "$tmp/a/trace.jsonl" "$tmp/b/trace.jsonl"
+  diff "$tmp/a/trace.json" "$tmp/b/trace.json"
+  same_report "$tmp/a.out" "$tmp/b.out"
+}
+
+step_blame-determinism() {
+  repro blame --quick --seed 7 --jobs 1 --out "$tmp/blame.j1.json" > "$tmp/blame.j1.out"
+  repro blame --quick --seed 7 --jobs 8 --out "$tmp/blame.j8.json" > "$tmp/blame.j8.out"
+  diff "$tmp/blame.j1.json" "$tmp/blame.j8.json"
+  same_report "$tmp/blame.j1.out" "$tmp/blame.j8.out"
+}
+
+# Untraced output is byte-stable: tracing leaves nothing on when off.
+step_disabled-path() {
+  repro figure3 --quick > "$tmp/f3.a"
+  repro figure3 --quick > "$tmp/f3.b"
+  diff "$tmp/f3.a" "$tmp/f3.b"
+}
+
+step_jobs-determinism() {
+  repro figure3 --quick --jobs 1 > "$tmp/f3.j1"
+  repro figure3 --quick --jobs 8 > "$tmp/f3.j8"
+  diff "$tmp/f3.j1" "$tmp/f3.j8"
+}
+
+# expect_violation KIND: the oracle must fire on its known-bad history and
+# say where and how to replay it.
+expect_violation() {
+  if repro check --inject-violation "$1" > /dev/null 2> "$tmp/inject.err"; then
+    die "simcheck passed an injected $1 violation"
   fi
-  [[ "$seed" =~ ^[0-9.]+$ && "$cur" =~ ^[0-9.]+$ ]] \
-    || { echo "cannot read sim/${row}_quick throughput (seed='$seed' cur='$cur')"; exit 1; }
-  awk -v c="$cur" -v s="$seed" 'BEGIN { exit !(c >= 2.0 * s) }' \
-    || { echo "sim/${row}_quick throughput $cur below 2x seed baseline ($seed)"; exit 1; }
-  echo "sim/${row}_quick: $cur ev/cpu-s vs seed $seed ev/s (floor 2x)"
+  grep -q "$1 violation at crates/check/src/$1.rs" "$tmp/inject.err" \
+    && grep -q "replay:" "$tmp/inject.err" \
+    || { cat "$tmp/inject.err"; die "no file:line diagnostic or replay command for $1"; }
+}
+
+step_simcheck() {
+  repro check --seeds 72
+  repro check --seeds 18 --jobs 1 > "$tmp/sc.j1"
+  repro check --seeds 18 --jobs 8 > "$tmp/sc.j8"
+  diff "$tmp/sc.j1" "$tmp/sc.j8"
+  for kind in serializability coherence deadline recovery; do expect_violation "$kind"; done
+}
+
+# One server crash-restart run per engine: the WAL replays, the site
+# rejoins, all four oracles judge the trace; CS twice for the byte-diff.
+step_recovery() {
+  for system in ce cs ls; do
+    repro trace --quick --seed 11 --system "$system" --chaos 1.0 --restart --out "$tmp/rec_$system" > /dev/null
+  done
+  repro trace --quick --seed 11 --system cs --chaos 1.0 --restart --out "$tmp/rec_cs2" > /dev/null
+  diff "$tmp/rec_cs/trace.jsonl" "$tmp/rec_cs2/trace.jsonl"
+  expect_violation recovery
+}
+
+# A smoke that the measured program still runs, not a performance gate
+# (that is the pipeline's): the exit code is the benchmark's hard
+# invariants. The last line is the result as JSON, which the table repeats.
+step_benchmark() {
+  for workload in ce_paper cs_update20 ls_update5 cs_restart_traced fig4_sweep check_seeds; do
+    cargo run --release -q --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 1 --trace 0 | sed '$d'
+  done
+}
+
+# Figure 5's headline point at seeds 1-3, paper scale.
+step_seedcheck() { cargo run --release -q -p siteselect-bench --bin seedcheck; }
+
+# `repro all` at paper scale against results/repro_all.txt.
+step_repro-golden() { cargo test --release -q -p siteselect-bench --test repro_golden -- --ignored; }
+
+# std must be instrumented too, hence -Zbuild-std.
+step_tsan() {
+  RUSTFLAGS="-Zsanitizer=thread" TSAN_OPTIONS="halt_on_error=1" \
+    cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
+    --release -p siteselect --test cluster_concurrency
+}
+
+# The pure-compute property tests and the three differential tests (case
+# counts reduced under cfg(miri)); the 4000-step lock-table runs are too
+# slow under the interpreter.
+step_miri() {
+  cargo +nightly miri test -p siteselect --test property_tests -- \
+    prng histogram online_stats event_queue
+  cargo +nightly miri test -p siteselect-locks --lib -- indexed_graph_matches_hashmap_oracle
+  cargo +nightly miri test -p siteselect-storage --lib -- listed_pool_matches_scanning_oracle
+}
+
+# The second sweep's base seed rotates by date, so every night sees new
+# schedules and the printed replay command still pins the one it used.
+step_simcheck-nightly() {
+  repro check --seeds 2000
+  repro check --seeds 2000 --seed "$((0x51AC0C43 + $(date -u +%Y%m%d)))"
+}
+
+case "${1:-}" in
+  "") steps=("${GATE[@]}" "${SLOW[@]}") ;;
+  --fast) steps=("${GATE[@]}") ;;
+  --list) declare -F | sed -n 's/^declare -f step_//p'; exit 0 ;;
+  *) steps=("$@") ;;
+esac
+for step in "${steps[@]}"; do
+  declare -F "step_$step" > /dev/null || die "unknown step: $step (see --list)"
 done
-
-if [[ "$(nproc)" -ge 2 ]]; then
-  echo "==> parallel-sweep speedup (quick sweep, jobs=nproc vs jobs=1)"
-  t1=$( { time -p cargo run --release -q -p siteselect-bench --bin repro -- figure3 --quick --jobs 1 >/dev/null; } 2>&1 | awk '/^real/{print $2}')
-  tn=$( { time -p cargo run --release -q -p siteselect-bench --bin repro -- figure3 --quick --jobs "$(nproc)" >/dev/null; } 2>&1 | awk '/^real/{print $2}')
-  echo "jobs=1: ${t1}s  jobs=$(nproc): ${tn}s"
-  awk -v a="$t1" -v b="$tn" 'BEGIN { exit !(a >= 2.0 * b) }' \
-    || { echo "parallel sweep not >=2x faster (${t1}s vs ${tn}s)"; exit 1; }
-else
-  echo "==> parallel-sweep speedup skipped (single-core runner)"
-fi
-
-if [[ "${1:-}" != "--fast" ]]; then
-  echo "==> seed sensitivity (Figure 5 headline point, seeds 1-3)"
-  cargo run --release -q -p siteselect-bench --bin seedcheck
-
-  echo "==> golden paper reproduction (repro all matches results/repro_all.txt)"
-  cargo test --release -q -p siteselect-bench --test repro_golden -- --ignored
-fi
-
+for step in "${steps[@]}"; do
+  echo "==> $step"
+  "step_$step"
+done
 echo "CI OK"

@@ -503,8 +503,7 @@ fn histogram_quantiles_are_monotone_and_bounded() {
 // Dense object-indexed containers vs the std HashMap/HashSet oracle.
 // ------------------------------------------------------------------
 
-use siteselect::locks::InlineVec;
-use siteselect::types::{ObjectMap, ObjectSet};
+use siteselect::types::{InlineVec, ObjectMap, ObjectSet};
 use std::collections::{HashMap, HashSet};
 
 /// Ids biased toward the interesting spots: the empty low end, a single
