@@ -19,13 +19,10 @@
 
 use std::collections::HashMap;
 
+use siteselect_locks::{Acquire, QueueDiscipline};
 use siteselect_net::{Delivery, Fabric, MessageKind};
 use siteselect_obs::{Event, EventSink, SpanKind};
 use siteselect_sim::{EventQueue, Prng};
-use siteselect_storage::ClientCache;
-use siteselect_storage::DiskModel;
-use siteselect_storage::{DurableStore, RecoveryOutcome};
-use siteselect_locks::{Acquire, LockTable, QueueDiscipline, WaitForGraph};
 use siteselect_types::{
     AbortReason, ExperimentConfig, FixedState, InlineVec, LockMode, ObjectId, SimDuration, SimTime, SiteId,
     TransactionId, TransactionSpec, TxnOutcome,
@@ -34,6 +31,7 @@ use siteselect_workload::Trace;
 
 use crate::cpu::{PsCpu, Tick};
 use crate::metrics::RunMetrics;
+use crate::server_core::{fabric_for, ServerCore};
 
 type Key = u64;
 
@@ -100,12 +98,10 @@ pub struct CentralizedSim {
     queue: EventQueue<Ev>,
     fabric: Fabric,
     cpu: PsCpu<Key>,
-    locks: LockTable<Key>,
-    wfg: WaitForGraph<Key>,
-    buffer: ClientCache,
-    disk: DiskModel,
-    /// WAL-guarded durable page store; update transactions write through it.
-    store: DurableStore,
+    /// Lock table (transaction granularity, deadline-ordered), wait-for
+    /// graph, buffer, disk and the durable store update transactions write
+    /// through — with what a crash does to them.
+    core: ServerCore<Key>,
     /// The generated trace, arena-style: transactions reference their spec
     /// by index instead of carrying a clone through the pipeline.
     specs: Vec<TransactionSpec>,
@@ -120,20 +116,6 @@ pub struct CentralizedSim {
     /// True if `cfg.faults.injects_faults()`; every fault code path is gated
     /// on it, so a default run draws no fault randomness.
     faults_active: bool,
-    /// False while the server is crashed and replaying its log.
-    server_up: bool,
-    /// In-flight submissions refused because the server was down when they
-    /// arrived (fabric-level drops are counted by the fabric itself).
-    gate_dropped: u64,
-    /// Dedicated stream for crash-time draws: the torn log tail cut and the
-    /// reboot lag. Never advanced with faults off.
-    crash_prng: Prng,
-    /// Replay outcome of the crash being recovered from, reported in the
-    /// `RecoveryDone` event when the server rejoins.
-    pending_recovery: Option<RecoveryOutcome>,
-    /// When the crash being recovered from happened (start of the replay
-    /// span stamped at rejoin).
-    crashed_at: Option<SimTime>,
     sink: EventSink,
 }
 
@@ -149,22 +131,10 @@ impl CentralizedSim {
             cfg.workload.update_fraction,
             cfg.runtime.seed,
         );
-        let faults_active = cfg.faults.injects_faults();
-        let mut fabric = Fabric::new(cfg.network, cfg.database.object_size_bytes);
-        if faults_active {
-            // A dedicated PRNG stream for the fabric: loss and jitter draws
-            // never perturb the workload's random sequence.
-            let prng = Prng::seed_from_u64(cfg.runtime.seed).derive(0xFA_B1);
-            fabric.enable_faults(cfg.faults, prng);
-        }
         CentralizedSim {
-            fabric,
+            fabric: fabric_for(&cfg),
             cpu: PsCpu::new(cfg.cpu.server_speed, cfg.server.max_concurrent_txns),
-            locks: LockTable::new(QueueDiscipline::Deadline),
-            wfg: WaitForGraph::new(),
-            buffer: ClientCache::new(cfg.server.buffer_objects, 0),
-            disk: DiskModel::new(cfg.server.disk.page_service_time),
-            store: DurableStore::new(cfg.database.num_objects, cfg.server.buffer_objects.max(1)),
+            core: ServerCore::new(&cfg, QueueDiscipline::Deadline),
             specs: Vec::new(),
             txns: HashMap::default(),
             scratch_objs: Vec::new(),
@@ -173,12 +143,7 @@ impl CentralizedSim {
             queue: EventQueue::new(),
             warmup_end,
             metrics,
-            faults_active,
-            server_up: true,
-            gate_dropped: 0,
-            crash_prng: Prng::seed_from_u64(cfg.runtime.seed).derive(0xFA_E5),
-            pending_recovery: None,
-            crashed_at: None,
+            faults_active: cfg.faults.injects_faults(),
             sink: EventSink::disabled(),
             cfg,
         }
@@ -222,11 +187,7 @@ impl CentralizedSim {
         }
         self.queue
             .push(self.warmup_end.max(SimTime::from_secs(1)), Ev::Sweep);
-        // The buffer and lock table see every object id sooner or later;
-        // pre-sizing their slabs keeps first-touch insertions off the
-        // allocator mid-run.
-        self.buffer.reserve_ids(self.cfg.database.num_objects as usize);
-        self.locks.reserve_objects(self.cfg.database.num_objects as usize);
+        self.core.presize(&self.cfg);
     }
 
     /// Processes the next event; returns `false` once the queue is drained.
@@ -250,8 +211,11 @@ impl CentralizedSim {
     #[must_use]
     pub fn finalize(mut self) -> RunMetrics {
         // Every transaction reached an outcome, so nobody waits for anybody.
-        debug_assert_eq!(self.wfg.check_invariants(), Ok(()));
-        debug_assert_eq!((self.wfg.waiting_nodes(), self.wfg.edge_count()), (0, 0));
+        debug_assert_eq!(self.core.wfg.check_invariants(), Ok(()));
+        debug_assert_eq!(
+            (self.core.wfg.waiting_nodes(), self.core.wfg.edge_count()),
+            (0, 0)
+        );
         let span = self
             .now
             .duration_since(SimTime::ZERO)
@@ -259,10 +223,7 @@ impl CentralizedSim {
             .max(1e-9);
         self.metrics.server_cpu_utilization =
             (self.cpu.busy_time().as_secs_f64() / span).min(1.0);
-        self.metrics.messages = self.fabric.stats().clone();
-        self.metrics.faults.messages_dropped = self.fabric.dropped_messages() + self.gate_dropped;
-        self.metrics.faults.messages_delayed = self.fabric.delayed_messages();
-        self.metrics.faults.slow_disk_ios = self.disk.slow_ios();
+        self.core.report_faults(&self.fabric, &mut self.metrics);
         self.metrics
     }
 
@@ -288,21 +249,7 @@ impl CentralizedSim {
                 }
             }
         }
-        if !f.mean_time_to_slow_disk.is_zero() {
-            let mut prng = Prng::seed_from_u64(self.cfg.runtime.seed).derive(0xFA_D3);
-            let mut episodes = Vec::new();
-            let mut t = SimTime::ZERO;
-            loop {
-                t += prng.exp_duration(f.mean_time_to_slow_disk);
-                if t >= end {
-                    break;
-                }
-                let until = t + f.slow_disk_duration;
-                episodes.push((t, until));
-                t = until;
-            }
-            self.disk.set_slow_episodes(episodes, f.slow_disk_factor);
-        }
+        self.core.schedule_slow_disk(&self.cfg);
     }
 
     fn measured_at(&self, i: usize) -> bool {
@@ -424,9 +371,9 @@ impl CentralizedSim {
         // The submission hop: sent at arrival from the client terminal,
         // delivered (or refused) now.
         self.emit_span(SiteId::Server, id, SpanKind::Net, arrival, None);
-        if !self.server_up {
+        if !self.core.server_up {
             // In flight when the server went down: refused at the door.
-            self.gate_dropped += 1;
+            self.core.gate_dropped += 1;
             self.record_crash_loss(i);
             return;
         }
@@ -451,12 +398,12 @@ impl CentralizedSim {
         let mut deadlocked = false;
         for access in &self.specs[i].accesses {
             let mode = access.mode();
-            let conflicts = self.locks.conflicting_holders(access.object, key, mode);
-            if self.wfg.would_deadlock(key, &conflicts) {
+            let conflicts = self.core.locks.conflicting_holders(access.object, key, mode);
+            if self.core.wfg.would_deadlock(key, &conflicts) {
                 deadlocked = true;
                 break;
             }
-            match self.locks.request(access.object, key, mode, deadline) {
+            match self.core.locks.request(access.object, key, mode, deadline) {
                 Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
                     let (object, exclusive) = (access.object, mode == LockMode::Exclusive);
                     self.sink.emit(self.now, SiteId::Server, || Event::LockHeld {
@@ -475,7 +422,7 @@ impl CentralizedSim {
                         txn.blocked_on = conflicts.first().copied().map(TransactionId::from_raw);
                     }
                     txn.blocked.push(access.object);
-                    self.wfg.add_waits(key, conflicts);
+                    self.core.wfg.add_waits(key, conflicts);
                 }
             }
         }
@@ -501,10 +448,10 @@ impl CentralizedSim {
             txn: id,
             committed: false,
         });
-        if self.store.has_updates(key) {
+        if self.core.store.has_updates(key) {
             // Roll the logged page writes back in place (compensation
             // records keep replay honest if a crash follows).
-            self.store.abort(key);
+            self.core.store.abort(key);
             self.sink
                 .emit(self.now, SiteId::Server, || Event::WalAbort { txn: id });
         }
@@ -533,8 +480,8 @@ impl CentralizedSim {
     }
 
     fn release_locks(&mut self, key: Key) {
-        let grants = self.locks.release_all(key);
-        self.wfg.remove_node(key);
+        let grants = self.core.locks.release_all(key);
+        self.core.wfg.remove_node(key);
         for (object, waiters) in grants {
             for w in waiters {
                 self.on_lock_granted(object, w.owner);
@@ -546,7 +493,7 @@ impl CentralizedSim {
         let Some(txn) = self.txns.get_mut(&key) else {
             // Granted to a transaction that already aborted: free it again,
             // cascading to any waiters unblocked by the release.
-            let grants = self.locks.release(object, key);
+            let grants = self.core.locks.release(object, key);
             for w in grants {
                 self.on_lock_granted(object, w.owner);
             }
@@ -568,7 +515,7 @@ impl CentralizedSim {
             exclusive,
         });
         // Refresh this waiter's wait-for edges against current holders.
-        self.wfg.clear_waits(key);
+        self.core.wfg.clear_waits(key);
         if self.specs[i].is_expired(self.now) {
             still.clear();
             self.scratch_objs = still;
@@ -577,8 +524,8 @@ impl CentralizedSim {
         }
         for &o in &still {
             let mode = self.specs[i].required_mode(o).unwrap_or(LockMode::Shared);
-            let conflicts = self.locks.conflicting_holders(o, key, mode);
-            self.wfg.add_waits(key, conflicts);
+            let conflicts = self.core.locks.conflicting_holders(o, key, mode);
+            self.core.wfg.add_waits(key, conflicts);
         }
         still.clear();
         self.scratch_objs = still;
@@ -604,10 +551,10 @@ impl CentralizedSim {
         self.emit_span(SiteId::Server, id, SpanKind::LockWait, wait_started, blocked_on);
         let mut misses = 0u32;
         for o in self.specs[i].objects() {
-            let hit = self.buffer.probe(o).is_some();
+            let hit = self.core.buffer.probe(o).is_some();
             if !hit {
                 misses += 1;
-                self.buffer.insert(o);
+                self.core.buffer.insert(o);
             }
             if measured {
                 self.metrics.server_buffer.record(hit);
@@ -616,7 +563,7 @@ impl CentralizedSim {
         let done = if misses == 0 {
             self.now
         } else {
-            self.disk.schedule_batch(self.now, misses)
+            self.core.disk.schedule_batch(self.now, misses)
         };
         self.queue.push(done, Ev::IoDone(key));
     }
@@ -646,7 +593,7 @@ impl CentralizedSim {
                 continue;
             }
             let object = a.object;
-            let stamp = self.store.write(key, object);
+            let stamp = self.core.store.write(key, object);
             self.sink.emit(self.now, SiteId::Server, || Event::WalWrite {
                 txn: id,
                 page: object,
@@ -692,15 +639,15 @@ impl CentralizedSim {
             txn: id,
             committed: true,
         });
-        if self.store.has_updates(key) {
+        if self.core.store.has_updates(key) {
             // Force the commit record before acknowledging (WAL rule).
-            let checkpoints = self.store.checkpoints();
-            self.store.commit(key);
+            let checkpoints = self.core.store.checkpoints();
+            self.core.store.commit(key);
             self.sink
                 .emit(self.now, SiteId::Server, || Event::WalCommit { txn: id });
-            if self.store.checkpoints() > checkpoints {
-                let active = self.store.active_txns() as u32;
-                let log_records = self.store.log_records();
+            if self.core.store.checkpoints() > checkpoints {
+                let active = self.core.store.active_txns() as u32;
+                let log_records = self.core.store.log_records();
                 self.sink.emit(self.now, SiteId::Server, || Event::WalCheckpoint {
                     active,
                     log_records,
@@ -814,7 +761,7 @@ impl CentralizedSim {
         for key in dead {
             self.abort_inflight(key, AbortReason::Expired);
         }
-        let (expired, grants) = self.locks.cancel_expired(self.now);
+        let (expired, grants) = self.core.locks.cancel_expired(self.now);
         for (_obj, waiter) in expired {
             self.abort_inflight(waiter.owner, AbortReason::Expired);
         }
@@ -829,27 +776,20 @@ impl CentralizedSim {
         }
     }
 
-    /// The server crashes: volatile state (buffer pool, lock table, WFG and
-    /// the staged log tail past a random cut) is lost and every in-flight
-    /// transaction becomes a recovery loser. The log is replayed
-    /// immediately in host terms, but its I/O cost is charged to the seeded
-    /// disk model, so the rejoin time reflects the log length and any
-    /// slow-disk episode in force.
+    /// The server crashes: besides what [`ServerCore::crash`] loses, every
+    /// in-flight transaction becomes a recovery loser.
     fn on_server_crash(&mut self) {
-        if !self.server_up {
+        if !self.core.server_up {
             return; // scheduled crash landed while already down
         }
-        self.server_up = false;
-        self.metrics.faults.crashes += 1;
-        self.sink.emit(self.now, SiteId::Server, || Event::SiteCrash {
-            site: SiteId::Server,
-        });
-        self.fabric.set_site_down(SiteId::Server);
-        let mut keys: Vec<Key> = self
-            .txns
-            .keys()
-            .copied()
-            .collect();
+        let ready = self.core.crash(
+            self.now,
+            &self.cfg,
+            &self.sink,
+            &mut self.fabric,
+            &mut self.metrics,
+        );
+        let mut keys: Vec<Key> = self.txns.keys().copied().collect();
         // HashMap iteration order is process-random; sort so the abort
         // cascade stays reproducible across invocations.
         keys.sort_unstable();
@@ -887,60 +827,19 @@ impl CentralizedSim {
                 self.metrics.blocking.push_duration(txn.blocked_total);
             }
         }
-        self.locks = LockTable::new(QueueDiscipline::Deadline);
-        self.locks.reserve_objects(self.cfg.database.num_objects as usize);
-        self.wfg = WaitForGraph::new();
-        self.buffer = ClientCache::new(self.cfg.server.buffer_objects, 0);
-        self.crashed_at = Some(self.now);
-        if self.cfg.faults.mean_recovery_time.is_zero() {
-            return; // permanent crash: the site stays dark
+        if let Some(ready) = ready {
+            self.queue.push(ready, Ev::ServerRecover);
         }
-        // Crash the durable store (a random cut of the staged tail may
-        // leave a torn final record) and replay its surviving log.
-        let frames = self.cfg.server.buffer_objects.max(1);
-        let keep = self.crash_prng.below_usize(self.store.staged_len() + 1);
-        let dead = std::mem::replace(&mut self.store, DurableStore::new(1, 1));
-        let (log, disk) = dead.crash(keep);
-        let (recovered, outcome) = DurableStore::restart(&log, disk, frames);
-        self.store = recovered;
-        // Reboot lag, then the replay's I/O at the (possibly slow) disk.
-        let back = self.now + self.crash_prng.exp_duration(self.cfg.faults.mean_recovery_time);
-        let ios = u32::try_from(outcome.replay_ios()).unwrap_or(u32::MAX);
-        let ready = if ios == 0 {
-            back
-        } else {
-            self.disk.schedule_batch(back, ios)
-        };
-        self.pending_recovery = Some(outcome);
-        self.queue.push(ready, Ev::ServerRecover);
     }
 
     /// Replay finished: the server rejoins with only durable state.
     fn on_server_recover(&mut self) {
-        self.server_up = true;
-        self.fabric.set_site_up(SiteId::Server);
-        self.metrics.faults.recoveries += 1;
-        let outcome = self.pending_recovery.take().unwrap_or_default();
-        let (redo, undone) = (outcome.redo_applied, outcome.undone);
-        let (losers, replay_ios) = (outcome.losers.len() as u32, outcome.replay_ios());
-        self.sink.emit(self.now, SiteId::Server, || Event::RecoveryDone {
-            site: SiteId::Server,
-            redo,
-            undone,
-            losers,
-            replay_ios,
-        });
-        // Post-replay durable state, in ascending page order: the recovery
-        // oracle checks these stamps against the committed history.
-        if self.sink.is_enabled() {
-            for (page, stamp) in self.store.stamps() {
-                self.sink
-                    .emit(self.now, SiteId::Server, || Event::WalState { page, stamp });
-            }
-        }
+        let crashed_at = self
+            .core
+            .rejoin(self.now, &self.sink, &mut self.fabric, &mut self.metrics);
         // Site-scoped replay span (`txn: None`): the outage window is
         // charged to every transaction whose life overlaps it.
-        if let Some(start) = self.crashed_at.take() {
+        if let Some(start) = crashed_at {
             if start < self.now {
                 self.sink.emit(self.now, SiteId::Server, || Event::Span {
                     txn: None,

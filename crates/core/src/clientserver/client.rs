@@ -1,79 +1,296 @@
-//! Client-side behaviour: transaction admission (H1), acquisition of
+//! One client workstation: transaction admission (H1), acquisition of
 //! objects and locks, local EDF execution, callback handling with
 //! downgrade, forward-list hops, shipping and decomposition.
+//!
+//! A [`ClientSite`] owns everything its workstation knows — caches, cached
+//! locks, the local lock table, the CPU and disk, its resident units of
+//! work — and reaches the rest of the system only through the shared
+//! [`Cx`]: it sends messages and arms timers, it never sees the server's
+//! state or a peer's.
 
-use siteselect_locks::{Acquire, ForwardList};
+use std::collections::{BTreeMap, HashMap};
+
+use siteselect_locks::{Acquire, ForwardList, LockTable, QueueDiscipline, WaitForGraph};
 use siteselect_net::MessageKind;
-use siteselect_storage::CacheTier;
+use siteselect_storage::{CacheTier, ClientCache, DiskModel};
 use siteselect_types::{
-    AbortReason, AccessSpec, ClientId, LockMode, ObjectId, SimTime, SiteId, TransactionId,
-    TxnOutcome,
+    AbortReason, AccessSpec, ClientConfig, ClientId, InlineVec, LockMode, ObjectId, ObjectMap,
+    ObjectSet, SimDuration, SimTime, SiteId, TransactionId, TransactionSpec, TxnOutcome,
 };
 
-use super::{
-    subtask_key, ClientServerSim, Ev, Fetch, InfoReason, Msg, Need, Revoke, RunKind, RunState,
-    SiteDest, TKey, TxnRun, Want,
-};
+use super::{subtask_key, Cx, Ev, Msg, SiteDest, TKey, Want};
+use crate::cpu::EdfCpu;
 
 /// Fraction of a decomposed transaction's CPU demand spent synthesizing the
 /// subtask answers at the origin (§3.2's "answer synthesis" phase).
 const SYNTHESIS_FRACTION: f64 = 0.1;
 
-impl ClientServerSim {
-    // ------------------------------------------------------------------
-    // Messaging helpers
-    // ------------------------------------------------------------------
+/// Why an object fetch is outstanding at a client.
+#[derive(Debug)]
+struct Fetch {
+    mode: LockMode,
+    sent_at: SimTime,
+    waiters: Vec<TKey>,
+    /// True once the request actually went to the server (a fetch created
+    /// while a batch is being assembled is not yet on the wire).
+    sent: bool,
+    /// Retransmissions sent so far (failure handling; always 0 with faults
+    /// off).
+    attempts: u32,
+}
 
-    pub(crate) fn send_to_server(
-        &mut self,
-        from: ClientId,
-        kind: MessageKind,
-        objects: u32,
-        logical: u32,
-        msg: Msg,
-    ) {
-        let delivery =
-            self.fabric
-                .try_send_counted(self.now, SiteId::Client(from), SiteId::Server, kind, objects, logical);
-        self.push_delivery(delivery, SiteDest::Server, msg);
+/// A pending lock revocation at a client, answered when the last local user
+/// releases the object.
+#[derive(Debug)]
+struct Revoke {
+    /// What the remote requester wants (plain callback path).
+    desired: LockMode,
+    /// Remaining forward list to serve (grouped-lock path).
+    forward: Option<ForwardList>,
+}
+
+/// Progress of one object within a transaction's acquisition phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Need {
+    /// Waiting for the server (request outstanding or staged).
+    Fetch,
+    /// Cached lock covers; waiting for a local lock conflict to clear.
+    LocalWait,
+    /// Local lock granted; promoting the object from the disk cache tier.
+    DiskPromote,
+    /// Ready.
+    Held,
+}
+
+/// What kind of unit of work a `TxnRun` is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RunKind {
+    /// A transaction executing at its origin.
+    Normal,
+    /// A transaction shipped here from `origin`.
+    Shipped { origin: ClientId },
+    /// Subtask `index` of `parent`, reporting to `origin`.
+    Subtask {
+        parent: TKey,
+        index: u8,
+        origin: ClientId,
+    },
+}
+
+/// Lifecycle state of a `TxnRun`.
+#[derive(Debug, Clone, PartialEq)]
+enum RunState {
+    /// LS: waiting for the LoadReply that feeds H1/H2/decomposition.
+    AwaitInfo { reason: InfoReason },
+    /// LS: grant-all round outstanding.
+    AwaitGrantAll,
+    /// Collecting objects and locks.
+    Acquiring,
+    /// On the CPU.
+    Executing,
+    /// Parent of a decomposition waiting for subtask results.
+    AwaitSubtasks { pending: u8, failed: bool },
+    /// Waiting for the synthesis CPU slice.
+    Synthesis,
+}
+
+/// Why a LoadQuery was sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum InfoReason {
+    /// H1 said the local queue is infeasible; pick a site with H2.
+    H1Infeasible,
+    /// Decomposition placement lookup.
+    Decompose,
+}
+
+/// The objects a `TxnRun` must assemble, in struct-of-arrays layout:
+/// three parallel inline vectors (object, lock mode, progress) kept sorted
+/// by object id. Transactions touch 5–15 objects, so entries live inline
+/// (no per-transaction map nodes) and lookups are short linear scans; the
+/// sorted order reproduces the ascending iteration the previous `BTreeMap`
+/// gave, which release loops depend on for determinism.
+#[derive(Debug, Default)]
+struct NeededSet {
+    objs: InlineVec<ObjectId, 16>,
+    modes: InlineVec<LockMode, 16>,
+    needs: InlineVec<Need, 16>,
+}
+
+impl NeededSet {
+    fn pos(&self, object: ObjectId) -> Option<usize> {
+        self.objs.iter().position(|&o| o == object)
     }
 
-    pub(crate) fn send_to_client(
-        &mut self,
-        from: SiteDest,
-        to: ClientId,
-        kind: MessageKind,
-        objects: u32,
-        msg: Msg,
-    ) {
-        let from_site = match from {
-            SiteDest::Server => SiteId::Server,
-            SiteDest::Client(c) => SiteId::Client(c),
-        };
-        let to_site = SiteId::Client(to);
-        let client_to_client = matches!(from, SiteDest::Client(_));
-        let delivery = if client_to_client && self.cfg.load_sharing.directory_enabled {
-            self.fabric
-                .try_send_via_directory(self.now, from_site, to_site, kind, objects)
+    /// Inserts or replaces the entry for `object`.
+    fn insert(&mut self, object: ObjectId, mode: LockMode, need: Need) {
+        match self.pos(object) {
+            Some(i) => {
+                self.modes.set(i, mode);
+                self.needs.set(i, need);
+            }
+            None => {
+                let at = self
+                    .objs
+                    .iter()
+                    .position(|&o| o > object)
+                    .unwrap_or(self.objs.len());
+                self.objs.insert(at, object);
+                self.modes.insert(at, mode);
+                self.needs.insert(at, need);
+            }
+        }
+    }
+
+    /// The recorded (mode, progress) of `object`, if present.
+    fn get(&self, object: ObjectId) -> Option<(LockMode, Need)> {
+        self.pos(object)
+            .map(|i| (self.modes.get_copy(i), self.needs.get_copy(i)))
+    }
+
+    /// Updates the progress of `object`; no-op if absent.
+    fn set_need(&mut self, object: ObjectId, need: Need) {
+        if let Some(i) = self.pos(object) {
+            self.needs.set(i, need);
+        }
+    }
+
+    /// The objects of this set, ascending.
+    fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        self.objs.iter().copied()
+    }
+
+    /// True once every entry is `Need::Held`.
+    fn all_held(&self) -> bool {
+        self.needs.iter().all(|&n| n == Need::Held)
+    }
+}
+
+/// One executing transaction/subtask at a client.
+#[derive(Debug)]
+struct TxnRun {
+    spec: TransactionSpec,
+    kind: RunKind,
+    state: RunState,
+    needed: NeededSet,
+    acquire_started: SimTime,
+    /// When the transaction reached the CPU (feeds the ATL estimate of H1).
+    exec_started: SimTime,
+}
+
+impl TxnRun {
+    /// A unit of work entering acquisition at `now`.
+    fn new(kind: RunKind, spec: TransactionSpec, now: SimTime) -> Self {
+        TxnRun {
+            spec,
+            kind,
+            state: RunState::Acquiring,
+            needed: NeededSet::default(),
+            acquire_started: now,
+            exec_started: now,
+        }
+    }
+
+    fn ready(&self) -> bool {
+        self.state == RunState::Acquiring && self.needed.all_held()
+    }
+}
+
+/// One client workstation's state.
+pub(crate) struct ClientSite {
+    id: ClientId,
+    cache: ClientCache,
+    cached_locks: ObjectMap<LockMode>,
+    dirty: ObjectSet,
+    local_locks: LockTable<TKey>,
+    local_wfg: WaitForGraph<TKey>,
+    cpu: EdfCpu<TKey>,
+    disk: DiskModel,
+    txns: HashMap<TKey, TxnRun>,
+    fetches: HashMap<ObjectId, Fetch>,
+    revokes: HashMap<ObjectId, Revoke>,
+    /// Running average latency of locally completed transactions (ATL in
+    /// H1).
+    atl_sum: f64,
+    atl_count: u64,
+    /// Trace-only: start time and blocking holder of in-progress local
+    /// lock waits, keyed `(txn, object)`. Populated only while a sink is
+    /// attached — pure observer, never read by simulation logic.
+    lock_wait_from: HashMap<(TKey, ObjectId), (SimTime, Option<TKey>)>,
+}
+
+impl ClientSite {
+    pub(crate) fn new(id: ClientId, cfg: &ClientConfig, cpu_speed: f64) -> Self {
+        ClientSite {
+            id,
+            cache: ClientCache::new(cfg.memory_cache_objects, cfg.disk_cache_objects),
+            cached_locks: ObjectMap::new(),
+            dirty: ObjectSet::new(),
+            local_locks: LockTable::new(QueueDiscipline::Deadline),
+            local_wfg: WaitForGraph::new(),
+            cpu: EdfCpu::new(cpu_speed),
+            disk: DiskModel::new(cfg.disk.page_service_time),
+            txns: HashMap::new(),
+            fetches: HashMap::new(),
+            revokes: HashMap::new(),
+            atl_sum: 0.0,
+            atl_count: 0,
+            lock_wait_from: HashMap::new(),
+        }
+    }
+
+    fn atl(&self) -> f64 {
+        if self.atl_count == 0 {
+            // No history yet: optimistic prior (about one CPU demand) so H1
+            // only starts shedding load once real latencies are observed.
+            1.0
         } else {
-            self.fabric.try_send(self.now, from_site, to_site, kind, objects)
-        };
-        self.push_delivery(delivery, SiteDest::Client(to), msg);
+            self.atl_sum / self.atl_count as f64
+        }
+    }
+
+    /// H1's `n`: transactions ahead of a newcomer in the local priority
+    /// queue (the EDF CPU queue — blocked transactions consume no CPU).
+    fn queue_ahead(&self) -> usize {
+        self.cpu.load()
+    }
+
+    pub(crate) fn id(&self) -> ClientId {
+        self.id
+    }
+
+    /// What the server's load table holds for this site: its id, the
+    /// number of incomplete local units of work, and its ATL.
+    pub(crate) fn load_report(&self) -> (ClientId, usize, f64) {
+        (self.id, self.txns.len(), self.atl())
+    }
+
+    /// The locks this site caches, as it would present them to a restarted
+    /// server for revalidation.
+    pub(crate) fn cached_locks(&self) -> Vec<(ObjectId, LockMode)> {
+        self.cached_locks.iter().map(|(o, m)| (o, *m)).collect()
+    }
+
+    pub(crate) fn cpu_busy_time(&self) -> SimDuration {
+        self.cpu.busy_time()
+    }
+
+    /// Consistency of the local wait-for graph (checked at drain).
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        self.local_wfg.check_invariants()
     }
 
     // ------------------------------------------------------------------
     // Arrival, H1 and routing
     // ------------------------------------------------------------------
 
-    pub(crate) fn on_arrive(&mut self, i: usize) {
-        let spec = self.specs[i].clone();
+    /// A transaction is initiated at this workstation.
+    pub(crate) fn on_arrive(&mut self, cx: &mut Cx, spec: TransactionSpec) {
         let key = spec.id.as_u64();
-        let ci = spec.origin.index();
-        if !self.site_up(spec.origin) {
+        if !cx.site_up(self.id) {
             // The originating workstation is crashed: the transaction is
             // lost with it (a dead site submits nothing).
-            if self.measured_arrival(spec.arrival) {
-                self.record_outcome_at(
+            if cx.measured_arrival(spec.arrival) {
+                cx.record_outcome_at(
                     SiteId::Client(spec.origin),
                     spec.id,
                     TxnOutcome::Aborted(AbortReason::SiteCrash),
@@ -81,97 +298,86 @@ impl ClientServerSim {
             }
             return;
         }
-        self.inflight += 1;
-        self.sink.emit(self.now, SiteId::Client(spec.origin), || {
+        cx.inflight += 1;
+        cx.sink.emit(cx.now, SiteId::Client(spec.origin), || {
             siteselect_obs::Event::TxnSubmit {
                 txn: spec.id,
                 deadline: spec.deadline,
                 accesses: spec.accesses.len() as u32,
             }
         });
-        let run = TxnRun {
-            kind: RunKind::Normal,
-            state: RunState::Acquiring,
-            needed: Default::default(),
-            acquire_started: self.now,
-            exec_started: self.now,
-            spec,
-        };
-        self.admit(ci, key, run);
+        self.admit(cx, key, TxnRun::new(RunKind::Normal, spec, cx.now));
     }
 
-    /// Routes a fresh unit of work at client `ci` through the LS heuristics
+    /// Routes a fresh unit of work through the LS heuristics
     /// or straight into acquisition.
-    pub(crate) fn admit(&mut self, ci: usize, key: TKey, run: TxnRun) {
+    fn admit(&mut self, cx: &mut Cx, key: TKey, run: TxnRun) {
         let spec_deadline = run.spec.deadline;
-        if run.spec.is_expired(self.now) {
+        if run.spec.is_expired(cx.now) {
             // Dead on arrival (e.g. shipped transaction that travelled too
             // long).
-            self.clients[ci].txns.insert(key, run);
-            self.abort_txn(ci, key, AbortReason::Expired);
+            self.txns.insert(key, run);
+            self.abort_txn(cx, key, AbortReason::Expired);
             return;
         }
         let is_plain = matches!(run.kind, RunKind::Normal);
-        let ls_cfg = self.cfg.load_sharing;
-        if self.ls && is_plain {
-            let c = &self.clients[ci];
+        let ls_cfg = cx.cfg.load_sharing;
+        if cx.ls && is_plain {
             let feasible = !ls_cfg.h1_enabled || {
-                let n = c.queue_ahead() as f64;
-                let projected = self.now + siteselect_types::SimDuration::from_secs_f64(n * c.atl());
+                let n = self.queue_ahead() as f64;
+                let projected = cx.now + SimDuration::from_secs_f64(n * self.atl());
                 let ok = projected <= spec_deadline;
-                let (txn, queue_ahead) = (run.spec.id, c.queue_ahead() as u64);
-                let atl_us =
-                    siteselect_types::SimDuration::from_secs_f64(c.atl()).as_micros();
-                self.sink.emit(self.now, SiteId::Client(run.spec.origin), || {
+                let (txn, queue_ahead) = (run.spec.id, self.queue_ahead() as u64);
+                let atl_us = SimDuration::from_secs_f64(self.atl()).as_micros();
+                cx.sink.emit(cx.now, SiteId::Client(run.spec.origin), || {
                     let (projected, deadline) = (projected, spec_deadline);
                     if ok {
-                        siteselect_obs::Event::H1Admit { txn, queue_ahead, atl_us, projected, deadline }
+                        siteselect_obs::Event::H1Admit {
+                            txn,
+                            queue_ahead,
+                            atl_us,
+                            projected,
+                            deadline,
+                        }
                     } else {
-                        siteselect_obs::Event::H1Reject { txn, queue_ahead, atl_us, projected, deadline }
+                        siteselect_obs::Event::H1Reject {
+                            txn,
+                            queue_ahead,
+                            atl_us,
+                            projected,
+                            deadline,
+                        }
                     }
                 });
                 ok
             };
-            let objects: Vec<ObjectId> = run.spec.objects().collect();
-            if !feasible {
-                if self.measured_arrival(run.spec.arrival) {
-                    self.metrics.load_sharing.h1_rejections += 1;
+            // Either way the next step needs to know where the objects are
+            // and how loaded everyone is.
+            let reason = if !feasible {
+                if cx.measured_arrival(run.spec.arrival) {
+                    cx.metrics.load_sharing.h1_rejections += 1;
                 }
-                let origin = run.spec.origin;
-                let mut run = run;
-                run.state = RunState::AwaitInfo {
-                    reason: InfoReason::H1Infeasible,
-                };
-                self.clients[ci].txns.insert(key, run);
-                self.send_to_server(
-                    origin,
-                    MessageKind::LoadQuery,
-                    0,
-                    1,
-                    Msg::LoadQuery { txn: key, objects },
-                );
-                return;
-            }
-            if run.spec.decomposable && ls_cfg.decomposition_enabled && run.spec.accesses.len() > 1
+                Some(InfoReason::H1Infeasible)
+            } else if run.spec.decomposable
+                && ls_cfg.decomposition_enabled
+                && run.spec.accesses.len() > 1
             {
-                let origin = run.spec.origin;
+                Some(InfoReason::Decompose)
+            } else {
+                None
+            };
+            if let Some(reason) = reason {
+                let (origin, objects) = (run.spec.origin, run.spec.objects().collect());
                 let mut run = run;
-                run.state = RunState::AwaitInfo {
-                    reason: InfoReason::Decompose,
-                };
-                self.clients[ci].txns.insert(key, run);
-                self.send_to_server(
-                    origin,
-                    MessageKind::LoadQuery,
-                    0,
-                    1,
-                    Msg::LoadQuery { txn: key, objects },
-                );
+                run.state = RunState::AwaitInfo { reason };
+                self.txns.insert(key, run);
+                let query = Msg::LoadQuery { txn: key, objects };
+                cx.send_to_server(origin, MessageKind::LoadQuery, 0, 1, query);
                 return;
             }
         }
-        self.clients[ci].txns.insert(key, run);
-        self.begin_acquisition(ci, key, self.ls);
+        self.txns.insert(key, run);
+        self.begin_acquisition(cx, key);
     }
 
     // ------------------------------------------------------------------
@@ -180,63 +386,63 @@ impl ClientServerSim {
 
     /// Classifies every access of `key` and sends one batched request for
     /// the objects the client cannot serve locally.
-    pub(crate) fn begin_acquisition(&mut self, ci: usize, key: TKey, grant_all: bool) {
-        let Some(run) = self.clients[ci].txns.get(&key) else {
+    fn begin_acquisition(&mut self, cx: &mut Cx, key: TKey) {
+        let Some(run) = self.txns.get(&key) else {
             return;
         };
         let accesses: Vec<AccessSpec> = run.spec.accesses.clone();
-        let measured = self.measured_arrival(run.spec.arrival);
+        let measured = cx.measured_arrival(run.spec.arrival);
         let deadline = run.spec.deadline;
-        if let Some(run) = self.clients[ci].txns.get_mut(&key) {
+        if let Some(run) = self.txns.get_mut(&key) {
             run.state = RunState::Acquiring;
-            run.acquire_started = self.now;
+            run.acquire_started = cx.now;
         }
         let mut wants: Vec<Want> = Vec::new();
         for a in accesses {
             let mode = a.mode();
             // Table 2 accounting: a hit is data present in either tier.
-            let tier = self.clients[ci].cache.probe(a.object);
+            let tier = self.cache.probe(a.object);
             if measured {
                 match tier {
-                    Some(CacheTier::Memory) => self.metrics.cache.memory_hits += 1,
-                    Some(CacheTier::Disk) => self.metrics.cache.disk_hits += 1,
-                    None => self.metrics.cache.misses += 1,
+                    Some(CacheTier::Memory) => cx.metrics.cache.memory_hits += 1,
+                    Some(CacheTier::Disk) => cx.metrics.cache.disk_hits += 1,
+                    None => cx.metrics.cache.misses += 1,
                 }
             }
-            let c = &self.clients[ci];
-            let covered = c
+            let covered = self
                 .cached_locks
                 .get(a.object)
                 .is_some_and(|m| m.covers(mode));
-            let usable = covered && tier.is_some() && !c.revokes.contains_key(&a.object);
+            let usable = covered && tier.is_some() && !self.revokes.contains_key(&a.object);
             if usable {
                 let promote = tier == Some(CacheTier::Disk);
-                if self.request_local_lock(ci, key, a.object, mode, promote) {
+                if self.request_local_lock(cx, key, a.object, mode, promote) {
                     return; // transaction aborted (local deadlock)
                 }
             } else {
-                let needs_data = tier.is_none() || c.revokes.contains_key(&a.object);
-                if let Some(run) = self.clients[ci].txns.get_mut(&key) {
+                let needs_data = tier.is_none() || self.revokes.contains_key(&a.object);
+                if let Some(run) = self.txns.get_mut(&key) {
                     run.needed.insert(a.object, mode, Need::Fetch);
                 }
-                if let Some(w) = self.join_fetch(ci, key, a.object, mode, needs_data, deadline) {
+                if let Some(w) = self.join_fetch(cx, key, a.object, mode, needs_data, deadline) {
                     wants.push(w);
                 }
             }
         }
         if wants.is_empty() {
-            self.check_ready(ci, key);
+            self.check_ready(cx, key);
             return;
         }
-        let client = self.clients[ci].id;
+        let client = self.id;
         let logical = wants.len() as u32;
-        let use_grant_all = grant_all && self.ls;
-        if use_grant_all {
-            if let Some(run) = self.clients[ci].txns.get_mut(&key) {
+        // LS asks for everything at once: grant it all, or say who conflicts.
+        let grant_all = cx.ls;
+        if grant_all {
+            if let Some(run) = self.txns.get_mut(&key) {
                 run.state = RunState::AwaitGrantAll;
             }
         }
-        self.send_to_server(
+        cx.send_to_server(
             client,
             MessageKind::ObjectRequest,
             0,
@@ -245,7 +451,7 @@ impl ClientServerSim {
                 txn: key,
                 client,
                 wants,
-                grant_all: use_grant_all,
+                grant_all,
             },
         );
     }
@@ -254,15 +460,14 @@ impl ClientServerSim {
     /// `Want` to transmit if a new/stronger request must go to the server.
     fn join_fetch(
         &mut self,
-        ci: usize,
+        cx: &mut Cx,
         key: TKey,
         object: ObjectId,
         mode: LockMode,
         needs_data: bool,
         deadline: SimTime,
     ) -> Option<Want> {
-        let c = &mut self.clients[ci];
-        if let Some(f) = c.fetches.get_mut(&object) {
+        if let Some(f) = self.fetches.get_mut(&object) {
             if !f.waiters.contains(&key) {
                 f.waiters.push(key);
             }
@@ -278,11 +483,11 @@ impl ClientServerSim {
             // when the weak grant resolves (see resolve_fetch).
             return None;
         }
-        c.fetches.insert(
+        self.fetches.insert(
             object,
             Fetch {
                 mode,
-                sent_at: self.now,
+                sent_at: cx.now,
                 waiters: vec![key],
                 sent: true,
                 attempts: 0,
@@ -290,14 +495,14 @@ impl ClientServerSim {
         );
         // Failure handling: guard the fresh request with a retry timer in
         // case it (or its grant) is lost.
-        if self.faults.active && self.cfg.faults.max_retries > 0 {
-            self.queue.push(
-                self.now + self.cfg.faults.retry_backoff_base,
+        if cx.faults_active && cx.cfg.faults.max_retries > 0 {
+            cx.queue.push(
+                cx.now + cx.cfg.faults.retry_backoff_base,
                 Ev::RetryFetch {
-                    client: ci,
+                    client: self.id.index(),
                     object,
                     attempt: 0,
-                    sent_at: self.now,
+                    sent_at: cx.now,
                 },
             );
         }
@@ -309,114 +514,151 @@ impl ClientServerSim {
         })
     }
 
+    /// Sends `key`'s request for `object` to the server on its own, unless a
+    /// fetch already outstanding covers it.
+    fn refetch(
+        &mut self,
+        cx: &mut Cx,
+        key: TKey,
+        object: ObjectId,
+        mode: LockMode,
+        needs_data: bool,
+        deadline: SimTime,
+    ) {
+        if let Some(w) = self.join_fetch(cx, key, object, mode, needs_data, deadline) {
+            let client = self.id;
+            let batch = Msg::RequestBatch {
+                txn: key,
+                client,
+                wants: vec![w],
+                grant_all: false,
+            };
+            cx.send_to_server(client, MessageKind::ObjectRequest, 0, 1, batch);
+        }
+    }
+
     /// Requests the local (transaction-level) lock. Returns `true` if the
     /// transaction was aborted to avoid a local deadlock.
     fn request_local_lock(
         &mut self,
-        ci: usize,
+        cx: &mut Cx,
         key: TKey,
         object: ObjectId,
         mode: LockMode,
         promote: bool,
     ) -> bool {
-        let deadline = self.clients[ci]
+        let deadline = self
             .txns
             .get(&key)
             .map_or(SimTime::MAX, |r| r.spec.deadline);
-        let c = &mut self.clients[ci];
-        let conflicts = c.local_locks.conflicting_holders(object, key, mode);
-        if c.local_wfg.would_deadlock(key, &conflicts) {
-            self.abort_txn(ci, key, AbortReason::Deadlock);
+        let conflicts = self.local_locks.conflicting_holders(object, key, mode);
+        if self.local_wfg.would_deadlock(key, &conflicts) {
+            self.abort_txn(cx, key, AbortReason::Deadlock);
             return true;
         }
-        match c.local_locks.request(object, key, mode, deadline) {
+        match self.local_locks.request(object, key, mode, deadline) {
             Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
-                let unit = TransactionId::from_raw(key);
-                let (holder, exclusive) = (c.id, mode == LockMode::Exclusive);
-                self.sink.emit(self.now, SiteId::Client(holder), || {
-                    siteselect_obs::Event::LockHeld {
-                        txn: unit,
-                        object,
-                        exclusive,
-                    }
-                });
-                if promote {
-                    let done = c.disk.schedule_io(self.now);
-                    if let Some(run) = c.txns.get_mut(&key) {
-                        run.needed.insert(object, mode, Need::DiskPromote);
-                    }
-                    self.queue.push(
-                        done,
-                        Ev::ClientDiskReady {
-                            client: ci,
-                            txn: key,
-                            object,
-                            scheduled_at: self.now,
-                        },
-                    );
-                } else if let Some(run) = c.txns.get_mut(&key) {
-                    run.needed.insert(object, mode, Need::Held);
-                }
+                self.lock_granted(cx, key, object, mode, promote);
             }
             Acquire::Blocked { conflicts } => {
                 let blocker = conflicts.first().copied();
-                c.local_wfg.add_waits(key, conflicts);
-                if let Some(run) = c.txns.get_mut(&key) {
+                self.local_wfg.add_waits(key, conflicts);
+                if let Some(run) = self.txns.get_mut(&key) {
                     run.needed.insert(object, mode, Need::LocalWait);
                     let (txn, origin) = (run.spec.id, run.spec.origin);
-                    self.sink.emit(self.now, SiteId::Client(origin), || {
+                    cx.sink.emit(cx.now, SiteId::Client(origin), || {
                         siteselect_obs::Event::LockWait { txn, object }
                     });
                 }
                 // Trace-only wait-start bookkeeping for the lock-wait span
                 // emitted when the wait resolves (pure observer).
-                if self.sink.is_enabled() {
-                    self.clients[ci]
-                        .lock_wait_from
-                        .insert((key, object), (self.now, blocker));
+                if cx.sink.is_enabled() {
+                    self.lock_wait_from.insert((key, object), (cx.now, blocker));
                 }
             }
         }
         false
     }
 
-    pub(crate) fn on_client_disk_ready(
+    /// `key` holds the local lock on `object`: the object is ready, or —
+    /// if its copy sits in the disk cache tier — starts its promotion.
+    fn lock_granted(
         &mut self,
-        ci: usize,
+        cx: &mut Cx,
+        key: TKey,
+        object: ObjectId,
+        mode: LockMode,
+        promote: bool,
+    ) {
+        let unit = TransactionId::from_raw(key);
+        let (holder, exclusive) = (self.id, mode == LockMode::Exclusive);
+        cx.sink.emit(cx.now, SiteId::Client(holder), || {
+            siteselect_obs::Event::LockHeld {
+                txn: unit,
+                object,
+                exclusive,
+            }
+        });
+        let need = if promote {
+            let done = self.disk.schedule_io(cx.now);
+            let ready = Ev::ClientDiskReady {
+                client: self.id.index(),
+                txn: key,
+                object,
+                scheduled_at: cx.now,
+            };
+            cx.queue.push(done, ready);
+            Need::DiskPromote
+        } else {
+            Need::Held
+        };
+        if let Some(run) = self.txns.get_mut(&key) {
+            run.needed.insert(object, mode, need);
+        }
+    }
+
+    pub(crate) fn on_disk_ready(
+        &mut self,
+        cx: &mut Cx,
         key: TKey,
         object: ObjectId,
         scheduled_at: SimTime,
     ) {
-        let id = self.clients[ci].id;
-        self.emit_span(
-            SiteId::Client(id),
+        let site = SiteId::Client(self.id);
+        cx.emit_span(
+            site,
             key,
             siteselect_obs::SpanKind::Disk,
             scheduled_at,
             None,
         );
-        let Some(run) = self.clients[ci].txns.get_mut(&key) else {
+        let Some(run) = self.txns.get_mut(&key) else {
             return;
         };
-        if run.needed.get(object).is_some_and(|(_, n)| n == Need::DiskPromote) {
+        if run
+            .needed
+            .get(object)
+            .is_some_and(|(_, n)| n == Need::DiskPromote)
+        {
             run.needed.set_need(object, Need::Held);
         }
-        self.check_ready(ci, key);
+        self.check_ready(cx, key);
     }
 
     // ------------------------------------------------------------------
     // Message handling
     // ------------------------------------------------------------------
 
-    pub(crate) fn client_on_msg(&mut self, to: ClientId, msg: Msg) {
-        let ci = to.index();
+    /// A message addressed to this site arrives.
+    pub(crate) fn on_msg(&mut self, cx: &mut Cx, msg: Msg) {
+        let to = self.id;
         match msg {
             Msg::GrantBatch { items } => {
                 for (object, mode, with_data) in items {
-                    self.resolve_fetch(ci, object, mode, with_data);
+                    self.resolve_fetch(cx, object, mode, with_data);
                 }
             }
-            Msg::ConflictReport { txn, conflicts } => self.on_conflict_report(ci, txn, conflicts),
+            Msg::ConflictReport { txn, conflicts } => self.on_conflict_report(cx, txn, conflicts),
             Msg::Rejected { txn, expired } => {
                 let reason = if expired {
                     AbortReason::Expired
@@ -425,52 +667,46 @@ impl ClientServerSim {
                 };
                 // The server rejected one object of the batch: the
                 // transaction as a whole cannot proceed.
-                self.abort_txn(ci, txn, reason);
+                self.abort_txn(cx, txn, reason);
             }
             Msg::Recall {
                 object,
                 desired,
                 forward,
-            } => self.on_recall(ci, object, desired, forward),
+            } => self.on_recall(cx, object, desired, forward),
             Msg::ObjectForward { object, mode, rest } => {
-                if self.now >= self.warmup_end {
-                    self.metrics.load_sharing.forward_satisfied += 1;
+                if cx.now >= cx.warmup_end {
+                    cx.metrics.load_sharing.forward_satisfied += 1;
                 }
                 // Receiving a forwarded object: it must keep moving after
                 // local use (the last client returns it to the server).
-                self.clients[ci].revokes.insert(
+                self.revokes.insert(
                     object,
                     Revoke {
                         desired: LockMode::Exclusive,
                         forward: Some(rest),
                     },
                 );
-                self.resolve_fetch(ci, object, mode, true);
+                self.resolve_fetch(cx, object, mode, true);
                 // If no local transaction wanted it any more, move it on
                 // immediately.
-                self.try_execute_revoke(ci, object);
+                self.try_execute_revoke(cx, object);
             }
             Msg::TxnShip { spec, sent_at } => {
                 let key = spec.id.as_u64();
                 // The shipped transaction travelled the fabric from the
                 // ship decision to this delivery.
-                self.emit_span(
+                cx.emit_span(
                     SiteId::Client(to),
                     key,
                     siteselect_obs::SpanKind::Net,
                     sent_at,
                     None,
                 );
-                let origin = spec.origin;
-                let run = TxnRun {
-                    kind: RunKind::Shipped { origin },
-                    state: RunState::Acquiring,
-                    needed: Default::default(),
-                    acquire_started: self.now,
-                    exec_started: self.now,
-                    spec,
+                let kind = RunKind::Shipped {
+                    origin: spec.origin,
                 };
-                self.admit(ci, key, run);
+                self.admit(cx, key, TxnRun::new(kind, spec, cx.now));
             }
             Msg::TxnShipResult {
                 txn,
@@ -481,7 +717,7 @@ impl ClientServerSim {
             } => {
                 // Commit protocol: the remote outcome travelled back to its
                 // origin from the remote commit/abort to this delivery.
-                self.emit_span(
+                cx.emit_span(
                     SiteId::Client(to),
                     txn.as_u64(),
                     siteselect_obs::SpanKind::Commit,
@@ -490,20 +726,20 @@ impl ClientServerSim {
                 );
                 // Origin scores the shipped transaction when the result
                 // arrives back.
-                self.inflight -= 1;
-                if self.measured_arrival(arrival) {
-                    let outcome = if committed && self.now <= deadline {
+                cx.inflight -= 1;
+                if cx.measured_arrival(arrival) {
+                    let outcome = if committed && cx.now <= deadline {
                         TxnOutcome::Committed
                     } else if committed {
                         TxnOutcome::CommittedLate
                     } else {
                         TxnOutcome::Aborted(AbortReason::Expired)
                     };
-                    self.record_outcome_at(SiteId::Client(to), txn, outcome);
+                    cx.record_outcome_at(SiteId::Client(to), txn, outcome);
                     if outcome == TxnOutcome::Committed {
-                        self.metrics
+                        cx.metrics
                             .latency
-                            .push_duration(self.now.duration_since(arrival));
+                            .push_duration(cx.now.duration_since(arrival));
                     }
                 }
             }
@@ -515,42 +751,39 @@ impl ClientServerSim {
                 sent_at,
             } => {
                 let key = subtask_key(parent, index);
-                self.emit_span(
+                cx.emit_span(
                     SiteId::Client(to),
                     key,
                     siteselect_obs::SpanKind::Net,
                     sent_at,
                     None,
                 );
-                let run = TxnRun {
-                    kind: RunKind::Subtask {
-                        parent,
-                        index,
-                        origin,
-                    },
-                    state: RunState::Acquiring,
-                    needed: Default::default(),
-                    acquire_started: self.now,
-                    exec_started: self.now,
-                    spec,
+                let kind = RunKind::Subtask {
+                    parent,
+                    index,
+                    origin,
                 };
-                self.admit(ci, key, run);
+                self.admit(cx, key, TxnRun::new(kind, spec, cx.now));
             }
-            Msg::SubtaskResult { parent, ok, sent_at } => {
-                self.emit_span(
+            Msg::SubtaskResult {
+                parent,
+                ok,
+                sent_at,
+            } => {
+                cx.emit_span(
                     SiteId::Client(to),
                     parent,
                     siteselect_obs::SpanKind::Commit,
                     sent_at,
                     None,
                 );
-                self.on_subtask_result(ci, parent, ok);
+                self.on_subtask_result(cx, parent, ok);
             }
             Msg::LoadReply {
                 txn,
                 locations,
                 loads,
-            } => self.on_load_reply(ci, txn, locations, loads),
+            } => self.on_load_reply(cx, txn, locations, loads),
             // Server-bound messages never arrive here.
             Msg::RequestBatch { .. }
             | Msg::ObjectReturn { .. }
@@ -562,40 +795,38 @@ impl ClientServerSim {
 
     /// An object/lock grant arrived: record response time, install the
     /// cached lock (and data), and unblock waiting transactions.
-    fn resolve_fetch(&mut self, ci: usize, object: ObjectId, mode: LockMode, with_data: bool) {
-        let c = &mut self.clients[ci];
-        let fetch = c.fetches.remove(&object);
-        let prior = c.cached_locks.get(object).copied();
+    fn resolve_fetch(&mut self, cx: &mut Cx, object: ObjectId, mode: LockMode, with_data: bool) {
+        let fetch = self.fetches.remove(&object);
+        let prior = self.cached_locks.get(object).copied();
         let installed = prior.map_or(mode, |p| p.stronger(mode));
-        c.cached_locks.insert(object, installed);
-        let holder = c.id;
-        self.sink.emit(self.now, SiteId::Client(holder), || {
+        self.cached_locks.insert(object, installed);
+        let holder = self.id;
+        cx.sink.emit(cx.now, SiteId::Client(holder), || {
             siteselect_obs::Event::CacheInstall {
                 client: holder,
                 object,
                 exclusive: installed.is_exclusive(),
             }
         });
-        let c = &mut self.clients[ci];
         if with_data {
-            c.cache.insert(object);
-            c.dirty.remove(object);
+            self.cache.insert(object);
+            self.dirty.remove(object);
         }
         let Some(fetch) = fetch else {
             return; // unsolicited (request was cancelled): keep the cache
         };
-        if fetch.sent_at >= self.warmup_end {
-            let dt = self.now.duration_since(fetch.sent_at).as_secs_f64();
+        if fetch.sent_at >= cx.warmup_end {
+            let dt = cx.now.duration_since(fetch.sent_at).as_secs_f64();
             match fetch.mode {
-                LockMode::Shared => self.metrics.response.shared.push(dt),
-                LockMode::Exclusive => self.metrics.response.exclusive.push(dt),
+                LockMode::Shared => cx.metrics.response.shared.push(dt),
+                LockMode::Exclusive => cx.metrics.response.exclusive.push(dt),
             }
         }
         // Every waiter spent the fetch round-trip on the network (interior
         // server-side spans — disk, lock queue — carve themselves out by
         // priority in the blame extractor).
         for &key in &fetch.waiters {
-            self.emit_span(
+            cx.emit_span(
                 SiteId::Client(holder),
                 key,
                 siteselect_obs::SpanKind::Net,
@@ -605,7 +836,7 @@ impl ClientServerSim {
         }
         for key in fetch.waiters {
             let (need_mode, deadline) = {
-                let Some(run) = self.clients[ci].txns.get_mut(&key) else {
+                let Some(run) = self.txns.get_mut(&key) else {
                     continue;
                 };
                 // A grant-all round that came back as grants: acquisition
@@ -623,36 +854,17 @@ impl ClientServerSim {
             // let a queued revoke execute, surrendering the cached lock
             // again. For later waiters that is indistinguishable from a
             // too-weak grant — fall through to the re-request path.
-            let granted_mode = self.clients[ci].cached_locks.get(object).copied();
-            if granted_mode.is_some_and(|m| m.covers(need_mode))
-                && self.clients[ci].cache.contains(object)
-            {
-                let promote =
-                    self.clients[ci].cache.peek(object) == Some(CacheTier::Disk);
-                if self.request_local_lock(ci, key, object, need_mode, promote) {
+            let granted_mode = self.cached_locks.get(object).copied();
+            if granted_mode.is_some_and(|m| m.covers(need_mode)) && self.cache.contains(object) {
+                let promote = self.cache.peek(object) == Some(CacheTier::Disk);
+                if self.request_local_lock(cx, key, object, need_mode, promote) {
                     continue;
                 }
-                self.check_ready(ci, key);
+                self.check_ready(cx, key);
             } else {
                 // Granted mode too weak (or data still missing): go again.
-                let needs_data = !self.clients[ci].cache.contains(object);
-                if let Some(w) =
-                    self.join_fetch(ci, key, object, need_mode, needs_data, deadline)
-                {
-                    let client = self.clients[ci].id;
-                    self.send_to_server(
-                        client,
-                        MessageKind::ObjectRequest,
-                        0,
-                        1,
-                        Msg::RequestBatch {
-                            txn: key,
-                            client,
-                            wants: vec![w],
-                            grant_all: false,
-                        },
-                    );
-                }
+                let needs_data = !self.cache.contains(object);
+                self.refetch(cx, key, object, need_mode, needs_data, deadline);
             }
         }
     }
@@ -661,11 +873,11 @@ impl ClientServerSim {
     /// transaction or commit to local processing.
     fn on_conflict_report(
         &mut self,
-        ci: usize,
+        cx: &mut Cx,
         key: TKey,
         conflicts: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
     ) {
-        let Some(run) = self.clients[ci].txns.get(&key) else {
+        let Some(run) = self.txns.get(&key) else {
             return;
         };
         // The transaction may already have left AwaitGrantAll if another
@@ -675,21 +887,21 @@ impl ClientServerSim {
             return;
         }
         let shipped = !matches!(run.kind, RunKind::Normal);
-        let self_id = self.clients[ci].id;
+        let self_id = self.id;
         let txn = run.spec.id;
         let accesses: Vec<AccessSpec> = run.spec.accesses.clone();
         // H2 decision wait: the grant-all round from batch send to this
         // conflict report.
-        self.emit_span(
+        cx.emit_span(
             SiteId::Client(self_id),
             key,
             siteselect_obs::SpanKind::Decision,
             run.acquire_started,
             None,
         );
-        if self.cfg.load_sharing.h2_enabled && !shipped {
+        if cx.cfg.load_sharing.h2_enabled && !shipped {
             let best = Self::h2_choose(self_id, &accesses, &conflicts, &[]);
-            self.sink.emit(self.now, SiteId::Client(self_id), || {
+            cx.sink.emit(cx.now, SiteId::Client(self_id), || {
                 Self::h2_choose_event(txn, self_id, best, &accesses, &conflicts)
             });
             // Ship only when the destination substantially reduces the
@@ -698,26 +910,26 @@ impl ClientServerSim {
             // when "a significant percentage of a transaction's required
             // data is already cached at another site"). Shipping cancels
             // the requests the server has queued on our behalf.
-            let ls = self.cfg.load_sharing;
+            let ls = cx.cfg.load_sharing;
             let best_score = Self::h2_score(best, &accesses, &conflicts) as f64;
             let origin_score = Self::h2_score(self_id, &accesses, &conflicts) as f64;
             if best != self_id
-                && self.site_up(best)
+                && cx.site_up(best)
                 && best_score <= ls.ship_conflict_ratio * origin_score
                 && Self::holds_fraction(best, &accesses, &conflicts) >= ls.ship_locality_min
             {
-                self.ship_txn(ci, key, best);
+                self.ship_txn(cx, key, best);
                 return;
             }
         }
         // Otherwise nothing to do: the server already queued the blocked
         // requests and will ship the objects as soon as possible (§4).
-        if let Some(run) = self.clients[ci].txns.get_mut(&key) {
+        if let Some(run) = self.txns.get_mut(&key) {
             if run.state == RunState::AwaitGrantAll {
                 run.state = RunState::Acquiring;
             }
         }
-        self.check_ready(ci, key);
+        self.check_ready(cx, key);
     }
 
     /// Builds the `H2Choose` trace event: every scored candidate in
@@ -753,7 +965,7 @@ impl ClientServerSim {
 
     /// H2: the site at which the transaction would wait for the fewest
     /// conflicting locks; `loads` breaks ties.
-    pub(crate) fn h2_choose(
+    fn h2_choose(
         origin: ClientId,
         accesses: &[AccessSpec],
         locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
@@ -789,7 +1001,7 @@ impl ClientServerSim {
 
     /// Fraction of the transaction's objects on which `site` holds a lock —
     /// the proxy for "how much of the required data is cached there".
-    pub(crate) fn holds_fraction(
+    fn holds_fraction(
         site: ClientId,
         accesses: &[AccessSpec],
         locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
@@ -811,7 +1023,7 @@ impl ClientServerSim {
 
     /// The number of conflicting locks transaction `accesses` would wait
     /// for if executed at `site` (the quantity H2 minimizes).
-    pub(crate) fn h2_score(
+    fn h2_score(
         site: ClientId,
         accesses: &[AccessSpec],
         locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
@@ -833,25 +1045,51 @@ impl ClientServerSim {
             .sum()
     }
 
+    /// Partitions a decomposable transaction's accesses by their current
+    /// holding site: objects exclusively or primarily cached at one client
+    /// form that client's subtask; unheld objects stay with the origin.
+    fn group_by_location(
+        origin: ClientId,
+        accesses: &[AccessSpec],
+        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
+    ) -> Vec<(ClientId, Vec<AccessSpec>)> {
+        let map: HashMap<ObjectId, &Vec<(ClientId, LockMode)>> =
+            locations.iter().map(|(o, v)| (*o, v)).collect();
+        let mut groups: BTreeMap<ClientId, Vec<AccessSpec>> = BTreeMap::new();
+        for a in accesses {
+            let site = map
+                .get(&a.object)
+                .and_then(|holders| {
+                    holders
+                        .iter()
+                        .find(|(_, m)| m.is_exclusive())
+                        .or_else(|| holders.first())
+                })
+                .map_or(origin, |&(c, _)| c);
+            groups.entry(site).or_default().push(*a);
+        }
+        groups.into_iter().collect()
+    }
+
     fn on_load_reply(
         &mut self,
-        ci: usize,
+        cx: &mut Cx,
         key: TKey,
         locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
         loads: Vec<(ClientId, usize, f64)>,
     ) {
-        let Some(run) = self.clients[ci].txns.get(&key) else {
+        let Some(run) = self.txns.get(&key) else {
             return;
         };
         let RunState::AwaitInfo { reason } = run.state else {
             return;
         };
-        let self_id = self.clients[ci].id;
+        let self_id = self.id;
         let txn = run.spec.id;
         let accesses: Vec<AccessSpec> = run.spec.accesses.clone();
         // The load-query round the transaction waited on: H1-infeasible
         // admission handling, or the decomposition placement lookup.
-        self.emit_span(
+        cx.emit_span(
             SiteId::Client(self_id),
             key,
             match reason {
@@ -863,9 +1101,9 @@ impl ClientServerSim {
         );
         match reason {
             InfoReason::H1Infeasible => {
-                let best = if self.cfg.load_sharing.h2_enabled {
+                let best = if cx.cfg.load_sharing.h2_enabled {
                     let best = Self::h2_choose(self_id, &accesses, &locations, &loads);
-                    self.sink.emit(self.now, SiteId::Client(self_id), || {
+                    cx.sink.emit(cx.now, SiteId::Client(self_id), || {
                         Self::h2_choose_event(txn, self_id, best, &accesses, &locations)
                     });
                     best
@@ -877,12 +1115,12 @@ impl ClientServerSim {
                         .min()
                         .map_or(self_id, |(_, _, c)| c)
                 };
-                if best != self_id && self.site_up(best) {
-                    self.ship_txn(ci, key, best);
+                if best != self_id && cx.site_up(best) {
+                    self.ship_txn(cx, key, best);
                 } else {
                     // Best site is home, or the chosen site is crashed:
                     // local processing degrades gracefully.
-                    self.begin_acquisition(ci, key, true);
+                    self.begin_acquisition(cx, key);
                 }
             }
             InfoReason::Decompose => {
@@ -894,8 +1132,7 @@ impl ClientServerSim {
                 let mut origin_accs: Vec<AccessSpec> = Vec::new();
                 let mut groups: Vec<(ClientId, Vec<AccessSpec>)> = Vec::new();
                 for (site, accs) in raw {
-                    if site == self_id || !self.site_up(site) || accs.len() < 2 || groups.len() >= 4
-                    {
+                    if site == self_id || !cx.site_up(site) || accs.len() < 2 || groups.len() >= 4 {
                         origin_accs.extend(accs);
                     } else {
                         groups.push((site, accs));
@@ -905,16 +1142,16 @@ impl ClientServerSim {
                     groups.push((self_id, origin_accs));
                 }
                 if groups.len() >= 2 {
-                    self.decompose(ci, key, groups);
+                    self.decompose(cx, key, groups);
                 } else {
-                    self.begin_acquisition(ci, key, true);
+                    self.begin_acquisition(cx, key);
                 }
             }
         }
     }
 
-    fn decompose(&mut self, ci: usize, key: TKey, groups: Vec<(ClientId, Vec<AccessSpec>)>) {
-        let Some(run) = self.clients[ci].txns.get_mut(&key) else {
+    fn decompose(&mut self, cx: &mut Cx, key: TKey, groups: Vec<(ClientId, Vec<AccessSpec>)>) {
+        let Some(run) = self.txns.get_mut(&key) else {
             return;
         };
         let parent_spec = run.spec.clone();
@@ -923,19 +1160,19 @@ impl ClientServerSim {
             pending: groups.len() as u8,
             failed: false,
         };
-        if self.measured_arrival(parent_spec.arrival) {
-            self.metrics.load_sharing.decomposed += 1;
-            self.metrics.load_sharing.subtasks += groups.len() as u64;
+        if cx.measured_arrival(parent_spec.arrival) {
+            cx.metrics.load_sharing.decomposed += 1;
+            cx.metrics.load_sharing.subtasks += groups.len() as u64;
         }
         let subtasks = groups.len() as u32;
-        self.sink
-            .emit(self.now, SiteId::Client(parent_spec.origin), || {
+        cx.sink
+            .emit(cx.now, SiteId::Client(parent_spec.origin), || {
                 siteselect_obs::Event::Decomposed {
                     txn: parent_spec.id,
                     subtasks,
                 }
             });
-        let origin = self.clients[ci].id;
+        let origin = self.id;
         for (index, (site, accesses)) in groups.into_iter().enumerate() {
             let index = index as u8;
             let share = accesses.len() as f64 / total;
@@ -947,23 +1184,16 @@ impl ClientServerSim {
             spec.decomposable = false;
             if site == origin {
                 let skey = subtask_key(key, index);
-                let run = TxnRun {
-                    kind: RunKind::Subtask {
-                        parent: key,
-                        index,
-                        origin,
-                    },
-                    state: RunState::Acquiring,
-                    needed: Default::default(),
-                    acquire_started: self.now,
-                    exec_started: self.now,
-                    spec,
+                let kind = RunKind::Subtask {
+                    parent: key,
+                    index,
+                    origin,
                 };
-                self.clients[ci].txns.insert(skey, run);
-                self.begin_acquisition(ci, skey, self.ls);
+                self.txns.insert(skey, TxnRun::new(kind, spec, cx.now));
+                self.begin_acquisition(cx, skey);
             } else {
-                self.send_to_client(
-                    SiteDest::Client(origin),
+                cx.send_to_peer(
+                    origin,
                     site,
                     MessageKind::SubtaskShip,
                     0,
@@ -972,15 +1202,15 @@ impl ClientServerSim {
                         index,
                         origin,
                         spec,
-                        sent_at: self.now,
+                        sent_at: cx.now,
                     },
                 );
             }
         }
     }
 
-    fn on_subtask_result(&mut self, ci: usize, parent: TKey, ok: bool) {
-        let Some(run) = self.clients[ci].txns.get_mut(&parent) else {
+    fn on_subtask_result(&mut self, cx: &mut Cx, parent: TKey, ok: bool) {
+        let Some(run) = self.txns.get_mut(&parent) else {
             return; // parent already aborted (e.g. expired)
         };
         let RunState::AwaitSubtasks { pending, failed } = run.state else {
@@ -993,7 +1223,7 @@ impl ClientServerSim {
             return;
         }
         if failed {
-            self.abort_txn(ci, parent, AbortReason::SubtaskFailure);
+            self.abort_txn(cx, parent, AbortReason::SubtaskFailure);
             return;
         }
         // Synthesis phase: combine the subtask answers.
@@ -1002,98 +1232,73 @@ impl ClientServerSim {
             run.spec.cpu_demand.mul_f64(SYNTHESIS_FRACTION),
         );
         run.state = RunState::Synthesis;
-        run.exec_started = self.now;
-        let resched = self.clients[ci].cpu.submit(self.now, parent, deadline, demand);
-        if let Some((t, generation)) = resched {
-            self.queue.push(
-                t,
-                Ev::ClientCpu {
-                    client: ci,
-                    generation,
-                },
-            );
-        }
+        run.exec_started = cx.now;
+        let tick = self.cpu.submit(cx.now, parent, deadline, demand);
+        self.arm_cpu(cx, tick);
     }
 
-    pub(crate) fn ship_txn(&mut self, ci: usize, key: TKey, dest: ClientId) {
-        let Some(run) = self.clients[ci].txns.remove(&key) else {
+    fn ship_txn(&mut self, cx: &mut Cx, key: TKey, dest: ClientId) {
+        let Some(run) = self.txns.remove(&key) else {
             return;
         };
-        if self.measured_arrival(run.spec.arrival) {
-            self.metrics.load_sharing.shipped += 1;
+        if cx.measured_arrival(run.spec.arrival) {
+            cx.metrics.load_sharing.shipped += 1;
         }
         let txn = run.spec.id;
-        self.sink
-            .emit(self.now, SiteId::Client(self.clients[ci].id), || {
-                siteselect_obs::Event::Shipped {
-                    txn,
-                    to: SiteId::Client(dest),
-                }
-            });
+        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
+            siteselect_obs::Event::Shipped {
+                txn,
+                to: SiteId::Client(dest),
+            }
+        });
         // The origin-side episode ends without committing anything: local
         // locks are released here and the unit re-executes (as a fresh
         // lock episode) at the destination.
-        self.sink
-            .emit(self.now, SiteId::Client(self.clients[ci].id), || {
-                siteselect_obs::Event::UnitEnd {
-                    txn,
-                    committed: false,
-                }
-            });
-        self.detach_txn(ci, key, &run);
-        let from = self.clients[ci].id;
-        self.send_to_client(
-            SiteDest::Client(from),
-            dest,
-            MessageKind::TxnShip,
-            0,
-            Msg::TxnShip {
-                spec: run.spec,
-                sent_at: self.now,
-            },
-        );
+        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
+            siteselect_obs::Event::UnitEnd {
+                txn,
+                committed: false,
+            }
+        });
+        self.detach_txn(cx, key, &run);
+        let ship = Msg::TxnShip {
+            spec: run.spec,
+            sent_at: cx.now,
+        };
+        cx.send_to_peer(self.id, dest, MessageKind::TxnShip, 0, ship);
     }
 
-    /// Releases everything `key` holds or awaits at client `ci`.
-    fn detach_txn(&mut self, ci: usize, key: TKey, run: &TxnRun) {
+    /// Releases everything `key` holds or awaits here.
+    fn detach_txn(&mut self, cx: &mut Cx, key: TKey, run: &TxnRun) {
         // Close out lock waits still open at detach (an aborted/shipped
         // unit stops waiting now).
-        if self.sink.is_enabled() {
-            let id = self.clients[ci].id;
-            let mut open: Vec<(ObjectId, SimTime, Option<TKey>)> = self.clients[ci]
+        if cx.sink.is_enabled() {
+            let mut open: Vec<ObjectId> = self
                 .lock_wait_from
-                .iter()
-                .filter(|((k, _), _)| *k == key)
-                .map(|(&(_, o), &(t, b))| (o, t, b))
+                .keys()
+                .filter(|(k, _)| *k == key)
+                .map(|&(_, o)| o)
                 .collect();
-            open.sort_unstable_by_key(|&(o, _, _)| o);
-            for (object, started, blocker) in open {
-                self.clients[ci].lock_wait_from.remove(&(key, object));
-                self.emit_span(
-                    SiteId::Client(id),
-                    key,
-                    siteselect_obs::SpanKind::LockWait,
-                    started,
-                    blocker,
-                );
+            open.sort_unstable();
+            for object in open {
+                self.end_lock_wait(cx, key, object);
             }
         }
         // Local locks and queued local waits.
-        let grants = self.clients[ci].local_locks.release_all(key);
-        self.clients[ci].local_wfg.remove_node(key);
+        let grants = self.local_locks.release_all(key);
+        self.local_wfg.remove_node(key);
         for (object, waiters) in grants {
             let keys: Vec<TKey> = waiters.iter().map(|w| w.owner).collect();
-            self.on_local_grants(ci, object, keys);
+            self.on_local_grants(cx, object, keys);
         }
         // Pending revokes may now be executable.
         let held: Vec<ObjectId> = run.needed.objects().collect();
         for object in held {
-            self.try_execute_revoke(ci, object);
+            self.try_execute_revoke(cx, object);
         }
         // Outstanding fetches.
         let mut cancelled: Vec<ObjectId> = Vec::new();
-        let c = &mut self.clients[ci];
-        c.fetches.retain(|&object, f| {
+        self.fetches.retain(|&object, f| {
             f.waiters.retain(|&w| w != key);
             if f.waiters.is_empty() {
                 if f.sent {
@@ -1106,8 +1311,8 @@ impl ClientServerSim {
         });
         if !cancelled.is_empty() {
             cancelled.sort_unstable(); // retain walks hash order
-            let client = self.clients[ci].id;
-            self.send_to_server(
+            let client = self.id;
+            cx.send_to_server(
                 client,
                 MessageKind::ObjectRequest,
                 0,
@@ -1126,151 +1331,126 @@ impl ClientServerSim {
 
     fn on_recall(
         &mut self,
-        ci: usize,
+        cx: &mut Cx,
         object: ObjectId,
         desired: LockMode,
         forward: Option<ForwardList>,
     ) {
-        let c = &mut self.clients[ci];
-        if !c.cached_locks.contains(object) {
+        if !self.cached_locks.contains(object) {
             // We no longer hold it (silently evicted): answer immediately.
-            let from = c.id;
-            let had_copy = c.cache.contains(object);
-            self.send_to_server(
-                from,
-                MessageKind::CallbackAck,
-                0,
-                1,
-                Msg::CallbackAck {
-                    object,
-                    from,
-                    had_copy,
-                },
-            );
+            self.ack_callback(cx, object, self.cache.contains(object));
             return;
         }
-        c.revokes.insert(object, Revoke { desired, forward });
+        self.revokes.insert(object, Revoke { desired, forward });
         // Queued local waiters can no longer rely on the cached lock.
-        self.requeue_local_waiters(ci, object);
-        self.try_execute_revoke(ci, object);
+        self.requeue_local_waiters(cx, object);
+        self.try_execute_revoke(cx, object);
     }
 
     /// Converts local-wait transactions on `object` into server fetches
     /// (their cached lock is being revoked or downgraded).
-    fn requeue_local_waiters(&mut self, ci: usize, object: ObjectId) {
-        let waiters: Vec<TKey> = self.clients[ci]
+    fn requeue_local_waiters(&mut self, cx: &mut Cx, object: ObjectId) {
+        let waiters: Vec<TKey> = self
             .local_locks
             .waiters(object)
             .iter()
             .map(|w| w.owner)
             .collect();
         for key in waiters {
-            let Some(run) = self.clients[ci].txns.get(&key) else {
+            let Some(run) = self.txns.get(&key) else {
                 continue;
             };
             let Some((mode, Need::LocalWait)) = run.needed.get(object) else {
                 continue;
             };
             let deadline = run.spec.deadline;
-            let (_, grants) = self.clients[ci].local_locks.cancel_wait(object, key);
-            // The local wait ends here (it converts into a server fetch).
-            if let Some((started, blocker)) =
-                self.clients[ci].lock_wait_from.remove(&(key, object))
-            {
-                let id = self.clients[ci].id;
-                self.emit_span(
-                    SiteId::Client(id),
-                    key,
-                    siteselect_obs::SpanKind::LockWait,
-                    started,
-                    blocker,
-                );
-            }
-            if let Some(run) = self.clients[ci].txns.get_mut(&key) {
+            let (_, grants) = self.local_locks.cancel_wait(object, key);
+            self.end_lock_wait(cx, key, object); // it converts into a server fetch
+            if let Some(run) = self.txns.get_mut(&key) {
                 run.needed.insert(object, mode, Need::Fetch);
             }
             let keys: Vec<TKey> = grants.iter().map(|w| w.owner).collect();
-            self.on_local_grants(ci, object, keys);
-            if let Some(w) = self.join_fetch(ci, key, object, mode, true, deadline) {
-                let client = self.clients[ci].id;
-                self.send_to_server(
-                    client,
-                    MessageKind::ObjectRequest,
-                    0,
-                    1,
-                    Msg::RequestBatch {
-                        txn: key,
-                        client,
-                        wants: vec![w],
-                        grant_all: false,
-                    },
-                );
-            }
+            self.on_local_grants(cx, object, keys);
+            self.refetch(cx, key, object, mode, true, deadline);
         }
+    }
+
+    /// Answers a callback without data.
+    fn ack_callback(&self, cx: &mut Cx, object: ObjectId, had_copy: bool) {
+        let from = self.id;
+        let ack = Msg::CallbackAck {
+            object,
+            from,
+            had_copy,
+        };
+        cx.send_to_server(from, MessageKind::CallbackAck, 0, 1, ack);
+    }
+
+    /// Sends the object (the newest version) home.
+    fn send_home(&self, cx: &mut Cx, object: ObjectId, downgraded: bool) {
+        let from = self.id;
+        let ret = Msg::ObjectReturn {
+            object,
+            from,
+            downgraded,
+        };
+        cx.send_to_server(from, MessageKind::ObjectReturn, 1, 1, ret);
     }
 
     /// Executes a pending revocation once no local transaction holds the
     /// object.
-    pub(crate) fn try_execute_revoke(&mut self, ci: usize, object: ObjectId) {
-        let c = &self.clients[ci];
-        if !c.revokes.contains_key(&object) {
+    fn try_execute_revoke(&mut self, cx: &mut Cx, object: ObjectId) {
+        if !self.revokes.contains_key(&object) {
             return;
         }
-        if !c.local_locks.holders(object).is_empty() {
+        if !self.local_locks.holders(object).is_empty() {
             return; // active local users finish first
         }
-        let revoke = self.clients[ci]
-            .revokes
-            .remove(&object)
-            .expect("checked above");
-        let from = self.clients[ci].id;
-        let held = self.clients[ci].cached_locks.get(object).copied();
-        let has_data = self.clients[ci].cache.contains(object);
+        let revoke = self.revokes.remove(&object).expect("checked above");
+        let from = self.id;
+        let held = self.cached_locks.get(object).copied();
+        let has_data = self.cache.contains(object);
 
         if let Some(mut list) = revoke.forward {
             // Grouped-lock hop: ship the object to the next live entry.
             if !has_data {
-                self.clients[ci].cached_locks.remove(object);
-                self.sink.emit(self.now, SiteId::Client(from), || {
-                    siteselect_obs::Event::CacheDrop { client: from, object }
-                });
-                self.send_to_server(
-                    from,
-                    MessageKind::CallbackAck,
-                    0,
-                    1,
-                    Msg::CallbackAck {
+                self.cached_locks.remove(object);
+                cx.sink.emit(cx.now, SiteId::Client(from), || {
+                    siteselect_obs::Event::CacheDrop {
+                        client: from,
                         object,
-                        from,
-                        had_copy: false,
-                    },
-                );
+                    }
+                });
+                self.ack_callback(cx, object, false);
                 return;
             }
-            self.clients[ci].cached_locks.remove(object);
-            self.clients[ci].cache.invalidate(object);
-            self.clients[ci].dirty.remove(object);
-            self.sink.emit(self.now, SiteId::Client(from), || {
-                siteselect_obs::Event::CacheDrop { client: from, object }
+            self.cached_locks.remove(object);
+            self.cache.invalidate(object);
+            self.dirty.remove(object);
+            cx.sink.emit(cx.now, SiteId::Client(from), || {
+                siteselect_obs::Event::CacheDrop {
+                    client: from,
+                    object,
+                }
             });
             // Skip entries whose deadline passed and (failure handling)
             // entries whose client is crashed — forwarding to a dead site
             // would strand the object.
             let next = loop {
-                let (next, _skipped) = list.pop_next_live(self.now);
+                let (next, _skipped) = list.pop_next_live(cx.now);
                 match next {
-                    Some(e) if !self.site_up(e.client) => continue,
+                    Some(e) if !cx.site_up(e.client) => continue,
                     other => break other,
                 }
             };
             match next {
                 Some(entry) => {
                     let to = entry.client;
-                    self.sink.emit(self.now, SiteId::Client(from), || {
+                    cx.sink.emit(cx.now, SiteId::Client(from), || {
                         siteselect_obs::Event::ForwardHop { object, to }
                     });
-                    self.send_to_client(
-                        SiteDest::Client(from),
+                    cx.send_to_peer(
+                        from,
                         entry.client,
                         MessageKind::ObjectForward,
                         1,
@@ -1283,89 +1463,67 @@ impl ClientServerSim {
                 }
                 None => {
                     // Everyone on the list expired: hand the object home.
-                    self.send_to_server(
-                        from,
-                        MessageKind::ObjectReturn,
-                        1,
-                        1,
-                        Msg::ObjectReturn {
-                            object,
-                            from,
-                            downgraded: false,
-                        },
-                    );
+                    self.send_home(cx, object, false);
                 }
             }
             return;
         }
 
         // Plain callback path.
-        let downgrade = revoke.desired == LockMode::Shared
-            && held == Some(LockMode::Exclusive)
-            && has_data;
+        let downgrade =
+            revoke.desired == LockMode::Shared && held == Some(LockMode::Exclusive) && has_data;
         if downgrade {
-            self.clients[ci]
-                .cached_locks
-                .insert(object, LockMode::Shared);
-            self.clients[ci].dirty.remove(object);
-            self.sink.emit(self.now, SiteId::Client(from), || {
-                siteselect_obs::Event::CacheDowngrade { client: from, object }
-            });
-            self.send_to_server(
-                from,
-                MessageKind::ObjectReturn,
-                1,
-                1,
-                Msg::ObjectReturn {
+            self.cached_locks.insert(object, LockMode::Shared);
+            self.dirty.remove(object);
+            cx.sink.emit(cx.now, SiteId::Client(from), || {
+                siteselect_obs::Event::CacheDowngrade {
+                    client: from,
                     object,
-                    from,
-                    downgraded: true,
-                },
-            );
+                }
+            });
+            self.send_home(cx, object, true);
             return;
         }
-        self.clients[ci].cached_locks.remove(object);
-        self.sink.emit(self.now, SiteId::Client(from), || {
-            siteselect_obs::Event::CacheDrop { client: from, object }
+        self.cached_locks.remove(object);
+        cx.sink.emit(cx.now, SiteId::Client(from), || {
+            siteselect_obs::Event::CacheDrop {
+                client: from,
+                object,
+            }
         });
         let send_data = held == Some(LockMode::Exclusive) && has_data;
-        self.clients[ci].cache.invalidate(object);
-        self.clients[ci].dirty.remove(object);
+        self.cache.invalidate(object);
+        self.dirty.remove(object);
         if send_data {
-            self.send_to_server(
-                from,
-                MessageKind::ObjectReturn,
-                1,
-                1,
-                Msg::ObjectReturn {
-                    object,
-                    from,
-                    downgraded: false,
-                },
-            );
+            self.send_home(cx, object, false);
         } else {
-            self.send_to_server(
-                from,
-                MessageKind::CallbackAck,
-                0,
-                1,
-                Msg::CallbackAck {
-                    object,
-                    from,
-                    had_copy: has_data,
-                },
+            self.ack_callback(cx, object, has_data);
+        }
+    }
+
+    /// `key` stops waiting for the local lock on `object`: closes the
+    /// lock-wait span opened when it blocked (tracing only).
+    fn end_lock_wait(&mut self, cx: &Cx, key: TKey, object: ObjectId) {
+        if let Some((started, blocker)) = self.lock_wait_from.remove(&(key, object)) {
+            let site = SiteId::Client(self.id);
+            cx.emit_span(
+                site,
+                key,
+                siteselect_obs::SpanKind::LockWait,
+                started,
+                blocker,
             );
         }
     }
 
     /// Local lock grants cascading from a release.
-    pub(crate) fn on_local_grants(&mut self, ci: usize, object: ObjectId, keys: Vec<TKey>) {
+    fn on_local_grants(&mut self, cx: &mut Cx, object: ObjectId, keys: Vec<TKey>) {
         for key in keys {
-            let Some(run) = self.clients[ci].txns.get(&key) else {
+            let Some(run) = self.txns.get(&key) else {
                 // Granted to a transaction that no longer exists.
-                let grants = self.clients[ci].local_locks.release(object, key);
+                let grants = self.local_locks.release(object, key);
                 let more: Vec<TKey> = grants.iter().map(|w| w.owner).collect();
-                self.on_local_grants(ci, object, more);
+                self.on_local_grants(cx, object, more);
                 continue;
             };
             let Some((mode, status)) = run.needed.get(object) else {
@@ -1374,81 +1532,29 @@ impl ClientServerSim {
             if status != Need::LocalWait {
                 continue;
             }
-            self.clients[ci].local_wfg.clear_waits(key);
-            // The local lock wait ends with this grant.
-            if let Some((started, blocker)) =
-                self.clients[ci].lock_wait_from.remove(&(key, object))
-            {
-                let id = self.clients[ci].id;
-                self.emit_span(
-                    SiteId::Client(id),
-                    key,
-                    siteselect_obs::SpanKind::LockWait,
-                    started,
-                    blocker,
-                );
-            }
-            let c = &self.clients[ci];
-            let covered = c
+            self.local_wfg.clear_waits(key);
+            self.end_lock_wait(cx, key, object); // with this grant
+            let covered = self
                 .cached_locks
                 .get(object)
                 .is_some_and(|m| m.covers(mode));
-            if covered && c.cache.contains(object) {
-                let promote = c.cache.peek(object) == Some(CacheTier::Disk);
-                let unit = TransactionId::from_raw(key);
-                let (holder, exclusive) = (c.id, mode == LockMode::Exclusive);
-                self.sink.emit(self.now, SiteId::Client(holder), || {
-                    siteselect_obs::Event::LockHeld {
-                        txn: unit,
-                        object,
-                        exclusive,
-                    }
-                });
-                if promote {
-                    let done = self.clients[ci].disk.schedule_io(self.now);
-                    if let Some(run) = self.clients[ci].txns.get_mut(&key) {
-                        run.needed.insert(object, mode, Need::DiskPromote);
-                    }
-                    self.queue.push(
-                        done,
-                        Ev::ClientDiskReady {
-                            client: ci,
-                            txn: key,
-                            object,
-                            scheduled_at: self.now,
-                        },
-                    );
-                } else {
-                    if let Some(run) = self.clients[ci].txns.get_mut(&key) {
-                        run.needed.insert(object, mode, Need::Held);
-                    }
-                    self.check_ready(ci, key);
+            if covered && self.cache.contains(object) {
+                let promote = self.cache.peek(object) == Some(CacheTier::Disk);
+                self.lock_granted(cx, key, object, mode, promote);
+                if !promote {
+                    self.check_ready(cx, key);
                 }
             } else {
                 // Cached lock vanished while queued: fetch from the server.
-                let deadline = self.clients[ci]
+                let deadline = self
                     .txns
                     .get(&key)
                     .map_or(SimTime::MAX, |r| r.spec.deadline);
-                self.clients[ci].local_locks.release(object, key);
-                if let Some(run) = self.clients[ci].txns.get_mut(&key) {
+                self.local_locks.release(object, key);
+                if let Some(run) = self.txns.get_mut(&key) {
                     run.needed.insert(object, mode, Need::Fetch);
                 }
-                if let Some(w) = self.join_fetch(ci, key, object, mode, true, deadline) {
-                    let client = self.clients[ci].id;
-                    self.send_to_server(
-                        client,
-                        MessageKind::ObjectRequest,
-                        0,
-                        1,
-                        Msg::RequestBatch {
-                            txn: key,
-                            client,
-                            wants: vec![w],
-                            grant_all: false,
-                        },
-                    );
-                }
+                self.refetch(cx, key, object, mode, true, deadline);
             }
         }
     }
@@ -1457,66 +1563,57 @@ impl ClientServerSim {
     // Execution and completion
     // ------------------------------------------------------------------
 
-    pub(crate) fn check_ready(&mut self, ci: usize, key: TKey) {
-        let Some(run) = self.clients[ci].txns.get(&key) else {
+    fn check_ready(&mut self, cx: &mut Cx, key: TKey) {
+        let Some(run) = self.txns.get(&key) else {
             return;
         };
         if !run.ready() {
             return;
         }
-        if run.spec.is_expired(self.now) {
-            self.abort_txn(ci, key, AbortReason::Expired);
+        if run.spec.is_expired(cx.now) {
+            self.abort_txn(cx, key, AbortReason::Expired);
             return;
         }
-        let measured = self.measured_arrival(run.spec.arrival);
-        let blocked = self.now.duration_since(run.acquire_started);
+        let measured = cx.measured_arrival(run.spec.arrival);
+        let blocked = cx.now.duration_since(run.acquire_started);
         if measured {
-            self.metrics.blocking.push_duration(blocked);
+            cx.metrics.blocking.push_duration(blocked);
         }
         let (deadline, demand) = (run.spec.deadline, run.spec.cpu_demand);
         let txn = run.spec.id;
-        if let Some(run) = self.clients[ci].txns.get_mut(&key) {
+        if let Some(run) = self.txns.get_mut(&key) {
             run.state = RunState::Executing;
-            run.exec_started = self.now;
+            run.exec_started = cx.now;
         }
-        self.sink
-            .emit(self.now, SiteId::Client(self.clients[ci].id), || {
-                siteselect_obs::Event::ExecStart { txn }
-            });
-        let resched = self.clients[ci].cpu.submit(self.now, key, deadline, demand);
-        if let Some((t, generation)) = resched {
-            self.queue.push(
-                t,
-                Ev::ClientCpu {
-                    client: ci,
-                    generation,
-                },
-            );
+        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
+            siteselect_obs::Event::ExecStart { txn }
+        });
+        let tick = self.cpu.submit(cx.now, key, deadline, demand);
+        self.arm_cpu(cx, tick);
+    }
+
+    /// Schedules the completion tick the CPU asked for, if any.
+    fn arm_cpu(&self, cx: &mut Cx, tick: Option<(SimTime, u64)>) {
+        if let Some((t, generation)) = tick {
+            let client = self.id.index();
+            cx.queue.push(t, Ev::ClientCpu { client, generation });
         }
     }
 
-    pub(crate) fn on_client_cpu(&mut self, ci: usize, generation: u64) {
-        match self.clients[ci].cpu.on_completion(self.now, generation) {
+    pub(crate) fn on_cpu(&mut self, cx: &mut Cx, generation: u64) {
+        match self.cpu.on_completion(cx.now, generation) {
             crate::cpu::Tick::Stale => {}
             crate::cpu::Tick::Done { finished, next } => {
-                if let Some((t, generation)) = next {
-                    self.queue.push(
-                        t,
-                        Ev::ClientCpu {
-                            client: ci,
-                            generation,
-                        },
-                    );
-                }
+                self.arm_cpu(cx, next);
                 for &key in finished.iter() {
-                    self.commit_txn(ci, key);
+                    self.commit_txn(cx, key);
                 }
             }
         }
     }
 
-    fn commit_txn(&mut self, ci: usize, key: TKey) {
-        let Some(run) = self.clients[ci].txns.remove(&key) else {
+    fn commit_txn(&mut self, cx: &mut Cx, key: TKey) {
+        let Some(run) = self.txns.remove(&key) else {
             return;
         };
         // Mark updated objects dirty in the cache (they carry the newest
@@ -1524,182 +1621,124 @@ impl ClientServerSim {
         if run.state == RunState::Executing {
             let writes: Vec<ObjectId> = run.spec.write_set().collect();
             for o in writes {
-                if self.clients[ci].cache.contains(o) {
-                    self.clients[ci].dirty.insert(o);
+                if self.cache.contains(o) {
+                    self.dirty.insert(o);
                 }
             }
         }
         let unit = TransactionId::from_raw(key);
-        self.sink
-            .emit(self.now, SiteId::Client(self.clients[ci].id), || {
-                siteselect_obs::Event::UnitEnd {
-                    txn: unit,
-                    committed: true,
-                }
-            });
-        self.detach_txn(ci, key, &run);
+        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
+            siteselect_obs::Event::UnitEnd {
+                txn: unit,
+                committed: true,
+            }
+        });
+        self.detach_txn(cx, key, &run);
         // ATL bookkeeping for H1: the paper's "average execution time for
         // all completed transactions" — the CPU-resident span.
-        let exec_time = self.now.duration_since(run.exec_started).as_secs_f64();
-        self.clients[ci].atl_sum += exec_time;
-        self.clients[ci].atl_count += 1;
+        let exec_time = cx.now.duration_since(run.exec_started).as_secs_f64();
+        self.atl_sum += exec_time;
+        self.atl_count += 1;
 
-        let committed = self.now <= run.spec.deadline;
-        let measured = self.measured_arrival(run.spec.arrival);
+        let committed = cx.now <= run.spec.deadline;
+        let measured = cx.measured_arrival(run.spec.arrival);
         if matches!(run.kind, RunKind::Normal) {
             let txn = run.spec.id;
-            let latency_us = self.now.duration_since(run.spec.arrival).as_micros();
-            let slack_us = run.spec.deadline.as_micros() as i64 - self.now.as_micros() as i64;
-            self.sink
-                .emit(self.now, SiteId::Client(self.clients[ci].id), || {
-                    siteselect_obs::Event::Commit {
-                        txn,
-                        latency_us,
-                        slack_us,
-                    }
-                });
+            let latency_us = cx.now.duration_since(run.spec.arrival).as_micros();
+            let slack_us = run.spec.deadline.as_micros() as i64 - cx.now.as_micros() as i64;
+            cx.sink.emit(cx.now, SiteId::Client(self.id), || {
+                siteselect_obs::Event::Commit {
+                    txn,
+                    latency_us,
+                    slack_us,
+                }
+            });
         }
         match run.kind {
             RunKind::Normal => {
-                self.inflight -= 1;
+                cx.inflight -= 1;
                 if measured {
                     let outcome = if committed {
                         TxnOutcome::Committed
                     } else {
                         TxnOutcome::CommittedLate
                     };
-                    self.record_outcome_at(
-                        SiteId::Client(self.clients[ci].id),
-                        run.spec.id,
-                        outcome,
-                    );
+                    cx.record_outcome_at(SiteId::Client(self.id), run.spec.id, outcome);
                     if committed {
-                        self.metrics
+                        cx.metrics
                             .latency
-                            .push_duration(self.now.duration_since(run.spec.arrival));
+                            .push_duration(cx.now.duration_since(run.spec.arrival));
                     }
                 }
             }
+            _ => self.report_to_origin(cx, &run, committed),
+        }
+    }
+
+    /// Tells the site a shipped transaction or a subtask came from how it
+    /// ended here.
+    fn report_to_origin(&mut self, cx: &mut Cx, run: &TxnRun, ok: bool) {
+        let from = self.id;
+        match run.kind {
+            RunKind::Normal => {}
             RunKind::Shipped { origin } => {
-                let from = self.clients[ci].id;
-                self.send_to_client(
-                    SiteDest::Client(from),
-                    origin,
-                    MessageKind::TxnShipResult,
-                    0,
-                    Msg::TxnShipResult {
-                        txn: run.spec.id,
-                        committed,
-                        deadline: run.spec.deadline,
-                        arrival: run.spec.arrival,
-                        sent_at: self.now,
-                    },
-                );
+                let result = Msg::TxnShipResult {
+                    txn: run.spec.id,
+                    committed: ok,
+                    deadline: run.spec.deadline,
+                    arrival: run.spec.arrival,
+                    sent_at: cx.now,
+                };
+                cx.send_to_peer(from, origin, MessageKind::TxnShipResult, 0, result);
             }
-            RunKind::Subtask {
-                parent,
-                index: _,
-                origin,
-            } => {
-                let from = self.clients[ci].id;
-                if origin == from {
-                    self.on_subtask_result(ci, parent, committed);
-                } else {
-                    self.send_to_client(
-                        SiteDest::Client(from),
-                        origin,
-                        MessageKind::SubtaskResult,
-                        0,
-                        Msg::SubtaskResult {
-                            parent,
-                            ok: committed,
-                            sent_at: self.now,
-                        },
-                    );
-                }
+            RunKind::Subtask { parent, origin, .. } if origin == from => {
+                self.on_subtask_result(cx, parent, ok);
+            }
+            RunKind::Subtask { parent, origin, .. } => {
+                let sent_at = cx.now;
+                let result = Msg::SubtaskResult {
+                    parent,
+                    ok,
+                    sent_at,
+                };
+                cx.send_to_peer(from, origin, MessageKind::SubtaskResult, 0, result);
             }
         }
     }
 
-    pub(crate) fn abort_txn(&mut self, ci: usize, key: TKey, reason: AbortReason) {
-        let Some(run) = self.clients[ci].txns.remove(&key) else {
+    fn abort_txn(&mut self, cx: &mut Cx, key: TKey, reason: AbortReason) {
+        let Some(run) = self.txns.remove(&key) else {
             return;
         };
         if matches!(run.state, RunState::Executing | RunState::Synthesis) {
-            if let Some((t, generation)) = self.clients[ci].cpu.remove(self.now, key) {
-                self.queue.push(
-                    t,
-                    Ev::ClientCpu {
-                        client: ci,
-                        generation,
-                    },
-                );
-            }
+            let tick = self.cpu.remove(cx.now, key);
+            self.arm_cpu(cx, tick);
         }
-        self.detach_txn(ci, key, &run);
-        let measured = self.measured_arrival(run.spec.arrival);
+        self.detach_txn(cx, key, &run);
+        let measured = cx.measured_arrival(run.spec.arrival);
         let txn = run.spec.id;
-        self.sink
-            .emit(self.now, SiteId::Client(self.clients[ci].id), || {
-                siteselect_obs::Event::Abort { txn, reason }
-            });
+        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
+            siteselect_obs::Event::Abort { txn, reason }
+        });
         let unit = TransactionId::from_raw(key);
-        self.sink
-            .emit(self.now, SiteId::Client(self.clients[ci].id), || {
-                siteselect_obs::Event::UnitEnd {
-                    txn: unit,
-                    committed: false,
-                }
-            });
+        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
+            siteselect_obs::Event::UnitEnd {
+                txn: unit,
+                committed: false,
+            }
+        });
         match run.kind {
             RunKind::Normal => {
-                self.inflight -= 1;
+                cx.inflight -= 1;
                 if measured {
-                    self.record_outcome_at(
-                        SiteId::Client(self.clients[ci].id),
+                    cx.record_outcome_at(
+                        SiteId::Client(self.id),
                         run.spec.id,
                         TxnOutcome::Aborted(reason),
                     );
                 }
             }
-            RunKind::Shipped { origin } => {
-                let from = self.clients[ci].id;
-                self.send_to_client(
-                    SiteDest::Client(from),
-                    origin,
-                    MessageKind::TxnShipResult,
-                    0,
-                    Msg::TxnShipResult {
-                        txn: run.spec.id,
-                        committed: false,
-                        deadline: run.spec.deadline,
-                        arrival: run.spec.arrival,
-                        sent_at: self.now,
-                    },
-                );
-            }
-            RunKind::Subtask {
-                parent,
-                index: _,
-                origin,
-            } => {
-                let from = self.clients[ci].id;
-                if origin == from {
-                    self.on_subtask_result(ci, parent, false);
-                } else {
-                    self.send_to_client(
-                        SiteDest::Client(from),
-                        origin,
-                        MessageKind::SubtaskResult,
-                        0,
-                        Msg::SubtaskResult {
-                            parent,
-                            ok: false,
-                            sent_at: self.now,
-                        },
-                    );
-                }
-            }
+            _ => self.report_to_origin(cx, &run, false),
         }
     }
 
@@ -1712,65 +1751,52 @@ impl ClientServerSim {
     /// the fabric refuses deliveries until recovery. The site sends
     /// nothing on its way down — the rest of the system learns of the
     /// failure only through timeouts and lease expiry.
-    pub(crate) fn on_site_crash(&mut self, ci: usize) {
-        if !self.faults.up[ci] {
+    pub(crate) fn on_crash(&mut self, cx: &mut Cx) {
+        if !cx.set_site_up(self.id, false) {
             return; // already down (schedules can overlap at run end)
         }
-        self.faults.up[ci] = false;
-        self.metrics.faults.crashes += 1;
-        let id = self.clients[ci].id;
-        self.sink.emit(self.now, SiteId::Client(id), || {
+        cx.metrics.faults.crashes += 1;
+        let id = self.id;
+        cx.sink.emit(cx.now, SiteId::Client(id), || {
             siteselect_obs::Event::SiteCrash {
                 site: SiteId::Client(id),
             }
         });
-        self.fabric.set_site_down(SiteId::Client(id));
-        let mut keys: Vec<TKey> = self.clients[ci].txns.keys().copied().collect();
+        cx.fabric.set_site_down(SiteId::Client(id));
+        let mut keys: Vec<TKey> = self.txns.keys().copied().collect();
         keys.sort_unstable(); // hash order is process-random; kills cascade
         for key in keys {
-            self.kill_run_on_crash(ci, key);
+            self.kill_run_on_crash(cx, key);
         }
-        self.sink.emit(self.now, SiteId::Client(id), || {
+        cx.sink.emit(cx.now, SiteId::Client(id), || {
             siteselect_obs::Event::CacheWipe { client: id }
         });
-        let cfg = self.cfg.client;
-        let c = &mut self.clients[ci];
-        c.cached_locks.clear();
-        c.dirty.clear();
-        c.fetches.clear();
-        c.revokes.clear();
-        c.lock_wait_from.clear();
-        c.cache = siteselect_storage::ClientCache::new(
-            cfg.memory_cache_objects,
-            cfg.disk_cache_objects,
-        );
-        c.local_locks =
-            siteselect_locks::LockTable::new(siteselect_locks::QueueDiscipline::Deadline);
-        c.local_wfg = siteselect_locks::WaitForGraph::new();
+        let cfg = cx.cfg.client;
+        self.cached_locks.clear();
+        self.dirty.clear();
+        self.fetches.clear();
+        self.revokes.clear();
+        self.lock_wait_from.clear();
+        self.cache = ClientCache::new(cfg.memory_cache_objects, cfg.disk_cache_objects);
+        self.local_locks = LockTable::new(QueueDiscipline::Deadline);
+        self.local_wfg = WaitForGraph::new();
     }
 
     /// Silent death of one unit of work in a crash. Unlike
     /// [`abort_txn`](Self::abort_txn) nothing is sent: remote interest is
     /// settled by a synthetic timeout result, and whatever the site held at
     /// the server is reclaimed by callback leases.
-    fn kill_run_on_crash(&mut self, ci: usize, key: TKey) {
-        let Some(run) = self.clients[ci].txns.remove(&key) else {
+    fn kill_run_on_crash(&mut self, cx: &mut Cx, key: TKey) {
+        let Some(run) = self.txns.remove(&key) else {
             return;
         };
         if matches!(run.state, RunState::Executing | RunState::Synthesis) {
-            if let Some((t, generation)) = self.clients[ci].cpu.remove(self.now, key) {
-                self.queue.push(
-                    t,
-                    Ev::ClientCpu {
-                        client: ci,
-                        generation,
-                    },
-                );
-            }
+            let tick = self.cpu.remove(cx.now, key);
+            self.arm_cpu(cx, tick);
         }
         let unit = TransactionId::from_raw(key);
-        let site = self.clients[ci].id;
-        self.sink.emit(self.now, SiteId::Client(site), || {
+        let site = self.id;
+        cx.sink.emit(cx.now, SiteId::Client(site), || {
             siteselect_obs::Event::UnitEnd {
                 txn: unit,
                 committed: false,
@@ -1778,9 +1804,9 @@ impl ClientServerSim {
         });
         match run.kind {
             RunKind::Normal => {
-                self.inflight -= 1;
-                if self.measured_arrival(run.spec.arrival) {
-                    self.record_outcome_at(
+                cx.inflight -= 1;
+                if cx.measured_arrival(run.spec.arrival) {
+                    cx.record_outcome_at(
                         SiteId::Client(site),
                         run.spec.id,
                         TxnOutcome::Aborted(AbortReason::SiteCrash),
@@ -1792,8 +1818,8 @@ impl ClientServerSim {
             // cap (pushed straight to the event queue — a dead site puts
             // nothing on the wire).
             RunKind::Shipped { origin } => {
-                self.queue.push(
-                    self.now.saturating_add(self.cfg.faults.retry_backoff_cap),
+                cx.queue.push(
+                    cx.now.saturating_add(cx.cfg.faults.retry_backoff_cap),
                     Ev::Deliver {
                         to: SiteDest::Client(origin),
                         msgs: vec![Msg::TxnShipResult {
@@ -1801,7 +1827,7 @@ impl ClientServerSim {
                             committed: false,
                             deadline: run.spec.deadline,
                             arrival: run.spec.arrival,
-                            sent_at: self.now,
+                            sent_at: cx.now,
                         }],
                     },
                 );
@@ -1811,14 +1837,14 @@ impl ClientServerSim {
                 index: _,
                 origin,
             } => {
-                self.queue.push(
-                    self.now.saturating_add(self.cfg.faults.retry_backoff_cap),
+                cx.queue.push(
+                    cx.now.saturating_add(cx.cfg.faults.retry_backoff_cap),
                     Ev::Deliver {
                         to: SiteDest::Client(origin),
                         msgs: vec![Msg::SubtaskResult {
                             parent,
                             ok: false,
-                            sent_at: self.now,
+                            sent_at: cx.now,
                         }],
                     },
                 );
@@ -1828,19 +1854,18 @@ impl ClientServerSim {
 
     /// A crashed site comes back up, cold: it accepts traffic again but
     /// remembers nothing (its caches were wiped at crash time).
-    pub(crate) fn on_site_recover(&mut self, ci: usize) {
-        if self.faults.up[ci] {
+    pub(crate) fn on_recover(&mut self, cx: &mut Cx) {
+        if !cx.set_site_up(self.id, true) {
             return;
         }
-        self.faults.up[ci] = true;
-        self.metrics.faults.recoveries += 1;
-        let id = self.clients[ci].id;
-        self.sink.emit(self.now, SiteId::Client(id), || {
+        cx.metrics.faults.recoveries += 1;
+        let id = self.id;
+        cx.sink.emit(cx.now, SiteId::Client(id), || {
             siteselect_obs::Event::SiteRecover {
                 site: SiteId::Client(id),
             }
         });
-        self.fabric.set_site_up(SiteId::Client(id));
+        cx.fabric.set_site_up(SiteId::Client(id));
     }
 
     /// Retry timer for an outstanding fetch: if the fetch `sent_at` is
@@ -1850,16 +1875,16 @@ impl ClientServerSim {
     /// nothing.
     pub(crate) fn on_retry_fetch(
         &mut self,
-        ci: usize,
+        cx: &mut Cx,
         object: ObjectId,
         attempt: u32,
         sent_at: SimTime,
     ) {
-        let f = self.cfg.faults;
-        if !self.faults.active || !self.faults.up[ci] {
+        let f = cx.cfg.faults;
+        if !cx.faults_active || !cx.site_up(self.id) {
             return;
         }
-        let Some(fetch) = self.clients[ci].fetches.get(&object) else {
+        let Some(fetch) = self.fetches.get(&object) else {
             return; // answered (or cancelled) in time
         };
         if !fetch.sent || fetch.sent_at != sent_at || fetch.attempts != attempt {
@@ -1873,37 +1898,32 @@ impl ClientServerSim {
         let Some((txn, deadline)) = fetch
             .waiters
             .iter()
-            .filter_map(|&k| {
-                self.clients[ci]
-                    .txns
-                    .get(&k)
-                    .map(|r| (k, r.spec.deadline))
-            })
+            .filter_map(|&k| self.txns.get(&k).map(|r| (k, r.spec.deadline)))
             .min_by_key(|&(k, d)| (d, k))
         else {
             return;
         };
-        if let Some(fetch) = self.clients[ci].fetches.get_mut(&object) {
+        if let Some(fetch) = self.fetches.get_mut(&object) {
             fetch.attempts = attempt + 1;
         }
-        self.metrics.faults.retries += 1;
-        let needs_data = !self.clients[ci].cache.contains(object);
-        let client = self.clients[ci].id;
-        if let Some(id) = self.clients[ci].txns.get(&txn).map(|r| r.spec.id) {
-            self.sink.emit(self.now, SiteId::Client(client), || {
+        cx.metrics.faults.retries += 1;
+        let needs_data = !self.cache.contains(object);
+        let client = self.id;
+        if let Some(id) = self.txns.get(&txn).map(|r| r.spec.id) {
+            cx.sink.emit(cx.now, SiteId::Client(client), || {
                 siteselect_obs::Event::RetrySent { txn: id }
             });
         }
         // The dead time from the (lost) send to this retransmission is a
         // retry/backoff episode, carved out of the fetch's network span.
-        self.emit_span(
+        cx.emit_span(
             SiteId::Client(client),
             txn,
             siteselect_obs::SpanKind::Retry,
             sent_at,
             None,
         );
-        self.send_to_server(
+        cx.send_to_server(
             client,
             MessageKind::ObjectRequest,
             0,
@@ -1924,10 +1944,10 @@ impl ClientServerSim {
             .retry_backoff_base
             .mul_f64(f64::from(2u32.saturating_pow(attempt + 1)))
             .min(f.retry_backoff_cap);
-        self.queue.push(
-            self.now + backoff,
+        cx.queue.push(
+            cx.now + backoff,
             Ev::RetryFetch {
-                client: ci,
+                client: self.id.index(),
                 object,
                 attempt: attempt + 1,
                 sent_at,
@@ -1938,20 +1958,60 @@ impl ClientServerSim {
     /// Drops transactions whose deadline passed while they were not yet
     /// executing ("tasks that have missed their deadlines are not processed
     /// at all", §2).
-    pub(crate) fn sweep_expired_txns(&mut self) {
-        for ci in 0..self.clients.len() {
-            let mut expired: Vec<TKey> = self.clients[ci]
-                .txns
-                .iter()
-                .filter(|(_, r)| r.spec.is_expired(self.now))
-                .map(|(&k, _)| k)
-                .collect();
-            // HashMap order is process-random and the abort cascade is
-            // order-sensitive; sort for cross-invocation reproducibility.
-            expired.sort_unstable();
-            for key in expired {
-                self.abort_txn(ci, key, AbortReason::Expired);
-            }
+    pub(crate) fn sweep_expired(&mut self, cx: &mut Cx) {
+        let now = cx.now;
+        self.abort_where(cx, AbortReason::Expired, |run| run.spec.is_expired(now));
+    }
+
+    /// The restarted server remembers nothing of the transactional
+    /// (non-cached) grants that were in flight when it crashed, so a unit
+    /// of work alive across the outage could commit against locks the
+    /// server has silently re-granted. On reconnect every resident unit
+    /// aborts instead — which also cancels its outstanding fetches,
+    /// disarming the post-recovery retry storm.
+    pub(crate) fn abort_stranded(&mut self, cx: &mut Cx) {
+        self.abort_where(cx, AbortReason::SiteCrash, |_| true);
+    }
+
+    /// Aborts every resident unit `doomed` picks, in key order: `HashMap`
+    /// order is process-random and the abort cascade is order-sensitive.
+    fn abort_where(&mut self, cx: &mut Cx, reason: AbortReason, doomed: impl Fn(&TxnRun) -> bool) {
+        let mut keys: Vec<TKey> = self
+            .txns
+            .iter()
+            .filter(|(_, run)| doomed(run))
+            .map(|(&k, _)| k)
+            .collect();
+        keys.sort_unstable();
+        for key in keys {
+            self.abort_txn(cx, key, reason);
+        }
+    }
+
+    /// The server gave up on this site's copy of `object` (an expired
+    /// callback lease, or a cached lock that no longer fits the rebuilt
+    /// lock table): the cached lock, the copy, its dirty bit and any
+    /// pending revoke go together, so a zombie or recovered site cannot
+    /// serve stale data and must re-fetch. The server orders the fence, so
+    /// the trace stamps it there.
+    pub(crate) fn fence(&mut self, cx: &Cx, object: ObjectId) {
+        self.cached_locks.remove(object);
+        self.cache.invalidate(object);
+        self.dirty.remove(object);
+        self.revokes.remove(&object);
+        let client = self.id;
+        cx.sink.emit(cx.now, SiteId::Server, || {
+            siteselect_obs::Event::CacheDrop { client, object }
+        });
+    }
+
+    /// A lease fence must also kill the in-flight local users of the
+    /// object: a zombie that already read the fenced copy would otherwise
+    /// commit against locks the server has re-granted (its commit would
+    /// fail the lease check in a real system).
+    pub(crate) fn abort_local_holders(&mut self, cx: &mut Cx, object: ObjectId) {
+        for (key, _) in self.local_locks.holders(object) {
+            self.abort_txn(cx, key, AbortReason::SiteCrash);
         }
     }
 }
@@ -1960,24 +2020,335 @@ impl ClientServerSim {
 mod tests {
     use super::*;
 
-    fn loc(
-        o: u32,
-        holders: &[(u16, LockMode)],
-    ) -> (ObjectId, Vec<(ClientId, LockMode)>) {
+    fn loc(o: u32, holders: &[(u16, LockMode)]) -> (ObjectId, Vec<(ClientId, LockMode)>) {
         (
             ObjectId(o),
             holders.iter().map(|&(c, m)| (ClientId(c), m)).collect(),
         )
     }
 
+    use siteselect_locks::ForwardEntry;
+    use siteselect_types::{ExperimentConfig, SystemKind};
+
+    /// Client 0 of a four-client system on its own — no server, no peers —
+    /// at t = 10 s.
+    fn lone_site(system: SystemKind) -> (ClientSite, Cx) {
+        let cfg = ExperimentConfig::paper(system, 4, 0.05);
+        let site = ClientSite::new(ClientId(0), &cfg.client, cfg.cpu.client_speed);
+        let mut cx = Cx::new(cfg);
+        cx.now = SimTime::from_secs(10);
+        (site, cx)
+    }
+
+    /// Submits transaction `seq` at the site and returns its key.
+    fn submit(site: &mut ClientSite, cx: &mut Cx, seq: u64, accesses: Vec<AccessSpec>) -> TKey {
+        let id = TransactionId::new(site.id, seq);
+        let spec = TransactionSpec {
+            id,
+            origin: site.id,
+            arrival: cx.now,
+            deadline: cx.now + SimDuration::from_secs(100),
+            cpu_demand: SimDuration::from_secs(1),
+            accesses,
+            decomposable: false,
+        };
+        site.on_arrive(cx, spec);
+        id.as_u64()
+    }
+
+    /// Advances to the site's next CPU completion and delivers it.
+    fn run_cpu(site: &mut ClientSite, cx: &mut Cx) {
+        while let Some((t, ev)) = cx.queue.pop() {
+            if let Ev::ClientCpu { generation, .. } = ev {
+                cx.now = t;
+                site.on_cpu(cx, generation);
+                return;
+            }
+        }
+        panic!("no CPU completion was scheduled");
+    }
+
+    /// The site caches object 1 exclusively (granted with data) and
+    /// transaction 1, which writes it, is on the CPU.
+    fn writing_object_1(system: SystemKind) -> (ClientSite, Cx, TKey) {
+        let (mut site, mut cx) = lone_site(system);
+        let key = submit(&mut site, &mut cx, 1, vec![AccessSpec::write(ObjectId(1))]);
+        cx.drain_deliveries();
+        site.on_msg(
+            &mut cx,
+            Msg::GrantBatch {
+                items: vec![(ObjectId(1), LockMode::Exclusive, true)],
+            },
+        );
+        (site, cx, key)
+    }
+
+    #[test]
+    fn a_miss_goes_to_the_server_and_the_grant_starts_execution() {
+        let (mut site, mut cx) = lone_site(SystemKind::ClientServer);
+        let accesses = vec![
+            AccessSpec::write(ObjectId(1)),
+            AccessSpec::read(ObjectId(2)),
+        ];
+        let key = submit(&mut site, &mut cx, 1, accesses);
+        assert_eq!(cx.inflight, 1);
+        // One batched request, to the server, for both objects.
+        let sent = cx.drain_deliveries();
+        let [(
+            SiteDest::Server,
+            Msg::RequestBatch {
+                txn,
+                client,
+                wants,
+                grant_all,
+            },
+        )] = &sent[..]
+        else {
+            panic!("expected one request batch, got {sent:?}");
+        };
+        assert_eq!((*txn, *client, *grant_all), (key, ClientId(0), false));
+        let asked: Vec<_> = wants
+            .iter()
+            .map(|w| (w.object, w.mode, w.needs_data))
+            .collect();
+        assert_eq!(
+            asked,
+            vec![
+                (ObjectId(1), LockMode::Exclusive, true),
+                (ObjectId(2), LockMode::Shared, true)
+            ]
+        );
+        assert_eq!(site.txns[&key].state, RunState::Acquiring);
+
+        // Half the grant is not enough; the whole of it is.
+        site.on_msg(
+            &mut cx,
+            Msg::GrantBatch {
+                items: vec![(ObjectId(1), LockMode::Exclusive, true)],
+            },
+        );
+        assert_eq!(site.txns[&key].state, RunState::Acquiring);
+        site.on_msg(
+            &mut cx,
+            Msg::GrantBatch {
+                items: vec![(ObjectId(2), LockMode::Shared, true)],
+            },
+        );
+        assert_eq!(site.txns[&key].state, RunState::Executing);
+        assert_eq!(
+            site.cached_locks.get(ObjectId(1)),
+            Some(&LockMode::Exclusive)
+        );
+        assert!(site.cache.contains(ObjectId(2)));
+        assert!(cx.drain_deliveries().is_empty());
+
+        // Commit: locks and copies stay cached, nothing goes on the wire.
+        run_cpu(&mut site, &mut cx);
+        assert_eq!(cx.inflight, 0);
+        assert!(site.txns.is_empty());
+        assert!(site.dirty.contains(ObjectId(1)));
+        assert!(cx.drain_deliveries().is_empty());
+        assert_eq!(site.cached_locks().len(), 2);
+    }
+
+    #[test]
+    fn a_recall_waits_for_the_local_writer_then_downgrades_for_a_reader() {
+        let (mut site, mut cx, _) = writing_object_1(SystemKind::ClientServer);
+        site.on_msg(
+            &mut cx,
+            Msg::Recall {
+                object: ObjectId(1),
+                desired: LockMode::Shared,
+                forward: None,
+            },
+        );
+        // The writer is still on the CPU: the answer waits for it.
+        assert!(cx.drain_deliveries().is_empty());
+        assert!(site.revokes.contains_key(&ObjectId(1)));
+
+        run_cpu(&mut site, &mut cx);
+        let sent = cx.drain_deliveries();
+        assert!(
+            matches!(
+                &sent[..],
+                [(
+                    SiteDest::Server,
+                    Msg::ObjectReturn {
+                        object: ObjectId(1),
+                        from: ClientId(0),
+                        downgraded: true
+                    }
+                )]
+            ),
+            "{sent:?}"
+        );
+        // The new version went home; a shared lock and the copy stay.
+        assert_eq!(site.cached_locks.get(ObjectId(1)), Some(&LockMode::Shared));
+        assert!(site.cache.contains(ObjectId(1)));
+        assert!(!site.dirty.contains(ObjectId(1)));
+        assert!(site.revokes.is_empty());
+    }
+
+    #[test]
+    fn a_recall_for_a_writer_takes_an_idle_shared_copy_without_data() {
+        let (mut site, mut cx) = lone_site(SystemKind::ClientServer);
+        site.on_msg(
+            &mut cx,
+            Msg::GrantBatch {
+                items: vec![(ObjectId(4), LockMode::Shared, true)],
+            },
+        );
+        site.on_msg(
+            &mut cx,
+            Msg::Recall {
+                object: ObjectId(4),
+                desired: LockMode::Exclusive,
+                forward: None,
+            },
+        );
+        let sent = cx.drain_deliveries();
+        assert!(
+            matches!(
+                &sent[..],
+                [(
+                    SiteDest::Server,
+                    Msg::CallbackAck {
+                        object: ObjectId(4),
+                        from: ClientId(0),
+                        had_copy: true
+                    }
+                )]
+            ),
+            "{sent:?}"
+        );
+        assert_eq!(site.cached_locks.get(ObjectId(4)), None);
+        assert!(!site.cache.contains(ObjectId(4)));
+
+        // Recalled again (the ack was lost, say): nothing left to give.
+        site.on_msg(
+            &mut cx,
+            Msg::Recall {
+                object: ObjectId(4),
+                desired: LockMode::Exclusive,
+                forward: None,
+            },
+        );
+        let sent = cx.drain_deliveries();
+        assert!(
+            matches!(
+                &sent[..],
+                [(
+                    SiteDest::Server,
+                    Msg::CallbackAck {
+                        had_copy: false,
+                        ..
+                    }
+                )]
+            ),
+            "{sent:?}"
+        );
+    }
+
+    #[test]
+    fn a_forwarded_object_moves_on_down_the_list_and_home_from_its_end() {
+        let (mut site, mut cx) = lone_site(SystemKind::LoadSharing);
+        let mut rest = ForwardList::new(ObjectId(5));
+        rest.push(ForwardEntry {
+            client: ClientId(2),
+            txn: TransactionId::new(ClientId(2), 9),
+            deadline: cx.now + SimDuration::from_secs(50),
+            mode: LockMode::Exclusive,
+        });
+        // Nobody here wants the object any more: it hops on at once.
+        site.on_msg(
+            &mut cx,
+            Msg::ObjectForward {
+                object: ObjectId(5),
+                mode: LockMode::Exclusive,
+                rest,
+            },
+        );
+        let sent = cx.drain_deliveries();
+        let [(SiteDest::Client(ClientId(2)), Msg::ObjectForward { object, mode, rest })] =
+            &sent[..]
+        else {
+            panic!("expected one hop to client 2, got {sent:?}");
+        };
+        assert_eq!((*object, *mode), (ObjectId(5), LockMode::Exclusive));
+        assert!(rest.is_empty());
+        assert_eq!(site.cached_locks.get(ObjectId(5)), None);
+        assert!(!site.cache.contains(ObjectId(5)));
+
+        // The last site on a list returns the object to the server.
+        site.on_msg(
+            &mut cx,
+            Msg::ObjectForward {
+                object: ObjectId(5),
+                mode: LockMode::Exclusive,
+                rest: ForwardList::new(ObjectId(5)),
+            },
+        );
+        let sent = cx.drain_deliveries();
+        assert!(
+            matches!(
+                &sent[..],
+                [(
+                    SiteDest::Server,
+                    Msg::ObjectReturn {
+                        object: ObjectId(5),
+                        downgraded: false,
+                        ..
+                    }
+                )]
+            ),
+            "{sent:?}"
+        );
+    }
+
+    #[test]
+    fn a_fence_drops_lock_copy_dirty_bit_and_pending_revoke_together() {
+        let (mut site, mut cx, _) = writing_object_1(SystemKind::ClientServer);
+        run_cpu(&mut site, &mut cx); // commits: object 1 is dirty
+                                     // A second writer runs on the cached lock, and a recall queues
+                                     // behind it.
+        let key = submit(&mut site, &mut cx, 2, vec![AccessSpec::write(ObjectId(1))]);
+        assert_eq!(site.txns[&key].state, RunState::Executing);
+        site.on_msg(
+            &mut cx,
+            Msg::Recall {
+                object: ObjectId(1),
+                desired: LockMode::Exclusive,
+                forward: None,
+            },
+        );
+        assert!(site.cached_locks.contains(ObjectId(1)));
+        assert!(site.cache.contains(ObjectId(1)));
+        assert!(site.dirty.contains(ObjectId(1)));
+        assert!(site.revokes.contains_key(&ObjectId(1)));
+
+        site.fence(&cx, ObjectId(1));
+        assert!(!site.cached_locks.contains(ObjectId(1)));
+        assert!(!site.cache.contains(ObjectId(1)));
+        assert!(!site.dirty.contains(ObjectId(1)));
+        assert!(!site.revokes.contains_key(&ObjectId(1)));
+        // The fence itself says nothing to anyone; killing the zombie does.
+        assert!(cx.drain_deliveries().is_empty());
+        site.abort_local_holders(&mut cx, ObjectId(1));
+        assert!(site.txns.is_empty());
+        assert_eq!(cx.inflight, 0);
+    }
+
     #[test]
     fn h2_prefers_the_site_holding_the_conflicting_locks() {
-        let accesses = vec![AccessSpec::write(ObjectId(1)), AccessSpec::write(ObjectId(2))];
+        let accesses = vec![
+            AccessSpec::write(ObjectId(1)),
+            AccessSpec::write(ObjectId(2)),
+        ];
         let locations = vec![
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(5, LockMode::Exclusive)]),
         ];
-        let best = ClientServerSim::h2_choose(ClientId(0), &accesses, &locations, &[]);
+        let best = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(5));
     }
 
@@ -1986,13 +2357,16 @@ mod tests {
         let accesses = vec![AccessSpec::read(ObjectId(1))];
         // A shared lock elsewhere does not conflict with a read.
         let locations = vec![loc(1, &[(5, LockMode::Shared)])];
-        let best = ClientServerSim::h2_choose(ClientId(0), &accesses, &locations, &[]);
+        let best = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(0));
     }
 
     #[test]
     fn h2_counts_conflicts_per_site() {
-        let accesses = vec![AccessSpec::write(ObjectId(1)), AccessSpec::write(ObjectId(2))];
+        let accesses = vec![
+            AccessSpec::write(ObjectId(1)),
+            AccessSpec::write(ObjectId(2)),
+        ];
         // Client 5 holds obj1 EL; client 6 holds obj2 EL. Either site still
         // waits for one conflicting lock; origin waits for two. Tie between
         // 5 and 6 broken by id.
@@ -2000,19 +2374,66 @@ mod tests {
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(6, LockMode::Exclusive)]),
         ];
-        let best = ClientServerSim::h2_choose(ClientId(0), &accesses, &locations, &[]);
+        let best = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(5));
     }
 
     #[test]
     fn h2_breaks_ties_by_load() {
-        let accesses = vec![AccessSpec::write(ObjectId(1)), AccessSpec::write(ObjectId(2))];
+        let accesses = vec![
+            AccessSpec::write(ObjectId(1)),
+            AccessSpec::write(ObjectId(2)),
+        ];
         let locations = vec![
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(6, LockMode::Exclusive)]),
         ];
         let loads = vec![(ClientId(5), 10, 1.0), (ClientId(6), 1, 1.0)];
-        let best = ClientServerSim::h2_choose(ClientId(0), &accesses, &locations, &loads);
+        let best = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &loads);
         assert_eq!(best, ClientId(6));
+    }
+
+    #[test]
+    fn grouping_by_location_respects_exclusive_holders() {
+        let origin = ClientId(0);
+        let accesses = vec![
+            AccessSpec::read(ObjectId(1)),
+            AccessSpec::read(ObjectId(2)),
+            AccessSpec::write(ObjectId(3)),
+        ];
+        let locations = vec![
+            (
+                ObjectId(1),
+                vec![
+                    (ClientId(5), LockMode::Shared),
+                    (ClientId(6), LockMode::Exclusive),
+                ],
+            ),
+            (ObjectId(2), vec![(ClientId(5), LockMode::Shared)]),
+            (ObjectId(3), vec![]),
+        ];
+        let groups = ClientSite::group_by_location(origin, &accesses, &locations);
+        // obj1 -> client 6 (EL holder wins), obj2 -> client 5, obj3 -> origin.
+        assert_eq!(groups.len(), 3);
+        let find = |c: u16| {
+            groups
+                .iter()
+                .find(|(id, _)| *id == ClientId(c))
+                .map(|(_, v)| v.clone())
+                .unwrap()
+        };
+        assert_eq!(find(6), vec![AccessSpec::read(ObjectId(1))]);
+        assert_eq!(find(5), vec![AccessSpec::read(ObjectId(2))]);
+        assert_eq!(find(0), vec![AccessSpec::write(ObjectId(3))]);
+    }
+
+    #[test]
+    fn unlisted_objects_default_to_origin() {
+        let groups =
+            ClientSite::group_by_location(ClientId(2), &[AccessSpec::read(ObjectId(9))], &[]);
+        assert_eq!(
+            groups,
+            vec![(ClientId(2), vec![AccessSpec::read(ObjectId(9))])]
+        );
     }
 }

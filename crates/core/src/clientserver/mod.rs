@@ -1,5 +1,8 @@
 //! The client-server real-time database (CS-RTDBS) and its load-sharing
-//! extension (LS-CS-RTDBS), as one event-driven simulator.
+//! extension (LS-CS-RTDBS), as one event-driven simulator of sites that
+//! exchange messages: a [`ClientSite`] per workstation and one
+//! [`ServerSite`], each owning its state and acting through the shared
+//! [`Cx`]; [`ClientServerSim`] pops events and dispatches them.
 //!
 //! The CS system implements the paper's §2 model: transactions execute at
 //! client workstations, objects and their **locks** are cached across
@@ -24,22 +27,20 @@
 mod client;
 mod server;
 
-use std::collections::{BTreeMap, HashMap};
-
-use siteselect_locks::{CallbackTracker, ForwardList, LockTable, QueueDiscipline, WaitForGraph, WindowManager};
-use siteselect_net::{Delivery, Fabric};
-use siteselect_obs::EventSink;
+use siteselect_locks::ForwardList;
+use siteselect_net::{Delivery, Fabric, MessageKind};
+use siteselect_obs::{EventSink, SpanKind};
 use siteselect_sim::{EventQueue, Prng};
-use siteselect_storage::{ClientCache, DiskModel, DurableStore, RecoveryOutcome};
 use siteselect_types::{
-    AbortReason, AccessSpec, ClientId, ExperimentConfig, InlineVec, LockMode, ObjectId,
-    ObjectMap, ObjectSet, SimDuration, SimTime, SiteId, SystemKind, TransactionId,
-    TransactionSpec, TxnOutcome,
+    AbortReason, ClientId, ExperimentConfig, LockMode, ObjectId, SimDuration, SimTime, SiteId,
+    SystemKind, TransactionId, TransactionSpec, TxnOutcome,
 };
 use siteselect_workload::Trace;
 
-use crate::cpu::EdfCpu;
+use self::client::ClientSite;
+use self::server::ServerSite;
 use crate::metrics::RunMetrics;
+use crate::server_core::fabric_for;
 
 /// Transaction/subtask key used across the simulator (subtask keys embed
 /// the subtask index in otherwise-unused bits of the transaction id).
@@ -136,7 +137,10 @@ pub(crate) enum Msg {
     },
     /// Client → client (via directory): a whole transaction moves.
     /// `sent_at` stamps the ship decision so delivery can span the travel.
-    TxnShip { spec: TransactionSpec, sent_at: SimTime },
+    TxnShip {
+        spec: TransactionSpec,
+        sent_at: SimTime,
+    },
     /// Client → client (via directory): outcome of a shipped transaction,
     /// with what the origin needs to score it at delivery time. `sent_at`
     /// stamps the remote commit so delivery can span the return hop.
@@ -158,7 +162,11 @@ pub(crate) enum Msg {
     },
     /// Client → client (via directory): subtask outcome; `sent_at` stamps
     /// the subtask's completion at the remote site.
-    SubtaskResult { parent: TKey, ok: bool, sent_at: SimTime },
+    SubtaskResult {
+        parent: TKey,
+        ok: bool,
+        sent_at: SimTime,
+    },
 }
 
 /// Simulator events.
@@ -258,7 +266,13 @@ impl ClusterQueue {
     fn flush(&mut self) {
         if !self.staged.is_empty() {
             let msgs = std::mem::replace(&mut self.staged, self.pool.pop().unwrap_or_default());
-            self.q.push(self.staged_at, Ev::Deliver { to: self.staged_to, msgs });
+            self.q.push(
+                self.staged_at,
+                Ev::Deliver {
+                    to: self.staged_to,
+                    msgs,
+                },
+            );
         }
     }
 
@@ -300,571 +314,115 @@ impl ClusterQueue {
     }
 }
 
-/// Why an object fetch is outstanding at a client.
-#[derive(Debug)]
-pub(crate) struct Fetch {
-    pub mode: LockMode,
-    pub sent_at: SimTime,
-    pub waiters: Vec<TKey>,
-    /// True once the request actually went to the server (a fetch created
-    /// while a batch is being assembled is not yet on the wire).
-    pub sent: bool,
-    /// Retransmissions sent so far (failure handling; always 0 with faults
-    /// off).
-    pub attempts: u32,
-}
-
-/// A pending lock revocation at a client, answered when the last local user
-/// releases the object.
-#[derive(Debug)]
-pub(crate) struct Revoke {
-    /// What the remote requester wants (plain callback path).
-    pub desired: LockMode,
-    /// Remaining forward list to serve (grouped-lock path).
-    pub forward: Option<ForwardList>,
-}
-
-/// Progress of one object within a transaction's acquisition phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Need {
-    /// Waiting for the server (request outstanding or staged).
-    Fetch,
-    /// Cached lock covers; waiting for a local lock conflict to clear.
-    LocalWait,
-    /// Local lock granted; promoting the object from the disk cache tier.
-    DiskPromote,
-    /// Ready.
-    Held,
-}
-
-/// What kind of unit of work a `TxnRun` is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RunKind {
-    /// A transaction executing at its origin.
-    Normal,
-    /// A transaction shipped here from `origin`.
-    Shipped { origin: ClientId },
-    /// Subtask `index` of `parent`, reporting to `origin`.
-    Subtask {
-        parent: TKey,
-        index: u8,
-        origin: ClientId,
-    },
-}
-
-/// Lifecycle state of a `TxnRun`.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum RunState {
-    /// LS: waiting for the LoadReply that feeds H1/H2/decomposition.
-    AwaitInfo { reason: InfoReason },
-    /// LS: grant-all round outstanding.
-    AwaitGrantAll,
-    /// Collecting objects and locks.
-    Acquiring,
-    /// On the CPU.
-    Executing,
-    /// Parent of a decomposition waiting for subtask results.
-    AwaitSubtasks { pending: u8, failed: bool },
-    /// Waiting for the synthesis CPU slice.
-    Synthesis,
-}
-
-/// Why a LoadQuery was sent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum InfoReason {
-    /// H1 said the local queue is infeasible; pick a site with H2.
-    H1Infeasible,
-    /// Decomposition placement lookup.
-    Decompose,
-}
-
-/// The objects a `TxnRun` must assemble, in struct-of-arrays layout:
-/// three parallel inline vectors (object, lock mode, progress) kept sorted
-/// by object id. Transactions touch 5–15 objects, so entries live inline
-/// (no per-transaction map nodes) and lookups are short linear scans; the
-/// sorted order reproduces the ascending iteration the previous `BTreeMap`
-/// gave, which release loops depend on for determinism.
-#[derive(Debug, Default)]
-pub(crate) struct NeededSet {
-    objs: InlineVec<ObjectId, 16>,
-    modes: InlineVec<LockMode, 16>,
-    needs: InlineVec<Need, 16>,
-}
-
-impl NeededSet {
-    fn pos(&self, object: ObjectId) -> Option<usize> {
-        self.objs.iter().position(|&o| o == object)
-    }
-
-    /// Inserts or replaces the entry for `object`.
-    pub(crate) fn insert(&mut self, object: ObjectId, mode: LockMode, need: Need) {
-        match self.pos(object) {
-            Some(i) => {
-                self.modes.set(i, mode);
-                self.needs.set(i, need);
-            }
-            None => {
-                let at = self
-                    .objs
-                    .iter()
-                    .position(|&o| o > object)
-                    .unwrap_or(self.objs.len());
-                self.objs.insert(at, object);
-                self.modes.insert(at, mode);
-                self.needs.insert(at, need);
-            }
-        }
-    }
-
-    /// The recorded (mode, progress) of `object`, if present.
-    pub(crate) fn get(&self, object: ObjectId) -> Option<(LockMode, Need)> {
-        self.pos(object)
-            .map(|i| (self.modes.get_copy(i), self.needs.get_copy(i)))
-    }
-
-    /// Updates the progress of `object`; no-op if absent.
-    pub(crate) fn set_need(&mut self, object: ObjectId, need: Need) {
-        if let Some(i) = self.pos(object) {
-            self.needs.set(i, need);
-        }
-    }
-
-    /// The objects of this set, ascending.
-    pub(crate) fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objs.iter().copied()
-    }
-
-    /// True once every entry is `Need::Held`.
-    pub(crate) fn all_held(&self) -> bool {
-        self.needs.iter().all(|&n| n == Need::Held)
-    }
-}
-
-/// One executing transaction/subtask at a client.
-#[derive(Debug)]
-pub(crate) struct TxnRun {
-    pub spec: TransactionSpec,
-    pub kind: RunKind,
-    pub state: RunState,
-    pub needed: NeededSet,
-    pub acquire_started: SimTime,
-    /// When the transaction reached the CPU (feeds the ATL estimate of H1).
-    pub exec_started: SimTime,
-}
-
-impl TxnRun {
-    pub(crate) fn ready(&self) -> bool {
-        self.state == RunState::Acquiring && self.needed.all_held()
-    }
-}
-
-/// Per-client state.
-pub(crate) struct ClientState {
-    pub id: ClientId,
-    pub cache: ClientCache,
-    pub cached_locks: ObjectMap<LockMode>,
-    pub dirty: ObjectSet,
-    pub local_locks: LockTable<TKey>,
-    pub local_wfg: WaitForGraph<TKey>,
-    pub cpu: EdfCpu<TKey>,
-    pub disk: DiskModel,
-    pub txns: HashMap<TKey, TxnRun>,
-    pub fetches: HashMap<ObjectId, Fetch>,
-    pub revokes: HashMap<ObjectId, Revoke>,
-    /// Running average latency of locally completed transactions (ATL in
-    /// H1).
-    pub atl_sum: f64,
-    pub atl_count: u64,
-    /// Trace-only: start time and blocking holder of in-progress local
-    /// lock waits, keyed `(txn, object)`. Populated only while a sink is
-    /// attached — pure observer, never read by simulation logic.
-    pub lock_wait_from: HashMap<(TKey, ObjectId), (SimTime, Option<TKey>)>,
-}
-
-impl ClientState {
-    pub(crate) fn atl(&self) -> f64 {
-        if self.atl_count == 0 {
-            // No history yet: optimistic prior (about one CPU demand) so H1
-            // only starts shedding load once real latencies are observed.
-            1.0
-        } else {
-            self.atl_sum / self.atl_count as f64
-        }
-    }
-
-    /// Number of incomplete local units of work.
-    pub(crate) fn load(&self) -> usize {
-        self.txns.len()
-    }
-
-    /// H1's `n`: transactions ahead of a newcomer in the local priority
-    /// queue (the EDF CPU queue — blocked transactions consume no CPU).
-    pub(crate) fn queue_ahead(&self) -> usize {
-        self.cpu.load()
-    }
-}
-
-/// Info the server tracks for a lock-table-queued want.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WantInfo {
-    pub mode: LockMode,
-    pub needs_data: bool,
-    pub deadline: SimTime,
-    /// The requesting transaction (for rejection notices).
-    pub txn: TKey,
-    /// When the want entered the server's lock queue (start of the
-    /// lock-wait span emitted at grant time).
-    pub queued_at: SimTime,
-}
-
-/// The server's index of lock-table-queued wants, keyed `(object, client)`.
-///
-/// Stored as one small vector per client: a client has at most a handful of
-/// requests queued at once, so a linear scan beats hashing the composite
-/// key, and `refresh_wfg`'s per-client iteration becomes a direct slice
-/// walk instead of a filter over the whole map.
-pub(crate) struct WaitingWants {
-    per_client: Vec<Vec<(ObjectId, WantInfo)>>,
-}
-
-impl WaitingWants {
-    fn new(clients: usize) -> Self {
-        WaitingWants {
-            per_client: vec![Vec::new(); clients],
-        }
-    }
-
-    /// Records (or replaces) the want of `client` on `object`.
-    pub(crate) fn insert(&mut self, object: ObjectId, client: ClientId, info: WantInfo) {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
-        let list = &mut self.per_client[client.index()];
-        match list.iter_mut().find(|(o, _)| *o == object) {
-            Some(slot) => slot.1 = info,
-            None => list.push((object, info)),
-        }
-    }
-
-    /// Removes and returns the want of `client` on `object`, if any.
-    pub(crate) fn remove(&mut self, object: ObjectId, client: ClientId) -> Option<WantInfo> {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
-        let list = &mut self.per_client[client.index()];
-        let pos = list.iter().position(|(o, _)| *o == object)?;
-        Some(list.remove(pos).1)
-    }
-
-    /// True if `client` has a want queued on `object`.
-    pub(crate) fn contains(&self, object: ObjectId, client: ClientId) -> bool {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
-        self.per_client[client.index()]
-            .iter()
-            .any(|(o, _)| *o == object)
-    }
-
-    /// All queued wants of `client`, in insertion order.
-    pub(crate) fn of_client(&self, client: ClientId) -> &[(ObjectId, WantInfo)] {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
-        &self.per_client[client.index()]
-    }
-}
-
-/// Server-side state.
-pub(crate) struct ServerState {
-    pub locks: LockTable<ClientId>,
-    pub wfg: WaitForGraph<ClientId>,
-    pub callbacks: CallbackTracker,
-    pub windows: WindowManager,
-    pub buffer: ClientCache,
-    pub disk: DiskModel,
-    /// Forward lists currently travelling client→client, as shipped.
-    pub routing: ObjectMap<ForwardList>,
-    /// Lock-table-queued requests awaiting grant: data to ship on grant.
-    pub waiting_wants: WaitingWants,
-    /// WAL-backed durable home of the database: every data-carrying object
-    /// return is applied here under a server-local pseudo-transaction, so a
-    /// crash-restart replays the newest committed versions.
-    pub store: DurableStore,
-    /// Sequence counter for the pseudo-transactions above (tagged with the
-    /// high bit so they can never collide with workload transaction ids).
-    pub pseudo_seq: u64,
-}
-
-/// Fault-injection runtime state. `active` is false unless the experiment
-/// config enables an injection knob, and every fault code path is gated on
-/// it, so a default run schedules no fault events and draws no fault
-/// randomness.
-pub(crate) struct FaultRuntime {
-    /// True if `cfg.faults.injects_faults()`.
-    pub active: bool,
+/// What a site's handlers may touch besides the site's own state: the
+/// clock, the event queue, the fabric, the run's metrics and trace sink,
+/// and the experiment's inputs. A [`ClientSite`] or the [`ServerSite`] acts
+/// with `&mut self` and a `&mut Cx` and nothing else, so the type system —
+/// not convention — says a client cannot see the server or a peer.
+pub(crate) struct Cx {
+    pub cfg: ExperimentConfig,
+    /// True for LS-CS-RTDBS.
+    pub ls: bool,
+    pub now: SimTime,
+    pub queue: ClusterQueue,
+    pub fabric: Fabric,
+    pub metrics: RunMetrics,
+    pub sink: EventSink,
+    pub specs: Vec<TransactionSpec>,
+    /// Transactions submitted and not yet scored (parents of
+    /// decompositions count too); the sweep keeps ticking until it drains.
+    pub inflight: usize,
+    pub warmup_end: SimTime,
+    /// True if `cfg.faults.injects_faults()`. Every fault code path is
+    /// gated on it, so a default run schedules no fault events and draws no
+    /// fault randomness.
+    pub faults_active: bool,
     /// Liveness of each client site (all true with faults off).
-    pub up: Vec<bool>,
-    /// Liveness of the server (true with faults off).
-    pub server_up: bool,
-    /// Pre-crash in-flight deliveries refused at a crashed destination
-    /// (fabric-level drops are counted by the fabric itself).
-    pub gate_dropped: u64,
-    /// Crash-restart randomness: the torn staged-write tail kept by a
-    /// server crash and the reboot lag before replay starts. Its own stream
-    /// so restart draws never perturb the crash schedule.
-    pub crash_prng: Prng,
-    /// Replay summary carried from a server crash to its `ServerRecover`.
-    pub pending_recovery: Option<RecoveryOutcome>,
-    /// When the server went down (start of the site-scoped replay span
-    /// emitted at rejoin).
-    pub server_crashed_at: Option<SimTime>,
+    up: Vec<bool>,
+    /// Objects whose client-to-client forward hop was lost in transit and
+    /// whose chain the server has yet to hear is broken (the simulation's
+    /// shortcut for the timeout a real server would run).
+    lost_forwards: Vec<ObjectId>,
 }
 
-impl FaultRuntime {
-    fn new(active: bool, clients: usize, seed: u64) -> Self {
-        FaultRuntime {
-            active,
-            up: vec![true; clients],
-            server_up: true,
-            gate_dropped: 0,
-            crash_prng: Prng::seed_from_u64(seed).derive(0xFA_E5),
-            pending_recovery: None,
-            server_crashed_at: None,
-        }
-    }
-}
-
-/// Discrete-event simulator of CS-RTDBS / LS-CS-RTDBS.
-pub struct ClientServerSim {
-    pub(crate) cfg: ExperimentConfig,
-    pub(crate) ls: bool,
-    pub(crate) now: SimTime,
-    pub(crate) queue: ClusterQueue,
-    pub(crate) fabric: Fabric,
-    pub(crate) clients: Vec<ClientState>,
-    pub(crate) server: ServerState,
-    pub(crate) warmup_end: SimTime,
-    pub(crate) metrics: RunMetrics,
-    pub(crate) inflight: usize,
-    /// Parent transactions of decompositions also count in `inflight`.
-    pub(crate) specs: Vec<TransactionSpec>,
-    pub(crate) faults: FaultRuntime,
-    pub(crate) sink: EventSink,
-}
-
-impl ClientServerSim {
-    /// Builds the simulator for `cfg`. `cfg.system` selects CS or LS
-    /// behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a centralized config.
-    #[must_use]
-    pub fn new(cfg: ExperimentConfig) -> Self {
-        assert!(
-            cfg.system != SystemKind::Centralized,
-            "use CentralizedSim for CE-RTDBS"
-        );
-        let ls = cfg.system == SystemKind::LoadSharing;
-        // The server's wait queue stays FIFO even under LS: deadline-ordered
-        // waiter service (§3.3) is realized where it measurably helps — the
-        // forward lists are deadline-ordered and expired requests are
-        // refused — while EDF-ordering the lock queue itself breaks up
-        // naturally batched reader grants and lowers aggregate success.
-        let discipline = QueueDiscipline::Fifo;
-        let clients: Vec<ClientState> = (0..cfg.clients)
-            .map(|i| ClientState {
-                id: ClientId(i),
-                cache: ClientCache::new(
-                    cfg.client.memory_cache_objects,
-                    cfg.client.disk_cache_objects,
-                ),
-                cached_locks: ObjectMap::new(),
-                dirty: ObjectSet::new(),
-                local_locks: LockTable::new(QueueDiscipline::Deadline),
-                local_wfg: WaitForGraph::new(),
-                cpu: EdfCpu::new(cfg.cpu.client_speed),
-                disk: DiskModel::new(cfg.client.disk.page_service_time),
-                txns: HashMap::new(),
-                fetches: HashMap::new(),
-                revokes: HashMap::new(),
-                atl_sum: 0.0,
-                atl_count: 0,
-                lock_wait_from: HashMap::new(),
-            })
-            .collect();
-        let server = ServerState {
-            locks: LockTable::new(discipline),
-            wfg: WaitForGraph::new(),
-            callbacks: CallbackTracker::new(),
-            windows: WindowManager::new(cfg.load_sharing.collection_window),
-            buffer: ClientCache::new(cfg.server.buffer_objects, 0),
-            disk: DiskModel::new(cfg.server.disk.page_service_time),
-            routing: ObjectMap::new(),
-            waiting_wants: WaitingWants::new(usize::from(cfg.clients)),
-            store: DurableStore::new(cfg.database.num_objects, cfg.server.buffer_objects.max(1)),
-            pseudo_seq: 0,
-        };
-        let warmup_end = SimTime::ZERO + cfg.runtime.warmup;
-        let metrics = RunMetrics::new(
-            cfg.system,
-            cfg.clients,
-            cfg.workload.update_fraction,
-            cfg.runtime.seed,
-        );
-        let faults = FaultRuntime::new(cfg.faults.injects_faults(), clients.len(), cfg.runtime.seed);
-        let mut fabric = Fabric::new(cfg.network, cfg.database.object_size_bytes);
-        if faults.active {
-            // A dedicated PRNG stream for the fabric: loss and jitter draws
-            // never perturb the workload's random sequence.
-            let prng = Prng::seed_from_u64(cfg.runtime.seed).derive(0xFA_B1);
-            fabric.enable_faults(cfg.faults, prng);
-        }
-        ClientServerSim {
-            fabric,
-            ls,
+impl Cx {
+    pub(crate) fn new(cfg: ExperimentConfig) -> Self {
+        Cx {
+            ls: cfg.system == SystemKind::LoadSharing,
             now: SimTime::ZERO,
             queue: ClusterQueue::new(),
-            clients,
-            server,
-            warmup_end,
-            metrics,
-            inflight: 0,
-            specs: Vec::new(),
-            faults,
+            fabric: fabric_for(&cfg),
+            metrics: RunMetrics::new(
+                cfg.system,
+                cfg.clients,
+                cfg.workload.update_fraction,
+                cfg.runtime.seed,
+            ),
             sink: EventSink::disabled(),
+            specs: Vec::new(),
+            inflight: 0,
+            warmup_end: SimTime::ZERO + cfg.runtime.warmup,
+            faults_active: cfg.faults.injects_faults(),
+            up: vec![true; usize::from(cfg.clients)],
+            lost_forwards: Vec::new(),
             cfg,
         }
     }
 
-    /// Enables event tracing: the sink is shared with the fabric and the
-    /// server's window/callback managers so every layer stamps the same
-    /// timeline.
-    pub fn attach_sink(&mut self, sink: EventSink) {
-        self.fabric.set_sink(sink.clone());
-        self.server.windows.set_sink(sink.clone());
-        self.server.callbacks.set_sink(sink.clone());
-        self.sink = sink;
-    }
-
-    /// Pre-generates the whole fault schedule (crashes, recoveries and
-    /// slow-disk episodes) from seed-derived PRNG streams, so two runs with
-    /// the same seed inject identical faults regardless of workload
-    /// interleaving.
-    fn schedule_faults(&mut self) {
-        let f = self.cfg.faults;
-        let duration = self.cfg.runtime.duration;
-        let end = SimTime::ZERO + duration;
-        if !f.mean_time_to_crash.is_zero() {
-            let crash_base = Prng::seed_from_u64(self.cfg.runtime.seed).derive(0xFA_C2);
-            for ci in 0..self.clients.len() {
-                let mut prng = crash_base.derive(ci as u64);
-                let mut t = SimTime::ZERO;
-                loop {
-                    t += prng.exp_duration(f.mean_time_to_crash);
-                    if t >= end {
-                        break;
-                    }
-                    self.queue.push(t, Ev::SiteCrash { client: ci });
-                    if f.mean_recovery_time.is_zero() {
-                        break; // this site stays down for the rest of the run
-                    }
-                    t += prng.exp_duration(f.mean_recovery_time);
-                    if t >= end {
-                        break;
-                    }
-                    self.queue.push(t, Ev::SiteRecover { client: ci });
-                }
-            }
-        }
-        if !f.mean_time_to_server_crash.is_zero() {
-            let mut prng = Prng::seed_from_u64(self.cfg.runtime.seed).derive(0xFA_E4);
-            let mut t = SimTime::ZERO;
-            loop {
-                t += prng.exp_duration(f.mean_time_to_server_crash);
-                if t >= end {
-                    break;
-                }
-                self.queue.push(t, Ev::ServerCrash);
-                if f.mean_recovery_time.is_zero() {
-                    break; // permanent: the site goes dark, no replay
-                }
-                // Recovery is self-scheduled by the crash handler (its time
-                // depends on log length); space the next crash out past the
-                // expected outage so the schedule stays plausible.
-                t += prng.exp_duration(f.mean_recovery_time);
-            }
-        }
-        if !f.mean_time_to_slow_disk.is_zero() {
-            let mut prng = Prng::seed_from_u64(self.cfg.runtime.seed).derive(0xFA_D3);
-            let mut episodes = Vec::new();
-            let mut t = SimTime::ZERO;
-            loop {
-                t += prng.exp_duration(f.mean_time_to_slow_disk);
-                if t >= end {
-                    break;
-                }
-                let until = t + f.slow_disk_duration;
-                episodes.push((t, until));
-                t = until;
-            }
-            self.server.disk.set_slow_episodes(episodes, f.slow_disk_factor);
-        }
-    }
-
-    /// Runs the experiment to completion and returns its metrics.
-    #[must_use]
-    pub fn run(mut self) -> RunMetrics {
-        let trace = Trace::generate(
-            &self.cfg.workload,
-            self.cfg.cpu.txn_cpu_fraction,
-            self.cfg.database.num_objects,
-            self.cfg.clients,
-            self.cfg.runtime.duration,
-            self.cfg.runtime.seed,
-        );
-        self.specs = trace.into_transactions();
-        for (i, spec) in self.specs.iter().enumerate() {
-            self.queue.push(spec.arrival, Ev::Arrive(i));
-        }
-        if self.faults.active {
-            self.schedule_faults();
-        }
-        self.queue.push(self.warmup_end, Ev::EndWarmup);
-        self.queue.push(SimTime::from_secs(1), Ev::Sweep);
-        // The server's lock table sees every object id sooner or later;
-        // pre-sizing its slab keeps first-touch requests off the allocator
-        // mid-run. Client-local tables only ever cover each site's cached
-        // working set, so they are left to grow amortized on demand.
-        self.server
-            .locks
-            .reserve_objects(self.cfg.database.num_objects as usize);
-        while let Some((t, ev)) = self.queue.pop() {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            self.handle(ev);
-        }
-        self.finalize()
-    }
-
-    fn finalize(mut self) -> RunMetrics {
-        let span = self
-            .now
-            .duration_since(SimTime::ZERO)
-            .as_secs_f64()
-            .max(1e-9);
-        let busy: f64 = self
-            .clients
-            .iter()
-            .map(|c| c.cpu.busy_time().as_secs_f64())
-            .sum();
-        self.metrics.client_cpu_utilization =
-            (busy / (span * self.clients.len() as f64)).min(1.0);
-        self.metrics.load_sharing.windows_opened = self.server.windows.total_opened();
-        self.metrics.messages = self.fabric.stats().clone();
-        self.metrics.faults.messages_dropped =
-            self.fabric.dropped_messages() + self.faults.gate_dropped;
-        self.metrics.faults.messages_delayed = self.fabric.delayed_messages();
-        self.metrics.faults.slow_disk_ios = self.server.disk.slow_ios();
-        self.metrics
-    }
-
     /// True unless fault injection has `client` currently crashed.
     pub(crate) fn site_up(&self, client: ClientId) -> bool {
-        self.faults.up.get(client.index()).copied().unwrap_or(true)
+        self.up.get(client.index()).copied().unwrap_or(true)
+    }
+
+    /// Records `client` as crashed or recovered; false if it already was.
+    pub(crate) fn set_site_up(&mut self, client: ClientId, up: bool) -> bool {
+        match self.up.get_mut(client.index()) {
+            Some(slot) if *slot != up => {
+                *slot = up;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    pub(crate) fn send_to_server(
+        &mut self,
+        from: ClientId,
+        kind: MessageKind,
+        objects: u32,
+        logical: u32,
+        msg: Msg,
+    ) {
+        let delivery = self.fabric.try_send_counted(
+            self.now,
+            SiteId::Client(from),
+            SiteId::Server,
+            kind,
+            objects,
+            logical,
+        );
+        self.push_delivery(delivery, SiteDest::Server, msg);
+    }
+
+    /// Client-to-client traffic, through the directory server when one is
+    /// configured.
+    pub(crate) fn send_to_peer(
+        &mut self,
+        from: ClientId,
+        to: ClientId,
+        kind: MessageKind,
+        objects: u32,
+        msg: Msg,
+    ) {
+        let (from_site, to_site) = (SiteId::Client(from), SiteId::Client(to));
+        let delivery = if self.cfg.load_sharing.directory_enabled {
+            self.fabric
+                .try_send_via_directory(self.now, from_site, to_site, kind, objects)
+        } else {
+            self.fabric
+                .try_send(self.now, from_site, to_site, kind, objects)
+        };
+        self.push_delivery(delivery, SiteDest::Client(to), msg);
     }
 
     /// Schedules (or accounts for the loss of) a fault-aware send.
@@ -879,7 +437,7 @@ impl ClientServerSim {
     /// recovered by retries, leases or deadline sweeps; the ones that carry
     /// a transaction (or the only record of one) must settle its outcome
     /// here or `inflight` leaks and the run never drains.
-    fn on_dropped_delivery(&mut self, msg: Msg) {
+    pub(crate) fn on_dropped_delivery(&mut self, msg: Msg) {
         match msg {
             // The travelling transaction is gone; its origin's timeout
             // scores it as a crash loss.
@@ -905,99 +463,13 @@ impl ClientServerSim {
                     );
                 }
             }
-            // The object died in transit: the chain is broken, so the
-            // server's own copy becomes authoritative again and later
-            // requests must not keep batching onto the dead route.
-            Msg::ObjectForward { object, .. } => {
-                self.server.routing.remove(object);
-            }
+            // The object died in transit: the driver tells the server its
+            // chain is broken before the server next acts.
+            Msg::ObjectForward { object, .. } => self.lost_forwards.push(object),
             // Everything else is recovered by retries (requests/grants),
             // leases (recalls/acks/returns) or the deadline sweeps
             // (queries, subtask traffic).
             _ => {}
-        }
-    }
-
-    fn handle(&mut self, ev: Ev) {
-        match ev {
-            Ev::Arrive(i) => self.on_arrive(i),
-            Ev::Deliver { to, mut msgs } => {
-                // Messages of one group arrive back-to-back at the same
-                // instant; liveness cannot change between them, so the
-                // crash-refusal gate is evaluated per message against the
-                // same state it would have seen ungrouped.
-                for msg in msgs.drain(..) {
-                    match to {
-                        SiteDest::Server => {
-                            // Crash refusal for deliveries already in
-                            // flight when the server went down (new sends
-                            // are refused by the fabric itself).
-                            if self.faults.server_up {
-                                self.server_on_msg(msg);
-                            } else {
-                                self.faults.gate_dropped += 1;
-                                self.on_dropped_delivery(msg);
-                            }
-                        }
-                        SiteDest::Client(c) => {
-                            // Crash refusal for deliveries already in
-                            // flight when the destination went down (new
-                            // sends are refused by the fabric itself).
-                            if self.site_up(c) {
-                                self.client_on_msg(c, msg);
-                            } else {
-                                self.faults.gate_dropped += 1;
-                                self.on_dropped_delivery(msg);
-                            }
-                        }
-                    }
-                }
-                self.queue.recycle(msgs);
-            }
-            Ev::ClientCpu { client, generation } => self.on_client_cpu(client, generation),
-            Ev::ClientDiskReady {
-                client,
-                txn,
-                object,
-                scheduled_at,
-            } => self.on_client_disk_ready(client, txn, object, scheduled_at),
-            Ev::ServerFetchDone {
-                to,
-                txn,
-                items,
-                scheduled_at,
-            } => {
-                // A fetch issued before a crash died with the server's
-                // volatile state; the client's retry machinery re-requests.
-                if self.faults.server_up {
-                    self.emit_span(
-                        SiteId::Server,
-                        txn,
-                        siteselect_obs::SpanKind::Disk,
-                        scheduled_at,
-                        None,
-                    );
-                    self.server_ship_now(to, items);
-                }
-            }
-            Ev::WindowClose { object } => {
-                // Windows were wiped by the crash; a stale close is a no-op.
-                if self.faults.server_up {
-                    self.server_on_window_close(object);
-                }
-            }
-            Ev::EndWarmup => self.fabric.reset_stats(),
-            Ev::Sweep => self.on_sweep(),
-            Ev::SiteCrash { client } => self.on_site_crash(client),
-            Ev::SiteRecover { client } => self.on_site_recover(client),
-            Ev::ServerCrash => self.on_server_crash(),
-            Ev::ServerRecover => self.on_server_recover(),
-            Ev::RetryFetch {
-                client,
-                object,
-                attempt,
-                sent_at,
-            } => self.on_retry_fetch(client, object, attempt, sent_at),
         }
     }
 
@@ -1012,19 +484,20 @@ impl ClientServerSim {
         &self,
         site: SiteId,
         txn: TKey,
-        kind: siteselect_obs::SpanKind,
+        kind: SpanKind,
         start: SimTime,
         blocker: Option<TKey>,
     ) {
         if start >= self.now {
             return;
         }
-        self.sink.emit(self.now, site, || siteselect_obs::Event::Span {
-            txn: Some(TransactionId::from_raw(txn)),
-            kind,
-            start,
-            blocker: blocker.map(TransactionId::from_raw),
-        });
+        self.sink
+            .emit(self.now, site, || siteselect_obs::Event::Span {
+                txn: Some(TransactionId::from_raw(txn)),
+                kind,
+                start,
+                blocker: blocker.map(TransactionId::from_raw),
+            });
     }
 
     /// Records a measured transaction outcome in the metrics and stamps a
@@ -1037,44 +510,353 @@ impl ClientServerSim {
         outcome: TxnOutcome,
     ) {
         self.sink
-            .emit(self.now, site, || siteselect_obs::Event::Outcome { txn, outcome });
+            .emit(self.now, site, || siteselect_obs::Event::Outcome {
+                txn,
+                outcome,
+            });
         self.metrics.record_outcome(outcome);
     }
+}
 
-    /// Partitions a decomposable transaction's accesses by their current
-    /// holding site: objects exclusively or primarily cached at one client
-    /// form that client's subtask; unheld objects stay with the origin.
-    pub(crate) fn group_by_location(
-        origin: ClientId,
-        accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
-    ) -> Vec<(ClientId, Vec<AccessSpec>)> {
-        let map: HashMap<ObjectId, &Vec<(ClientId, LockMode)>> =
-            locations.iter().map(|(o, v)| (*o, v)).collect();
-        let mut groups: BTreeMap<ClientId, Vec<AccessSpec>> = BTreeMap::new();
-        for a in accesses {
-            let site = map
-                .get(&a.object)
-                .and_then(|holders| {
-                    holders
-                        .iter()
-                        .find(|(_, m)| m.is_exclusive())
-                        .or_else(|| holders.first())
-                })
-                .map_or(origin, |&(c, _)| c);
-            groups.entry(site).or_default().push(*a);
+/// Discrete-event simulator of CS-RTDBS / LS-CS-RTDBS: the client sites,
+/// the server site and what they share. It pops events and hands each to
+/// the site it is for; the few things one site needs of another without a
+/// message (the load table, a lease fence, lock revalidation after a
+/// server restart) are loops here, between the sites, not inside one.
+pub struct ClientServerSim {
+    cx: Cx,
+    clients: Vec<ClientSite>,
+    server: ServerSite,
+}
+
+impl ClientServerSim {
+    /// Builds the simulator for `cfg`. `cfg.system` selects CS or LS
+    /// behaviour.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called with a centralized config.
+    #[must_use]
+    pub fn new(cfg: ExperimentConfig) -> Self {
+        assert!(
+            cfg.system != SystemKind::Centralized,
+            "use CentralizedSim for CE-RTDBS"
+        );
+        ClientServerSim {
+            clients: (0..cfg.clients)
+                .map(|i| ClientSite::new(ClientId(i), &cfg.client, cfg.cpu.client_speed))
+                .collect(),
+            server: ServerSite::new(&cfg),
+            cx: Cx::new(cfg),
         }
-        groups.into_iter().collect()
+    }
+
+    /// Enables event tracing: the sink is shared with the fabric and the
+    /// server's window/callback managers so every layer stamps the same
+    /// timeline.
+    pub fn attach_sink(&mut self, sink: EventSink) {
+        self.cx.fabric.set_sink(sink.clone());
+        self.server.attach_sink(&sink);
+        self.cx.sink = sink;
+    }
+
+    /// Pre-generates the whole fault schedule (crashes, recoveries and
+    /// slow-disk episodes) from seed-derived PRNG streams, so two runs with
+    /// the same seed inject identical faults regardless of workload
+    /// interleaving.
+    fn schedule_faults(&mut self) {
+        let f = self.cx.cfg.faults;
+        let seed = self.cx.cfg.runtime.seed;
+        let end = SimTime::ZERO + self.cx.cfg.runtime.duration;
+        if !f.mean_time_to_crash.is_zero() {
+            let crash_base = Prng::seed_from_u64(seed).derive(0xFA_C2);
+            for ci in 0..self.clients.len() {
+                let mut prng = crash_base.derive(ci as u64);
+                let mut t = SimTime::ZERO;
+                loop {
+                    t += prng.exp_duration(f.mean_time_to_crash);
+                    if t >= end {
+                        break;
+                    }
+                    self.cx.queue.push(t, Ev::SiteCrash { client: ci });
+                    if f.mean_recovery_time.is_zero() {
+                        break; // this site stays down for the rest of the run
+                    }
+                    t += prng.exp_duration(f.mean_recovery_time);
+                    if t >= end {
+                        break;
+                    }
+                    self.cx.queue.push(t, Ev::SiteRecover { client: ci });
+                }
+            }
+        }
+        if !f.mean_time_to_server_crash.is_zero() {
+            let mut prng = Prng::seed_from_u64(seed).derive(0xFA_E4);
+            let mut t = SimTime::ZERO;
+            loop {
+                t += prng.exp_duration(f.mean_time_to_server_crash);
+                if t >= end {
+                    break;
+                }
+                self.cx.queue.push(t, Ev::ServerCrash);
+                if f.mean_recovery_time.is_zero() {
+                    break; // permanent: the site goes dark, no replay
+                }
+                // Recovery is self-scheduled by the crash handler (its time
+                // depends on log length); space the next crash out past the
+                // expected outage so the schedule stays plausible.
+                t += prng.exp_duration(f.mean_recovery_time);
+            }
+        }
+        self.server.core.schedule_slow_disk(&self.cx.cfg);
+    }
+
+    /// Runs the experiment to completion and returns its metrics.
+    #[must_use]
+    pub fn run(mut self) -> RunMetrics {
+        let cfg = &self.cx.cfg;
+        let trace = Trace::generate(
+            &cfg.workload,
+            cfg.cpu.txn_cpu_fraction,
+            cfg.database.num_objects,
+            cfg.clients,
+            cfg.runtime.duration,
+            cfg.runtime.seed,
+        );
+        self.cx.specs = trace.into_transactions();
+        for (i, spec) in self.cx.specs.iter().enumerate() {
+            self.cx.queue.push(spec.arrival, Ev::Arrive(i));
+        }
+        if self.cx.faults_active {
+            self.schedule_faults();
+        }
+        self.cx.queue.push(self.cx.warmup_end, Ev::EndWarmup);
+        self.cx.queue.push(SimTime::from_secs(1), Ev::Sweep);
+        // Client-local tables only ever cover each site's cached working
+        // set, so unlike the server's they are left to grow on demand.
+        self.server.core.presize(&self.cx.cfg);
+        while let Some((t, ev)) = self.cx.queue.pop() {
+            debug_assert!(t >= self.cx.now, "time went backwards");
+            self.cx.now = t;
+            self.handle(ev);
+        }
+        self.finalize()
+    }
+
+    fn finalize(self) -> RunMetrics {
+        let ClientServerSim {
+            mut cx,
+            clients,
+            server,
+        } = self;
+        debug_assert_eq!(server.core.wfg.check_invariants(), Ok(()));
+        debug_assert!(clients.iter().all(|c| c.check_invariants() == Ok(())));
+        let span = cx.now.duration_since(SimTime::ZERO).as_secs_f64().max(1e-9);
+        let busy: f64 = clients
+            .iter()
+            .map(|c| c.cpu_busy_time().as_secs_f64())
+            .sum();
+        cx.metrics.client_cpu_utilization = (busy / (span * clients.len() as f64)).min(1.0);
+        cx.metrics.load_sharing.windows_opened = server.windows_opened();
+        server.core.report_faults(&cx.fabric, &mut cx.metrics);
+        cx.metrics
+    }
+
+    /// Runs `f` on client `i` with the shared context, then passes on to
+    /// the server any forward chain the client's sends found broken.
+    fn on_client<R>(&mut self, i: usize, f: impl FnOnce(&mut ClientSite, &mut Cx) -> R) -> R {
+        let out = f(&mut self.clients[i], &mut self.cx);
+        self.settle_lost_forwards();
+        out
+    }
+
+    fn settle_lost_forwards(&mut self) {
+        for object in self.cx.lost_forwards.drain(..) {
+            self.server.forget_route(object);
+        }
+    }
+
+    fn handle(&mut self, ev: Ev) {
+        match ev {
+            Ev::Arrive(i) => {
+                let spec = self.cx.specs[i].clone();
+                self.on_client(spec.origin.index(), |c, cx| c.on_arrive(cx, spec));
+            }
+            Ev::Deliver { to, mut msgs } => {
+                // Messages of one group arrive back-to-back at the same
+                // instant; liveness cannot change between them, so the
+                // crash-refusal gate is evaluated per message against the
+                // same state it would have seen ungrouped.
+                for msg in msgs.drain(..) {
+                    self.deliver(to, msg);
+                }
+                self.cx.queue.recycle(msgs);
+            }
+            Ev::ClientCpu { client, generation } => {
+                self.on_client(client, |c, cx| c.on_cpu(cx, generation));
+            }
+            Ev::ClientDiskReady {
+                client,
+                txn,
+                object,
+                scheduled_at,
+            } => self.on_client(client, |c, cx| {
+                c.on_disk_ready(cx, txn, object, scheduled_at);
+            }),
+            Ev::ServerFetchDone {
+                to,
+                txn,
+                items,
+                scheduled_at,
+            } => {
+                // A fetch issued before a crash died with the server's
+                // volatile state; the client's retry machinery re-requests.
+                if self.server.core.server_up {
+                    self.cx
+                        .emit_span(SiteId::Server, txn, SpanKind::Disk, scheduled_at, None);
+                    self.server.ship_now(&mut self.cx, to, items);
+                }
+            }
+            Ev::WindowClose { object } => {
+                // Windows were wiped by the crash; a stale close is a no-op.
+                if self.server.core.server_up {
+                    self.server.on_window_close(&mut self.cx, object);
+                }
+            }
+            Ev::EndWarmup => self.cx.fabric.reset_stats(),
+            Ev::Sweep => self.on_sweep(),
+            Ev::SiteCrash { client } => self.on_client(client, ClientSite::on_crash),
+            Ev::SiteRecover { client } => self.on_client(client, ClientSite::on_recover),
+            Ev::ServerCrash => {
+                if let Some(ready) = self.server.crash(&mut self.cx) {
+                    self.cx.queue.push(ready, Ev::ServerRecover);
+                }
+            }
+            Ev::ServerRecover => self.on_server_recover(),
+            Ev::RetryFetch {
+                client,
+                object,
+                attempt,
+                sent_at,
+            } => self.on_client(client, |c, cx| {
+                c.on_retry_fetch(cx, object, attempt, sent_at);
+            }),
+        }
+    }
+
+    /// Hands `msg` to the site it is addressed to, unless that site is
+    /// down: deliveries already in flight when the destination crashed are
+    /// refused at its door (new sends are refused by the fabric itself).
+    fn deliver(&mut self, to: SiteDest, msg: Msg) {
+        let up = match to {
+            SiteDest::Server => self.server.core.server_up,
+            SiteDest::Client(c) => self.cx.site_up(c),
+        };
+        if !up {
+            self.server.core.gate_dropped += 1;
+            self.cx.on_dropped_delivery(msg);
+            self.settle_lost_forwards();
+            return;
+        }
+        match (to, msg) {
+            (SiteDest::Client(c), msg) => {
+                self.on_client(c.index(), |site, cx| site.on_msg(cx, msg));
+            }
+            (SiteDest::Server, Msg::LoadQuery { txn, objects }) => {
+                let loads = self.clients.iter().map(ClientSite::load_report).collect();
+                self.server.on_load_query(&mut self.cx, txn, objects, loads);
+            }
+            (SiteDest::Server, msg) => self.server.on_msg(&mut self.cx, msg),
+        }
     }
 
     fn on_sweep(&mut self) {
-        self.sweep_expired_txns();
-        if self.faults.server_up {
-            self.server_sweep();
+        // "Tasks that have missed their deadlines are not processed at
+        // all" (§2): each client drops its expired units first.
+        for i in 0..self.clients.len() {
+            self.on_client(i, ClientSite::sweep_expired);
         }
-        if self.inflight > 0 || !self.queue.is_empty() {
-            self.queue
-                .push(self.now + SimDuration::from_secs(1), Ev::Sweep);
+        if self.server.core.server_up {
+            self.reclaim_expired_leases();
+            self.server.sweep(&mut self.cx);
+        }
+        if self.cx.inflight > 0 || !self.cx.queue.is_empty() {
+            self.cx
+                .queue
+                .push(self.cx.now + SimDuration::from_secs(1), Ev::Sweep);
+        }
+    }
+
+    /// Failure handling: callbacks unanswered past the lease are presumed
+    /// lost with their holder. The server reclaims the lock, the holder's
+    /// cached copy is fenced and its local users of it die, and only then
+    /// are the waiters granted from the server's own copy. Inert unless
+    /// faults are injected and a non-zero lease is configured.
+    fn reclaim_expired_leases(&mut self) {
+        let lease = self.cx.cfg.faults.callback_lease;
+        if !self.cx.faults_active || lease.is_zero() {
+            return;
+        }
+        for (object, holder) in self.server.expired_leases(self.cx.now, lease) {
+            let grants = self.server.reclaim(&mut self.cx, object, holder);
+            // If the holder was merely slow the fence is conservative but
+            // safe: it must re-fetch.
+            self.on_client(holder.index(), |c, cx| {
+                c.fence(cx, object);
+                c.abort_local_holders(cx, object);
+            });
+            self.server.apply_grants(&mut self.cx, object, grants);
+        }
+        self.server.forget_dead_routes(self.cx.now);
+    }
+
+    /// Replay finished: the server rejoins with only durable state and the
+    /// surviving clients reconnect — their cached locks are revalidated
+    /// into the rebuilt lock table (or fenced), and the work they had in
+    /// flight across the outage aborts.
+    fn on_server_recover(&mut self) {
+        let ClientServerSim {
+            cx,
+            clients,
+            server,
+        } = self;
+        let crashed_at = server
+            .core
+            .rejoin(cx.now, &cx.sink, &mut cx.fabric, &mut cx.metrics);
+        // A crashed client has nothing to revalidate, and its work already
+        // died with it.
+        for c in clients.iter_mut() {
+            if !cx.site_up(c.id()) {
+                continue;
+            }
+            for (object, mode) in c.cached_locks() {
+                if !server.revalidate(c.id(), object, mode) {
+                    c.fence(cx, object);
+                }
+            }
+        }
+        cx.sink.emit(cx.now, SiteId::Server, || {
+            siteselect_obs::Event::SiteRecover {
+                site: SiteId::Server,
+            }
+        });
+        // Site-scoped replay span: the outage window (down + WAL replay
+        // until rejoin) blames every transaction it overlaps.
+        if let Some(start) = crashed_at {
+            cx.sink
+                .emit(cx.now, SiteId::Server, || siteselect_obs::Event::Span {
+                    txn: None,
+                    kind: SpanKind::Replay,
+                    start,
+                    blocker: None,
+                });
+        }
+        for i in 0..self.clients.len() {
+            self.on_client(i, |c, cx| {
+                if cx.site_up(c.id()) {
+                    c.abort_stranded(cx);
+                }
+            });
         }
     }
 }
@@ -1082,11 +864,11 @@ impl ClientServerSim {
 impl std::fmt::Debug for ClientServerSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientServerSim")
-            .field("system", &self.cfg.system)
-            .field("now", &self.now)
+            .field("system", &self.cx.cfg.system)
+            .field("now", &self.cx.now)
             .field("clients", &self.clients.len())
-            .field("inflight", &self.inflight)
-            .field("events", &self.queue.len())
+            .field("inflight", &self.cx.inflight)
+            .field("events", &self.cx.queue.len())
             .finish()
     }
 }
@@ -1094,6 +876,25 @@ impl std::fmt::Debug for ClientServerSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cx {
+        /// Everything staged or queued for delivery so far, in delivery order
+        /// (site tests assert on what a handler sent).
+        pub(crate) fn drain_deliveries(&mut self) -> Vec<(SiteDest, Msg)> {
+            let mut out = Vec::new();
+            let mut rest = Vec::new();
+            while let Some((t, ev)) = self.queue.pop() {
+                match ev {
+                    Ev::Deliver { to, msgs } => out.extend(msgs.into_iter().map(|m| (to, m))),
+                    other => rest.push((t, other)),
+                }
+            }
+            for (t, ev) in rest {
+                self.queue.push(t, ev);
+            }
+            out
+        }
+    }
 
     #[test]
     fn subtask_keys_are_distinct_from_parents_and_each_other() {
@@ -1103,46 +904,5 @@ mod tests {
         for i in 0..10u8 {
             assert!(seen.insert(subtask_key(parent, i)), "collision at {i}");
         }
-    }
-
-    #[test]
-    fn grouping_by_location_respects_exclusive_holders() {
-        let origin = ClientId(0);
-        let accesses = vec![
-            AccessSpec::read(ObjectId(1)),
-            AccessSpec::read(ObjectId(2)),
-            AccessSpec::write(ObjectId(3)),
-        ];
-        let locations = vec![
-            (
-                ObjectId(1),
-                vec![(ClientId(5), LockMode::Shared), (ClientId(6), LockMode::Exclusive)],
-            ),
-            (ObjectId(2), vec![(ClientId(5), LockMode::Shared)]),
-            (ObjectId(3), vec![]),
-        ];
-        let groups = ClientServerSim::group_by_location(origin, &accesses, &locations);
-        // obj1 -> client 6 (EL holder wins), obj2 -> client 5, obj3 -> origin.
-        assert_eq!(groups.len(), 3);
-        let find = |c: u16| {
-            groups
-                .iter()
-                .find(|(id, _)| *id == ClientId(c))
-                .map(|(_, v)| v.clone())
-                .unwrap()
-        };
-        assert_eq!(find(6), vec![AccessSpec::read(ObjectId(1))]);
-        assert_eq!(find(5), vec![AccessSpec::read(ObjectId(2))]);
-        assert_eq!(find(0), vec![AccessSpec::write(ObjectId(3))]);
-    }
-
-    #[test]
-    fn unlisted_objects_default_to_origin() {
-        let groups = ClientServerSim::group_by_location(
-            ClientId(2),
-            &[AccessSpec::read(ObjectId(9))],
-            &[],
-        );
-        assert_eq!(groups, vec![(ClientId(2), vec![AccessSpec::read(ObjectId(9))])]);
     }
 }

@@ -1,20 +1,142 @@
-//! Server-side behaviour: the global client-granularity lock table,
-//! callback recalls with downgrade, wait-for-graph admission, grant-all
-//! rounds, collection windows / forward lists, location & load queries, and
-//! the buffer/disk path that ships object payloads.
+//! The database server of CS/LS: the global client-granularity lock
+//! table, callback recalls with downgrade, wait-for-graph admission,
+//! grant-all rounds, collection windows / forward lists, location & load
+//! queries, and the buffer/disk path that ships object payloads.
+//!
+//! A [`ServerSite`] is a [`ServerCore`] (lock table, wait-for graph, buffer,
+//! disk, durable store and their crash-restart) plus what only the
+//! client-server protocol needs. Like a client it acts through the shared
+//! [`Cx`] alone; the two things it has to ask of a client (fence a cached
+//! copy, revalidate cached locks) and the one thing it reads from all of
+//! them (the load table) go through the driver.
 
 use siteselect_locks::{
-    Acquire, CallbackTracker, ForwardEntry, ForwardList, LockTable, QueueDiscipline, Waiter,
-    WaitForGraph, WindowManager, WindowOffer,
+    Acquire, CallbackTracker, ForwardEntry, ForwardList, QueueDiscipline, Waiter, WindowManager,
+    WindowOffer,
 };
 use siteselect_net::{Delivery, MessageKind};
-use siteselect_storage::{ClientCache, DurableStore};
-use siteselect_types::{AbortReason, ClientId, LockMode, ObjectId, ObjectMap, SimTime, SiteId, TransactionId};
+use siteselect_obs::EventSink;
+use siteselect_types::{
+    ClientId, ExperimentConfig, LockMode, ObjectId, ObjectMap, SimDuration, SimTime, SiteId,
+    TransactionId,
+};
 
-use super::{ClientServerSim, Ev, Msg, SiteDest, TKey, WaitingWants, Want, WantInfo};
+use super::{Cx, Ev, Msg, SiteDest, TKey, Want};
+use crate::server_core::ServerCore;
 
-impl ClientServerSim {
-    pub(crate) fn server_on_msg(&mut self, msg: Msg) {
+/// Info the server tracks for a lock-table-queued want.
+#[derive(Debug, Clone, Copy)]
+struct WantInfo {
+    mode: LockMode,
+    needs_data: bool,
+    deadline: SimTime,
+    /// The requesting transaction (for rejection notices).
+    txn: TKey,
+    /// When the want entered the server's lock queue (start of the
+    /// lock-wait span emitted at grant time).
+    queued_at: SimTime,
+}
+
+/// The server's index of lock-table-queued wants, keyed `(object, client)`.
+///
+/// Stored as one small vector per client: a client has at most a handful of
+/// requests queued at once, so a linear scan beats hashing the composite
+/// key, and `refresh_wfg`'s per-client iteration becomes a direct slice
+/// walk instead of a filter over the whole map.
+struct WaitingWants {
+    per_client: Vec<Vec<(ObjectId, WantInfo)>>,
+}
+
+impl WaitingWants {
+    fn new(clients: usize) -> Self {
+        WaitingWants {
+            per_client: vec![Vec::new(); clients],
+        }
+    }
+
+    /// Records (or replaces) the want of `client` on `object`.
+    fn insert(&mut self, object: ObjectId, client: ClientId, info: WantInfo) {
+        // detlint: allow(D9) — per_client is sized to the client count at construction
+        let list = &mut self.per_client[client.index()];
+        match list.iter_mut().find(|(o, _)| *o == object) {
+            Some(slot) => slot.1 = info,
+            None => list.push((object, info)),
+        }
+    }
+
+    /// Removes and returns the want of `client` on `object`, if any.
+    fn remove(&mut self, object: ObjectId, client: ClientId) -> Option<WantInfo> {
+        // detlint: allow(D9) — per_client is sized to the client count at construction
+        let list = &mut self.per_client[client.index()];
+        let pos = list.iter().position(|(o, _)| *o == object)?;
+        Some(list.remove(pos).1)
+    }
+
+    /// True if `client` has a want queued on `object`.
+    fn contains(&self, object: ObjectId, client: ClientId) -> bool {
+        // detlint: allow(D9) — per_client is sized to the client count at construction
+        self.per_client[client.index()]
+            .iter()
+            .any(|(o, _)| *o == object)
+    }
+
+    /// All queued wants of `client`, in insertion order.
+    fn of_client(&self, client: ClientId) -> &[(ObjectId, WantInfo)] {
+        // detlint: allow(D9) — per_client is sized to the client count at construction
+        &self.per_client[client.index()]
+    }
+}
+
+/// The server site's state.
+pub(crate) struct ServerSite {
+    pub(crate) core: ServerCore<ClientId>,
+    callbacks: CallbackTracker,
+    windows: WindowManager,
+    /// Forward lists currently travelling client→client, as shipped.
+    routing: ObjectMap<ForwardList>,
+    /// Lock-table-queued requests awaiting grant: data to ship on grant.
+    waiting_wants: WaitingWants,
+    /// Sequence counter for the pseudo-transactions that apply returned
+    /// objects to the durable store (tagged with the high bit so they can
+    /// never collide with workload transaction ids).
+    pseudo_seq: u64,
+}
+
+impl ServerSite {
+    pub(crate) fn new(cfg: &ExperimentConfig) -> Self {
+        // The server's wait queue stays FIFO even under LS: deadline-ordered
+        // waiter service (§3.3) is realized where it measurably helps — the
+        // forward lists are deadline-ordered and expired requests are
+        // refused — while EDF-ordering the lock queue itself breaks up
+        // naturally batched reader grants and lowers aggregate success.
+        ServerSite {
+            core: ServerCore::new(cfg, QueueDiscipline::Fifo),
+            callbacks: CallbackTracker::new(),
+            windows: WindowManager::new(cfg.load_sharing.collection_window),
+            routing: ObjectMap::new(),
+            waiting_wants: WaitingWants::new(usize::from(cfg.clients)),
+            pseudo_seq: 0,
+        }
+    }
+
+    /// The window and callback managers stamp the run's timeline themselves.
+    pub(crate) fn attach_sink(&mut self, sink: &EventSink) {
+        self.windows.set_sink(sink.clone());
+        self.callbacks.set_sink(sink.clone());
+    }
+
+    pub(crate) fn windows_opened(&self) -> u64 {
+        self.windows.total_opened()
+    }
+
+    /// A forward hop was lost in transit: the chain is broken, so the
+    /// server's own copy becomes authoritative again and later requests
+    /// must not keep batching onto the dead route.
+    pub(crate) fn forget_route(&mut self, object: ObjectId) {
+        self.routing.remove(object);
+    }
+
+    pub(crate) fn on_msg(&mut self, cx: &mut Cx, msg: Msg) {
         match msg {
             Msg::RequestBatch {
                 txn,
@@ -23,10 +145,10 @@ impl ClientServerSim {
                 grant_all,
             } => {
                 if grant_all {
-                    self.server_grant_all(txn, client, wants);
+                    self.grant_all(cx, txn, client, wants);
                 } else {
                     for w in wants {
-                        self.server_handle_want(txn, client, w);
+                        self.handle_want(cx, txn, client, w);
                     }
                 }
             }
@@ -34,21 +156,22 @@ impl ClientServerSim {
                 object,
                 from,
                 downgraded,
-            } => self.server_on_return(object, from, downgraded),
+            } => self.on_return(cx, object, from, downgraded),
             Msg::CallbackAck {
                 object,
                 from,
                 had_copy,
-            } => self.server_on_ack(object, from, had_copy),
+            } => self.on_ack(cx, object, from, had_copy),
             Msg::CancelWants { client, objects } => {
                 for object in objects {
-                    let (_, grants) = self.server.locks.cancel_wait(object, client);
-                    self.server.waiting_wants.remove(object, client);
-                    self.server_apply_grants(object, grants);
+                    let (_, grants) = self.core.locks.cancel_wait(object, client);
+                    self.waiting_wants.remove(object, client);
+                    self.apply_grants(cx, object, grants);
                 }
                 self.refresh_wfg(client);
             }
-            Msg::LoadQuery { txn, objects } => self.server_on_load_query(txn, objects),
+            // A load query needs the load table, which the driver reads off
+            // the clients: it calls `on_load_query` itself.
             _ => unreachable!("client message delivered to server"),
         }
     }
@@ -63,12 +186,12 @@ impl ClientServerSim {
     /// of the conflicting holders ride back to the client (§4), which may
     /// then cancel its queued requests and ship the transaction to a
     /// better site (H2).
-    fn server_grant_all(&mut self, txn: TKey, client: ClientId, wants: Vec<Want>) {
+    fn grant_all(&mut self, cx: &mut Cx, txn: TKey, client: ClientId, wants: Vec<Want>) {
         let conflicts: Vec<(ObjectId, Vec<(ClientId, LockMode)>)> = wants
             .iter()
             .filter_map(|w| {
                 let holders: Vec<(ClientId, LockMode)> = self
-                    .server
+                    .core
                     .locks
                     .holders(w.object)
                     .into_iter()
@@ -79,17 +202,17 @@ impl ClientServerSim {
             })
             .collect();
         for w in wants {
-            self.server_handle_want(txn, client, w);
+            self.handle_want(cx, txn, client, w);
         }
         if !conflicts.is_empty() {
-            let delivery = self.fabric.try_send(
-                self.now,
+            let delivery = cx.fabric.try_send(
+                cx.now,
                 SiteId::Server,
                 SiteId::Client(client),
                 MessageKind::ConflictInfo,
                 0,
             );
-            self.push_delivery(
+            cx.push_delivery(
                 delivery,
                 SiteDest::Client(client),
                 Msg::ConflictReport { txn, conflicts },
@@ -106,7 +229,7 @@ impl ClientServerSim {
         holders: Vec<(ClientId, LockMode)>,
     ) -> Vec<(ClientId, LockMode)> {
         if holders.is_empty() {
-            if let Some(list) = self.server.routing.get(object) {
+            if let Some(list) = self.routing.get(object) {
                 if let Some(last) = list.last_client() {
                     return vec![(last, LockMode::Exclusive)];
                 }
@@ -119,11 +242,11 @@ impl ClientServerSim {
     // Individual requests (CS path and LS commit-local)
     // ------------------------------------------------------------------
 
-    fn server_handle_want(&mut self, txn: TKey, client: ClientId, w: Want) {
-        let ls = self.ls && self.cfg.load_sharing.forward_lists_enabled;
+    fn handle_want(&mut self, cx: &mut Cx, txn: TKey, client: ClientId, w: Want) {
+        let ls = cx.ls && cx.cfg.load_sharing.forward_lists_enabled;
         // §3.3: the server refuses to work for already-expired requests.
-        if self.ls && self.cfg.load_sharing.request_scheduling_enabled && w.deadline < self.now {
-            self.server_reject(client, txn, true);
+        if cx.ls && cx.cfg.load_sharing.request_scheduling_enabled && w.deadline < cx.now {
+            self.reject(cx, client, txn, true);
             return;
         }
         // Failure handling: a retransmit from a holder whose cached lock is
@@ -133,25 +256,19 @@ impl ClientServerSim {
         // the re-shipped copy. Drop it; the ack (or the lease) settles the
         // lock and the client's next retry or deadline sweep settles the
         // transaction.
-        if self.faults.active
-            && self
-                .server
-                .callbacks
-                .outstanding(w.object)
-                .contains(&client)
-        {
+        if cx.faults_active && self.callbacks.outstanding(w.object).contains(&client) {
             return;
         }
-        if let Some(held) = self.server.locks.held_mode(w.object, client) {
+        if let Some(held) = self.core.locks.held_mode(w.object, client) {
             if held.covers(w.mode) {
-                self.server_ship(txn, client, vec![(w.object, w.mode, w.needs_data)]);
+                self.ship(cx, txn, client, vec![(w.object, w.mode, w.needs_data)]);
                 return;
             }
         }
         // A travelling forward list leaves the lock table empty; the chain
         // tail stands in as the holder so the request batches behind the
         // chain instead of being granted against the in-flight copies.
-        let holders = self.with_routing_holders(w.object, self.server.locks.holders(w.object));
+        let holders = self.with_routing_holders(w.object, self.core.locks.holders(w.object));
         let conflicting: Vec<ClientId> = holders
             .iter()
             .filter(|&&(h, m)| h != client && !m.compatible_with(w.mode))
@@ -168,10 +285,9 @@ impl ClientServerSim {
         // granted from it — not even to the chain's own tail, for whom
         // `conflicting` filters to empty.
         let forward_eligible = ls
-            && (self.server.routing.contains(w.object)
+            && (self.routing.contains(w.object)
                 || (!conflicting.is_empty()
-                    && (self.server.windows.is_open(w.object)
-                        || self.server.callbacks.is_recalling(w.object))));
+                    && (self.windows.is_open(w.object) || self.callbacks.is_recalling(w.object))));
         if forward_eligible {
             let entry = ForwardEntry {
                 client,
@@ -179,40 +295,45 @@ impl ClientServerSim {
                 deadline: w.deadline,
                 mode: w.mode,
             };
-            if let WindowOffer::Opened { closes_at } =
-                self.server.windows.offer(w.object, entry, self.now)
-            {
-                self.queue
+            if let WindowOffer::Opened { closes_at } = self.windows.offer(w.object, entry, cx.now) {
+                cx.queue
                     .push(closes_at, Ev::WindowClose { object: w.object });
             }
             return;
         }
 
-        self.server_want_plain(txn, client, w, conflicting);
+        self.want_plain(cx, txn, client, w, conflicting);
     }
 
     /// The plain (CS-RTDBS) path: queue in the lock table under deadlock
     /// avoidance and recall conflicting cached locks.
-    fn server_want_plain(&mut self, txn: TKey, client: ClientId, w: Want, conflicting: Vec<ClientId>) {
+    fn want_plain(
+        &mut self,
+        cx: &mut Cx,
+        txn: TKey,
+        client: ClientId,
+        w: Want,
+        conflicting: Vec<ClientId>,
+    ) {
         // Failure handling: a retransmitted request whose original is still
         // queued must not double-queue in the lock table.
-        if self.faults.active && self.server.waiting_wants.contains(w.object, client) {
+        if cx.faults_active && self.waiting_wants.contains(w.object, client) {
             return;
         }
-        if self.server.wfg.would_deadlock(client, &conflicting) {
-            self.server_reject(client, txn, false);
+        if self.core.wfg.would_deadlock(client, &conflicting) {
+            self.reject(cx, client, txn, false);
             return;
         }
         match self
-            .server
+            .core
             .locks
             .request(w.object, client, w.mode, w.deadline)
         {
             Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
-                self.server_ship(txn, client, vec![(w.object, w.mode, w.needs_data)]);
+                self.ship(cx, txn, client, vec![(w.object, w.mode, w.needs_data)]);
             }
             Acquire::Blocked { conflicts } => {
-                self.server.waiting_wants.insert(
+                self.waiting_wants.insert(
                     w.object,
                     client,
                     WantInfo {
@@ -220,20 +341,17 @@ impl ClientServerSim {
                         needs_data: w.needs_data,
                         deadline: w.deadline,
                         txn,
-                        queued_at: self.now,
+                        queued_at: cx.now,
                     },
                 );
-                self.server.wfg.add_waits(client, conflicts);
+                self.core.wfg.add_waits(client, conflicts);
                 // Call back the conflicting cached locks.
-                let targets = self.server.callbacks.begin_at(
-                    w.object,
-                    conflicting.clone(),
-                    w.mode,
-                    self.now,
-                );
+                let targets =
+                    self.callbacks
+                        .begin_at(w.object, conflicting.clone(), w.mode, cx.now);
                 for t in targets {
-                    let delivery = self.fabric.try_send(
-                        self.now,
+                    let delivery = cx.fabric.try_send(
+                        cx.now,
                         SiteId::Server,
                         SiteId::Client(t),
                         MessageKind::Recall,
@@ -241,7 +359,7 @@ impl ClientServerSim {
                     );
                     // A lost recall is recovered by the callback lease: the
                     // server presumes the silent holder dead and reclaims.
-                    self.push_delivery(
+                    cx.push_delivery(
                         delivery,
                         SiteDest::Client(t),
                         Msg::Recall {
@@ -255,21 +373,25 @@ impl ClientServerSim {
         }
     }
 
-    fn server_reject(&mut self, client: ClientId, txn: TKey, expired: bool) {
-        self.sink.emit(self.now, SiteId::Server, || {
+    fn reject(&mut self, cx: &mut Cx, client: ClientId, txn: TKey, expired: bool) {
+        cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::ServerReject {
                 txn: TransactionId::from_raw(txn),
                 expired,
             }
         });
-        let delivery = self.fabric.try_send(
-            self.now,
+        let delivery = cx.fabric.try_send(
+            cx.now,
             SiteId::Server,
             SiteId::Client(client),
             MessageKind::ConflictInfo,
             0,
         );
-        self.push_delivery(delivery, SiteDest::Client(client), Msg::Rejected { txn, expired });
+        cx.push_delivery(
+            delivery,
+            SiteDest::Client(client),
+            Msg::Rejected { txn, expired },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -281,8 +403,9 @@ impl ClientServerSim {
     /// miss ship when their disk reads complete, so a buffered object is
     /// never delayed behind a co-requested miss. `txn` attributes the disk
     /// span of a miss to the requesting transaction.
-    pub(crate) fn server_ship(
+    fn ship(
         &mut self,
+        cx: &mut Cx,
         txn: TKey,
         client: ClientId,
         items: Vec<(ObjectId, LockMode, bool)>,
@@ -292,14 +415,14 @@ impl ClientServerSim {
         for item in items {
             let (object, _, with_data) = item;
             if with_data {
-                let hit = self.server.buffer.probe(object).is_some();
-                if self.now >= self.warmup_end {
-                    self.metrics.server_buffer.record(hit);
+                let hit = self.core.buffer.probe(object).is_some();
+                if cx.now >= cx.warmup_end {
+                    cx.metrics.server_buffer.record(hit);
                 }
                 if hit {
                     ready.push(item);
                 } else {
-                    self.server.buffer.insert(object);
+                    self.core.buffer.insert(object);
                     missed.push(item);
                 }
             } else {
@@ -307,33 +430,35 @@ impl ClientServerSim {
             }
         }
         if !ready.is_empty() {
-            self.server_ship_now(client, ready);
+            self.ship_now(cx, client, ready);
         }
         if !missed.is_empty() {
-            let done = self
-                .server
-                .disk
-                .schedule_batch(self.now, missed.len() as u32);
-            self.queue.push(
+            let done = self.core.disk.schedule_batch(cx.now, missed.len() as u32);
+            cx.queue.push(
                 done,
                 Ev::ServerFetchDone {
                     to: client,
                     txn,
                     items: missed,
-                    scheduled_at: self.now,
+                    scheduled_at: cx.now,
                 },
             );
         }
     }
 
     /// Puts the grant batch on the wire (buffer already warm).
-    pub(crate) fn server_ship_now(&mut self, to: ClientId, items: Vec<(ObjectId, LockMode, bool)>) {
+    pub(crate) fn ship_now(
+        &mut self,
+        cx: &mut Cx,
+        to: ClientId,
+        items: Vec<(ObjectId, LockMode, bool)>,
+    ) {
         let with_data = items.iter().filter(|(_, _, d)| *d).count() as u32;
         let lock_only = items.len() as u32 - with_data;
-        let mut delivery = Delivery::Delivered(self.now);
+        let mut delivery = Delivery::Delivered(cx.now);
         if with_data > 0 {
-            delivery = self.fabric.try_send_counted(
-                self.now,
+            delivery = cx.fabric.try_send_counted(
+                cx.now,
                 SiteId::Server,
                 SiteId::Client(to),
                 MessageKind::ObjectSend,
@@ -342,8 +467,8 @@ impl ClientServerSim {
             );
         }
         if lock_only > 0 {
-            let locks = self.fabric.try_send_counted(
-                self.now,
+            let locks = cx.fabric.try_send_counted(
+                cx.now,
                 SiteId::Server,
                 SiteId::Client(to),
                 MessageKind::LockGrant,
@@ -357,107 +482,113 @@ impl ClientServerSim {
                 _ => Delivery::Dropped,
             };
         }
-        self.push_delivery(delivery, SiteDest::Client(to), Msg::GrantBatch { items });
+        cx.push_delivery(delivery, SiteDest::Client(to), Msg::GrantBatch { items });
     }
 
     // ------------------------------------------------------------------
     // Returns, acks and grant cascades
     // ------------------------------------------------------------------
 
-    fn server_on_return(&mut self, object: ObjectId, from: ClientId, downgraded: bool) {
-        self.server.buffer.insert(object);
+    fn on_return(&mut self, cx: &mut Cx, object: ObjectId, from: ClientId, downgraded: bool) {
+        self.core.buffer.insert(object);
         // Durable apply: a returned object carries the newest committed
         // version, so it is WAL-logged and force-committed under a
         // server-local pseudo-transaction before any volatile bookkeeping —
         // a crash from here on replays this write instead of losing it.
-        self.server.pseudo_seq += 1;
-        let pseudo = (1u64 << 63) | self.server.pseudo_seq;
-        let checkpoints = self.server.store.checkpoints();
-        let stamp = self.server.store.write(pseudo, object);
-        self.server.store.commit(pseudo);
-        self.sink.emit(self.now, SiteId::Server, || {
-            siteselect_obs::Event::WalWrite {
+        self.pseudo_seq += 1;
+        let pseudo = (1u64 << 63) | self.pseudo_seq;
+        let checkpoints = self.core.store.checkpoints();
+        let stamp = self.core.store.write(pseudo, object);
+        self.core.store.commit(pseudo);
+        cx.sink
+            .emit(cx.now, SiteId::Server, || siteselect_obs::Event::WalWrite {
                 txn: TransactionId::from_raw(pseudo),
                 page: object,
                 stamp,
-            }
-        });
-        self.sink.emit(self.now, SiteId::Server, || {
+            });
+        cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::WalCommit {
                 txn: TransactionId::from_raw(pseudo),
             }
         });
-        if self.server.store.checkpoints() > checkpoints {
-            let active = self.server.store.active_txns() as u32;
-            let log_records = self.server.store.log_records();
-            self.sink.emit(self.now, SiteId::Server, || {
+        if self.core.store.checkpoints() > checkpoints {
+            let active = self.core.store.active_txns() as u32;
+            let log_records = self.core.store.log_records();
+            cx.sink.emit(cx.now, SiteId::Server, || {
                 siteselect_obs::Event::WalCheckpoint {
                     active,
                     log_records,
                 }
             });
         }
-        self.server.callbacks.acknowledge(object, from);
-        self.sink.emit(self.now, SiteId::Server, || {
+        self.callbacks.acknowledge(object, from);
+        cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::CallbackAcked { object, from }
         });
         // The end of a forward chain: the object is home again.
-        self.server.routing.remove(object);
+        self.routing.remove(object);
         let grants = if downgraded {
-            self.server.locks.downgrade(object, from)
+            self.core.locks.downgrade(object, from)
         } else {
-            self.server.locks.release(object, from)
+            self.core.locks.release(object, from)
         };
-        self.server_apply_grants(object, grants);
+        self.apply_grants(cx, object, grants);
     }
 
-    fn server_on_ack(&mut self, object: ObjectId, from: ClientId, had_copy: bool) {
-        self.server.callbacks.acknowledge(object, from);
-        self.sink.emit(self.now, SiteId::Server, || {
+    fn on_ack(&mut self, cx: &mut Cx, object: ObjectId, from: ClientId, had_copy: bool) {
+        self.callbacks.acknowledge(object, from);
+        cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::CallbackAcked { object, from }
         });
-        let grants = self.server.locks.release(object, from);
-        self.server_apply_grants(object, grants);
+        let grants = self.core.locks.release(object, from);
+        self.apply_grants(cx, object, grants);
         if !had_copy {
             // The recalled holder could not serve the forward list that
             // rode on the callback; the server serves it from its own copy.
-            if let Some(list) = self.server.routing.remove(object) {
-                self.serve_list_from_server(object, list);
+            if let Some(list) = self.routing.remove(object) {
+                self.serve_list_from_server(cx, object, list);
             }
         }
     }
 
     /// Completes grants that cascaded out of a release/downgrade/cancel.
-    pub(crate) fn server_apply_grants(&mut self, object: ObjectId, granted: Vec<Waiter<ClientId>>) {
+    pub(crate) fn apply_grants(
+        &mut self,
+        cx: &mut Cx,
+        object: ObjectId,
+        granted: Vec<Waiter<ClientId>>,
+    ) {
         for w in granted {
             let client = w.owner;
-            let Some(info) = self.server.waiting_wants.remove(object, client) else {
+            let Some(info) = self.waiting_wants.remove(object, client) else {
                 // No want on file (cancelled or raced): undo the grant.
-                let grants = self.server_undo_grant(object, client, w.upgrade);
-                self.server_apply_grants(object, grants);
+                let grants = self.undo_grant(object, client, w.upgrade);
+                self.apply_grants(cx, object, grants);
                 continue;
             };
             self.refresh_wfg(client);
-            if self.ls
-                && self.cfg.load_sharing.request_scheduling_enabled
-                && info.deadline < self.now
-            {
+            if cx.ls && cx.cfg.load_sharing.request_scheduling_enabled && info.deadline < cx.now {
                 // §3.3: do not ship to a transaction that already missed.
-                let grants = self.server_undo_grant(object, client, w.upgrade);
-                self.server_reject(client, info.txn, true);
-                self.server_apply_grants(object, grants);
+                let grants = self.undo_grant(object, client, w.upgrade);
+                self.reject(cx, client, info.txn, true);
+                self.apply_grants(cx, object, grants);
                 continue;
             }
             // The want waited in the server's lock queue from enqueue to
             // this grant.
-            self.emit_span(
+            cx.emit_span(
                 SiteId::Server,
                 info.txn,
                 siteselect_obs::SpanKind::LockWait,
                 info.queued_at,
                 None,
             );
-            self.server_ship(info.txn, client, vec![(object, info.mode, info.needs_data)]);
+            self.ship(
+                cx,
+                info.txn,
+                client,
+                vec![(object, info.mode, info.needs_data)],
+            );
         }
     }
 
@@ -465,32 +596,31 @@ impl ClientServerSim {
     /// converted the client's held shared lock in place, and the client
     /// still caches that shared copy — so it reverts to shared; anything
     /// else is released outright.
-    fn server_undo_grant(
+    fn undo_grant(
         &mut self,
         object: ObjectId,
         client: ClientId,
         upgrade: bool,
     ) -> Vec<Waiter<ClientId>> {
         if upgrade {
-            self.server.locks.downgrade(object, client)
+            self.core.locks.downgrade(object, client)
         } else {
-            self.server.locks.release(object, client)
+            self.core.locks.release(object, client)
         }
     }
 
     /// Recomputes a client's wait-for edges from its queued wants.
-    pub(crate) fn refresh_wfg(&mut self, client: ClientId) {
-        self.server.wfg.clear_waits(client);
+    fn refresh_wfg(&mut self, client: ClientId) {
+        self.core.wfg.clear_waits(client);
         let wants: Vec<(ObjectId, LockMode)> = self
-            .server
             .waiting_wants
             .of_client(client)
             .iter()
             .map(|&(o, info)| (o, info.mode))
             .collect();
         for (object, mode) in wants {
-            let conflicts = self.server.locks.conflicting_holders(object, client, mode);
-            self.server.wfg.add_waits(client, conflicts);
+            let conflicts = self.core.locks.conflicting_holders(object, client, mode);
+            self.core.wfg.add_waits(client, conflicts);
         }
     }
 
@@ -498,16 +628,15 @@ impl ClientServerSim {
     // Collection windows and forward lists
     // ------------------------------------------------------------------
 
-    pub(crate) fn server_on_window_close(&mut self, object: ObjectId) {
-        let Some(list) = self.server.windows.close_at(object, self.now) else {
+    pub(crate) fn on_window_close(&mut self, cx: &mut Cx, object: ObjectId) {
+        let Some(list) = self.windows.close_at(object, cx.now) else {
             return;
         };
-        let still_busy = self.server.routing.contains(object)
-            || self.server.callbacks.is_recalling(object);
+        let still_busy = self.routing.contains(object) || self.callbacks.is_recalling(object);
         if still_busy {
             // The object is still travelling or being recalled for the
             // plain-path waiter: keep collecting until it comes home.
-            self.server_reoffer_window(object, list);
+            self.reoffer_window(cx, object, list);
             return;
         }
         if list.len() == 1 {
@@ -522,28 +651,28 @@ impl ClientServerSim {
                 deadline: e.deadline,
             };
             let conflicting: Vec<ClientId> = self
-                .server
+                .core
                 .locks
                 .holders(object)
                 .into_iter()
                 .filter(|&(h, m)| h != e.client && !m.compatible_with(e.mode))
                 .map(|(h, _)| h)
                 .collect();
-            self.server_want_plain(e.txn.as_u64(), e.client, w, conflicting);
+            self.want_plain(cx, e.txn.as_u64(), e.client, w, conflicting);
             return;
         }
-        let holders = self.server.locks.holders(object);
+        let holders = self.core.locks.holders(object);
         let el_holder = holders
             .iter()
             .find(|(_, m)| m.is_exclusive())
             .map(|&(h, _)| h);
         match el_holder {
-            Some(holder) if self.server.locks.waiters(object).is_empty() => {
+            Some(holder) if self.core.locks.waiters(object).is_empty() => {
                 // One recall carries the whole forward list; the holder
                 // ships the object down the chain and the last client
                 // returns it (2n+1 messages, §3.4).
-                let delivery = self.fabric.try_send(
-                    self.now,
+                let delivery = cx.fabric.try_send(
+                    cx.now,
                     SiteId::Server,
                     SiteId::Client(holder),
                     MessageKind::Recall,
@@ -555,16 +684,15 @@ impl ClientServerSim {
                     // exclusive from later grants. A callback lease makes
                     // the loss recoverable (a dead holder is reclaimed at
                     // expiry); until then the batch keeps collecting.
-                    self.server
-                        .callbacks
-                        .begin_at(object, [holder], LockMode::Exclusive, self.now);
-                    self.server_reoffer_window(object, list);
+                    self.callbacks
+                        .begin_at(object, [holder], LockMode::Exclusive, cx.now);
+                    self.reoffer_window(cx, object, list);
                     return;
                 }
-                self.server.routing.insert(object, list.clone());
-                let grants = self.server.locks.release(object, holder);
+                self.routing.insert(object, list.clone());
+                let grants = self.core.locks.release(object, holder);
                 debug_assert!(grants.is_empty(), "no queue behind a routed object");
-                self.push_delivery(
+                cx.push_delivery(
                     delivery,
                     SiteDest::Client(holder),
                     Msg::Recall {
@@ -577,41 +705,37 @@ impl ClientServerSim {
             Some(_) => {
                 // A holder remains but plain-path waiters are queued: let
                 // the callback complete and collect a little longer.
-                self.server_reoffer_window(object, list);
+                self.reoffer_window(cx, object, list);
             }
             None if holders.is_empty() => {
                 // The object is home: serve the batch from the server's own
                 // copy as a client-to-client chain.
-                self.serve_list_from_server(object, list);
+                self.serve_list_from_server(cx, object, list);
             }
             None => {
                 // Shared cached copies remain. A batch of shared requests
                 // can be served alongside them, but an exclusive entry
                 // needs the cached copies called back first.
-                if list
-                    .entries()
-                    .iter()
-                    .all(|e| e.mode == LockMode::Shared)
-                {
-                    self.serve_list_from_server(object, list);
+                if list.entries().iter().all(|e| e.mode == LockMode::Shared) {
+                    self.serve_list_from_server(cx, object, list);
                     return;
                 }
-                let targets = self.server.callbacks.begin_at(
+                let targets = self.callbacks.begin_at(
                     object,
                     holders.iter().map(|&(h, _)| h),
                     LockMode::Exclusive,
-                    self.now,
+                    cx.now,
                 );
                 for t in targets {
-                    let delivery = self.fabric.try_send(
-                        self.now,
+                    let delivery = cx.fabric.try_send(
+                        cx.now,
                         SiteId::Server,
                         SiteId::Client(t),
                         MessageKind::Recall,
                         0,
                     );
                     // A lost recall is recovered by the callback lease.
-                    self.push_delivery(
+                    cx.push_delivery(
                         delivery,
                         SiteDest::Client(t),
                         Msg::Recall {
@@ -621,55 +745,58 @@ impl ClientServerSim {
                         },
                     );
                 }
-                self.server_reoffer_window(object, list);
+                self.reoffer_window(cx, object, list);
             }
         }
     }
 
     /// Puts a closed window's entries back into a fresh collection window
     /// (the object is not yet servable) and schedules its close.
-    fn server_reoffer_window(&mut self, object: ObjectId, list: ForwardList) {
+    fn reoffer_window(&mut self, cx: &mut Cx, object: ObjectId, list: ForwardList) {
         let mut reopen_close = None;
         for e in list.entries().iter().copied() {
-            if let WindowOffer::Opened { closes_at } =
-                self.server.windows.offer(object, e, self.now)
-            {
+            if let WindowOffer::Opened { closes_at } = self.windows.offer(object, e, cx.now) {
                 reopen_close = Some(closes_at);
             }
         }
         if let Some(at) = reopen_close {
-            self.queue.push(at, Ev::WindowClose { object });
+            cx.queue.push(at, Ev::WindowClose { object });
         }
     }
 
     /// Ships a forward list starting from the server's copy of the object.
-    pub(crate) fn serve_list_from_server(&mut self, object: ObjectId, mut list: ForwardList) {
+    fn serve_list_from_server(&mut self, cx: &mut Cx, object: ObjectId, mut list: ForwardList) {
         // Skip expired requesters and (failure handling) crashed ones.
         let next = loop {
-            let (next, _skipped) = list.pop_next_live(self.now);
+            let (next, _skipped) = list.pop_next_live(cx.now);
             match next {
-                Some(e) if !self.site_up(e.client) => continue,
+                Some(e) if !cx.site_up(e.client) => continue,
                 other => break other,
             }
         };
         let Some(entry) = next else {
             return; // every requester expired or crashed; the object stays home
         };
-        self.server.buffer.insert(object);
+        self.core.buffer.insert(object);
         if list.is_empty() {
             // Single live entry: an ordinary tracked grant.
             match self
-                .server
+                .core
                 .locks
                 .request(object, entry.client, entry.mode, entry.deadline)
             {
                 Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
-                    self.server_ship(entry.txn.as_u64(), entry.client, vec![(object, entry.mode, true)]);
+                    self.ship(
+                        cx,
+                        entry.txn.as_u64(),
+                        entry.client,
+                        vec![(object, entry.mode, true)],
+                    );
                 }
                 Acquire::Blocked { .. } => {
                     // Another client claimed the object in the meantime:
                     // fall back to the plain path.
-                    self.server.waiting_wants.insert(
+                    self.waiting_wants.insert(
                         object,
                         entry.client,
                         WantInfo {
@@ -677,7 +804,7 @@ impl ClientServerSim {
                             needs_data: true,
                             deadline: entry.deadline,
                             txn: entry.txn.as_u64(),
-                            queued_at: self.now,
+                            queued_at: cx.now,
                         },
                     );
                 }
@@ -686,53 +813,53 @@ impl ClientServerSim {
         }
         // A real chain: route it untracked; the last client returns the
         // object.
-        self.server.routing.insert(object, list.clone());
         let to = entry.client;
-        self.sink.emit(self.now, SiteId::Server, || {
+        cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::ForwardHop { object, to }
         });
-        let delivery = self.fabric.try_send(
-            self.now,
+        let delivery = cx.fabric.try_send(
+            cx.now,
             SiteId::Server,
-            SiteId::Client(entry.client),
+            SiteId::Client(to),
             MessageKind::ObjectSend,
             1,
         );
-        // A dropped ObjectForward clears the routing entry again (see
-        // `on_dropped_delivery`).
-        self.push_delivery(
-            delivery,
-            SiteDest::Client(entry.client),
-            Msg::ObjectForward {
-                object,
-                mode: entry.mode,
-                rest: list,
-            },
-        );
+        let Delivery::Delivered(at) = delivery else {
+            return; // first hop lost: the chain never starts, the object stays home
+        };
+        self.routing.insert(object, list.clone());
+        let hop = Msg::ObjectForward {
+            object,
+            mode: entry.mode,
+            rest: list,
+        };
+        cx.queue.stage_delivery(at, SiteDest::Client(to), hop);
     }
 
     // ------------------------------------------------------------------
     // Location / load queries
     // ------------------------------------------------------------------
 
-    fn server_on_load_query(&mut self, txn: TKey, objects: Vec<ObjectId>) {
+    /// Answers a location/load query. Load information is piggybacked on
+    /// the constant client-server traffic (§4), so the server's view is
+    /// current: `loads` is read live off the clients by the driver.
+    pub(crate) fn on_load_query(
+        &mut self,
+        cx: &mut Cx,
+        txn: TKey,
+        objects: Vec<ObjectId>,
+        loads: Vec<(ClientId, usize, f64)>,
+    ) {
         let locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)> = objects
             .iter()
             .map(|&o| {
-                let holders = self.server.locks.holders(o);
+                let holders = self.core.locks.holders(o);
                 (o, self.with_routing_holders(o, holders))
             })
             .collect();
-        // Load information is piggybacked on the constant client-server
-        // traffic (§4), so the server's view is current: read it live.
-        let loads: Vec<(ClientId, usize, f64)> = self
-            .clients
-            .iter()
-            .map(|c| (c.id, c.load(), c.atl()))
-            .collect();
         let client = TransactionId::from_raw(txn).origin();
-        let delivery = self.fabric.try_send(
-            self.now,
+        let delivery = cx.fabric.try_send(
+            cx.now,
             SiteId::Server,
             SiteId::Client(client),
             MessageKind::LoadReply,
@@ -740,7 +867,7 @@ impl ClientServerSim {
         );
         // A lost reply leaves the transaction in AwaitInfo until the
         // deadline sweep reaps it — a miss, never a hang.
-        self.push_delivery(
+        cx.push_delivery(
             delivery,
             SiteDest::Client(client),
             Msg::LoadReply {
@@ -755,12 +882,13 @@ impl ClientServerSim {
     // Sweeps
     // ------------------------------------------------------------------
 
-    pub(crate) fn server_sweep(&mut self) {
-        self.reclaim_expired_leases();
-        let (expired, grants) = self.server.locks.cancel_expired(self.now);
+    /// Cancels lock-queue waiters whose deadline has passed and grants
+    /// whoever they were holding up.
+    pub(crate) fn sweep(&mut self, cx: &mut Cx) {
+        let (expired, grants) = self.core.locks.cancel_expired(cx.now);
         let mut touched: Vec<ClientId> = Vec::new();
         for (object, waiter) in expired {
-            self.server.waiting_wants.remove(object, waiter.owner);
+            self.waiting_wants.remove(object, waiter.owner);
             if !touched.contains(&waiter.owner) {
                 touched.push(waiter.owner);
             }
@@ -769,62 +897,45 @@ impl ClientServerSim {
             self.refresh_wfg(client);
         }
         for (object, waiters) in grants {
-            self.server_apply_grants(object, waiters);
+            self.apply_grants(cx, object, waiters);
         }
     }
 
-    /// Failure handling: callbacks unanswered past the lease are presumed
-    /// lost with their holder. The server reclaims the lock, fences the
-    /// holder's cached copy (so a zombie or recovered site cannot serve
-    /// stale data) and grants the waiters from its own copy. Inert unless
-    /// faults are injected and a non-zero lease is configured.
-    fn reclaim_expired_leases(&mut self) {
-        let lease = self.cfg.faults.callback_lease;
-        if !self.faults.active || lease.is_zero() {
-            return;
-        }
-        for (object, holder) in self.server.callbacks.expired(self.now, lease) {
-            self.metrics.faults.leases_expired += 1;
-            self.sink.emit(self.now, SiteId::Server, || {
-                siteselect_obs::Event::LeaseExpired { object, holder }
-            });
-            self.server.callbacks.acknowledge(object, holder);
-            let grants = self.server.locks.release(object, holder);
-            // Fence the presumed-dead holder. If it was merely slow, the
-            // invalidation is conservative but safe: it must re-fetch.
-            let c = &mut self.clients[holder.index()];
-            c.cached_locks.remove(object);
-            c.cache.invalidate(object);
-            c.dirty.remove(object);
-            c.revokes.remove(&object);
-            self.sink.emit(self.now, SiteId::Server, || {
-                siteselect_obs::Event::CacheDrop {
-                    client: holder,
-                    object,
-                }
-            });
-            // The fence must also kill the holder's in-flight local users
-            // of the object: a zombie that already read the fenced copy
-            // would otherwise commit against locks the server has re-granted
-            // (its commit would fail the lease check in a real system).
-            let zombies: Vec<TKey> = self.clients[holder.index()]
-                .local_locks
-                .holders(object)
-                .into_iter()
-                .map(|(owner, _)| owner)
-                .collect();
-            for key in zombies {
-                self.abort_txn(holder.index(), key, AbortReason::SiteCrash);
-            }
-            self.server_apply_grants(object, grants);
-        }
-        // A forward chain whose every requester deadline has passed can no
-        // longer terminate by itself (a crashed intermediary may have
-        // swallowed the object): the server's copy becomes authoritative
-        // again, which also lets stalled collection windows drain.
-        let now = self.now;
-        self.server
-            .routing
+    /// Failure handling: the callbacks unanswered for longer than `lease`,
+    /// whose holders are presumed lost. The driver takes each through
+    /// [`reclaim`](Self::reclaim), the holder's fence, and
+    /// [`apply_grants`](Self::apply_grants).
+    pub(crate) fn expired_leases(
+        &self,
+        now: SimTime,
+        lease: SimDuration,
+    ) -> Vec<(ObjectId, ClientId)> {
+        self.callbacks.expired(now, lease)
+    }
+
+    /// Takes `holder`'s lock on `object` back without its answer; returns
+    /// the waiters that unblocks, to be granted from the server's own copy
+    /// once the holder's cached copy is fenced.
+    pub(crate) fn reclaim(
+        &mut self,
+        cx: &mut Cx,
+        object: ObjectId,
+        holder: ClientId,
+    ) -> Vec<Waiter<ClientId>> {
+        cx.metrics.faults.leases_expired += 1;
+        cx.sink.emit(cx.now, SiteId::Server, || {
+            siteselect_obs::Event::LeaseExpired { object, holder }
+        });
+        self.callbacks.acknowledge(object, holder);
+        self.core.locks.release(object, holder)
+    }
+
+    /// A forward chain whose every requester deadline has passed can no
+    /// longer terminate by itself (a crashed intermediary may have
+    /// swallowed the object): the server's copy becomes authoritative
+    /// again, which also lets stalled collection windows drain.
+    pub(crate) fn forget_dead_routes(&mut self, now: SimTime) {
+        self.routing
             .retain(|_, l| l.entries().iter().any(|e| e.deadline >= now));
     }
 
@@ -832,156 +943,43 @@ impl ClientServerSim {
     // Server crash-restart
     // ------------------------------------------------------------------
 
-    /// The server crashes: volatile state (lock table, WFG, callback and
-    /// window managers, buffer pool, routing and queued wants, plus the
-    /// staged log tail past a random cut) is lost; the WAL and the durable
-    /// pages survive. Clients keep running against their caches — their
+    /// The server crashes: on top of what [`ServerCore::crash`] loses, the
+    /// callback and window managers, the routing table and the queued
+    /// wants go. Clients keep running against their caches — their
     /// outstanding requests die silently and are re-driven by retries or
-    /// reaped by the deadline sweeps.
-    pub(crate) fn on_server_crash(&mut self) {
-        if !self.faults.server_up {
-            return; // scheduled crash landed while already down
+    /// reaped by the deadline sweeps. Returns when to rejoin, if ever.
+    pub(crate) fn crash(&mut self, cx: &mut Cx) -> Option<SimTime> {
+        if !self.core.server_up {
+            return None; // scheduled crash landed while already down
         }
-        self.faults.server_up = false;
-        self.faults.server_crashed_at = Some(self.now);
-        self.metrics.faults.crashes += 1;
-        self.sink.emit(self.now, SiteId::Server, || {
-            siteselect_obs::Event::SiteCrash {
-                site: SiteId::Server,
-            }
-        });
-        self.fabric.set_site_down(SiteId::Server);
-        let clients = self.clients.len();
-        self.server.locks = LockTable::new(QueueDiscipline::Fifo);
-        self.server.wfg = WaitForGraph::new();
-        self.server.callbacks = CallbackTracker::new();
-        self.server.callbacks.set_sink(self.sink.clone());
-        self.server.windows = WindowManager::new(self.cfg.load_sharing.collection_window);
-        self.server.windows.set_sink(self.sink.clone());
-        self.server.buffer = ClientCache::new(self.cfg.server.buffer_objects, 0);
-        self.server.routing = ObjectMap::new();
-        self.server.waiting_wants = WaitingWants::new(clients);
-        if self.cfg.faults.mean_recovery_time.is_zero() {
-            return; // permanent crash: the site stays dark
-        }
-        // Crash the durable store (a random cut of the staged tail may
-        // leave a torn final record) and replay its surviving log.
-        let frames = self.cfg.server.buffer_objects.max(1);
-        let keep = self
-            .faults
-            .crash_prng
-            .below_usize(self.server.store.staged_len() + 1);
-        let dead = std::mem::replace(&mut self.server.store, DurableStore::new(1, 1));
-        let (log, disk) = dead.crash(keep);
-        let (recovered, outcome) = DurableStore::restart(&log, disk, frames);
-        self.server.store = recovered;
-        // Reboot lag, then the replay's I/O at the (possibly slow) disk.
-        let back = self.now
-            + self
-                .faults
-                .crash_prng
-                .exp_duration(self.cfg.faults.mean_recovery_time);
-        let ios = u32::try_from(outcome.replay_ios()).unwrap_or(u32::MAX);
-        let ready = if ios == 0 {
-            back
-        } else {
-            self.server.disk.schedule_batch(back, ios)
-        };
-        self.faults.pending_recovery = Some(outcome);
-        self.queue.push(ready, Ev::ServerRecover);
+        let ready = self
+            .core
+            .crash(cx.now, &cx.cfg, &cx.sink, &mut cx.fabric, &mut cx.metrics);
+        self.callbacks = CallbackTracker::new();
+        self.windows = WindowManager::new(cx.cfg.load_sharing.collection_window);
+        self.attach_sink(&cx.sink);
+        self.routing = ObjectMap::new();
+        self.waiting_wants = WaitingWants::new(usize::from(cx.cfg.clients));
+        ready
     }
 
-    /// Replay finished: the server rejoins with only durable state, then
-    /// re-derives its client-granularity lock table from the surviving
+    /// After a restart the lock table is re-derived from the surviving
     /// clients' cached locks — the model's stand-in for clients
     /// revalidating their leases on reconnect (the callback table starts
-    /// empty and is rebuilt on demand). A cached copy that no longer fits
-    /// (possible only via a grant in flight at the crash instant) is fenced
-    /// so its holder must re-fetch.
-    pub(crate) fn on_server_recover(&mut self) {
-        self.faults.server_up = true;
-        self.fabric.set_site_up(SiteId::Server);
-        self.metrics.faults.recoveries += 1;
-        let outcome = self.faults.pending_recovery.take().unwrap_or_default();
-        let (redo, undone) = (outcome.redo_applied, outcome.undone);
-        let (losers, replay_ios) = (outcome.losers.len() as u32, outcome.replay_ios());
-        self.sink.emit(self.now, SiteId::Server, || {
-            siteselect_obs::Event::RecoveryDone {
-                site: SiteId::Server,
-                redo,
-                undone,
-                losers,
-                replay_ios,
-            }
-        });
-        // Post-replay durable state, in ascending page order: the recovery
-        // oracle checks these stamps against the committed history.
-        if self.sink.is_enabled() {
-            for (page, stamp) in self.server.store.stamps() {
-                self.sink.emit(self.now, SiteId::Server, || {
-                    siteselect_obs::Event::WalState { page, stamp }
-                });
-            }
-        }
-        for ci in 0..self.clients.len() {
-            if !self.faults.up[ci] {
-                continue; // a crashed client has nothing to revalidate
-            }
-            let id = self.clients[ci].id;
-            let locks: Vec<(ObjectId, LockMode)> = self.clients[ci]
-                .cached_locks
-                .iter()
-                .map(|(o, m)| (o, *m))
-                .collect();
-            for (object, mode) in locks {
-                match self.server.locks.request(object, id, mode, SimTime::MAX) {
-                    Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {}
-                    Acquire::Blocked { .. } => {
-                        let _ = self.server.locks.cancel_wait(object, id);
-                        let c = &mut self.clients[ci];
-                        c.cached_locks.remove(object);
-                        c.cache.invalidate(object);
-                        c.dirty.remove(object);
-                        c.revokes.remove(&object);
-                        self.sink.emit(self.now, SiteId::Server, || {
-                            siteselect_obs::Event::CacheDrop { client: id, object }
-                        });
-                    }
-                }
-            }
-        }
-        self.sink.emit(self.now, SiteId::Server, || {
-            siteselect_obs::Event::SiteRecover {
-                site: SiteId::Server,
-            }
-        });
-        // Site-scoped replay span: the outage window (down + WAL replay
-        // until rejoin) blames every transaction it overlaps.
-        if let Some(start) = self.faults.server_crashed_at.take() {
-            self.sink.emit(self.now, SiteId::Server, || {
-                siteselect_obs::Event::Span {
-                    txn: None,
-                    kind: siteselect_obs::SpanKind::Replay,
-                    start,
-                    blocker: None,
-                }
-            });
-        }
-        // The rebuilt lock table remembers nothing of the transactional
-        // (non-cached) grants that were in flight at the crash, so a
-        // transaction alive across the outage could commit against locks
-        // the server has silently re-granted. On reconnect every such
-        // in-flight transaction aborts instead — which also cancels its
-        // outstanding fetches, disarming the post-recovery retry storm.
-        for ci in 0..self.clients.len() {
-            if !self.faults.up[ci] {
-                continue; // a crashed client's work already died with it
-            }
-            let mut stranded: Vec<TKey> =
-                self.clients[ci].txns.keys().copied().collect();
-            stranded.sort_unstable();
-            for key in stranded {
-                self.abort_txn(ci, key, AbortReason::SiteCrash);
+    /// empty and is rebuilt on demand). False if `client`'s cached `mode`
+    /// on `object` no longer fits (possible only via a grant in flight at
+    /// the crash instant): the copy must be fenced so its holder re-fetches.
+    pub(crate) fn revalidate(
+        &mut self,
+        client: ClientId,
+        object: ObjectId,
+        mode: LockMode,
+    ) -> bool {
+        match self.core.locks.request(object, client, mode, SimTime::MAX) {
+            Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => true,
+            Acquire::Blocked { .. } => {
+                let _ = self.core.locks.cancel_wait(object, client);
+                false
             }
         }
     }
@@ -990,20 +988,20 @@ impl ClientServerSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siteselect_types::{ExperimentConfig, SimTime, SystemKind};
+    use siteselect_types::SystemKind;
 
-    fn sim(system: SystemKind) -> ClientServerSim {
+    fn site(system: SystemKind) -> (ServerSite, Cx) {
         let mut cfg = ExperimentConfig::paper(system, 4, 0.05);
-        cfg.runtime.duration = siteselect_types::SimDuration::from_secs(50);
-        cfg.runtime.warmup = siteselect_types::SimDuration::from_secs(5);
-        ClientServerSim::new(cfg)
+        cfg.runtime.duration = SimDuration::from_secs(50);
+        cfg.runtime.warmup = SimDuration::from_secs(5);
+        (ServerSite::new(&cfg), Cx::new(cfg))
     }
 
     #[test]
     fn grant_all_round_grants_free_objects_and_reports_conflicts() {
-        let mut s = sim(SystemKind::LoadSharing);
+        let (mut s, mut cx) = site(SystemKind::LoadSharing);
         // Client 1 holds object 1 exclusively; object 2 is free.
-        s.server
+        s.core
             .locks
             .request(ObjectId(1), ClientId(1), LockMode::Exclusive, SimTime::MAX);
         let wants = vec![
@@ -1020,28 +1018,36 @@ mod tests {
                 deadline: SimTime::from_secs(100),
             },
         ];
-        s.server_on_msg(Msg::RequestBatch {
-            txn: 7,
-            client: ClientId(0),
-            wants,
-            grant_all: true,
-        });
+        s.on_msg(
+            &mut cx,
+            Msg::RequestBatch {
+                txn: 7,
+                client: ClientId(0),
+                wants,
+                grant_all: true,
+            },
+        );
         // The free object was granted immediately...
         assert_eq!(
-            s.server.locks.held_mode(ObjectId(2), ClientId(0)),
+            s.core.locks.held_mode(ObjectId(2), ClientId(0)),
             Some(LockMode::Shared)
         );
         // ...the conflicted one queued with a recall to the holder...
-        assert!(s.server.callbacks.is_recalling(ObjectId(1)));
-        // ...and a conflict report went out alongside the grant.
-        let kinds: Vec<&Msg> = Vec::new();
-        drop(kinds);
-        assert!(s.server.waiting_wants.contains(ObjectId(1), ClientId(0)));
+        assert!(s.callbacks.is_recalling(ObjectId(1)));
+        assert!(s.waiting_wants.contains(ObjectId(1), ClientId(0)));
+        let sent = cx.drain_deliveries();
+        assert!(sent.iter().any(|(to, m)| {
+            *to == SiteDest::Client(ClientId(1)) && matches!(m, Msg::Recall { .. })
+        }));
+        // ...and a conflict report went back to the requester.
+        assert!(sent.iter().any(|(to, m)| {
+            *to == SiteDest::Client(ClientId(0)) && matches!(m, Msg::ConflictReport { txn: 7, .. })
+        }));
     }
 
     #[test]
     fn routing_location_reports_last_client() {
-        let mut s = sim(SystemKind::LoadSharing);
+        let (mut s, _) = site(SystemKind::LoadSharing);
         let mut list = ForwardList::new(ObjectId(3));
         list.push(ForwardEntry {
             client: ClientId(2),
@@ -1055,7 +1061,7 @@ mod tests {
             deadline: SimTime::from_secs(80),
             mode: LockMode::Exclusive,
         });
-        s.server.routing.insert(ObjectId(3), list);
+        s.routing.insert(ObjectId(3), list);
         let holders = s.with_routing_holders(ObjectId(3), vec![]);
         assert_eq!(holders, vec![(ClientId(3), LockMode::Exclusive)]);
     }

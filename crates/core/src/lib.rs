@@ -33,6 +33,7 @@ pub mod driver;
 pub mod experiments;
 pub mod metrics;
 pub mod report;
+mod server_core;
 
 pub use centralized::CentralizedSim;
 pub use clientserver::ClientServerSim;

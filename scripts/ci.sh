@@ -142,14 +142,17 @@ step_simcheck() {
   for kind in serializability coherence deadline recovery; do expect_violation "$kind"; done
 }
 
-# One server crash-restart run per engine: the WAL replays, the site
-# rejoins, all four oracles judge the trace; CS twice for the byte-diff.
+# A server crash-restart run per engine: the WAL replays, the site rejoins,
+# all four oracles judge the trace; each engine twice for the byte-diff.
 step_recovery() {
+  local system run
   for system in ce cs ls; do
-    repro trace --quick --seed 11 --system "$system" --chaos 1.0 --restart --out "$tmp/rec_$system" > /dev/null
+    for run in a b; do
+      repro trace --quick --seed 11 --system "$system" --chaos 1.0 --restart \
+        --out "$tmp/rec_${system}_$run" > /dev/null
+    done
+    diff "$tmp/rec_${system}_a/trace.jsonl" "$tmp/rec_${system}_b/trace.jsonl"
   done
-  repro trace --quick --seed 11 --system cs --chaos 1.0 --restart --out "$tmp/rec_cs2" > /dev/null
-  diff "$tmp/rec_cs/trace.jsonl" "$tmp/rec_cs2/trace.jsonl"
   expect_violation recovery
 }
 
