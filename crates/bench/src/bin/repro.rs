@@ -49,6 +49,8 @@
 //! synthetic history to the matching oracle and exits non-zero when (and
 //! only when) it fires — the self-test that proves the oracles are alive.
 
+use std::fs::File;
+use std::io::{BufWriter, Write as _};
 use std::process::ExitCode;
 
 use siteselect_bench::repro_options;
@@ -495,8 +497,13 @@ fn trace(
     std::fs::create_dir_all(out_dir)?;
     let jsonl_path = format!("{out_dir}/trace.jsonl");
     let chrome_path = format!("{out_dir}/trace.json");
-    std::fs::write(&jsonl_path, siteselect_obs::export::jsonl(&trace.records))?;
-    std::fs::write(&chrome_path, siteselect_obs::export::chrome_trace(&trace.records))?;
+    // Streamed: neither document is ever held in memory.
+    let mut file = BufWriter::new(File::create(&jsonl_path)?);
+    siteselect_obs::export::write_jsonl(&mut file, &trace.records)?;
+    file.flush()?;
+    let mut file = BufWriter::new(File::create(&chrome_path)?);
+    siteselect_obs::export::write_chrome_trace(&mut file, &trace.records)?;
+    file.flush()?;
     print!("{}", trace.report.render());
     if trace.report.dropped > 0 {
         eprintln!(

@@ -261,7 +261,7 @@ impl ServerSite {
         }
         if let Some(held) = self.core.locks.held_mode(w.object, client) {
             if held.covers(w.mode) {
-                self.ship(cx, txn, client, vec![(w.object, w.mode, w.needs_data)]);
+                self.ship(cx, txn, client, (w.object, w.mode, w.needs_data));
                 return;
             }
         }
@@ -330,7 +330,7 @@ impl ServerSite {
             .request(w.object, client, w.mode, w.deadline)
         {
             Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
-                self.ship(cx, txn, client, vec![(w.object, w.mode, w.needs_data)]);
+                self.ship(cx, txn, client, (w.object, w.mode, w.needs_data));
             }
             Acquire::Blocked { conflicts } => {
                 self.waiting_wants.insert(
@@ -398,48 +398,39 @@ impl ServerSite {
     // Shipping
     // ------------------------------------------------------------------
 
-    /// Ships granted `(object, mode, with_data)` items to `client`. Items
-    /// already in the server buffer go on the wire immediately; items that
-    /// miss ship when their disk reads complete, so a buffered object is
-    /// never delayed behind a co-requested miss. `txn` attributes the disk
-    /// span of a miss to the requesting transaction.
+    /// Ships one granted `(object, mode, with_data)` item to `client`. An
+    /// item already in the server buffer (or a bare lock) goes on the wire
+    /// immediately; one that misses ships when its disk read completes.
+    /// `txn` attributes the disk span of a miss to the requesting
+    /// transaction.
     fn ship(
         &mut self,
         cx: &mut Cx,
         txn: TKey,
         client: ClientId,
-        items: Vec<(ObjectId, LockMode, bool)>,
+        item: (ObjectId, LockMode, bool),
     ) {
-        let mut ready = Vec::new();
-        let mut missed = Vec::new();
-        for item in items {
-            let (object, _, with_data) = item;
-            if with_data {
-                let hit = self.core.buffer.probe(object).is_some();
-                if cx.now >= cx.warmup_end {
-                    cx.metrics.server_buffer.record(hit);
-                }
-                if hit {
-                    ready.push(item);
-                } else {
-                    self.core.buffer.insert(object);
-                    missed.push(item);
-                }
-            } else {
-                ready.push(item);
+        let (object, _, with_data) = item;
+        let mut ready = true;
+        if with_data {
+            ready = self.core.buffer.probe(object).is_some();
+            if cx.now >= cx.warmup_end {
+                cx.metrics.server_buffer.record(ready);
+            }
+            if !ready {
+                self.core.buffer.insert(object);
             }
         }
-        if !ready.is_empty() {
-            self.ship_now(cx, client, ready);
-        }
-        if !missed.is_empty() {
-            let done = self.core.disk.schedule_batch(cx.now, missed.len() as u32);
+        if ready {
+            self.ship_now(cx, client, vec![item]);
+        } else {
+            let done = self.core.disk.schedule_batch(cx.now, 1);
             cx.queue.push(
                 done,
                 Ev::ServerFetchDone {
                     to: client,
                     txn,
-                    items: missed,
+                    items: vec![item],
                     scheduled_at: cx.now,
                 },
             );
@@ -583,12 +574,7 @@ impl ServerSite {
                 info.queued_at,
                 None,
             );
-            self.ship(
-                cx,
-                info.txn,
-                client,
-                vec![(object, info.mode, info.needs_data)],
-            );
+            self.ship(cx, info.txn, client, (object, info.mode, info.needs_data));
         }
     }
 
@@ -612,15 +598,13 @@ impl ServerSite {
     /// Recomputes a client's wait-for edges from its queued wants.
     fn refresh_wfg(&mut self, client: ClientId) {
         self.core.wfg.clear_waits(client);
-        let wants: Vec<(ObjectId, LockMode)> = self
-            .waiting_wants
-            .of_client(client)
-            .iter()
-            .map(|&(o, info)| (o, info.mode))
-            .collect();
-        for (object, mode) in wants {
-            let conflicts = self.core.locks.conflicting_holders(object, client, mode);
+        // By index: each want is copied out before the lock table and the
+        // graph are borrowed, and neither call touches the want list.
+        let mut next = 0;
+        while let Some(&(object, info)) = self.waiting_wants.of_client(client).get(next) {
+            let conflicts = self.core.locks.conflicting_holders(object, client, info.mode);
             self.core.wfg.add_waits(client, conflicts);
+            next += 1;
         }
     }
 
@@ -786,12 +770,7 @@ impl ServerSite {
                 .request(object, entry.client, entry.mode, entry.deadline)
             {
                 Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
-                    self.ship(
-                        cx,
-                        entry.txn.as_u64(),
-                        entry.client,
-                        vec![(object, entry.mode, true)],
-                    );
+                    self.ship(cx, entry.txn.as_u64(), entry.client, (object, entry.mode, true));
                 }
                 Acquire::Blocked { .. } => {
                     // Another client claimed the object in the meantime:

@@ -1,15 +1,15 @@
 //! The structured event taxonomy emitted by the simulators.
 //!
-//! Every payload field is an integer (microseconds for times) or a stable
-//! identifier rendered through its `Display` impl, so serialized traces are
-//! byte-identical across runs at the same seed — no floats, no pointers, no
-//! hash-map iteration order anywhere near the wire format.
-
-use std::fmt::Write as _;
+//! Every payload field is an integer (microseconds for times), a boolean, a
+//! static label or a stable identifier in its `IdText` form (the text its
+//! `Display` prints), so serialized traces are byte-identical across runs
+//! at the same seed — no floats, no pointers, no hash-map iteration order
+//! anywhere near the wire format.
 
 use siteselect_types::{AbortReason, ClientId, ObjectId, SimTime, SiteId, TransactionId, TxnOutcome};
 
 use crate::span::SpanKind;
+use crate::wire::Wire;
 
 /// Stable lower-case label for an abort reason, used in exports.
 #[must_use]
@@ -456,18 +456,16 @@ impl Event {
     }
 
     /// Appends the event's payload as JSON object members (`,"k":v` pairs).
-    pub fn write_json_fields(&self, out: &mut String) {
+    pub(crate) fn write_json_fields(&self, out: &mut Wire) {
         match self {
             Event::TxnSubmit {
                 txn,
                 deadline,
                 accesses,
             } => {
-                let _ = write!(
-                    out,
-                    r#","txn":"{txn}","deadline_us":{},"accesses":{accesses}"#,
-                    deadline.as_micros()
-                );
+                out.id(r#","txn":""#, *txn);
+                out.uint(r#","deadline_us":"#, deadline.as_micros());
+                out.uint(r#","accesses":"#, u64::from(*accesses));
             }
             Event::H1Admit {
                 txn,
@@ -483,12 +481,11 @@ impl Event {
                 projected,
                 deadline,
             } => {
-                let _ = write!(
-                    out,
-                    r#","txn":"{txn}","queue_ahead":{queue_ahead},"atl_us":{atl_us},"projected_us":{},"deadline_us":{}"#,
-                    projected.as_micros(),
-                    deadline.as_micros()
-                );
+                out.id(r#","txn":""#, *txn);
+                out.uint(r#","queue_ahead":"#, *queue_ahead);
+                out.uint(r#","atl_us":"#, *atl_us);
+                out.uint(r#","projected_us":"#, projected.as_micros());
+                out.uint(r#","deadline_us":"#, deadline.as_micros());
             }
             Event::H2Choose {
                 txn,
@@ -496,117 +493,123 @@ impl Event {
                 chosen,
                 candidates,
             } => {
-                let _ = write!(
-                    out,
-                    r#","txn":"{txn}","origin":"{origin}","chosen":"{chosen}","candidates":["#
-                );
-                for (i, c) in candidates.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, r#"{{"site":"{}","score":{}}}"#, c.site, c.score);
+                out.id(r#","txn":""#, *txn);
+                out.id(r#","origin":""#, *origin);
+                out.id(r#","chosen":""#, *chosen);
+                out.lit(r#","candidates":["#);
+                let mut open = r#"{"site":""#;
+                for c in candidates {
+                    out.id(open, c.site);
+                    out.uint(r#","score":"#, c.score);
+                    out.lit("}");
+                    open = r#",{"site":""#;
                 }
-                out.push(']');
+                out.lit("]");
             }
             Event::ExecStart { txn }
             | Event::RetrySent { txn }
             | Event::WalCommit { txn }
-            | Event::WalAbort { txn } => {
-                let _ = write!(out, r#","txn":"{txn}""#);
-            }
+            | Event::WalAbort { txn } => out.id(r#","txn":""#, *txn),
             Event::LockWait { txn, object } => {
-                let _ = write!(out, r#","txn":"{txn}","object":"{object}""#);
+                out.id(r#","txn":""#, *txn);
+                out.id(r#","object":""#, *object);
             }
             Event::CallbackIssued { object, holders } => {
-                let _ = write!(out, r#","object":"{object}","holders":{holders}"#);
+                out.id(r#","object":""#, *object);
+                out.uint(r#","holders":"#, u64::from(*holders));
             }
             Event::CallbackAcked { object, from } => {
-                let _ = write!(out, r#","object":"{object}","from":"{from}""#);
+                out.id(r#","object":""#, *object);
+                out.id(r#","from":""#, *from);
             }
-            Event::WindowOpen { object } => {
-                let _ = write!(out, r#","object":"{object}""#);
-            }
+            Event::WindowOpen { object } => out.id(r#","object":""#, *object),
             Event::WindowClose { object, batch } => {
-                let _ = write!(out, r#","object":"{object}","batch":{batch}"#);
+                out.id(r#","object":""#, *object);
+                out.uint(r#","batch":"#, u64::from(*batch));
             }
             Event::ForwardHop { object, to } => {
-                let _ = write!(out, r#","object":"{object}","to":"{to}""#);
+                out.id(r#","object":""#, *object);
+                out.id(r#","to":""#, *to);
             }
             Event::Shipped { txn, to } => {
-                let _ = write!(out, r#","txn":"{txn}","to":"{to}""#);
+                out.id(r#","txn":""#, *txn);
+                out.id(r#","to":""#, *to);
             }
             Event::Decomposed { txn, subtasks } => {
-                let _ = write!(out, r#","txn":"{txn}","subtasks":{subtasks}"#);
+                out.id(r#","txn":""#, *txn);
+                out.uint(r#","subtasks":"#, u64::from(*subtasks));
             }
             Event::Commit {
                 txn,
                 latency_us,
                 slack_us,
             } => {
-                let _ = write!(
-                    out,
-                    r#","txn":"{txn}","latency_us":{latency_us},"slack_us":{slack_us}"#
-                );
+                out.id(r#","txn":""#, *txn);
+                out.uint(r#","latency_us":"#, *latency_us);
+                out.int(r#","slack_us":"#, *slack_us);
             }
             Event::Abort { txn, reason } => {
-                let _ = write!(
-                    out,
-                    r#","txn":"{txn}","reason":"{}""#,
-                    abort_reason_str(*reason)
-                );
+                out.id(r#","txn":""#, *txn);
+                out.label(r#","reason":""#, abort_reason_str(*reason));
             }
             Event::ServerReject { txn, expired } => {
-                let _ = write!(out, r#","txn":"{txn}","expired":{expired}"#);
+                out.id(r#","txn":""#, *txn);
+                out.flag(r#","expired":"#, *expired);
             }
-            Event::MsgDropped { to } => {
-                let _ = write!(out, r#","to":"{to}""#);
-            }
+            Event::MsgDropped { to } => out.id(r#","to":""#, *to),
             Event::MsgDelayed { to, jitter_us } => {
-                let _ = write!(out, r#","to":"{to}","jitter_us":{jitter_us}"#);
+                out.id(r#","to":""#, *to);
+                out.uint(r#","jitter_us":"#, *jitter_us);
             }
             Event::SiteCrash { site } | Event::SiteRecover { site } => {
-                let _ = write!(out, r#","site":"{site}""#);
+                out.id(r#","site":""#, *site);
             }
             Event::LeaseExpired { object, holder } => {
-                let _ = write!(out, r#","object":"{object}","holder":"{holder}""#);
+                out.id(r#","object":""#, *object);
+                out.id(r#","holder":""#, *holder);
             }
             Event::LockHeld {
                 txn,
                 object,
                 exclusive,
             } => {
-                let _ = write!(out, r#","txn":"{txn}","object":"{object}","exclusive":{exclusive}"#);
+                out.id(r#","txn":""#, *txn);
+                out.id(r#","object":""#, *object);
+                out.flag(r#","exclusive":"#, *exclusive);
             }
             Event::UnitEnd { txn, committed } => {
-                let _ = write!(out, r#","txn":"{txn}","committed":{committed}"#);
+                out.id(r#","txn":""#, *txn);
+                out.flag(r#","committed":"#, *committed);
             }
             Event::CacheInstall {
                 client,
                 object,
                 exclusive,
             } => {
-                let _ = write!(
-                    out,
-                    r#","client":"{client}","object":"{object}","exclusive":{exclusive}"#
-                );
+                out.id(r#","client":""#, *client);
+                out.id(r#","object":""#, *object);
+                out.flag(r#","exclusive":"#, *exclusive);
             }
             Event::CacheDowngrade { client, object } | Event::CacheDrop { client, object } => {
-                let _ = write!(out, r#","client":"{client}","object":"{object}""#);
+                out.id(r#","client":""#, *client);
+                out.id(r#","object":""#, *object);
             }
-            Event::CacheWipe { client } => {
-                let _ = write!(out, r#","client":"{client}""#);
-            }
+            Event::CacheWipe { client } => out.id(r#","client":""#, *client),
             Event::Outcome { txn, outcome } => {
-                let _ = write!(out, r#","txn":"{txn}","outcome":"{}""#, outcome_str(*outcome));
+                out.id(r#","txn":""#, *txn);
+                out.label(r#","outcome":""#, outcome_str(*outcome));
             }
             Event::WalWrite { txn, page, stamp } => {
-                let _ = write!(out, r#","txn":"{txn}","page":"{page}","stamp":{stamp}"#);
+                out.id(r#","txn":""#, *txn);
+                out.id(r#","page":""#, *page);
+                out.uint(r#","stamp":"#, *stamp);
             }
             Event::WalCheckpoint {
                 active,
                 log_records,
             } => {
-                let _ = write!(out, r#","active":{active},"log_records":{log_records}"#);
+                out.uint(r#","active":"#, u64::from(*active));
+                out.uint(r#","log_records":"#, *log_records);
             }
             Event::RecoveryDone {
                 site,
@@ -615,13 +618,15 @@ impl Event {
                 losers,
                 replay_ios,
             } => {
-                let _ = write!(
-                    out,
-                    r#","site":"{site}","redo":{redo},"undone":{undone},"losers":{losers},"replay_ios":{replay_ios}"#
-                );
+                out.id(r#","site":""#, *site);
+                out.uint(r#","redo":"#, *redo);
+                out.uint(r#","undone":"#, *undone);
+                out.uint(r#","losers":"#, u64::from(*losers));
+                out.uint(r#","replay_ios":"#, *replay_ios);
             }
             Event::WalState { page, stamp } => {
-                let _ = write!(out, r#","page":"{page}","stamp":{stamp}"#);
+                out.id(r#","page":""#, *page);
+                out.uint(r#","stamp":"#, *stamp);
             }
             Event::Span {
                 txn,
@@ -630,16 +635,12 @@ impl Event {
                 blocker,
             } => {
                 if let Some(txn) = txn {
-                    let _ = write!(out, r#","txn":"{txn}""#);
+                    out.id(r#","txn":""#, *txn);
                 }
-                let _ = write!(
-                    out,
-                    r#","span":"{}","start_us":{}"#,
-                    kind.label(),
-                    start.as_micros()
-                );
+                out.label(r#","span":""#, kind.label());
+                out.uint(r#","start_us":"#, start.as_micros());
                 if let Some(blocker) = blocker {
-                    let _ = write!(out, r#","blocker":"{blocker}""#);
+                    out.id(r#","blocker":""#, *blocker);
                 }
             }
         }
@@ -649,6 +650,12 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fields(e: &Event) -> String {
+        let mut out = Wire::new();
+        e.write_json_fields(&mut out);
+        out.into_string()
+    }
 
     #[test]
     fn kinds_are_stable_snake_case() {
@@ -695,8 +702,7 @@ mod tests {
                 },
             ],
         };
-        let mut s = String::new();
-        e.write_json_fields(&mut s);
+        let s = fields(&e);
         assert!(s.starts_with(','));
         assert!(s.contains(r#""chosen":"client#3""#));
         assert!(s.contains(r#""score":1"#));
@@ -719,8 +725,7 @@ mod tests {
         };
         assert_eq!(held.kind(), "lock_held");
         assert_eq!(held.txn(), Some(txn));
-        let mut s = String::new();
-        held.write_json_fields(&mut s);
+        let s = fields(&held);
         assert!(s.contains(r#""exclusive":true"#));
 
         let end = Event::UnitEnd {
@@ -728,16 +733,14 @@ mod tests {
             committed: false,
         };
         assert_eq!(end.kind(), "unit_end");
-        let mut s = String::new();
-        end.write_json_fields(&mut s);
+        let s = fields(&end);
         assert!(s.contains(r#""committed":false"#));
 
         let outcome = Event::Outcome {
             txn,
             outcome: TxnOutcome::Aborted(AbortReason::SiteCrash),
         };
-        let mut s = String::new();
-        outcome.write_json_fields(&mut s);
+        let s = fields(&outcome);
         assert!(s.contains(r#""outcome":"site_crash""#));
 
         let install = Event::CacheInstall {
@@ -746,8 +749,7 @@ mod tests {
             exclusive: false,
         };
         assert_eq!(install.txn(), None);
-        let mut s = String::new();
-        install.write_json_fields(&mut s);
+        let s = fields(&install);
         assert!(s.contains(r#""client":"client#2""#));
     }
 
@@ -761,8 +763,7 @@ mod tests {
         };
         assert_eq!(write.kind(), "wal_write");
         assert_eq!(write.txn(), Some(txn));
-        let mut s = String::new();
-        write.write_json_fields(&mut s);
+        let s = fields(&write);
         assert!(s.contains(r#""page":"obj#12""#));
         assert!(s.contains(r#""stamp":77"#));
 
@@ -779,8 +780,7 @@ mod tests {
         };
         assert_eq!(done.kind(), "recovery_done");
         assert_eq!(done.txn(), None);
-        let mut s = String::new();
-        done.write_json_fields(&mut s);
+        let s = fields(&done);
         assert!(s.contains(r#""site":"server""#));
         assert!(s.contains(r#""replay_ios":9"#));
 
@@ -789,8 +789,7 @@ mod tests {
             stamp: 41,
         };
         assert_eq!(state.kind(), "wal_state");
-        let mut s = String::new();
-        state.write_json_fields(&mut s);
+        let s = fields(&state);
         assert!(s.contains(r#""stamp":41"#));
 
         let ckpt = Event::WalCheckpoint {
@@ -798,8 +797,7 @@ mod tests {
             log_records: 100,
         };
         assert_eq!(ckpt.kind(), "wal_checkpoint");
-        let mut s = String::new();
-        ckpt.write_json_fields(&mut s);
+        let s = fields(&ckpt);
         assert!(s.contains(r#""log_records":100"#));
     }
 
@@ -815,8 +813,7 @@ mod tests {
         };
         assert_eq!(e.kind(), "span_lock_wait");
         assert_eq!(e.txn(), Some(txn));
-        let mut s = String::new();
-        e.write_json_fields(&mut s);
+        let s = fields(&e);
         assert!(s.contains(r#""span":"lock_wait""#));
         assert!(s.contains(r#""start_us":40"#));
         assert!(s.contains(r#""blocker":"txn#1.2""#));
@@ -829,8 +826,7 @@ mod tests {
         };
         assert_eq!(sitewide.kind(), "span_replay");
         assert_eq!(sitewide.txn(), None);
-        let mut s = String::new();
-        sitewide.write_json_fields(&mut s);
+        let s = fields(&sitewide);
         assert!(s.starts_with(r#","span":"replay""#));
         assert!(!s.contains("blocker"));
     }

@@ -1,16 +1,72 @@
 //! Trace exporters: JSONL and Chrome `trace_event` format.
 //!
-//! Both writers are hand-rolled (the workspace is dependency-free) and emit
-//! only integers and `Display`-stable identifier strings, so output is
-//! byte-identical across runs at the same seed.
+//! This module and `Event::write_json_fields` are the wire format's one
+//! definition. Both exporters append bytes through the crate's `Wire`
+//! buffer — literal fragments, decimal integers, `true`/`false`, static
+//! labels and identifier text shared with the ids' `Display` impls — and
+//! never enter `core::fmt`, so output is byte-identical across runs at the
+//! same seed and costs tens of nanoseconds a record. [`write_jsonl`] and
+//! [`write_chrome_trace`] stream to any [`io::Write`]; [`jsonl`] and
+//! [`chrome_trace`] collect the same bytes into a `String`.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::io;
 
-use siteselect_types::{SimTime, SiteId, TransactionId};
+use siteselect_types::{FixedState, SimTime, SiteId, TransactionId};
 
 use crate::event::Event;
 use crate::sink::TraceRecord;
+use crate::wire::Wire;
+
+/// Writes records to `w` as one JSON object per line, a chunk at a time.
+///
+/// # Errors
+///
+/// Returns the first error `w` reports.
+pub fn write_jsonl<W: io::Write>(w: &mut W, records: &[TraceRecord]) -> io::Result<()> {
+    let mut out = Wire::new();
+    for rec in records {
+        out.uint(r#"{"t":"#, rec.time.as_micros());
+        out.uint(r#","seq":"#, rec.seq);
+        out.id(r#","site":""#, rec.site);
+        out.label(r#","kind":""#, rec.event.kind());
+        rec.event.write_json_fields(&mut out);
+        out.lit("}\n");
+        out.drain_full(w)?;
+    }
+    out.drain(w)
+}
+
+/// The `String` the in-memory exporters return, as an [`io::Write`]. Each
+/// chunk is checked as it arrives, while it is still in cache: 2-3 ns a
+/// record, against 15 for one `String::from_utf8` pass over the finished
+/// document.
+struct Collect(String);
+
+impl io::Write for Collect {
+    fn write(&mut self, chunk: &[u8]) -> io::Result<usize> {
+        let text = std::str::from_utf8(chunk)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        self.0.push_str(text);
+        Ok(chunk.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs one of the streaming exporters into a `String` reserved for
+/// `bytes_per_record` a record, so it is never regrown.
+fn collect(
+    records: &[TraceRecord],
+    bytes_per_record: usize,
+    write: impl FnOnce(&mut Collect, &[TraceRecord]) -> io::Result<()>,
+) -> String {
+    let mut out = Collect(String::with_capacity(records.len() * bytes_per_record + 64));
+    write(&mut out, records).expect("the wire format is ASCII and a String takes any amount of it");
+    out.0
+}
 
 /// Serializes records as one JSON object per line.
 ///
@@ -34,20 +90,9 @@ use crate::sink::TraceRecord;
 /// ```
 #[must_use]
 pub fn jsonl(records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 96);
-    for rec in records {
-        let _ = write!(
-            out,
-            r#"{{"t":{},"seq":{},"site":"{}","kind":"{}""#,
-            rec.time.as_micros(),
-            rec.seq,
-            rec.site,
-            rec.event.kind()
-        );
-        rec.event.write_json_fields(&mut out);
-        out.push_str("}\n");
-    }
-    out
+    // Paper-scale CE/CS/LS traces, clean and under restart chaos, average
+    // 107-121 B a line (EXPERIMENTS.md, PR 16): reserve past the longest.
+    collect(records, 128, write_jsonl)
 }
 
 /// Process id used in the Chrome trace for a site: the server is 0, the
@@ -59,6 +104,156 @@ pub fn site_pid(site: SiteId) -> u32 {
         SiteId::Directory => 1,
         SiteId::Client(c) => u32::from(c.0) + 2,
     }
+}
+
+/// Starts the next trace event: a comma after every event but the last,
+/// each event on its own line, then `{"name":"`.
+fn begin(out: &mut Wire, first: &mut bool) {
+    out.lit(if *first {
+        "\n{\"name\":\""
+    } else {
+        ",\n{\"name\":\""
+    });
+    *first = false;
+}
+
+/// A duration (`"X"`) event from the closing quote of its name to the
+/// opening brace of its `args`: `cat` ends in `"ts":`, `tid` starts at
+/// `,"tid":`.
+fn duration(out: &mut Wire, cat: &str, start: SimTime, end: SimTime, pid: u32, tid: &str) {
+    out.uint(cat, start.as_micros());
+    out.uint(r#","dur":"#, end.duration_since(start).as_micros());
+    out.uint(r#","pid":"#, u64::from(pid));
+    out.lit(tid);
+}
+
+/// A crash-restart phase slice on the crashed site's own track.
+fn recovery(out: &mut Wire, start: SimTime, end: SimTime, site: SiteId) {
+    duration(
+        out,
+        r#","cat":"recovery","ph":"X","ts":"#,
+        start,
+        end,
+        site_pid(site),
+        r#","tid":0,"args":{"#,
+    );
+}
+
+/// Writes records to `w` in Chrome `trace_event` JSON, a chunk at a time
+/// (see [`chrome_trace`] for what becomes what).
+///
+/// # Errors
+///
+/// Returns the first error `w` reports.
+pub fn write_chrome_trace<W: io::Write>(w: &mut W, records: &[TraceRecord]) -> io::Result<()> {
+    // Keyed by ids the engines generate, and only ever probed: no order
+    // escapes, so the fixed-state hasher is safe and spares SipHash.
+    let mut submits: HashMap<TransactionId, SimTime, FixedState> = HashMap::default();
+    let mut crashed: HashMap<SiteId, SimTime, FixedState> = HashMap::default();
+    let mut replayed: HashMap<SiteId, SimTime, FixedState> = HashMap::default();
+    let mut out = Wire::new();
+    out.lit("{\"traceEvents\":[");
+    let mut first = true;
+    for rec in records {
+        let pid = site_pid(rec.site);
+        match &rec.event {
+            Event::TxnSubmit { txn, .. } => {
+                submits.insert(*txn, rec.time);
+            }
+            Event::Commit { txn, .. } | Event::Abort { txn, .. } => {
+                if let Some(start) = submits.remove(txn) {
+                    begin(&mut out, &mut first);
+                    out.id("", *txn);
+                    duration(
+                        &mut out,
+                        r#","cat":"txn","ph":"X","ts":"#,
+                        start,
+                        rec.time,
+                        site_pid(SiteId::Client(txn.origin())),
+                        r#","tid":0,"args":{"#,
+                    );
+                    out.label(r#""outcome":""#, rec.event.kind());
+                    out.lit("}}");
+                }
+            }
+            Event::Span {
+                txn,
+                kind,
+                start,
+                blocker,
+            } => {
+                begin(&mut out, &mut first);
+                out.label("", kind.label());
+                duration(
+                    &mut out,
+                    r#","cat":"span","ph":"X","ts":"#,
+                    *start,
+                    rec.time,
+                    pid,
+                    r#","tid":2,"args":{"#,
+                );
+                if let Some(t) = txn {
+                    out.id(r#""txn":""#, *t);
+                }
+                if let Some(b) = blocker {
+                    // A comma only after a member: `{,"blocker":…}` is not JSON.
+                    let open = if txn.is_some() {
+                        r#","blocker":""#
+                    } else {
+                        r#""blocker":""#
+                    };
+                    out.id(open, *b);
+                }
+                out.lit("}}");
+            }
+            Event::SiteCrash { site } => {
+                crashed.insert(*site, rec.time);
+            }
+            Event::RecoveryDone {
+                site,
+                redo,
+                undone,
+                losers,
+                replay_ios,
+            } => {
+                if let Some(down) = crashed.remove(site) {
+                    begin(&mut out, &mut first);
+                    out.label("", "wal_replay");
+                    recovery(&mut out, down, rec.time, *site);
+                    out.uint(r#""redo":"#, *redo);
+                    out.uint(r#","undone":"#, *undone);
+                    out.uint(r#","losers":"#, u64::from(*losers));
+                    out.uint(r#","replay_ios":"#, *replay_ios);
+                    out.lit("}}");
+                    replayed.insert(*site, rec.time);
+                }
+            }
+            Event::SiteRecover { site } => {
+                let phase = match replayed.remove(site) {
+                    Some(done) => Some(("rejoin_revalidation", done)),
+                    None => crashed.remove(site).map(|down| ("site_down", down)),
+                };
+                if let Some((name, since)) = phase {
+                    begin(&mut out, &mut first);
+                    out.label("", name);
+                    recovery(&mut out, since, rec.time, *site);
+                    out.lit("}}");
+                }
+            }
+            _ => {}
+        }
+        begin(&mut out, &mut first);
+        out.label("", rec.event.kind());
+        let ts = rec.time.as_micros();
+        out.uint(r#","cat":"ev","ph":"i","s":"t","ts":"#, ts);
+        out.uint(r#","pid":"#, u64::from(pid));
+        out.uint(r#","tid":1,"args":{"seq":"#, rec.seq);
+        rec.event.write_json_fields(&mut out);
+        out.lit("}}");
+        out.drain_full(w)?;
+    }
+    out.lit("\n]}\n");
+    out.drain(w)
 }
 
 /// Serializes records in Chrome `trace_event` JSON (open the file in
@@ -74,125 +269,9 @@ pub fn site_pid(site: SiteId) -> u32 {
 /// payload.
 #[must_use]
 pub fn chrome_trace(records: &[TraceRecord]) -> String {
-    let mut submits: HashMap<TransactionId, SimTime> = HashMap::new();
-    let mut crashed: HashMap<SiteId, SimTime> = HashMap::new();
-    let mut replayed: HashMap<SiteId, SimTime> = HashMap::new();
-    let mut out = String::with_capacity(records.len() * 160 + 64);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push_event = |out: &mut String, body: &str| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-        out.push_str(body);
-    };
-    for rec in records {
-        let pid = site_pid(rec.site);
-        match &rec.event {
-            Event::TxnSubmit { txn, .. } => {
-                submits.insert(*txn, rec.time);
-            }
-            Event::Commit { txn, .. } | Event::Abort { txn, .. } => {
-                if let Some(start) = submits.remove(txn) {
-                    let dur = rec.time.duration_since(start).as_micros();
-                    let mut span = String::new();
-                    let _ = write!(
-                        span,
-                        r#"{{"name":"{txn}","cat":"txn","ph":"X","ts":{},"dur":{dur},"pid":{},"tid":0,"args":{{"outcome":"{}"}}}}"#,
-                        start.as_micros(),
-                        site_pid(SiteId::Client(txn.origin())),
-                        rec.event.kind()
-                    );
-                    push_event(&mut out, &span);
-                }
-            }
-            Event::Span {
-                txn,
-                kind,
-                start,
-                blocker,
-            } => {
-                let dur = rec.time.duration_since(*start).as_micros();
-                let mut span = String::new();
-                let _ = write!(
-                    span,
-                    r#"{{"name":"{}","cat":"span","ph":"X","ts":{},"dur":{dur},"pid":{pid},"tid":2,"args":{{"#,
-                    kind.label(),
-                    start.as_micros()
-                );
-                if let Some(t) = txn {
-                    let _ = write!(span, r#""txn":"{t}""#);
-                }
-                if let Some(b) = blocker {
-                    let _ = write!(span, r#","blocker":"{b}""#);
-                }
-                span.push_str("}}");
-                push_event(&mut out, &span);
-            }
-            Event::SiteCrash { site } => {
-                crashed.insert(*site, rec.time);
-            }
-            Event::RecoveryDone {
-                site,
-                redo,
-                undone,
-                losers,
-                replay_ios,
-            } => {
-                if let Some(down) = crashed.remove(site) {
-                    let dur = rec.time.duration_since(down).as_micros();
-                    let mut span = String::new();
-                    let _ = write!(
-                        span,
-                        r#"{{"name":"wal_replay","cat":"recovery","ph":"X","ts":{},"dur":{dur},"pid":{},"tid":0,"args":{{"redo":{redo},"undone":{undone},"losers":{losers},"replay_ios":{replay_ios}}}}}"#,
-                        down.as_micros(),
-                        site_pid(*site)
-                    );
-                    push_event(&mut out, &span);
-                    replayed.insert(*site, rec.time);
-                }
-            }
-            Event::SiteRecover { site } => {
-                if let Some(done) = replayed.remove(site) {
-                    let dur = rec.time.duration_since(done).as_micros();
-                    let mut span = String::new();
-                    let _ = write!(
-                        span,
-                        r#"{{"name":"rejoin_revalidation","cat":"recovery","ph":"X","ts":{},"dur":{dur},"pid":{},"tid":0,"args":{{}}}}"#,
-                        done.as_micros(),
-                        site_pid(*site)
-                    );
-                    push_event(&mut out, &span);
-                } else if let Some(down) = crashed.remove(site) {
-                    let dur = rec.time.duration_since(down).as_micros();
-                    let mut span = String::new();
-                    let _ = write!(
-                        span,
-                        r#"{{"name":"site_down","cat":"recovery","ph":"X","ts":{},"dur":{dur},"pid":{},"tid":0,"args":{{}}}}"#,
-                        down.as_micros(),
-                        site_pid(*site)
-                    );
-                    push_event(&mut out, &span);
-                }
-            }
-            _ => {}
-        }
-        let mut inst = String::new();
-        let _ = write!(
-            inst,
-            r#"{{"name":"{}","cat":"ev","ph":"i","s":"t","ts":{},"pid":{pid},"tid":1,"args":{{"seq":{}"#,
-            rec.event.kind(),
-            rec.time.as_micros(),
-            rec.seq
-        );
-        rec.event.write_json_fields(&mut inst);
-        inst.push_str("}}");
-        push_event(&mut out, &inst);
-    }
-    out.push_str("\n]}\n");
-    out
+    // The same traces average 158-212 B a record here: an instant event
+    // each, and a duration slice for every span and finished transaction.
+    collect(records, 224, write_chrome_trace)
 }
 
 #[cfg(test)]
@@ -282,6 +361,48 @@ mod tests {
     }
 
     #[test]
+    fn chrome_span_args_take_a_comma_only_between_members() {
+        let blocker = TransactionId::new(ClientId(1), 3);
+        let args = |txn: Option<TransactionId>, blocker: Option<TransactionId>| {
+            let text = chrome_trace(&[TraceRecord {
+                time: SimTime::from_micros(900),
+                seq: 0,
+                site: SiteId::Server,
+                event: Event::Span {
+                    txn,
+                    kind: crate::SpanKind::LockWait,
+                    start: SimTime::from_micros(400),
+                    blocker,
+                },
+            }]);
+            let slice = text.lines().nth(1).expect("the span slice");
+            slice[slice.find(r#""args":"#).expect("args")..].to_owned()
+        };
+        assert_eq!(args(None, None), r#""args":{}},"#);
+        assert_eq!(args(Some(txn()), None), r#""args":{"txn":"txn#2.9"}},"#);
+        assert_eq!(
+            args(None, Some(blocker)),
+            r#""args":{"blocker":"txn#1.3"}},"#
+        );
+        assert_eq!(
+            args(Some(txn()), Some(blocker)),
+            r#""args":{"txn":"txn#2.9","blocker":"txn#1.3"}},"#
+        );
+    }
+
+    #[test]
+    fn streamed_bytes_are_the_collected_bytes() {
+        // Enough records to cross several chunk boundaries.
+        let recs: Vec<TraceRecord> = records().into_iter().cycle().take(4000).collect();
+        let mut streamed = Vec::new();
+        write_jsonl(&mut streamed, &recs).unwrap();
+        assert_eq!(streamed, jsonl(&recs).into_bytes());
+        streamed.clear();
+        write_chrome_trace(&mut streamed, &recs).unwrap();
+        assert_eq!(streamed, chrome_trace(&recs).into_bytes());
+    }
+
+    #[test]
     fn chrome_trace_renders_recovery_phases() {
         let site = SiteId::Server;
         let recs = vec![
@@ -315,7 +436,10 @@ mod tests {
             text.contains(r#""name":"wal_replay","cat":"recovery","ph":"X","ts":100,"dur":600"#),
             "{text}"
         );
-        assert!(text.contains(r#""redo":4,"undone":2,"losers":1,"replay_ios":6"#), "{text}");
+        assert!(
+            text.contains(r#""redo":4,"undone":2,"losers":1,"replay_ios":6"#),
+            "{text}"
+        );
         assert!(
             text.contains(
                 r#""name":"rejoin_revalidation","cat":"recovery","ph":"X","ts":700,"dur":50"#

@@ -46,11 +46,16 @@
 pub mod blame;
 pub mod event;
 pub mod export;
+#[cfg(test)]
+mod export_reference;
 pub mod hist;
 pub mod metrics;
 pub mod report;
 pub mod sink;
 pub mod span;
+mod wire;
+#[cfg(test)]
+mod wire_fixture;
 
 pub use blame::{fold_root, BlameReport, CauseStats, PathSegment, TxnBlame};
 pub use event::{abort_reason_str, outcome_str, Event, H2Candidate};

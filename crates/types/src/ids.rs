@@ -2,6 +2,56 @@
 
 use std::fmt;
 
+/// Where identifier text goes: a [`fmt::Formatter`] behind `Display`, or
+/// the trace exporters' byte buffer, which never enters `core::fmt`.
+pub trait IdSink {
+    /// Appends a fixed fragment.
+    fn lit(&mut self, s: &'static str);
+    /// Appends `n` in decimal.
+    fn num(&mut self, n: u64);
+}
+
+/// An identifier with one stable text form (`obj#9`, `client#2`, `server`,
+/// `txn#2.7`). `Display` and the trace wire format both come from
+/// [`write_text`](IdText::write_text), so they cannot drift apart.
+pub trait IdText: Copy {
+    /// Writes the identifier's text to `out`.
+    fn write_text(self, out: &mut impl IdSink);
+}
+
+/// `Display` through [`IdText`]: the sink keeps the first error.
+struct FmtSink<'a, 'b> {
+    f: &'a mut fmt::Formatter<'b>,
+    result: fmt::Result,
+}
+
+impl IdSink for FmtSink<'_, '_> {
+    fn lit(&mut self, s: &'static str) {
+        if self.result.is_ok() {
+            self.result = self.f.write_str(s);
+        }
+    }
+
+    fn num(&mut self, n: u64) {
+        if self.result.is_ok() {
+            self.result = write!(self.f, "{n}");
+        }
+    }
+}
+
+macro_rules! display_from_id_text {
+    ($($id:ty),*) => {$(
+        impl fmt::Display for $id {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let mut sink = FmtSink { f, result: Ok(()) };
+                self.write_text(&mut sink);
+                sink.result
+            }
+        }
+    )*};
+}
+
+display_from_id_text!(ObjectId, ClientId, SiteId, TransactionId);
 
 /// Identifies one fixed-size database object (one 2 KB page in the paper's
 /// MiniRel-backed prototype).
@@ -18,9 +68,10 @@ impl ObjectId {
     }
 }
 
-impl fmt::Display for ObjectId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "obj#{}", self.0)
+impl IdText for ObjectId {
+    fn write_text(self, out: &mut impl IdSink) {
+        out.lit("obj#");
+        out.num(u64::from(self.0));
     }
 }
 
@@ -38,9 +89,10 @@ impl ClientId {
     }
 }
 
-impl fmt::Display for ClientId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "client#{}", self.0)
+impl IdText for ClientId {
+    fn write_text(self, out: &mut impl IdSink) {
+        out.lit("client#");
+        out.num(u64::from(self.0));
     }
 }
 
@@ -81,12 +133,12 @@ impl From<ClientId> for SiteId {
     }
 }
 
-impl fmt::Display for SiteId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl IdText for SiteId {
+    fn write_text(self, out: &mut impl IdSink) {
         match self {
-            SiteId::Server => write!(f, "server"),
-            SiteId::Client(c) => write!(f, "{c}"),
-            SiteId::Directory => write!(f, "directory"),
+            SiteId::Server => out.lit("server"),
+            SiteId::Client(c) => c.write_text(out),
+            SiteId::Directory => out.lit("directory"),
         }
     }
 }
@@ -152,9 +204,12 @@ impl TransactionId {
     }
 }
 
-impl fmt::Display for TransactionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "txn#{}.{}", self.origin().0, self.sequence())
+impl IdText for TransactionId {
+    fn write_text(self, out: &mut impl IdSink) {
+        out.lit("txn#");
+        out.num(u64::from(self.origin().0));
+        out.lit(".");
+        out.num(self.sequence());
     }
 }
 

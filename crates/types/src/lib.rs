@@ -39,7 +39,7 @@ pub use config::{
 pub use dense::{ObjectMap, ObjectSet};
 pub use error::ConfigError;
 pub use hash::FixedState;
-pub use ids::{ClientId, ObjectId, SiteId, SubtaskId, TransactionId};
+pub use ids::{ClientId, IdSink, IdText, ObjectId, SiteId, SubtaskId, TransactionId};
 pub use inline::InlineVec;
 pub use lock::LockMode;
 pub use time::{SimDuration, SimTime};

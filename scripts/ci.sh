@@ -29,12 +29,14 @@ trap 'restore; rm -rf "$tmp"' EXIT
 step_build() { cargo build --release --workspace; }
 step_test() { cargo test -q --workspace; }
 
-# The wait-for graph, lock table and buffer pool against their reference
-# implementations at the full case count (debug builds run a slice).
+# The wait-for graph, lock table, buffer pool and trace exporters against
+# their reference implementations at the full case count (debug builds run
+# a slice).
 step_references() {
   cargo test --release -q -p siteselect-locks waitfor
   cargo test --release -q -p siteselect-locks --lib dense_table_matches
   cargo test --release -q -p siteselect-storage --lib buffer_reference
+  cargo test --release -q -p siteselect-obs --lib export_reference
 }
 
 # BENCHMARK.json's program is a workspace of its own that reaches the
@@ -179,7 +181,7 @@ step_tsan() {
     --release -p siteselect --test cluster_concurrency
 }
 
-# The pure-compute property tests and the three differential tests (case
+# The pure-compute property tests and the four differential tests (case
 # counts reduced under cfg(miri)); the 4000-step lock-table runs are too
 # slow under the interpreter.
 step_miri() {
@@ -187,6 +189,7 @@ step_miri() {
     prng histogram online_stats event_queue
   cargo +nightly miri test -p siteselect-locks --lib -- indexed_graph_matches_hashmap_oracle
   cargo +nightly miri test -p siteselect-storage --lib -- listed_pool_matches_scanning_oracle
+  cargo +nightly miri test -p siteselect-obs --lib -- format_free_writer_matches_write_reference
 }
 
 # The second sweep's base seed rotates by date, so every night sees new
