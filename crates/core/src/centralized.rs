@@ -749,6 +749,7 @@ impl CentralizedSim {
         // processed at all", §2) — this is what keeps the overloaded
         // centralized server doing useful work for feasible transactions.
         let mut dead: Vec<Key> = self
+            // detlint: allow(D2) — `dead.sort_unstable()` below, before the abort cascade
             .txns
             .iter()
             .filter(|(_, t)| self.specs[t.spec as usize].is_expired(self.now))
@@ -789,6 +790,7 @@ impl CentralizedSim {
             &mut self.fabric,
             &mut self.metrics,
         );
+        // detlint: allow(D2) — `keys.sort_unstable()` follows, before the abort cascade
         let mut keys: Vec<Key> = self.txns.keys().copied().collect();
         // HashMap iteration order is process-random; sort so the abort
         // cascade stays reproducible across invocations.

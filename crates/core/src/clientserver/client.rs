@@ -1274,6 +1274,7 @@ impl ClientSite {
         // unit stops waiting now).
         if cx.sink.is_enabled() {
             let mut open: Vec<ObjectId> = self
+                // detlint: allow(D2) — `open.sort_unstable()` below, before any event is emitted
                 .lock_wait_from
                 .keys()
                 .filter(|(k, _)| *k == key)
@@ -1298,6 +1299,7 @@ impl ClientSite {
         }
         // Outstanding fetches.
         let mut cancelled: Vec<ObjectId> = Vec::new();
+        // detlint: allow(D2) — only fills `cancelled`, which is sorted before it is sent
         self.fetches.retain(|&object, f| {
             f.waiters.retain(|&w| w != key);
             if f.waiters.is_empty() {
@@ -1763,6 +1765,7 @@ impl ClientSite {
             }
         });
         cx.fabric.set_site_down(SiteId::Client(id));
+        // detlint: allow(D2) — `keys.sort_unstable()` on the next line, before the kill cascade
         let mut keys: Vec<TKey> = self.txns.keys().copied().collect();
         keys.sort_unstable(); // hash order is process-random; kills cascade
         for key in keys {
@@ -1977,6 +1980,7 @@ impl ClientSite {
     /// order is process-random and the abort cascade is order-sensitive.
     fn abort_where(&mut self, cx: &mut Cx, reason: AbortReason, doomed: impl Fn(&TxnRun) -> bool) {
         let mut keys: Vec<TKey> = self
+            // detlint: allow(D2) — `keys.sort_unstable()` below, before the abort cascade
             .txns
             .iter()
             .filter(|(_, run)| doomed(run))

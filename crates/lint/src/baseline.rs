@@ -96,7 +96,9 @@ impl Baseline {
                 let n = n
                     .as_usize()
                     .filter(|&n| n > 0)
-                    .ok_or_else(|| format!("baseline: `{file}`/`{rule}` needs a positive count"))?;
+                    .ok_or_else(|| {
+                        format!("baseline: `{file}`/`{rule}` needs a whole count, at least 1 and below 2^53")
+                    })?;
                 per.insert(id, n);
             }
             if !per.is_empty() {
@@ -247,7 +249,17 @@ mod tests {
     #[test]
     fn parse_rejects_non_baselineable_rules_and_bad_counts() {
         assert!(Baseline::parse(r#"{"version": 1, "counts": {"a.rs": {"D1": 1}}}"#).is_err());
-        assert!(Baseline::parse(r#"{"version": 1, "counts": {"a.rs": {"D9": 0}}}"#).is_err());
+        for count in [
+            "0",
+            "-1",
+            "1.5",
+            "99999999999999999999999",
+            "9007199254740993",
+        ] {
+            let text = format!(r#"{{"version": 1, "counts": {{"a.rs": {{"D9": {count}}}}}}}"#);
+            assert!(Baseline::parse(&text).is_err(), "count {count} accepted");
+        }
+        assert!(Baseline::parse(r#"{"version": 1, "counts": {"a.rs": {"D9": 128}}}"#).is_ok());
         assert!(Baseline::parse(r#"{"version": 2, "counts": {}}"#).is_err());
     }
 }

@@ -1,10 +1,7 @@
-//! A minimal JSON reader/writer — just enough for
-//! `detlint.baseline.json` and `detlint check --json`, keeping the
-//! crate dependency-free.
-//!
-//! The writer is deterministic by construction: objects are backed by
-//! [`BTreeMap`], so the same report always serializes to the same
-//! bytes (the CI gate diffs them directly).
+//! A minimal JSON reader and string quoter — just enough for
+//! `detlint.baseline.json`, keeping the crate dependency-free. It is the
+//! workspace's only JSON reader, so `tests/trace_wire_json.rs` also
+//! holds the trace exporters' fixtures to it.
 
 use std::collections::BTreeMap;
 
@@ -39,17 +36,29 @@ impl Value {
         }
     }
 
-    /// The number as a usize, if this is a non-negative integer.
+    /// The number as a usize, if it is a non-negative integer below 2^53.
+    /// From there on an `f64` no longer tells neighbours apart, and past
+    /// `usize::MAX` the cast would saturate.
     #[must_use]
     pub fn as_usize(&self) -> Option<usize> {
         match self {
             // exact non-negative integer: the guard makes the cast lossless
             #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as usize),
+            Value::Num(n) if (0.0..MAX_EXACT_INT).contains(n) && n.fract() == 0.0 => {
+                Some(*n as usize)
+            }
             _ => None,
         }
     }
 }
+
+/// 2^53: every integer below it is an exact `f64`.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Arrays and objects may nest this deep; the trace fixtures reach 4.
+/// The reader recurses per level, so without a bound a hostile file
+/// overflows the stack instead of failing to parse.
+const MAX_DEPTH: usize = 128;
 
 /// Escapes `s` as a JSON string literal (with quotes).
 #[must_use]
@@ -78,7 +87,11 @@ pub fn quote(s: &str) -> String {
 /// A message with a byte offset on malformed input.
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -91,6 +104,8 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'s> {
     bytes: &'s [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -119,8 +134,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nested deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -282,6 +311,17 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse(r#"{"a": }"#).is_err());
         assert!(parse("[1, 2").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1))
+            .unwrap_err()
+            .contains("nested deeper"));
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&r#"{"a":"#.repeat(200_000)).is_err());
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub fn lex(src: &str) -> Vec<Token> {
     Lexer::new(src).run()
 }
 
-struct Lexer<'a> {
+struct Lexer {
     chars: Vec<char>,
     pos: usize,
     line: u32,
@@ -81,21 +81,16 @@ struct Lexer<'a> {
     /// (distinguishes trailing comments from standalone ones).
     code_on_line: bool,
     out: Vec<Token>,
-    src_len: usize,
-    _marker: std::marker::PhantomData<&'a ()>,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(src: &'a str) -> Self {
-        let chars: Vec<char> = src.chars().collect();
+impl Lexer {
+    fn new(src: &str) -> Self {
         Lexer {
-            src_len: chars.len(),
-            chars,
+            chars: src.chars().collect(),
             pos: 0,
             line: 1,
             code_on_line: false,
             out: Vec::new(),
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -133,8 +128,7 @@ impl<'a> Lexer<'a> {
         if self.peek(0) == Some('#') && self.peek(1) == Some('!') && self.peek(2) != Some('[') {
             self.line_comment(1);
         }
-        while self.pos < self.src_len {
-            let c = self.peek(0).expect("pos < len");
+        while let Some(c) = self.peek(0) {
             let line = self.line;
             match c {
                 c if c.is_whitespace() => {

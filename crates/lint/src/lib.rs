@@ -22,10 +22,7 @@
 //! ```
 
 pub mod baseline;
-pub mod callgraph;
 pub mod config;
-pub mod dataflow;
-pub mod flow;
 pub mod json;
 pub mod lexer;
 pub mod locks;
@@ -36,4 +33,4 @@ pub mod workspace;
 
 pub use config::Config;
 pub use rules::{RuleId, Violation};
-pub use workspace::{check_paths, check_workspace, load_baseline, load_config, Report};
+pub use workspace::{check, discover_files, load_baseline, load_config, Report};

@@ -17,25 +17,26 @@
 //! the impl type (`SharedServer.inner`); the wrapper's own internal
 //! `self.0.lock()` is ignored. While any guard is held:
 //!
-//! * acquiring another lock — directly or transitively through a call
-//!   (summaries reach fixpoint over the workspace call graph) — adds an
-//!   ordering edge `held → acquired`; a cycle in the resulting graph is
-//!   a D7 violation reported at the edge that closes it.
+//! * acquiring another lock — directly or transitively through a call —
+//!   adds an ordering edge `held → acquired`; a cycle in the resulting
+//!   graph is a D7 violation reported at the edge that closes it.
 //! * a direct `.send(…)` or zero-argument `.join()` (thread-handle
 //!   shape; one-argument `join` is the `str`/`Path` method), or a call
 //!   to a function that transitively sends or joins, is a D8 violation:
 //!   the send can block under backpressure and the join can wait on a
 //!   thread that needs the held lock.
 //!
-//! Only units the workspace layer marks *active* (per `detlint.toml`,
-//! the `cluster` crate) are scanned for lock sites and violations;
-//! send/join facts are still seeded workspace-wide so a held guard
-//! crossing a crate boundary into sending code is caught.
+//! Calls resolve only among the files handed to [`check`] (per
+//! `detlint.toml`, the `cluster` crate) and only by name: `self.m(…)` /
+//! `Self::m(…)` to the enclosing impl type's `m` when it has one, any
+//! other receiver or path to **every** function called `m`. There is no
+//! type information, so an ambiguous name takes the union of its
+//! candidates — that can add an edge, never hide one.
 
-use crate::callgraph::{Call, CallGraph, Unit};
-use crate::flow::statement_start;
 use crate::lexer::Token;
-use crate::rules::{allowed_by_line, RuleId, Violation};
+use crate::parse::{generics_end, FnDef};
+use crate::rules::{RuleId, Violation};
+use crate::workspace::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One acquired-while-held edge, with the site that created it.
@@ -64,6 +65,23 @@ impl LockGraph {
     }
 }
 
+/// Something a function body does that the pass cares about, in token
+/// order.
+enum Site {
+    /// `x.lock()`: the lock's name and the guard's exclusive scope end.
+    Lock { name: String, scope_end: usize },
+    /// A direct `.send(…)` / `.join()`.
+    Wait(SiteKind),
+    /// A call to `name`, with every function it may resolve to.
+    Call { name: String, callees: Vec<usize> },
+}
+
+/// One non-test function with a body: where it lives and its sites.
+struct FnSites<'f> {
+    file: &'f SourceFile,
+    sites: Vec<(usize, u32, Site)>,
+}
+
 /// Per-function facts at fixpoint: locks acquired anywhere inside
 /// (directly or transitively) and whether the function can send on a
 /// channel or join a thread.
@@ -74,84 +92,68 @@ struct FnFacts {
     joins: bool,
 }
 
-/// Runs the pass. `active[u]` marks units the D7/D8 policy applies to;
-/// lock sites are only recognized there. Returns the lock graph and the
-/// D7/D8 violations, sorted by `(file, line, rule)`.
+/// Runs the pass over `files` (the crates D7/D8 are scoped to). Returns
+/// the lock graph and the D7/D8 violations, sorted by `(file, line,
+/// rule)`.
 #[must_use]
-pub fn check(units: &[Unit], graph: &CallGraph, active: &[bool]) -> (LockGraph, Vec<Violation>) {
-    let codes: Vec<Vec<&Token>> = units.iter().map(Unit::code).collect();
-    let facts = fixpoint(units, graph, active, &codes);
-    let allowed: Vec<BTreeMap<u32, BTreeSet<RuleId>>> = units
-        .iter()
-        .map(|u| allowed_by_line(&u.tokens))
-        .collect();
+pub fn check(files: &[&SourceFile]) -> (LockGraph, Vec<Violation>) {
+    let fns = collect_sites(files);
+    let facts = fixpoint(&fns);
 
     let mut edges: BTreeMap<(String, String), (String, u32)> = BTreeMap::new();
     let mut out = Vec::new();
-    let mut seen_d8: BTreeSet<(usize, u32)> = BTreeSet::new();
-
-    for (caller, node) in graph.fns.iter().enumerate() {
-        if !active[node.unit] {
-            continue;
-        }
-        let unit = &units[node.unit];
-        let def = &unit.parsed.fns[node.def];
-        if def.test_only {
-            continue;
-        }
-        let Some((s, e)) = def.body else { continue };
-        let code = &codes[node.unit];
-        let calls_by_tok: BTreeMap<usize, &Call> =
-            graph.calls[caller].iter().map(|c| (c.tok, c)).collect();
+    let mut seen_d8: BTreeSet<(&str, u32)> = BTreeSet::new();
+    for f in &fns {
+        let path = f.file.path.as_str();
         // Active guards: (lock name, exclusive scope-end index).
-        let mut held: Vec<(String, usize)> = Vec::new();
-        for i in s..e.min(code.len()) {
-            if unit.parsed.fn_containing(i).is_none_or(|f| !std::ptr::eq(f, def)) {
-                continue; // nested fn bodies get their own walk
-            }
-            held.retain(|g| g.1 > i);
-            let line = code[i].line;
-            let d8_allowed = allowed[node.unit]
-                .get(&line)
-                .is_some_and(|rs| rs.contains(&RuleId::D8));
-            if let Some(name) = lock_site(code, i, def.self_ty.as_deref()) {
-                for (h, _) in &held {
-                    edge_insert(&mut edges, h, &name, &unit.path, line);
+        let mut held: Vec<(&str, usize)> = Vec::new();
+        for (tok, line, site) in &f.sites {
+            held.retain(|g| g.1 > *tok);
+            let mut d8 = |message: String| {
+                if !f.file.annotations.allows(RuleId::D8, *line) && seen_d8.insert((path, *line)) {
+                    let file = path.to_string();
+                    out.push(Violation {
+                        file,
+                        line: *line,
+                        rule: RuleId::D8,
+                        message,
+                    });
                 }
-                let end = guard_scope_end(code, i, s, e);
-                held.push((name, end));
-                continue;
-            }
-            if !held.is_empty() {
-                if let Some(what) = send_or_join_site(code, i) {
-                    if !d8_allowed && seen_d8.insert((node.unit, line)) {
-                        out.push(d8(unit, line, &format!(
-                            "{what} while holding `{}` — the wait can block with the lock held; \
-                             release the guard first or annotate why it cannot block",
-                            held_names(&held),
-                        )));
+            };
+            match site {
+                Site::Lock { name, scope_end } => {
+                    for (h, _) in &held {
+                        edge_insert(&mut edges, h, name, path, *line);
                     }
-                    continue;
+                    held.push((name, *scope_end));
                 }
-                if let Some(call) = calls_by_tok.get(&i) {
-                    let f = &facts[call.callee];
-                    for to in &f.locks {
-                        for (h, _) in &held {
-                            if h != to {
-                                edge_insert(&mut edges, h, to, &unit.path, line);
-                            }
+                Site::Wait(what) if !held.is_empty() => d8(format!(
+                    "{what} while holding `{}` — the wait can block with the lock held; \
+                     release the guard first or annotate why it cannot block",
+                    held_names(&held),
+                )),
+                Site::Call { name, callees } if !held.is_empty() => {
+                    let reached = callees.iter().map(|&c| &facts[c]);
+                    for to in reached.clone().flat_map(|c| &c.locks) {
+                        for (h, _) in held.iter().filter(|(h, _)| h != to) {
+                            edge_insert(&mut edges, h, to, path, *line);
                         }
                     }
-                    if (f.sends || f.joins) && !d8_allowed && seen_d8.insert((node.unit, line)) {
-                        let what = if f.sends { "sends on a channel" } else { "joins a thread" };
-                        out.push(d8(unit, line, &format!(
-                            "call to `{}` {what} while holding `{}` — the wait can block with \
+                    let sends = reached.clone().any(|c| c.sends);
+                    if sends || reached.clone().any(|c| c.joins) {
+                        let what = if sends {
+                            "sends on a channel"
+                        } else {
+                            "joins a thread"
+                        };
+                        d8(format!(
+                            "call to `{name}` {what} while holding `{}` — the wait can block with \
                              the lock held; release the guard first or annotate why it cannot block",
-                            call.display,
                             held_names(&held),
-                        )));
+                        ));
                     }
                 }
+                Site::Wait(_) | Site::Call { .. } => {}
             }
         }
     }
@@ -162,22 +164,13 @@ pub fn check(units: &[Unit], graph: &CallGraph, active: &[bool]) -> (LockGraph, 
             .map(|((from, to), (file, line))| LockEdge { from, to, file, line })
             .collect(),
     };
-    out.extend(cycles(&lock_graph, units, &allowed));
+    out.extend(cycles(&lock_graph, files));
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     (lock_graph, out)
 }
 
-fn d8(unit: &Unit, line: u32, message: &str) -> Violation {
-    Violation {
-        file: unit.path.clone(),
-        line,
-        rule: RuleId::D8,
-        message: message.to_string(),
-    }
-}
-
-fn held_names(held: &[(String, usize)]) -> String {
-    held.iter().map(|g| g.0.as_str()).collect::<Vec<_>>().join("`, `")
+fn held_names(held: &[(&str, usize)]) -> String {
+    held.iter().map(|g| g.0).collect::<Vec<_>>().join("`, `")
 }
 
 fn edge_insert(
@@ -192,58 +185,120 @@ fn edge_insert(
         .or_insert_with(|| (file.to_string(), line));
 }
 
-/// Seeds per-function facts and unions them along call edges until
-/// stable.
-fn fixpoint(
-    units: &[Unit],
-    graph: &CallGraph,
-    active: &[bool],
-    codes: &[Vec<&Token>],
-) -> Vec<FnFacts> {
-    let mut facts: Vec<FnFacts> = Vec::with_capacity(graph.fns.len());
-    for node in &graph.fns {
-        let unit = &units[node.unit];
-        let def = &unit.parsed.fns[node.def];
-        let mut f = FnFacts::default();
-        if let Some((s, e)) = def.body {
-            let code = &codes[node.unit];
+/// Indexes every non-test function with a body, then scans each body
+/// once for its lock, send/join and call sites.
+fn collect_sites<'f>(files: &[&'f SourceFile]) -> Vec<FnSites<'f>> {
+    let defs: Vec<(&SourceFile, &FnDef, (usize, usize))> = files
+        .iter()
+        .flat_map(|&file| file.parsed.fns.iter().map(move |def| (file, def)))
+        .filter(|(_, def)| !def.test_only)
+        .filter_map(|(file, def)| Some((file, def, def.body?)))
+        .collect();
+    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut by_ty: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    for (id, (_, def, _)) in defs.iter().enumerate() {
+        by_name.entry(&def.name).or_default().push(id);
+        if let Some(ty) = &def.self_ty {
+            by_ty.entry((ty, &def.name)).or_default().push(id);
+        }
+    }
+    let codes: BTreeMap<&str, Vec<&Token>> =
+        files.iter().map(|f| (f.path.as_str(), f.code())).collect();
+    defs.iter()
+        .map(|&(file, def, (s, e))| {
+            let code = &codes[file.path.as_str()];
+            let mut sites = Vec::new();
             for i in s..e.min(code.len()) {
-                if unit.parsed.fn_containing(i).is_none_or(|d| !std::ptr::eq(d, def)) {
-                    continue;
+                if file
+                    .parsed
+                    .fn_containing(i)
+                    .is_none_or(|f| !std::ptr::eq(f, def))
+                {
+                    continue; // nested fn bodies are functions of their own
                 }
-                if active[node.unit] {
-                    if let Some(name) = lock_site(code, i, def.self_ty.as_deref()) {
-                        f.locks.insert(name);
-                        continue;
+                let site = if let Some(name) = lock_site(code, i, def.self_ty.as_deref()) {
+                    Site::Lock {
+                        name,
+                        scope_end: guard_scope_end(code, i, s, e),
                     }
+                } else if let Some(kind) = send_or_join_site(code, i) {
+                    Site::Wait(kind)
+                } else if let Some((name, on_self)) = call_site(code, i) {
+                    let own = def.self_ty.as_deref().filter(|_| on_self);
+                    let callees = own
+                        .and_then(|ty| by_ty.get(&(ty, name)))
+                        .or_else(|| by_name.get(name));
+                    let Some(callees) = callees else { continue };
+                    Site::Call {
+                        name: name.to_string(),
+                        callees: callees.clone(),
+                    }
+                } else {
+                    continue;
+                };
+                sites.push((i, code[i].line, site));
+            }
+            FnSites { file, sites }
+        })
+        .collect()
+}
+
+/// `name(` / `name::<T>(` at `i`, unless it is the header of a nested
+/// `fn name(`. Returns the name and whether the callee is named through
+/// the enclosing type (`self.name(…)` / `Self::name(…)`). Keywords,
+/// constructors and macro names need no filtering: they resolve to
+/// nothing because no function carries their name.
+fn call_site<'t>(code: &[&'t Token], i: usize) -> Option<(&'t str, bool)> {
+    let name = code[i].ident()?;
+    let punct = |k: usize, c: char| code.get(k).is_some_and(|t| t.is_punct(c));
+    let back = |n: usize| i.checked_sub(n).map(|k| code[k]);
+    let mut j = i + 1;
+    if punct(j, ':') && punct(j + 1, ':') && punct(j + 2, '<') {
+        j = generics_end(code, j + 2); // turbofish
+    }
+    if !punct(j, '(') || back(1).is_some_and(|t| t.ident() == Some("fn")) {
+        return None;
+    }
+    let after_dot = back(1).is_some_and(|t| t.is_punct('.'));
+    let after_path = back(1).is_some_and(|t| t.is_punct(':'));
+    let on_self = (after_dot
+        && back(2).is_some_and(|t| t.ident() == Some("self"))
+        && !back(3).is_some_and(|t| t.is_punct('.')))
+        || (after_path && back(3).is_some_and(|t| t.ident() == Some("Self")));
+    Some((name, on_self))
+}
+
+/// Seeds per-function facts from each function's own sites and unions
+/// them along calls until stable.
+fn fixpoint(fns: &[FnSites<'_>]) -> Vec<FnFacts> {
+    let mut facts = vec![FnFacts::default(); fns.len()];
+    for (f, own) in fns.iter().zip(&mut facts) {
+        for (_, _, site) in &f.sites {
+            match site {
+                Site::Lock { name, .. } => {
+                    own.locks.insert(name.clone());
                 }
-                match send_or_join_site(code, i) {
-                    Some(SiteKind::Send) => f.sends = true,
-                    Some(SiteKind::Join) => f.joins = true,
-                    None => {}
-                }
+                Site::Wait(SiteKind::Send) => own.sends = true,
+                Site::Wait(SiteKind::Join) => own.joins = true,
+                Site::Call { .. } => {}
             }
         }
-        facts.push(f);
     }
     loop {
         let mut changed = false;
-        for caller in 0..graph.fns.len() {
-            for call in &graph.calls[caller] {
-                let callee = facts[call.callee].clone();
-                let f = &mut facts[caller];
-                let before = f.locks.len();
-                f.locks.extend(callee.locks);
-                if f.locks.len() != before {
-                    changed = true;
-                }
-                if callee.sends && !f.sends {
-                    f.sends = true;
-                    changed = true;
-                }
-                if callee.joins && !f.joins {
-                    f.joins = true;
-                    changed = true;
+        for (caller, f) in fns.iter().enumerate() {
+            for (_, _, site) in &f.sites {
+                let Site::Call { callees, .. } = site else {
+                    continue;
+                };
+                for &callee in callees {
+                    let from = facts[callee].clone();
+                    let to = &mut facts[caller];
+                    let before = (to.locks.len(), to.sends, to.joins);
+                    to.locks.extend(from.locks);
+                    to.sends |= from.sends;
+                    to.joins |= from.joins;
+                    changed |= before != (to.locks.len(), to.sends, to.joins);
                 }
             }
         }
@@ -396,19 +451,7 @@ fn construct_block_end(code: &[&Token], i: usize, body_e: usize) -> usize {
         } else if t.is_punct(')') || t.is_punct(']') {
             gdepth -= 1;
         } else if t.is_punct('{') && gdepth == 0 {
-            // Match this brace.
-            let mut depth = 0i32;
-            for (m, u) in code.iter().enumerate().take(body_e).skip(k + 1) {
-                if u.is_punct('{') {
-                    depth += 1;
-                } else if u.is_punct('}') {
-                    if depth == 0 {
-                        return m;
-                    }
-                    depth -= 1;
-                }
-            }
-            return body_e;
+            return enclosing_block_end(code, k + 1, body_e);
         }
         k += 1;
     }
@@ -436,75 +479,86 @@ fn temporary_end(code: &[&Token], i: usize, body_e: usize) -> usize {
     body_e
 }
 
-/// DFS cycle detection over the lock graph; one D7 violation per
-/// distinct cycle, reported at the edge completing it.
-fn cycles(
-    graph: &LockGraph,
-    units: &[Unit],
-    allowed: &[BTreeMap<u32, BTreeSet<RuleId>>],
-) -> Vec<Violation> {
-    let mut adj: BTreeMap<&str, Vec<&LockEdge>> = BTreeMap::new();
-    for e in &graph.edges {
-        adj.entry(&e.from).or_default().push(e);
+/// Backward scan to the start of the statement containing `site`.
+/// Brackets/parens are balanced; a `{`, `}`, or `;` at depth 0 is a
+/// statement boundary (`}` ends a preceding block statement — braces
+/// nested inside parens are ignored by the depth rule and stay inside).
+fn statement_start(code: &[&Token], site: usize, body_s: usize) -> usize {
+    let mut depth = 0i32;
+    let mut j = site;
+    while j > body_s {
+        let t = code[j - 1];
+        if t.is_punct(')') || t.is_punct(']') {
+            depth += 1;
+        } else if t.is_punct('(') || t.is_punct('[') {
+            if depth == 0 {
+                break;
+            }
+            depth -= 1;
+        } else if (t.is_punct(';') || t.is_punct('{') || t.is_punct('}')) && depth == 0 {
+            break;
+        }
+        j -= 1;
+    }
+    j
+}
+
+/// One D7 violation per elementary cycle of the lock graph, reported at
+/// the cycle's last edge in `(file, line)` order. Each cycle is found
+/// exactly once: from its smallest lock name, through larger names only.
+fn cycles(graph: &LockGraph, files: &[&SourceFile]) -> Vec<Violation> {
+    let mut found: Vec<Vec<&LockEdge>> = Vec::new();
+    for start in graph
+        .edges
+        .iter()
+        .map(|e| e.from.as_str())
+        .collect::<BTreeSet<_>>()
+    {
+        close_cycles(graph, start, start, &mut Vec::new(), &mut found);
     }
     let mut out = Vec::new();
-    let mut reported: BTreeSet<Vec<String>> = BTreeSet::new();
-    // Color-marked DFS from every node, deterministic order.
-    for start in adj.keys().copied().collect::<Vec<_>>() {
-        let mut stack: Vec<(&str, usize)> = vec![(start, 0)];
-        let mut path: Vec<&LockEdge> = Vec::new();
-        let mut on_path: BTreeSet<&str> = [start].into_iter().collect();
-        while let Some((node, next)) = stack.last_mut() {
-            let succ = adj.get(node).map_or(&[][..], Vec::as_slice);
-            if *next >= succ.len() {
-                stack.pop();
-                if let Some(e) = path.pop() {
-                    on_path.remove(e.to.as_str());
-                }
-                continue;
-            }
-            let e = succ[*next];
-            *next += 1;
-            if e.to == start {
-                // Cycle closed. Normalize by rotating to the smallest
-                // lock name so each cycle reports once.
-                let mut names: Vec<String> =
-                    path.iter().map(|p| p.from.clone()).collect();
-                names.push(e.from.clone());
-                let min = names.iter().enumerate().min_by_key(|(_, n)| *n).map_or(0, |(i, _)| i);
-                names.rotate_left(min);
-                if reported.insert(names.clone()) {
-                    let site = path.iter().chain([&e]).max_by_key(|p| (&p.file, p.line));
-                    let site = site.expect("cycle has at least one edge");
-                    let unit_idx = units.iter().position(|u| u.path == site.file);
-                    let suppressed = unit_idx.is_some_and(|u| {
-                        allowed[u]
-                            .get(&site.line)
-                            .is_some_and(|rs| rs.contains(&RuleId::D7))
-                    });
-                    if !suppressed {
-                        let mut display = names.clone();
-                        display.push(display[0].clone());
-                        out.push(Violation {
-                            file: site.file.clone(),
-                            line: site.line,
-                            rule: RuleId::D7,
-                            message: format!(
-                                "lock order cycle: `{}` — two threads taking these locks in \
-                                 different orders can deadlock; pick one global order",
-                                display.join("` → `"),
-                            ),
-                        });
-                    }
-                }
-            } else if !on_path.contains(e.to.as_str()) {
-                on_path.insert(&e.to);
-                path.push(e);
-                stack.push((&e.to, 0));
-            }
+    for cycle in found {
+        let Some(site) = cycle.iter().max_by_key(|e| (&e.file, e.line)) else {
+            continue;
+        };
+        let file = files.iter().find(|f| f.path == site.file);
+        if file.is_some_and(|f| f.annotations.allows(RuleId::D7, site.line)) {
+            continue;
         }
+        let mut names: Vec<&str> = cycle.iter().map(|e| e.from.as_str()).collect();
+        names.push(names[0]);
+        out.push(Violation {
+            file: site.file.clone(),
+            line: site.line,
+            rule: RuleId::D7,
+            message: format!(
+                "lock order cycle: `{}` — two threads taking these locks in \
+                 different orders can deadlock; pick one global order",
+                names.join("` → `"),
+            ),
+        });
     }
     out
+}
+
+/// Depth-first walk from `node` along `path` (which began at `start`),
+/// recording every way back to `start`.
+fn close_cycles<'g>(
+    graph: &'g LockGraph,
+    start: &str,
+    node: &str,
+    path: &mut Vec<&'g LockEdge>,
+    found: &mut Vec<Vec<&'g LockEdge>>,
+) {
+    for e in graph.edges.iter().filter(|e| e.from == node) {
+        path.push(e);
+        if e.to == start {
+            found.push(path.clone());
+        } else if e.to.as_str() > start && !path.iter().any(|p| p.from == e.to) {
+            close_cycles(graph, start, &e.to, path, found);
+        }
+        path.pop();
+    }
 }
 
 #[cfg(test)]
@@ -512,13 +566,7 @@ mod tests {
     use super::*;
 
     fn run(src: &str) -> (LockGraph, Vec<Violation>) {
-        let units = vec![Unit::new(
-            "crates/cluster/src/x.rs".into(),
-            "cluster".into(),
-            src,
-        )];
-        let graph = CallGraph::build(&units);
-        check(&units, &graph, &[true])
+        check(&[&SourceFile::new("crates/cluster/src/x.rs".into(), src)])
     }
 
     #[test]
@@ -672,6 +720,34 @@ impl S {
 ",
         );
         assert!(g.has_edge("S.a", "S.b"), "{:?}", g.edges);
+    }
+
+    /// PR 15's lead: with uniqueness-gated resolution a second
+    /// `return_object` anywhere made the call below resolve to nothing,
+    /// and the `Client.state → Server.inner` edge silently vanished.
+    #[test]
+    fn ambiguous_method_name_keeps_the_edge() {
+        let (g, v) = run(r"
+struct Server { inner: Mutex<u32> }
+impl Server {
+    fn return_object(&self) {
+        *self.inner.lock() += 1;
+    }
+}
+struct Pool;
+impl Pool {
+    fn return_object(&self) {}
+}
+struct Client { state: Mutex<u32> }
+impl Client {
+    fn flush(&self, server: &Server) {
+        let st = self.state.lock();
+        server.return_object();
+    }
+}
+");
+        assert!(g.has_edge("Client.state", "Server.inner"), "{:?}", g.edges);
+        assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]

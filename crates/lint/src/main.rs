@@ -4,27 +4,27 @@
 //! stale baseline), 2 usage/config/io error.
 
 use siteselect_lint::baseline::Baseline;
-use siteselect_lint::workspace::load_baseline;
-use siteselect_lint::{check_paths, check_workspace, load_config, Report, RuleId};
-use std::path::PathBuf;
+use siteselect_lint::{discover_files, load_baseline, load_config, Config};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
 detlint — determinism & safety analyzer for the siteselect workspace
 
 USAGE:
-    detlint check --workspace [--json] [--ratchet] [--no-baseline] [--root <dir>]
-    detlint check [--root <dir>] <file.rs>...
+    detlint check --workspace [--ratchet] [--root <dir>]
+    detlint check [--ratchet] [--root <dir>] <file.rs>...
     detlint baseline [--root <dir>]
     detlint rules [--toml]
 
-`check --workspace` runs every pass: the per-file token rules, the
-interprocedural D1/D3 dataflow, the D7/D8 lock-order analysis, and the
-D9 panic audit. Targeted `check <file>` runs the per-file passes only.
-`baseline` regenerates detlint.baseline.json, the ratchet that absorbs
-the accepted D9 surface; `--ratchet` additionally fails when that file
-is stale (counts shrank without regenerating). `--json` prints the
-report as deterministic JSON on stdout.
+`check` runs every pass over the files it is given (`--workspace`:
+every .rs file under the root): the token rules D1-D6, the D7/D8
+lock-order analysis over the crates detlint.toml scopes it to, and the
+D9 panic audit. D7/D8 see only the files given: a cycle through a file
+left off a targeted list goes unreported, so CI checks `--workspace`.
+`baseline` regenerates detlint.baseline.json, the
+ratchet that absorbs the accepted D9 surface; `--ratchet` additionally
+fails when that file is stale (counts shrank without regenerating).
 
 Violations print as `file:line: detlint[Dn]: message`. Deliberate ones
 are suppressed in place with `// detlint: allow(Dn) — <reason>` on the
@@ -70,13 +70,13 @@ fn run(args: &[String]) -> Result<bool, String> {
 
 fn print_rules() {
     println!("{:<4} {:<20} summary", "id", "name");
-    for rule in RuleId::ALL {
+    for rule in &siteselect_lint::rules::REGISTRY {
+        let baselined = if rule.baselined { " [baselined]" } else { "" };
         println!(
-            "{:<4} {:<20} {}{}",
-            rule.id(),
-            rule.name(),
-            rule.summary(),
-            if rule.meta().baselined { " [baselined]" } else { "" },
+            "{:<4} {:<20} {}{baselined}",
+            rule.id.id(),
+            rule.name,
+            rule.summary
         );
     }
 }
@@ -84,17 +84,13 @@ fn print_rules() {
 fn check(args: &[String]) -> Result<bool, String> {
     let mut root = default_root();
     let mut whole_workspace = false;
-    let mut json = false;
     let mut ratchet = false;
-    let mut use_baseline = true;
     let mut files: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--workspace" => whole_workspace = true,
-            "--json" => json = true,
             "--ratchet" => ratchet = true,
-            "--no-baseline" => use_baseline = false,
             "--root" => {
                 root = PathBuf::from(
                     it.next().ok_or("--root needs a directory argument")?,
@@ -110,17 +106,12 @@ fn check(args: &[String]) -> Result<bool, String> {
         return Err(format!("nothing to check\n\n{USAGE}"));
     }
     let cfg = load_config(&root)?;
-    let baseline = if use_baseline { load_baseline(&root)? } else { None };
-    let report = if whole_workspace {
-        check_workspace(&root, &cfg, baseline.as_ref()).map_err(|e| e.to_string())?
-    } else {
-        check_paths(&root, &files, &cfg, baseline.as_ref()).map_err(|e| e.to_string())?
-    };
-    let stale_fails = ratchet && !report.stale.is_empty();
-    if json {
-        print!("{}", render_json(&report));
-        return Ok(report.is_clean() && !stale_fails);
+    if whole_workspace {
+        files = workspace_files(&root, &cfg)?;
     }
+    let baseline = load_baseline(&root)?;
+    let report = siteselect_lint::check(&root, &files, &cfg, baseline.as_ref())?;
+    let stale_fails = ratchet && !report.stale.is_empty();
     for v in &report.violations {
         println!("{v}");
     }
@@ -161,51 +152,9 @@ fn check(args: &[String]) -> Result<bool, String> {
     }
 }
 
-/// Deterministic JSON rendering of a report: same findings, same bytes.
-fn render_json(report: &Report) -> String {
-    use siteselect_lint::json::quote;
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"files\": {},\n", report.files_checked));
-    out.push_str(&format!("  \"suppressions\": {},\n", report.suppressions));
-    out.push_str(&format!("  \"absorbed\": {},\n", report.absorbed));
-    out.push_str("  \"violations\": [");
-    for (i, v) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}",
-            quote(&v.file),
-            v.line,
-            quote(v.rule.id()),
-            quote(&v.message),
-        ));
-    }
-    if report.violations.is_empty() {
-        out.push_str("],\n");
-    } else {
-        out.push_str("\n  ],\n");
-    }
-    out.push_str("  \"stale\": [");
-    for (i, s) in report.stale.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": {}, \"rule\": {}, \"accepted\": {}, \"actual\": {}}}",
-            quote(&s.file),
-            quote(s.rule.id()),
-            s.accepted,
-            s.actual,
-        ));
-    }
-    if report.stale.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
-    out
+/// Every lintable file under `root`.
+fn workspace_files(root: &Path, cfg: &Config) -> Result<Vec<String>, String> {
+    discover_files(root, cfg).map_err(|e| format!("{}: {e}", root.display()))
 }
 
 /// `detlint baseline`: regenerate `detlint.baseline.json` from the
@@ -224,7 +173,7 @@ fn regenerate_baseline(args: &[String]) -> Result<bool, String> {
         }
     }
     let cfg = load_config(&root)?;
-    let report = check_workspace(&root, &cfg, None).map_err(|e| e.to_string())?;
+    let report = siteselect_lint::check(&root, &workspace_files(&root, &cfg)?, &cfg, None)?;
     let baseline = Baseline::from_violations(&report.violations);
     let entries: usize = baseline.counts.values().map(|m| m.values().sum::<usize>()).sum();
     let path = root.join("detlint.baseline.json");

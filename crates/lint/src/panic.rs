@@ -16,9 +16,9 @@
 //! baseline (`detlint.baseline.json`) — the ratchet that lets the
 //! existing surface shrink but never grow. See [`crate::baseline`].
 
-use crate::callgraph::Unit;
 use crate::lexer::Token;
-use crate::rules::{allowed_by_line, RuleId, Violation};
+use crate::rules::{RuleId, Violation};
+use crate::workspace::SourceFile;
 
 /// Keywords that may directly precede `[` when it opens an array
 /// *literal* or pattern rather than an index expression.
@@ -27,30 +27,24 @@ const NON_INDEX_KEYWORDS: [&str; 22] = [
     "ref", "unsafe", "async", "await", "dyn", "where", "break", "continue", "box", "yield",
 ];
 
-/// Scans one unit for D9 panic sites. The caller (the workspace layer)
-/// decides which units the rule applies to and how the baseline
+/// Scans one file for D9 panic sites. The caller (the workspace layer)
+/// decides which files the rule applies to and how the baseline
 /// absorbs the result; inline annotations are honored here.
 #[must_use]
-pub fn check_unit(unit: &Unit) -> Vec<Violation> {
-    let code = unit.code();
-    let allowed = allowed_by_line(&unit.tokens);
+pub fn check_file(file: &SourceFile) -> Vec<Violation> {
+    let code = file.code();
     let mut out = Vec::new();
     for i in 0..code.len() {
-        if unit.parsed.in_test_span(i) {
+        if file.parsed.in_test_span(i) {
             continue;
-        }
-        if let Some(f) = unit.parsed.fn_containing(i) {
-            if f.test_only {
-                continue;
-            }
         }
         let Some(what) = panic_site(&code, i) else { continue };
         let line = code[i].line;
-        if allowed.get(&line).is_some_and(|rs| rs.contains(&RuleId::D9)) {
+        if file.annotations.allows(RuleId::D9, line) {
             continue;
         }
         out.push(Violation {
-            file: unit.path.clone(),
+            file: file.path.clone(),
             line,
             rule: RuleId::D9,
             message: format!(
@@ -92,8 +86,8 @@ mod tests {
     use super::*;
 
     fn lines(src: &str) -> Vec<u32> {
-        let unit = Unit::new("crates/core/src/x.rs".into(), "core".into(), src);
-        check_unit(&unit).iter().map(|v| v.line).collect()
+        let file = SourceFile::new("crates/core/src/x.rs".into(), src);
+        check_file(&file).iter().map(|v| v.line).collect()
     }
 
     #[test]

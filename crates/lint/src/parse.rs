@@ -1,15 +1,17 @@
-//! Recursive-descent item/signature parser on top of [`crate::lexer`].
+//! Item scanner on top of [`crate::lexer`].
 //!
-//! This is deliberately *not* a full Rust parser: it recovers exactly
-//! the structure the v2 passes need — which functions exist (with their
-//! body token spans), which `impl`/`trait` type each method belongs to,
-//! the inline module path, `use` aliases good enough to resolve
-//! intra-workspace calls, and which items are `#[cfg(test)]`-only. The
-//! grammar subset covers everything in this repository; anything the
-//! parser cannot classify is recorded as a [`ParseError`] (a
-//! workspace-wide smoke test asserts the count stays zero) and skipped
-//! with panic-free recovery, so a new syntax form degrades analysis
-//! coverage instead of crashing the linter.
+//! This is deliberately *not* a Rust parser: it recovers exactly the
+//! structure the D7/D8 and D9 passes need — which functions exist (with
+//! their body token spans), which `impl`/`trait` type each method
+//! belongs to, and which code is `#[cfg(test)]`-only — from one forward
+//! walk over a stack of open braces. `fn`, `impl`, `mod` and `trait` are
+//! followed wherever they stand. At item position (the file, a `mod`, an
+//! `impl` or `trait` body) every other token must start an item, which is
+//! stepped over whole; inside a function or block anything goes. A token
+//! that starts no item, a header the scanner cannot follow or a brace
+//! that does not balance is recorded as a [`ParseError`] (a smoke test
+//! over the workspace asserts the count stays zero) and scanning goes on,
+//! so a new syntax form degrades coverage instead of crashing the linter.
 //!
 //! All spans are indices into the **code token** vector (comments
 //! stripped, see [`code_tokens`]) — the same view the rule passes walk,
@@ -30,44 +32,29 @@ pub struct FnDef {
     pub name: String,
     /// The `impl`/`trait` type this is a method of, if any.
     pub self_ty: Option<String>,
-    /// Inline `mod` path within the file (file-level module path is
-    /// derived from the file path by the workspace layer).
-    pub module: Vec<String>,
     pub line: u32,
     /// Body span in code-token indices: `(first_token_inside,
-    /// one_past_closing_brace - 1)`, i.e. `code[start..end]` is the body
-    /// without its braces. `None` for bodyless trait/extern decls.
+    /// closing_brace)`, i.e. `code[start..end]` is the body without its
+    /// braces. `None` for bodyless trait/extern decls.
     pub body: Option<(usize, usize)>,
     /// Declared under `#[cfg(test)]` / `#[test]` — exempt from the
     /// panic audit and the lock pass.
     pub test_only: bool,
-    /// Has a `self` receiver (method-call resolution candidates).
-    pub has_self: bool,
 }
 
-/// One resolved `use` alias: `alias` names `path` in this file.
-#[derive(Debug, Clone)]
-pub struct UseAlias {
-    pub alias: String,
-    pub path: Vec<String>,
-}
-
-/// A construct the parser could not classify.
+/// A construct the scanner could not follow.
 #[derive(Debug, Clone)]
 pub struct ParseError {
     pub line: u32,
     pub message: String,
 }
 
-/// Parse result for one file.
+/// Scan result for one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     pub fns: Vec<FnDef>,
-    pub uses: Vec<UseAlias>,
-    /// `mod name;` declarations (module tree edges to sibling files).
-    pub mod_decls: Vec<String>,
-    /// Code-token spans of `#[cfg(test)]` subtrees (mod bodies and fn
-    /// bodies), for passes that skip test-only code wholesale.
+    /// Code-token spans of the outermost test-only bodies (`mod`, `impl`,
+    /// `trait`, `fn`), for passes that skip test-only code wholesale.
     pub test_spans: Vec<(usize, usize)>,
     pub errors: Vec<ParseError>,
 }
@@ -90,358 +77,325 @@ impl ParsedFile {
     }
 }
 
-/// Parses the code-token view of one file.
-#[must_use]
-pub fn parse_file(code: &[&Token]) -> ParsedFile {
-    let mut p = Parser {
-        code,
-        i: 0,
-        out: ParsedFile::default(),
-    };
-    let end = code.len();
-    let mut module = Vec::new();
-    p.items(&mut module, None, false, end);
-    p.out
+/// What an open `{` is the body of.
+enum Body {
+    /// A `mod` body: items only, like the top of the file.
+    Mod,
+    /// An `impl` / `trait` body: items only; the name is its methods'
+    /// self type.
+    Type(String),
+    /// The body of `fns[index]`.
+    Fn(usize),
+    /// Any other brace (a block, a struct or macro body): free-form code.
+    Block,
 }
 
-/// Attributes observed in front of an item.
-#[derive(Debug, Default, Clone, Copy)]
-struct Attrs {
-    cfg_test: bool,
-    is_test: bool,
+struct Scope {
+    body: Body,
+    /// Code-token index of the first token inside the braces.
+    start: usize,
+    test_only: bool,
 }
 
-struct Parser<'a> {
+struct Scanner<'a> {
     code: &'a [&'a Token],
     i: usize,
+    open: Vec<Scope>,
     out: ParsedFile,
 }
 
-/// Keywords that introduce items the parser understands.
-const MODIFIERS: [&str; 4] = ["pub", "unsafe", "async", "default"];
-
-impl<'a> Parser<'a> {
-    fn peek(&self, ahead: usize) -> Option<&'a Token> {
-        self.code.get(self.i + ahead).copied()
+/// Scans the code-token view of one file.
+#[must_use]
+pub fn parse_file(code: &[&Token]) -> ParsedFile {
+    let mut s = Scanner {
+        code,
+        i: 0,
+        open: Vec::new(),
+        out: ParsedFile::default(),
+    };
+    // `#[cfg(test)]` / `#[test]` seen since the last item boundary: it
+    // belongs to the next `fn` / `mod` / `impl` / `trait`.
+    let mut test_attr = false;
+    while let Some(&t) = code.get(s.i) {
+        // Inside a function, block or macro body anything goes; outside
+        // one, every token has to belong to an item.
+        let in_code = s
+            .open
+            .iter()
+            .any(|scope| matches!(scope.body, Body::Fn(_) | Body::Block));
+        if t.is_punct('#') {
+            test_attr |= s.attribute();
+        } else if t.is_punct('}') {
+            s.close();
+            s.i += 1;
+            test_attr = false;
+        } else if s.scoped_item(test_attr) {
+            test_attr = false;
+        } else if in_code {
+            test_attr &= !(t.is_punct('{') || t.is_punct(';'));
+            if t.is_punct('{') {
+                s.push(Body::Block, false);
+            } else {
+                s.i += 1;
+            }
+        } else if !s.modifier() {
+            s.other_item();
+            test_attr = false;
+        }
     }
+    while !s.open.is_empty() {
+        s.error("unclosed `{` at end of file".into());
+        s.close();
+    }
+    s.out
+}
 
+/// One past the `>` matching the `<` at `code[open]`, treating `->`
+/// arrows (legal inside `Fn(…) -> T` bounds) as non-closing.
+#[must_use]
+pub fn generics_end(code: &[&Token], open: usize) -> usize {
+    let punct = |k: usize, c: char| code.get(k).is_some_and(|t| t.is_punct(c));
+    let mut depth = 0i32;
+    let mut k = open;
+    while k < code.len() {
+        if punct(k, '-') && punct(k + 1, '>') {
+            k += 2;
+            continue;
+        }
+        if punct(k, '<') {
+            depth += 1;
+        } else if punct(k, '>') {
+            depth -= 1;
+            if depth == 0 {
+                return k + 1;
+            }
+        }
+        k += 1;
+    }
+    k
+}
+
+impl<'a> Scanner<'a> {
     fn ident_at(&self, ahead: usize) -> Option<&'a str> {
-        self.peek(ahead).and_then(Token::ident)
+        self.code.get(self.i + ahead).and_then(|t| t.ident())
     }
 
     fn punct_at(&self, ahead: usize, c: char) -> bool {
-        self.peek(ahead).is_some_and(|t| t.is_punct(c))
+        self.code.get(self.i + ahead).is_some_and(|t| t.is_punct(c))
     }
 
-    fn line(&self) -> u32 {
-        self.peek(0).map_or(0, |t| t.line)
+    fn str_at(&self, ahead: usize) -> bool {
+        self.code
+            .get(self.i + ahead)
+            .is_some_and(|t| t.kind == TokKind::Str)
     }
 
     fn error(&mut self, message: String) {
-        let line = self.line();
+        let line = self
+            .code
+            .get(self.i)
+            .or(self.code.last())
+            .map_or(0, |t| t.line);
         self.out.errors.push(ParseError { line, message });
     }
 
-    /// Parses items until `end` (exclusive) or a stray `}`.
-    fn items(&mut self, module: &mut Vec<String>, self_ty: Option<&str>, test_only: bool, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, '}') {
-                return; // caller consumes it
-            }
-            self.item(module, self_ty, test_only, end);
+    /// Opens a scope at the `{` under the cursor and steps inside.
+    fn push(&mut self, body: Body, test_only: bool) {
+        let inherited = self.open.last().is_some_and(|s| s.test_only);
+        self.i += 1;
+        self.open.push(Scope {
+            body,
+            start: self.i,
+            test_only: test_only || inherited,
+        });
+    }
+
+    /// Closes the innermost scope at the `}` under the cursor (or at end
+    /// of file): a function gets its body span, and the outermost
+    /// test-only body becomes a test span.
+    fn close(&mut self) {
+        let Some(scope) = self.open.pop() else {
+            return self.error("`}` without a matching `{`".into());
+        };
+        let span = (scope.start, self.i.min(self.code.len()));
+        if let Body::Fn(index) = scope.body {
+            self.out.fns[index].body = Some(span);
+        }
+        let outermost = !self.open.last().is_some_and(|s| s.test_only);
+        if scope.test_only && outermost {
+            self.out.test_spans.push(span);
         }
     }
 
-    /// Parses one item, with recovery on anything unrecognized.
-    #[allow(clippy::too_many_lines)] // one arm per item kind; splitting obscures the grammar
-    fn item(&mut self, module: &mut Vec<String>, self_ty: Option<&str>, test_only: bool, end: usize) {
-        let attrs = self.attrs();
-        // Visibility / item modifiers. `const` is special: `const fn` is
-        // a modifier use, `const NAME` an item.
-        let mut saw_fn_modifiers = false;
-        loop {
-            match self.ident_at(0) {
-                Some(m) if MODIFIERS.contains(&m) => {
-                    self.i += 1;
-                    if m == "pub" && self.punct_at(0, '(') {
-                        self.skip_balanced('(', ')');
-                    }
-                    saw_fn_modifiers = true;
-                }
-                Some("const") if matches!(self.ident_at(1), Some("fn" | "unsafe" | "extern")) => {
-                    self.i += 1;
-                    saw_fn_modifiers = true;
-                }
-                Some("extern") if self.peek(1).is_some_and(|t| t.kind == TokKind::Str)
-                    && self.ident_at(2) == Some("fn") =>
-                {
-                    self.i += 2; // `extern "C"` fn-qualifier
-                    saw_fn_modifiers = true;
-                }
-                _ => break,
+    /// Steps over one token — over the whole balanced group when the
+    /// token opens one.
+    fn step(&mut self) {
+        let mut depth = 0i32;
+        while let Some(t) = self.code.get(self.i) {
+            self.i += 1;
+            match t.kind {
+                TokKind::Punct('(' | '[' | '{') => depth += 1,
+                TokKind::Punct(')' | ']' | '}') => depth -= 1,
+                _ => {}
             }
-        }
-        let Some(kw) = self.ident_at(0) else {
-            // Stray punctuation at item position (e.g. a leftover `;`).
-            if self.punct_at(0, ';') {
-                self.i += 1;
+            if depth <= 0 {
                 return;
             }
-            self.error(format!(
-                "expected an item, found `{:?}`",
-                self.peek(0).map(|t| &t.kind)
-            ));
-            self.recover(end);
-            return;
-        };
-        match kw {
-            "use" => self.use_item(end),
-            "mod" => self.mod_item(module, test_only || attrs.cfg_test, end),
-            "fn" => self.fn_item(module, self_ty, test_only, attrs, end),
-            "impl" => self.impl_item(module, test_only || attrs.cfg_test, end),
-            "trait" => self.trait_item(module, test_only || attrs.cfg_test, end),
-            "struct" | "enum" | "union" => {
-                self.i += 1;
-                // Name, generics, optional where clause, then `{…}` /
-                // `(…);` / `;`.
-                self.skip_to_item_body_or_semi(end);
-            }
-            "const" | "static" | "type" => {
-                self.i += 1;
-                self.skip_to_semi(end);
-            }
-            "extern" => {
-                // `extern crate x;` or an `extern "C" { … }` block.
-                self.i += 1;
-                if self.peek(0).is_some_and(|t| t.kind == TokKind::Str) {
-                    self.i += 1;
-                }
-                if self.punct_at(0, '{') {
-                    self.skip_balanced('{', '}');
-                } else {
-                    self.skip_to_semi(end);
-                }
-            }
-            "macro_rules" => {
-                self.i += 1; // macro_rules
-                if self.punct_at(0, '!') {
-                    self.i += 1;
-                }
-                self.i += 1; // the macro's name
-                self.skip_macro_body(end);
-            }
-            name => {
-                // Item-position macro invocation: `name!(…);` /
-                // `name! { … }` (e.g. `thread_local!`), possibly
-                // path-qualified.
-                let start = self.i;
-                while self.ident_at(0).is_some() && self.punct_at(1, ':') && self.punct_at(2, ':') {
-                    self.i += 3;
-                }
-                if self.ident_at(0).is_some() && self.punct_at(1, '!') {
-                    self.i += 2;
-                    self.skip_macro_body(end);
-                    if self.punct_at(0, ';') {
-                        self.i += 1;
-                    }
-                    return;
-                }
-                self.i = start;
-                let _ = saw_fn_modifiers;
-                self.error(format!("unrecognized item starting at `{name}`"));
-                self.recover(end);
-            }
         }
     }
 
-    /// Collects `#[…]` / `#![…]` attributes in front of an item.
-    fn attrs(&mut self) -> Attrs {
-        let mut attrs = Attrs::default();
-        loop {
-            if !self.punct_at(0, '#') {
-                return attrs;
-            }
-            let mut j = 1;
-            if self.punct_at(j, '!') {
-                j += 1;
-            }
-            if !self.punct_at(j, '[') {
-                return attrs;
-            }
-            self.i += j; // at `[`
-            let open = self.i;
-            self.skip_balanced('[', ']');
-            // Scan the attribute's tokens for cfg(test) / #[test].
-            let inner: Vec<&str> = self.code[open..self.i]
-                .iter()
-                .filter_map(|t| t.ident())
-                .collect();
-            if inner.first() == Some(&"cfg") && inner.contains(&"test") {
-                attrs.cfg_test = true;
-            }
-            if inner == ["test"] {
-                attrs.is_test = true;
-            }
-        }
-    }
-
-    /// `use tree;` — records every alias the tree introduces.
-    fn use_item(&mut self, end: usize) {
-        self.i += 1; // use
-        let start = self.i;
-        let mut depth = 0i32;
-        while self.i < end {
+    /// Skips the rest of an item header up to its `{` (entered as `body`)
+    /// or `;`, stepping over generic, parenthesized and bracketed groups
+    /// so a `{` or `;` inside a type does not end the header early. It
+    /// stops short of a `}`, which belongs to the enclosing scope; that
+    /// makes it the error recovery too (to the next item boundary).
+    fn enter(&mut self, body: Body, test_only: bool) {
+        while self.i < self.code.len() {
             if self.punct_at(0, '{') {
-                depth += 1;
-            } else if self.punct_at(0, '}') {
-                depth -= 1;
-            } else if self.punct_at(0, ';') && depth == 0 {
-                break;
+                return self.push(body, test_only);
             }
-            self.i += 1;
-        }
-        let tree = &self.code[start..self.i];
-        self.i += 1; // ;
-        let mut aliases = Vec::new();
-        Self::use_tree(tree, &[], &mut aliases);
-        self.out.uses.extend(aliases);
-    }
-
-    /// Recursively expands a use tree into (alias, path) pairs.
-    fn use_tree(toks: &[&Token], prefix: &[String], out: &mut Vec<UseAlias>) {
-        let mut i = 0;
-        let mut path: Vec<String> = prefix.to_vec();
-        while i < toks.len() {
-            match &toks[i].kind {
-                TokKind::Ident(s) if s == "as" => {
-                    // `path as alias`
-                    if let Some(alias) = toks.get(i + 1).and_then(|t| t.ident()) {
-                        out.push(UseAlias {
-                            alias: alias.to_string(),
-                            path: path.clone(),
-                        });
-                    }
-                    return;
-                }
-                TokKind::Ident(s) if s == "self" && !path.is_empty() => {
-                    // `{self, …}` — the prefix itself.
-                    out.push(UseAlias {
-                        alias: path.last().cloned().unwrap_or_default(),
-                        path: path.clone(),
-                    });
-                    return;
-                }
-                TokKind::Ident(s) => {
-                    path.push(s.clone());
-                    i += 1;
-                }
-                TokKind::Punct(':') => {
-                    i += 1; // path separator halves
-                }
-                TokKind::Punct('{') => {
-                    // Group: split top-level commas, recurse per element.
-                    let inner = Self::balanced_slice(toks, i, '{', '}');
-                    let mut start = 0;
-                    let mut depth = 0i32;
-                    for (k, t) in inner.iter().enumerate() {
-                        match &t.kind {
-                            TokKind::Punct('{') => depth += 1,
-                            TokKind::Punct('}') => depth -= 1,
-                            TokKind::Punct(',') if depth == 0 => {
-                                Self::use_tree(&inner[start..k], &path, out);
-                                start = k + 1;
-                            }
-                            _ => {}
-                        }
-                    }
-                    if start < inner.len() {
-                        Self::use_tree(&inner[start..], &path, out);
-                    }
-                    return;
-                }
-                _ => return, // `*` glob or anything unexpected: not tracked
-            }
-        }
-        if path.len() > prefix.len() || !path.is_empty() && prefix.is_empty() {
-            if let Some(alias) = path.last().cloned() {
-                out.push(UseAlias { alias, path });
-            }
-        }
-    }
-
-    /// The tokens inside the balanced group opening at `toks[open_idx]`.
-    fn balanced_slice<'t>(toks: &'t [&'t Token], open_idx: usize, open: char, close: char) -> &'t [&'t Token] {
-        let mut depth = 0i32;
-        for (k, t) in toks.iter().enumerate().skip(open_idx) {
-            if t.is_punct(open) {
-                depth += 1;
-            } else if t.is_punct(close) {
-                depth -= 1;
-                if depth == 0 {
-                    return &toks[open_idx + 1..k];
-                }
-            }
-        }
-        &toks[open_idx + 1..]
-    }
-
-    /// `mod name;` or `mod name { items }`.
-    fn mod_item(&mut self, module: &mut Vec<String>, test_only: bool, end: usize) {
-        self.i += 1; // mod
-        let Some(name) = self.ident_at(0).map(String::from) else {
-            self.error("`mod` without a name".into());
-            self.recover(end);
-            return;
-        };
-        self.i += 1;
-        if self.punct_at(0, ';') {
-            self.i += 1;
-            self.out.mod_decls.push(name);
-            return;
-        }
-        if !self.punct_at(0, '{') {
-            self.error(format!("`mod {name}` without `;` or body"));
-            self.recover(end);
-            return;
-        }
-        self.i += 1; // {
-        let body_start = self.i;
-        module.push(name);
-        // Find the matching close so nested items can't run past it.
-        let close = self.matching_brace(body_start - 1, end);
-        self.items(module, None, test_only, close);
-        module.pop();
-        self.i = close;
-        if self.punct_at(0, '}') {
-            self.i += 1;
-        }
-        if test_only {
-            self.out.test_spans.push((body_start, close));
-        }
-    }
-
-    /// `impl … { items }` — methods get the implemented type as
-    /// `self_ty`.
-    fn impl_item(&mut self, module: &mut Vec<String>, test_only: bool, end: usize) {
-        self.i += 1; // impl
-        if self.punct_at(0, '<') {
-            self.skip_generics();
-        }
-        // Scan the header up to `{`: the self type is the last path
-        // segment at angle-depth 0 before the body, taken after `for`
-        // when present (`impl Trait for Type`), frozen at `where`.
-        let mut ty: Option<String> = None;
-        let mut in_where = false;
-        while self.i < end {
-            if self.punct_at(0, '{') {
-                break;
+            if self.punct_at(0, '}') {
+                return;
             }
             if self.punct_at(0, '<') {
-                self.skip_generics();
+                self.i = generics_end(self.code, self.i);
                 continue;
             }
-            if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')'); // fn-pointer / tuple types
+            let done = self.punct_at(0, ';');
+            self.step();
+            if done {
+                return;
+            }
+        }
+        self.error("item header runs to end of file".into());
+    }
+
+    /// `#[…]` / `#![…]` under the cursor: steps past it and says whether
+    /// it is `#[test]` or a `#[cfg(…test…)]`.
+    fn attribute(&mut self) -> bool {
+        self.i += 1 + usize::from(self.punct_at(1, '!'));
+        if !self.punct_at(0, '[') {
+            return false; // a lone `#` (macro fragment), not an attribute
+        }
+        let open = self.i;
+        self.step();
+        let inner: Vec<&str> = self.code[open..self.i]
+            .iter()
+            .filter_map(|t| t.ident())
+            .collect();
+        inner == ["test"] || (inner.first() == Some(&"cfg") && inner.contains(&"test"))
+    }
+
+    /// A `fn` / `impl` / `mod` / `trait` under the cursor — the items the
+    /// passes analyse, picked up wherever they stand. False (cursor
+    /// unmoved) for anything else.
+    fn scoped_item(&mut self, test_attr: bool) -> bool {
+        match (self.ident_at(0), self.ident_at(1)) {
+            (Some("fn"), Some(name)) => self.fn_header(name, test_attr),
+            (Some("impl"), _) => self.impl_header(test_attr),
+            (Some("mod"), Some(_)) => self.enter(Body::Mod, test_attr),
+            (Some("trait"), Some(name)) => self.enter(Body::Type(name.into()), test_attr),
+            _ => return false,
+        }
+        true
+    }
+
+    /// A visibility or qualifier in front of an item (`pub(crate)`,
+    /// `unsafe`, `const fn`, `extern "C" fn`, …): steps past it.
+    fn modifier(&mut self) -> bool {
+        match (self.ident_at(0), self.ident_at(1)) {
+            (Some("pub"), _) if self.punct_at(1, '(') => {
+                self.i += 1;
+                self.step();
+            }
+            (Some("pub" | "unsafe" | "async" | "default"), _)
+            | (Some("const"), Some("fn" | "unsafe" | "async" | "extern")) => self.i += 1,
+            (Some("extern"), _) if self.str_at(1) && self.ident_at(2) == Some("fn") => self.i += 2,
+            _ => return false,
+        }
+        true
+    }
+
+    /// Every other item: stepped over whole, since no function the passes
+    /// analyse lives inside one. A token that starts no item at all is an
+    /// error, skipped like an item header.
+    fn other_item(&mut self) {
+        let mut path = 0; // tokens of the `a::b::` in front of a `name!`
+        while self.punct_at(path + 1, ':') && self.punct_at(path + 2, ':') {
+            path += 3;
+        }
+        match self.ident_at(0) {
+            _ if self.punct_at(0, ';') => self.i += 1, // a leftover `;`
+            Some("struct" | "enum" | "union") => self.enter(Body::Block, false),
+            Some("const" | "static" | "type" | "use") => self.skip_to_semi(),
+            Some("extern") if self.ident_at(1) == Some("crate") => self.skip_to_semi(),
+            // An `extern "C" { … }` block of bodyless declarations.
+            Some("extern") => {
+                self.i += 1 + usize::from(self.str_at(1));
+                self.step();
+            }
+            // `name!(…);`, `name! { … }`, `macro_rules! name { … }`.
+            Some(_) if self.ident_at(path).is_some() && self.punct_at(path + 1, '!') => {
+                self.i += path + 2;
+                self.i += usize::from(self.ident_at(0).is_some());
+                self.step();
+            }
+            _ => {
+                let found = &self.code[self.i].kind;
+                self.error(format!("expected an item, found `{found:?}`"));
+                self.enter(Body::Block, false);
+            }
+        }
+    }
+
+    /// Skips to just past the `;` ending a `const` / `static` / `type` /
+    /// `use` item, stepping over every group so the blocks and struct
+    /// literals of an initializer do not end it early.
+    fn skip_to_semi(&mut self) {
+        while self.i < self.code.len() && !self.punct_at(0, ';') {
+            self.step();
+        }
+        self.i += 1;
+    }
+
+    /// `fn name<…>(params) -> Ret where … { body }` (or `;`) under the
+    /// cursor. A method directly inside an `impl`/`trait` body takes its
+    /// type; a `fn` nested in another body is a free function.
+    fn fn_header(&mut self, name: &str, test_attr: bool) {
+        let line = self.code[self.i].line;
+        self.i += 2;
+        if self.punct_at(0, '<') {
+            self.i = generics_end(self.code, self.i);
+        }
+        if !self.punct_at(0, '(') {
+            self.error(format!("fn `{name}` without a parameter list"));
+            return self.enter(Body::Block, false);
+        }
+        let self_ty = self.open.last().and_then(|s| match &s.body {
+            Body::Type(ty) => Some(ty.clone()),
+            _ => None,
+        });
+        let test_only = test_attr || self.open.last().is_some_and(|s| s.test_only);
+        self.out.fns.push(FnDef {
+            name: name.to_string(),
+            self_ty,
+            line,
+            body: None,
+            test_only,
+        });
+        self.enter(Body::Fn(self.out.fns.len() - 1), test_only);
+    }
+
+    /// `impl<…> [Trait for] Type<…> [where …] {` under the cursor: the
+    /// self type is the last path segment at angle-depth 0 before the
+    /// body, taken after `for` when present, frozen at `where`.
+    fn impl_header(&mut self, test_attr: bool) {
+        self.i += 1; // impl
+        let mut ty: Option<&str> = None;
+        let mut in_where = false;
+        while self.i < self.code.len() && !self.punct_at(0, '{') && !self.punct_at(0, ';') {
+            if self.punct_at(0, '<') {
+                self.i = generics_end(self.code, self.i);
                 continue;
             }
             match self.ident_at(0) {
@@ -450,323 +404,15 @@ impl<'a> Parser<'a> {
                     in_where = false;
                 }
                 Some("where") => in_where = true,
-                Some(seg) if !in_where => ty = Some(seg.to_string()),
+                Some(seg) if !in_where => ty = Some(seg),
                 _ => {}
             }
-            self.i += 1;
+            self.step(); // a whole `(…)` for fn-pointer / tuple types
         }
         if !self.punct_at(0, '{') {
-            self.error("`impl` without a body".into());
-            return;
+            return self.error("`impl` without a body".into());
         }
-        let open = self.i;
-        self.i += 1;
-        let close = self.matching_brace(open, end);
-        let ty = ty.unwrap_or_else(|| "?impl".into());
-        self.items(module, Some(&ty), test_only, close);
-        self.i = close;
-        if self.punct_at(0, '}') {
-            self.i += 1;
-        }
-        if test_only {
-            self.out.test_spans.push((open + 1, close));
-        }
-    }
-
-    /// `trait Name … { items }` — default methods get the trait as
-    /// `self_ty`.
-    fn trait_item(&mut self, module: &mut Vec<String>, test_only: bool, end: usize) {
-        self.i += 1; // trait
-        let name = self.ident_at(0).map_or_else(|| "?trait".into(), String::from);
-        self.i += 1;
-        while self.i < end && !self.punct_at(0, '{') {
-            if self.punct_at(0, ';') {
-                self.i += 1; // `trait Alias = …;`
-                return;
-            }
-            if self.punct_at(0, '<') {
-                self.skip_generics();
-            } else if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-            } else {
-                self.i += 1;
-            }
-        }
-        if !self.punct_at(0, '{') {
-            return;
-        }
-        let open = self.i;
-        self.i += 1;
-        let close = self.matching_brace(open, end);
-        self.items(module, Some(&name), test_only, close);
-        self.i = close;
-        if self.punct_at(0, '}') {
-            self.i += 1;
-        }
-        if test_only {
-            self.out.test_spans.push((open + 1, close));
-        }
-    }
-
-    /// `fn name<…>(params) -> Ret where … { body }` (or `;`).
-    fn fn_item(
-        &mut self,
-        module: &[String],
-        self_ty: Option<&str>,
-        test_only: bool,
-        attrs: Attrs,
-        end: usize,
-    ) {
-        let line = self.line();
-        self.i += 1; // fn
-        let Some(name) = self.ident_at(0).map(String::from) else {
-            self.error("`fn` without a name".into());
-            self.recover(end);
-            return;
-        };
-        self.i += 1;
-        if self.punct_at(0, '<') {
-            self.skip_generics();
-        }
-        if !self.punct_at(0, '(') {
-            self.error(format!("fn `{name}` without a parameter list"));
-            self.recover(end);
-            return;
-        }
-        let params_open = self.i;
-        self.skip_balanced('(', ')');
-        // `self` receiver: an ident `self` at paren depth 1 before the
-        // first comma.
-        let params = Self::balanced_slice(self.code, params_open, '(', ')');
-        let mut has_self = false;
-        for t in params {
-            if t.is_punct(',') {
-                break;
-            }
-            if t.ident() == Some("self") {
-                has_self = true;
-                break;
-            }
-        }
-        // Return type / where clause: up to `{` or `;` at group depth 0.
-        while self.i < end && !self.punct_at(0, '{') && !self.punct_at(0, ';') {
-            if self.punct_at(0, '<') {
-                self.skip_generics();
-            } else if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-            } else if self.punct_at(0, '[') {
-                self.skip_balanced('[', ']');
-            } else {
-                self.i += 1;
-            }
-        }
-        let body = if self.punct_at(0, '{') {
-            let open = self.i;
-            self.i += 1;
-            let close = self.matching_brace(open, end);
-            self.i = close;
-            if self.punct_at(0, '}') {
-                self.i += 1;
-            }
-            Some((open + 1, close))
-        } else {
-            if self.punct_at(0, ';') {
-                self.i += 1;
-            }
-            None
-        };
-        let fn_test_only = test_only || attrs.cfg_test || attrs.is_test;
-        if fn_test_only {
-            if let Some(span) = body {
-                self.out.test_spans.push(span);
-            }
-        }
-        self.out.fns.push(FnDef {
-            name,
-            self_ty: self_ty.map(String::from),
-            module: module.to_vec(),
-            line,
-            body,
-            test_only: fn_test_only,
-            has_self,
-        });
-        // Items nested in the body (`fn inner()` helpers) get their own
-        // nodes so callers attribute their calls correctly.
-        if let Some((s, e)) = body {
-            self.scan_nested_fns(s, e, module, fn_test_only);
-        }
-    }
-
-    /// Finds `fn name…` definitions inside a body span and parses each
-    /// as its own item (free functions: no self type). Each nested fn
-    /// recursively scans its own body, and the outer scan resumes past
-    /// it, so no definition is parsed twice. `fn(u32) -> u32` pointer
-    /// types don't match (no name after `fn`).
-    fn scan_nested_fns(&mut self, start: usize, end: usize, module: &[String], test_only: bool) {
-        let saved = self.i;
-        let mut k = start;
-        while k < end {
-            let is_def = self.code[k].ident() == Some("fn")
-                && self.code.get(k + 1).is_some_and(|t| t.ident().is_some());
-            if is_def {
-                self.i = k;
-                let attrs = Attrs {
-                    cfg_test: test_only,
-                    is_test: false,
-                };
-                self.fn_item(module, None, test_only, attrs, end);
-                k = self.i; // past the nested body — never re-scanned
-            } else {
-                k += 1;
-            }
-        }
-        self.i = saved;
-    }
-
-    /// Index of the `}` matching the `{` at `open` (bounded by `end`).
-    fn matching_brace(&self, open: usize, end: usize) -> usize {
-        let mut depth = 0i32;
-        let mut k = open;
-        while k < end {
-            if self.code[k].is_punct('{') {
-                depth += 1;
-            } else if self.code[k].is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            k += 1;
-        }
-        end
-    }
-
-    /// Skips a balanced `open…close` group starting at the cursor.
-    fn skip_balanced(&mut self, open: char, close: char) {
-        let mut depth = 0i32;
-        while self.i < self.code.len() {
-            if self.punct_at(0, open) {
-                depth += 1;
-            } else if self.punct_at(0, close) {
-                depth -= 1;
-                if depth == 0 {
-                    self.i += 1;
-                    return;
-                }
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Skips a `<…>` generic group, treating `->` arrows (legal inside
-    /// `Fn(…) -> T` bounds) as non-closing.
-    fn skip_generics(&mut self) {
-        let mut depth = 0i32;
-        while self.i < self.code.len() {
-            if self.punct_at(0, '-') && self.punct_at(1, '>') {
-                self.i += 2;
-                continue;
-            }
-            if self.punct_at(0, '<') {
-                depth += 1;
-            } else if self.punct_at(0, '>') {
-                depth -= 1;
-                if depth == 0 {
-                    self.i += 1;
-                    return;
-                }
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Skips a macro body: the next balanced `(…)`, `[…]` or `{…}`.
-    fn skip_macro_body(&mut self, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-                return;
-            }
-            if self.punct_at(0, '[') {
-                self.skip_balanced('[', ']');
-                return;
-            }
-            if self.punct_at(0, '{') {
-                self.skip_balanced('{', '}');
-                return;
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Skips to the item-terminating `;`, balancing every group so
-    /// initializer expressions (struct literals, arrays, blocks) don't
-    /// end the item early.
-    fn skip_to_semi(&mut self, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, ';') {
-                self.i += 1;
-                return;
-            }
-            if self.punct_at(0, '{') {
-                self.skip_balanced('{', '}');
-                continue;
-            }
-            if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-                continue;
-            }
-            if self.punct_at(0, '[') {
-                self.skip_balanced('[', ']');
-                continue;
-            }
-            self.i += 1;
-        }
-    }
-
-    /// For struct/enum/union: skip name + generics, then either the
-    /// `{…}` body, the `(…);` tuple form, or a bare `;`.
-    fn skip_to_item_body_or_semi(&mut self, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, '{') {
-                self.skip_balanced('{', '}');
-                return;
-            }
-            if self.punct_at(0, '(') {
-                self.skip_balanced('(', ')');
-                // Tuple struct: `(…)` then optional where clause + `;`.
-                self.skip_to_semi(end);
-                return;
-            }
-            if self.punct_at(0, ';') {
-                self.i += 1;
-                return;
-            }
-            if self.punct_at(0, '<') {
-                self.skip_generics();
-                continue;
-            }
-            self.i += 1;
-        }
-    }
-
-    /// Error recovery: skip to the next plausible item boundary (a `;`
-    /// or balanced `}` at this level).
-    fn recover(&mut self, end: usize) {
-        while self.i < end {
-            if self.punct_at(0, ';') {
-                self.i += 1;
-                return;
-            }
-            if self.punct_at(0, '{') {
-                self.skip_balanced('{', '}');
-                return;
-            }
-            if self.punct_at(0, '}') {
-                return;
-            }
-            self.i += 1;
-        }
+        self.push(Body::Type(ty.unwrap_or("?impl").to_string()), test_attr);
     }
 }
 
@@ -801,20 +447,20 @@ trait T {
 ",
         );
         assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let names: Vec<(String, Option<String>, bool)> = p
+        let names: Vec<(String, Option<String>)> = p
             .fns
             .iter()
-            .map(|f| (f.name.clone(), f.self_ty.clone(), f.has_self))
+            .map(|f| (f.name.clone(), f.self_ty.clone()))
             .collect();
         assert_eq!(
             names,
             vec![
-                ("alpha".into(), None, false),
-                ("method".into(), Some("S".into()), true),
-                ("assoc".into(), Some("S".into()), false),
-                ("fmt".into(), Some("S".into()), true),
-                ("required".into(), Some("T".into()), true),
-                ("defaulted".into(), Some("T".into()), true),
+                ("alpha".into(), None),
+                ("method".into(), Some("S".into())),
+                ("assoc".into(), Some("S".into())),
+                ("fmt".into(), Some("S".into())),
+                ("required".into(), Some("T".into())),
+                ("defaulted".into(), Some("T".into())),
             ]
         );
         // `required` has no body; `defaulted` does.
@@ -859,8 +505,7 @@ fn top() {}
         );
         assert!(p.errors.is_empty(), "{:?}", p.errors);
         let by_name = |n: &str| p.fns.iter().find(|f| f.name == n).unwrap();
-        assert_eq!(by_name("in_outer").module, vec!["outer"]);
-        assert_eq!(by_name("deep").module, vec!["outer", "inner"]);
+        assert!(!by_name("in_outer").test_only && !by_name("deep").test_only);
         assert!(by_name("a_test").test_only);
         assert!(by_name("helper").test_only, "cfg(test) mod marks all fns");
         assert!(!by_name("top").test_only);
@@ -872,7 +517,7 @@ fn top() {}
     }
 
     #[test]
-    fn use_aliases_expand_groups_and_renames() {
+    fn use_trees_with_groups_renames_and_globs_are_skipped() {
         let p = parse(
             r"
 use std::collections::HashMap;
@@ -880,24 +525,12 @@ use crate::queue::{EventQueue, wheel::TimerWheel};
 use siteselect_sim::Prng as Rng;
 use super::fabric::{self, Fabric};
 use std::io::*;
+fn after() {}
 ",
         );
         assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let find = |a: &str| {
-            p.uses
-                .iter()
-                .find(|u| u.alias == a)
-                .map(|u| u.path.join("::"))
-        };
-        assert_eq!(find("HashMap").as_deref(), Some("std::collections::HashMap"));
-        assert_eq!(find("EventQueue").as_deref(), Some("crate::queue::EventQueue"));
-        assert_eq!(
-            find("TimerWheel").as_deref(),
-            Some("crate::queue::wheel::TimerWheel")
-        );
-        assert_eq!(find("Rng").as_deref(), Some("siteselect_sim::Prng"));
-        assert_eq!(find("fabric").as_deref(), Some("super::fabric"));
-        assert_eq!(find("Fabric").as_deref(), Some("super::fabric::Fabric"));
+        assert_eq!(p.fns.len(), 1);
+        assert_eq!(p.fns[0].name, "after");
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! per-file checking pass.
 //!
 //! The authoritative rule list is [`REGISTRY`] (one row per rule:
-//! id, mnemonic name, producing pass, summary). `detlint rules`, the
-//! generated comment table in `detlint.toml`, and the docs all render
-//! from it; see [`rules_table`] and [`toml_rule_table`].
+//! id, mnemonic name, summary). `detlint rules`, the generated comment
+//! table in `detlint.toml`, and the docs all render from it; see
+//! [`toml_rule_table`].
 //!
 //! A deliberate violation is suppressed in place with
 //! `// detlint: allow(D2) — <reason>` either trailing the offending line
@@ -14,14 +14,14 @@
 //! panic surface can be burned down incrementally while CI gates new
 //! findings.
 //!
-//! This module implements the *per-file* rules (D1–D6, D9 direct
-//! sites). D2 is flow-sensitive since v2: a hash-ordered iteration only
-//! fires when its order can escape — order-free terminal folds
-//! (`sum`/`any`/…), collect-then-sort chains, and loop/closure bodies
-//! that only fill subsequently-sorted collections are proven safe via
-//! the item parser's function spans ([`crate::parse`]). Interprocedural
-//! D1/D3 flows live in [`crate::dataflow`], the D7/D8 lock-order pass
-//! in [`crate::locks`], and the D9 audit in [`crate::panic`].
+//! This module implements the token rules D1–D6. D1/D3 flag the direct
+//! read only: the clock and entropy sources live in allowlisted files of
+//! crates no deterministic crate may depend on (a test over the Cargo
+//! graph holds that line). D2 flags *every* hash-ordered iteration in a
+//! deterministic crate; a site whose order cannot escape (an order-free
+//! fold, a collect that is sorted next) says so in its annotation. The
+//! D7/D8 lock-order pass lives in [`crate::locks`] and the D9 audit in
+//! [`crate::panic`].
 //!
 //! The engine is token-pattern based (see [`crate::lexer`]): it has no
 //! type information, so D2 relies on a per-crate symbol table of names
@@ -33,7 +33,8 @@
 //! invisible to the table — the rule is a tripwire for the common ways
 //! nondeterminism sneaks in, not a type checker.
 
-use crate::lexer::{lex, TokKind, Token};
+use crate::lexer::{TokKind, Token};
+use crate::workspace::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -51,34 +52,6 @@ pub enum RuleId {
     D9,
 }
 
-/// Which analysis pass produces a rule's findings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pass {
-    /// Per-file token patterns (the PR-4 engine).
-    Token,
-    /// Per-file token patterns + workspace-wide interprocedural dataflow.
-    Dataflow,
-    /// Flow-sensitive per-function escape analysis.
-    Flow,
-    /// Lock-order pass over guard scopes and the call graph.
-    LockOrder,
-    /// Panic-surface audit (baselined via `detlint.baseline.json`).
-    PanicAudit,
-}
-
-impl Pass {
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Pass::Token => "token",
-            Pass::Dataflow => "token+dataflow",
-            Pass::Flow => "flow",
-            Pass::LockOrder => "lock-order",
-            Pass::PanicAudit => "panic-audit",
-        }
-    }
-}
-
 /// One row of the rule registry. `detlint rules`, the generated comment
 /// table in `detlint.toml`, the config parser, and the docs all derive
 /// from this single table so they cannot drift.
@@ -86,7 +59,6 @@ pub struct RuleMeta {
     pub id: RuleId,
     pub name: &'static str,
     pub summary: &'static str,
-    pub pass: Pass,
     /// Findings may be absorbed by `detlint.baseline.json` (burn-down
     /// rules); all other rules must be fixed or inline-annotated.
     pub baselined: bool,
@@ -98,80 +70,59 @@ pub const REGISTRY: [RuleMeta; 9] = [
         id: RuleId::D1,
         name: "wall-clock",
         summary: "wall-clock read outside the allowlisted harness modules",
-        pass: Pass::Dataflow,
         baselined: false,
     },
     RuleMeta {
         id: RuleId::D2,
         name: "map-iter",
-        summary: "order-dependent HashMap/HashSet iteration whose order can escape",
-        pass: Pass::Flow,
+        summary: "hash-ordered HashMap/HashSet iteration in a deterministic crate without a stated reason",
         baselined: false,
     },
     RuleMeta {
         id: RuleId::D3,
         name: "unseeded-rng",
         summary: "ambient (unseeded) randomness source",
-        pass: Pass::Dataflow,
         baselined: false,
     },
     RuleMeta {
         id: RuleId::D4,
         name: "undocumented-unsafe",
         summary: "`unsafe` without a nearby `// SAFETY:` comment",
-        pass: Pass::Token,
         baselined: false,
     },
     RuleMeta {
         id: RuleId::D5,
         name: "bare-allow",
         summary: "#[allow(...)] without a reason comment",
-        pass: Pass::Token,
         baselined: false,
     },
     RuleMeta {
         id: RuleId::D6,
         name: "stray-print",
         summary: "print macro in library code (route output through obs/bench)",
-        pass: Pass::Token,
         baselined: false,
     },
     RuleMeta {
         id: RuleId::D7,
         name: "lock-order",
         summary: "lock acquisition cycle (potential deadlock) in the threaded cluster",
-        pass: Pass::LockOrder,
         baselined: false,
     },
     RuleMeta {
         id: RuleId::D8,
         name: "held-across-send",
         summary: "mutex guard held across a channel send or thread join",
-        pass: Pass::LockOrder,
         baselined: false,
     },
     RuleMeta {
         id: RuleId::D9,
         name: "panic-surface",
         summary: "unwrap/expect/slice-indexing in engine crates without a proven invariant",
-        pass: Pass::PanicAudit,
         baselined: true,
     },
 ];
 
 impl RuleId {
-    pub const ALL: [RuleId; 9] = [
-        RuleId::D1,
-        RuleId::D2,
-        RuleId::D3,
-        RuleId::D4,
-        RuleId::D5,
-        RuleId::D6,
-        RuleId::D7,
-        RuleId::D8,
-        RuleId::D9,
-    ];
-
     /// This rule's registry row.
     #[must_use]
     pub fn meta(self) -> &'static RuleMeta {
@@ -202,36 +153,6 @@ impl RuleId {
             RuleId::D9 => "D9",
         }
     }
-
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        self.meta().name
-    }
-
-    #[must_use]
-    pub fn summary(self) -> &'static str {
-        self.meta().summary
-    }
-}
-
-/// The `detlint rules` table, rendered from [`REGISTRY`].
-#[must_use]
-pub fn rules_table() -> String {
-    let mut out = format!(
-        "{:<4} {:<20} {:<15} summary\n",
-        "id", "name", "pass"
-    );
-    for m in &REGISTRY {
-        out.push_str(&format!(
-            "{:<4} {:<20} {:<15} {}{}\n",
-            m.id.id(),
-            m.name,
-            m.pass.label(),
-            m.summary,
-            if m.baselined { " [baselined]" } else { "" },
-        ));
-    }
-    out
 }
 
 /// The canonical rule-table comment block embedded in `detlint.toml`
@@ -245,10 +166,9 @@ pub fn toml_rule_table() -> String {
     );
     for m in &REGISTRY {
         out.push_str(&format!(
-            "#   {} {:<20} [{}]{} {}\n",
+            "#   {} {:<20}{} {}\n",
             m.id.id(),
             m.name,
-            m.pass.label(),
             if m.baselined { " [baselined]" } else { "" },
             m.summary,
         ));
@@ -290,27 +210,19 @@ pub struct SymbolTable {
     pub nonmap_names: BTreeSet<String>,
 }
 
-/// Per-crate view: union of every file's declarations. A name is tracked
-/// crate-wide only when no file in the crate declares it as a non-map
-/// type, so shared field names with mixed types fall back to per-file
-/// resolution.
-#[derive(Debug, Default, Clone)]
-pub struct CrateSymbols {
-    pub per_file: BTreeMap<String, SymbolTable>,
-}
-
-impl CrateSymbols {
-    #[must_use]
-    pub fn crate_wide_map_names(&self) -> BTreeSet<String> {
-        let mut maps = BTreeSet::new();
-        let mut nonmaps = BTreeSet::new();
-        for t in self.per_file.values() {
-            maps.extend(t.map_names.iter().cloned());
-            nonmaps.extend(t.nonmap_names.iter().cloned());
-        }
-        maps.retain(|n| !nonmaps.contains(n));
-        maps
+/// Map-typed names visible crate-wide: the union of every file's
+/// declarations, minus any name some file in the crate declares as a
+/// non-map type (those fall back to per-file resolution).
+#[must_use]
+pub fn crate_wide_map_names<'t>(tables: impl Iterator<Item = &'t SymbolTable>) -> BTreeSet<String> {
+    let mut maps = BTreeSet::new();
+    let mut nonmaps = BTreeSet::new();
+    for t in tables {
+        maps.extend(t.map_names.iter().cloned());
+        nonmaps.extend(t.nonmap_names.iter());
     }
+    maps.retain(|n| !nonmaps.contains(n));
+    maps
 }
 
 const MAP_TYPES: [&str; 2] = ["HashMap", "HashSet"];
@@ -443,22 +355,34 @@ fn leading_path(code: &[&Token]) -> Vec<String> {
     out
 }
 
-/// Inline suppressions and their reasons, by target line.
+/// Inline suppressions and their reasons, by target line. Every pass
+/// honors the same annotations.
 #[derive(Debug, Default)]
-struct Annotations {
+pub struct Annotations {
     /// line → rules allowed on that line.
     allowed: BTreeMap<u32, BTreeSet<RuleId>>,
     /// Annotations missing a reason (reported as violations of the
     /// contract itself).
     bad: Vec<(u32, String)>,
     /// Total well-formed suppressions in the file.
-    count: u32,
+    pub count: u32,
+}
+
+impl Annotations {
+    /// True when a well-formed `allow(rule)` targets `line`.
+    #[must_use]
+    pub fn allows(&self, rule: RuleId, line: u32) -> bool {
+        self.allowed
+            .get(&line)
+            .is_some_and(|rules| rules.contains(&rule))
+    }
 }
 
 /// Parses `// detlint: allow(D2, D6) — reason` out of comment tokens. A
 /// trailing comment applies to its own line; a standalone comment
 /// applies to the next line that has code.
-fn collect_annotations(tokens: &[Token]) -> Annotations {
+#[must_use]
+pub fn collect_annotations(tokens: &[Token]) -> Annotations {
     let mut ann = Annotations::default();
     for (idx, tok) in tokens.iter().enumerate() {
         let (text, trailing) = match &tok.kind {
@@ -526,18 +450,8 @@ fn collect_annotations(tokens: &[Token]) -> Annotations {
     ann
 }
 
-/// Well-formed inline suppressions by target line — the workspace-level
-/// passes (dataflow, lock order, panic audit) honor the same inline
-/// `allow(…)` annotations as the per-file engine.
-#[must_use]
-pub fn allowed_by_line(tokens: &[Token]) -> BTreeMap<u32, BTreeSet<RuleId>> {
-    collect_annotations(tokens).allowed
-}
-
 /// Everything the checker needs to know about the file being linted.
 pub struct FileContext<'a> {
-    /// Workspace-relative path with `/` separators.
-    pub path: &'a str,
     /// D1/D3 exempt (allowlisted wall-clock / rng module).
     pub allow_wall_clock: bool,
     pub allow_rng: bool,
@@ -551,26 +465,16 @@ pub struct FileContext<'a> {
     pub crate_map_names: &'a BTreeSet<String>,
 }
 
-/// Result of linting one file.
-#[derive(Debug, Default)]
-pub struct FileReport {
-    pub violations: Vec<Violation>,
-    pub suppressions: u32,
-}
-
-/// Lints one file's source text.
+/// Runs the token rules (D1–D6) over one file.
 #[must_use]
-pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
-    let tokens = lex(src);
-    let symbols = collect_symbols(&tokens);
-    let ann = collect_annotations(&tokens);
-    let mut report = FileReport {
-        suppressions: ann.count,
-        ..FileReport::default()
-    };
+pub fn check_file(file: &SourceFile, ctx: &FileContext<'_>) -> Vec<Violation> {
+    let tokens = &file.tokens;
+    let symbols = &file.symbols;
+    let ann = &file.annotations;
+    let mut out = Vec::new();
     for (line, msg) in &ann.bad {
-        report.violations.push(Violation {
-            file: ctx.path.to_string(),
+        out.push(Violation {
+            file: file.path.clone(),
             line: *line,
             rule: RuleId::D5,
             message: format!("malformed suppression: {msg}"),
@@ -597,24 +501,18 @@ pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
         .map(|t| t.line)
         .collect();
 
-    let emit = |rule: RuleId, line: u32, message: String, report: &mut FileReport| {
-        if ann
-            .allowed
-            .get(&line)
-            .is_some_and(|rules| rules.contains(&rule))
-        {
-            return;
+    let mut emit = |rule: RuleId, line: u32, message: String| {
+        if !ann.allows(rule, line) {
+            out.push(Violation {
+                file: file.path.clone(),
+                line,
+                rule,
+                message,
+            });
         }
-        report.violations.push(Violation {
-            file: ctx.path.to_string(),
-            line,
-            rule,
-            message,
-        });
     };
 
-    let code: Vec<&Token> = tokens.iter().filter(|t| t.is_code()).collect();
-    let parsed = crate::parse::parse_file(&code);
+    let code = file.code();
     for i in 0..code.len() {
         let t = code[i];
         let Some(name) = t.ident() else {
@@ -637,7 +535,6 @@ pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
                             line,
                             "#[allow(...)] without a reason comment on this or the previous line"
                                 .to_string(),
-                            &mut report,
                         );
                     }
                 }
@@ -659,7 +556,6 @@ pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
                     RuleId::D1,
                     t.line,
                     "`Instant::now()` in deterministic code — simulation time must come from the event clock".to_string(),
-                    &mut report,
                 );
             }
             if name == "SystemTime" && followed_by(1, ':') && followed_by(2, ':') {
@@ -667,7 +563,6 @@ pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
                     RuleId::D1,
                     t.line,
                     "`SystemTime` access in deterministic code".to_string(),
-                    &mut report,
                 );
             }
         }
@@ -679,7 +574,6 @@ pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
                     RuleId::D3,
                     t.line,
                     format!("`{name}` is an unseeded randomness source — use the seeded `Prng`"),
-                    &mut report,
                 );
             }
             if name == "rand" && followed_by(1, ':') && followed_by(2, ':') {
@@ -687,7 +581,6 @@ pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
                     RuleId::D3,
                     t.line,
                     "`rand::` path — the workspace PRNG is `siteselect_sim::Prng`".to_string(),
-                    &mut report,
                 );
             }
         }
@@ -703,7 +596,6 @@ pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
                     line,
                     "`unsafe` without a `// SAFETY:` comment on or within 3 lines above"
                         .to_string(),
-                    &mut report,
                 );
             }
         }
@@ -718,7 +610,6 @@ pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
                 RuleId::D6,
                 t.line,
                 format!("`{name}!` in library code — emit through `obs` events or return strings"),
-                &mut report,
             );
         }
 
@@ -736,48 +627,41 @@ pub fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
                 && code.get(i + 3).is_some_and(|t| t.is_punct('('))
             {
                 if let Some(method) = code.get(i + 2).and_then(|t| t.ident()) {
-                    if ORDER_DEPENDENT_METHODS.contains(&method)
-                        && is_map_name(name)
-                        && !crate::flow::method_site_is_safe(&code, &parsed, i, method)
-                    {
+                    if ORDER_DEPENDENT_METHODS.contains(&method) && is_map_name(name) {
                         emit(
                             RuleId::D2,
                             t.line,
                             format!(
-                                "`.{method}()` on hash-ordered `{name}` — iteration order escapes; collect-and-sort or annotate"
+                                "`.{method}()` on hash-ordered `{name}` — use an ordered map, or annotate with the sort / order-free fold that closes the escape"
                             ),
-                            &mut report,
                         );
                     }
                 }
             }
             // `for <pat> in [&[mut]] [self.]<name> {`
             if name == "for" {
-                if let Some((target, line, body_rel)) = for_loop_target(&code[i..]) {
-                    if is_map_name(&target)
-                        && !crate::flow::loop_site_is_safe(&code, &parsed, i + body_rel)
-                    {
+                if let Some((target, line)) = for_loop_target(&code[i..]) {
+                    if is_map_name(target) {
                         emit(
                             RuleId::D2,
                             line,
                             format!(
-                                "`for … in` over hash-ordered `{target}` — iteration order escapes; collect-and-sort or annotate"
+                                "`for … in` over hash-ordered `{target}` — use an ordered map, or annotate with the sort / order-free fold that closes the escape"
                             ),
-                            &mut report,
                         );
                     }
                 }
             }
         }
     }
-    report
+    out
 }
 
 /// For `code` starting at a `for` token, returns the identifier being
-/// iterated and the offset of the loop body's `{` when the loop has the
-/// direct shape `for <pat> in [&][mut] [self .] name {` — method chains
-/// after the name are handled by the method-call check instead.
-fn for_loop_target(code: &[&Token]) -> Option<(String, u32, usize)> {
+/// iterated and its line when the loop has the direct shape
+/// `for <pat> in [&][mut] [self .] name {` — method chains after the
+/// name are handled by the method-call check instead.
+fn for_loop_target<'t>(code: &[&'t Token]) -> Option<(&'t str, u32)> {
     // Find `in` within a short window, stopping at tokens that cannot
     // appear in a loop pattern — `impl Display for Foo {` must not scan
     // into the impl body and pick up an unrelated `in`.
@@ -805,7 +689,7 @@ fn for_loop_target(code: &[&Token]) -> Option<(String, u32, usize)> {
     }
     let name = code.get(k).and_then(|t| t.ident())?;
     if code.get(k + 1).is_some_and(|t| t.is_punct('{')) {
-        return Some((name.to_string(), code[k].line, k + 1));
+        return Some((name, code[k].line));
     }
     None
 }
@@ -814,9 +698,23 @@ fn for_loop_target(code: &[&Token]) -> Option<(String, u32, usize)> {
 mod tests {
     use super::*;
 
+    /// What the tests below look at: the findings plus the file's
+    /// well-formed suppression count.
+    struct FileReport {
+        violations: Vec<Violation>,
+        suppressions: u32,
+    }
+
+    fn check_file(src: &str, ctx: &FileContext<'_>) -> FileReport {
+        let file = SourceFile::new("crates/sim/src/test.rs".into(), src);
+        FileReport {
+            suppressions: file.annotations.count,
+            violations: super::check_file(&file, ctx),
+        }
+    }
+
     fn ctx_det(crate_maps: &BTreeSet<String>) -> FileContext<'_> {
         FileContext {
-            path: "crates/sim/src/test.rs",
             allow_wall_clock: false,
             allow_rng: false,
             deterministic: true,

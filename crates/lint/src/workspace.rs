@@ -1,26 +1,57 @@
-//! Workspace traversal and pass orchestration: file discovery, crate
-//! grouping, the two-pass D2 symbol collection, the whole-workspace
-//! passes (interprocedural dataflow, lock order, panic audit), baseline
-//! application, and the top-level [`check_workspace`] entry point the
-//! CLI and tests share.
-//!
-//! Targeted runs (`detlint check <files>`) execute the per-file passes
-//! only — the call-graph passes need the whole workspace to resolve
-//! calls and are meaningless on a subset. `check --workspace` runs
-//! everything.
+//! File discovery and the one pass list: [`check`] reads, lexes and
+//! parses each file once into a [`SourceFile`], then runs every pass
+//! over that set — the token rules (D1–D6), the panic audit (D9) on the
+//! crates it is scoped to, and the lock-order pass (D7/D8) over the
+//! files of the crates `detlint.toml` names for it — and applies the
+//! baseline. `detlint check --workspace` and `detlint check <files>`
+//! differ only in the file list they hand it.
 
 use crate::baseline::{Baseline, StaleEntry};
-use crate::callgraph::{CallGraph, Unit};
 use crate::config::Config;
-use crate::dataflow::{self, UnitPolicy};
-use crate::lexer::lex;
-use crate::locks;
+use crate::lexer::{lex, Token};
+use crate::parse::{code_tokens, parse_file, ParsedFile};
 use crate::rules::{
-    check_file, collect_symbols, CrateSymbols, FileContext, RuleId, Violation,
+    check_file, collect_annotations, collect_symbols, crate_wide_map_names, Annotations,
+    FileContext, RuleId, SymbolTable, Violation,
 };
+use crate::{locks, panic};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// One source file, lexed and parsed once, shared by every pass.
+pub struct SourceFile {
+    /// Workspace-relative path with `/` separators.
+    pub path: String,
+    pub tokens: Vec<Token>,
+    pub parsed: ParsedFile,
+    pub annotations: Annotations,
+    /// Names this file declares map-typed / non-map-typed (D2).
+    pub symbols: SymbolTable,
+}
+
+impl SourceFile {
+    #[must_use]
+    pub fn new(path: String, src: &str) -> SourceFile {
+        let tokens = lex(src);
+        let parsed = parse_file(&code_tokens(&tokens));
+        let annotations = collect_annotations(&tokens);
+        let symbols = collect_symbols(&tokens);
+        SourceFile {
+            path,
+            tokens,
+            parsed,
+            annotations,
+            symbols,
+        }
+    }
+
+    /// The code-token view (comments stripped) that body spans index into.
+    #[must_use]
+    pub fn code(&self) -> Vec<&Token> {
+        code_tokens(&self.tokens)
+    }
+}
 
 /// Aggregate result of a lint run.
 #[derive(Debug, Default)]
@@ -107,102 +138,75 @@ fn relative(path: &Path, root: &Path) -> String {
         .join("/")
 }
 
-/// Reads and parses the given workspace-relative files into call-graph
-/// [`Unit`]s (each carries its token stream and parsed item tree).
-pub fn build_units(root: &Path, files: &[String]) -> std::io::Result<Vec<Unit>> {
-    files
-        .iter()
-        .map(|rel| {
-            let src = fs::read_to_string(root.join(rel))?;
-            Ok(Unit::new(rel.clone(), crate_of(rel), &src))
-        })
-        .collect()
-}
-
-/// The per-file passes over pre-built units: token rules and, for files
-/// the D9 scope covers, the panic audit. Fills `files_checked`,
-/// `suppressions` and the raw violation list (no baseline applied).
-fn per_file_passes(root: &Path, units: &[Unit], cfg: &Config) -> std::io::Result<Report> {
-    // Pass 1: per-crate symbol tables for D2.
-    let mut crates: BTreeMap<String, CrateSymbols> = BTreeMap::new();
-    let mut sources: BTreeMap<&str, String> = BTreeMap::new();
-    for unit in units {
-        let src = fs::read_to_string(root.join(&unit.path))?;
-        let table = collect_symbols(&lex(&src));
-        crates
-            .entry(unit.crate_name.clone())
-            .or_default()
-            .per_file
-            .insert(unit.path.clone(), table);
-        sources.insert(&unit.path, src);
+/// Lints the given workspace-relative files with every pass; `baseline`
+/// (usually [`load_baseline`]) absorbs accepted findings.
+///
+/// # Errors
+///
+/// `<path>: <cause>` for a file that cannot be read as UTF-8 text.
+pub fn check(
+    root: &Path,
+    files: &[String],
+    cfg: &Config,
+    baseline: Option<&Baseline>,
+) -> Result<Report, String> {
+    let mut sources = Vec::with_capacity(files.len());
+    for rel in files {
+        let src = fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
+        sources.push(SourceFile::new(rel.clone(), &src));
     }
+
+    // D2 resolves map-typed names per crate, so the symbol tables of a
+    // crate's files are merged before any file is checked.
+    let crates: BTreeSet<String> = sources.iter().map(|f| crate_of(&f.path)).collect();
     let crate_maps: BTreeMap<String, BTreeSet<String>> = crates
-        .iter()
-        .map(|(name, syms)| (name.clone(), syms.crate_wide_map_names()))
+        .into_iter()
+        .map(|name| {
+            let files = sources.iter().filter(|f| crate_of(&f.path) == name);
+            let maps = crate_wide_map_names(files.map(|f| &f.symbols));
+            (name, maps)
+        })
         .collect();
 
-    // Pass 2: rules.
-    let empty = BTreeSet::new();
-    let mut report = Report::default();
-    for unit in units {
-        let rel = &unit.path;
+    let mut report = Report {
+        files_checked: sources.len(),
+        ..Report::default()
+    };
+    for file in &sources {
+        let rel = &file.path;
         let ctx = FileContext {
-            path: rel,
             allow_wall_clock: cfg.is_allowed(RuleId::D1, rel),
             allow_rng: cfg.is_allowed(RuleId::D3, rel),
-            deterministic: cfg.is_deterministic_path(rel)
-                && !cfg.is_allowed(RuleId::D2, rel),
+            deterministic: cfg.is_deterministic_path(rel) && !cfg.is_allowed(RuleId::D2, rel),
             library: is_library_path(rel),
             allow_print: cfg.is_allowed(RuleId::D6, rel),
-            crate_map_names: crate_maps.get(&unit.crate_name).unwrap_or(&empty),
+            crate_map_names: &crate_maps[&crate_of(rel)],
         };
-        let file_report = check_file(&sources[rel.as_str()], &ctx);
-        report.files_checked += 1;
-        report.suppressions += file_report.suppressions;
-        report.violations.extend(file_report.violations);
+        report.suppressions += file.annotations.count;
+        report.violations.extend(check_file(file, &ctx));
         // The panic audit covers engine *library* code: integration
         // tests, benches and examples may panic freely.
         if cfg.rule_applies_to(RuleId::D9, rel)
             && is_library_path(rel)
             && !cfg.is_allowed(RuleId::D9, rel)
         {
-            report.violations.extend(crate::panic::check_unit(unit));
+            report.violations.extend(panic::check_file(file));
         }
     }
-    Ok(report)
-}
 
-/// The whole-workspace passes over pre-built units: interprocedural
-/// D1/D3 dataflow and the D7/D8 lock-order analysis. Exposed so tests
-/// can run them against the real repository.
-#[must_use]
-pub fn graph_passes(units: &[Unit], cfg: &Config) -> Vec<Violation> {
-    let graph = CallGraph::build(units);
-    let policies: Vec<UnitPolicy> = units
+    let lock_scope: Vec<&SourceFile> = sources
         .iter()
-        .map(|u| UnitPolicy {
-            allow_wall_clock: cfg.is_allowed(RuleId::D1, &u.path),
-            allow_rng: cfg.is_allowed(RuleId::D3, &u.path),
+        .filter(|f| {
+            cfg.rule_applies_to(RuleId::D7, &f.path) || cfg.rule_applies_to(RuleId::D8, &f.path)
         })
         .collect();
-    let mut out = dataflow::check(units, &graph, &policies);
-    let active: Vec<bool> = units
-        .iter()
-        .map(|u| {
-            cfg.rule_applies_to(RuleId::D7, &u.path) || cfg.rule_applies_to(RuleId::D8, &u.path)
-        })
-        .collect();
-    let (_, lock_violations) = locks::check(units, &graph, &active);
-    out.extend(
+    let (_, lock_violations) = locks::check(&lock_scope);
+    report.violations.extend(
         lock_violations
             .into_iter()
             .filter(|v| cfg.rule_applies_to(v.rule, &v.file)),
     );
-    out
-}
 
-/// Applies the committed baseline (when given), then sorts.
-fn finish(mut report: Report, baseline: Option<&Baseline>) -> Report {
     if let Some(b) = baseline {
         let outcome = b.apply(std::mem::take(&mut report.violations));
         report.violations = outcome.kept;
@@ -212,34 +216,7 @@ fn finish(mut report: Report, baseline: Option<&Baseline>) -> Report {
     report
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    report
-}
-
-/// Lints the given workspace-relative files with the per-file passes
-/// (token rules + panic audit). The call-graph passes only run under
-/// [`check_workspace`]; `baseline` (usually [`load_baseline`]) absorbs
-/// accepted findings.
-pub fn check_paths(
-    root: &Path,
-    files: &[String],
-    cfg: &Config,
-    baseline: Option<&Baseline>,
-) -> std::io::Result<Report> {
-    let units = build_units(root, files)?;
-    Ok(finish(per_file_passes(root, &units, cfg)?, baseline))
-}
-
-/// Discovers and lints every `.rs` file under `root` with all passes.
-pub fn check_workspace(
-    root: &Path,
-    cfg: &Config,
-    baseline: Option<&Baseline>,
-) -> std::io::Result<Report> {
-    let files = discover_files(root, cfg)?;
-    let units = build_units(root, &files)?;
-    let mut report = per_file_passes(root, &units, cfg)?;
-    report.violations.extend(graph_passes(&units, cfg));
-    Ok(finish(report, baseline))
+    Ok(report)
 }
 
 /// Loads `detlint.toml` from `root`, falling back to defaults when the

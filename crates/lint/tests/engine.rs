@@ -3,7 +3,10 @@
 //! and — the gate this crate exists for — a check that the repository
 //! itself is clean.
 
-use siteselect_lint::{check_paths, check_workspace, load_config, Config, RuleId};
+use siteselect_lint::lexer::Token;
+use siteselect_lint::workspace::SourceFile;
+use siteselect_lint::{check, discover_files, load_config, Config, Report, RuleId};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 fn fixtures_root() -> PathBuf {
@@ -43,9 +46,25 @@ crates = ["root"]
     .expect("fixture config parses")
 }
 
+/// Every pass over every lintable file under `root`, no baseline.
+fn check_tree(root: &Path, cfg: &Config) -> Report {
+    let files = discover_files(root, cfg).expect("tree scans");
+    check(root, &files, cfg, None).expect("files readable")
+}
+
+/// Runs the CLI with `args` plus `--root root`.
+fn detlint(args: &[&str], root: &Path) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_detlint"))
+        .args(args)
+        .arg("--root")
+        .arg(root)
+        .output()
+        .expect("detlint binary runs")
+}
+
 /// Lints one fixture and returns the rules that fired, in file order.
 fn lint_fixture(name: &str) -> Vec<RuleId> {
-    let report = check_paths(
+    let report = check(
         &fixtures_root(),
         &[format!("src/{name}")],
         &fixture_cfg(),
@@ -69,6 +88,8 @@ fn positive_fixtures_fire_their_rule() {
     assert_eq!(lint_fixture("d4_bad.rs"), vec![RuleId::D4]);
     assert_eq!(lint_fixture("d5_bad.rs"), vec![RuleId::D5]);
     assert_eq!(lint_fixture("d6_bad.rs"), vec![RuleId::D6, RuleId::D6]);
+    assert_eq!(lint_fixture("d7_bad.rs"), vec![RuleId::D7]);
+    assert_eq!(lint_fixture("d8_bad.rs"), vec![RuleId::D8]);
     assert_eq!(
         lint_fixture("d9_bad.rs"),
         vec![RuleId::D9, RuleId::D9, RuleId::D9]
@@ -97,7 +118,7 @@ fn config_allowlist_exempts_a_module() {
     assert_eq!(lint_fixture("allowed_clock.rs"), Vec::new());
     // The same file without the allowlist is a violation.
     let strict = Config::parse("[deterministic]\ncrates = [\"root\"]").expect("parses");
-    let report = check_paths(
+    let report = check(
         &fixtures_root(),
         &["src/allowed_clock.rs".to_string()],
         &strict,
@@ -112,7 +133,7 @@ fn config_allowlist_exempts_a_module() {
 
 #[test]
 fn inline_annotations_suppress_and_are_counted() {
-    let report = check_paths(
+    let report = check(
         &fixtures_root(),
         &["src/annotated.rs".to_string()],
         &fixture_cfg(),
@@ -125,7 +146,7 @@ fn inline_annotations_suppress_and_are_counted() {
 
 #[test]
 fn diagnostics_carry_file_line_and_rule() {
-    let report = check_paths(
+    let report = check(
         &fixtures_root(),
         &["src/d1_bad.rs".to_string()],
         &fixture_cfg(),
@@ -144,21 +165,18 @@ fn diagnostics_carry_file_line_and_rule() {
 
 #[test]
 fn whole_fixture_tree_discovery_finds_every_bad_file() {
-    let report =
-        check_workspace(&fixtures_root(), &fixture_cfg(), None).expect("fixture tree scans");
+    let report = check_tree(&fixtures_root(), &fixture_cfg());
     // 9 bad fixtures with 2+3+3+1+1+2+1+1+3 = 17 violations; good/
     // annotated/allowlisted files contribute none.
     assert_eq!(report.violations.len(), 17);
     assert_eq!(report.files_checked, 20);
 }
 
-/// The lock-order rules only exist at the workspace level: D7 needs the
-/// acquired-while-held graph, D8 needs guard scopes. One cycle and one
-/// send-under-lock in the fixture tree, each reported exactly once.
+/// One cycle and one send-under-lock in the fixture tree, each reported
+/// exactly once even though every fixture is in the lock pass's scope.
 #[test]
 fn lock_rules_fire_in_the_fixture_tree() {
-    let report =
-        check_workspace(&fixtures_root(), &fixture_cfg(), None).expect("fixture tree scans");
+    let report = check_tree(&fixtures_root(), &fixture_cfg());
     let lock_hits: Vec<(&str, RuleId)> = report
         .violations
         .iter()
@@ -174,44 +192,74 @@ fn lock_rules_fire_in_the_fixture_tree() {
     );
 }
 
-/// The regression detlint v2 exists for: a deterministic crate reaching
-/// the wall clock *through* an allowlisted helper crate. The per-file
-/// pass sees nothing; the interprocedural pass reports the frontier
-/// call site in the caller.
-#[test]
-fn interprocedural_flow_needs_the_workspace_pass() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/interproc");
-    let cfg = Config::parse(
-        r#"
-[deterministic]
-crates = ["engine", "clockutil"]
+/// Workspace crates named anywhere in a dependency table of
+/// `crates/<name>/Cargo.toml`: as a key, in a `[dependencies.<dep>]`
+/// header, or as a `package =` / `path =` value. Any word that is a crate
+/// directory counts, so the scan can add a dependency but never miss one.
+fn manifest_deps(root: &Path, name: &str) -> BTreeSet<String> {
+    let manifest = std::fs::read_to_string(root.join(format!("crates/{name}/Cargo.toml")))
+        .expect("workspace crate has a manifest");
+    let mut deps = BTreeSet::new();
+    let mut in_deps = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_deps = line.contains("dependencies");
+        }
+        let words = line.split(|c: char| !(c.is_alphanumeric() || c == '-' || c == '_'));
+        for word in words.filter(|_| in_deps) {
+            let word = word.strip_prefix("siteselect-").unwrap_or(word);
+            if word != name && root.join(format!("crates/{word}/Cargo.toml")).is_file() {
+                deps.insert(word.to_string());
+            }
+        }
+    }
+    deps
+}
 
-[rules.D1]
-allow = ["crates/clockutil/src/lib.rs"]
-"#,
-    )
-    .expect("interproc config parses");
-    // v1 behaviour: the engine file alone is spotless.
-    let per_file = check_paths(
-        &root,
-        &["crates/engine/src/lib.rs".to_string()],
-        &cfg,
-        None,
-    )
-    .expect("engine file readable");
-    assert!(per_file.is_clean(), "{:?}", per_file.violations);
-    // v2: the workspace pass follows the call into the helper.
-    let full = check_workspace(&root, &cfg, None).expect("interproc tree scans");
-    let hits: Vec<(&str, RuleId)> = full
-        .violations
-        .iter()
-        .map(|v| (v.file.as_str(), v.rule))
+/// What replaced the D1/D3 taint pass: the clock and entropy reads live
+/// only in allowlisted files, and Cargo itself keeps deterministic code
+/// from calling into them — no crate listed under `[deterministic]`
+/// depends, directly or through any other workspace crate, on a crate
+/// that contains a D1- or D3-allowlisted path. `root` is exempt as a
+/// re-export facade: its library has no non-test `fn`.
+#[test]
+fn deterministic_crates_do_not_depend_on_clock_or_rng_crates() {
+    let root = repo_root();
+    let cfg = load_config(&root).expect("detlint.toml parses");
+    let allowlisted: BTreeSet<&str> = [RuleId::D1, RuleId::D3]
+        .into_iter()
+        .flat_map(|rule| cfg.allowed_paths(rule))
+        .filter_map(|path| path.strip_prefix("crates/")?.split('/').next())
         .collect();
-    assert_eq!(hits, vec![("crates/engine/src/lib.rs", RuleId::D1)]);
-    let message = &full.violations[0].message;
+    assert!(allowlisted.contains("cluster"), "{allowlisted:?}");
+    for name in cfg.deterministic_crates.iter().filter(|c| *c != "root") {
+        let mut reached = BTreeSet::new();
+        let mut todo = vec![name.clone()];
+        while let Some(krate) = todo.pop() {
+            for dep in manifest_deps(&root, &krate) {
+                if reached.insert(dep.clone()) {
+                    todo.push(dep);
+                }
+            }
+        }
+        // Every crate but `types` itself depends on it: a scan that does
+        // not see that has stopped understanding the manifests.
+        assert!(
+            name == "types" || reached.contains("types"),
+            "`{name}`: {reached:?}"
+        );
+        let tainted: Vec<&String> = reached
+            .iter()
+            .filter(|dep| allowlisted.contains(dep.as_str()))
+            .collect();
+        assert!(tainted.is_empty(), "`{name}` depends on {tainted:?}");
+    }
+    let facade = std::fs::read_to_string(root.join("src/lib.rs")).expect("facade readable");
+    let facade = SourceFile::new("src/lib.rs".into(), &facade);
     assert!(
-        message.contains("stamp_micros") && message.contains("Instant::now"),
-        "witness chain missing from: {message}"
+        facade.parsed.fns.iter().all(|f| f.test_only),
+        "{:?}",
+        facade.parsed.fns
     );
 }
 
@@ -226,7 +274,8 @@ fn repository_is_clean_under_its_own_contract() {
         "repo config must name the deterministic crates"
     );
     let baseline = siteselect_lint::load_baseline(&root).expect("baseline parses");
-    let report = check_workspace(&root, &cfg, baseline.as_ref()).expect("workspace scans");
+    let files = discover_files(&root, &cfg).expect("workspace scans");
+    let report = check(&root, &files, &cfg, baseline.as_ref()).expect("files readable");
     let rendered: Vec<String> =
         report.violations.iter().map(ToString::to_string).collect();
     assert!(
@@ -240,11 +289,7 @@ fn repository_is_clean_under_its_own_contract() {
 /// `detlint check --workspace` — the exact CI invocation — exits 0.
 #[test]
 fn cli_check_workspace_exits_zero_on_the_repo() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_detlint"))
-        .args(["check", "--workspace", "--root"])
-        .arg(repo_root())
-        .output()
-        .expect("detlint binary runs");
+    let out = detlint(&["check", "--workspace"], &repo_root());
     assert!(
         out.status.success(),
         "detlint check --workspace failed:\n{}",
@@ -277,11 +322,7 @@ fn cli_flags_seeded_violations_with_file_line() {
          }\n",
     )
     .expect("write seeded violation");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_detlint"))
-        .args(["check", "--workspace", "--root"])
-        .arg(&dir)
-        .output()
-        .expect("detlint binary runs");
+    let out = detlint(&["check", "--workspace"], &dir);
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(out.status.code(), Some(1), "seeded violations must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -307,17 +348,28 @@ fn config_rule_table_matches_the_registry() {
     );
 }
 
-/// The recursive-descent parser digests every file in the repository
-/// without a single recovery: a parse error means the call graph (and
-/// with it D1/D3/D7/D8) silently loses functions.
+/// Reads and scans every lintable file of the repository.
+fn repo_sources(root: &Path, cfg: &Config) -> Vec<SourceFile> {
+    let files = discover_files(root, cfg).expect("discovery");
+    files
+        .into_iter()
+        .map(|rel| {
+            let src = std::fs::read_to_string(root.join(&rel)).expect("source readable");
+            SourceFile::new(rel, &src)
+        })
+        .collect()
+}
+
+/// The item scanner digests every file in the repository without a
+/// single error: an error means D7/D8 and D9 silently lose functions.
 #[test]
 fn whole_repository_parses_without_errors() {
     let root = repo_root();
     let cfg = load_config(&root).expect("detlint.toml parses");
-    let files = siteselect_lint::workspace::discover_files(&root, &cfg).expect("discovery");
-    let units = siteselect_lint::workspace::build_units(&root, &files).expect("units build");
+    let units = repo_sources(&root, &cfg);
     assert!(units.len() > 90, "discovery looks truncated: {}", units.len());
     let mut fn_count = 0;
+    let mut unlisted = Vec::new();
     for unit in &units {
         assert!(
             unit.parsed.errors.is_empty(),
@@ -326,8 +378,20 @@ fn whole_repository_parses_without_errors() {
             unit.parsed.errors
         );
         fn_count += unit.parsed.fns.len();
+        // Independent of the scanner: every `fn <name>` token pair is a
+        // listed function, except in a file that defines one inside an
+        // item-position `macro_rules!` body (skipped whole).
+        let is_def = |w: &[&Token]| w[0].ident() == Some("fn") && w[1].ident().is_some();
+        if unit.code().windows(2).filter(|w| is_def(w)).count() != unit.parsed.fns.len() {
+            unlisted.push(unit.path.as_str());
+        }
     }
     assert!(fn_count > 1000, "suspiciously few functions parsed: {fn_count}");
+    assert_eq!(
+        unlisted,
+        ["crates/obs/src/event.rs", "crates/types/src/ids.rs"],
+        "files with a `fn` the scanner does not list"
+    );
 }
 
 /// The acceptance gate for D7: the repository's lock graph contains the
@@ -336,16 +400,12 @@ fn whole_repository_parses_without_errors() {
 fn repository_lock_graph_is_acyclic_with_known_edges() {
     let root = repo_root();
     let cfg = load_config(&root).expect("detlint.toml parses");
-    let files = siteselect_lint::workspace::discover_files(&root, &cfg).expect("discovery");
-    let units = siteselect_lint::workspace::build_units(&root, &files).expect("units build");
-    let graph = siteselect_lint::callgraph::CallGraph::build(&units);
-    let active: Vec<bool> = units
+    let units = repo_sources(&root, &cfg);
+    let scope: Vec<&SourceFile> = units
         .iter()
-        .map(|u| {
-            cfg.rule_applies_to(RuleId::D7, &u.path) || cfg.rule_applies_to(RuleId::D8, &u.path)
-        })
+        .filter(|u| cfg.rule_applies_to(RuleId::D7, &u.path))
         .collect();
-    let (lock_graph, violations) = siteselect_lint::locks::check(&units, &graph, &active);
+    let (lock_graph, violations) = siteselect_lint::locks::check(&scope);
     assert!(
         lock_graph.has_edge("ClientShared.state", "SharedServer.inner"),
         "client → server edge missing: {:?}",
@@ -358,29 +418,56 @@ fn repository_lock_graph_is_acyclic_with_known_edges() {
     );
     let cycles: Vec<_> = violations.iter().filter(|v| v.rule == RuleId::D7).collect();
     assert!(cycles.is_empty(), "lock graph has a cycle: {cycles:?}");
+    // The whole edge set, so an edge that name-only resolution adds is
+    // seen at the PR that adds it, not when one closes a cycle.
+    let edges: Vec<(&str, &str)> = lock_graph
+        .edges
+        .iter()
+        .map(|e| (e.from.as_str(), e.to.as_str()))
+        .collect();
+    assert_eq!(
+        edges,
+        [
+            // Over-approximated: `.len()` on a `Vec` under the guard
+            // resolves to `HistoryLog::len`, which locks `ops`.
+            ("ClientShared.state", "HistoryLog.ops"),
+            ("ClientShared.state", "SharedServer.inner"),
+            ("SharedServer.inner", "HistoryLog.ops"), // over-approximated, as above
+            ("SharedServer.inner", "SharedServer.callback_tx"),
+        ]
+    );
 }
 
-/// `check --json` is byte-deterministic: two runs over the same tree
-/// produce identical output, and it parses as JSON.
+/// `--json` and `--no-baseline` are gone: each is a usage error that
+/// names the flag, not a silently ignored word.
 #[test]
-fn cli_json_output_is_byte_deterministic() {
-    let run = || {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_detlint"))
-            .args(["check", "--workspace", "--json", "--root"])
-            .arg(repo_root())
-            .output()
-            .expect("detlint binary runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stdout));
-        out.stdout
-    };
-    let first = run();
-    let second = run();
-    assert_eq!(first, second, "check --json must be byte-deterministic");
-    let text = String::from_utf8(first).expect("json output is utf-8");
-    let value = siteselect_lint::json::parse(&text).expect("output parses as JSON");
-    let obj = value.as_obj().expect("top level is an object");
-    assert!(obj.contains_key("violations"));
-    assert!(obj.contains_key("files"));
+fn cli_rejects_the_removed_flags_by_name() {
+    for flag in ["--json", "--no-baseline"] {
+        let out = detlint(&["check", "--workspace", flag], &repo_root());
+        assert_eq!(out.status.code(), Some(2), "{flag} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{stderr}"
+        );
+    }
+}
+
+/// A source file that is not UTF-8 is an error that names the file.
+#[test]
+fn cli_names_the_file_that_is_not_utf8() {
+    let dir = std::env::temp_dir().join(format!("detlint_utf8_{}", std::process::id()));
+    let src_dir = dir.join("crates/sim/src");
+    std::fs::create_dir_all(&src_dir).expect("temp tree");
+    std::fs::write(src_dir.join("bad.rs"), b"\xff\xfe").expect("write non-UTF-8 file");
+    let out = detlint(&["check", "--workspace"], &dir);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("detlint: crates/sim/src/bad.rs: "),
+        "{stderr}"
+    );
 }
 
 /// The ratchet: a baseline accepting more findings than remain is
@@ -407,16 +494,7 @@ fn cli_ratchet_flags_stale_and_unbaselined_findings() {
         "{\"version\": 1, \"counts\": {\"crates/sim/src/lib.rs\": {\"D9\": 2}}}\n",
     )
     .expect("write baseline");
-    let check = |extra: &[&str]| {
-        let mut args = vec!["check", "--workspace"];
-        args.extend_from_slice(extra);
-        args.push("--root");
-        std::process::Command::new(env!("CARGO_BIN_EXE_detlint"))
-            .args(&args)
-            .arg(&dir)
-            .output()
-            .expect("detlint binary runs")
-    };
+    let check = |extra: &[&str]| detlint(&[&["check", "--workspace"], extra].concat(), &dir);
     let plain = check(&[]);
     assert!(
         plain.status.success(),

@@ -137,6 +137,7 @@ impl CallbackTracker {
             return Vec::new();
         }
         let mut out: Vec<(ObjectId, ClientId)> = self
+            // detlint: allow(D2) — `out.sort_unstable()` below, before the pairs are returned
             .recalls
             .iter()
             .flat_map(|(&obj, r)| {
@@ -193,6 +194,7 @@ impl CallbackTracker {
     /// ack); returns the objects whose recalls completed as a result.
     pub fn forget_client(&mut self, client: ClientId) -> Vec<ObjectId> {
         let mut done = Vec::new();
+        // detlint: allow(D2) — only fills `done`, which is sorted before it is returned
         self.recalls.retain(|&obj, r| {
             r.outstanding.remove(&client);
             if r.outstanding.is_empty() {

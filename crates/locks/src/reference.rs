@@ -209,6 +209,7 @@ impl<O: LockOwner> RefLockTable<O> {
         held.sort_unstable();
         held.dedup();
         let mut queued: Vec<ObjectId> = self
+            // detlint: allow(D2) — `queued.sort_unstable()` below, before the release loop
             .objects
             .iter()
             .filter(|(_, e)| e.waiters.iter().any(|w| w.owner == owner))
@@ -269,6 +270,7 @@ impl<O: LockOwner> RefLockTable<O> {
         Vec<(ObjectId, Vec<RefWaiter<O>>)>,
     ) {
         let mut expired = Vec::new();
+        // detlint: allow(D2) — `objs.sort_unstable()` on the next line, before the expiry sweep
         let mut objs: Vec<ObjectId> = self.objects.keys().copied().collect();
         objs.sort_unstable();
         for obj in &objs {

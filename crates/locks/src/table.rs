@@ -574,6 +574,7 @@ impl<O: LockOwner> LockTable<O> {
         // reverse index; pruning and promotion are no-ops elsewhere.
         let mut touched = std::mem::take(&mut self.scratch);
         touched.clear();
+        // detlint: allow(D2) — only fills `touched`, which is sorted and deduped below
         for objs in self.waits_of.values() {
             touched.extend(objs.iter().copied());
         }
@@ -746,6 +747,7 @@ impl<O: LockOwner> LockTable<O> {
         }
         // No stale entries: every holder vouched for one distinct entry of
         // the owner index above, so equal counts leave none over.
+        // detlint: allow(D2) — `.sum()` of lengths is an order-free fold
         let indexed: usize = self.held_by.values().map(InlineVec::len).sum();
         if indexed != held {
             return Err(format!("{indexed} owner index entries for {held} holders"));

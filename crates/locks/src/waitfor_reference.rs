@@ -99,6 +99,7 @@ impl<N: Copy + Eq + Hash + Debug> RefWaitForGraph<N> {
     /// Total number of wait edges.
     #[must_use]
     pub fn edge_count(&self) -> usize {
+        // detlint: allow(D2) — `.sum()` of set sizes is an order-free fold
         self.edges.values().map(HashSet::len).sum()
     }
 
@@ -106,6 +107,7 @@ impl<N: Copy + Eq + Hash + Debug> RefWaitForGraph<N> {
     /// incremental `would_deadlock` gate keeps the graph acyclic.
     #[must_use]
     pub fn has_cycle(&self) -> bool {
+        // detlint: allow(D2) — `.any()` over a pure predicate is an order-free fold
         self.edges.keys().any(|&n| self.reaches_via_edges(n))
     }
 

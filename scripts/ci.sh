@@ -67,6 +67,18 @@ fn _detlint_gate_selftest() {
     let _t = std::time::Instant::now();
 }
 EOF
+  expect_findings crates/sim/src/rng.rs 'detlint\[D2\]' << 'EOF'
+
+struct _DetlintGateSelftestD2 {
+    seen: std::collections::HashMap<u64, u64>,
+}
+
+impl _DetlintGateSelftestD2 {
+    fn _keys(&self) -> Vec<u64> {
+        self.seen.keys().copied().collect()
+    }
+}
+EOF
   expect_findings crates/cluster/src/server.rs \
     'detlint\[D7\]: lock order cycle' 'detlint\[D8\]: channel send while holding' << 'EOF'
 

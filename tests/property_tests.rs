@@ -520,6 +520,7 @@ fn dense_id(rng: &mut Prng) -> ObjectId {
 fn check_map_matches(m: &ObjectMap<u64>, model: &HashMap<u32, u64>) {
     assert_eq!(m.len(), model.len());
     assert_eq!(m.is_empty(), model.is_empty());
+    // detlint: allow(D2) — `expect.sort_unstable()` on the next line, before the comparison
     let mut expect: Vec<(u32, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
     expect.sort_unstable();
     let got: Vec<(u32, u64)> = m.iter().map(|(id, &v)| (id.0, v)).collect();
@@ -603,6 +604,7 @@ fn object_set_matches_hashset_oracle() {
             }
             assert_eq!(s.len(), model.len());
             assert_eq!(s.is_empty(), model.is_empty());
+            // detlint: allow(D2) — `expect.sort_unstable()` on the next line, before the comparison
             let mut expect: Vec<u32> = model.iter().copied().collect();
             expect.sort_unstable();
             let got: Vec<u32> = s.iter().map(|id| id.0).collect();
