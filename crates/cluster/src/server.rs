@@ -128,12 +128,14 @@ impl SharedServer {
             inner.stats.grants += 1;
             return Ok(Self::read_page(&mut inner, object));
         }
-        let conflicts = inner.locks.conflicting_holders(object, client, mode);
-        if inner.wfg.would_deadlock(client, &conflicts) {
-            inner.stats.deadlock_rejections += 1;
+        // Field by field, so the lock table's conflict view can feed the
+        // graph while both sit behind the one guard.
+        let Inner { locks, wfg, stats, .. } = &mut *inner;
+        if wfg.would_deadlock(client, locks.conflicting_holders(object, client, mode)) {
+            stats.deadlock_rejections += 1;
             return Err(AcquireError::Deadlock);
         }
-        inner.wfg.add_waits(client, conflicts);
+        wfg.add_waits(client, locks.conflicting_holders(object, client, mode));
         let outcome = inner.locks.request(object, client, mode, SimTime::MAX);
         if outcome.is_granted() {
             inner.wfg.clear_waits(client);
@@ -175,10 +177,15 @@ impl SharedServer {
     }
 
     fn issue_callbacks(&self, inner: &mut Inner, client: ClientId, object: ObjectId, mode: LockMode) {
-        let conflicts = inner.locks.conflicting_holders(object, client, mode);
-        for holder in conflicts {
-            if inner.recalled.insert((object, holder)) {
-                inner.stats.recalls += 1;
+        let Inner {
+            locks,
+            recalled,
+            stats,
+            ..
+        } = inner;
+        for holder in locks.conflicting_holders(object, client, mode) {
+            if recalled.insert((object, holder)) {
+                stats.recalls += 1;
                 // Ignore send failures: the client may already have shut
                 // down, in which case its locks were voluntarily returned.
                 if let Some(tx) = self.callback_tx.lock()[holder.index()].as_ref() {

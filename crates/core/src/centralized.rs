@@ -399,7 +399,7 @@ impl CentralizedSim {
         for access in &self.specs[i].accesses {
             let mode = access.mode();
             let conflicts = self.core.locks.conflicting_holders(access.object, key, mode);
-            if self.core.wfg.would_deadlock(key, &conflicts) {
+            if self.core.wfg.would_deadlock(key, conflicts) {
                 deadlocked = true;
                 break;
             }

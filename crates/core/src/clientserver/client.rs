@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use siteselect_locks::{Acquire, ForwardList, LockTable, QueueDiscipline, WaitForGraph};
+use siteselect_locks::{Acquire, ForwardList, Grants, LockTable, QueueDiscipline, WaitForGraph};
 use siteselect_net::MessageKind;
 use siteselect_storage::{CacheTier, ClientCache, DiskModel};
 use siteselect_types::{
@@ -30,7 +30,8 @@ const SYNTHESIS_FRACTION: f64 = 0.1;
 struct Fetch {
     mode: LockMode,
     sent_at: SimTime,
-    waiters: Vec<TKey>,
+    /// The transactions waiting on it: one, now and then a second.
+    waiters: InlineVec<TKey, 2>,
     /// True once the request actually went to the server (a fetch created
     /// while a batch is being assembled is not yet on the wire).
     sent: bool,
@@ -390,15 +391,18 @@ impl ClientSite {
         let Some(run) = self.txns.get(&key) else {
             return;
         };
-        let accesses: Vec<AccessSpec> = run.spec.accesses.clone();
         let measured = cx.measured_arrival(run.spec.arrival);
         let deadline = run.spec.deadline;
         if let Some(run) = self.txns.get_mut(&key) {
             run.state = RunState::Acquiring;
             run.acquire_started = cx.now;
         }
-        let mut wants: Vec<Want> = Vec::new();
-        for a in accesses {
+        let mut wants = cx.take_want_buf();
+        // By index: each access is copied out before the handlers below
+        // borrow the site, and none of them touches the access list.
+        let mut next = 0;
+        while let Some(a) = self.access_of(key, next) {
+            next += 1;
             let mode = a.mode();
             // Table 2 accounting: a hit is data present in either tier.
             let tier = self.cache.probe(a.object);
@@ -417,7 +421,10 @@ impl ClientSite {
             if usable {
                 let promote = tier == Some(CacheTier::Disk);
                 if self.request_local_lock(cx, key, a.object, mode, promote) {
-                    return; // transaction aborted (local deadlock)
+                    // Transaction aborted (local deadlock); nothing it
+                    // staged goes out.
+                    cx.recycle_want_buf(wants);
+                    return;
                 }
             } else {
                 let needs_data = tier.is_none() || self.revokes.contains_key(&a.object);
@@ -430,6 +437,7 @@ impl ClientSite {
             }
         }
         if wants.is_empty() {
+            cx.recycle_want_buf(wants);
             self.check_ready(cx, key);
             return;
         }
@@ -454,6 +462,11 @@ impl ClientSite {
                 grant_all,
             },
         );
+    }
+
+    /// Access `i` of the unit `key`, while it is resident and has one.
+    fn access_of(&self, key: TKey, i: usize) -> Option<AccessSpec> {
+        self.txns.get(&key)?.spec.accesses.get(i).copied()
     }
 
     /// Joins (or creates) the outstanding fetch of `object`; returns the
@@ -488,7 +501,7 @@ impl ClientSite {
             Fetch {
                 mode,
                 sent_at: cx.now,
-                waiters: vec![key],
+                waiters: [key].into_iter().collect(),
                 sent: true,
                 attempts: 0,
             },
@@ -526,15 +539,22 @@ impl ClientSite {
         deadline: SimTime,
     ) {
         if let Some(w) = self.join_fetch(cx, key, object, mode, needs_data, deadline) {
-            let client = self.id;
-            let batch = Msg::RequestBatch {
-                txn: key,
-                client,
-                wants: vec![w],
-                grant_all: false,
-            };
-            cx.send_to_server(client, MessageKind::ObjectRequest, 0, 1, batch);
+            self.request_one(cx, key, w);
         }
+    }
+
+    /// Sends a batch of the single want `w` on behalf of `txn`.
+    fn request_one(&self, cx: &mut Cx, txn: TKey, w: Want) {
+        let client = self.id;
+        let mut wants = cx.take_want_buf();
+        wants.push(w);
+        let batch = Msg::RequestBatch {
+            txn,
+            client,
+            wants,
+            grant_all: false,
+        };
+        cx.send_to_server(client, MessageKind::ObjectRequest, 0, 1, batch);
     }
 
     /// Requests the local (transaction-level) lock. Returns `true` if the
@@ -552,7 +572,7 @@ impl ClientSite {
             .get(&key)
             .map_or(SimTime::MAX, |r| r.spec.deadline);
         let conflicts = self.local_locks.conflicting_holders(object, key, mode);
-        if self.local_wfg.would_deadlock(key, &conflicts) {
+        if self.local_wfg.would_deadlock(key, conflicts) {
             self.abort_txn(cx, key, AbortReason::Deadlock);
             return true;
         }
@@ -889,7 +909,7 @@ impl ClientSite {
         let shipped = !matches!(run.kind, RunKind::Normal);
         let self_id = self.id;
         let txn = run.spec.id;
-        let accesses: Vec<AccessSpec> = run.spec.accesses.clone();
+        let accesses = run.spec.accesses.as_slice();
         // H2 decision wait: the grant-all round from batch send to this
         // conflict report.
         cx.emit_span(
@@ -900,9 +920,9 @@ impl ClientSite {
             None,
         );
         if cx.cfg.load_sharing.h2_enabled && !shipped {
-            let best = Self::h2_choose(self_id, &accesses, &conflicts, &[]);
+            let best = Self::h2_choose(self_id, accesses, &conflicts, &[]);
             cx.sink.emit(cx.now, SiteId::Client(self_id), || {
-                Self::h2_choose_event(txn, self_id, best, &accesses, &conflicts)
+                Self::h2_choose_event(txn, self_id, best, accesses, &conflicts)
             });
             // Ship only when the destination substantially reduces the
             // conflicting-lock count and already caches a significant share
@@ -911,12 +931,12 @@ impl ClientSite {
             // data is already cached at another site"). Shipping cancels
             // the requests the server has queued on our behalf.
             let ls = cx.cfg.load_sharing;
-            let best_score = Self::h2_score(best, &accesses, &conflicts) as f64;
-            let origin_score = Self::h2_score(self_id, &accesses, &conflicts) as f64;
+            let best_score = Self::h2_score(best, accesses, &conflicts) as f64;
+            let origin_score = Self::h2_score(self_id, accesses, &conflicts) as f64;
             if best != self_id
                 && cx.site_up(best)
                 && best_score <= ls.ship_conflict_ratio * origin_score
-                && Self::holds_fraction(best, &accesses, &conflicts) >= ls.ship_locality_min
+                && Self::holds_fraction(best, accesses, &conflicts) >= ls.ship_locality_min
             {
                 self.ship_txn(cx, key, best);
                 return;
@@ -977,7 +997,7 @@ impl ClientSite {
                 .find(|(id, _, _)| *id == c)
                 .map_or(0, |&(_, l, _)| l)
         };
-        let mut candidates: Vec<ClientId> = vec![origin];
+        let mut candidates: InlineVec<ClientId, 8> = [origin].into_iter().collect();
         for (_, holders) in locations {
             for &(c, _) in holders {
                 if !candidates.contains(&c) {
@@ -1086,7 +1106,7 @@ impl ClientSite {
         };
         let self_id = self.id;
         let txn = run.spec.id;
-        let accesses: Vec<AccessSpec> = run.spec.accesses.clone();
+        let accesses = run.spec.accesses.as_slice();
         // The load-query round the transaction waited on: H1-infeasible
         // admission handling, or the decomposition placement lookup.
         cx.emit_span(
@@ -1102,9 +1122,9 @@ impl ClientSite {
         match reason {
             InfoReason::H1Infeasible => {
                 let best = if cx.cfg.load_sharing.h2_enabled {
-                    let best = Self::h2_choose(self_id, &accesses, &locations, &loads);
+                    let best = Self::h2_choose(self_id, accesses, &locations, &loads);
                     cx.sink.emit(cx.now, SiteId::Client(self_id), || {
-                        Self::h2_choose_event(txn, self_id, best, &accesses, &locations)
+                        Self::h2_choose_event(txn, self_id, best, accesses, &locations)
                     });
                     best
                 } else {
@@ -1124,7 +1144,7 @@ impl ClientSite {
                 }
             }
             InfoReason::Decompose => {
-                let raw = Self::group_by_location(self_id, &accesses, &locations);
+                let raw = Self::group_by_location(self_id, accesses, &locations);
                 // Keep decomposition worthwhile: remote groups must carry at
                 // least two objects (a single-object fetch is cheaper than a
                 // subtask) and the fan-out is capped at four sites, as in
@@ -1289,22 +1309,22 @@ impl ClientSite {
         let grants = self.local_locks.release_all(key);
         self.local_wfg.remove_node(key);
         for (object, waiters) in grants {
-            let keys: Vec<TKey> = waiters.iter().map(|w| w.owner).collect();
-            self.on_local_grants(cx, object, keys);
+            self.on_local_grants(cx, object, waiters);
         }
         // Pending revokes may now be executable.
-        let held: Vec<ObjectId> = run.needed.objects().collect();
-        for object in held {
+        for object in run.needed.objects() {
             self.try_execute_revoke(cx, object);
         }
         // Outstanding fetches.
-        let mut cancelled: Vec<ObjectId> = Vec::new();
-        // detlint: allow(D2) — only fills `cancelled`, which is sorted before it is sent
+        let mut cancelled: InlineVec<ObjectId, 4> = InlineVec::new();
+        // detlint: allow(D2) — only fills `cancelled`, which is kept sorted as it fills
         self.fetches.retain(|&object, f| {
             f.waiters.retain(|&w| w != key);
             if f.waiters.is_empty() {
                 if f.sent {
-                    cancelled.push(object);
+                    // Ascending: retain walks hash order.
+                    let at = cancelled.iter().position(|&o| o > object);
+                    cancelled.insert(at.unwrap_or(cancelled.len()), object);
                 }
                 false
             } else {
@@ -1312,7 +1332,6 @@ impl ClientSite {
             }
         });
         if !cancelled.is_empty() {
-            cancelled.sort_unstable(); // retain walks hash order
             let client = self.id;
             cx.send_to_server(
                 client,
@@ -1371,8 +1390,7 @@ impl ClientSite {
             if let Some(run) = self.txns.get_mut(&key) {
                 run.needed.insert(object, mode, Need::Fetch);
             }
-            let keys: Vec<TKey> = grants.iter().map(|w| w.owner).collect();
-            self.on_local_grants(cx, object, keys);
+            self.on_local_grants(cx, object, grants);
             self.refetch(cx, key, object, mode, true, deadline);
         }
     }
@@ -1405,7 +1423,7 @@ impl ClientSite {
         if !self.revokes.contains_key(&object) {
             return;
         }
-        if !self.local_locks.holders(object).is_empty() {
+        if self.local_locks.holders(object).next().is_some() {
             return; // active local users finish first
         }
         let revoke = self.revokes.remove(&object).expect("checked above");
@@ -1519,12 +1537,11 @@ impl ClientSite {
     }
 
     /// Local lock grants cascading from a release.
-    fn on_local_grants(&mut self, cx: &mut Cx, object: ObjectId, keys: Vec<TKey>) {
-        for key in keys {
+    fn on_local_grants(&mut self, cx: &mut Cx, object: ObjectId, granted: Grants<TKey>) {
+        for key in granted.into_iter().map(|w| w.owner) {
             let Some(run) = self.txns.get(&key) else {
                 // Granted to a transaction that no longer exists.
-                let grants = self.local_locks.release(object, key);
-                let more: Vec<TKey> = grants.iter().map(|w| w.owner).collect();
+                let more = self.local_locks.release(object, key);
                 self.on_local_grants(cx, object, more);
                 continue;
             };
@@ -1621,8 +1638,7 @@ impl ClientSite {
         // Mark updated objects dirty in the cache (they carry the newest
         // version under the exclusive lock).
         if run.state == RunState::Executing {
-            let writes: Vec<ObjectId> = run.spec.write_set().collect();
-            for o in writes {
+            for o in run.spec.write_set() {
                 if self.cache.contains(o) {
                     self.dirty.insert(o);
                 }
@@ -1926,23 +1942,13 @@ impl ClientSite {
             sent_at,
             None,
         );
-        cx.send_to_server(
-            client,
-            MessageKind::ObjectRequest,
-            0,
-            1,
-            Msg::RequestBatch {
-                txn,
-                client,
-                wants: vec![Want {
-                    object,
-                    mode,
-                    needs_data,
-                    deadline,
-                }],
-                grant_all: false,
-            },
-        );
+        let want = Want {
+            object,
+            mode,
+            needs_data,
+            deadline,
+        };
+        self.request_one(cx, txn, want);
         let backoff = f
             .retry_backoff_base
             .mul_f64(f64::from(2u32.saturating_pow(attempt + 1)))
@@ -2014,7 +2020,8 @@ impl ClientSite {
     /// commit against locks the server has re-granted (its commit would
     /// fail the lease check in a real system).
     pub(crate) fn abort_local_holders(&mut self, cx: &mut Cx, object: ObjectId) {
-        for (key, _) in self.local_locks.holders(object) {
+        let holders: Vec<TKey> = self.local_locks.holders(object).map(|(k, _)| k).collect();
+        for key in holders {
             self.abort_txn(cx, key, AbortReason::SiteCrash);
         }
     }
@@ -2081,7 +2088,9 @@ mod tests {
         site.on_msg(
             &mut cx,
             Msg::GrantBatch {
-                items: vec![(ObjectId(1), LockMode::Exclusive, true)],
+                items: [(ObjectId(1), LockMode::Exclusive, true)]
+                    .into_iter()
+                    .collect(),
             },
         );
         (site, cx, key)
@@ -2128,14 +2137,18 @@ mod tests {
         site.on_msg(
             &mut cx,
             Msg::GrantBatch {
-                items: vec![(ObjectId(1), LockMode::Exclusive, true)],
+                items: [(ObjectId(1), LockMode::Exclusive, true)]
+                    .into_iter()
+                    .collect(),
             },
         );
         assert_eq!(site.txns[&key].state, RunState::Acquiring);
         site.on_msg(
             &mut cx,
             Msg::GrantBatch {
-                items: vec![(ObjectId(2), LockMode::Shared, true)],
+                items: [(ObjectId(2), LockMode::Shared, true)]
+                    .into_iter()
+                    .collect(),
             },
         );
         assert_eq!(site.txns[&key].state, RunState::Executing);
@@ -2199,7 +2212,9 @@ mod tests {
         site.on_msg(
             &mut cx,
             Msg::GrantBatch {
-                items: vec![(ObjectId(4), LockMode::Shared, true)],
+                items: [(ObjectId(4), LockMode::Shared, true)]
+                    .into_iter()
+                    .collect(),
             },
         );
         site.on_msg(

@@ -32,8 +32,8 @@ use siteselect_net::{Delivery, Fabric, MessageKind};
 use siteselect_obs::{EventSink, SpanKind};
 use siteselect_sim::{EventQueue, Prng};
 use siteselect_types::{
-    AbortReason, ClientId, ExperimentConfig, LockMode, ObjectId, SimDuration, SimTime, SiteId,
-    SystemKind, TransactionId, TransactionSpec, TxnOutcome,
+    AbortReason, ClientId, ExperimentConfig, InlineVec, LockMode, ObjectId, SimDuration, SimTime,
+    SiteId, SystemKind, TransactionId, TransactionSpec, TxnOutcome,
 };
 use siteselect_workload::Trace;
 
@@ -65,22 +65,26 @@ pub(crate) struct Want {
     pub deadline: SimTime,
 }
 
+/// One granted `(object, mode, with_data)` of a grant batch.
+pub(crate) type GrantItem = (ObjectId, LockMode, bool);
+
 /// Messages exchanged between sites (the payload of `Ev::Deliver`).
 #[derive(Debug, Clone)]
 pub(crate) enum Msg {
     /// Client → server: per-object requests of one transaction, physically
     /// batched. `grant_all` marks the LS first round ("grant everything or
-    /// tell me who conflicts").
+    /// tell me who conflicts"). `wants` comes from
+    /// [`Cx::take_want_buf`] and goes back through
+    /// [`Cx::recycle_want_buf`].
     RequestBatch {
         txn: TKey,
         client: ClientId,
         wants: Vec<Want>,
         grant_all: bool,
     },
-    /// Server → client: granted objects/locks of one batch.
-    GrantBatch {
-        items: Vec<(ObjectId, LockMode, bool)>, // (object, mode, with_data)
-    },
+    /// Server → client: granted objects/locks of one batch (the server
+    /// ships each grant as it becomes ready, so a batch of one is the rule).
+    GrantBatch { items: InlineVec<GrantItem, 1> },
     /// Server → client: the LS grant-all round failed; here is who holds
     /// what (input to H2).
     ConflictReport {
@@ -116,7 +120,7 @@ pub(crate) enum Msg {
     /// Client → server: these waiting requests died with their transaction.
     CancelWants {
         client: ClientId,
-        objects: Vec<ObjectId>,
+        objects: InlineVec<ObjectId, 4>,
     },
     /// Client → server: where are these objects, and how loaded is
     /// everyone? (H1/H2 and decomposition input.)
@@ -188,13 +192,13 @@ pub(crate) enum Ev {
         object: ObjectId,
         scheduled_at: SimTime,
     },
-    /// Server finished fetching objects from disk for a grant batch.
-    /// `txn` / `scheduled_at` attribute the disk span to the requesting
+    /// Server finished fetching a granted object from disk. `txn` /
+    /// `scheduled_at` attribute the disk span to the requesting
     /// transaction.
     ServerFetchDone {
         to: ClientId,
         txn: TKey,
-        items: Vec<(ObjectId, LockMode, bool)>,
+        item: GrantItem,
         scheduled_at: SimTime,
     },
     /// A grouped-lock collection window closed.
@@ -242,7 +246,9 @@ pub(crate) enum SiteDest {
 /// Ordering is preserved exactly: the staged group is flushed before any
 /// other push (so an unrelated same-timestamp event can never be reordered
 /// around it) and before every pop. Group vectors are recycled through a
-/// small pool, keeping steady-state delivery scheduling off the allocator.
+/// pool that grows to the peak number of groups in flight at once (every
+/// one of them is an event in the queue, so the queue bounds it), keeping
+/// steady-state delivery scheduling off the allocator.
 pub(crate) struct ClusterQueue {
     q: EventQueue<Ev>,
     staged_at: SimTime,
@@ -289,10 +295,8 @@ impl ClusterQueue {
 
     /// Returns a drained group vector to the pool for reuse.
     pub(crate) fn recycle(&mut self, mut msgs: Vec<Msg>) {
-        if self.pool.len() < 8 {
-            msgs.clear();
-            self.pool.push(msgs);
-        }
+        msgs.clear();
+        self.pool.push(msgs);
     }
 
     pub(crate) fn push(&mut self, at: SimTime, ev: Ev) {
@@ -329,6 +333,10 @@ pub(crate) struct Cx {
     pub metrics: RunMetrics,
     pub sink: EventSink,
     pub specs: Vec<TransactionSpec>,
+    /// Emptied `RequestBatch::wants` vectors: a client takes one per batch
+    /// it sends and the server hands it back once the batch is handled, so
+    /// there are as many as batches were ever in flight at once.
+    want_bufs: Vec<Vec<Want>>,
     /// Transactions submitted and not yet scored (parents of
     /// decompositions count too); the sweep keeps ticking until it drains.
     pub inflight: usize,
@@ -360,6 +368,7 @@ impl Cx {
             ),
             sink: EventSink::disabled(),
             specs: Vec::new(),
+            want_bufs: Vec::new(),
             inflight: 0,
             warmup_end: SimTime::ZERO + cfg.runtime.warmup,
             faults_active: cfg.faults.injects_faults(),
@@ -367,6 +376,18 @@ impl Cx {
             lost_forwards: Vec::new(),
             cfg,
         }
+    }
+
+    /// An empty `RequestBatch::wants` vector, a recycled one if any is spare.
+    pub(crate) fn take_want_buf(&mut self) -> Vec<Want> {
+        self.want_bufs.pop().unwrap_or_default()
+    }
+
+    /// Takes a `wants` vector back once its batch is handled (or was never
+    /// sent).
+    pub(crate) fn recycle_want_buf(&mut self, mut wants: Vec<Want>) {
+        wants.clear();
+        self.want_bufs.push(wants);
     }
 
     /// True unless fault injection has `client` currently crashed.
@@ -679,7 +700,13 @@ impl ClientServerSim {
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrive(i) => {
-                let spec = self.cx.specs[i].clone();
+                // Each transaction arrives once: its access list moves to
+                // the site that runs it.
+                let slot = &mut self.cx.specs[i];
+                let spec = TransactionSpec {
+                    accesses: std::mem::take(&mut slot.accesses),
+                    ..*slot
+                };
                 self.on_client(spec.origin.index(), |c, cx| c.on_arrive(cx, spec));
             }
             Ev::Deliver { to, mut msgs } => {
@@ -706,7 +733,7 @@ impl ClientServerSim {
             Ev::ServerFetchDone {
                 to,
                 txn,
-                items,
+                item,
                 scheduled_at,
             } => {
                 // A fetch issued before a crash died with the server's
@@ -714,7 +741,7 @@ impl ClientServerSim {
                 if self.server.core.server_up {
                     self.cx
                         .emit_span(SiteId::Server, txn, SpanKind::Disk, scheduled_at, None);
-                    self.server.ship_now(&mut self.cx, to, items);
+                    self.server.ship_now(&mut self.cx, to, item);
                 }
             }
             Ev::WindowClose { object } => {
@@ -894,6 +921,22 @@ mod tests {
             }
             out
         }
+    }
+
+    /// Every queue push, cascade and pop moves an `Ev`, and every delivery
+    /// a `Msg`: what a variant carries inline has to fit in these sizes.
+    #[test]
+    fn events_and_messages_stay_small() {
+        assert!(
+            std::mem::size_of::<Msg>() <= 88,
+            "{}",
+            std::mem::size_of::<Msg>()
+        );
+        assert!(
+            std::mem::size_of::<Ev>() <= 48,
+            "{}",
+            std::mem::size_of::<Ev>()
+        );
     }
 
     #[test]

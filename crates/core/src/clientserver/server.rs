@@ -11,8 +11,8 @@
 //! them (the load table) go through the driver.
 
 use siteselect_locks::{
-    Acquire, CallbackTracker, ForwardEntry, ForwardList, QueueDiscipline, Waiter, WindowManager,
-    WindowOffer,
+    Acquire, CallbackTracker, ForwardEntry, ForwardList, Grants, QueueDiscipline, Targets,
+    WindowManager, WindowOffer,
 };
 use siteselect_net::{Delivery, MessageKind};
 use siteselect_obs::EventSink;
@@ -21,7 +21,7 @@ use siteselect_types::{
     TransactionId,
 };
 
-use super::{Cx, Ev, Msg, SiteDest, TKey, Want};
+use super::{Cx, Ev, GrantItem, Msg, SiteDest, TKey, Want};
 use crate::server_core::ServerCore;
 
 /// Info the server tracks for a lock-table-queued want.
@@ -145,12 +145,13 @@ impl ServerSite {
                 grant_all,
             } => {
                 if grant_all {
-                    self.grant_all(cx, txn, client, wants);
+                    self.grant_all(cx, txn, client, &wants);
                 } else {
-                    for w in wants {
+                    for &w in &wants {
                         self.handle_want(cx, txn, client, w);
                     }
                 }
+                cx.recycle_want_buf(wants);
             }
             Msg::ObjectReturn {
                 object,
@@ -186,22 +187,21 @@ impl ServerSite {
     /// of the conflicting holders ride back to the client (§4), which may
     /// then cancel its queued requests and ship the transaction to a
     /// better site (H2).
-    fn grant_all(&mut self, cx: &mut Cx, txn: TKey, client: ClientId, wants: Vec<Want>) {
+    fn grant_all(&mut self, cx: &mut Cx, txn: TKey, client: ClientId, wants: &[Want]) {
         let conflicts: Vec<(ObjectId, Vec<(ClientId, LockMode)>)> = wants
             .iter()
             .filter_map(|w| {
-                let holders: Vec<(ClientId, LockMode)> = self
+                let conflicting = self
                     .core
                     .locks
                     .holders(w.object)
-                    .into_iter()
-                    .filter(|&(h, m)| h != client && !m.compatible_with(w.mode))
-                    .collect();
-                let holders = self.with_routing_holders(w.object, holders);
+                    .filter(|&(h, m)| h != client && !m.compatible_with(w.mode));
+                let holders: Vec<(ClientId, LockMode)> =
+                    self.or_route_tail(w.object, conflicting).collect();
                 (!holders.is_empty()).then_some((w.object, holders))
             })
             .collect();
-        for w in wants {
+        for &w in wants {
             self.handle_want(cx, txn, client, w);
         }
         if !conflicts.is_empty() {
@@ -220,22 +220,20 @@ impl ServerSite {
         }
     }
 
-    /// Reports the tail of a travelling forward list as the object's
-    /// location (§4: "the server refers to the object's forward list and
-    /// reports the last client in the list").
-    fn with_routing_holders(
-        &self,
+    /// `holders`, or — when there are none — the tail of the object's
+    /// travelling forward list as its location (§4: "the server refers to
+    /// the object's forward list and reports the last client in the list").
+    fn or_route_tail<'a>(
+        &'a self,
         object: ObjectId,
-        holders: Vec<(ClientId, LockMode)>,
-    ) -> Vec<(ClientId, LockMode)> {
-        if holders.is_empty() {
-            if let Some(list) = self.routing.get(object) {
-                if let Some(last) = list.last_client() {
-                    return vec![(last, LockMode::Exclusive)];
-                }
-            }
-        }
-        holders
+        holders: impl Iterator<Item = (ClientId, LockMode)> + 'a,
+    ) -> impl Iterator<Item = (ClientId, LockMode)> + 'a {
+        let mut holders = holders.peekable();
+        let tail = match holders.peek() {
+            Some(_) => None,
+            None => self.routing.get(object).and_then(ForwardList::last_client),
+        };
+        holders.chain(tail.map(|last| (last, LockMode::Exclusive)))
     }
 
     // ------------------------------------------------------------------
@@ -256,7 +254,7 @@ impl ServerSite {
         // the re-shipped copy. Drop it; the ack (or the lease) settles the
         // lock and the client's next retry or deadline sweep settles the
         // transaction.
-        if cx.faults_active && self.callbacks.outstanding(w.object).contains(&client) {
+        if cx.faults_active && self.callbacks.outstanding(w.object).any(|c| c == client) {
             return;
         }
         if let Some(held) = self.core.locks.held_mode(w.object, client) {
@@ -268,11 +266,10 @@ impl ServerSite {
         // A travelling forward list leaves the lock table empty; the chain
         // tail stands in as the holder so the request batches behind the
         // chain instead of being granted against the in-flight copies.
-        let holders = self.with_routing_holders(w.object, self.core.locks.holders(w.object));
-        let conflicting: Vec<ClientId> = holders
-            .iter()
-            .filter(|&&(h, m)| h != client && !m.compatible_with(w.mode))
-            .map(|&(h, _)| h)
+        let holders = self.or_route_tail(w.object, self.core.locks.holders(w.object));
+        let conflicting: Targets = holders
+            .filter(|&(h, m)| h != client && !m.compatible_with(w.mode))
+            .map(|(h, _)| h)
             .collect();
 
         // Grouped-lock path: requests that arrive while the object is
@@ -313,7 +310,7 @@ impl ServerSite {
         txn: TKey,
         client: ClientId,
         w: Want,
-        conflicting: Vec<ClientId>,
+        conflicting: Targets,
     ) {
         // Failure handling: a retransmitted request whose original is still
         // queued must not double-queue in the lock table.
@@ -346,9 +343,9 @@ impl ServerSite {
                 );
                 self.core.wfg.add_waits(client, conflicts);
                 // Call back the conflicting cached locks.
-                let targets =
-                    self.callbacks
-                        .begin_at(w.object, conflicting.clone(), w.mode, cx.now);
+                let targets = self
+                    .callbacks
+                    .begin_at(w.object, conflicting, w.mode, cx.now);
                 for t in targets {
                     let delivery = cx.fabric.try_send(
                         cx.now,
@@ -403,13 +400,7 @@ impl ServerSite {
     /// immediately; one that misses ships when its disk read completes.
     /// `txn` attributes the disk span of a miss to the requesting
     /// transaction.
-    fn ship(
-        &mut self,
-        cx: &mut Cx,
-        txn: TKey,
-        client: ClientId,
-        item: (ObjectId, LockMode, bool),
-    ) {
+    fn ship(&mut self, cx: &mut Cx, txn: TKey, client: ClientId, item: GrantItem) {
         let (object, _, with_data) = item;
         let mut ready = true;
         if with_data {
@@ -422,7 +413,7 @@ impl ServerSite {
             }
         }
         if ready {
-            self.ship_now(cx, client, vec![item]);
+            self.ship_now(cx, client, item);
         } else {
             let done = self.core.disk.schedule_batch(cx.now, 1);
             cx.queue.push(
@@ -430,49 +421,26 @@ impl ServerSite {
                 Ev::ServerFetchDone {
                     to: client,
                     txn,
-                    items: vec![item],
+                    item,
                     scheduled_at: cx.now,
                 },
             );
         }
     }
 
-    /// Puts the grant batch on the wire (buffer already warm).
-    pub(crate) fn ship_now(
-        &mut self,
-        cx: &mut Cx,
-        to: ClientId,
-        items: Vec<(ObjectId, LockMode, bool)>,
-    ) {
-        let with_data = items.iter().filter(|(_, _, d)| *d).count() as u32;
-        let lock_only = items.len() as u32 - with_data;
-        let mut delivery = Delivery::Delivered(cx.now);
-        if with_data > 0 {
-            delivery = cx.fabric.try_send_counted(
-                cx.now,
-                SiteId::Server,
-                SiteId::Client(to),
-                MessageKind::ObjectSend,
-                with_data,
-                with_data,
-            );
-        }
-        if lock_only > 0 {
-            let locks = cx.fabric.try_send_counted(
-                cx.now,
-                SiteId::Server,
-                SiteId::Client(to),
-                MessageKind::LockGrant,
-                0,
-                lock_only,
-            );
-            // The batch resolves as one unit: losing either frame loses it
-            // (the client's retries re-request everything outstanding).
-            delivery = match (delivery, locks) {
-                (Delivery::Delivered(a), Delivery::Delivered(b)) => Delivery::Delivered(a.max(b)),
-                _ => Delivery::Dropped,
-            };
-        }
+    /// Puts the granted item on the wire (buffer already warm): an object
+    /// frame if it carries data, a bare lock grant otherwise.
+    pub(crate) fn ship_now(&mut self, cx: &mut Cx, to: ClientId, item: GrantItem) {
+        let (kind, objects) = if item.2 {
+            (MessageKind::ObjectSend, 1)
+        } else {
+            (MessageKind::LockGrant, 0)
+        };
+        let (from, dest) = (SiteId::Server, SiteId::Client(to));
+        let delivery = cx
+            .fabric
+            .try_send_counted(cx.now, from, dest, kind, objects, 1);
+        let items = [item].into_iter().collect();
         cx.push_delivery(delivery, SiteDest::Client(to), Msg::GrantBatch { items });
     }
 
@@ -547,7 +515,7 @@ impl ServerSite {
         &mut self,
         cx: &mut Cx,
         object: ObjectId,
-        granted: Vec<Waiter<ClientId>>,
+        granted: Grants<ClientId>,
     ) {
         for w in granted {
             let client = w.owner;
@@ -587,7 +555,7 @@ impl ServerSite {
         object: ObjectId,
         client: ClientId,
         upgrade: bool,
-    ) -> Vec<Waiter<ClientId>> {
+    ) -> Grants<ClientId> {
         if upgrade {
             self.core.locks.downgrade(object, client)
         } else {
@@ -634,22 +602,22 @@ impl ServerSite {
                 needs_data: true,
                 deadline: e.deadline,
             };
-            let conflicting: Vec<ClientId> = self
+            let conflicting: Targets = self
                 .core
                 .locks
                 .holders(object)
-                .into_iter()
                 .filter(|&(h, m)| h != e.client && !m.compatible_with(e.mode))
                 .map(|(h, _)| h)
                 .collect();
             self.want_plain(cx, e.txn.as_u64(), e.client, w, conflicting);
             return;
         }
-        let holders = self.core.locks.holders(object);
-        let el_holder = holders
-            .iter()
+        let el_holder = self
+            .core
+            .locks
+            .holders(object)
             .find(|(_, m)| m.is_exclusive())
-            .map(|&(h, _)| h);
+            .map(|(h, _)| h);
         match el_holder {
             Some(holder) if self.core.locks.waiters(object).is_empty() => {
                 // One recall carries the whole forward list; the holder
@@ -691,7 +659,7 @@ impl ServerSite {
                 // the callback complete and collect a little longer.
                 self.reoffer_window(cx, object, list);
             }
-            None if holders.is_empty() => {
+            None if self.core.locks.holders(object).next().is_none() => {
                 // The object is home: serve the batch from the server's own
                 // copy as a client-to-client chain.
                 self.serve_list_from_server(cx, object, list);
@@ -706,7 +674,7 @@ impl ServerSite {
                 }
                 let targets = self.callbacks.begin_at(
                     object,
-                    holders.iter().map(|&(h, _)| h),
+                    self.core.locks.holders(object).map(|(h, _)| h),
                     LockMode::Exclusive,
                     cx.now,
                 );
@@ -737,13 +705,7 @@ impl ServerSite {
     /// Puts a closed window's entries back into a fresh collection window
     /// (the object is not yet servable) and schedules its close.
     fn reoffer_window(&mut self, cx: &mut Cx, object: ObjectId, list: ForwardList) {
-        let mut reopen_close = None;
-        for e in list.entries().iter().copied() {
-            if let WindowOffer::Opened { closes_at } = self.windows.offer(object, e, cx.now) {
-                reopen_close = Some(closes_at);
-            }
-        }
-        if let Some(at) = reopen_close {
+        if let Some(at) = self.windows.reoffer(list, cx.now) {
             cx.queue.push(at, Ev::WindowClose { object });
         }
     }
@@ -833,7 +795,7 @@ impl ServerSite {
             .iter()
             .map(|&o| {
                 let holders = self.core.locks.holders(o);
-                (o, self.with_routing_holders(o, holders))
+                (o, self.or_route_tail(o, holders).collect())
             })
             .collect();
         let client = TransactionId::from_raw(txn).origin();
@@ -900,7 +862,7 @@ impl ServerSite {
         cx: &mut Cx,
         object: ObjectId,
         holder: ClientId,
-    ) -> Vec<Waiter<ClientId>> {
+    ) -> Grants<ClientId> {
         cx.metrics.faults.leases_expired += 1;
         cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::LeaseExpired { object, holder }
@@ -1041,7 +1003,9 @@ mod tests {
             mode: LockMode::Exclusive,
         });
         s.routing.insert(ObjectId(3), list);
-        let holders = s.with_routing_holders(ObjectId(3), vec![]);
+        let holders: Vec<_> = s
+            .or_route_tail(ObjectId(3), std::iter::empty())
+            .collect();
         assert_eq!(holders, vec![(ClientId(3), LockMode::Exclusive)]);
     }
 }

@@ -1,12 +1,26 @@
-//! Asserts the centralized hot loop's allocation discipline: after warm-up,
-//! steady-state event processing performs **zero** heap allocations.
+//! Asserts the engines' allocation discipline (DESIGN.md §15).
 //!
 //! A counting `#[global_allocator]` wraps the system allocator for this test
-//! binary only. The run uses a read-only workload (`update_fraction = 0`) so
-//! the append-only WAL — which grows by design — stays quiet and the test
-//! isolates the submit→lock→I/O→commit→result path: pooled event-queue
-//! slots, inline transaction state, the slab-backed caches, and the
-//! pre-sized lock table must all recycle without touching the allocator.
+//! binary only. Two kinds of test use it:
+//!
+//! * The centralized hot loop, after warm-up, performs **zero** heap
+//!   allocations. That run uses a read-only workload (`update_fraction =
+//!   0`) so the append-only WAL — which grows by design — stays quiet and
+//!   the test isolates the submit→lock→I/O→commit→result path: pooled
+//!   event-queue slots, inline transaction state, the slab-backed caches,
+//!   and the pre-sized lock table must all recycle without touching the
+//!   allocator.
+//! * Whole runs of the engines the benchmark measures — construction,
+//!   workload generation, warm-up and all — stay inside a budget of
+//!   allocations per measured transaction, so a `Vec` that creeps back
+//!   into a request handler fails here and not only as a benchmark
+//!   reading. A debug build runs a slice (30 clients × 400 s); a release
+//!   build (`scripts/ci.sh alloc-budget`) runs the paper's 100 clients for
+//!   the full duration.
+//!
+//! The counter is per thread: the engines run on the thread that calls
+//! them, and the harness runs each test on its own, so tests of this binary
+//! count in parallel without seeing each other or the harness.
 
 // `GlobalAlloc` is an unsafe trait; this is the one place in the workspace
 // that needs it, and the implementation only counts calls before forwarding
@@ -14,21 +28,34 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use siteselect_core::CentralizedSim;
+use siteselect_core::{run_experiment, CentralizedSim};
 use siteselect_types::{ExperimentConfig, SimDuration, SystemKind};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Allocations made by this thread so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
+
+/// A `Cell<u64>` has no destructor, so the slot outlives every allocation
+/// the thread makes; `try_with` all the same, an allocator must not panic.
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards verbatim to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is a side effect with no aliasing.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: delegates to `System::alloc` under the caller's contract.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc(layout) }
     }
@@ -42,14 +69,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: delegates to `System::realloc` under the caller's contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: `ptr`/`layout`/`new_size` forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     // SAFETY: delegates to `System::alloc_zeroed` under the caller's contract.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         // SAFETY: same layout the caller vouched for.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -57,6 +84,49 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations of one whole run of `system` per transaction it measured.
+fn allocs_per_txn(system: SystemKind, update_fraction: f64) -> f64 {
+    let clients = if cfg!(debug_assertions) { 30 } else { 100 };
+    let mut cfg = ExperimentConfig::paper(system, clients, update_fraction);
+    if cfg!(debug_assertions) {
+        cfg.runtime.duration = SimDuration::from_secs(400);
+        cfg.runtime.warmup = SimDuration::from_secs(40);
+    }
+    cfg.runtime.seed = 0x5173_5e1e;
+    let before = allocs();
+    let metrics = run_experiment(&cfg).expect("the paper's configuration is valid");
+    let after = allocs();
+    assert!(metrics.measured > 1_000, "too few transactions measured");
+    (after - before) as f64 / metrics.measured as f64
+}
+
+#[test]
+fn client_server_run_stays_inside_its_allocation_budget() {
+    let per_txn = allocs_per_txn(SystemKind::ClientServer, 0.20);
+    assert!(
+        per_txn <= 30.0,
+        "CS at 20 % updates: {per_txn:.1} allocations a transaction"
+    );
+}
+
+#[test]
+fn load_sharing_run_stays_inside_its_allocation_budget() {
+    let per_txn = allocs_per_txn(SystemKind::LoadSharing, 0.05);
+    assert!(
+        per_txn <= 30.0,
+        "LS at 5 % updates: {per_txn:.1} allocations a transaction"
+    );
+}
+
+#[test]
+fn centralized_run_stays_inside_its_allocation_budget() {
+    let per_txn = allocs_per_txn(SystemKind::Centralized, 0.20);
+    assert!(
+        per_txn <= 10.0,
+        "CE at 20 % updates: {per_txn:.1} allocations a transaction"
+    );
+}
 
 #[test]
 fn centralized_steady_state_allocates_nothing() {
@@ -74,7 +144,7 @@ fn centralized_steady_state_allocates_nothing() {
         assert!(sim.step(), "run drained before the warm-up window ended");
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let mut measured = 0u64;
     for _ in 0..200 {
         if !sim.step() {
@@ -82,7 +152,7 @@ fn centralized_steady_state_allocates_nothing() {
         }
         measured += 1;
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert!(measured >= 100, "too few steady-state events measured: {measured}");
     assert_eq!(

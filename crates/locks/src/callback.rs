@@ -10,10 +10,14 @@
 //! answer, so the server knows when the recall completed and the blocked
 //! request can be granted.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use siteselect_obs::{Event, EventSink};
-use siteselect_types::{ClientId, LockMode, ObjectId, SimDuration, SimTime, SiteId};
+use siteselect_types::{ClientId, InlineVec, LockMode, ObjectId, SimDuration, SimTime, SiteId};
+
+/// The holders one [`CallbackTracker::begin`] newly messages: the sole
+/// exclusive holder or a few readers, so the list lives inline.
+pub type Targets = InlineVec<ClientId, 4>;
 
 /// Progress of an in-flight recall after one acknowledgement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,9 +33,10 @@ pub enum RecallProgress {
 
 #[derive(Debug, Clone)]
 struct Recall {
-    /// Holders still owing an answer, with the instant their callback was
-    /// issued (for lease expiry; `SimTime::ZERO` for untimed callers).
-    outstanding: BTreeMap<ClientId, SimTime>,
+    /// Holders still owing an answer, ascending, with the instant their
+    /// callback was issued (for lease expiry; `SimTime::ZERO` for untimed
+    /// callers).
+    outstanding: InlineVec<(ClientId, SimTime), 4>,
     desired: LockMode,
 }
 
@@ -45,7 +50,7 @@ struct Recall {
 ///
 /// let mut cb = CallbackTracker::new();
 /// let targets = cb.begin(ObjectId(1), [ClientId(1), ClientId(2)], LockMode::Shared);
-/// assert_eq!(targets, vec![ClientId(1), ClientId(2)]);
+/// assert_eq!(targets.to_vec(), vec![ClientId(1), ClientId(2)]);
 /// assert_eq!(
 ///     cb.acknowledge(ObjectId(1), ClientId(1)),
 ///     Some(RecallProgress::Pending { remaining: 1 })
@@ -85,7 +90,7 @@ impl CallbackTracker {
         object: ObjectId,
         holders: impl IntoIterator<Item = ClientId>,
         desired: LockMode,
-    ) -> Vec<ClientId> {
+    ) -> Targets {
         self.begin_at(object, holders, desired, SimTime::ZERO)
     }
 
@@ -99,16 +104,19 @@ impl CallbackTracker {
         holders: impl IntoIterator<Item = ClientId>,
         desired: LockMode,
         now: SimTime,
-    ) -> Vec<ClientId> {
+    ) -> Targets {
         let recall = self.recalls.entry(object).or_insert_with(|| Recall {
-            outstanding: BTreeMap::new(),
+            outstanding: InlineVec::new(),
             desired,
         });
         recall.desired = recall.desired.stronger(desired);
-        let mut fresh = Vec::new();
+        let mut fresh = Targets::new();
         for h in holders {
-            if let std::collections::btree_map::Entry::Vacant(e) = recall.outstanding.entry(h) {
-                e.insert(now);
+            let owing = &mut recall.outstanding;
+            let pos = owing.iter().position(|&(c, _)| c >= h);
+            let pos = pos.unwrap_or(owing.len());
+            if owing.get(pos).is_none_or(|&(c, _)| c != h) {
+                owing.insert(pos, (h, now));
                 fresh.push(h);
                 self.issued += 1;
             }
@@ -143,8 +151,8 @@ impl CallbackTracker {
             .flat_map(|(&obj, r)| {
                 r.outstanding
                     .iter()
-                    .filter(move |&(_, &t)| now.duration_since(t) >= lease)
-                    .map(move |(&c, _)| (obj, c))
+                    .filter(move |&&(_, t)| now.duration_since(t) >= lease)
+                    .map(move |&(c, _)| (obj, c))
             })
             .collect();
         out.sort_unstable();
@@ -156,15 +164,15 @@ impl CallbackTracker {
     /// that pair.
     pub fn acknowledge(&mut self, object: ObjectId, from: ClientId) -> Option<RecallProgress> {
         let recall = self.recalls.get_mut(&object)?;
-        recall.outstanding.remove(&from)?;
-        if recall.outstanding.is_empty() {
+        let pos = recall.outstanding.iter().position(|&(c, _)| c == from)?;
+        recall.outstanding.remove(pos);
+        let remaining = recall.outstanding.len();
+        if remaining == 0 {
             self.recalls.remove(&object);
             self.completed += 1;
             Some(RecallProgress::Complete)
         } else {
-            Some(RecallProgress::Pending {
-                remaining: self.recalls[&object].outstanding.len(),
-            })
+            Some(RecallProgress::Pending { remaining })
         }
     }
 
@@ -181,13 +189,12 @@ impl CallbackTracker {
         self.recalls.contains_key(&object)
     }
 
-    /// Clients still owing an answer for `object`.
-    #[must_use]
-    pub fn outstanding(&self, object: ObjectId) -> Vec<ClientId> {
+    /// Clients still owing an answer for `object`, ascending.
+    pub fn outstanding(&self, object: ObjectId) -> impl Iterator<Item = ClientId> + '_ {
         self.recalls
             .get(&object)
-            .map(|r| r.outstanding.keys().copied().collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|r| r.outstanding.iter().map(|&(c, _)| c))
     }
 
     /// Drops a holder from every recall (client crashed / evicted without
@@ -196,7 +203,7 @@ impl CallbackTracker {
         let mut done = Vec::new();
         // detlint: allow(D2) — only fills `done`, which is sorted before it is returned
         self.recalls.retain(|&obj, r| {
-            r.outstanding.remove(&client);
+            r.outstanding.retain(|&(c, _)| c != client);
             if r.outstanding.is_empty() {
                 done.push(obj);
                 false
@@ -249,10 +256,27 @@ mod tests {
     fn duplicate_targets_not_remessaged() {
         let mut cb = CallbackTracker::new();
         let first = cb.begin(OBJ, [ClientId(1)], LockMode::Shared);
-        assert_eq!(first, vec![ClientId(1)]);
+        assert_eq!(first.to_vec(), vec![ClientId(1)]);
         let second = cb.begin(OBJ, [ClientId(1), ClientId(3)], LockMode::Shared);
-        assert_eq!(second, vec![ClientId(3)]);
-        assert_eq!(cb.outstanding(OBJ), vec![ClientId(1), ClientId(3)]);
+        assert_eq!(second.to_vec(), vec![ClientId(3)]);
+        assert!(cb.outstanding(OBJ).eq([ClientId(1), ClientId(3)]));
+    }
+
+    #[test]
+    fn outstanding_stays_ascending_past_the_inline_row() {
+        let mut cb = CallbackTracker::new();
+        // Fresh targets come back in the order given; who still owes an
+        // answer reads ascending, however many there are.
+        let order = [7, 2, 9, 4, 1, 8].map(ClientId);
+        assert_eq!(cb.begin(OBJ, order, LockMode::Exclusive).to_vec(), order);
+        assert!(cb.outstanding(OBJ).eq([1, 2, 4, 7, 8, 9].map(ClientId)));
+        assert_eq!(
+            cb.acknowledge(OBJ, ClientId(4)),
+            Some(RecallProgress::Pending { remaining: 5 })
+        );
+        let again = cb.begin(OBJ, [ClientId(4), ClientId(2), ClientId(3)], LockMode::Shared);
+        assert_eq!(again.to_vec(), vec![ClientId(4), ClientId(3)]);
+        assert!(cb.outstanding(OBJ).eq([1, 2, 3, 4, 7, 8, 9].map(ClientId)));
     }
 
     #[test]
@@ -334,6 +358,6 @@ mod tests {
         let done = cb.forget_client(ClientId(1));
         assert_eq!(done, vec![ObjectId(1)]);
         assert!(cb.is_recalling(ObjectId(2)));
-        assert_eq!(cb.outstanding(ObjectId(2)), vec![ClientId(2)]);
+        assert!(cb.outstanding(ObjectId(2)).eq([ClientId(2)]));
     }
 }

@@ -41,7 +41,7 @@
 //! ));
 //! let granted = table.release(obj, a);
 //! assert_eq!(granted.len(), 1);
-//! assert_eq!(granted[0].owner, b);
+//! assert_eq!(granted.first().map(|w| w.owner), Some(b));
 //! ```
 
 pub mod callback;
@@ -55,8 +55,8 @@ pub mod waitfor;
 mod waitfor_reference;
 pub mod window;
 
-pub use callback::{CallbackTracker, RecallProgress};
+pub use callback::{CallbackTracker, RecallProgress, Targets};
 pub use forward::{ForwardEntry, ForwardList};
-pub use table::{Acquire, LockTable, QueueDiscipline, Waiter};
+pub use table::{Acquire, Conflicts, Grants, LockTable, QueueDiscipline, Waiter};
 pub use waitfor::WaitForGraph;
 pub use window::{WindowManager, WindowOffer};

@@ -61,9 +61,16 @@ pub enum Acquire<O> {
     /// The request conflicts and was queued behind the listed holders.
     Blocked {
         /// Current holders whose locks conflict with the request.
-        conflicts: Vec<O>,
+        conflicts: Conflicts<O>,
     },
 }
+
+/// The owners a blocked request waits behind: almost always one exclusive
+/// holder or a couple of readers, so the list lives inline.
+pub type Conflicts<O> = InlineVec<O, 4>;
+/// The waiters one release, downgrade or cancellation granted, in grant
+/// order: one writer or a short run of readers.
+pub type Grants<O> = InlineVec<Waiter<O>, 2>;
 
 impl<O> Acquire<O> {
     /// True if the request holds the lock after this call.
@@ -130,12 +137,11 @@ impl<O: LockOwner> ObjectLocks<O> {
             .any(|h| h.owner != owner && !h.mode.compatible_with(mode))
     }
 
-    fn conflicts_with(&self, owner: O, mode: LockMode) -> Vec<O> {
+    fn conflicts_with(&self, owner: O, mode: LockMode) -> impl Iterator<Item = O> + '_ {
         self.holders
             .iter()
-            .filter(|h| h.owner != owner && !h.mode.compatible_with(mode))
+            .filter(move |h| h.owner != owner && !h.mode.compatible_with(mode))
             .map(|h| h.owner)
-            .collect()
     }
 
     fn is_unused(&self) -> bool {
@@ -157,7 +163,7 @@ type HeldBy<O> = HashMap<O, InlineVec<ObjectId, 16>, FixedState>;
 /// Waiters cancelled by [`LockTable::cancel_expired`], tagged by object.
 pub type ExpiredWaiters<O> = Vec<(ObjectId, Waiter<O>)>;
 /// Grants unblocked by a pruning pass, grouped by object.
-pub type UnblockedGrants<O> = Vec<(ObjectId, Vec<Waiter<O>>)>;
+pub type UnblockedGrants<O> = Vec<(ObjectId, Grants<O>)>;
 
 /// A strict-2PL lock table.
 ///
@@ -377,7 +383,7 @@ impl<O: LockOwner> LockTable<O> {
                 entry.set_mode(owner, LockMode::Exclusive);
                 return Acquire::Upgraded;
             }
-            let others: Vec<O> = entry
+            let others: Conflicts<O> = entry
                 .holders
                 .iter()
                 .filter(|h| h.owner != owner)
@@ -401,13 +407,11 @@ impl<O: LockOwner> LockTable<O> {
             Self::hold(&mut self.held_by, entry, object, owner, mode);
             return Acquire::Granted;
         }
-        let conflicts = entry.conflicts_with(owner, mode);
-        let blockers = if conflicts.is_empty() {
+        let mut blockers: Conflicts<O> = entry.conflicts_with(owner, mode).collect();
+        if blockers.is_empty() {
             // Blocked behind queued waiters rather than holders.
-            entry.waiters.iter().map(|w| w.owner).collect()
-        } else {
-            conflicts
-        };
+            blockers.extend(entry.waiters.iter().map(|w| w.owner));
+        }
         let waiter = Waiter {
             owner,
             mode,
@@ -469,11 +473,11 @@ impl<O: LockOwner> LockTable<O> {
     /// Releases `owner`'s lock on `object` (and removes any queued request
     /// by the same owner). Returns the waiters granted as a result, in grant
     /// order.
-    pub fn release(&mut self, object: ObjectId, owner: O) -> Vec<Waiter<O>> {
+    pub fn release(&mut self, object: ObjectId, owner: O) -> Grants<O> {
         self.unhold(object, owner);
         let idx = object.index() as usize;
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
-            return Vec::new();
+            return Grants::new();
         };
         let waiting = entry.waiters.len();
         entry.waiters.retain(|w| w.owner != owner);
@@ -487,7 +491,7 @@ impl<O: LockOwner> LockTable<O> {
 
     /// Releases every lock `owner` holds or awaits; returns, per object, the
     /// newly granted waiters.
-    pub fn release_all(&mut self, owner: O) -> Vec<(ObjectId, Vec<Waiter<O>>)> {
+    pub fn release_all(&mut self, owner: O) -> UnblockedGrants<O> {
         // Held objects first (ascending), then awaited objects (ascending),
         // matching the order of the original held-then-slab-scan walk; an
         // object appearing in both lists is processed twice, which is a
@@ -529,26 +533,26 @@ impl<O: LockOwner> LockTable<O> {
     /// Downgrades `owner`'s exclusive lock on `object` to shared (the
     /// callback optimization of §2). Returns newly granted waiters. No-op
     /// if the owner does not hold an EL.
-    pub fn downgrade(&mut self, object: ObjectId, owner: O) -> Vec<Waiter<O>> {
+    pub fn downgrade(&mut self, object: ObjectId, owner: O) -> Grants<O> {
         let idx = object.index() as usize;
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
-            return Vec::new();
+            return Grants::new();
         };
         let changed = entry.holder_mode(owner) == Some(LockMode::Exclusive);
         if changed {
             entry.set_mode(owner, LockMode::Shared);
             self.promote(object)
         } else {
-            Vec::new()
+            Grants::new()
         }
     }
 
     /// Removes a queued (not yet granted) request. Returns `true` if one was
     /// removed; promotes followers that may now be grantable.
-    pub fn cancel_wait(&mut self, object: ObjectId, owner: O) -> (bool, Vec<Waiter<O>>) {
+    pub fn cancel_wait(&mut self, object: ObjectId, owner: O) -> (bool, Grants<O>) {
         let idx = object.index() as usize;
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
-            return (false, Vec::new());
+            return (false, Grants::new());
         };
         let before = entry.waiters.len();
         entry.waiters.retain(|w| w.owner != owner);
@@ -556,7 +560,7 @@ impl<O: LockOwner> LockTable<O> {
         if removed {
             Self::forget_wait_all(&mut self.waits_of, owner, object);
         }
-        let granted = if removed { self.promote(object) } else { Vec::new() };
+        let granted = if removed { self.promote(object) } else { Grants::new() };
         self.reclaim(object);
         (removed, granted)
     }
@@ -612,12 +616,12 @@ impl<O: LockOwner> LockTable<O> {
     }
 
     /// Promotes the longest grantable prefix of the wait queue.
-    fn promote(&mut self, object: ObjectId) -> Vec<Waiter<O>> {
+    fn promote(&mut self, object: ObjectId) -> Grants<O> {
         let idx = object.index() as usize;
         let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
-            return Vec::new();
+            return Grants::new();
         };
-        let mut granted = Vec::new();
+        let mut granted = Grants::new();
         while let Some(head) = entry.waiters.first().copied() {
             // Upgrade waiter: grantable when it is the sole holder.
             if let Some(held) = entry.holder_mode(head.owner) {
@@ -646,12 +650,11 @@ impl<O: LockOwner> LockTable<O> {
         granted
     }
 
-    /// Current holders of `object` with their modes.
-    #[must_use]
-    pub fn holders(&self, object: ObjectId) -> Vec<(O, LockMode)> {
+    /// Current holders of `object` with their modes, in grant order.
+    pub fn holders(&self, object: ObjectId) -> impl Iterator<Item = (O, LockMode)> + '_ {
         self.entry(object)
-            .map(|e| e.holders.iter().map(|h| (h.owner, h.mode)).collect())
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(|e| e.holders.iter().map(|h| (h.owner, h.mode)))
     }
 
     /// The mode `owner` holds on `object`, if any.
@@ -660,13 +663,17 @@ impl<O: LockOwner> LockTable<O> {
         self.entry(object).and_then(|e| e.holder_mode(owner))
     }
 
-    /// Holders whose locks conflict with a hypothetical request — the input
-    /// to the paper's H2 site-selection heuristic.
-    #[must_use]
-    pub fn conflicting_holders(&self, object: ObjectId, owner: O, mode: LockMode) -> Vec<O> {
+    /// Holders whose locks conflict with a hypothetical request, in grant
+    /// order — the input to the paper's H2 site-selection heuristic.
+    pub fn conflicting_holders(
+        &self,
+        object: ObjectId,
+        owner: O,
+        mode: LockMode,
+    ) -> impl Iterator<Item = O> + '_ {
         self.entry(object)
-            .map(|e| e.conflicts_with(owner, mode))
-            .unwrap_or_default()
+            .into_iter()
+            .flat_map(move |e| e.conflicts_with(owner, mode))
     }
 
     /// Queued waiters on `object`, in service order.
@@ -803,7 +810,7 @@ mod tests {
         let mut lt = table();
         assert!(lt.request(OBJ, A, Shared, t(10)).is_granted());
         assert!(lt.request(OBJ, B, Shared, t(10)).is_granted());
-        assert_eq!(lt.holders(OBJ).len(), 2);
+        assert_eq!(lt.holders(OBJ).count(), 2);
         lt.check_invariants().unwrap();
     }
 
@@ -812,7 +819,7 @@ mod tests {
         let mut lt = table();
         assert!(lt.request(OBJ, A, Exclusive, t(10)).is_granted());
         let r = lt.request(OBJ, B, Shared, t(10));
-        assert_eq!(r, Acquire::Blocked { conflicts: vec![A] });
+        assert_eq!(r, Acquire::Blocked { conflicts: [A].into_iter().collect() });
         let r = lt.request(OBJ, C, Exclusive, t(10));
         assert!(matches!(r, Acquire::Blocked { .. }));
         lt.check_invariants().unwrap();
@@ -840,10 +847,10 @@ mod tests {
         lt.request(OBJ, A, Shared, t(10));
         lt.request(OBJ, B, Shared, t(10));
         let r = lt.request(OBJ, A, Exclusive, t(10));
-        assert_eq!(r, Acquire::Blocked { conflicts: vec![B] });
+        assert_eq!(r, Acquire::Blocked { conflicts: [B].into_iter().collect() });
         let granted = lt.release(OBJ, B);
         assert_eq!(granted.len(), 1);
-        assert_eq!(granted[0].owner, A);
+        assert_eq!(granted.get_copy(0).owner, A);
         assert_eq!(lt.held_mode(OBJ, A), Some(Exclusive));
         lt.check_invariants().unwrap();
     }
@@ -857,7 +864,7 @@ mod tests {
         let granted = lt.release(OBJ, A);
         // FIFO: B first even though C has an earlier deadline.
         assert_eq!(granted.len(), 1);
-        assert_eq!(granted[0].owner, B);
+        assert_eq!(granted.get_copy(0).owner, B);
     }
 
     #[test]
@@ -867,7 +874,7 @@ mod tests {
         lt.request(OBJ, B, Exclusive, t(20));
         lt.request(OBJ, C, Exclusive, t(5));
         let granted = lt.release(OBJ, A);
-        assert_eq!(granted[0].owner, C);
+        assert_eq!(granted.get_copy(0).owner, C);
     }
 
     #[test]
@@ -878,7 +885,7 @@ mod tests {
         lt.request(OBJ, C, Shared, t(10));
         let granted = lt.release(OBJ, A);
         assert_eq!(granted.len(), 2);
-        assert_eq!(lt.holders(OBJ).len(), 2);
+        assert_eq!(lt.holders(OBJ).count(), 2);
         lt.check_invariants().unwrap();
     }
 
@@ -893,9 +900,9 @@ mod tests {
             "reader must queue behind writer"
         );
         let g = lt.release(OBJ, A);
-        assert_eq!(g[0].owner, B);
+        assert_eq!(g.get_copy(0).owner, B);
         let g = lt.release(OBJ, B);
-        assert_eq!(g[0].owner, C);
+        assert_eq!(g.get_copy(0).owner, C);
     }
 
     #[test]
@@ -905,7 +912,7 @@ mod tests {
         lt.request(OBJ, B, Shared, t(10));
         let granted = lt.downgrade(OBJ, A);
         assert_eq!(granted.len(), 1);
-        assert_eq!(granted[0].owner, B);
+        assert_eq!(granted.get_copy(0).owner, B);
         assert_eq!(lt.held_mode(OBJ, A), Some(Shared));
         assert_eq!(lt.held_mode(OBJ, B), Some(Shared));
         lt.check_invariants().unwrap();
@@ -929,7 +936,7 @@ mod tests {
         assert!(removed);
         // C is now compatible with holder A.
         assert_eq!(granted.len(), 1);
-        assert_eq!(granted[0].owner, C);
+        assert_eq!(granted.get_copy(0).owner, C);
         let (removed, _) = lt.cancel_wait(OBJ, B);
         assert!(!removed);
     }
@@ -968,10 +975,10 @@ mod tests {
         let mut lt = table();
         lt.request(OBJ, A, Shared, t(10));
         lt.request(OBJ, B, Shared, t(10));
-        assert_eq!(lt.conflicting_holders(OBJ, C, Exclusive), vec![A, B]);
-        assert!(lt.conflicting_holders(OBJ, C, Shared).is_empty());
+        assert!(lt.conflicting_holders(OBJ, C, Exclusive).eq([A, B]));
+        assert_eq!(lt.conflicting_holders(OBJ, C, Shared).next(), None);
         // A requesting EL conflicts only with B.
-        assert_eq!(lt.conflicting_holders(OBJ, A, Exclusive), vec![B]);
+        assert!(lt.conflicting_holders(OBJ, A, Exclusive).eq([B]));
     }
 
     #[test]

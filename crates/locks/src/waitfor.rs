@@ -11,6 +11,7 @@
 //! A check, and the removal of a node or of its waits, then costs what that
 //! node touches, not the size of the graph (DESIGN.md §15).
 
+use std::borrow::Borrow;
 #[cfg(test)]
 use std::cell::Cell;
 use std::cell::RefCell;
@@ -178,22 +179,25 @@ impl<N: Copy + Eq + Hash + Debug> WaitForGraph<N> {
 
     /// True if adding edges `waiter -> h` for each `h` in `holders` would
     /// close a cycle — i.e. some holder already (transitively) waits for
-    /// `waiter`.
+    /// `waiter`. `holders` is walked once, so a borrowed view (a slice, a
+    /// lock table's conflict iterator) does as well as an owned list.
     #[must_use]
-    pub fn would_deadlock(&self, waiter: N, holders: &[N]) -> bool {
-        if holders.is_empty() {
-            return false;
-        }
+    pub fn would_deadlock(
+        &self,
+        waiter: N,
+        holders: impl IntoIterator<Item = impl Borrow<N>>,
+    ) -> bool {
         let target = match self.index.get(&waiter) {
             Some(&t) if !self.slot(t).inn.is_empty() => t,
             // Nobody waits for `waiter`, so no path ends at it: only a
             // literal self-wait counts.
-            _ => return holders.contains(&waiter),
+            _ => return holders.into_iter().any(|h| *h.borrow() == waiter),
         };
         // One walk shared by all holders, over slot indices only.
         let mut walk = self.walk.borrow_mut();
         walk.begin();
-        for &h in holders {
+        for h in holders {
+            let h = *h.borrow();
             if h == waiter {
                 return true;
             }
@@ -391,8 +395,8 @@ mod tests {
     fn direct_cycle_detected() {
         let mut g = WaitForGraph::new();
         g.add_waits(1, [2]);
-        assert!(g.would_deadlock(2, &[1]));
-        assert!(!g.would_deadlock(2, &[3]));
+        assert!(g.would_deadlock(2, [1]));
+        assert!(!g.would_deadlock(2, [3]));
     }
 
     #[test]
@@ -401,15 +405,15 @@ mod tests {
         g.add_waits(1, [2]);
         g.add_waits(2, [3]);
         g.add_waits(3, [4]);
-        assert!(g.would_deadlock(4, &[1]));
-        assert!(g.would_deadlock(4, &[2]));
-        assert!(!g.would_deadlock(4, &[5]));
+        assert!(g.would_deadlock(4, [1]));
+        assert!(g.would_deadlock(4, [2]));
+        assert!(!g.would_deadlock(4, [5]));
     }
 
     #[test]
     fn self_wait_counts_as_deadlock() {
         let g: WaitForGraph<u32> = WaitForGraph::new();
-        assert!(g.would_deadlock(1, &[1]));
+        assert!(g.would_deadlock(1, [1]));
     }
 
     #[test]
@@ -417,7 +421,7 @@ mod tests {
         let mut g = WaitForGraph::new();
         g.add_waits(1, [2]);
         g.clear_waits(1);
-        assert!(!g.would_deadlock(2, &[1]));
+        assert!(!g.would_deadlock(2, [1]));
         assert_eq!(g.waiting_nodes(), 0);
     }
 
@@ -426,8 +430,8 @@ mod tests {
         let mut g = WaitForGraph::new();
         g.add_waits(1, [2, 3]);
         g.remove_edge(1, 2);
-        assert!(!g.would_deadlock(2, &[1]));
-        assert!(g.would_deadlock(3, &[1]));
+        assert!(!g.would_deadlock(2, [1]));
+        assert!(g.would_deadlock(3, [1]));
         g.remove_edge(1, 3);
         assert_eq!(g.waiting_nodes(), 0);
     }
@@ -439,7 +443,7 @@ mod tests {
         g.add_waits(3, [2]);
         g.remove_node(2);
         assert_eq!(g.edge_count(), 0);
-        assert!(!g.would_deadlock(2, &[1]));
+        assert!(!g.would_deadlock(2, [1]));
     }
 
     #[test]
@@ -461,7 +465,7 @@ mod tests {
             x ^= x << 17;
             let waiter = (x % 20) as u32;
             let holder = ((x >> 8) % 20) as u32;
-            if waiter != holder && !g.would_deadlock(waiter, &[holder]) {
+            if waiter != holder && !g.would_deadlock(waiter, [holder]) {
                 g.add_waits(waiter, [holder]);
             }
             assert!(!g.has_cycle());
@@ -487,9 +491,9 @@ mod tests {
         let before = g.visits();
         // The head of the chain has only out-edges; 5 000 is not in the
         // graph at all. Neither can be on a cycle, whatever the holders.
-        assert!(!g.would_deadlock(0, &[500, 999]));
-        assert!(!g.would_deadlock(5_000, &[0, 1, 2]));
-        assert!(g.would_deadlock(5_000, &[0, 5_000]));
+        assert!(!g.would_deadlock(0, [500, 999]));
+        assert!(!g.would_deadlock(5_000, [0, 1, 2]));
+        assert!(g.would_deadlock(5_000, [0, 5_000]));
         assert_eq!(g.visits(), before);
     }
 
@@ -502,10 +506,10 @@ mod tests {
         // would visit 500 + 300 + 100 nodes, the shared one visits the 500
         // nodes 500..=999 once each.
         let before = g.visits();
-        assert!(!g.would_deadlock(10, &[500, 700, 900]));
+        assert!(!g.would_deadlock(10, [500, 700, 900]));
         assert_eq!(g.visits() - before, 500);
         let before = g.visits();
-        assert!(g.would_deadlock(990, &[985, 700]));
+        assert!(g.would_deadlock(990, [985, 700]));
         assert!(g.visits() - before <= 300);
     }
 
@@ -557,7 +561,7 @@ mod tests {
         g.add_waits(5, [6]);
         // Waiting on {7, 6-chain-to-5}? 6 doesn't reach 5... 5 waits for 6,
         // so 6 reaching 5 requires an edge 6->...; none exists.
-        assert!(!g.would_deadlock(6, &[7]));
-        assert!(g.would_deadlock(6, &[7, 5]));
+        assert!(!g.would_deadlock(6, [7]));
+        assert!(g.would_deadlock(6, [7, 5]));
     }
 }

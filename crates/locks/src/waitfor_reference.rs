@@ -168,7 +168,7 @@ mod property_tests {
         for a in 0..nodes {
             for b in 0..nodes {
                 assert_eq!(
-                    graph.would_deadlock(a, &[b]),
+                    graph.would_deadlock(a, [b]),
                     oracle.would_deadlock(a, &[b]),
                     "would_deadlock({a}, [{b}]) at {at}"
                 );

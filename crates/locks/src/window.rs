@@ -122,6 +122,41 @@ impl WindowManager {
         WindowOffer::Opened { closes_at }
     }
 
+    /// Offers every entry of a closed window's `list` again at `now`, in
+    /// list order — what a window that closed before its object could be
+    /// served does. Returns when the window this opened closes (the caller
+    /// must schedule it), or `None` if the entries joined one already open.
+    /// With none open the list becomes the new window as it stands: it is
+    /// already in deadline order, and its storage is kept.
+    pub fn reoffer(&mut self, list: ForwardList, now: SimTime) -> Option<SimTime> {
+        let object = list.object();
+        if list.is_empty() || self.open.contains_key(&object) {
+            for &e in list.entries() {
+                self.offer(object, e, now);
+            }
+            return None;
+        }
+        self.total_requests += list.len() as u64;
+        let offered = if self.sink.is_enabled() {
+            list.entries().iter().map(|e| (e.txn, now)).collect()
+        } else {
+            Vec::new()
+        };
+        let closes_at = now + self.window;
+        self.open.insert(
+            object,
+            OpenWindow {
+                closes_at,
+                list,
+                offered,
+            },
+        );
+        self.total_opened += 1;
+        self.sink
+            .emit(now, SiteId::Server, || Event::WindowOpen { object });
+        Some(closes_at)
+    }
+
     /// Closes the window on `object`, returning its deadline-ordered forward
     /// list. Returns `None` if no window is open (e.g. already closed).
     pub fn close(&mut self, object: ObjectId) -> Option<ForwardList> {
@@ -254,6 +289,43 @@ mod tests {
         let again = wm.offer(OBJ, entry(2, 10), SimTime::from_secs(5));
         assert!(matches!(again, WindowOffer::Opened { .. }));
         assert_eq!(wm.total_opened(), 2);
+    }
+
+    /// `reoffer` against the loop it replaces: the closed list's entries
+    /// offered one by one.
+    #[test]
+    fn reoffer_is_offering_each_entry_again() {
+        let now = SimTime::from_secs(3);
+        for open_already in [false, true] {
+            let mut whole = WindowManager::new(SimDuration::from_millis(50));
+            let mut single = whole.clone();
+            for wm in [&mut whole, &mut single] {
+                for (c, d) in [(1, 30), (2, 10), (3, 20), (4, 10)] {
+                    wm.offer(OBJ, entry(c, d), SimTime::ZERO);
+                }
+            }
+            let list = whole.close(OBJ).unwrap();
+            assert_eq!(single.close(OBJ).as_ref(), Some(&list));
+            if open_already {
+                whole.offer(OBJ, entry(9, 15), SimTime::from_secs(2));
+                single.offer(OBJ, entry(9, 15), SimTime::from_secs(2));
+            }
+            let mut opened = None;
+            for &e in list.entries() {
+                if let WindowOffer::Opened { closes_at } = single.offer(OBJ, e, now) {
+                    opened = Some(closes_at);
+                }
+            }
+            assert_eq!(whole.reoffer(list, now), opened);
+            assert_eq!(opened.is_some(), !open_already);
+            assert_eq!(whole.closes_at(OBJ), single.closes_at(OBJ));
+            assert_eq!(whole.total_opened(), single.total_opened());
+            assert_eq!(whole.total_requests(), single.total_requests());
+            assert_eq!(whole.close(OBJ), single.close(OBJ));
+        }
+        let mut wm = WindowManager::new(SimDuration::from_millis(50));
+        assert_eq!(wm.reoffer(ForwardList::new(OBJ), now), None);
+        assert!(!wm.is_open(OBJ));
     }
 
     #[test]

@@ -166,6 +166,8 @@ pub fn replay(log_image: &[u8], file: &mut PagedFile) -> (Wal, RecoveryOutcome) 
     (wal, outcome)
 }
 
+type UndoChain = Vec<(ObjectId, u16, u64, u64)>;
+
 /// The durability facade the engines write through: a [`PagedFile`] guarded
 /// by a [`Wal`] observing log-before-data and force-at-commit, with fuzzy
 /// checkpoints every [`CHECKPOINT_EVERY`] commits.
@@ -194,7 +196,11 @@ pub struct DurableStore {
     file: PagedFile,
     wal: Wal,
     /// Per-active-transaction undo chains: (page, offset, before, after).
-    undo: BTreeMap<u64, Vec<(ObjectId, u16, u64, u64)>>,
+    undo: BTreeMap<u64, UndoChain>,
+    /// Emptied chains of resolved transactions, reused by the next
+    /// transaction's first write; at most as many as were ever active at
+    /// once.
+    spare_chains: Vec<UndoChain>,
     commits_since_checkpoint: u32,
     checkpoints: u64,
 }
@@ -212,6 +218,7 @@ impl DurableStore {
             file: PagedFile::from_disk(DiskFile::new(num_pages), buffer_frames),
             wal: Wal::new(),
             undo: BTreeMap::new(),
+            spare_chains: Vec::new(),
             commits_since_checkpoint: 0,
             checkpoints: 0,
         }
@@ -251,9 +258,10 @@ impl DurableStore {
             before,
             after: stamp,
         });
+        let spare = &mut self.spare_chains;
         self.undo
             .entry(txn)
-            .or_default()
+            .or_insert_with(|| spare.pop().unwrap_or_default())
             .push((page, STAMP_OFFSET as u16, before, stamp));
         stamp
     }
@@ -262,7 +270,10 @@ impl DurableStore {
     /// may acknowledge once this returns), then takes a fuzzy checkpoint
     /// every [`CHECKPOINT_EVERY`] commits.
     pub fn commit(&mut self, txn: u64) {
-        self.undo.remove(&txn);
+        if let Some(mut chain) = self.undo.remove(&txn) {
+            chain.clear();
+            self.spare_chains.push(chain);
+        }
         self.wal.append(&LogRecord::Commit { txn });
         self.wal.flush();
         self.commits_since_checkpoint += 1;
@@ -275,19 +286,21 @@ impl DurableStore {
     /// compensation update followed by an abort record. Not forced: if the
     /// site crashes first, replay reaches the same state via undo.
     pub fn abort(&mut self, txn: u64) {
-        let chain = self.undo.remove(&txn).unwrap_or_default();
-        for &(page, offset, before, after) in chain.iter().rev() {
-            self.wal.append(&LogRecord::Update {
-                txn,
-                page,
-                offset,
-                before: after,
-                after: before,
-            });
-            self.guard_steal(page);
-            self.file
-                .with_page_mut(page, |p| p.write_u64_at(offset as usize, before))
-                .expect("undo chain references an existing page");
+        if let Some(mut chain) = self.undo.remove(&txn) {
+            for (page, offset, before, after) in chain.drain(..).rev() {
+                self.wal.append(&LogRecord::Update {
+                    txn,
+                    page,
+                    offset,
+                    before: after,
+                    after: before,
+                });
+                self.guard_steal(page);
+                self.file
+                    .with_page_mut(page, |p| p.write_u64_at(offset as usize, before))
+                    .expect("undo chain references an existing page");
+            }
+            self.spare_chains.push(chain);
         }
         self.wal.append(&LogRecord::Abort { txn });
     }
@@ -335,6 +348,7 @@ impl DurableStore {
             file,
             wal,
             undo: BTreeMap::new(),
+            spare_chains: Vec::new(),
             commits_since_checkpoint: 0,
             checkpoints: 0,
         };
@@ -454,6 +468,23 @@ mod tests {
         assert!(outcome.losers.is_empty());
         assert_ne!(recovered.stamp_of(ObjectId(2)), s1);
         assert_eq!(recovered.stamp_of(ObjectId(2)), s3);
+    }
+
+    #[test]
+    fn a_reused_undo_chain_carries_nothing_over() {
+        let mut store = DurableStore::new(8, 4);
+        let first = store.write(1, ObjectId(1));
+        let second = store.write(1, ObjectId(2));
+        store.commit(1);
+        // Transaction 2 writes into the chain transaction 1 left behind:
+        // its rollback must undo its own write and nothing else.
+        store.write(2, ObjectId(3));
+        store.abort(2);
+        assert_eq!(store.active_txns(), 0);
+        assert_eq!(
+            store.stamps(),
+            vec![(ObjectId(1), first), (ObjectId(2), second)]
+        );
     }
 
     #[test]

@@ -99,8 +99,8 @@ fn get_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
 }
 
 impl LogRecord {
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut p = Vec::with_capacity(32);
+    /// Appends the record's payload to `p`.
+    fn encode_payload(&self, p: &mut Vec<u8>) {
         match self {
             LogRecord::Update {
                 txn,
@@ -110,30 +110,29 @@ impl LogRecord {
                 after,
             } => {
                 p.push(KIND_UPDATE);
-                put_u64(&mut p, *txn);
+                put_u64(p, *txn);
                 p.extend_from_slice(&page.0.to_le_bytes());
                 p.extend_from_slice(&offset.to_le_bytes());
-                put_u64(&mut p, *before);
-                put_u64(&mut p, *after);
+                put_u64(p, *before);
+                put_u64(p, *after);
             }
             LogRecord::Commit { txn } => {
                 p.push(KIND_COMMIT);
-                put_u64(&mut p, *txn);
+                put_u64(p, *txn);
             }
             LogRecord::Abort { txn } => {
                 p.push(KIND_ABORT);
-                put_u64(&mut p, *txn);
+                put_u64(p, *txn);
             }
             LogRecord::Checkpoint { active, redo_lsn } => {
                 p.push(KIND_CHECKPOINT);
-                put_u64(&mut p, *redo_lsn);
+                put_u64(p, *redo_lsn);
                 p.extend_from_slice(&(active.len() as u32).to_le_bytes());
                 for &t in active {
-                    put_u64(&mut p, t);
+                    put_u64(p, t);
                 }
             }
         }
-        p
     }
 
     fn decode_payload(p: &[u8]) -> Option<LogRecord> {
@@ -278,11 +277,18 @@ impl Wal {
 
     /// Appends a record to the staged tail and returns its LSN.
     pub fn append(&mut self, rec: &LogRecord) -> Lsn {
-        let payload = rec.encode_payload();
-        self.staged
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let sum = fnv1a(&payload);
-        self.staged.extend_from_slice(&payload);
+        // The frame is built where it stays: a placeholder for the length,
+        // the payload, then the length patched in and the checksum taken
+        // over the payload as it lies in the tail.
+        let frame = self.staged.len();
+        self.staged.extend_from_slice(&[0; 4]);
+        rec.encode_payload(&mut self.staged);
+        let tail = self.staged.get_mut(frame..);
+        let mut sum = 0;
+        if let Some((len, payload)) = tail.and_then(<[u8]>::split_first_chunk_mut) {
+            *len = (payload.len() as u32).to_le_bytes();
+            sum = fnv1a(payload);
+        }
         self.staged.extend_from_slice(&sum.to_le_bytes());
         let lsn = self.next_lsn;
         self.next_lsn += 1;
@@ -380,6 +386,85 @@ mod tests {
         let scan = scan(&wal.crash_image(0));
         assert!(!scan.torn_tail);
         assert_eq!(scan.records, sample_records());
+    }
+
+    /// The frame as `append` built it before records were encoded in
+    /// place: the payload in a scratch vector, then length, payload and
+    /// checksum copied to the tail.
+    fn reference_frame(rec: &LogRecord) -> Vec<u8> {
+        let mut p = Vec::with_capacity(32);
+        match rec {
+            LogRecord::Update {
+                txn,
+                page,
+                offset,
+                before,
+                after,
+            } => {
+                p.push(KIND_UPDATE);
+                put_u64(&mut p, *txn);
+                p.extend_from_slice(&page.0.to_le_bytes());
+                p.extend_from_slice(&offset.to_le_bytes());
+                put_u64(&mut p, *before);
+                put_u64(&mut p, *after);
+            }
+            LogRecord::Commit { txn } => {
+                p.push(KIND_COMMIT);
+                put_u64(&mut p, *txn);
+            }
+            LogRecord::Abort { txn } => {
+                p.push(KIND_ABORT);
+                put_u64(&mut p, *txn);
+            }
+            LogRecord::Checkpoint { active, redo_lsn } => {
+                p.push(KIND_CHECKPOINT);
+                put_u64(&mut p, *redo_lsn);
+                p.extend_from_slice(&(active.len() as u32).to_le_bytes());
+                for &t in active {
+                    put_u64(&mut p, t);
+                }
+            }
+        }
+        let mut frame = (p.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&p);
+        frame.extend_from_slice(&fnv1a(&p).to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn in_place_frames_equal_the_scratch_encoders() {
+        let mut records = sample_records();
+        for active in [0u64, 1, 300] {
+            records.push(LogRecord::Checkpoint {
+                active: (0..active).map(|t| t * 7 + 1).collect(),
+                redo_lsn: active,
+            });
+            records.push(LogRecord::Update {
+                txn: u64::MAX - active,
+                page: ObjectId(u32::MAX),
+                offset: u16::MAX,
+                before: active,
+                after: u64::MAX,
+            });
+        }
+        let mut wal = Wal::new();
+        let mut image = Vec::new();
+        for (i, rec) in records.iter().enumerate() {
+            assert_eq!(wal.append(rec), i as Lsn);
+            image.extend_from_slice(&reference_frame(rec));
+            // Frames start at every kind of tail: empty after a flush,
+            // and behind one or two records still staged.
+            if i % 3 == 2 {
+                wal.flush();
+            }
+            assert_eq!(wal.crash_image(usize::MAX), image, "after record {i}");
+        }
+        assert_eq!(wal.next_lsn(), records.len() as Lsn);
+        wal.flush();
+        let parsed = scan(&wal.crash_image(0));
+        assert!(!parsed.torn_tail);
+        assert_eq!(parsed.valid_bytes, image.len());
+        assert_eq!(parsed.records, records);
     }
 
     #[test]

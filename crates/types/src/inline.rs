@@ -63,10 +63,7 @@ impl<T, const N: usize> InlineVec<T, N> {
 
     /// Iterates the elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.inline[..self.len.min(N)]
-            .iter()
-            .filter_map(Option::as_ref)
-            .chain(self.spill.iter())
+        self.into_iter()
     }
 
     /// Iterates the elements mutably, in order.
@@ -85,6 +82,65 @@ impl<T, const N: usize> InlineVec<T, N> {
             self.spill.push(value);
         }
         self.len += 1;
+    }
+
+    /// True if some element equals `value`.
+    #[must_use]
+    pub fn contains(&self, value: &T) -> bool
+    where
+        T: PartialEq,
+    {
+        self.iter().any(|v| v == value)
+    }
+}
+
+/// By-value iteration, in order.
+impl<T, const N: usize> IntoIterator for InlineVec<T, N> {
+    type Item = T;
+    type IntoIter = std::iter::Chain<
+        std::iter::Flatten<std::array::IntoIter<Option<T>, N>>,
+        std::vec::IntoIter<T>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        // Empty inline slots are `None` and sit behind the filled ones.
+        self.inline.into_iter().flatten().chain(self.spill)
+    }
+}
+
+impl<'a, T, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::iter::Chain<
+        std::iter::Flatten<std::slice::Iter<'a, Option<T>>>,
+        std::slice::Iter<'a, T>,
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.inline[..self.len.min(N)]
+            .iter()
+            .flatten()
+            .chain(self.spill.iter())
+    }
+}
+
+impl<T, const N: usize> Extend<T> for InlineVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        let iter = iter.into_iter();
+        // What is known to be coming and will not fit inline spills in one
+        // allocation, not by doubling.
+        let room = N.saturating_sub(self.len);
+        self.spill.reserve(iter.size_hint().0.saturating_sub(room));
+        for value in iter {
+            self.push(value);
+        }
+    }
+}
+
+impl<T, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut out = InlineVec::new();
+        out.extend(iter);
+        out
     }
 }
 
@@ -315,6 +371,35 @@ mod tests {
         // Reusable after being emptied.
         iv.push(42);
         check_equals(&iv, &[42]);
+    }
+
+    #[test]
+    fn collect_extend_contains_and_by_value_iteration_match_vec() {
+        // Every length on both sides of the spill boundary, collected and
+        // then extended across it again.
+        for first in 0..5u32 {
+            for more in 0..5u32 {
+                let mut model: Vec<u32> = (10..10 + first).collect();
+                let mut iv: InlineVec<u32, 2> = model.iter().copied().collect();
+                check_equals(&iv, &model);
+                iv.extend(100..100 + more);
+                model.extend(100..100 + more);
+                check_equals(&iv, &model);
+                for probe in [9, 10, 11, 13, 14, 99, 100, 103, 104] {
+                    assert_eq!(iv.contains(&probe), model.contains(&probe), "{probe}");
+                }
+                assert!((&iv).into_iter().eq(model.iter()));
+                assert_eq!(iv.into_iter().collect::<Vec<_>>(), model);
+            }
+        }
+    }
+
+    #[test]
+    fn extend_spills_what_is_known_to_come_in_one_allocation() {
+        let mut iv: InlineVec<u32, 2> = InlineVec::new();
+        iv.extend(0..40);
+        assert_eq!(iv.spill.capacity(), 38);
+        assert_eq!(iv.to_vec(), (0..40).collect::<Vec<_>>());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GATE=(build test references benchmark-tests detlint detlint-selftest clippy
+GATE=(build test references alloc-budget benchmark-tests detlint detlint-selftest clippy
   trace-determinism blame-determinism disabled-path jobs-determinism
   simcheck recovery benchmark)
 SLOW=(seedcheck repro-golden)
@@ -37,6 +37,12 @@ step_references() {
   cargo test --release -q -p siteselect-locks --lib dense_table_matches
   cargo test --release -q -p siteselect-storage --lib buffer_reference
   cargo test --release -q -p siteselect-obs --lib export_reference
+}
+
+# Whole CS, LS and CE runs at 100 clients and full duration inside their
+# allocations-per-transaction budgets (debug builds run 30 clients x 400 s).
+step_alloc-budget() {
+  cargo test --release -q -p siteselect-core --test alloc_steady_state
 }
 
 # BENCHMARK.json's program is a workspace of its own that reaches the

@@ -113,7 +113,7 @@ fn blocked_requests_are_eventually_granted_on_release() {
             let current = *granted_order.last().unwrap();
             let grants = table.release(obj, ClientId(current.into()));
             assert_eq!(grants.len(), 1);
-            granted_order.push(grants[0].owner.0 as u8);
+            granted_order.push(grants.get_copy(0).owner.0 as u8);
         }
         assert_eq!(granted_order, distinct);
     }
@@ -132,7 +132,7 @@ fn wfg_gate_prevents_cycles() {
         for _ in 0..edges {
             let a = rng.below(8) as u8;
             let b = rng.below(8) as u8;
-            if a != b && !g.would_deadlock(a, &[b]) {
+            if a != b && !g.would_deadlock(a, [b]) {
                 g.add_waits(a, [b]);
             }
             assert!(!g.has_cycle());
