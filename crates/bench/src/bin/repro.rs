@@ -10,6 +10,7 @@
 //! `trace`, `blame`, `check`, `all`. One target per invocation; a flag
 //! outside the `FLAGS` table below, a second target, or a value flag
 //! without its value is a usage error, not something to skip over.
+//! `--help` / `-h` prints the targets and flags and exits 0.
 //! `--quick` shortens the simulated runs (coarser numbers, same shapes).
 //! `--clients N` overrides the Table 4 (or `faults` / `trace` / `check`)
 //! cluster size.
@@ -66,24 +67,49 @@ use siteselect_locks::protocol_costs;
 use siteselect_obs::{BlameReport, MetricsRegistry, MetricsSnapshot};
 use siteselect_types::{ConfigError, ExperimentConfig, FaultConfig, SimDuration, SystemKind};
 
-/// Every flag `repro` knows and whether a value follows it: the one table
-/// behind both telling targets from flag values and rejecting the rest.
-const FLAGS: [(&str, bool); 14] = [
-    ("--quick", false),
-    ("--restart", false),
-    ("--clients", true),
-    ("--seed", true),
-    ("--out", true),
-    ("--jobs", true),
-    ("--system", true),
-    ("--update", true),
-    ("--chaos", true),
-    ("--duration", true),
-    ("--warmup", true),
-    ("--seeds", true),
-    ("--top", true),
-    ("--inject-violation", true),
+/// Every flag `repro` knows: its name, the placeholder of the value that
+/// follows it (empty for a switch) and what it does. The one table behind
+/// telling targets from flag values, rejecting the rest, and `--help`.
+const FLAGS: [(&str, &str, &str); 14] = [
+    ("--quick", "", "shorter simulated runs (coarser numbers, same shapes)"),
+    ("--restart", "", "trace/blame: add the server crash-restart profile (needs --chaos)"),
+    ("--clients", "N", "cluster size of table4, faults, trace, blame and check"),
+    ("--seed", "S", "seed of a trace or blame run; base seed of check"),
+    ("--out", "PATH", "trace: output directory; blame: JSON report file"),
+    ("--jobs", "N", "sweep worker threads (absent = one per core); never changes output"),
+    ("--system", "ce|cs|ls", "trace/blame: the system to run"),
+    ("--update", "F", "trace/blame: per-access update fraction in [0, 1]"),
+    ("--chaos", "F", "trace/blame: fault-injection intensity, 0 = off"),
+    ("--duration", "SECS", "trace/blame/check: simulated run length"),
+    ("--warmup", "SECS", "trace/blame/check: warm-up excluded from statistics"),
+    ("--seeds", "N", "check: number of randomized cases"),
+    ("--top", "K", "blame: worst missed deadlines to print"),
+    (
+        "--inject-violation",
+        "ORACLE",
+        "check: feed serializability|coherence|deadline|recovery a known-bad history",
+    ),
 ];
+
+/// Every target, as the usage text and the unknown-target error list them.
+const TARGETS: &str = "table1 figure1 figure2 figure3 figure4 figure5 table2 table3 table4 \
+                       ablations faults trace blame check all";
+
+/// The `--help` text, generated from [`TARGETS`] and [`FLAGS`].
+fn usage() -> String {
+    let mut text = format!(
+        "usage: repro [TARGET] [FLAGS]\n\n\
+         Regenerates the tables and figures of Kanitkar & Delis (ICDCS 1999).\n\
+         One target per invocation (default: all).\n\n\
+         targets: {TARGETS}\n\nflags:\n"
+    );
+    for (name, value, about) in FLAGS {
+        let flag = format!("{name} {value}");
+        text.push_str(&format!("  {flag:<28}{about}\n"));
+    }
+    text.push_str("  --help, -h                  print this text\n");
+    text
+}
 
 /// Checks the command line against [`FLAGS`] and returns its one target
 /// (`all` when none is named). An unknown flag, a value flag without its
@@ -98,10 +124,10 @@ fn parse_target(args: &[String]) -> Result<&str, String> {
             }
             continue;
         }
-        let Some(&(_, takes_value)) = FLAGS.iter().find(|(name, _)| *name == arg) else {
+        let Some(&(_, value, _)) = FLAGS.iter().find(|(name, ..)| *name == arg) else {
             return Err(format!("unknown flag: {arg}"));
         };
-        if takes_value && rest.next().is_none_or(|value| value.starts_with("--")) {
+        if !value.is_empty() && rest.next().is_none_or(|value| value.starts_with("--")) {
             return Err(format!("{arg} needs a value"));
         }
     }
@@ -210,6 +236,10 @@ fn usage_error(message: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
     let target = match parse_target(&args) {
         Ok(v) => v,
         Err(e) => return usage_error(&e),
@@ -280,9 +310,7 @@ fn main() -> ExitCode {
         "all" => all(opts, clients_override.unwrap_or(100)),
         other => {
             eprintln!("unknown target: {other}");
-            eprintln!(
-                "targets: table1 figure1 figure2 figure3 figure4 figure5 table2 table3 table4 ablations faults trace blame check all"
-            );
+            eprintln!("targets: {TARGETS}");
             return ExitCode::FAILURE;
         }
     };

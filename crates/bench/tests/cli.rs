@@ -89,6 +89,25 @@ fn restart_without_chaos_is_rejected() {
 }
 
 #[test]
+fn help_prints_every_flag_and_target_and_exits_zero() {
+    for args in [&["--help"][..], &["-h"][..], &["figure3", "--quick", "--help"][..]] {
+        let out = repro(args);
+        assert!(out.status.success(), "{args:?} must exit 0: {}", stderr_of(&out));
+        let text = stdout_of(&out);
+        assert!(text.starts_with("usage: repro"), "{args:?} printed: {text}");
+        for needle in [
+            "--quick", "--restart", "--clients N", "--seed S", "--out PATH", "--jobs N",
+            "--system ce|cs|ls", "--update F", "--chaos F", "--duration SECS", "--warmup SECS",
+            "--seeds N", "--top K", "--inject-violation ORACLE", "--help, -h",
+            "figure4", "blame", "check all",
+        ] {
+            assert!(text.contains(needle), "{args:?} usage text lacks {needle:?}: {text}");
+        }
+        assert!(!text.contains("==="), "{args:?} ran a target as well: {text}");
+    }
+}
+
+#[test]
 fn unknown_target_lists_the_valid_ones() {
     let out = repro(&["chekc"]);
     assert!(!out.status.success());
@@ -123,11 +142,29 @@ fn unrecognised_arguments_are_usage_errors_that_run_nothing() {
 
 #[test]
 fn injected_violations_fail_with_diagnostic_and_replay() {
-    for (kind, file) in [
-        ("serializability", "crates/check/src/serializability.rs"),
-        ("coherence", "crates/check/src/coherence.rs"),
-        ("deadline", "crates/check/src/deadline.rs"),
-        ("recovery", "crates/check/src/recovery.rs"),
+    // The detail texts are the ones the oracles printed before they became
+    // one pass over hashed state; the rewrite must not reword a verdict.
+    for (kind, file, detail) in [
+        (
+            "serializability",
+            "crates/check/src/serializability.rs",
+            "committed units form a conflict cycle txn#0.1 -> txn#1.1 -> txn#0.1 (object obj#7: ",
+        ),
+        (
+            "coherence",
+            "crates/check/src/coherence.rs",
+            "at t=150us client#1 installed a shared cached lock on obj#7 while client#0 still holds an exclusive",
+        ),
+        (
+            "deadline",
+            "crates/check/src/deadline.rs",
+            "measured transaction txn#0.1 (submitted at t=150us) never reached a terminal accounting state",
+        ),
+        (
+            "recovery",
+            "crates/check/src/recovery.rs",
+            "at t=260us replay left obj#7 holding stamp 12, the effect of a rolled-back or loser transaction",
+        ),
     ] {
         let out = repro(&["check", "--inject-violation", kind]);
         assert!(!out.status.success(), "--inject-violation {kind} must exit non-zero");
@@ -136,6 +173,7 @@ fn injected_violations_fail_with_diagnostic_and_replay() {
             err.contains(&format!("{kind} violation at {file}")),
             "{kind}: missing file:line diagnostic in: {err}"
         );
+        assert!(err.contains(detail), "{kind}: verdict reworded: {err}");
         assert!(err.contains("replay:"), "{kind}: missing replay command in: {err}");
     }
 

@@ -12,54 +12,75 @@
 //! lease fence can race an in-flight revoke, and the engine's removal of an
 //! already-absent entry is a no-op there too.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-use siteselect_obs::{Event, TraceData};
-use siteselect_types::{ClientId, ObjectId};
+use siteselect_obs::{Event, TraceData, TraceRecord};
+use siteselect_types::{ClientId, FixedState, InlineVec, ObjectId};
 
 use crate::Violation;
 
-/// Checks the cached-lock exclusion invariant over the whole trace.
-///
-/// # Errors
-///
-/// Returns a [`Violation`] naming the object, both clients, and both modes
-/// the first time two incompatible cached locks coexist, or when a client
-/// downgrades a lock it does not hold.
-pub fn check(trace: &TraceData) -> Result<(), Violation> {
-    // object -> holder -> exclusive?
-    let mut cached: BTreeMap<ObjectId, BTreeMap<ClientId, bool>> = BTreeMap::new();
-    for rec in &trace.records {
+/// One object's cached locks: `(holder, exclusive?)`, in no order.
+type Holders = InlineVec<(ClientId, bool), 4>;
+
+/// The coherence oracle: feed it every record with
+/// [`observe`](Self::observe), then ask [`finish`](Self::finish).
+#[derive(Debug, Default)]
+pub struct Coherence {
+    cached: HashMap<ObjectId, Holders, FixedState>,
+    /// The first objection; the replay stops there.
+    failed: Option<Violation>,
+}
+
+impl Coherence {
+    /// Replays one record into the cached-lock table.
+    #[inline]
+    pub fn observe(&mut self, rec: &TraceRecord) {
+        if self.failed.is_none() {
+            self.failed = self.replay(rec).err();
+        }
+    }
+
+    fn replay(&mut self, rec: &TraceRecord) -> Result<(), Violation> {
         match rec.event {
             Event::CacheInstall {
                 client,
                 object,
                 exclusive,
             } => {
-                let holders = cached.entry(object).or_default();
-                for (&other, &other_exclusive) in holders.iter() {
-                    if other == client {
-                        continue; // upgrading or refreshing its own entry
-                    }
-                    if exclusive || other_exclusive {
-                        fail!(
-                            "coherence",
-                            "at t={}us client#{} installed {} cached lock on {object} \
-                             while client#{} still holds {} — callback protocol let \
-                             conflicting cached locks coexist",
-                            rec.time.as_micros(),
-                            client.0,
-                            mode_str(exclusive),
-                            other.0,
-                            mode_str(other_exclusive)
-                        );
-                    }
+                let holders = self.cached.entry(object).or_default();
+                // Its own entry is an upgrade or a refresh, not a conflict.
+                let conflict = holders
+                    .iter()
+                    .filter(|&&(other, other_exclusive)| {
+                        other != client && (exclusive || other_exclusive)
+                    })
+                    .min_by_key(|&&(other, _)| other);
+                if let Some(&(other, other_exclusive)) = conflict {
+                    fail!(
+                        "coherence",
+                        "at t={}us client#{} installed {} cached lock on {object} \
+                         while client#{} still holds {} — callback protocol let \
+                         conflicting cached locks coexist",
+                        rec.time.as_micros(),
+                        client.0,
+                        mode_str(exclusive),
+                        other.0,
+                        mode_str(other_exclusive)
+                    );
                 }
-                holders.insert(client, exclusive);
+                let own = holders.iter().position(|&(holder, _)| holder == client);
+                match own {
+                    Some(own) => holders.set(own, (client, exclusive)),
+                    None => holders.push((client, exclusive)),
+                }
             }
             Event::CacheDowngrade { client, object } => {
-                match cached.get_mut(&object).and_then(|h| h.get_mut(&client)) {
-                    Some(exclusive) => *exclusive = false,
+                let held = self
+                    .cached
+                    .get_mut(&object)
+                    .and_then(|h| h.iter_mut().find(|(holder, _)| *holder == client));
+                match held {
+                    Some((_, exclusive)) => *exclusive = false,
                     None => fail!(
                         "coherence",
                         "at t={}us client#{} downgraded {object} but the replayed \
@@ -70,19 +91,44 @@ pub fn check(trace: &TraceData) -> Result<(), Violation> {
                 }
             }
             Event::CacheDrop { client, object } => {
-                if let Some(holders) = cached.get_mut(&object) {
-                    holders.remove(&client);
+                if let Some(holders) = self.cached.get_mut(&object) {
+                    holders.retain(|&(holder, _)| holder != client);
                 }
             }
             Event::CacheWipe { client } => {
-                for holders in cached.values_mut() {
-                    holders.remove(&client);
+                // detlint: allow(D2) — every list loses the same client; no order in the result
+                for holders in self.cached.values_mut() {
+                    holders.retain(|&(holder, _)| holder != client);
                 }
             }
             _ => {}
         }
+        Ok(())
     }
-    Ok(())
+
+    /// The verdict on everything observed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Violation`] naming the object, both clients, and both
+    /// modes the first time two incompatible cached locks coexisted, or
+    /// when a client downgraded a lock it did not hold.
+    pub fn finish(self) -> Result<(), Violation> {
+        self.failed.map_or(Ok(()), Err)
+    }
+}
+
+/// Checks the cached-lock exclusion invariant over the whole trace.
+///
+/// # Errors
+///
+/// Returns a [`Violation`] naming the object, both clients, and both modes
+/// the first time two incompatible cached locks coexist, or when a client
+/// downgrades a lock it does not hold.
+pub fn check(trace: &TraceData) -> Result<(), Violation> {
+    let mut oracle = Coherence::default();
+    trace.records.iter().for_each(|rec| oracle.observe(rec));
+    oracle.finish()
 }
 
 fn mode_str(exclusive: bool) -> &'static str {

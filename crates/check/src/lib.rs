@@ -17,6 +17,11 @@
 //!   asserts the durability contract: committed effects survive a
 //!   crash-restart, aborted and loser effects never resurface.
 //!
+//! Each oracle is a state value fed one record at a time (`observe`) and
+//! asked for its verdict at the end (`finish`); [`check_trace`] feeds all
+//! four in one pass, and every module's `check` is the same thing for one
+//! oracle alone.
+//!
 //! [`explore`] is the `simcheck` harness: a randomized schedule explorer
 //! fanning seeds across system × update-rate × fault-profile cells, with a
 //! greedy deterministic shrinker that minimizes a failing case and prints a
@@ -97,7 +102,9 @@ impl fmt::Display for Violation {
 
 impl std::error::Error for Violation {}
 
-/// Runs all four oracles over a captured trace.
+/// Runs all four oracles over a captured trace: one walk over the records
+/// feeds every oracle's state, then the oracles give their verdicts in the
+/// order serializability, coherence, deadline, recovery.
 ///
 /// `warmup_end` is the instant the measurement window opened
 /// (`SimTime::ZERO + cfg.runtime.warmup`); the deadline oracle uses it to
@@ -123,11 +130,20 @@ pub fn check_trace(
             trace.records.len()
         );
     }
-    serializability::check(trace)?;
-    coherence::check(trace)?;
-    deadline::check(trace, metrics, warmup_end)?;
-    recovery::check(trace)?;
-    Ok(())
+    let mut serializability = serializability::Serializability::default();
+    let mut coherence = coherence::Coherence::default();
+    let mut deadline = deadline::Deadline::new(metrics, warmup_end);
+    let mut recovery = recovery::Recovery::default();
+    for rec in &trace.records {
+        serializability.observe(rec);
+        coherence.observe(rec);
+        deadline.observe(rec);
+        recovery.observe(rec);
+    }
+    serializability.finish()?;
+    coherence.finish()?;
+    deadline.finish()?;
+    recovery.finish()
 }
 
 /// Runs one traced experiment and judges it with every oracle.

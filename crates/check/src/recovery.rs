@@ -15,43 +15,59 @@
 //! staged loser records, letting later writes reuse raw LSN values, but a
 //! reused stamp on the *same* page can only be a legitimate recommit.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{HashMap, HashSet};
 
-use siteselect_obs::{Event, TraceData};
-use siteselect_types::{ObjectId, SiteId};
+use siteselect_obs::{Event, TraceData, TraceRecord};
+use siteselect_types::{FixedState, ObjectId, ObjectSet, SiteId};
 
 use crate::Violation;
 
-/// Checks the durability contract over the whole trace.
-///
-/// # Errors
-///
-/// Returns a [`Violation`] naming the page and stamps the first time a
-/// post-restart state dump shows a committed effect missing or a
-/// rolled-back effect resurfacing.
-pub fn check(trace: &TraceData) -> Result<(), Violation> {
-    // txn -> writes logged but not yet resolved, in log order.
-    let mut pending: BTreeMap<u64, Vec<(ObjectId, u64)>> = BTreeMap::new();
-    // page -> stamp of its newest committed write.
-    let mut expected: BTreeMap<ObjectId, u64> = BTreeMap::new();
-    // Effects rolled back by an abort or lost with a crashed loser.
-    let mut rolled_back: BTreeSet<(ObjectId, u64)> = BTreeSet::new();
-    // Pages listed by the state dump currently being verified.
-    let mut dump: Option<BTreeSet<ObjectId>> = None;
+/// The recovery oracle: feed it every record with
+/// [`observe`](Self::observe), then ask [`finish`](Self::finish).
+#[derive(Debug, Default)]
+pub struct Recovery {
+    /// txn -> writes logged but not yet resolved, in log order.
+    pending: HashMap<u64, Vec<(ObjectId, u64)>, FixedState>,
+    /// Write lists of resolved transactions, kept for their capacity.
+    pool: Vec<Vec<(ObjectId, u64)>>,
+    /// page -> stamp of its newest committed write.
+    expected: HashMap<ObjectId, u64, FixedState>,
+    /// Effects rolled back by an abort or lost with a crashed loser.
+    rolled_back: HashSet<(ObjectId, u64), FixedState>,
+    /// Pages listed by the state dump currently being verified.
+    dump: Option<ObjectSet>,
+    /// The first objection; the replay stops there.
+    failed: Option<Violation>,
+}
 
-    for rec in &trace.records {
+impl Recovery {
+    /// Replays one record of the WAL history.
+    #[inline]
+    pub fn observe(&mut self, rec: &TraceRecord) {
+        if self.failed.is_none() {
+            self.failed = self.replay(rec).err();
+        }
+    }
+
+    fn replay(&mut self, rec: &TraceRecord) -> Result<(), Violation> {
         match rec.event {
             Event::WalWrite { txn, page, stamp } => {
-                pending.entry(txn.as_u64()).or_default().push((page, stamp));
+                let pool = &mut self.pool;
+                self.pending
+                    .entry(txn.as_u64())
+                    .or_insert_with(|| pool.pop().unwrap_or_default())
+                    .push((page, stamp));
             }
             Event::WalCommit { txn } => {
-                for (page, stamp) in pending.remove(&txn.as_u64()).unwrap_or_default() {
-                    expected.insert(page, stamp);
+                if let Some(mut writes) = self.pending.remove(&txn.as_u64()) {
+                    self.expected.extend(writes.drain(..));
+                    self.pool.push(writes);
                 }
             }
             Event::WalAbort { txn } => {
-                for (page, stamp) in pending.remove(&txn.as_u64()).unwrap_or_default() {
-                    rolled_back.insert((page, stamp));
+                if let Some(mut writes) = self.pending.remove(&txn.as_u64()) {
+                    self.rolled_back.extend(writes.drain(..));
+                    self.pool.push(writes);
                 }
             }
             Event::SiteCrash {
@@ -59,22 +75,22 @@ pub fn check(trace: &TraceData) -> Result<(), Violation> {
             } => {
                 // Every unresolved transaction is a loser: replay must roll
                 // its logged effects back.
-                for (_, writes) in std::mem::take(&mut pending) {
-                    for (page, stamp) in writes {
-                        rolled_back.insert((page, stamp));
-                    }
+                // detlint: allow(D2) — every write goes into one set; no order in the result
+                for (_, mut writes) in self.pending.drain() {
+                    self.rolled_back.extend(writes.drain(..));
+                    self.pool.push(writes);
                 }
             }
             Event::RecoveryDone {
                 site: SiteId::Server,
                 ..
             } => {
-                dump = Some(BTreeSet::new());
+                self.dump = Some(ObjectSet::new());
             }
             Event::WalState { page, stamp } => {
-                let want = expected.get(&page).copied().unwrap_or(0);
+                let want = self.expected.get(&page).copied().unwrap_or(0);
                 if stamp != want {
-                    if rolled_back.contains(&(page, stamp)) {
+                    if self.rolled_back.contains(&(page, stamp)) {
                         fail!(
                             "recovery",
                             "at t={}us replay left {page} holding stamp {stamp}, \
@@ -92,34 +108,63 @@ pub fn check(trace: &TraceData) -> Result<(), Violation> {
                         rec.time.as_micros()
                     );
                 }
-                if let Some(seen) = dump.as_mut() {
+                if let Some(seen) = self.dump.as_mut() {
                     seen.insert(page);
                 }
             }
             Event::SiteRecover {
                 site: SiteId::Server,
             } => {
-                if let Some(seen) = dump.take() {
+                if let Some(seen) = self.dump.take() {
                     // The dump lists every nonzero page, so a committed page
-                    // absent from it reverted to pristine.
-                    for (&page, &stamp) in &expected {
-                        if stamp != 0 && !seen.contains(&page) {
-                            fail!(
-                                "recovery",
-                                "post-restart state dump ending at t={}us has no \
-                                 entry for {page}, whose newest committed write \
-                                 is stamp {stamp} — a committed effect did not \
-                                 survive restart",
-                                rec.time.as_micros()
-                            );
-                        }
+                    // absent from it reverted to pristine. The diagnostic
+                    // names the lowest-numbered one.
+                    let lost = self
+                        // detlint: allow(D2) — order-free fold: a minimum by page id
+                        .expected
+                        .iter()
+                        .filter(|&(&page, &stamp)| stamp != 0 && !seen.contains(page))
+                        .min_by_key(|&(&page, _)| page);
+                    if let Some((page, stamp)) = lost {
+                        fail!(
+                            "recovery",
+                            "post-restart state dump ending at t={}us has no \
+                             entry for {page}, whose newest committed write \
+                             is stamp {stamp} — a committed effect did not \
+                             survive restart",
+                            rec.time.as_micros()
+                        );
                     }
                 }
             }
             _ => {}
         }
+        Ok(())
     }
-    Ok(())
+
+    /// The verdict on everything observed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Violation`] naming the page and stamps the first time a
+    /// post-restart state dump showed a committed effect missing or a
+    /// rolled-back effect resurfacing.
+    pub fn finish(self) -> Result<(), Violation> {
+        self.failed.map_or(Ok(()), Err)
+    }
+}
+
+/// Checks the durability contract over the whole trace.
+///
+/// # Errors
+///
+/// Returns a [`Violation`] naming the page and stamps the first time a
+/// post-restart state dump shows a committed effect missing or a
+/// rolled-back effect resurfacing.
+pub fn check(trace: &TraceData) -> Result<(), Violation> {
+    let mut oracle = Recovery::default();
+    trace.records.iter().for_each(|rec| oracle.observe(rec));
+    oracle.finish()
 }
 
 #[cfg(test)]

@@ -18,10 +18,10 @@
 //! conflicts with other readers, so a legal `S …upgrade… X` sequence is not
 //! misread as a write overlapping earlier readers.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-use siteselect_obs::{Event, TraceData};
-use siteselect_types::{ObjectId, SimTime, TransactionId};
+use siteselect_obs::{Event, TraceData, TraceRecord};
+use siteselect_types::{FixedState, ObjectId, SimTime, TransactionId};
 
 use crate::Violation;
 
@@ -34,12 +34,147 @@ struct Hold {
     x_since: Option<SimTime>,
 }
 
-/// A committed execution unit: its lock episode snapshot at commit.
-#[derive(Debug)]
-struct Unit {
-    id: TransactionId,
-    end: SimTime,
-    holds: Vec<(ObjectId, Hold)>,
+/// One committed unit's hold on one object.
+#[derive(Debug, Clone, Copy)]
+struct Instance {
+    object: ObjectId,
+    /// Index into [`Serializability::committed`].
+    unit: u32,
+    hold: Hold,
+}
+
+/// The serializability oracle: feed it every record with
+/// [`observe`](Self::observe), then ask [`finish`](Self::finish).
+#[derive(Debug, Default)]
+pub struct Serializability {
+    /// Open lock episodes by raw unit id. A unit holds a handful of
+    /// objects, so its list is searched linearly.
+    current: HashMap<u64, Vec<(ObjectId, Hold)>, FixedState>,
+    /// Hold lists of ended episodes, kept for their capacity.
+    pool: Vec<Vec<(ObjectId, Hold)>>,
+    /// Committed units in trace order: id and commit instant.
+    committed: Vec<(TransactionId, SimTime)>,
+    /// Every hold of every committed unit, in commit order.
+    instances: Vec<Instance>,
+}
+
+impl Serializability {
+    /// Replays one record into the open lock episodes.
+    #[inline]
+    pub fn observe(&mut self, rec: &TraceRecord) {
+        match rec.event {
+            Event::LockHeld {
+                txn,
+                object,
+                exclusive,
+            } => {
+                let pool = &mut self.pool;
+                let episode = self
+                    .current
+                    .entry(txn.as_u64())
+                    .or_insert_with(|| pool.pop().unwrap_or_default());
+                let pos = episode
+                    .iter()
+                    .position(|&(held, _)| held == object)
+                    .unwrap_or_else(|| {
+                        episode.push((
+                            object,
+                            Hold {
+                                since: rec.time,
+                                x_since: None,
+                            },
+                        ));
+                        episode.len() - 1
+                    });
+                let hold = &mut episode[pos].1;
+                if exclusive && hold.x_since.is_none() {
+                    hold.x_since = Some(rec.time);
+                }
+            }
+            Event::UnitEnd { txn, committed: ok } => {
+                // An aborted or shipped-away episode releases its locks and
+                // leaves no committed trace; the same unit id may open a
+                // fresh episode later (remote re-execution after a ship).
+                if let Some(mut episode) = self.current.remove(&txn.as_u64()) {
+                    if ok {
+                        let unit = self.committed.len() as u32;
+                        self.committed.push((txn, rec.time));
+                        self.instances.extend(
+                            episode
+                                .iter()
+                                .map(|&(object, hold)| Instance { object, unit, hold }),
+                        );
+                    }
+                    episode.clear();
+                    self.pool.push(episode);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Checks that the committed lock episodes form an acyclic conflict
+    /// graph.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Violation`] naming the cycle (and a witness object for
+    /// its first edge) when the committed history is not
+    /// conflict-serializable.
+    pub fn finish(mut self) -> Result<(), Violation> {
+        // One group per object, units in commit order inside it: the
+        // pairwise conflict scan runs over each group.
+        self.instances
+            .sort_unstable_by_key(|i| (i.object, i.unit));
+        let committed = &self.committed;
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for group in self.instances.chunk_by(|a, b| a.object == b.object) {
+            for (i, a) in group.iter().enumerate() {
+                for b in &group[i + 1..] {
+                    if a.hold.x_since.is_none() && b.hold.x_since.is_none() {
+                        continue; // read-read: no conflict
+                    }
+                    let (id_a, end_a) = committed[a.unit as usize];
+                    let (id_b, end_b) = committed[b.unit as usize];
+                    // The conflicting portion of a writer is [x_since, end]; it
+                    // clashes with the whole episode [since, end] of the other.
+                    let overlap = a
+                        .hold
+                        .x_since
+                        .is_some_and(|x| x < end_b && b.hold.since < end_a)
+                        || b.hold
+                            .x_since
+                            .is_some_and(|x| x < end_a && a.hold.since < end_b);
+                    if overlap {
+                        edges.push((a.unit, b.unit));
+                        edges.push((b.unit, a.unit));
+                    } else if (end_a, id_a.as_u64()) < (end_b, id_b.as_u64()) {
+                        edges.push((a.unit, b.unit));
+                    } else {
+                        edges.push((b.unit, a.unit));
+                    }
+                }
+            }
+        }
+        edges.sort_unstable();
+        edges.dedup();
+
+        if let Some(cycle) = find_cycle(committed.len(), &edges) {
+            let names: Vec<String> = cycle
+                .iter()
+                .map(|&i| committed[i as usize].0.to_string())
+                .collect();
+            let witness = witness_object(&self.instances, cycle[0], cycle[1]);
+            fail!(
+                "serializability",
+                "committed units form a conflict cycle {} -> {} (object {witness}: \
+                 conflicting lock episodes cannot be serialized in either order)",
+                names.join(" -> "),
+                names[0]
+            );
+        }
+        Ok(())
+    }
 }
 
 /// Checks that committed lock episodes form an acyclic conflict graph.
@@ -49,144 +184,65 @@ struct Unit {
 /// Returns a [`Violation`] naming the cycle (and a witness object for its
 /// first edge) when the committed history is not conflict-serializable.
 pub fn check(trace: &TraceData) -> Result<(), Violation> {
-    let mut current: BTreeMap<u64, BTreeMap<ObjectId, Hold>> = BTreeMap::new();
-    let mut committed: Vec<Unit> = Vec::new();
-    for rec in &trace.records {
-        match rec.event {
-            Event::LockHeld {
-                txn,
-                object,
-                exclusive,
-            } => {
-                let episode = current.entry(txn.as_u64()).or_default();
-                let hold = episode.entry(object).or_insert(Hold {
-                    since: rec.time,
-                    x_since: None,
-                });
-                if exclusive && hold.x_since.is_none() {
-                    hold.x_since = Some(rec.time);
-                }
-            }
-            Event::UnitEnd { txn, committed: ok } => {
-                // An aborted or shipped-away episode releases its locks and
-                // leaves no committed trace; the same unit id may open a
-                // fresh episode later (remote re-execution after a ship).
-                if let Some(episode) = current.remove(&txn.as_u64()) {
-                    if ok {
-                        committed.push(Unit {
-                            id: txn,
-                            end: rec.time,
-                            holds: episode.into_iter().collect(),
-                        });
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // Per-object instance lists drive the pairwise conflict scan.
-    let mut per_object: BTreeMap<ObjectId, Vec<(usize, Hold)>> = BTreeMap::new();
-    for (idx, unit) in committed.iter().enumerate() {
-        for &(object, hold) in &unit.holds {
-            per_object.entry(object).or_default().push((idx, hold));
-        }
-    }
-
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); committed.len()];
-    for (&object, instances) in &per_object {
-        for i in 0..instances.len() {
-            for j in (i + 1)..instances.len() {
-                let (a_idx, a) = instances[i];
-                let (b_idx, b) = instances[j];
-                if a.x_since.is_none() && b.x_since.is_none() {
-                    continue; // read-read: no conflict
-                }
-                let (end_a, end_b) = (committed[a_idx].end, committed[b_idx].end);
-                // The conflicting portion of a writer is [x_since, end]; it
-                // clashes with the whole episode [since, end] of the other.
-                let overlap = a.x_since.is_some_and(|x| x < end_b && b.since < end_a)
-                    || b.x_since.is_some_and(|x| x < end_a && a.since < end_b);
-                if overlap {
-                    let _ = object;
-                    adj[a_idx].push(b_idx);
-                    adj[b_idx].push(a_idx);
-                } else if (end_a, committed[a_idx].id.as_u64())
-                    < (end_b, committed[b_idx].id.as_u64())
-                {
-                    adj[a_idx].push(b_idx);
-                } else {
-                    adj[b_idx].push(a_idx);
-                }
-            }
-        }
-    }
-    for edges in &mut adj {
-        edges.sort_unstable();
-        edges.dedup();
-    }
-
-    if let Some(cycle) = find_cycle(&adj) {
-        let names: Vec<String> = cycle.iter().map(|&i| committed[i].id.to_string()).collect();
-        let witness = witness_object(&per_object, cycle[0], cycle[1]);
-        fail!(
-            "serializability",
-            "committed units form a conflict cycle {} -> {} (object {witness}: \
-             conflicting lock episodes cannot be serialized in either order)",
-            names.join(" -> "),
-            names[0]
-        );
-    }
-    Ok(())
+    let mut oracle = Serializability::default();
+    trace.records.iter().for_each(|rec| oracle.observe(rec));
+    oracle.finish()
 }
 
-/// An object on which two units of the cycle actually conflict, for the
-/// diagnostic. Falls back to `ObjectId(0)`'s display if the pair shares no
-/// object (cannot happen for adjacent cycle members).
-fn witness_object(
-    per_object: &BTreeMap<ObjectId, Vec<(usize, Hold)>>,
-    a: usize,
-    b: usize,
-) -> ObjectId {
-    for (&object, instances) in per_object {
-        let hold = |idx: usize| instances.iter().find(|&&(i, _)| i == idx).map(|&(_, h)| h);
+/// The lowest-numbered object on which two units of the cycle actually
+/// conflict, for the diagnostic. `instances` is sorted by object. Falls
+/// back to `ObjectId(0)`'s display if the pair shares no object (cannot
+/// happen for adjacent cycle members).
+fn witness_object(instances: &[Instance], a: u32, b: u32) -> ObjectId {
+    for group in instances.chunk_by(|x, y| x.object == y.object) {
+        let hold = |unit: u32| group.iter().find(|i| i.unit == unit).map(|i| i.hold);
         if let (Some(ha), Some(hb)) = (hold(a), hold(b)) {
             if ha.x_since.is_some() || hb.x_since.is_some() {
-                return object;
+                return group[0].object;
             }
         }
     }
     ObjectId(0)
 }
 
-/// Iterative three-color DFS; returns the node sequence of the first cycle
+/// Iterative three-color DFS over `nodes` nodes and the sorted,
+/// deduplicated edge list; returns the node sequence of the first cycle
 /// found, in deterministic (index) order.
-fn find_cycle(adj: &[Vec<usize>]) -> Option<Vec<usize>> {
+fn find_cycle(nodes: usize, edges: &[(u32, u32)]) -> Option<Vec<u32>> {
     const WHITE: u8 = 0;
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
-    let mut color = vec![WHITE; adj.len()];
-    for start in 0..adj.len() {
+    // `edges[first[n]..first[n + 1]]` leave node `n`.
+    let mut first = vec![0usize; nodes + 1];
+    for &(from, _) in edges {
+        first[from as usize + 1] += 1;
+    }
+    for n in 0..nodes {
+        first[n + 1] += first[n];
+    }
+    let mut color = vec![WHITE; nodes];
+    for start in 0..nodes {
         if color[start] != WHITE {
             continue;
         }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+        // (node, index of its next unvisited edge)
+        let mut stack: Vec<(usize, usize)> = vec![(start, first[start])];
         color[start] = GRAY;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < adj[node].len() {
-                let succ = adj[node][*next];
+            if *next < first[node + 1] {
+                let succ = edges[*next].1 as usize;
                 *next += 1;
                 match color[succ] {
                     WHITE => {
                         color[succ] = GRAY;
-                        stack.push((succ, 0));
+                        stack.push((succ, first[succ]));
                     }
                     GRAY => {
                         let pos = stack
                             .iter()
                             .position(|&(n, _)| n == succ)
                             .expect("gray node is on the DFS path");
-                        return Some(stack[pos..].iter().map(|&(n, _)| n).collect());
+                        return Some(stack[pos..].iter().map(|&(n, _)| n as u32).collect());
                     }
                     _ => {}
                 }

@@ -230,18 +230,7 @@ impl Cluster {
         let root = Prng::seed_from_u64(cfg.seed);
         let start = Instant::now();
 
-        // One sink per worker thread: emissions stay lock-uncontended and
-        // the site-local buffers are merged by simulated time at shutdown.
-        let sinks: Vec<EventSink> = (0..cfg.clients)
-            .map(|_| {
-                if cfg.trace {
-                    EventSink::enabled(TRACE_CAPACITY_PER_SITE)
-                } else {
-                    EventSink::disabled()
-                }
-            })
-            .collect();
-        let worker_reports: Vec<WorkerReport> = std::thread::scope(|scope| {
+        let (worker_reports, traces) = std::thread::scope(|scope| {
             // Callback threads.
             let chaos_delay = cfg.chaos.max_callback_delay;
             let mut cb_handles = Vec::new();
@@ -274,16 +263,19 @@ impl Cluster {
                 } else {
                     cfg.txns_per_client
                 };
-                let sink = sinks[i as usize].clone();
                 handles.push(scope.spawn(move || {
-                    worker_main(&cfg, shared, &server, &history, rng, start, quota, &sink)
+                    worker_main(&cfg, shared, &server, &history, rng, start, quota)
                 }));
             }
             let mut reports = Vec::new();
+            let mut traces = Vec::new();
             let mut panicked = false;
             for h in handles {
                 match h.join() {
-                    Ok(r) => reports.push(r),
+                    Ok((report, trace)) => {
+                        reports.push(report);
+                        traces.extend(trace);
+                    }
                     Err(_) => panicked = true,
                 }
             }
@@ -302,13 +294,11 @@ impl Cluster {
             if panicked {
                 Err(ClusterError::WorkerPanicked)
             } else {
-                Ok(reports)
+                Ok((reports, traces))
             }
         })?;
         let stats = server.stats();
-        let trace = cfg
-            .trace
-            .then(|| TraceData::merge(sinks.iter().filter_map(EventSink::finish).collect()));
+        let trace = cfg.trace.then(|| TraceData::merge(traces));
         Ok(ClusterReport::aggregate(&worker_reports, stats, history, trace))
     }
 }
@@ -317,9 +307,9 @@ impl Cluster {
 /// realistic per-client event volume (a few events per transaction).
 const TRACE_CAPACITY_PER_SITE: usize = 1 << 16;
 
-// Worker threads are wired up once, at spawn; a config struct would only
-// repackage these nine values for a single call site.
-#[allow(clippy::too_many_arguments)]
+/// One worker thread's run. The sink is built here, inside the thread (an
+/// [`EventSink`] cannot cross one), and its drained site-local trace goes
+/// back beside the report to be merged by simulated time at shutdown.
 fn worker_main(
     cfg: &ClusterConfig,
     shared: Arc<ClientShared>,
@@ -328,8 +318,12 @@ fn worker_main(
     rng: Prng,
     start: Instant,
     quota: u32,
-    sink: &EventSink,
-) -> WorkerReport {
+) -> (WorkerReport, Option<TraceData>) {
+    let sink = if cfg.trace {
+        EventSink::enabled(TRACE_CAPACITY_PER_SITE)
+    } else {
+        EventSink::disabled()
+    };
     let mut gen = TransactionGenerator::new(
         shared.id,
         &cfg.workload,
@@ -350,7 +344,7 @@ fn worker_main(
         if due > now {
             std::thread::sleep(due - now);
         }
-        let r = run_transaction(&shared, server, history, &spec, start, cfg.time_scale, sink);
+        let r = run_transaction(&shared, server, history, &spec, start, cfg.time_scale, &sink);
         total.generated += r.generated;
         total.in_time += r.in_time;
         total.late += r.late;
@@ -358,7 +352,7 @@ fn worker_main(
         total.timeouts += r.timeouts;
         total.expired += r.expired;
     }
-    total
+    (total, sink.finish())
 }
 
 #[cfg(test)]

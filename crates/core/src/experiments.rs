@@ -81,9 +81,12 @@ pub fn effective_jobs(jobs: usize, cells: usize) -> usize {
 /// Workers pull cell indices from a shared atomic counter and report
 /// `(index, result)` pairs; the merge writes each result into its slot, so
 /// the output vector is ordered by `cfgs` position no matter which worker
-/// finished first. Combined with each run being a self-contained seeded
-/// simulation, this makes the sweep output byte-identical at every job
-/// count, including `jobs == 1`, which runs inline without spawning.
+/// finished first. Cells are handed out largest client count first: a
+/// run's cost grows with its clients, and a 100-client cell started last
+/// leaves the other workers idle while it finishes. Combined with each
+/// run being a self-contained seeded simulation, this makes the sweep
+/// output byte-identical at every job count, including `jobs == 1`, which
+/// runs inline without spawning.
 ///
 /// # Errors
 ///
@@ -96,6 +99,8 @@ pub fn run_many(
     if workers <= 1 {
         return cfgs.iter().map(run_experiment).collect();
     }
+    let mut order: Vec<(usize, &ExperimentConfig)> = cfgs.iter().enumerate().collect();
+    order.sort_by_key(|&(_, cfg)| std::cmp::Reverse(cfg.clients));
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<Result<RunMetrics, ConfigError>>> =
         (0..cfgs.len()).map(|_| None).collect();
@@ -104,12 +109,8 @@ pub fn run_many(
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cfgs.len() {
-                            break;
-                        }
-                        done.push((i, run_experiment(&cfgs[i])));
+                    while let Some(&(i, cfg)) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        done.push((i, run_experiment(cfg)));
                     }
                     done
                 })

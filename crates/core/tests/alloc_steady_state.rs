@@ -1,7 +1,7 @@
 //! Asserts the engines' allocation discipline (DESIGN.md §15).
 //!
-//! A counting `#[global_allocator]` wraps the system allocator for this test
-//! binary only. Two kinds of test use it:
+//! A counting `#[global_allocator]` (`support/counting_alloc.rs`) wraps the
+//! system allocator for this test binary only. Two kinds of test use it:
 //!
 //! * The centralized hot loop, after warm-up, performs **zero** heap
 //!   allocations. That run uses a read-only workload (`update_fraction =
@@ -17,73 +17,13 @@
 //!   reading. A debug build runs a slice (30 clients × 400 s); a release
 //!   build (`scripts/ci.sh alloc-budget`) runs the paper's 100 clients for
 //!   the full duration.
-//!
-//! The counter is per thread: the engines run on the thread that calls
-//! them, and the harness runs each test on its own, so tests of this binary
-//! count in parallel without seeing each other or the harness.
 
-// `GlobalAlloc` is an unsafe trait; this is the one place in the workspace
-// that needs it, and the implementation only counts calls before forwarding
-// verbatim to the system allocator.
-#![allow(unsafe_code)]
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use counting_alloc::allocs;
 use siteselect_core::{run_experiment, CentralizedSim};
 use siteselect_types::{ExperimentConfig, SimDuration, SystemKind};
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Allocations made by this thread so far.
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-/// A `Cell<u64>` has no destructor, so the slot outlives every allocation
-/// the thread makes; `try_with` all the same, an allocator must not panic.
-fn count_one() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards verbatim to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a side effect with no aliasing.
-unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: delegates to `System::alloc` under the caller's contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: delegates to `System::dealloc` under the caller's contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` come from a matching `alloc` per the
-        // caller's `GlobalAlloc` obligations.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: delegates to `System::realloc` under the caller's contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: `ptr`/`layout`/`new_size` forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    // SAFETY: delegates to `System::alloc_zeroed` under the caller's contract.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations of one whole run of `system` per transaction it measured.
 fn allocs_per_txn(system: SystemKind, update_fraction: f64) -> f64 {

@@ -17,13 +17,14 @@
 //! spans (`txn: None`, e.g. a server crash-restart replay outage) apply to
 //! every transaction whose interval overlaps them.
 //!
-//! Everything here is integer microseconds and deterministic-order maps:
-//! two extractions of byte-identical traces render byte-identical reports.
+//! Everything here is integer microseconds, and the transactions gathered
+//! in a hash map are sorted by id before anything is attributed: two
+//! extractions of byte-identical traces render byte-identical reports.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use siteselect_types::{SimTime, TransactionId, TxnOutcome};
+use siteselect_types::{FixedState, SimTime, TransactionId, TxnOutcome};
 
 use crate::event::{outcome_str, Event};
 use crate::hist::LogHistogram;
@@ -125,7 +126,7 @@ struct TxnFacts {
 /// are skipped (the caller should surface `trace.report.dropped`).
 #[must_use]
 pub fn txn_blames(trace: &TraceData) -> Vec<TxnBlame> {
-    let mut facts: BTreeMap<u64, TxnFacts> = BTreeMap::new();
+    let mut facts: HashMap<u64, TxnFacts, FixedState> = HashMap::default();
     let mut sitewide: Vec<Interval> = Vec::new();
     for rec in &trace.records {
         match &rec.event {
@@ -165,8 +166,11 @@ pub fn txn_blames(trace: &TraceData) -> Vec<TxnBlame> {
             _ => {}
         }
     }
+    // detlint: allow(D2) — collected, then sorted by raw transaction id on the next line
+    let mut by_id: Vec<(u64, TxnFacts)> = facts.into_iter().collect();
+    by_id.sort_unstable_by_key(|&(raw, _)| raw);
     let mut out = Vec::new();
-    for (raw, f) in &facts {
+    for (raw, f) in &by_id {
         let (Some((submit, deadline)), Some((end, outcome))) = (f.submit, f.outcome) else {
             continue;
         };

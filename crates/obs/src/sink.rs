@@ -3,12 +3,22 @@
 //! [`EventSink`] is the single handle every subsystem holds. Disabled (the
 //! default) it is a `None` — emitting is one branch and the event payload is
 //! never even constructed, which is what makes the disabled path free.
-//! Enabled it is an `Arc<Mutex<_>>` so the same type works in the
-//! single-threaded simulators and in the threaded cluster runtime, and
-//! cloning a sink shares the underlying buffer.
+//! Enabled it is an `Rc<RefCell<_>>`: cloning a sink shares the underlying
+//! buffer, and an emit is a borrow flag and a push.
+//!
+//! The sink is single-threaded *by type*: the handle is neither `Send` nor
+//! `Sync`, so a clone cannot cross a thread boundary and two threads can
+//! never emit into one buffer. Threaded code keeps one sink per thread —
+//! built inside the thread — and hands the drained [`TraceData`] (plain
+//! data, `Send`) back at join for [`TraceData::merge`]. That is what the
+//! cluster runtime always did; a lock around the buffer only tolerated the
+//! sharing nobody wanted, and every simulator, which is one thread by
+//! construction, paid an atomic exchange and release per event for it —
+//! about two thirds of an emit, a million or more times a traced run.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use siteselect_types::{ClientId, SimTime, SiteId};
 
@@ -122,8 +132,19 @@ struct SinkInner {
 /// assert_eq!(trace.records.len(), 1);
 /// assert_eq!(trace.report.events, 1);
 /// ```
+///
+/// A clone shares the buffer but cannot leave the thread it was made on;
+/// hand a thread the capacity and let it build its own sink:
+///
+/// ```compile_fail
+/// use siteselect_obs::EventSink;
+///
+/// let sink = EventSink::enabled(16);
+/// let clone = sink.clone();
+/// std::thread::spawn(move || drop(clone)); // `Rc` is not `Send`
+/// ```
 #[derive(Debug, Clone, Default)]
-pub struct EventSink(Option<Arc<Mutex<SinkInner>>>);
+pub struct EventSink(Option<Rc<RefCell<SinkInner>>>);
 
 impl EventSink {
     /// A sink that ignores everything (the zero-overhead default).
@@ -141,7 +162,7 @@ impl EventSink {
     #[must_use]
     pub fn enabled(capacity: usize) -> Self {
         assert!(capacity > 0, "sink capacity must be positive");
-        EventSink(Some(Arc::new(Mutex::new(SinkInner {
+        EventSink(Some(Rc::new(RefCell::new(SinkInner {
             capacity,
             next_seq: 0,
             ring: VecDeque::with_capacity(capacity.min(4096)),
@@ -161,7 +182,7 @@ impl EventSink {
     #[inline]
     pub fn emit(&self, time: SimTime, site: SiteId, event: impl FnOnce() -> Event) {
         if let Some(inner) = &self.0 {
-            let mut g = inner.lock().expect("sink poisoned");
+            let mut g = inner.borrow_mut();
             let rec = TraceRecord {
                 time,
                 seq: g.next_seq,
@@ -185,7 +206,7 @@ impl EventSink {
     #[must_use]
     pub fn finish(&self) -> Option<TraceData> {
         self.0.as_ref().map(|inner| {
-            let mut g = inner.lock().expect("sink poisoned");
+            let mut g = inner.borrow_mut();
             let mut report = g.report.clone();
             g.tally.fill(&mut report);
             TraceData {

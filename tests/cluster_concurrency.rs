@@ -110,3 +110,41 @@ fn per_run_reports_are_reasonable() {
     assert!(text.contains("cluster:"));
     assert!(text.contains("server:"));
 }
+
+#[test]
+fn traced_run_merges_one_complete_sink_per_worker() {
+    use siteselect::types::{ClientId, SiteId};
+    let clients = 4u16;
+    let report = Cluster::run(ClusterConfig {
+        clients,
+        txns_per_client: 12,
+        trace: true,
+        ..ClusterConfig::default()
+    })
+    .expect("cluster runs");
+    let trace = report.trace.as_ref().expect("tracing was enabled");
+    // The shutdown merge orders the site-local buffers by (time, site, seq).
+    assert!(trace
+        .records
+        .windows(2)
+        .all(|w| (w[0].time, w[0].site, w[0].seq) < (w[1].time, w[1].site, w[1].seq)));
+    // Every worker built its own sink inside its thread and emitted only at
+    // its own site, so each site's sequence numbers are exactly 0..n, and
+    // the merged report counts what the sites emitted, no more and no less.
+    let mut events = 0;
+    for site in (0..clients).map(|i| SiteId::Client(ClientId(i))) {
+        let seqs: Vec<u64> = trace
+            .records
+            .iter()
+            .filter(|r| r.site == site)
+            .map(|r| r.seq)
+            .collect();
+        assert!(!seqs.is_empty(), "{site} emitted nothing");
+        assert!(seqs.iter().copied().eq(0..seqs.len() as u64), "{site}: {seqs:?}");
+        assert_eq!(trace.report.per_site[&site].events, seqs.len() as u64);
+        events += seqs.len() as u64;
+    }
+    assert_eq!(trace.records.len() as u64, events, "a record from an unknown site");
+    assert_eq!(trace.report.events, events);
+    assert_eq!(trace.report.dropped, 0);
+}
