@@ -58,7 +58,7 @@ use siteselect_bench::repro_options;
 use siteselect_check::explore::{parse_system, ExploreOptions};
 use siteselect_check::synthetic::InjectKind;
 use siteselect_core::experiments::{
-    cache_table, deadline_figure, effective_jobs, fault_table, message_table, response_table,
+    cache_table, deadline_figure, fault_table, message_table, par_map, response_table,
     restart_table, SweepOptions, FAULT_INTENSITIES, FIGURE_CLIENTS, RESTART_INTENSITIES,
     TABLE_CLIENTS,
 };
@@ -637,38 +637,9 @@ fn blame(
             cfg
         })
         .collect();
-    let workers = effective_jobs(jobs, cfgs.len());
-    let mut slots: Vec<Option<Result<BlameCell, ConfigError>>> =
-        (0..cfgs.len()).map(|_| None).collect();
-    if workers <= 1 {
-        for (i, cfg) in cfgs.iter().enumerate() {
-            slots[i] = Some(blame_cell(cfg, top));
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if i >= cfgs.len() {
-                                break;
-                            }
-                            done.push((i, blame_cell(&cfgs[i], top)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("blame worker panicked") {
-                    slots[i] = Some(result);
-                }
-            }
-        });
-    }
+    let cells = par_map(jobs, &cfgs, |cfg| u64::from(cfg.clients), |cfg| {
+        blame_cell(cfg, top)
+    });
     let mut json = String::with_capacity(1 << 14);
     let _ = write!(
         json,
@@ -676,8 +647,8 @@ fn blame(
         flags.restart
     );
     let mut merged = MetricsSnapshot::default();
-    for (i, (system, slot)) in systems.iter().zip(slots).enumerate() {
-        let cell = slot.expect("every cell was claimed by a worker")?;
+    for (i, (system, cell)) in systems.iter().zip(cells).enumerate() {
+        let cell = cell?;
         println!("--- {system} ---\n");
         print!("{}", cell.report.render());
         println!(

@@ -9,10 +9,7 @@
 //! byte-for-byte regardless of worker count, and every reported failure
 //! carries a replayable `repro trace` command.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use siteselect_core::experiments::effective_jobs;
+use siteselect_core::experiments::par_map;
 use siteselect_core::RunMetrics;
 use siteselect_types::{ExperimentConfig, FaultConfig, SimDuration, SystemKind};
 
@@ -281,41 +278,13 @@ pub fn explore(opts: &ExploreOptions) -> ExploreReport {
         })
         .collect();
 
-    // The parallel map mirrors `experiments::run_many`: workers pull case
-    // indices from a shared counter and results are merged into
-    // index-ordered slots, so the outcome is identical at every job count.
-    let jobs = effective_jobs(opts.jobs, cases.len());
-    let mut slots: Vec<Option<Result<RunMetrics, Violation>>> = Vec::new();
-    if jobs <= 1 {
-        slots.extend(cases.iter().map(|case| Some(case.run())));
-    } else {
-        slots.resize(cases.len(), None);
-        let next = AtomicUsize::new(0);
-        let merged: Mutex<Vec<(usize, Result<RunMetrics, Violation>)>> =
-            Mutex::new(Vec::with_capacity(cases.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cases.len() {
-                            break;
-                        }
-                        local.push((i, cases[i].run()));
-                    }
-                    merged.lock().expect("worker panicked").extend(local);
-                });
-            }
-        });
-        for (i, result) in merged.into_inner().expect("worker panicked") {
-            slots[i] = Some(result);
-        }
-    }
+    // Results come back in case order, so the outcome is identical at every
+    // job count.
+    let results = par_map(opts.jobs, &cases, |c| u64::from(c.clients), CaseSpec::run);
 
     let mut measured_total = 0;
-    for (i, slot) in slots.iter().enumerate() {
-        match slot.as_ref().expect("every case ran") {
+    for (i, result) in results.iter().enumerate() {
+        match result {
             Ok(metrics) => measured_total += metrics.measured,
             Err(violation) => {
                 let original = cases[i];

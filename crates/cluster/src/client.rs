@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use std::sync::mpsc::Receiver;
 
-use siteselect_obs::{Event, EventSink};
+use siteselect_obs::{Event, EventSink, SpanKind};
 use siteselect_types::{ClientId, LockMode, ObjectId, SimTime, SiteId, TransactionSpec};
 
 use crate::sync::{Condvar, Mutex};
@@ -332,14 +332,17 @@ pub fn run_transaction(
                         siteselect_types::AbortReason::Expired
                     }
                 };
-                emit_lock_wait(sink, site, txn, acquire_started, sim_now(start, scale));
+                let now = sim_now(start, scale);
+                sink.span(now, site, txn, SpanKind::LockWait, acquire_started, None);
                 sink.emit(sim_now(start, scale), site, || Event::Abort { txn, reason });
                 return report;
             }
         }
     }
-    // Execute: burn the scaled CPU demand.
-    emit_lock_wait(sink, site, txn, acquire_started, sim_now(start, scale));
+    // The acquisition phase was a lock wait, unless every pin came free
+    // from the local cache. Execute: burn the scaled CPU demand.
+    let now = sim_now(start, scale);
+    sink.span(now, site, txn, SpanKind::LockWait, acquire_started, None);
     sink.emit(sim_now(start, scale), site, || Event::ExecStart { txn });
     let cpu = scale_duration(spec.cpu_demand.as_micros(), scale);
     if !cpu.is_zero() {
@@ -379,26 +382,6 @@ pub fn run_transaction(
         report.late = 1;
     }
     report
-}
-
-/// Stamps the lock-acquisition phase `[started, now)` as a lock-wait span
-/// (elided when instantaneous — pins from the local cache are free).
-fn emit_lock_wait(
-    sink: &EventSink,
-    site: SiteId,
-    txn: siteselect_types::TransactionId,
-    started: siteselect_types::SimTime,
-    now: siteselect_types::SimTime,
-) {
-    if started >= now {
-        return;
-    }
-    sink.emit(now, site, || Event::Span {
-        txn: Some(txn),
-        kind: siteselect_obs::SpanKind::LockWait,
-        start: started,
-        blocker: None,
-    });
 }
 
 /// Scales simulated microseconds down to a real `Duration`.

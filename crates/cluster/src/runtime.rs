@@ -66,14 +66,6 @@ pub struct ClusterChaos {
     pub termination_probability: f64,
 }
 
-impl ClusterChaos {
-    /// True when no chaos knob is enabled.
-    #[must_use]
-    pub fn is_off(&self) -> bool {
-        self.max_callback_delay.is_zero() && self.termination_probability == 0.0
-    }
-}
-
 impl Default for ClusterChaos {
     fn default() -> Self {
         ClusterChaos {

@@ -268,28 +268,17 @@ impl CentralizedSim {
                         deadline,
                         accesses,
                     });
-                if self.faults_active {
-                    // Fault-aware path: the submission may be lost to random
-                    // loss or refused by a crashed server.
-                    match self.fabric.try_send(
-                        self.now,
-                        SiteId::Client(origin),
-                        SiteId::Server,
-                        MessageKind::TxnSubmit,
-                        0,
-                    ) {
-                        Delivery::Delivered(t) => self.queue.push(t, Ev::Submit(i)),
-                        Delivery::Dropped => self.record_crash_loss(i),
-                    }
-                } else {
-                    let delivery = self.fabric.send(
-                        self.now,
-                        SiteId::Client(origin),
-                        SiteId::Server,
-                        MessageKind::TxnSubmit,
-                        0,
-                    );
-                    self.queue.push(delivery, Ev::Submit(i));
+                // With faults on, the submission may be lost to random loss
+                // or refused by a crashed server.
+                match self.fabric.try_send(
+                    self.now,
+                    SiteId::Client(origin),
+                    SiteId::Server,
+                    MessageKind::TxnSubmit,
+                    0,
+                ) {
+                    Delivery::Delivered(t) => self.queue.push(t, Ev::Submit(i)),
+                    Delivery::Dropped => self.record_crash_loss(i),
                 }
             }
             Ev::Submit(i) => self.on_submit(i),
@@ -308,44 +297,17 @@ impl CentralizedSim {
         }
     }
 
-    /// Emits a causal span `[start, now)` for `txn`, eliding zero-length
-    /// spans (nothing to blame). Free when tracing is off.
-    fn emit_span(
-        &self,
-        site: SiteId,
-        txn: TransactionId,
-        kind: SpanKind,
-        start: SimTime,
-        blocker: Option<TransactionId>,
-    ) {
-        if start >= self.now {
-            return;
-        }
-        self.sink.emit(self.now, site, || Event::Span {
-            txn: Some(txn),
-            kind,
-            start,
-            blocker,
-        });
-    }
-
     /// Closes out the span of the phase `txn` dies in, so aborted
     /// transactions still account for the wait that killed them.
     fn emit_phase_span(&self, txn: &CeTxn) {
         let id = self.specs[txn.spec as usize].id;
-        match txn.phase {
-            Phase::Locks => self.emit_span(
-                SiteId::Server,
-                id,
-                SpanKind::LockWait,
-                txn.wait_started,
-                txn.blocked_on,
-            ),
-            Phase::Io => {
-                self.emit_span(SiteId::Server, id, SpanKind::Disk, txn.io_started, None);
-            }
-            Phase::Cpu | Phase::Done => {}
-        }
+        let (kind, start, blocker) = match txn.phase {
+            Phase::Locks => (SpanKind::LockWait, txn.wait_started, txn.blocked_on),
+            Phase::Io => (SpanKind::Disk, txn.io_started, None),
+            Phase::Cpu | Phase::Done => return,
+        };
+        self.sink
+            .span(self.now, SiteId::Server, id, kind, start, blocker);
     }
 
     /// Settles a transaction whose submission (or only record of it) was
@@ -353,13 +315,9 @@ impl CentralizedSim {
     fn record_crash_loss(&mut self, i: usize) {
         if self.measured_at(i) {
             let (id, origin) = (self.specs[i].id, self.specs[i].origin);
-            self.sink
-                .emit(self.now, SiteId::Client(origin), || Event::Outcome {
-                    txn: id,
-                    outcome: TxnOutcome::Aborted(AbortReason::SiteCrash),
-                });
+            let lost = TxnOutcome::Aborted(AbortReason::SiteCrash);
             self.metrics
-                .record_outcome(TxnOutcome::Aborted(AbortReason::SiteCrash));
+                .record(&self.sink, self.now, SiteId::Client(origin), id, lost);
         }
     }
 
@@ -370,7 +328,8 @@ impl CentralizedSim {
         };
         // The submission hop: sent at arrival from the client terminal,
         // delivered (or refused) now.
-        self.emit_span(SiteId::Server, id, SpanKind::Net, arrival, None);
+        self.sink
+            .span(self.now, SiteId::Server, id, SpanKind::Net, arrival, None);
         if !self.core.server_up {
             // In flight when the server went down: refused at the door.
             self.core.gate_dropped += 1;
@@ -459,11 +418,9 @@ impl CentralizedSim {
         self.inflight -= 1;
         self.send_result(i, false);
         if self.measured_at(i) {
-            self.sink.emit(self.now, SiteId::Server, || Event::Outcome {
-                txn: id,
-                outcome: TxnOutcome::Aborted(reason),
-            });
-            self.metrics.record_outcome(TxnOutcome::Aborted(reason));
+            let outcome = TxnOutcome::Aborted(reason);
+            self.metrics
+                .record(&self.sink, self.now, SiteId::Server, id, outcome);
             self.metrics.blocking.push_duration(txn.blocked_total);
         }
     }
@@ -548,7 +505,9 @@ impl CentralizedSim {
         txn.io_started = self.now;
         let id = self.specs[i].id;
         let measured = self.specs[i].arrival >= self.warmup_end;
-        self.emit_span(SiteId::Server, id, SpanKind::LockWait, wait_started, blocked_on);
+        let lock_wait = SpanKind::LockWait;
+        self.sink
+            .span(self.now, SiteId::Server, id, lock_wait, wait_started, blocked_on);
         let mut misses = 0u32;
         for o in self.specs[i].objects() {
             let hit = self.core.buffer.probe(o).is_some();
@@ -584,7 +543,8 @@ impl CentralizedSim {
             let spec = &self.specs[i];
             (spec.id, spec.deadline, spec.cpu_demand)
         };
-        self.emit_span(SiteId::Server, id, SpanKind::Disk, io_started, None);
+        self.sink
+            .span(self.now, SiteId::Server, id, SpanKind::Disk, io_started, None);
         // The pages are in memory and the locks are held: log the update
         // transaction's page writes now, so a crash during its CPU phase
         // leaves genuine losers for recovery to roll back.
@@ -667,23 +627,13 @@ impl CentralizedSim {
             let spec = &self.specs[i];
             (spec.id, spec.origin, spec.deadline, spec.arrival)
         };
-        let delivery = if self.faults_active {
-            self.fabric.try_send(
-                self.now,
-                SiteId::Server,
-                SiteId::Client(origin),
-                MessageKind::TxnResult,
-                0,
-            )
-        } else {
-            Delivery::Delivered(self.fabric.send(
-                self.now,
-                SiteId::Server,
-                SiteId::Client(origin),
-                MessageKind::TxnResult,
-                0,
-            ))
-        };
+        let delivery = self.fabric.try_send(
+            self.now,
+            SiteId::Server,
+            SiteId::Client(origin),
+            MessageKind::TxnResult,
+            0,
+        );
         if committed {
             match delivery {
                 Delivery::Delivered(t) => self.queue.push(
@@ -714,22 +664,15 @@ impl CentralizedSim {
         // Only commits route through here; aborts are recorded at abort
         // time. The deadline test uses the instant the user-facing client
         // learns the result.
-        self.emit_span(SiteId::Client(txn.origin()), txn, SpanKind::Commit, sent_at, None);
+        let (now, site) = (self.now, SiteId::Client(txn.origin()));
+        self.sink
+            .span(now, site, txn, SpanKind::Commit, sent_at, None);
         if measured {
-            let outcome = if self.now <= deadline {
-                TxnOutcome::Committed
-            } else {
-                TxnOutcome::CommittedLate
-            };
-            self.sink
-                .emit(self.now, SiteId::Client(txn.origin()), || Event::Outcome {
-                    txn,
-                    outcome,
-                });
-            self.metrics.record_outcome(outcome);
-            self.metrics
-                .latency
-                .push_duration(self.now.duration_since(arrival));
+            let metrics = &mut self.metrics;
+            if !metrics.record_commit(&self.sink, now, site, txn, deadline, arrival) {
+                // CE's latency statistic counts late commits too.
+                metrics.latency.push_duration(now.duration_since(arrival));
+            }
         }
     }
 
@@ -737,9 +680,8 @@ impl CentralizedSim {
         self.send_result(i, false);
         if self.measured_at(i) {
             let id = self.specs[i].id;
-            self.sink
-                .emit(self.now, SiteId::Server, || Event::Outcome { txn: id, outcome });
-            self.metrics.record_outcome(outcome);
+            self.metrics
+                .record(&self.sink, self.now, SiteId::Server, id, outcome);
         }
     }
 
@@ -820,12 +762,9 @@ impl CentralizedSim {
             // the server is down; the origin's timeout scores the loss.
             self.inflight -= 1;
             if self.measured_at(i) {
-                self.sink.emit(self.now, SiteId::Server, || Event::Outcome {
-                    txn: id,
-                    outcome: TxnOutcome::Aborted(AbortReason::SiteCrash),
-                });
+                let lost = TxnOutcome::Aborted(AbortReason::SiteCrash);
                 self.metrics
-                    .record_outcome(TxnOutcome::Aborted(AbortReason::SiteCrash));
+                    .record(&self.sink, self.now, SiteId::Server, id, lost);
                 self.metrics.blocking.push_duration(txn.blocked_total);
             }
         }

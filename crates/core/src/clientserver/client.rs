@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use siteselect_locks::{Acquire, ForwardList, Grants, LockTable, QueueDiscipline, WaitForGraph};
 use siteselect_net::MessageKind;
+use siteselect_obs::SpanKind;
 use siteselect_storage::{CacheTier, ClientCache, DiskModel};
 use siteselect_types::{
     AbortReason, AccessSpec, ClientConfig, ClientId, InlineVec, LockMode, ObjectId, ObjectMap,
@@ -43,11 +44,13 @@ struct Fetch {
 /// A pending lock revocation at a client, answered when the last local user
 /// releases the object.
 #[derive(Debug)]
-struct Revoke {
-    /// What the remote requester wants (plain callback path).
-    desired: LockMode,
-    /// Remaining forward list to serve (grouped-lock path).
-    forward: Option<ForwardList>,
+enum Revoke {
+    /// Plain callback path: a remote requester wants the object in this
+    /// mode.
+    Callback(LockMode),
+    /// Grouped-lock path: the object moves on down the rest of this
+    /// forward list.
+    Forward(ForwardList),
 }
 
 /// Progress of one object within a transaction's acquisition phase.
@@ -291,11 +294,9 @@ impl ClientSite {
             // The originating workstation is crashed: the transaction is
             // lost with it (a dead site submits nothing).
             if cx.measured_arrival(spec.arrival) {
-                cx.record_outcome_at(
-                    SiteId::Client(spec.origin),
-                    spec.id,
-                    TxnOutcome::Aborted(AbortReason::SiteCrash),
-                );
+                let lost = TxnOutcome::Aborted(AbortReason::SiteCrash);
+                let site = SiteId::Client(spec.origin);
+                cx.metrics.record(&cx.sink, cx.now, site, spec.id, lost);
             }
             return;
         }
@@ -644,14 +645,9 @@ impl ClientSite {
         object: ObjectId,
         scheduled_at: SimTime,
     ) {
-        let site = SiteId::Client(self.id);
-        cx.emit_span(
-            site,
-            key,
-            siteselect_obs::SpanKind::Disk,
-            scheduled_at,
-            None,
-        );
+        let (site, unit) = (SiteId::Client(self.id), TransactionId::from_raw(key));
+        cx.sink
+            .span(cx.now, site, unit, SpanKind::Disk, scheduled_at, None);
         let Some(run) = self.txns.get_mut(&key) else {
             return;
         };
@@ -671,7 +667,10 @@ impl ClientSite {
 
     /// A message addressed to this site arrives.
     pub(crate) fn on_msg(&mut self, cx: &mut Cx, msg: Msg) {
-        let to = self.id;
+        if let Some((unit, kind, sent_at)) = msg.trip() {
+            let site = SiteId::Client(self.id);
+            cx.sink.span(cx.now, site, unit, kind, sent_at, None);
+        }
         match msg {
             Msg::GrantBatch { items } => {
                 for (object, mode, with_data) in items {
@@ -700,84 +699,26 @@ impl ClientSite {
                 }
                 // Receiving a forwarded object: it must keep moving after
                 // local use (the last client returns it to the server).
-                self.revokes.insert(
-                    object,
-                    Revoke {
-                        desired: LockMode::Exclusive,
-                        forward: Some(rest),
-                    },
-                );
+                self.revokes.insert(object, Revoke::Forward(rest));
                 self.resolve_fetch(cx, object, mode, true);
                 // If no local transaction wanted it any more, move it on
                 // immediately.
                 self.try_execute_revoke(cx, object);
             }
-            Msg::TxnShip { spec, sent_at } => {
-                let key = spec.id.as_u64();
-                // The shipped transaction travelled the fabric from the
-                // ship decision to this delivery.
-                cx.emit_span(
-                    SiteId::Client(to),
-                    key,
-                    siteselect_obs::SpanKind::Net,
-                    sent_at,
-                    None,
-                );
+            Msg::TxnShip { spec, .. } => {
                 let kind = RunKind::Shipped {
                     origin: spec.origin,
                 };
-                self.admit(cx, key, TxnRun::new(kind, spec, cx.now));
-            }
-            Msg::TxnShipResult {
-                txn,
-                committed,
-                deadline,
-                arrival,
-                sent_at,
-            } => {
-                // Commit protocol: the remote outcome travelled back to its
-                // origin from the remote commit/abort to this delivery.
-                cx.emit_span(
-                    SiteId::Client(to),
-                    txn.as_u64(),
-                    siteselect_obs::SpanKind::Commit,
-                    sent_at,
-                    None,
-                );
-                // Origin scores the shipped transaction when the result
-                // arrives back.
-                cx.inflight -= 1;
-                if cx.measured_arrival(arrival) {
-                    let outcome = if committed && cx.now <= deadline {
-                        TxnOutcome::Committed
-                    } else if committed {
-                        TxnOutcome::CommittedLate
-                    } else {
-                        TxnOutcome::Aborted(AbortReason::Expired)
-                    };
-                    cx.record_outcome_at(SiteId::Client(to), txn, outcome);
-                    if outcome == TxnOutcome::Committed {
-                        cx.metrics
-                            .latency
-                            .push_duration(cx.now.duration_since(arrival));
-                    }
-                }
+                self.admit(cx, spec.id.as_u64(), TxnRun::new(kind, spec, cx.now));
             }
             Msg::SubtaskShip {
                 parent,
                 index,
                 origin,
                 spec,
-                sent_at,
+                ..
             } => {
                 let key = subtask_key(parent, index);
-                cx.emit_span(
-                    SiteId::Client(to),
-                    key,
-                    siteselect_obs::SpanKind::Net,
-                    sent_at,
-                    None,
-                );
                 let kind = RunKind::Subtask {
                     parent,
                     index,
@@ -785,19 +726,8 @@ impl ClientSite {
                 };
                 self.admit(cx, key, TxnRun::new(kind, spec, cx.now));
             }
-            Msg::SubtaskResult {
-                parent,
-                ok,
-                sent_at,
-            } => {
-                cx.emit_span(
-                    SiteId::Client(to),
-                    parent,
-                    siteselect_obs::SpanKind::Commit,
-                    sent_at,
-                    None,
-                );
-                self.on_subtask_result(cx, parent, ok);
+            result @ (Msg::TxnShipResult { .. } | Msg::SubtaskResult { .. }) => {
+                self.on_result(cx, result);
             }
             Msg::LoadReply {
                 txn,
@@ -810,6 +740,26 @@ impl ClientSite {
             | Msg::CallbackAck { .. }
             | Msg::CancelWants { .. }
             | Msg::LoadQuery { .. } => unreachable!("server message delivered to client"),
+        }
+    }
+
+    /// The outcome of a unit of work this site handed out comes back to it:
+    /// a shipped transaction is settled here, at its origin, and a subtask
+    /// counts toward its parent.
+    fn on_result(&mut self, cx: &mut Cx, result: Msg) {
+        match result {
+            Msg::TxnShipResult {
+                txn,
+                committed,
+                deadline,
+                arrival,
+                ..
+            } => {
+                let aborted = (!committed).then_some(AbortReason::Expired);
+                cx.settle(txn, arrival, deadline, aborted);
+            }
+            Msg::SubtaskResult { parent, ok, .. } => self.on_subtask_result(cx, parent, ok),
+            _ => unreachable!("not an outcome message"),
         }
     }
 
@@ -846,13 +796,9 @@ impl ClientSite {
         // server-side spans — disk, lock queue — carve themselves out by
         // priority in the blame extractor).
         for &key in &fetch.waiters {
-            cx.emit_span(
-                SiteId::Client(holder),
-                key,
-                siteselect_obs::SpanKind::Net,
-                fetch.sent_at,
-                None,
-            );
+            let (site, unit) = (SiteId::Client(holder), TransactionId::from_raw(key));
+            cx.sink
+                .span(cx.now, site, unit, SpanKind::Net, fetch.sent_at, None);
         }
         for key in fetch.waiters {
             let (need_mode, deadline) = {
@@ -912,13 +858,10 @@ impl ClientSite {
         let accesses = run.spec.accesses.as_slice();
         // H2 decision wait: the grant-all round from batch send to this
         // conflict report.
-        cx.emit_span(
-            SiteId::Client(self_id),
-            key,
-            siteselect_obs::SpanKind::Decision,
-            run.acquire_started,
-            None,
-        );
+        let (site, unit) = (SiteId::Client(self_id), TransactionId::from_raw(key));
+        let decision = SpanKind::Decision;
+        cx.sink
+            .span(cx.now, site, unit, decision, run.acquire_started, None);
         if cx.cfg.load_sharing.h2_enabled && !shipped {
             let best = Self::h2_choose(self_id, accesses, &conflicts, &[]);
             cx.sink.emit(cx.now, SiteId::Client(self_id), || {
@@ -1109,16 +1052,13 @@ impl ClientSite {
         let accesses = run.spec.accesses.as_slice();
         // The load-query round the transaction waited on: H1-infeasible
         // admission handling, or the decomposition placement lookup.
-        cx.emit_span(
-            SiteId::Client(self_id),
-            key,
-            match reason {
-                InfoReason::H1Infeasible => siteselect_obs::SpanKind::Admission,
-                InfoReason::Decompose => siteselect_obs::SpanKind::Decision,
-            },
-            run.acquire_started,
-            None,
-        );
+        let waited = match reason {
+            InfoReason::H1Infeasible => SpanKind::Admission,
+            InfoReason::Decompose => SpanKind::Decision,
+        };
+        let (site, unit) = (SiteId::Client(self_id), TransactionId::from_raw(key));
+        cx.sink
+            .span(cx.now, site, unit, waited, run.acquire_started, None);
         match reason {
             InfoReason::H1Infeasible => {
                 let best = if cx.cfg.load_sharing.h2_enabled {
@@ -1274,12 +1214,7 @@ impl ClientSite {
         // The origin-side episode ends without committing anything: local
         // locks are released here and the unit re-executes (as a fresh
         // lock episode) at the destination.
-        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
-            siteselect_obs::Event::UnitEnd {
-                txn,
-                committed: false,
-            }
-        });
+        self.end_unit(cx, key, false);
         self.detach_txn(cx, key, &run);
         let ship = Msg::TxnShip {
             spec: run.spec,
@@ -1362,7 +1297,8 @@ impl ClientSite {
             self.ack_callback(cx, object, self.cache.contains(object));
             return;
         }
-        self.revokes.insert(object, Revoke { desired, forward });
+        let revoke = forward.map_or(Revoke::Callback(desired), Revoke::Forward);
+        self.revokes.insert(object, revoke);
         // Queued local waiters can no longer rely on the cached lock.
         self.requeue_local_waiters(cx, object);
         self.try_execute_revoke(cx, object);
@@ -1430,69 +1366,10 @@ impl ClientSite {
         let from = self.id;
         let held = self.cached_locks.get(object).copied();
         let has_data = self.cache.contains(object);
-
-        if let Some(mut list) = revoke.forward {
-            // Grouped-lock hop: ship the object to the next live entry.
-            if !has_data {
-                self.cached_locks.remove(object);
-                cx.sink.emit(cx.now, SiteId::Client(from), || {
-                    siteselect_obs::Event::CacheDrop {
-                        client: from,
-                        object,
-                    }
-                });
-                self.ack_callback(cx, object, false);
-                return;
-            }
-            self.cached_locks.remove(object);
-            self.cache.invalidate(object);
-            self.dirty.remove(object);
-            cx.sink.emit(cx.now, SiteId::Client(from), || {
-                siteselect_obs::Event::CacheDrop {
-                    client: from,
-                    object,
-                }
-            });
-            // Skip entries whose deadline passed and (failure handling)
-            // entries whose client is crashed — forwarding to a dead site
-            // would strand the object.
-            let next = loop {
-                let (next, _skipped) = list.pop_next_live(cx.now);
-                match next {
-                    Some(e) if !cx.site_up(e.client) => continue,
-                    other => break other,
-                }
-            };
-            match next {
-                Some(entry) => {
-                    let to = entry.client;
-                    cx.sink.emit(cx.now, SiteId::Client(from), || {
-                        siteselect_obs::Event::ForwardHop { object, to }
-                    });
-                    cx.send_to_peer(
-                        from,
-                        entry.client,
-                        MessageKind::ObjectForward,
-                        1,
-                        Msg::ObjectForward {
-                            object,
-                            mode: entry.mode,
-                            rest: list,
-                        },
-                    );
-                }
-                None => {
-                    // Everyone on the list expired: hand the object home.
-                    self.send_home(cx, object, false);
-                }
-            }
-            return;
-        }
-
-        // Plain callback path.
-        let downgrade =
-            revoke.desired == LockMode::Shared && held == Some(LockMode::Exclusive) && has_data;
-        if downgrade {
+        let exclusive_copy = held == Some(LockMode::Exclusive) && has_data;
+        if exclusive_copy && matches!(revoke, Revoke::Callback(LockMode::Shared)) {
+            // A reader wants it: the new version goes home and a shared
+            // lock and the copy stay.
             self.cached_locks.insert(object, LockMode::Shared);
             self.dirty.remove(object);
             cx.sink.emit(cx.now, SiteId::Client(from), || {
@@ -1504,20 +1381,40 @@ impl ClientSite {
             self.send_home(cx, object, true);
             return;
         }
+        // Anything else gives up the cached lock and the copy.
         self.cached_locks.remove(object);
+        self.cache.invalidate(object);
+        self.dirty.remove(object);
         cx.sink.emit(cx.now, SiteId::Client(from), || {
             siteselect_obs::Event::CacheDrop {
                 client: from,
                 object,
             }
         });
-        let send_data = held == Some(LockMode::Exclusive) && has_data;
-        self.cache.invalidate(object);
-        self.dirty.remove(object);
-        if send_data {
-            self.send_home(cx, object, false);
-        } else {
-            self.ack_callback(cx, object, has_data);
+        match revoke {
+            // Grouped-lock hop: ship the object to the next live entry, or
+            // home if everyone on the list expired. Without the data the
+            // server must serve the list.
+            Revoke::Forward(mut list) if has_data => match cx.pop_live(&mut list) {
+                Some(entry) => {
+                    let to = entry.client;
+                    cx.sink.emit(cx.now, SiteId::Client(from), || {
+                        siteselect_obs::Event::ForwardHop { object, to }
+                    });
+                    let hop = Msg::ObjectForward {
+                        object,
+                        mode: entry.mode,
+                        rest: list,
+                    };
+                    cx.send_to_peer(from, to, MessageKind::ObjectForward, 1, hop);
+                }
+                None => self.send_home(cx, object, false),
+            },
+            Revoke::Forward(_) => self.ack_callback(cx, object, false),
+            // Plain callback: an exclusive copy carries the newest version
+            // home; anything else is answered without data.
+            Revoke::Callback(_) if exclusive_copy => self.send_home(cx, object, false),
+            Revoke::Callback(_) => self.ack_callback(cx, object, has_data),
         }
     }
 
@@ -1525,14 +1422,10 @@ impl ClientSite {
     /// lock-wait span opened when it blocked (tracing only).
     fn end_lock_wait(&mut self, cx: &Cx, key: TKey, object: ObjectId) {
         if let Some((started, blocker)) = self.lock_wait_from.remove(&(key, object)) {
-            let site = SiteId::Client(self.id);
-            cx.emit_span(
-                site,
-                key,
-                siteselect_obs::SpanKind::LockWait,
-                started,
-                blocker,
-            );
+            let (site, unit) = (SiteId::Client(self.id), TransactionId::from_raw(key));
+            let blocker = blocker.map(TransactionId::from_raw);
+            cx.sink
+                .span(cx.now, site, unit, SpanKind::LockWait, started, blocker);
         }
     }
 
@@ -1632,7 +1525,7 @@ impl ClientSite {
     }
 
     fn commit_txn(&mut self, cx: &mut Cx, key: TKey) {
-        let Some(run) = self.txns.remove(&key) else {
+        let Some(run) = self.retire(cx, key) else {
             return;
         };
         // Mark updated objects dirty in the cache (they carry the newest
@@ -1644,22 +1537,13 @@ impl ClientSite {
                 }
             }
         }
-        let unit = TransactionId::from_raw(key);
-        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
-            siteselect_obs::Event::UnitEnd {
-                txn: unit,
-                committed: true,
-            }
-        });
+        self.end_unit(cx, key, true);
         self.detach_txn(cx, key, &run);
         // ATL bookkeeping for H1: the paper's "average execution time for
         // all completed transactions" — the CPU-resident span.
         let exec_time = cx.now.duration_since(run.exec_started).as_secs_f64();
         self.atl_sum += exec_time;
         self.atl_count += 1;
-
-        let committed = cx.now <= run.spec.deadline;
-        let measured = cx.measured_arrival(run.spec.arrival);
         if matches!(run.kind, RunKind::Normal) {
             let txn = run.spec.id;
             let latency_us = cx.now.duration_since(run.spec.arrival).as_micros();
@@ -1672,91 +1556,86 @@ impl ClientSite {
                 }
             });
         }
-        match run.kind {
-            RunKind::Normal => {
-                cx.inflight -= 1;
-                if measured {
-                    let outcome = if committed {
-                        TxnOutcome::Committed
-                    } else {
-                        TxnOutcome::CommittedLate
-                    };
-                    cx.record_outcome_at(SiteId::Client(self.id), run.spec.id, outcome);
-                    if committed {
-                        cx.metrics
-                            .latency
-                            .push_duration(cx.now.duration_since(run.spec.arrival));
-                    }
-                }
-            }
-            _ => self.report_to_origin(cx, &run, committed),
-        }
+        self.settle(cx, &run, None);
     }
 
-    /// Tells the site a shipped transaction or a subtask came from how it
-    /// ended here.
-    fn report_to_origin(&mut self, cx: &mut Cx, run: &TxnRun, ok: bool) {
-        let from = self.id;
-        match run.kind {
-            RunKind::Normal => {}
+    fn abort_txn(&mut self, cx: &mut Cx, key: TKey, reason: AbortReason) {
+        let Some(run) = self.retire(cx, key) else {
+            return;
+        };
+        self.detach_txn(cx, key, &run);
+        let txn = run.spec.id;
+        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
+            siteselect_obs::Event::Abort { txn, reason }
+        });
+        self.end_unit(cx, key, false);
+        self.settle(cx, &run, Some(reason));
+    }
+
+    /// Takes unit `key` off this site: out of the resident units and, if it
+    /// is still there, off the CPU.
+    fn retire(&mut self, cx: &mut Cx, key: TKey) -> Option<TxnRun> {
+        let run = self.txns.remove(&key)?;
+        if self.cpu.contains(key) {
+            let tick = self.cpu.remove(cx.now, key);
+            self.arm_cpu(cx, tick);
+        }
+        Some(run)
+    }
+
+    /// Stamps the end of unit `key`'s lock episode at this site.
+    fn end_unit(&self, cx: &Cx, key: TKey, committed: bool) {
+        let txn = TransactionId::from_raw(key);
+        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
+            siteselect_obs::Event::UnitEnd { txn, committed }
+        });
+    }
+
+    /// Settles how unit `run` ended here (`aborted` is `None` for a
+    /// commit). A transaction that ran at its origin is settled on the
+    /// spot; a shipped transaction or a subtask reports to its origin. A
+    /// site that is crashing sends nothing: the origin's failure detector
+    /// is modelled as the same failed result, delivered after the full
+    /// backoff cap (pushed straight to the event queue — a dead site puts
+    /// nothing on the wire).
+    fn settle(&mut self, cx: &mut Cx, run: &TxnRun, aborted: Option<AbortReason>) {
+        let (from, spec, sent_at) = (self.id, &run.spec, cx.now);
+        let ok = aborted.is_none() && cx.now <= spec.deadline;
+        let (origin, kind, result) = match run.kind {
+            RunKind::Normal => return cx.settle(spec.id, spec.arrival, spec.deadline, aborted),
             RunKind::Shipped { origin } => {
                 let result = Msg::TxnShipResult {
-                    txn: run.spec.id,
+                    txn: spec.id,
                     committed: ok,
-                    deadline: run.spec.deadline,
-                    arrival: run.spec.arrival,
-                    sent_at: cx.now,
+                    deadline: spec.deadline,
+                    arrival: spec.arrival,
+                    sent_at,
                 };
-                cx.send_to_peer(from, origin, MessageKind::TxnShipResult, 0, result);
-            }
-            RunKind::Subtask { parent, origin, .. } if origin == from => {
-                self.on_subtask_result(cx, parent, ok);
+                (origin, MessageKind::TxnShipResult, result)
             }
             RunKind::Subtask { parent, origin, .. } => {
-                let sent_at = cx.now;
                 let result = Msg::SubtaskResult {
                     parent,
                     ok,
                     sent_at,
                 };
-                cx.send_to_peer(from, origin, MessageKind::SubtaskResult, 0, result);
+                (origin, MessageKind::SubtaskResult, result)
             }
-        }
-    }
-
-    fn abort_txn(&mut self, cx: &mut Cx, key: TKey, reason: AbortReason) {
-        let Some(run) = self.txns.remove(&key) else {
-            return;
         };
-        if matches!(run.state, RunState::Executing | RunState::Synthesis) {
-            let tick = self.cpu.remove(cx.now, key);
-            self.arm_cpu(cx, tick);
-        }
-        self.detach_txn(cx, key, &run);
-        let measured = cx.measured_arrival(run.spec.arrival);
-        let txn = run.spec.id;
-        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
-            siteselect_obs::Event::Abort { txn, reason }
-        });
-        let unit = TransactionId::from_raw(key);
-        cx.sink.emit(cx.now, SiteId::Client(self.id), || {
-            siteselect_obs::Event::UnitEnd {
-                txn: unit,
-                committed: false,
-            }
-        });
-        match run.kind {
-            RunKind::Normal => {
-                cx.inflight -= 1;
-                if measured {
-                    cx.record_outcome_at(
-                        SiteId::Client(self.id),
-                        run.spec.id,
-                        TxnOutcome::Aborted(reason),
-                    );
-                }
-            }
-            _ => self.report_to_origin(cx, &run, false),
+        if !cx.site_up(from) {
+            let to = SiteDest::Client(origin);
+            let at = cx.now.saturating_add(cx.cfg.faults.retry_backoff_cap);
+            cx.queue.push(
+                at,
+                Ev::Deliver {
+                    to,
+                    msgs: vec![result],
+                },
+            );
+        } else if origin == from {
+            self.on_result(cx, result);
+        } else {
+            cx.send_to_peer(from, origin, kind, 0, result);
         }
     }
 
@@ -1785,7 +1664,14 @@ impl ClientSite {
         let mut keys: Vec<TKey> = self.txns.keys().copied().collect();
         keys.sort_unstable(); // hash order is process-random; kills cascade
         for key in keys {
-            self.kill_run_on_crash(cx, key);
+            // Each unit dies silently: unlike an abort nothing is sent,
+            // remote interest is settled by a synthetic timeout result, and
+            // whatever the site held at the server is reclaimed by callback
+            // leases.
+            if let Some(run) = self.retire(cx, key) {
+                self.end_unit(cx, key, false);
+                self.settle(cx, &run, Some(AbortReason::SiteCrash));
+            }
         }
         cx.sink.emit(cx.now, SiteId::Client(id), || {
             siteselect_obs::Event::CacheWipe { client: id }
@@ -1799,76 +1685,6 @@ impl ClientSite {
         self.cache = ClientCache::new(cfg.memory_cache_objects, cfg.disk_cache_objects);
         self.local_locks = LockTable::new(QueueDiscipline::Deadline);
         self.local_wfg = WaitForGraph::new();
-    }
-
-    /// Silent death of one unit of work in a crash. Unlike
-    /// [`abort_txn`](Self::abort_txn) nothing is sent: remote interest is
-    /// settled by a synthetic timeout result, and whatever the site held at
-    /// the server is reclaimed by callback leases.
-    fn kill_run_on_crash(&mut self, cx: &mut Cx, key: TKey) {
-        let Some(run) = self.txns.remove(&key) else {
-            return;
-        };
-        if matches!(run.state, RunState::Executing | RunState::Synthesis) {
-            let tick = self.cpu.remove(cx.now, key);
-            self.arm_cpu(cx, tick);
-        }
-        let unit = TransactionId::from_raw(key);
-        let site = self.id;
-        cx.sink.emit(cx.now, SiteId::Client(site), || {
-            siteselect_obs::Event::UnitEnd {
-                txn: unit,
-                committed: false,
-            }
-        });
-        match run.kind {
-            RunKind::Normal => {
-                cx.inflight -= 1;
-                if cx.measured_arrival(run.spec.arrival) {
-                    cx.record_outcome_at(
-                        SiteId::Client(site),
-                        run.spec.id,
-                        TxnOutcome::Aborted(AbortReason::SiteCrash),
-                    );
-                }
-            }
-            // The origin is still waiting; model its failure detector as a
-            // synthetic failed result that fires after the full backoff
-            // cap (pushed straight to the event queue — a dead site puts
-            // nothing on the wire).
-            RunKind::Shipped { origin } => {
-                cx.queue.push(
-                    cx.now.saturating_add(cx.cfg.faults.retry_backoff_cap),
-                    Ev::Deliver {
-                        to: SiteDest::Client(origin),
-                        msgs: vec![Msg::TxnShipResult {
-                            txn: run.spec.id,
-                            committed: false,
-                            deadline: run.spec.deadline,
-                            arrival: run.spec.arrival,
-                            sent_at: cx.now,
-                        }],
-                    },
-                );
-            }
-            RunKind::Subtask {
-                parent,
-                index: _,
-                origin,
-            } => {
-                cx.queue.push(
-                    cx.now.saturating_add(cx.cfg.faults.retry_backoff_cap),
-                    Ev::Deliver {
-                        to: SiteDest::Client(origin),
-                        msgs: vec![Msg::SubtaskResult {
-                            parent,
-                            ok: false,
-                            sent_at: cx.now,
-                        }],
-                    },
-                );
-            }
-        }
     }
 
     /// A crashed site comes back up, cold: it accepts traffic again but
@@ -1935,13 +1751,9 @@ impl ClientSite {
         }
         // The dead time from the (lost) send to this retransmission is a
         // retry/backoff episode, carved out of the fetch's network span.
-        cx.emit_span(
-            SiteId::Client(client),
-            txn,
-            siteselect_obs::SpanKind::Retry,
-            sent_at,
-            None,
-        );
+        let (site, unit) = (SiteId::Client(client), TransactionId::from_raw(txn));
+        cx.sink
+            .span(cx.now, site, unit, SpanKind::Retry, sent_at, None);
         let want = Want {
             object,
             mode,
@@ -2454,5 +2266,100 @@ mod tests {
             groups,
             vec![(ClientId(2), vec![AccessSpec::read(ObjectId(9))])]
         );
+    }
+
+    /// Whether a unit of work is the site's own transaction, one shipped
+    /// here or a subtask, and whether it commits, aborts or dies in a
+    /// crash, it ends exactly once: one `UnitEnd`, and either `inflight`
+    /// settled at the origin or one result sent back to it.
+    #[test]
+    fn every_unit_ends_once_however_it_ends() {
+        let origin = ClientId(1);
+        for end in ["commit", "abort", "crash"] {
+            for kind in ["normal", "shipped", "subtask"] {
+                let (mut site, mut cx) = lone_site(SystemKind::ClientServer);
+                cx.sink = siteselect_obs::EventSink::enabled(1 << 12);
+                let now = cx.now;
+                let spec = |seq| TransactionSpec {
+                    id: TransactionId::new(origin, seq),
+                    origin,
+                    arrival: now,
+                    deadline: now + SimDuration::from_secs(100),
+                    cpu_demand: SimDuration::from_secs(1),
+                    accesses: vec![AccessSpec::write(ObjectId(1))],
+                    decomposable: false,
+                };
+                let key = match kind {
+                    "normal" => submit(&mut site, &mut cx, 1, vec![AccessSpec::write(ObjectId(1))]),
+                    "shipped" => {
+                        let spec = spec(5);
+                        let key = spec.id.as_u64();
+                        site.on_msg(&mut cx, Msg::TxnShip { spec, sent_at: now });
+                        key
+                    }
+                    _ => {
+                        let parent = TransactionId::new(origin, 7).as_u64();
+                        let ship = Msg::SubtaskShip {
+                            parent,
+                            index: 0,
+                            origin,
+                            spec: spec(7),
+                            sent_at: now,
+                        };
+                        site.on_msg(&mut cx, ship);
+                        subtask_key(parent, 0)
+                    }
+                };
+                let inflight = cx.inflight;
+                cx.drain_deliveries();
+                let grant = || Msg::GrantBatch {
+                    items: [(ObjectId(1), LockMode::Exclusive, true)]
+                        .into_iter()
+                        .collect(),
+                };
+                match end {
+                    "commit" => {
+                        site.on_msg(&mut cx, grant());
+                        run_cpu(&mut site, &mut cx);
+                    }
+                    "abort" => site.on_msg(
+                        &mut cx,
+                        Msg::Rejected {
+                            txn: key,
+                            expired: false,
+                        },
+                    ),
+                    _ => {
+                        site.on_msg(&mut cx, grant());
+                        site.on_crash(&mut cx);
+                    }
+                }
+                let case = format!("{kind} unit ending by {end}");
+                let results = cx
+                    .drain_deliveries()
+                    .iter()
+                    .filter(|(to, m)| {
+                        *to == SiteDest::Client(origin)
+                            && matches!(m, Msg::TxnShipResult { .. } | Msg::SubtaskResult { .. })
+                    })
+                    .count();
+                let settled = inflight - cx.inflight;
+                assert_eq!(
+                    (settled, results),
+                    if kind == "normal" { (1, 0) } else { (0, 1) },
+                    "{case}"
+                );
+                let trace = cx.sink.finish().expect("sink enabled");
+                let ends = trace
+                    .records
+                    .iter()
+                    .filter(|r| {
+                        matches!(r.event, siteselect_obs::Event::UnitEnd { txn, .. } if txn.as_u64() == key)
+                    })
+                    .count();
+                assert_eq!(ends, 1, "{case}");
+                assert!(site.txns.is_empty(), "{case}");
+            }
+        }
     }
 }

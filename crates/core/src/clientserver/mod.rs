@@ -27,7 +27,7 @@
 mod client;
 mod server;
 
-use siteselect_locks::ForwardList;
+use siteselect_locks::{ForwardEntry, ForwardList};
 use siteselect_net::{Delivery, Fabric, MessageKind};
 use siteselect_obs::{EventSink, SpanKind};
 use siteselect_sim::{EventQueue, Prng};
@@ -171,6 +171,29 @@ pub(crate) enum Msg {
         ok: bool,
         sent_at: SimTime,
     },
+}
+
+impl Msg {
+    /// For a peer's message about one unit of work: the unit, the span its
+    /// trip adds to it, and when the trip began. A shipped transaction or
+    /// subtask travels as `Net`; an outcome comes back as `Commit`.
+    pub(crate) fn trip(&self) -> Option<(TransactionId, SpanKind, SimTime)> {
+        let (unit, kind, sent_at) = match *self {
+            Msg::TxnShip { ref spec, sent_at } => (spec.id.as_u64(), SpanKind::Net, sent_at),
+            Msg::SubtaskShip {
+                parent,
+                index,
+                sent_at,
+                ..
+            } => (subtask_key(parent, index), SpanKind::Net, sent_at),
+            Msg::TxnShipResult { txn, sent_at, .. } => (txn.as_u64(), SpanKind::Commit, sent_at),
+            Msg::SubtaskResult {
+                parent, sent_at, ..
+            } => (parent, SpanKind::Commit, sent_at),
+            _ => return None,
+        };
+        Some((TransactionId::from_raw(unit), kind, sent_at))
+    }
 }
 
 /// Simulator events.
@@ -446,6 +469,28 @@ impl Cx {
         self.push_delivery(delivery, SiteDest::Client(to), msg);
     }
 
+    /// Server-to-client traffic. A server message the fabric loses is the
+    /// receiver's to recover (by a retry, the callback lease or the
+    /// deadline sweep), so a loss settles nothing here, and `msg` is built
+    /// only for a message that will arrive. Returns whether it will.
+    pub(crate) fn send_to_client(
+        &mut self,
+        to: ClientId,
+        kind: MessageKind,
+        objects: u32,
+        msg: impl FnOnce() -> Msg,
+    ) -> bool {
+        let (from, dest) = (SiteId::Server, SiteId::Client(to));
+        let delivery = self
+            .fabric
+            .try_send_counted(self.now, from, dest, kind, objects, 1);
+        let Delivery::Delivered(at) = delivery else {
+            return false;
+        };
+        self.queue.stage_delivery(at, SiteDest::Client(to), msg());
+        true
+    }
+
     /// Schedules (or accounts for the loss of) a fault-aware send.
     pub(crate) fn push_delivery(&mut self, delivery: Delivery, to: SiteDest, msg: Msg) {
         match delivery {
@@ -459,31 +504,19 @@ impl Cx {
     /// a transaction (or the only record of one) must settle its outcome
     /// here or `inflight` leaks and the run never drains.
     pub(crate) fn on_dropped_delivery(&mut self, msg: Msg) {
+        let lost = Some(AbortReason::SiteCrash);
         match msg {
             // The travelling transaction is gone; its origin's timeout
             // scores it as a crash loss.
-            Msg::TxnShip { spec, .. } => {
-                self.inflight -= 1;
-                if self.measured_arrival(spec.arrival) {
-                    self.record_outcome_at(
-                        SiteId::Client(spec.origin),
-                        spec.id,
-                        TxnOutcome::Aborted(AbortReason::SiteCrash),
-                    );
-                }
-            }
+            Msg::TxnShip { spec, .. } => self.settle(spec.id, spec.arrival, spec.deadline, lost),
             // The origin can no longer learn the outcome (it crashed, or
             // the result was lost): settle the shipped transaction now.
-            Msg::TxnShipResult { txn, arrival, .. } => {
-                self.inflight -= 1;
-                if self.measured_arrival(arrival) {
-                    self.record_outcome_at(
-                        SiteId::Client(txn.origin()),
-                        txn,
-                        TxnOutcome::Aborted(AbortReason::SiteCrash),
-                    );
-                }
-            }
+            Msg::TxnShipResult {
+                txn,
+                arrival,
+                deadline,
+                ..
+            } => self.settle(txn, arrival, deadline, lost),
             // The object died in transit: the driver tells the server its
             // chain is broken before the server next acts.
             Msg::ObjectForward { object, .. } => self.lost_forwards.push(object),
@@ -494,48 +527,48 @@ impl Cx {
         }
     }
 
+    /// Settles transaction `txn` at its origin: it leaves `inflight` and,
+    /// if it arrived inside the measurement window, is scored — a commit
+    /// (`aborted` is `None`) in time or late against `deadline`, otherwise
+    /// as aborted.
+    pub(crate) fn settle(
+        &mut self,
+        txn: TransactionId,
+        arrival: SimTime,
+        deadline: SimTime,
+        aborted: Option<AbortReason>,
+    ) {
+        self.inflight -= 1;
+        if !self.measured_arrival(arrival) {
+            return;
+        }
+        let (sink, now, site) = (&self.sink, self.now, SiteId::Client(txn.origin()));
+        match aborted {
+            None => {
+                self.metrics
+                    .record_commit(sink, now, site, txn, deadline, arrival);
+            }
+            Some(reason) => {
+                let outcome = TxnOutcome::Aborted(reason);
+                self.metrics.record(sink, now, site, txn, outcome);
+            }
+        }
+    }
+
     pub(crate) fn measured_arrival(&self, arrival: SimTime) -> bool {
         arrival >= self.warmup_end
     }
 
-    /// Emits a causal span ending now for transaction key `txn` (tracing
-    /// only; zero-length spans are elided). Subtask keys are folded back to
-    /// their root by the blame extractor.
-    pub(crate) fn emit_span(
-        &self,
-        site: SiteId,
-        txn: TKey,
-        kind: SpanKind,
-        start: SimTime,
-        blocker: Option<TKey>,
-    ) {
-        if start >= self.now {
-            return;
+    /// Pops the next entry of `list` that can still be served: expired
+    /// requesters are skipped, and (failure handling) so are crashed ones,
+    /// since forwarding to a dead site would strand the object.
+    pub(crate) fn pop_live(&self, list: &mut ForwardList) -> Option<ForwardEntry> {
+        loop {
+            match list.pop_next_live(self.now).0 {
+                Some(e) if !self.site_up(e.client) => {}
+                next => return next,
+            }
         }
-        self.sink
-            .emit(self.now, site, || siteselect_obs::Event::Span {
-                txn: Some(TransactionId::from_raw(txn)),
-                kind,
-                start,
-                blocker: blocker.map(TransactionId::from_raw),
-            });
-    }
-
-    /// Records a measured transaction outcome in the metrics and stamps a
-    /// matching `Outcome` record on the trace, so the deadline-accounting
-    /// oracle can recount the report from the event stream alone.
-    pub(crate) fn record_outcome_at(
-        &mut self,
-        site: SiteId,
-        txn: TransactionId,
-        outcome: TxnOutcome,
-    ) {
-        self.sink
-            .emit(self.now, site, || siteselect_obs::Event::Outcome {
-                txn,
-                outcome,
-            });
-        self.metrics.record_outcome(outcome);
     }
 }
 
@@ -739,8 +772,10 @@ impl ClientServerSim {
                 // A fetch issued before a crash died with the server's
                 // volatile state; the client's retry machinery re-requests.
                 if self.server.core.server_up {
-                    self.cx
-                        .emit_span(SiteId::Server, txn, SpanKind::Disk, scheduled_at, None);
+                    let (cx, unit) = (&self.cx, TransactionId::from_raw(txn));
+                    let disk = SpanKind::Disk;
+                    cx.sink
+                        .span(cx.now, SiteId::Server, unit, disk, scheduled_at, None);
                     self.server.ship_now(&mut self.cx, to, item);
                 }
             }

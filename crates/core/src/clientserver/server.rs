@@ -14,14 +14,14 @@ use siteselect_locks::{
     Acquire, CallbackTracker, ForwardEntry, ForwardList, Grants, QueueDiscipline, Targets,
     WindowManager, WindowOffer,
 };
-use siteselect_net::{Delivery, MessageKind};
+use siteselect_net::MessageKind;
 use siteselect_obs::EventSink;
 use siteselect_types::{
     ClientId, ExperimentConfig, LockMode, ObjectId, ObjectMap, SimDuration, SimTime, SiteId,
     TransactionId,
 };
 
-use super::{Cx, Ev, GrantItem, Msg, SiteDest, TKey, Want};
+use super::{Cx, Ev, GrantItem, Msg, TKey, Want};
 use crate::server_core::ServerCore;
 
 /// Info the server tracks for a lock-table-queued want.
@@ -205,18 +205,8 @@ impl ServerSite {
             self.handle_want(cx, txn, client, w);
         }
         if !conflicts.is_empty() {
-            let delivery = cx.fabric.try_send(
-                cx.now,
-                SiteId::Server,
-                SiteId::Client(client),
-                MessageKind::ConflictInfo,
-                0,
-            );
-            cx.push_delivery(
-                delivery,
-                SiteDest::Client(client),
-                Msg::ConflictReport { txn, conflicts },
-            );
+            let report = || Msg::ConflictReport { txn, conflicts };
+            cx.send_to_client(client, MessageKind::ConflictInfo, 0, report);
         }
     }
 
@@ -263,14 +253,7 @@ impl ServerSite {
                 return;
             }
         }
-        // A travelling forward list leaves the lock table empty; the chain
-        // tail stands in as the holder so the request batches behind the
-        // chain instead of being granted against the in-flight copies.
-        let holders = self.or_route_tail(w.object, self.core.locks.holders(w.object));
-        let conflicting: Targets = holders
-            .filter(|&(h, m)| h != client && !m.compatible_with(w.mode))
-            .map(|(h, _)| h)
-            .collect();
+        let conflicting = self.conflicting(w.object, client, w.mode);
 
         // Grouped-lock path: requests that arrive while the object is
         // already being chased (an outstanding recall, an open window, or a
@@ -300,6 +283,17 @@ impl ServerSite {
         }
 
         self.want_plain(cx, txn, client, w, conflicting);
+    }
+
+    /// The holders whose locks on `object` conflict with `client` wanting
+    /// it in `mode`. A travelling forward list leaves the lock table empty;
+    /// the chain tail stands in as the holder so a request batches behind
+    /// the chain instead of being granted against the in-flight copies.
+    fn conflicting(&self, object: ObjectId, client: ClientId, mode: LockMode) -> Targets {
+        self.or_route_tail(object, self.core.locks.holders(object))
+            .filter(|&(h, m)| h != client && !m.compatible_with(mode))
+            .map(|(h, _)| h)
+            .collect()
     }
 
     /// The plain (CS-RTDBS) path: queue in the lock table under deadlock
@@ -342,31 +336,31 @@ impl ServerSite {
                     },
                 );
                 self.core.wfg.add_waits(client, conflicts);
-                // Call back the conflicting cached locks.
-                let targets = self
-                    .callbacks
-                    .begin_at(w.object, conflicting, w.mode, cx.now);
-                for t in targets {
-                    let delivery = cx.fabric.try_send(
-                        cx.now,
-                        SiteId::Server,
-                        SiteId::Client(t),
-                        MessageKind::Recall,
-                        0,
-                    );
-                    // A lost recall is recovered by the callback lease: the
-                    // server presumes the silent holder dead and reclaims.
-                    cx.push_delivery(
-                        delivery,
-                        SiteDest::Client(t),
-                        Msg::Recall {
-                            object: w.object,
-                            desired: w.mode,
-                            forward: None,
-                        },
-                    );
-                }
+                Self::recall(&mut self.callbacks, cx, w.object, w.mode, conflicting);
             }
+        }
+    }
+
+    /// Calls back `holders`' cached locks on `object` for a `desired`
+    /// request. A holder already being called back is not asked twice, and
+    /// a lost recall is recovered by the callback lease: the server
+    /// presumes the silent holder dead and reclaims. It takes the tracker,
+    /// not the site, so a caller can hand it holders straight off the lock
+    /// table.
+    fn recall(
+        callbacks: &mut CallbackTracker,
+        cx: &mut Cx,
+        object: ObjectId,
+        desired: LockMode,
+        holders: impl IntoIterator<Item = ClientId>,
+    ) {
+        for t in callbacks.begin_at(object, holders, desired, cx.now) {
+            let recall = || Msg::Recall {
+                object,
+                desired,
+                forward: None,
+            };
+            cx.send_to_client(t, MessageKind::Recall, 0, recall);
         }
     }
 
@@ -377,18 +371,8 @@ impl ServerSite {
                 expired,
             }
         });
-        let delivery = cx.fabric.try_send(
-            cx.now,
-            SiteId::Server,
-            SiteId::Client(client),
-            MessageKind::ConflictInfo,
-            0,
-        );
-        cx.push_delivery(
-            delivery,
-            SiteDest::Client(client),
-            Msg::Rejected { txn, expired },
-        );
+        let rejected = || Msg::Rejected { txn, expired };
+        cx.send_to_client(client, MessageKind::ConflictInfo, 0, rejected);
     }
 
     // ------------------------------------------------------------------
@@ -436,12 +420,10 @@ impl ServerSite {
         } else {
             (MessageKind::LockGrant, 0)
         };
-        let (from, dest) = (SiteId::Server, SiteId::Client(to));
-        let delivery = cx
-            .fabric
-            .try_send_counted(cx.now, from, dest, kind, objects, 1);
-        let items = [item].into_iter().collect();
-        cx.push_delivery(delivery, SiteDest::Client(to), Msg::GrantBatch { items });
+        let grant = || Msg::GrantBatch {
+            items: [item].into_iter().collect(),
+        };
+        cx.send_to_client(to, kind, objects, grant);
     }
 
     // ------------------------------------------------------------------
@@ -535,13 +517,10 @@ impl ServerSite {
             }
             // The want waited in the server's lock queue from enqueue to
             // this grant.
-            cx.emit_span(
-                SiteId::Server,
-                info.txn,
-                siteselect_obs::SpanKind::LockWait,
-                info.queued_at,
-                None,
-            );
+            let txn = TransactionId::from_raw(info.txn);
+            let lock_wait = siteselect_obs::SpanKind::LockWait;
+            cx.sink
+                .span(cx.now, SiteId::Server, txn, lock_wait, info.queued_at, None);
             self.ship(cx, info.txn, client, (object, info.mode, info.needs_data));
         }
     }
@@ -602,13 +581,7 @@ impl ServerSite {
                 needs_data: true,
                 deadline: e.deadline,
             };
-            let conflicting: Targets = self
-                .core
-                .locks
-                .holders(object)
-                .filter(|&(h, m)| h != e.client && !m.compatible_with(e.mode))
-                .map(|(h, _)| h)
-                .collect();
+            let conflicting = self.conflicting(object, e.client, e.mode);
             self.want_plain(cx, e.txn.as_u64(), e.client, w, conflicting);
             return;
         }
@@ -623,83 +596,44 @@ impl ServerSite {
                 // One recall carries the whole forward list; the holder
                 // ships the object down the chain and the last client
                 // returns it (2n+1 messages, §3.4).
-                let delivery = cx.fabric.try_send(
-                    cx.now,
-                    SiteId::Server,
-                    SiteId::Client(holder),
-                    MessageKind::Recall,
-                    0,
-                );
-                if delivery == Delivery::Dropped {
-                    // The chain never started, so the holder keeps its
-                    // lock — the table entry is what fences its cached
-                    // exclusive from later grants. A callback lease makes
-                    // the loss recoverable (a dead holder is reclaimed at
-                    // expiry); until then the batch keeps collecting.
-                    self.callbacks
-                        .begin_at(object, [holder], LockMode::Exclusive, cx.now);
-                    self.reoffer_window(cx, object, list);
-                    return;
-                }
-                self.routing.insert(object, list.clone());
-                let grants = self.core.locks.release(object, holder);
-                debug_assert!(grants.is_empty(), "no queue behind a routed object");
-                cx.push_delivery(
-                    delivery,
-                    SiteDest::Client(holder),
-                    Msg::Recall {
-                        object,
-                        desired: LockMode::Exclusive,
-                        forward: Some(list),
-                    },
-                );
-            }
-            Some(_) => {
-                // A holder remains but plain-path waiters are queued: let
-                // the callback complete and collect a little longer.
-                self.reoffer_window(cx, object, list);
-            }
-            None if self.core.locks.holders(object).next().is_none() => {
-                // The object is home: serve the batch from the server's own
-                // copy as a client-to-client chain.
-                self.serve_list_from_server(cx, object, list);
-            }
-            None => {
-                // Shared cached copies remain. A batch of shared requests
-                // can be served alongside them, but an exclusive entry
-                // needs the cached copies called back first.
-                if list.entries().iter().all(|e| e.mode == LockMode::Shared) {
-                    self.serve_list_from_server(cx, object, list);
-                    return;
-                }
-                let targets = self.callbacks.begin_at(
+                let recall = || Msg::Recall {
                     object,
-                    self.core.locks.holders(object).map(|(h, _)| h),
-                    LockMode::Exclusive,
-                    cx.now,
-                );
-                for t in targets {
-                    let delivery = cx.fabric.try_send(
-                        cx.now,
-                        SiteId::Server,
-                        SiteId::Client(t),
-                        MessageKind::Recall,
-                        0,
-                    );
-                    // A lost recall is recovered by the callback lease.
-                    cx.push_delivery(
-                        delivery,
-                        SiteDest::Client(t),
-                        Msg::Recall {
-                            object,
-                            desired: LockMode::Exclusive,
-                            forward: None,
-                        },
-                    );
+                    desired: LockMode::Exclusive,
+                    forward: Some(list.clone()),
+                };
+                if cx.send_to_client(holder, MessageKind::Recall, 0, recall) {
+                    self.routing.insert(object, list);
+                    let grants = self.core.locks.release(object, holder);
+                    debug_assert!(grants.is_empty(), "no queue behind a routed object");
+                    return;
                 }
-                self.reoffer_window(cx, object, list);
+                // The chain never started, so the holder keeps its lock —
+                // the table entry is what fences its cached exclusive from
+                // later grants. A callback lease makes the loss recoverable
+                // (a dead holder is reclaimed at expiry); until then the
+                // batch keeps collecting.
+                self.callbacks
+                    .begin_at(object, [holder], LockMode::Exclusive, cx.now);
+            }
+            // A holder remains but plain-path waiters are queued: let the
+            // callback complete and collect a little longer.
+            Some(_) => {}
+            // The object is home, or only shared copies remain and the
+            // batch only reads: serve it from the server's copy as a chain.
+            None if self.core.locks.holders(object).next().is_none()
+                || list.entries().iter().all(|e| e.mode == LockMode::Shared) =>
+            {
+                self.serve_list_from_server(cx, object, list);
+                return;
+            }
+            // An exclusive entry needs the shared copies called back first.
+            None => {
+                let holders = self.core.locks.holders(object).map(|(h, _)| h);
+                let exclusive = LockMode::Exclusive;
+                Self::recall(&mut self.callbacks, cx, object, exclusive, holders);
             }
         }
+        self.reoffer_window(cx, object, list);
     }
 
     /// Puts a closed window's entries back into a fresh collection window
@@ -712,15 +646,7 @@ impl ServerSite {
 
     /// Ships a forward list starting from the server's copy of the object.
     fn serve_list_from_server(&mut self, cx: &mut Cx, object: ObjectId, mut list: ForwardList) {
-        // Skip expired requesters and (failure handling) crashed ones.
-        let next = loop {
-            let (next, _skipped) = list.pop_next_live(cx.now);
-            match next {
-                Some(e) if !cx.site_up(e.client) => continue,
-                other => break other,
-            }
-        };
-        let Some(entry) = next else {
+        let Some(entry) = cx.pop_live(&mut list) else {
             return; // every requester expired or crashed; the object stays home
         };
         self.core.buffer.insert(object);
@@ -753,28 +679,20 @@ impl ServerSite {
             return;
         }
         // A real chain: route it untracked; the last client returns the
-        // object.
+        // object. If the first hop is lost the chain never starts and the
+        // object stays home.
         let to = entry.client;
         cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::ForwardHop { object, to }
         });
-        let delivery = cx.fabric.try_send(
-            cx.now,
-            SiteId::Server,
-            SiteId::Client(to),
-            MessageKind::ObjectSend,
-            1,
-        );
-        let Delivery::Delivered(at) = delivery else {
-            return; // first hop lost: the chain never starts, the object stays home
-        };
-        self.routing.insert(object, list.clone());
-        let hop = Msg::ObjectForward {
+        let hop = || Msg::ObjectForward {
             object,
             mode: entry.mode,
-            rest: list,
+            rest: list.clone(),
         };
-        cx.queue.stage_delivery(at, SiteDest::Client(to), hop);
+        if cx.send_to_client(to, MessageKind::ObjectSend, 1, hop) {
+            self.routing.insert(object, list);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -799,24 +717,14 @@ impl ServerSite {
             })
             .collect();
         let client = TransactionId::from_raw(txn).origin();
-        let delivery = cx.fabric.try_send(
-            cx.now,
-            SiteId::Server,
-            SiteId::Client(client),
-            MessageKind::LoadReply,
-            0,
-        );
         // A lost reply leaves the transaction in AwaitInfo until the
         // deadline sweep reaps it — a miss, never a hang.
-        cx.push_delivery(
-            delivery,
-            SiteDest::Client(client),
-            Msg::LoadReply {
-                txn,
-                locations,
-                loads,
-            },
-        );
+        let reply = || Msg::LoadReply {
+            txn,
+            locations,
+            loads,
+        };
+        cx.send_to_client(client, MessageKind::LoadReply, 0, reply);
     }
 
     // ------------------------------------------------------------------
@@ -928,6 +836,7 @@ impl ServerSite {
 
 #[cfg(test)]
 mod tests {
+    use super::super::SiteDest;
     use super::*;
     use siteselect_types::SystemKind;
 
@@ -1007,5 +916,58 @@ mod tests {
             .or_route_tail(ObjectId(3), std::iter::empty())
             .collect();
         assert_eq!(holders, vec![(ClientId(3), LockMode::Exclusive)]);
+    }
+
+    /// Closes a window on `object` that collected exclusive requests from
+    /// `clients`.
+    fn close_window(s: &mut ServerSite, cx: &mut Cx, object: ObjectId, clients: &[u16]) {
+        for &c in clients {
+            let entry = ForwardEntry {
+                client: ClientId(c),
+                txn: TransactionId::new(ClientId(c), 1),
+                deadline: SimTime::from_secs(40),
+                mode: LockMode::Exclusive,
+            };
+            s.windows.offer(object, entry, cx.now);
+        }
+        s.on_window_close(cx, object);
+    }
+
+    #[test]
+    fn a_routed_recall_lost_to_a_down_holder_starts_no_chain() {
+        let (mut s, mut cx) = site(SystemKind::LoadSharing);
+        let (object, holder) = (ObjectId(4), ClientId(1));
+        s.core
+            .locks
+            .request(object, holder, LockMode::Exclusive, SimTime::MAX);
+        cx.fabric.set_site_down(SiteId::Client(holder));
+        close_window(&mut s, &mut cx, object, &[2, 3]);
+        // No route, and the holder keeps the lock that fences its copy...
+        assert!(!s.routing.contains(object));
+        assert_eq!(
+            s.core.locks.held_mode(object, holder),
+            Some(LockMode::Exclusive)
+        );
+        // ...a callback to it is on file for the lease to settle...
+        assert_eq!(
+            s.callbacks.outstanding(object).collect::<Vec<_>>(),
+            [holder]
+        );
+        // ...and the batch is offered to a fresh window.
+        assert_eq!(s.windows.pending(object), 2);
+        assert!(cx.drain_deliveries().is_empty());
+    }
+
+    #[test]
+    fn a_lost_first_hop_leaves_the_object_home() {
+        let (mut s, mut cx) = site(SystemKind::LoadSharing);
+        let object = ObjectId(4);
+        cx.fabric.set_site_down(SiteId::Client(ClientId(2)));
+        close_window(&mut s, &mut cx, object, &[2, 3]);
+        assert!(!s.routing.contains(object));
+        // A chain that never started has no broken route to report.
+        assert!(cx.lost_forwards.is_empty());
+        assert!(s.core.locks.holders(object).next().is_none());
+        assert!(cx.drain_deliveries().is_empty());
     }
 }

@@ -75,18 +75,12 @@ pub fn effective_jobs(jobs: usize, cells: usize) -> usize {
 }
 
 /// Runs every configuration in `cfgs` and returns the metrics in the same
-/// order, fanning the runs out over `jobs` scoped worker threads (`0` =
-/// one per available core).
-///
-/// Workers pull cell indices from a shared atomic counter and report
-/// `(index, result)` pairs; the merge writes each result into its slot, so
-/// the output vector is ordered by `cfgs` position no matter which worker
-/// finished first. Cells are handed out largest client count first: a
-/// run's cost grows with its clients, and a 100-client cell started last
-/// leaves the other workers idle while it finishes. Combined with each
-/// run being a self-contained seeded simulation, this makes the sweep
-/// output byte-identical at every job count, including `jobs == 1`, which
-/// runs inline without spawning.
+/// order, fanning the runs out over `jobs` worker threads (`0` = one per
+/// available core) with [`par_map`], largest client count first: a run's
+/// cost grows with its clients, and a 100-client cell started last leaves
+/// the other workers idle while it finishes. Each run being a
+/// self-contained seeded simulation, the output is byte-identical at every
+/// job count.
 ///
 /// # Errors
 ///
@@ -95,36 +89,55 @@ pub fn run_many(
     jobs: usize,
     cfgs: &[ExperimentConfig],
 ) -> Result<Vec<RunMetrics>, ConfigError> {
-    let workers = effective_jobs(jobs, cfgs.len());
+    par_map(jobs, cfgs, |cfg| u64::from(cfg.clients), run_experiment)
+        .into_iter()
+        .collect()
+}
+
+/// Applies `f` to every item on `jobs` scoped worker threads (`0` = one
+/// per available core) and returns the results in `items` order.
+///
+/// Workers pull positions from a shared atomic counter and report
+/// `(index, result)` pairs; the merge writes each result into its slot, so
+/// the output is ordered by `items` whichever worker finished first. Items
+/// are handed out largest `size` first (equal sizes in `items` order), so
+/// the costliest work does not start last. With one worker the items run
+/// inline, in order, without spawning.
+pub fn par_map<T: Sync, R: Send>(
+    jobs: usize,
+    items: &[T],
+    size: impl Fn(&T) -> u64,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let workers = effective_jobs(jobs, items.len());
     if workers <= 1 {
-        return cfgs.iter().map(run_experiment).collect();
+        return items.iter().map(f).collect();
     }
-    let mut order: Vec<(usize, &ExperimentConfig)> = cfgs.iter().enumerate().collect();
-    order.sort_by_key(|&(_, cfg)| std::cmp::Reverse(cfg.clients));
+    let mut order: Vec<(usize, &T)> = items.iter().enumerate().collect();
+    order.sort_by_key(|&(_, item)| std::cmp::Reverse(size(item)));
     let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<RunMetrics, ConfigError>>> =
-        (0..cfgs.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
-                    while let Some(&(i, cfg)) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        done.push((i, run_experiment(cfg)));
+                    while let Some(&(i, item)) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        done.push((i, f(item)));
                     }
                     done
                 })
             })
             .collect();
         for handle in handles {
-            for (i, result) in handle.join().expect("sweep worker panicked") {
+            for (i, result) in handle.join().expect("parallel-map worker panicked") {
                 slots[i] = Some(result);
             }
         }
     });
     slots
         .into_iter()
-        .map(|slot| slot.expect("every cell was claimed by a worker"))
+        .map(|slot| slot.expect("every item was claimed by a worker"))
         .collect()
 }
 

@@ -2,8 +2,9 @@
 //! diagnostics.
 
 use siteselect_net::MessageStats;
+use siteselect_obs::{Event, EventSink};
 use siteselect_sim::{OnlineStats, Ratio};
-use siteselect_types::{SystemKind, TxnOutcome};
+use siteselect_types::{SimTime, SiteId, SystemKind, TransactionId, TxnOutcome};
 
 /// Why transactions failed, broken down (diagnostics beyond the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -195,6 +196,46 @@ impl RunMetrics {
             TxnOutcome::Aborted(R::Shutdown) => self.failures.shutdown += 1,
             TxnOutcome::Aborted(R::SiteCrash) => self.failures.site_crash += 1,
         }
+    }
+
+    /// Records a measured transaction's outcome and stamps the matching
+    /// `Outcome` record on the trace, so the deadline-accounting oracle can
+    /// recount the report from the event stream alone.
+    pub(crate) fn record(
+        &mut self,
+        sink: &EventSink,
+        now: SimTime,
+        site: SiteId,
+        txn: TransactionId,
+        outcome: TxnOutcome,
+    ) {
+        sink.emit(now, site, || Event::Outcome { txn, outcome });
+        self.record_outcome(outcome);
+    }
+
+    /// Scores a measured commit that its origin learns of at `now`: in time
+    /// or late against `deadline`, and an in-time one adds its end-to-end
+    /// latency. Returns whether it was in time.
+    pub(crate) fn record_commit(
+        &mut self,
+        sink: &EventSink,
+        now: SimTime,
+        site: SiteId,
+        txn: TransactionId,
+        deadline: SimTime,
+        arrival: SimTime,
+    ) -> bool {
+        let in_time = now <= deadline;
+        let outcome = if in_time {
+            TxnOutcome::Committed
+        } else {
+            TxnOutcome::CommittedLate
+        };
+        self.record(sink, now, site, txn, outcome);
+        if in_time {
+            self.latency.push_duration(now.duration_since(arrival));
+        }
+        in_time
     }
 
     /// Internal consistency: outcomes must cover every measured

@@ -394,6 +394,38 @@ fn whole_repository_parses_without_errors() {
     );
 }
 
+/// The engines' function budget: no function in `crates/core/src` outside
+/// test code runs longer than 80 lines, from its `fn` line to its closing
+/// brace. A handler past it has a protocol action worth folding out.
+#[test]
+fn engine_functions_stay_within_the_line_budget() {
+    const BUDGET: u32 = 80;
+    let root = repo_root();
+    let cfg = load_config(&root).expect("detlint.toml parses");
+    let mut over = Vec::new();
+    for unit in repo_sources(&root, &cfg) {
+        if !unit.path.starts_with("crates/core/src/") {
+            continue;
+        }
+        let code = unit.code();
+        for f in unit.parsed.fns.iter().filter(|f| !f.test_only) {
+            let Some((_, end)) = f.body else { continue };
+            let lines = code[end].line - f.line + 1;
+            if lines > BUDGET {
+                over.push(format!(
+                    "{}:{} `{}` is {lines} lines",
+                    unit.path, f.line, f.name
+                ));
+            }
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "functions over the {BUDGET}-line budget:\n{}",
+        over.join("\n")
+    );
+}
+
 /// The acceptance gate for D7: the repository's lock graph contains the
 /// two known acquired-while-held edges and nothing cyclic.
 #[test]

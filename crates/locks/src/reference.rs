@@ -171,34 +171,6 @@ impl<O: LockOwner> RefLockTable<O> {
         }
     }
 
-    pub fn try_grant_bypass(&mut self, object: ObjectId, owner: O, mode: LockMode) -> bool {
-        let entry = self.objects.entry(object).or_default();
-        if let Some(held) = entry.holder_mode(owner) {
-            if held.covers(mode) {
-                return true;
-            }
-            let sole = entry.holders.iter().all(|(o, _)| *o == owner);
-            if sole {
-                for h in &mut entry.holders {
-                    if h.0 == owner {
-                        h.1 = LockMode::Exclusive;
-                    }
-                }
-                return true;
-            }
-            return false;
-        }
-        if !entry.conflicts_with(owner, mode).is_empty() {
-            if entry.is_unused() {
-                self.objects.remove(&object);
-            }
-            return false;
-        }
-        entry.holders.push((owner, mode));
-        self.held_by.entry(owner).or_default().push(object);
-        true
-    }
-
     pub fn release(&mut self, object: ObjectId, owner: O) -> Vec<RefWaiter<O>> {
         let Some(entry) = self.objects.get_mut(&object) else {
             return Vec::new();
@@ -551,35 +523,31 @@ mod property_tests {
                         "cancel_wait grants diverge at step {step}"
                     );
                 }
-                _ => {
-                    if rng.below(4) == 0 {
-                        let now = SimTime::from_secs(rng.below(200));
-                        let (ea, ga) = dense.cancel_expired(now);
-                        let (eb, gb) = oracle.cancel_expired(now);
-                        let ea: Vec<Grant> = ea
-                            .into_iter()
-                            .map(|(o, w)| (o, w.owner, w.mode, w.deadline))
-                            .collect();
-                        let eb: Vec<Grant> = eb
-                            .into_iter()
-                            .map(|(o, w)| (o, w.owner, w.mode, w.deadline))
-                            .collect();
-                        assert_eq!(ea, eb, "cancel_expired pruning diverges at step {step}");
-                        let ga: Vec<Grant> = ga
-                            .into_iter()
-                            .flat_map(|(o, ws)| grants_new(o, &ws))
-                            .collect();
-                        let gb: Vec<Grant> = gb
-                            .into_iter()
-                            .flat_map(|(o, ws)| grants_ref(o, &ws))
-                            .collect();
-                        assert_eq!(ga, gb, "cancel_expired grants diverge at step {step}");
-                    } else {
-                        let a = dense.try_grant_bypass(obj, owner, mode);
-                        let b = oracle.try_grant_bypass(obj, owner, mode);
-                        assert_eq!(a, b, "bypass result diverges at step {step}");
-                    }
+                // Waiters expire now and then; the other steps change nothing.
+                _ if rng.below(4) == 0 => {
+                    let now = SimTime::from_secs(rng.below(200));
+                    let (ea, ga) = dense.cancel_expired(now);
+                    let (eb, gb) = oracle.cancel_expired(now);
+                    let ea: Vec<Grant> = ea
+                        .into_iter()
+                        .map(|(o, w)| (o, w.owner, w.mode, w.deadline))
+                        .collect();
+                    let eb: Vec<Grant> = eb
+                        .into_iter()
+                        .map(|(o, w)| (o, w.owner, w.mode, w.deadline))
+                        .collect();
+                    assert_eq!(ea, eb, "cancel_expired pruning diverges at step {step}");
+                    let ga: Vec<Grant> = ga
+                        .into_iter()
+                        .flat_map(|(o, ws)| grants_new(o, &ws))
+                        .collect();
+                    let gb: Vec<Grant> = gb
+                        .into_iter()
+                        .flat_map(|(o, ws)| grants_ref(o, &ws))
+                        .collect();
+                    assert_eq!(ga, gb, "cancel_expired grants diverge at step {step}");
                 }
+                _ => {}
             }
             // The full comparison walks every object; with a large hoard
             // a debug build affords it on a sample of the steps only.

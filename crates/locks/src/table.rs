@@ -446,30 +446,6 @@ impl<O: LockOwner> LockTable<O> {
         }
     }
 
-    /// Grants `mode` on `object` to `owner` immediately if it is compatible
-    /// with every current holder, *bypassing* the wait queue. Used by the
-    /// load-sharing grant-all fast path, where a shared grant may overtake
-    /// queued compatible readers. Returns `false` (taking no lock) when a
-    /// conflicting holder exists.
-    pub fn try_grant_bypass(&mut self, object: ObjectId, owner: O, mode: LockMode) -> bool {
-        let entry = Self::entry_in(&mut self.objects, &mut self.free, object);
-        if let Some(held) = entry.holder_mode(owner) {
-            if held.covers(mode) {
-                return true;
-            }
-            let sole = entry.sole_holder(owner);
-            if sole {
-                entry.set_mode(owner, LockMode::Exclusive);
-            }
-            return sole;
-        }
-        if entry.has_conflict(owner, mode) {
-            return false;
-        }
-        Self::hold(&mut self.held_by, entry, object, owner, mode);
-        true
-    }
-
     /// Releases `owner`'s lock on `object` (and removes any queued request
     /// by the same owner). Returns the waiters granted as a result, in grant
     /// order.
@@ -997,52 +973,6 @@ mod tests {
         lt.request(OBJ, A, Exclusive, t(10));
         assert_eq!(lt.active_objects(), 1);
         lt.release(OBJ, A);
-        assert_eq!(lt.active_objects(), 0);
-    }
-
-    #[test]
-    fn bypass_grants_compatible_and_refuses_conflicts() {
-        let mut lt = table();
-        assert!(lt.request(OBJ, A, Shared, t(10)).is_granted());
-        lt.request(OBJ, B, Exclusive, t(10)); // queued writer
-        // A shared bypass overtakes the queued writer (compatible with the
-        // holder)...
-        assert!(lt.try_grant_bypass(OBJ, C, Shared));
-        assert_eq!(lt.held_mode(OBJ, C), Some(Shared));
-        // ...but an exclusive bypass cannot get past the shared holders.
-        let d = ClientId(3);
-        assert!(!lt.try_grant_bypass(OBJ, d, Exclusive));
-        assert_eq!(lt.held_mode(OBJ, d), None);
-        lt.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn bypass_covering_and_sole_upgrade() {
-        let mut lt = table();
-        lt.request(OBJ, A, Exclusive, t(10));
-        // Covering: no-op success.
-        assert!(lt.try_grant_bypass(OBJ, A, Shared));
-        assert_eq!(lt.held_mode(OBJ, A), Some(Exclusive));
-        lt.release(OBJ, A);
-        // Sole-holder upgrade through the bypass.
-        lt.request(OBJ, A, Shared, t(10));
-        assert!(lt.try_grant_bypass(OBJ, A, Exclusive));
-        assert_eq!(lt.held_mode(OBJ, A), Some(Exclusive));
-        // Contended upgrade refused.
-        lt.downgrade(OBJ, A);
-        lt.request(OBJ, B, Shared, t(10));
-        assert!(!lt.try_grant_bypass(OBJ, A, Exclusive));
-        assert_eq!(lt.held_mode(OBJ, A), Some(Shared));
-        lt.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn bypass_on_fresh_object_grants() {
-        let mut lt = table();
-        assert!(lt.try_grant_bypass(OBJ, A, Exclusive));
-        assert_eq!(lt.locks_of(A), vec![OBJ]);
-        let grants = lt.release(OBJ, A);
-        assert!(grants.is_empty());
         assert_eq!(lt.active_objects(), 0);
     }
 

@@ -82,12 +82,6 @@ impl WindowManager {
         self.sink = sink;
     }
 
-    /// The configured window length.
-    #[must_use]
-    pub fn window_length(&self) -> SimDuration {
-        self.window
-    }
-
     /// Adds a request for `object` to its open window, opening one if
     /// needed.
     pub fn offer(&mut self, object: ObjectId, entry: ForwardEntry, now: SimTime) -> WindowOffer {
@@ -172,14 +166,8 @@ impl WindowManager {
         self.sink
             .emit(now, SiteId::Server, || Event::WindowClose { object, batch });
         for &(txn, offered_at) in &w.offered {
-            if offered_at < now {
-                self.sink.emit(now, SiteId::Server, || Event::Span {
-                    txn: Some(txn),
-                    kind: SpanKind::Window,
-                    start: offered_at,
-                    blocker: None,
-                });
-            }
+            self.sink
+                .span(now, SiteId::Server, txn, SpanKind::Window, offered_at, None);
         }
         Some(w.list)
     }

@@ -6,8 +6,6 @@
 //! whole `u64` range. Everything is allocated once at construction; the
 //! record path touches a handful of integers — no allocation, no float.
 
-use siteselect_types::SimDuration;
-
 /// Sub-bucket precision: 2^5 = 32 linear buckets per power of two.
 const SUB_BITS: u32 = 5;
 const SUB_BUCKETS: usize = 1 << SUB_BITS;
@@ -102,11 +100,6 @@ impl LogHistogram {
         }
         self.count += 1;
         self.sum += u128::from(v);
-    }
-
-    /// Records a duration as whole microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros());
     }
 
     /// Number of recorded values.

@@ -20,10 +20,11 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use siteselect_types::{ClientId, SimTime, SiteId};
+use siteselect_types::{ClientId, SimTime, SiteId, TransactionId};
 
 use crate::event::Event;
 use crate::report::{ObsReport, SiteSummary};
+use crate::span::SpanKind;
 
 /// One captured event: when, where, in what global order, and what.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,6 +201,29 @@ impl EventSink {
         }
     }
 
+    /// Emits the causal span `[start, time)` of `kind` for `txn`, naming
+    /// the `blocker` that held it up, if known. A zero-length span has
+    /// nothing to blame and is not emitted.
+    #[inline]
+    pub fn span(
+        &self,
+        time: SimTime,
+        site: SiteId,
+        txn: TransactionId,
+        kind: SpanKind,
+        start: SimTime,
+        blocker: Option<TransactionId>,
+    ) {
+        if start < time {
+            self.emit(time, site, || Event::Span {
+                txn: Some(txn),
+                kind,
+                start,
+                blocker,
+            });
+        }
+    }
+
     /// Drains the sink: returns the buffered records plus the streaming
     /// report, or `None` if the sink was disabled. The sink is empty (but
     /// still enabled) afterwards.
@@ -331,6 +355,26 @@ mod tests {
         assert_eq!(trace.report, folded);
         // Draining does not reset the summary: a second drain repeats it.
         assert_eq!(sink.finish().unwrap().report, folded);
+    }
+
+    #[test]
+    fn zero_length_spans_are_elided() {
+        let sink = EventSink::enabled(8);
+        let txn = TransactionId::new(ClientId(0), 1);
+        let (at, disk) = (SimTime::from_micros(5), crate::SpanKind::Disk);
+        sink.span(at, SiteId::Server, txn, disk, at, None);
+        sink.span(at, SiteId::Server, txn, disk, SimTime::ZERO, None);
+        let trace = sink.finish().unwrap();
+        assert_eq!(trace.records.len(), 1);
+        assert_eq!(
+            trace.records[0].event,
+            Event::Span {
+                txn: Some(txn),
+                kind: crate::SpanKind::Disk,
+                start: SimTime::ZERO,
+                blocker: None,
+            }
+        );
     }
 
     #[test]

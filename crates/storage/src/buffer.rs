@@ -1,5 +1,5 @@
-//! The PF-layer buffer manager: pinned frames with LRU or Clock replacement
-//! and dirty write-back, as in the MiniRel system the paper builds on.
+//! The PF-layer buffer manager: pinned frames with LRU replacement and
+//! dirty write-back, as in the MiniRel system the paper builds on.
 
 use std::error::Error;
 use std::fmt;
@@ -12,11 +12,9 @@ use crate::page::Page;
 /// Replacement policy for unpinned frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Replacement {
-    /// Evict the least-recently-used unpinned frame (default).
+    /// Evict the least-recently-used unpinned frame (the only policy).
     #[default]
     Lru,
-    /// Second-chance clock sweep.
-    Clock,
 }
 
 /// Cumulative buffer-manager statistics.
@@ -110,7 +108,6 @@ struct Frame {
     pin_count: u32,
     dirty: bool,
     last_used: u64,
-    referenced: bool,
     recency: Link,
     /// Meaningful only while `dirty` is set.
     dirt: Link,
@@ -153,11 +150,9 @@ impl Frame {
 #[derive(Debug)]
 pub struct BufferManager {
     capacity: usize,
-    policy: Replacement,
     frames: Vec<Frame>,
     map: ObjectMap<u32>,
     tick: u64,
-    clock_hand: u32,
     recency: Ends,
     dirt: Ends,
     stats: BufferStats,
@@ -168,21 +163,20 @@ pub struct BufferManager {
 }
 
 impl BufferManager {
-    /// Creates a buffer with `capacity` frames.
+    /// Creates a buffer with `capacity` frames under LRU replacement, the
+    /// one [`Replacement`] policy.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize, policy: Replacement) -> Self {
+    pub fn new(capacity: usize, _policy: Replacement) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
         BufferManager {
             capacity,
-            policy,
             frames: Vec::with_capacity(capacity),
             map: ObjectMap::new(),
             tick: 0,
-            clock_hand: 0,
             recency: EMPTY,
             dirt: EMPTY,
             stats: BufferStats::default(),
@@ -198,7 +192,7 @@ impl BufferManager {
     }
 
     fn frame(&self, idx: u32) -> &Frame {
-        // detlint: allow(D9) — frame ids come from `map`, the list links and the clock hand, which hold only indexes of pushed frames (< frames.len())
+        // detlint: allow(D9) — frame ids come from `map` and the list links, which hold only indexes of pushed frames (< frames.len())
         &self.frames[idx as usize]
     }
 
@@ -284,7 +278,6 @@ impl BufferManager {
             let frame = self.frame_mut(idx);
             frame.pin_count += 1;
             frame.last_used = tick;
-            frame.referenced = true;
             self.stats.hits += 1;
             if self.recency.tail != idx {
                 self.unlink(List::Recency, idx);
@@ -304,7 +297,6 @@ impl BufferManager {
                 pin_count: 1,
                 dirty: false,
                 last_used: tick,
-                referenced: true,
                 recency: UNLINKED,
                 dirt: UNLINKED,
             });
@@ -318,7 +310,6 @@ impl BufferManager {
             debug_assert!(read, "contains() checked above");
             frame.pin_count = 1;
             frame.last_used = tick;
-            frame.referenced = true;
             idx
         };
         self.push_tail(List::Recency, idx);
@@ -330,11 +321,7 @@ impl BufferManager {
     /// Chooses a victim in a full pool, writes it back if dirty and takes
     /// it off the map and both lists.
     fn evict(&mut self, disk: &mut DiskFile) -> Result<u32, BufferError> {
-        let victim = match self.policy {
-            Replacement::Lru => self.lru_victim(),
-            Replacement::Clock => self.clock_sweep(),
-        };
-        let idx = victim.ok_or(BufferError::AllFramesPinned)?;
+        let idx = self.lru_victim().ok_or(BufferError::AllFramesPinned)?;
         self.unlink(List::Recency, idx);
         let frame = self.frame_mut(idx);
         let id = frame.page.id();
@@ -360,26 +347,6 @@ impl BufferManager {
                 return Some(cur);
             }
             cur = frame.recency.next;
-        }
-        None
-    }
-
-    fn clock_sweep(&mut self) -> Option<u32> {
-        // Two full sweeps guarantee termination: the first clears reference
-        // bits, the second must find an unpinned frame if one exists.
-        for _ in 0..2 * self.capacity {
-            let idx = self.clock_hand;
-            // The pool is full, so its `u32`-sized length is the capacity.
-            self.clock_hand = (idx + 1) % self.frames.len() as u32;
-            let frame = self.frame_mut(idx);
-            if frame.pin_count > 0 {
-                continue;
-            }
-            if frame.referenced {
-                frame.referenced = false;
-            } else {
-                return Some(idx);
-            }
         }
         None
     }
@@ -482,9 +449,6 @@ impl BufferManager {
                 self.map.len(),
                 self.capacity
             ));
-        }
-        if self.clock_hand as usize >= self.capacity {
-            return Err(format!("clock hand {} past the pool", self.clock_hand));
         }
         for (i, f) in self.frames.iter().enumerate() {
             if self.map.get(f.page.id()) != Some(&(i as u32)) {
@@ -629,17 +593,6 @@ mod tests {
         buf.flush_all(&mut disk);
         assert_eq!(buf.stats().writebacks, w);
         buf.unpin(f).unwrap();
-    }
-
-    #[test]
-    fn clock_policy_eventually_evicts() {
-        let (mut disk, mut buf) = setup(3, Replacement::Clock);
-        for i in 0..10u32 {
-            let f = buf.fetch(ObjectId(i), &mut disk).unwrap();
-            buf.unpin(f).unwrap();
-        }
-        assert_eq!(buf.len(), 3);
-        assert_eq!(buf.stats().evictions, 7);
     }
 
     #[test]

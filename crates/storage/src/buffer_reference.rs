@@ -1,5 +1,5 @@
 //! The scan-based buffer manager this crate shipped before its lists,
-//! kept verbatim as a test-only reference.
+//! kept (LRU only) as a test-only reference.
 //!
 //! [`BufferManager`] must be indistinguishable from it: the same results
 //! and frame handles, resident set, pin counts, statistics and disk image
@@ -8,7 +8,7 @@
 
 use siteselect_types::{ObjectId, ObjectMap};
 
-use crate::buffer::{BufferError, BufferStats, Replacement};
+use crate::buffer::{BufferError, BufferStats};
 use crate::disk::DiskFile;
 use crate::page::Page;
 
@@ -18,7 +18,6 @@ struct Frame {
     pin_count: u32,
     dirty: bool,
     last_used: u64,
-    referenced: bool,
 }
 
 /// A fixed-capacity page buffer over a [`DiskFile`].
@@ -42,11 +41,9 @@ struct Frame {
 #[derive(Debug)]
 pub struct RefBufferManager {
     capacity: usize,
-    policy: Replacement,
     frames: Vec<Option<Frame>>,
     map: ObjectMap<usize>,
     tick: u64,
-    clock_hand: usize,
     stats: BufferStats,
 }
 
@@ -57,15 +54,13 @@ impl RefBufferManager {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize, policy: Replacement) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
         RefBufferManager {
             capacity,
-            policy,
             frames: (0..capacity).map(|_| None).collect(),
             map: ObjectMap::new(),
             tick: 0,
-            clock_hand: 0,
             stats: BufferStats::default(),
         }
     }
@@ -113,7 +108,6 @@ impl RefBufferManager {
             let frame = self.frames[idx].as_mut().expect("mapped frame occupied");
             frame.pin_count += 1;
             frame.last_used = self.tick;
-            frame.referenced = true;
             self.stats.hits += 1;
             return Ok(idx);
         }
@@ -127,7 +121,6 @@ impl RefBufferManager {
             pin_count: 1,
             dirty: false,
             last_used: self.tick,
-            referenced: true,
         });
         self.map.insert(id, idx);
         self.stats.misses += 1;
@@ -139,19 +132,16 @@ impl RefBufferManager {
         if let Some(idx) = self.frames.iter().position(Option::is_none) {
             return Ok(idx);
         }
-        let victim = match self.policy {
-            Replacement::Lru => self
-                .frames
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| {
-                    let f = f.as_ref().expect("full buffer");
-                    (f.pin_count == 0).then_some((f.last_used, i))
-                })
-                .min()
-                .map(|(_, i)| i),
-            Replacement::Clock => self.clock_sweep(),
-        };
+        let victim = self
+            .frames
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| {
+                let f = f.as_ref().expect("full buffer");
+                (f.pin_count == 0).then_some((f.last_used, i))
+            })
+            .min()
+            .map(|(_, i)| i);
         let idx = victim.ok_or(BufferError::AllFramesPinned)?;
         let frame = self.frames[idx].take().expect("victim occupied");
         self.map.remove(frame.page.id());
@@ -161,25 +151,6 @@ impl RefBufferManager {
             self.stats.writebacks += 1;
         }
         Ok(idx)
-    }
-
-    fn clock_sweep(&mut self) -> Option<usize> {
-        // Two full sweeps guarantee termination: the first clears reference
-        // bits, the second must find an unpinned frame if one exists.
-        for _ in 0..2 * self.capacity {
-            let idx = self.clock_hand;
-            self.clock_hand = (self.clock_hand + 1) % self.capacity;
-            let frame = self.frames[idx].as_mut().expect("full buffer");
-            if frame.pin_count > 0 {
-                continue;
-            }
-            if frame.referenced {
-                frame.referenced = false;
-            } else {
-                return Some(idx);
-            }
-        }
-        None
     }
 
     /// Increments the pin count of an occupied frame.
@@ -346,18 +317,13 @@ mod property_tests {
             let capacity = 1 + rng.below(64);
             // From "everything fits" to heavy eviction pressure.
             let pages = 1 + rng.below(3 * capacity);
-            let policy = if case % 2 == 0 {
-                Replacement::Lru
-            } else {
-                Replacement::Clock
-            };
             // How readily a fetch keeps its pin: the high settings drive the
             // pool into `AllFramesPinned`.
             let hold = rng.below(4);
             let mut disk = DiskFile::with_patterned_pages(pages as u32);
             let mut oracle_disk = disk.clone();
-            let mut pool = BufferManager::new(capacity, policy);
-            let mut oracle = RefBufferManager::new(capacity, policy);
+            let mut pool = BufferManager::new(capacity, crate::Replacement::Lru);
+            let mut oracle = RefBufferManager::new(capacity);
             for step in 0..STEPS {
                 let at = format!("case {case} step {step}");
                 // Handles past the pool and ids past the file included.

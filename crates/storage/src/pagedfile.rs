@@ -77,19 +77,6 @@ impl PagedFile {
         }
     }
 
-    /// Creates a paged file with an explicit replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buffer_frames` is zero.
-    #[must_use]
-    pub fn with_policy(num_pages: u32, buffer_frames: usize, policy: Replacement) -> Self {
-        PagedFile {
-            disk: DiskFile::with_patterned_pages(num_pages),
-            buffer: BufferManager::new(buffer_frames, policy),
-        }
-    }
-
     /// Wraps an existing disk image with a fresh buffer — used by crash
     /// recovery to reopen the database left behind by a crashed site.
     ///
