@@ -26,6 +26,10 @@ use crate::cpu::EdfCpu;
 /// subtask answers at the origin (§3.2's "answer synthesis" phase).
 const SYNTHESIS_FRACTION: f64 = 0.1;
 
+/// H2's candidate sites with their conflicting-lock scores, in evaluation
+/// order. Inline for the usual handful; past eight it spills.
+type H2Scores = InlineVec<(ClientId, usize), 8>;
+
 /// Why an object fetch is outstanding at a client.
 #[derive(Debug)]
 struct Fetch {
@@ -217,9 +221,10 @@ pub(crate) struct ClientSite {
     atl_sum: f64,
     atl_count: u64,
     /// Trace-only: start time and blocking holder of in-progress local
-    /// lock waits, keyed `(txn, object)`. Populated only while a sink is
-    /// attached — pure observer, never read by simulation logic.
-    lock_wait_from: HashMap<(TKey, ObjectId), (SimTime, Option<TKey>)>,
+    /// lock waits, keyed `(txn, object)` so a unit's waits are one
+    /// ascending range. Populated only while a sink is attached — pure
+    /// observer, never read by simulation logic.
+    lock_wait_from: BTreeMap<(TKey, ObjectId), (SimTime, Option<TKey>)>,
 }
 
 impl ClientSite {
@@ -238,7 +243,7 @@ impl ClientSite {
             revokes: HashMap::new(),
             atl_sum: 0.0,
             atl_count: 0,
-            lock_wait_from: HashMap::new(),
+            lock_wait_from: BTreeMap::new(),
         }
     }
 
@@ -863,9 +868,9 @@ impl ClientSite {
         cx.sink
             .span(cx.now, site, unit, decision, run.acquire_started, None);
         if cx.cfg.load_sharing.h2_enabled && !shipped {
-            let best = Self::h2_choose(self_id, accesses, &conflicts, &[]);
+            let (best, scored) = Self::h2_choose(self_id, accesses, &conflicts, &[]);
             cx.sink.emit(cx.now, SiteId::Client(self_id), || {
-                Self::h2_choose_event(txn, self_id, best, accesses, &conflicts)
+                Self::h2_event(txn, self_id, best, &scored)
             });
             // Ship only when the destination substantially reduces the
             // conflicting-lock count and already caches a significant share
@@ -874,8 +879,14 @@ impl ClientSite {
             // data is already cached at another site"). Shipping cancels
             // the requests the server has queued on our behalf.
             let ls = cx.cfg.load_sharing;
-            let best_score = Self::h2_score(best, accesses, &conflicts) as f64;
-            let origin_score = Self::h2_score(self_id, accesses, &conflicts) as f64;
+            let score_of = |site| {
+                scored
+                    .iter()
+                    .find(|&&(c, _)| c == site)
+                    .map_or(0, |&(_, s)| s)
+            };
+            let best_score = score_of(best) as f64;
+            let origin_score = score_of(self_id) as f64;
             if best != self_id
                 && cx.site_up(best)
                 && best_score <= ls.ship_conflict_ratio * origin_score
@@ -895,70 +906,62 @@ impl ClientSite {
         self.check_ready(cx, key);
     }
 
-    /// Builds the `H2Choose` trace event: every scored candidate in
-    /// evaluation order (origin first, then holders as discovered).
-    fn h2_choose_event(
-        txn: siteselect_types::TransactionId,
-        origin: ClientId,
-        chosen: ClientId,
-        accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
-    ) -> siteselect_obs::Event {
-        let mut candidates: Vec<ClientId> = vec![origin];
-        for (_, holders) in locations {
-            for &(c, _) in holders {
-                if !candidates.contains(&c) {
-                    candidates.push(c);
-                }
-            }
-        }
-        siteselect_obs::Event::H2Choose {
-            txn,
-            origin: SiteId::Client(origin),
-            chosen: SiteId::Client(chosen),
-            candidates: candidates
-                .into_iter()
-                .map(|c| siteselect_obs::H2Candidate {
-                    site: SiteId::Client(c),
-                    score: Self::h2_score(c, accesses, locations) as u64,
-                })
-                .collect(),
-        }
-    }
-
     /// H2: the site at which the transaction would wait for the fewest
-    /// conflicting locks; `loads` breaks ties.
+    /// conflicting locks; `loads` breaks ties. Also returns every candidate
+    /// with its score, in evaluation order (origin first, then holders as
+    /// discovered) — what the `H2Choose` trace event carries.
     fn h2_choose(
         origin: ClientId,
         accesses: &[AccessSpec],
         locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
         loads: &[(ClientId, usize, f64)],
-    ) -> ClientId {
+    ) -> (ClientId, H2Scores) {
         let load_of = |c: ClientId| {
             loads
                 .iter()
                 .find(|(id, _, _)| *id == c)
                 .map_or(0, |&(_, l, _)| l)
         };
-        let mut candidates: InlineVec<ClientId, 8> = [origin].into_iter().collect();
+        let origin_score = Self::h2_score(origin, accesses, locations);
+        let mut scored = H2Scores::new();
+        scored.push((origin, origin_score));
         for (_, holders) in locations {
             for &(c, _) in holders {
-                if !candidates.contains(&c) {
-                    candidates.push(c);
+                if !scored.iter().any(|&(s, _)| s == c) {
+                    scored.push((c, Self::h2_score(c, accesses, locations)));
                 }
             }
         }
-        let origin_score = Self::h2_score(origin, accesses, locations);
-        let best = candidates
-            .into_iter()
-            .map(|c| (Self::h2_score(c, accesses, locations), load_of(c), c.0, c))
-            .min()
-            .map_or(origin, |(_, _, _, c)| c);
+        let best = scored
+            .iter()
+            .map(|&(c, score)| (score, load_of(c), c.0, c))
+            .min();
         // Ship only for a strict improvement in conflicting locks.
-        if Self::h2_score(best, accesses, locations) < origin_score {
-            best
-        } else {
-            origin
+        let chosen = match best {
+            Some((score, _, _, c)) if score < origin_score => c,
+            _ => origin,
+        };
+        (chosen, scored)
+    }
+
+    /// The `H2Choose` trace event for a choice `h2_choose` made.
+    fn h2_event(
+        txn: TransactionId,
+        origin: ClientId,
+        chosen: ClientId,
+        scored: &H2Scores,
+    ) -> siteselect_obs::Event {
+        siteselect_obs::Event::H2Choose {
+            txn,
+            origin: SiteId::Client(origin),
+            chosen: SiteId::Client(chosen),
+            candidates: scored
+                .iter()
+                .map(|&(c, score)| siteselect_obs::H2Candidate {
+                    site: SiteId::Client(c),
+                    score: score as u64,
+                })
+                .collect(),
         }
     }
 
@@ -1062,9 +1065,9 @@ impl ClientSite {
         match reason {
             InfoReason::H1Infeasible => {
                 let best = if cx.cfg.load_sharing.h2_enabled {
-                    let best = Self::h2_choose(self_id, accesses, &locations, &loads);
+                    let (best, scored) = Self::h2_choose(self_id, accesses, &locations, &loads);
                     cx.sink.emit(cx.now, SiteId::Client(self_id), || {
-                        Self::h2_choose_event(txn, self_id, best, accesses, &locations)
+                        Self::h2_event(txn, self_id, best, &scored)
                     });
                     best
                 } else {
@@ -1227,18 +1230,9 @@ impl ClientSite {
     fn detach_txn(&mut self, cx: &mut Cx, key: TKey, run: &TxnRun) {
         // Close out lock waits still open at detach (an aborted/shipped
         // unit stops waiting now).
-        if cx.sink.is_enabled() {
-            let mut open: Vec<ObjectId> = self
-                // detlint: allow(D2) — `open.sort_unstable()` below, before any event is emitted
-                .lock_wait_from
-                .keys()
-                .filter(|(k, _)| *k == key)
-                .map(|&(_, o)| o)
-                .collect();
-            open.sort_unstable();
-            for object in open {
-                self.end_lock_wait(cx, key, object);
-            }
+        let unit = (key, ObjectId(0))..=(key, ObjectId(u32::MAX));
+        for (_, wait) in self.lock_wait_from.extract_if(unit, |_, _| true) {
+            Self::lock_wait_span(cx, self.id, key, wait);
         }
         // Local locks and queued local waits.
         let grants = self.local_locks.release_all(key);
@@ -1421,12 +1415,23 @@ impl ClientSite {
     /// `key` stops waiting for the local lock on `object`: closes the
     /// lock-wait span opened when it blocked (tracing only).
     fn end_lock_wait(&mut self, cx: &Cx, key: TKey, object: ObjectId) {
-        if let Some((started, blocker)) = self.lock_wait_from.remove(&(key, object)) {
-            let (site, unit) = (SiteId::Client(self.id), TransactionId::from_raw(key));
-            let blocker = blocker.map(TransactionId::from_raw);
-            cx.sink
-                .span(cx.now, site, unit, SpanKind::LockWait, started, blocker);
+        if let Some(wait) = self.lock_wait_from.remove(&(key, object)) {
+            Self::lock_wait_span(cx, self.id, key, wait);
         }
+    }
+
+    /// Emits the lock-wait span of `key` at client `id` that started at
+    /// `started`, behind `blocker` if known.
+    fn lock_wait_span(
+        cx: &Cx,
+        id: ClientId,
+        key: TKey,
+        (started, blocker): (SimTime, Option<TKey>),
+    ) {
+        let (site, unit) = (SiteId::Client(id), TransactionId::from_raw(key));
+        let blocker = blocker.map(TransactionId::from_raw);
+        cx.sink
+            .span(cx.now, site, unit, SpanKind::LockWait, started, blocker);
     }
 
     /// Local lock grants cascading from a release.
@@ -2179,7 +2184,7 @@ mod tests {
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(5, LockMode::Exclusive)]),
         ];
-        let best = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
+        let (best, _) = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(5));
     }
 
@@ -2188,7 +2193,7 @@ mod tests {
         let accesses = vec![AccessSpec::read(ObjectId(1))];
         // A shared lock elsewhere does not conflict with a read.
         let locations = vec![loc(1, &[(5, LockMode::Shared)])];
-        let best = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
+        let (best, _) = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(0));
     }
 
@@ -2205,7 +2210,7 @@ mod tests {
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(6, LockMode::Exclusive)]),
         ];
-        let best = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
+        let (best, _) = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(5));
     }
 
@@ -2220,8 +2225,88 @@ mod tests {
             loc(2, &[(6, LockMode::Exclusive)]),
         ];
         let loads = vec![(ClientId(5), 10, 1.0), (ClientId(6), 1, 1.0)];
-        let best = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &loads);
+        let (best, _) = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &loads);
         assert_eq!(best, ClientId(6));
+    }
+
+    /// H2 as it was before `h2_choose` kept its scores: candidates
+    /// collected, scored for the choice, the choice and the origin scored
+    /// again, and — for the trace — candidates collected and scored once
+    /// more.
+    fn two_pass_h2(
+        origin: ClientId,
+        accesses: &[AccessSpec],
+        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
+        loads: &[(ClientId, usize, f64)],
+    ) -> (ClientId, Vec<(ClientId, usize)>) {
+        let score = |c| ClientSite::h2_score(c, accesses, locations);
+        let load_of = |c: ClientId| {
+            loads
+                .iter()
+                .find(|(id, _, _)| *id == c)
+                .map_or(0, |&(_, l, _)| l)
+        };
+        let mut candidates: Vec<ClientId> = vec![origin];
+        for (_, holders) in locations {
+            for &(c, _) in holders {
+                if !candidates.contains(&c) {
+                    candidates.push(c);
+                }
+            }
+        }
+        let best = candidates
+            .iter()
+            .map(|&c| (score(c), load_of(c), c.0, c))
+            .min()
+            .map_or(origin, |(_, _, _, c)| c);
+        let chosen = if score(best) < score(origin) {
+            best
+        } else {
+            origin
+        };
+        let scored = candidates.into_iter().map(|c| (c, score(c))).collect();
+        (chosen, scored)
+    }
+
+    #[test]
+    fn h2_scored_once_matches_the_two_pass_reference() {
+        let mut rng = siteselect_sim::Prng::seed_from_u64(0x4832);
+        let mut spilled = 0;
+        for _ in 0..3000 {
+            let origin = ClientId(rng.below(4) as u16);
+            let objects = 1 + rng.below_usize(8);
+            let accesses: Vec<AccessSpec> = (0..objects)
+                .map(|o| {
+                    let object = ObjectId(o as u32);
+                    if rng.bernoulli(0.4) {
+                        AccessSpec::write(object)
+                    } else {
+                        AccessSpec::read(object)
+                    }
+                })
+                .collect();
+            // Up to 20 distinct holders, so a case can pass eight candidates.
+            let mut locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)> = Vec::new();
+            for _ in 0..objects {
+                let object = ObjectId(rng.below(objects as u64 + 2) as u32);
+                let mut holders = Vec::new();
+                for _ in 0..rng.below_usize(5) {
+                    let mode = LockMode::for_write(rng.bernoulli(0.5));
+                    holders.push((ClientId(rng.below(20) as u16), mode));
+                }
+                locations.push((object, holders));
+            }
+            let loads: Vec<(ClientId, usize, f64)> = (0..20)
+                .map(|c| (ClientId(c), rng.below_usize(4), 1.0))
+                .filter(|&(_, load, _)| load > 0)
+                .collect();
+            let (chosen, scored) = ClientSite::h2_choose(origin, &accesses, &locations, &loads);
+            let (want, want_scored) = two_pass_h2(origin, &accesses, &locations, &loads);
+            assert_eq!(chosen, want);
+            assert_eq!(scored.to_vec(), want_scored);
+            spilled += usize::from(scored.len() > 8);
+        }
+        assert!(spilled > 50, "only {spilled} cases passed eight candidates");
     }
 
     #[test]

@@ -559,16 +559,36 @@ impl ServerSite {
     // Collection windows and forward lists
     // ------------------------------------------------------------------
 
+    /// A collection window closed: serve its list if the object allows,
+    /// otherwise keep collecting for another window. The window manager
+    /// hears which, so the trace tells one episode per request.
     pub(crate) fn on_window_close(&mut self, cx: &mut Cx, object: ObjectId) {
-        let Some(list) = self.windows.close_at(object, cx.now) else {
+        let Some((list, episode)) = self.windows.close_at(object, cx.now) else {
             return;
         };
-        let still_busy = self.routing.contains(object) || self.callbacks.is_recalling(object);
-        if still_busy {
+        match self.serve_window(cx, object, list) {
+            Some(list) => {
+                if let Some(at) = self.windows.reoffer(list, episode, cx.now) {
+                    cx.queue.push(at, Ev::WindowClose { object });
+                }
+            }
+            None => self.windows.depart(episode, cx.now),
+        }
+    }
+
+    /// Serves a closed window's `list` — from the server's copy, down a
+    /// chain started by one recall, or by the plain path — or hands it back
+    /// when the object is not yet servable.
+    fn serve_window(
+        &mut self,
+        cx: &mut Cx,
+        object: ObjectId,
+        list: ForwardList,
+    ) -> Option<ForwardList> {
+        if self.routing.contains(object) || self.callbacks.is_recalling(object) {
             // The object is still travelling or being recalled for the
             // plain-path waiter: keep collecting until it comes home.
-            self.reoffer_window(cx, object, list);
-            return;
+            return Some(list);
         }
         if list.len() == 1 {
             // A window that collected only one request gains nothing from
@@ -583,7 +603,7 @@ impl ServerSite {
             };
             let conflicting = self.conflicting(object, e.client, e.mode);
             self.want_plain(cx, e.txn.as_u64(), e.client, w, conflicting);
-            return;
+            return None;
         }
         let el_holder = self
             .core
@@ -605,7 +625,7 @@ impl ServerSite {
                     self.routing.insert(object, list);
                     let grants = self.core.locks.release(object, holder);
                     debug_assert!(grants.is_empty(), "no queue behind a routed object");
-                    return;
+                    return None;
                 }
                 // The chain never started, so the holder keeps its lock —
                 // the table entry is what fences its cached exclusive from
@@ -624,7 +644,7 @@ impl ServerSite {
                 || list.entries().iter().all(|e| e.mode == LockMode::Shared) =>
             {
                 self.serve_list_from_server(cx, object, list);
-                return;
+                return None;
             }
             // An exclusive entry needs the shared copies called back first.
             None => {
@@ -633,15 +653,7 @@ impl ServerSite {
                 Self::recall(&mut self.callbacks, cx, object, exclusive, holders);
             }
         }
-        self.reoffer_window(cx, object, list);
-    }
-
-    /// Puts a closed window's entries back into a fresh collection window
-    /// (the object is not yet servable) and schedules its close.
-    fn reoffer_window(&mut self, cx: &mut Cx, object: ObjectId, list: ForwardList) {
-        if let Some(at) = self.windows.reoffer(list, cx.now) {
-            cx.queue.push(at, Ev::WindowClose { object });
-        }
+        Some(list)
     }
 
     /// Ships a forward list starting from the server's copy of the object.

@@ -13,7 +13,8 @@
 //! * [`ObsReport`] — the per-run summary (kind counts, latency / slack /
 //!   tardiness histograms, per-site timelines).
 //! * [`SpanKind`] / [`Event::Span`] — causal spans (admission, decision,
-//!   network, lock wait, window residency, disk, commit, retry, replay)
+//!   network, lock wait, window residency, object away, disk, commit,
+//!   retry, replay)
 //!   emitted when an interval ends; the payload carries the start.
 //! * [`blame`] — the critical-path extractor: per-transaction blame
 //!   vectors that sum *exactly* to end-to-end latency, aggregated into

@@ -32,6 +32,10 @@ pub enum SpanKind {
     /// Grouped-lock collection-window residency: a request parked in an
     /// open window waiting for the window to close into a forward list.
     Window,
+    /// Waiting for a routed or recalled object to come home: a request
+    /// whose window closed while the object was away, from that first close
+    /// until its forward list leaves the window manager.
+    ObjectAway,
     /// Disk and WAL I/O: server fetch batches, client cache-tier
     /// promotion, CE page reads.
     Disk,
@@ -50,12 +54,13 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in declaration (= ascending priority-agnostic) order.
-    pub const ALL: [SpanKind; 10] = [
+    pub const ALL: [SpanKind; 11] = [
         SpanKind::Admission,
         SpanKind::Decision,
         SpanKind::Net,
         SpanKind::LockWait,
         SpanKind::Window,
+        SpanKind::ObjectAway,
         SpanKind::Disk,
         SpanKind::Commit,
         SpanKind::Retry,
@@ -75,6 +80,7 @@ impl SpanKind {
             SpanKind::Net => "net",
             SpanKind::LockWait => "lock_wait",
             SpanKind::Window => "window",
+            SpanKind::ObjectAway => "object_away",
             SpanKind::Disk => "disk",
             SpanKind::Commit => "commit",
             SpanKind::Retry => "retry",
@@ -93,6 +99,7 @@ impl SpanKind {
             SpanKind::Net => "span_net",
             SpanKind::LockWait => "span_lock_wait",
             SpanKind::Window => "span_window",
+            SpanKind::ObjectAway => "span_object_away",
             SpanKind::Disk => "span_disk",
             SpanKind::Commit => "span_commit",
             SpanKind::Retry => "span_retry",
@@ -109,9 +116,10 @@ impl SpanKind {
     #[must_use]
     pub fn priority(self) -> u8 {
         match self {
-            SpanKind::Replay => 9,
-            SpanKind::Disk => 8,
-            SpanKind::Window => 7,
+            SpanKind::Replay => 10,
+            SpanKind::Disk => 9,
+            SpanKind::Window => 8,
+            SpanKind::ObjectAway => 7,
             SpanKind::Retry => 6,
             SpanKind::LockWait => 5,
             SpanKind::Commit => 4,
@@ -155,6 +163,10 @@ mod tests {
         let expected: Vec<u8> = (0..SpanKind::COUNT as u8).collect();
         assert_eq!(prios, expected);
         assert_eq!(SpanKind::Exec.priority(), 0);
-        assert_eq!(SpanKind::Replay.priority(), 9);
+        assert_eq!(SpanKind::Replay.priority(), 10);
+        assert_eq!(
+            SpanKind::ObjectAway.priority() + 1,
+            SpanKind::Window.priority()
+        );
     }
 }

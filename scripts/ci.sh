@@ -41,10 +41,13 @@ step_references() {
 
 # Whole CS, LS and CE runs at 100 clients and full duration inside their
 # allocations-per-transaction budgets (debug builds run 30 clients x 400 s),
-# and a judged run (traced 8 clients x 150 s plus check_trace) inside its own.
+# a judged run (traced 8 clients x 150 s plus check_trace) inside its own,
+# and a traced LS run at 100 clients inside the trace ring with at most two
+# window episodes a transaction.
 step_alloc-budget() {
   cargo test --release -q -p siteselect-core --test alloc_steady_state
   cargo test --release -q -p siteselect-check --test alloc_judged
+  cargo test --release -q -p siteselect-check --test trace_budget
 }
 
 # BENCHMARK.json's program is a workspace of its own that reaches the
