@@ -5,71 +5,34 @@
 //! cargo run -p siteselect-bench --release --bin repro -- figure3
 //! ```
 //!
-//! Targets: `table1`, `figure1`, `figure2`, `figure3`, `figure4`,
-//! `figure5`, `table2`, `table3`, `table4`, `ablations`, `faults`,
-//! `trace`, `blame`, `check`, `all`. One target per invocation; a flag
-//! outside the `FLAGS` table below, a second target, or a value flag
-//! without its value is a usage error, not something to skip over.
-//! `--help` / `-h` prints the targets and flags and exits 0.
-//! `--quick` shortens the simulated runs (coarser numbers, same shapes).
-//! `--clients N` overrides the Table 4 (or `faults` / `trace` / `check`)
-//! cluster size.
-//! `--jobs N` sets the sweep worker-thread count (absent = one per core;
-//! must be at least 1 when given); results are merged in cell order, so
-//! output is byte-identical at every job count.
-//! `faults` is not part of `all`: it sweeps the fault-injection subsystem
-//! (crash/loss/slow-disk chaos) rather than a paper figure, and follows up
-//! with the crash-restart table contrasting write-ahead-log recovery
-//! against permanently dark sites.
-//! `trace` runs one experiment with the event-tracing pipeline attached,
-//! judges the captured stream with the `siteselect-check` oracles, and
-//! writes `trace.jsonl` (one event per line) plus `trace.json` (Chrome
-//! `trace_event` format, loadable in chrome://tracing or Perfetto) to
-//! `--out DIR` (default `target/trace`). `--system ce|cs|ls`,
-//! `--update F`, `--chaos F` (with `--restart` for the server
-//! crash-restart profile), `--duration SECS`, `--warmup SECS` and
-//! `--seed S` select the run — the knobs a simcheck replay command passes.
-//! The files are byte-identical across runs at the same seed and options.
-//! `blame` is the deadline blame analyzer: one traced run per system cell
-//! (all three systems, or just `--system`), each reduced to a causal blame
-//! report — every transaction's end-to-end latency attributed microsecond-
-//! by-microsecond to the span on its critical path (admission, decision,
-//! network, lock wait, collection window, disk, commit, retry backoff,
-//! crash replay, or residual execution) — plus the `--top K` worst missed
-//! deadlines with their annotated critical paths. `--out FILE` (default
-//! `target/blame.json`) receives the machine-readable report. Cells fan
-//! out over `--jobs` threads and merge in cell order, so stdout and the
-//! JSON file are byte-identical at every job count and across runs at the
-//! same seed.
-//! `check` is the simcheck explorer: `--seeds N` randomized cases fanned
-//! across CE/CS/LS × update-rate × fault-profile cells (including server
-//! crash-restart cells), every run judged by the serializability,
-//! coherence, deadline-accounting and recovery oracles; a failing case is
-//! shrunk to a minimal reproducer. `--inject-violation
-//! serializability|coherence|deadline|recovery` instead feeds a known-bad
-//! synthetic history to the matching oracle and exits non-zero when (and
-//! only when) it fires — the self-test that proves the oracles are alive.
+//! One target per invocation (default `all`). `--help` prints the targets
+//! and the flags of [`FLAGS`]; a flag outside that table, a second target,
+//! or a value flag without its value is a usage error, not something to
+//! skip over. Every sweep is a list of cells that
+//! `siteselect_core::experiments::run_many` fans out over `--jobs` workers
+//! and merges in cell order, so output is byte-identical at every job
+//! count. `faults`, `trace`, `blame` and `check` are described on the
+//! functions that run them.
 
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::process::ExitCode;
 
-use siteselect_bench::repro_options;
-use siteselect_check::explore::{parse_system, ExploreOptions};
+use siteselect_check::explore::{parse_system, system_flag, CaseSpec, Cell, ExploreOptions};
 use siteselect_check::synthetic::InjectKind;
 use siteselect_core::experiments::{
-    cache_table, deadline_figure, fault_table, message_table, par_map, response_table,
-    restart_table, SweepOptions, FAULT_INTENSITIES, FIGURE_CLIENTS, RESTART_INTENSITIES,
-    TABLE_CLIENTS,
+    ablations, cache_table, deadline_figure, fault_table, message_table, par_map, response_table,
+    restart_table, SweepOptions, FIGURE_CLIENTS, TABLE_CLIENTS,
 };
-use siteselect_core::{run_experiment, run_experiment_traced};
-use siteselect_locks::protocol_costs;
+use siteselect_core::run_experiment_traced;
+use siteselect_locks::protocol_costs::{self, TraceMessage};
 use siteselect_obs::{BlameReport, MetricsRegistry, MetricsSnapshot};
-use siteselect_types::{ConfigError, ExperimentConfig, FaultConfig, SimDuration, SystemKind};
+use siteselect_types::{ConfigError, ExperimentConfig, SimDuration, SystemKind};
 
 /// Every flag `repro` knows: its name, the placeholder of the value that
 /// follows it (empty for a switch) and what it does. The one table behind
 /// telling targets from flag values, rejecting the rest, and `--help`.
+#[rustfmt::skip]
 const FLAGS: [(&str, &str, &str); 14] = [
     ("--quick", "", "shorter simulated runs (coarser numbers, same shapes)"),
     ("--restart", "", "trace/blame: add the server crash-restart profile (needs --chaos)"),
@@ -84,14 +47,11 @@ const FLAGS: [(&str, &str, &str); 14] = [
     ("--warmup", "SECS", "trace/blame/check: warm-up excluded from statistics"),
     ("--seeds", "N", "check: number of randomized cases"),
     ("--top", "K", "blame: worst missed deadlines to print"),
-    (
-        "--inject-violation",
-        "ORACLE",
-        "check: feed serializability|coherence|deadline|recovery a known-bad history",
-    ),
+    ("--inject-violation", "ORACLE", "check: feed serializability|coherence|deadline|recovery a known-bad history"),
 ];
 
 /// Every target, as the usage text and the unknown-target error list them.
+/// `all` runs the paper's, the ones before `faults`, in this order.
 const TARGETS: &str = "table1 figure1 figure2 figure3 figure4 figure5 table2 table3 table4 \
                        ablations faults trace blame check all";
 
@@ -157,81 +117,121 @@ where
         .map_err(|e| format!("invalid value for {flag}: {raw:?} ({e})"))
 }
 
-/// Flags the oracle-judged runs (`trace`, `check`) accept on top of the
-/// shared `--clients` / `--seed` / `--jobs` ones.
-struct CheckFlags {
+/// Strictly parses a count flag: present and zero is an error too.
+fn count_flag<T>(args: &[String], flag: &str, hint: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr + From<u8> + PartialEq,
+    T::Err: std::fmt::Display,
+{
+    let value = parsed_flag::<T>(args, flag)?;
+    if value == Some(T::from(0)) {
+        return Err(format!("{flag} must be at least 1{hint}"));
+    }
+    Ok(value)
+}
+
+/// Strictly parses a float flag that must lie in `0..=max`.
+fn ranged_flag(args: &[String], flag: &str, max: f64, what: &str) -> Result<Option<f64>, String> {
+    let value = parsed_flag::<f64>(args, flag)?;
+    match value {
+        Some(v) if !(0.0..=max).contains(&v) => Err(format!("{flag} must be {what}, got {v}")),
+        _ => Ok(value),
+    }
+}
+
+/// Every flag value on the command line, each checked as it is parsed.
+struct Flags {
+    /// Paper-scale or `--quick` runs over `--jobs` workers.
+    sweep: SweepOptions,
+    restart: bool,
+    clients: Option<u16>,
+    seed: Option<u64>,
+    out: Option<String>,
     system: Option<SystemKind>,
     update: Option<f64>,
     chaos: Option<f64>,
-    restart: bool,
     duration: Option<u64>,
     warmup: Option<u64>,
     seeds: Option<u64>,
+    top: Option<usize>,
     inject: Option<InjectKind>,
 }
 
-fn parse_check_flags(args: &[String]) -> Result<CheckFlags, String> {
-    let system = match flag_value(args, "--system") {
-        None => None,
-        Some(raw) => Some(
-            parse_system(raw).ok_or_else(|| format!("invalid value for --system: {raw:?} (expected ce, cs or ls)"))?,
-        ),
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    let preset = if args.iter().any(|a| a == "--quick") {
+        SweepOptions::quick()
+    } else {
+        SweepOptions::paper()
     };
-    let update = parsed_flag::<f64>(args, "--update")?;
-    if let Some(u) = update {
-        if !(0.0..=1.0).contains(&u) {
-            return Err(format!("--update must be a fraction in [0, 1], got {u}"));
-        }
-    }
-    let chaos = parsed_flag::<f64>(args, "--chaos")?;
-    if let Some(c) = chaos {
-        if !(0.0..=16.0).contains(&c) {
-            return Err(format!("--chaos must be a non-negative intensity, got {c}"));
-        }
-    }
-    let restart = args.iter().any(|a| a == "--restart");
-    if restart && chaos.unwrap_or(0.0) <= 0.0 {
+    let flags = Flags {
+        clients: count_flag(args, "--clients", "")?,
+        seed: parsed_flag(args, "--seed")?,
+        sweep: SweepOptions {
+            jobs: count_flag(args, "--jobs", "; omit the flag to use one worker per core")?
+                .unwrap_or(0),
+            ..preset
+        },
+        system: flag_value(args, "--system")
+            .map(|raw| {
+                parse_system(raw).ok_or_else(|| {
+                    format!("invalid value for --system: {raw:?} (expected ce, cs or ls)")
+                })
+            })
+            .transpose()?,
+        update: ranged_flag(args, "--update", 1.0, "a fraction in [0, 1]")?,
+        chaos: ranged_flag(args, "--chaos", 16.0, "a non-negative intensity")?,
+        restart: args.iter().any(|a| a == "--restart"),
+        duration: count_flag(args, "--duration", " second")?,
+        warmup: parsed_flag(args, "--warmup")?,
+        seeds: count_flag(args, "--seeds", "")?,
+        inject: flag_value(args, "--inject-violation")
+            .map(|raw| {
+                InjectKind::parse(raw).ok_or_else(|| {
+                    format!(
+                        "invalid value for --inject-violation: {raw:?} (expected \
+                         serializability, coherence, deadline or recovery)"
+                    )
+                })
+            })
+            .transpose()?,
+        top: count_flag(args, "--top", "")?,
+        out: flag_value(args, "--out").map(String::from),
+    };
+    if flags.restart && flags.chaos.unwrap_or(0.0) <= 0.0 {
         return Err(
             "--restart needs --chaos above 0 (the server crash-restart profile scales with \
              chaos intensity)"
                 .into(),
         );
     }
-    let duration = parsed_flag::<u64>(args, "--duration")?;
-    if duration == Some(0) {
-        return Err("--duration must be at least 1 second".into());
-    }
-    let warmup = parsed_flag::<u64>(args, "--warmup")?;
-    if let (Some(d), Some(w)) = (duration, warmup) {
+    if let (Some(d), Some(w)) = (flags.duration, flags.warmup) {
         if w >= d {
-            return Err(format!("--warmup ({w}s) must be shorter than --duration ({d}s)"));
+            return Err(format!(
+                "--warmup ({w}s) must be shorter than --duration ({d}s)"
+            ));
         }
     }
-    let seeds = parsed_flag::<u64>(args, "--seeds")?;
-    if seeds == Some(0) {
-        return Err("--seeds must be at least 1".into());
-    }
-    let inject = match flag_value(args, "--inject-violation") {
-        None => None,
-        Some(raw) => Some(InjectKind::parse(raw).ok_or_else(|| {
-            format!("invalid value for --inject-violation: {raw:?} (expected serializability, coherence, deadline or recovery)")
-        })?),
-    };
-    Ok(CheckFlags {
-        system,
-        update,
-        chaos,
-        restart,
-        duration,
-        warmup,
-        seeds,
-        inject,
-    })
+    Ok(flags)
 }
 
-fn usage_error(message: &str) -> ExitCode {
-    eprintln!("repro: {message}");
-    ExitCode::FAILURE
+impl Flags {
+    /// The one run `trace` and `blame` describe: the flags over LS at 20
+    /// clients, 20% updates and no chaos, with the sweep's run length and
+    /// seed.
+    fn case(&self, opts: SweepOptions) -> CaseSpec {
+        CaseSpec {
+            cell: Cell {
+                system: self.system.unwrap_or(SystemKind::LoadSharing),
+                update_fraction: self.update.unwrap_or(0.20),
+                chaos_intensity: self.chaos.unwrap_or(0.0),
+                restart: self.restart,
+            },
+            seed: self.seed.unwrap_or(opts.seed),
+            clients: self.clients.unwrap_or(20),
+            duration: self.duration.map_or(opts.duration, SimDuration::from_secs),
+            warmup: self.warmup.map_or(opts.warmup, SimDuration::from_secs),
+        }
+    }
 }
 
 fn main() -> ExitCode {
@@ -240,81 +240,19 @@ fn main() -> ExitCode {
         print!("{}", usage());
         return ExitCode::SUCCESS;
     }
-    let target = match parse_target(&args) {
+    let (target, flags) = match parse_target(&args).and_then(|t| Ok((t, parse_flags(&args)?))) {
         Ok(v) => v,
-        Err(e) => return usage_error(&e),
-    };
-    let quick = args.iter().any(|a| a == "--quick");
-    let clients_override = match parsed_flag::<u16>(&args, "--clients") {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e),
-    };
-    if clients_override == Some(0) {
-        return usage_error("--clients must be at least 1");
-    }
-    let seed_override = match parsed_flag::<u64>(&args, "--seed") {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e),
-    };
-    let jobs = match parsed_flag::<usize>(&args, "--jobs") {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e),
-    };
-    if jobs == Some(0) {
-        return usage_error("--jobs must be at least 1; omit the flag to use one worker per core");
-    }
-    let check_flags = match parse_check_flags(&args) {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e),
-    };
-    let top = match parsed_flag::<usize>(&args, "--top") {
-        Ok(v) => v,
-        Err(e) => return usage_error(&e),
-    };
-    if top == Some(0) {
-        return usage_error("--top must be at least 1");
-    }
-    let out_dir = flag_value(&args, "--out").unwrap_or("target/trace");
-    let mut opts = repro_options(quick);
-    opts.jobs = jobs.unwrap_or(0);
-
-    let result = match target {
-        "table1" => table1(),
-        "figure1" => figure1(),
-        "figure2" => figure2(),
-        "figure3" => figure(0.01, opts),
-        "figure4" => figure(0.05, opts),
-        "figure5" => figure(0.20, opts),
-        "table2" => table2(opts),
-        "table3" => table3(opts),
-        "table4" => table4(opts, clients_override.unwrap_or(100)),
-        "ablations" => ablations(opts),
-        "faults" => faults(opts, clients_override.unwrap_or(60)),
-        "trace" => trace(
-            opts,
-            clients_override.unwrap_or(20),
-            seed_override,
-            out_dir,
-            &check_flags,
-        ),
-        "blame" => blame(
-            opts,
-            clients_override.unwrap_or(20),
-            seed_override,
-            flag_value(&args, "--out").unwrap_or("target/blame.json"),
-            jobs.unwrap_or(0),
-            top.unwrap_or(5),
-            &check_flags,
-        ),
-        "check" => check(opts, clients_override, seed_override, &check_flags),
-        "all" => all(opts, clients_override.unwrap_or(100)),
-        other => {
-            eprintln!("unknown target: {other}");
-            eprintln!("targets: {TARGETS}");
+        Err(e) => {
+            eprintln!("repro: {e}");
             return ExitCode::FAILURE;
         }
     };
-    match result {
+    if !TARGETS.split_whitespace().any(|t| t == target) {
+        eprintln!("unknown target: {target}");
+        eprintln!("targets: {TARGETS}");
+        return ExitCode::FAILURE;
+    }
+    match run(target, &flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("repro failed: {e}");
@@ -325,202 +263,162 @@ fn main() -> ExitCode {
 
 type AnyError = Box<dyn std::error::Error>;
 
+/// Runs one target of [`TARGETS`].
+fn run(target: &str, flags: &Flags) -> Result<(), AnyError> {
+    let opts = flags.sweep;
+    match target {
+        "table1" => section("Table 1: experimental parameters (active preset)", || {
+            Ok(table1())
+        }),
+        "figure1" => section("Figure 1: the 2PL (callback caching) protocol", || {
+            Ok(protocol(&protocol_costs::figure1_trace()))
+        }),
+        "figure2" => section("Figure 2: the lock grouping protocol", || {
+            Ok(protocol(&protocol_costs::figure2_trace()))
+        }),
+        "figure3" => figure(3, 0.01, opts),
+        "figure4" => figure(4, 0.05, opts),
+        "figure5" => figure(5, 0.20, opts),
+        "table2" => section("Table 2: average client cache hit rates", || {
+            cache_table(&TABLE_CLIENTS, opts)
+        }),
+        "table3" => section(
+            "Table 3: average object response times (1% updates)",
+            || response_table(&TABLE_CLIENTS, opts),
+        ),
+        "table4" => {
+            let n = flags.clients.unwrap_or(100);
+            section(
+                &format!("Table 4: messages passed ({n} clients, 1% updates)"),
+                || message_table(n, opts),
+            )
+        }
+        // Each LS feature switched off individually at the most contended
+        // point (100 clients, 20% updates).
+        "ablations" => section(
+            "Ablations: LS-CS-RTDBS feature knockouts (100 clients, 20% updates)",
+            || ablations(opts),
+        ),
+        "faults" => faults(opts, flags.clients.unwrap_or(60)),
+        "trace" => trace(
+            flags.case(opts),
+            flags.out.as_deref().unwrap_or("target/trace"),
+        ),
+        "blame" => blame(flags, opts),
+        "check" => check(flags, opts),
+        // `all`: `main` has checked the target against TARGETS.
+        _ => TARGETS
+            .split_whitespace()
+            .take_while(|&t| t != "faults")
+            .try_for_each(|target| run(target, flags)),
+    }
+}
+
 fn banner(title: &str) {
     println!("\n=== {title} ===\n");
 }
 
-// Infallible today, but every arm of the command dispatch returns the
-// same `Result<(), AnyError>` shape.
-#[allow(clippy::unnecessary_wraps)]
-fn table1() -> Result<(), AnyError> {
-    banner("Table 1: experimental parameters (active preset)");
-    let cfg = ExperimentConfig::paper(SystemKind::ClientServer, 100, 0.05);
-    println!("Database size                     {} objects", cfg.database.num_objects);
-    println!("Object / page size                {} bytes", cfg.database.object_size_bytes);
-    let ce = ExperimentConfig::paper(SystemKind::Centralized, 100, 0.05);
-    println!("Centralized server memory         {} objects", ce.server.buffer_objects);
-    println!("CS server memory                  {} objects", cfg.server.buffer_objects);
-    println!("Client disk cache                 {} objects", cfg.client.disk_cache_objects);
-    println!("Client memory cache               {} objects", cfg.client.memory_cache_objects);
-    println!(
-        "Mean txn inter-arrival (Poisson)  {}",
-        cfg.workload.mean_interarrival
-    );
-    println!("Mean txn length (exponential)     {}", cfg.workload.mean_length);
-    println!("Mean txn deadline (exponential)   {:?}", cfg.workload.deadline);
-    println!("Updates                           1%, 5%, 20% (per access)");
-    println!(
-        "Mean objects per transaction      {}",
-        cfg.workload.mean_objects_per_txn
-    );
-    println!(
-        "CPU calibration                   txn_cpu_fraction = {} (see DESIGN.md)",
-        cfg.cpu.txn_cpu_fraction
-    );
-    Ok(())
-}
-
-// Infallible today, but every arm of the command dispatch returns the
-// same `Result<(), AnyError>` shape.
-#[allow(clippy::unnecessary_wraps)]
-fn figure1() -> Result<(), AnyError> {
-    banner("Figure 1: the 2PL (callback caching) protocol");
-    let trace = protocol_costs::figure1_trace();
-    print!("{}", protocol_costs::render_trace(&trace));
-    println!("total: {} messages", trace.len());
-    Ok(())
-}
-
-// Infallible today, but every arm of the command dispatch returns the
-// same `Result<(), AnyError>` shape.
-#[allow(clippy::unnecessary_wraps)]
-fn figure2() -> Result<(), AnyError> {
-    banner("Figure 2: the lock grouping protocol");
-    let trace = protocol_costs::figure2_trace();
-    print!("{}", protocol_costs::render_trace(&trace));
-    println!("total: {} messages", trace.len());
-    Ok(())
-}
-
-fn figure(update_fraction: f64, opts: SweepOptions) -> Result<(), AnyError> {
-    let fig_no = match update_fraction {
-        x if x < 0.02 => 3,
-        x if x < 0.10 => 4,
-        _ => 5,
-    };
-    banner(&format!(
-        "Figure {fig_no}: transactions completed within deadline ({}% updates)",
-        update_fraction * 100.0
-    ));
-    let f = deadline_figure(update_fraction, &FIGURE_CLIENTS, opts)?;
-    print!("{}", f.render());
-    Ok(())
-}
-
-fn table2(opts: SweepOptions) -> Result<(), AnyError> {
-    banner("Table 2: average client cache hit rates");
-    let t = cache_table(&TABLE_CLIENTS, opts)?;
-    print!("{}", t.render());
-    Ok(())
-}
-
-fn table3(opts: SweepOptions) -> Result<(), AnyError> {
-    banner("Table 3: average object response times (1% updates)");
-    let t = response_table(&TABLE_CLIENTS, opts)?;
-    print!("{}", t.render());
-    Ok(())
-}
-
-fn table4(opts: SweepOptions, clients: u16) -> Result<(), AnyError> {
-    banner(&format!(
-        "Table 4: messages passed ({clients} clients, 1% updates)"
-    ));
-    let t = message_table(clients, opts)?;
-    print!("{}", t.render());
-    Ok(())
-}
-
-/// Ablations of the design choices DESIGN.md calls out: each LS feature
-/// switched off individually at the most contended point (100 clients, 20%
-/// updates).
-fn ablations(opts: SweepOptions) -> Result<(), AnyError> {
-    banner("Ablations: LS-CS-RTDBS feature knockouts (100 clients, 20% updates)");
-    let base = |label: &str, f: &dyn Fn(&mut ExperimentConfig)| -> Result<(), AnyError> {
-        let mut cfg = ExperimentConfig::paper(SystemKind::LoadSharing, 100, 0.20);
-        cfg.runtime.duration = opts.duration;
-        cfg.runtime.warmup = opts.warmup;
-        cfg.runtime.seed = opts.seed;
-        f(&mut cfg);
-        let m = run_experiment(&cfg)?;
-        println!(
-            "{label:<34} success {:>6.2}%  shipped {:>6}  decomposed {:>5}  forwards {:>6}",
-            m.success_percent(),
-            m.load_sharing.shipped,
-            m.load_sharing.decomposed,
-            m.load_sharing.forward_satisfied
-        );
-        Ok(())
-    };
-    base("full LS", &|_| {})?;
-    base("no H1 (admission)", &|c| c.load_sharing.h1_enabled = false)?;
-    base("no H2 (site selection)", &|c| c.load_sharing.h2_enabled = false)?;
-    base("no decomposition", &|c| {
-        c.load_sharing.decomposition_enabled = false;
-    })?;
-    base("no forward lists", &|c| {
-        c.load_sharing.forward_lists_enabled = false;
-    })?;
-    base("no request scheduling", &|c| {
-        c.load_sharing.request_scheduling_enabled = false;
-    })?;
-    base("no directory server", &|c| {
-        c.load_sharing.directory_enabled = false;
-    })?;
-    base("switched LAN", &|c| {
-        c.network.kind = siteselect_types::LanKind::Switched;
-    })?;
-    base("collection window 10 ms", &|c| {
-        c.load_sharing.collection_window = siteselect_types::SimDuration::from_millis(10);
-    })?;
-    base("collection window 500 ms", &|c| {
-        c.load_sharing.collection_window = siteselect_types::SimDuration::from_millis(500);
-    })?;
-    Ok(())
-}
-
-/// Graceful-degradation sweep of the fault-injection subsystem: CS vs LS
-/// deadline success as `FaultConfig::chaos` intensity rises, followed by
-/// the crash-restart cells contrasting write-ahead-log recovery against
-/// permanently dark sites. Kept out of `all` so the paper reproduction
-/// stays byte-stable.
-fn faults(opts: SweepOptions, clients: u16) -> Result<(), AnyError> {
-    banner(&format!(
-        "Faults: deadline success under chaos ({clients} clients, 20% updates)"
-    ));
-    let t = fault_table(clients, &FAULT_INTENSITIES, opts)?;
-    print!("{}", t.render());
-    banner(&format!(
-        "Faults: crash-restart recovery vs cliff ({clients} clients, 20% updates)"
-    ));
-    let r = restart_table(clients, &RESTART_INTENSITIES, opts)?;
-    print!("{}", r.render());
-    Ok(())
-}
-
-/// One traced run: emits the full event stream as JSONL and Chrome
-/// `trace_event` JSON, prints the streaming observability report, and
-/// judges the captured stream with the `siteselect-check` oracles — so the
-/// replay command simcheck prints reproduces the violation it found.
-/// Deterministic: same seed and options give byte-identical files.
-fn trace(
-    opts: SweepOptions,
-    clients: u16,
-    seed: Option<u64>,
-    out_dir: &str,
-    flags: &CheckFlags,
+/// Prints a target's banner, then the text `body` renders.
+fn section(
+    title: &str,
+    body: impl FnOnce() -> Result<String, ConfigError>,
 ) -> Result<(), AnyError> {
-    let seed = seed.unwrap_or(opts.seed);
-    let system = flags.system.unwrap_or(SystemKind::LoadSharing);
-    let update = flags.update.unwrap_or(0.20);
-    let chaos = flags.chaos.unwrap_or(0.0);
-    let restart = if flags.restart { " restart" } else { "" };
+    banner(title);
+    print!("{}", body()?);
+    Ok(())
+}
+
+/// Table 1: the parameters of the active preset.
+fn table1() -> String {
+    let cs = ExperimentConfig::paper(SystemKind::ClientServer, 100, 0.05);
+    let ce = ExperimentConfig::paper(SystemKind::Centralized, 100, 0.05);
+    format!(
+        "Database size                     {} objects\n\
+         Object / page size                {} bytes\n\
+         Centralized server memory         {} objects\n\
+         CS server memory                  {} objects\n\
+         Client disk cache                 {} objects\n\
+         Client memory cache               {} objects\n\
+         Mean txn inter-arrival (Poisson)  {}\n\
+         Mean txn length (exponential)     {}\n\
+         Mean txn deadline (exponential)   {:?}\n\
+         Updates                           1%, 5%, 20% (per access)\n\
+         Mean objects per transaction      {}\n\
+         CPU calibration                   txn_cpu_fraction = {} (see DESIGN.md)\n",
+        cs.database.num_objects,
+        cs.database.object_size_bytes,
+        ce.server.buffer_objects,
+        cs.server.buffer_objects,
+        cs.client.disk_cache_objects,
+        cs.client.memory_cache_objects,
+        cs.workload.mean_interarrival,
+        cs.workload.mean_length,
+        cs.workload.deadline,
+        cs.workload.mean_objects_per_txn,
+        cs.cpu.txn_cpu_fraction,
+    )
+}
+
+/// Figures 1 and 2: a protocol's message trace and its message count.
+fn protocol(trace: &[TraceMessage]) -> String {
+    format!(
+        "{}total: {} messages\n",
+        protocol_costs::render_trace(trace),
+        trace.len()
+    )
+}
+
+/// Figures 3, 4 and 5: deadline success of the three systems.
+fn figure(number: u8, update_fraction: f64, opts: SweepOptions) -> Result<(), AnyError> {
+    section(
+        &format!(
+            "Figure {number}: transactions completed within deadline ({}% updates)",
+            update_fraction * 100.0
+        ),
+        || Ok(deadline_figure(update_fraction, &FIGURE_CLIENTS, opts)?.render()),
+    )
+}
+
+/// [`fault_table`] then [`restart_table`]. Kept out of `all`: it sweeps
+/// the fault-injection subsystem, not a paper figure.
+fn faults(opts: SweepOptions, clients: u16) -> Result<(), AnyError> {
+    section(
+        &format!("Faults: deadline success under chaos ({clients} clients, 20% updates)"),
+        || fault_table(clients, opts),
+    )?;
+    section(
+        &format!("Faults: crash-restart recovery vs cliff ({clients} clients, 20% updates)"),
+        || restart_table(clients, opts),
+    )
+}
+
+/// `(N clients, U% updates, chaos C[ restart], seed S)`: the run a trace or
+/// blame banner names.
+fn run_label(case: &CaseSpec) -> String {
+    format!(
+        "({} clients, {}% updates, chaos {}{}, seed {})",
+        case.clients,
+        case.cell.update_fraction * 100.0,
+        case.cell.chaos_intensity,
+        if case.cell.restart { " restart" } else { "" },
+        case.seed
+    )
+}
+
+/// One traced run: writes the full event stream to `trace.jsonl` (one
+/// event per line) and `trace.json` (Chrome `trace_event` format, for
+/// chrome://tracing or Perfetto) in `--out` (default `target/trace`),
+/// prints the streaming observability report, and judges the captured
+/// stream with the `siteselect-check` oracles — so the replay command
+/// simcheck prints reproduces the violation it found. Deterministic: same
+/// seed and options give byte-identical files.
+fn trace(case: CaseSpec, out_dir: &str) -> Result<(), AnyError> {
     banner(&format!(
-        "Trace: {system} lifecycle trace ({clients} clients, {}% updates, chaos {chaos}{restart}, seed {seed})",
-        update * 100.0
+        "Trace: {} lifecycle trace {}",
+        case.cell.system,
+        run_label(&case)
     ));
-    let mut cfg = ExperimentConfig::paper(system, clients, update);
-    cfg.runtime.duration = flags
-        .duration
-        .map_or(opts.duration, SimDuration::from_secs);
-    cfg.runtime.warmup = flags.warmup.map_or(opts.warmup, SimDuration::from_secs);
-    cfg.runtime.seed = seed;
-    if chaos > 0.0 {
-        cfg.faults = if flags.restart {
-            FaultConfig::chaos_restart(chaos)
-        } else {
-            FaultConfig::chaos(chaos)
-        };
-    }
+    let cfg = case.config();
     let (metrics, trace) = run_experiment_traced(&cfg, siteselect_check::TRACE_CAPACITY)?;
     std::fs::create_dir_all(out_dir)?;
     let jsonl_path = format!("{out_dir}/trace.jsonl");
@@ -546,17 +444,14 @@ fn trace(
         metrics.measured,
         metrics.success_percent()
     );
-    println!("wrote {jsonl_path} ({} records) and {chrome_path}", trace.records.len());
+    println!(
+        "wrote {jsonl_path} ({} records) and {chrome_path}",
+        trace.records.len()
+    );
     let warmup_end = siteselect_types::SimTime::ZERO + cfg.runtime.warmup;
-    match siteselect_check::check_trace(&trace, &metrics, warmup_end) {
-        Ok(()) => {
-            println!(
-                "oracles: serializability, coherence, deadline accounting and recovery all passed"
-            );
-            Ok(())
-        }
-        Err(v) => Err(v.to_string().into()),
-    }
+    siteselect_check::check_trace(&trace, &metrics, warmup_end).map_err(|v| v.to_string())?;
+    println!("oracles: serializability, coherence, deadline accounting and recovery all passed");
+    Ok(())
 }
 
 /// One blame cell: a traced run reduced to its blame report plus the
@@ -581,70 +476,51 @@ fn blame_cell(cfg: &ExperimentConfig, top: usize) -> Result<BlameCell, ConfigErr
     })
 }
 
-/// Short cell label for the machine-readable report.
-fn system_slug(system: SystemKind) -> &'static str {
-    match system {
-        SystemKind::Centralized => "ce",
-        SystemKind::ClientServer => "cs",
-        SystemKind::LoadSharing => "ls",
-    }
-}
-
 /// The deadline blame analyzer (`repro blame`): one traced run per system
 /// cell, each reduced to a causal blame report — every transaction's
 /// latency attributed microsecond-by-microsecond to the cause on its
 /// critical path — plus the top-K worst missed deadlines with annotated
-/// paths. Cells fan out over `jobs` scoped threads and merge in cell
-/// order, so stdout and the `--out` JSON are byte-identical at every job
-/// count and across runs at the same seed.
-fn blame(
-    opts: SweepOptions,
-    clients: u16,
-    seed: Option<u64>,
-    out: &str,
-    jobs: usize,
-    top: usize,
-    flags: &CheckFlags,
-) -> Result<(), AnyError> {
+/// paths. Cells fan out over `--jobs` scoped threads and merge in cell
+/// order, so stdout and the `--out` JSON (default `target/blame.json`) are
+/// byte-identical at every job count and across runs at the same seed.
+fn blame(flags: &Flags, opts: SweepOptions) -> Result<(), AnyError> {
     use std::fmt::Write as _;
-    let seed = seed.unwrap_or(opts.seed);
-    let update = flags.update.unwrap_or(0.20);
-    let chaos = flags.chaos.unwrap_or(0.0);
-    let restart = if flags.restart { " restart" } else { "" };
-    let systems: Vec<SystemKind> = flags
+    let case = flags.case(opts);
+    let out = flags.out.as_deref().unwrap_or("target/blame.json");
+    let top = flags.top.unwrap_or(5);
+    let systems = flags
         .system
-        .map_or_else(|| SystemKind::ALL.to_vec(), |s| vec![s]);
+        .as_ref()
+        .map_or(&SystemKind::ALL[..], std::slice::from_ref);
     banner(&format!(
-        "Blame: where the deadline went ({clients} clients, {}% updates, chaos {chaos}{restart}, seed {seed})",
-        update * 100.0
+        "Blame: where the deadline went {}",
+        run_label(&case)
     ));
-    let cfgs: Vec<ExperimentConfig> = systems
+    let cases: Vec<CaseSpec> = systems
         .iter()
-        .map(|&system| {
-            let mut cfg = ExperimentConfig::paper(system, clients, update);
-            cfg.runtime.duration = flags
-                .duration
-                .map_or(opts.duration, SimDuration::from_secs);
-            cfg.runtime.warmup = flags.warmup.map_or(opts.warmup, SimDuration::from_secs);
-            cfg.runtime.seed = seed;
-            if chaos > 0.0 {
-                cfg.faults = if flags.restart {
-                    FaultConfig::chaos_restart(chaos)
-                } else {
-                    FaultConfig::chaos(chaos)
-                };
-            }
-            cfg
+        .map(|&system| CaseSpec {
+            cell: Cell {
+                system,
+                ..case.cell
+            },
+            ..case
         })
         .collect();
-    let cells = par_map(jobs, &cfgs, |cfg| u64::from(cfg.clients), |cfg| {
-        blame_cell(cfg, top)
-    });
+    let cells = par_map(
+        opts.jobs,
+        &cases,
+        |c| u64::from(c.clients),
+        |c| blame_cell(&c.config(), top),
+    );
     let mut json = String::with_capacity(1 << 14);
     let _ = write!(
         json,
-        r#"{{"seed":{seed},"clients":{clients},"update":{update},"chaos":{chaos},"restart":{},"cells":["#,
-        flags.restart
+        r#"{{"seed":{},"clients":{},"update":{},"chaos":{},"restart":{},"cells":["#,
+        case.seed,
+        case.clients,
+        case.cell.update_fraction,
+        case.cell.chaos_intensity,
+        case.cell.restart
     );
     let mut merged = MetricsSnapshot::default();
     for (i, (system, cell)) in systems.iter().zip(cells).enumerate() {
@@ -672,16 +548,14 @@ fn blame(
         if i > 0 {
             json.push(',');
         }
-        let _ = write!(json, r#"{{"system":"{}","report":"#, system_slug(*system));
+        let _ = write!(json, r#"{{"system":"{}","report":"#, system_flag(*system));
         json.push_str(cell.report.to_json().trim_end());
         json.push('}');
         merged.merge(&cell.metrics);
     }
     json.push_str("]}\n");
     if let Some(dir) = std::path::Path::new(out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
+        std::fs::create_dir_all(dir)?;
     }
     std::fs::write(out, &json)?;
     println!("pipeline counters:");
@@ -696,14 +570,12 @@ fn blame(
 /// shrunk to a minimal reproducer. With `--inject-violation`, instead
 /// feeds a known-bad synthetic history to the matching oracle and fails
 /// when it fires (proving it can).
-fn check(
-    opts: SweepOptions,
-    clients: Option<u16>,
-    base_seed: Option<u64>,
-    flags: &CheckFlags,
-) -> Result<(), AnyError> {
+fn check(flags: &Flags, opts: SweepOptions) -> Result<(), AnyError> {
     if let Some(kind) = flags.inject {
-        banner(&format!("Simcheck self-test: injected {} violation", kind.label()));
+        banner(&format!(
+            "Simcheck self-test: injected {} violation",
+            kind.label()
+        ));
         let v = siteselect_check::synthetic::prove_oracle_fires(kind)?.with_replay(format!(
             "cargo run -p siteselect-bench --release --bin repro -- check --inject-violation {}",
             kind.label()
@@ -715,8 +587,8 @@ fn check(
     let explore_opts = ExploreOptions {
         seeds: flags.seeds.unwrap_or(defaults.seeds),
         jobs: opts.jobs,
-        base_seed: base_seed.unwrap_or(defaults.base_seed),
-        clients: clients.unwrap_or(defaults.clients),
+        base_seed: flags.seed.unwrap_or(defaults.base_seed),
+        clients: flags.clients.unwrap_or(defaults.clients),
         duration: flags
             .duration
             .map_or(defaults.duration, SimDuration::from_secs),
@@ -735,16 +607,39 @@ fn check(
     }
 }
 
-fn all(opts: SweepOptions, table4_clients: u16) -> Result<(), AnyError> {
-    table1()?;
-    figure1()?;
-    figure2()?;
-    figure(0.01, opts)?;
-    figure(0.05, opts)?;
-    figure(0.20, opts)?;
-    table2(opts)?;
-    table3(opts)?;
-    table4(opts, table4_clients)?;
-    ablations(opts)?;
-    Ok(())
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use siteselect_check::explore::matrix;
+
+    /// `repro`'s own reading of a replay command: its target and the run
+    /// its flags describe.
+    fn replay(cmd: &str) -> Result<(String, CaseSpec), String> {
+        let (_, args) = cmd.split_once(" -- ").ok_or("no ` -- ` in the command")?;
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        let target = parse_target(&args)?.to_owned();
+        Ok((target, parse_flags(&args)?.case(SweepOptions::paper())))
+    }
+
+    #[test]
+    fn replay_commands_rebuild_the_case_they_name() {
+        for cell in matrix() {
+            for (seed, clients, duration) in
+                [(1, 8, 150), (0x51AC_0C43 + 17, 30, 151), (u64::MAX, 1, 75)]
+            {
+                let case = CaseSpec {
+                    cell,
+                    seed,
+                    clients,
+                    duration: SimDuration::from_secs(duration),
+                    warmup: SimDuration::from_secs(30),
+                };
+                let cmd = case.replay_command();
+                let (target, replayed) = replay(&cmd).unwrap_or_else(|e| panic!("{cmd}: {e}"));
+                assert_eq!(target, "trace", "{cmd}");
+                assert_eq!(replayed, case, "{cmd}");
+                assert_eq!(replayed.config(), case.config(), "{cmd}");
+            }
+        }
+    }
 }

@@ -1,17 +1,27 @@
-//! Seed sensitivity of the Figure 5 headline point (100 clients, 20%).
-use siteselect_core::run_experiment;
-use siteselect_types::{ExperimentConfig, SimDuration, SystemKind};
-fn main() {
-    for seed in [1u64, 2, 3] {
+//! Seed sensitivity of the Figure 5 headline point (100 clients, 20%
+//! updates): CS and LS at paper scale for seeds 1–3, one `run_many` call
+//! with one worker per core. `scripts/ci.sh seedcheck` diffs the output
+//! against `results/seedcheck.txt`.
+
+use siteselect_core::experiments::{run_many, SweepOptions};
+use siteselect_types::{ConfigError, SystemKind};
+
+const SEEDS: [u64; 3] = [1, 2, 3];
+const SYSTEMS: [SystemKind; 2] = [SystemKind::ClientServer, SystemKind::LoadSharing];
+
+fn main() -> Result<(), ConfigError> {
+    let paper = SweepOptions::paper();
+    let cfgs: Vec<_> = SEEDS
+        .iter()
+        .flat_map(|&seed| SYSTEMS.map(|system| paper.cell(system, 100, 0.20).with_seed(seed)))
+        .collect();
+    let metrics = run_many(0, &cfgs)?;
+    for (seed, runs) in SEEDS.iter().zip(metrics.chunks_exact(SYSTEMS.len())) {
         let mut line = format!("seed {seed}:");
-        for sys in [SystemKind::ClientServer, SystemKind::LoadSharing] {
-            let mut cfg = ExperimentConfig::paper(sys, 100, 0.20);
-            cfg.runtime.duration = SimDuration::from_secs(2000);
-            cfg.runtime.warmup = SimDuration::from_secs(200);
-            cfg.runtime.seed = seed;
-            let m = run_experiment(&cfg).unwrap();
-            line += &format!("  {} {:.2}%", sys.label(), m.success_percent());
+        for (system, m) in SYSTEMS.iter().zip(runs) {
+            line += &format!("  {} {:.2}%", system.label(), m.success_percent());
         }
         println!("{line}");
     }
+    Ok(())
 }

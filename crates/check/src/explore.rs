@@ -9,6 +9,8 @@
 //! byte-for-byte regardless of worker count, and every reported failure
 //! carries a replayable `repro trace` command.
 
+use std::fmt;
+
 use siteselect_core::experiments::par_map;
 use siteselect_core::RunMetrics;
 use siteselect_types::{ExperimentConfig, FaultConfig, SimDuration, SystemKind};
@@ -134,6 +136,24 @@ impl CaseSpec {
     }
 }
 
+/// `SYS N clients seed S update U chaos C[ restart] duration Ds`: the case
+/// as the explorer's report names it.
+impl fmt::Display for CaseSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} {} clients seed {} update {} chaos {}{} duration {}s",
+            system_flag(self.cell.system),
+            self.clients,
+            self.seed,
+            self.cell.update_fraction,
+            self.cell.chaos_intensity,
+            if self.cell.restart { " restart" } else { "" },
+            self.duration.as_micros() / 1_000_000,
+        )
+    }
+}
+
 /// Short CLI label for a system (`ce` / `cs` / `ls`).
 #[must_use]
 pub fn system_flag(system: SystemKind) -> &'static str {
@@ -233,29 +253,8 @@ impl ExploreReport {
             }
             Some(f) => {
                 let _ = writeln!(out, "simcheck: FAILED after {} cases", self.cases_run);
-                let _ = writeln!(
-                    out,
-                    "  original: {} {} clients seed {} update {} chaos {}{} duration {}s",
-                    system_flag(f.original.cell.system),
-                    f.original.clients,
-                    f.original.seed,
-                    f.original.cell.update_fraction,
-                    f.original.cell.chaos_intensity,
-                    if f.original.cell.restart { " restart" } else { "" },
-                    f.original.duration.as_micros() / 1_000_000,
-                );
-                let _ = writeln!(
-                    out,
-                    "  shrunk ({} steps): {} {} clients seed {} update {} chaos {}{} duration {}s",
-                    f.shrink_steps,
-                    system_flag(f.shrunk.cell.system),
-                    f.shrunk.clients,
-                    f.shrunk.seed,
-                    f.shrunk.cell.update_fraction,
-                    f.shrunk.cell.chaos_intensity,
-                    if f.shrunk.cell.restart { " restart" } else { "" },
-                    f.shrunk.duration.as_micros() / 1_000_000,
-                );
+                let _ = writeln!(out, "  original: {}", f.original);
+                let _ = writeln!(out, "  shrunk ({} steps): {}", f.shrink_steps, f.shrunk);
                 let _ = writeln!(out, "  {}", f.violation);
             }
         }
@@ -283,38 +282,40 @@ pub fn explore(opts: &ExploreOptions) -> ExploreReport {
     let results = par_map(opts.jobs, &cases, |c| u64::from(c.clients), CaseSpec::run);
 
     let mut measured_total = 0;
-    for (i, result) in results.iter().enumerate() {
+    let mut failure = None;
+    for (&original, result) in cases.iter().zip(results) {
         match result {
             Ok(metrics) => measured_total += metrics.measured,
             Err(violation) => {
-                let original = cases[i];
-                let (shrunk, violation, shrink_steps) = shrink(original, violation.clone());
-                return ExploreReport {
-                    cases_run: opts.seeds,
-                    measured_total,
-                    failure: Some(Failure {
-                        original,
-                        shrunk,
-                        violation,
-                        shrink_steps,
-                    }),
-                };
+                let (shrunk, violation, shrink_steps) = shrink(original, violation, CaseSpec::run);
+                failure = Some(Failure {
+                    original,
+                    shrunk,
+                    violation,
+                    shrink_steps,
+                });
+                break;
             }
         }
     }
     ExploreReport {
         cases_run: opts.seeds,
         measured_total,
-        failure: None,
+        failure,
     }
 }
 
 /// Greedy deterministic shrinker: repeatedly tries, in a fixed order,
 /// halving the client count, dropping one client, halving the run length,
-/// and weakening the fault profile — keeping any reduction that still
-/// fails — until no step applies. Sequential, so its result is independent
-/// of the explorer's `--jobs`.
-fn shrink(case: CaseSpec, violation: Violation) -> (CaseSpec, Violation, u32) {
+/// and weakening the fault profile — keeping any reduction that `run`
+/// still fails — until no step applies. Sequential, so its result is
+/// independent of the explorer's `--jobs`. Run lengths stay whole seconds,
+/// the unit the replay command names them in.
+fn shrink(
+    case: CaseSpec,
+    violation: Violation,
+    run: impl Fn(&CaseSpec) -> Result<RunMetrics, Violation>,
+) -> (CaseSpec, Violation, u32) {
     let mut best = case;
     let mut last = violation;
     let mut steps = 0;
@@ -328,7 +329,7 @@ fn shrink(case: CaseSpec, violation: Violation) -> (CaseSpec, Violation, u32) {
             c.clients = best.clients - 1;
             candidates.push(c);
         }
-        let half = SimDuration::from_micros(best.duration.as_micros() / 2);
+        let half = SimDuration::from_secs(best.duration.as_micros() / 1_000_000 / 2);
         if half.as_micros() >= best.warmup.as_micros() * 2 {
             let mut c = best;
             c.duration = half;
@@ -343,22 +344,22 @@ fn shrink(case: CaseSpec, violation: Violation) -> (CaseSpec, Violation, u32) {
         }
         if best.cell.chaos_intensity > 0.0 {
             let mut c = best;
-            c.cell.chaos_intensity = if best.cell.chaos_intensity > 0.5 { 0.5 } else { 0.0 };
+            c.cell.chaos_intensity = if best.cell.chaos_intensity > 0.5 {
+                0.5
+            } else {
+                0.0
+            };
             candidates.push(c);
         }
-        let mut reduced = false;
-        for candidate in candidates {
-            if let Err(v) = candidate.run() {
-                best = candidate;
-                last = v;
-                steps += 1;
-                reduced = true;
-                break;
-            }
-        }
-        if !reduced {
+        let failing = candidates
+            .into_iter()
+            .find_map(|c| run(&c).err().map(|v| (c, v)));
+        let Some((candidate, v)) = failing else {
             return (best, last, steps);
-        }
+        };
+        best = candidate;
+        last = v;
+        steps += 1;
     }
 }
 
@@ -419,6 +420,33 @@ mod tests {
         let cmd = restart_case.replay_command();
         assert!(cmd.contains("--chaos 0.5"), "{cmd}");
         assert!(cmd.ends_with("--restart"), "{cmd}");
+    }
+
+    #[test]
+    fn a_shrunk_case_replays_the_duration_it_ran() {
+        let case = CaseSpec {
+            cell: matrix()[0],
+            seed: 1,
+            clients: 30,
+            duration: SimDuration::from_secs(151),
+            warmup: SimDuration::from_secs(30),
+        };
+        let violation = Violation {
+            oracle: "serializability",
+            at: "explore.rs",
+            detail: "every candidate fails".into(),
+            replay: None,
+        };
+        let (shrunk, _, _) = shrink(case, violation.clone(), |_| Err(violation.clone()));
+        assert_eq!(shrunk.clients, 1);
+        assert_eq!(shrunk.duration, SimDuration::from_secs(75));
+        let cmd = shrunk.replay_command();
+        let named: u64 = cmd
+            .split_once("--duration ")
+            .and_then(|(_, rest)| rest.split_whitespace().next())
+            .and_then(|secs| secs.parse().ok())
+            .unwrap_or_else(|| panic!("no --duration in {cmd}"));
+        assert_eq!(SimDuration::from_secs(named), shrunk.duration, "{cmd}");
     }
 
     #[test]

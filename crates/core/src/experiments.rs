@@ -8,9 +8,12 @@
 //! merges the results back in construction order. Output is byte-identical
 //! at every job count.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use siteselect_types::{ConfigError, ExperimentConfig, SimDuration, SystemKind};
+use siteselect_types::{
+    ConfigError, ExperimentConfig, FaultConfig, LanKind, SimDuration, SystemKind,
+};
 
 use crate::driver::run_experiment;
 use crate::metrics::RunMetrics;
@@ -43,21 +46,25 @@ impl SweepOptions {
         }
     }
 
-    /// Short runs for tests and smoke checks.
+    /// Shorter runs (400 s simulated, 80 s warm-up): `repro --quick`.
     #[must_use]
     pub fn quick() -> Self {
         SweepOptions {
-            duration: SimDuration::from_secs(300),
-            warmup: SimDuration::from_secs(50),
-            seed: 0x5173_5e1e,
-            jobs: 0,
+            duration: SimDuration::from_secs(400),
+            warmup: SimDuration::from_secs(80),
+            ..SweepOptions::paper()
         }
     }
 
-    fn apply(self, cfg: &mut ExperimentConfig) {
+    /// One sweep cell: the paper configuration of `system` at `clients`
+    /// clients and `update_fraction`, with this run length and seed.
+    #[must_use]
+    pub fn cell(self, system: SystemKind, clients: u16, update_fraction: f64) -> ExperimentConfig {
+        let mut cfg = ExperimentConfig::paper(system, clients, update_fraction);
         cfg.runtime.duration = self.duration;
         cfg.runtime.warmup = self.warmup;
         cfg.runtime.seed = self.seed;
+        cfg
     }
 }
 
@@ -85,10 +92,7 @@ pub fn effective_jobs(jobs: usize, cells: usize) -> usize {
 /// # Errors
 ///
 /// Propagates the first configuration error in `cfgs` order.
-pub fn run_many(
-    jobs: usize,
-    cfgs: &[ExperimentConfig],
-) -> Result<Vec<RunMetrics>, ConfigError> {
+pub fn run_many(jobs: usize, cfgs: &[ExperimentConfig]) -> Result<Vec<RunMetrics>, ConfigError> {
     par_map(jobs, cfgs, |cfg| u64::from(cfg.clients), run_experiment)
         .into_iter()
         .collect()
@@ -141,12 +145,6 @@ pub fn par_map<T: Sync, R: Send>(
         .collect()
 }
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions::paper()
-    }
-}
-
 /// The client counts of the paper's figures.
 pub const FIGURE_CLIENTS: [u16; 5] = [20, 40, 60, 80, 100];
 /// The client counts of Tables 2 and 3.
@@ -164,16 +162,6 @@ pub struct DeadlineFigure {
 }
 
 impl DeadlineFigure {
-    /// Success series for one system, in client order.
-    #[must_use]
-    pub fn series(&self, system: SystemKind) -> Vec<f64> {
-        let idx = SystemKind::ALL
-            .iter()
-            .position(|&s| s == system)
-            .expect("known system");
-        self.rows.iter().map(|(_, v)| v[idx]).collect()
-    }
-
     /// Renders the figure as a text table.
     #[must_use]
     pub fn render(&self) -> String {
@@ -213,9 +201,7 @@ pub fn deadline_figure(
     let mut cfgs = Vec::with_capacity(clients.len() * SystemKind::ALL.len());
     for &n in clients {
         for system in SystemKind::ALL {
-            let mut cfg = ExperimentConfig::paper(system, n, update_fraction);
-            opts.apply(&mut cfg);
-            cfgs.push(cfg);
+            cfgs.push(opts.cell(system, n, update_fraction));
         }
     }
     let metrics = run_many(opts.jobs, &cfgs)?;
@@ -236,285 +222,159 @@ pub fn deadline_figure(
     })
 }
 
+/// CS-RTDBS and LS-CS-RTDBS, in the column order of the paper's tables.
+const CS_LS: [SystemKind; 2] = [SystemKind::ClientServer, SystemKind::LoadSharing];
+
+/// Runs `N` cells per key through [`run_many`] and renders the results as
+/// one text table under `title`: `rows` turns each key's metrics, in cell
+/// order, into table rows.
+fn sweep_table<K: Copy, const N: usize>(
+    opts: SweepOptions,
+    title: &str,
+    headers: &[&str],
+    keys: &[K],
+    cells: impl Fn(K) -> [ExperimentConfig; N],
+    rows: impl Fn(&mut TextTable, K, &[RunMetrics; N]),
+) -> Result<String, ConfigError> {
+    let cfgs: Vec<ExperimentConfig> = keys.iter().flat_map(|&k| cells(k)).collect();
+    let metrics = run_many(opts.jobs, &cfgs)?;
+    let mut t = TextTable::new(headers.iter().copied().map(String::from).collect());
+    for (&k, m) in keys.iter().zip(metrics.as_chunks::<N>().0) {
+        rows(&mut t, k, m);
+    }
+    Ok(format!("{title}\n{}", t.render()))
+}
+
 /// Table 2: average client cache hit rates, CS vs LS, by update percentage
 /// and client count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CacheTable {
-    /// `(clients, [CS hit% at 1/5/20%], [LS hit% at 1/5/20%])`.
-    pub rows: Vec<(u16, [f64; 3], [f64; 3])>,
-}
-
-impl CacheTable {
-    /// Renders the table in the paper's layout.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "clients".into(),
-            "CS 1%".into(),
-            "CS 5%".into(),
-            "CS 20%".into(),
-            "LS 1%".into(),
-            "LS 5%".into(),
-            "LS 20%".into(),
-        ]);
-        for (clients, cs, ls) in &self.rows {
-            t.row(vec![
-                clients.to_string(),
-                fnum(cs[0], 2),
-                fnum(cs[1], 2),
-                fnum(cs[2], 2),
-                fnum(ls[0], 2),
-                fnum(ls[1], 2),
-                fnum(ls[2], 2),
-            ]);
-        }
-        format!(
-            "Average cache hit rates in the CS-RTDBS and LS-CS-RTDBS\n{}",
-            t.render()
-        )
-    }
-}
-
-/// Regenerates Table 2.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn cache_table(clients: &[u16], opts: SweepOptions) -> Result<CacheTable, ConfigError> {
-    let mut cfgs = Vec::with_capacity(clients.len() * UPDATE_FRACTIONS.len() * 2);
-    for &n in clients {
-        for &u in &UPDATE_FRACTIONS {
-            for system in [SystemKind::ClientServer, SystemKind::LoadSharing] {
-                let mut cfg = ExperimentConfig::paper(system, n, u);
-                opts.apply(&mut cfg);
-                cfgs.push(cfg);
-            }
-        }
-    }
-    let metrics = run_many(opts.jobs, &cfgs)?;
-    let rows = clients
-        .iter()
-        .zip(metrics.chunks_exact(UPDATE_FRACTIONS.len() * 2))
-        .map(|(&n, chunk)| {
-            let mut cs = [0.0f64; 3];
-            let mut ls = [0.0f64; 3];
-            for (i, pair) in chunk.chunks_exact(2).enumerate() {
-                cs[i] = pair[0].cache.hit_percent();
-                ls[i] = pair[1].cache.hit_percent();
-            }
-            (n, cs, ls)
-        })
-        .collect();
-    Ok(CacheTable { rows })
+pub fn cache_table(clients: &[u16], opts: SweepOptions) -> Result<String, ConfigError> {
+    sweep_table(
+        opts,
+        "Average cache hit rates in the CS-RTDBS and LS-CS-RTDBS",
+        &[
+            "clients", "CS 1%", "CS 5%", "CS 20%", "LS 1%", "LS 5%", "LS 20%",
+        ],
+        clients,
+        |n| {
+            let [[c1, c5, c20], [l1, l5, l20]] =
+                CS_LS.map(|system| UPDATE_FRACTIONS.map(|u| opts.cell(system, n, u)));
+            [c1, c5, c20, l1, l5, l20]
+        },
+        |t, n, m| {
+            let hits = m.iter().map(|m| fnum(m.cache.hit_percent(), 2));
+            t.row(std::iter::once(n.to_string()).chain(hits).collect());
+        },
+    )
 }
 
 /// Table 3: average object response times (seconds) by requested lock mode
 /// at 1% updates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResponseTable {
-    /// `(clients, CS [SL, EL], LS [SL, EL])` in seconds.
-    pub rows: Vec<(u16, [f64; 2], [f64; 2])>,
-}
-
-impl ResponseTable {
-    /// Renders the table in the paper's layout.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "clients".into(),
-            "CS shared".into(),
-            "CS exclusive".into(),
-            "LS shared".into(),
-            "LS exclusive".into(),
-        ]);
-        for (clients, cs, ls) in &self.rows {
-            t.row(vec![
-                clients.to_string(),
-                fnum(cs[0], 3),
-                fnum(cs[1], 3),
-                fnum(ls[0], 3),
-                fnum(ls[1], 3),
-            ]);
-        }
-        format!(
-            "Average object response times in seconds (1% updates)\n{}",
-            t.render()
-        )
-    }
-}
-
-/// Regenerates Table 3.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn response_table(clients: &[u16], opts: SweepOptions) -> Result<ResponseTable, ConfigError> {
-    let mut cfgs = Vec::with_capacity(clients.len() * 2);
-    for &n in clients {
-        for system in [SystemKind::ClientServer, SystemKind::LoadSharing] {
-            let mut cfg = ExperimentConfig::paper(system, n, 0.01);
-            opts.apply(&mut cfg);
-            cfgs.push(cfg);
-        }
-    }
-    let metrics = run_many(opts.jobs, &cfgs)?;
-    let rows = clients
-        .iter()
-        .zip(metrics.chunks_exact(2))
-        .map(|(&n, pair)| {
-            let (cs, ls) = (&pair[0], &pair[1]);
-            (
-                n,
-                [cs.response.shared.mean(), cs.response.exclusive.mean()],
-                [ls.response.shared.mean(), ls.response.exclusive.mean()],
-            )
-        })
-        .collect();
-    Ok(ResponseTable { rows })
+pub fn response_table(clients: &[u16], opts: SweepOptions) -> Result<String, ConfigError> {
+    sweep_table(
+        opts,
+        "Average object response times in seconds (1% updates)",
+        &[
+            "clients",
+            "CS shared",
+            "CS exclusive",
+            "LS shared",
+            "LS exclusive",
+        ],
+        clients,
+        |n| CS_LS.map(|system| opts.cell(system, n, 0.01)),
+        |t, n, m| {
+            let mut row = vec![n.to_string()];
+            for m in m {
+                row.push(fnum(m.response.shared.mean(), 3));
+                row.push(fnum(m.response.exclusive.mean(), 3));
+            }
+            t.row(row);
+        },
+    )
 }
 
-/// Table 4: message counts by category (100 clients, 1% updates).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MessageTable {
-    /// `(row label, CS count, LS count)` in the paper's row order.
-    pub rows: Vec<(String, u64, u64)>,
-}
-
-impl MessageTable {
-    /// Renders the table in the paper's layout.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "message category".into(),
-            "CS-RTDBS".into(),
-            "LS-CS-RTDBS".into(),
-        ]);
-        for (label, cs, ls) in &self.rows {
-            let cs_s = if label.contains("Forward") && *cs == 0 {
-                "-".to_string()
-            } else {
-                cs.to_string()
-            };
-            t.row(vec![label.clone(), cs_s, ls.to_string()]);
-        }
-        format!("Number of messages passed in the CS-RTDBSs\n{}", t.render())
-    }
-}
-
-/// Regenerates Table 4 for `clients` clients at 1% updates.
+/// Table 4: message counts by category for `clients` clients at 1%
+/// updates, in the paper's row order.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn message_table(clients: u16, opts: SweepOptions) -> Result<MessageTable, ConfigError> {
-    let mut cfgs = Vec::with_capacity(2);
-    for system in [SystemKind::ClientServer, SystemKind::LoadSharing] {
-        let mut cfg = ExperimentConfig::paper(system, clients, 0.01);
-        opts.apply(&mut cfg);
-        cfgs.push(cfg);
-    }
-    let metrics = run_many(opts.jobs, &cfgs)?;
-    let (cs, ls) = (&metrics[0], &metrics[1]);
-    let rows = cs
-        .messages
-        .table4_rows()
-        .iter()
-        .zip(ls.messages.table4_rows().iter())
-        .map(|((label, c), (_, l))| ((*label).to_string(), *c, *l))
-        .collect();
-    Ok(MessageTable { rows })
+pub fn message_table(clients: u16, opts: SweepOptions) -> Result<String, ConfigError> {
+    sweep_table(
+        opts,
+        "Number of messages passed in the CS-RTDBSs",
+        &["message category", "CS-RTDBS", "LS-CS-RTDBS"],
+        &[clients],
+        |n| CS_LS.map(|system| opts.cell(system, n, 0.01)),
+        |t, _, [cs, ls]| {
+            let (cs, ls) = (cs.messages.table4_rows(), ls.messages.table4_rows());
+            for ((label, c), (_, l)) in cs.into_iter().zip(ls) {
+                // CS has no forward lists: the paper prints its row as "-".
+                let c = if label.contains("Forward") && c == 0 {
+                    "-".to_owned()
+                } else {
+                    c.to_string()
+                };
+                t.row(vec![label.to_owned(), c, l.to_string()]);
+            }
+        },
+    )
 }
 
 /// Fault intensities swept by [`fault_table`]: off, then increasing chaos.
 pub const FAULT_INTENSITIES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
-/// Graceful-degradation study: deadline-success of CS-RTDBS vs
-/// LS-CS-RTDBS under increasing fault intensity, with the observed fault
-/// activity alongside. Not part of the paper — it exercises the
-/// fault-injection subsystem end to end.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultTable {
-    /// Client count of every run.
-    pub clients: u16,
-    /// Per-intensity measurements.
-    pub rows: Vec<FaultRow>,
-}
-
-/// One [`FaultTable`] row: `(intensity, [CS, LS] success %, [CS, LS]
-/// dropped messages, [CS, LS] site crashes)`.
-pub type FaultRow = (f64, [f64; 2], [u64; 2], [u64; 2]);
-
-impl FaultTable {
-    /// Renders the degradation table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "intensity".into(),
-            "CS-RTDBS %".into(),
-            "LS-CS-RTDBS %".into(),
-            "CS drops".into(),
-            "LS drops".into(),
-            "CS crashes".into(),
-            "LS crashes".into(),
-        ]);
-        for (intensity, success, drops, crashes) in &self.rows {
-            t.row(vec![
-                fnum(*intensity, 2),
-                fnum(success[0], 2),
-                fnum(success[1], 2),
-                drops[0].to_string(),
-                drops[1].to_string(),
-                crashes[0].to_string(),
-                crashes[1].to_string(),
-            ]);
-        }
-        format!(
-            "Deadline success under increasing fault intensity ({} clients, 20% updates)\n{}",
-            self.clients,
-            t.render()
-        )
-    }
-}
-
-/// Runs the graceful-degradation sweep: CS and LS at `clients` clients and
-/// 20% updates for each intensity in `intensities`
-/// (see [`FaultConfig::chaos`](siteselect_types::FaultConfig::chaos)).
+/// Graceful-degradation study: deadline success of CS-RTDBS vs
+/// LS-CS-RTDBS at `clients` clients and 20% updates for each of the
+/// [`FAULT_INTENSITIES`] (see [`FaultConfig::chaos`]), with the observed dropped
+/// messages and site crashes alongside. Not part of the paper — it
+/// exercises the fault-injection subsystem end to end.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn fault_table(
-    clients: u16,
-    intensities: &[f64],
-    opts: SweepOptions,
-) -> Result<FaultTable, ConfigError> {
-    use siteselect_types::FaultConfig;
-    let mut cfgs = Vec::with_capacity(intensities.len() * 2);
-    for &intensity in intensities {
-        for system in [SystemKind::ClientServer, SystemKind::LoadSharing] {
-            let mut cfg = ExperimentConfig::paper(system, clients, 0.20);
-            opts.apply(&mut cfg);
-            cfg.faults = FaultConfig::chaos(intensity);
-            cfgs.push(cfg);
-        }
-    }
-    let metrics = run_many(opts.jobs, &cfgs)?;
-    let rows = intensities
-        .iter()
-        .zip(metrics.chunks_exact(2))
-        .map(|(&intensity, pair)| {
-            let mut success = [0.0f64; 2];
-            let mut drops = [0u64; 2];
-            let mut crashes = [0u64; 2];
-            for (i, m) in pair.iter().enumerate() {
-                success[i] = m.success_percent();
-                drops[i] = m.faults.messages_dropped;
-                crashes[i] = m.faults.crashes;
-            }
-            (intensity, success, drops, crashes)
-        })
-        .collect();
-    Ok(FaultTable { clients, rows })
+pub fn fault_table(clients: u16, opts: SweepOptions) -> Result<String, ConfigError> {
+    sweep_table(
+        opts,
+        &format!(
+            "Deadline success under increasing fault intensity ({clients} clients, 20% updates)"
+        ),
+        &[
+            "intensity",
+            "CS-RTDBS %",
+            "LS-CS-RTDBS %",
+            "CS drops",
+            "LS drops",
+            "CS crashes",
+            "LS crashes",
+        ],
+        &FAULT_INTENSITIES,
+        |intensity| {
+            CS_LS.map(|system| ExperimentConfig {
+                faults: FaultConfig::chaos(intensity),
+                ..opts.cell(system, clients, 0.20)
+            })
+        },
+        |t, intensity, [cs, ls]| {
+            t.row(vec![
+                fnum(intensity, 2),
+                fnum(cs.success_percent(), 2),
+                fnum(ls.success_percent(), 2),
+                cs.faults.messages_dropped.to_string(),
+                ls.faults.messages_dropped.to_string(),
+                cs.faults.crashes.to_string(),
+                ls.faults.crashes.to_string(),
+            ]);
+        },
+    )
 }
 
 /// Intensities swept by [`restart_table`]'s crash-restart cells. No zero
@@ -522,98 +382,116 @@ pub fn fault_table(
 /// intensity the server never crashes at all.
 pub const RESTART_INTENSITIES: [f64; 3] = [0.25, 0.5, 1.0];
 
-/// Crash-restart study: deadline success of CS-RTDBS vs LS-CS-RTDBS when
-/// the server itself crashes mid-run, comparing write-ahead-log
-/// crash-**restart** (the server replays its log and rejoins) against the
-/// same fault schedule with recovery disabled (every crashed site stays
-/// dark). The gap between the two columns is what durability buys.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RestartTable {
-    /// Client count of every run.
-    pub clients: u16,
-    /// Per-intensity measurements.
-    pub rows: Vec<RestartRow>,
-}
-
-/// One [`RestartTable`] row: `(intensity, [CS, LS] success % with
-/// crash-restart recovery, [CS, LS] success % with recovery disabled,
-/// [CS, LS] recoveries observed in the restart runs)`.
-pub type RestartRow = (f64, [f64; 2], [f64; 2], [u64; 2]);
-
-impl RestartTable {
-    /// Renders the recovery-vs-cliff table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(vec![
-            "intensity".into(),
-            "CS restart %".into(),
-            "CS dark %".into(),
-            "LS restart %".into(),
-            "LS dark %".into(),
-            "CS recoveries".into(),
-            "LS recoveries".into(),
-        ]);
-        for (intensity, restart, dark, recoveries) in &self.rows {
-            t.row(vec![
-                fnum(*intensity, 2),
-                fnum(restart[0], 2),
-                fnum(dark[0], 2),
-                fnum(restart[1], 2),
-                fnum(dark[1], 2),
-                recoveries[0].to_string(),
-                recoveries[1].to_string(),
-            ]);
-        }
-        format!(
-            "Server crash-restart vs permanent crash ({} clients, 20% updates)\n{}",
-            self.clients,
-            t.render()
-        )
-    }
-}
-
-/// Runs the crash-restart sweep: CS and LS at `clients` clients and 20%
-/// updates for each intensity in `intensities`, once under
-/// [`FaultConfig::chaos_restart`](siteselect_types::FaultConfig::chaos_restart)
-/// (crashed sites replay their log and rejoin) and once with
-/// `mean_recovery_time` zeroed (crashed sites stay dark for the rest of
-/// the run).
+/// Crash-restart study: deadline success of CS-RTDBS vs LS-CS-RTDBS at
+/// `clients` clients and 20% updates when the server itself crashes
+/// mid-run at each of the [`RESTART_INTENSITIES`], once under [`FaultConfig::chaos_restart`] (the server replays
+/// its write-ahead log and rejoins) and once with `mean_recovery_time`
+/// zeroed (every crashed site stays dark for the rest of the run), plus the
+/// recoveries observed in the restart runs. The gap between the two
+/// columns is what durability buys.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub fn restart_table(
-    clients: u16,
-    intensities: &[f64],
-    opts: SweepOptions,
-) -> Result<RestartTable, ConfigError> {
-    use siteselect_types::FaultConfig;
-    let mut cfgs = Vec::with_capacity(intensities.len() * 4);
-    for &intensity in intensities {
-        for recovers in [true, false] {
-            for system in [SystemKind::ClientServer, SystemKind::LoadSharing] {
-                let mut cfg = ExperimentConfig::paper(system, clients, 0.20);
-                opts.apply(&mut cfg);
-                cfg.faults = FaultConfig::chaos_restart(intensity);
-                if !recovers {
-                    cfg.faults.mean_recovery_time = SimDuration::ZERO;
-                }
-                cfgs.push(cfg);
-            }
-        }
+pub fn restart_table(clients: u16, opts: SweepOptions) -> Result<String, ConfigError> {
+    sweep_table(
+        opts,
+        &format!("Server crash-restart vs permanent crash ({clients} clients, 20% updates)"),
+        &[
+            "intensity",
+            "CS restart %",
+            "CS dark %",
+            "LS restart %",
+            "LS dark %",
+            "CS recoveries",
+            "LS recoveries",
+        ],
+        &RESTART_INTENSITIES,
+        |intensity| {
+            let restart = FaultConfig::chaos_restart(intensity);
+            let dark = FaultConfig {
+                mean_recovery_time: SimDuration::ZERO,
+                ..restart
+            };
+            let [[cs_restart, cs_dark], [ls_restart, ls_dark]] = CS_LS.map(|system| {
+                [restart, dark].map(|faults| ExperimentConfig {
+                    faults,
+                    ..opts.cell(system, clients, 0.20)
+                })
+            });
+            [cs_restart, cs_dark, ls_restart, ls_dark]
+        },
+        |t, intensity, m| {
+            let [cs_restart, _, ls_restart, _] = m;
+            let mut row = vec![fnum(intensity, 2)];
+            row.extend(m.iter().map(|m| fnum(m.success_percent(), 2)));
+            row.push(cs_restart.faults.recoveries.to_string());
+            row.push(ls_restart.faults.recoveries.to_string());
+            t.row(row);
+        },
+    )
+}
+
+/// The design-choice ablations DESIGN.md calls out, as labelled cells:
+/// full LS, then each LS feature switched off (or one knob moved) in turn,
+/// at the most contended point of the evaluation (100 clients, 20%
+/// updates).
+#[must_use]
+pub fn ablation_cells(opts: SweepOptions) -> [(&'static str, ExperimentConfig); 10] {
+    let knockouts: [(_, fn(&mut ExperimentConfig)); 10] = [
+        ("full LS", |_| {}),
+        ("no H1 (admission)", |c| c.load_sharing.h1_enabled = false),
+        ("no H2 (site selection)", |c| {
+            c.load_sharing.h2_enabled = false;
+        }),
+        ("no decomposition", |c| {
+            c.load_sharing.decomposition_enabled = false;
+        }),
+        ("no forward lists", |c| {
+            c.load_sharing.forward_lists_enabled = false;
+        }),
+        ("no request scheduling", |c| {
+            c.load_sharing.request_scheduling_enabled = false;
+        }),
+        ("no directory server", |c| {
+            c.load_sharing.directory_enabled = false;
+        }),
+        ("switched LAN", |c| c.network.kind = LanKind::Switched),
+        ("collection window 10 ms", |c| {
+            c.load_sharing.collection_window = SimDuration::from_millis(10);
+        }),
+        ("collection window 500 ms", |c| {
+            c.load_sharing.collection_window = SimDuration::from_millis(500);
+        }),
+    ];
+    knockouts.map(|(label, knock)| {
+        let mut cfg = opts.cell(SystemKind::LoadSharing, 100, 0.20);
+        knock(&mut cfg);
+        (label, cfg)
+    })
+}
+
+/// Runs [`ablation_cells`] over `opts.jobs` workers and renders one line
+/// per cell: deadline success and how often LS shipped, decomposed and
+/// served from a forward list.
+///
+/// # Errors
+///
+/// Propagates configuration errors.
+pub fn ablations(opts: SweepOptions) -> Result<String, ConfigError> {
+    let (labels, cfgs): (Vec<_>, Vec<_>) = ablation_cells(opts).into_iter().unzip();
+    let mut out = String::new();
+    for (label, m) in labels.iter().zip(run_many(opts.jobs, &cfgs)?) {
+        let _ = writeln!(
+            out,
+            "{label:<34} success {:>6.2}%  shipped {:>6}  decomposed {:>5}  forwards {:>6}",
+            m.success_percent(),
+            m.load_sharing.shipped,
+            m.load_sharing.decomposed,
+            m.load_sharing.forward_satisfied
+        );
     }
-    let metrics = run_many(opts.jobs, &cfgs)?;
-    let rows = intensities
-        .iter()
-        .zip(metrics.chunks_exact(4))
-        .map(|(&intensity, quad)| {
-            let restart = [quad[0].success_percent(), quad[1].success_percent()];
-            let dark = [quad[2].success_percent(), quad[3].success_percent()];
-            let recoveries = [quad[0].faults.recoveries, quad[1].faults.recoveries];
-            (intensity, restart, dark, recoveries)
-        })
-        .collect();
-    Ok(RestartTable { clients, rows })
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -637,14 +515,24 @@ mod tests {
         assert_eq!(effective_jobs(0, 0), 1);
     }
 
+    /// The body rows of a rendered sweep table (title, header and rule
+    /// line dropped), split into cells.
+    fn body(table: &str) -> Vec<Vec<&str>> {
+        let rows = table.lines().skip(3);
+        rows.map(|l| l.split_whitespace().collect()).collect()
+    }
+
+    fn assert_percent(cell: &str) {
+        let v: f64 = cell.parse().unwrap();
+        assert!((0.0..=100.0).contains(&v), "{cell} is not a percentage");
+    }
+
     #[test]
     fn run_many_keeps_cell_order_at_any_job_count() {
         let mut cfgs = Vec::new();
         for system in SystemKind::ALL {
             for n in [3u16, 5] {
-                let mut cfg = ExperimentConfig::paper(system, n, 0.05);
-                tiny().apply(&mut cfg);
-                cfgs.push(cfg);
+                cfgs.push(tiny().cell(system, n, 0.05));
             }
         }
         let sequential = run_many(1, &cfgs).unwrap();
@@ -663,13 +551,16 @@ mod tests {
         let b = deadline_figure(0.05, &[4, 8], par).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.render(), b.render());
+        assert_eq!(
+            restart_table(4, seq).unwrap(),
+            restart_table(4, par).unwrap()
+        );
     }
 
     #[test]
-    fn deadline_figure_has_all_rows_and_series() {
+    fn deadline_figure_has_all_rows() {
         let f = deadline_figure(0.05, &[4, 8], tiny()).unwrap();
         assert_eq!(f.rows.len(), 2);
-        assert_eq!(f.series(SystemKind::Centralized).len(), 2);
         for (_, vals) in &f.rows {
             for v in vals {
                 assert!((0.0..=100.0).contains(v));
@@ -683,57 +574,77 @@ mod tests {
     #[test]
     fn cache_table_shape() {
         let t = cache_table(&[4], tiny()).unwrap();
-        assert_eq!(t.rows.len(), 1);
-        let (_, cs, ls) = &t.rows[0];
-        for v in cs.iter().chain(ls.iter()) {
-            assert!((0.0..=100.0).contains(v));
+        assert!(t.starts_with("Average cache hit rates"), "{t}");
+        let rows = body(&t);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].len(), 7);
+        assert_eq!(rows[0][0], "4");
+        for cell in &rows[0][1..] {
+            assert_percent(cell);
         }
-        assert!(t.render().contains("cache hit rates"));
     }
 
     #[test]
     fn response_table_shape() {
         let t = response_table(&[4], tiny()).unwrap();
-        assert_eq!(t.rows.len(), 1);
-        assert!(t.render().contains("object response times"));
+        assert!(t.contains("object response times"));
+        let rows = body(&t);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].len(), 5);
     }
 
     #[test]
     fn fault_table_zero_intensity_matches_clean_runs() {
-        let t = fault_table(4, &[0.0, 1.0], tiny()).unwrap();
-        assert_eq!(t.rows.len(), 2);
-        let (_, clean, clean_drops, clean_crashes) = &t.rows[0];
-        assert_eq!(*clean_drops, [0, 0], "intensity 0 must inject nothing");
-        assert_eq!(*clean_crashes, [0, 0]);
-        for v in clean {
-            assert!((0.0..=100.0).contains(v));
-        }
-        let (_, _, chaotic_drops, _) = &t.rows[1];
+        let t = fault_table(4, tiny()).unwrap();
+        assert!(t.contains("fault intensity"));
+        let rows = body(&t);
+        assert_eq!(rows.len(), FAULT_INTENSITIES.len());
+        let clean = &rows[0];
+        assert_eq!(clean[0], "0.00");
+        assert_eq!(clean[3..], ["0"; 4], "intensity 0 must inject nothing");
+        assert_percent(clean[1]);
+        assert_percent(clean[2]);
+        let chaotic = &rows[FAULT_INTENSITIES.len() - 1];
+        assert_eq!(chaotic[0], "1.00");
         assert!(
-            chaotic_drops[0] > 0 && chaotic_drops[1] > 0,
+            chaotic[3] != "0" && chaotic[4] != "0",
             "full chaos must drop messages in both systems"
         );
-        assert!(t.render().contains("fault intensity"));
     }
 
     #[test]
     fn restart_table_shape_and_sane_percentages() {
-        let t = restart_table(4, &[1.0], tiny()).unwrap();
-        assert_eq!(t.rows.len(), 1);
-        let (intensity, restart, dark, _) = &t.rows[0];
-        assert!((intensity - 1.0).abs() < f64::EPSILON);
-        for v in restart.iter().chain(dark.iter()) {
-            assert!((0.0..=100.0).contains(v));
+        let t = restart_table(4, tiny()).unwrap();
+        assert!(t.contains("crash-restart vs permanent"));
+        let rows = body(&t);
+        assert_eq!(rows.len(), RESTART_INTENSITIES.len());
+        assert_eq!(rows[0][0], "0.25");
+        for row in &rows {
+            for cell in &row[1..5] {
+                assert_percent(cell);
+            }
         }
-        assert!(t.render().contains("crash-restart vs permanent"));
     }
 
     #[test]
     fn message_table_has_paper_rows() {
         let t = message_table(4, tiny()).unwrap();
-        assert_eq!(t.rows.len(), 5);
-        assert!(t.rows[0].0.contains("Request"));
-        let rendered = t.render();
-        assert!(rendered.contains("LS-CS-RTDBS"));
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 3 + 5);
+        assert!(lines[3].contains("Request"));
+        assert!(lines[1].contains("LS-CS-RTDBS"));
+    }
+
+    #[test]
+    fn ablation_cells_are_distinct_knockouts_of_full_ls() {
+        let cells = ablation_cells(tiny());
+        let full = tiny().cell(SystemKind::LoadSharing, 100, 0.20);
+        assert_eq!(cells[0], ("full LS", full));
+        for (i, (label, cfg)) in cells.iter().enumerate() {
+            for (other_label, other) in &cells[i + 1..] {
+                assert_ne!(label, other_label);
+                assert_ne!(cfg, other, "{label} and {other_label} run the same cell");
+            }
+        }
     }
 }

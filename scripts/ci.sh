@@ -142,10 +142,11 @@ step_disabled-path() {
   diff "$tmp/f3.a" "$tmp/f3.b"
 }
 
+# Every sweep of `all` (figures, tables 2-4, ablations) at jobs 1 vs 8.
 step_jobs-determinism() {
-  repro figure3 --quick --jobs 1 > "$tmp/f3.j1"
-  repro figure3 --quick --jobs 8 > "$tmp/f3.j8"
-  diff "$tmp/f3.j1" "$tmp/f3.j8"
+  repro all --quick --jobs 1 > "$tmp/all.j1"
+  repro all --quick --jobs 8 > "$tmp/all.j8"
+  diff "$tmp/all.j1" "$tmp/all.j8"
 }
 
 # expect_violation KIND: the oracle must fire on its known-bad history and
@@ -191,8 +192,12 @@ step_benchmark() {
   done
 }
 
-# Figure 5's headline point at seeds 1-3, paper scale.
-step_seedcheck() { cargo run --release -q -p siteselect-bench --bin seedcheck; }
+# Figure 5's headline point at seeds 1-3, paper scale, against
+# results/seedcheck.txt. The runs are deterministic, so the diff is exact.
+step_seedcheck() {
+  cargo run --release -q -p siteselect-bench --bin seedcheck > "$tmp/seedcheck.txt"
+  diff results/seedcheck.txt "$tmp/seedcheck.txt"
+}
 
 # `repro all` at paper scale against results/repro_all.txt.
 step_repro-golden() { cargo test --release -q -p siteselect-bench --test repro_golden -- --ignored; }
