@@ -731,7 +731,7 @@ impl ClientSite {
                 };
                 self.admit(cx, key, TxnRun::new(kind, spec, cx.now));
             }
-            result @ (Msg::TxnShipResult { .. } | Msg::SubtaskResult { .. }) => {
+            result @ (Msg::TxnResult { .. } | Msg::SubtaskResult { .. }) => {
                 self.on_result(cx, result);
             }
             Msg::LoadReply {
@@ -744,7 +744,8 @@ impl ClientSite {
             | Msg::ObjectReturn { .. }
             | Msg::CallbackAck { .. }
             | Msg::CancelWants { .. }
-            | Msg::LoadQuery { .. } => unreachable!("server message delivered to client"),
+            | Msg::LoadQuery { .. }
+            | Msg::TxnSubmit { .. } => unreachable!("server message delivered to client"),
         }
     }
 
@@ -753,7 +754,7 @@ impl ClientSite {
     /// counts toward its parent.
     fn on_result(&mut self, cx: &mut Cx, result: Msg) {
         match result {
-            Msg::TxnShipResult {
+            Msg::TxnResult {
                 txn,
                 committed,
                 deadline,
@@ -1609,7 +1610,7 @@ impl ClientSite {
         let (origin, kind, result) = match run.kind {
             RunKind::Normal => return cx.settle(spec.id, spec.arrival, spec.deadline, aborted),
             RunKind::Shipped { origin } => {
-                let result = Msg::TxnShipResult {
+                let result = Msg::TxnResult {
                     txn: spec.id,
                     committed: ok,
                     deadline: spec.deadline,
@@ -2425,7 +2426,7 @@ mod tests {
                     .iter()
                     .filter(|(to, m)| {
                         *to == SiteDest::Client(origin)
-                            && matches!(m, Msg::TxnShipResult { .. } | Msg::SubtaskResult { .. })
+                            && matches!(m, Msg::TxnResult { .. } | Msg::SubtaskResult { .. })
                     })
                     .count();
                 let settled = inflight - cx.inflight;

@@ -1,8 +1,11 @@
-//! The client-server real-time database (CS-RTDBS) and its load-sharing
-//! extension (LS-CS-RTDBS), as one event-driven simulator of sites that
-//! exchange messages: a [`ClientSite`] per workstation and one
-//! [`ServerSite`], each owning its state and acting through the shared
-//! [`Cx`]; [`ClientServerSim`] pops events and dispatches them.
+//! The one event-driven simulator of sites that exchange messages, for all
+//! three systems: [`Simulator`] pops events and hands each to the site it
+//! is for. Every site owns its state and acts through the shared [`Cx`]. In
+//! CE-RTDBS the server is a [`CentralizedServer`] that runs every
+//! transaction, and the clients are stateless terminals. In the
+//! client-server real-time database (CS-RTDBS) and its load-sharing
+//! extension (LS-CS-RTDBS) there is a [`ClientSite`] per workstation and one
+//! [`ServerSite`].
 //!
 //! The CS system implements the paper's §2 model: transactions execute at
 //! client workstations, objects and their **locks** are cached across
@@ -39,6 +42,7 @@ use siteselect_workload::Trace;
 
 use self::client::ClientSite;
 use self::server::ServerSite;
+use crate::centralized::{self, CentralizedServer};
 use crate::metrics::RunMetrics;
 use crate::server_core::fabric_for;
 
@@ -145,10 +149,20 @@ pub(crate) enum Msg {
         spec: TransactionSpec,
         sent_at: SimTime,
     },
-    /// Client → client (via directory): outcome of a shipped transaction,
-    /// with what the origin needs to score it at delivery time. `sent_at`
-    /// stamps the remote commit so delivery can span the return hop.
-    TxnShipResult {
+    /// CE terminal → server: transaction `index` of `Cx::specs`, to run
+    /// there, with what a lost submission needs to be scored.
+    TxnSubmit {
+        index: u32,
+        txn: TransactionId,
+        arrival: SimTime,
+        deadline: SimTime,
+    },
+    /// Outcome of a transaction that ran away from its origin, back to the
+    /// origin: client → client (via directory) for a shipped one, CE server
+    /// → terminal for every CE commit. It carries what the origin needs to
+    /// score it at delivery time; `sent_at` stamps the remote commit so
+    /// delivery can span the return hop.
+    TxnResult {
         txn: TransactionId,
         committed: bool,
         deadline: SimTime,
@@ -174,19 +188,21 @@ pub(crate) enum Msg {
 }
 
 impl Msg {
-    /// For a peer's message about one unit of work: the unit, the span its
-    /// trip adds to it, and when the trip began. A shipped transaction or
-    /// subtask travels as `Net`; an outcome comes back as `Commit`.
+    /// For a message about one unit of work: the unit, the span its trip
+    /// adds to it, and when the trip began. A submitted or shipped
+    /// transaction or a subtask travels as `Net`; an outcome comes back as
+    /// `Commit`.
     pub(crate) fn trip(&self) -> Option<(TransactionId, SpanKind, SimTime)> {
         let (unit, kind, sent_at) = match *self {
             Msg::TxnShip { ref spec, sent_at } => (spec.id.as_u64(), SpanKind::Net, sent_at),
+            Msg::TxnSubmit { txn, arrival, .. } => (txn.as_u64(), SpanKind::Net, arrival),
             Msg::SubtaskShip {
                 parent,
                 index,
                 sent_at,
                 ..
             } => (subtask_key(parent, index), SpanKind::Net, sent_at),
-            Msg::TxnShipResult { txn, sent_at, .. } => (txn.as_u64(), SpanKind::Commit, sent_at),
+            Msg::TxnResult { txn, sent_at, .. } => (txn.as_u64(), SpanKind::Commit, sent_at),
             Msg::SubtaskResult {
                 parent, sent_at, ..
             } => (parent, SpanKind::Commit, sent_at),
@@ -226,6 +242,10 @@ pub(crate) enum Ev {
     },
     /// A grouped-lock collection window closed.
     WindowClose { object: ObjectId },
+    /// CE: the server's buffer/disk reads for transaction `txn` finished.
+    ServerIo { txn: TKey },
+    /// CE: a server CPU completion tick.
+    ServerCpu { generation: u64 },
     /// Statistics window opens.
     EndWarmup,
     /// Periodic pruning of expired transactions and waiters.
@@ -368,6 +388,9 @@ pub(crate) struct Cx {
     /// gated on it, so a default run schedules no fault events and draws no
     /// fault randomness.
     pub faults_active: bool,
+    /// In-flight deliveries refused at a crashed site's door (fabric-level
+    /// drops are counted by the fabric itself).
+    pub refused: u64,
     /// Liveness of each client site (all true with faults off).
     up: Vec<bool>,
     /// Objects whose client-to-client forward hop was lost in transit and
@@ -395,6 +418,7 @@ impl Cx {
             inflight: 0,
             warmup_end: SimTime::ZERO + cfg.runtime.warmup,
             faults_active: cfg.faults.injects_faults(),
+            refused: 0,
             up: vec![true; usize::from(cfg.clients)],
             lost_forwards: Vec::new(),
             cfg,
@@ -509,9 +533,16 @@ impl Cx {
             // The travelling transaction is gone; its origin's timeout
             // scores it as a crash loss.
             Msg::TxnShip { spec, .. } => self.settle(spec.id, spec.arrival, spec.deadline, lost),
-            // The origin can no longer learn the outcome (it crashed, or
-            // the result was lost): settle the shipped transaction now.
-            Msg::TxnShipResult {
+            // The transaction never reached the server, or its origin can
+            // no longer learn the outcome (it crashed, or the result was
+            // lost): settle it now.
+            Msg::TxnSubmit {
+                txn,
+                arrival,
+                deadline,
+                ..
+            }
+            | Msg::TxnResult {
                 txn,
                 arrival,
                 deadline,
@@ -572,35 +603,42 @@ impl Cx {
     }
 }
 
-/// Discrete-event simulator of CS-RTDBS / LS-CS-RTDBS: the client sites,
-/// the server site and what they share. It pops events and hands each to
-/// the site it is for; the few things one site needs of another without a
-/// message (the load table, a lease fence, lock revalidation after a
-/// server restart) are loops here, between the sites, not inside one.
-pub struct ClientServerSim {
-    cx: Cx,
-    clients: Vec<ClientSite>,
-    server: ServerSite,
+/// The run's database server site.
+enum Server {
+    /// CE: runs every transaction itself.
+    Centralized(CentralizedServer),
+    /// CS/LS: ships objects and calls back cached locks.
+    ClientServer(ServerSite),
 }
 
-impl ClientServerSim {
-    /// Builds the simulator for `cfg`. `cfg.system` selects CS or LS
-    /// behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with a centralized config.
+/// The discrete-event simulator of all three systems: the client sites (none
+/// in CE, whose terminals keep no state), the server site and what they
+/// share. It pops events and hands each to the site it is for; the few
+/// things one site needs of another without a message (the load table, a
+/// lease fence, lock revalidation after a server restart) are loops here,
+/// between the sites, not inside one.
+pub struct Simulator {
+    cx: Cx,
+    clients: Vec<ClientSite>,
+    server: Server,
+}
+
+impl Simulator {
+    /// Builds the simulator for `cfg`; `cfg.system` selects the system.
     #[must_use]
     pub fn new(cfg: ExperimentConfig) -> Self {
-        assert!(
-            cfg.system != SystemKind::Centralized,
-            "use CentralizedSim for CE-RTDBS"
-        );
-        ClientServerSim {
-            clients: (0..cfg.clients)
+        let (clients, server) = if cfg.system == SystemKind::Centralized {
+            let server = Server::Centralized(CentralizedServer::new(&cfg));
+            (Vec::new(), server)
+        } else {
+            let clients = (0..cfg.clients)
                 .map(|i| ClientSite::new(ClientId(i), &cfg.client, cfg.cpu.client_speed))
-                .collect(),
-            server: ServerSite::new(&cfg),
+                .collect();
+            (clients, Server::ClientServer(ServerSite::new(&cfg)))
+        };
+        Simulator {
+            clients,
+            server,
             cx: Cx::new(cfg),
         }
     }
@@ -610,20 +648,97 @@ impl ClientServerSim {
     /// timeline.
     pub fn attach_sink(&mut self, sink: EventSink) {
         self.cx.fabric.set_sink(sink.clone());
-        self.server.attach_sink(&sink);
+        if let Server::ClientServer(server) = &mut self.server {
+            server.attach_sink(&sink);
+        }
         self.cx.sink = sink;
+    }
+
+    /// Runs the experiment to completion and returns its metrics.
+    #[must_use]
+    pub fn run(mut self) -> RunMetrics {
+        self.prepare();
+        while self.step() {}
+        self.finalize()
+    }
+
+    /// Generates the trace and seeds the event queue. Split out of
+    /// [`run`](Self::run) so harnesses can pump events one at a time (the
+    /// steady-state allocation test snapshots the allocator between steps).
+    pub fn prepare(&mut self) {
+        let cfg = &self.cx.cfg;
+        let trace = Trace::generate(
+            &cfg.workload,
+            cfg.cpu.txn_cpu_fraction,
+            cfg.database.num_objects,
+            cfg.clients,
+            cfg.runtime.duration,
+            cfg.runtime.seed,
+        );
+        self.cx.specs = trace.into_transactions();
+        for (i, spec) in self.cx.specs.iter().enumerate() {
+            self.cx.queue.push(spec.arrival, Ev::Arrive(i));
+        }
+        if self.cx.faults_active {
+            self.schedule_faults();
+        }
+        let warmup_end = self.cx.warmup_end;
+        self.cx.queue.push(warmup_end, Ev::EndWarmup);
+        // CE sweeps from the end of the warm-up (DESIGN.md §15).
+        let ce = matches!(self.server, Server::Centralized(_));
+        let floor = if ce { warmup_end } else { SimTime::ZERO };
+        let first_sweep = floor.max(SimTime::from_secs(1));
+        self.cx.queue.push(first_sweep, Ev::Sweep);
+    }
+
+    /// Processes the next event; returns `false` once the queue is drained.
+    pub fn step(&mut self) -> bool {
+        let Some((t, ev)) = self.cx.queue.pop() else {
+            return false;
+        };
+        debug_assert!(t >= self.cx.now, "time went backwards");
+        self.cx.now = t;
+        self.handle(ev);
+        true
+    }
+
+    /// Current simulated time.
+    #[must_use]
+    pub fn now(&self) -> SimTime {
+        self.cx.now
+    }
+
+    /// Closes out the run and returns its metrics.
+    #[must_use]
+    pub fn finalize(self) -> RunMetrics {
+        let (mut cx, clients) = (self.cx, self.clients);
+        debug_assert!(clients.iter().all(|c| c.check_invariants() == Ok(())));
+        let span = cx.now.duration_since(SimTime::ZERO).as_secs_f64().max(1e-9);
+        match self.server {
+            Server::Centralized(server) => server.finalize(&mut cx, span),
+            Server::ClientServer(server) => {
+                debug_assert_eq!(server.core.wfg.check_invariants(), Ok(()));
+                let busy: f64 = clients
+                    .iter()
+                    .map(|c| c.cpu_busy_time().as_secs_f64())
+                    .sum();
+                cx.metrics.client_cpu_utilization = (busy / (span * clients.len() as f64)).min(1.0);
+                cx.metrics.load_sharing.windows_opened = server.windows_opened();
+                server.core.report_faults(&mut cx);
+            }
+        }
+        cx.metrics
     }
 
     /// Pre-generates the whole fault schedule (crashes, recoveries and
     /// slow-disk episodes) from seed-derived PRNG streams, so two runs with
     /// the same seed inject identical faults regardless of workload
-    /// interleaving.
+    /// interleaving. Each server site owns its crash schedule.
     fn schedule_faults(&mut self) {
         let f = self.cx.cfg.faults;
-        let seed = self.cx.cfg.runtime.seed;
         let end = SimTime::ZERO + self.cx.cfg.runtime.duration;
         if !f.mean_time_to_crash.is_zero() {
-            let crash_base = Prng::seed_from_u64(seed).derive(0xFA_C2);
+            let crash_base = Prng::seed_from_u64(self.cx.cfg.runtime.seed).derive(0xFA_C2);
             for ci in 0..self.clients.len() {
                 let mut prng = crash_base.derive(ci as u64);
                 let mut t = SimTime::ZERO;
@@ -644,76 +759,10 @@ impl ClientServerSim {
                 }
             }
         }
-        if !f.mean_time_to_server_crash.is_zero() {
-            let mut prng = Prng::seed_from_u64(seed).derive(0xFA_E4);
-            let mut t = SimTime::ZERO;
-            loop {
-                t += prng.exp_duration(f.mean_time_to_server_crash);
-                if t >= end {
-                    break;
-                }
-                self.cx.queue.push(t, Ev::ServerCrash);
-                if f.mean_recovery_time.is_zero() {
-                    break; // permanent: the site goes dark, no replay
-                }
-                // Recovery is self-scheduled by the crash handler (its time
-                // depends on log length); space the next crash out past the
-                // expected outage so the schedule stays plausible.
-                t += prng.exp_duration(f.mean_recovery_time);
-            }
+        match &mut self.server {
+            Server::Centralized(server) => server.schedule_faults(&mut self.cx),
+            Server::ClientServer(server) => server.schedule_faults(&mut self.cx),
         }
-        self.server.core.schedule_slow_disk(&self.cx.cfg);
-    }
-
-    /// Runs the experiment to completion and returns its metrics.
-    #[must_use]
-    pub fn run(mut self) -> RunMetrics {
-        let cfg = &self.cx.cfg;
-        let trace = Trace::generate(
-            &cfg.workload,
-            cfg.cpu.txn_cpu_fraction,
-            cfg.database.num_objects,
-            cfg.clients,
-            cfg.runtime.duration,
-            cfg.runtime.seed,
-        );
-        self.cx.specs = trace.into_transactions();
-        for (i, spec) in self.cx.specs.iter().enumerate() {
-            self.cx.queue.push(spec.arrival, Ev::Arrive(i));
-        }
-        if self.cx.faults_active {
-            self.schedule_faults();
-        }
-        self.cx.queue.push(self.cx.warmup_end, Ev::EndWarmup);
-        self.cx.queue.push(SimTime::from_secs(1), Ev::Sweep);
-        // Client-local tables only ever cover each site's cached working
-        // set, so unlike the server's they are left to grow on demand.
-        self.server.core.presize(&self.cx.cfg);
-        while let Some((t, ev)) = self.cx.queue.pop() {
-            debug_assert!(t >= self.cx.now, "time went backwards");
-            self.cx.now = t;
-            self.handle(ev);
-        }
-        self.finalize()
-    }
-
-    fn finalize(self) -> RunMetrics {
-        let ClientServerSim {
-            mut cx,
-            clients,
-            server,
-        } = self;
-        debug_assert_eq!(server.core.wfg.check_invariants(), Ok(()));
-        debug_assert!(clients.iter().all(|c| c.check_invariants() == Ok(())));
-        let span = cx.now.duration_since(SimTime::ZERO).as_secs_f64().max(1e-9);
-        let busy: f64 = clients
-            .iter()
-            .map(|c| c.cpu_busy_time().as_secs_f64())
-            .sum();
-        cx.metrics.client_cpu_utilization = (busy / (span * clients.len() as f64)).min(1.0);
-        cx.metrics.load_sharing.windows_opened = server.windows_opened();
-        server.core.report_faults(&cx.fabric, &mut cx.metrics);
-        cx.metrics
     }
 
     /// Runs `f` on client `i` with the shared context, then passes on to
@@ -725,23 +774,26 @@ impl ClientServerSim {
     }
 
     fn settle_lost_forwards(&mut self) {
-        for object in self.cx.lost_forwards.drain(..) {
-            self.server.forget_route(object);
+        if let Server::ClientServer(server) = &mut self.server {
+            server.forget_lost_routes(&mut self.cx);
         }
     }
 
     fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrive(i) => {
-                // Each transaction arrives once: its access list moves to
-                // the site that runs it.
-                let slot = &mut self.cx.specs[i];
-                let spec = TransactionSpec {
-                    accesses: std::mem::take(&mut slot.accesses),
-                    ..*slot
-                };
-                self.on_client(spec.origin.index(), |c, cx| c.on_arrive(cx, spec));
-            }
+            Ev::Arrive(i) => match self.server {
+                Server::Centralized(_) => centralized::submit(&mut self.cx, i as u32),
+                Server::ClientServer(_) => {
+                    // Each transaction arrives once: its access list moves
+                    // to the site that runs it.
+                    let slot = &mut self.cx.specs[i];
+                    let spec = TransactionSpec {
+                        accesses: std::mem::take(&mut slot.accesses),
+                        ..*slot
+                    };
+                    self.on_client(spec.origin.index(), |c, cx| c.on_arrive(cx, spec));
+                }
+            },
             Ev::Deliver { to, mut msgs } => {
                 // Messages of one group arrive back-to-back at the same
                 // instant; liveness cannot change between them, so the
@@ -763,38 +815,27 @@ impl ClientServerSim {
             } => self.on_client(client, |c, cx| {
                 c.on_disk_ready(cx, txn, object, scheduled_at);
             }),
-            Ev::ServerFetchDone {
-                to,
-                txn,
-                item,
-                scheduled_at,
-            } => {
-                // A fetch issued before a crash died with the server's
-                // volatile state; the client's retry machinery re-requests.
-                if self.server.core.server_up {
-                    let (cx, unit) = (&self.cx, TransactionId::from_raw(txn));
-                    let disk = SpanKind::Disk;
-                    cx.sink
-                        .span(cx.now, SiteId::Server, unit, disk, scheduled_at, None);
-                    self.server.ship_now(&mut self.cx, to, item);
-                }
-            }
-            Ev::WindowClose { object } => {
-                // Windows were wiped by the crash; a stale close is a no-op.
-                if self.server.core.server_up {
-                    self.server.on_window_close(&mut self.cx, object);
-                }
-            }
+            ev @ (Ev::ServerFetchDone { .. }
+            | Ev::WindowClose { .. }
+            | Ev::ServerIo { .. }
+            | Ev::ServerCpu { .. }) => self.on_server_event(ev),
             Ev::EndWarmup => self.cx.fabric.reset_stats(),
             Ev::Sweep => self.on_sweep(),
             Ev::SiteCrash { client } => self.on_client(client, ClientSite::on_crash),
             Ev::SiteRecover { client } => self.on_client(client, ClientSite::on_recover),
             Ev::ServerCrash => {
-                if let Some(ready) = self.server.crash(&mut self.cx) {
+                let ready = match &mut self.server {
+                    Server::Centralized(server) => server.crash(&mut self.cx),
+                    Server::ClientServer(server) => server.crash(&mut self.cx),
+                };
+                if let Some(ready) = ready {
                     self.cx.queue.push(ready, Ev::ServerRecover);
                 }
             }
-            Ev::ServerRecover => self.on_server_recover(),
+            Ev::ServerRecover => match &mut self.server {
+                Server::Centralized(server) => server.rejoin(&mut self.cx),
+                Server::ClientServer(_) => self.on_server_recover(),
+            },
             Ev::RetryFetch {
                 client,
                 object,
@@ -806,29 +847,75 @@ impl ClientServerSim {
         }
     }
 
+    /// An event the server site scheduled for itself. A CS one that
+    /// outlived a crash is stale: a fetch issued before it died with the
+    /// server's volatile state (the client's retry machinery re-requests),
+    /// and the windows were wiped.
+    fn on_server_event(&mut self, ev: Ev) {
+        let cx = &mut self.cx;
+        match (&mut self.server, ev) {
+            (Server::Centralized(server), Ev::ServerIo { txn }) => server.on_io_done(cx, txn),
+            (Server::Centralized(server), Ev::ServerCpu { generation }) => {
+                server.on_cpu_tick(cx, generation);
+            }
+            (Server::ClientServer(server), _) if !server.core.server_up => {}
+            (
+                Server::ClientServer(server),
+                Ev::ServerFetchDone {
+                    to,
+                    txn,
+                    item,
+                    scheduled_at,
+                },
+            ) => {
+                let (unit, disk) = (TransactionId::from_raw(txn), SpanKind::Disk);
+                cx.sink
+                    .span(cx.now, SiteId::Server, unit, disk, scheduled_at, None);
+                server.ship_now(cx, to, item);
+            }
+            (Server::ClientServer(server), Ev::WindowClose { object }) => {
+                server.on_window_close(cx, object);
+            }
+            (_, ev) => unreachable!("{ev:?} is not this server's event"),
+        }
+    }
+
     /// Hands `msg` to the site it is addressed to, unless that site is
     /// down: deliveries already in flight when the destination crashed are
-    /// refused at its door (new sends are refused by the fabric itself).
+    /// refused at its door (new sends are refused by the fabric itself). A
+    /// CE submission's hop is stamped before the door, refused or not.
     fn deliver(&mut self, to: SiteDest, msg: Msg) {
-        let up = match to {
-            SiteDest::Server => self.server.core.server_up,
-            SiteDest::Client(c) => self.cx.site_up(c),
+        let cx = &mut self.cx;
+        let up = match (to, &self.server) {
+            (SiteDest::Client(c), _) => cx.site_up(c),
+            (SiteDest::Server, Server::Centralized(server)) => {
+                if let Some((unit, kind, sent_at)) = msg.trip() {
+                    cx.sink
+                        .span(cx.now, SiteId::Server, unit, kind, sent_at, None);
+                }
+                server.core.server_up
+            }
+            (SiteDest::Server, Server::ClientServer(server)) => server.core.server_up,
         };
         if !up {
-            self.server.core.gate_dropped += 1;
-            self.cx.on_dropped_delivery(msg);
+            cx.refused += 1;
+            cx.on_dropped_delivery(msg);
             self.settle_lost_forwards();
             return;
         }
-        match (to, msg) {
-            (SiteDest::Client(c), msg) => {
+        match (to, &mut self.server) {
+            (SiteDest::Client(_), Server::Centralized(_)) => centralized::on_result(cx, msg),
+            (SiteDest::Client(c), Server::ClientServer(_)) => {
                 self.on_client(c.index(), |site, cx| site.on_msg(cx, msg));
             }
-            (SiteDest::Server, Msg::LoadQuery { txn, objects }) => {
-                let loads = self.clients.iter().map(ClientSite::load_report).collect();
-                self.server.on_load_query(&mut self.cx, txn, objects, loads);
-            }
-            (SiteDest::Server, msg) => self.server.on_msg(&mut self.cx, msg),
+            (SiteDest::Server, Server::Centralized(server)) => server.on_msg(cx, msg),
+            (SiteDest::Server, Server::ClientServer(server)) => match msg {
+                Msg::LoadQuery { txn, objects } => {
+                    let loads = self.clients.iter().map(ClientSite::load_report).collect();
+                    server.on_load_query(cx, txn, objects, loads);
+                }
+                msg => server.on_msg(cx, msg),
+            },
         }
     }
 
@@ -838,9 +925,12 @@ impl ClientServerSim {
         for i in 0..self.clients.len() {
             self.on_client(i, ClientSite::sweep_expired);
         }
-        if self.server.core.server_up {
-            self.reclaim_expired_leases();
-            self.server.sweep(&mut self.cx);
+        match &mut self.server {
+            Server::Centralized(server) => server.sweep(&mut self.cx),
+            Server::ClientServer(server) if server.core.server_up => {
+                self.sweep_client_server();
+            }
+            Server::ClientServer(_) => {}
         }
         if self.cx.inflight > 0 || !self.cx.queue.is_empty() {
             self.cx
@@ -849,39 +939,44 @@ impl ClientServerSim {
         }
     }
 
-    /// Failure handling: callbacks unanswered past the lease are presumed
-    /// lost with their holder. The server reclaims the lock, the holder's
-    /// cached copy is fenced and its local users of it die, and only then
-    /// are the waiters granted from the server's own copy. Inert unless
-    /// faults are injected and a non-zero lease is configured.
-    fn reclaim_expired_leases(&mut self) {
+    /// The CS server's sweep. Failure handling first: callbacks unanswered
+    /// past the lease are presumed lost with their holder. The server
+    /// reclaims the lock, the holder's cached copy is fenced and its local
+    /// users of it die, and only then are the waiters granted from the
+    /// server's own copy (inert unless faults are injected and a non-zero
+    /// lease is configured). Then expired lock waiters go.
+    fn sweep_client_server(&mut self) {
         let lease = self.cx.cfg.faults.callback_lease;
-        if !self.cx.faults_active || lease.is_zero() {
+        let Server::ClientServer(server) = &mut self.server else {
             return;
+        };
+        let (cx, clients) = (&mut self.cx, &mut self.clients);
+        if cx.faults_active && !lease.is_zero() {
+            for (object, holder) in server.expired_leases(cx.now, lease) {
+                let grants = server.reclaim(cx, object, holder);
+                // If the holder was merely slow the fence is conservative
+                // but safe: it must re-fetch.
+                if let Some(c) = clients.get_mut(holder.index()) {
+                    c.fence(cx, object);
+                    c.abort_local_holders(cx, object);
+                }
+                server.forget_lost_routes(cx);
+                server.apply_grants(cx, object, grants);
+            }
+            server.forget_dead_routes(cx.now);
         }
-        for (object, holder) in self.server.expired_leases(self.cx.now, lease) {
-            let grants = self.server.reclaim(&mut self.cx, object, holder);
-            // If the holder was merely slow the fence is conservative but
-            // safe: it must re-fetch.
-            self.on_client(holder.index(), |c, cx| {
-                c.fence(cx, object);
-                c.abort_local_holders(cx, object);
-            });
-            self.server.apply_grants(&mut self.cx, object, grants);
-        }
-        self.server.forget_dead_routes(self.cx.now);
+        server.sweep(cx);
     }
 
-    /// Replay finished: the server rejoins with only durable state and the
-    /// surviving clients reconnect — their cached locks are revalidated
+    /// Replay finished: the CS server rejoins with only durable state and
+    /// the surviving clients reconnect — their cached locks are revalidated
     /// into the rebuilt lock table (or fenced), and the work they had in
     /// flight across the outage aborts.
     fn on_server_recover(&mut self) {
-        let ClientServerSim {
-            cx,
-            clients,
-            server,
-        } = self;
+        let Server::ClientServer(server) = &mut self.server else {
+            return;
+        };
+        let (cx, clients) = (&mut self.cx, &mut self.clients);
         let crashed_at = server
             .core
             .rejoin(cx.now, &cx.sink, &mut cx.fabric, &mut cx.metrics);
@@ -923,9 +1018,9 @@ impl ClientServerSim {
     }
 }
 
-impl std::fmt::Debug for ClientServerSim {
+impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClientServerSim")
+        f.debug_struct("Simulator")
             .field("system", &self.cx.cfg.system)
             .field("now", &self.cx.now)
             .field("clients", &self.clients.len())

@@ -16,6 +16,7 @@ use siteselect_locks::{
 };
 use siteselect_net::MessageKind;
 use siteselect_obs::EventSink;
+use siteselect_sim::Prng;
 use siteselect_types::{
     ClientId, ExperimentConfig, LockMode, ObjectId, ObjectMap, SimDuration, SimTime, SiteId,
     TransactionId,
@@ -129,11 +130,39 @@ impl ServerSite {
         self.windows.total_opened()
     }
 
-    /// A forward hop was lost in transit: the chain is broken, so the
-    /// server's own copy becomes authoritative again and later requests
-    /// must not keep batching onto the dead route.
-    pub(crate) fn forget_route(&mut self, object: ObjectId) {
-        self.routing.remove(object);
+    /// Forward hops lost in transit since the server last acted: each
+    /// chain is broken, so the server's own copy becomes authoritative again
+    /// and later requests must not keep batching onto the dead route.
+    pub(crate) fn forget_lost_routes(&mut self, cx: &mut Cx) {
+        for object in cx.lost_forwards.drain(..) {
+            self.routing.remove(object);
+        }
+    }
+
+    /// Pre-generates this server's crashes and the slow-disk episodes. The
+    /// next crash is drawn past the expected outage (`t += exp(mean
+    /// recovery time)` after each), so a crash rarely lands in the previous
+    /// outage; the server schedules its own rejoin when it crashes, since
+    /// how long replay takes depends on the log.
+    pub(crate) fn schedule_faults(&mut self, cx: &mut Cx) {
+        let f = cx.cfg.faults;
+        let end = SimTime::ZERO + cx.cfg.runtime.duration;
+        if !f.mean_time_to_server_crash.is_zero() {
+            let mut prng = Prng::seed_from_u64(cx.cfg.runtime.seed).derive(0xFA_E4);
+            let mut t = SimTime::ZERO;
+            loop {
+                t += prng.exp_duration(f.mean_time_to_server_crash);
+                if t >= end {
+                    break;
+                }
+                cx.queue.push(t, Ev::ServerCrash);
+                if f.mean_recovery_time.is_zero() {
+                    break; // permanent: the site goes dark, no replay
+                }
+                t += prng.exp_duration(f.mean_recovery_time);
+            }
+        }
+        self.core.schedule_slow_disk(&cx.cfg);
     }
 
     pub(crate) fn on_msg(&mut self, cx: &mut Cx, msg: Msg) {
@@ -438,30 +467,14 @@ impl ServerSite {
         // a crash from here on replays this write instead of losing it.
         self.pseudo_seq += 1;
         let pseudo = (1u64 << 63) | self.pseudo_seq;
-        let checkpoints = self.core.store.checkpoints();
         let stamp = self.core.store.write(pseudo, object);
-        self.core.store.commit(pseudo);
         cx.sink
             .emit(cx.now, SiteId::Server, || siteselect_obs::Event::WalWrite {
                 txn: TransactionId::from_raw(pseudo),
                 page: object,
                 stamp,
             });
-        cx.sink.emit(cx.now, SiteId::Server, || {
-            siteselect_obs::Event::WalCommit {
-                txn: TransactionId::from_raw(pseudo),
-            }
-        });
-        if self.core.store.checkpoints() > checkpoints {
-            let active = self.core.store.active_txns() as u32;
-            let log_records = self.core.store.log_records();
-            cx.sink.emit(cx.now, SiteId::Server, || {
-                siteselect_obs::Event::WalCheckpoint {
-                    active,
-                    log_records,
-                }
-            });
-        }
+        self.core.force_commit(cx.now, &cx.sink, pseudo);
         self.callbacks.acknowledge(object, from);
         cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::CallbackAcked { object, from }

@@ -1,10 +1,9 @@
 //! One-call experiment driver.
 
 use siteselect_obs::{EventSink, TraceData};
-use siteselect_types::{ConfigError, ExperimentConfig, SystemKind};
+use siteselect_types::{ConfigError, ExperimentConfig};
 
-use crate::centralized::CentralizedSim;
-use crate::clientserver::ClientServerSim;
+use crate::clientserver::Simulator;
 use crate::metrics::RunMetrics;
 
 /// Validates `cfg` and runs the matching system simulator to completion.
@@ -27,12 +26,7 @@ use crate::metrics::RunMetrics;
 /// ```
 pub fn run_experiment(cfg: &ExperimentConfig) -> Result<RunMetrics, ConfigError> {
     cfg.validate()?;
-    let metrics = match cfg.system {
-        SystemKind::Centralized => CentralizedSim::new(cfg.clone()).run(),
-        SystemKind::ClientServer | SystemKind::LoadSharing => {
-            ClientServerSim::new(cfg.clone()).run()
-        }
-    };
+    let metrics = Simulator::new(cfg.clone()).run();
     debug_assert!(metrics.is_consistent(), "outcome accounting out of balance");
     Ok(metrics)
 }
@@ -56,18 +50,9 @@ pub fn run_experiment_traced(
 ) -> Result<(RunMetrics, TraceData), ConfigError> {
     cfg.validate()?;
     let sink = EventSink::enabled(capacity);
-    let metrics = match cfg.system {
-        SystemKind::Centralized => {
-            let mut sim = CentralizedSim::new(cfg.clone());
-            sim.attach_sink(sink.clone());
-            sim.run()
-        }
-        SystemKind::ClientServer | SystemKind::LoadSharing => {
-            let mut sim = ClientServerSim::new(cfg.clone());
-            sim.attach_sink(sink.clone());
-            sim.run()
-        }
-    };
+    let mut sim = Simulator::new(cfg.clone());
+    sim.attach_sink(sink.clone());
+    let metrics = sim.run();
     debug_assert!(metrics.is_consistent(), "outcome accounting out of balance");
     // detlint: allow(D9) — the sink was attached unconditionally a few lines up
     let trace = sink.finish().expect("sink was enabled");
@@ -77,7 +62,7 @@ pub fn run_experiment_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siteselect_types::SimDuration;
+    use siteselect_types::{SimDuration, SystemKind};
 
     fn quick(system: SystemKind, clients: u16, updates: f64) -> RunMetrics {
         let mut cfg = ExperimentConfig::paper(system, clients, updates);

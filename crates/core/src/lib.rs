@@ -3,11 +3,14 @@
 //! paper's load-sharing algorithm, as deterministic discrete-event
 //! simulations.
 //!
-//! * [`CentralizedSim`] — CE-RTDBS: all processing at the server.
-//! * [`ClientServerSim`] — CS-RTDBS and LS-CS-RTDBS: object-shipping
-//!   client-server with callback locking; the LS variant adds transaction
-//!   shipping (heuristics H1/H2), transaction decomposition, deadline-
-//!   ordered object request scheduling and grouped locks / forward lists.
+//! * [`Simulator`] (also named [`CentralizedSim`] and [`ClientServerSim`])
+//!   — one event loop over sites that exchange messages, for all three
+//!   systems. CE-RTDBS ([`centralized`]): all processing at the server,
+//!   clients are terminals. CS-RTDBS and LS-CS-RTDBS ([`clientserver`]):
+//!   object-shipping client-server with callback locking; the LS variant
+//!   adds transaction shipping (heuristics H1/H2), transaction
+//!   decomposition, deadline-ordered object request scheduling and grouped
+//!   locks / forward lists.
 //! * [`run_experiment`] — one-call driver returning [`RunMetrics`].
 //! * [`experiments`] — parameter sweeps that regenerate every figure and
 //!   table of the paper's evaluation.
@@ -35,8 +38,11 @@ pub mod metrics;
 pub mod report;
 mod server_core;
 
-pub use centralized::CentralizedSim;
-pub use clientserver::ClientServerSim;
+pub use clientserver::Simulator;
+/// The [`Simulator`], by the name CE runs have always used.
+pub type CentralizedSim = Simulator;
+/// The [`Simulator`], by the name CS and LS runs have always used.
+pub type ClientServerSim = Simulator;
 pub use driver::{run_experiment, run_experiment_traced};
 pub use metrics::{
     CacheReport, FailureBreakdown, FaultReport, LoadSharingReport, ResponseReport, RunMetrics,

@@ -1,4 +1,4 @@
-//! The server state both engines share, and what a crash does to it.
+//! The server state both server sites share, and what a crash does to it.
 //!
 //! CE locks at transaction granularity under a deadline-ordered queue, CS
 //! at client granularity under FIFO; everything else about the database
@@ -8,7 +8,7 @@
 //! server crash loses (lock table, wait-for graph, buffer pool, the staged
 //! log tail past a random cut) and what survives it (the forced log, the
 //! durable pages, the disk's fault schedule, the crash PRNG stream). Each
-//! engine layers only what is its own on top: CE aborts its in-flight
+//! site layers only what is its own on top: CE aborts its in-flight
 //! transactions, CS resets its callback/window/routing state and
 //! revalidates the clients' cached locks.
 
@@ -18,8 +18,9 @@ use siteselect_net::Fabric;
 use siteselect_obs::{Event, EventSink};
 use siteselect_sim::Prng;
 use siteselect_storage::{ClientCache, DiskModel, DurableStore, RecoveryOutcome};
-use siteselect_types::{ExperimentConfig, SimTime, SiteId};
+use siteselect_types::{ExperimentConfig, SimTime, SiteId, TransactionId};
 
+use crate::clientserver::Cx;
 use crate::metrics::RunMetrics;
 
 /// The run's fabric. With fault injection on, loss and jitter draw from a
@@ -46,9 +47,6 @@ pub(crate) struct ServerCore<O: LockOwner> {
     pub store: DurableStore,
     /// False while the server is crashed and replaying its log.
     pub server_up: bool,
-    /// In-flight deliveries refused at a crashed site's door (fabric-level
-    /// drops are counted by the fabric itself).
-    pub gate_dropped: u64,
     discipline: QueueDiscipline,
     /// Crash-time draws: the torn staged-write tail kept by a crash and the
     /// reboot lag before replay starts. Its own stream, so restart draws
@@ -63,26 +61,28 @@ pub(crate) struct ServerCore<O: LockOwner> {
 
 impl<O: LockOwner> ServerCore<O> {
     pub(crate) fn new(cfg: &ExperimentConfig, discipline: QueueDiscipline) -> Self {
-        ServerCore {
+        let mut core = ServerCore {
             locks: LockTable::new(discipline),
             wfg: WaitForGraph::new(),
             buffer: ClientCache::new(cfg.server.buffer_objects, 0),
             disk: DiskModel::new(cfg.server.disk.page_service_time),
             store: DurableStore::new(cfg.database.num_objects, cfg.server.buffer_objects.max(1)),
             server_up: true,
-            gate_dropped: 0,
             discipline,
             crash_prng: Prng::seed_from_u64(cfg.runtime.seed).derive(0xFA_E5),
             pending_recovery: None,
             crashed_at: None,
-        }
+        };
+        core.presize(cfg);
+        core
     }
 
     /// The buffer and lock table see every object id sooner or later;
     /// pre-sizing their slabs keeps first-touch insertions off the
-    /// allocator mid-run. Engines call this when a run starts; a crash
-    /// re-runs it on the rebuilt table and pool.
-    pub(crate) fn presize(&mut self, cfg: &ExperimentConfig) {
+    /// allocator mid-run (client-local tables only ever cover a site's
+    /// cached working set, so they grow on demand). A new server does this
+    /// once; a crash re-runs it on the rebuilt table and pool.
+    fn presize(&mut self, cfg: &ExperimentConfig) {
         let n = cfg.database.num_objects as usize;
         self.buffer.reserve_ids(n);
         self.locks.reserve_objects(n);
@@ -194,10 +194,28 @@ impl<O: LockOwner> ServerCore<O> {
         self.crashed_at.take()
     }
 
+    /// Forces `txn`'s commit record (the WAL rule: before anyone hears of
+    /// the commit) and stamps it, with the fuzzy checkpoint it may trigger.
+    pub(crate) fn force_commit(&mut self, now: SimTime, sink: &EventSink, txn: u64) {
+        let checkpoints = self.store.checkpoints();
+        self.store.commit(txn);
+        let id = TransactionId::from_raw(txn);
+        sink.emit(now, SiteId::Server, || Event::WalCommit { txn: id });
+        if self.store.checkpoints() > checkpoints {
+            let active = self.store.active_txns() as u32;
+            let log_records = self.store.log_records();
+            sink.emit(now, SiteId::Server, || Event::WalCheckpoint {
+                active,
+                log_records,
+            });
+        }
+    }
+
     /// Closes the message and fault counters into the run's report.
-    pub(crate) fn report_faults(&self, fabric: &Fabric, metrics: &mut RunMetrics) {
+    pub(crate) fn report_faults(&self, cx: &mut Cx) {
+        let (fabric, metrics) = (&cx.fabric, &mut cx.metrics);
         metrics.messages = fabric.stats().clone();
-        metrics.faults.messages_dropped = fabric.dropped_messages() + self.gate_dropped;
+        metrics.faults.messages_dropped = fabric.dropped_messages() + cx.refused;
         metrics.faults.messages_delayed = fabric.delayed_messages();
         metrics.faults.slow_disk_ios = self.disk.slow_ios();
     }
@@ -222,7 +240,6 @@ mod tests {
     ) -> (RecoveryOutcome, SimTime) {
         let cfg = restart_cfg();
         let mut core = ServerCore::<O>::new(&cfg, discipline);
-        core.presize(&cfg);
         let mut fabric = fabric_for(&cfg);
         let mut metrics = RunMetrics::new(cfg.system, cfg.clients, 0.2, cfg.runtime.seed);
         let sink = EventSink::disabled();

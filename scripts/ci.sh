@@ -121,11 +121,13 @@ EOF
 step_clippy() { cargo clippy --workspace --all-targets; }
 
 step_trace-determinism() {
-  repro trace --quick --seed 7 --out "$tmp/a" > "$tmp/a.out"
-  repro trace --quick --seed 7 --out "$tmp/b" > "$tmp/b.out"
-  diff "$tmp/a/trace.jsonl" "$tmp/b/trace.jsonl"
-  diff "$tmp/a/trace.json" "$tmp/b/trace.json"
-  same_report "$tmp/a.out" "$tmp/b.out"
+  for system in ce cs ls; do
+    repro trace --quick --seed 7 --system "$system" --out "$tmp/a" > "$tmp/a.out"
+    repro trace --quick --seed 7 --system "$system" --out "$tmp/b" > "$tmp/b.out"
+    diff "$tmp/a/trace.jsonl" "$tmp/b/trace.jsonl"
+    diff "$tmp/a/trace.json" "$tmp/b/trace.json"
+    same_report "$tmp/a.out" "$tmp/b.out"
+  done
 }
 
 step_blame-determinism() {
