@@ -24,8 +24,7 @@ use siteselect_core::experiments::{
     ablations, cache_table, deadline_figure, fault_table, message_table, par_map, response_table,
     restart_table, SweepOptions, FIGURE_CLIENTS, TABLE_CLIENTS,
 };
-use siteselect_core::run_experiment_traced;
-use siteselect_locks::protocol_costs::{self, TraceMessage};
+use siteselect_core::{run_experiment_traced, script};
 use siteselect_obs::{BlameReport, MetricsRegistry, MetricsSnapshot};
 use siteselect_types::{ConfigError, ExperimentConfig, SimDuration, SystemKind};
 
@@ -271,10 +270,10 @@ fn run(target: &str, flags: &Flags) -> Result<(), AnyError> {
             Ok(table1())
         }),
         "figure1" => section("Figure 1: the 2PL (callback caching) protocol", || {
-            Ok(protocol(&protocol_costs::figure1_trace()))
+            Ok(script::figure_listing(1))
         }),
         "figure2" => section("Figure 2: the lock grouping protocol", || {
-            Ok(protocol(&protocol_costs::figure2_trace()))
+            Ok(script::figure_listing(2))
         }),
         "figure3" => figure(3, 0.01, opts),
         "figure4" => figure(4, 0.05, opts),
@@ -356,15 +355,6 @@ fn table1() -> String {
         cs.workload.deadline,
         cs.workload.mean_objects_per_txn,
         cs.cpu.txn_cpu_fraction,
-    )
-}
-
-/// Figures 1 and 2: a protocol's message trace and its message count.
-fn protocol(trace: &[TraceMessage]) -> String {
-    format!(
-        "{}total: {} messages\n",
-        protocol_costs::render_trace(trace),
-        trace.len()
     )
 }
 

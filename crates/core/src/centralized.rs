@@ -67,7 +67,7 @@ pub(crate) fn submit(cx: &mut Cx, index: u32) {
         arrival,
         deadline,
     };
-    cx.send_to_server(origin, MessageKind::TxnSubmit, 0, 1, msg);
+    cx.send_to_server(0, 1, msg);
 }
 
 /// A commit's result reaches its terminal. The deadline test uses the
@@ -524,6 +524,7 @@ fn send_result(cx: &mut Cx, index: u32, committed: bool) {
     let spec = spec_at(&cx.specs, index);
     let (origin, kind) = (spec.origin, MessageKind::TxnResult);
     let result = Msg::TxnResult {
+        from: SiteId::Server,
         txn: spec.id,
         committed,
         deadline: spec.deadline,

@@ -11,7 +11,6 @@
 use std::collections::{BTreeMap, HashMap};
 
 use siteselect_locks::{Acquire, ForwardList, Grants, LockTable, QueueDiscipline, WaitForGraph};
-use siteselect_net::MessageKind;
 use siteselect_obs::SpanKind;
 use siteselect_storage::{CacheTier, ClientCache, DiskModel};
 use siteselect_types::{
@@ -374,12 +373,12 @@ impl ClientSite {
                 None
             };
             if let Some(reason) = reason {
-                let (origin, objects) = (run.spec.origin, run.spec.objects().collect());
+                let objects = run.spec.objects().collect();
                 let mut run = run;
                 run.state = RunState::AwaitInfo { reason };
                 self.txns.insert(key, run);
                 let query = Msg::LoadQuery { txn: key, objects };
-                cx.send_to_server(origin, MessageKind::LoadQuery, 0, 1, query);
+                cx.send_to_server(0, 1, query);
                 return;
             }
         }
@@ -457,8 +456,6 @@ impl ClientSite {
             }
         }
         cx.send_to_server(
-            client,
-            MessageKind::ObjectRequest,
             0,
             logical,
             Msg::RequestBatch {
@@ -560,7 +557,7 @@ impl ClientSite {
             wants,
             grant_all: false,
         };
-        cx.send_to_server(client, MessageKind::ObjectRequest, 0, 1, batch);
+        cx.send_to_server(0, 1, batch);
     }
 
     /// Requests the local (transaction-level) lock. Returns `true` if the
@@ -698,7 +695,9 @@ impl ClientSite {
                 desired,
                 forward,
             } => self.on_recall(cx, object, desired, forward),
-            Msg::ObjectForward { object, mode, rest } => {
+            Msg::ObjectForward {
+                object, mode, rest, ..
+            } => {
                 if cx.now >= cx.warmup_end {
                     cx.metrics.load_sharing.forward_satisfied += 1;
                 }
@@ -1157,9 +1156,7 @@ impl ClientSite {
                 self.begin_acquisition(cx, skey);
             } else {
                 cx.send_to_peer(
-                    origin,
                     site,
-                    MessageKind::SubtaskShip,
                     0,
                     Msg::SubtaskShip {
                         parent: key,
@@ -1224,7 +1221,7 @@ impl ClientSite {
             spec: run.spec,
             sent_at: cx.now,
         };
-        cx.send_to_peer(self.id, dest, MessageKind::TxnShip, 0, ship);
+        cx.send_to_peer(dest, 0, ship);
     }
 
     /// Releases everything `key` holds or awaits here.
@@ -1264,8 +1261,6 @@ impl ClientSite {
         if !cancelled.is_empty() {
             let client = self.id;
             cx.send_to_server(
-                client,
-                MessageKind::ObjectRequest,
                 0,
                 1,
                 Msg::CancelWants {
@@ -1334,7 +1329,7 @@ impl ClientSite {
             from,
             had_copy,
         };
-        cx.send_to_server(from, MessageKind::CallbackAck, 0, 1, ack);
+        cx.send_to_server(0, 1, ack);
     }
 
     /// Sends the object (the newest version) home.
@@ -1345,7 +1340,7 @@ impl ClientSite {
             from,
             downgraded,
         };
-        cx.send_to_server(from, MessageKind::ObjectReturn, 1, 1, ret);
+        cx.send_to_server(1, 1, ret);
     }
 
     /// Executes a pending revocation once no local transaction holds the
@@ -1397,11 +1392,12 @@ impl ClientSite {
                         siteselect_obs::Event::ForwardHop { object, to }
                     });
                     let hop = Msg::ObjectForward {
+                        from: SiteId::Client(from),
                         object,
                         mode: entry.mode,
                         rest: list,
                     };
-                    cx.send_to_peer(from, to, MessageKind::ObjectForward, 1, hop);
+                    cx.send_to_peer(to, 1, hop);
                 }
                 None => self.send_home(cx, object, false),
             },
@@ -1607,25 +1603,27 @@ impl ClientSite {
     fn settle(&mut self, cx: &mut Cx, run: &TxnRun, aborted: Option<AbortReason>) {
         let (from, spec, sent_at) = (self.id, &run.spec, cx.now);
         let ok = aborted.is_none() && cx.now <= spec.deadline;
-        let (origin, kind, result) = match run.kind {
+        let (origin, result) = match run.kind {
             RunKind::Normal => return cx.settle(spec.id, spec.arrival, spec.deadline, aborted),
             RunKind::Shipped { origin } => {
                 let result = Msg::TxnResult {
+                    from: SiteId::Client(from),
                     txn: spec.id,
                     committed: ok,
                     deadline: spec.deadline,
                     arrival: spec.arrival,
                     sent_at,
                 };
-                (origin, MessageKind::TxnShipResult, result)
+                (origin, result)
             }
             RunKind::Subtask { parent, origin, .. } => {
                 let result = Msg::SubtaskResult {
+                    from,
                     parent,
                     ok,
                     sent_at,
                 };
-                (origin, MessageKind::SubtaskResult, result)
+                (origin, result)
             }
         };
         if !cx.site_up(from) {
@@ -1641,7 +1639,7 @@ impl ClientSite {
         } else if origin == from {
             self.on_result(cx, result);
         } else {
-            cx.send_to_peer(from, origin, kind, 0, result);
+            cx.send_to_peer(origin, 0, result);
         }
     }
 
@@ -2100,17 +2098,26 @@ mod tests {
         site.on_msg(
             &mut cx,
             Msg::ObjectForward {
+                from: SiteId::Server,
                 object: ObjectId(5),
                 mode: LockMode::Exclusive,
                 rest,
             },
         );
         let sent = cx.drain_deliveries();
-        let [(SiteDest::Client(ClientId(2)), Msg::ObjectForward { object, mode, rest })] =
-            &sent[..]
+        let [(
+            SiteDest::Client(ClientId(2)),
+            Msg::ObjectForward {
+                from,
+                object,
+                mode,
+                rest,
+            },
+        )] = &sent[..]
         else {
             panic!("expected one hop to client 2, got {sent:?}");
         };
+        assert_eq!(*from, SiteId::Client(site.id));
         assert_eq!((*object, *mode), (ObjectId(5), LockMode::Exclusive));
         assert!(rest.is_empty());
         assert_eq!(site.cached_locks.get(ObjectId(5)), None);
@@ -2120,6 +2127,7 @@ mod tests {
         site.on_msg(
             &mut cx,
             Msg::ObjectForward {
+                from: SiteId::Server,
                 object: ObjectId(5),
                 mode: LockMode::Exclusive,
                 rest: ForwardList::new(ObjectId(5)),

@@ -135,10 +135,12 @@ pub(crate) enum Msg {
         locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
         loads: Vec<(ClientId, usize, f64)>,
     },
-    /// Client → client (via directory): object hops down a forward list.
+    /// Object hops down a forward list: server → client for the first hop
+    /// (an object send), client → client (via directory) for the rest.
     /// `mode` is the receiver's granted mode; `rest` is the remainder of
     /// the list.
     ObjectForward {
+        from: SiteId,
         object: ObjectId,
         mode: LockMode,
         rest: ForwardList,
@@ -163,6 +165,7 @@ pub(crate) enum Msg {
     /// score it at delivery time; `sent_at` stamps the remote commit so
     /// delivery can span the return hop.
     TxnResult {
+        from: SiteId,
         txn: TransactionId,
         committed: bool,
         deadline: SimTime,
@@ -181,6 +184,7 @@ pub(crate) enum Msg {
     /// Client → client (via directory): subtask outcome; `sent_at` stamps
     /// the subtask's completion at the remote site.
     SubtaskResult {
+        from: ClientId,
         parent: TKey,
         ok: bool,
         sent_at: SimTime,
@@ -210,6 +214,50 @@ impl Msg {
         };
         Some((TransactionId::from_raw(unit), kind, sent_at))
     }
+
+    /// The site that sent this message and the kind the fabric counts it
+    /// as: the one record of both for a client's sends, and what a scripted
+    /// run reports. (The server names the kind itself: it builds a message
+    /// only once the fabric has taken it.) A load query or a shipped
+    /// transaction comes from its origin: only a transaction that runs
+    /// where it arrived asks or ships.
+    fn route(&self) -> (SiteId, MessageKind) {
+        use MessageKind as K;
+        let (server, client) = (SiteId::Server, SiteId::Client);
+        match *self {
+            Msg::RequestBatch { client: c, .. } | Msg::CancelWants { client: c, .. } => {
+                (client(c), K::ObjectRequest)
+            }
+            Msg::GrantBatch { ref items } if items.iter().any(|i| i.2) => (server, K::ObjectSend),
+            Msg::GrantBatch { .. } => (server, K::LockGrant),
+            Msg::ConflictReport { .. } | Msg::Rejected { .. } => (server, K::ConflictInfo),
+            Msg::Recall { .. } => (server, K::Recall),
+            Msg::ObjectReturn { from, .. } => (client(from), K::ObjectReturn),
+            Msg::CallbackAck { from, .. } => (client(from), K::CallbackAck),
+            Msg::LoadQuery { txn, .. } => {
+                (client(TransactionId::from_raw(txn).origin()), K::LoadQuery)
+            }
+            Msg::LoadReply { .. } => (server, K::LoadReply),
+            Msg::ObjectForward { from, .. } if from == server => (from, K::ObjectSend),
+            Msg::ObjectForward { from, .. } => (from, K::ObjectForward),
+            Msg::TxnShip { ref spec, .. } => (client(spec.origin), K::TxnShip),
+            Msg::TxnSubmit { txn, .. } => (client(txn.origin()), K::TxnSubmit),
+            Msg::TxnResult { from, .. } if from == server => (from, K::TxnResult),
+            Msg::TxnResult { from, .. } => (from, K::TxnShipResult),
+            Msg::SubtaskShip { origin, .. } => (client(origin), K::SubtaskShip),
+            Msg::SubtaskResult { from, .. } => (client(from), K::SubtaskResult),
+        }
+    }
+}
+
+/// One message a scripted run ([`Simulator::run_script`]) delivered: when,
+/// from and to which site, and what the fabric counted it as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Delivered {
+    pub at: SimTime,
+    pub from: SiteId,
+    pub to: SiteId,
+    pub kind: MessageKind,
 }
 
 /// Simulator events.
@@ -453,42 +501,26 @@ impl Cx {
         }
     }
 
-    pub(crate) fn send_to_server(
-        &mut self,
-        from: ClientId,
-        kind: MessageKind,
-        objects: u32,
-        logical: u32,
-        msg: Msg,
-    ) {
-        let delivery = self.fabric.try_send_counted(
-            self.now,
-            SiteId::Client(from),
-            SiteId::Server,
-            kind,
-            objects,
-            logical,
-        );
+    /// Client-to-server traffic: one frame carrying `logical` per-object
+    /// messages and `objects` payloads, from the sender and counted as the
+    /// kind [`Msg::route`] names.
+    pub(crate) fn send_to_server(&mut self, objects: u32, logical: u32, msg: Msg) {
+        let (from, kind) = msg.route();
+        let delivery =
+            self.fabric
+                .try_send_counted(self.now, from, SiteId::Server, kind, objects, logical);
         self.push_delivery(delivery, SiteDest::Server, msg);
     }
 
     /// Client-to-client traffic, through the directory server when one is
-    /// configured.
-    pub(crate) fn send_to_peer(
-        &mut self,
-        from: ClientId,
-        to: ClientId,
-        kind: MessageKind,
-        objects: u32,
-        msg: Msg,
-    ) {
-        let (from_site, to_site) = (SiteId::Client(from), SiteId::Client(to));
+    /// configured; sender and kind as for [`send_to_server`](Self::send_to_server).
+    pub(crate) fn send_to_peer(&mut self, to: ClientId, objects: u32, msg: Msg) {
+        let ((from, kind), to_site) = (msg.route(), SiteId::Client(to));
         let delivery = if self.cfg.load_sharing.directory_enabled {
             self.fabric
-                .try_send_via_directory(self.now, from_site, to_site, kind, objects)
+                .try_send_via_directory(self.now, from, to_site, kind, objects)
         } else {
-            self.fabric
-                .try_send(self.now, from_site, to_site, kind, objects)
+            self.fabric.try_send(self.now, from, to_site, kind, objects)
         };
         self.push_delivery(delivery, SiteDest::Client(to), msg);
     }
@@ -675,7 +707,14 @@ impl Simulator {
             cfg.runtime.duration,
             cfg.runtime.seed,
         );
-        self.cx.specs = trace.into_transactions();
+        self.seed(trace.into_transactions());
+    }
+
+    /// Seeds the event queue with `specs`, which run in place of a
+    /// generated trace: their arrivals, the end of the warm-up, the first
+    /// sweep and the fault schedule.
+    fn seed(&mut self, specs: Vec<TransactionSpec>) {
+        self.cx.specs = specs;
         for (i, spec) in self.cx.specs.iter().enumerate() {
             self.cx.queue.push(spec.arrival, Ev::Arrive(i));
         }
@@ -689,6 +728,35 @@ impl Simulator {
         let floor = if ce { warmup_end } else { SimTime::ZERO };
         let first_sweep = floor.max(SimTime::from_secs(1));
         self.cx.queue.push(first_sweep, Ev::Sweep);
+    }
+
+    /// Runs a hand-written script: `specs`, in arrival order, take the place
+    /// of the generated trace. Returns the run's metrics and every message
+    /// delivered, in delivery order.
+    #[must_use]
+    pub fn run_script(mut self, specs: Vec<TransactionSpec>) -> (RunMetrics, Vec<Delivered>) {
+        self.seed(specs);
+        let mut delivered = Vec::new();
+        while let Some((t, ev)) = self.cx.queue.pop() {
+            if let Ev::Deliver { to, msgs } = &ev {
+                let to = match *to {
+                    SiteDest::Server => SiteId::Server,
+                    SiteDest::Client(c) => SiteId::Client(c),
+                };
+                delivered.extend(msgs.iter().map(|msg| {
+                    let (from, kind) = msg.route();
+                    Delivered {
+                        at: t,
+                        from,
+                        to,
+                        kind,
+                    }
+                }));
+            }
+            self.cx.now = t;
+            self.handle(ev);
+        }
+        (self.finalize(), delivered)
     }
 
     /// Processes the next event; returns `false` once the queue is drained.

@@ -711,6 +711,7 @@ impl ServerSite {
             siteselect_obs::Event::ForwardHop { object, to }
         });
         let hop = || Msg::ObjectForward {
+            from: SiteId::Server,
             object,
             mode: entry.mode,
             rest: list.clone(),

@@ -36,9 +36,10 @@ pub mod driver;
 pub mod experiments;
 pub mod metrics;
 pub mod report;
+pub mod script;
 mod server_core;
 
-pub use clientserver::Simulator;
+pub use clientserver::{Delivered, Simulator};
 /// The [`Simulator`], by the name CE runs have always used.
 pub type CentralizedSim = Simulator;
 /// The [`Simulator`], by the name CS and LS runs have always used.

@@ -202,11 +202,9 @@ fn collect_sites<'f>(files: &[&'f SourceFile]) -> Vec<FnSites<'f>> {
             by_ty.entry((ty, &def.name)).or_default().push(id);
         }
     }
-    let codes: BTreeMap<&str, Vec<&Token>> =
-        files.iter().map(|f| (f.path.as_str(), f.code())).collect();
     defs.iter()
         .map(|&(file, def, (s, e))| {
-            let code = &codes[file.path.as_str()];
+            let code = &file.code;
             let mut sites = Vec::new();
             for i in s..e.min(code.len()) {
                 if file
@@ -248,10 +246,10 @@ fn collect_sites<'f>(files: &[&'f SourceFile]) -> Vec<FnSites<'f>> {
 /// the enclosing type (`self.name(…)` / `Self::name(…)`). Keywords,
 /// constructors and macro names need no filtering: they resolve to
 /// nothing because no function carries their name.
-fn call_site<'t>(code: &[&'t Token], i: usize) -> Option<(&'t str, bool)> {
+fn call_site(code: &[Token], i: usize) -> Option<(&str, bool)> {
     let name = code[i].ident()?;
     let punct = |k: usize, c: char| code.get(k).is_some_and(|t| t.is_punct(c));
-    let back = |n: usize| i.checked_sub(n).map(|k| code[k]);
+    let back = |n: usize| i.checked_sub(n).map(|k| &code[k]);
     let mut j = i + 1;
     if punct(j, ':') && punct(j + 1, ':') && punct(j + 2, '<') {
         j = generics_end(code, j + 2); // turbofish
@@ -325,7 +323,7 @@ impl std::fmt::Display for SiteKind {
 
 /// `.send(` at `i`, or a zero-argument `.join()` (the thread-handle
 /// shape — `str::join`/`Path::join` take an argument).
-fn send_or_join_site(code: &[&Token], i: usize) -> Option<SiteKind> {
+fn send_or_join_site(code: &[Token], i: usize) -> Option<SiteKind> {
     let name = code[i].ident()?;
     if i == 0 || !code[i - 1].is_punct('.') {
         return None;
@@ -345,7 +343,7 @@ fn send_or_join_site(code: &[&Token], i: usize) -> Option<SiteKind> {
 /// replaced by the impl type. Returns `None` for the wrapper's own
 /// `self.0.lock()` (a tuple-field receiver is the raw std mutex inside
 /// `sync.rs`) and for computed receivers (`f(x).lock()`).
-fn lock_site(code: &[&Token], i: usize, self_ty: Option<&str>) -> Option<String> {
+fn lock_site(code: &[Token], i: usize, self_ty: Option<&str>) -> Option<String> {
     if code[i].ident() != Some("lock") {
         return None;
     }
@@ -384,7 +382,7 @@ fn lock_site(code: &[&Token], i: usize, self_ty: Option<&str>) -> Option<String>
 }
 
 /// Exclusive scope end for the guard produced by the `.lock()` at `i`.
-fn guard_scope_end(code: &[&Token], i: usize, body_s: usize, body_e: usize) -> usize {
+fn guard_scope_end(code: &[Token], i: usize, body_s: usize, body_e: usize) -> usize {
     let body_e = body_e.min(code.len());
     let stmt_s = statement_start(code, i, body_s);
     match code[stmt_s].ident() {
@@ -404,7 +402,7 @@ fn guard_scope_end(code: &[&Token], i: usize, body_s: usize, body_e: usize) -> u
 }
 
 /// The pattern ident of `let [mut] NAME = …`, if it is a simple one.
-fn binding_name<'t>(code: &[&'t Token], stmt_s: usize) -> Option<&'t str> {
+fn binding_name(code: &[Token], stmt_s: usize) -> Option<&str> {
     let mut k = stmt_s + 1;
     if code.get(k).and_then(|t| t.ident()) == Some("mut") {
         k += 1;
@@ -413,7 +411,7 @@ fn binding_name<'t>(code: &[&'t Token], stmt_s: usize) -> Option<&'t str> {
 }
 
 /// First `drop(NAME)` between `i` and `end`, as the release point.
-fn drop_site(code: &[&Token], i: usize, end: usize, name: &str) -> Option<usize> {
+fn drop_site(code: &[Token], i: usize, end: usize, name: &str) -> Option<usize> {
     (i..end.min(code.len()).saturating_sub(3)).find(|&k| {
         code[k].ident() == Some("drop")
             && code[k + 1].is_punct('(')
@@ -423,7 +421,7 @@ fn drop_site(code: &[&Token], i: usize, end: usize, name: &str) -> Option<usize>
 }
 
 /// The `}` closing the innermost block containing `i` (exclusive end).
-fn enclosing_block_end(code: &[&Token], i: usize, body_e: usize) -> usize {
+fn enclosing_block_end(code: &[Token], i: usize, body_e: usize) -> usize {
     let mut depth = 0i32;
     for (k, t) in code.iter().enumerate().take(body_e).skip(i) {
         if t.is_punct('{') {
@@ -441,11 +439,11 @@ fn enclosing_block_end(code: &[&Token], i: usize, body_e: usize) -> usize {
 /// For `if let` / `while let` / `match` / `for` scrutinee temporaries:
 /// the end of the construct's block — the `}` matching the first `{`
 /// at group depth 0 after the site.
-fn construct_block_end(code: &[&Token], i: usize, body_e: usize) -> usize {
+fn construct_block_end(code: &[Token], i: usize, body_e: usize) -> usize {
     let mut gdepth = 0i32;
     let mut k = i;
     while k < body_e {
-        let t = code[k];
+        let t = &code[k];
         if t.is_punct('(') || t.is_punct('[') {
             gdepth += 1;
         } else if t.is_punct(')') || t.is_punct(']') {
@@ -460,7 +458,7 @@ fn construct_block_end(code: &[&Token], i: usize, body_e: usize) -> usize {
 
 /// A plain-statement temporary: dropped at the `;` ending the statement
 /// (or at the close of the surrounding block for a tail expression).
-fn temporary_end(code: &[&Token], i: usize, body_e: usize) -> usize {
+fn temporary_end(code: &[Token], i: usize, body_e: usize) -> usize {
     let mut depth = 0i32;
     for (k, t) in code.iter().enumerate().take(body_e).skip(i) {
         if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
@@ -483,11 +481,11 @@ fn temporary_end(code: &[&Token], i: usize, body_e: usize) -> usize {
 /// Brackets/parens are balanced; a `{`, `}`, or `;` at depth 0 is a
 /// statement boundary (`}` ends a preceding block statement — braces
 /// nested inside parens are ignored by the depth rule and stay inside).
-fn statement_start(code: &[&Token], site: usize, body_s: usize) -> usize {
+fn statement_start(code: &[Token], site: usize, body_s: usize) -> usize {
     let mut depth = 0i32;
     let mut j = site;
     while j > body_s {
-        let t = code[j - 1];
+        let t = &code[j - 1];
         if t.is_punct(')') || t.is_punct(']') {
             depth += 1;
         } else if t.is_punct('(') || t.is_punct('[') {

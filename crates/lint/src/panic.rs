@@ -32,13 +32,13 @@ const NON_INDEX_KEYWORDS: [&str; 22] = [
 /// absorbs the result; inline annotations are honored here.
 #[must_use]
 pub fn check_file(file: &SourceFile) -> Vec<Violation> {
-    let code = file.code();
+    let code = &file.code;
     let mut out = Vec::new();
     for i in 0..code.len() {
         if file.parsed.in_test_span(i) {
             continue;
         }
-        let Some(what) = panic_site(&code, i) else { continue };
+        let Some(what) = panic_site(code, i) else { continue };
         let line = code[i].line;
         if file.annotations.allows(RuleId::D9, line) {
             continue;
@@ -57,7 +57,7 @@ pub fn check_file(file: &SourceFile) -> Vec<Violation> {
 }
 
 /// A panic site at code index `i`, described for the message.
-fn panic_site(code: &[&Token], i: usize) -> Option<String> {
+fn panic_site(code: &[Token], i: usize) -> Option<String> {
     if let Some(name) = code[i].ident() {
         if matches!(name, "unwrap" | "unwrap_err" | "expect" | "expect_err")
             && i > 0
@@ -69,7 +69,7 @@ fn panic_site(code: &[&Token], i: usize) -> Option<String> {
         return None;
     }
     if code[i].is_punct('[') && i > 0 {
-        let prev = code[i - 1];
+        let prev = &code[i - 1];
         let postfix = match prev.ident() {
             Some(id) => !NON_INDEX_KEYWORDS.contains(&id),
             None => prev.is_punct(')') || prev.is_punct(']'),

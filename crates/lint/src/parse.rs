@@ -14,17 +14,10 @@
 //! so a new syntax form degrades coverage instead of crashing the linter.
 //!
 //! All spans are indices into the **code token** vector (comments
-//! stripped, see [`code_tokens`]) — the same view the rule passes walk,
+//! stripped, `SourceFile::code`) — the same view the rule passes walk,
 //! so a body range can be sliced directly.
 
 use crate::lexer::{TokKind, Token};
-
-/// Filters a lexed stream down to code tokens (the view every pass
-/// indexes into).
-#[must_use]
-pub fn code_tokens(tokens: &[Token]) -> Vec<&Token> {
-    tokens.iter().filter(|t| t.is_code()).collect()
-}
 
 /// One function (free `fn`, impl method, or trait default method).
 #[derive(Debug, Clone)]
@@ -98,7 +91,7 @@ struct Scope {
 }
 
 struct Scanner<'a> {
-    code: &'a [&'a Token],
+    code: &'a [Token],
     i: usize,
     open: Vec<Scope>,
     out: ParsedFile,
@@ -106,7 +99,7 @@ struct Scanner<'a> {
 
 /// Scans the code-token view of one file.
 #[must_use]
-pub fn parse_file(code: &[&Token]) -> ParsedFile {
+pub fn parse_file(code: &[Token]) -> ParsedFile {
     let mut s = Scanner {
         code,
         i: 0,
@@ -116,7 +109,7 @@ pub fn parse_file(code: &[&Token]) -> ParsedFile {
     // `#[cfg(test)]` / `#[test]` seen since the last item boundary: it
     // belongs to the next `fn` / `mod` / `impl` / `trait`.
     let mut test_attr = false;
-    while let Some(&t) = code.get(s.i) {
+    while let Some(t) = code.get(s.i) {
         // Inside a function, block or macro body anything goes; outside
         // one, every token has to belong to an item.
         let in_code = s
@@ -153,7 +146,7 @@ pub fn parse_file(code: &[&Token]) -> ParsedFile {
 /// One past the `>` matching the `<` at `code[open]`, treating `->`
 /// arrows (legal inside `Fn(…) -> T` bounds) as non-closing.
 #[must_use]
-pub fn generics_end(code: &[&Token], open: usize) -> usize {
+pub fn generics_end(code: &[Token], open: usize) -> usize {
     let punct = |k: usize, c: char| code.get(k).is_some_and(|t| t.is_punct(c));
     let mut depth = 0i32;
     let mut k = open;
@@ -421,10 +414,12 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
+    fn code_of(src: &str) -> Vec<Token> {
+        lex(src).into_iter().filter(Token::is_code).collect()
+    }
+
     fn parse(src: &str) -> ParsedFile {
-        let toks = lex(src);
-        let code = code_tokens(&toks);
-        parse_file(&code)
+        parse_file(&code_of(src))
     }
 
     #[test]
@@ -554,8 +549,7 @@ fn after() {}
     #[test]
     fn bodies_span_the_right_tokens() {
         let src = "fn f() { inner_call(); } fn g() {}";
-        let toks = lex(src);
-        let code = code_tokens(&toks);
+        let code = code_of(src);
         let p = parse_file(&code);
         let (s, e) = p.fns[0].body.unwrap();
         let body_idents: Vec<&str> = code[s..e].iter().filter_map(|t| t.ident()).collect();

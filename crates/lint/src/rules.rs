@@ -252,9 +252,8 @@ pub(crate) const AMBIENT_RNG_IDENTS: [&str; 6] = [
 /// let bindings (`let name: HashMap<…>`, `let name = HashMap::new()`),
 /// and struct-literal initializers (`name: HashMap::new()`).
 #[must_use]
-pub fn collect_symbols(tokens: &[Token]) -> SymbolTable {
+pub fn collect_symbols(code: &[Token]) -> SymbolTable {
     let mut table = SymbolTable::default();
-    let code: Vec<&Token> = tokens.iter().filter(|t| t.is_code()).collect();
     for i in 0..code.len() {
         // `let [mut] name = <path>…` where the path mentions HashMap/HashSet.
         if code[i].ident() == Some("let") {
@@ -266,7 +265,7 @@ pub fn collect_symbols(tokens: &[Token]) -> SymbolTable {
                 continue;
             };
             if code.get(j + 1).is_some_and(|t| t.is_punct('=')) {
-                let path = leading_path(&code[skip_ref_prefix(&code, j + 2)..]);
+                let path = leading_path(&code[skip_ref_prefix(code, j + 2)..]);
                 if path.iter().any(|s| MAP_TYPES.contains(&s.as_str())) {
                     table.map_names.insert(name.to_string());
                 }
@@ -284,7 +283,7 @@ pub fn collect_symbols(tokens: &[Token]) -> SymbolTable {
             if name.chars().next().is_some_and(char::is_uppercase) {
                 continue; // enum variant / struct path, not a binding
             }
-            let path = leading_path(&code[skip_ref_prefix(&code, i + 2)..]);
+            let path = leading_path(&code[skip_ref_prefix(code, i + 2)..]);
             if path.iter().any(|s| MAP_TYPES.contains(&s.as_str())) {
                 table.map_names.insert(name.to_string());
             } else if path
@@ -304,7 +303,7 @@ pub fn collect_symbols(tokens: &[Token]) -> SymbolTable {
 
 /// Skips reference sigils so `m: &'a mut HashMap<…>` registers `m` the
 /// same as an owned binding.
-fn skip_ref_prefix(code: &[&Token], mut j: usize) -> usize {
+fn skip_ref_prefix(code: &[Token], mut j: usize) -> usize {
     while code.get(j).is_some_and(|t| {
         t.is_punct('&') || t.kind == TokKind::Lifetime || t.ident() == Some("mut")
     }) {
@@ -317,7 +316,7 @@ fn skip_ref_prefix(code: &[&Token], mut j: usize) -> usize {
 /// HashMap` → `["std", "collections", "HashMap"]`. Stops at the first
 /// token that is neither an ident nor a `::` separator; also swallows
 /// one level of `<…>` so `Option<HashMap<…>>` exposes `HashMap`.
-fn leading_path(code: &[&Token]) -> Vec<String> {
+fn leading_path(code: &[Token]) -> Vec<String> {
     let mut out = Vec::new();
     let mut i = 0;
     let mut depth = 0u32;
@@ -468,7 +467,7 @@ pub struct FileContext<'a> {
 /// Runs the token rules (D1–D6) over one file.
 #[must_use]
 pub fn check_file(file: &SourceFile, ctx: &FileContext<'_>) -> Vec<Violation> {
-    let tokens = &file.tokens;
+    let comments = &file.comments;
     let symbols = &file.symbols;
     let ann = &file.annotations;
     let mut out = Vec::new();
@@ -483,7 +482,7 @@ pub fn check_file(file: &SourceFile, ctx: &FileContext<'_>) -> Vec<Violation> {
 
     // Lines with a SAFETY: comment (the comment itself or the next code
     // line satisfy D4 if within reach).
-    let safety_lines: BTreeSet<u32> = tokens
+    let safety_lines: BTreeSet<u32> = comments
         .iter()
         .filter_map(|t| match &t.kind {
             TokKind::LineComment { text, .. } | TokKind::BlockComment { text }
@@ -495,11 +494,7 @@ pub fn check_file(file: &SourceFile, ctx: &FileContext<'_>) -> Vec<Violation> {
         })
         .collect();
     // Lines carrying any comment at all (for D5's reason requirement).
-    let comment_lines: BTreeSet<u32> = tokens
-        .iter()
-        .filter(|t| !t.is_code())
-        .map(|t| t.line)
-        .collect();
+    let comment_lines: BTreeSet<u32> = comments.iter().map(|t| t.line).collect();
 
     let mut emit = |rule: RuleId, line: u32, message: String| {
         if !ann.allows(rule, line) {
@@ -512,9 +507,9 @@ pub fn check_file(file: &SourceFile, ctx: &FileContext<'_>) -> Vec<Violation> {
         }
     };
 
-    let code = file.code();
+    let code = &file.code;
     for i in 0..code.len() {
-        let t = code[i];
+        let t = &code[i];
         let Some(name) = t.ident() else {
             // D5: `#[allow(` / `#![allow(`.
             if t.is_punct('#') {
@@ -661,7 +656,7 @@ pub fn check_file(file: &SourceFile, ctx: &FileContext<'_>) -> Vec<Violation> {
 /// iterated and its line when the loop has the direct shape
 /// `for <pat> in [&][mut] [self .] name {` — method chains after the
 /// name are handled by the method-call check instead.
-fn for_loop_target<'t>(code: &[&'t Token]) -> Option<(&'t str, u32)> {
+fn for_loop_target(code: &[Token]) -> Option<(&str, u32)> {
     // Find `in` within a short window, stopping at tokens that cannot
     // appear in a loop pattern — `impl Display for Foo {` must not scan
     // into the impl body and pick up an unrelated `in`.

@@ -9,7 +9,7 @@
 use crate::baseline::{Baseline, StaleEntry};
 use crate::config::Config;
 use crate::lexer::{lex, Token};
-use crate::parse::{code_tokens, parse_file, ParsedFile};
+use crate::parse::{parse_file, ParsedFile};
 use crate::rules::{
     check_file, collect_annotations, collect_symbols, crate_wide_map_names, Annotations,
     FileContext, RuleId, SymbolTable, Violation,
@@ -23,7 +23,11 @@ use std::path::{Path, PathBuf};
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    pub tokens: Vec<Token>,
+    /// The code tokens (comments stripped): the view every pass walks and
+    /// body spans index into.
+    pub code: Vec<Token>,
+    /// The comment tokens, in source order.
+    pub comments: Vec<Token>,
     pub parsed: ParsedFile,
     pub annotations: Annotations,
     /// Names this file declares map-typed / non-map-typed (D2).
@@ -34,22 +38,19 @@ impl SourceFile {
     #[must_use]
     pub fn new(path: String, src: &str) -> SourceFile {
         let tokens = lex(src);
-        let parsed = parse_file(&code_tokens(&tokens));
         let annotations = collect_annotations(&tokens);
-        let symbols = collect_symbols(&tokens);
+        let (code, comments): (Vec<Token>, Vec<Token>) =
+            tokens.into_iter().partition(Token::is_code);
+        let parsed = parse_file(&code);
+        let symbols = collect_symbols(&code);
         SourceFile {
             path,
-            tokens,
+            code,
+            comments,
             parsed,
             annotations,
             symbols,
         }
-    }
-
-    /// The code-token view (comments stripped) that body spans index into.
-    #[must_use]
-    pub fn code(&self) -> Vec<&Token> {
-        code_tokens(&self.tokens)
     }
 }
 

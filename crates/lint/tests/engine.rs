@@ -381,8 +381,8 @@ fn whole_repository_parses_without_errors() {
         // Independent of the scanner: every `fn <name>` token pair is a
         // listed function, except in a file that defines one inside an
         // item-position `macro_rules!` body (skipped whole).
-        let is_def = |w: &[&Token]| w[0].ident() == Some("fn") && w[1].ident().is_some();
-        if unit.code().windows(2).filter(|w| is_def(w)).count() != unit.parsed.fns.len() {
+        let is_def = |w: &[Token]| w[0].ident() == Some("fn") && w[1].ident().is_some();
+        if unit.code.windows(2).filter(|w| is_def(w)).count() != unit.parsed.fns.len() {
             unlisted.push(unit.path.as_str());
         }
     }
@@ -407,7 +407,7 @@ fn engine_functions_stay_within_the_line_budget() {
         if !unit.path.starts_with("crates/core/src/") {
             continue;
         }
-        let code = unit.code();
+        let code = &unit.code;
         for f in unit.parsed.fns.iter().filter(|f| !f.test_only) {
             let Some((_, end)) = f.body else { continue };
             let lines = code[end].line - f.line + 1;

@@ -3,8 +3,9 @@
 //! During a *collection window* the server gathers all lock requests on one
 //! object into an ordered **forward list**. The lock is granted to the first
 //! entry and the object travels client→client down the list; the last client
-//! returns it to the server. For `n` requests this takes `2n + 1` messages
-//! instead of up to `3n` (plain 2PL) or `4n` (callback caching).
+//! returns it to the server. The paper counts `2n + 1` messages for `n`
+//! requests instead of up to `3n` (plain 2PL) or `4n` (callback caching);
+//! `siteselect_core::script` counts what the engine spends.
 //!
 //! In a real-time environment the list is ordered by transaction deadline,
 //! expired entries are skipped, and consecutive read-only entries are marked
@@ -50,7 +51,6 @@ pub struct ForwardEntry {
 /// });
 /// // Earliest deadline first.
 /// assert_eq!(fl.entries()[0].client, ClientId(1));
-/// assert_eq!(ForwardList::expected_messages(2), 5); // Figure 2
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForwardList {
@@ -144,26 +144,6 @@ impl ForwardList {
     pub fn last_client(&self) -> Option<ClientId> {
         self.entries.last().map(|e| e.client)
     }
-
-    /// Messages needed to serve `n` grouped requests: `2n + 1` (§3.4).
-    #[must_use]
-    pub fn expected_messages(n: usize) -> usize {
-        2 * n + 1
-    }
-
-    /// Messages plain strict 2PL needs for `n` requests on one object:
-    /// `3n` (§3.4: n requests, n grants, n releases).
-    #[must_use]
-    pub fn two_pl_messages(n: usize) -> usize {
-        3 * n
-    }
-
-    /// Worst-case messages for callback caching: `4n` (§3.4: request,
-    /// grant, individual recall, return).
-    #[must_use]
-    pub fn callback_worst_case_messages(n: usize) -> usize {
-        4 * n
-    }
 }
 
 #[cfg(test)]
@@ -240,18 +220,5 @@ mod tests {
         fl2.push(entry(1, 10, LockMode::Shared));
         assert_eq!(fl2.next_group().len(), 1);
         assert!(ForwardList::new(ObjectId(2)).next_group().is_empty());
-    }
-
-    #[test]
-    fn message_count_formulas() {
-        // Figure 1 vs Figure 2 for n = 2.
-        assert_eq!(ForwardList::two_pl_messages(2), 6);
-        assert_eq!(ForwardList::expected_messages(2), 5);
-        assert_eq!(ForwardList::callback_worst_case_messages(2), 8);
-        // Grouping always wins for n >= 1.
-        for n in 1..100 {
-            assert!(ForwardList::expected_messages(n) <= ForwardList::two_pl_messages(n));
-            assert!(ForwardList::expected_messages(n) < ForwardList::callback_worst_case_messages(n));
-        }
     }
 }

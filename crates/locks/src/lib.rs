@@ -18,7 +18,6 @@
 //!   grants to the earliest deadline and ships the object together with the
 //!   deadline-ordered forward list; the object hops client→client and the
 //!   last client returns it (2n+1 messages instead of 3n/4n).
-//! * [`protocol_costs`] — executable reproductions of Figures 1 and 2.
 //!
 //! # Example
 //!
@@ -46,7 +45,6 @@
 
 pub mod callback;
 pub mod forward;
-pub mod protocol_costs;
 #[cfg(test)]
 mod reference;
 pub mod table;

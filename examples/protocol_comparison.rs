@@ -1,48 +1,35 @@
-//! Protocol comparison: the message economics of plain callback 2PL vs the
-//! paper's grouped locks (Figures 1 and 2), exactly as message traces.
+//! Protocol comparison: the messages plain callback locking and the paper's
+//! grouped locks (Figures 1 and 2) spend to move one object, as the engine
+//! delivers them.
 //!
 //! ```text
 //! cargo run --release --example protocol_comparison
 //! ```
 
-use siteselect::locks::protocol_costs::{
-    cached_two_pl_trace, figure1_trace, figure2_trace, grouped_trace, render_trace,
-};
-use siteselect::locks::ForwardList;
+use siteselect::core::{script, Simulator};
 
 fn main() {
     println!("=== Figure 1: moving an object from Client A to Client B under");
-    println!("    callback 2PL with inter-transaction caching ===\n");
-    let f1 = figure1_trace();
-    print!("{}", render_trace(&f1));
-    println!("-> {} messages\n", f1.len());
+    println!("    callback locking with inter-transaction caching (CS) ===\n");
+    print!("{}", script::figure_listing(1));
 
-    println!("=== Figure 2: the same movement with a collection window and a");
-    println!("    forward list ===\n");
-    let f2 = figure2_trace();
-    print!("{}", render_trace(&f2));
-    println!("-> {} messages\n", f2.len());
+    println!("\n=== Figure 2: a holder and three requesters under grouped locks");
+    println!("    (LS: collection window and forward list) ===\n");
+    print!("{}", script::figure_listing(2));
 
-    println!("=== Scaling: n requests on one object ===\n");
+    println!("\n=== Scaling: k clients write one object in turn ===\n");
+    println!("engine counts against the paper's worst case for callback locking");
+    println!("(4k) and its count for grouped locks (2k+1)\n");
     println!(
-        "{:>4}  {:>14}  {:>12}  {:>9}",
-        "n", "callback 2PL", "grouped", "saved"
+        "{:>3}  {:>11}  {:>4}  {:>11}  {:>4}",
+        "k", "CS (engine)", "4k", "LS (engine)", "2k+1"
     );
-    for n in [1usize, 2, 4, 8, 16, 32] {
-        let plain = cached_two_pl_trace(n).len();
-        let grouped = grouped_trace(n).len();
-        println!(
-            "{n:>4}  {plain:>14}  {grouped:>12}  {:>8.0}%",
-            (plain - grouped) as f64 * 100.0 / plain as f64
-        );
+    for requesters in 1..=4u16 {
+        let [cs, ls] = [1, 2].map(|figure| {
+            let (cfg, specs) = script::figure(figure, requesters);
+            Simulator::new(cfg).run_script(specs).1.len()
+        });
+        let k = requesters + 1;
+        println!("{k:>3}  {cs:>11}  {:>4}  {ls:>11}  {:>4}", 4 * k, 2 * k + 1);
     }
-
-    println!(
-        "\nClosed forms: callback 2PL needs 4n-1 messages, grouping needs 2n+1"
-    );
-    println!(
-        "(formulas: {} and {} for n = 10).",
-        ForwardList::callback_worst_case_messages(10),
-        ForwardList::expected_messages(10)
-    );
 }

@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 GATE=(build test references alloc-budget benchmark-tests detlint detlint-selftest clippy
-  trace-determinism blame-determinism disabled-path jobs-determinism
+  trace-determinism blame-determinism disabled-path jobs-determinism figures
   simcheck recovery benchmark)
 SLOW=(seedcheck repro-golden)
 # Steps in neither list (tsan, miri, simcheck-nightly) run only when
@@ -149,6 +149,17 @@ step_jobs-determinism() {
   repro all --quick --jobs 1 > "$tmp/all.j1"
   repro all --quick --jobs 8 > "$tmp/all.j8"
   diff "$tmp/all.j1" "$tmp/all.j8"
+}
+
+# Figures 1 and 2 are scripted engine runs, seconds not minutes: each
+# against its block of results/repro_all.txt (blank lines aside).
+step_figures() {
+  local n
+  for n in 1 2; do
+    diff <(repro "figure$n" | sed '/^$/d') \
+      <(awk -v h="=== Figure $n:" '/^=== / {p = index($0, h) == 1} p' results/repro_all.txt \
+        | sed '/^$/d')
+  done
 }
 
 # expect_violation KIND: the oracle must fire on its known-bad history and
