@@ -1,8 +1,9 @@
 //! Hand-written runs of the real sites (`Simulator::run_script`): the
 //! message counts behind Figures 1 and 2, and two protocol-bug witnesses
-//! small enough to read by eye, each judged by the four oracles.
+//! small enough to read by eye, each judged by the four oracles; plus one
+//! generated run that shows the same bugs on a small hot database.
 
-use siteselect_check::{check_trace, coherence, Violation, TRACE_CAPACITY};
+use siteselect_check::{check_config, check_trace, coherence, Violation, TRACE_CAPACITY};
 use siteselect_core::{script, Delivered, RunMetrics, Simulator};
 use siteselect_net::MessageKind;
 use siteselect_obs::{EventSink, TraceData};
@@ -110,6 +111,31 @@ fn race_a_witness_two_clients_both_install_the_exclusive_lock() {
             "{system}: {incoherent}"
         );
     }
+}
+
+/// Race A at scale: LS, 12 clients, 80 % updates, a 64-object database
+/// whose 32-object hot region takes every access, three objects a
+/// transaction, 300 s. At seed 1 the committed history holds a
+/// serializability cycle. Over seeds 1–30 LS fails 29 runs and CS 3, with
+/// the deadlock check walking the lock table and with the separate
+/// wait-for graph it replaced alike: no deadlock verdict causes them.
+///
+/// This pins today's verdict: the fix for item 1 inverts this test, and
+/// the run must then pass.
+#[test]
+fn hot_region_witness_load_sharing_commits_a_serializability_cycle() {
+    let mut cfg = ExperimentConfig::paper(SystemKind::LoadSharing, 12, 0.8);
+    cfg.database.num_objects = 64;
+    let hot = &mut cfg.workload.access_pattern;
+    (hot.hot_region_objects, hot.hot_access_fraction) = (32, 1.0);
+    cfg.workload.mean_objects_per_txn = 3.0;
+    cfg.runtime.duration = SimDuration::from_secs(300);
+    cfg.runtime.warmup = SimDuration::from_secs(30);
+    cfg.runtime.seed = 1;
+    let violation = check_config(&cfg).expect_err("the race slips past the protocol");
+    assert_eq!(violation.oracle, "serializability", "{violation}");
+    let cycle = "conflict cycle txn#8.21 -> txn#3.25 -> txn#8.21 (object obj#43:";
+    assert!(violation.detail.contains(cycle), "{violation}");
 }
 
 /// A lost recall (CS): A holds the object; B and C write it 1 ms apart.

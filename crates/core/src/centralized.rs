@@ -4,7 +4,7 @@
 //! receive results. The server schedules transactions Earliest-Deadline-
 //! First, executes up to `max_concurrent_txns` of them concurrently on a
 //! processor-sharing CPU (the prototype's thread-per-transaction design),
-//! locks objects with strict 2PL under wait-for-graph deadlock avoidance,
+//! locks objects with strict 2PL under wait-for deadlock avoidance,
 //! and reads missed pages through its 5,000-object buffer. Transactions
 //! whose deadline has passed are dropped, not processed.
 //!
@@ -121,9 +121,8 @@ struct CeTxn {
 }
 
 /// CE's server site: the shared server core (lock table at transaction
-/// granularity under a deadline-ordered queue, wait-for graph, buffer, disk
-/// and durable store), the processor-sharing CPU, and the transactions it
-/// is running.
+/// granularity under a deadline-ordered queue, buffer, disk and durable
+/// store), the processor-sharing CPU, and the transactions it is running.
 pub(crate) struct CentralizedServer {
     pub(crate) core: ServerCore<TKey>,
     cpu: PsCpu<TKey>,
@@ -189,7 +188,7 @@ impl CentralizedServer {
         for access in &spec.accesses {
             let (object, mode) = (access.object, access.mode());
             let conflicts = self.core.locks.conflicting_holders(object, key, mode);
-            if self.core.wfg.would_deadlock(key, conflicts) {
+            if self.core.locks.would_deadlock(key, conflicts) {
                 return self.abort(cx, txn, AbortReason::Deadlock, true);
             }
             match self.core.locks.request(object, key, mode, deadline) {
@@ -210,7 +209,6 @@ impl CentralizedServer {
                         txn.blocked_on = conflicts.first().copied().map(TransactionId::from_raw);
                     }
                     txn.blocked.push(object);
-                    self.core.wfg.add_waits(key, conflicts);
                 }
             }
         }
@@ -287,7 +285,6 @@ impl CentralizedServer {
 
     fn release_locks(&mut self, cx: &mut Cx, key: TKey) {
         let grants = self.core.locks.release_all(key);
-        self.core.wfg.remove_node(key);
         for (object, waiters) in grants {
             for w in waiters {
                 self.on_lock_granted(cx, object, w.owner);
@@ -313,15 +310,8 @@ impl CentralizedServer {
             object,
             exclusive,
         });
-        // Refresh this waiter's wait-for edges against current holders.
-        self.core.wfg.clear_waits(key);
         if spec.is_expired(cx.now) {
             return self.abort_inflight(cx, key, AbortReason::Expired);
-        }
-        for &o in txn.blocked.iter() {
-            let mode = spec.required_mode(o).unwrap_or(LockMode::Shared);
-            let conflicts = self.core.locks.conflicting_holders(o, key, mode);
-            self.core.wfg.add_waits(key, conflicts);
         }
         if txn.blocked.is_empty() && txn.phase == Phase::Locks {
             self.start_io(cx, key);
@@ -499,11 +489,8 @@ impl CentralizedServer {
     /// run's simulated length in seconds.
     pub(crate) fn finalize(&self, cx: &mut Cx, span: f64) {
         // Every transaction reached an outcome, so nobody waits for anybody.
-        debug_assert_eq!(self.core.wfg.check_invariants(), Ok(()));
-        debug_assert_eq!(
-            (self.core.wfg.waiting_nodes(), self.core.wfg.edge_count()),
-            (0, 0)
-        );
+        debug_assert_eq!(self.core.locks.check_invariants(), Ok(()));
+        debug_assert!(!self.core.locks.has_waiters());
         cx.metrics.server_cpu_utilization = (self.cpu.busy_time().as_secs_f64() / span).min(1.0);
         self.core.report_faults(cx);
     }
@@ -599,7 +586,8 @@ mod tests {
         let (reader, r) = submission(&mut cx, 2, 1, vec![AccessSpec::read(object)]);
         s.on_msg(&mut cx, w);
         s.on_msg(&mut cx, r);
-        // The reader waits behind the writer, in the wait-for graph too.
+        // The reader waits behind the writer, so the writer waiting for
+        // the reader would close a cycle.
         assert_eq!(
             s.core.locks.held_mode(object, writer),
             Some(LockMode::Exclusive)
@@ -608,7 +596,7 @@ mod tests {
             s.txns[&reader].blocked.iter().collect::<Vec<_>>(),
             [&object]
         );
-        assert_eq!(s.core.wfg.waiting_nodes(), 1);
+        assert!(s.core.locks.would_deadlock(writer, [reader]));
         // The writer's commit grants the reader, which then commits too;
         // each result goes to its own terminal.
         let results: Vec<(SiteDest, TKey)> = run_server(&mut s, &mut cx)
@@ -625,7 +613,8 @@ mod tests {
         let to = |c| SiteDest::Client(ClientId(c));
         assert_eq!(results, [(to(1), writer), (to(2), reader)]);
         assert!(s.txns.is_empty());
-        assert_eq!(s.core.wfg.waiting_nodes(), 0);
+        assert!(!s.core.locks.has_waiters());
+        assert!(!s.core.locks.would_deadlock(writer, [reader]));
         assert_eq!(s.core.locks.held_mode(object, reader), None);
     }
 
@@ -635,12 +624,15 @@ mod tests {
         let (a, b) = (ObjectId(1), ObjectId(2));
         let accesses = vec![AccessSpec::write(a), AccessSpec::write(b)];
         let (key, msg) = submission(&mut cx, 1, 1, accesses);
-        // Another transaction holds `b` and already waits for the newcomer.
+        // Another transaction holds `b` and already waits for the newcomer
+        // in the lock table: the newcomer holds `a` (a newcomer that held
+        // nothing yet could close no cycle) and the other queued behind it.
         let other = TransactionId::new(ClientId(2), 1).as_u64();
-        s.core
-            .locks
-            .request(b, other, LockMode::Exclusive, SimTime::MAX);
-        s.core.wfg.add_waits(other, [key]);
+        let locks = &mut s.core.locks;
+        locks.request(a, key, LockMode::Exclusive, SimTime::MAX);
+        locks.request(b, other, LockMode::Exclusive, SimTime::MAX);
+        let queued = locks.request(a, other, LockMode::Exclusive, SimTime::MAX);
+        assert!(!queued.is_granted());
         s.on_msg(&mut cx, msg);
         assert_eq!(cx.metrics.failures.deadlock, 1);
         assert!(s.txns.is_empty());

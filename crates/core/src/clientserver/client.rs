@@ -10,12 +10,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use siteselect_locks::{Acquire, ForwardList, Grants, LockTable, QueueDiscipline, WaitForGraph};
+use siteselect_locks::{Acquire, ForwardList, Grants, LockTable, QueueDiscipline};
 use siteselect_obs::SpanKind;
 use siteselect_storage::{CacheTier, ClientCache, DiskModel};
 use siteselect_types::{
     AbortReason, AccessSpec, ClientConfig, ClientId, InlineVec, LockMode, ObjectId, ObjectMap,
-    ObjectSet, SimDuration, SimTime, SiteId, TransactionId, TransactionSpec, TxnOutcome,
+    SimDuration, SimTime, SiteId, TransactionId, TransactionSpec, TxnOutcome,
 };
 
 use super::{subtask_key, Cx, Ev, Msg, SiteDest, TKey, Want};
@@ -207,9 +207,7 @@ pub(crate) struct ClientSite {
     id: ClientId,
     cache: ClientCache,
     cached_locks: ObjectMap<LockMode>,
-    dirty: ObjectSet,
     local_locks: LockTable<TKey>,
-    local_wfg: WaitForGraph<TKey>,
     cpu: EdfCpu<TKey>,
     disk: DiskModel,
     txns: HashMap<TKey, TxnRun>,
@@ -232,9 +230,7 @@ impl ClientSite {
             id,
             cache: ClientCache::new(cfg.memory_cache_objects, cfg.disk_cache_objects),
             cached_locks: ObjectMap::new(),
-            dirty: ObjectSet::new(),
             local_locks: LockTable::new(QueueDiscipline::Deadline),
-            local_wfg: WaitForGraph::new(),
             cpu: EdfCpu::new(cpu_speed),
             disk: DiskModel::new(cfg.disk.page_service_time),
             txns: HashMap::new(),
@@ -282,9 +278,9 @@ impl ClientSite {
         self.cpu.busy_time()
     }
 
-    /// Consistency of the local wait-for graph (checked at drain).
+    /// Consistency of the local lock table (checked at drain).
     pub(crate) fn check_invariants(&self) -> Result<(), String> {
-        self.local_wfg.check_invariants()
+        self.local_locks.check_invariants()
     }
 
     // ------------------------------------------------------------------
@@ -575,7 +571,7 @@ impl ClientSite {
             .get(&key)
             .map_or(SimTime::MAX, |r| r.spec.deadline);
         let conflicts = self.local_locks.conflicting_holders(object, key, mode);
-        if self.local_wfg.would_deadlock(key, conflicts) {
+        if self.local_locks.would_deadlock(key, conflicts) {
             self.abort_txn(cx, key, AbortReason::Deadlock);
             return true;
         }
@@ -585,7 +581,6 @@ impl ClientSite {
             }
             Acquire::Blocked { conflicts } => {
                 let blocker = conflicts.first().copied();
-                self.local_wfg.add_waits(key, conflicts);
                 if let Some(run) = self.txns.get_mut(&key) {
                     run.needed.insert(object, mode, Need::LocalWait);
                     let (txn, origin) = (run.spec.id, run.spec.origin);
@@ -785,7 +780,6 @@ impl ClientSite {
         });
         if with_data {
             self.cache.insert(object);
-            self.dirty.remove(object);
         }
         let Some(fetch) = fetch else {
             return; // unsolicited (request was cancelled): keep the cache
@@ -1234,7 +1228,6 @@ impl ClientSite {
         }
         // Local locks and queued local waits.
         let grants = self.local_locks.release_all(key);
-        self.local_wfg.remove_node(key);
         for (object, waiters) in grants {
             self.on_local_grants(cx, object, waiters);
         }
@@ -1361,7 +1354,6 @@ impl ClientSite {
             // A reader wants it: the new version goes home and a shared
             // lock and the copy stay.
             self.cached_locks.insert(object, LockMode::Shared);
-            self.dirty.remove(object);
             cx.sink.emit(cx.now, SiteId::Client(from), || {
                 siteselect_obs::Event::CacheDowngrade {
                     client: from,
@@ -1374,7 +1366,6 @@ impl ClientSite {
         // Anything else gives up the cached lock and the copy.
         self.cached_locks.remove(object);
         self.cache.invalidate(object);
-        self.dirty.remove(object);
         cx.sink.emit(cx.now, SiteId::Client(from), || {
             siteselect_obs::Event::CacheDrop {
                 client: from,
@@ -1446,7 +1437,6 @@ impl ClientSite {
             if status != Need::LocalWait {
                 continue;
             }
-            self.local_wfg.clear_waits(key);
             self.end_lock_wait(cx, key, object); // with this grant
             let covered = self
                 .cached_locks
@@ -1530,15 +1520,6 @@ impl ClientSite {
         let Some(run) = self.retire(cx, key) else {
             return;
         };
-        // Mark updated objects dirty in the cache (they carry the newest
-        // version under the exclusive lock).
-        if run.state == RunState::Executing {
-            for o in run.spec.write_set() {
-                if self.cache.contains(o) {
-                    self.dirty.insert(o);
-                }
-            }
-        }
         self.end_unit(cx, key, true);
         self.detach_txn(cx, key, &run);
         // ATL bookkeeping for H1: the paper's "average execution time for
@@ -1682,13 +1663,11 @@ impl ClientSite {
         });
         let cfg = cx.cfg.client;
         self.cached_locks.clear();
-        self.dirty.clear();
         self.fetches.clear();
         self.revokes.clear();
         self.lock_wait_from.clear();
         self.cache = ClientCache::new(cfg.memory_cache_objects, cfg.disk_cache_objects);
         self.local_locks = LockTable::new(QueueDiscipline::Deadline);
-        self.local_wfg = WaitForGraph::new();
     }
 
     /// A crashed site comes back up, cold: it accepts traffic again but
@@ -1816,14 +1795,13 @@ impl ClientSite {
 
     /// The server gave up on this site's copy of `object` (an expired
     /// callback lease, or a cached lock that no longer fits the rebuilt
-    /// lock table): the cached lock, the copy, its dirty bit and any
-    /// pending revoke go together, so a zombie or recovered site cannot
-    /// serve stale data and must re-fetch. The server orders the fence, so
-    /// the trace stamps it there.
+    /// lock table): the cached lock, the copy and any pending revoke go
+    /// together, so a zombie or recovered site cannot serve stale data and
+    /// must re-fetch. The server orders the fence, so the trace stamps it
+    /// there.
     pub(crate) fn fence(&mut self, cx: &Cx, object: ObjectId) {
         self.cached_locks.remove(object);
         self.cache.invalidate(object);
-        self.dirty.remove(object);
         self.revokes.remove(&object);
         let client = self.id;
         cx.sink.emit(cx.now, SiteId::Server, || {
@@ -1979,7 +1957,6 @@ mod tests {
         run_cpu(&mut site, &mut cx);
         assert_eq!(cx.inflight, 0);
         assert!(site.txns.is_empty());
-        assert!(site.dirty.contains(ObjectId(1)));
         assert!(cx.drain_deliveries().is_empty());
         assert_eq!(site.cached_locks().len(), 2);
     }
@@ -2018,7 +1995,6 @@ mod tests {
         // The new version went home; a shared lock and the copy stay.
         assert_eq!(site.cached_locks.get(ObjectId(1)), Some(&LockMode::Shared));
         assert!(site.cache.contains(ObjectId(1)));
-        assert!(!site.dirty.contains(ObjectId(1)));
         assert!(site.revokes.is_empty());
     }
 
@@ -2151,11 +2127,11 @@ mod tests {
     }
 
     #[test]
-    fn a_fence_drops_lock_copy_dirty_bit_and_pending_revoke_together() {
+    fn a_fence_drops_lock_copy_and_pending_revoke_together() {
         let (mut site, mut cx, _) = writing_object_1(SystemKind::ClientServer);
-        run_cpu(&mut site, &mut cx); // commits: object 1 is dirty
-                                     // A second writer runs on the cached lock, and a recall queues
-                                     // behind it.
+        run_cpu(&mut site, &mut cx); // commits: object 1 stays cached
+        // A second writer runs on the cached lock, and a recall queues
+        // behind it.
         let key = submit(&mut site, &mut cx, 2, vec![AccessSpec::write(ObjectId(1))]);
         assert_eq!(site.txns[&key].state, RunState::Executing);
         site.on_msg(
@@ -2168,13 +2144,11 @@ mod tests {
         );
         assert!(site.cached_locks.contains(ObjectId(1)));
         assert!(site.cache.contains(ObjectId(1)));
-        assert!(site.dirty.contains(ObjectId(1)));
         assert!(site.revokes.contains_key(&ObjectId(1)));
 
         site.fence(&cx, ObjectId(1));
         assert!(!site.cached_locks.contains(ObjectId(1)));
         assert!(!site.cache.contains(ObjectId(1)));
-        assert!(!site.dirty.contains(ObjectId(1)));
         assert!(!site.revokes.contains_key(&ObjectId(1)));
         // The fence itself says nothing to anyone; killing the zombie does.
         assert!(cx.drain_deliveries().is_empty());

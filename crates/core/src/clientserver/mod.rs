@@ -785,7 +785,7 @@ impl Simulator {
         match self.server {
             Server::Centralized(server) => server.finalize(&mut cx, span),
             Server::ClientServer(server) => {
-                debug_assert_eq!(server.core.wfg.check_invariants(), Ok(()));
+                debug_assert_eq!(server.core.locks.check_invariants(), Ok(()));
                 let busy: f64 = clients
                     .iter()
                     .map(|c| c.cpu_busy_time().as_secs_f64())

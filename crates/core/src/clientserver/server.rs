@@ -1,14 +1,14 @@
 //! The database server of CS/LS: the global client-granularity lock
-//! table, callback recalls with downgrade, wait-for-graph admission,
+//! table, callback recalls with downgrade, deadlock-avoiding admission,
 //! grant-all rounds, collection windows / forward lists, location & load
 //! queries, and the buffer/disk path that ships object payloads.
 //!
-//! A [`ServerSite`] is a [`ServerCore`] (lock table, wait-for graph, buffer,
-//! disk, durable store and their crash-restart) plus what only the
-//! client-server protocol needs. Like a client it acts through the shared
-//! [`Cx`] alone; the two things it has to ask of a client (fence a cached
-//! copy, revalidate cached locks) and the one thing it reads from all of
-//! them (the load table) go through the driver.
+//! A [`ServerSite`] is a [`ServerCore`] (lock table, buffer, disk, durable
+//! store and their crash-restart) plus what only the client-server
+//! protocol needs. Like a client it acts through the shared [`Cx`] alone;
+//! the two things it has to ask of a client (fence a cached copy,
+//! revalidate cached locks) and the one thing it reads from all of them
+//! (the load table) go through the driver.
 
 use siteselect_locks::{
     Acquire, CallbackTracker, ForwardEntry, ForwardList, Grants, QueueDiscipline, Targets,
@@ -42,8 +42,7 @@ struct WantInfo {
 ///
 /// Stored as one small vector per client: a client has at most a handful of
 /// requests queued at once, so a linear scan beats hashing the composite
-/// key, and `refresh_wfg`'s per-client iteration becomes a direct slice
-/// walk instead of a filter over the whole map.
+/// key.
 struct WaitingWants {
     per_client: Vec<Vec<(ObjectId, WantInfo)>>,
 }
@@ -79,12 +78,6 @@ impl WaitingWants {
         self.per_client[client.index()]
             .iter()
             .any(|(o, _)| *o == object)
-    }
-
-    /// All queued wants of `client`, in insertion order.
-    fn of_client(&self, client: ClientId) -> &[(ObjectId, WantInfo)] {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
-        &self.per_client[client.index()]
     }
 }
 
@@ -198,7 +191,6 @@ impl ServerSite {
                     self.waiting_wants.remove(object, client);
                     self.apply_grants(cx, object, grants);
                 }
-                self.refresh_wfg(client);
             }
             // A load query needs the load table, which the driver reads off
             // the clients: it calls `on_load_query` itself.
@@ -340,7 +332,7 @@ impl ServerSite {
         if cx.faults_active && self.waiting_wants.contains(w.object, client) {
             return;
         }
-        if self.core.wfg.would_deadlock(client, &conflicting) {
+        if self.core.locks.would_deadlock(client, conflicting.iter().copied()) {
             self.reject(cx, client, txn, false);
             return;
         }
@@ -352,7 +344,7 @@ impl ServerSite {
             Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
                 self.ship(cx, txn, client, (w.object, w.mode, w.needs_data));
             }
-            Acquire::Blocked { conflicts } => {
+            Acquire::Blocked { .. } => {
                 self.waiting_wants.insert(
                     w.object,
                     client,
@@ -364,7 +356,6 @@ impl ServerSite {
                         queued_at: cx.now,
                     },
                 );
-                self.core.wfg.add_waits(client, conflicts);
                 Self::recall(&mut self.callbacks, cx, w.object, w.mode, conflicting);
             }
         }
@@ -520,7 +511,6 @@ impl ServerSite {
                 self.apply_grants(cx, object, grants);
                 continue;
             };
-            self.refresh_wfg(client);
             if cx.ls && cx.cfg.load_sharing.request_scheduling_enabled && info.deadline < cx.now {
                 // §3.3: do not ship to a transaction that already missed.
                 let grants = self.undo_grant(object, client, w.upgrade);
@@ -552,19 +542,6 @@ impl ServerSite {
             self.core.locks.downgrade(object, client)
         } else {
             self.core.locks.release(object, client)
-        }
-    }
-
-    /// Recomputes a client's wait-for edges from its queued wants.
-    fn refresh_wfg(&mut self, client: ClientId) {
-        self.core.wfg.clear_waits(client);
-        // By index: each want is copied out before the lock table and the
-        // graph are borrowed, and neither call touches the want list.
-        let mut next = 0;
-        while let Some(&(object, info)) = self.waiting_wants.of_client(client).get(next) {
-            let conflicts = self.core.locks.conflicting_holders(object, client, info.mode);
-            self.core.wfg.add_waits(client, conflicts);
-            next += 1;
         }
     }
 
@@ -761,15 +738,8 @@ impl ServerSite {
     /// whoever they were holding up.
     pub(crate) fn sweep(&mut self, cx: &mut Cx) {
         let (expired, grants) = self.core.locks.cancel_expired(cx.now);
-        let mut touched: Vec<ClientId> = Vec::new();
         for (object, waiter) in expired {
             self.waiting_wants.remove(object, waiter.owner);
-            if !touched.contains(&waiter.owner) {
-                touched.push(waiter.owner);
-            }
-        }
-        for client in touched {
-            self.refresh_wfg(client);
         }
         for (object, waiters) in grants {
             self.apply_grants(cx, object, waiters);
@@ -982,6 +952,74 @@ mod tests {
         // ...and the batch is offered to a fresh window.
         assert_eq!(s.windows.pending(object), 2);
         assert!(cx.drain_deliveries().is_empty());
+    }
+
+    /// `client`'s transaction asks the server for `object` exclusively.
+    fn want(s: &mut ServerSite, cx: &mut Cx, client: u16, object: ObjectId) -> TKey {
+        let client = ClientId(client);
+        let txn = TransactionId::new(client, 1).as_u64();
+        let mut wants = cx.take_want_buf();
+        wants.push(Want {
+            object,
+            mode: LockMode::Exclusive,
+            needs_data: true,
+            deadline: SimTime::from_secs(40),
+        });
+        let grant_all = false;
+        s.on_msg(cx, Msg::RequestBatch { txn, client, wants, grant_all });
+        txn
+    }
+
+    /// CS; A (client 0) holds X, C (client 2) holds Z. B (client 1), then
+    /// C, want X; A returns it, so B is granted X and C now waits for B
+    /// (no longer for A).
+    fn x_regranted_to_b() -> (ServerSite, Cx, ObjectId) {
+        let (mut s, mut cx) = site(SystemKind::ClientServer);
+        let (x, z) = (ObjectId(1), ObjectId(2));
+        s.core.locks.request(x, ClientId(0), LockMode::Exclusive, SimTime::MAX);
+        s.core.locks.request(z, ClientId(2), LockMode::Exclusive, SimTime::MAX);
+        want(&mut s, &mut cx, 1, x);
+        want(&mut s, &mut cx, 2, x);
+        let (object, from, downgraded) = (x, ClientId(0), false);
+        s.on_msg(&mut cx, Msg::ObjectReturn { object, from, downgraded });
+        assert_eq!(s.core.locks.held_mode(x, ClientId(1)), Some(LockMode::Exclusive));
+        assert!(s.waiting_wants.contains(x, ClientId(2)));
+        cx.drain_deliveries();
+        (s, cx, z)
+    }
+
+    #[test]
+    fn a_request_against_a_waiter_whose_blocker_moved_on_queues() {
+        let (mut s, mut cx, z) = x_regranted_to_b();
+        // A waits for C, C for B, B for nobody: no cycle, so A queues and
+        // C is recalled.
+        want(&mut s, &mut cx, 0, z);
+        assert!(s.waiting_wants.contains(z, ClientId(0)));
+        let sent = cx.drain_deliveries();
+        assert!(
+            matches!(
+                &sent[..],
+                [(SiteDest::Client(ClientId(2)), Msg::Recall { object, .. })] if *object == z
+            ),
+            "{sent:?}"
+        );
+    }
+
+    #[test]
+    fn a_request_that_closes_a_cycle_through_a_regranted_object_is_refused() {
+        let (mut s, mut cx, z) = x_regranted_to_b();
+        // B waiting for C, who waits for B's X, closes a cycle.
+        let txn = want(&mut s, &mut cx, 1, z);
+        assert!(!s.waiting_wants.contains(z, ClientId(1)));
+        let sent = cx.drain_deliveries();
+        let b = SiteDest::Client(ClientId(1));
+        assert!(
+            matches!(
+                &sent[..],
+                [(to, Msg::Rejected { txn: t, expired: false })] if *to == b && *t == txn
+            ),
+            "{sent:?}"
+        );
     }
 
     #[test]

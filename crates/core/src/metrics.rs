@@ -11,7 +11,7 @@ use siteselect_types::{SimTime, SiteId, SystemKind, TransactionId, TxnOutcome};
 pub struct FailureBreakdown {
     /// Dropped because the deadline passed before/while processing.
     pub expired: u64,
-    /// Rejected to avoid a wait-for-graph cycle.
+    /// Rejected to avoid a wait-for cycle.
     pub deadlock: u64,
     /// A subtask of a decomposed transaction missed the deadline.
     pub subtask: u64,

@@ -2,18 +2,18 @@
 //!
 //! CE locks at transaction granularity under a deadline-ordered queue, CS
 //! at client granularity under FIFO; everything else about the database
-//! server is the same in both: a lock table with its wait-for graph, a
-//! buffer pool in front of a seeded disk model, and a WAL-backed
-//! [`DurableStore`]. [`ServerCore`] owns those and states once what a
-//! server crash loses (lock table, wait-for graph, buffer pool, the staged
-//! log tail past a random cut) and what survives it (the forced log, the
-//! durable pages, the disk's fault schedule, the crash PRNG stream). Each
-//! site layers only what is its own on top: CE aborts its in-flight
+//! server is the same in both: a lock table (which also answers the
+//! deadlock check), a buffer pool in front of a seeded disk model, and a
+//! WAL-backed [`DurableStore`]. [`ServerCore`] owns those and states once
+//! what a server crash loses (lock table, buffer pool, the staged log tail
+//! past a random cut) and what survives it (the forced log, the durable
+//! pages, the disk's fault schedule, the crash PRNG stream). Each site
+//! layers only what is its own on top: CE aborts its in-flight
 //! transactions, CS resets its callback/window/routing state and
 //! revalidates the clients' cached locks.
 
 use siteselect_locks::table::LockOwner;
-use siteselect_locks::{LockTable, QueueDiscipline, WaitForGraph};
+use siteselect_locks::{LockTable, QueueDiscipline};
 use siteselect_net::Fabric;
 use siteselect_obs::{Event, EventSink};
 use siteselect_sim::Prng;
@@ -35,12 +35,11 @@ pub(crate) fn fabric_for(cfg: &ExperimentConfig) -> Fabric {
     fabric
 }
 
-/// Lock table, wait-for graph, buffer pool, disk and durable store of one
+/// Lock table, buffer pool, disk and durable store of one
 /// database server, with its crash-restart state. `O` is the lock owner:
 /// a transaction key in CE, a client in CS.
 pub(crate) struct ServerCore<O: LockOwner> {
     pub locks: LockTable<O>,
-    pub wfg: WaitForGraph<O>,
     pub buffer: ClientCache,
     pub disk: DiskModel,
     /// WAL-guarded durable home of the database.
@@ -63,7 +62,6 @@ impl<O: LockOwner> ServerCore<O> {
     pub(crate) fn new(cfg: &ExperimentConfig, discipline: QueueDiscipline) -> Self {
         let mut core = ServerCore {
             locks: LockTable::new(discipline),
-            wfg: WaitForGraph::new(),
             buffer: ClientCache::new(cfg.server.buffer_objects, 0),
             disk: DiskModel::new(cfg.server.disk.page_service_time),
             store: DurableStore::new(cfg.database.num_objects, cfg.server.buffer_objects.max(1)),
@@ -110,10 +108,10 @@ impl<O: LockOwner> ServerCore<O> {
         self.disk.set_slow_episodes(episodes, f.slow_disk_factor);
     }
 
-    /// The server crashes. The lock table, wait-for graph and buffer pool
-    /// are lost; unless the crash is permanent the durable store is cut at
-    /// a random point of its staged tail (which may leave a torn final
-    /// record) and its surviving log replayed. The replay runs immediately
+    /// The server crashes. The lock table and buffer pool are lost; unless
+    /// the crash is permanent the durable store is cut at a random point of
+    /// its staged tail (which may leave a torn final record) and its
+    /// surviving log replayed. The replay runs immediately
     /// in host terms, but its I/O is charged to the seeded disk model after
     /// a drawn reboot lag, so the rejoin time reflects the log length and
     /// any slow-disk episode in force.
@@ -139,7 +137,6 @@ impl<O: LockOwner> ServerCore<O> {
         });
         fabric.set_site_down(SiteId::Server);
         self.locks = LockTable::new(self.discipline);
-        self.wfg = WaitForGraph::new();
         self.buffer = ClientCache::new(cfg.server.buffer_objects, 0);
         self.presize(cfg);
         if cfg.faults.mean_recovery_time.is_zero() {

@@ -6,10 +6,12 @@
 //!   upgrades, downgrades and either FIFO or deadline-ordered (ED) waiter
 //!   queues. It is generic over the owner type: the server's *global* table
 //!   is keyed by client (clients cache locks, §2), while the per-site local
-//!   tables are keyed by transaction.
-//! * [`WaitForGraph`] — cycle detection used by the servers to refuse lock
-//!   requests that would deadlock ("added to the request queue only if it
-//!   does not cause a deadlock cycle", §5.1).
+//!   tables are keyed by transaction. [`LockTable::would_deadlock`] walks
+//!   its queues to refuse a request that would close a wait-for cycle
+//!   ("added to the request queue only if it does not cause a deadlock
+//!   cycle", §5.1).
+//! * [`WaitForGraph`] — the same check over a separately kept graph, used
+//!   by the threaded cluster.
 //! * [`CallbackTracker`] — the callback protocol with the paper's downgrade
 //!   optimization: a holder asked to give up an EL for a requester that only
 //!   wants an SL downgrades to SL and keeps the object (§2).

@@ -349,6 +349,37 @@ impl<O: LockOwner> RefLockTable<O> {
     pub fn active_objects(&self) -> usize {
         self.objects.len()
     }
+
+    /// What `LockTable::would_deadlock` must answer, by brute force: the
+    /// wait-for edges are rebuilt from every object's queue (each waiter
+    /// waits for the holders its request conflicts with), and a search
+    /// from `holders` asks whether it reaches `waiter`.
+    #[must_use]
+    pub fn would_deadlock(&self, waiter: O, holders: &[O]) -> bool {
+        let mut edges = Vec::new();
+        // detlint: allow(D2) — builds an edge list; the search's yes/no is order-free
+        for e in self.objects.values() {
+            for w in &e.waiters {
+                let holders = e.conflicts_with(w.owner, w.mode);
+                edges.extend(holders.into_iter().map(|h| (w.owner, h)));
+            }
+        }
+        let mut reached = holders.to_vec();
+        let mut next = 0;
+        while let Some(&owner) = reached.get(next) {
+            if owner == waiter {
+                return true;
+            }
+            // detlint: allow(D2) — a membership search; the yes/no is order-free
+            for &(from, to) in &edges {
+                if from == owner && !reached.contains(&to) {
+                    reached.push(to);
+                }
+            }
+            next += 1;
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -454,10 +485,43 @@ mod property_tests {
     /// the rest, as a client caches locks across transactions.
     const HOT: u32 = 8;
 
+    /// The table's deadlock walk against the brute-force search, for a
+    /// random owner about to wait behind the holders of a random object (or
+    /// behind one random owner). Returns the verdict.
+    fn same_deadlock_verdict(
+        dense: &LockTable<ClientId>,
+        oracle: &RefLockTable<ClientId>,
+        probe: &mut Xorshift,
+        (objects, owners): (u32, u16),
+        step: usize,
+    ) -> bool {
+        let waiter = ClientId(probe.below(u64::from(owners)) as u16);
+        let holders: Vec<ClientId> = if probe.below(4) == 0 {
+            vec![ClientId(probe.below(u64::from(owners)) as u16)]
+        } else {
+            let obj = ObjectId(probe.below(u64::from(objects.min(HOT))) as u32);
+            dense.conflicting_holders(obj, waiter, LockMode::Exclusive).collect()
+        };
+        let verdict = dense.would_deadlock(waiter, holders.iter().copied());
+        assert_eq!(
+            verdict,
+            oracle.would_deadlock(waiter, &holders),
+            "deadlock verdicts diverge for {waiter:?} behind {holders:?} at step {step}"
+        );
+        verdict
+    }
+
     fn run_property(seed: u64, discipline: QueueDiscipline, objects: u32) {
-        const OWNERS: u16 = 5;
+        run_property_with(seed, discipline, objects, 5);
+    }
+
+    fn run_property_with(seed: u64, discipline: QueueDiscipline, objects: u32, owners: u16) {
         const STEPS: usize = 4000;
         let hoarder = ClientId(0);
+        // Deadlock probes draw from their own stream, so the operation
+        // sequence is the same with or without them.
+        let mut probe = Xorshift(seed ^ 0x9e37_79b9_7f4a_7c15);
+        let mut cycles = [0usize; 2];
 
         let mut rng = Xorshift(seed);
         let mut dense: LockTable<ClientId> = LockTable::new(discipline);
@@ -477,7 +541,7 @@ mod property_tests {
             }
             let obj = if rng.below(2) == 0 { HOT } else { objects };
             let obj = ObjectId(rng.below(u64::from(obj)) as u32);
-            let owner = ClientId(rng.below(u64::from(OWNERS)) as u16);
+            let owner = ClientId(rng.below(u64::from(owners)) as u16);
             let mode = if rng.below(2) == 0 {
                 LockMode::Shared
             } else {
@@ -552,11 +616,17 @@ mod property_tests {
             // The full comparison walks every object; with a large hoard
             // a debug build affords it on a sample of the steps only.
             if objects <= 64 || !cfg!(debug_assertions) || step % 16 == 0 {
-                assert_same_state(&dense, &oracle, objects, OWNERS, step);
+                assert_same_state(&dense, &oracle, objects, owners, step);
             } else {
                 dense.check_invariants().unwrap();
             }
+            if probe.below(4) == 0 {
+                let verdict = same_deadlock_verdict(&dense, &oracle, &mut probe, (objects, owners), step);
+                cycles[usize::from(verdict)] += 1;
+            }
         }
+        // Both verdicts came up, so neither answer is hard-wired.
+        assert!(cycles[0] > 0 && cycles[1] > 0, "verdicts {cycles:?}");
     }
 
     #[test]
@@ -570,6 +640,15 @@ mod property_tests {
     fn dense_table_matches_hashmap_oracle_deadline() {
         for seed in [0x5173_5e1e, 0xcafe_f00d, 7] {
             run_property(seed, QueueDiscipline::Deadline, HOT);
+        }
+    }
+
+    /// More owners than the other runs, for longer wait chains.
+    #[test]
+    fn deadlock_walk_matches_brute_force_reference() {
+        for seed in [0x5173_5e1e, 0xdead_beef, 0xcafe_f00d, 42] {
+            run_property_with(seed, QueueDiscipline::Fifo, HOT, 12);
+            run_property_with(seed ^ 7, QueueDiscipline::Deadline, HOT, 12);
         }
     }
 

@@ -11,7 +11,8 @@
 //! use [`InlineVec`] so the common one- or two-entry case never touches the
 //! heap.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -160,6 +161,14 @@ const FREE_POOL_SEED: usize = 1024;
 /// entry carries its object's position here.
 type HeldBy<O> = HashMap<O, InlineVec<ObjectId, 16>, FixedState>;
 
+/// Scratch of [`LockTable::would_deadlock`], cleared but never shrunk: the
+/// owners expanded so far and those still to visit.
+#[derive(Debug)]
+struct Walk<O> {
+    seen: HashSet<O, FixedState>,
+    stack: Vec<O>,
+}
+
 /// Waiters cancelled by [`LockTable::cancel_expired`], tagged by object.
 pub type ExpiredWaiters<O> = Vec<(ObjectId, Waiter<O>)>;
 /// Grants unblocked by a pruning pass, grouped by object.
@@ -198,6 +207,9 @@ pub struct LockTable<O> {
     // Recycled between release_all / cancel_expired calls so the per-
     // transaction cleanup path stays allocation-free at steady state.
     scratch: Vec<ObjectId>,
+    // `would_deadlock` takes `&self`, so a caller can hand it holders
+    // straight off this table; its scratch is the one interior-mutable part.
+    walk: RefCell<Walk<O>>,
     next_seq: u64,
     /// Holder entries inspected by releases; the shape tests read it.
     #[cfg(test)]
@@ -215,6 +227,7 @@ impl<O: LockOwner> LockTable<O> {
             held_by: HashMap::default(),
             waits_of: HashMap::default(),
             scratch: Vec::new(),
+            walk: RefCell::new(Walk { seen: HashSet::default(), stack: Vec::new() }),
             next_seq: 0,
             #[cfg(test)]
             visits: std::cell::Cell::new(0),
@@ -652,6 +665,56 @@ impl<O: LockOwner> LockTable<O> {
             .flat_map(move |e| e.conflicts_with(owner, mode))
     }
 
+    /// True if queueing `waiter` behind `holders` would close a wait-for
+    /// cycle: some holder (or `waiter` itself) reaches `waiter` along the
+    /// waits this table records. An owner waits for the holders that
+    /// conflict with each request it has queued, so the relation is read
+    /// off the queues as they stand rather than kept beside them. Only
+    /// holders count: a request queued ahead is not a wait, so a deadlock
+    /// through queue order alone is left to the deadline sweep.
+    #[must_use]
+    pub fn would_deadlock(&self, waiter: O, holders: impl IntoIterator<Item = O>) -> bool {
+        let mut walk = self.walk.borrow_mut();
+        let Walk { seen, stack } = &mut *walk;
+        seen.clear();
+        stack.clear();
+        stack.extend(holders);
+        // A path that ends at `waiter` ends with a request queued on an
+        // object `waiter` holds. When it holds fewer objects than there
+        // are waiting owners to walk (a transaction being submitted, behind
+        // a backlog), looking at those objects rules a cycle out cheaper.
+        let held = self.held_by.get(&waiter);
+        if held.map_or(0, InlineVec::len) <= self.waits_of.len() {
+            let mut held = held.into_iter().flat_map(InlineVec::iter);
+            if !held.any(|&o| self.entry(o).is_some_and(|e| !e.waiters.is_empty())) {
+                return stack.contains(&waiter);
+            }
+        }
+        while let Some(owner) = stack.pop() {
+            if owner == waiter {
+                return true;
+            }
+            let Some(queued) = self.waits_of.get(&owner) else {
+                continue; // waits for nobody
+            };
+            if !seen.insert(owner) {
+                continue;
+            }
+            for entry in queued.iter().filter_map(|&object| self.entry(object)) {
+                for w in entry.waiters.iter().filter(|w| w.owner == owner) {
+                    stack.extend(entry.conflicts_with(owner, w.mode));
+                }
+            }
+        }
+        false
+    }
+
+    /// True if a request is queued anywhere in the table.
+    #[must_use]
+    pub fn has_waiters(&self) -> bool {
+        !self.waits_of.is_empty()
+    }
+
     /// Queued waiters on `object`, in service order.
     #[must_use]
     pub fn waiters(&self, object: ObjectId) -> Vec<Waiter<O>> {
@@ -686,10 +749,9 @@ impl<O: LockOwner> LockTable<O> {
         for (i, slot) in self.objects.iter().enumerate() {
             let Some(e) = slot.as_deref() else { continue };
             let obj = ObjectId(i as u32);
-            let holders = e.holders.to_vec();
-            for i in 0..holders.len() {
-                for j in (i + 1)..holders.len() {
-                    let (x, y) = (holders[i], holders[j]);
+            // Borrowed: debug runs check this inside their allocation budgets.
+            for (i, x) in e.holders.iter().enumerate() {
+                for y in e.holders.iter().skip(i + 1) {
                     if x.owner == y.owner {
                         return Err(format!("{obj}: duplicate holder {:?}", x.owner));
                     }
@@ -701,7 +763,7 @@ impl<O: LockOwner> LockTable<O> {
                     }
                 }
             }
-            for h in &holders {
+            for h in e.holders.iter() {
                 let indexed = self
                     .held_by
                     .get(&h.owner)
@@ -713,7 +775,7 @@ impl<O: LockOwner> LockTable<O> {
                     ));
                 }
             }
-            held += holders.len();
+            held += e.holders.len();
             for w in e.waiters.iter() {
                 let indexed = self
                     .waits_of

@@ -29,12 +29,13 @@ trap 'restore; rm -rf "$tmp"' EXIT
 step_build() { cargo build --release --workspace; }
 step_test() { cargo test -q --workspace; }
 
-# The wait-for graph, lock table, buffer pool and trace exporters against
-# their reference implementations at the full case count (debug builds run
-# a slice).
+# The wait-for graph, lock table (and its deadlock walk), buffer pool and
+# trace exporters against their reference implementations at the full case
+# count (debug builds run a slice).
 step_references() {
   cargo test --release -q -p siteselect-locks waitfor
   cargo test --release -q -p siteselect-locks --lib dense_table_matches
+  cargo test --release -q -p siteselect-locks --lib deadlock_walk
   cargo test --release -q -p siteselect-storage --lib buffer_reference
   cargo test --release -q -p siteselect-obs --lib export_reference
 }

@@ -147,6 +147,6 @@ fn load_sharing_restart_seed_11_matches_pinned_metrics() {
             FaultConfig::chaos_restart(1.0),
             900
         ),
-        r#"RunMetrics { system: LoadSharing, clients: 6, update_fraction: 0.2, seed: 11, measured: 489, in_time: 323, failures: FailureBreakdown { expired: 75, deadlock: 3, subtask: 2, late: 4, shutdown: 0, site_crash: 82 }, cache: CacheReport { memory_hits: 694, disk_hits: 0, misses: 3535 }, response: ResponseReport { shared: OnlineStats { count: 2389, mean: 0.23412914985349523, m2: 688.6078477591587, min: 0.0, max: 7.023224 }, exclusive: OnlineStats { count: 731, mean: 0.2942437181942543, m2: 450.76506483288205, min: 0.0, max: 5.98516 } }, messages: MessageStats { by_kind: [0, 0, 5837, 3397, 89, 190, 69, 108, 125, 41, 0, 0, 7, 7, 51, 42], bytes_by_kind: [0, 0, 439264, 7609280, 11392, 24320, 154560, 13824, 32000, 183680, 0, 0, 7168, 1792, 6528, 10752], transmissions: 6811, total_bytes: 8494560 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 6, subtasks: 13, forward_satisfied: 49, windows_opened: 70, h1_rejections: 2 }, faults: FaultReport { crashes: 10, recoveries: 10, messages_dropped: 1918, messages_delayed: 5378, leases_expired: 32, retries: 2215, slow_disk_ios: 0 }, latency: OnlineStats { count: 323, mean: 2.02678520743034, m2: 925.5422559856236, min: 0.075315, max: 8.276204 }, blocking: OnlineStats { count: 349, mean: 0.9717206045845268, m2: 722.8078486642696, min: 0.0, max: 7.023224 }, client_cpu_utilization: 0.07006821696035243, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 556, total: 3390 } }"#
+        r#"RunMetrics { system: LoadSharing, clients: 6, update_fraction: 0.2, seed: 11, measured: 489, in_time: 321, failures: FailureBreakdown { expired: 76, deadlock: 4, subtask: 1, late: 4, shutdown: 0, site_crash: 83 }, cache: CacheReport { memory_hits: 695, disk_hits: 0, misses: 3552 }, response: ResponseReport { shared: OnlineStats { count: 2393, mean: 0.22150695862933542, m2: 571.3553935798697, min: 0.0, max: 7.023224 }, exclusive: OnlineStats { count: 729, mean: 0.27977247599451305, m2: 424.45382176027556, min: 0.0, max: 6.439099 } }, messages: MessageStats { by_kind: [0, 0, 5846, 3412, 87, 190, 64, 111, 125, 38, 0, 0, 9, 9, 51, 43], bytes_by_kind: [0, 0, 438880, 7642880, 11136, 24320, 143360, 14208, 32000, 170240, 0, 0, 9216, 2304, 6528, 11008], transmissions: 6818, total_bytes: 8506080 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 7, subtasks: 16, forward_satisfied: 44, windows_opened: 104, h1_rejections: 2 }, faults: FaultReport { crashes: 10, recoveries: 10, messages_dropped: 1911, messages_delayed: 5391, leases_expired: 33, retries: 2200, slow_disk_ios: 0 }, latency: OnlineStats { count: 321, mean: 1.943497464174454, m2: 931.1552620951284, min: 0.075315, max: 8.434778 }, blocking: OnlineStats { count: 347, mean: 0.8879777953890492, m2: 644.5885477458684, min: 0.0, max: 7.023224 }, client_cpu_utilization: 0.06868825626843658, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 563, total: 3408 } }"#
     );
 }
