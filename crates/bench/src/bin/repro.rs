@@ -25,7 +25,7 @@ use siteselect_core::experiments::{
     restart_table, SweepOptions, FIGURE_CLIENTS, TABLE_CLIENTS,
 };
 use siteselect_core::{run_experiment_traced, script};
-use siteselect_obs::{BlameReport, MetricsRegistry, MetricsSnapshot};
+use siteselect_obs::{BlameReport, MetricsRegistry};
 use siteselect_types::{ConfigError, ExperimentConfig, SimDuration, SystemKind};
 
 /// Every flag `repro` knows: its name, the placeholder of the value that
@@ -449,18 +449,15 @@ fn trace(case: CaseSpec, out_dir: &str) -> Result<(), AnyError> {
 /// over worker threads and still merge deterministically by index.
 struct BlameCell {
     report: BlameReport,
-    metrics: MetricsSnapshot,
     in_time: u64,
     measured: u64,
 }
 
 fn blame_cell(cfg: &ExperimentConfig, top: usize) -> Result<BlameCell, ConfigError> {
-    let registry = MetricsRegistry::enabled();
     let (metrics, trace) = run_experiment_traced(cfg, siteselect_check::TRACE_CAPACITY)?;
-    let report = BlameReport::extract(&trace, top, &registry);
+    let report = BlameReport::extract(&trace, top, &MetricsRegistry::disabled());
     Ok(BlameCell {
         report,
-        metrics: registry.snapshot().unwrap_or_default(),
         in_time: metrics.in_time,
         measured: metrics.measured,
     })
@@ -512,7 +509,8 @@ fn blame(flags: &Flags, opts: SweepOptions) -> Result<(), AnyError> {
         case.cell.chaos_intensity,
         case.cell.restart
     );
-    let mut merged = MetricsSnapshot::default();
+    // Summed over the cells, except the tardiness: the worst of any cell.
+    let (mut segments, mut txns, mut missed, mut listed, mut tardiness) = (0, 0, 0, 0, 0);
     for (i, (system, cell)) in systems.iter().zip(cells).enumerate() {
         let cell = cell?;
         println!("--- {system} ---\n");
@@ -541,7 +539,11 @@ fn blame(flags: &Flags, opts: SweepOptions) -> Result<(), AnyError> {
         let _ = write!(json, r#"{{"system":"{}","report":"#, system_flag(*system));
         json.push_str(cell.report.to_json().trim_end());
         json.push('}');
-        merged.merge(&cell.metrics);
+        segments += cell.report.path_segments;
+        txns += cell.report.txns;
+        missed += cell.report.missed;
+        listed += cell.report.worst.len();
+        tardiness = tardiness.max(cell.report.worst_tardiness_us);
     }
     json.push_str("]}\n");
     if let Some(dir) = std::path::Path::new(out).parent() {
@@ -549,7 +551,11 @@ fn blame(flags: &Flags, opts: SweepOptions) -> Result<(), AnyError> {
     }
     std::fs::write(out, &json)?;
     println!("pipeline counters:");
-    print!("{}", merged.render());
+    println!("blame_path_segments {segments}");
+    println!("blame_txns {txns}");
+    println!("blame_txns_missed {missed}");
+    println!("blame_worst_listed {listed}");
+    println!("blame_worst_tardiness_us {tardiness}");
     println!("\nwrote {out}");
     Ok(())
 }

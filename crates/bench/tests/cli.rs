@@ -1,7 +1,7 @@
 //! End-to-end tests of the `repro` command line: argument validation
 //! (values, unknown flags, surplus targets), the simcheck self-test
-//! (`--inject-violation`), a small green explorer run, and `--jobs`
-//! invariance of the printed report.
+//! (`--inject-violation`), a small green explorer run, `--jobs`
+//! invariance of the printed report, and `blame`'s pipeline counters.
 
 use std::process::{Command, Output};
 
@@ -204,4 +204,26 @@ fn small_explorer_run_is_green_and_jobs_invariant() {
     let three = repro(&args("3"));
     assert!(three.status.success());
     assert_eq!(stdout_of(&one), stdout_of(&three), "report differs across --jobs");
+}
+
+#[test]
+fn blame_counters_sum_the_cells_but_take_the_worst_tardiness() {
+    let json = concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_blame.json");
+    let out = repro(&["blame", "--quick", "--seed", "7", "--out", json]);
+    assert!(out.status.success(), "{}", stderr_of(&out));
+    let text = stdout_of(&out);
+    let blamed: u64 = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("blamed transactions")?.split_whitespace().next())
+        .map(|n| n.parse::<u64>().expect("a count"))
+        .sum();
+    assert!(text.contains(&format!("\nblame_txns {blamed}\n")), "{text}");
+    // At this seed the CS cell misses worst, so the last (LS) cell's own
+    // worst is not the answer.
+    let worst = text
+        .split_whitespace()
+        .filter_map(|w| w.strip_prefix("tardiness=")?.strip_suffix("us")?.parse::<u64>().ok())
+        .max()
+        .expect("worst misses are listed");
+    assert!(text.contains(&format!("\nblame_worst_tardiness_us {worst}\n")), "{text}");
 }

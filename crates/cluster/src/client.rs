@@ -60,12 +60,6 @@ impl ClientShared {
         })
     }
 
-    /// Number of cached objects (tests).
-    #[must_use]
-    pub fn cached_count(&self) -> usize {
-        self.state.lock().objects.len()
-    }
-
     /// Pins `object` if a covering lock and the data are cached.
     fn try_pin(&self, object: ObjectId, mode: LockMode) -> bool {
         let mut st = self.state.lock();
@@ -440,7 +434,7 @@ mod tests {
         // Third insert evicts object 1 (LRU, unpinned).
         c.begin_install(ObjectId(3));
         c.finish_install(ObjectId(3), LockMode::Shared, vec![0; 2048], &srv);
-        assert_eq!(c.cached_count(), 2);
+        assert_eq!(c.state.lock().objects.len(), 2);
         assert!(!c.try_pin(ObjectId(1), LockMode::Shared));
         c.unpin_all(&[ObjectId(2), ObjectId(3)]);
         assert!(c.try_pin(ObjectId(2), LockMode::Shared));
@@ -456,7 +450,7 @@ mod tests {
         c.finish_install(ObjectId(2), LockMode::Shared, vec![0; 2048], &srv);
         // Object 1 is pinned, object 2 is the fresh pinned insert: nothing
         // evictable.
-        assert_eq!(c.cached_count(), 2); // temporarily over capacity
+        assert_eq!(c.state.lock().objects.len(), 2); // temporarily over capacity
         assert!(c.try_pin(ObjectId(1), LockMode::Shared));
     }
 

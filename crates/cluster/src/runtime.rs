@@ -155,7 +155,6 @@ impl Default for ClusterConfig {
                 access_pattern: AccessPatternConfig {
                     hot_region_objects: 64,
                     hot_access_fraction: 0.75,
-                    zipf_theta: 0.95,
                 },
             },
             time_scale: 0.001,

@@ -6,7 +6,7 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
 
-use siteselect_locks::{LockTable, QueueDiscipline, WaitForGraph};
+use siteselect_locks::{LockTable, QueueDiscipline};
 use siteselect_storage::PagedFile;
 use siteselect_types::{ClientId, LockMode, ObjectId, SimTime};
 
@@ -60,7 +60,6 @@ pub struct ServerStats {
 
 struct Inner {
     locks: LockTable<ClientId>,
-    wfg: WaitForGraph<ClientId>,
     store: PagedFile,
     /// Callbacks already in flight, to avoid duplicates.
     recalled: std::collections::HashSet<(ObjectId, ClientId)>,
@@ -91,7 +90,6 @@ impl SharedServer {
         Arc::new(SharedServer {
             inner: Mutex::new(Inner {
                 locks: LockTable::new(QueueDiscipline::Deadline),
-                wfg: WaitForGraph::new(),
                 store,
                 recalled: std::collections::HashSet::new(),
                 stats: ServerStats::default(),
@@ -128,17 +126,13 @@ impl SharedServer {
             inner.stats.grants += 1;
             return Ok(Self::read_page(&mut inner, object));
         }
-        // Field by field, so the lock table's conflict view can feed the
-        // graph while both sit behind the one guard.
-        let Inner { locks, wfg, stats, .. } = &mut *inner;
-        if wfg.would_deadlock(client, locks.conflicting_holders(object, client, mode)) {
-            stats.deadlock_rejections += 1;
+        let locks = &inner.locks;
+        if locks.would_deadlock(client, locks.conflicting_holders(object, client, mode)) {
+            inner.stats.deadlock_rejections += 1;
             return Err(AcquireError::Deadlock);
         }
-        wfg.add_waits(client, locks.conflicting_holders(object, client, mode));
         let outcome = inner.locks.request(object, client, mode, SimTime::MAX);
         if outcome.is_granted() {
-            inner.wfg.clear_waits(client);
             inner.stats.grants += 1;
             return Ok(Self::read_page(&mut inner, object));
         }
@@ -152,7 +146,6 @@ impl SharedServer {
                 .held_mode(object, client)
                 .is_some_and(|m| m.covers(mode))
             {
-                inner.wfg.clear_waits(client);
                 inner.stats.grants += 1;
                 return Ok(Self::read_page(&mut inner, object));
             }
@@ -162,7 +155,6 @@ impl SharedServer {
                 if !granted.is_empty() {
                     self.cv.notify_all();
                 }
-                inner.wfg.clear_waits(client);
                 inner.stats.timeouts += 1;
                 return Err(AcquireError::DeadlineExpired);
             }
@@ -235,16 +227,6 @@ impl SharedServer {
         }
         inner.recalled.remove(&(object, client));
         self.cv.notify_all();
-    }
-
-    /// Reads the committed version counter of `object` (first page word).
-    #[must_use]
-    pub fn stored_version(&self, object: ObjectId) -> u64 {
-        let mut inner = self.inner.lock();
-        inner
-            .store
-            .with_page(object, |p| p.read_u64_at(0))
-            .expect("object exists")
     }
 
     /// Snapshot of the server counters.
@@ -326,7 +308,8 @@ mod tests {
         s.return_object(ClientId(0), ObjectId(2), Some(&data), false);
         let got = waiter.join().unwrap().unwrap();
         assert_eq!(u64::from_le_bytes(got[0..8].try_into().unwrap()), 7);
-        assert_eq!(s.stored_version(ObjectId(2)), 7);
+        let stored = s.inner.lock().store.with_page(ObjectId(2), |p| p.read_u64_at(0));
+        assert_eq!(stored, Ok(7));
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //! runs are byte-identical to a build without it.
 //!
 //! The terminals keep no state, so they are two functions, not sites:
-//! [`submit`] sends an arriving transaction to the server as a
-//! `TxnSubmit` message, and [`on_result`] scores the `TxnResult` that comes
+//! `submit` sends an arriving transaction to the server as a
+//! `TxnSubmit` message, and `on_result` scores the `TxnResult` that comes
 //! back at its origin. A transaction's spec stays in the run's arena
 //! (`Cx::specs`) and is referenced by index, so neither the message nor
-//! the server's per-transaction state carries its access list. The [`CentralizedServer`] acts through the shared
-//! [`Cx`] like the CS/LS sites, and the one event loop in
+//! the server's per-transaction state carries its access list. The `CentralizedServer` acts through the shared
+//! `Cx` like the CS/LS sites, and the one event loop in
 //! [`crate::clientserver`] drives all of them.
 //!
 //! [`DurableStore`]: siteselect_storage::DurableStore

@@ -25,6 +25,22 @@ use crate::cpu::EdfCpu;
 /// subtask answers at the origin (§3.2's "answer synthesis" phase).
 const SYNTHESIS_FRACTION: f64 = 0.1;
 
+/// H2 ships a transaction only if the destination's conflicting-lock count
+/// is at most this fraction of the origin's (0.0 would require a
+/// conflict-free destination).
+const SHIP_CONFLICT_RATIO: f64 = 0.5;
+
+/// H2 ships only to a site already holding locks on at least this fraction
+/// of the transaction's objects (§3.1: transaction shipping pays when "a
+/// significant percentage of a transaction's required data is already
+/// cached at another site").
+const SHIP_LOCALITY_MIN: f64 = 0.5;
+
+/// Upper bound on the exponential retry backoff that starts at
+/// `FaultConfig::retry_backoff_base`; also how long a subtask result waits
+/// before it is re-sent to a crashed origin.
+const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
+
 /// H2's candidate sites with their conflicting-lock scores, in evaluation
 /// order. Inline for the usual handful; past eight it spills.
 type H2Scores = InlineVec<(ClientId, usize), 8>;
@@ -36,9 +52,6 @@ struct Fetch {
     sent_at: SimTime,
     /// The transactions waiting on it: one, now and then a second.
     waiters: InlineVec<TKey, 2>,
-    /// True once the request actually went to the server (a fetch created
-    /// while a batch is being assembled is not yet on the wire).
-    sent: bool,
     /// Retransmissions sent so far (failure handling; always 0 with faults
     /// off).
     attempts: u32,
@@ -483,16 +496,8 @@ impl ClientSite {
             if !f.waiters.contains(&key) {
                 f.waiters.push(key);
             }
-            if f.mode.covers(mode) {
-                return None;
-            }
-            if !f.sent {
-                // Still staged: strengthen in place.
-                f.mode = LockMode::Exclusive;
-                return None;
-            }
-            // Already on the wire in a weaker mode; the upgrade is issued
-            // when the weak grant resolves (see resolve_fetch).
+            // Covered, or on the wire in a weaker mode: the upgrade is
+            // issued when the weak grant resolves (see resolve_fetch).
             return None;
         }
         self.fetches.insert(
@@ -501,7 +506,6 @@ impl ClientSite {
                 mode,
                 sent_at: cx.now,
                 waiters: [key].into_iter().collect(),
-                sent: true,
                 attempts: 0,
             },
         );
@@ -872,7 +876,6 @@ impl ClientSite {
             // when "a significant percentage of a transaction's required
             // data is already cached at another site"). Shipping cancels
             // the requests the server has queued on our behalf.
-            let ls = cx.cfg.load_sharing;
             let score_of = |site| {
                 scored
                     .iter()
@@ -883,8 +886,8 @@ impl ClientSite {
             let origin_score = score_of(self_id) as f64;
             if best != self_id
                 && cx.site_up(best)
-                && best_score <= ls.ship_conflict_ratio * origin_score
-                && Self::holds_fraction(best, accesses, &conflicts) >= ls.ship_locality_min
+                && best_score <= SHIP_CONFLICT_RATIO * origin_score
+                && Self::holds_fraction(best, accesses, &conflicts) >= SHIP_LOCALITY_MIN
             {
                 self.ship_txn(cx, key, best);
                 return;
@@ -1241,11 +1244,9 @@ impl ClientSite {
         self.fetches.retain(|&object, f| {
             f.waiters.retain(|&w| w != key);
             if f.waiters.is_empty() {
-                if f.sent {
-                    // Ascending: retain walks hash order.
-                    let at = cancelled.iter().position(|&o| o > object);
-                    cancelled.insert(at.unwrap_or(cancelled.len()), object);
-                }
+                // Ascending: retain walks hash order.
+                let at = cancelled.iter().position(|&o| o > object);
+                cancelled.insert(at.unwrap_or(cancelled.len()), object);
                 false
             } else {
                 true
@@ -1609,7 +1610,7 @@ impl ClientSite {
         };
         if !cx.site_up(from) {
             let to = SiteDest::Client(origin);
-            let at = cx.now.saturating_add(cx.cfg.faults.retry_backoff_cap);
+            let at = cx.now.saturating_add(RETRY_BACKOFF_CAP);
             cx.queue.push(
                 at,
                 Ev::Deliver {
@@ -1705,7 +1706,7 @@ impl ClientSite {
         let Some(fetch) = self.fetches.get(&object) else {
             return; // answered (or cancelled) in time
         };
-        if !fetch.sent || fetch.sent_at != sent_at || fetch.attempts != attempt {
+        if fetch.sent_at != sent_at || fetch.attempts != attempt {
             return; // stale timer
         }
         if attempt >= f.max_retries {
@@ -1747,7 +1748,7 @@ impl ClientSite {
         let backoff = f
             .retry_backoff_base
             .mul_f64(f64::from(2u32.saturating_pow(attempt + 1)))
-            .min(f.retry_backoff_cap);
+            .min(RETRY_BACKOFF_CAP);
         cx.queue.push(
             cx.now + backoff,
             Ev::RetryFetch {

@@ -1,11 +1,11 @@
 //! The one event-driven simulator of sites that exchange messages, for all
 //! three systems: [`Simulator`] pops events and hands each to the site it
-//! is for. Every site owns its state and acts through the shared [`Cx`]. In
-//! CE-RTDBS the server is a [`CentralizedServer`] that runs every
+//! is for. Every site owns its state and acts through the shared `Cx`. In
+//! CE-RTDBS the server is a `CentralizedServer` that runs every
 //! transaction, and the clients are stateless terminals. In the
 //! client-server real-time database (CS-RTDBS) and its load-sharing
-//! extension (LS-CS-RTDBS) there is a [`ClientSite`] per workstation and one
-//! [`ServerSite`].
+//! extension (LS-CS-RTDBS) there is a `ClientSite` per workstation and one
+//! `ServerSite`.
 //!
 //! The CS system implements the paper's §2 model: transactions execute at
 //! client workstations, objects and their **locks** are cached across

@@ -374,7 +374,7 @@ impl ServerSite {
         desired: LockMode,
         holders: impl IntoIterator<Item = ClientId>,
     ) {
-        for t in callbacks.begin_at(object, holders, desired, cx.now) {
+        for t in callbacks.begin_at(object, holders, cx.now) {
             let recall = || Msg::Recall {
                 object,
                 desired,
@@ -622,8 +622,7 @@ impl ServerSite {
                 // later grants. A callback lease makes the loss recoverable
                 // (a dead holder is reclaimed at expiry); until then the
                 // batch keeps collecting.
-                self.callbacks
-                    .begin_at(object, [holder], LockMode::Exclusive, cx.now);
+                self.callbacks.begin_at(object, [holder], cx.now);
             }
             // A holder remains but plain-path waiters are queued: let the
             // callback complete and collect a little longer.

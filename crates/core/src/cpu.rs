@@ -97,7 +97,6 @@ pub struct EdfCpu<K = u64> {
     generation: u64,
     next_seq: u64,
     busy: SimDuration,
-    completed: u64,
 }
 
 impl<K: Copy + Eq> EdfCpu<K> {
@@ -117,7 +116,6 @@ impl<K: Copy + Eq> EdfCpu<K> {
             generation: 0,
             next_seq: 0,
             busy: SimDuration::ZERO,
-            completed: 0,
         }
     }
 
@@ -131,12 +129,6 @@ impl<K: Copy + Eq> EdfCpu<K> {
     #[must_use]
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Tasks completed so far.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 
     fn charge_running(&mut self, now: SimTime) {
@@ -223,7 +215,6 @@ impl<K: Copy + Eq> EdfCpu<K> {
         // detlint: allow(D9) — generation matched, so the job that armed this completion still runs
         let run = self.running.take().expect("completion implies a running job");
         debug_assert!(run.remaining <= 1e-9, "completion fired early");
-        self.completed += 1;
         let next = self.dispatch(now);
         let mut finished = InlineVec::new();
         finished.push(run.key);
@@ -275,7 +266,6 @@ pub struct PsCpu<K = u64> {
     generation: u64,
     next_seq: u64,
     busy: SimDuration,
-    completed: u64,
 }
 
 impl<K: Copy + Eq> PsCpu<K> {
@@ -297,20 +287,7 @@ impl<K: Copy + Eq> PsCpu<K> {
             generation: 0,
             next_seq: 0,
             busy: SimDuration::ZERO,
-            completed: 0,
         }
-    }
-
-    /// Number of tasks currently sharing the processor.
-    #[must_use]
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Number of admitted-but-waiting tasks.
-    #[must_use]
-    pub fn waiting_count(&self) -> usize {
-        self.waiting.len()
     }
 
     /// Total tasks present.
@@ -324,12 +301,6 @@ impl<K: Copy + Eq> PsCpu<K> {
     #[must_use]
     pub fn busy_time(&self) -> SimDuration {
         self.busy
-    }
-
-    /// Tasks completed so far.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -414,7 +385,6 @@ impl<K: Copy + Eq> PsCpu<K> {
                 true
             }
         });
-        self.completed += finished.len() as u64;
         self.admit();
         let next = self.reschedule(now);
         Tick::Done { finished, next }
@@ -465,7 +435,6 @@ mod tests {
             }
             Tick::Stale => panic!("not stale"),
         }
-        assert_eq!(cpu.completed(), 1);
         assert_eq!(cpu.busy_time(), d(5));
     }
 
@@ -617,7 +586,6 @@ mod tests {
             }
             Tick::Stale => panic!(),
         }
-        assert_eq!(cpu.completed(), 2);
     }
 
     #[test]
@@ -648,8 +616,7 @@ mod tests {
         cpu.submit(s(0), 1u64, s(10), d(2));
         cpu.submit(s(0), 2u64, s(30), d(2));
         let (t, g) = cpu.submit(s(0), 3u64, s(20), d(2)).unwrap();
-        assert_eq!(cpu.active_count(), 1);
-        assert_eq!(cpu.waiting_count(), 2);
+        assert_eq!((cpu.active.len(), cpu.waiting.len()), (1, 2));
         assert_eq!(t, s(2));
         match cpu.on_completion(t, g) {
             Tick::Done { finished, next } => {

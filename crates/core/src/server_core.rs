@@ -18,10 +18,17 @@ use siteselect_net::Fabric;
 use siteselect_obs::{Event, EventSink};
 use siteselect_sim::Prng;
 use siteselect_storage::{ClientCache, DiskModel, DurableStore, RecoveryOutcome};
-use siteselect_types::{ExperimentConfig, SimTime, SiteId, TransactionId};
+use siteselect_types::{ExperimentConfig, SimDuration, SimTime, SiteId, TransactionId};
 
 use crate::clientserver::Cx;
 use crate::metrics::RunMetrics;
+
+/// Length of one slow-disk episode (`FaultConfig::mean_time_to_slow_disk`
+/// sets how often one starts).
+const SLOW_DISK_EPISODE: SimDuration = SimDuration::from_secs(20);
+
+/// Multiplier on the per-page service time during a slow-disk episode.
+const SLOW_DISK_FACTOR: f64 = 4.0;
 
 /// The run's fabric. With fault injection on, loss and jitter draw from a
 /// dedicated PRNG stream, so they never perturb the workload's random
@@ -101,11 +108,11 @@ impl<O: LockOwner> ServerCore<O> {
             if t >= end {
                 break;
             }
-            let until = t + f.slow_disk_duration;
+            let until = t + SLOW_DISK_EPISODE;
             episodes.push((t, until));
             t = until;
         }
-        self.disk.set_slow_episodes(episodes, f.slow_disk_factor);
+        self.disk.set_slow_episodes(episodes, SLOW_DISK_FACTOR);
     }
 
     /// The server crashes. The lock table and buffer pool are lost; unless

@@ -2,7 +2,7 @@
 //! acquisition cycles) and D8 (guards held across channel sends or
 //! thread joins).
 //!
-//! The pass tracks guards of the workspace's own [`Mutex`] wrapper
+//! The pass tracks guards of the workspace's own `Mutex` wrapper
 //! (`crates/cluster/src/sync.rs`) through each function body:
 //!
 //! * `let g = x.lock();` — the guard lives to the end of the enclosing

@@ -31,14 +31,10 @@ pub enum RecallProgress {
     Complete,
 }
 
-#[derive(Debug, Clone)]
-struct Recall {
-    /// Holders still owing an answer, ascending, with the instant their
-    /// callback was issued (for lease expiry; `SimTime::ZERO` for untimed
-    /// callers).
-    outstanding: InlineVec<(ClientId, SimTime), 4>,
-    desired: LockMode,
-}
+/// The holders of one recalled object still owing an answer, ascending,
+/// with the instant their callback was issued (for lease expiry;
+/// `SimTime::ZERO` for untimed callers).
+type Owing = InlineVec<(ClientId, SimTime), 4>;
 
 /// Tracks outstanding lock callbacks per object.
 ///
@@ -59,9 +55,7 @@ struct Recall {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CallbackTracker {
-    recalls: HashMap<ObjectId, Recall>,
-    issued: u64,
-    completed: u64,
+    recalls: HashMap<ObjectId, Owing>,
     sink: EventSink,
 }
 
@@ -79,19 +73,20 @@ impl CallbackTracker {
         self.sink = sink;
     }
 
-    /// Starts (or extends) a recall of `object` from `holders`; `desired` is
-    /// the mode the blocked requester wants, carried in the callback message.
+    /// Starts (or extends) a recall of `object` from `holders`. The mode the
+    /// blocked requester wants travels in the callback message the caller
+    /// sends, so the tracker does not keep `_desired`; the parameter stays
+    /// because the benchmark package calls this signature.
     ///
     /// Returns the holders that must *newly* be messaged (holders already
-    /// being recalled are not re-messaged). A stronger desired mode upgrades
-    /// the recall in place.
+    /// being recalled are not re-messaged).
     pub fn begin(
         &mut self,
         object: ObjectId,
         holders: impl IntoIterator<Item = ClientId>,
-        desired: LockMode,
+        _desired: LockMode,
     ) -> Targets {
-        self.begin_at(object, holders, desired, SimTime::ZERO)
+        self.begin_at(object, holders, SimTime::ZERO)
     }
 
     /// [`begin`](Self::begin) with the issue instant recorded, so unanswered
@@ -102,26 +97,19 @@ impl CallbackTracker {
         &mut self,
         object: ObjectId,
         holders: impl IntoIterator<Item = ClientId>,
-        desired: LockMode,
         now: SimTime,
     ) -> Targets {
-        let recall = self.recalls.entry(object).or_insert_with(|| Recall {
-            outstanding: InlineVec::new(),
-            desired,
-        });
-        recall.desired = recall.desired.stronger(desired);
+        let owing = self.recalls.entry(object).or_default();
         let mut fresh = Targets::new();
         for h in holders {
-            let owing = &mut recall.outstanding;
             let pos = owing.iter().position(|&(c, _)| c >= h);
             let pos = pos.unwrap_or(owing.len());
             if owing.get(pos).is_none_or(|&(c, _)| c != h) {
                 owing.insert(pos, (h, now));
                 fresh.push(h);
-                self.issued += 1;
             }
         }
-        if recall.outstanding.is_empty() {
+        if owing.is_empty() {
             self.recalls.remove(&object);
         }
         if !fresh.is_empty() {
@@ -136,9 +124,8 @@ impl CallbackTracker {
     /// `(object, holder)`. A zero lease disables expiry (the pre-fault
     /// behaviour: wait forever).
     ///
-    /// The server presumes these holders dead: it should
-    /// [`forget_client`](Self::forget_client) them, reclaim their locks and
-    /// invalidate their cached copies.
+    /// The server presumes these holders dead: it should reclaim their locks
+    /// and invalidate their cached copies.
     #[must_use]
     pub fn expired(&self, now: SimTime, lease: SimDuration) -> Vec<(ObjectId, ClientId)> {
         if lease.is_zero() {
@@ -148,8 +135,8 @@ impl CallbackTracker {
             // detlint: allow(D2) — `out.sort_unstable()` below, before the pairs are returned
             .recalls
             .iter()
-            .flat_map(|(&obj, r)| {
-                r.outstanding
+            .flat_map(|(&obj, owing)| {
+                owing
                     .iter()
                     .filter(move |&&(_, t)| now.duration_since(t) >= lease)
                     .map(move |&(c, _)| (obj, c))
@@ -163,24 +150,16 @@ impl CallbackTracker {
     /// downgraded its lock). Returns `None` if no recall was outstanding for
     /// that pair.
     pub fn acknowledge(&mut self, object: ObjectId, from: ClientId) -> Option<RecallProgress> {
-        let recall = self.recalls.get_mut(&object)?;
-        let pos = recall.outstanding.iter().position(|&(c, _)| c == from)?;
-        recall.outstanding.remove(pos);
-        let remaining = recall.outstanding.len();
+        let owing = self.recalls.get_mut(&object)?;
+        let pos = owing.iter().position(|&(c, _)| c == from)?;
+        owing.remove(pos);
+        let remaining = owing.len();
         if remaining == 0 {
             self.recalls.remove(&object);
-            self.completed += 1;
             Some(RecallProgress::Complete)
         } else {
             Some(RecallProgress::Pending { remaining })
         }
-    }
-
-    /// The mode desired by the requester that triggered the recall on
-    /// `object`, if a recall is outstanding.
-    #[must_use]
-    pub fn desired_mode(&self, object: ObjectId) -> Option<LockMode> {
-        self.recalls.get(&object).map(|r| r.desired)
     }
 
     /// True if a recall of `object` is still outstanding.
@@ -194,38 +173,7 @@ impl CallbackTracker {
         self.recalls
             .get(&object)
             .into_iter()
-            .flat_map(|r| r.outstanding.iter().map(|&(c, _)| c))
-    }
-
-    /// Drops a holder from every recall (client crashed / evicted without
-    /// ack); returns the objects whose recalls completed as a result.
-    pub fn forget_client(&mut self, client: ClientId) -> Vec<ObjectId> {
-        let mut done = Vec::new();
-        // detlint: allow(D2) — only fills `done`, which is sorted before it is returned
-        self.recalls.retain(|&obj, r| {
-            r.outstanding.retain(|&(c, _)| c != client);
-            if r.outstanding.is_empty() {
-                done.push(obj);
-                false
-            } else {
-                true
-            }
-        });
-        self.completed += done.len() as u64;
-        done.sort_unstable();
-        done
-    }
-
-    /// Total callback messages issued.
-    #[must_use]
-    pub fn total_issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Total recalls fully completed.
-    #[must_use]
-    pub fn total_completed(&self) -> u64 {
-        self.completed
+            .flat_map(|owing| owing.iter().map(|&(c, _)| c))
     }
 }
 
@@ -241,15 +189,12 @@ mod tests {
         let fresh = cb.begin(OBJ, [ClientId(1), ClientId(2)], LockMode::Exclusive);
         assert_eq!(fresh.len(), 2);
         assert!(cb.is_recalling(OBJ));
-        assert_eq!(cb.desired_mode(OBJ), Some(LockMode::Exclusive));
         assert_eq!(
             cb.acknowledge(OBJ, ClientId(2)),
             Some(RecallProgress::Pending { remaining: 1 })
         );
         assert_eq!(cb.acknowledge(OBJ, ClientId(1)), Some(RecallProgress::Complete));
         assert!(!cb.is_recalling(OBJ));
-        assert_eq!(cb.total_issued(), 2);
-        assert_eq!(cb.total_completed(), 1);
     }
 
     #[test]
@@ -280,17 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn desired_mode_upgrades_but_never_downgrades() {
-        let mut cb = CallbackTracker::new();
-        cb.begin(OBJ, [ClientId(1)], LockMode::Shared);
-        assert_eq!(cb.desired_mode(OBJ), Some(LockMode::Shared));
-        cb.begin(OBJ, [ClientId(2)], LockMode::Exclusive);
-        assert_eq!(cb.desired_mode(OBJ), Some(LockMode::Exclusive));
-        cb.begin(OBJ, [ClientId(3)], LockMode::Shared);
-        assert_eq!(cb.desired_mode(OBJ), Some(LockMode::Exclusive));
-    }
-
-    #[test]
     fn unknown_acks_are_ignored() {
         let mut cb = CallbackTracker::new();
         assert_eq!(cb.acknowledge(OBJ, ClientId(1)), None);
@@ -311,8 +245,8 @@ mod tests {
     fn leases_expire_only_after_the_full_lease() {
         let mut cb = CallbackTracker::new();
         let lease = SimDuration::from_secs(5);
-        cb.begin_at(OBJ, [ClientId(1)], LockMode::Exclusive, SimTime::from_secs(10));
-        cb.begin_at(ObjectId(9), [ClientId(2)], LockMode::Shared, SimTime::from_secs(12));
+        cb.begin_at(OBJ, [ClientId(1)], SimTime::from_secs(10));
+        cb.begin_at(ObjectId(9), [ClientId(2)], SimTime::from_secs(12));
 
         assert!(cb.expired(SimTime::from_secs(14), lease).is_empty());
         assert_eq!(
@@ -335,7 +269,7 @@ mod tests {
     #[test]
     fn zero_lease_never_expires() {
         let mut cb = CallbackTracker::new();
-        cb.begin_at(OBJ, [ClientId(1)], LockMode::Shared, SimTime::ZERO);
+        cb.begin_at(OBJ, [ClientId(1)], SimTime::ZERO);
         assert!(cb.expired(SimTime::from_secs(10_000), SimDuration::ZERO).is_empty());
     }
 
@@ -343,21 +277,10 @@ mod tests {
     fn re_recall_keeps_the_original_lease_clock() {
         let mut cb = CallbackTracker::new();
         let lease = SimDuration::from_secs(5);
-        cb.begin_at(OBJ, [ClientId(1)], LockMode::Shared, SimTime::from_secs(0));
+        cb.begin_at(OBJ, [ClientId(1)], SimTime::from_secs(0));
         // Re-recalled later: not re-messaged, so the old clock keeps running.
-        let fresh = cb.begin_at(OBJ, [ClientId(1)], LockMode::Exclusive, SimTime::from_secs(4));
+        let fresh = cb.begin_at(OBJ, [ClientId(1)], SimTime::from_secs(4));
         assert!(fresh.is_empty());
         assert_eq!(cb.expired(SimTime::from_secs(5), lease), vec![(OBJ, ClientId(1))]);
-    }
-
-    #[test]
-    fn forget_client_completes_recalls() {
-        let mut cb = CallbackTracker::new();
-        cb.begin(ObjectId(1), [ClientId(1)], LockMode::Shared);
-        cb.begin(ObjectId(2), [ClientId(1), ClientId(2)], LockMode::Shared);
-        let done = cb.forget_client(ClientId(1));
-        assert_eq!(done, vec![ObjectId(1)]);
-        assert!(cb.is_recalling(ObjectId(2)));
-        assert!(cb.outstanding(ObjectId(2)).eq([ClientId(2)]));
     }
 }

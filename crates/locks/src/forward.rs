@@ -118,25 +118,6 @@ impl ForwardList {
         (None, skipped)
     }
 
-    /// The next *parallel group*: the leading run of shared entries (several
-    /// readers may hold the object simultaneously), or a single exclusive
-    /// entry. Does not consume.
-    #[must_use]
-    pub fn next_group(&self) -> &[ForwardEntry] {
-        match self.entries.first() {
-            None => &[],
-            Some(first) if first.mode == LockMode::Exclusive => &self.entries[..1],
-            Some(_) => {
-                let run = self
-                    .entries
-                    .iter()
-                    .take_while(|e| e.mode == LockMode::Shared)
-                    .count();
-                &self.entries[..run]
-            }
-        }
-    }
-
     /// The final destination currently scheduled — what the server reports
     /// as the object's location when asked (§4: "the server refers to the
     /// object's forward list and reports the last client in the list").
@@ -206,19 +187,5 @@ mod tests {
         fl.push(entry(1, 10, LockMode::Shared));
         let (next, _) = fl.pop_next_live(SimTime::from_secs(10));
         assert!(next.is_some());
-    }
-
-    #[test]
-    fn parallel_read_group() {
-        let mut fl = ForwardList::new(ObjectId(1));
-        fl.push(entry(1, 10, LockMode::Shared));
-        fl.push(entry(2, 11, LockMode::Shared));
-        fl.push(entry(3, 12, LockMode::Exclusive));
-        assert_eq!(fl.next_group().len(), 2);
-        let mut fl2 = ForwardList::new(ObjectId(1));
-        fl2.push(entry(3, 5, LockMode::Exclusive));
-        fl2.push(entry(1, 10, LockMode::Shared));
-        assert_eq!(fl2.next_group().len(), 1);
-        assert!(ForwardList::new(ObjectId(2)).next_group().is_empty());
     }
 }

@@ -55,7 +55,6 @@ pub struct WindowEpisode {
 
 #[derive(Debug, Clone)]
 struct OpenWindow {
-    closes_at: SimTime,
     list: ForwardList,
     /// True once a fresh request joined: its `WindowOpen` was emitted and
     /// the next close emits the matching `WindowClose`.
@@ -90,7 +89,6 @@ pub struct WindowManager {
     window: SimDuration,
     open: HashMap<ObjectId, OpenWindow>,
     total_opened: u64,
-    total_requests: u64,
     sink: EventSink,
 }
 
@@ -102,7 +100,6 @@ impl WindowManager {
             window,
             open: HashMap::new(),
             total_opened: 0,
-            total_requests: 0,
             sink: EventSink::disabled(),
         }
     }
@@ -117,7 +114,6 @@ impl WindowManager {
     /// needed. A fresh request opens a trace episode (`WindowOpen`) unless
     /// the window already has one open.
     pub fn offer(&mut self, object: ObjectId, entry: ForwardEntry, now: SimTime) -> WindowOffer {
-        self.total_requests += 1;
         let fresh = Offered {
             txn: entry.txn,
             offered_at: now,
@@ -144,7 +140,6 @@ impl WindowManager {
         self.open.insert(
             object,
             OpenWindow {
-                closes_at,
                 list,
                 collecting: true,
                 offered,
@@ -170,7 +165,6 @@ impl WindowManager {
         now: SimTime,
     ) -> Option<SimTime> {
         let object = list.object();
-        self.total_requests += list.len() as u64;
         if let Some(w) = self.open.get_mut(&object) {
             for &e in list.entries() {
                 w.list.push(e);
@@ -185,7 +179,6 @@ impl WindowManager {
         self.open.insert(
             object,
             OpenWindow {
-                closes_at,
                 list,
                 collecting: false,
                 offered: episode.offered,
@@ -244,12 +237,6 @@ impl WindowManager {
         self.open.contains_key(&object)
     }
 
-    /// When the open window on `object` closes, if any.
-    #[must_use]
-    pub fn closes_at(&self, object: ObjectId) -> Option<SimTime> {
-        self.open.get(&object).map(|w| w.closes_at)
-    }
-
     /// Requests currently collected for `object`.
     #[must_use]
     pub fn pending(&self, object: ObjectId) -> usize {
@@ -260,23 +247,6 @@ impl WindowManager {
     #[must_use]
     pub fn total_opened(&self) -> u64 {
         self.total_opened
-    }
-
-    /// Requests ever offered.
-    #[must_use]
-    pub fn total_requests(&self) -> u64 {
-        self.total_requests
-    }
-
-    /// Mean requests batched per window (the grouping factor behind the
-    /// message savings of Table 4).
-    #[must_use]
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.total_opened == 0 {
-            0.0
-        } else {
-            self.total_requests as f64 / self.total_opened as f64
-        }
     }
 }
 
@@ -309,7 +279,6 @@ mod tests {
         assert_eq!(wm.offer(OBJ, entry(2, 20), SimTime::from_secs(1)), WindowOffer::Joined);
         assert_eq!(wm.pending(OBJ), 2);
         assert!(wm.is_open(OBJ));
-        assert_eq!(wm.closes_at(OBJ), Some(SimTime::from_secs(1) + SimDuration::from_millis(50)));
     }
 
     #[test]
@@ -374,9 +343,7 @@ mod tests {
             }
             assert_eq!(whole.reoffer(list, episode, now), opened);
             assert_eq!(opened.is_some(), !open_already);
-            assert_eq!(whole.closes_at(OBJ), single.closes_at(OBJ));
             assert_eq!(whole.total_opened(), single.total_opened());
-            assert_eq!(whole.total_requests(), single.total_requests());
             assert_eq!(whole.close(OBJ), single.close(OBJ));
         }
         let mut wm = WindowManager::new(SimDuration::from_millis(50));
@@ -428,7 +395,7 @@ mod tests {
             }
             assert_eq!(list.len(), 3);
             wm.depart(episode, now);
-            assert_eq!((wm.total_opened(), wm.total_requests()), (1 + k, 3 + 3 * k));
+            assert_eq!(wm.total_opened(), 1 + k);
             let mut want = vec![("window_open", None, ms(10), ms(10))];
             want.push(("window_close", None, ms(100), ms(100)));
             for c in 1..=3 {
@@ -455,7 +422,7 @@ mod tests {
         let (list, episode) = wm.close_at(OBJ, ms(200)).unwrap();
         assert_eq!(list.len(), 4);
         wm.depart(episode, ms(200));
-        assert_eq!((wm.total_opened(), wm.total_requests()), (2, 6));
+        assert_eq!(wm.total_opened(), 2);
         assert_eq!(
             trace_of(&sink),
             vec![
@@ -471,15 +438,5 @@ mod tests {
                 ("span_object_away", Some(2), ms(100), ms(200)),
             ]
         );
-    }
-
-    #[test]
-    fn batch_size_statistic() {
-        let mut wm = WindowManager::new(SimDuration::from_millis(50));
-        assert_eq!(wm.mean_batch_size(), 0.0);
-        wm.offer(OBJ, entry(1, 10), SimTime::ZERO);
-        wm.offer(OBJ, entry(2, 10), SimTime::ZERO);
-        wm.offer(OBJ, entry(3, 10), SimTime::ZERO);
-        assert!((wm.mean_batch_size() - 3.0).abs() < 1e-12);
     }
 }

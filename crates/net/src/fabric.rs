@@ -6,7 +6,7 @@ use siteselect_obs::{Event, EventSink};
 use siteselect_sim::Prng;
 use siteselect_types::{FaultConfig, LanKind, NetworkConfig, SimDuration, SimTime, SiteId};
 
-use crate::message::MessageKind;
+use crate::message::{MessageKind, CONTROL_BYTES};
 use crate::stats::MessageStats;
 
 /// Outcome of a fault-aware send ([`Fabric::try_send`] and friends).
@@ -130,12 +130,6 @@ impl Fabric {
         self.fault_state().down.remove(&site);
     }
 
-    /// True unless `site` is currently marked crashed.
-    #[must_use]
-    pub fn is_site_up(&self, site: SiteId) -> bool {
-        self.faults.as_ref().is_none_or(|f| !f.down.contains(&site))
-    }
-
     /// Messages lost so far (random loss plus deliveries to crashed sites).
     #[must_use]
     pub fn dropped_messages(&self) -> u64 {
@@ -229,7 +223,7 @@ impl Fabric {
         kind: MessageKind,
         objects: u32,
     ) -> SimTime {
-        let bytes = kind.wire_bytes(&self.cfg, self.object_bytes, objects);
+        let bytes = kind.wire_bytes(self.object_bytes, objects);
         let delivery = self.transmit(now, from, to, bytes);
         self.stats.record(kind, 1, u64::from(bytes));
         delivery
@@ -253,8 +247,8 @@ impl Fabric {
         logical: u32,
     ) -> SimTime {
         assert!(logical > 0, "a batch must carry at least one message");
-        let bytes = kind.wire_bytes(&self.cfg, self.object_bytes, objects)
-            + (logical - 1) * self.cfg.control_bytes / 4;
+        let bytes = kind.wire_bytes(self.object_bytes, objects)
+            + (logical - 1) * CONTROL_BYTES / 4;
         let delivery = self.transmit(now, from, to, bytes);
         self.stats
             .record_multi(kind, u64::from(logical), 1, u64::from(bytes));
@@ -279,7 +273,7 @@ impl Fabric {
         kind: MessageKind,
         objects: u32,
     ) -> SimTime {
-        let bytes = kind.wire_bytes(&self.cfg, self.object_bytes, objects);
+        let bytes = kind.wire_bytes(self.object_bytes, objects);
         let hop1 = self.transmit(now, from, SiteId::Directory, bytes);
         let hop2 = self.transmit(hop1, SiteId::Directory, to, bytes);
         self.stats.record(kind, 2, 2 * u64::from(bytes));
@@ -346,12 +340,6 @@ impl Fabric {
     pub fn busy_until(&self) -> SimTime {
         self.shared_busy_until
     }
-
-    /// The configured object payload size in bytes.
-    #[must_use]
-    pub fn object_bytes(&self) -> u32 {
-        self.object_bytes
-    }
 }
 
 #[cfg(test)]
@@ -368,8 +356,6 @@ mod tests {
             kind,
             bandwidth_bps: 10_000_000,
             latency: SimDuration::from_micros(500),
-            control_bytes: 128,
-            header_bytes: 64,
         };
         Fabric::new(cfg, 2_048)
     }
@@ -435,11 +421,7 @@ mod tests {
         assert_eq!(relayed.stats().total_transmissions(), 2);
         assert_eq!(
             relayed.stats().total_bytes(),
-            2 * u64::from(MessageKind::ObjectForward.wire_bytes(
-                &NetworkConfig::default(),
-                2_048,
-                1
-            ))
+            2 * u64::from(MessageKind::ObjectForward.wire_bytes(2_048, 1))
         );
     }
 
@@ -462,7 +444,7 @@ mod tests {
         assert_eq!(f.stats().count(MessageKind::ObjectRequest), 8);
         assert_eq!(f.stats().total_transmissions(), 1);
         // The frame grows a little per extra logical message.
-        let single = MessageKind::ObjectRequest.wire_bytes(&NetworkConfig::default(), 2_048, 0);
+        let single = MessageKind::ObjectRequest.wire_bytes(2_048, 0);
         assert!(f.stats().total_bytes() > u64::from(single));
     }
 
@@ -500,8 +482,6 @@ mod tests {
     fn crashed_destination_drops_but_pays_wire_time() {
         let mut f = fabric(LanKind::SharedEthernet);
         f.set_site_down(site(1));
-        assert!(!f.is_site_up(site(1)));
-        assert!(f.is_site_up(site(0)));
         let busy_before = f.busy_until();
         let d = f.try_send(SimTime::ZERO, SiteId::Server, site(1), MessageKind::ObjectSend, 1);
         assert_eq!(d, Delivery::Dropped);

@@ -1,6 +1,11 @@
 //! The protocol message vocabulary and its wire sizes.
 
-use siteselect_types::NetworkConfig;
+/// Wire size of a control message (requests, grants without payload,
+/// callbacks, acknowledgements).
+pub(crate) const CONTROL_BYTES: u32 = 128;
+
+/// Per-message header overhead added to object payloads.
+const HEADER_BYTES: u32 = 64;
 
 /// Every message category exchanged by the three systems.
 ///
@@ -82,27 +87,18 @@ impl MessageKind {
             .expect("kind listed in ALL")
     }
 
-    /// True if this kind normally carries object payloads.
-    #[must_use]
-    pub fn carries_objects(self) -> bool {
-        matches!(
-            self,
-            MessageKind::ObjectSend | MessageKind::ObjectReturn | MessageKind::ObjectForward
-        )
-    }
-
     /// Wire size in bytes when carrying `objects` object payloads of
-    /// `object_bytes` each. Control messages use the configured control
-    /// size; transaction shipments carry a descriptor (~4× control).
+    /// `object_bytes` each. Control messages are `CONTROL_BYTES`;
+    /// transaction shipments carry a descriptor (~4× control).
     #[must_use]
-    pub fn wire_bytes(self, cfg: &NetworkConfig, object_bytes: u32, objects: u32) -> u32 {
+    pub fn wire_bytes(self, object_bytes: u32, objects: u32) -> u32 {
         let base = match self {
-            MessageKind::TxnShip | MessageKind::SubtaskShip => cfg.control_bytes * 4,
-            MessageKind::LoadReply | MessageKind::ConflictInfo => cfg.control_bytes * 2,
-            _ => cfg.control_bytes,
+            MessageKind::TxnShip | MessageKind::SubtaskShip => CONTROL_BYTES * 4,
+            MessageKind::LoadReply | MessageKind::ConflictInfo => CONTROL_BYTES * 2,
+            _ => CONTROL_BYTES,
         };
         if objects > 0 {
-            base + cfg.header_bytes + objects * object_bytes
+            base + HEADER_BYTES + objects * object_bytes
         } else {
             base
         }
@@ -151,30 +147,20 @@ mod tests {
 
     #[test]
     fn wire_sizes() {
-        let cfg = NetworkConfig::default(); // control 128, header 64
         assert_eq!(
-            MessageKind::ObjectRequest.wire_bytes(&cfg, 2_048, 0),
+            MessageKind::ObjectRequest.wire_bytes(2_048, 0),
             128
         );
         assert_eq!(
-            MessageKind::ObjectSend.wire_bytes(&cfg, 2_048, 1),
+            MessageKind::ObjectSend.wire_bytes(2_048, 1),
             128 + 64 + 2_048
         );
         assert_eq!(
-            MessageKind::ObjectSend.wire_bytes(&cfg, 2_048, 3),
+            MessageKind::ObjectSend.wire_bytes(2_048, 3),
             128 + 64 + 3 * 2_048
         );
-        assert_eq!(MessageKind::TxnShip.wire_bytes(&cfg, 2_048, 0), 512);
-        assert_eq!(MessageKind::ConflictInfo.wire_bytes(&cfg, 2_048, 0), 256);
-    }
-
-    #[test]
-    fn payload_kinds_flagged() {
-        assert!(MessageKind::ObjectSend.carries_objects());
-        assert!(MessageKind::ObjectForward.carries_objects());
-        assert!(MessageKind::ObjectReturn.carries_objects());
-        assert!(!MessageKind::Recall.carries_objects());
-        assert!(!MessageKind::TxnShip.carries_objects());
+        assert_eq!(MessageKind::TxnShip.wire_bytes(2_048, 0), 512);
+        assert_eq!(MessageKind::ConflictInfo.wire_bytes(2_048, 0), 256);
     }
 
     #[test]

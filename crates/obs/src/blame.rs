@@ -28,7 +28,6 @@ use siteselect_types::{FixedState, SimTime, TransactionId, TxnOutcome};
 
 use crate::event::{outcome_str, Event};
 use crate::hist::LogHistogram;
-use crate::metrics::MetricsRegistry;
 use crate::sink::TraceData;
 use crate::span::SpanKind;
 
@@ -281,15 +280,33 @@ pub struct BlameReport {
     /// The top-K worst deadline misses by tardiness, annotated with their
     /// critical paths.
     pub worst: Vec<TxnBlame>,
+    /// Critical-path segments over every blamed transaction, not only the
+    /// listed worst.
+    pub path_segments: u64,
+    /// The largest tardiness of any missed transaction, microseconds (0
+    /// when none missed).
+    pub worst_tardiness_us: u64,
+}
+
+/// The registry [`BlameReport::extract`] takes. It records nothing; the
+/// pipeline counters are [`BlameReport`] fields.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsRegistry;
+
+impl MetricsRegistry {
+    /// The registry value `extract` callers pass.
+    #[must_use]
+    pub fn disabled() -> Self {
+        MetricsRegistry
+    }
 }
 
 impl BlameReport {
     /// Builds the report from a merged trace: extracts every blame vector,
-    /// aggregates per cause, and keeps the `top_k` worst misses. Pipeline
-    /// tallies are folded into `registry` (pass a disabled registry to
-    /// skip).
+    /// aggregates per cause, and keeps the `top_k` worst misses. The
+    /// registry is inert; the benchmark package calls this signature.
     #[must_use]
-    pub fn extract(trace: &TraceData, top_k: usize, registry: &MetricsRegistry) -> BlameReport {
+    pub fn extract(trace: &TraceData, top_k: usize, _registry: &MetricsRegistry) -> BlameReport {
         let blames = txn_blames(trace);
         let mut causes: Vec<CauseStats> = SpanKind::ALL
             .iter()
@@ -301,18 +318,13 @@ impl BlameReport {
                 hist: LogHistogram::new(),
             })
             .collect();
-        let mut missed = 0u64;
+        let (mut missed, mut path_segments, mut worst_tardiness_us) = (0u64, 0u64, 0u64);
         for b in &blames {
-            registry.add("blame_txns", 1);
             if b.missed() {
                 missed += 1;
-                registry.add("blame_txns_missed", 1);
-                registry.max_gauge(
-                    "blame_worst_tardiness_us",
-                    i64::try_from(b.tardiness_us()).unwrap_or(i64::MAX),
-                );
+                worst_tardiness_us = worst_tardiness_us.max(b.tardiness_us());
             }
-            registry.add("blame_path_segments", b.path.len() as u64);
+            path_segments += b.path.len() as u64;
             for (i, &us) in b.vector.iter().enumerate() {
                 if us > 0 {
                     let c = &mut causes[i];
@@ -329,13 +341,14 @@ impl BlameReport {
         worst.sort_by_key(|b| (std::cmp::Reverse(b.tardiness_us()), b.txn.as_u64()));
         worst.truncate(top_k);
         let worst: Vec<TxnBlame> = worst.into_iter().cloned().collect();
-        registry.add("blame_worst_listed", worst.len() as u64);
         BlameReport {
             txns: blames.len() as u64,
             missed,
             dropped_events: trace.report.dropped,
             causes,
             worst,
+            path_segments,
+            worst_tardiness_us,
         }
     }
 
@@ -619,17 +632,12 @@ mod tests {
         mk(2, 0, 300, 200, TxnOutcome::CommittedLate); // tardiness 100
         mk(3, 0, 900, 400, TxnOutcome::Aborted(AbortReason::Expired)); // tardiness 500
         let trace = sink.finish().unwrap();
-        let registry = MetricsRegistry::enabled();
-        let report = BlameReport::extract(&trace, 1, &registry);
+        let report = BlameReport::extract(&trace, 1, &MetricsRegistry::disabled());
         assert_eq!(report.txns, 3);
         assert_eq!(report.missed, 2);
         assert_eq!(report.total_us(), 100 + 300 + 900);
         assert_eq!(report.worst.len(), 1);
         assert_eq!(report.worst[0].txn, txn(3)); // worst tardiness first
-        let snap = registry.snapshot().unwrap();
-        assert_eq!(snap.counter("blame_txns"), 3);
-        assert_eq!(snap.counter("blame_txns_missed"), 2);
-        assert_eq!(snap.gauge("blame_worst_tardiness_us"), Some(500));
         let json = report.to_json();
         assert!(json.contains(r#""txns":3"#));
         assert!(json.contains(r#""cause":"lock_wait""#));
@@ -641,6 +649,33 @@ mod tests {
         let again = BlameReport::extract(&trace, 1, &MetricsRegistry::disabled());
         assert_eq!(again.to_json(), json);
         assert_eq!(again.render(), text);
+    }
+
+    #[test]
+    fn report_counts_every_path_segment_and_the_worst_tardiness() {
+        let (a, b, c) = (txn(1), txn(2), txn(3));
+        let trace = trace_of(vec![
+            rec(0, Event::TxnSubmit { txn: a, deadline: SimTime::from_micros(500), accesses: 1 }),
+            rec(0, Event::TxnSubmit { txn: b, deadline: SimTime::from_micros(200), accesses: 1 }),
+            rec(0, Event::TxnSubmit { txn: c, deadline: SimTime::from_micros(400), accesses: 1 }),
+            // a: exec, lock wait, exec — in time.
+            rec(60, span(Some(a), SpanKind::LockWait, 20)),
+            rec(100, Event::Outcome { txn: a, outcome: TxnOutcome::Committed }),
+            // b: exec only, 100 us late.
+            rec(300, Event::Outcome { txn: b, outcome: TxnOutcome::CommittedLate }),
+            // c: exec, disk — aborted 500 us past its deadline.
+            rec(900, span(Some(c), SpanKind::Disk, 100)),
+            rec(900, Event::Outcome { txn: c, outcome: TxnOutcome::Aborted(AbortReason::Expired) }),
+        ]);
+        // Only the worst miss is listed, but both numbers cover every
+        // blamed transaction.
+        let report = BlameReport::extract(&trace, 1, &MetricsRegistry::disabled());
+        assert_eq!(report.worst.len(), 1);
+        assert_eq!(report.path_segments, 3 + 1 + 2);
+        assert_eq!(report.worst_tardiness_us, 500);
+        let none_missed = trace_of(trace.records[..5].to_vec());
+        let report = BlameReport::extract(&none_missed, 1, &MetricsRegistry::disabled());
+        assert_eq!((report.missed, report.path_segments, report.worst_tardiness_us), (0, 3, 0));
     }
 
     #[test]

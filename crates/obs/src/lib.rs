@@ -1,5 +1,5 @@
 //! Observability for the `siteselect` workspace: a deterministic,
-//! zero-overhead-when-off event-tracing and metrics pipeline.
+//! zero-overhead-when-off event-tracing pipeline.
 //!
 //! * [`EventSink`] — the shareable handle every subsystem emits into.
 //!   Disabled (the default) an emit is a single branch and the payload
@@ -20,8 +20,6 @@
 //!   vectors that sum *exactly* to end-to-end latency, aggregated into
 //!   a [`BlameReport`] with per-cause histograms and a top-K worst-miss
 //!   listing.
-//! * [`MetricsRegistry`] — deterministic counters/gauges, zero-alloc when
-//!   disabled like the sink.
 //! * [`export`] — JSONL and Chrome `trace_event` writers whose output is
 //!   byte-identical across runs at the same seed.
 //!
@@ -50,7 +48,6 @@ pub mod export;
 #[cfg(test)]
 mod export_reference;
 pub mod hist;
-pub mod metrics;
 pub mod report;
 pub mod sink;
 pub mod span;
@@ -58,10 +55,9 @@ mod wire;
 #[cfg(test)]
 mod wire_fixture;
 
-pub use blame::{fold_root, BlameReport, CauseStats, PathSegment, TxnBlame};
+pub use blame::{fold_root, BlameReport, CauseStats, MetricsRegistry, PathSegment, TxnBlame};
 pub use event::{abort_reason_str, outcome_str, Event, H2Candidate};
 pub use hist::LogHistogram;
-pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use report::{ObsReport, SiteSummary};
 pub use sink::{EventSink, TraceData, TraceRecord};
 pub use span::SpanKind;

@@ -82,7 +82,6 @@ pub struct EventQueue<E> {
     len: usize,
     /// Doubles as the total-pushed counter: every push takes one number.
     next_seq: u64,
-    popped: u64,
 }
 
 /// Level index for a time that differs from the cursor in `xor` (non-zero).
@@ -107,7 +106,6 @@ impl<E> EventQueue<E> {
             scratch: Vec::new(),
             len: 0,
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -212,7 +210,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let e = self.drain.pop()?;
-        self.popped += 1;
         self.len -= 1;
         if self.drain.is_empty() && self.len > 0 {
             self.settle();
@@ -262,18 +259,6 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Total events ever scheduled (for engine statistics).
-    #[must_use]
-    pub fn total_pushed(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Total events ever delivered.
-    #[must_use]
-    pub fn total_popped(&self) -> u64 {
-        self.popped
-    }
-
     /// Drops all queued events.
     pub fn clear(&mut self) {
         self.drain.clear();
@@ -301,7 +286,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("len", &self.len)
             .field("next_time", &self.peek_time())
             .field("pushed", &self.next_seq)
-            .field("popped", &self.popped)
             .finish()
     }
 }
@@ -344,19 +328,16 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_capacity() {
+    fn len_and_clear_with_capacity() {
         let mut q = EventQueue::with_capacity(8);
         assert!(q.is_empty());
         q.push(SimTime::ZERO, ());
         q.push(SimTime::ZERO, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.total_pushed(), 2);
         q.pop();
-        assert_eq!(q.total_popped(), 1);
+        assert_eq!(q.len(), 1);
         q.clear();
         assert!(q.is_empty());
-        // Counters survive a clear.
-        assert_eq!(q.total_pushed(), 2);
     }
 
     #[test]
@@ -383,7 +364,7 @@ mod tests {
         assert_eq!(q.pop_before(SimTime::from_secs(9)).unwrap().1, 'z');
         // Empty queue: no event, no panic.
         assert_eq!(q.pop_before(SimTime::from_secs(100)), None);
-        assert_eq!(q.total_popped(), 3);
+        assert!(q.is_empty());
     }
 
     #[test]

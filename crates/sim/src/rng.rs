@@ -166,14 +166,6 @@ impl Prng {
         // detlint: allow(D9) — below_usize(len) < len, and len > 0 is asserted
         &items[self.below_usize(items.len())]
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below_usize(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -271,17 +263,6 @@ mod tests {
         let total: f64 = (0..n).map(|_| r.exp_duration(mean).as_secs_f64()).sum();
         let m = total / n as f64;
         assert!((m - 10.0).abs() < 0.2, "measured mean {m}");
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = Prng::seed_from_u64(23);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>()); // overwhelmingly likely
     }
 
     #[test]

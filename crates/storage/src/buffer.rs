@@ -30,19 +30,6 @@ pub struct BufferStats {
     pub writebacks: u64,
 }
 
-impl BufferStats {
-    /// Hit fraction in `[0, 1]` (zero when no fetches occurred).
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Error returned by buffer operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BufferError {
@@ -524,7 +511,6 @@ mod tests {
         buf.unpin(f2).unwrap();
         assert_eq!(buf.stats().misses, 1);
         assert_eq!(buf.stats().hits, 1);
-        assert!((buf.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -35,19 +35,6 @@ pub struct ClientCacheStats {
     pub invalidations: u64,
 }
 
-impl ClientCacheStats {
-    /// Overall hit fraction (both tiers) in `[0, 1]`.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.memory_hits + self.disk_hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            (self.memory_hits + self.disk_hits) as f64 / total as f64
-        }
-    }
-}
-
 /// Link sentinel: "no neighbour" / "not a member".
 const NIL: u32 = u32::MAX;
 
@@ -396,7 +383,6 @@ mod tests {
         let mut c = ClientCache::new(2, 2);
         assert_eq!(c.probe(ObjectId(9)), None);
         assert_eq!(c.stats().misses, 1);
-        assert_eq!(c.stats().hit_rate(), 0.0);
     }
 
     #[test]
@@ -431,13 +417,14 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_combines_tiers() {
+    fn probes_count_per_tier() {
         let mut c = ClientCache::new(1, 1);
         c.insert(ObjectId(1));
         c.insert(ObjectId(2));
         c.probe(ObjectId(2)); // memory hit
         c.probe(ObjectId(1)); // disk hit
         c.probe(ObjectId(3)); // miss
-        assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        let s = c.stats();
+        assert_eq!((s.memory_hits, s.disk_hits, s.misses), (1, 1, 1));
     }
 }

@@ -101,13 +101,6 @@ impl DiskFile {
         }
     }
 
-    /// Appends a zeroed page and returns its id.
-    pub fn allocate(&mut self) -> ObjectId {
-        let id = ObjectId(self.pages.len() as u32);
-        self.pages.push(Page::zeroed(id));
-        id
-    }
-
     /// Direct, non-counted access for verification in tests.
     #[must_use]
     pub fn peek(&self, id: ObjectId) -> Option<&Page> {
@@ -144,15 +137,6 @@ mod tests {
         assert!(d.contains(ObjectId(1)));
         // Failed operations are not counted.
         assert_eq!(d.stats(), DiskStats::default());
-    }
-
-    #[test]
-    fn allocate_extends_file() {
-        let mut d = DiskFile::new(2);
-        let id = d.allocate();
-        assert_eq!(id, ObjectId(2));
-        assert_eq!(d.num_pages(), 3);
-        assert!(d.contains(id));
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //!
 //! * [`Page`] — one fixed-size page with typed accessors and a checksum;
 //! * [`DiskFile`] — the backing UNIX-file analogue with I/O accounting;
-//! * [`BufferManager`] — pinned frames over a [`DiskFile`] with LRU or Clock
+//! * [`BufferManager`] — pinned frames over a [`DiskFile`] with LRU
 //!   replacement and dirty write-back, mirroring the PF layer's semantics;
-//! * [`PagedFile`] — the PF-layer facade (`get`, `alloc`, `mark_dirty`,
-//!   `unpin`, `flush`);
+//! * [`PagedFile`] — the PF-layer facade (`with_page`, `with_page_mut`,
+//!   `flush`);
 //! * [`ClientCache`] — the client's two-tier (memory + disk) object cache of
 //!   Table 1 (500 + 500 objects) used by the client–server models;
 //! * [`DiskModel`] — a FIFO single-server service-time model of a disk, used
@@ -21,14 +21,13 @@
 //! # Example
 //!
 //! ```
-//! use siteselect_storage::{PagedFile, PAGE_SIZE};
+//! use siteselect_storage::PagedFile;
 //! use siteselect_types::ObjectId;
 //!
 //! let mut pf = PagedFile::create(16, 4); // 16 pages, 4 buffer frames
 //! pf.with_page_mut(ObjectId(3), |page| page.write_u64_at(0, 42)).unwrap();
 //! let v = pf.with_page(ObjectId(3), |page| page.read_u64_at(0)).unwrap();
 //! assert_eq!(v, 42);
-//! assert_eq!(pf.page_size(), PAGE_SIZE);
 //! ```
 
 pub mod buffer;

@@ -28,9 +28,6 @@ use siteselect_types::{SimDuration, SimTime};
 pub struct DiskModel {
     service_time: SimDuration,
     busy_until: SimTime,
-    total_ios: u64,
-    total_busy: SimDuration,
-    total_queueing: SimDuration,
     /// Slow-disk fault episodes as `(start, end)` windows, non-overlapping
     /// and sorted; I/Os issued inside a window pay `slow_factor ×` the
     /// normal service time.
@@ -46,9 +43,6 @@ impl DiskModel {
         DiskModel {
             service_time,
             busy_until: SimTime::ZERO,
-            total_ios: 0,
-            total_busy: SimDuration::ZERO,
-            total_queueing: SimDuration::ZERO,
             slow_episodes: Vec::new(),
             slow_factor: 1.0,
             slow_ios: 0,
@@ -102,10 +96,7 @@ impl DiskModel {
             self.service_time
         };
         let done = start + service;
-        self.total_queueing += start.duration_since(now);
-        self.total_busy += service;
         self.busy_until = done;
-        self.total_ios += 1;
         done
     }
 
@@ -123,35 +114,6 @@ impl DiskModel {
     #[must_use]
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Total I/Os served.
-    #[must_use]
-    pub fn total_ios(&self) -> u64 {
-        self.total_ios
-    }
-
-    /// Utilization over `[0, now]` in `[0, 1]`.
-    #[must_use]
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        let span = now.duration_since(SimTime::ZERO).as_secs_f64();
-        if span <= 0.0 {
-            return 0.0;
-        }
-        // Busy time already booked past `now` is clipped.
-        let booked = self.total_busy.as_secs_f64();
-        let future = self.busy_until.duration_since(now).as_secs_f64();
-        ((booked - future).max(0.0) / span).min(1.0)
-    }
-
-    /// Mean queueing delay per I/O in seconds (0.0 with no I/Os).
-    #[must_use]
-    pub fn mean_queueing_delay(&self) -> f64 {
-        if self.total_ios == 0 {
-            0.0
-        } else {
-            self.total_queueing.as_secs_f64() / self.total_ios as f64
-        }
     }
 }
 
@@ -177,7 +139,6 @@ mod tests {
         assert_eq!(d.schedule_io(t), t + ms(10));
         assert_eq!(d.schedule_io(t), t + ms(20));
         assert_eq!(d.schedule_io(t), t + ms(30));
-        assert_eq!(d.total_ios(), 3);
     }
 
     #[test]
@@ -187,7 +148,6 @@ mod tests {
         // Issued long after the first completes: no queueing.
         let done = d.schedule_io(SimTime::from_secs(5));
         assert_eq!(done, SimTime::from_secs(5) + ms(10));
-        assert_eq!(d.mean_queueing_delay(), 0.0);
     }
 
     #[test]
@@ -195,16 +155,7 @@ mod tests {
         let mut d = DiskModel::new(ms(5));
         let done = d.schedule_batch(SimTime::ZERO, 4);
         assert_eq!(done, SimTime::ZERO + ms(20));
-        assert_eq!(d.total_ios(), 4);
         assert_eq!(d.schedule_batch(SimTime::from_secs(10), 0), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn queueing_delay_measured() {
-        let mut d = DiskModel::new(ms(10));
-        d.schedule_io(SimTime::ZERO); // starts at 0
-        d.schedule_io(SimTime::ZERO); // waits 10ms
-        assert!((d.mean_queueing_delay() - 0.005).abs() < 1e-9);
     }
 
     #[test]
@@ -221,7 +172,6 @@ mod tests {
         // After the episode: normal again.
         assert_eq!(d.schedule_io(SimTime::from_secs(3)), SimTime::from_secs(3) + ms(10));
         assert_eq!(d.slow_ios(), 1);
-        assert_eq!(d.total_ios(), 3);
     }
 
     #[test]
@@ -244,17 +194,5 @@ mod tests {
         let d = DiskModel::new(ms(10));
         assert!(!d.is_slow_at(SimTime::ZERO));
         assert!(!d.is_slow_at(SimTime::from_secs(100)));
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let mut d = DiskModel::new(ms(100));
-        assert_eq!(d.utilization(SimTime::ZERO), 0.0);
-        for _ in 0..5 {
-            d.schedule_io(SimTime::ZERO);
-        }
-        let u = d.utilization(SimTime::from_secs(1));
-        assert!((0.0..=1.0).contains(&u));
-        assert!(u > 0.4, "five 100ms I/Os in 1s should be ~0.5 utilization, got {u}");
     }
 }

@@ -1,5 +1,5 @@
 //! The PF-layer facade: a paged file with a buffer manager in front, exposing
-//! MiniRel-style `get`/`alloc`/`mark dirty`/`unpin` semantics behind a safe
+//! MiniRel-style `get`/`mark dirty`/`unpin` semantics behind a safe
 //! closure-based API.
 
 use std::error::Error;
@@ -7,9 +7,9 @@ use std::fmt;
 
 use siteselect_types::ObjectId;
 
-use crate::buffer::{BufferError, BufferManager, BufferStats, Replacement};
-use crate::disk::{DiskFile, DiskStats};
-use crate::page::{Page, PAGE_SIZE};
+use crate::buffer::{BufferError, BufferManager, Replacement};
+use crate::disk::DiskFile;
+use crate::page::Page;
 
 /// Error returned by [`PagedFile`] operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,12 +106,6 @@ impl PagedFile {
         self.buffer.peek(id).or_else(|| self.disk.peek(id))
     }
 
-    /// The fixed page size (2 KB, Table 1).
-    #[must_use]
-    pub fn page_size(&self) -> usize {
-        PAGE_SIZE
-    }
-
     /// Number of pages in the file.
     #[must_use]
     pub fn num_pages(&self) -> u32 {
@@ -147,26 +141,9 @@ impl PagedFile {
         Ok(out)
     }
 
-    /// Appends a fresh zeroed page and returns its id.
-    pub fn alloc_page(&mut self) -> ObjectId {
-        self.disk.allocate()
-    }
-
     /// Flushes all dirty buffered pages to the file.
     pub fn flush(&mut self) {
         self.buffer.flush_all(&mut self.disk);
-    }
-
-    /// Buffer statistics (hits/misses/evictions/writebacks).
-    #[must_use]
-    pub fn buffer_stats(&self) -> BufferStats {
-        self.buffer.stats()
-    }
-
-    /// Disk I/O statistics.
-    #[must_use]
-    pub fn disk_stats(&self) -> DiskStats {
-        self.disk.stats()
     }
 
     /// Whether the page is currently buffered (testing aid).
@@ -220,23 +197,10 @@ mod tests {
     }
 
     #[test]
-    fn alloc_extends_and_flush_persists() {
+    fn flush_persists() {
         let mut pf = PagedFile::create(2, 2);
-        let id = pf.alloc_page();
-        assert_eq!(id, ObjectId(2));
-        pf.with_page_mut(id, |p| p.write_u64_at(0, 7)).unwrap();
+        pf.with_page_mut(ObjectId(1), |p| p.write_u64_at(0, 7)).unwrap();
         pf.flush();
-        assert!(pf.buffer_stats().writebacks >= 1);
-        assert_eq!(pf.num_pages(), 3);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut pf = PagedFile::create(8, 2);
-        pf.with_page(ObjectId(1), |_| ()).unwrap();
-        pf.with_page(ObjectId(1), |_| ()).unwrap();
-        assert_eq!(pf.buffer_stats().hits, 1);
-        assert_eq!(pf.buffer_stats().misses, 1);
-        assert_eq!(pf.disk_stats().reads, 1);
+        assert_eq!(pf.into_disk().peek(ObjectId(1)).unwrap().read_u64_at(0), 7);
     }
 }

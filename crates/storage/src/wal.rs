@@ -250,7 +250,6 @@ pub struct Wal {
     staged: Vec<u8>,
     next_lsn: Lsn,
     durable_lsn: Lsn,
-    flushes: u64,
 }
 
 impl Wal {
@@ -271,7 +270,6 @@ impl Wal {
             staged: Vec::new(),
             next_lsn: records,
             durable_lsn: records,
-            flushes: 0,
         }
     }
 
@@ -299,7 +297,6 @@ impl Wal {
     pub fn flush(&mut self) {
         if !self.staged.is_empty() {
             self.durable.append(&mut self.staged);
-            self.flushes += 1;
         }
         self.durable_lsn = self.next_lsn;
     }
@@ -321,18 +318,6 @@ impl Wal {
     #[must_use]
     pub fn staged_len(&self) -> usize {
         self.staged.len()
-    }
-
-    /// Bytes on stable storage.
-    #[must_use]
-    pub fn durable_len(&self) -> usize {
-        self.durable.len()
-    }
-
-    /// Number of forced flushes so far.
-    #[must_use]
-    pub fn flushes(&self) -> u64 {
-        self.flushes
     }
 
     /// The log image a crash would leave behind: the durable prefix plus the
@@ -544,13 +529,13 @@ mod tests {
     }
 
     #[test]
-    fn flush_is_idempotent_and_counted() {
+    fn flush_is_idempotent() {
         let mut wal = Wal::new();
         wal.append(&LogRecord::Commit { txn: 1 });
         wal.flush();
+        let durable = wal.durable.clone();
         wal.flush();
-        assert_eq!(wal.flushes(), 1);
+        assert_eq!(wal.durable, durable);
         assert_eq!(wal.staged_len(), 0);
-        assert!(wal.durable_len() > 0);
     }
 }

@@ -203,11 +203,6 @@ pub struct NetworkConfig {
     pub bandwidth_bps: u64,
     /// One-way propagation plus protocol-stack latency per message.
     pub latency: SimDuration,
-    /// Wire size of a control message (requests, grants without payload,
-    /// callbacks, acknowledgements).
-    pub control_bytes: u32,
-    /// Per-message header overhead added to object payloads.
-    pub header_bytes: u32,
 }
 
 impl Default for NetworkConfig {
@@ -216,8 +211,6 @@ impl Default for NetworkConfig {
             kind: LanKind::SharedEthernet,
             bandwidth_bps: 10_000_000,
             latency: SimDuration::from_micros(500),
-            control_bytes: 128,
-            header_bytes: 64,
         }
     }
 }
@@ -249,7 +242,8 @@ impl Default for DeadlinePolicy {
 
 /// The Localized-RW access pattern (paper §5.1): 75% of each client's
 /// accesses go to a per-client region of the database (uniformly), the rest
-/// to the remainder of the database with Zipf skew.
+/// to the remainder of the database with Zipf skew (`ZIPF_THETA` in
+/// `siteselect-workload`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessPatternConfig {
     /// Number of objects in each client's hot region.
@@ -257,8 +251,6 @@ pub struct AccessPatternConfig {
     /// Fraction of accesses that fall inside the hot region (0.75 in the
     /// paper).
     pub hot_access_fraction: f64,
-    /// Zipf skew parameter for accesses outside the hot region.
-    pub zipf_theta: f64,
 }
 
 impl Default for AccessPatternConfig {
@@ -266,7 +258,6 @@ impl Default for AccessPatternConfig {
         AccessPatternConfig {
             hot_region_objects: 1_000,
             hot_access_fraction: 0.75,
-            zipf_theta: 0.95,
         }
     }
 }
@@ -330,14 +321,6 @@ pub struct LoadSharingConfig {
     /// Serve object requests in deadline order at the server and refuse to
     /// ship objects to expired transactions (paper §3.3).
     pub request_scheduling_enabled: bool,
-    /// H2 ships a transaction only if the destination's conflicting-lock
-    /// count is at most this fraction of the origin's (0.0 = require a
-    /// conflict-free destination).
-    pub ship_conflict_ratio: f64,
-    /// H2 ships only to sites already holding locks on at least this
-    /// fraction of the transaction's objects (§3.1: "a significant
-    /// percentage of a transaction's required data is already cached").
-    pub ship_locality_min: f64,
 }
 
 impl Default for LoadSharingConfig {
@@ -350,8 +333,6 @@ impl Default for LoadSharingConfig {
             forward_lists_enabled: true,
             directory_enabled: true,
             request_scheduling_enabled: true,
-            ship_conflict_ratio: 0.5,
-            ship_locality_min: 0.5,
         }
     }
 }
@@ -387,21 +368,16 @@ pub struct FaultConfig {
     /// in-flight transactions aborted and lock/callback state re-derived.
     pub mean_time_to_server_crash: SimDuration,
     /// Mean up-time between slow-disk episodes at the server (exponential;
-    /// zero = the disk never degrades).
+    /// zero = the disk never degrades). Episode length and slow-down are
+    /// fixed in `siteselect-core`.
     pub mean_time_to_slow_disk: SimDuration,
-    /// Length of one slow-disk episode.
-    pub slow_disk_duration: SimDuration,
-    /// Multiplier on the per-page service time during a slow-disk episode.
-    pub slow_disk_factor: f64,
     /// Lease on callbacks: a recall unanswered for this long presumes the
     /// holder dead, reclaims its lock and invalidates its cached copy
     /// (zero = wait forever, the pre-fault behaviour).
     pub callback_lease: SimDuration,
     /// First retry delay for unanswered control messages; doubles per
-    /// attempt up to [`retry_backoff_cap`](Self::retry_backoff_cap).
+    /// attempt up to a fixed cap (`RETRY_BACKOFF_CAP` in `siteselect-core`).
     pub retry_backoff_base: SimDuration,
-    /// Upper bound on the exponential retry backoff.
-    pub retry_backoff_cap: SimDuration,
     /// Retries before a request is abandoned to the deadline sweep
     /// (zero = never retry).
     pub max_retries: u32,
@@ -443,8 +419,6 @@ impl FaultConfig {
             mean_time_to_crash: crash_mean,
             mean_recovery_time: SimDuration::from_secs(60),
             mean_time_to_slow_disk: slow_mean,
-            slow_disk_duration: SimDuration::from_secs(20),
-            slow_disk_factor: 4.0,
             ..FaultConfig::default()
         }
     }
@@ -479,28 +453,10 @@ impl FaultConfig {
                 "must be within [0, 1]",
             ));
         }
-        if self.slow_disk_factor < 1.0 || !self.slow_disk_factor.is_finite() {
-            return Err(ConfigError::new(
-                "faults.slow_disk_factor",
-                "must be at least 1",
-            ));
-        }
-        if !self.mean_time_to_slow_disk.is_zero() && self.slow_disk_duration.is_zero() {
-            return Err(ConfigError::new(
-                "faults.slow_disk_duration",
-                "episodes are enabled but have zero length",
-            ));
-        }
         if self.max_retries > 0 && self.retry_backoff_base.is_zero() {
             return Err(ConfigError::new(
                 "faults.retry_backoff_base",
                 "retries are enabled but the backoff base is zero",
-            ));
-        }
-        if self.retry_backoff_cap < self.retry_backoff_base {
-            return Err(ConfigError::new(
-                "faults.retry_backoff_cap",
-                "cap must be at least the base",
             ));
         }
         Ok(())
@@ -516,11 +472,8 @@ impl Default for FaultConfig {
             mean_time_to_server_crash: SimDuration::ZERO,
             mean_recovery_time: SimDuration::from_secs(60),
             mean_time_to_slow_disk: SimDuration::ZERO,
-            slow_disk_duration: SimDuration::from_secs(20),
-            slow_disk_factor: 4.0,
             callback_lease: SimDuration::from_secs(5),
             retry_backoff_base: SimDuration::from_millis(500),
-            retry_backoff_cap: SimDuration::from_secs(8),
             max_retries: 3,
         }
     }
@@ -730,12 +683,6 @@ impl ExperimentConfig {
                 "hot region cannot exceed the database size",
             ));
         }
-        if !(0.0..2.0).contains(&ap.zipf_theta) {
-            return Err(ConfigError::new(
-                "workload.access_pattern.zipf_theta",
-                "must be within [0, 2)",
-            ));
-        }
         if let DeadlinePolicy::ProportionalSlack { factor } = self.workload.deadline {
             if factor <= 0.0 || !factor.is_finite() {
                 return Err(ConfigError::new(
@@ -882,13 +829,6 @@ mod tests {
         c.faults.loss_probability = 1.5;
         assert_eq!(c.validate().unwrap_err().field(), "faults.loss_probability");
 
-        let mut c = ExperimentConfig::default();
-        c.faults.slow_disk_factor = 0.5;
-        assert_eq!(c.validate().unwrap_err().field(), "faults.slow_disk_factor");
-
-        let mut c = ExperimentConfig::default();
-        c.faults.retry_backoff_cap = SimDuration::ZERO;
-        assert_eq!(c.validate().unwrap_err().field(), "faults.retry_backoff_cap");
 
         let mut c = ExperimentConfig::default();
         c.runtime.duration = SimDuration::ZERO;

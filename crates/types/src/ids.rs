@@ -110,23 +110,6 @@ pub enum SiteId {
     Directory,
 }
 
-impl SiteId {
-    /// Returns the client id if this site is a client.
-    #[must_use]
-    pub fn as_client(self) -> Option<ClientId> {
-        match self {
-            SiteId::Client(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// True if this site is the database server.
-    #[must_use]
-    pub fn is_server(self) -> bool {
-        matches!(self, SiteId::Server)
-    }
-}
-
 impl From<ClientId> for SiteId {
     fn from(c: ClientId) -> Self {
         SiteId::Client(c)
@@ -252,17 +235,6 @@ mod tests {
         let b = TransactionId::new(ClientId(2), 5);
         assert_ne!(a, b);
         assert_ne!(a.as_u64(), b.as_u64());
-    }
-
-    #[test]
-    fn site_id_conversions() {
-        let c = ClientId(3);
-        let s: SiteId = c.into();
-        assert_eq!(s.as_client(), Some(c));
-        assert!(!s.is_server());
-        assert!(SiteId::Server.is_server());
-        assert_eq!(SiteId::Server.as_client(), None);
-        assert_eq!(SiteId::Directory.as_client(), None);
     }
 
     #[test]

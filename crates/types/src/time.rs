@@ -16,8 +16,7 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 ///
 /// `SimTime` is totally ordered and starts at [`SimTime::ZERO`]. Subtracting
 /// a later time from an earlier one saturates to a zero duration rather than
-/// panicking; use [`SimTime::checked_duration_since`] when the distinction
-/// matters.
+/// panicking.
 ///
 /// # Example
 ///
@@ -80,12 +79,6 @@ impl SimTime {
     #[must_use]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Elapsed duration since `earlier`, or `None` if `earlier > self`.
-    #[must_use]
-    pub fn checked_duration_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
     }
 
     /// Adds a duration, saturating at [`SimTime::MAX`].
@@ -176,17 +169,6 @@ impl SimDuration {
     #[must_use]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * k)
-    }
-
-    /// Divides by a positive float, rounding to microseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `k` is not strictly positive.
-    #[must_use]
-    pub fn div_f64(self, k: f64) -> SimDuration {
-        debug_assert!(k > 0.0, "division of SimDuration by non-positive {k}");
-        SimDuration::from_secs_f64(self.as_secs_f64() / k)
     }
 
     /// Subtraction that saturates at zero.
@@ -321,10 +303,6 @@ mod tests {
             SimTime::ZERO.duration_since(SimTime::from_secs(1)),
             SimDuration::ZERO
         );
-        assert_eq!(
-            SimTime::ZERO.checked_duration_since(SimTime::from_secs(1)),
-            None
-        );
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
         assert_eq!(
             SimDuration::from_secs(1) - SimDuration::from_secs(2),
@@ -344,7 +322,6 @@ mod tests {
     fn scaling() {
         let d = SimDuration::from_secs(10);
         assert_eq!(d.mul_f64(0.1), SimDuration::from_secs(1));
-        assert_eq!(d.div_f64(2.0), SimDuration::from_secs(5));
         assert_eq!(d * 3, SimDuration::from_secs(30));
         assert_eq!(d / 4, SimDuration::from_millis(2_500));
     }

@@ -62,7 +62,6 @@ impl AccessSpec {
 ///     accesses: vec![AccessSpec::read(ObjectId(3)), AccessSpec::write(ObjectId(9))],
 ///     decomposable: false,
 /// };
-/// assert!(spec.is_update());
 /// assert_eq!(spec.objects().count(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,11 +85,6 @@ pub struct TransactionSpec {
 }
 
 impl TransactionSpec {
-    /// True if the transaction writes at least one object.
-    #[must_use]
-    pub fn is_update(&self) -> bool {
-        self.accesses.iter().any(|a| a.write)
-    }
 
     /// Iterates over the accessed object ids.
     pub fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
@@ -102,11 +96,6 @@ impl TransactionSpec {
         self.accesses.iter().filter(|a| a.write).map(|a| a.object)
     }
 
-    /// Iterates over the read-only object ids.
-    pub fn read_set(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.accesses.iter().filter(|a| !a.write).map(|a| a.object)
-    }
-
     /// The lock mode the transaction needs on `object`, if it accesses it.
     #[must_use]
     pub fn required_mode(&self, object: ObjectId) -> Option<LockMode> {
@@ -115,12 +104,6 @@ impl TransactionSpec {
             .filter(|a| a.object == object)
             .map(|a| a.mode())
             .fold(None, |acc, m| Some(acc.map_or(m, |a: LockMode| a.stronger(m))))
-    }
-
-    /// Remaining slack until the deadline, saturating at zero.
-    #[must_use]
-    pub fn slack(&self, now: SimTime) -> SimDuration {
-        self.deadline.duration_since(now)
     }
 
     /// True if the deadline has already passed at `now`.
@@ -140,27 +123,6 @@ impl TransactionSpec {
             kept.write |= same && dup.write;
             same
         });
-    }
-
-    /// Splits the access list into `k` contiguous, non-empty groups, used by
-    /// transaction decomposition. Returns fewer than `k` groups if there are
-    /// not enough accesses.
-    #[must_use]
-    pub fn partition_accesses(&self, k: usize) -> Vec<Vec<AccessSpec>> {
-        if self.accesses.is_empty() || k == 0 {
-            return Vec::new();
-        }
-        let k = k.min(self.accesses.len());
-        let base = self.accesses.len() / k;
-        let extra = self.accesses.len() % k;
-        let mut out = Vec::with_capacity(k);
-        let mut idx = 0;
-        for g in 0..k {
-            let len = base + usize::from(g < extra);
-            out.push(self.accesses[idx..idx + len].to_vec());
-            idx += len;
-        }
-        out
     }
 }
 
@@ -194,12 +156,6 @@ pub enum TxnOutcome {
 }
 
 impl TxnOutcome {
-    /// True if the transaction met its real-time constraint — the paper's
-    /// headline success metric.
-    #[must_use]
-    pub fn met_deadline(self) -> bool {
-        matches!(self, TxnOutcome::Committed)
-    }
 }
 
 #[cfg(test)]
@@ -221,11 +177,9 @@ mod tests {
     #[test]
     fn read_write_classification() {
         let t = spec(vec![AccessSpec::read(ObjectId(1)), AccessSpec::write(ObjectId(2))]);
-        assert!(t.is_update());
-        assert_eq!(t.read_set().collect::<Vec<_>>(), vec![ObjectId(1)]);
         assert_eq!(t.write_set().collect::<Vec<_>>(), vec![ObjectId(2)]);
         let q = spec(vec![AccessSpec::read(ObjectId(1))]);
-        assert!(!q.is_update());
+        assert_eq!(q.write_set().next(), None);
     }
 
     #[test]
@@ -270,34 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn slack_and_expiry() {
+    fn expires_only_after_the_deadline() {
         let t = spec(vec![]);
-        assert_eq!(t.slack(SimTime::from_secs(2)), SimDuration::from_secs(2));
-        assert_eq!(t.slack(SimTime::from_secs(9)), SimDuration::ZERO);
         assert!(!t.is_expired(SimTime::from_secs(4)));
         assert!(t.is_expired(SimTime::from_secs(5)));
-    }
-
-    #[test]
-    fn partition_covers_all_accesses_in_order() {
-        let accesses: Vec<_> = (0..10).map(|i| AccessSpec::read(ObjectId(i))).collect();
-        let t = spec(accesses.clone());
-        for k in 1..=12 {
-            let parts = t.partition_accesses(k);
-            assert!(parts.len() <= k.clamp(1, 10));
-            assert!(parts.iter().all(|p| !p.is_empty()));
-            let flat: Vec<_> = parts.into_iter().flatten().collect();
-            assert_eq!(flat, accesses);
-        }
-        assert!(t.partition_accesses(0).is_empty());
-        assert!(spec(vec![]).partition_accesses(3).is_empty());
-    }
-
-    #[test]
-    fn outcome_success_classification() {
-        assert!(TxnOutcome::Committed.met_deadline());
-        assert!(!TxnOutcome::CommittedLate.met_deadline());
-        assert!(!TxnOutcome::Aborted(AbortReason::Deadlock).met_deadline());
-        assert!(!TxnOutcome::Aborted(AbortReason::Expired).met_deadline());
     }
 }

@@ -18,6 +18,9 @@ use siteselect_types::{AccessPatternConfig, ClientId, ObjectId};
 
 use crate::dist::Zipf;
 
+/// Zipf skew of the accesses outside the hot region.
+const ZIPF_THETA: f64 = 0.95;
+
 /// Per-client Localized-RW access sampler.
 ///
 /// # Example
@@ -67,22 +70,8 @@ impl LocalizedRw {
             hot_start,
             hot_len,
             hot_fraction: cfg.hot_access_fraction,
-            cold: Zipf::new(cold_n, cfg.zipf_theta),
+            cold: Zipf::new(cold_n, ZIPF_THETA),
         }
-    }
-
-    /// The half-open hot region `[start, start + len)`, wrapping modulo the
-    /// database size.
-    #[must_use]
-    pub fn hot_region(&self) -> (u32, u32) {
-        (self.hot_start, self.hot_len)
-    }
-
-    /// True if `obj` falls inside this client's hot region.
-    #[must_use]
-    pub fn is_hot(&self, obj: ObjectId) -> bool {
-        let rel = (obj.index() + self.db_size - self.hot_start) % self.db_size;
-        rel < self.hot_len
     }
 
     /// Draws one object id.
@@ -160,6 +149,12 @@ mod tests {
         AccessPatternConfig::default()
     }
 
+    /// Whether `obj` falls inside `p`'s hot region, which wraps modulo the
+    /// database size.
+    fn is_hot(p: &LocalizedRw, obj: ObjectId) -> bool {
+        (obj.index() + p.db_size - p.hot_start) % p.db_size < p.hot_len
+    }
+
     #[test]
     fn samples_within_database() {
         let p = LocalizedRw::new(ClientId(5), &cfg(), 10_000, 20);
@@ -174,7 +169,7 @@ mod tests {
         let p = LocalizedRw::new(ClientId(2), &cfg(), 10_000, 20);
         let mut rng = Prng::seed_from_u64(2);
         let n = 100_000;
-        let hot = (0..n).filter(|_| p.is_hot(p.sample(&mut rng))).count();
+        let hot = (0..n).filter(|_| is_hot(&p, p.sample(&mut rng))).count();
         let frac = hot as f64 / n as f64;
         // Hot accesses are 75% plus whatever cold draws land hot (cold draws
         // exclude the hot region, so this should be very close to 0.75).
@@ -185,9 +180,8 @@ mod tests {
     fn hot_regions_spread_across_clients() {
         let a = LocalizedRw::new(ClientId(0), &cfg(), 10_000, 10);
         let b = LocalizedRw::new(ClientId(5), &cfg(), 10_000, 10);
-        assert_ne!(a.hot_region().0, b.hot_region().0);
-        assert_eq!(a.hot_region().0, 0);
-        assert_eq!(b.hot_region().0, 5_000);
+        assert_eq!(a.hot_start, 0);
+        assert_eq!(b.hot_start, 5_000);
     }
 
     #[test]
@@ -196,8 +190,8 @@ mod tests {
         // share objects 100..1000.
         let a = LocalizedRw::new(ClientId(0), &cfg(), 10_000, 100);
         let b = LocalizedRw::new(ClientId(1), &cfg(), 10_000, 100);
-        assert!(a.is_hot(ObjectId(500)));
-        assert!(b.is_hot(ObjectId(500)));
+        assert!(is_hot(&a, ObjectId(500)));
+        assert!(is_hot(&b, ObjectId(500)));
     }
 
     #[test]
@@ -206,9 +200,9 @@ mod tests {
         c.hot_region_objects = 2_000;
         // Client 9 of 10 over 10k objects: start 9000, wraps to 1000.
         let p = LocalizedRw::new(ClientId(9), &c, 10_000, 10);
-        assert!(p.is_hot(ObjectId(9_500)));
-        assert!(p.is_hot(ObjectId(500)));
-        assert!(!p.is_hot(ObjectId(5_000)));
+        assert!(is_hot(&p, ObjectId(9_500)));
+        assert!(is_hot(&p, ObjectId(500)));
+        assert!(!is_hot(&p, ObjectId(5_000)));
         // Cold samples never land in the hot region.
         let mut rng = Prng::seed_from_u64(3);
         for _ in 0..20_000 {
@@ -238,7 +232,7 @@ mod tests {
         let mut cold_total = 0;
         for _ in 0..100_000 {
             let o = p.sample(&mut rng);
-            if !p.is_hot(o) {
+            if !is_hot(&p, o) {
                 cold_total += 1;
                 if o.index() < 100 {
                     low += 1;

@@ -109,19 +109,6 @@ impl Zipf {
             Err(i) => i,
         }
     }
-
-    /// Probability mass of rank `r` (for tests and documentation plots).
-    #[must_use]
-    pub fn pmf(&self, r: usize) -> f64 {
-        if r >= self.cdf.len() {
-            return 0.0;
-        }
-        if r == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[r] - self.cdf[r - 1]
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,7 +144,7 @@ mod tests {
     fn theta_zero_is_uniform() {
         let z = Zipf::new(10, 0.0);
         for r in 0..10 {
-            assert!((z.pmf(r) - 0.1).abs() < 1e-12);
+            assert!((z.cdf[r] - (r + 1) as f64 / 10.0).abs() < 1e-12);
         }
         let mut rng = Prng::seed_from_u64(3);
         let mut counts = [0u32; 10];
@@ -167,14 +154,6 @@ mod tests {
         for &c in &counts {
             assert!((c as f64 - 10_000.0).abs() < 600.0);
         }
-    }
-
-    #[test]
-    fn pmf_sums_to_one() {
-        let z = Zipf::new(200, 1.2);
-        let total: f64 = (0..200).map(|r| z.pmf(r)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert_eq!(z.pmf(999), 0.0);
     }
 
     #[test]

@@ -35,5 +35,5 @@ pub mod txngen;
 
 pub use access::LocalizedRw;
 pub use dist::Zipf;
-pub use trace::{Trace, TraceSummary};
+pub use trace::Trace;
 pub use txngen::TransactionGenerator;

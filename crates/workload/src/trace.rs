@@ -7,23 +7,6 @@ use siteselect_types::{ClientId, SimDuration, TransactionSpec, WorkloadConfig};
 
 use crate::txngen::TransactionGenerator;
 
-/// Aggregate description of a trace, for reports and sanity checks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceSummary {
-    /// Number of transactions.
-    pub transactions: usize,
-    /// Fraction of transactions writing at least one object.
-    pub update_txn_fraction: f64,
-    /// Fraction of individual accesses that are writes.
-    pub update_access_fraction: f64,
-    /// Fraction of decomposable transactions.
-    pub decomposable_fraction: f64,
-    /// Mean accesses per transaction.
-    pub mean_accesses: f64,
-    /// Mean deadline offset in seconds.
-    pub mean_deadline_offset_secs: f64,
-}
-
 /// A cluster-wide workload trace, ordered by arrival time.
 ///
 /// # Example
@@ -35,8 +18,6 @@ pub struct TraceSummary {
 /// let trace = Trace::generate(&WorkloadConfig::default(), 0.1, 10_000, 4,
 ///                             SimDuration::from_secs(200), 7);
 /// assert!(trace.len() > 0);
-/// let s = trace.summary();
-/// assert!(s.mean_accesses > 5.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
@@ -74,19 +55,6 @@ impl Trace {
         Trace { transactions: all }
     }
 
-    /// Builds a trace from explicit transactions (sorted on construction).
-    #[must_use]
-    pub fn from_transactions(mut transactions: Vec<TransactionSpec>) -> Self {
-        transactions.sort_by_key(|t| (t.arrival, t.id));
-        Trace { transactions }
-    }
-
-    /// The transactions, in arrival order.
-    #[must_use]
-    pub fn transactions(&self) -> &[TransactionSpec] {
-        &self.transactions
-    }
-
     /// Consumes the trace, yielding its transactions in arrival order
     /// without copying them.
     #[must_use]
@@ -105,61 +73,11 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.transactions.is_empty()
     }
-
-    /// Iterates over the transactions of one client, in order.
-    pub fn for_client(&self, client: ClientId) -> impl Iterator<Item = &TransactionSpec> {
-        self.transactions.iter().filter(move |t| t.origin == client)
-    }
-
-    /// Computes aggregate statistics.
-    #[must_use]
-    pub fn summary(&self) -> TraceSummary {
-        let n = self.transactions.len();
-        if n == 0 {
-            return TraceSummary {
-                transactions: 0,
-                update_txn_fraction: 0.0,
-                update_access_fraction: 0.0,
-                decomposable_fraction: 0.0,
-                mean_accesses: 0.0,
-                mean_deadline_offset_secs: 0.0,
-            };
-        }
-        let mut update_txns = 0usize;
-        let mut writes = 0usize;
-        let mut accesses = 0usize;
-        let mut decomposable = 0usize;
-        let mut offset = 0.0f64;
-        for t in &self.transactions {
-            if t.is_update() {
-                update_txns += 1;
-            }
-            accesses += t.accesses.len();
-            writes += t.accesses.iter().filter(|a| a.write).count();
-            if t.decomposable {
-                decomposable += 1;
-            }
-            offset += t.deadline.duration_since(t.arrival).as_secs_f64();
-        }
-        TraceSummary {
-            transactions: n,
-            update_txn_fraction: update_txns as f64 / n as f64,
-            update_access_fraction: if accesses == 0 {
-                0.0
-            } else {
-                writes as f64 / accesses as f64
-            },
-            decomposable_fraction: decomposable as f64 / n as f64,
-            mean_accesses: accesses as f64 / n as f64,
-            mean_deadline_offset_secs: offset / n as f64,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use siteselect_types::SimTime;
 
     fn trace(clients: u16, seed: u64) -> Trace {
         Trace::generate(
@@ -176,7 +94,7 @@ mod tests {
     fn merged_trace_is_arrival_ordered() {
         let t = trace(8, 1);
         assert!(t.len() > 100);
-        for w in t.transactions().windows(2) {
+        for w in t.transactions.windows(2) {
             assert!(w[0].arrival <= w[1].arrival);
         }
     }
@@ -186,7 +104,7 @@ mod tests {
         let t = trace(8, 2);
         for c in 0..8 {
             assert!(
-                t.for_client(ClientId(c)).count() > 10,
+                t.transactions.iter().filter(|x| x.origin == ClientId(c)).count() > 10,
                 "client {c} underrepresented"
             );
         }
@@ -205,52 +123,10 @@ mod tests {
         // The per-client streams differ only through the access pattern's
         // hot-region placement, which depends on cluster size; ids and
         // arrival processes must match exactly.
-        let small_c0: Vec<_> = small.for_client(ClientId(0)).map(|t| t.id).collect();
-        let large_c0: Vec<_> = large.for_client(ClientId(0)).map(|t| t.id).collect();
-        assert_eq!(small_c0, large_c0);
-        let small_arr: Vec<_> = small.for_client(ClientId(0)).map(|t| t.arrival).collect();
-        let large_arr: Vec<_> = large.for_client(ClientId(0)).map(|t| t.arrival).collect();
-        assert_eq!(small_arr, large_arr);
-    }
-
-    #[test]
-    fn summary_reflects_configuration() {
-        let t = Trace::generate(
-            &WorkloadConfig {
-                update_fraction: 0.2,
-                ..WorkloadConfig::default()
-            },
-            0.1,
-            10_000,
-            10,
-            SimDuration::from_secs(2_000),
-            6,
-        );
-        let s = t.summary();
-        assert_eq!(s.transactions, t.len());
-        assert!((s.update_access_fraction - 0.2).abs() < 0.03);
-        assert!((s.mean_accesses - 10.0).abs() < 0.5);
-        assert!((s.mean_deadline_offset_secs - 20.0).abs() < 2.0);
-        assert!((s.decomposable_fraction - 0.1).abs() < 0.05);
-        assert!(s.update_txn_fraction >= s.update_access_fraction);
-    }
-
-    #[test]
-    fn empty_trace_summary_is_zeroed() {
-        let t = Trace::from_transactions(vec![]);
-        assert!(t.is_empty());
-        let s = t.summary();
-        assert_eq!(s.transactions, 0);
-        assert_eq!(s.mean_accesses, 0.0);
-    }
-
-    #[test]
-    fn from_transactions_sorts() {
-        let mut t1 = trace(2, 7).transactions()[0].clone();
-        let mut t2 = t1.clone();
-        t1.arrival = SimTime::from_secs(100);
-        t2.arrival = SimTime::from_secs(50);
-        let tr = Trace::from_transactions(vec![t1, t2]);
-        assert_eq!(tr.transactions()[0].arrival, SimTime::from_secs(50));
+        let client0 = |t: &Trace| -> Vec<_> {
+            let c0 = t.transactions.iter().filter(|x| x.origin == ClientId(0));
+            c0.map(|x| (x.id, x.arrival)).collect()
+        };
+        assert_eq!(client0(&small), client0(&large));
     }
 }

@@ -69,12 +69,6 @@ impl TransactionGenerator {
         }
     }
 
-    /// The access pattern backing this generator.
-    #[must_use]
-    pub fn pattern(&self) -> &LocalizedRw {
-        &self.pattern
-    }
-
     /// Number of objects for the next transaction: uniform over
     /// `[mean/2, 3*mean/2]`, clamped to at least one (mean 10 ⇒ 5..=15).
     fn sample_object_count(&mut self) -> usize {

@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GATE=(build test references alloc-budget benchmark-tests detlint detlint-selftest clippy
+GATE=(build test references alloc-budget benchmark-tests detlint detlint-selftest clippy doc
   trace-determinism blame-determinism disabled-path jobs-determinism figures
   simcheck recovery benchmark)
 SLOW=(seedcheck repro-golden)
@@ -120,6 +120,10 @@ EOF
 
 # Warnings are errors through [workspace.lints].
 step_clippy() { cargo clippy --workspace --all-targets; }
+
+# A doc link to a deleted item, or from a public doc to a private one,
+# fails here instead of rendering as plain text.
+step_doc() { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps; }
 
 step_trace-determinism() {
   for system in ce cs ls; do
