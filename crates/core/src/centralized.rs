@@ -430,9 +430,9 @@ impl CentralizedServer {
             .iter()
             .filter_map(|(&k, t)| spec_at(&cx.specs, t.spec).is_expired(now).then_some(k))
             .collect();
-        // HashMap iteration order is process-random; the abort cascade
-        // (lock grants, CPU reschedules) is order-sensitive, so sort to
-        // keep runs reproducible across invocations.
+        // HashMap iteration order is implementation-defined even with a
+        // fixed hasher; the abort cascade (lock grants, CPU reschedules) is
+        // order-sensitive, so sort to keep runs reproducible.
         dead.sort_unstable();
         for key in dead {
             self.abort_inflight(cx, key, AbortReason::Expired);

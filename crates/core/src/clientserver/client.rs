@@ -14,8 +14,8 @@ use siteselect_locks::{Acquire, ForwardList, Grants, LockTable, QueueDiscipline}
 use siteselect_obs::SpanKind;
 use siteselect_storage::{CacheTier, ClientCache, DiskModel};
 use siteselect_types::{
-    AbortReason, AccessSpec, ClientConfig, ClientId, InlineVec, LockMode, ObjectId, ObjectMap,
-    SimDuration, SimTime, SiteId, TransactionId, TransactionSpec, TxnOutcome,
+    AbortReason, AccessSpec, ClientConfig, ClientId, FixedState, InlineVec, LockMode, ObjectId,
+    ObjectMap, SimDuration, SimTime, SiteId, TransactionId, TransactionSpec, TxnOutcome,
 };
 
 use super::{subtask_key, Cx, Ev, Msg, SiteDest, TKey, Want};
@@ -223,9 +223,9 @@ pub(crate) struct ClientSite {
     local_locks: LockTable<TKey>,
     cpu: EdfCpu<TKey>,
     disk: DiskModel,
-    txns: HashMap<TKey, TxnRun>,
-    fetches: HashMap<ObjectId, Fetch>,
-    revokes: HashMap<ObjectId, Revoke>,
+    txns: HashMap<TKey, TxnRun, FixedState>,
+    fetches: HashMap<ObjectId, Fetch, FixedState>,
+    revokes: HashMap<ObjectId, Revoke, FixedState>,
     /// Running average latency of locally completed transactions (ATL in
     /// H1).
     atl_sum: f64,
@@ -246,9 +246,9 @@ impl ClientSite {
             local_locks: LockTable::new(QueueDiscipline::Deadline),
             cpu: EdfCpu::new(cpu_speed),
             disk: DiskModel::new(cfg.disk.page_service_time),
-            txns: HashMap::new(),
-            fetches: HashMap::new(),
-            revokes: HashMap::new(),
+            txns: HashMap::default(),
+            fetches: HashMap::default(),
+            revokes: HashMap::default(),
             atl_sum: 0.0,
             atl_count: 0,
             lock_wait_from: BTreeMap::new(),
@@ -1016,13 +1016,12 @@ impl ClientSite {
         accesses: &[AccessSpec],
         locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
     ) -> Vec<(ClientId, Vec<AccessSpec>)> {
-        let map: HashMap<ObjectId, &Vec<(ClientId, LockMode)>> =
-            locations.iter().map(|(o, v)| (*o, v)).collect();
         let mut groups: BTreeMap<ClientId, Vec<AccessSpec>> = BTreeMap::new();
         for a in accesses {
-            let site = map
-                .get(&a.object)
-                .and_then(|holders| {
+            let site = locations
+                .iter()
+                .find(|(o, _)| *o == a.object)
+                .and_then(|(_, holders)| {
                     holders
                         .iter()
                         .find(|(_, m)| m.is_exclusive())
@@ -1238,20 +1237,18 @@ impl ClientSite {
         for object in run.needed.objects() {
             self.try_execute_revoke(cx, object);
         }
-        // Outstanding fetches.
+        // Outstanding fetches: a unit waits only on fetches of objects it
+        // needs, and the walk is ascending, so `CancelWants` is sorted.
         let mut cancelled: InlineVec<ObjectId, 4> = InlineVec::new();
-        // detlint: allow(D2) — only fills `cancelled`, which is kept sorted as it fills
-        self.fetches.retain(|&object, f| {
-            f.waiters.retain(|&w| w != key);
-            if f.waiters.is_empty() {
-                // Ascending: retain walks hash order.
-                let at = cancelled.iter().position(|&o| o > object);
-                cancelled.insert(at.unwrap_or(cancelled.len()), object);
-                false
-            } else {
-                true
+        for object in run.needed.objects() {
+            if let Some(f) = self.fetches.get_mut(&object) {
+                f.waiters.retain(|&w| w != key);
+                if f.waiters.is_empty() {
+                    self.fetches.remove(&object);
+                    cancelled.push(object);
+                }
             }
-        });
+        }
         if !cancelled.is_empty() {
             let client = self.id;
             cx.send_to_server(
@@ -1648,7 +1645,7 @@ impl ClientSite {
         cx.fabric.set_site_down(SiteId::Client(id));
         // detlint: allow(D2) — `keys.sort_unstable()` on the next line, before the kill cascade
         let mut keys: Vec<TKey> = self.txns.keys().copied().collect();
-        keys.sort_unstable(); // hash order is process-random; kills cascade
+        keys.sort_unstable(); // hash order is implementation-defined; kills cascade
         for key in keys {
             // Each unit dies silently: unlike an abort nothing is sent,
             // remote interest is settled by a synthetic timeout result, and
@@ -1779,7 +1776,8 @@ impl ClientSite {
     }
 
     /// Aborts every resident unit `doomed` picks, in key order: `HashMap`
-    /// order is process-random and the abort cascade is order-sensitive.
+    /// order is implementation-defined even with a fixed hasher, and the
+    /// abort cascade is order-sensitive.
     fn abort_where(&mut self, cx: &mut Cx, reason: AbortReason, doomed: impl Fn(&TxnRun) -> bool) {
         let mut keys: Vec<TKey> = self
             // detlint: allow(D2) — `keys.sort_unstable()` below, before the abort cascade

@@ -7,7 +7,7 @@
 //! `detlint` guards that property *statically* — before the runtime
 //! diffs in `scripts/ci.sh` ever run — by walking every `.rs` file with
 //! a hand-rolled lexer and enforcing the contract described in
-//! [`rules`]: no wall-clock reads, no hash-ordered iteration in
+//! [`rules`]: no wall-clock reads, no hash-ordered iteration or random hasher in
 //! deterministic crates, no ambient randomness, documented `unsafe`,
 //! reasoned `#[allow]`s, and no stray printing from library code.
 //!

@@ -18,7 +18,7 @@ USAGE:
     detlint rules [--toml]
 
 `check` runs every pass over the files it is given (`--workspace`:
-every .rs file under the root): the token rules D1-D6, the D7/D8
+every .rs file under the root): the token rules D1-D6 and D10, the D7/D8
 lock-order analysis over the crates detlint.toml scopes it to, and the
 D9 panic audit. D7/D8 see only the files given: a cycle through a file
 left off a targeted list goes unreported, so CI checks `--workspace`.

@@ -14,7 +14,7 @@
 //! panic surface can be burned down incrementally while CI gates new
 //! findings.
 //!
-//! This module implements the token rules D1–D6. D1/D3 flag the direct
+//! This module implements the token rules D1–D6 and D10. D1/D3 flag the direct
 //! read only: the clock and entropy sources live in allowlisted files of
 //! crates no deterministic crate may depend on (a test over the Cargo
 //! graph holds that line). D2 flags *every* hash-ordered iteration in a
@@ -50,6 +50,7 @@ pub enum RuleId {
     D7,
     D8,
     D9,
+    D10,
 }
 
 /// One row of the rule registry. `detlint rules`, the generated comment
@@ -65,7 +66,7 @@ pub struct RuleMeta {
 }
 
 /// The registry: the one authoritative description of the contract.
-pub const REGISTRY: [RuleMeta; 9] = [
+pub const REGISTRY: [RuleMeta; 10] = [
     RuleMeta {
         id: RuleId::D1,
         name: "wall-clock",
@@ -120,6 +121,12 @@ pub const REGISTRY: [RuleMeta; 9] = [
         summary: "unwrap/expect/slice-indexing in engine crates without a proven invariant",
         baselined: true,
     },
+    RuleMeta {
+        id: RuleId::D10,
+        name: "random-hasher",
+        summary: "HashMap/HashSet on std's per-process random hasher in deterministic library code",
+        baselined: false,
+    },
 ];
 
 impl RuleId {
@@ -151,6 +158,7 @@ impl RuleId {
             RuleId::D7 => "D7",
             RuleId::D8 => "D8",
             RuleId::D9 => "D9",
+            RuleId::D10 => "D10",
         }
     }
 }
@@ -166,7 +174,7 @@ pub fn toml_rule_table() -> String {
     );
     for m in &REGISTRY {
         out.push_str(&format!(
-            "#   {} {:<20}{} {}\n",
+            "#   {:<3} {:<20}{} {}\n",
             m.id.id(),
             m.name,
             if m.baselined { " [baselined]" } else { "" },
@@ -460,11 +468,13 @@ pub struct FileContext<'a> {
     pub library: bool,
     /// D6 exempt by config even if `library`.
     pub allow_print: bool,
+    /// Deterministic crate, not allowlisted → D10 applies to library code.
+    pub fixed_hasher: bool,
     /// Map-typed names visible crate-wide (conflict-free across files).
     pub crate_map_names: &'a BTreeSet<String>,
 }
 
-/// Runs the token rules (D1–D6) over one file.
+/// Runs the token rules (D1–D6, D10) over one file.
 #[must_use]
 pub fn check_file(file: &SourceFile, ctx: &FileContext<'_>) -> Vec<Violation> {
     let comments = &file.comments;
@@ -608,6 +618,16 @@ pub fn check_file(file: &SourceFile, ctx: &FileContext<'_>) -> Vec<Violation> {
             );
         }
 
+        // D10: a hash container on std's per-process random hasher.
+        let hashed = ctx.fixed_hasher && ctx.library && MAP_TYPES.contains(&name);
+        if hashed && !file.parsed.in_test_span(i) {
+            let args = if name == "HashMap" { 3 } else { 2 };
+            let by_type = followed_by(1, '<') && type_args(code, i + 1) < args;
+            if by_type || path_call("new") || path_call("with_capacity") {
+                emit(RuleId::D10, t.line, format!("`{name}` on std's random hasher"));
+            }
+        }
+
         // D2: order-dependent iteration in deterministic crates.
         if ctx.deterministic {
             let is_map_name = |n: &str| {
@@ -650,6 +670,20 @@ pub fn check_file(file: &SourceFile, ctx: &FileContext<'_>) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// How many type arguments the `<…>` opening at `code[open]` holds.
+fn type_args(code: &[Token], open: usize) -> usize {
+    let (mut depth, mut args) = (0, 1);
+    for t in &code[open..crate::parse::generics_end(code, open)] {
+        match t.kind {
+            TokKind::Punct('<' | '(' | '[') => depth += 1,
+            TokKind::Punct('>' | ')' | ']') => depth -= 1,
+            TokKind::Punct(',') if depth == 1 => args += 1,
+            _ => {}
+        }
+    }
+    args
 }
 
 /// For `code` starting at a `for` token, returns the identifier being
@@ -715,6 +749,7 @@ mod tests {
             deterministic: true,
             library: true,
             allow_print: false,
+            fixed_hasher: false,
             crate_map_names: crate_maps,
         }
     }

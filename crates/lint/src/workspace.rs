@@ -1,6 +1,6 @@
 //! File discovery and the one pass list: [`check`] reads, lexes and
 //! parses each file once into a [`SourceFile`], then runs every pass
-//! over that set — the token rules (D1–D6), the panic audit (D9) on the
+//! over that set — the token rules (D1–D6, D10), the panic audit (D9) on the
 //! crates it is scoped to, and the lock-order pass (D7/D8) over the
 //! files of the crates `detlint.toml` names for it — and applies the
 //! baseline. `detlint check --workspace` and `detlint check <files>`
@@ -181,6 +181,7 @@ pub fn check(
             deterministic: cfg.is_deterministic_path(rel) && !cfg.is_allowed(RuleId::D2, rel),
             library: is_library_path(rel),
             allow_print: cfg.is_allowed(RuleId::D6, rel),
+            fixed_hasher: cfg.is_deterministic_path(rel) && !cfg.is_allowed(RuleId::D10, rel),
             crate_map_names: &crate_maps[&crate_of(rel)],
         };
         report.suppressions += file.annotations.count;

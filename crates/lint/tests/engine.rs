@@ -94,6 +94,10 @@ fn positive_fixtures_fire_their_rule() {
         lint_fixture("d9_bad.rs"),
         vec![RuleId::D9, RuleId::D9, RuleId::D9]
     );
+    assert_eq!(
+        lint_fixture("d10_bad.rs"),
+        vec![RuleId::D10, RuleId::D10, RuleId::D10]
+    );
 }
 
 #[test]
@@ -108,6 +112,7 @@ fn negative_fixtures_are_clean() {
         "d7_good.rs",
         "d8_good.rs",
         "d9_good.rs",
+        "d10_good.rs",
     ] {
         assert_eq!(lint_fixture(name), Vec::new(), "{name} should be clean");
     }
@@ -166,10 +171,10 @@ fn diagnostics_carry_file_line_and_rule() {
 #[test]
 fn whole_fixture_tree_discovery_finds_every_bad_file() {
     let report = check_tree(&fixtures_root(), &fixture_cfg());
-    // 9 bad fixtures with 2+3+3+1+1+2+1+1+3 = 17 violations; good/
+    // 10 bad fixtures with 2+3+3+1+1+2+1+1+3+3 = 20 violations; good/
     // annotated/allowlisted files contribute none.
-    assert_eq!(report.violations.len(), 17);
-    assert_eq!(report.files_checked, 20);
+    assert_eq!(report.violations.len(), 20);
+    assert_eq!(report.files_checked, 22);
 }
 
 /// One cycle and one send-under-lock in the fixture tree, each reported

@@ -2,8 +2,10 @@
 //! with a mandatory reason.
 use std::collections::HashMap;
 
+use siteselect_types::FixedState;
+
 struct State {
-    counts: HashMap<u64, u64>,
+    counts: HashMap<u64, u64, FixedState>,
 }
 
 impl State {

@@ -3,8 +3,10 @@
 //! no provable fill-then-sort).
 use std::collections::{HashMap, HashSet};
 
+use siteselect_types::FixedState;
+
 struct State {
-    txns: HashMap<u64, u32>,
+    txns: HashMap<u64, u32, FixedState>,
 }
 
 impl State {
@@ -13,7 +15,7 @@ impl State {
         for (k, _v) in &self.txns {
             out.push(*k); // violation: `out` is returned unsorted
         }
-        let live: HashSet<u64> = HashSet::new();
+        let live: HashSet<u64, FixedState> = HashSet::default();
         let _ids: Vec<u64> = live.iter().copied().collect(); // violation: collected, never sorted
         self.txns.retain(|_, v| *v > 0); // violation (closure sees hash order)
         out

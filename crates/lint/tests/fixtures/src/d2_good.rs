@@ -3,9 +3,11 @@
 //! order-free fold or the sort that keeps the order from escaping.
 use std::collections::{BTreeMap, HashMap};
 
+use siteselect_types::FixedState;
+
 struct State {
     by_time: BTreeMap<u64, u32>,
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, FixedState>,
 }
 
 impl State {

@@ -13,7 +13,9 @@
 use std::collections::HashMap;
 
 use siteselect_obs::{Event, EventSink};
-use siteselect_types::{ClientId, InlineVec, LockMode, ObjectId, SimDuration, SimTime, SiteId};
+use siteselect_types::{
+    ClientId, FixedState, InlineVec, LockMode, ObjectId, SimDuration, SimTime, SiteId,
+};
 
 /// The holders one [`CallbackTracker::begin`] newly messages: the sole
 /// exclusive holder or a few readers, so the list lives inline.
@@ -55,7 +57,7 @@ type Owing = InlineVec<(ClientId, SimTime), 4>;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CallbackTracker {
-    recalls: HashMap<ObjectId, Owing>,
+    recalls: HashMap<ObjectId, Owing, FixedState>,
     sink: EventSink,
 }
 

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use siteselect_obs::{Event, EventSink, SpanKind};
-use siteselect_types::{ObjectId, SimDuration, SimTime, SiteId, TransactionId};
+use siteselect_types::{FixedState, ObjectId, SimDuration, SimTime, SiteId, TransactionId};
 
 use crate::forward::{ForwardEntry, ForwardList};
 
@@ -87,7 +87,7 @@ struct OpenWindow {
 #[derive(Debug, Clone)]
 pub struct WindowManager {
     window: SimDuration,
-    open: HashMap<ObjectId, OpenWindow>,
+    open: HashMap<ObjectId, OpenWindow, FixedState>,
     total_opened: u64,
     sink: EventSink,
 }
@@ -98,7 +98,7 @@ impl WindowManager {
     pub fn new(window: SimDuration) -> Self {
         WindowManager {
             window,
-            open: HashMap::new(),
+            open: HashMap::default(),
             total_opened: 0,
             sink: EventSink::disabled(),
         }

@@ -4,7 +4,9 @@ use std::collections::{HashMap, HashSet};
 
 use siteselect_obs::{Event, EventSink};
 use siteselect_sim::Prng;
-use siteselect_types::{FaultConfig, LanKind, NetworkConfig, SimDuration, SimTime, SiteId};
+use siteselect_types::{
+    FaultConfig, FixedState, LanKind, NetworkConfig, SimDuration, SimTime, SiteId,
+};
 
 use crate::message::{MessageKind, CONTROL_BYTES};
 use crate::stats::MessageStats;
@@ -39,7 +41,7 @@ impl Delivery {
 struct FaultState {
     cfg: FaultConfig,
     prng: Prng,
-    down: HashSet<SiteId>,
+    down: HashSet<SiteId, FixedState>,
     dropped: u64,
     delayed: u64,
     /// Last delivery instant per directed link. Jitter must not reorder a
@@ -47,7 +49,7 @@ struct FaultState {
     /// the deliveries before it. Without faults the medium is already FIFO
     /// (per-link serialization plus constant latency), so this floor only
     /// matters when jitter is injected.
-    last_delivery: HashMap<(SiteId, SiteId), SimTime>,
+    last_delivery: HashMap<(SiteId, SiteId), SimTime, FixedState>,
 }
 
 /// The cluster interconnect.
@@ -65,7 +67,7 @@ pub struct Fabric {
     cfg: NetworkConfig,
     object_bytes: u32,
     shared_busy_until: SimTime,
-    link_busy_until: HashMap<(SiteId, SiteId), SimTime>,
+    link_busy_until: HashMap<(SiteId, SiteId), SimTime, FixedState>,
     stats: MessageStats,
     faults: Option<FaultState>,
     sink: EventSink,
@@ -80,7 +82,7 @@ impl Fabric {
             cfg,
             object_bytes,
             shared_busy_until: SimTime::ZERO,
-            link_busy_until: HashMap::new(),
+            link_busy_until: HashMap::default(),
             stats: MessageStats::new(),
             faults: None,
             sink: EventSink::disabled(),
@@ -100,10 +102,10 @@ impl Fabric {
         self.faults = Some(FaultState {
             cfg,
             prng,
-            down: HashSet::new(),
+            down: HashSet::default(),
             dropped: 0,
             delayed: 0,
-            last_delivery: HashMap::new(),
+            last_delivery: HashMap::default(),
         });
     }
 
@@ -111,10 +113,10 @@ impl Fabric {
         self.faults.get_or_insert_with(|| FaultState {
             cfg: FaultConfig::default(),
             prng: Prng::seed_from_u64(0),
-            down: HashSet::new(),
+            down: HashSet::default(),
             dropped: 0,
             delayed: 0,
-            last_delivery: HashMap::new(),
+            last_delivery: HashMap::default(),
         })
     }
 

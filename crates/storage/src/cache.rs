@@ -18,23 +18,6 @@ pub enum CacheTier {
     Disk,
 }
 
-/// Cumulative client-cache statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClientCacheStats {
-    /// Probes that hit the memory tier.
-    pub memory_hits: u64,
-    /// Probes that hit the disk tier.
-    pub disk_hits: u64,
-    /// Probes that missed both tiers.
-    pub misses: u64,
-    /// Objects demoted from memory to disk.
-    pub demotions: u64,
-    /// Objects evicted from the cache entirely.
-    pub evictions: u64,
-    /// Objects invalidated by lock callbacks.
-    pub invalidations: u64,
-}
-
 /// Link sentinel: "no neighbour" / "not a member".
 const NIL: u32 = u32::MAX;
 
@@ -210,7 +193,6 @@ impl LruSet {
 pub struct ClientCache {
     memory: LruSet,
     disk: LruSet,
-    stats: ClientCacheStats,
 }
 
 impl ClientCache {
@@ -220,7 +202,6 @@ impl ClientCache {
         ClientCache {
             memory: LruSet::new(memory_objects),
             disk: LruSet::new(disk_objects),
-            stats: ClientCacheStats::default(),
         }
     }
 
@@ -233,7 +214,7 @@ impl ClientCache {
         self.disk.reserve_ids(n);
     }
 
-    /// Looks up `id` without recording statistics or promoting.
+    /// Looks up `id` without promoting it.
     #[must_use]
     pub fn peek(&self, id: ObjectId) -> Option<CacheTier> {
         if self.memory.contains(id) {
@@ -245,53 +226,40 @@ impl ClientCache {
         }
     }
 
-    /// Looks up `id`, recording hit/miss statistics. A disk-tier hit is
-    /// promoted to the memory tier (the caller should charge one local disk
-    /// access).
+    /// Looks up `id` as a reference: a memory-tier hit becomes most
+    /// recently used, and a disk-tier hit is promoted to the memory tier
+    /// (the caller should charge one local disk access).
     pub fn probe(&mut self, id: ObjectId) -> Option<CacheTier> {
         if self.memory.touch(id) {
-            self.stats.memory_hits += 1;
             return Some(CacheTier::Memory);
         }
-        if self.disk.contains(id) {
-            self.stats.disk_hits += 1;
-            self.disk.remove(id);
+        if self.disk.remove(id) {
             self.insert_into_memory(id);
             return Some(CacheTier::Disk);
         }
-        self.stats.misses += 1;
         None
     }
 
     /// Inserts a newly fetched object into the memory tier, demoting /
     /// evicting as needed.
     pub fn insert(&mut self, id: ObjectId) {
-        if self.memory.contains(id) {
-            self.memory.touch(id);
-            return;
+        if !self.memory.touch(id) {
+            self.disk.remove(id);
+            self.insert_into_memory(id);
         }
-        self.disk.remove(id);
-        self.insert_into_memory(id);
     }
 
     fn insert_into_memory(&mut self, id: ObjectId) {
         if let Some(demoted) = self.memory.insert(id) {
-            self.stats.demotions += 1;
-            if let Some(evicted) = self.disk.insert(demoted) {
-                debug_assert_ne!(evicted, id);
-                self.stats.evictions += 1;
-            }
+            let evicted = self.disk.insert(demoted);
+            debug_assert_ne!(evicted, Some(id));
         }
     }
 
     /// Drops `id` from both tiers (used when a callback revokes the object).
     /// Returns `true` if the object was present.
     pub fn invalidate(&mut self, id: ObjectId) -> bool {
-        let present = self.memory.remove(id) || self.disk.remove(id);
-        if present {
-            self.stats.invalidations += 1;
-        }
-        present
+        self.memory.remove(id) || self.disk.remove(id)
     }
 
     /// True if the object is cached in either tier.
@@ -312,12 +280,6 @@ impl ClientCache {
         self.len() == 0
     }
 
-    /// Cumulative statistics.
-    #[must_use]
-    pub fn stats(&self) -> ClientCacheStats {
-        self.stats
-    }
-
     /// Iterates over all cached ids, memory tier first (LRU to MRU order
     /// within each tier).
     pub fn iter(&self) -> impl Iterator<Item = ObjectId> + '_ {
@@ -331,10 +293,14 @@ mod tests {
 
     #[test]
     fn insert_then_probe_hits_memory() {
-        let mut c = ClientCache::new(4, 4);
+        let mut c = ClientCache::new(2, 2);
         c.insert(ObjectId(1));
+        c.insert(ObjectId(2));
         assert_eq!(c.probe(ObjectId(1)), Some(CacheTier::Memory));
-        assert_eq!(c.stats().memory_hits, 1);
+        // The hit made 1 most recently used, so 2 is the one demoted.
+        c.insert(ObjectId(3));
+        assert_eq!(c.peek(ObjectId(1)), Some(CacheTier::Memory));
+        assert_eq!(c.peek(ObjectId(2)), Some(CacheTier::Disk));
     }
 
     #[test]
@@ -349,9 +315,10 @@ mod tests {
         assert_eq!(c.len(), 4);
         c.insert(ObjectId(5)); // demote 3, evict 1
         assert_eq!(c.peek(ObjectId(1)), None);
+        assert_eq!(c.peek(ObjectId(2)), Some(CacheTier::Disk));
         assert_eq!(c.peek(ObjectId(3)), Some(CacheTier::Disk));
-        assert_eq!(c.stats().evictions, 1);
-        assert!(c.stats().demotions >= 3);
+        assert_eq!(c.peek(ObjectId(5)), Some(CacheTier::Memory));
+        assert_eq!(c.len(), 4);
     }
 
     #[test]
@@ -363,7 +330,9 @@ mod tests {
         assert_eq!(c.peek(ObjectId(1)), Some(CacheTier::Disk));
         assert_eq!(c.probe(ObjectId(1)), Some(CacheTier::Disk));
         assert_eq!(c.peek(ObjectId(1)), Some(CacheTier::Memory));
-        assert_eq!(c.stats().disk_hits, 1);
+        // The promotion demoted memory's LRU object in its place.
+        assert_eq!(c.peek(ObjectId(2)), Some(CacheTier::Disk));
+        assert_eq!(c.len(), 3);
     }
 
     #[test]
@@ -375,14 +344,16 @@ mod tests {
         assert!(c.invalidate(ObjectId(2)));
         assert!(!c.invalidate(ObjectId(3)));
         assert!(c.is_empty());
-        assert_eq!(c.stats().invalidations, 2);
+        assert_eq!(c.probe(ObjectId(1)), None);
     }
 
     #[test]
-    fn miss_is_counted() {
+    fn miss_caches_nothing() {
         let mut c = ClientCache::new(2, 2);
+        c.insert(ObjectId(1));
         assert_eq!(c.probe(ObjectId(9)), None);
-        assert_eq!(c.stats().misses, 1);
+        assert!(!c.contains(ObjectId(9)));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]
@@ -417,14 +388,12 @@ mod tests {
     }
 
     #[test]
-    fn probes_count_per_tier() {
+    fn probes_report_their_tier() {
         let mut c = ClientCache::new(1, 1);
         c.insert(ObjectId(1));
         c.insert(ObjectId(2));
-        c.probe(ObjectId(2)); // memory hit
-        c.probe(ObjectId(1)); // disk hit
-        c.probe(ObjectId(3)); // miss
-        let s = c.stats();
-        assert_eq!((s.memory_hits, s.disk_hits, s.misses), (1, 1, 1));
+        assert_eq!(c.probe(ObjectId(2)), Some(CacheTier::Memory));
+        assert_eq!(c.probe(ObjectId(1)), Some(CacheTier::Disk));
+        assert_eq!(c.probe(ObjectId(3)), None);
     }
 }

@@ -42,7 +42,7 @@ pub mod recovery;
 pub mod wal;
 
 pub use buffer::{BufferManager, BufferStats, Replacement};
-pub use cache::{CacheTier, ClientCache, ClientCacheStats};
+pub use cache::{CacheTier, ClientCache};
 pub use disk::{DiskFile, DiskStats};
 pub use model::DiskModel;
 pub use page::{Page, PAGE_SIZE};

@@ -1,11 +1,11 @@
-//! A fixed-state hasher for maps keyed by the simulator's own integer ids.
+//! The one hasher for every hash container in the deterministic crates.
 //!
 //! `std`'s default `RandomState` draws a per-process key, so where a map
 //! rehashes — and with it where the engine allocates — differs from one
-//! process to the next. Transaction keys, client ids and slot numbers are
-//! generated by the program, never by an adversary, so the engines' hot
-//! maps trade SipHash's flood protection for one multiply per word and
-//! allocation points that repeat exactly on one seed.
+//! process to the next. Ids and keys here come from the program, never from
+//! an adversary, so the `[deterministic]` crates trade SipHash's flood
+//! protection for one multiply per word and allocation counts that repeat
+//! exactly on one seed. detlint's D10 flags a map or set built without it.
 
 use std::hash::{BuildHasher, Hasher};
 

@@ -2,9 +2,10 @@
 //! skewed portion of Localized-RW accesses.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use siteselect_sim::Prng;
+use siteselect_types::FixedState;
 
 /// A Zipf(θ) sampler over ranks `0..n` via a precomputed CDF and binary
 /// search — exact, deterministic, and fast enough for the database sizes in
@@ -34,12 +35,8 @@ pub struct Zipf {
 /// costs `n` calls to `powf` — sharing it keeps workload construction off
 /// the hot path. Capped so pathological test inputs cannot grow it
 /// unboundedly; a miss past the cap just rebuilds.
-type CdfCache = Mutex<HashMap<(usize, u64), Arc<[f64]>>>;
-
-fn cdf_cache() -> &'static CdfCache {
-    static CACHE: OnceLock<CdfCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+type CdfCache = Mutex<HashMap<(usize, u64), Arc<[f64]>, FixedState>>;
+static CDF_CACHE: CdfCache = Mutex::new(HashMap::with_hasher(FixedState));
 
 const CDF_CACHE_CAP: usize = 64;
 
@@ -57,7 +54,7 @@ impl Zipf {
             "Zipf skew must be a non-negative finite number"
         );
         let key = (n, theta.to_bits());
-        if let Ok(cache) = cdf_cache().lock() {
+        if let Ok(cache) = CDF_CACHE.lock() {
             if let Some(cdf) = cache.get(&key) {
                 return Zipf { cdf: Arc::clone(cdf) };
             }
@@ -77,7 +74,7 @@ impl Zipf {
             *last = 1.0;
         }
         let cdf: Arc<[f64]> = cdf.into();
-        if let Ok(mut cache) = cdf_cache().lock() {
+        if let Ok(mut cache) = CDF_CACHE.lock() {
             if cache.len() < CDF_CACHE_CAP {
                 cache.insert(key, Arc::clone(&cdf));
             }

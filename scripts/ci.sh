@@ -109,6 +109,12 @@ impl SharedServer {
     }
 }
 EOF
+  expect_findings crates/sim/src/rng.rs 'detlint\[D10\]' << 'EOF'
+
+fn _detlint_gate_selftest_d10() -> std::collections::HashSet<u64> {
+    std::collections::HashSet::new()
+}
+EOF
   # Not absorbed by detlint.baseline.json: rng.rs has no accepted sites.
   expect_findings crates/sim/src/rng.rs 'detlint\[D9\]' << 'EOF'
 
