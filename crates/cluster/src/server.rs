@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use siteselect_locks::{LockTable, QueueDiscipline};
-use siteselect_storage::PagedFile;
+use siteselect_storage::{Page, PagedFile};
 use siteselect_types::{ClientId, LockMode, ObjectId, SimTime};
 
 use crate::sync::{Condvar, Mutex};
@@ -164,7 +164,7 @@ impl SharedServer {
     fn read_page(inner: &mut Inner, object: ObjectId) -> Vec<u8> {
         inner
             .store
-            .with_page(object, |p| p.bytes().to_vec())
+            .with_page(object, Page::to_bytes)
             .expect("object exists")
     }
 
@@ -215,7 +215,7 @@ impl SharedServer {
         if let Some(data) = bytes {
             inner
                 .store
-                .with_page_mut(object, |p| p.bytes_mut().copy_from_slice(data))
+                .with_page_mut(object, |p| p.copy_from_bytes(data))
                 .expect("object exists");
             inner.stats.returns += 1;
         }

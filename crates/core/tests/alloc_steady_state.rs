@@ -19,11 +19,15 @@
 //!   the full duration.
 //! * Two runs of one seed allocate exactly as often: no engine state may
 //!   hash with a per-process random key.
+//! * Whole CE and CS runs stay under a budget of peak live heap bytes, and
+//!   one seed reaches the same peak twice. Live bytes count what the
+//!   engine asks the allocator for, so unlike a process's resident set
+//!   they repeat exactly and a memory regression shows as a diff.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
-use counting_alloc::allocs;
+use counting_alloc::{allocs, high_water, reset_high_water};
 use siteselect_core::{run_experiment, CentralizedSim};
 use siteselect_types::{ExperimentConfig, FaultConfig, SimDuration, SystemKind};
 
@@ -70,20 +74,68 @@ fn assert_within_budget(system: SystemKind, update_fraction: f64, budget: (f64, 
 
 #[test]
 fn client_server_run_stays_inside_its_allocation_budget() {
-    // Measured 8.118 (release) and 13.472 (debug).
+    // Measured 8.118 (release) and 13.473 (debug).
     assert_within_budget(SystemKind::ClientServer, 0.20, (8.5, 14.1));
 }
 
 #[test]
 fn load_sharing_run_stays_inside_its_allocation_budget() {
-    // Measured 13.358 (release) and 15.225 (debug).
+    // Measured 13.341 (release) and 15.224 (debug).
     assert_within_budget(SystemKind::LoadSharing, 0.05, (14.0, 15.9));
 }
 
 #[test]
 fn centralized_run_stays_inside_its_allocation_budget() {
-    // Measured 4.937 (release) and 8.000 (debug).
-    assert_within_budget(SystemKind::Centralized, 0.20, (5.18, 8.4));
+    // Measured 4.882 (release) and 7.960 (debug).
+    assert_within_budget(SystemKind::Centralized, 0.20, (5.12, 8.35));
+}
+
+/// Peak live heap bytes of one run of `cfg` above what was live before it.
+fn heap_high_water(cfg: &ExperimentConfig) -> i64 {
+    // The workload's Zipf CDF cache is shared by the process, so the test
+    // thread that fills it first holds the table: a one-second run of the
+    // same workload fills it before anything is counted.
+    let mut warm = cfg.clone();
+    warm.runtime.duration = SimDuration::from_secs(1);
+    warm.runtime.warmup = SimDuration::ZERO;
+    run_experiment(&warm).expect("the paper's configuration is valid");
+    let before = reset_high_water();
+    run_experiment(cfg).expect("the paper's configuration is valid");
+    high_water() - before
+}
+
+/// Asserts that a full-length run of `system` at 20 % updates peaks under
+/// `budget` live heap bytes: `(release, debug)`, each at most 5 % above
+/// the peak measured when it was set.
+fn assert_heap_within(system: SystemKind, budget: (i64, i64)) {
+    let peak = heap_high_water(&whole_run(system, 0.20, 0x5173_5e1e, 2_000));
+    let budget = if cfg!(debug_assertions) {
+        budget.1
+    } else {
+        budget.0
+    };
+    assert!(
+        peak <= budget,
+        "{system} at 0.2 updates: heap peaked at {peak} bytes, budget {budget}"
+    );
+}
+
+#[test]
+fn client_server_run_stays_inside_its_heap_budget() {
+    // Measured 44 029 382 (release) and 11 764 230 (debug) bytes.
+    assert_heap_within(SystemKind::ClientServer, (46_200_000, 12_350_000));
+}
+
+#[test]
+fn centralized_run_stays_inside_its_heap_budget() {
+    // Measured 12 377 496 (release) and 1 958 762 (debug) bytes.
+    assert_heap_within(SystemKind::Centralized, (12_990_000, 2_050_000));
+}
+
+#[test]
+fn same_seed_reaches_the_same_heap_peak() {
+    let cfg = whole_run(SystemKind::ClientServer, 0.20, 11, 900);
+    assert_eq!(heap_high_water(&cfg), heap_high_water(&cfg));
 }
 
 /// Every hash container in the engine uses a fixed hasher, so where a map

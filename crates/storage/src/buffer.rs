@@ -676,14 +676,23 @@ mod tests {
     }
 
     #[test]
-    fn a_warm_miss_reuses_the_victims_buffer() {
+    fn a_reused_frame_holds_exactly_the_fetched_page() {
         let (mut disk, mut buf) = setup(1, Replacement::Lru);
+        let mut on_disk = disk.peek(ObjectId(2)).unwrap().clone();
+        on_disk.write_u64_at(24, 5);
+        disk.write(&on_disk);
         let f = buf.fetch(ObjectId(1), &mut disk).unwrap();
-        let bytes = buf.page(f).unwrap().bytes().as_ptr();
+        buf.page_mut(f).unwrap().write_u64_at(0, 9);
+        buf.page_mut(f).unwrap().write_u64_at(8, 9);
         buf.unpin(f).unwrap();
+        // The victim is clean: its words must not leak into the next page.
         let g = buf.fetch(ObjectId(2), &mut disk).unwrap();
         assert_eq!(g, f);
-        assert_eq!(buf.page(g).unwrap(), &Page::patterned(ObjectId(2)));
-        assert_eq!(buf.page(g).unwrap().bytes().as_ptr(), bytes);
+        assert_eq!(buf.page(g).unwrap(), &on_disk);
+        assert_eq!(buf.page(g).unwrap().to_bytes(), on_disk.to_bytes());
+        assert_eq!(
+            disk.peek(ObjectId(1)).unwrap(),
+            &Page::patterned(ObjectId(1))
+        );
     }
 }

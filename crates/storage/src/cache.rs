@@ -18,163 +18,51 @@ pub enum CacheTier {
     Disk,
 }
 
-/// Link sentinel: "no neighbour" / "not a member".
+/// Link sentinel: "no neighbour".
 const NIL: u32 = u32::MAX;
 
-/// One intrusive list node, indexed by object id.
+/// One object's place in the cache: the tier it sits in, if any, and its
+/// neighbours in that tier's recency list.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     prev: u32,
     next: u32,
-    live: bool,
+    tier: Option<CacheTier>,
 }
 
-impl Default for Node {
-    fn default() -> Self {
-        Node {
-            prev: NIL,
-            next: NIL,
-            live: false,
-        }
-    }
-}
+const ABSENT: Node = Node {
+    prev: NIL,
+    next: NIL,
+    tier: None,
+};
 
-/// A deterministic LRU set with O(1) operations: an intrusive doubly-
-/// linked recency list threaded through a dense id-indexed slot vector.
-/// The list runs LRU (head) to MRU (tail); a touch unlinks the node and
-/// re-links it at the tail, all by index arithmetic — no tree rebalance,
-/// no per-operation allocation. (The previous `BTreeMap` stamp index paid
-/// a node-churning remove+insert on every probe, which made the cache the
-/// hottest line of the client–server engines.)
-#[derive(Debug, Default, Clone)]
-struct LruSet {
+/// One tier: a recency list from LRU (head) to MRU (tail), threaded
+/// through the cache's node slab, and its capacity.
+#[derive(Debug, Clone)]
+struct Tier {
     capacity: usize,
-    nodes: Vec<Node>,
     head: u32,
     tail: u32,
     len: usize,
 }
 
-impl LruSet {
+impl Tier {
     fn new(capacity: usize) -> Self {
-        LruSet {
+        Tier {
             capacity,
-            nodes: Vec::new(),
             head: NIL,
             tail: NIL,
             len: 0,
         }
     }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn contains(&self, id: ObjectId) -> bool {
-        self.nodes
-            .get(id.index() as usize)
-            .is_some_and(|n| n.live)
-    }
-
-    /// Detaches a live node from the recency list (leaves `live` set).
-    fn unlink(&mut self, idx: u32) {
-        let Node { prev, next, .. } = self.nodes[idx as usize];
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n as usize].prev = prev,
-        }
-    }
-
-    /// Attaches a node at the MRU tail.
-    fn link_tail(&mut self, idx: u32) {
-        let node = &mut self.nodes[idx as usize];
-        node.live = true;
-        node.next = NIL;
-        node.prev = self.tail;
-        match self.tail {
-            NIL => self.head = idx,
-            t => self.nodes[t as usize].next = idx,
-        }
-        self.tail = idx;
-    }
-
-    fn touch(&mut self, id: ObjectId) -> bool {
-        let idx = id.index();
-        if !self.contains(id) {
-            return false;
-        }
-        if self.tail != idx {
-            self.unlink(idx);
-            self.link_tail(idx);
-        }
-        true
-    }
-
-    /// Inserts `id` as most-recently-used; returns the evicted LRU element
-    /// if the set was full.
-    fn insert(&mut self, id: ObjectId) -> Option<ObjectId> {
-        if self.capacity == 0 {
-            return Some(id);
-        }
-        if self.touch(id) {
-            return None;
-        }
-        let victim = if self.len >= self.capacity {
-            let lru = self.head;
-            self.unlink(lru);
-            self.nodes[lru as usize].live = false;
-            self.len -= 1;
-            Some(ObjectId(lru))
-        } else {
-            None
-        };
-        let idx = id.index() as usize;
-        if idx >= self.nodes.len() {
-            self.nodes.resize(idx + 1, Node::default());
-        }
-        self.link_tail(id.index());
-        self.len += 1;
-        victim
-    }
-
-    /// Pre-sizes the node slab for ids `0..n` so later inserts never grow
-    /// it (keeps first-touch insertions off the allocator).
-    fn reserve_ids(&mut self, n: usize) {
-        if self.nodes.len() < n {
-            self.nodes.resize(n, Node::default());
-        }
-    }
-
-    fn remove(&mut self, id: ObjectId) -> bool {
-        if !self.contains(id) {
-            return false;
-        }
-        let idx = id.index();
-        self.unlink(idx);
-        self.nodes[idx as usize].live = false;
-        self.len -= 1;
-        true
-    }
-
-    /// Members from LRU to MRU.
-    fn iter(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        let mut cur = self.head;
-        std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let id = cur;
-            cur = self.nodes[cur as usize].next;
-            Some(ObjectId(id))
-        })
-    }
 }
 
 /// The two-tier client object cache.
+///
+/// Both tiers are LRU lists threaded through one dense slab of nodes
+/// indexed by object id: an object is in at most one tier and its node
+/// records which, so a lookup is one read and a touch, demotion or
+/// eviction is a few index writes with no per-operation allocation.
 ///
 /// # Example
 ///
@@ -191,8 +79,9 @@ impl LruSet {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ClientCache {
-    memory: LruSet,
-    disk: LruSet,
+    nodes: Vec<Node>,
+    memory: Tier,
+    disk: Tier,
 }
 
 impl ClientCache {
@@ -200,66 +89,113 @@ impl ClientCache {
     #[must_use]
     pub fn new(memory_objects: usize, disk_objects: usize) -> Self {
         ClientCache {
-            memory: LruSet::new(memory_objects),
-            disk: LruSet::new(disk_objects),
+            nodes: Vec::new(),
+            memory: Tier::new(memory_objects),
+            disk: Tier::new(disk_objects),
         }
     }
 
-    /// Pre-sizes both tiers' node slabs for ids `0..n`, so steady-state
-    /// inserts never touch the allocator. Worth it only where one cache
-    /// sees the whole database (e.g. a server buffer) — per-client caches
-    /// would pay `n` slots each for ids they mostly never see.
+    /// Pre-sizes the node slab for ids `0..n`, so steady-state inserts
+    /// never touch the allocator. Worth it only where one cache sees the
+    /// whole database (e.g. a server buffer); a client cache grows its slab
+    /// to the highest id it has held instead.
     pub fn reserve_ids(&mut self, n: usize) {
-        self.memory.reserve_ids(n);
-        self.disk.reserve_ids(n);
+        if self.nodes.len() < n {
+            self.nodes.resize(n, ABSENT);
+        }
+    }
+
+    fn tier_mut(&mut self, tier: CacheTier) -> &mut Tier {
+        match tier {
+            CacheTier::Memory => &mut self.memory,
+            CacheTier::Disk => &mut self.disk,
+        }
+    }
+
+    /// Takes a cached object out of its tier.
+    fn unlink(&mut self, idx: u32) {
+        let Node { prev, next, tier } = self.nodes[idx as usize];
+        let tier = tier.expect("only cached objects are unlinked");
+        self.nodes[idx as usize] = ABSENT;
+        let list = self.tier_mut(tier);
+        list.len -= 1;
+        match prev {
+            NIL => list.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tier_mut(tier).tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Puts an uncached object at the MRU end of `tier`, evicting that
+    /// tier's LRU object first if it is full. Returns the evicted object;
+    /// a zero-capacity tier evicts `idx` itself.
+    fn link_tail(&mut self, tier: CacheTier, idx: u32) -> Option<ObjectId> {
+        let list = self.tier_mut(tier);
+        if list.capacity == 0 {
+            return Some(ObjectId(idx));
+        }
+        let victim = (list.len >= list.capacity).then_some(list.head);
+        if let Some(lru) = victim {
+            self.unlink(lru);
+        }
+        if idx as usize >= self.nodes.len() {
+            self.nodes.resize(idx as usize + 1, ABSENT);
+        }
+        let list = self.tier_mut(tier);
+        let tail = std::mem::replace(&mut list.tail, idx);
+        list.len += 1;
+        match tail {
+            NIL => list.head = idx,
+            t => self.nodes[t as usize].next = idx,
+        }
+        self.nodes[idx as usize] = Node {
+            prev: tail,
+            next: NIL,
+            tier: Some(tier),
+        };
+        victim.map(ObjectId)
     }
 
     /// Looks up `id` without promoting it.
     #[must_use]
     pub fn peek(&self, id: ObjectId) -> Option<CacheTier> {
-        if self.memory.contains(id) {
-            Some(CacheTier::Memory)
-        } else if self.disk.contains(id) {
-            Some(CacheTier::Disk)
-        } else {
-            None
-        }
+        self.nodes.get(id.index() as usize).and_then(|n| n.tier)
     }
 
     /// Looks up `id` as a reference: a memory-tier hit becomes most
     /// recently used, and a disk-tier hit is promoted to the memory tier
     /// (the caller should charge one local disk access).
     pub fn probe(&mut self, id: ObjectId) -> Option<CacheTier> {
-        if self.memory.touch(id) {
-            return Some(CacheTier::Memory);
-        }
-        if self.disk.remove(id) {
-            self.insert_into_memory(id);
-            return Some(CacheTier::Disk);
-        }
-        None
+        let tier = self.peek(id)?;
+        self.insert(id);
+        Some(tier)
     }
 
     /// Inserts a newly fetched object into the memory tier, demoting /
     /// evicting as needed.
     pub fn insert(&mut self, id: ObjectId) {
-        if !self.memory.touch(id) {
-            self.disk.remove(id);
-            self.insert_into_memory(id);
+        let idx = id.index();
+        match self.peek(id) {
+            Some(CacheTier::Memory) if self.memory.tail == idx => return,
+            Some(_) => self.unlink(idx),
+            None => {}
         }
-    }
-
-    fn insert_into_memory(&mut self, id: ObjectId) {
-        if let Some(demoted) = self.memory.insert(id) {
-            let evicted = self.disk.insert(demoted);
-            debug_assert_ne!(evicted, Some(id));
+        if let Some(demoted) = self.link_tail(CacheTier::Memory, idx) {
+            self.link_tail(CacheTier::Disk, demoted.index());
         }
     }
 
     /// Drops `id` from both tiers (used when a callback revokes the object).
     /// Returns `true` if the object was present.
     pub fn invalidate(&mut self, id: ObjectId) -> bool {
-        self.memory.remove(id) || self.disk.remove(id)
+        let cached = self.contains(id);
+        if cached {
+            self.unlink(id.index());
+        }
+        cached
     }
 
     /// True if the object is cached in either tier.
@@ -271,7 +207,7 @@ impl ClientCache {
     /// Total cached objects across both tiers.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.memory.len() + self.disk.len()
+        self.memory.len + self.disk.len
     }
 
     /// True if nothing is cached.
@@ -280,10 +216,23 @@ impl ClientCache {
         self.len() == 0
     }
 
+    /// Members of one tier from LRU to MRU.
+    fn members(&self, tier: &Tier) -> impl Iterator<Item = ObjectId> + '_ {
+        let mut cur = tier.head;
+        std::iter::from_fn(move || {
+            if cur == NIL {
+                return None;
+            }
+            let id = cur;
+            cur = self.nodes[cur as usize].next;
+            Some(ObjectId(id))
+        })
+    }
+
     /// Iterates over all cached ids, memory tier first (LRU to MRU order
     /// within each tier).
     pub fn iter(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.memory.iter().chain(self.disk.iter())
+        self.members(&self.memory).chain(self.members(&self.disk))
     }
 }
 

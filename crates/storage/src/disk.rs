@@ -74,7 +74,7 @@ impl DiskFile {
     }
 
     /// [`read`](Self::read) into a page the caller already owns, reusing
-    /// its buffer. Leaves `into` alone and returns `false` for an
+    /// its word list. Leaves `into` alone and returns `false` for an
     /// out-of-range id.
     pub(crate) fn read_into(&mut self, id: ObjectId, into: &mut Page) -> bool {
         let Some(page) = self.pages.get(id.index() as usize) else {
@@ -85,8 +85,8 @@ impl DiskFile {
         true
     }
 
-    /// Writes a page back, counting one I/O. The bytes are copied into the
-    /// buffer of the page they overwrite.
+    /// Writes a page back, counting one I/O. The written words are copied
+    /// into the list of the page they overwrite.
     ///
     /// Returns `false` (and writes nothing) for an out-of-range id.
     pub fn write(&mut self, page: &Page) -> bool {

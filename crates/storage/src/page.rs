@@ -1,17 +1,34 @@
 //! Fixed-size database pages.
 
-use std::sync::Arc;
-
 use siteselect_types::ObjectId;
 
 /// Size of one PF-layer page / database object, as in the paper (2 KB).
 pub const PAGE_SIZE: usize = 2_048;
 
+/// Little-endian `u64` words in a page.
+const WORDS: usize = PAGE_SIZE / 8;
+
+/// The contents a page starts from, before any word is written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Base {
+    /// Every byte zero.
+    Zeroed,
+    /// The xorshift sequence seeded by the page's id (see
+    /// [`Page::patterned`]).
+    Patterned,
+}
+
 /// One fixed-size page holding a database object's bytes.
 ///
-/// Pages carry real bytes (not just ids) so that the threaded
-/// `siteselect-cluster` runtime moves actual data and corruption is
-/// detectable via [`Page::checksum`].
+/// A page has [`PAGE_SIZE`] logical bytes, but stores only the base it
+/// started from (zeroed, or patterned by its id) plus the 8-byte-aligned
+/// words written since that differ from the base. The engines write one
+/// word per update (the recovery stamp) and take disk and network time
+/// from the configuration, not from page contents, so a written page
+/// costs tens of bytes instead of 2 KB. Reads, [`Page::checksum`] and
+/// `==` see the logical bytes; [`Page::to_bytes`] and
+/// [`Page::copy_from_bytes`] move them whole for the threaded
+/// `siteselect-cluster` runtime, whose clients hold real page images.
 ///
 /// # Example
 ///
@@ -27,58 +44,81 @@ pub const PAGE_SIZE: usize = 2_048;
 #[derive(Debug)]
 pub struct Page {
     id: ObjectId,
-    /// Empty means "pristine all-zero page": no buffer is allocated until the
-    /// first mutable access. This keeps `DiskFile::new` (tens of thousands of
-    /// pages) and clones of never-written pages allocation-free on the
-    /// simulation hot path. (Empty is a length: a page copied over a
-    /// written one with `clone_from` keeps that page's capacity for later.)
-    data: Vec<u8>,
+    base: Base,
+    /// `(word index, value)` for every word that differs from the base,
+    /// sorted by index. Canonical: a word written back to its base value
+    /// leaves the list, so two pages on one base are equal exactly when
+    /// their lists are, and `==` need not rebuild either image.
+    words: Vec<(u16, u64)>,
 }
-
-/// Backing bytes for pristine pages that were never written.
-static ZEROES: [u8; PAGE_SIZE] = [0u8; PAGE_SIZE];
 
 impl Clone for Page {
     fn clone(&self) -> Self {
         Page {
             id: self.id,
-            data: self.data.clone(),
+            base: self.base,
+            words: self.words.clone(),
         }
     }
 
-    /// Copies into the buffer `self` already has, so that moving a page
+    /// Copies into the list `self` already has, so that moving a page
     /// between a frame and the file allocates only when the destination
-    /// never held bytes.
+    /// never held a written word.
     fn clone_from(&mut self, source: &Self) {
         self.id = source.id;
-        self.data.clone_from(&source.data);
+        self.base = source.base;
+        self.words.clone_from(&source.words);
     }
 }
 
 impl PartialEq for Page {
     fn eq(&self, other: &Self) -> bool {
-        // A pristine page and a materialized all-zero page are the same page.
-        self.id == other.id && self.bytes() == other.bytes()
+        self.id == other.id
+            && if self.base == other.base {
+                self.words == other.words
+            } else {
+                self.logical_words().eq(other.logical_words())
+            }
     }
 }
 
 impl Eq for Page {}
 
+/// The `WORDS` words of `base` for page `id`, in order.
+fn base_words(id: ObjectId, base: Base) -> impl Iterator<Item = u64> {
+    let mut x = (id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..WORDS).map(move |_| match base {
+        Base::Zeroed => 0,
+        Base::Patterned => {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }
+    })
+}
+
+/// The word index of byte `offset`.
+///
+/// # Panics
+///
+/// Panics unless `offset` is a multiple of 8 below [`PAGE_SIZE`].
+fn word_index(offset: usize) -> u16 {
+    assert!(
+        offset.is_multiple_of(8) && offset < PAGE_SIZE,
+        "page offset {offset} is not an aligned word inside the page"
+    );
+    (offset / 8) as u16
+}
+
 impl Page {
-    /// Creates an all-zero page for `id` without allocating its buffer.
+    /// Creates an all-zero page for `id`.
     #[must_use]
     pub fn zeroed(id: ObjectId) -> Self {
         Page {
             id,
-            data: Vec::new(),
-        }
-    }
-
-    /// Gives this page its backing bytes if it is still pristine, reusing
-    /// a buffer left behind by the page it was copied over.
-    fn materialize(&mut self) {
-        if self.data.is_empty() {
-            self.data.resize(PAGE_SIZE, 0);
+            base: Base::Zeroed,
+            words: Vec::new(),
         }
     }
 
@@ -86,16 +126,11 @@ impl Page {
     /// used to initialize the database so that reads are verifiable.
     #[must_use]
     pub fn patterned(id: ObjectId) -> Self {
-        let mut p = Page::zeroed(id);
-        let seed = (id.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut x = seed;
-        for chunk in p.bytes_mut().chunks_exact_mut(8) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            chunk.copy_from_slice(&x.to_le_bytes());
+        Page {
+            id,
+            base: Base::Patterned,
+            words: Vec::new(),
         }
-        p
     }
 
     /// The object this page stores.
@@ -104,55 +139,100 @@ impl Page {
         self.id
     }
 
-    /// Read-only view of the page bytes.
-    #[must_use]
-    pub fn bytes(&self) -> &[u8] {
-        if self.data.is_empty() {
-            &ZEROES
-        } else {
-            &self.data
+    /// The base value of word `index`.
+    fn base_word(&self, index: u16) -> u64 {
+        match self.base {
+            Base::Zeroed => 0,
+            Base::Patterned => base_words(self.id, self.base)
+                .take(usize::from(index) + 1)
+                .last()
+                .unwrap_or_default(),
         }
     }
 
-    /// Mutable view of the page bytes. Materializes a pristine page.
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        self.materialize();
-        &mut self.data
+    /// Where word `index` is, or would go, in the written list.
+    fn position(&self, index: u16) -> usize {
+        self.words.partition_point(|&(at, _)| at < index)
     }
 
-    /// An owned, cheaply clonable snapshot of the page contents.
+    /// Every logical word of the page, in order.
+    fn logical_words(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut written = self.words.iter().peekable();
+        base_words(self.id, self.base)
+            .zip(0u16..)
+            .map(
+                move |(base, i)| match written.next_if(|&&(at, _)| at == i) {
+                    Some(&(_, value)) => value,
+                    None => base,
+                },
+            )
+    }
+
+    /// The page's [`PAGE_SIZE`] logical bytes.
     #[must_use]
-    pub fn snapshot(&self) -> Arc<[u8]> {
-        Arc::from(self.bytes())
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.logical_words().flat_map(u64::to_le_bytes).collect()
     }
 
-    /// Reads a little-endian `u64` at byte `offset`.
+    /// Overwrites the page's logical bytes with `bytes`.
     ///
     /// # Panics
     ///
-    /// Panics if `offset + 8` exceeds [`PAGE_SIZE`].
+    /// Panics if `bytes` is not [`PAGE_SIZE`] long.
+    pub fn copy_from_bytes(&mut self, bytes: &[u8]) {
+        assert_eq!(bytes.len(), PAGE_SIZE, "a page image is {PAGE_SIZE} bytes");
+        self.words.clear();
+        let (chunks, _) = bytes.as_chunks::<8>();
+        for ((&chunk, base), i) in chunks
+            .iter()
+            .zip(base_words(self.id, self.base))
+            .zip(0u16..)
+        {
+            let value = u64::from_le_bytes(chunk);
+            if value != base {
+                self.words.push((i, value));
+            }
+        }
+    }
+
+    /// Reads the little-endian `u64` at byte `offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offset` is a multiple of 8 below [`PAGE_SIZE`].
     #[must_use]
     pub fn read_u64_at(&self, offset: usize) -> u64 {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&self.bytes()[offset..offset + 8]);
-        u64::from_le_bytes(buf)
+        let index = word_index(offset);
+        match self.words.get(self.position(index)) {
+            Some(&(at, value)) if at == index => value,
+            _ => self.base_word(index),
+        }
     }
 
     /// Writes a little-endian `u64` at byte `offset`.
     ///
     /// # Panics
     ///
-    /// Panics if `offset + 8` exceeds [`PAGE_SIZE`].
+    /// Panics unless `offset` is a multiple of 8 below [`PAGE_SIZE`].
     pub fn write_u64_at(&mut self, offset: usize, value: u64) {
-        self.materialize();
-        self.data[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+        let index = word_index(offset);
+        let base = self.base_word(index);
+        let pos = self.position(index);
+        match self.words.get_mut(pos) {
+            Some((at, _)) if *at == index && value == base => {
+                self.words.remove(pos);
+            }
+            Some((at, word)) if *at == index => *word = value,
+            _ if value == base => {}
+            _ => self.words.insert(pos, (index, value)),
+        }
     }
 
-    /// FNV-1a checksum of the page contents.
+    /// FNV-1a checksum of the page's logical bytes.
     #[must_use]
     pub fn checksum(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in self.bytes() {
+        for b in self.logical_words().flat_map(u64::to_le_bytes) {
             h ^= b as u64;
             h = h.wrapping_mul(0x100_0000_01b3);
         }
@@ -167,8 +247,9 @@ mod tests {
     #[test]
     fn zeroed_page_is_zero() {
         let p = Page::zeroed(ObjectId(1));
-        assert_eq!(p.bytes().len(), PAGE_SIZE);
-        assert!(p.bytes().iter().all(|&b| b == 0));
+        let bytes = p.to_bytes();
+        assert_eq!(bytes.len(), PAGE_SIZE);
+        assert!(bytes.iter().all(|&b| b == 0));
         assert_eq!(p.read_u64_at(0), 0);
     }
 
@@ -200,12 +281,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_detached() {
+    fn to_bytes_is_detached() {
         let mut p = Page::zeroed(ObjectId(3));
         p.write_u64_at(0, 7);
-        let snap = p.snapshot();
+        let image = p.to_bytes();
         p.write_u64_at(0, 8);
-        assert_eq!(u64::from_le_bytes(snap[0..8].try_into().unwrap()), 7);
+        assert_eq!(u64::from_le_bytes(image[0..8].try_into().unwrap()), 7);
     }
 
     #[test]
@@ -215,16 +296,22 @@ mod tests {
     }
 
     #[test]
-    fn pristine_page_equals_materialized_zero_page() {
-        let pristine = Page::zeroed(ObjectId(4));
-        let mut materialized = Page::zeroed(ObjectId(4));
-        materialized.write_u64_at(0, 1);
-        materialized.write_u64_at(0, 0);
-        assert_eq!(pristine, materialized);
-        assert_eq!(pristine.checksum(), materialized.checksum());
-        assert_eq!(pristine.snapshot().len(), PAGE_SIZE);
-        // Writing after equality still diverges the pages.
-        materialized.write_u64_at(8, 9);
-        assert_ne!(pristine, materialized);
+    #[should_panic]
+    fn unaligned_read_panics() {
+        let _ = Page::zeroed(ObjectId(0)).read_u64_at(4);
+    }
+
+    #[test]
+    fn a_word_written_back_to_its_base_leaves_no_trace() {
+        for pristine in [Page::zeroed(ObjectId(4)), Page::patterned(ObjectId(4))] {
+            let mut written = pristine.clone();
+            let base = written.read_u64_at(0);
+            written.write_u64_at(0, base ^ 1);
+            assert_ne!(pristine, written);
+            written.write_u64_at(0, base);
+            assert_eq!(pristine, written);
+            assert!(written.words.is_empty());
+            assert_eq!(pristine.checksum(), written.checksum());
+        }
     }
 }

@@ -454,6 +454,49 @@ mod tests {
         assert_eq!(recovered.stamp_of(ObjectId(4)), 0);
     }
 
+    /// A frame with a valid checksum around an update of `offset` in page
+    /// 3, built byte by byte as `Wal::append` lays it out.
+    fn update_frame(txn: u64, offset: u16, after: u64) -> Vec<u8> {
+        let mut payload = vec![1u8]; // update
+        payload.extend_from_slice(&txn.to_le_bytes());
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        payload.extend_from_slice(&offset.to_le_bytes());
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(&after.to_le_bytes());
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in &payload {
+            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&((h ^ (h >> 32)) as u32).to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn an_update_outside_the_page_ends_the_recovered_log() {
+        let mut store = DurableStore::new(8, 2);
+        let s1 = store.write(1, ObjectId(3));
+        store.commit(1);
+        let (mut log, disk) = store.crash(0);
+        let prefix = log.len();
+        // Offset 2 044 would write past the page; the well-formed update
+        // after it must not be replayed either.
+        log.extend_from_slice(&update_frame(2, 2_044, 99));
+        log.extend_from_slice(&update_frame(2, 0, 98));
+        let (recovered, outcome) = DurableStore::restart(&log, disk, 2);
+        assert!(outcome.torn_tail);
+        assert_eq!(outcome.scanned, 2, "the update and commit of txn 1");
+        assert!(outcome.losers.is_empty());
+        assert_eq!(recovered.stamp_of(ObjectId(3)), s1);
+        // The log reopens at the end of the valid prefix.
+        let (image, _) = recovered.crash(0);
+        assert_eq!(image[..prefix], log[..prefix]);
+        assert_eq!(scan(&image).records.len(), 3, "plus the restart checkpoint");
+        // The same frame at an aligned offset is an ordinary update.
+        assert_eq!(scan(&update_frame(2, 2_040, 99)).records.len(), 1);
+    }
+
     #[test]
     fn runtime_abort_does_not_resurface_after_restart() {
         let mut store = DurableStore::new(8, 2);

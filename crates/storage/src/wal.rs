@@ -22,6 +22,8 @@
 
 use siteselect_types::ObjectId;
 
+use crate::page::PAGE_SIZE;
+
 /// Log sequence number: the 0-based index of a record in the log.
 pub type Lsn = u64;
 
@@ -150,13 +152,18 @@ impl LogRecord {
                 at += 2;
                 let before = get_u64(rest, &mut at)?;
                 let after = get_u64(rest, &mut at)?;
-                (at == rest.len()).then_some(LogRecord::Update {
-                    txn,
-                    page,
-                    offset,
-                    before,
-                    after,
-                })
+                // Every update names one aligned word of a page; a frame that
+                // names anything else ends the valid log like a torn one.
+                let word = usize::from(offset);
+                (at == rest.len() && word.is_multiple_of(8) && word < PAGE_SIZE).then_some(
+                    LogRecord::Update {
+                        txn,
+                        page,
+                        offset,
+                        before,
+                        after,
+                    },
+                )
             }
             KIND_COMMIT => {
                 let txn = get_u64(rest, &mut at)?;
@@ -427,7 +434,7 @@ mod tests {
             records.push(LogRecord::Update {
                 txn: u64::MAX - active,
                 page: ObjectId(u32::MAX),
-                offset: u16::MAX,
+                offset: (PAGE_SIZE - 8) as u16,
                 before: active,
                 after: u64::MAX,
             });
@@ -500,6 +507,32 @@ mod tests {
         let scan = scan(&image);
         assert_eq!(scan.records, vec![LogRecord::Commit { txn: 1 }]);
         assert!(scan.torn_tail);
+    }
+
+    #[test]
+    fn an_update_outside_the_page_words_ends_the_log() {
+        for offset in [4u16, 2_044, PAGE_SIZE as u16, u16::MAX] {
+            let mut wal = Wal::new();
+            wal.append(&LogRecord::Commit { txn: 1 });
+            let valid = wal.staged_len();
+            wal.append(&LogRecord::Update {
+                txn: 2,
+                page: ObjectId(5),
+                offset,
+                before: 0,
+                after: 9,
+            });
+            wal.append(&LogRecord::Commit { txn: 2 });
+            wal.flush();
+            let scan = scan(&wal.crash_image(0));
+            assert_eq!(
+                scan.records,
+                vec![LogRecord::Commit { txn: 1 }],
+                "offset {offset}"
+            );
+            assert!(scan.torn_tail);
+            assert_eq!(scan.valid_bytes, valid);
+        }
     }
 
     #[test]

@@ -41,7 +41,8 @@ step_references() {
 }
 
 # Whole CS, LS and CE runs at 100 clients and full duration inside their
-# allocations-per-transaction budgets (debug builds run 30 clients x 400 s),
+# allocations-per-transaction budgets and, for CE and CS, their peak live
+# heap budgets (debug builds run 30 clients x 400 s),
 # a judged run (traced 8 clients x 150 s plus check_trace) inside its own,
 # and a traced LS run at 100 clients inside the trace ring with at most two
 # window episodes a transaction.

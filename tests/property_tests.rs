@@ -6,7 +6,7 @@
 
 use siteselect::locks::{Acquire, ForwardEntry, ForwardList, LockTable, QueueDiscipline, WaitForGraph};
 use siteselect::sim::{EventQueue, OnlineStats, Prng};
-use siteselect::storage::ClientCache;
+use siteselect::storage::{CacheTier, ClientCache, Page, PAGE_SIZE};
 use siteselect::types::{ClientId, LockMode, ObjectId, SimTime, TransactionId};
 
 const CASES: u64 = 256;
@@ -181,6 +181,223 @@ fn client_cache_insert_makes_present_until_evicted() {
             // The most recently inserted object is always present.
             assert!(cache.contains(ObjectId(o)));
         }
+    }
+}
+
+/// The cache as two plain deques, LRU at the front: the memory tier's
+/// victim is demoted to the disk tier, the disk tier's victim leaves.
+struct CacheModel {
+    memory: std::collections::VecDeque<u32>,
+    disk: std::collections::VecDeque<u32>,
+    memory_cap: usize,
+    disk_cap: usize,
+}
+
+impl CacheModel {
+    fn tier(&self, id: u32) -> Option<CacheTier> {
+        if self.memory.contains(&id) {
+            Some(CacheTier::Memory)
+        } else if self.disk.contains(&id) {
+            Some(CacheTier::Disk)
+        } else {
+            None
+        }
+    }
+
+    fn remove(&mut self, id: u32) -> bool {
+        let before = self.memory.len() + self.disk.len();
+        self.memory.retain(|&x| x != id);
+        self.disk.retain(|&x| x != id);
+        self.memory.len() + self.disk.len() < before
+    }
+
+    fn push(list: &mut std::collections::VecDeque<u32>, cap: usize, id: u32) -> Option<u32> {
+        if cap == 0 {
+            return Some(id);
+        }
+        let victim = if list.len() >= cap {
+            list.pop_front()
+        } else {
+            None
+        };
+        list.push_back(id);
+        victim
+    }
+
+    fn insert(&mut self, id: u32) {
+        self.remove(id);
+        if let Some(demoted) = Self::push(&mut self.memory, self.memory_cap, id) {
+            Self::push(&mut self.disk, self.disk_cap, demoted);
+        }
+    }
+
+    fn probe(&mut self, id: u32) -> Option<CacheTier> {
+        let tier = self.tier(id)?;
+        self.insert(id);
+        Some(tier)
+    }
+}
+
+#[test]
+fn one_slab_cache_matches_a_two_deque_model() {
+    // The server buffer's shape (a zero-capacity disk tier) and empty tiers
+    // on either side are among them.
+    let shapes = [(1, 0), (6, 0), (2, 2), (3, 5), (0, 3), (0, 0), (5, 1)];
+    for case in 0..CASES {
+        let mut rng = Prng::seed_from_u64(0x0E5_1AB0 + case);
+        let (memory_cap, disk_cap) = shapes[case as usize % shapes.len()];
+        let mut cache = ClientCache::new(memory_cap, disk_cap);
+        if rng.bernoulli(0.5) {
+            cache.reserve_ids(rng.below_usize(30));
+        }
+        let mut model = CacheModel {
+            memory: Default::default(),
+            disk: Default::default(),
+            memory_cap,
+            disk_cap,
+        };
+        for step in 0..1 + rng.below_usize(150) {
+            // Mostly a small id range, so objects come back; now and then a
+            // far id that grows the slab.
+            let id = if rng.bernoulli(0.05) {
+                rng.below(500) as u32
+            } else {
+                rng.below(12) as u32
+            };
+            match rng.below(4) {
+                0 => {
+                    cache.insert(ObjectId(id));
+                    model.insert(id);
+                }
+                1 => assert_eq!(
+                    cache.probe(ObjectId(id)),
+                    model.probe(id),
+                    "case {case} step {step}"
+                ),
+                2 => assert_eq!(
+                    cache.invalidate(ObjectId(id)),
+                    model.remove(id),
+                    "case {case} step {step}"
+                ),
+                _ => assert_eq!(
+                    cache.peek(ObjectId(id)),
+                    model.tier(id),
+                    "case {case} step {step}"
+                ),
+            }
+            for id in (0..12).chain([id]) {
+                assert_eq!(
+                    cache.peek(ObjectId(id)),
+                    model.tier(id),
+                    "case {case} step {step} id {id}"
+                );
+            }
+            let order: Vec<u32> = cache.iter().map(|o| o.0).collect();
+            let expected: Vec<u32> = model.memory.iter().chain(&model.disk).copied().collect();
+            assert_eq!(order, expected, "case {case} step {step}");
+            assert_eq!(cache.len(), expected.len());
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Pages: the word overlay against a plain byte array.
+// ------------------------------------------------------------------
+
+/// FNV-1a over a byte image, the checksum `Page` promises.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The bytes `Page::patterned(id)` starts from: an xorshift sequence
+/// seeded by the id, one little-endian word after another.
+fn patterned_image(id: u32) -> [u8; PAGE_SIZE] {
+    let mut image = [0u8; PAGE_SIZE];
+    let mut x = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    for chunk in image.chunks_exact_mut(8) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        chunk.copy_from_slice(&x.to_le_bytes());
+    }
+    image
+}
+
+fn word_of(image: &[u8; PAGE_SIZE], offset: usize) -> u64 {
+    u64::from_le_bytes(image[offset..offset + 8].try_into().unwrap())
+}
+
+#[test]
+fn a_page_stays_small() {
+    // Every engine builds a 10 000-page file; this keeps it at 320 KB.
+    assert!(std::mem::size_of::<Page>() <= 32);
+}
+
+#[test]
+fn page_overlay_matches_a_byte_array() {
+    for case in 0..CASES {
+        let mut rng = Prng::seed_from_u64(0x9A6E_0000 + case);
+        let id = rng.below(10_000) as u32;
+        let patterned = case % 2 == 1;
+        let fresh = |patterned: bool| {
+            if patterned {
+                Page::patterned(ObjectId(id))
+            } else {
+                Page::zeroed(ObjectId(id))
+            }
+        };
+        let base = if patterned {
+            patterned_image(id)
+        } else {
+            [0u8; PAGE_SIZE]
+        };
+        let mut page = fresh(patterned);
+        let mut model = base;
+        for step in 0..1 + rng.below_usize(60) {
+            let offset = 8 * rng.below_usize(PAGE_SIZE / 8);
+            match rng.below(6) {
+                0 | 1 => {
+                    // Half the writes put a word back to its base value.
+                    let value = if rng.bernoulli(0.5) {
+                        word_of(&base, offset)
+                    } else {
+                        rng.next_u64()
+                    };
+                    page.write_u64_at(offset, value);
+                    model[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+                }
+                2 => assert_eq!(
+                    page.read_u64_at(offset),
+                    word_of(&model, offset),
+                    "case {case} step {step}"
+                ),
+                3 => {
+                    // A whole image in, with a few bytes changed anywhere.
+                    let mut image = model;
+                    for _ in 0..rng.below(4) {
+                        image[rng.below_usize(PAGE_SIZE)] = rng.next_u64() as u8;
+                    }
+                    page.copy_from_bytes(&image);
+                    model = image;
+                }
+                4 => assert_eq!(page.to_bytes(), model.to_vec(), "case {case} step {step}"),
+                _ => assert_eq!(page.checksum(), fnv1a(&model), "case {case} step {step}"),
+            }
+            // `==` is over the logical bytes, whichever base a page has.
+            for other_base in [patterned, !patterned] {
+                let mut same = fresh(other_base);
+                same.copy_from_bytes(&model);
+                assert_eq!(page, same, "case {case} step {step}");
+                let mut other = same.clone();
+                other.write_u64_at(offset, word_of(&model, offset) ^ 1);
+                assert_ne!(page, other, "case {case} step {step}");
+            }
+        }
+        assert_eq!(page.to_bytes(), model.to_vec());
+        assert_eq!(page.checksum(), fnv1a(&model));
+        assert_eq!(page == fresh(patterned), model == base);
     }
 }
 
