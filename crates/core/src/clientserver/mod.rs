@@ -939,7 +939,7 @@ impl Simulator {
                 let (unit, disk) = (TransactionId::from_raw(txn), SpanKind::Disk);
                 cx.sink
                     .span(cx.now, SiteId::Server, unit, disk, scheduled_at, None);
-                server.ship_now(cx, to, item);
+                server.on_fetch_done(cx, to, item);
             }
             (Server::ClientServer(server), Ev::WindowClose { object }) => {
                 server.on_window_close(cx, object);
@@ -1030,6 +1030,7 @@ impl Simulator {
                 }
                 server.forget_lost_routes(cx);
                 server.apply_grants(cx, object, grants);
+                server.unpark(cx, object, holder);
             }
             server.forget_dead_routes(cx.now);
         }

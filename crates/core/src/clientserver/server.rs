@@ -90,6 +90,14 @@ pub(crate) struct ServerSite {
     routing: ObjectMap<ForwardList>,
     /// Lock-table-queued requests awaiting grant: data to ship on grant.
     waiting_wants: WaitingWants,
+    /// One entry per grant waiting on the server disk: a recall to the same
+    /// (object, client) would overtake it.
+    shipping: Vec<(ObjectId, ClientId)>,
+    /// Recalls (with the mode wanted) held until that grant is on the wire.
+    held_recalls: Vec<(ObjectId, ClientId, LockMode)>,
+    /// Requests from clients that still owe an answer on the object, served
+    /// when that answer arrives.
+    parked: Vec<(ClientId, TKey, Want)>,
     /// Sequence counter for the pseudo-transactions that apply returned
     /// objects to the durable store (tagged with the high bit so they can
     /// never collide with workload transaction ids).
@@ -109,6 +117,9 @@ impl ServerSite {
             windows: WindowManager::new(cfg.load_sharing.collection_window),
             routing: ObjectMap::new(),
             waiting_wants: WaitingWants::new(usize::from(cfg.clients)),
+            shipping: Vec::new(),
+            held_recalls: Vec::new(),
+            parked: Vec::new(),
             pseudo_seq: 0,
         }
     }
@@ -189,6 +200,7 @@ impl ServerSite {
                 for object in objects {
                     let (_, grants) = self.core.locks.cancel_wait(object, client);
                     self.waiting_wants.remove(object, client);
+                    self.parked.retain(|&(c, _, w)| (c, w.object) != (client, object));
                     self.apply_grants(cx, object, grants);
                 }
             }
@@ -258,14 +270,11 @@ impl ServerSite {
             self.reject(cx, client, txn, true);
             return;
         }
-        // Failure handling: a retransmit from a holder whose cached lock is
-        // being called back must not be answered — the grant or re-ship
-        // would cross the holder's own callback ack on the wire, and the
-        // ack releases the lock, so a conflicting grant could coexist with
-        // the re-shipped copy. Drop it; the ack (or the lease) settles the
-        // lock and the client's next retry or deadline sweep settles the
-        // transaction.
-        if cx.faults_active && self.callbacks.outstanding(w.object).any(|c| c == client) {
+        // A request from a holder that still owes an answer on the object
+        // waits for that answer: a grant now would cross it on the wire, and
+        // the answer releases the lock the grant was made from.
+        if self.owes(w.object, client) {
+            self.park(client, txn, w);
             return;
         }
         if let Some(held) = self.core.locks.held_mode(w.object, client) {
@@ -327,9 +336,9 @@ impl ServerSite {
         w: Want,
         conflicting: Targets,
     ) {
-        // Failure handling: a retransmitted request whose original is still
-        // queued must not double-queue in the lock table.
-        if cx.faults_active && self.waiting_wants.contains(w.object, client) {
+        // A retransmitted request whose original is still queued must not
+        // double-queue in the lock table.
+        if self.waiting_wants.contains(w.object, client) {
             return;
         }
         if self.core.locks.would_deadlock(client, conflicting.iter().copied()) {
@@ -356,32 +365,58 @@ impl ServerSite {
                         queued_at: cx.now,
                     },
                 );
-                Self::recall(&mut self.callbacks, cx, w.object, w.mode, conflicting);
+                self.recall(cx, w.object, w.mode, conflicting);
             }
+        }
+    }
+
+    /// True if `client` has yet to answer a recall of `object`.
+    fn owes(&self, object: ObjectId, client: ClientId) -> bool {
+        self.callbacks.outstanding(object).any(|c| c == client)
+    }
+
+    /// Parks `client`'s request until it answers the recall of `w.object`.
+    fn park(&mut self, client: ClientId, txn: TKey, w: Want) {
+        self.parked
+            .retain(|&(c, _, p)| (c, p.object) != (client, w.object));
+        self.parked.push((client, txn, w));
+    }
+
+    /// `client` answered on `object` (or its lease ran out): its parked
+    /// request, if any, is handled now. The answer gave up the copy the
+    /// request may have counted on (only a downgrade keeps it, and a second
+    /// copy is harmless), so the grant carries the data.
+    pub(crate) fn unpark(&mut self, cx: &mut Cx, object: ObjectId, client: ClientId) {
+        let at = self.parked.iter().position(|&(c, _, w)| (c, w.object) == (client, object));
+        if let Some(at) = at {
+            let (_, txn, w) = self.parked.swap_remove(at);
+            self.handle_want(cx, txn, client, Want { needs_data: true, ..w });
         }
     }
 
     /// Calls back `holders`' cached locks on `object` for a `desired`
     /// request. A holder already being called back is not asked twice, and
     /// a lost recall is recovered by the callback lease: the server
-    /// presumes the silent holder dead and reclaims. It takes the tracker,
-    /// not the site, so a caller can hand it holders straight off the lock
-    /// table.
-    fn recall(
-        callbacks: &mut CallbackTracker,
-        cx: &mut Cx,
-        object: ObjectId,
-        desired: LockMode,
-        holders: impl IntoIterator<Item = ClientId>,
-    ) {
-        for t in callbacks.begin_at(object, holders, cx.now) {
-            let recall = || Msg::Recall {
-                object,
-                desired,
-                forward: None,
-            };
-            cx.send_to_client(t, MessageKind::Recall, 0, recall);
+    /// presumes the silent holder dead and reclaims. A holder whose grant
+    /// of `object` is still on the server disk is recalled right after that
+    /// grant goes on the wire, so the recall never overtakes it.
+    fn recall(&mut self, cx: &mut Cx, object: ObjectId, desired: LockMode, holders: Targets) {
+        for t in self.callbacks.begin_at(object, holders, cx.now) {
+            if self.shipping.contains(&(object, t)) {
+                self.held_recalls.push((object, t, desired));
+            } else {
+                Self::send_recall(cx, object, t, desired);
+            }
         }
+    }
+
+    fn send_recall(cx: &mut Cx, object: ObjectId, to: ClientId, desired: LockMode) {
+        let recall = || Msg::Recall {
+            object,
+            desired,
+            forward: None,
+        };
+        cx.send_to_client(to, MessageKind::Recall, 0, recall);
     }
 
     fn reject(&mut self, cx: &mut Cx, client: ClientId, txn: TKey, expired: bool) {
@@ -419,6 +454,7 @@ impl ServerSite {
         if ready {
             self.ship_now(cx, client, item);
         } else {
+            self.shipping.push((object, client));
             let done = self.core.disk.schedule_batch(cx.now, 1);
             cx.queue.push(
                 done,
@@ -432,9 +468,27 @@ impl ServerSite {
         }
     }
 
+    /// A grant's disk read finished: it goes on the wire, followed by the
+    /// recall held behind it once no other grant of the object to `to` is
+    /// still on disk.
+    pub(crate) fn on_fetch_done(&mut self, cx: &mut Cx, to: ClientId, item: GrantItem) {
+        self.ship_now(cx, to, item);
+        let key = (item.0, to);
+        if let Some(at) = self.shipping.iter().position(|&e| e == key) {
+            self.shipping.swap_remove(at);
+        }
+        if self.shipping.contains(&key) {
+            return;
+        }
+        if let Some(at) = self.held_recalls.iter().position(|&(o, c, _)| (o, c) == key) {
+            let (_, _, desired) = self.held_recalls.swap_remove(at);
+            Self::send_recall(cx, item.0, to, desired);
+        }
+    }
+
     /// Puts the granted item on the wire (buffer already warm): an object
     /// frame if it carries data, a bare lock grant otherwise.
-    pub(crate) fn ship_now(&mut self, cx: &mut Cx, to: ClientId, item: GrantItem) {
+    fn ship_now(&mut self, cx: &mut Cx, to: ClientId, item: GrantItem) {
         let (kind, objects) = if item.2 {
             (MessageKind::ObjectSend, 1)
         } else {
@@ -478,6 +532,7 @@ impl ServerSite {
             self.core.locks.release(object, from)
         };
         self.apply_grants(cx, object, grants);
+        self.unpark(cx, object, from);
     }
 
     fn on_ack(&mut self, cx: &mut Cx, object: ObjectId, from: ClientId, had_copy: bool) {
@@ -494,15 +549,20 @@ impl ServerSite {
                 self.serve_list_from_server(cx, object, list);
             }
         }
+        self.unpark(cx, object, from);
     }
 
-    /// Completes grants that cascaded out of a release/downgrade/cancel.
+    /// Completes grants that cascaded out of a release/downgrade/cancel. A
+    /// grant to a client that still owes an answer on the object is undone
+    /// and its request parked until the answer arrives; a grant that leaves
+    /// a conflicting request queued recalls the new holders at once.
     pub(crate) fn apply_grants(
         &mut self,
         cx: &mut Cx,
         object: ObjectId,
         granted: Grants<ClientId>,
     ) {
+        let mut shipped = false;
         for w in granted {
             let client = w.owner;
             let Some(info) = self.waiting_wants.remove(object, client) else {
@@ -518,6 +578,14 @@ impl ServerSite {
                 self.apply_grants(cx, object, grants);
                 continue;
             }
+            if self.owes(object, client) {
+                let grants = self.undo_grant(object, client, w.upgrade);
+                let (mode, needs_data, deadline) = (info.mode, info.needs_data, info.deadline);
+                let want = Want { object, mode, needs_data, deadline };
+                self.park(client, info.txn, want);
+                self.apply_grants(cx, object, grants);
+                continue;
+            }
             // The want waited in the server's lock queue from enqueue to
             // this grant.
             let txn = TransactionId::from_raw(info.txn);
@@ -525,6 +593,14 @@ impl ServerSite {
             cx.sink
                 .span(cx.now, SiteId::Server, txn, lock_wait, info.queued_at, None);
             self.ship(cx, info.txn, client, (object, info.mode, info.needs_data));
+            shipped = true;
+        }
+        if !shipped {
+            return;
+        }
+        if let Some(next) = self.core.locks.first_waiter(object) {
+            let holders = self.conflicting(object, next.owner, next.mode);
+            self.recall(cx, object, next.mode, holders);
         }
     }
 
@@ -602,7 +678,10 @@ impl ServerSite {
             .find(|(_, m)| m.is_exclusive())
             .map(|(h, _)| h);
         match el_holder {
-            Some(holder) if self.core.locks.waiters(object).is_empty() => {
+            // The holder's grant is still on the server disk: a recall now
+            // would overtake it, so collect a little longer.
+            Some(holder) if self.shipping.contains(&(object, holder)) => {}
+            Some(holder) if self.core.locks.first_waiter(object).is_none() => {
                 // One recall carries the whole forward list; the holder
                 // ships the object down the chain and the last client
                 // returns it (2n+1 messages, §3.4).
@@ -637,9 +716,8 @@ impl ServerSite {
             }
             // An exclusive entry needs the shared copies called back first.
             None => {
-                let holders = self.core.locks.holders(object).map(|(h, _)| h);
-                let exclusive = LockMode::Exclusive;
-                Self::recall(&mut self.callbacks, cx, object, exclusive, holders);
+                let holders = self.core.locks.holders(object).map(|(h, _)| h).collect();
+                self.recall(cx, object, LockMode::Exclusive, holders);
             }
         }
         Some(list)
@@ -804,6 +882,9 @@ impl ServerSite {
         self.attach_sink(&cx.sink);
         self.routing = ObjectMap::new();
         self.waiting_wants = WaitingWants::new(usize::from(cx.cfg.clients));
+        self.shipping.clear();
+        self.held_recalls.clear();
+        self.parked.clear();
         ready
     }
 
@@ -1016,6 +1097,63 @@ mod tests {
             matches!(
                 &sent[..],
                 [(to, Msg::Rejected { txn: t, expired: false })] if *to == b && *t == txn
+            ),
+            "{sent:?}"
+        );
+    }
+
+    #[test]
+    fn a_recall_is_held_behind_the_grant_still_on_the_server_disk() {
+        let (mut s, mut cx) = site(SystemKind::ClientServer);
+        let x = ObjectId(1);
+        // A's grant misses the cold buffer and waits on the disk; B's
+        // request recalls A, but nothing may overtake the grant.
+        want(&mut s, &mut cx, 0, x);
+        want(&mut s, &mut cx, 1, x);
+        assert!(s.owes(x, ClientId(0)));
+        assert!(cx.drain_deliveries().is_empty());
+        let Some((_, Ev::ServerFetchDone { to, item, .. })) = cx.queue.pop() else {
+            panic!("A's grant waits on the disk");
+        };
+        s.on_fetch_done(&mut cx, to, item);
+        let sent = cx.drain_deliveries();
+        let a = SiteDest::Client(ClientId(0));
+        assert!(
+            matches!(
+                &sent[..],
+                [(g, Msg::GrantBatch { .. }), (r, Msg::Recall { object, .. })]
+                    if *g == a && *r == a && *object == x
+            ),
+            "{sent:?}"
+        );
+    }
+
+    #[test]
+    fn a_recalled_holders_request_waits_for_its_answer() {
+        let (mut s, mut cx) = site(SystemKind::ClientServer);
+        assert!(!cx.faults_active);
+        let x = ObjectId(1);
+        s.core.buffer.insert(x);
+        s.core.locks.request(x, ClientId(0), LockMode::Exclusive, SimTime::MAX);
+        want(&mut s, &mut cx, 1, x);
+        // A asks again while it owes its answer: nothing is granted off its
+        // registration, and nothing queues.
+        want(&mut s, &mut cx, 0, x);
+        assert!(!s.waiting_wants.contains(x, ClientId(0)));
+        let sent = cx.drain_deliveries();
+        assert!(matches!(&sent[..], [(_, Msg::Recall { .. })]), "{sent:?}");
+        // A's answer grants B, and A's parked request then queues behind B,
+        // whom it recalls.
+        let (object, from, had_copy) = (x, ClientId(0), true);
+        s.on_msg(&mut cx, Msg::CallbackAck { object, from, had_copy });
+        assert_eq!(s.core.locks.held_mode(x, ClientId(1)), Some(LockMode::Exclusive));
+        assert!(s.waiting_wants.contains(x, ClientId(0)));
+        let sent = cx.drain_deliveries();
+        let b = SiteDest::Client(ClientId(1));
+        assert!(
+            matches!(
+                &sent[..],
+                [(g, Msg::GrantBatch { .. }), (r, Msg::Recall { .. })] if *g == b && *r == b
             ),
             "{sent:?}"
         );

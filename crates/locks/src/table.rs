@@ -715,6 +715,12 @@ impl<O: LockOwner> LockTable<O> {
         !self.waits_of.is_empty()
     }
 
+    /// The request at the head of `object`'s wait queue, if any.
+    #[must_use]
+    pub fn first_waiter(&self, object: ObjectId) -> Option<Waiter<O>> {
+        self.entry(object).and_then(|e| e.waiters.first().copied())
+    }
+
     /// Queued waiters on `object`, in service order.
     #[must_use]
     pub fn waiters(&self, object: ObjectId) -> Vec<Waiter<O>> {

@@ -185,8 +185,14 @@ expect_violation() {
     || { cat "$tmp/inject.err"; die "no file:line diagnostic or replay command for $1"; }
 }
 
+# The 8-client matrix, the 30-client round as drawn, and two paper-scale
+# runs whose callback races once failed an oracle (CS 50 clients seed 3,
+# LS 100 clients seed 1); `repro trace` exits non-zero on any violation.
 step_simcheck() {
   repro check --seeds 72
+  repro check --clients 30 --seeds 36
+  repro trace --system cs --clients 50 --seed 3 --out "$tmp/cs50" > /dev/null
+  repro trace --system ls --clients 100 --seed 1 --out "$tmp/ls100" > /dev/null
   repro check --seeds 18 --jobs 1 > "$tmp/sc.j1"
   repro check --seeds 18 --jobs 8 > "$tmp/sc.j8"
   diff "$tmp/sc.j1" "$tmp/sc.j8"

@@ -134,7 +134,7 @@ fn client_server_restart_seed_11_matches_pinned_metrics() {
             FaultConfig::chaos_restart(1.0),
             900
         ),
-        r#"RunMetrics { system: ClientServer, clients: 6, update_fraction: 0.2, seed: 11, measured: 489, in_time: 336, failures: FailureBreakdown { expired: 64, deadlock: 3, subtask: 0, late: 8, shutdown: 0, site_crash: 78 }, cache: CacheReport { memory_hits: 738, disk_hits: 0, misses: 3631 }, response: ResponseReport { shared: OnlineStats { count: 2426, mean: 0.20623210882110432, m2: 438.1849577060013, min: 0.0, max: 6.005541 }, exclusive: OnlineStats { count: 750, mean: 0.31444740533333315, m2: 585.4202681740871, min: 0.0, max: 6.010111 } }, messages: MessageStats { by_kind: [0, 0, 5990, 3469, 100, 203, 67, 115, 3, 0, 0, 0, 0, 0, 0, 0], bytes_by_kind: [0, 0, 449920, 7770560, 12800, 25984, 150080, 14720, 768, 0, 0, 0, 0, 0, 0, 0], transmissions: 6647, total_bytes: 8424832 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 0, subtasks: 0, forward_satisfied: 0, windows_opened: 0, h1_rejections: 0 }, faults: FaultReport { crashes: 10, recoveries: 10, messages_dropped: 1994, messages_delayed: 5170, leases_expired: 36, retries: 2257, slow_disk_ios: 0 }, latency: OnlineStats { count: 336, mean: 1.976751223214286, m2: 993.6699044632882, min: 0.089166, max: 9.772734 }, blocking: OnlineStats { count: 352, mean: 0.9037438749999995, m2: 659.8141933648545, min: 0.036256, max: 7.965662 }, client_cpu_utilization: 0.07276712273901807, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 581, total: 3474 } }"#
+        r#"RunMetrics { system: ClientServer, clients: 6, update_fraction: 0.2, seed: 11, measured: 489, in_time: 339, failures: FailureBreakdown { expired: 65, deadlock: 0, subtask: 0, late: 6, shutdown: 0, site_crash: 79 }, cache: CacheReport { memory_hits: 739, disk_hits: 0, misses: 3630 }, response: ResponseReport { shared: OnlineStats { count: 2446, mean: 0.21255696811120203, m2: 488.42415227435583, min: 0.0, max: 6.262549 }, exclusive: OnlineStats { count: 762, mean: 0.30075257086614166, m2: 563.744443376385, min: 0.0, max: 6.010111 } }, messages: MessageStats { by_kind: [0, 0, 5993, 3485, 95, 211, 69, 124, 0, 0, 0, 0, 0, 0, 0, 0], bytes_by_kind: [0, 0, 450400, 7806400, 12160, 27008, 154560, 15872, 0, 0, 0, 0, 0, 0, 0, 0], transmissions: 6678, total_bytes: 8466400 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 0, subtasks: 0, forward_satisfied: 0, windows_opened: 0, h1_rejections: 0 }, faults: FaultReport { crashes: 10, recoveries: 10, messages_dropped: 1975, messages_delayed: 5221, leases_expired: 38, retries: 2263, slow_disk_ios: 0 }, latency: OnlineStats { count: 339, mean: 1.9767714955752205, m2: 989.1983354058092, min: 0.072339, max: 8.519355 }, blocking: OnlineStats { count: 355, mean: 0.9144248478873231, m2: 653.076966616265, min: 0.03074, max: 6.262549 }, client_cpu_utilization: 0.07232481284606865, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 588, total: 3489 } }"#
     );
 }
 
@@ -147,6 +147,6 @@ fn load_sharing_restart_seed_11_matches_pinned_metrics() {
             FaultConfig::chaos_restart(1.0),
             900
         ),
-        r#"RunMetrics { system: LoadSharing, clients: 6, update_fraction: 0.2, seed: 11, measured: 489, in_time: 321, failures: FailureBreakdown { expired: 76, deadlock: 4, subtask: 1, late: 4, shutdown: 0, site_crash: 83 }, cache: CacheReport { memory_hits: 695, disk_hits: 0, misses: 3552 }, response: ResponseReport { shared: OnlineStats { count: 2393, mean: 0.22150695862933542, m2: 571.3553935798697, min: 0.0, max: 7.023224 }, exclusive: OnlineStats { count: 729, mean: 0.27977247599451305, m2: 424.45382176027556, min: 0.0, max: 6.439099 } }, messages: MessageStats { by_kind: [0, 0, 5846, 3412, 87, 190, 64, 111, 125, 38, 0, 0, 9, 9, 51, 43], bytes_by_kind: [0, 0, 438880, 7642880, 11136, 24320, 143360, 14208, 32000, 170240, 0, 0, 9216, 2304, 6528, 11008], transmissions: 6818, total_bytes: 8506080 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 7, subtasks: 16, forward_satisfied: 44, windows_opened: 104, h1_rejections: 2 }, faults: FaultReport { crashes: 10, recoveries: 10, messages_dropped: 1911, messages_delayed: 5391, leases_expired: 33, retries: 2200, slow_disk_ios: 0 }, latency: OnlineStats { count: 321, mean: 1.943497464174454, m2: 931.1552620951284, min: 0.075315, max: 8.434778 }, blocking: OnlineStats { count: 347, mean: 0.8879777953890492, m2: 644.5885477458684, min: 0.0, max: 7.023224 }, client_cpu_utilization: 0.06868825626843658, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 563, total: 3408 } }"#
+        r#"RunMetrics { system: LoadSharing, clients: 6, update_fraction: 0.2, seed: 11, measured: 489, in_time: 327, failures: FailureBreakdown { expired: 72, deadlock: 4, subtask: 1, late: 3, shutdown: 0, site_crash: 82 }, cache: CacheReport { memory_hits: 687, disk_hits: 0, misses: 3528 }, response: ResponseReport { shared: OnlineStats { count: 2376, mean: 0.21559465867003358, m2: 617.706255532769, min: 0.0, max: 7.023224 }, exclusive: OnlineStats { count: 725, mean: 0.30235025517241343, m2: 496.6996308537059, min: 0.0, max: 5.98516 } }, messages: MessageStats { by_kind: [0, 0, 5760, 3386, 91, 191, 65, 110, 121, 37, 0, 0, 5, 5, 50, 41], bytes_by_kind: [0, 0, 429984, 7584640, 11648, 24448, 145600, 14080, 30976, 165760, 0, 0, 5120, 1280, 6400, 10496], transmissions: 6708, total_bytes: 8430432 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 5, subtasks: 10, forward_satisfied: 43, windows_opened: 32, h1_rejections: 1 }, faults: FaultReport { crashes: 10, recoveries: 10, messages_dropped: 1904, messages_delayed: 5298, leases_expired: 40, retries: 2147, slow_disk_ios: 0 }, latency: OnlineStats { count: 327, mean: 1.9551124097859311, m2: 893.0701403512312, min: 0.069638, max: 8.08244 }, blocking: OnlineStats { count: 348, mean: 0.9185019741379312, m2: 687.8119613828648, min: 0.0, max: 7.023224 }, client_cpu_utilization: 0.06949882153392331, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 552, total: 3378 } }"#
     );
 }
