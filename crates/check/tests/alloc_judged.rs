@@ -2,8 +2,9 @@
 //! an allocation budget, so a nested map that creeps back into the sink or
 //! an oracle fails a test and not only the benchmark's `check_seeds`
 //! reading. The runs are the explorer's: 8 clients × 150 s at 20 % updates.
-//! The budgets sit 10 % above what the one-pass oracles over hashed state
-//! measure (CS 30.0, LS 33.6); the locked sink and tree-map oracles before
+//! The budgets sit at most 5 % above what the one-pass oracles over hashed
+//! state measure (CS 29.892, LS 32.637 in a release build; a debug build
+//! counts 29.863 and 32.725); the locked sink and tree-map oracles before
 //! them measured 59.8 and 63.3.
 
 #[path = "../../core/tests/support/counting_alloc.rs"]
@@ -35,7 +36,7 @@ fn judged_allocs_per_txn(system: SystemKind) -> f64 {
 fn judged_client_server_run_stays_inside_its_allocation_budget() {
     let per_txn = judged_allocs_per_txn(SystemKind::ClientServer);
     assert!(
-        per_txn <= 33.0,
+        per_txn <= 31.3,
         "judged CS run: {per_txn:.1} allocations a transaction"
     );
 }
@@ -44,7 +45,7 @@ fn judged_client_server_run_stays_inside_its_allocation_budget() {
 fn judged_load_sharing_run_stays_inside_its_allocation_budget() {
     let per_txn = judged_allocs_per_txn(SystemKind::LoadSharing);
     assert!(
-        per_txn <= 37.0,
+        per_txn <= 34.2,
         "judged LS run: {per_txn:.1} allocations a transaction"
     );
 }

@@ -82,15 +82,13 @@ impl<O: LockOwner> ServerCore<O> {
         core
     }
 
-    /// The buffer and lock table see every object id sooner or later;
-    /// pre-sizing their slabs keeps first-touch insertions off the
-    /// allocator mid-run (client-local tables only ever cover a site's
-    /// cached working set, so they grow on demand). A new server does this
-    /// once; a crash re-runs it on the rebuilt table and pool.
+    /// The server's lock table sees every object id sooner or later, so it
+    /// takes the dense layout, pre-sized for the whole database: first-touch
+    /// requests mid-run stay off the allocator. A new server does this
+    /// once; a crash re-runs it on the rebuilt table.
     fn presize(&mut self, cfg: &ExperimentConfig) {
-        let n = cfg.database.num_objects as usize;
-        self.buffer.reserve_ids(n);
-        self.locks.reserve_objects(n);
+        self.locks
+            .reserve_objects(cfg.database.num_objects as usize);
     }
 
     /// Pre-generates the slow-disk episodes from their seed-derived stream.

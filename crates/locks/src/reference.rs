@@ -1,12 +1,13 @@
 //! The pre-optimization `HashMap`-based lock table, kept verbatim as a
 //! test-only reference oracle.
 //!
-//! The dense slab rewrite of [`crate::table::LockTable`] must be
-//! behaviorally indistinguishable from this implementation — identical
-//! grant orders, blocked-conflict reports and observable state for every
-//! operation sequence. The property test at the bottom of this module
-//! drives both tables with long random acquire/release/upgrade/downgrade/
-//! cancel sequences and asserts they never diverge.
+//! [`crate::table::LockTable`], in both its layouts (the server's dense
+//! slab and a client's compact map), must be behaviorally
+//! indistinguishable from this implementation — identical grant orders,
+//! blocked-conflict reports and observable state for every operation
+//! sequence. The property test at the bottom of this module drives both
+//! tables with long random acquire/release/upgrade/downgrade/cancel
+//! sequences, on each layout, and asserts they never diverge.
 
 use std::collections::HashMap;
 
@@ -401,7 +402,7 @@ mod property_tests {
             .collect()
     }
 
-    /// The dense table's answer with its inline conflict list spelled out
+    /// The table's answer with its inline conflict list spelled out
     /// as the reference's `Vec`, element for element and in order.
     fn as_ref_acquire(a: Acquire<ClientId>) -> RefAcquire<ClientId> {
         match a {
@@ -433,19 +434,54 @@ mod property_tests {
         }
     }
 
+    /// The table a run checks: its layout and how its objects are numbered.
+    #[derive(Debug, Clone, Copy)]
+    enum Table {
+        /// Compact (no `reserve_objects`), objects `0..n`: a client's table.
+        Unreserved,
+        /// Dense, reserved for the first half of the objects and grown on
+        /// demand past them: the server's table.
+        Reserved,
+        /// Compact, objects spread evenly over the whole `u32` range.
+        Spread,
+    }
+
+    impl Table {
+        /// Gap between neighbouring ids of a [`Table::Spread`] run: at most
+        /// 1 200 objects, the largest under `u32::MAX`.
+        const SPREAD: u32 = u32::MAX / 1_200;
+
+        fn build(self, discipline: QueueDiscipline, objects: u32) -> LockTable<ClientId> {
+            let mut table = LockTable::new(discipline);
+            match self {
+                Table::Reserved => table.reserve_objects(objects as usize / 2),
+                Table::Unreserved => {}
+                Table::Spread => assert!(objects <= 1_200, "spread ids must stay under u32::MAX"),
+            }
+            table
+        }
+
+        /// The id of the run's `i`th object.
+        fn id(self, i: u32) -> ObjectId {
+            match self {
+                Table::Spread => ObjectId(i * Self::SPREAD),
+                Table::Unreserved | Table::Reserved => ObjectId(i),
+            }
+        }
+    }
+
     /// Asserts the full observable state of both tables agrees.
     fn assert_same_state(
-        dense: &LockTable<ClientId>,
+        lt: &LockTable<ClientId>,
         oracle: &RefLockTable<ClientId>,
-        objects: u32,
-        owners: u16,
+        (table, objects, owners): (Table, u32, u16),
         step: usize,
     ) {
         for id in 0..objects {
-            let obj = ObjectId(id);
+            let obj = table.id(id);
             let holders = oracle.holders(obj);
             assert!(
-                dense.holders(obj).eq(holders.iter().copied()),
+                lt.holders(obj).eq(holders.iter().copied()),
                 "holders diverge on {obj} at step {step}"
             );
             // The borrowed conflict view, for every requester and mode
@@ -454,31 +490,30 @@ mod property_tests {
             for owner in (0..owners).map(ClientId).filter(|_| id < HOT) {
                 for mode in [LockMode::Shared, LockMode::Exclusive] {
                     assert!(
-                        dense
-                            .conflicting_holders(obj, owner, mode)
+                        lt.conflicting_holders(obj, owner, mode)
                             .eq(oracle.conflicting_holders(obj, owner, mode)),
                         "conflicts of {owner:?}/{mode} diverge on {obj} at step {step}"
                     );
                 }
             }
-            let dw: Vec<Grant> = grants_new(obj, &dense.waiters(obj));
+            let dw: Vec<Grant> = grants_new(obj, &lt.waiters(obj));
             let ow: Vec<Grant> = grants_ref(obj, &oracle.waiters(obj));
             assert_eq!(dw, ow, "waiters diverge on {obj} at step {step}");
         }
         for c in 0..owners {
             let owner = ClientId(c);
             assert_eq!(
-                dense.locks_of(owner),
+                lt.locks_of(owner),
                 oracle.locks_of(owner),
                 "locks_of diverge for {owner:?} at step {step}"
             );
         }
         assert_eq!(
-            dense.active_objects(),
+            lt.active_objects(),
             oracle.active_objects(),
             "active_objects diverge at step {step}"
         );
-        dense.check_invariants().unwrap();
+        lt.check_invariants().unwrap();
     }
 
     /// The objects everyone fights over; a run with more has owner 0 hoard
@@ -489,20 +524,21 @@ mod property_tests {
     /// random owner about to wait behind the holders of a random object (or
     /// behind one random owner). Returns the verdict.
     fn same_deadlock_verdict(
-        dense: &LockTable<ClientId>,
+        lt: &LockTable<ClientId>,
         oracle: &RefLockTable<ClientId>,
         probe: &mut Xorshift,
-        (objects, owners): (u32, u16),
+        (table, objects, owners): (Table, u32, u16),
         step: usize,
     ) -> bool {
         let waiter = ClientId(probe.below(u64::from(owners)) as u16);
         let holders: Vec<ClientId> = if probe.below(4) == 0 {
             vec![ClientId(probe.below(u64::from(owners)) as u16)]
         } else {
-            let obj = ObjectId(probe.below(u64::from(objects.min(HOT))) as u32);
-            dense.conflicting_holders(obj, waiter, LockMode::Exclusive).collect()
+            let obj = table.id(probe.below(u64::from(objects.min(HOT))) as u32);
+            lt.conflicting_holders(obj, waiter, LockMode::Exclusive)
+                .collect()
         };
-        let verdict = dense.would_deadlock(waiter, holders.iter().copied());
+        let verdict = lt.would_deadlock(waiter, holders.iter().copied());
         assert_eq!(
             verdict,
             oracle.would_deadlock(waiter, &holders),
@@ -515,8 +551,22 @@ mod property_tests {
         run_property_with(seed, discipline, objects, 5);
     }
 
+    /// One run against the oracle on each layout.
     fn run_property_with(seed: u64, discipline: QueueDiscipline, objects: u32, owners: u16) {
+        for table in [Table::Unreserved, Table::Reserved] {
+            run_property_on(table, seed, discipline, objects, owners);
+        }
+    }
+
+    fn run_property_on(
+        table: Table,
+        seed: u64,
+        discipline: QueueDiscipline,
+        objects: u32,
+        owners: u16,
+    ) {
         const STEPS: usize = 4000;
+        let shape = (table, objects, owners);
         let hoarder = ClientId(0);
         // Deadlock probes draw from their own stream, so the operation
         // sequence is the same with or without them.
@@ -524,23 +574,23 @@ mod property_tests {
         let mut cycles = [0usize; 2];
 
         let mut rng = Xorshift(seed);
-        let mut dense: LockTable<ClientId> = LockTable::new(discipline);
+        let mut lt = table.build(discipline, objects);
         let mut oracle: RefLockTable<ClientId> = RefLockTable::new(discipline);
 
         for step in 0..STEPS {
             // Top the hoard up now and then: releases and `release_all`
             // eat into it, and the owner index must be exercised at depth.
             if objects > HOT && step % 256 == 0 {
-                for obj in (HOT..objects).map(ObjectId) {
-                    let a = dense.request(obj, hoarder, LockMode::Shared, SimTime::from_secs(100));
+                for obj in (HOT..objects).map(|i| table.id(i)) {
+                    let a = lt.request(obj, hoarder, LockMode::Shared, SimTime::from_secs(100));
                     let b = oracle.request(obj, hoarder, LockMode::Shared, SimTime::from_secs(100));
                     assert_eq!(as_ref_acquire(a), b, "hoarding {obj} diverges at step {step}");
                 }
-                let hoard = dense.locks_of(hoarder).len() as u32;
+                let hoard = lt.locks_of(hoarder).len() as u32;
                 assert!(hoard > (objects - HOT) / 2 && (step > 0 || hoard == objects - HOT));
             }
             let obj = if rng.below(2) == 0 { HOT } else { objects };
-            let obj = ObjectId(rng.below(u64::from(obj)) as u32);
+            let obj = table.id(rng.below(u64::from(obj)) as u32);
             let owner = ClientId(rng.below(u64::from(owners)) as u16);
             let mode = if rng.below(2) == 0 {
                 LockMode::Shared
@@ -550,17 +600,17 @@ mod property_tests {
             let deadline = SimTime::from_secs(rng.below(200));
             match rng.below(10) {
                 0..=3 => {
-                    let a = dense.request(obj, owner, mode, deadline);
+                    let a = lt.request(obj, owner, mode, deadline);
                     let b = oracle.request(obj, owner, mode, deadline);
                     assert_eq!(as_ref_acquire(a), b, "request result diverges at step {step}");
                 }
                 4..=5 => {
-                    let a = grants_new(obj, &dense.release(obj, owner));
+                    let a = grants_new(obj, &lt.release(obj, owner));
                     let b = grants_ref(obj, &oracle.release(obj, owner));
                     assert_eq!(a, b, "release grants diverge at step {step}");
                 }
                 6 => {
-                    let a: Vec<Grant> = dense
+                    let a: Vec<Grant> = lt
                         .release_all(owner)
                         .into_iter()
                         .flat_map(|(o, ws)| grants_new(o, &ws))
@@ -573,12 +623,12 @@ mod property_tests {
                     assert_eq!(a, b, "release_all grants diverge at step {step}");
                 }
                 7 => {
-                    let a = grants_new(obj, &dense.downgrade(obj, owner));
+                    let a = grants_new(obj, &lt.downgrade(obj, owner));
                     let b = grants_ref(obj, &oracle.downgrade(obj, owner));
                     assert_eq!(a, b, "downgrade grants diverge at step {step}");
                 }
                 8 => {
-                    let (ra, ga) = dense.cancel_wait(obj, owner);
+                    let (ra, ga) = lt.cancel_wait(obj, owner);
                     let (rb, gb) = oracle.cancel_wait(obj, owner);
                     assert_eq!(ra, rb, "cancel_wait removal diverges at step {step}");
                     assert_eq!(
@@ -590,7 +640,7 @@ mod property_tests {
                 // Waiters expire now and then; the other steps change nothing.
                 _ if rng.below(4) == 0 => {
                     let now = SimTime::from_secs(rng.below(200));
-                    let (ea, ga) = dense.cancel_expired(now);
+                    let (ea, ga) = lt.cancel_expired(now);
                     let (eb, gb) = oracle.cancel_expired(now);
                     let ea: Vec<Grant> = ea
                         .into_iter()
@@ -616,28 +666,31 @@ mod property_tests {
             // The full comparison walks every object; with a large hoard
             // a debug build affords it on a sample of the steps only.
             if objects <= 64 || !cfg!(debug_assertions) || step % 16 == 0 {
-                assert_same_state(&dense, &oracle, objects, owners, step);
+                assert_same_state(&lt, &oracle, shape, step);
             } else {
-                dense.check_invariants().unwrap();
+                lt.check_invariants().unwrap();
             }
             if probe.below(4) == 0 {
-                let verdict = same_deadlock_verdict(&dense, &oracle, &mut probe, (objects, owners), step);
+                let verdict = same_deadlock_verdict(&lt, &oracle, &mut probe, shape, step);
                 cycles[usize::from(verdict)] += 1;
             }
         }
         // Both verdicts came up, so neither answer is hard-wired.
-        assert!(cycles[0] > 0 && cycles[1] > 0, "verdicts {cycles:?}");
+        assert!(
+            cycles[0] > 0 && cycles[1] > 0,
+            "{table:?}: verdicts {cycles:?}"
+        );
     }
 
     #[test]
-    fn dense_table_matches_hashmap_oracle_fifo() {
+    fn table_matches_hashmap_oracle_fifo() {
         for seed in [0x5173_5e1e, 0xdead_beef, 42] {
             run_property(seed, QueueDiscipline::Fifo, HOT);
         }
     }
 
     #[test]
-    fn dense_table_matches_hashmap_oracle_deadline() {
+    fn table_matches_hashmap_oracle_deadline() {
         for seed in [0x5173_5e1e, 0xcafe_f00d, 7] {
             run_property(seed, QueueDiscipline::Deadline, HOT);
         }
@@ -655,10 +708,28 @@ mod property_tests {
     /// One owner holds more objects than `held_by`'s inline row (16) takes,
     /// then more than a thousand, as the server's clients do.
     #[test]
-    fn dense_table_matches_hashmap_oracle_with_a_hoarding_owner() {
+    fn table_matches_hashmap_oracle_with_a_hoarding_owner() {
         for (seed, objects) in [(0x5173_5e1e, 40), (0xdead_beef, 1_200)] {
             run_property(seed, QueueDiscipline::Fifo, objects);
             run_property(seed ^ 7, QueueDiscipline::Deadline, objects);
+        }
+    }
+
+    /// A compact table keyed by ids spread over the whole `u32` range, as
+    /// a client's may be: its memory follows what it locks, so no slab
+    /// reaches for the top id. The hoard spills the index past its first
+    /// sizes.
+    #[test]
+    fn table_matches_hashmap_oracle_with_ids_spread_over_u32() {
+        for (seed, objects) in [(0x5173_5e1e, HOT), (0xdead_beef, 1_200)] {
+            run_property_on(Table::Spread, seed, QueueDiscipline::Fifo, objects, 5);
+            run_property_on(
+                Table::Spread,
+                seed ^ 7,
+                QueueDiscipline::Deadline,
+                objects,
+                5,
+            );
         }
     }
 }

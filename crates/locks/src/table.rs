@@ -1,22 +1,31 @@
 //! A strict-2PL lock table with shared/exclusive modes, upgrades, downgrades
 //! and configurable waiter ordering.
 //!
-//! Per-object state is stored in a dense slab indexed by `ObjectId` rather
-//! than a `HashMap`: the paper's database is a flat array of objects
-//! numbered `0..10_000`, so a bounds-checked vector index replaces a SipHash
-//! round plus probe on every request, release and promotion. A slot whose
-//! state empties out returns its box to a recycling pool, so live boxes
-//! track the *concurrently* locked set and steady-state first-touch
-//! requests pop a warm box instead of allocating. Holder and waiter lists
-//! use [`InlineVec`] so the common one- or two-entry case never touches the
-//! heap.
+//! Per-object state is boxed, and the boxes live in one of two layouts:
+//!
+//! * **Dense**, a slab indexed by `ObjectId`, for the server's table, which
+//!   sees every object of the paper's 10 000-object database sooner or
+//!   later: a bounds-checked vector index replaces a hash and probe on
+//!   every request, release and promotion.
+//! * **Compact**, the objects with lock state only, found through a
+//!   [`SlotIndex`], for a client's local table, which locks a few objects
+//!   of that database at a time: its memory follows what the client has
+//!   locked, not the largest id it ever touched.
+//!
+//! A table starts compact; [`LockTable::reserve_objects`], which the server
+//! calls with the database size, is the one place that selects the dense
+//! layout. In both, an object whose state empties out returns its box to a
+//! recycling pool, so live boxes track the *concurrently* locked set and
+//! steady-state first-touch requests pop a warm box instead of allocating.
+//! Holder and waiter lists use [`InlineVec`] so the common one- or
+//! two-entry case never touches the heap.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Debug;
 use std::hash::Hash;
 
-use siteselect_types::{FixedState, InlineVec, LockMode, ObjectId, SimTime};
+use siteselect_types::{FixedState, InlineVec, LockMode, ObjectId, SimTime, SlotIndex};
 
 /// Trait alias for lock-owner identifiers (clients at the server's global
 /// table, transactions at a site's local table).
@@ -157,6 +166,111 @@ impl<O: LockOwner> ObjectLocks<O> {
 /// under the paper's 10 000-object database.
 const FREE_POOL_SEED: usize = 1024;
 
+/// A table's per-object state, in the layout
+/// [`LockTable::reserve_objects`] selects.
+#[derive(Debug)]
+enum Entries<O> {
+    /// Indexed by object id: `None` where an object has no state.
+    Dense(Vec<Option<Box<ObjectLocks<O>>>>),
+    /// The objects with state, in no particular order, and where each sits.
+    Compact {
+        index: SlotIndex,
+        live: Vec<(ObjectId, Box<ObjectLocks<O>>)>,
+    },
+}
+
+impl<O: LockOwner> Entries<O> {
+    fn get(&self, object: ObjectId) -> Option<&ObjectLocks<O>> {
+        match self {
+            Entries::Dense(slab) => slab.get(object.index() as usize)?.as_deref(),
+            Entries::Compact { index, live } => Some(&*live.get(index.get(object)? as usize)?.1),
+        }
+    }
+
+    fn get_mut(&mut self, object: ObjectId) -> Option<&mut ObjectLocks<O>> {
+        match self {
+            Entries::Dense(slab) => slab.get_mut(object.index() as usize)?.as_deref_mut(),
+            Entries::Compact { index, live } => {
+                Some(&mut *live.get_mut(index.get(object)? as usize)?.1)
+            }
+        }
+    }
+
+    /// `object`'s state, filled from the recycling pool if it has none (a
+    /// dense slab grows on demand).
+    fn get_or_insert(
+        &mut self,
+        object: ObjectId,
+        free: &mut Vec<Box<ObjectLocks<O>>>,
+    ) -> &mut ObjectLocks<O> {
+        match self {
+            Entries::Dense(slab) => {
+                let idx = object.index() as usize;
+                if idx >= slab.len() {
+                    slab.resize_with(idx + 1, || None);
+                }
+                slab[idx].get_or_insert_with(|| free.pop().unwrap_or_default())
+            }
+            Entries::Compact { index, live } => {
+                // Lossless: at most one entry per `u32` object id.
+                let at = match index.get_or_insert(object, live.len() as u32) {
+                    Some(at) => at as usize,
+                    None => {
+                        live.push((object, free.pop().unwrap_or_default()));
+                        live.len() - 1
+                    }
+                };
+                // detlint: allow(D9) — the index holds positions in `live`, and a new one was just pushed
+                &mut live[at].1
+            }
+        }
+    }
+
+    /// Takes out `object`'s state if it has some and no holder or waiter
+    /// is left in it.
+    fn take_unused(&mut self, object: ObjectId) -> Option<Box<ObjectLocks<O>>> {
+        match self {
+            Entries::Dense(slab) => {
+                let slot = slab.get_mut(object.index() as usize)?;
+                if slot.as_deref().is_some_and(ObjectLocks::is_unused) {
+                    slot.take()
+                } else {
+                    None
+                }
+            }
+            Entries::Compact { index, live } => {
+                let at = index.get(object)? as usize;
+                if !live.get(at)?.1.is_unused() {
+                    return None;
+                }
+                index.remove(object);
+                let (_, boxed) = live.swap_remove(at);
+                if let Some(&(moved, _)) = live.get(at) {
+                    index.insert(moved, at as u32);
+                }
+                Some(boxed)
+            }
+        }
+    }
+
+    /// Every object with state and its state, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectLocks<O>)> {
+        let (dense, compact) = match self {
+            Entries::Dense(slab) => (Some(slab), None),
+            Entries::Compact { live, .. } => (None, Some(live)),
+        };
+        let dense = dense.into_iter().flat_map(|slab| {
+            slab.iter()
+                .enumerate()
+                .filter_map(|(i, e)| Some((ObjectId(i as u32), e.as_deref()?)))
+        });
+        let compact = compact
+            .into_iter()
+            .flat_map(|live| live.iter().map(|(id, e)| (*id, &**e)));
+        dense.chain(compact)
+    }
+}
+
 /// The objects each owner holds, in no particular order: every holder
 /// entry carries its object's position here.
 type HeldBy<O> = HashMap<O, InlineVec<ObjectId, 16>, FixedState>;
@@ -182,19 +296,21 @@ pub type UnblockedGrants<O> = Vec<(ObjectId, Grants<O>)>;
 /// starvation of queued writers); otherwise it waits in FIFO or deadline
 /// order. Releases promote the longest prefix of now-grantable waiters.
 ///
-/// Object state lives in a dense slab indexed by object id; an emptied
-/// slot's box is recycled through a free pool, so `objects.len()` tracks the
-/// largest id ever locked, not the live count (see
-/// [`active_objects`](Self::active_objects)).
+/// Object state lives in the compact layout, which holds the objects with
+/// lock state only, until [`reserve_objects`](Self::reserve_objects)
+/// selects the dense one, a slab indexed by object id (see the
+/// [module docs](self)). Either way an emptied object's box is recycled
+/// through a free pool. A table never locks `ObjectId(u32::MAX)`: the
+/// compact layout's index reserves it.
 #[derive(Debug)]
 pub struct LockTable<O> {
     discipline: QueueDiscipline,
-    objects: Vec<Option<Box<ObjectLocks<O>>>>,
+    objects: Entries<O>,
     // Retired per-object state, recycled by the next first-touch request.
-    // A slot whose holders and waiters both empty out returns its box here,
-    // so the slab's live boxes stay proportional to the *concurrently*
-    // locked set (not every object ever touched) and steady-state requests
-    // never allocate: they pop a warm box instead.
+    // An object whose holders and waiters both empty out returns its box
+    // here, so live boxes stay proportional to the *concurrently* locked
+    // set (not every object ever touched) and steady-state requests never
+    // allocate: they pop a warm box instead.
     free: Vec<Box<ObjectLocks<O>>>,
     // Both owner maps hash with `FixedState`: owners are program-generated
     // ids, and a process-random hasher would move the maps' rehash points
@@ -222,7 +338,10 @@ impl<O: LockOwner> LockTable<O> {
     pub fn new(discipline: QueueDiscipline) -> Self {
         LockTable {
             discipline,
-            objects: Vec::new(),
+            objects: Entries::Compact {
+                index: SlotIndex::new(),
+                live: Vec::new(),
+            },
             free: Vec::new(),
             held_by: HashMap::default(),
             waits_of: HashMap::default(),
@@ -267,15 +386,31 @@ impl<O: LockOwner> LockTable<O> {
         }
     }
 
-    /// Pre-sizes the slab for object ids `0..n` and seeds the recycling
-    /// pool, so first-touch lock requests mid-run neither grow the slab nor
-    /// allocate per-object state. Engines that know the database size call
-    /// this at setup; the slab still grows on demand past `n`, and the pool
-    /// is capacity rather than a limit — a workload that pins more objects
-    /// at once than the seed simply allocates the excess on demand.
+    /// Selects the dense layout, pre-sized for object ids `0..n`, and
+    /// seeds the recycling pool, so first-touch lock requests mid-run
+    /// neither grow the slab nor allocate per-object state. The server,
+    /// whose table sees the whole database, calls this at setup; a table
+    /// that never calls it stays compact, sized to what it has locked. The
+    /// slab still grows on demand past `n`, and the pool is capacity rather
+    /// than a limit — a workload that pins more objects at once than the
+    /// seed simply allocates the excess on demand.
+    ///
+    /// # Panics
+    ///
+    /// If the table is compact and already holds lock state: the layout is
+    /// chosen before the first request.
     pub fn reserve_objects(&mut self, n: usize) {
-        if self.objects.len() < n {
-            self.objects.resize_with(n, || None);
+        if let Entries::Compact { live, .. } = &self.objects {
+            assert!(
+                live.is_empty(),
+                "reserve_objects comes before the first request"
+            );
+            self.objects = Entries::Dense(Vec::new());
+        }
+        if let Entries::Dense(slab) = &mut self.objects {
+            if slab.len() < n {
+                slab.resize_with(n, || None);
+            }
         }
         let seed = n.min(FREE_POOL_SEED);
         while self.free.len() < seed {
@@ -284,25 +419,7 @@ impl<O: LockOwner> LockTable<O> {
     }
 
     fn entry(&self, object: ObjectId) -> Option<&ObjectLocks<O>> {
-        self.objects
-            .get(object.index() as usize)
-            .and_then(|slot| slot.as_deref())
-    }
-
-    /// Mutable entry access, growing the slab on demand. An empty slot is
-    /// filled from the recycling pool, so inside a pre-seeded table a fresh
-    /// object costs no allocation. Borrows the slab and the pool alone, so
-    /// the caller can update the owner indexes with the entry in hand.
-    fn entry_in<'a>(
-        objects: &'a mut Vec<Option<Box<ObjectLocks<O>>>>,
-        free: &mut Vec<Box<ObjectLocks<O>>>,
-        object: ObjectId,
-    ) -> &'a mut ObjectLocks<O> {
-        let idx = object.index() as usize;
-        if idx >= objects.len() {
-            objects.resize_with(idx + 1, || None);
-        }
-        objects[idx].get_or_insert_with(|| free.pop().unwrap_or_default())
+        self.objects.get(object)
     }
 
     /// Grants `mode` on `entry`'s object to `owner`: one entry in each
@@ -325,8 +442,7 @@ impl<O: LockOwner> LockTable<O> {
     /// index, looking only at that object's holders and at those of the
     /// one object whose index entry moves into the vacated slot.
     fn unhold(&mut self, object: ObjectId, owner: O) {
-        let entry = self.objects.get_mut(object.index() as usize);
-        let Some(entry) = entry.and_then(|s| s.as_deref_mut()) else {
+        let Some(entry) = self.objects.get_mut(object) else {
             return;
         };
         let Some(pos) = entry.holders.iter().position(|h| h.owner == owner) else {
@@ -341,8 +457,7 @@ impl<O: LockOwner> LockTable<O> {
         let Some(&moved) = held.get(slot as usize) else {
             return;
         };
-        let entry = self.objects.get_mut(moved.index() as usize);
-        if let Some(entry) = entry.and_then(|s| s.as_deref_mut()) {
+        if let Some(entry) = self.objects.get_mut(moved) {
             let seen = entry.holders.len();
             for h in entry.holders.iter_mut().filter(|h| h.owner == owner) {
                 h.slot = slot;
@@ -357,15 +472,10 @@ impl<O: LockOwner> LockTable<O> {
         self.visits.set(self.visits.get() + _n as u64);
     }
 
-    /// Returns an emptied slot's box to the recycling pool.
+    /// Returns an emptied object's box to the recycling pool.
     fn reclaim(&mut self, object: ObjectId) {
-        let idx = object.index() as usize;
-        if let Some(slot) = self.objects.get_mut(idx) {
-            if slot.as_deref().is_some_and(ObjectLocks::is_unused) {
-                if let Some(boxed) = slot.take() {
-                    self.free.push(boxed);
-                }
-            }
+        if let Some(boxed) = self.objects.take_unused(object) {
+            self.free.push(boxed);
         }
     }
 
@@ -385,7 +495,10 @@ impl<O: LockOwner> LockTable<O> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let discipline = self.discipline;
-        let entry = Self::entry_in(&mut self.objects, &mut self.free, object);
+        // Borrows the entries and the pool alone, so the owner indexes can
+        // be updated with the entry in hand. A fresh object's state comes
+        // from the pool: inside a pre-seeded table it costs no allocation.
+        let entry = self.objects.get_or_insert(object, &mut self.free);
 
         if let Some(held) = entry.holder_mode(owner) {
             if held.covers(mode) {
@@ -464,8 +577,7 @@ impl<O: LockOwner> LockTable<O> {
     /// order.
     pub fn release(&mut self, object: ObjectId, owner: O) -> Grants<O> {
         self.unhold(object, owner);
-        let idx = object.index() as usize;
-        let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
+        let Some(entry) = self.objects.get_mut(object) else {
             return Grants::new();
         };
         let waiting = entry.waiters.len();
@@ -500,11 +612,7 @@ impl<O: LockOwner> LockTable<O> {
         work[split..].sort_unstable();
         let mut out = Vec::new();
         for &obj in &work {
-            if let Some(entry) = self
-                .objects
-                .get_mut(obj.index() as usize)
-                .and_then(|s| s.as_deref_mut())
-            {
+            if let Some(entry) = self.objects.get_mut(obj) {
                 entry.holders.retain(|h| h.owner != owner);
                 entry.waiters.retain(|w| w.owner != owner);
             }
@@ -523,8 +631,7 @@ impl<O: LockOwner> LockTable<O> {
     /// callback optimization of §2). Returns newly granted waiters. No-op
     /// if the owner does not hold an EL.
     pub fn downgrade(&mut self, object: ObjectId, owner: O) -> Grants<O> {
-        let idx = object.index() as usize;
-        let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
+        let Some(entry) = self.objects.get_mut(object) else {
             return Grants::new();
         };
         let changed = entry.holder_mode(owner) == Some(LockMode::Exclusive);
@@ -539,8 +646,7 @@ impl<O: LockOwner> LockTable<O> {
     /// Removes a queued (not yet granted) request. Returns `true` if one was
     /// removed; promotes followers that may now be grantable.
     pub fn cancel_wait(&mut self, object: ObjectId, owner: O) -> (bool, Grants<O>) {
-        let idx = object.index() as usize;
-        let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
+        let Some(entry) = self.objects.get_mut(object) else {
             return (false, Grants::new());
         };
         let before = entry.waiters.len();
@@ -574,11 +680,7 @@ impl<O: LockOwner> LockTable<O> {
         touched.sort_unstable();
         touched.dedup();
         for &obj in &touched {
-            let Some(entry) = self
-                .objects
-                .get_mut(obj.index() as usize)
-                .and_then(|s| s.as_deref_mut())
-            else {
+            let Some(entry) = self.objects.get_mut(obj) else {
                 continue;
             };
             for w in entry.waiters.iter() {
@@ -606,8 +708,7 @@ impl<O: LockOwner> LockTable<O> {
 
     /// Promotes the longest grantable prefix of the wait queue.
     fn promote(&mut self, object: ObjectId) -> Grants<O> {
-        let idx = object.index() as usize;
-        let Some(entry) = self.objects.get_mut(idx).and_then(|s| s.as_deref_mut()) else {
+        let Some(entry) = self.objects.get_mut(object) else {
             return Grants::new();
         };
         let mut granted = Grants::new();
@@ -745,16 +846,28 @@ impl<O: LockOwner> LockTable<O> {
     /// Number of objects with any lock state.
     #[must_use]
     pub fn active_objects(&self) -> usize {
-        self.objects.iter().flatten().filter(|e| !e.is_unused()).count()
+        self.objects.iter().filter(|(_, e)| !e.is_unused()).count()
     }
 
     /// Internal consistency check (tests / debug builds): no conflicting
     /// holders coexist and the reverse index matches.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if let Entries::Compact { index, live } = &self.objects {
+            for (at, &(obj, _)) in live.iter().enumerate() {
+                let indexed = index.get(obj);
+                if indexed != Some(at as u32) {
+                    return Err(format!(
+                        "{obj}: entry {at} of the compact layout, indexed {indexed:?}"
+                    ));
+                }
+            }
+            if index.len() != live.len() {
+                let (indexed, entries) = (index.len(), live.len());
+                return Err(format!("{indexed} indexed objects for {entries} entries"));
+            }
+        }
         let mut held = 0;
-        for (i, slot) in self.objects.iter().enumerate() {
-            let Some(e) = slot.as_deref() else { continue };
-            let obj = ObjectId(i as u32);
+        for (obj, e) in self.objects.iter() {
             // Borrowed: debug runs check this inside their allocation budgets.
             for (i, x) in e.holders.iter().enumerate() {
                 for y in e.holders.iter().skip(i + 1) {
@@ -1042,6 +1155,14 @@ mod tests {
         assert_eq!(lt.active_objects(), 1);
         lt.release(OBJ, A);
         assert_eq!(lt.active_objects(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first request")]
+    fn the_layout_is_chosen_before_the_first_request() {
+        let mut lt = table();
+        lt.request(OBJ, A, Shared, t(10));
+        lt.reserve_objects(16);
     }
 
     #[test]

@@ -6,8 +6,14 @@
 //! the memory tier's LRU victim is demoted to the disk tier; the disk tier's
 //! LRU victim leaves the cache entirely. A reference to a disk-tier object
 //! promotes it back to memory (costing a local disk access in the simulator).
+//!
+//! A client caches about a thousand objects of a ten-times larger database,
+//! so the cache's memory is set by its capacity alone: its nodes are
+//! numbered by slot, not by object id, and a [`SlotIndex`] finds an object's
+//! slot. The server keeps its buffer pool's residency in one too, with a
+//! zero-capacity disk tier.
 
-use siteselect_types::ObjectId;
+use siteselect_types::{ObjectId, SlotIndex};
 
 /// Which tier a probe found the object in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -21,20 +27,15 @@ pub enum CacheTier {
 /// Link sentinel: "no neighbour".
 const NIL: u32 = u32::MAX;
 
-/// One object's place in the cache: the tier it sits in, if any, and its
-/// neighbours in that tier's recency list.
+/// One cached object: its id, the tier it sits in and its neighbours in
+/// that tier's recency list. A free node's `next` links the free list.
 #[derive(Debug, Clone, Copy)]
 struct Node {
+    id: ObjectId,
     prev: u32,
     next: u32,
-    tier: Option<CacheTier>,
+    tier: CacheTier,
 }
-
-const ABSENT: Node = Node {
-    prev: NIL,
-    next: NIL,
-    tier: None,
-};
 
 /// One tier: a recency list from LRU (head) to MRU (tail), threaded
 /// through the cache's node slab, and its capacity.
@@ -59,10 +60,14 @@ impl Tier {
 
 /// The two-tier client object cache.
 ///
-/// Both tiers are LRU lists threaded through one dense slab of nodes
-/// indexed by object id: an object is in at most one tier and its node
-/// records which, so a lookup is one read and a touch, demotion or
-/// eviction is a few index writes with no per-operation allocation.
+/// Both tiers are LRU lists threaded through one slab of nodes, numbered
+/// by slot; a [`SlotIndex`] finds an object's slot. The slab holds one node
+/// per object the two tiers can hold, plus one for the object an insert
+/// brings in before the demotion it causes has evicted anything, and both
+/// it and the index are sized in [`new`](Self::new). So a cache's memory
+/// follows its capacity, not the ids it sees, and no operation touches the
+/// allocator: a lookup is an index probe, a touch, demotion or eviction a
+/// few slot writes.
 ///
 /// # Example
 ///
@@ -80,30 +85,41 @@ impl Tier {
 #[derive(Debug, Clone)]
 pub struct ClientCache {
     nodes: Vec<Node>,
+    index: SlotIndex,
+    /// Head of the free-node list, threaded through `next`.
+    free: u32,
     memory: Tier,
     disk: Tier,
 }
 
 impl ClientCache {
     /// Creates a cache with the given per-tier capacities (objects).
+    ///
+    /// # Panics
+    ///
+    /// If the two tiers together hold `u32::MAX` objects or more.
     #[must_use]
     pub fn new(memory_objects: usize, disk_objects: usize) -> Self {
+        let slots = memory_objects
+            .saturating_add(disk_objects)
+            .saturating_add(1);
+        assert!(
+            slots < NIL as usize,
+            "a cache holds fewer than u32::MAX objects"
+        );
         ClientCache {
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(slots),
+            index: SlotIndex::with_capacity(slots),
+            free: NIL,
             memory: Tier::new(memory_objects),
             disk: Tier::new(disk_objects),
         }
     }
 
-    /// Pre-sizes the node slab for ids `0..n`, so steady-state inserts
-    /// never touch the allocator. Worth it only where one cache sees the
-    /// whole database (e.g. a server buffer); a client cache grows its slab
-    /// to the highest id it has held instead.
-    pub fn reserve_ids(&mut self, n: usize) {
-        if self.nodes.len() < n {
-            self.nodes.resize(n, ABSENT);
-        }
-    }
+    /// Does nothing: the cache is sized by its capacity in
+    /// [`new`](Self::new), whatever ids it sees. Kept for callers written
+    /// when the slab was indexed by object id.
+    pub fn reserve_ids(&mut self, _n: usize) {}
 
     fn tier_mut(&mut self, tier: CacheTier) -> &mut Tier {
         match tier {
@@ -112,11 +128,47 @@ impl ClientCache {
         }
     }
 
-    /// Takes a cached object out of its tier.
-    fn unlink(&mut self, idx: u32) {
-        let Node { prev, next, tier } = self.nodes[idx as usize];
-        let tier = tier.expect("only cached objects are unlinked");
-        self.nodes[idx as usize] = ABSENT;
+    /// The slot the next uncached object takes: the head of the free
+    /// list, or else the slab's next unused node.
+    fn spare(&self) -> u32 {
+        match self.free {
+            // Lossless: `new` keeps the slab under `u32::MAX` nodes.
+            NIL => self.nodes.len() as u32,
+            slot => slot,
+        }
+    }
+
+    /// Fills the [`spare`](Self::spare) slot with an unlinked node for `id`.
+    fn occupy(&mut self, id: ObjectId) {
+        let node = Node {
+            id,
+            prev: NIL,
+            next: NIL,
+            tier: CacheTier::Memory,
+        };
+        match self.free {
+            NIL => self.nodes.push(node),
+            slot => {
+                let spare = &mut self.nodes[slot as usize];
+                self.free = spare.next;
+                *spare = node;
+            }
+        }
+    }
+
+    /// Returns an unlinked node to the free list; its object leaves.
+    fn release(&mut self, slot: u32) {
+        let node = &mut self.nodes[slot as usize];
+        self.index.remove(node.id);
+        node.next = self.free;
+        self.free = slot;
+    }
+
+    /// Takes a cached object's node out of its tier.
+    fn unlink(&mut self, slot: u32) {
+        let Node {
+            prev, next, tier, ..
+        } = self.nodes[slot as usize];
         let list = self.tier_mut(tier);
         list.len -= 1;
         match prev {
@@ -129,79 +181,95 @@ impl ClientCache {
         }
     }
 
-    /// Puts an uncached object at the MRU end of `tier`, evicting that
-    /// tier's LRU object first if it is full. Returns the evicted object;
-    /// a zero-capacity tier evicts `idx` itself.
-    fn link_tail(&mut self, tier: CacheTier, idx: u32) -> Option<ObjectId> {
+    /// Puts an unlinked node at the MRU end of `tier`, unlinking that
+    /// tier's LRU node first if it is full. Returns the node it displaced;
+    /// a zero-capacity tier displaces `slot` itself.
+    fn link_tail(&mut self, tier: CacheTier, slot: u32) -> Option<u32> {
         let list = self.tier_mut(tier);
         if list.capacity == 0 {
-            return Some(ObjectId(idx));
+            return Some(slot);
         }
         let victim = (list.len >= list.capacity).then_some(list.head);
         if let Some(lru) = victim {
             self.unlink(lru);
         }
-        if idx as usize >= self.nodes.len() {
-            self.nodes.resize(idx as usize + 1, ABSENT);
-        }
         let list = self.tier_mut(tier);
-        let tail = std::mem::replace(&mut list.tail, idx);
+        let tail = std::mem::replace(&mut list.tail, slot);
         list.len += 1;
         match tail {
-            NIL => list.head = idx,
-            t => self.nodes[t as usize].next = idx,
+            NIL => list.head = slot,
+            t => self.nodes[t as usize].next = slot,
         }
-        self.nodes[idx as usize] = Node {
-            prev: tail,
-            next: NIL,
-            tier: Some(tier),
-        };
-        victim.map(ObjectId)
+        let node = &mut self.nodes[slot as usize];
+        node.prev = tail;
+        node.next = NIL;
+        node.tier = tier;
+        victim
     }
 
     /// Looks up `id` without promoting it.
     #[must_use]
     pub fn peek(&self, id: ObjectId) -> Option<CacheTier> {
-        self.nodes.get(id.index() as usize).and_then(|n| n.tier)
+        let slot = self.index.get(id)?;
+        self.nodes.get(slot as usize).map(|node| node.tier)
     }
 
     /// Looks up `id` as a reference: a memory-tier hit becomes most
     /// recently used, and a disk-tier hit is promoted to the memory tier
     /// (the caller should charge one local disk access).
     pub fn probe(&mut self, id: ObjectId) -> Option<CacheTier> {
-        let tier = self.peek(id)?;
-        self.insert(id);
+        let slot = self.index.get(id)?;
+        let tier = self.nodes.get(slot as usize)?.tier;
+        self.touch(slot);
         Some(tier)
     }
 
     /// Inserts a newly fetched object into the memory tier, demoting /
     /// evicting as needed.
     pub fn insert(&mut self, id: ObjectId) {
-        let idx = id.index();
-        match self.peek(id) {
-            Some(CacheTier::Memory) if self.memory.tail == idx => return,
-            Some(_) => self.unlink(idx),
-            None => {}
+        let spare = self.spare();
+        match self.index.get_or_insert(id, spare) {
+            Some(slot) => self.touch(slot),
+            None => {
+                self.occupy(id);
+                self.admit(spare);
+            }
         }
-        if let Some(demoted) = self.link_tail(CacheTier::Memory, idx) {
-            self.link_tail(CacheTier::Disk, demoted.index());
+    }
+
+    /// Makes a cached object the memory tier's most recently used.
+    fn touch(&mut self, slot: u32) {
+        if self.memory.tail != slot {
+            self.unlink(slot);
+            self.admit(slot);
+        }
+    }
+
+    /// Links an unlinked node at the memory tier's MRU end: the tier's LRU
+    /// object moves to the disk tier, whose LRU object leaves.
+    fn admit(&mut self, slot: u32) {
+        if let Some(demoted) = self.link_tail(CacheTier::Memory, slot) {
+            if let Some(evicted) = self.link_tail(CacheTier::Disk, demoted) {
+                self.release(evicted);
+            }
         }
     }
 
     /// Drops `id` from both tiers (used when a callback revokes the object).
     /// Returns `true` if the object was present.
     pub fn invalidate(&mut self, id: ObjectId) -> bool {
-        let cached = self.contains(id);
-        if cached {
-            self.unlink(id.index());
-        }
-        cached
+        let Some(slot) = self.index.get(id) else {
+            return false;
+        };
+        self.unlink(slot);
+        self.release(slot);
+        true
     }
 
     /// True if the object is cached in either tier.
     #[must_use]
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.peek(id).is_some()
+        self.index.get(id).is_some()
     }
 
     /// Total cached objects across both tiers.
@@ -220,12 +288,9 @@ impl ClientCache {
     fn members(&self, tier: &Tier) -> impl Iterator<Item = ObjectId> + '_ {
         let mut cur = tier.head;
         std::iter::from_fn(move || {
-            if cur == NIL {
-                return None;
-            }
-            let id = cur;
-            cur = self.nodes[cur as usize].next;
-            Some(ObjectId(id))
+            let node = self.nodes.get(cur as usize)?;
+            cur = node.next;
+            Some(node.id)
         })
     }
 

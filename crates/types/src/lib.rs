@@ -36,7 +36,7 @@ pub use config::{
     ExperimentConfig, FaultConfig, LanKind, LoadSharingConfig, NetworkConfig, RuntimeConfig,
     ServerConfig, SystemKind, WorkloadConfig,
 };
-pub use dense::{ObjectMap, ObjectSet};
+pub use dense::{ObjectMap, ObjectSet, SlotIndex};
 pub use error::ConfigError;
 pub use hash::FixedState;
 pub use ids::{ClientId, IdSink, IdText, ObjectId, SiteId, SubtaskId, TransactionId};

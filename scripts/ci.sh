@@ -29,20 +29,30 @@ trap 'restore; rm -rf "$tmp"' EXIT
 step_build() { cargo build --release --workspace; }
 step_test() { cargo test -q --workspace; }
 
-# The wait-for graph, lock table (and its deadlock walk), buffer pool and
-# trace exporters against their reference implementations at the full case
-# count (debug builds run a slice).
+# reference_tests ARGS...: `cargo test --release -q ARGS`, failing when its
+# name filter selects no test, which cargo itself reports as a success.
+reference_tests() {
+  local out
+  out="$(cargo test --release -q "$@" 2>&1)" || { echo "$out"; die "cargo test $* failed"; }
+  echo "$out"
+  awk '/^test result:/ { n += $4 } END { exit n == 0 }' <<< "$out" \
+    || die "cargo test $* ran no test: its filter matches nothing"
+}
+
+# The wait-for graph, lock table in both layouts (and its deadlock walk),
+# buffer pool and trace exporters against their reference implementations
+# at the full case count (debug builds run a slice).
 step_references() {
-  cargo test --release -q -p siteselect-locks waitfor
-  cargo test --release -q -p siteselect-locks --lib dense_table_matches
-  cargo test --release -q -p siteselect-locks --lib deadlock_walk
-  cargo test --release -q -p siteselect-storage --lib buffer_reference
-  cargo test --release -q -p siteselect-obs --lib export_reference
+  reference_tests -p siteselect-locks waitfor
+  reference_tests -p siteselect-locks --lib table_matches_hashmap_oracle
+  reference_tests -p siteselect-locks --lib deadlock_walk
+  reference_tests -p siteselect-storage --lib buffer_reference
+  reference_tests -p siteselect-obs --lib export_reference
 }
 
 # Whole CS, LS and CE runs at 100 clients and full duration inside their
-# allocations-per-transaction budgets and, for CE and CS, their peak live
-# heap budgets (debug builds run 30 clients x 400 s),
+# allocations-per-transaction budgets and their peak live heap budgets
+# (debug builds run 30 clients x 400 s),
 # a judged run (traced 8 clients x 150 s plus check_trace) inside its own,
 # and a traced LS run at 100 clients inside the trace ring with at most two
 # window episodes a transaction.
