@@ -1659,13 +1659,12 @@ impl ClientSite {
         cx.sink.emit(cx.now, SiteId::Client(id), || {
             siteselect_obs::Event::CacheWipe { client: id }
         });
-        let cfg = cx.cfg.client;
         self.cached_locks.clear();
         self.fetches.clear();
         self.revokes.clear();
         self.lock_wait_from.clear();
-        self.cache = ClientCache::new(cfg.memory_cache_objects, cfg.disk_cache_objects);
-        self.local_locks = LockTable::new(QueueDiscipline::Deadline);
+        self.cache.clear();
+        self.local_locks.clear();
     }
 
     /// A crashed site comes back up, cold: it accepts traffic again but

@@ -583,6 +583,9 @@ impl Cx {
             // The object died in transit: the driver tells the server its
             // chain is broken before the server next acts.
             Msg::ObjectForward { object, .. } => self.lost_forwards.push(object),
+            // The request is re-driven by its retry timer; its buffer goes
+            // back to the pool the retry takes from.
+            Msg::RequestBatch { wants, .. } => self.recycle_want_buf(wants),
             // Everything else is recovered by retries (requests/grants),
             // leases (recalls/acks/returns) or the deadline sweeps
             // (queries, subtask traffic).

@@ -53,7 +53,6 @@ pub(crate) struct ServerCore<O: LockOwner> {
     pub store: DurableStore,
     /// False while the server is crashed and replaying its log.
     pub server_up: bool,
-    discipline: QueueDiscipline,
     /// Crash-time draws: the torn staged-write tail kept by a crash and the
     /// reboot lag before replay starts. Its own stream, so restart draws
     /// never perturb the crash schedule; never advanced with faults off.
@@ -73,7 +72,6 @@ impl<O: LockOwner> ServerCore<O> {
             disk: DiskModel::new(cfg.server.disk.page_service_time),
             store: DurableStore::new(cfg.database.num_objects, cfg.server.buffer_objects.max(1)),
             server_up: true,
-            discipline,
             crash_prng: Prng::seed_from_u64(cfg.runtime.seed).derive(0xFA_E5),
             pending_recovery: None,
             crashed_at: None,
@@ -85,7 +83,7 @@ impl<O: LockOwner> ServerCore<O> {
     /// The server's lock table sees every object id sooner or later, so it
     /// takes the dense layout, pre-sized for the whole database: first-touch
     /// requests mid-run stay off the allocator. A new server does this
-    /// once; a crash re-runs it on the rebuilt table.
+    /// once; a crash clears the table and keeps the layout.
     fn presize(&mut self, cfg: &ExperimentConfig) {
         self.locks
             .reserve_objects(cfg.database.num_objects as usize);
@@ -113,13 +111,15 @@ impl<O: LockOwner> ServerCore<O> {
         self.disk.set_slow_episodes(episodes, SLOW_DISK_FACTOR);
     }
 
-    /// The server crashes. The lock table and buffer pool are lost; unless
-    /// the crash is permanent the durable store is cut at a random point of
-    /// its staged tail (which may leave a torn final record) and its
-    /// surviving log replayed. The replay runs immediately
-    /// in host terms, but its I/O is charged to the seeded disk model after
-    /// a drawn reboot lag, so the rejoin time reflects the log length and
-    /// any slow-disk episode in force.
+    /// The server crashes. The lock table and buffer pool are lost: both
+    /// are cleared in place, so the restarted server forgets every lock
+    /// and cached page but refills the same slab, box pool and index
+    /// without allocating. Unless the crash is permanent the durable store
+    /// is cut at a random point of its staged tail (which may leave a torn
+    /// final record) and its surviving log replayed. The replay runs
+    /// immediately in host terms, but its I/O is charged to the seeded disk
+    /// model after a drawn reboot lag, so the rejoin time reflects the log
+    /// length and any slow-disk episode in force.
     ///
     /// Returns when the server is ready to [`rejoin`](Self::rejoin); `None`
     /// if it was already down (nothing happens) or stays dark for good.
@@ -141,9 +141,8 @@ impl<O: LockOwner> ServerCore<O> {
             site: SiteId::Server,
         });
         fabric.set_site_down(SiteId::Server);
-        self.locks = LockTable::new(self.discipline);
-        self.buffer = ClientCache::new(cfg.server.buffer_objects, 0);
-        self.presize(cfg);
+        self.locks.clear();
+        self.buffer.clear();
         if cfg.faults.mean_recovery_time.is_zero() {
             return None; // permanent crash: the site stays dark, no replay
         }

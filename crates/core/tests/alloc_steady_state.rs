@@ -1,7 +1,7 @@
 //! Asserts the engines' allocation discipline (DESIGN.md §15).
 //!
 //! A counting `#[global_allocator]` (`support/counting_alloc.rs`) wraps the
-//! system allocator for this test binary only. Three kinds of test use it:
+//! system allocator for this test binary only. These tests use it:
 //!
 //! * The centralized hot loop, after warm-up, performs **zero** heap
 //!   allocations. That run uses a read-only workload (`update_fraction =
@@ -16,7 +16,10 @@
 //!   into a request handler fails here and not only as a benchmark
 //!   reading. A debug build runs a slice (30 clients × 400 s); a release
 //!   build (`scripts/ci.sh alloc-budget`) runs the paper's 100 clients for
-//!   the full duration.
+//!   the full duration. CS and LS also run under `chaos_restart(1.0)`,
+//!   where a crash must keep what the lost state allocated.
+//! * Blame extraction allocates the same few times over a trace twice as
+//!   long.
 //! * Two runs of one seed allocate exactly as often: no engine state may
 //!   hash with a per-process random key.
 //! * Whole CE, CS and LS runs stay under a budget of peak live heap bytes,
@@ -28,7 +31,8 @@
 mod counting_alloc;
 
 use counting_alloc::{allocs, high_water, reset_high_water};
-use siteselect_core::{run_experiment, CentralizedSim};
+use siteselect_core::{run_experiment, run_experiment_traced, CentralizedSim};
+use siteselect_obs::{BlameReport, MetricsRegistry};
 use siteselect_types::{ExperimentConfig, FaultConfig, SimDuration, SystemKind};
 
 /// A whole run of `system`: the paper's 100 clients for `secs` in a
@@ -90,6 +94,83 @@ fn centralized_run_stays_inside_its_allocation_budget() {
     assert_within_budget(SystemKind::Centralized, 0.20, (5.12, 8.35));
 }
 
+/// `whole_run` at seed 11 and 20 % updates under `chaos_restart(1.0)`:
+/// clients and the server crash and restart throughout, and the fabric
+/// drops messages.
+fn restart_run(system: SystemKind) -> ExperimentConfig {
+    let mut cfg = whole_run(system, 0.20, 11, 900);
+    cfg.faults = FaultConfig::chaos_restart(1.0);
+    cfg
+}
+
+/// Asserts that a crash-restart run of `system` stays within `budget`
+/// allocations per measured transaction, `(release, debug)` as for
+/// [`assert_within_budget`]. A crash clears the lost state in place and a
+/// dropped request's buffer goes back to its pool, so a restart costs
+/// what the refill of the kept capacity costs: nothing.
+fn assert_restart_within_budget(system: SystemKind, budget: (f64, f64)) {
+    let (allocs, measured) = count_allocs(&restart_run(system));
+    assert!(measured > 500, "too few transactions measured");
+    let per_txn = allocs as f64 / measured as f64;
+    let budget = if cfg!(debug_assertions) {
+        budget.1
+    } else {
+        budget.0
+    };
+    assert!(
+        per_txn <= budget,
+        "{system} under chaos_restart(1.0): {per_txn:.3} allocations a transaction, budget {budget}"
+    );
+}
+
+#[test]
+fn client_server_restart_run_stays_inside_its_allocation_budget() {
+    // Measured 11.892 (release) and 14.297 (debug); 24.908 in release when
+    // a crash rebuilt the lock table and a dropped request lost its buffer.
+    assert_restart_within_budget(SystemKind::ClientServer, (12.4, 15.0));
+}
+
+#[test]
+fn load_sharing_restart_run_stays_inside_its_allocation_budget() {
+    // Measured 18.955 (release) and 17.816 (debug); 31.160 in release
+    // before.
+    assert_restart_within_budget(SystemKind::LoadSharing, (19.9, 18.7));
+}
+
+/// Allocations of one blame extraction over a traced CS crash-restart run
+/// of `secs` seconds at seed 1 (a quarter of that at 30 clients in a debug
+/// build), and the records it read.
+fn blame_allocs(secs: u64) -> (u64, usize) {
+    let mut cfg = whole_run(SystemKind::ClientServer, 0.20, 1, secs);
+    if cfg!(debug_assertions) {
+        cfg.runtime.duration = SimDuration::from_secs(secs / 4);
+    }
+    cfg.faults = FaultConfig::chaos_restart(1.0);
+    let (_, trace) =
+        run_experiment_traced(&cfg, 1 << 21).expect("the paper's configuration is valid");
+    assert_eq!(trace.report.dropped, 0, "the ring must hold the whole run");
+    let before = allocs();
+    let report = BlameReport::extract(&trace, 10, &MetricsRegistry::disabled());
+    let made = allocs() - before;
+    assert_eq!(report.worst.len(), 10, "fewer misses than paths asked for");
+    (made, trace.records.len())
+}
+
+/// Blame extraction gathers every span into one arena sized from the
+/// trace's report and attributes each transaction in reused buffers, so
+/// what it allocates does not grow with the trace: twice the run, the
+/// same count.
+#[test]
+fn blame_extraction_allocates_a_constant_amount() {
+    let (short, short_records) = blame_allocs(900);
+    let (long, long_records) = blame_allocs(1_800);
+    assert!(long_records > short_records * 3 / 2);
+    assert_eq!(short, long, "blame allocations grew with the trace");
+    // Measured 33 in release (739 743 and 1 494 879 records) and debug;
+    // 55 469 and 119 337 when every transaction gathered its own vectors.
+    assert!(short <= 34, "{short} allocations for one extraction");
+}
+
 /// Peak live heap bytes of one run of `cfg` above what was live before it.
 fn heap_high_water(cfg: &ExperimentConfig) -> i64 {
     // The workload's Zipf CDF cache is shared by the process, so the test
@@ -149,16 +230,11 @@ fn same_seed_reaches_the_same_heap_peak() {
 /// grows, and with it every allocation, is a function of the seed alone.
 #[test]
 fn same_seed_allocates_the_same() {
-    let restart = |system| {
-        let mut cfg = whole_run(system, 0.20, 11, 900);
-        cfg.faults = FaultConfig::chaos_restart(1.0);
-        cfg
-    };
     // The workload's Zipf CDF cache fills once per process: a warm-up run
     // pays for it before anything is compared.
-    count_allocs(&restart(SystemKind::ClientServer));
+    count_allocs(&restart_run(SystemKind::ClientServer));
     for system in [SystemKind::ClientServer, SystemKind::LoadSharing] {
-        let cfg = restart(system);
+        let cfg = restart_run(system);
         let (first, _) = count_allocs(&cfg);
         let (second, _) = count_allocs(&cfg);
         assert_eq!(first, second, "{system}: one seed, two allocation counts");

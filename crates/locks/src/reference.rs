@@ -554,17 +554,26 @@ mod property_tests {
     /// One run against the oracle on each layout.
     fn run_property_with(seed: u64, discipline: QueueDiscipline, objects: u32, owners: u16) {
         for table in [Table::Unreserved, Table::Reserved] {
-            run_property_on(table, seed, discipline, objects, owners);
+            run_property_on(table, seed, discipline, objects, owners, RARE_CLEARS);
         }
     }
 
+    /// Odds against a `clear` on a quiet step (one that draws no lock
+    /// operation): a run clears its table a few times.
+    const RARE_CLEARS: u64 = 100;
+
+    /// One run of `STEPS` random operations against the oracle. A `clear`
+    /// (one in `clear_odds` of the quiet steps) must leave the table equal
+    /// to a fresh oracle, which the run then carries on against. Returns
+    /// how many clears it drew.
     fn run_property_on(
         table: Table,
         seed: u64,
         discipline: QueueDiscipline,
         objects: u32,
         owners: u16,
-    ) {
+        clear_odds: u64,
+    ) -> usize {
         const STEPS: usize = 4000;
         let shape = (table, objects, owners);
         let hoarder = ClientId(0);
@@ -572,6 +581,7 @@ mod property_tests {
         // sequence is the same with or without them.
         let mut probe = Xorshift(seed ^ 0x9e37_79b9_7f4a_7c15);
         let mut cycles = [0usize; 2];
+        let mut clears = 0;
 
         let mut rng = Xorshift(seed);
         let mut lt = table.build(discipline, objects);
@@ -637,6 +647,15 @@ mod property_tests {
                         "cancel_wait grants diverge at step {step}"
                     );
                 }
+                // As a crash does: every lock and waiter goes at once.
+                9 if rng.below(clear_odds) == 0 => {
+                    lt.clear();
+                    oracle = RefLockTable::new(discipline);
+                    assert_eq!(lt.active_objects(), 0, "clear left objects at step {step}");
+                    assert!(!lt.has_waiters(), "clear left waiters at step {step}");
+                    assert_same_state(&lt, &oracle, shape, step);
+                    clears += 1;
+                }
                 // Waiters expire now and then; the other steps change nothing.
                 _ if rng.below(4) == 0 => {
                     let now = SimTime::from_secs(rng.below(200));
@@ -680,6 +699,7 @@ mod property_tests {
             cycles[0] > 0 && cycles[1] > 0,
             "{table:?}: verdicts {cycles:?}"
         );
+        clears
     }
 
     #[test]
@@ -722,14 +742,31 @@ mod property_tests {
     #[test]
     fn table_matches_hashmap_oracle_with_ids_spread_over_u32() {
         for (seed, objects) in [(0x5173_5e1e, HOT), (0xdead_beef, 1_200)] {
-            run_property_on(Table::Spread, seed, QueueDiscipline::Fifo, objects, 5);
-            run_property_on(
-                Table::Spread,
-                seed ^ 7,
-                QueueDiscipline::Deadline,
-                objects,
-                5,
-            );
+            for (seed, discipline) in [
+                (seed, QueueDiscipline::Fifo),
+                (seed ^ 7, QueueDiscipline::Deadline),
+            ] {
+                run_property_on(Table::Spread, seed, discipline, objects, 5, RARE_CLEARS);
+            }
+        }
+    }
+
+    /// A crash clears the table every forty-odd operations, on every
+    /// layout, with and without a hoard: after each clear the table
+    /// answers as a fresh one, and it keeps matching the oracle as it
+    /// refills from its recycled boxes.
+    #[test]
+    fn cleared_table_matches_a_fresh_oracle() {
+        for table in [Table::Unreserved, Table::Reserved, Table::Spread] {
+            for (seed, objects) in [(0x5173_5e1e, HOT), (0xdead_beef, 1_200)] {
+                for (seed, discipline) in [
+                    (seed, QueueDiscipline::Fifo),
+                    (seed ^ 7, QueueDiscipline::Deadline),
+                ] {
+                    let clears = run_property_on(table, seed, discipline, objects, 5, 4);
+                    assert!(clears > 20, "{table:?}: only {clears} clears drawn");
+                }
+            }
         }
     }
 }

@@ -18,7 +18,10 @@
 //! recycling pool, so live boxes track the *concurrently* locked set and
 //! steady-state first-touch requests pop a warm box instead of allocating.
 //! Holder and waiter lists use [`InlineVec`] so the common one- or
-//! two-entry case never touches the heap.
+//! two-entry case never touches the heap. A crash forgets the whole table
+//! through [`LockTable::clear`], which sends every box back to the pool
+//! with its lists' spills and keeps the layout, so a restarted site
+//! refills the table from the pool instead of allocating a box an object.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -156,6 +159,12 @@ impl<O: LockOwner> ObjectLocks<O> {
 
     fn is_unused(&self) -> bool {
         self.holders.is_empty() && self.waiters.is_empty()
+    }
+
+    /// Forgets every holder and waiter, keeping both lists' spills.
+    fn clear(&mut self) {
+        self.holders.clear();
+        self.waiters.clear();
     }
 }
 
@@ -416,6 +425,31 @@ impl<O: LockOwner> LockTable<O> {
         while self.free.len() < seed {
             self.free.push(Box::default());
         }
+    }
+
+    /// Forgets every lock and waiter, as a crash does, but keeps what the
+    /// table allocated: each object's box goes back to the recycling pool
+    /// with its holder and waiter spills, and the layout's slab or
+    /// [`SlotIndex`], the owner indexes' hash tables and the scratch keep
+    /// their capacity (each owner's row of the index goes). The table then
+    /// answers as a new one with the same layout, and refilling it to its
+    /// old size takes every box from the pool.
+    pub fn clear(&mut self) {
+        let free = &mut self.free;
+        let mut recycle = |mut boxed: Box<ObjectLocks<O>>| {
+            boxed.clear();
+            free.push(boxed);
+        };
+        match &mut self.objects {
+            Entries::Dense(slab) => slab.iter_mut().filter_map(Option::take).for_each(recycle),
+            Entries::Compact { index, live } => {
+                index.clear();
+                live.drain(..).for_each(|(_, boxed)| recycle(boxed));
+            }
+        }
+        self.held_by.clear();
+        self.waits_of.clear();
+        self.next_seq = 0;
     }
 
     fn entry(&self, object: ObjectId) -> Option<&ObjectLocks<O>> {
@@ -1163,6 +1197,47 @@ mod tests {
         let mut lt = table();
         lt.request(OBJ, A, Shared, t(10));
         lt.reserve_objects(16);
+    }
+
+    #[test]
+    fn a_cleared_dense_table_refills_from_its_pool() {
+        let mut lt = table();
+        lt.reserve_objects(64);
+        assert_eq!(lt.free.len(), 64, "the pool is seeded");
+        // Two readers hold each object and a writer waits on it.
+        let fill = |lt: &mut LockTable<ClientId>| {
+            for obj in (0..200).map(ObjectId) {
+                assert!(lt.request(obj, A, Shared, t(10)).is_granted());
+                assert!(lt.request(obj, B, Shared, t(10)).is_granted());
+                assert!(!lt.request(obj, C, Exclusive, t(10)).is_granted());
+            }
+        };
+        fill(&mut lt);
+        assert!(
+            lt.free.is_empty(),
+            "64 seeded boxes and 136 new ones in use"
+        );
+        let owners = lt.held_by.capacity();
+        lt.clear();
+        assert_eq!(lt.free.len(), 200, "every box went back to the pool");
+        assert_eq!((lt.active_objects(), lt.has_waiters()), (0, false));
+        assert_eq!(lt.locks_of(A), Vec::<ObjectId>::new());
+        assert!(
+            lt.held_by.capacity() >= owners,
+            "the owner index kept its capacity"
+        );
+        assert!(
+            matches!(lt.objects, Entries::Dense(_)),
+            "the layout stays dense"
+        );
+        lt.check_invariants().unwrap();
+        fill(&mut lt);
+        assert!(
+            lt.free.is_empty(),
+            "the refill took every box from the pool"
+        );
+        assert_eq!(lt.waiters(ObjectId(0)).len(), 1);
+        lt.check_invariants().unwrap();
     }
 
     #[test]

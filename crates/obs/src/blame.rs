@@ -17,18 +17,30 @@
 //! spans (`txn: None`, e.g. a server crash-restart replay outage) apply to
 //! every transaction whose interval overlaps them.
 //!
-//! Everything here is integer microseconds, and the transactions gathered
-//! in a hash map are sorted by id before anything is attributed: two
-//! extractions of byte-identical traces render byte-identical reports.
+//! One pass over the trace gathers every span into a single flat arena,
+//! grouped by root transaction in id order and in trace order within each
+//! group, beside one small record per transaction (its submission, its
+//! outcome and where its group sits). Each transaction is then attributed
+//! in buffers the walk reuses and handed on at once:
+//! [`BlameReport::extract`] folds it into the per-cause aggregates and
+//! ranks it among the worst misses, attributing only the `top_k` winners a
+//! second time for a path of their own; [`txn_blames`] keeps a copy of
+//! each. Both are the same walk, and extraction allocates a constant
+//! amount whatever the trace's length.
+//!
+//! Everything here is integer microseconds, and nothing depends on hash
+//! order: two extractions of byte-identical traces render byte-identical
+//! reports.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt::Write as _;
 
 use siteselect_types::{FixedState, SimTime, TransactionId, TxnOutcome};
 
 use crate::event::{outcome_str, Event};
 use crate::hist::LogHistogram;
-use crate::sink::TraceData;
+use crate::sink::{TraceData, TraceRecord};
 use crate::span::SpanKind;
 
 /// Mask clearing the subtask-index bits (40..48) of a raw transaction id —
@@ -111,11 +123,243 @@ struct Interval {
     blocker: Option<TransactionId>,
 }
 
-#[derive(Debug, Default)]
+impl Interval {
+    /// A placeholder for a slot about to be filled.
+    const EMPTY: Interval = Interval {
+        start_us: 0,
+        end_us: 0,
+        kind: SpanKind::Exec,
+        blocker: None,
+    };
+
+    /// The interval of a span record, if `rec` is one.
+    fn of(rec: &TraceRecord) -> Option<Interval> {
+        match rec.event {
+            Event::Span {
+                kind,
+                start,
+                blocker,
+                ..
+            } => Some(Interval {
+                start_us: start.as_micros(),
+                end_us: rec.time.as_micros(),
+                kind,
+                blocker,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// What the gathering pass learns of one root transaction: its first
+/// submission and outcome, and where its spans sit.
+#[derive(Debug)]
 struct TxnFacts {
+    raw: u64,
     submit: Option<(SimTime, SimTime)>, // (submit, deadline)
     outcome: Option<(SimTime, TxnOutcome)>,
+    /// Its position in first-seen order, which tags its spans.
+    seen: u32,
+    /// Its spans: `spans` of them from `start` in [`Gathered::spans`].
+    start: usize,
+    spans: usize,
+}
+
+/// Tags a site-scoped span in the gathering pass.
+const SITEWIDE: u32 = u32::MAX;
+
+/// Everything attribution needs from a trace, gathered in one pass: every
+/// span sits in one flat arena, grouped by root transaction in ascending
+/// id order and in trace order within each, so no transaction owns a
+/// vector. The site-scoped spans come last.
+struct Gathered {
+    /// One entry per root transaction seen, in ascending id order.
+    txns: Vec<TxnFacts>,
     spans: Vec<Interval>,
+    /// Where the site-scoped spans start in `spans`.
+    sitewide: usize,
+}
+
+impl Gathered {
+    fn new(trace: &TraceData) -> Self {
+        let records = trace.records.as_slice();
+        // The trace's report counts every record it holds, so the arena
+        // and the transaction index are sized once and the pass grows
+        // nothing: whatever the trace's length the gathering allocates the
+        // same (a trace whose report undercounts, or a transaction without
+        // its submission, grows them on demand).
+        let recorded = |kind: &str| {
+            let n = trace.report.kinds.get(kind).copied().unwrap_or(0);
+            usize::try_from(n).unwrap_or(usize::MAX).min(records.len())
+        };
+        let span_count = SpanKind::ALL.iter().map(|k| recorded(k.event_kind())).sum();
+        let submits = recorded(Event::TXN_SUBMIT);
+        let mut slot_of: HashMap<u64, u32, FixedState> = HashMap::default();
+        slot_of.reserve(submits);
+        let mut txns: Vec<TxnFacts> = Vec::with_capacity(submits);
+        // Every span as (its transaction's first-seen position, its
+        // record's index), in trace order: 8 bytes a span until the layout.
+        let mut tagged: Vec<(u32, u32)> = Vec::with_capacity(records.len().min(span_count));
+        let mut site_spans = 0;
+        for (index, rec) in records.iter().enumerate() {
+            // Lossless: a trace holds fewer than `u32::MAX` records.
+            let index = index as u32;
+            let raw = match &rec.event {
+                Event::TxnSubmit { txn, .. } | Event::Outcome { txn, .. } => txn.as_u64(),
+                Event::Span { txn: Some(t), .. } => fold_root(*t).as_u64(),
+                Event::Span { txn: None, .. } => {
+                    tagged.push((SITEWIDE, index));
+                    site_spans += 1;
+                    continue;
+                }
+                _ => continue,
+            };
+            let seen = *slot_of.entry(raw).or_insert_with(|| {
+                // Lossless: fewer transactions than `SITEWIDE` in a trace.
+                let seen = txns.len() as u32;
+                txns.push(TxnFacts {
+                    raw,
+                    submit: None,
+                    outcome: None,
+                    seen,
+                    start: 0,
+                    spans: 0,
+                });
+                seen
+            });
+            let Some(f) = txns.get_mut(seen as usize) else {
+                continue; // every position handed out was just pushed
+            };
+            match &rec.event {
+                Event::TxnSubmit { deadline, .. } => {
+                    f.submit = f.submit.or(Some((rec.time, *deadline)));
+                }
+                Event::Outcome { outcome, .. } => {
+                    f.outcome = f.outcome.or(Some((rec.time, *outcome)));
+                }
+                _ => {
+                    tagged.push((seen, index));
+                    f.spans += 1;
+                }
+            }
+        }
+        drop(slot_of);
+        // Lay the spans out by transaction in id order: each transaction's
+        // run starts where the one before it ends, and the tagged spans
+        // are read off their records into the runs in trace order.
+        txns.sort_unstable_by_key(|f| f.raw);
+        let mut next = vec![0; txns.len()];
+        let mut at = 0;
+        for f in &mut txns {
+            f.start = at;
+            if let Some(n) = next.get_mut(f.seen as usize) {
+                *n = at;
+            }
+            at += f.spans;
+        }
+        let sitewide = at;
+        let mut site_next = sitewide;
+        let mut spans = vec![Interval::EMPTY; at + site_spans];
+        for (seen, index) in tagged {
+            let cursor = match next.get_mut(seen as usize) {
+                Some(n) => n,
+                None => &mut site_next,
+            };
+            let span = records.get(index as usize).and_then(Interval::of);
+            if let (Some(slot), Some(span)) = (spans.get_mut(*cursor), span) {
+                *slot = span;
+            }
+            *cursor += 1;
+        }
+        Gathered {
+            txns,
+            spans,
+            sitewide,
+        }
+    }
+
+    /// `f`'s spans in trace order, then the site-scoped ones.
+    fn spans_of(&self, f: &TxnFacts) -> impl Iterator<Item = Interval> + '_ {
+        let own = self
+            .spans
+            .get(f.start..f.start + f.spans)
+            .unwrap_or_default();
+        let site = self.spans.get(self.sitewide..).unwrap_or_default();
+        own.iter().chain(site).copied()
+    }
+
+    /// Attributes `f`'s transaction into `walk.blame`, reusing the walk's
+    /// buffers. False if its submission or outcome is missing.
+    fn attribute(&self, f: &TxnFacts, walk: &mut Walk) -> bool {
+        let (Some((submit, deadline)), Some((end, outcome))) = (f.submit, f.outcome) else {
+            return false;
+        };
+        let (s, e) = (submit.as_micros(), end.as_micros());
+        walk.intervals.clear();
+        for iv in self.spans_of(f) {
+            let cs = iv.start_us.max(s);
+            let ce = iv.end_us.min(e);
+            if ce > cs {
+                walk.intervals.push(Interval {
+                    start_us: cs,
+                    end_us: ce,
+                    ..iv
+                });
+            }
+        }
+        let b = &mut walk.blame;
+        (b.txn, b.submit, b.end, b.deadline, b.outcome) = (
+            TransactionId::from_raw(f.raw),
+            submit,
+            end,
+            deadline,
+            outcome,
+        );
+        b.vector = attribute(s, e, &walk.intervals, &mut walk.bounds, &mut b.path);
+        true
+    }
+
+    /// Attributes every transaction with both a submission and an outcome,
+    /// in ascending id order, handing each to `visit` with its position.
+    fn walk(&self, walk: &mut Walk, mut visit: impl FnMut(usize, &TxnBlame)) {
+        for (pos, f) in self.txns.iter().enumerate() {
+            if self.attribute(f, walk) {
+                visit(pos, &walk.blame);
+            }
+        }
+    }
+}
+
+/// The buffers one attribution walk reuses for every transaction: the
+/// clipped intervals, the segment bounds, and the transaction being
+/// attributed, whose path is the reused path buffer.
+struct Walk {
+    intervals: Vec<Interval>,
+    bounds: Vec<u64>,
+    blame: TxnBlame,
+}
+
+impl Walk {
+    /// Buffers sized for the most spans any transaction of `gathered`
+    /// has, so no transaction grows them.
+    fn new(gathered: &Gathered) -> Self {
+        let longest = gathered.txns.iter().map(|f| f.spans).max().unwrap_or(0);
+        let intervals = longest + (gathered.spans.len() - gathered.sitewide);
+        let bounds = 2 + 2 * intervals;
+        Walk {
+            intervals: Vec::with_capacity(intervals),
+            bounds: Vec::with_capacity(bounds),
+            blame: TxnBlame {
+                txn: TransactionId::from_raw(0),
+                submit: SimTime::ZERO,
+                end: SimTime::ZERO,
+                deadline: SimTime::ZERO,
+                outcome: TxnOutcome::Committed,
+                vector: [0; SpanKind::COUNT],
+                path: Vec::with_capacity(bounds - 1),
+            },
+        }
+    }
 }
 
 /// Extracts the blame vector of every transaction with both a submission
@@ -125,93 +369,27 @@ struct TxnFacts {
 /// are skipped (the caller should surface `trace.report.dropped`).
 #[must_use]
 pub fn txn_blames(trace: &TraceData) -> Vec<TxnBlame> {
-    let mut facts: HashMap<u64, TxnFacts, FixedState> = HashMap::default();
-    let mut sitewide: Vec<Interval> = Vec::new();
-    for rec in &trace.records {
-        match &rec.event {
-            Event::TxnSubmit { txn, deadline, .. } => {
-                let f = facts.entry(txn.as_u64()).or_default();
-                if f.submit.is_none() {
-                    f.submit = Some((rec.time, *deadline));
-                }
-            }
-            Event::Outcome { txn, outcome } => {
-                let f = facts.entry(txn.as_u64()).or_default();
-                if f.outcome.is_none() {
-                    f.outcome = Some((rec.time, *outcome));
-                }
-            }
-            Event::Span {
-                txn,
-                kind,
-                start,
-                blocker,
-            } => {
-                let iv = Interval {
-                    start_us: start.as_micros(),
-                    end_us: rec.time.as_micros(),
-                    kind: *kind,
-                    blocker: *blocker,
-                };
-                match txn {
-                    Some(t) => facts
-                        .entry(fold_root(*t).as_u64())
-                        .or_default()
-                        .spans
-                        .push(iv),
-                    None => sitewide.push(iv),
-                }
-            }
-            _ => {}
-        }
-    }
-    // detlint: allow(D2) — collected, then sorted by raw transaction id on the next line
-    let mut by_id: Vec<(u64, TxnFacts)> = facts.into_iter().collect();
-    by_id.sort_unstable_by_key(|&(raw, _)| raw);
-    let mut out = Vec::new();
-    for (raw, f) in &by_id {
-        let (Some((submit, deadline)), Some((end, outcome))) = (f.submit, f.outcome) else {
-            continue;
-        };
-        let (s, e) = (submit.as_micros(), end.as_micros());
-        let mut intervals: Vec<Interval> = Vec::with_capacity(f.spans.len());
-        for iv in f.spans.iter().chain(sitewide.iter()) {
-            let cs = iv.start_us.max(s);
-            let ce = iv.end_us.min(e);
-            if ce > cs {
-                intervals.push(Interval {
-                    start_us: cs,
-                    end_us: ce,
-                    ..*iv
-                });
-            }
-        }
-        let (vector, path) = attribute(s, e, &intervals);
-        out.push(TxnBlame {
-            txn: TransactionId::from_raw(*raw),
-            submit,
-            end,
-            deadline,
-            outcome,
-            vector,
-            path,
-        });
-    }
+    let gathered = Gathered::new(trace);
+    let mut out = Vec::with_capacity(gathered.txns.len());
+    gathered.walk(&mut Walk::new(&gathered), |_, b| out.push(b.clone()));
     out
 }
 
-/// Priority-ordered elementary-segment sweep over `[s, e]`.
+/// Priority-ordered elementary-segment sweep over `[s, e]`, into `path`;
+/// returns the blame vector. `bounds` is scratch.
 fn attribute(
     s: u64,
     e: u64,
     intervals: &[Interval],
-) -> ([u64; SpanKind::COUNT], Vec<PathSegment>) {
+    bounds: &mut Vec<u64>,
+    path: &mut Vec<PathSegment>,
+) -> [u64; SpanKind::COUNT] {
     let mut vector = [0u64; SpanKind::COUNT];
-    let mut path: Vec<PathSegment> = Vec::new();
+    path.clear();
     if e <= s {
-        return (vector, path);
+        return vector;
     }
-    let mut bounds: Vec<u64> = Vec::with_capacity(2 + intervals.len() * 2);
+    bounds.clear();
     bounds.push(s);
     bounds.push(e);
     for iv in intervals {
@@ -247,7 +425,7 @@ fn attribute(
             }),
         }
     }
-    (vector, path)
+    vector
 }
 
 /// Per-cause aggregate over one run.
@@ -302,12 +480,15 @@ impl MetricsRegistry {
 }
 
 impl BlameReport {
-    /// Builds the report from a merged trace: extracts every blame vector,
-    /// aggregates per cause, and keeps the `top_k` worst misses. The
-    /// registry is inert; the benchmark package calls this signature.
+    /// Builds the report from a merged trace: attributes every transaction,
+    /// folds each into the per-cause aggregates as it goes, and keeps the
+    /// `top_k` worst misses. Only those are attributed a second time, for
+    /// a path of their own, so the whole extraction allocates a constant
+    /// amount however long the trace. The registry is inert; the benchmark
+    /// package calls this signature.
     #[must_use]
     pub fn extract(trace: &TraceData, top_k: usize, _registry: &MetricsRegistry) -> BlameReport {
-        let blames = txn_blames(trace);
+        let gathered = Gathered::new(trace);
         let mut causes: Vec<CauseStats> = SpanKind::ALL
             .iter()
             .map(|&kind| CauseStats {
@@ -318,16 +499,29 @@ impl BlameReport {
                 hist: LogHistogram::new(),
             })
             .collect();
-        let (mut missed, mut path_segments, mut worst_tardiness_us) = (0u64, 0u64, 0u64);
-        for b in &blames {
+        let (mut txns, mut missed, mut path_segments, mut worst_tardiness_us) =
+            (0u64, 0u64, 0u64, 0u64);
+        // The `top_k` worst misses so far, as (greater tardiness first, then
+        // the lower id, position): ascending order is worst first, so the
+        // heap's top is the least bad of them, the first to go.
+        let mut ranked: BinaryHeap<(Reverse<u64>, u64, usize)> =
+            BinaryHeap::with_capacity(top_k.min(gathered.txns.len()) + 1);
+        let mut walk = Walk::new(&gathered);
+        gathered.walk(&mut walk, |pos, b| {
+            txns += 1;
+            path_segments += b.path.len() as u64;
             if b.missed() {
                 missed += 1;
                 worst_tardiness_us = worst_tardiness_us.max(b.tardiness_us());
+                if top_k > 0 {
+                    ranked.push((Reverse(b.tardiness_us()), b.txn.as_u64(), pos));
+                    if ranked.len() > top_k {
+                        ranked.pop();
+                    }
+                }
             }
-            path_segments += b.path.len() as u64;
-            for (i, &us) in b.vector.iter().enumerate() {
+            for (c, &us) in causes.iter_mut().zip(&b.vector) {
                 if us > 0 {
-                    let c = &mut causes[i];
                     c.total_us += us;
                     c.txns += 1;
                     c.hist.record(us);
@@ -336,13 +530,18 @@ impl BlameReport {
                     }
                 }
             }
+        });
+        let ranked = ranked.into_sorted_vec();
+        let mut worst = Vec::with_capacity(ranked.len());
+        for &(_, _, pos) in &ranked {
+            if let Some(f) = gathered.txns.get(pos) {
+                if gathered.attribute(f, &mut walk) {
+                    worst.push(walk.blame.clone());
+                }
+            }
         }
-        let mut worst: Vec<&TxnBlame> = blames.iter().filter(|b| b.missed()).collect();
-        worst.sort_by_key(|b| (std::cmp::Reverse(b.tardiness_us()), b.txn.as_u64()));
-        worst.truncate(top_k);
-        let worst: Vec<TxnBlame> = worst.into_iter().cloned().collect();
         BlameReport {
-            txns: blames.len() as u64,
+            txns,
             missed,
             dropped_events: trace.report.dropped,
             causes,

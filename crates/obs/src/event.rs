@@ -409,6 +409,9 @@ impl Event {
     /// Number of distinct kinds ([`kind_index`](Self::kind_index) range).
     pub(crate) const KINDS: usize = PLAIN_KIND_NAMES.len() + SpanKind::COUNT;
 
+    /// The label of [`Event::TxnSubmit`]'s kind.
+    pub(crate) const TXN_SUBMIT: &'static str = PLAIN_KIND_NAMES[PlainKind::TxnSubmit as usize];
+
     /// The label of the kind numbered `index`.
     ///
     /// # Panics

@@ -116,6 +116,16 @@ impl ClientCache {
         }
     }
 
+    /// Empties both tiers, keeping the slab and the index: a cleared cache
+    /// behaves as a new one of the same capacities and never allocates.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.index.clear();
+        self.free = NIL;
+        self.memory = Tier::new(self.memory.capacity);
+        self.disk = Tier::new(self.disk.capacity);
+    }
+
     /// Does nothing: the cache is sized by its capacity in
     /// [`new`](Self::new), whatever ids it sees. Kept for callers written
     /// when the slab was indexed by object id.
@@ -399,6 +409,26 @@ mod tests {
         }
         assert!(c.len() <= 8);
         assert_eq!(c.iter().count(), c.len());
+    }
+
+    #[test]
+    fn a_cleared_cache_behaves_as_a_new_one() {
+        let mut used = ClientCache::new(2, 2);
+        for i in 1..=6 {
+            used.insert(ObjectId(i));
+        }
+        used.clear();
+        assert!(used.is_empty());
+        assert_eq!(used.iter().count(), 0);
+        assert_eq!(used.peek(ObjectId(6)), None);
+        let mut fresh = ClientCache::new(2, 2);
+        for id in [3, 9, 3, 4, 5, 9, 7].map(ObjectId) {
+            used.insert(id);
+            fresh.insert(id);
+            assert!(used.iter().eq(fresh.iter()));
+        }
+        assert_eq!(used.probe(ObjectId(4)), fresh.probe(ObjectId(4)));
+        assert!(used.iter().eq(fresh.iter()));
     }
 
     #[test]

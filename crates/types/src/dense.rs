@@ -463,6 +463,13 @@ impl SlotIndex {
         }
     }
 
+    /// Forgets every id, keeping the buckets: refilling the index to its
+    /// old size allocates nothing.
+    pub fn clear(&mut self) {
+        self.buckets.fill((VACANT, 0));
+        self.len = 0;
+    }
+
     /// Forgets `id`, returning its slot.
     #[inline]
     pub fn remove(&mut self, id: ObjectId) -> Option<u32> {
@@ -626,6 +633,15 @@ mod tests {
             "a present id keeps its slot"
         );
         assert_eq!(fixed.len(), 1_000);
+        // A cleared index forgets every id and refills without a rebuild.
+        fixed.clear();
+        assert!(fixed.is_empty());
+        assert_eq!(fixed.get(ObjectId(0)), None);
+        assert_eq!(fixed.buckets.len(), buckets);
+        for (slot, id) in ids(1_000).enumerate() {
+            assert_eq!(fixed.insert(ObjectId(id), slot as u32), None);
+        }
+        assert_eq!((fixed.buckets.len(), fixed.len()), (buckets, 1_000));
     }
 
     #[test]

@@ -182,6 +182,12 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         self.len = new_len;
     }
 
+    /// Removes every element, keeping the spill's capacity: a list refilled
+    /// to its old length allocates nothing.
+    pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
     /// Inserts `value` at `pos`, shifting later elements right.
     ///
     /// # Panics
@@ -400,6 +406,17 @@ mod tests {
         iv.extend(0..40);
         assert_eq!(iv.spill.capacity(), 38);
         assert_eq!(iv.to_vec(), (0..40).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn clear_keeps_the_spill() {
+        let mut iv: InlineVec<u32, 2> = InlineVec::new();
+        iv.extend(0..40);
+        iv.clear();
+        check_equals(&iv, &[]);
+        assert_eq!(iv.spill.capacity(), 38, "the spill stays allocated");
+        iv.extend(5..9);
+        check_equals(&iv, &[5, 6, 7, 8]);
     }
 
     #[test]

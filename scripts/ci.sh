@@ -39,12 +39,13 @@ reference_tests() {
     || die "cargo test $* ran no test: its filter matches nothing"
 }
 
-# The wait-for graph, lock table in both layouts (and its deadlock walk),
-# buffer pool and trace exporters against their reference implementations
-# at the full case count (debug builds run a slice).
+# The wait-for graph, lock table in both layouts (and its deadlock walk and
+# a crash's clear), buffer pool and trace exporters against their reference
+# implementations at the full case count (debug builds run a slice).
 step_references() {
   reference_tests -p siteselect-locks waitfor
   reference_tests -p siteselect-locks --lib table_matches_hashmap_oracle
+  reference_tests -p siteselect-locks --lib cleared_table
   reference_tests -p siteselect-locks --lib deadlock_walk
   reference_tests -p siteselect-storage --lib buffer_reference
   reference_tests -p siteselect-obs --lib export_reference
