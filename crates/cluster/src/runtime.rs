@@ -1,349 +1,253 @@
-//! Cluster assembly: spawns the server, one worker thread and one callback
-//! thread per client, runs a scaled-down Table 1 workload, and gathers the
-//! report.
+//! The driver: one thread per site, the scaled real clock, the channels
+//! between the sites, and the main thread's count of settled transactions
+//! that tells every site when the run is over.
 
-use std::sync::mpsc::channel;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::thread::ScopedJoinHandle;
+use std::time::{Duration, Instant};
 
-use siteselect_sim::Prng;
-use siteselect_types::{
-    AccessPatternConfig, ClientId, ConfigError, DeadlinePolicy, SimDuration, WorkloadConfig,
-};
-use siteselect_workload::TransactionGenerator;
-
+use siteselect_core::{Parcel, RunMetrics, Simulator};
 use siteselect_obs::{EventSink, TraceData};
+use siteselect_sim::Prng;
+use siteselect_types::{ClientId, SimDuration, SimTime, SiteId, TransactionSpec};
 
-use crate::client::{run_transaction, scale_duration, ClientShared, WorkerReport};
-use crate::history::HistoryLog;
-use crate::report::ClusterReport;
-use crate::server::SharedServer;
+use crate::{ClusterConfig, ClusterError, ClusterReport};
 
-/// Configuration of a threaded cluster run.
-///
-/// Times are expressed in the workload's simulated units and scaled to real
-/// time by `time_scale` (default: 1 simulated second → 1 real millisecond),
-/// so the paper's 10 s transactions become ~10 ms of real work.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterConfig {
-    /// Number of client workstations (threads × 2).
-    pub clients: u16,
-    /// Database pages.
-    pub db_objects: u32,
-    /// Server buffer frames.
-    pub server_buffer: usize,
-    /// Per-client cache capacity (objects).
-    pub client_cache: usize,
-    /// Transactions generated per client.
-    pub txns_per_client: u32,
-    /// Workload shape (Table 1 semantics).
-    pub workload: WorkloadConfig,
-    /// Simulated-seconds → real-seconds factor.
-    pub time_scale: f64,
-    /// Master seed.
-    pub seed: u64,
-    /// Chaos-injection knobs (all off by default).
-    pub chaos: ClusterChaos,
-    /// Capture per-site event traces, merged by simulated time into
-    /// [`ClusterReport::trace`]. Off by default; real-thread scheduling
-    /// makes these traces informative but not deterministic.
-    pub trace: bool,
+/// Ring capacity of each site's trace sink: far above the event volume of
+/// any run this driver is sized for, so the oracles see every record.
+const TRACE_CAPACITY_PER_SITE: usize = 1 << 20;
+
+/// How often the main thread looks for a site thread that died.
+const WATCH_INTERVAL: Duration = Duration::from_millis(50);
+
+/// What crosses a site's inbox.
+enum Wire {
+    /// A message and its delivery time.
+    Parcel(SimTime, Parcel),
+    /// The run is over.
+    Stop,
 }
 
-/// Chaos-injection knobs for the threaded cluster. Everything defaults to
-/// off; the protocol must stay serializable no matter what is enabled.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterChaos {
-    /// Upper bound of a uniformly random real-time delay inserted before
-    /// each lock recall is served — models slow or reordered channel
-    /// delivery between the server and a client's callback thread.
-    pub max_callback_delay: std::time::Duration,
-    /// Probability that a client terminates mid-run: it stops submitting
-    /// after a random prefix of its transactions. Its callback thread keeps
-    /// answering recalls and its cache is returned by the shutdown flush
-    /// (termination with a recovery agent), so the rest of the cluster can
-    /// always make progress.
-    pub termination_probability: f64,
+/// The real clock, scaled: simulated time `t` is `start + t * scale`.
+#[derive(Clone, Copy)]
+struct Clock {
+    start: Instant,
+    scale: f64,
 }
 
-impl Default for ClusterChaos {
-    fn default() -> Self {
-        ClusterChaos {
-            max_callback_delay: std::time::Duration::ZERO,
-            termination_probability: 0.0,
+impl Clock {
+    fn now(self) -> SimTime {
+        let secs = self.start.elapsed().as_secs_f64() / self.scale;
+        SimTime::ZERO + SimDuration::from_secs_f64(secs)
+    }
+
+    fn instant(self, t: SimTime) -> Instant {
+        self.start + Duration::from_secs_f64(t.as_secs_f64() * self.scale)
+    }
+}
+
+/// A site's sending side: one inbox per site, indexed server first, then
+/// the clients; the last delivery time on each link; and, at the server,
+/// the chaos delay of recalls.
+struct Links {
+    inboxes: Vec<Sender<Wire>>,
+    last_at: Vec<SimTime>,
+    recall_delay: Option<(Prng, SimDuration)>,
+}
+
+impl Links {
+    /// Sends `parcel` to `to` for delivery at `at` or later (see
+    /// [`schedule`](Self::schedule)).
+    fn send(&mut self, to: SiteId, at: SimTime, parcel: Parcel) {
+        let link = match to {
+            SiteId::Client(c) => 1 + c.index(),
+            SiteId::Server | SiteId::Directory => 0,
+        };
+        let at = self.schedule(link, at, parcel.is_recall());
+        if let Some(inbox) = self.inboxes.get(link) {
+            // A site that has stopped takes nothing more; the run is over.
+            let _ = inbox.send(Wire::Parcel(at, parcel));
+        }
+    }
+
+    /// When a message due at `at` is delivered on `link`: after its chaos
+    /// delay if it is a recall, and never before the last one sent on the
+    /// link, so the link stays FIFO.
+    fn schedule(&mut self, link: usize, mut at: SimTime, recall: bool) -> SimTime {
+        if let (Some((rng, max)), true) = (&mut self.recall_delay, recall) {
+            at += SimDuration::from_micros(rng.below(max.as_micros() + 1));
+        }
+        match self.last_at.get_mut(link) {
+            Some(last) => {
+                *last = at.max(*last);
+                *last
+            }
+            None => at,
         }
     }
 }
 
-impl ClusterConfig {
-    /// Checks the configuration for internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] naming the first offending field.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.clients == 0 {
-            return Err(ConfigError::new("clients", "must be at least 1"));
+/// One site thread's run: step the site to the clock, send what it sent,
+/// report what it settled, then wait for its next event or a parcel. The
+/// sink is built here, inside the thread (an [`EventSink`] cannot cross
+/// one), and its trace goes back beside the site's metrics.
+fn site_main(
+    mut sim: Simulator,
+    clock: Clock,
+    inbox: &Receiver<Wire>,
+    mut links: Links,
+    progress: &Sender<u64>,
+) -> (TraceData, RunMetrics) {
+    let sink = EventSink::enabled(TRACE_CAPACITY_PER_SITE);
+    sim.attach_sink(sink.clone());
+    let mut reported = 0;
+    loop {
+        sim.run_until(clock.now());
+        for (to, at, parcel) in sim.take_outbound() {
+            links.send(to, at, parcel);
         }
-        if self.db_objects == 0 {
-            return Err(ConfigError::new("db_objects", "must be positive"));
+        if sim.settled() > reported {
+            let _ = progress.send(sim.settled() - reported);
+            reported = sim.settled();
         }
-        if self.client_cache == 0 {
-            return Err(ConfigError::new("client_cache", "must be positive"));
-        }
-        if self.server_buffer == 0 {
-            return Err(ConfigError::new("server_buffer", "must be positive"));
-        }
-        if self.time_scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
-            || !self.time_scale.is_finite()
-        {
-            return Err(ConfigError::new("time_scale", "must be positive and finite"));
-        }
-        if !(0.0..=1.0).contains(&self.workload.update_fraction) {
-            return Err(ConfigError::new(
-                "workload.update_fraction",
-                "must be within [0, 1]",
-            ));
-        }
-        if self.workload.mean_objects_per_txn.partial_cmp(&0.0)
-            != Some(std::cmp::Ordering::Greater)
-        {
-            return Err(ConfigError::new(
-                "workload.mean_objects_per_txn",
-                "must be positive",
-            ));
-        }
-        if self.workload.mean_interarrival.is_zero() {
-            return Err(ConfigError::new(
-                "workload.mean_interarrival",
-                "must be positive",
-            ));
-        }
-        if self.workload.access_pattern.hot_region_objects > self.db_objects {
-            return Err(ConfigError::new(
-                "workload.access_pattern.hot_region_objects",
-                "hot region cannot exceed the database size",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.chaos.termination_probability) {
-            return Err(ConfigError::new(
-                "chaos.termination_probability",
-                "must be within [0, 1]",
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            clients: 4,
-            db_objects: 256,
-            server_buffer: 64,
-            client_cache: 32,
-            txns_per_client: 25,
-            workload: WorkloadConfig {
-                mean_interarrival: SimDuration::from_secs(5),
-                mean_length: SimDuration::from_secs(2),
-                deadline: DeadlinePolicy::ExponentialOffset {
-                    mean: SimDuration::from_secs(20),
-                },
-                update_fraction: 0.2,
-                mean_objects_per_txn: 4.0,
-                decomposable_fraction: 0.0,
-                access_pattern: AccessPatternConfig {
-                    hot_region_objects: 64,
-                    hot_access_fraction: 0.75,
-                },
-            },
-            time_scale: 0.001,
-            seed: 0xC1u64 << 32 | 0x5e1e,
-            chaos: ClusterChaos::default(),
-            trace: false,
+        let wait = sim.next_at().map_or(WATCH_INTERVAL, |t| {
+            clock.instant(t).saturating_duration_since(Instant::now())
+        });
+        match inbox.recv_timeout(wait) {
+            Ok(Wire::Parcel(at, parcel)) => sim.accept(at, parcel),
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(Wire::Stop) | Err(RecvTimeoutError::Disconnected) => break,
         }
     }
+    let trace = sink
+        .finish()
+        .unwrap_or_else(|| TraceData::merge(Vec::new()));
+    (trace, sim.finalize())
 }
 
-/// Errors surfaced by [`Cluster::run`].
-#[derive(Debug)]
-pub enum ClusterError {
-    /// The configuration is inconsistent.
-    Config(ConfigError),
-    /// A worker thread panicked.
-    WorkerPanicked,
-}
-
-impl std::fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterError::Config(e) => write!(f, "cluster config: {e}"),
-            ClusterError::WorkerPanicked => write!(f, "a cluster worker thread panicked"),
-        }
+/// The run's transactions, with each chaos-terminated client's cut to a
+/// random prefix, and the number of clients cut.
+fn submissions(cfg: &ClusterConfig) -> (Vec<TransactionSpec>, u64) {
+    let exp = &cfg.experiment;
+    let mut specs = Simulator::transactions(exp);
+    let mut own = vec![0u64; usize::from(exp.clients)];
+    for spec in &specs {
+        own[spec.origin.index()] += 1;
     }
+    let root = Prng::seed_from_u64(exp.runtime.seed).derive(0xC0A5);
+    let quota: Vec<u64> = own
+        .iter()
+        .enumerate()
+        .map(|(i, &n)| {
+            let mut rng = root.derive(i as u64);
+            let p = cfg.chaos.termination_probability;
+            if n > 0 && rng.bernoulli(p) {
+                rng.below(n)
+            } else {
+                n
+            }
+        })
+        .collect();
+    let terminated = quota.iter().zip(&own).filter(|(q, n)| q < n).count() as u64;
+    let mut taken = vec![0u64; quota.len()];
+    specs.retain(|spec| {
+        let i = spec.origin.index();
+        taken[i] += 1;
+        taken[i] <= quota[i]
+    });
+    (specs, terminated)
 }
 
-impl std::error::Error for ClusterError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ClusterError::Config(e) => Some(e),
-            ClusterError::WorkerPanicked => None,
-        }
-    }
-}
-
-/// The threaded mini CS-RTDBS.
+/// The threaded cluster.
 #[derive(Debug)]
 pub struct Cluster;
 
 impl Cluster {
-    /// Runs the cluster to completion.
+    /// Runs the cluster until every submitted transaction is settled:
+    /// `clients + 1` site threads, with the calling thread counting.
     ///
     /// # Errors
     ///
     /// [`ClusterError::Config`] for invalid parameters;
-    /// [`ClusterError::WorkerPanicked`] if a thread died.
+    /// [`ClusterError::WorkerPanicked`] if a site thread died.
     pub fn run(cfg: ClusterConfig) -> Result<ClusterReport, ClusterError> {
         cfg.validate().map_err(ClusterError::Config)?;
-
-        let mut callback_tx = Vec::new();
-        let mut callback_rx = Vec::new();
-        for _ in 0..cfg.clients {
-            let (tx, rx) = channel();
-            callback_tx.push(tx);
-            callback_rx.push(rx);
-        }
-        let server = SharedServer::new(cfg.db_objects, cfg.server_buffer, callback_tx);
-        let history = Arc::new(HistoryLog::new());
-        let shareds: Vec<Arc<ClientShared>> = (0..cfg.clients)
-            .map(|i| ClientShared::new(ClientId(i), cfg.client_cache))
+        let exp = &cfg.experiment;
+        let (specs, terminated_clients) = submissions(&cfg);
+        let warmup_end = SimTime::ZERO + exp.runtime.warmup;
+        let generated = specs.iter().filter(|s| s.arrival >= warmup_end).count() as u64;
+        let sites: Vec<SiteId> = std::iter::once(SiteId::Server)
+            .chain((0..exp.clients).map(|c| SiteId::Client(ClientId(c))))
             .collect();
-        let root = Prng::seed_from_u64(cfg.seed);
-        let start = Instant::now();
-
-        let (worker_reports, traces) = std::thread::scope(|scope| {
-            // Callback threads.
-            let chaos_delay = cfg.chaos.max_callback_delay;
-            let mut cb_handles = Vec::new();
-            for (i, rx) in callback_rx.into_iter().enumerate() {
-                let shared = Arc::clone(&shareds[i]);
-                let server = Arc::clone(&server);
-                let mut rng = root.derive(0xCB_0000 + i as u64);
-                cb_handles.push(scope.spawn(move || {
-                    if chaos_delay.is_zero() {
-                        shared.callback_loop(&rx, &server);
-                    } else {
-                        shared.callback_loop_jittered(&rx, &server, chaos_delay, &mut rng);
-                    }
-                }));
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = sites.iter().map(|_| channel()).unzip();
+        let (progress, settled) = channel();
+        let clock = Clock {
+            start: Instant::now(),
+            scale: cfg.time_scale,
+        };
+        let recall_delay =
+            SimDuration::from_secs_f64(cfg.chaos.max_callback_delay.as_secs_f64() / cfg.time_scale);
+        let recall_rng = Prng::seed_from_u64(exp.runtime.seed).derive(0xCB);
+        let parts = std::thread::scope(|scope| {
+            let handles: Vec<ScopedJoinHandle<'_, (TraceData, RunMetrics)>> = sites
+                .iter()
+                .zip(receivers)
+                .map(|(&site, inbox)| {
+                    let delays = site == SiteId::Server && !recall_delay.is_zero();
+                    let links = Links {
+                        inboxes: inboxes.clone(),
+                        last_at: vec![SimTime::ZERO; sites.len()],
+                        recall_delay: delays.then(|| (recall_rng.derive(0), recall_delay)),
+                    };
+                    let (exp, specs, progress) = (exp.clone(), specs.clone(), progress.clone());
+                    scope.spawn(move || {
+                        let sim = Simulator::site(exp, site, specs);
+                        site_main(sim, clock, &inbox, links, &progress)
+                    })
+                })
+                .collect();
+            drop(progress);
+            await_settled(&settled, specs.len() as u64, &handles);
+            for inbox in &inboxes {
+                let _ = inbox.send(Wire::Stop);
             }
-            // Worker threads. A chaos-terminated client submits only a
-            // random prefix of its transaction quota.
-            let mut handles = Vec::new();
-            for i in 0..cfg.clients {
-                let shared = Arc::clone(&shareds[i as usize]);
-                let server = Arc::clone(&server);
-                let history = Arc::clone(&history);
-                let cfg = cfg.clone();
-                let rng = root.derive(u64::from(i) + 1);
-                let mut chaos_rng = root.derive(0xC0A5_0000 + u64::from(i));
-                let quota = if cfg.txns_per_client > 0
-                    && chaos_rng.bernoulli(cfg.chaos.termination_probability)
-                {
-                    chaos_rng.below(u64::from(cfg.txns_per_client)) as u32
-                } else {
-                    cfg.txns_per_client
-                };
-                handles.push(scope.spawn(move || {
-                    worker_main(&cfg, shared, &server, &history, rng, start, quota)
-                }));
-            }
-            let mut reports = Vec::new();
-            let mut traces = Vec::new();
-            let mut panicked = false;
-            for h in handles {
-                match h.join() {
-                    Ok((report, trace)) => {
-                        reports.push(report);
-                        traces.extend(trace);
-                    }
-                    Err(_) => panicked = true,
-                }
-            }
-            // Flush caches so the store holds the final committed state,
-            // then close the callback channels so the callback threads
-            // drain and exit before the scope joins them. This must happen
-            // even when a worker panicked, otherwise the callback threads
-            // would block the scope forever.
-            for shared in &shareds {
-                shared.flush_all(&server);
-            }
-            server.close();
-            for h in cb_handles {
-                let _ = h.join();
-            }
-            if panicked {
-                Err(ClusterError::WorkerPanicked)
-            } else {
-                Ok((reports, traces))
-            }
-        })?;
-        let stats = server.stats();
-        let trace = cfg.trace.then(|| TraceData::merge(traces));
-        Ok(ClusterReport::aggregate(&worker_reports, stats, history, trace))
+            handles
+                .into_iter()
+                .map(ScopedJoinHandle::join)
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .map_err(|_| ClusterError::WorkerPanicked)?;
+        let mut metrics = RunMetrics::new(
+            exp.system,
+            exp.clients,
+            exp.workload.update_fraction,
+            exp.runtime.seed,
+        );
+        let mut traces = Vec::with_capacity(parts.len());
+        for (trace, site_metrics) in parts {
+            metrics.add_outcomes(&site_metrics);
+            traces.push(trace);
+        }
+        Ok(ClusterReport {
+            generated,
+            terminated_clients,
+            metrics,
+            trace: TraceData::merge(traces),
+        })
     }
 }
 
-/// Ring capacity of each worker's trace buffer: generously above any
-/// realistic per-client event volume (a few events per transaction).
-const TRACE_CAPACITY_PER_SITE: usize = 1 << 16;
-
-/// One worker thread's run. The sink is built here, inside the thread (an
-/// [`EventSink`] cannot cross one), and its drained site-local trace goes
-/// back beside the report to be merged by simulated time at shutdown.
-fn worker_main(
-    cfg: &ClusterConfig,
-    shared: Arc<ClientShared>,
-    server: &SharedServer,
-    history: &HistoryLog,
-    rng: Prng,
-    start: Instant,
-    quota: u32,
-) -> (WorkerReport, Option<TraceData>) {
-    let sink = if cfg.trace {
-        EventSink::enabled(TRACE_CAPACITY_PER_SITE)
-    } else {
-        EventSink::disabled()
-    };
-    let mut gen = TransactionGenerator::new(
-        shared.id,
-        &cfg.workload,
-        1.0, // cpu demand = full nominal length (scaled down globally)
-        cfg.db_objects,
-        cfg.clients,
-        rng,
-    );
-    let mut total = WorkerReport {
-        terminated: u64::from(quota < cfg.txns_per_client),
-        ..WorkerReport::default()
-    };
-    for _ in 0..quota {
-        let spec = gen.next_txn();
-        // Pace arrivals on the scaled clock.
-        let due = start + scale_duration(spec.arrival.as_micros(), cfg.time_scale);
-        let now = Instant::now();
-        if due > now {
-            std::thread::sleep(due - now);
+/// Counts settled transactions until all `total` are, or a site thread
+/// has ended early (it panicked: the join reports it).
+fn await_settled<T>(settled: &Receiver<u64>, total: u64, sites: &[ScopedJoinHandle<'_, T>]) {
+    let mut remaining = total;
+    while remaining > 0 {
+        match settled.recv_timeout(WATCH_INTERVAL) {
+            Ok(n) => remaining = remaining.saturating_sub(n),
+            Err(RecvTimeoutError::Timeout) if !sites.iter().any(ScopedJoinHandle::is_finished) => {}
+            Err(_) => return,
         }
-        let r = run_transaction(&shared, server, history, &spec, start, cfg.time_scale, &sink);
-        total.generated += r.generated;
-        total.in_time += r.in_time;
-        total.late += r.late;
-        total.deadlock_aborts += r.deadlock_aborts;
-        total.timeouts += r.timeouts;
-        total.expired += r.expired;
     }
-    (total, sink.finish())
 }
 
 #[cfg(test)]
@@ -351,185 +255,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_cluster_runs_and_is_serializable() {
-        let report = Cluster::run(ClusterConfig {
-            clients: 4,
-            txns_per_client: 15,
-            ..ClusterConfig::default()
-        })
-        .unwrap();
-        assert_eq!(report.generated, 60);
-        assert!(report.is_balanced());
-        report.history.check_serializable().unwrap();
-    }
-
-    #[test]
-    fn contended_cluster_stays_serializable() {
-        // Tiny hot database: heavy conflicts, callbacks and downgrades.
-        let mut cfg = ClusterConfig {
-            clients: 6,
-            db_objects: 8,
-            server_buffer: 8,
-            client_cache: 8,
-            txns_per_client: 30,
-            ..ClusterConfig::default()
+    fn delayed_recalls_keep_each_link_fifo() {
+        let mut links = Links {
+            inboxes: Vec::new(),
+            last_at: vec![SimTime::ZERO; 3],
+            recall_delay: Some((Prng::seed_from_u64(7), SimDuration::from_secs(5))),
         };
-        cfg.workload.access_pattern.hot_region_objects = 8;
-        cfg.workload.update_fraction = 0.8;
-        cfg.workload.mean_objects_per_txn = 3.0;
-        cfg.workload.mean_interarrival = SimDuration::from_secs(1);
-        let report = Cluster::run(cfg).unwrap();
-        assert!(report.is_balanced());
-        assert!(
-            report.server.recalls > 0,
-            "six clients hammering eight objects at 80% updates must recall locks"
-        );
-        report.history.check_serializable().unwrap();
-    }
-
-    #[test]
-    fn store_versions_match_committed_writes() {
-        let report = Cluster::run(ClusterConfig {
-            clients: 3,
-            txns_per_client: 10,
-            ..ClusterConfig::default()
-        })
-        .unwrap();
-        report.history.check_serializable().unwrap();
-        assert!(report.is_balanced());
-    }
-
-    #[test]
-    fn chaotic_cluster_stays_serializable() {
-        // Delayed recall delivery + mid-run client termination on a hot
-        // contended database: the worst interleavings we can provoke must
-        // still be conflict-serializable and fully accounted.
-        let mut cfg = ClusterConfig {
-            clients: 6,
-            db_objects: 8,
-            server_buffer: 8,
-            client_cache: 8,
-            txns_per_client: 25,
-            chaos: ClusterChaos {
-                max_callback_delay: std::time::Duration::from_millis(3),
-                termination_probability: 0.5,
-            },
-            ..ClusterConfig::default()
-        };
-        cfg.workload.access_pattern.hot_region_objects = 8;
-        cfg.workload.update_fraction = 0.8;
-        cfg.workload.mean_objects_per_txn = 3.0;
-        cfg.workload.mean_interarrival = SimDuration::from_secs(1);
-        let report = Cluster::run(cfg).unwrap();
-        assert!(report.is_balanced());
-        // Conservation under chaos: the failure breakdown exactly covers
-        // what was submitted but not committed on time — chaos must not
-        // create, lose or double-count a transaction.
-        assert_eq!(
-            report.late + report.deadlock_aborts + report.timeouts + report.expired,
-            report.generated - report.in_time,
-            "failure breakdown out of balance with submissions"
-        );
-        // Termination draws are seed-deterministic: with p = 0.5 over six
-        // clients this seed terminates at least one.
-        assert!(report.terminated_clients > 0, "no client terminated");
-        assert!(
-            report.generated < 6 * 25,
-            "terminated clients must submit fewer transactions"
-        );
-        report.history.check_serializable().unwrap();
-    }
-
-    #[test]
-    fn chaos_outcome_counts_are_pinned() {
-        // Golden parity for the fault path (same idea as
-        // tests/golden_parity.rs): the termination draws and per-client
-        // quotas derive purely from the seed, so the submission counts of
-        // a chaotic run are exact. Wall-clock-dependent outcomes (in_time,
-        // late) are deliberately not pinned. Regenerate the literals here
-        // if the seed-derivation scheme changes intentionally.
-        let mut cfg = ClusterConfig {
-            clients: 6,
-            db_objects: 8,
-            server_buffer: 8,
-            client_cache: 8,
-            txns_per_client: 25,
-            chaos: ClusterChaos {
-                max_callback_delay: std::time::Duration::from_millis(1),
-                termination_probability: 0.5,
-            },
-            ..ClusterConfig::default()
-        };
-        cfg.workload.access_pattern.hot_region_objects = 8;
-        cfg.workload.update_fraction = 0.8;
-        cfg.workload.mean_objects_per_txn = 3.0;
-        cfg.workload.mean_interarrival = SimDuration::from_secs(1);
-        let report = Cluster::run(cfg).unwrap();
-        assert_eq!(report.terminated_clients, PINNED_TERMINATED);
-        assert_eq!(report.generated, PINNED_GENERATED);
-        assert!(report.is_balanced());
-    }
-
-    const PINNED_TERMINATED: u64 = 3;
-    const PINNED_GENERATED: u64 = 77;
-
-    #[test]
-    fn traced_cluster_captures_merged_lifecycles() {
-        let report = Cluster::run(ClusterConfig {
-            clients: 3,
-            txns_per_client: 10,
-            trace: true,
-            ..ClusterConfig::default()
-        })
-        .unwrap();
-        assert!(report.is_balanced());
-        let trace = report.trace.as_ref().expect("tracing was enabled");
-        // Every generated transaction submits exactly once, and every
-        // commit in the report has a matching trace event.
-        assert_eq!(trace.report.kind_count("txn_submit"), report.generated);
-        assert_eq!(
-            trace.report.kind_count("commit"),
-            report.in_time + report.late
-        );
-        // The merge is globally ordered by simulated time.
-        assert!(trace
-            .records
-            .windows(2)
-            .all(|w| w[0].time <= w[1].time));
-    }
-
-    #[test]
-    fn untraced_cluster_reports_no_trace() {
-        let report = Cluster::run(ClusterConfig {
-            clients: 2,
-            txns_per_client: 5,
-            ..ClusterConfig::default()
-        })
-        .unwrap();
-        assert!(report.trace.is_none());
-    }
-
-    #[test]
-    fn chaos_validation_rejects_bad_probability() {
-        let mut bad = ClusterConfig::default();
-        bad.chaos.termination_probability = 1.5;
-        assert!(matches!(Cluster::run(bad), Err(ClusterError::Config(_))));
-    }
-
-    #[test]
-    fn invalid_configs_rejected() {
-        let bad = ClusterConfig {
-            clients: 0,
-            ..ClusterConfig::default()
-        };
-        assert!(matches!(Cluster::run(bad), Err(ClusterError::Config(_))));
-        let bad = ClusterConfig {
-            time_scale: 0.0,
-            ..ClusterConfig::default()
-        };
-        assert!(matches!(Cluster::run(bad), Err(ClusterError::Config(_))));
-        let mut bad = ClusterConfig::default();
-        bad.workload.access_pattern.hot_region_objects = 10_000;
-        assert!(matches!(Cluster::run(bad), Err(ClusterError::Config(_))));
+        let mut last = [SimTime::ZERO; 3];
+        let mut delayed = 0;
+        for i in 0..200u64 {
+            let (link, recall) = (1 + (i % 2) as usize, i % 3 == 0);
+            let due = SimTime::from_secs(i / 4);
+            let at = links.schedule(link, due, recall);
+            assert!(at >= due, "delivered before its fabric time");
+            assert!(at >= last[link], "link {link} reordered at message {i}");
+            delayed += u64::from(at > due);
+            last[link] = at;
+        }
+        assert!(delayed > 0, "the chaos delay never fired");
+        // A link's delay holds back only that link.
+        assert_eq!(links.schedule(0, SimTime::ZERO, false), SimTime::ZERO);
     }
 }

@@ -51,7 +51,7 @@ fn spec_at(specs: &[TransactionSpec], index: u32) -> &TransactionSpec {
 /// A client terminal initiates transaction `index` of the arena: it
 /// travels to the server, which runs it.
 pub(crate) fn submit(cx: &mut Cx, index: u32) {
-    cx.inflight += 1;
+    cx.arrived += 1;
     let spec = spec_at(&cx.specs, index);
     let (txn, origin, arrival, deadline) = (spec.id, spec.origin, spec.arrival, spec.deadline);
     let accesses = spec.accesses.len() as u32;
@@ -261,7 +261,7 @@ impl CentralizedServer {
         if !crashed {
             send_result(cx, txn.spec, false);
         }
-        cx.inflight -= 1;
+        cx.settled += 1;
         if cx.measured_arrival(arrival) {
             let outcome = TxnOutcome::Aborted(reason);
             cx.metrics
@@ -551,7 +551,7 @@ mod tests {
             accesses,
             decomposable: false,
         });
-        cx.inflight += 1; // a terminal counts its transaction at arrival
+        cx.arrived += 1; // a terminal counts its transaction at arrival
         let index = cx.specs.len() as u32 - 1;
         let msg = Msg::TxnSubmit {
             index,
@@ -641,7 +641,7 @@ mod tests {
         assert_eq!(s.core.locks.held_mode(a, key), None);
         assert!(run_server(&mut s, &mut cx).is_empty());
         assert_eq!(cx.fabric.stats().count(MessageKind::TxnResult), 1);
-        assert_eq!(cx.inflight, 0);
+        assert_eq!(cx.inflight(), 0);
     }
 
     #[test]
@@ -658,7 +658,7 @@ mod tests {
         assert!(!s.core.server_up);
         assert!(s.txns.is_empty());
         assert_eq!(cx.metrics.failures.site_crash, 3);
-        assert_eq!(cx.inflight, 0);
+        assert_eq!(cx.inflight(), 0);
         assert!(run_server(&mut s, &mut cx).is_empty());
         assert_eq!(cx.fabric.stats().count(MessageKind::TxnResult), 0);
     }

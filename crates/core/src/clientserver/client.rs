@@ -313,7 +313,7 @@ impl ClientSite {
             }
             return;
         }
-        cx.inflight += 1;
+        cx.arrived += 1;
         cx.sink.emit(cx.now, SiteId::Client(spec.origin), || {
             siteselect_obs::Event::TxnSubmit {
                 txn: spec.id,
@@ -1896,7 +1896,7 @@ mod tests {
             AccessSpec::read(ObjectId(2)),
         ];
         let key = submit(&mut site, &mut cx, 1, accesses);
-        assert_eq!(cx.inflight, 1);
+        assert_eq!(cx.inflight(), 1);
         // One batched request, to the server, for both objects.
         let sent = cx.drain_deliveries();
         let [(
@@ -1953,7 +1953,7 @@ mod tests {
 
         // Commit: locks and copies stay cached, nothing goes on the wire.
         run_cpu(&mut site, &mut cx);
-        assert_eq!(cx.inflight, 0);
+        assert_eq!(cx.inflight(), 0);
         assert!(site.txns.is_empty());
         assert!(cx.drain_deliveries().is_empty());
         assert_eq!(site.cached_locks().len(), 2);
@@ -2152,7 +2152,7 @@ mod tests {
         assert!(cx.drain_deliveries().is_empty());
         site.abort_local_holders(&mut cx, ObjectId(1));
         assert!(site.txns.is_empty());
-        assert_eq!(cx.inflight, 0);
+        assert_eq!(cx.inflight(), 0);
     }
 
     #[test]
@@ -2336,7 +2336,7 @@ mod tests {
 
     /// Whether a unit of work is the site's own transaction, one shipped
     /// here or a subtask, and whether it commits, aborts or dies in a
-    /// crash, it ends exactly once: one `UnitEnd`, and either `inflight`
+    /// crash, it ends exactly once: one `UnitEnd`, and either it is
     /// settled at the origin or one result sent back to it.
     #[test]
     fn every_unit_ends_once_however_it_ends() {
@@ -2376,7 +2376,7 @@ mod tests {
                         subtask_key(parent, 0)
                     }
                 };
-                let inflight = cx.inflight;
+                let settled = cx.settled;
                 cx.drain_deliveries();
                 let grant = || Msg::GrantBatch {
                     items: [(ObjectId(1), LockMode::Exclusive, true)]
@@ -2409,7 +2409,7 @@ mod tests {
                             && matches!(m, Msg::TxnResult { .. } | Msg::SubtaskResult { .. })
                     })
                     .count();
-                let settled = inflight - cx.inflight;
+                let settled = cx.settled - settled;
                 assert_eq!(
                     (settled, results),
                     if kind == "normal" { (1, 0) } else { (0, 1) },

@@ -400,6 +400,18 @@ impl ClusterQueue {
         self.q.pop()
     }
 
+    /// Pops the next event if it is due at or before `t`.
+    fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, Ev)> {
+        self.flush();
+        self.q.pop_before(t)
+    }
+
+    /// When the next event is due.
+    fn peek_time(&self) -> Option<SimTime> {
+        let staged = (!self.staged.is_empty()).then_some(self.staged_at);
+        self.q.peek_time().into_iter().chain(staged).min()
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.q.len() + usize::from(!self.staged.is_empty())
     }
@@ -428,9 +440,13 @@ pub(crate) struct Cx {
     /// it sends and the server hands it back once the batch is handled, so
     /// there are as many as batches were ever in flight at once.
     want_bufs: Vec<Vec<Want>>,
-    /// Transactions submitted and not yet scored (parents of
-    /// decompositions count too); the sweep keeps ticking until it drains.
-    pub inflight: usize,
+    /// Transactions submitted here (parents of decompositions count
+    /// too) and transactions settled here. Their difference is what is in
+    /// flight, and the sweep keeps ticking until it drains. A CE abort is
+    /// settled at the server, so in a one-site simulator the two count
+    /// only this site's share.
+    pub arrived: u64,
+    pub settled: u64,
     pub warmup_end: SimTime,
     /// True if `cfg.faults.injects_faults()`. Every fault code path is
     /// gated on it, so a default run schedules no fault events and draws no
@@ -445,6 +461,12 @@ pub(crate) struct Cx {
     /// whose chain the server has yet to hear is broken (the simulation's
     /// shortcut for the timeout a real server would run).
     lost_forwards: Vec<ObjectId>,
+    /// The one site a one-site simulator runs (`None`: every site is
+    /// here). A message for any other site leaves through `outbound`.
+    local: Option<SiteDest>,
+    /// Messages for other sites, with their fabric delivery times, in send
+    /// order.
+    outbound: Vec<(SiteDest, SimTime, Msg)>,
 }
 
 impl Cx {
@@ -463,14 +485,22 @@ impl Cx {
             sink: EventSink::disabled(),
             specs: Vec::new(),
             want_bufs: Vec::new(),
-            inflight: 0,
+            arrived: 0,
+            settled: 0,
             warmup_end: SimTime::ZERO + cfg.runtime.warmup,
             faults_active: cfg.faults.injects_faults(),
             refused: 0,
             up: vec![true; usize::from(cfg.clients)],
             lost_forwards: Vec::new(),
+            local: None,
+            outbound: Vec::new(),
             cfg,
         }
+    }
+
+    /// Transactions submitted here and not yet settled.
+    pub(crate) fn inflight(&self) -> u64 {
+        self.arrived - self.settled
     }
 
     /// An empty `RequestBatch::wants` vector, a recycled one if any is spare.
@@ -481,6 +511,11 @@ impl Cx {
     /// Takes a `wants` vector back once its batch is handled (or was never
     /// sent).
     pub(crate) fn recycle_want_buf(&mut self, mut wants: Vec<Want>) {
+        // A one-site simulator's buffers cross to another thread and never
+        // come back, so it keeps one spare, not one per batch it is sent.
+        if self.local.is_some() && !self.want_bufs.is_empty() {
+            return;
+        }
         wants.clear();
         self.want_bufs.push(wants);
     }
@@ -543,15 +578,25 @@ impl Cx {
         let Delivery::Delivered(at) = delivery else {
             return false;
         };
-        self.queue.stage_delivery(at, SiteDest::Client(to), msg());
+        self.stage(at, SiteDest::Client(to), msg());
         true
     }
 
     /// Schedules (or accounts for the loss of) a fault-aware send.
     pub(crate) fn push_delivery(&mut self, delivery: Delivery, to: SiteDest, msg: Msg) {
         match delivery {
-            Delivery::Delivered(t) => self.queue.stage_delivery(t, to, msg),
+            Delivery::Delivered(t) => self.stage(t, to, msg),
             Delivery::Dropped => self.on_dropped_delivery(msg),
+        }
+    }
+
+    /// Queues `msg` for delivery at `at`, or hands it to the driver when
+    /// `to` is a site this simulator does not run.
+    fn stage(&mut self, at: SimTime, to: SiteDest, msg: Msg) {
+        if self.local.is_none_or(|here| here == to) {
+            self.queue.stage_delivery(at, to, msg);
+        } else {
+            self.outbound.push((to, at, msg));
         }
     }
 
@@ -604,7 +649,7 @@ impl Cx {
         deadline: SimTime,
         aborted: Option<AbortReason>,
     ) {
-        self.inflight -= 1;
+        self.settled += 1;
         if !self.measured_arrival(arrival) {
             return;
         }
@@ -639,11 +684,41 @@ impl Cx {
 }
 
 /// The run's database server site.
-enum Server {
+enum ServerKind {
     /// CE: runs every transaction itself.
     Centralized(CentralizedServer),
     /// CS/LS: ships objects and calls back cached locks.
     ClientServer(ServerSite),
+    /// A one-site simulator of a client: the server runs elsewhere.
+    Remote,
+}
+
+impl ServerKind {
+    fn new(cfg: &ExperimentConfig) -> Self {
+        if cfg.system == SystemKind::Centralized {
+            ServerKind::Centralized(CentralizedServer::new(cfg))
+        } else {
+            ServerKind::ClientServer(ServerSite::new(cfg))
+        }
+    }
+}
+
+/// A message from one site of a one-site simulator to another, as a
+/// driver carries it between threads: opaque, and `Send`. A client's
+/// parcel piggybacks its load report, which is how the server's load table
+/// stays current (§4) when the clients are not beside it.
+#[derive(Debug)]
+pub struct Parcel {
+    msg: Msg,
+    load: Option<(ClientId, usize, f64)>,
+}
+
+impl Parcel {
+    /// True for a callback (lock recall) from the server.
+    #[must_use]
+    pub fn is_recall(&self) -> bool {
+        matches!(self.msg, Msg::Recall { .. })
+    }
 }
 
 /// The discrete-event simulator of all three systems: the client sites (none
@@ -652,30 +727,141 @@ enum Server {
 /// things one site needs of another without a message (the load table, a
 /// lease fence, lock revalidation after a server restart) are loops here,
 /// between the sites, not inside one.
+///
+/// A one-site simulator ([`Simulator::site`]) runs a single site of the
+/// same cluster with the same handlers. It has no clock and no threads: a
+/// driver steps it with [`run_until`](Self::run_until), carries what
+/// [`take_outbound`](Self::take_outbound) returns to the other sites and
+/// hands it to them with [`accept`](Self::accept).
 pub struct Simulator {
     cx: Cx,
     clients: Vec<ClientSite>,
-    server: Server,
+    /// Index of `clients[0]`: the client's own in a one-site simulator.
+    first: usize,
+    server: ServerKind,
+    /// A one-site server's load table: the last report each client
+    /// piggybacked, by client index.
+    loads: Vec<Option<(ClientId, usize, f64)>>,
 }
 
 impl Simulator {
     /// Builds the simulator for `cfg`; `cfg.system` selects the system.
     #[must_use]
     pub fn new(cfg: ExperimentConfig) -> Self {
-        let (clients, server) = if cfg.system == SystemKind::Centralized {
-            let server = Server::Centralized(CentralizedServer::new(&cfg));
-            (Vec::new(), server)
+        let clients = if cfg.system == SystemKind::Centralized {
+            Vec::new()
         } else {
-            let clients = (0..cfg.clients)
+            (0..cfg.clients)
                 .map(|i| ClientSite::new(ClientId(i), &cfg.client, cfg.cpu.client_speed))
-                .collect();
-            (clients, Server::ClientServer(ServerSite::new(&cfg)))
+                .collect()
         };
         Simulator {
             clients,
-            server,
+            first: 0,
+            server: ServerKind::new(&cfg),
+            loads: Vec::new(),
             cx: Cx::new(cfg),
         }
+    }
+
+    /// A one-site simulator of `site` (the server or a client) in `cfg`'s
+    /// cluster, fault-free (fault injection is the whole cluster's), over
+    /// the run's transactions `specs`. Every site holds the same list, so
+    /// a CE submission can name its transaction by index; a client submits
+    /// the ones it originates.
+    #[must_use]
+    pub fn site(mut cfg: ExperimentConfig, site: SiteId, specs: Vec<TransactionSpec>) -> Self {
+        cfg.faults = siteselect_types::FaultConfig::default();
+        let local = match site {
+            SiteId::Client(c) => SiteDest::Client(c),
+            SiteId::Server | SiteId::Directory => SiteDest::Server,
+        };
+        let (clients, first, server, loads) = match local {
+            SiteDest::Client(c) => {
+                let client = (cfg.system != SystemKind::Centralized)
+                    .then(|| ClientSite::new(c, &cfg.client, cfg.cpu.client_speed));
+                let clients = client.into_iter().collect();
+                (clients, c.index(), ServerKind::Remote, Vec::new())
+            }
+            SiteDest::Server => {
+                let loads = vec![None; usize::from(cfg.clients)];
+                (Vec::new(), 0, ServerKind::new(&cfg), loads)
+            }
+        };
+        let mut cx = Cx::new(cfg);
+        cx.local = Some(local);
+        let mut sim = Simulator {
+            cx,
+            clients,
+            first,
+            server,
+            loads,
+        };
+        sim.seed(specs);
+        sim
+    }
+
+    /// The transactions `cfg`'s run submits: its generated trace.
+    #[must_use]
+    pub fn transactions(cfg: &ExperimentConfig) -> Vec<TransactionSpec> {
+        Trace::generate(
+            &cfg.workload,
+            cfg.cpu.txn_cpu_fraction,
+            cfg.database.num_objects,
+            cfg.clients,
+            cfg.runtime.duration,
+            cfg.runtime.seed,
+        )
+        .into_transactions()
+    }
+
+    /// When the next event of this simulator is due, if any.
+    #[must_use]
+    pub fn next_at(&self) -> Option<SimTime> {
+        self.cx.queue.peek_time()
+    }
+
+    /// Handles every event due at or before `t` and advances the clock to
+    /// `t` (never back).
+    pub fn run_until(&mut self, t: SimTime) {
+        while let Some((at, ev)) = self.cx.queue.pop_before(t) {
+            self.cx.now = at;
+            self.handle(ev);
+        }
+        self.cx.now = self.cx.now.max(t);
+    }
+
+    /// Takes in a parcel another site sent here, for delivery at its
+    /// fabric delivery time `at`, but never before this site's clock.
+    pub fn accept(&mut self, at: SimTime, parcel: Parcel) {
+        if let Some(load @ (c, ..)) = parcel.load {
+            if let Some(slot) = self.loads.get_mut(c.index()) {
+                *slot = Some(load);
+            }
+        }
+        let to = self.cx.local.unwrap_or(SiteDest::Server);
+        let at = at.max(self.cx.now);
+        self.cx.queue.stage_delivery(at, to, parcel.msg);
+    }
+
+    /// Drains the messages sent to other sites since the last call, in
+    /// send order: each one's destination, fabric delivery time and
+    /// parcel.
+    pub fn take_outbound(&mut self) -> impl Iterator<Item = (SiteId, SimTime, Parcel)> + '_ {
+        let load = self.clients.first().map(ClientSite::load_report);
+        self.cx.outbound.drain(..).map(move |(to, at, msg)| {
+            let to = match to {
+                SiteDest::Server => SiteId::Server,
+                SiteDest::Client(c) => SiteId::Client(c),
+            };
+            (to, at, Parcel { msg, load })
+        })
+    }
+
+    /// Transactions settled at this site so far.
+    #[must_use]
+    pub fn settled(&self) -> u64 {
+        self.cx.settled
     }
 
     /// Enables event tracing: the sink is shared with the fabric and the
@@ -683,7 +869,7 @@ impl Simulator {
     /// timeline.
     pub fn attach_sink(&mut self, sink: EventSink) {
         self.cx.fabric.set_sink(sink.clone());
-        if let Server::ClientServer(server) = &mut self.server {
+        if let ServerKind::ClientServer(server) = &mut self.server {
             server.attach_sink(&sink);
         }
         self.cx.sink = sink;
@@ -701,16 +887,8 @@ impl Simulator {
     /// [`run`](Self::run) so harnesses can pump events one at a time (the
     /// steady-state allocation test snapshots the allocator between steps).
     pub fn prepare(&mut self) {
-        let cfg = &self.cx.cfg;
-        let trace = Trace::generate(
-            &cfg.workload,
-            cfg.cpu.txn_cpu_fraction,
-            cfg.database.num_objects,
-            cfg.clients,
-            cfg.runtime.duration,
-            cfg.runtime.seed,
-        );
-        self.seed(trace.into_transactions());
+        let specs = Self::transactions(&self.cx.cfg);
+        self.seed(specs);
     }
 
     /// Seeds the event queue with `specs`, which run in place of a
@@ -718,8 +896,11 @@ impl Simulator {
     /// sweep and the fault schedule.
     fn seed(&mut self, specs: Vec<TransactionSpec>) {
         self.cx.specs = specs;
+        let local = self.cx.local;
         for (i, spec) in self.cx.specs.iter().enumerate() {
-            self.cx.queue.push(spec.arrival, Ev::Arrive(i));
+            if local.is_none_or(|here| here == SiteDest::Client(spec.origin)) {
+                self.cx.queue.push(spec.arrival, Ev::Arrive(i));
+            }
         }
         if self.cx.faults_active {
             self.schedule_faults();
@@ -727,7 +908,7 @@ impl Simulator {
         let warmup_end = self.cx.warmup_end;
         self.cx.queue.push(warmup_end, Ev::EndWarmup);
         // CE sweeps from the end of the warm-up (DESIGN.md §15).
-        let ce = matches!(self.server, Server::Centralized(_));
+        let ce = self.cx.cfg.system == SystemKind::Centralized;
         let floor = if ce { warmup_end } else { SimTime::ZERO };
         let first_sweep = floor.max(SimTime::from_secs(1));
         self.cx.queue.push(first_sweep, Ev::Sweep);
@@ -786,8 +967,9 @@ impl Simulator {
         debug_assert!(clients.iter().all(|c| c.check_invariants() == Ok(())));
         let span = cx.now.duration_since(SimTime::ZERO).as_secs_f64().max(1e-9);
         match self.server {
-            Server::Centralized(server) => server.finalize(&mut cx, span),
-            Server::ClientServer(server) => {
+            ServerKind::Centralized(server) => server.finalize(&mut cx, span),
+            ServerKind::Remote => {}
+            ServerKind::ClientServer(server) => {
                 debug_assert_eq!(server.core.locks.check_invariants(), Ok(()));
                 let busy: f64 = clients
                     .iter()
@@ -831,40 +1013,41 @@ impl Simulator {
             }
         }
         match &mut self.server {
-            Server::Centralized(server) => server.schedule_faults(&mut self.cx),
-            Server::ClientServer(server) => server.schedule_faults(&mut self.cx),
+            ServerKind::Centralized(server) => server.schedule_faults(&mut self.cx),
+            ServerKind::ClientServer(server) => server.schedule_faults(&mut self.cx),
+            ServerKind::Remote => {}
         }
     }
 
     /// Runs `f` on client `i` with the shared context, then passes on to
     /// the server any forward chain the client's sends found broken.
     fn on_client<R>(&mut self, i: usize, f: impl FnOnce(&mut ClientSite, &mut Cx) -> R) -> R {
-        let out = f(&mut self.clients[i], &mut self.cx);
+        let out = f(&mut self.clients[i - self.first], &mut self.cx);
         self.settle_lost_forwards();
         out
     }
 
     fn settle_lost_forwards(&mut self) {
-        if let Server::ClientServer(server) = &mut self.server {
+        if let ServerKind::ClientServer(server) = &mut self.server {
             server.forget_lost_routes(&mut self.cx);
         }
     }
 
     fn handle(&mut self, ev: Ev) {
         match ev {
-            Ev::Arrive(i) => match self.server {
-                Server::Centralized(_) => centralized::submit(&mut self.cx, i as u32),
-                Server::ClientServer(_) => {
-                    // Each transaction arrives once: its access list moves
-                    // to the site that runs it.
-                    let slot = &mut self.cx.specs[i];
-                    let spec = TransactionSpec {
-                        accesses: std::mem::take(&mut slot.accesses),
-                        ..*slot
-                    };
-                    self.on_client(spec.origin.index(), |c, cx| c.on_arrive(cx, spec));
-                }
-            },
+            Ev::Arrive(i) if self.cx.cfg.system == SystemKind::Centralized => {
+                centralized::submit(&mut self.cx, i as u32);
+            }
+            Ev::Arrive(i) => {
+                // Each transaction arrives once: its access list moves to
+                // the site that runs it.
+                let slot = &mut self.cx.specs[i];
+                let spec = TransactionSpec {
+                    accesses: std::mem::take(&mut slot.accesses),
+                    ..*slot
+                };
+                self.on_client(spec.origin.index(), |c, cx| c.on_arrive(cx, spec));
+            }
             Ev::Deliver { to, mut msgs } => {
                 // Messages of one group arrive back-to-back at the same
                 // instant; liveness cannot change between them, so the
@@ -896,16 +1079,17 @@ impl Simulator {
             Ev::SiteRecover { client } => self.on_client(client, ClientSite::on_recover),
             Ev::ServerCrash => {
                 let ready = match &mut self.server {
-                    Server::Centralized(server) => server.crash(&mut self.cx),
-                    Server::ClientServer(server) => server.crash(&mut self.cx),
+                    ServerKind::Centralized(server) => server.crash(&mut self.cx),
+                    ServerKind::ClientServer(server) => server.crash(&mut self.cx),
+                    ServerKind::Remote => None,
                 };
                 if let Some(ready) = ready {
                     self.cx.queue.push(ready, Ev::ServerRecover);
                 }
             }
             Ev::ServerRecover => match &mut self.server {
-                Server::Centralized(server) => server.rejoin(&mut self.cx),
-                Server::ClientServer(_) => self.on_server_recover(),
+                ServerKind::Centralized(server) => server.rejoin(&mut self.cx),
+                _ => self.on_server_recover(),
             },
             Ev::RetryFetch {
                 client,
@@ -925,13 +1109,13 @@ impl Simulator {
     fn on_server_event(&mut self, ev: Ev) {
         let cx = &mut self.cx;
         match (&mut self.server, ev) {
-            (Server::Centralized(server), Ev::ServerIo { txn }) => server.on_io_done(cx, txn),
-            (Server::Centralized(server), Ev::ServerCpu { generation }) => {
+            (ServerKind::Centralized(server), Ev::ServerIo { txn }) => server.on_io_done(cx, txn),
+            (ServerKind::Centralized(server), Ev::ServerCpu { generation }) => {
                 server.on_cpu_tick(cx, generation);
             }
-            (Server::ClientServer(server), _) if !server.core.server_up => {}
+            (ServerKind::ClientServer(server), _) if !server.core.server_up => {}
             (
-                Server::ClientServer(server),
+                ServerKind::ClientServer(server),
                 Ev::ServerFetchDone {
                     to,
                     txn,
@@ -944,7 +1128,7 @@ impl Simulator {
                     .span(cx.now, SiteId::Server, unit, disk, scheduled_at, None);
                 server.on_fetch_done(cx, to, item);
             }
-            (Server::ClientServer(server), Ev::WindowClose { object }) => {
+            (ServerKind::ClientServer(server), Ev::WindowClose { object }) => {
                 server.on_window_close(cx, object);
             }
             (_, ev) => unreachable!("{ev:?} is not this server's event"),
@@ -959,14 +1143,16 @@ impl Simulator {
         let cx = &mut self.cx;
         let up = match (to, &self.server) {
             (SiteDest::Client(c), _) => cx.site_up(c),
-            (SiteDest::Server, Server::Centralized(server)) => {
+            (SiteDest::Server, ServerKind::Centralized(server)) => {
                 if let Some((unit, kind, sent_at)) = msg.trip() {
                     cx.sink
                         .span(cx.now, SiteId::Server, unit, kind, sent_at, None);
                 }
                 server.core.server_up
             }
-            (SiteDest::Server, Server::ClientServer(server)) => server.core.server_up,
+            (SiteDest::Server, ServerKind::ClientServer(server)) => server.core.server_up,
+            // A client's one-site simulator sends its server traffic out.
+            (SiteDest::Server, ServerKind::Remote) => false,
         };
         if !up {
             cx.refused += 1;
@@ -975,35 +1161,45 @@ impl Simulator {
             return;
         }
         match (to, &mut self.server) {
-            (SiteDest::Client(_), Server::Centralized(_)) => centralized::on_result(cx, msg),
-            (SiteDest::Client(c), Server::ClientServer(_)) => {
+            (SiteDest::Client(_), _) if cx.cfg.system == SystemKind::Centralized => {
+                centralized::on_result(cx, msg);
+            }
+            (SiteDest::Client(c), _) => {
                 self.on_client(c.index(), |site, cx| site.on_msg(cx, msg));
             }
-            (SiteDest::Server, Server::Centralized(server)) => server.on_msg(cx, msg),
-            (SiteDest::Server, Server::ClientServer(server)) => match msg {
+            (SiteDest::Server, ServerKind::Centralized(server)) => server.on_msg(cx, msg),
+            (SiteDest::Server, ServerKind::ClientServer(server)) => match msg {
                 Msg::LoadQuery { txn, objects } => {
-                    let loads = self.clients.iter().map(ClientSite::load_report).collect();
+                    let loads = if cx.local.is_none() {
+                        self.clients.iter().map(ClientSite::load_report).collect()
+                    } else {
+                        self.loads.iter().flatten().copied().collect()
+                    };
                     server.on_load_query(cx, txn, objects, loads);
                 }
                 msg => server.on_msg(cx, msg),
             },
+            (SiteDest::Server, ServerKind::Remote) => {}
         }
     }
 
     fn on_sweep(&mut self) {
         // "Tasks that have missed their deadlines are not processed at
         // all" (§2): each client drops its expired units first.
-        for i in 0..self.clients.len() {
+        for i in self.first..self.first + self.clients.len() {
             self.on_client(i, ClientSite::sweep_expired);
         }
         match &mut self.server {
-            Server::Centralized(server) => server.sweep(&mut self.cx),
-            Server::ClientServer(server) if server.core.server_up => {
+            ServerKind::Centralized(server) => server.sweep(&mut self.cx),
+            ServerKind::ClientServer(server) if server.core.server_up => {
                 self.sweep_client_server();
             }
-            Server::ClientServer(_) => {}
+            _ => {}
         }
-        if self.cx.inflight > 0 || !self.cx.queue.is_empty() {
+        // A one-site simulator cannot see the rest of the run drain: it
+        // sweeps until its driver stops stepping it.
+        let cx = &self.cx;
+        if cx.local.is_some() || cx.inflight() > 0 || !cx.queue.is_empty() {
             self.cx
                 .queue
                 .push(self.cx.now + SimDuration::from_secs(1), Ev::Sweep);
@@ -1018,7 +1214,7 @@ impl Simulator {
     /// lease is configured). Then expired lock waiters go.
     fn sweep_client_server(&mut self) {
         let lease = self.cx.cfg.faults.callback_lease;
-        let Server::ClientServer(server) = &mut self.server else {
+        let ServerKind::ClientServer(server) = &mut self.server else {
             return;
         };
         let (cx, clients) = (&mut self.cx, &mut self.clients);
@@ -1045,7 +1241,7 @@ impl Simulator {
     /// into the rebuilt lock table (or fenced), and the work they had in
     /// flight across the outage aborts.
     fn on_server_recover(&mut self) {
-        let Server::ClientServer(server) = &mut self.server else {
+        let ServerKind::ClientServer(server) = &mut self.server else {
             return;
         };
         let (cx, clients) = (&mut self.cx, &mut self.clients);
@@ -1080,7 +1276,7 @@ impl Simulator {
                     blocker: None,
                 });
         }
-        for i in 0..self.clients.len() {
+        for i in self.first..self.first + self.clients.len() {
             self.on_client(i, |c, cx| {
                 if cx.site_up(c.id()) {
                     c.abort_stranded(cx);
@@ -1096,7 +1292,8 @@ impl std::fmt::Debug for Simulator {
             .field("system", &self.cx.cfg.system)
             .field("now", &self.cx.now)
             .field("clients", &self.clients.len())
-            .field("inflight", &self.cx.inflight)
+            .field("arrived", &self.cx.arrived)
+            .field("settled", &self.cx.settled)
             .field("events", &self.cx.queue.len())
             .finish()
     }
@@ -1139,6 +1336,58 @@ mod tests {
             "{}",
             std::mem::size_of::<Ev>()
         );
+    }
+
+    /// A client's request leaves its one-site simulator with a fabric
+    /// delivery time; the server handles it at that time, or at its own
+    /// clock if that is later, and its reply leaves the same way.
+    #[test]
+    fn one_site_simulators_hand_parcels_on_causally() {
+        let mut cfg = ExperimentConfig::paper(SystemKind::ClientServer, 2, 0.2);
+        cfg.runtime.duration = SimDuration::from_secs(100);
+        cfg.runtime.warmup = SimDuration::ZERO;
+        let specs = Simulator::transactions(&cfg);
+        let first = specs
+            .iter()
+            .find(|s| s.origin == ClientId(0))
+            .unwrap()
+            .arrival;
+        let site = |s| Simulator::site(cfg.clone(), s, specs.clone());
+        let (mut server, mut client) = (site(SiteId::Server), site(SiteId::Client(ClientId(0))));
+        client.run_until(first);
+        assert_eq!(client.now(), first);
+        let sent: Vec<_> = client.take_outbound().collect();
+        assert!(!sent.is_empty(), "the first transaction asks the server");
+        assert!(sent
+            .iter()
+            .all(|&(to, at, _)| to == SiteId::Server && at > first));
+        assert_eq!(client.take_outbound().count(), 0, "outbound was drained");
+
+        // A parcel due later than the server's clock waits for its time.
+        let (_, at, parcel) = sent.into_iter().next().unwrap();
+        let mut early = site(SiteId::Server);
+        early.accept(at, parcel);
+        early.run_until(SimTime::from_micros(at.as_micros() - 1));
+        assert_eq!(early.take_outbound().count(), 0, "handled before its time");
+        early.run_until(at + SimDuration::from_secs(10));
+        let replies: Vec<_> = early.take_outbound().map(|(_, sent, _)| sent).collect();
+        assert!(!replies.is_empty() && replies.iter().all(|&sent| sent > at));
+
+        // One due earlier is handled at the server's clock, not before.
+        client = site(SiteId::Client(ClientId(0)));
+        client.run_until(first);
+        let (_, at, parcel) = client.take_outbound().next().unwrap();
+        let late = at + SimDuration::from_secs(3);
+        server.run_until(late);
+        server.accept(at, parcel);
+        assert_eq!(server.next_at(), Some(late));
+        server.run_until(late + SimDuration::from_secs(10));
+        let replies: Vec<_> = server.take_outbound().collect();
+        assert!(!replies.is_empty(), "the server answers");
+        let to_client = SiteId::Client(ClientId(0));
+        assert!(replies
+            .iter()
+            .all(|&(to, at, _)| to == to_client && at > late));
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //!   adds transaction shipping (heuristics H1/H2), transaction
 //!   decomposition, deadline-ordered object request scheduling and grouped
 //!   locks / forward lists.
+//!   [`Simulator::site`] runs one site alone, with no clock and no
+//!   threads, for a driver that carries its messages to the others (the
+//!   threaded `siteselect-cluster`).
 //! * [`run_experiment`] — one-call driver returning [`RunMetrics`].
 //! * [`experiments`] — parameter sweeps that regenerate every figure and
 //!   table of the paper's evaluation.
@@ -39,7 +42,7 @@ pub mod report;
 pub mod script;
 mod server_core;
 
-pub use clientserver::{Delivered, Simulator};
+pub use clientserver::{Delivered, Parcel, Simulator};
 /// The [`Simulator`], by the name CE runs have always used.
 pub type CentralizedSim = Simulator;
 /// The [`Simulator`], by the name CS and LS runs have always used.

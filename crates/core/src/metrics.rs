@@ -238,6 +238,20 @@ impl RunMetrics {
         in_time
     }
 
+    /// Adds the outcomes another site scored into these: how the metrics
+    /// of one-site simulators of one run combine.
+    pub fn add_outcomes(&mut self, other: &RunMetrics) {
+        let (f, o) = (&mut self.failures, &other.failures);
+        self.measured += other.measured;
+        self.in_time += other.in_time;
+        f.expired += o.expired;
+        f.deadlock += o.deadlock;
+        f.subtask += o.subtask;
+        f.late += o.late;
+        f.shutdown += o.shutdown;
+        f.site_crash += o.site_crash;
+    }
+
     /// Internal consistency: outcomes must cover every measured
     /// transaction.
     #[must_use]

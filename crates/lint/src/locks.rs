@@ -1,9 +1,10 @@
-//! Lock-order analysis for the threaded cluster runtime: D7 (lock
-//! acquisition cycles) and D8 (guards held across channel sends or
-//! thread joins).
+//! Lock-order analysis for the threaded cluster: D7 (lock acquisition
+//! cycles) and D8 (guards held across channel sends or thread joins).
+//! The cluster's sites share nothing but channels today, so the graph is
+//! empty; the pass keeps it that way, or acyclic, if a lock comes back.
 //!
-//! The pass tracks guards of the workspace's own `Mutex` wrapper
-//! (`crates/cluster/src/sync.rs`) through each function body:
+//! The pass tracks the guards of `.lock()` calls through each function
+//! body:
 //!
 //! * `let g = x.lock();` — the guard lives to the end of the enclosing
 //!   block, or to an earlier `drop(g)`.
@@ -14,7 +15,7 @@
 //!   construct's block (the Rust 2021 rule; conservative for 2024).
 //!
 //! Lock identity is the dotted receiver path with `self` replaced by
-//! the impl type (`SharedServer.inner`); the wrapper's own internal
+//! the impl type (`Server.inner`); a wrapper's own internal
 //! `self.0.lock()` is ignored. While any guard is held:
 //!
 //! * acquiring another lock — directly or transitively through a call —
@@ -340,9 +341,9 @@ fn send_or_join_site(code: &[Token], i: usize) -> Option<SiteKind> {
 
 /// Recognizes `<receiver>.lock()` at code index `i` (the `lock` ident)
 /// and names the lock: the dotted receiver path with a leading `self`
-/// replaced by the impl type. Returns `None` for the wrapper's own
-/// `self.0.lock()` (a tuple-field receiver is the raw std mutex inside
-/// `sync.rs`) and for computed receivers (`f(x).lock()`).
+/// replaced by the impl type. Returns `None` for a wrapper's own
+/// `self.0.lock()` (a tuple-field receiver is the raw std mutex inside a
+/// newtype) and for computed receivers (`f(x).lock()`).
 fn lock_site(code: &[Token], i: usize, self_ty: Option<&str>) -> Option<String> {
     if code[i].ident() != Some("lock") {
         return None;

@@ -431,8 +431,10 @@ fn engine_functions_stay_within_the_line_budget() {
     );
 }
 
-/// The acceptance gate for D7: the repository's lock graph contains the
-/// two known acquired-while-held edges and nothing cyclic.
+/// The acceptance gate for D7: the repository's lock graph is acyclic.
+/// The threaded cluster's sites share nothing but channels, so the graph
+/// is empty; an edge that comes back is seen at the change that adds it,
+/// not when one closes a cycle.
 #[test]
 fn repository_lock_graph_is_acyclic_with_known_edges() {
     let root = repo_root();
@@ -442,37 +444,11 @@ fn repository_lock_graph_is_acyclic_with_known_edges() {
         .iter()
         .filter(|u| cfg.rule_applies_to(RuleId::D7, &u.path))
         .collect();
+    assert!(!scope.is_empty(), "D7 covers no file");
     let (lock_graph, violations) = siteselect_lint::locks::check(&scope);
-    assert!(
-        lock_graph.has_edge("ClientShared.state", "SharedServer.inner"),
-        "client → server edge missing: {:?}",
-        lock_graph.edges
-    );
-    assert!(
-        lock_graph.has_edge("SharedServer.inner", "SharedServer.callback_tx"),
-        "server → callback edge missing: {:?}",
-        lock_graph.edges
-    );
     let cycles: Vec<_> = violations.iter().filter(|v| v.rule == RuleId::D7).collect();
     assert!(cycles.is_empty(), "lock graph has a cycle: {cycles:?}");
-    // The whole edge set, so an edge that name-only resolution adds is
-    // seen at the PR that adds it, not when one closes a cycle.
-    let edges: Vec<(&str, &str)> = lock_graph
-        .edges
-        .iter()
-        .map(|e| (e.from.as_str(), e.to.as_str()))
-        .collect();
-    assert_eq!(
-        edges,
-        [
-            // Over-approximated: `.len()` on a `Vec` under the guard
-            // resolves to `HistoryLog::len`, which locks `ops`.
-            ("ClientShared.state", "HistoryLog.ops"),
-            ("ClientShared.state", "SharedServer.inner"),
-            ("SharedServer.inner", "HistoryLog.ops"), // over-approximated, as above
-            ("SharedServer.inner", "SharedServer.callback_tx"),
-        ]
-    );
+    assert!(lock_graph.edges.is_empty(), "{:?}", lock_graph.edges);
 }
 
 /// `--json` and `--no-baseline` are gone: each is a usage error that

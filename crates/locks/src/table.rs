@@ -282,7 +282,9 @@ impl<O: LockOwner> Entries<O> {
 
 /// The objects each owner holds, in no particular order: every holder
 /// entry carries its object's position here.
-type HeldBy<O> = HashMap<O, InlineVec<ObjectId, 16>, FixedState>;
+type HeldBy<O> = HashMap<O, HeldRow, FixedState>;
+/// One owner's row of [`HeldBy`].
+type HeldRow = InlineVec<ObjectId, 16>;
 
 /// Scratch of [`LockTable::would_deadlock`], cleared but never shrunk: the
 /// owners expanded so far and those still to visit.
@@ -325,6 +327,11 @@ pub struct LockTable<O> {
     // ids, and a process-random hasher would move the maps' rehash points
     // (and so the engine's allocation counts) from run to run.
     held_by: HeldBy<O>,
+    // Emptied rows of `held_by` that had spilled to the heap. A crash's
+    // `clear` and `release_all` hand them back and `hold` draws on them,
+    // so a table refilled after a restart regrows no row; the rows of
+    // owners that are gone are not kept in the index to get this.
+    spare_rows: Vec<HeldRow>,
     // Reverse index of queued waiters (multiset: one entry per queued
     // waiter), so release_all never has to scan the whole slab for an
     // owner's pending requests.
@@ -353,6 +360,7 @@ impl<O: LockOwner> LockTable<O> {
             },
             free: Vec::new(),
             held_by: HashMap::default(),
+            spare_rows: Vec::new(),
             waits_of: HashMap::default(),
             scratch: Vec::new(),
             walk: RefCell::new(Walk { seen: HashSet::default(), stack: Vec::new() }),
@@ -447,7 +455,10 @@ impl<O: LockOwner> LockTable<O> {
                 live.drain(..).for_each(|(_, boxed)| recycle(boxed));
             }
         }
-        self.held_by.clear();
+        // detlint: allow(D2) — the order only picks which spare a later owner draws; `FixedState` fixes it
+        for (_, row) in self.held_by.drain() {
+            Self::spare(&mut self.spare_rows, row);
+        }
         self.waits_of.clear();
         self.next_seq = 0;
     }
@@ -459,17 +470,27 @@ impl<O: LockOwner> LockTable<O> {
     /// Grants `mode` on `entry`'s object to `owner`: one entry in each
     /// index, the holder's recording where the owner's went.
     fn hold(
-        held_by: &mut HeldBy<O>,
+        (held_by, spare_rows): (&mut HeldBy<O>, &mut Vec<HeldRow>),
         entry: &mut ObjectLocks<O>,
         object: ObjectId,
         owner: O,
         mode: LockMode,
     ) {
-        let held = held_by.entry(owner).or_default();
+        let held = held_by
+            .entry(owner)
+            .or_insert_with(|| spare_rows.pop().unwrap_or_default());
         // Lossless: an owner holds an object once and object ids are `u32`.
         let slot = held.len() as u32;
         held.push(object);
         entry.holders.push(Holder { owner, mode, slot });
+    }
+
+    /// Keeps an emptied owner row for reuse if it owns heap capacity.
+    fn spare(spare_rows: &mut Vec<HeldRow>, mut row: HeldRow) {
+        if row.spilled() {
+            row.clear();
+            spare_rows.push(row);
+        }
     }
 
     /// Takes `owner` off `object`'s holders and `object` out of the owner's
@@ -564,7 +585,8 @@ impl<O: LockOwner> LockTable<O> {
         }
 
         if !entry.has_conflict(owner, mode) && entry.waiters.is_empty() {
-            Self::hold(&mut self.held_by, entry, object, owner, mode);
+            let index = (&mut self.held_by, &mut self.spare_rows);
+            Self::hold(index, entry, object, owner, mode);
             return Acquire::Granted;
         }
         let mut blockers: Conflicts<O> = entry.conflicts_with(owner, mode).collect();
@@ -636,6 +658,7 @@ impl<O: LockOwner> LockTable<O> {
         work.clear();
         if let Some(held) = self.held_by.remove(&owner) {
             work.extend(held.iter().copied());
+            Self::spare(&mut self.spare_rows, held);
         }
         work.sort_unstable();
         work.dedup();
@@ -763,7 +786,8 @@ impl<O: LockOwner> LockTable<O> {
                 break;
             }
             if !entry.has_conflict(head.owner, head.mode) {
-                Self::hold(&mut self.held_by, entry, object, head.owner, head.mode);
+                let index = (&mut self.held_by, &mut self.spare_rows);
+                Self::hold(index, entry, object, head.owner, head.mode);
                 entry.waiters.remove(0);
                 Self::forget_wait_one(&mut self.waits_of, head.owner, object);
                 granted.push(head);

@@ -637,7 +637,7 @@ impl ExperimentConfig {
         if self.cpu.server_speed <= 0.0 || !self.cpu.server_speed.is_finite() {
             return Err(ConfigError::new("cpu.server_speed", "must be positive"));
         }
-        if self.cpu.txn_cpu_fraction <= 0.0 || self.cpu.txn_cpu_fraction > 1.0 {
+        if !(self.cpu.txn_cpu_fraction > 0.0 && self.cpu.txn_cpu_fraction <= 1.0) {
             return Err(ConfigError::new(
                 "cpu.txn_cpu_fraction",
                 "must be within (0, 1]",
@@ -660,10 +660,11 @@ impl ExperimentConfig {
             "workload.decomposable_fraction",
             self.workload.decomposable_fraction,
         )?;
-        if self.workload.mean_objects_per_txn < 1.0 {
+        let objects = self.workload.mean_objects_per_txn;
+        if !(objects >= 1.0 && objects.is_finite()) {
             return Err(ConfigError::new(
                 "workload.mean_objects_per_txn",
-                "must be at least 1",
+                "must be finite and at least 1",
             ));
         }
         let ap = &self.workload.access_pattern;

@@ -182,6 +182,12 @@ impl<T: Copy, const N: usize> InlineVec<T, N> {
         self.len = new_len;
     }
 
+    /// True once the list has grown past `N` and owns heap capacity.
+    #[must_use]
+    pub fn spilled(&self) -> bool {
+        self.spill.capacity() > 0
+    }
+
     /// Removes every element, keeping the spill's capacity: a list refilled
     /// to its old length allocates nothing.
     pub fn clear(&mut self) {

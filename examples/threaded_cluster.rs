@@ -1,41 +1,41 @@
-//! Threaded cluster: run the *real* multi-threaded mini CS-RTDBS (OS
-//! threads, channels, real 2 KB pages) and verify that the concurrent
-//! execution was conflict-serializable.
+//! Threaded cluster: run CE, CS and LS with every site on its own OS
+//! thread, talking over channels in scaled real time, and hold each run's
+//! merged trace to the four oracles that judge simulated runs.
 //!
 //! ```text
 //! cargo run --release --example threaded_cluster
 //! ```
 
+use siteselect::check::check_trace;
 use siteselect::cluster::{Cluster, ClusterConfig};
-use siteselect::types::SimDuration;
+use siteselect::types::{ExperimentConfig, SimDuration, SimTime, SystemKind};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut cfg = ClusterConfig {
-        clients: 8,
-        db_objects: 128,
-        server_buffer: 64,
-        client_cache: 24,
-        txns_per_client: 40,
-        ..ClusterConfig::default()
-    };
-    // Contended update-heavy mix so callbacks and downgrades actually fire.
-    cfg.workload.update_fraction = 0.4;
-    cfg.workload.mean_interarrival = SimDuration::from_secs(2);
-    cfg.workload.access_pattern.hot_region_objects = 64;
-
-    println!(
-        "Running {} clients x {} transactions on real threads...",
-        cfg.clients, cfg.txns_per_client
-    );
-    let report = Cluster::run(cfg)?;
-    print!("{report}");
-
-    print!("History of {} committed operations: ", report.history.len());
-    match report.history.check_serializable() {
-        Ok(()) => println!("conflict-serializable ✓"),
-        Err(e) => {
-            println!("VIOLATION: {e}");
-            return Err(e.into());
+    for system in [
+        SystemKind::Centralized,
+        SystemKind::ClientServer,
+        SystemKind::LoadSharing,
+    ] {
+        let mut cfg = ClusterConfig {
+            experiment: ExperimentConfig::paper(system, 8, 0.2),
+            ..ClusterConfig::default()
+        };
+        cfg.experiment.runtime.duration = SimDuration::from_secs(400);
+        cfg.experiment.runtime.warmup = SimDuration::ZERO;
+        println!(
+            "{system}: {} clients, {} threads, {:.1} s simulated per ms",
+            cfg.experiment.clients,
+            cfg.experiment.clients + 1,
+            0.001 / cfg.time_scale
+        );
+        let report = Cluster::run(cfg)?;
+        print!("{report}");
+        match check_trace(&report.trace, &report.metrics, SimTime::ZERO) {
+            Ok(()) => println!("oracles: serializability, coherence, deadline, recovery pass\n"),
+            Err(v) => {
+                println!("VIOLATION: {v}");
+                return Err(v.into());
+            }
         }
     }
     Ok(())

@@ -25,8 +25,9 @@
 //! * [`core`] — the three systems (CE-RTDBS, CS-RTDBS, LS-CS-RTDBS), the
 //!   load-sharing algorithm (H1/H2, shipping, decomposition, grouped
 //!   locks), and the experiment sweeps behind every figure and table;
-//! * [`cluster`] — a real multi-threaded mini CS-RTDBS with a
-//!   conflict-serializability checker.
+//! * [`cluster`] — the engine's own CE, CS and LS sites on OS threads,
+//!   one per site, talking over channels in scaled real time; their
+//!   merged trace goes to the same oracles as a simulated run's.
 //!
 //! # Quickstart
 //!

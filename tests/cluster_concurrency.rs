@@ -1,138 +1,159 @@
-//! Integration tests of the real-thread cluster: protocol correctness under
-//! genuine concurrency.
+//! Integration tests of the threaded cluster: the engine's own sites on OS
+//! threads, judged by the same oracles as a simulated run.
 
-use siteselect::cluster::{Cluster, ClusterConfig};
-use siteselect::types::SimDuration;
+use std::collections::BTreeMap;
+
+use siteselect::check::check_trace;
+use siteselect::cluster::{Cluster, ClusterConfig, ClusterReport};
+use siteselect::obs::{Event, TraceData};
+use siteselect::types::{ClientId, ExperimentConfig, SimDuration, SimTime, SiteId, SystemKind};
+
+/// `system` at `clients` clients and 20 % updates for 100 simulated
+/// seconds, measured from the start.
+fn config(system: SystemKind, clients: u16) -> ClusterConfig {
+    let mut cfg = ClusterConfig {
+        experiment: ExperimentConfig::paper(system, clients, 0.2),
+        ..ClusterConfig::default()
+    };
+    cfg.experiment.runtime.duration = SimDuration::from_secs(100);
+    cfg.experiment.runtime.warmup = SimDuration::ZERO;
+    cfg
+}
+
+/// Runs `cfg` and holds its merged trace to the four oracles.
+fn judged(cfg: ClusterConfig) -> ClusterReport {
+    let report = Cluster::run(cfg).expect("cluster runs");
+    if let Err(v) = check_trace(&report.trace, &report.metrics, SimTime::ZERO) {
+        panic!("{v}\n{report}");
+    }
+    assert!(report.is_balanced(), "{report}");
+    report
+}
+
+/// Outcomes each submitted transaction got, by raw id; every submission
+/// is in the map.
+fn outcomes(trace: &TraceData) -> BTreeMap<u64, u32> {
+    let mut out = BTreeMap::new();
+    for rec in &trace.records {
+        match rec.event {
+            Event::TxnSubmit { txn, .. } => {
+                out.entry(txn.as_u64()).or_insert(0);
+            }
+            Event::Outcome { txn, .. } => *out.entry(txn.as_u64()).or_insert(0) += 1,
+            _ => {}
+        }
+    }
+    out
+}
 
 #[test]
 fn default_cluster_is_serializable_and_balanced() {
-    let report = Cluster::run(ClusterConfig::default()).expect("cluster runs");
+    let report = judged(ClusterConfig::default());
     assert!(report.generated > 0);
-    assert!(report.is_balanced());
-    report.history.check_serializable().expect("serializable history");
+    let outcomes = outcomes(&report.trace);
+    assert_eq!(outcomes.len() as u64, report.generated);
+    assert!(
+        outcomes.values().all(|&n| n == 1),
+        "a transaction with 0 or 2 outcomes"
+    );
 }
 
 #[test]
 fn extreme_contention_stays_serializable() {
     // Every client fights over four objects with mostly-update
     // transactions: the worst case for callback locking.
-    let mut cfg = ClusterConfig {
-        clients: 8,
-        db_objects: 4,
-        server_buffer: 4,
-        client_cache: 4,
-        txns_per_client: 20,
-        ..ClusterConfig::default()
-    };
-    cfg.workload.access_pattern.hot_region_objects = 4;
-    cfg.workload.update_fraction = 0.9;
-    cfg.workload.mean_objects_per_txn = 2.0;
-    cfg.workload.mean_interarrival = SimDuration::from_secs(1);
-    let report = Cluster::run(cfg).expect("cluster runs");
-    assert!(report.is_balanced());
-    assert!(report.server.recalls > 0);
-    report.history.check_serializable().expect("serializable history");
+    let mut cfg = config(SystemKind::ClientServer, 8);
+    let exp = &mut cfg.experiment;
+    exp.database.num_objects = 4;
+    exp.workload.access_pattern.hot_region_objects = 4;
+    exp.workload.update_fraction = 0.9;
+    exp.workload.mean_objects_per_txn = 2.0;
+    let report = judged(cfg);
+    assert!(report.recalls() > 0, "{report}");
 }
 
 #[test]
 fn read_only_workload_never_recalls_data() {
-    let mut cfg = ClusterConfig {
-        clients: 4,
-        ..ClusterConfig::default()
-    };
-    cfg.workload.update_fraction = 0.0;
-    let report = Cluster::run(cfg).expect("cluster runs");
-    assert!(report.is_balanced());
-    // Readers share locks: no data returns are forced by recalls (evictions
-    // may still return clean copies, which carry no data).
-    assert_eq!(report.server.downgrades, 0);
-    report.history.check_serializable().expect("serializable history");
+    let mut cfg = config(SystemKind::ClientServer, 4);
+    cfg.experiment.workload.update_fraction = 0.0;
+    let report = judged(cfg);
+    // Readers share locks: nothing is ever called back or downgraded.
+    assert_eq!((report.recalls(), report.downgrades()), (0, 0), "{report}");
 }
 
 #[test]
 fn final_store_versions_match_committed_writes() {
-    use siteselect::cluster::Op;
-    use std::collections::HashMap;
-    let mut cfg = ClusterConfig {
-        clients: 6,
-        db_objects: 32,
-        server_buffer: 32,
-        client_cache: 8,
-        txns_per_client: 25,
-        ..ClusterConfig::default()
-    };
-    cfg.workload.update_fraction = 0.5;
-    cfg.workload.access_pattern.hot_region_objects = 32;
-    cfg.workload.mean_interarrival = SimDuration::from_secs(1);
-    let report = Cluster::run(cfg).expect("cluster runs");
-    report.history.check_serializable().expect("serializable");
-    // Count committed writes per object: every write bumped the version by
-    // one, and the shutdown flush pushed all dirty pages home, so the
-    // maximum committed transition must be visible in the history itself.
-    let mut writes: HashMap<_, u64> = HashMap::new();
-    for op in report.history.snapshot() {
-        if let Op::Write { object, from, .. } = op {
-            let e = writes.entry(object).or_insert(0);
-            *e = (*e).max(from + 1);
+    // Writes to one object are totally ordered: no two committed units
+    // hold an exclusive lock on it over overlapping spans (an overlap
+    // would let one update overwrite the other unseen).
+    let mut cfg = config(SystemKind::ClientServer, 6);
+    cfg.experiment.workload.update_fraction = 0.5;
+    cfg.experiment.database.num_objects = 32;
+    cfg.experiment.workload.access_pattern.hot_region_objects = 32;
+    let report = judged(cfg);
+    let ends: BTreeMap<u64, SimTime> = report
+        .trace
+        .records
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::UnitEnd {
+                txn,
+                committed: true,
+            } => Some((txn.as_u64(), r.time)),
+            _ => None,
+        })
+        .collect();
+    let mut writes: BTreeMap<u32, Vec<(SimTime, SimTime)>> = BTreeMap::new();
+    for rec in &report.trace.records {
+        if let Event::LockHeld {
+            txn,
+            object,
+            exclusive: true,
+        } = rec.event
+        {
+            if let Some(&end) = ends.get(&txn.as_u64()) {
+                writes.entry(object.0).or_default().push((rec.time, end));
+            }
         }
     }
-    // Monotone versions: for every object the set of transitions is exactly
-    // 0..max (no gaps, no duplicates — duplicates are caught by the
-    // checker, gaps would mean a lost update).
-    let mut seen: HashMap<_, Vec<u64>> = HashMap::new();
-    for op in report.history.snapshot() {
-        if let Op::Write { object, from, .. } = op {
-            seen.entry(object).or_default().push(from + 1);
+    assert!(!writes.is_empty(), "no committed write");
+    for (object, mut spans) in writes {
+        spans.sort_unstable();
+        for pair in spans.windows(2) {
+            assert!(
+                pair[0].1 <= pair[1].0,
+                "obj#{object}: writes overlap: {pair:?}"
+            );
         }
-    }
-    // detlint: allow(D2) — each object is asserted independently; order is free
-    for (object, mut versions) in seen {
-        versions.sort_unstable();
-        let expected: Vec<u64> = (1..=versions.len() as u64).collect();
-        assert_eq!(
-            versions, expected,
-            "object {object} has gaps or duplicates in its version history"
-        );
     }
 }
 
 #[test]
 fn per_run_reports_are_reasonable() {
-    let report = Cluster::run(ClusterConfig {
-        clients: 2,
-        txns_per_client: 5,
-        ..ClusterConfig::default()
-    })
-    .expect("cluster runs");
-    assert_eq!(report.generated, 10);
+    let report = judged(config(SystemKind::LoadSharing, 2));
     assert!(report.success_percent() <= 100.0);
     let text = report.to_string();
-    assert!(text.contains("cluster:"));
-    assert!(text.contains("server:"));
+    assert!(text.contains("cluster:"), "{text}");
+    assert!(text.contains("server:"), "{text}");
 }
 
 #[test]
 fn traced_run_merges_one_complete_sink_per_worker() {
-    use siteselect::types::{ClientId, SiteId};
     let clients = 4u16;
-    let report = Cluster::run(ClusterConfig {
-        clients,
-        txns_per_client: 12,
-        trace: true,
-        ..ClusterConfig::default()
-    })
-    .expect("cluster runs");
-    let trace = report.trace.as_ref().expect("tracing was enabled");
+    let report = judged(config(SystemKind::ClientServer, clients));
+    let trace = &report.trace;
     // The shutdown merge orders the site-local buffers by (time, site, seq).
     assert!(trace
         .records
         .windows(2)
         .all(|w| (w[0].time, w[0].site, w[0].seq) < (w[1].time, w[1].site, w[1].seq)));
-    // Every worker built its own sink inside its thread and emitted only at
-    // its own site, so each site's sequence numbers are exactly 0..n, and
-    // the merged report counts what the sites emitted, no more and no less.
+    // Every site thread built its own sink and emitted only at its own
+    // site, so each site's sequence numbers are exactly 0..n, and the
+    // merged report counts what the sites emitted, no more and no less.
     let mut events = 0;
-    for site in (0..clients).map(|i| SiteId::Client(ClientId(i))) {
+    let sites =
+        std::iter::once(SiteId::Server).chain((0..clients).map(|i| SiteId::Client(ClientId(i))));
+    for site in sites {
         let seqs: Vec<u64> = trace
             .records
             .iter()
@@ -140,11 +161,47 @@ fn traced_run_merges_one_complete_sink_per_worker() {
             .map(|r| r.seq)
             .collect();
         assert!(!seqs.is_empty(), "{site} emitted nothing");
-        assert!(seqs.iter().copied().eq(0..seqs.len() as u64), "{site}: {seqs:?}");
+        assert!(
+            seqs.iter().copied().eq(0..seqs.len() as u64),
+            "{site}: {seqs:?}"
+        );
         assert_eq!(trace.report.per_site[&site].events, seqs.len() as u64);
         events += seqs.len() as u64;
     }
-    assert_eq!(trace.records.len() as u64, events, "a record from an unknown site");
+    assert_eq!(
+        trace.records.len() as u64,
+        events,
+        "a record from an unknown site"
+    );
     assert_eq!(trace.report.events, events);
     assert_eq!(trace.report.dropped, 0);
+}
+
+/// At one seed the simulator and the threads run the same transactions:
+/// both submit the same ids, and each gives every one exactly one outcome.
+#[test]
+fn threads_and_simulator_settle_the_same_transactions() {
+    for system in [
+        SystemKind::Centralized,
+        SystemKind::ClientServer,
+        SystemKind::LoadSharing,
+    ] {
+        let cfg = config(system, 8);
+        let (metrics, simulated) = siteselect::core::run_experiment_traced(
+            &cfg.experiment,
+            siteselect::check::TRACE_CAPACITY,
+        )
+        .expect("simulator runs");
+        let threaded = judged(cfg);
+        let (sim, thr) = (outcomes(&simulated), outcomes(&threaded.trace));
+        assert!(
+            sim.values().chain(thr.values()).all(|&n| n == 1),
+            "{system}"
+        );
+        assert!(
+            sim.keys().eq(thr.keys()),
+            "{system}: different transactions"
+        );
+        assert_eq!(metrics.measured, threaded.metrics.measured, "{system}");
+    }
 }

@@ -1028,3 +1028,121 @@ fn event_queue_equal_timestamps_stay_fifo_across_cascades() {
         assert_eq!(drained, expected, "case {case}");
     }
 }
+
+// ---------------------------------------------------------------------
+// Config validation: hostile field values are refused, never a panic.
+// ---------------------------------------------------------------------
+
+use siteselect::types::{DeadlinePolicy, ExperimentConfig, SystemKind};
+
+/// Writes one hostile value into one field of a valid `cfg`; returns the
+/// field and whether `validate` must refuse what it wrote.
+fn hostile_edit(rng: &mut Prng, cfg: &mut ExperimentConfig) -> (&'static str, bool) {
+    const FLOATS: [f64; 11] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.0,
+        -0.0,
+        0.0,
+        f64::MIN_POSITIVE,
+        0.5,
+        1.0,
+        2.0,
+        1e300,
+    ];
+    const INTS: [u64; 6] = [0, 1, 2, 999, 10_000, 1 << 40];
+    let v = FLOATS[rng.below_usize(FLOATS.len())];
+    let n = INTS[rng.below_usize(INTS.len())];
+    let not_fraction = !(0.0..=1.0).contains(&v);
+    let not_positive = !(v > 0.0 && v.is_finite());
+    let (hot, warmup) = (
+        cfg.workload.access_pattern.hot_region_objects,
+        cfg.runtime.warmup,
+    );
+    match rng.below(14) {
+        0 => {
+            cfg.cpu.client_speed = v;
+            ("cpu.client_speed", not_positive)
+        }
+        1 => {
+            cfg.cpu.server_speed = v;
+            ("cpu.server_speed", not_positive)
+        }
+        2 => {
+            cfg.cpu.txn_cpu_fraction = v;
+            ("cpu.txn_cpu_fraction", !(v > 0.0 && v <= 1.0))
+        }
+        3 => {
+            cfg.workload.update_fraction = v;
+            ("workload.update_fraction", not_fraction)
+        }
+        4 => {
+            cfg.workload.decomposable_fraction = v;
+            ("workload.decomposable_fraction", not_fraction)
+        }
+        5 => {
+            cfg.workload.access_pattern.hot_access_fraction = v;
+            ("workload.access_pattern.hot_access_fraction", not_fraction)
+        }
+        6 => {
+            cfg.faults.loss_probability = v;
+            ("faults.loss_probability", not_fraction)
+        }
+        7 => {
+            cfg.workload.mean_objects_per_txn = v;
+            (
+                "workload.mean_objects_per_txn",
+                !(v >= 1.0 && v.is_finite()),
+            )
+        }
+        8 => {
+            cfg.workload.deadline = DeadlinePolicy::ProportionalSlack { factor: v };
+            ("workload.deadline.factor", not_positive)
+        }
+        9 => {
+            cfg.clients = n as u16;
+            ("clients", cfg.clients == 0)
+        }
+        10 => {
+            cfg.database.num_objects = n as u32;
+            (
+                "database.num_objects",
+                cfg.database.num_objects < hot.max(1),
+            )
+        }
+        11 => {
+            cfg.server.buffer_objects = n as usize;
+            ("server.buffer_objects", n == 0)
+        }
+        12 => {
+            cfg.workload.mean_interarrival = SimDuration::from_micros(n);
+            ("workload.mean_interarrival", n == 0)
+        }
+        _ => {
+            cfg.runtime.duration = SimDuration::from_secs(n);
+            ("runtime.duration", n == 0 || warmup >= cfg.runtime.duration)
+        }
+    }
+}
+
+#[test]
+fn experiment_config_validate_refuses_hostile_values_without_panicking() {
+    let systems = [
+        SystemKind::Centralized,
+        SystemKind::ClientServer,
+        SystemKind::LoadSharing,
+    ];
+    for case in 0..CASES * 4 {
+        let mut rng = Prng::seed_from_u64(0xC0F1_0000 + case);
+        let mut cfg = ExperimentConfig::paper(*rng.choose(&systems), 20, 0.05);
+        assert_eq!(cfg.validate(), Ok(()), "case {case}: the preset is valid");
+        let (field, refuse) = hostile_edit(&mut rng, &mut cfg);
+        let verdict = cfg.validate();
+        assert_eq!(
+            verdict.is_err(),
+            refuse,
+            "case {case}, {field}: {verdict:?}"
+        );
+    }
+}
