@@ -129,6 +129,18 @@ where
     Ok(value)
 }
 
+/// A run length in whole seconds, refused when its microseconds (the
+/// unit of `SimDuration`) do not fit in a `u64`.
+fn seconds_flag(flag: &str, secs: Option<u64>) -> Result<Option<u64>, String> {
+    const MAX_SECS: u64 = u64::MAX / 1_000_000;
+    match secs {
+        Some(s) if s > MAX_SECS => Err(format!(
+            "{flag} must be at most {MAX_SECS} seconds, got {s}"
+        )),
+        _ => Ok(secs),
+    }
+}
+
 /// Strictly parses a float flag that must lie in `0..=max`.
 fn ranged_flag(args: &[String], flag: &str, max: f64, what: &str) -> Result<Option<f64>, String> {
     let value = parsed_flag::<f64>(args, flag)?;
@@ -180,8 +192,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         update: ranged_flag(args, "--update", 1.0, "a fraction in [0, 1]")?,
         chaos: ranged_flag(args, "--chaos", 16.0, "a non-negative intensity")?,
         restart: args.iter().any(|a| a == "--restart"),
-        duration: count_flag(args, "--duration", " second")?,
-        warmup: parsed_flag(args, "--warmup")?,
+        duration: seconds_flag("--duration", count_flag(args, "--duration", " second")?)?,
+        warmup: seconds_flag("--warmup", parsed_flag(args, "--warmup")?)?,
         seeds: count_flag(args, "--seeds", "")?,
         inject: flag_value(args, "--inject-violation")
             .map(|raw| {

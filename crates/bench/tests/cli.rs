@@ -78,6 +78,34 @@ fn out_of_range_fractions_are_rejected() {
     assert!(stderr_of(&out).contains("invalid value for --system"));
 }
 
+/// A run length whose microseconds overflow a `u64` is a usage error that
+/// names its flag, not a wrapped (or, in a debug build, panicking) run.
+#[test]
+fn run_lengths_past_u64_microseconds_are_rejected() {
+    for (args, needle) in [
+        (
+            &[
+                "trace", "--system", "cs", "--clients", "2",
+                "--duration", "18446744073710", "--warmup", "0",
+            ][..],
+            "--duration must be at most 18446744073709 seconds, got 18446744073710",
+        ),
+        (
+            &["check", "--warmup", "18446744073710"][..],
+            "--warmup must be at most 18446744073709 seconds",
+        ),
+        (
+            &["blame", "--duration", &u64::MAX.to_string()][..],
+            "--duration must be at most",
+        ),
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert!(err.contains(needle), "{args:?} stderr missing {needle:?}: {err}");
+    }
+}
+
 #[test]
 fn restart_without_chaos_is_rejected() {
     for args in [&["trace", "--restart"][..], &["trace", "--chaos", "0.0", "--restart"][..]] {

@@ -34,7 +34,7 @@ pub struct Config {
     pub allow: Vec<(RuleId, Vec<String>)>,
     /// Per-rule crate scoping (`crates = [...]` under `[rules.Dn]`):
     /// the rule's pass only analyzes files belonging to these crates.
-    /// Used by D7/D8 (lock-order, default: nothing) and D9 (panic
+    /// Used by D7 (no shared lock, default: nothing) and D9 (panic
     /// audit over the engine crates). Rules without an entry keep
     /// their default scope (everywhere the rule applies).
     pub rule_crates: Vec<(RuleId, Vec<String>)>,
@@ -107,7 +107,7 @@ impl Config {
 
     /// True when `rule` is scoped to crates and `path` lies in one of
     /// them. Rules without a `crates = [...]` entry return false — the
-    /// scoped passes (D7/D8/D9) are opt-in per crate.
+    /// scoped rules (D7, D9) are opt-in per crate.
     #[must_use]
     pub fn rule_applies_to(&self, rule: RuleId, path: &str) -> bool {
         self.rule_crates(rule)
@@ -337,7 +337,7 @@ allow = ["crates/bench/**", "crates/cluster/src/runtime.rs"]
         assert!(!cfg.rule_applies_to(RuleId::D9, "crates/cluster/src/server.rs"));
         assert!(cfg.rule_applies_to(RuleId::D7, "crates/cluster/src/server.rs"));
         // Unscoped rules are opt-in: no entry means the pass skips.
-        assert!(!cfg.rule_applies_to(RuleId::D8, "crates/cluster/src/server.rs"));
+        assert!(!cfg.rule_applies_to(RuleId::D10, "crates/cluster/src/server.rs"));
         assert_eq!(cfg.rule_crates(RuleId::D7).unwrap(), ["cluster"]);
     }
 

@@ -9,7 +9,8 @@
 //! a hand-rolled lexer and enforcing the contract described in
 //! [`rules`]: no wall-clock reads, no hash-ordered iteration or random hasher in
 //! deterministic crates, no ambient randomness, documented `unsafe`,
-//! reasoned `#[allow]`s, and no stray printing from library code.
+//! reasoned `#[allow]`s, no stray printing from library code, and no
+//! lock in the threaded cluster, whose sites share only channels.
 //!
 //! Like the rest of the workspace it has **zero external dependencies**;
 //! the config file ([`config`]) is a hand-parsed TOML subset and the
@@ -25,7 +26,6 @@ pub mod baseline;
 pub mod config;
 pub mod json;
 pub mod lexer;
-pub mod locks;
 pub mod panic;
 pub mod parse;
 pub mod rules;

@@ -18,10 +18,9 @@ USAGE:
     detlint rules [--toml]
 
 `check` runs every pass over the files it is given (`--workspace`:
-every .rs file under the root): the token rules D1-D6 and D10, the D7/D8
-lock-order analysis over the crates detlint.toml scopes it to, and the
-D9 panic audit. D7/D8 see only the files given: a cycle through a file
-left off a targeted list goes unreported, so CI checks `--workspace`.
+every .rs file under the root): the token rules D1-D7 and D10 (D7, no
+lock where sites share only channels, on the crates detlint.toml scopes
+it to) and the D9 panic audit.
 `baseline` regenerates detlint.baseline.json, the
 ratchet that absorbs the accepted D9 surface; `--ratchet` additionally
 fails when that file is stale (counts shrank without regenerating).

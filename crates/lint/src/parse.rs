@@ -1,13 +1,13 @@
 //! Item scanner on top of [`crate::lexer`].
 //!
 //! This is deliberately *not* a Rust parser: it recovers exactly the
-//! structure the D7/D8 and D9 passes need — which functions exist (with
-//! their body token spans), which `impl`/`trait` type each method
-//! belongs to, and which code is `#[cfg(test)]`-only — from one forward
-//! walk over a stack of open braces. `fn`, `impl`, `mod` and `trait` are
-//! followed wherever they stand. At item position (the file, a `mod`, an
-//! `impl` or `trait` body) every other token must start an item, which is
-//! stepped over whole; inside a function or block anything goes. A token
+//! structure the D9 and D10 passes and the function-length budget need —
+//! which functions exist (with their body token spans) and which code is
+//! `#[cfg(test)]`-only — from one forward walk over a stack of open
+//! braces. `fn`, `impl`, `mod` and `trait` are followed wherever they
+//! stand. At item position (the file, a `mod`, an `impl` or `trait`
+//! body) every other token must start an item, which is stepped over
+//! whole; inside a function or block anything goes. A token
 //! that starts no item, a header the scanner cannot follow or a brace
 //! that does not balance is recorded as a [`ParseError`] (a smoke test
 //! over the workspace asserts the count stays zero) and scanning goes on,
@@ -23,15 +23,13 @@ use crate::lexer::{TokKind, Token};
 #[derive(Debug, Clone)]
 pub struct FnDef {
     pub name: String,
-    /// The `impl`/`trait` type this is a method of, if any.
-    pub self_ty: Option<String>,
     pub line: u32,
     /// Body span in code-token indices: `(first_token_inside,
     /// closing_brace)`, i.e. `code[start..end]` is the body without its
     /// braces. `None` for bodyless trait/extern decls.
     pub body: Option<(usize, usize)>,
     /// Declared under `#[cfg(test)]` / `#[test]` — exempt from the
-    /// panic audit and the lock pass.
+    /// panic audit.
     pub test_only: bool,
 }
 
@@ -53,16 +51,6 @@ pub struct ParsedFile {
 }
 
 impl ParsedFile {
-    /// The function whose body span contains code-token index `i`.
-    /// Inner items nested in another body resolve to the innermost fn.
-    #[must_use]
-    pub fn fn_containing(&self, i: usize) -> Option<&FnDef> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.is_some_and(|(s, e)| s <= i && i < e))
-            .min_by_key(|f| f.body.map_or(usize::MAX, |(s, e)| e - s))
-    }
-
     /// True when code-token index `i` lies in test-only code.
     #[must_use]
     pub fn in_test_span(&self, i: usize) -> bool {
@@ -72,11 +60,9 @@ impl ParsedFile {
 
 /// What an open `{` is the body of.
 enum Body {
-    /// A `mod` body: items only, like the top of the file.
-    Mod,
-    /// An `impl` / `trait` body: items only; the name is its methods'
-    /// self type.
-    Type(String),
+    /// A `mod`, `impl` or `trait` body: items only, like the top of the
+    /// file.
+    Items,
     /// The body of `fns[index]`.
     Fn(usize),
     /// Any other brace (a block, a struct or macro body): free-form code.
@@ -285,9 +271,9 @@ impl<'a> Scanner<'a> {
     fn scoped_item(&mut self, test_attr: bool) -> bool {
         match (self.ident_at(0), self.ident_at(1)) {
             (Some("fn"), Some(name)) => self.fn_header(name, test_attr),
-            (Some("impl"), _) => self.impl_header(test_attr),
-            (Some("mod"), Some(_)) => self.enter(Body::Mod, test_attr),
-            (Some("trait"), Some(name)) => self.enter(Body::Type(name.into()), test_attr),
+            (Some("impl"), _) | (Some("mod" | "trait"), Some(_)) => {
+                self.enter(Body::Items, test_attr);
+            }
             _ => return false,
         }
         true
@@ -352,8 +338,7 @@ impl<'a> Scanner<'a> {
     }
 
     /// `fn name<…>(params) -> Ret where … { body }` (or `;`) under the
-    /// cursor. A method directly inside an `impl`/`trait` body takes its
-    /// type; a `fn` nested in another body is a free function.
+    /// cursor.
     fn fn_header(&mut self, name: &str, test_attr: bool) {
         let line = self.code[self.i].line;
         self.i += 2;
@@ -364,48 +349,14 @@ impl<'a> Scanner<'a> {
             self.error(format!("fn `{name}` without a parameter list"));
             return self.enter(Body::Block, false);
         }
-        let self_ty = self.open.last().and_then(|s| match &s.body {
-            Body::Type(ty) => Some(ty.clone()),
-            _ => None,
-        });
         let test_only = test_attr || self.open.last().is_some_and(|s| s.test_only);
         self.out.fns.push(FnDef {
             name: name.to_string(),
-            self_ty,
             line,
             body: None,
             test_only,
         });
         self.enter(Body::Fn(self.out.fns.len() - 1), test_only);
-    }
-
-    /// `impl<…> [Trait for] Type<…> [where …] {` under the cursor: the
-    /// self type is the last path segment at angle-depth 0 before the
-    /// body, taken after `for` when present, frozen at `where`.
-    fn impl_header(&mut self, test_attr: bool) {
-        self.i += 1; // impl
-        let mut ty: Option<&str> = None;
-        let mut in_where = false;
-        while self.i < self.code.len() && !self.punct_at(0, '{') && !self.punct_at(0, ';') {
-            if self.punct_at(0, '<') {
-                self.i = generics_end(self.code, self.i);
-                continue;
-            }
-            match self.ident_at(0) {
-                Some("for") => {
-                    ty = None;
-                    in_where = false;
-                }
-                Some("where") => in_where = true,
-                Some(seg) if !in_where => ty = Some(seg),
-                _ => {}
-            }
-            self.step(); // a whole `(…)` for fn-pointer / tuple types
-        }
-        if !self.punct_at(0, '{') {
-            return self.error("`impl` without a body".into());
-        }
-        self.push(Body::Type(ty.unwrap_or("?impl").to_string()), test_attr);
     }
 }
 
@@ -442,21 +393,10 @@ trait T {
 ",
         );
         assert!(p.errors.is_empty(), "{:?}", p.errors);
-        let names: Vec<(String, Option<String>)> = p
-            .fns
-            .iter()
-            .map(|f| (f.name.clone(), f.self_ty.clone()))
-            .collect();
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(
             names,
-            vec![
-                ("alpha".into(), None),
-                ("method".into(), Some("S".into())),
-                ("assoc".into(), Some("S".into())),
-                ("fmt".into(), Some("S".into())),
-                ("required".into(), Some("T".into())),
-                ("defaulted".into(), Some("T".into())),
-            ]
+            vec!["alpha", "method", "assoc", "fmt", "required", "defaulted"]
         );
         // `required` has no body; `defaulted` does.
         assert!(p.fns[4].body.is_none());
@@ -554,7 +494,6 @@ fn after() {}
         let (s, e) = p.fns[0].body.unwrap();
         let body_idents: Vec<&str> = code[s..e].iter().filter_map(|t| t.ident()).collect();
         assert_eq!(body_idents, vec!["inner_call"]);
-        assert_eq!(p.fn_containing(s).unwrap().name, "f");
         let (gs, ge) = p.fns[1].body.unwrap();
         assert_eq!(gs, ge, "empty body is an empty span");
     }

@@ -1,10 +1,9 @@
 //! File discovery and the one pass list: [`check`] reads, lexes and
 //! parses each file once into a [`SourceFile`], then runs every pass
-//! over that set — the token rules (D1–D6, D10), the panic audit (D9) on the
-//! crates it is scoped to, and the lock-order pass (D7/D8) over the
-//! files of the crates `detlint.toml` names for it — and applies the
-//! baseline. `detlint check --workspace` and `detlint check <files>`
-//! differ only in the file list they hand it.
+//! over that set — the token rules (D1–D7, D10; D7 on the crates
+//! `detlint.toml` names for it) and the panic audit (D9) on the crates it
+//! is scoped to — and applies the baseline. `detlint check --workspace`
+//! and `detlint check <files>` differ only in the file list they hand it.
 
 use crate::baseline::{Baseline, StaleEntry};
 use crate::config::Config;
@@ -14,7 +13,7 @@ use crate::rules::{
     check_file, collect_annotations, collect_symbols, crate_wide_map_names, Annotations,
     FileContext, RuleId, SymbolTable, Violation,
 };
-use crate::{locks, panic};
+use crate::panic;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -182,6 +181,7 @@ pub fn check(
             library: is_library_path(rel),
             allow_print: cfg.is_allowed(RuleId::D6, rel),
             fixed_hasher: cfg.is_deterministic_path(rel) && !cfg.is_allowed(RuleId::D10, rel),
+            channels_only: cfg.rule_applies_to(RuleId::D7, rel),
             crate_map_names: &crate_maps[&crate_of(rel)],
         };
         report.suppressions += file.annotations.count;
@@ -195,19 +195,6 @@ pub fn check(
             report.violations.extend(panic::check_file(file));
         }
     }
-
-    let lock_scope: Vec<&SourceFile> = sources
-        .iter()
-        .filter(|f| {
-            cfg.rule_applies_to(RuleId::D7, &f.path) || cfg.rule_applies_to(RuleId::D8, &f.path)
-        })
-        .collect();
-    let (_, lock_violations) = locks::check(&lock_scope);
-    report.violations.extend(
-        lock_violations
-            .into_iter()
-            .filter(|v| cfg.rule_applies_to(v.rule, &v.file)),
-    );
 
     if let Some(b) = baseline {
         let outcome = b.apply(std::mem::take(&mut report.violations));

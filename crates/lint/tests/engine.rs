@@ -22,8 +22,8 @@ fn repo_root() -> PathBuf {
 }
 
 /// The contract the fixture mini-workspace runs under: everything is
-/// deterministic, the lock-order and panic rules are in force, and one
-/// module is allowlisted for wall-clock reads.
+/// deterministic, the panic audit is in force, and one module is
+/// allowlisted for wall-clock reads.
 fn fixture_cfg() -> Config {
     Config::parse(
         r#"
@@ -32,12 +32,6 @@ crates = ["root"]
 
 [rules.D1]
 allow = ["src/allowed_clock.rs"]
-
-[rules.D7]
-crates = ["root"]
-
-[rules.D8]
-crates = ["root"]
 
 [rules.D9]
 crates = ["root"]
@@ -88,8 +82,6 @@ fn positive_fixtures_fire_their_rule() {
     assert_eq!(lint_fixture("d4_bad.rs"), vec![RuleId::D4]);
     assert_eq!(lint_fixture("d5_bad.rs"), vec![RuleId::D5]);
     assert_eq!(lint_fixture("d6_bad.rs"), vec![RuleId::D6, RuleId::D6]);
-    assert_eq!(lint_fixture("d7_bad.rs"), vec![RuleId::D7]);
-    assert_eq!(lint_fixture("d8_bad.rs"), vec![RuleId::D8]);
     assert_eq!(
         lint_fixture("d9_bad.rs"),
         vec![RuleId::D9, RuleId::D9, RuleId::D9]
@@ -109,8 +101,6 @@ fn negative_fixtures_are_clean() {
         "d4_good.rs",
         "d5_good.rs",
         "d6_good.rs",
-        "d7_good.rs",
-        "d8_good.rs",
         "d9_good.rs",
         "d10_good.rs",
     ] {
@@ -171,30 +161,24 @@ fn diagnostics_carry_file_line_and_rule() {
 #[test]
 fn whole_fixture_tree_discovery_finds_every_bad_file() {
     let report = check_tree(&fixtures_root(), &fixture_cfg());
-    // 10 bad fixtures with 2+3+3+1+1+2+1+1+3+3 = 20 violations; good/
+    // 8 bad fixtures with 2+3+3+1+1+2+3+3 = 18 violations; good/
     // annotated/allowlisted files contribute none.
-    assert_eq!(report.violations.len(), 20);
-    assert_eq!(report.files_checked, 22);
+    assert_eq!(report.violations.len(), 18);
+    assert_eq!(report.files_checked, 18);
 }
 
-/// One cycle and one send-under-lock in the fixture tree, each reported
-/// exactly once even though every fixture is in the lock pass's scope.
+/// D7 applies to the crates `[rules.D7]` names and nowhere else: the
+/// `static Mutex` of a D10 fixture is a finding only once `root` is
+/// scoped.
 #[test]
-fn lock_rules_fire_in_the_fixture_tree() {
-    let report = check_tree(&fixtures_root(), &fixture_cfg());
-    let lock_hits: Vec<(&str, RuleId)> = report
-        .violations
-        .iter()
-        .filter(|v| matches!(v.rule, RuleId::D7 | RuleId::D8))
-        .map(|v| (v.file.as_str(), v.rule))
-        .collect();
-    assert_eq!(
-        lock_hits,
-        vec![
-            ("src/d7_bad.rs", RuleId::D7),
-            ("src/d8_bad.rs", RuleId::D8),
-        ]
-    );
+fn d7_fires_only_in_the_crates_it_is_scoped_to() {
+    let file = ["src/d10_good.rs".to_string()];
+    let scoped = Config::parse("[rules.D7]\ncrates = [\"root\"]").expect("parses");
+    let report = check(&fixtures_root(), &file, &scoped, None).expect("readable");
+    let lines: Vec<(RuleId, u32)> = report.violations.iter().map(|v| (v.rule, v.line)).collect();
+    assert_eq!(lines, [(RuleId::D7, 4), (RuleId::D7, 8), (RuleId::D7, 9)]);
+    let report = check(&fixtures_root(), &file, &Config::default(), None).expect("readable");
+    assert!(report.is_clean(), "{:?}", report.violations);
 }
 
 /// Workspace crates named anywhere in a dependency table of
@@ -366,7 +350,7 @@ fn repo_sources(root: &Path, cfg: &Config) -> Vec<SourceFile> {
 }
 
 /// The item scanner digests every file in the repository without a
-/// single error: an error means D7/D8 and D9 silently lose functions.
+/// single error: an error means D9 and D10 silently misjudge test code.
 #[test]
 fn whole_repository_parses_without_errors() {
     let root = repo_root();
@@ -431,24 +415,13 @@ fn engine_functions_stay_within_the_line_budget() {
     );
 }
 
-/// The acceptance gate for D7: the repository's lock graph is acyclic.
-/// The threaded cluster's sites share nothing but channels, so the graph
-/// is empty; an edge that comes back is seen at the change that adds it,
-/// not when one closes a cycle.
+/// The threaded cluster is where D7 looks: a config that drops it from
+/// the scope would let a shared lock back in unseen.
 #[test]
-fn repository_lock_graph_is_acyclic_with_known_edges() {
-    let root = repo_root();
-    let cfg = load_config(&root).expect("detlint.toml parses");
-    let units = repo_sources(&root, &cfg);
-    let scope: Vec<&SourceFile> = units
-        .iter()
-        .filter(|u| cfg.rule_applies_to(RuleId::D7, &u.path))
-        .collect();
-    assert!(!scope.is_empty(), "D7 covers no file");
-    let (lock_graph, violations) = siteselect_lint::locks::check(&scope);
-    let cycles: Vec<_> = violations.iter().filter(|v| v.rule == RuleId::D7).collect();
-    assert!(cycles.is_empty(), "lock graph has a cycle: {cycles:?}");
-    assert!(lock_graph.edges.is_empty(), "{:?}", lock_graph.edges);
+fn d7_covers_the_threaded_cluster() {
+    let cfg = load_config(&repo_root()).expect("detlint.toml parses");
+    assert!(cfg.rule_applies_to(RuleId::D7, "crates/cluster/src/runtime.rs"));
+    assert!(cfg.rule_applies_to(RuleId::D7, "crates/cluster/src/lib.rs"));
 }
 
 /// `--json` and `--no-baseline` are gone: each is a usage error that

@@ -689,7 +689,6 @@ mod tests {
         let g = buf.fetch(ObjectId(2), &mut disk).unwrap();
         assert_eq!(g, f);
         assert_eq!(buf.page(g).unwrap(), &on_disk);
-        assert_eq!(buf.page(g).unwrap().to_bytes(), on_disk.to_bytes());
         assert_eq!(
             disk.peek(ObjectId(1)).unwrap(),
             &Page::patterned(ObjectId(1))

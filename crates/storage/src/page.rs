@@ -26,9 +26,7 @@ enum Base {
 /// word per update (the recovery stamp) and take disk and network time
 /// from the configuration, not from page contents, so a written page
 /// costs tens of bytes instead of 2 KB. Reads, [`Page::checksum`] and
-/// `==` see the logical bytes; [`Page::to_bytes`] and
-/// [`Page::copy_from_bytes`] move them whole for the threaded
-/// `siteselect-cluster` runtime, whose clients hold real page images.
+/// `==` see the logical bytes.
 ///
 /// # Example
 ///
@@ -168,33 +166,6 @@ impl Page {
             )
     }
 
-    /// The page's [`PAGE_SIZE`] logical bytes.
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.logical_words().flat_map(u64::to_le_bytes).collect()
-    }
-
-    /// Overwrites the page's logical bytes with `bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not [`PAGE_SIZE`] long.
-    pub fn copy_from_bytes(&mut self, bytes: &[u8]) {
-        assert_eq!(bytes.len(), PAGE_SIZE, "a page image is {PAGE_SIZE} bytes");
-        self.words.clear();
-        let (chunks, _) = bytes.as_chunks::<8>();
-        for ((&chunk, base), i) in chunks
-            .iter()
-            .zip(base_words(self.id, self.base))
-            .zip(0u16..)
-        {
-            let value = u64::from_le_bytes(chunk);
-            if value != base {
-                self.words.push((i, value));
-            }
-        }
-    }
-
     /// Reads the little-endian `u64` at byte `offset`.
     ///
     /// # Panics
@@ -247,10 +218,7 @@ mod tests {
     #[test]
     fn zeroed_page_is_zero() {
         let p = Page::zeroed(ObjectId(1));
-        let bytes = p.to_bytes();
-        assert_eq!(bytes.len(), PAGE_SIZE);
-        assert!(bytes.iter().all(|&b| b == 0));
-        assert_eq!(p.read_u64_at(0), 0);
+        assert!((0..PAGE_SIZE).step_by(8).all(|at| p.read_u64_at(at) == 0));
     }
 
     #[test]
@@ -278,15 +246,6 @@ mod tests {
         let before = p.checksum();
         p.write_u64_at(128, 12345);
         assert_ne!(p.checksum(), before);
-    }
-
-    #[test]
-    fn to_bytes_is_detached() {
-        let mut p = Page::zeroed(ObjectId(3));
-        p.write_u64_at(0, 7);
-        let image = p.to_bytes();
-        p.write_u64_at(0, 8);
-        assert_eq!(u64::from_le_bytes(image[0..8].try_into().unwrap()), 7);
     }
 
     #[test]
