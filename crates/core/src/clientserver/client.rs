@@ -1319,6 +1319,7 @@ impl ClientSite {
             object,
             from,
             had_copy,
+            sent_at: cx.now,
         };
         cx.send_to_server(0, 1, ack);
     }
@@ -1330,6 +1331,7 @@ impl ClientSite {
             object,
             from,
             downgraded,
+            sent_at: cx.now,
         };
         cx.send_to_server(1, 1, ret);
     }
@@ -1984,7 +1986,8 @@ mod tests {
                     Msg::ObjectReturn {
                         object: ObjectId(1),
                         from: ClientId(0),
-                        downgraded: true
+                        downgraded: true,
+                        ..
                     }
                 )]
             ),
@@ -2024,7 +2027,8 @@ mod tests {
                     Msg::CallbackAck {
                         object: ObjectId(4),
                         from: ClientId(0),
-                        had_copy: true
+                        had_copy: true,
+                        ..
                     }
                 )]
             ),

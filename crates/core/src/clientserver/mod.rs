@@ -107,19 +107,22 @@ pub(crate) enum Msg {
         forward: Option<ForwardList>,
     },
     /// Client → server: object returned (with data). `downgraded` keeps a
-    /// shared lock at the client.
+    /// shared lock at the client. `sent_at` stamps the answer, so the
+    /// server can tell one sent under a lease it has since reclaimed.
     ObjectReturn {
         object: ObjectId,
         from: ClientId,
         downgraded: bool,
+        sent_at: SimTime,
     },
     /// Client → server: callback answered without data (copy was clean or
     /// already evicted; `had_copy` false means the forward list, if any,
-    /// must be served by the server).
+    /// must be served by the server). `sent_at` as for `ObjectReturn`.
     CallbackAck {
         object: ObjectId,
         from: ClientId,
         had_copy: bool,
+        sent_at: SimTime,
     },
     /// Client → server: these waiting requests died with their transaction.
     CancelWants {
@@ -1126,7 +1129,7 @@ impl Simulator {
                 let (unit, disk) = (TransactionId::from_raw(txn), SpanKind::Disk);
                 cx.sink
                     .span(cx.now, SiteId::Server, unit, disk, scheduled_at, None);
-                server.on_fetch_done(cx, to, item);
+                server.on_fetch_done(cx, to, item, scheduled_at);
             }
             (ServerKind::ClientServer(server), Ev::WindowClose { object }) => {
                 server.on_window_close(cx, object);
@@ -1231,7 +1234,13 @@ impl Simulator {
                 server.apply_grants(cx, object, grants);
                 server.unpark(cx, object, holder);
             }
-            server.forget_dead_routes(cx.now);
+            for (object, member) in server.forget_dead_routes(cx.now) {
+                if let Some(c) = clients.get_mut(member.index()) {
+                    c.fence(cx, object);
+                    c.abort_local_holders(cx, object);
+                }
+            }
+            server.forget_old_fences(cx.now, lease);
         }
         server.sweep(cx);
     }

@@ -81,23 +81,37 @@ impl WaitingWants {
     }
 }
 
+/// A forward list travelling client→client: `head` holds the object first
+/// (the recalled holder, or the first requester when the server ships the
+/// object itself) and `list` is the rest of the chain, as shipped.
+struct Route {
+    head: ClientId,
+    list: ForwardList,
+}
+
 /// The server site's state.
 pub(crate) struct ServerSite {
     pub(crate) core: ServerCore<ClientId>,
     callbacks: CallbackTracker,
     windows: WindowManager,
-    /// Forward lists currently travelling client→client, as shipped.
-    routing: ObjectMap<ForwardList>,
+    /// Forward chains currently travelling.
+    routing: ObjectMap<Route>,
     /// Lock-table-queued requests awaiting grant: data to ship on grant.
     waiting_wants: WaitingWants,
-    /// One entry per grant waiting on the server disk: a recall to the same
-    /// (object, client) would overtake it.
-    shipping: Vec<(ObjectId, ClientId)>,
+    /// One entry per grant waiting on the server disk, with when its read
+    /// was scheduled: a recall to the same (object, client) would overtake
+    /// it, and a grant whose entry is gone (a lease reclaim or a crash
+    /// struck it) never ships.
+    shipping: Vec<(ObjectId, ClientId, SimTime)>,
     /// Recalls (with the mode wanted) held until that grant is on the wire.
     held_recalls: Vec<(ObjectId, ClientId, LockMode)>,
     /// Requests from clients that still owe an answer on the object, served
     /// when that answer arrives.
     parked: Vec<(ClientId, TKey, Want)>,
+    /// When a lease reclaim or a dead route last fenced each (object,
+    /// client), for one lease: an answer it sent by then answers a recall
+    /// already settled.
+    fenced: Vec<(ObjectId, ClientId, SimTime)>,
     /// Sequence counter for the pseudo-transactions that apply returned
     /// objects to the durable store (tagged with the high bit so they can
     /// never collide with workload transaction ids).
@@ -120,6 +134,7 @@ impl ServerSite {
             shipping: Vec::new(),
             held_recalls: Vec::new(),
             parked: Vec::new(),
+            fenced: Vec::new(),
             pseudo_seq: 0,
         }
     }
@@ -190,12 +205,14 @@ impl ServerSite {
                 object,
                 from,
                 downgraded,
-            } => self.on_return(cx, object, from, downgraded),
+                sent_at,
+            } => self.on_return(cx, object, (from, sent_at), downgraded),
             Msg::CallbackAck {
                 object,
                 from,
                 had_copy,
-            } => self.on_ack(cx, object, from, had_copy),
+                sent_at,
+            } => self.on_ack(cx, object, (from, sent_at), had_copy),
             Msg::CancelWants { client, objects } => {
                 for object in objects {
                     let (_, grants) = self.core.locks.cancel_wait(object, client);
@@ -254,7 +271,7 @@ impl ServerSite {
         let mut holders = holders.peekable();
         let tail = match holders.peek() {
             Some(_) => None,
-            None => self.routing.get(object).and_then(ForwardList::last_client),
+            None => self.routing.get(object).and_then(|r| r.list.last_client()),
         };
         holders.chain(tail.map(|last| (last, LockMode::Exclusive)))
     }
@@ -402,12 +419,17 @@ impl ServerSite {
     /// grant goes on the wire, so the recall never overtakes it.
     fn recall(&mut self, cx: &mut Cx, object: ObjectId, desired: LockMode, holders: Targets) {
         for t in self.callbacks.begin_at(object, holders, cx.now) {
-            if self.shipping.contains(&(object, t)) {
+            if self.on_disk(object, t) {
                 self.held_recalls.push((object, t, desired));
             } else {
                 Self::send_recall(cx, object, t, desired);
             }
         }
+    }
+
+    /// True if a grant of `object` to `client` waits on the server disk.
+    fn on_disk(&self, object: ObjectId, client: ClientId) -> bool {
+        self.shipping.iter().any(|&(o, c, _)| (o, c) == (object, client))
     }
 
     fn send_recall(cx: &mut Cx, object: ObjectId, to: ClientId, desired: LockMode) {
@@ -454,7 +476,7 @@ impl ServerSite {
         if ready {
             self.ship_now(cx, client, item);
         } else {
-            self.shipping.push((object, client));
+            self.shipping.push((object, client, cx.now));
             let done = self.core.disk.schedule_batch(cx.now, 1);
             cx.queue.push(
                 done,
@@ -468,20 +490,31 @@ impl ServerSite {
         }
     }
 
-    /// A grant's disk read finished: it goes on the wire, followed by the
-    /// recall held behind it once no other grant of the object to `to` is
-    /// still on disk.
-    pub(crate) fn on_fetch_done(&mut self, cx: &mut Cx, to: ClientId, item: GrantItem) {
-        self.ship_now(cx, to, item);
+    /// A grant's disk read, scheduled at `scheduled_at`, finished: it goes
+    /// on the wire, followed by the recall held behind it once no other
+    /// grant of the object to `to` is still on disk. A grant whose lock a
+    /// lease reclaim took back (or a crash forgot) meanwhile stays home.
+    pub(crate) fn on_fetch_done(
+        &mut self,
+        cx: &mut Cx,
+        to: ClientId,
+        item: GrantItem,
+        scheduled_at: SimTime,
+    ) {
         let key = (item.0, to);
-        if let Some(at) = self.shipping.iter().position(|&e| e == key) {
-            self.shipping.swap_remove(at);
-        }
-        if self.shipping.contains(&key) {
+        let entry = (item.0, to, scheduled_at);
+        let Some(at) = self.shipping.iter().position(|&e| e == entry) else {
+            return;
+        };
+        self.shipping.swap_remove(at);
+        self.ship_now(cx, to, item);
+        if self.on_disk(item.0, to) {
             return;
         }
         if let Some(at) = self.held_recalls.iter().position(|&(o, c, _)| (o, c) == key) {
             let (_, _, desired) = self.held_recalls.swap_remove(at);
+            // The holder is asked only now, so its lease starts now.
+            self.callbacks.renew(item.0, to, cx.now);
             Self::send_recall(cx, item.0, to, desired);
         }
     }
@@ -504,7 +537,14 @@ impl ServerSite {
     // Returns, acks and grant cascades
     // ------------------------------------------------------------------
 
-    fn on_return(&mut self, cx: &mut Cx, object: ObjectId, from: ClientId, downgraded: bool) {
+    /// `from` returned `object` by an answer sent at `sent_at`.
+    fn on_return(
+        &mut self,
+        cx: &mut Cx,
+        object: ObjectId,
+        (from, sent_at): (ClientId, SimTime),
+        downgraded: bool,
+    ) {
         self.core.buffer.insert(object);
         // Durable apply: a returned object carries the newest committed
         // version, so it is WAL-logged and force-committed under a
@@ -520,6 +560,9 @@ impl ServerSite {
                 stamp,
             });
         self.core.force_commit(cx.now, &cx.sink, pseudo);
+        if self.settled_before(object, from, sent_at) {
+            return;
+        }
         self.callbacks.acknowledge(object, from);
         cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::CallbackAcked { object, from }
@@ -535,7 +578,16 @@ impl ServerSite {
         self.unpark(cx, object, from);
     }
 
-    fn on_ack(&mut self, cx: &mut Cx, object: ObjectId, from: ClientId, had_copy: bool) {
+    fn on_ack(
+        &mut self,
+        cx: &mut Cx,
+        object: ObjectId,
+        (from, sent_at): (ClientId, SimTime),
+        had_copy: bool,
+    ) {
+        if self.settled_before(object, from, sent_at) {
+            return;
+        }
         self.callbacks.acknowledge(object, from);
         cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::CallbackAcked { object, from }
@@ -545,11 +597,32 @@ impl ServerSite {
         if !had_copy {
             // The recalled holder could not serve the forward list that
             // rode on the callback; the server serves it from its own copy.
-            if let Some(list) = self.routing.remove(object) {
-                self.serve_list_from_server(cx, object, list);
+            if let Some(route) = self.routing.remove(object) {
+                self.serve_list_from_server(cx, object, route.list);
             }
         }
         self.unpark(cx, object, from);
+    }
+
+    /// True if `from`'s answer on `object`, sent at `sent_at`, answers a
+    /// recall that a fence has settled since: it releases nothing and
+    /// answers no newer recall.
+    fn settled_before(&self, object: ObjectId, from: ClientId, sent_at: SimTime) -> bool {
+        let key = (object, from);
+        self.fenced
+            .iter()
+            .any(|&(o, c, at)| (o, c) == key && sent_at <= at)
+    }
+
+    /// Nothing sent under `client`'s lease on `object` acts after `now`:
+    /// its grants still on the server disk never ship, a recall held
+    /// behind them is moot, and its answers sent by now settle nothing.
+    fn fence(&mut self, object: ObjectId, client: ClientId, now: SimTime) {
+        let key = (object, client);
+        self.shipping.retain(|&(o, c, _)| (o, c) != key);
+        self.held_recalls.retain(|&(o, c, _)| (o, c) != key);
+        self.fenced.retain(|&(o, c, _)| (o, c) != key);
+        self.fenced.push((object, client, now));
     }
 
     /// Completes grants that cascaded out of a release/downgrade/cancel. A
@@ -625,16 +698,18 @@ impl ServerSite {
     // Collection windows and forward lists
     // ------------------------------------------------------------------
 
-    /// A collection window closed: serve its list if the object allows,
-    /// otherwise keep collecting for another window. The window manager
-    /// hears which, so the trace tells one episode per request.
+    /// A collection window closed: serve what the object allows and
+    /// collect the rest for another window. The window manager hears which
+    /// requests left, so the trace tells one episode per request.
     pub(crate) fn on_window_close(&mut self, cx: &mut Cx, object: ObjectId) {
-        let Some((list, episode)) = self.windows.close_at(object, cx.now) else {
+        let Some((list, mut episode)) = self.windows.close_at(object, cx.now) else {
             return;
         };
         match self.serve_window(cx, object, list) {
-            Some(list) => {
-                if let Some(at) = self.windows.reoffer(list, episode, cx.now) {
+            Some(rest) => {
+                let waiting = episode.split_off(&rest);
+                self.windows.depart(episode, cx.now);
+                if let Some(at) = self.windows.reoffer(rest, waiting, cx.now) {
                     cx.queue.push(at, Ev::WindowClose { object });
                 }
             }
@@ -642,35 +717,65 @@ impl ServerSite {
         }
     }
 
-    /// Serves a closed window's `list` — from the server's copy, down a
-    /// chain started by one recall, or by the plain path — or hands it back
-    /// when the object is not yet servable.
+    /// Serves the first run of one lock mode of a closed window's `list`
+    /// and hands back the rest. A run of readers, or of one request, is
+    /// granted from the lock table as the plain path grants it (an
+    /// exclusive holder is recalled with a downgrade); two or more writers
+    /// go down a chain. The whole list comes back while the object travels
+    /// or is recalled (the server's copy is stale), or while its writers
+    /// cannot start a chain yet.
     fn serve_window(
         &mut self,
         cx: &mut Cx,
         object: ObjectId,
-        list: ForwardList,
+        mut list: ForwardList,
     ) -> Option<ForwardList> {
         if self.routing.contains(object) || self.callbacks.is_recalling(object) {
-            // The object is still travelling or being recalled for the
-            // plain-path waiter: keep collecting until it comes home.
+            // The object is still travelling or being recalled: keep
+            // collecting until it comes home.
             return Some(list);
         }
-        if list.len() == 1 {
-            // A window that collected only one request gains nothing from
-            // grouping: serve it as a plain recall, which also lets an
-            // exclusive holder downgrade and keep its cached copy.
-            let e = list.entries()[0];
-            let w = Want {
-                object,
-                mode: e.mode,
-                needs_data: true,
-                deadline: e.deadline,
-            };
-            let conflicting = self.conflicting(object, e.client, e.mode);
-            self.want_plain(cx, e.txn.as_u64(), e.client, w, conflicting);
-            return None;
+        let rest = list.split_run();
+        let writers = list.len() > 1 && list.entries().iter().all(|e| e.mode.is_exclusive());
+        if !writers {
+            self.grant_run(cx, object, &list);
+        } else if let Some(mut run) = self.chain_writers(cx, object, list) {
+            run.append(rest);
+            return Some(run);
         }
+        (!rest.is_empty()).then_some(rest)
+    }
+
+    /// Grants a window's `run` entry by entry through the lock table. As a
+    /// chain does, it skips expired and crashed requesters; a requester
+    /// that still owes an answer on the object waits for it.
+    fn grant_run(&mut self, cx: &mut Cx, object: ObjectId, run: &ForwardList) {
+        for &e in run.entries() {
+            if e.deadline < cx.now || !cx.site_up(e.client) {
+                continue;
+            }
+            let (txn, mode, deadline) = (e.txn.as_u64(), e.mode, e.deadline);
+            let w = Want { object, mode, needs_data: true, deadline };
+            if self.owes(object, e.client) {
+                self.park(e.client, txn, w);
+            } else {
+                let conflicting = self.conflicting(object, e.client, mode);
+                self.want_plain(cx, txn, e.client, w, conflicting);
+            }
+        }
+    }
+
+    /// Starts a run of writers down a forward chain: one recall to the
+    /// exclusive holder carries it (the holder ships the object down the
+    /// chain and the last client returns it, 2n+1 messages, §3.4), or the
+    /// server ships its own copy when no one holds the object. Hands the
+    /// run back when the chain cannot start yet.
+    fn chain_writers(
+        &mut self,
+        cx: &mut Cx,
+        object: ObjectId,
+        run: ForwardList,
+    ) -> Option<ForwardList> {
         let el_holder = self
             .core
             .locks
@@ -680,20 +785,17 @@ impl ServerSite {
         match el_holder {
             // The holder's grant is still on the server disk: a recall now
             // would overtake it, so collect a little longer.
-            Some(holder) if self.shipping.contains(&(object, holder)) => {}
+            Some(holder) if self.on_disk(object, holder) => {}
             Some(holder) if self.core.locks.first_waiter(object).is_none() => {
-                // One recall carries the whole forward list; the holder
-                // ships the object down the chain and the last client
-                // returns it (2n+1 messages, §3.4).
                 let recall = || Msg::Recall {
                     object,
                     desired: LockMode::Exclusive,
-                    forward: Some(list.clone()),
+                    forward: Some(run.clone()),
                 };
                 if cx.send_to_client(holder, MessageKind::Recall, 0, recall) {
-                    self.routing.insert(object, list);
                     let grants = self.core.locks.release(object, holder);
                     debug_assert!(grants.is_empty(), "no queue behind a routed object");
+                    self.routing.insert(object, Route { head: holder, list: run });
                     return None;
                 }
                 // The chain never started, so the holder keeps its lock —
@@ -706,21 +808,18 @@ impl ServerSite {
             // A holder remains but plain-path waiters are queued: let the
             // callback complete and collect a little longer.
             Some(_) => {}
-            // The object is home, or only shared copies remain and the
-            // batch only reads: serve it from the server's copy as a chain.
-            None if self.core.locks.holders(object).next().is_none()
-                || list.entries().iter().all(|e| e.mode == LockMode::Shared) =>
-            {
-                self.serve_list_from_server(cx, object, list);
+            // The object is home: the chain starts from the server's copy.
+            None if self.core.locks.holders(object).next().is_none() => {
+                self.serve_list_from_server(cx, object, run);
                 return None;
             }
-            // An exclusive entry needs the shared copies called back first.
+            // The shared copies are called back first.
             None => {
                 let holders = self.core.locks.holders(object).map(|(h, _)| h).collect();
                 self.recall(cx, object, LockMode::Exclusive, holders);
             }
         }
-        Some(list)
+        Some(run)
     }
 
     /// Ships a forward list starting from the server's copy of the object.
@@ -771,7 +870,7 @@ impl ServerSite {
             rest: list.clone(),
         };
         if cx.send_to_client(to, MessageKind::ObjectSend, 1, hop) {
-            self.routing.insert(object, list);
+            self.routing.insert(object, Route { head: to, list });
         }
     }
 
@@ -835,6 +934,13 @@ impl ServerSite {
         self.callbacks.expired(now, lease)
     }
 
+    /// Forgets the fences older than `lease`: an answer that late is
+    /// presumed lost, as the lease presumes its silent holder.
+    pub(crate) fn forget_old_fences(&mut self, now: SimTime, lease: SimDuration) {
+        self.fenced
+            .retain(|&(_, _, at)| now.duration_since(at) < lease);
+    }
+
     /// Takes `holder`'s lock on `object` back without its answer; returns
     /// the waiters that unblocks, to be granted from the server's own copy
     /// once the holder's cached copy is fenced.
@@ -849,16 +955,33 @@ impl ServerSite {
             siteselect_obs::Event::LeaseExpired { object, holder }
         });
         self.callbacks.acknowledge(object, holder);
+        self.fence(object, holder, cx.now);
         self.core.locks.release(object, holder)
     }
 
     /// A forward chain whose every requester deadline has passed can no
     /// longer terminate by itself (a crashed intermediary may have
     /// swallowed the object): the server's copy becomes authoritative
-    /// again, which also lets stalled collection windows drain.
-    pub(crate) fn forget_dead_routes(&mut self, now: SimTime) {
-        self.routing
-            .retain(|_, l| l.entries().iter().any(|e| e.deadline >= now));
+    /// again, which also lets stalled collection windows drain. Any chain
+    /// site may still cache the object, so the head and every member are
+    /// returned for the driver to fence, as a lease reclaim fences its
+    /// holder, and their answers sent by now settle nothing.
+    pub(crate) fn forget_dead_routes(&mut self, now: SimTime) -> Vec<(ObjectId, ClientId)> {
+        let mut dead = Vec::new();
+        self.routing.retain(|object, r| {
+            let live = r.list.entries().iter().any(|e| e.deadline >= now);
+            if !live {
+                dead.push((object, r.head));
+                dead.extend(r.list.entries().iter().map(|e| (object, e.client)));
+            }
+            live
+        });
+        dead.sort_unstable();
+        dead.dedup();
+        for &(object, client) in &dead {
+            self.fence(object, client, now);
+        }
+        dead
     }
 
     // ------------------------------------------------------------------
@@ -885,6 +1008,7 @@ impl ServerSite {
         self.shipping.clear();
         self.held_recalls.clear();
         self.parked.clear();
+        self.fenced.clear();
         ready
     }
 
@@ -987,7 +1111,8 @@ mod tests {
             deadline: SimTime::from_secs(80),
             mode: LockMode::Exclusive,
         });
-        s.routing.insert(ObjectId(3), list);
+        let head = ClientId(1);
+        s.routing.insert(ObjectId(3), Route { head, list });
         let holders: Vec<_> = s
             .or_route_tail(ObjectId(3), std::iter::empty())
             .collect();
@@ -997,12 +1122,19 @@ mod tests {
     /// Closes a window on `object` that collected exclusive requests from
     /// `clients`.
     fn close_window(s: &mut ServerSite, cx: &mut Cx, object: ObjectId, clients: &[u16]) {
-        for &c in clients {
+        let writers: Vec<_> = clients.iter().map(|&c| (c, LockMode::Exclusive)).collect();
+        close_window_of(s, cx, object, &writers);
+    }
+
+    /// Closes a window on `object` that collected `(client, mode)`
+    /// requests, in deadline order.
+    fn close_window_of(s: &mut ServerSite, cx: &mut Cx, object: ObjectId, wants: &[(u16, LockMode)]) {
+        for (i, &(c, mode)) in (0u64..).zip(wants) {
             let entry = ForwardEntry {
                 client: ClientId(c),
                 txn: TransactionId::new(ClientId(c), 1),
-                deadline: SimTime::from_secs(40),
-                mode: LockMode::Exclusive,
+                deadline: SimTime::from_secs(40 + i),
+                mode,
             };
             s.windows.offer(object, entry, cx.now);
         }
@@ -1060,8 +1192,8 @@ mod tests {
         s.core.locks.request(z, ClientId(2), LockMode::Exclusive, SimTime::MAX);
         want(&mut s, &mut cx, 1, x);
         want(&mut s, &mut cx, 2, x);
-        let (object, from, downgraded) = (x, ClientId(0), false);
-        s.on_msg(&mut cx, Msg::ObjectReturn { object, from, downgraded });
+        let (object, from, downgraded, sent_at) = (x, ClientId(0), false, cx.now);
+        s.on_msg(&mut cx, Msg::ObjectReturn { object, from, downgraded, sent_at });
         assert_eq!(s.core.locks.held_mode(x, ClientId(1)), Some(LockMode::Exclusive));
         assert!(s.waiting_wants.contains(x, ClientId(2)));
         cx.drain_deliveries();
@@ -1112,10 +1244,10 @@ mod tests {
         want(&mut s, &mut cx, 1, x);
         assert!(s.owes(x, ClientId(0)));
         assert!(cx.drain_deliveries().is_empty());
-        let Some((_, Ev::ServerFetchDone { to, item, .. })) = cx.queue.pop() else {
+        let Some((_, Ev::ServerFetchDone { to, item, scheduled_at, .. })) = cx.queue.pop() else {
             panic!("A's grant waits on the disk");
         };
-        s.on_fetch_done(&mut cx, to, item);
+        s.on_fetch_done(&mut cx, to, item, scheduled_at);
         let sent = cx.drain_deliveries();
         let a = SiteDest::Client(ClientId(0));
         assert!(
@@ -1144,8 +1276,8 @@ mod tests {
         assert!(matches!(&sent[..], [(_, Msg::Recall { .. })]), "{sent:?}");
         // A's answer grants B, and A's parked request then queues behind B,
         // whom it recalls.
-        let (object, from, had_copy) = (x, ClientId(0), true);
-        s.on_msg(&mut cx, Msg::CallbackAck { object, from, had_copy });
+        let (object, from, had_copy, sent_at) = (x, ClientId(0), true, cx.now);
+        s.on_msg(&mut cx, Msg::CallbackAck { object, from, had_copy, sent_at });
         assert_eq!(s.core.locks.held_mode(x, ClientId(1)), Some(LockMode::Exclusive));
         assert!(s.waiting_wants.contains(x, ClientId(0)));
         let sent = cx.drain_deliveries();
@@ -1170,5 +1302,165 @@ mod tests {
         assert!(cx.lost_forwards.is_empty());
         assert!(s.core.locks.holders(object).next().is_none());
         assert!(cx.drain_deliveries().is_empty());
+    }
+
+    /// Who `sent` went to, by message: grants and recalls only.
+    fn grants_and_recalls(sent: &[(SiteDest, Msg)]) -> Vec<(u16, &'static str)> {
+        sent.iter()
+            .filter_map(|(to, m)| {
+                let SiteDest::Client(c) = *to else { return None };
+                match m {
+                    Msg::GrantBatch { .. } => Some((c.0, "grant")),
+                    Msg::Recall { desired: LockMode::Shared, .. } => Some((c.0, "downgrade")),
+                    Msg::Recall { .. } => Some((c.0, "recall")),
+                    _ => None,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_window_grants_its_readers_together_and_keeps_its_writers_for_the_next() {
+        let (mut s, mut cx) = site(SystemKind::LoadSharing);
+        let x = ObjectId(4);
+        s.core.buffer.insert(x);
+        let (sl, el) = (LockMode::Shared, LockMode::Exclusive);
+        close_window_of(&mut s, &mut cx, x, &[(2, sl), (3, sl), (4, el), (5, sl)]);
+        // Both readers hold the object, no chain travels...
+        for c in [2, 3] {
+            assert_eq!(s.core.locks.held_mode(x, ClientId(c)), Some(sl));
+        }
+        assert!(!s.routing.contains(x));
+        assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(2, "grant"), (3, "grant")]);
+        // ...and the writer and the reader behind it wait for the next close.
+        assert_eq!(s.windows.pending(x), 2);
+    }
+
+    #[test]
+    fn a_run_of_readers_downgrades_an_exclusive_holder_once() {
+        let (mut s, mut cx) = site(SystemKind::LoadSharing);
+        let x = ObjectId(4);
+        s.core.locks.request(x, ClientId(1), LockMode::Exclusive, SimTime::MAX);
+        close_window_of(&mut s, &mut cx, x, &[(2, LockMode::Shared), (3, LockMode::Shared)]);
+        assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(1, "downgrade")]);
+        for c in [2, 3] {
+            assert!(s.waiting_wants.contains(x, ClientId(c)));
+        }
+        // The downgraded copy comes home and both readers are granted.
+        s.core.buffer.insert(x);
+        let (object, from, downgraded, sent_at) = (x, ClientId(1), true, cx.now);
+        s.on_msg(&mut cx, Msg::ObjectReturn { object, from, downgraded, sent_at });
+        assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(2, "grant"), (3, "grant")]);
+        assert_eq!(s.core.locks.held_mode(x, ClientId(1)), Some(LockMode::Shared));
+    }
+
+    /// The driver's lease sweep for one expired callback, minus the
+    /// client-side fence.
+    fn reclaim_lease(s: &mut ServerSite, cx: &mut Cx, object: ObjectId, holder: ClientId) {
+        let grants = s.reclaim(cx, object, holder);
+        s.apply_grants(cx, object, grants);
+        s.unpark(cx, object, holder);
+    }
+
+    /// A reader (client 0) answers its recall at the instant the lease on
+    /// it runs out; the reclaim re-grants its parked request, and the old
+    /// answer arrives after a newer recall of the fresh lock went out.
+    #[test]
+    fn an_answer_a_lease_reclaim_settled_releases_nothing() {
+        let (mut s, mut cx) = site(SystemKind::ClientServer);
+        let x = ObjectId(1);
+        let (a, b, c) = (ClientId(0), ClientId(1), ClientId(2));
+        s.core.buffer.insert(x);
+        s.core.locks.request(x, a, LockMode::Shared, SimTime::MAX);
+        want(&mut s, &mut cx, 1, x);
+        let mut wants = cx.take_want_buf();
+        let deadline = SimTime::from_secs(40);
+        wants.push(Want { object: x, mode: LockMode::Shared, needs_data: true, deadline });
+        let txn = TransactionId::new(a, 2).as_u64();
+        s.on_msg(&mut cx, Msg::RequestBatch { txn, client: a, wants, grant_all: false });
+        // The lease runs out: B is granted, A's parked read queues behind B
+        // and is granted when B's copy comes home.
+        cx.now = SimTime::from_secs(5);
+        let stale = cx.now;
+        reclaim_lease(&mut s, &mut cx, x, a);
+        cx.now = SimTime::from_secs(6);
+        let (object, downgraded, sent_at) = (x, false, cx.now);
+        s.on_msg(&mut cx, Msg::ObjectReturn { object, from: b, downgraded, sent_at });
+        assert_eq!(s.core.locks.held_mode(x, a), Some(LockMode::Shared));
+        // C's write recalls A's fresh lock; then A's old answer lands.
+        want(&mut s, &mut cx, 2, x);
+        assert!(s.owes(x, a));
+        cx.drain_deliveries();
+        let (had_copy, sent_at) = (true, stale);
+        s.on_msg(&mut cx, Msg::CallbackAck { object, from: a, had_copy, sent_at });
+        assert_eq!(s.core.locks.held_mode(x, a), Some(LockMode::Shared));
+        assert!(s.owes(x, a), "the old answer does not answer the new recall");
+        assert!(s.waiting_wants.contains(x, c));
+        assert!(cx.drain_deliveries().is_empty());
+        // A's answer to the new recall releases the lock and grants C.
+        let sent_at = cx.now;
+        s.on_msg(&mut cx, Msg::CallbackAck { object, from: a, had_copy, sent_at });
+        assert_eq!(s.core.locks.held_mode(x, c), Some(LockMode::Exclusive));
+    }
+
+    #[test]
+    fn a_grant_whose_lock_a_lease_reclaim_took_back_stays_on_the_server() {
+        let (mut s, mut cx) = site(SystemKind::ClientServer);
+        let x = ObjectId(1);
+        let (a, b) = (ClientId(0), ClientId(1));
+        // A's grant waits on a slow disk with B's recall held behind it;
+        // the lease on A runs out first, and B is granted.
+        want(&mut s, &mut cx, 0, x);
+        want(&mut s, &mut cx, 1, x);
+        let Some((_, Ev::ServerFetchDone { to, item, scheduled_at, .. })) = cx.queue.pop() else {
+            panic!("A's grant waits on the disk");
+        };
+        cx.now = SimTime::from_secs(5);
+        reclaim_lease(&mut s, &mut cx, x, a);
+        assert_eq!(s.core.locks.held_mode(x, b), Some(LockMode::Exclusive));
+        assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(1, "grant")]);
+        // The read completes: nothing goes to A.
+        s.on_fetch_done(&mut cx, to, item, scheduled_at);
+        assert!(cx.drain_deliveries().is_empty());
+    }
+
+    #[test]
+    fn a_held_recall_starts_its_lease_when_it_is_sent() {
+        let (mut s, mut cx) = site(SystemKind::ClientServer);
+        let (x, a, lease) = (ObjectId(1), ClientId(0), SimDuration::from_secs(5));
+        // A's grant waits on the disk for six seconds, and B's recall of it
+        // is held until the grant is on the wire.
+        want(&mut s, &mut cx, 0, x);
+        want(&mut s, &mut cx, 1, x);
+        let Some((_, Ev::ServerFetchDone { to, item, scheduled_at, .. })) = cx.queue.pop() else {
+            panic!("A's grant waits on the disk");
+        };
+        cx.now = SimTime::from_secs(6);
+        s.on_fetch_done(&mut cx, to, item, scheduled_at);
+        assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(0, "grant"), (0, "recall")]);
+        // A has been asked for a moment, not for six seconds.
+        assert!(s.expired_leases(SimTime::from_secs(7), lease).is_empty());
+        assert_eq!(s.expired_leases(SimTime::from_secs(11), lease), [(x, a)]);
+    }
+
+    #[test]
+    fn a_forgotten_route_fences_its_head_and_every_member() {
+        let (mut s, mut cx) = site(SystemKind::LoadSharing);
+        let (x, holder) = (ObjectId(4), ClientId(1));
+        s.core.locks.request(x, holder, LockMode::Exclusive, SimTime::MAX);
+        close_window(&mut s, &mut cx, x, &[2, 3]);
+        assert!(s.routing.contains(x));
+        // The head holds the object first and is no entry of the stored
+        // list, yet it is fenced with the members once every entry expired.
+        assert!(s.forget_dead_routes(SimTime::from_secs(41)).is_empty());
+        let fenced = s.forget_dead_routes(SimTime::from_secs(42));
+        assert_eq!(fenced, [(x, holder), (x, ClientId(2)), (x, ClientId(3))]);
+        assert!(!s.routing.contains(x));
+        // The last member's return, sent before the fence, releases nothing.
+        cx.now = SimTime::from_secs(42);
+        s.core.locks.request(x, ClientId(3), LockMode::Shared, SimTime::MAX);
+        let (object, from, downgraded, sent_at) = (x, ClientId(3), false, cx.now);
+        s.on_msg(&mut cx, Msg::ObjectReturn { object, from, downgraded, sent_at });
+        assert_eq!(s.core.locks.held_mode(x, from), Some(LockMode::Shared));
     }
 }

@@ -230,16 +230,7 @@ impl Parser<'_> {
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .src
-                                .get(self.pos + 1..self.pos + 5)
-                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
@@ -260,6 +251,39 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The character of the `\\u` escape whose `u` is at `self.pos`,
+    /// leaving `self.pos` on its last hex digit. A high surrogate takes the
+    /// `\\u` low surrogate that must follow it; a lone half is refused.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let unit = self
+            .hex4(at + 1)
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+        self.pos += 4;
+        let scalar = match unit {
+            0xD800..=0xDBFF => {
+                let low = Some(self.pos + 1)
+                    .filter(|&p| self.src.get(p..p + 2) == Some("\\u"))
+                    .and_then(|p| self.hex4(p + 2))
+                    .filter(|low| (0xDC00..=0xDFFF).contains(low))
+                    .ok_or_else(|| format!("lone surrogate at byte {at}"))?;
+                self.pos += 6;
+                0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(format!("lone surrogate at byte {at}")),
+            _ => unit,
+        };
+        char::from_u32(scalar).ok_or_else(|| format!("bad \\u escape at byte {at}"))
+    }
+
+    /// The four hex digits at byte `at`, if that is what is there.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        self.src
+            .get(at..at + 4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
     }
 
     fn object(&mut self) -> Result<Value, String> {

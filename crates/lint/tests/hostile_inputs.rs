@@ -150,6 +150,20 @@ fn signed_escapes_and_raw_control_characters_are_refused() {
 }
 
 #[test]
+fn surrogate_pairs_combine_and_lone_halves_are_refused() {
+    assert_eq!(parse(r#""\ud83d\ude00""#), Ok(Value::Str("\u{1f600}".into())));
+    assert_eq!(parse(r#""a\uD834\uDD1Eb""#), Ok(Value::Str("a\u{1d11e}b".into())));
+    assert_refused(&[
+        (r#""\ud83d""#, "lone surrogate at byte 2"),
+        (r#""\ud83dx""#, "lone surrogate at byte 2"),
+        (r#""\ud83d\u0041""#, "lone surrogate at byte 2"),
+        (r#""\ud83d\ud83d""#, "lone surrogate at byte 2"),
+        (r#""x\ude00\ud83d""#, "lone surrogate at byte 3"),
+        (r#""\ud83d\u12""#, "lone surrogate at byte 2"),
+    ]);
+}
+
+#[test]
 fn numbers_outside_the_json_grammar_are_refused() {
     assert_refused(&[
         ("01", "trailing data at byte 1"),

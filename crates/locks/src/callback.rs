@@ -122,6 +122,20 @@ impl CallbackTracker {
         fresh
     }
 
+    /// Restarts the lease of `holder`'s outstanding callback on `object` at
+    /// `now`: for a recall the caller held back and sends only now, the
+    /// holder's silence starts when it is asked. No-op if nothing is owed.
+    pub fn renew(&mut self, object: ObjectId, holder: ClientId, now: SimTime) {
+        let Some(owing) = self.recalls.get_mut(&object) else {
+            return;
+        };
+        for (c, issued) in owing.iter_mut() {
+            if *c == holder {
+                *issued = now;
+            }
+        }
+    }
+
     /// Callbacks issued at least `lease` ago and still unanswered, sorted by
     /// `(object, holder)`. A zero lease disables expiry (the pre-fault
     /// behaviour: wait forever).
@@ -184,6 +198,18 @@ mod tests {
     use super::*;
 
     const OBJ: ObjectId = ObjectId(4);
+
+    #[test]
+    fn a_renewed_callback_expires_one_lease_after_the_renewal() {
+        let mut cb = CallbackTracker::new();
+        let lease = SimDuration::from_secs(5);
+        cb.begin_at(OBJ, [ClientId(1), ClientId(2)], SimTime::ZERO);
+        cb.renew(OBJ, ClientId(2), SimTime::from_secs(3));
+        cb.renew(ObjectId(9), ClientId(2), SimTime::from_secs(3));
+        assert_eq!(cb.expired(SimTime::from_secs(5), lease), [(OBJ, ClientId(1))]);
+        assert_eq!(cb.expired(SimTime::from_secs(8), lease).len(), 2);
+        assert!(!cb.is_recalling(ObjectId(9)));
+    }
 
     #[test]
     fn recall_life_cycle() {

@@ -7,9 +7,13 @@
 //! requests instead of up to `3n` (plain 2PL) or `4n` (callback caching);
 //! `siteselect_core::script` counts what the engine spends.
 //!
-//! In a real-time environment the list is ordered by transaction deadline,
-//! expired entries are skipped, and consecutive read-only entries are marked
-//! for parallel shared access.
+//! In a real-time environment the list is ordered by transaction deadline
+//! and expired entries are skipped. A collection window holds one entry per
+//! requesting (client, transaction) ([`ForwardList::join`]): a
+//! retransmitted request joins it once. The server chains only writers: it
+//! splits a closed window's list into runs of one lock mode
+//! ([`ForwardList::split_run`]) and grants a run of readers together from
+//! the lock table instead of sending it down a chain.
 
 use siteselect_types::{ClientId, LockMode, ObjectId, SimTime, TransactionId};
 
@@ -23,8 +27,8 @@ pub struct ForwardEntry {
     /// That transaction's deadline (entries are served in this order and
     /// expired entries are skipped).
     pub deadline: SimTime,
-    /// Requested mode; consecutive [`LockMode::Shared`] entries may be
-    /// served in parallel.
+    /// Requested mode; the server grants a run of [`LockMode::Shared`]
+    /// entries together and chains only exclusive ones.
     pub mode: LockMode,
 }
 
@@ -82,6 +86,43 @@ impl ForwardList {
             .position(|e| e.deadline > entry.deadline)
             .unwrap_or(self.entries.len());
         self.entries.insert(pos, entry);
+    }
+
+    /// [`push`](Self::push)es `entry` and returns true, or returns false if
+    /// the list already holds the same (client, transaction): a
+    /// retransmitted request joins once, keeping its place and taking the
+    /// stronger of the two modes.
+    pub fn join(&mut self, entry: ForwardEntry) -> bool {
+        let same = |e: &&mut ForwardEntry| (e.client, e.txn) == (entry.client, entry.txn);
+        match self.entries.iter_mut().find(same) {
+            Some(e) => {
+                if !e.mode.covers(entry.mode) {
+                    e.mode = entry.mode;
+                }
+                false
+            }
+            None => {
+                self.push(entry);
+                true
+            }
+        }
+    }
+
+    /// Keeps the first maximal run of entries that want one lock mode and
+    /// returns the rest as a list of its own, still in deadline order.
+    pub fn split_run(&mut self) -> ForwardList {
+        let mode = self.entries.first().map(|e| e.mode);
+        let run = self.entries.iter().take_while(|e| Some(e.mode) == mode);
+        ForwardList {
+            object: self.object,
+            entries: self.entries.split_off(run.count()),
+        }
+    }
+
+    /// Puts `rest` back behind this list's entries: the inverse of
+    /// [`split_run`](Self::split_run).
+    pub fn append(&mut self, mut rest: ForwardList) {
+        self.entries.append(&mut rest.entries);
     }
 
     /// The remaining entries, in service order.
@@ -179,6 +220,45 @@ mod tests {
         let (next, skipped) = fl.pop_next_live(SimTime::from_secs(100));
         assert!(next.is_none());
         assert_eq!(skipped.len(), 1);
+    }
+
+    #[test]
+    fn a_retransmitted_request_joins_once() {
+        let mut fl = ForwardList::new(ObjectId(1));
+        assert!(fl.join(entry(1, 10, LockMode::Shared)));
+        assert!(fl.join(entry(2, 20, LockMode::Shared)));
+        // The same (client, transaction) again: no second hop, and a
+        // stronger mode sticks to the entry already there.
+        assert!(!fl.join(entry(1, 10, LockMode::Shared)));
+        assert!(!fl.join(entry(2, 20, LockMode::Exclusive)));
+        assert!(!fl.join(entry(2, 20, LockMode::Shared)));
+        let got: Vec<_> = fl.entries().iter().map(|e| (e.client.0, e.mode)).collect();
+        assert_eq!(got, [(1, LockMode::Shared), (2, LockMode::Exclusive)]);
+        // Another transaction of the same client is a request of its own.
+        let mut other = entry(1, 10, LockMode::Shared);
+        other.txn = TransactionId::new(ClientId(1), 99);
+        assert!(fl.join(other));
+        assert_eq!(fl.len(), 3);
+    }
+
+    #[test]
+    fn a_list_splits_into_runs_of_one_mode() {
+        let (s, x) = (LockMode::Shared, LockMode::Exclusive);
+        let mut fl = ForwardList::new(ObjectId(1));
+        for (c, d, m) in [(1, 10, s), (2, 20, s), (3, 30, x), (4, 40, x), (5, 50, s)] {
+            fl.push(entry(c, d, m));
+        }
+        let whole = fl.clone();
+        let clients = |l: &ForwardList| l.entries().iter().map(|e| e.client.0).collect::<Vec<_>>();
+        let mut rest = fl.split_run();
+        assert_eq!((clients(&fl), clients(&rest)), (vec![1, 2], vec![3, 4, 5]));
+        let tail = rest.split_run();
+        assert_eq!((clients(&rest), clients(&tail)), (vec![3, 4], vec![5]));
+        rest.append(tail);
+        fl.append(rest);
+        assert_eq!(fl, whole);
+        let mut empty = ForwardList::new(ObjectId(1));
+        assert!(empty.split_run().is_empty());
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //! simulator schedules a close event when a window opens and harvests the
 //! forward list when it fires.
 //!
+//! A window holds one entry per requesting (client, transaction): a
+//! retransmitted request joins once ([`ForwardList::join`]).
+//!
 //! A window that closes while its object is away is offered again and
 //! closes again one window length later, until the object can be served.
-//! The trace tells one episode per request all the same: a `WindowOpen` /
-//! `WindowClose` pair only around a window that collected something new,
-//! one [`SpanKind::Window`] span per request from its offer to the first
-//! close that saw it, and one [`SpanKind::ObjectAway`] span from that close
-//! until its list leaves the manager.
+//! So is the part of a closed list that the server does not serve yet (it
+//! serves one run of one lock mode at a time). The trace tells one episode
+//! per request all the same: a `WindowOpen` / `WindowClose` pair only
+//! around a window that collected something new, one [`SpanKind::Window`]
+//! span per request from its offer to the first close that saw it, and one
+//! [`SpanKind::ObjectAway`] span from that close until the request leaves
+//! the manager.
 
 use std::collections::HashMap;
 
@@ -51,6 +56,24 @@ struct Offered {
 #[must_use = "a closed window's episode is re-offered or departs"]
 pub struct WindowEpisode {
     offered: Vec<Offered>,
+}
+
+impl WindowEpisode {
+    /// Moves the records of `rest`'s requests into an episode of their own
+    /// and keeps the others: when the server serves part of a closed list,
+    /// the served requests depart and `rest` is re-offered.
+    pub fn split_off(&mut self, rest: &ForwardList) -> WindowEpisode {
+        let waits = |o: &Offered| rest.entries().iter().any(|e| e.txn == o.txn);
+        let offered = if self.offered.iter().all(waits) {
+            // The whole list waits (its object is away): no split.
+            std::mem::take(&mut self.offered)
+        } else {
+            let (kept, offered) = self.offered.drain(..).partition(|o| !waits(o));
+            self.offered = kept;
+            offered
+        };
+        WindowEpisode { offered }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -112,7 +135,8 @@ impl WindowManager {
 
     /// Adds a request for `object` to its open window, opening one if
     /// needed. A fresh request opens a trace episode (`WindowOpen`) unless
-    /// the window already has one open.
+    /// the window already has one open; a request the window already holds
+    /// (same client and transaction) joins it once and is not fresh.
     pub fn offer(&mut self, object: ObjectId, entry: ForwardEntry, now: SimTime) -> WindowOffer {
         let fresh = Offered {
             txn: entry.txn,
@@ -121,10 +145,12 @@ impl WindowManager {
         };
         let traced = self.sink.is_enabled();
         if let Some(w) = self.open.get_mut(&object) {
+            if !w.list.join(entry) {
+                return WindowOffer::Joined;
+            }
             if traced {
                 w.offered.push(fresh);
             }
-            w.list.push(entry);
             if !w.collecting {
                 // A new request joins a window parked for an absent object.
                 w.collecting = true;
@@ -167,7 +193,12 @@ impl WindowManager {
         let object = list.object();
         if let Some(w) = self.open.get_mut(&object) {
             for &e in list.entries() {
-                w.list.push(e);
+                if !w.list.join(e) {
+                    // Already waiting here: the older, re-offered record
+                    // stands.
+                    let txn = e.txn;
+                    w.offered.retain(|o| o.txn != txn);
+                }
             }
             w.offered.extend(episode.offered);
             return None;
@@ -302,6 +333,71 @@ mod tests {
         assert_eq!(wm.total_opened(), 2);
         assert_eq!(wm.pending(ObjectId(1)), 1);
         assert_eq!(wm.pending(ObjectId(2)), 1);
+    }
+
+    #[test]
+    fn a_retransmitted_request_joins_a_window_once() {
+        let (mut wm, sink) = traced(100);
+        wm.offer(OBJ, entry(1, 30), ms(0));
+        wm.offer(OBJ, entry(2, 20), ms(10));
+        assert_eq!(wm.offer(OBJ, entry(1, 30), ms(20)), WindowOffer::Joined);
+        assert_eq!(wm.pending(OBJ), 2);
+        // Re-offered into a window that collected the same request anew,
+        // it still counts once, with its first offer time.
+        let (list, episode) = wm.close_at(OBJ, ms(100)).unwrap();
+        wm.offer(OBJ, entry(2, 20), ms(150));
+        assert_eq!(wm.reoffer(list, episode, ms(150)), None);
+        let (list, episode) = wm.close_at(OBJ, ms(250)).unwrap();
+        let clients: Vec<u16> = list.entries().iter().map(|e| e.client.0).collect();
+        assert_eq!(clients, [2, 1]);
+        wm.depart(episode, ms(250));
+        assert_eq!(
+            trace_of(&sink),
+            vec![
+                ("window_open", None, ms(0), ms(0)),
+                ("window_close", None, ms(100), ms(100)),
+                ("span_window", Some(1), ms(0), ms(100)),
+                ("span_window", Some(2), ms(10), ms(100)),
+                ("window_open", None, ms(150), ms(150)),
+                ("window_close", None, ms(250), ms(250)),
+                ("span_object_away", Some(1), ms(100), ms(250)),
+                ("span_object_away", Some(2), ms(100), ms(250)),
+            ]
+        );
+    }
+
+    /// A served run departs at the close that served it; the rest waits
+    /// on and departs when it is served in turn.
+    #[test]
+    fn a_split_episode_departs_in_two_parts() {
+        let (mut wm, sink) = traced(100);
+        let reader = ForwardEntry {
+            mode: LockMode::Shared,
+            ..entry(1, 10)
+        };
+        wm.offer(OBJ, reader, ms(0));
+        wm.offer(OBJ, entry(2, 20), ms(0));
+        wm.offer(OBJ, entry(3, 30), ms(0));
+        let (mut list, mut episode) = wm.close_at(OBJ, ms(100)).unwrap();
+        let rest = list.split_run();
+        assert_eq!((list.len(), rest.len()), (1, 2));
+        let waiting = episode.split_off(&rest);
+        wm.depart(episode, ms(150));
+        assert!(wm.reoffer(rest, waiting, ms(150)).is_some());
+        let (_, episode) = wm.close_at(OBJ, ms(250)).unwrap();
+        wm.depart(episode, ms(250));
+        let away: Vec<_> = trace_of(&sink)
+            .into_iter()
+            .filter(|r| r.0 == "span_object_away")
+            .collect();
+        assert_eq!(
+            away,
+            [
+                ("span_object_away", Some(1), ms(100), ms(150)),
+                ("span_object_away", Some(2), ms(100), ms(250)),
+                ("span_object_away", Some(3), ms(100), ms(250)),
+            ]
+        );
     }
 
     #[test]

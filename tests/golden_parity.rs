@@ -89,7 +89,7 @@ fn run_chaotic(system: SystemKind, seed: u64, faults: FaultConfig, secs: u64) ->
 fn load_sharing_chaos_seed_11_matches_pinned_metrics() {
     assert_eq!(
         run_chaotic(SystemKind::LoadSharing, 11, FaultConfig::chaos(0.5), 300),
-        r#"RunMetrics { system: LoadSharing, clients: 6, update_fraction: 0.2, seed: 11, measured: 136, in_time: 128, failures: FailureBreakdown { expired: 8, deadlock: 0, subtask: 0, late: 0, shutdown: 0, site_crash: 0 }, cache: CacheReport { memory_hits: 164, disk_hits: 0, misses: 1186 }, response: ResponseReport { shared: OnlineStats { count: 927, mean: 0.09307982740021577, m2: 36.23152668944639, min: 0.0, max: 3.510199 }, exclusive: OnlineStats { count: 289, mean: 0.15326412456747407, m2: 132.70246846220945, min: 0.0, max: 5.958236 } }, messages: MessageStats { by_kind: [0, 0, 1322, 1249, 33, 63, 19, 43, 33, 10, 0, 0, 3, 2, 17, 17], bytes_by_kind: [0, 0, 65248, 2797760, 4224, 8064, 42560, 5504, 8448, 44800, 0, 0, 3072, 512, 2176, 4352], transmissions: 1743, total_bytes: 2986720 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 3, subtasks: 6, forward_satisfied: 10, windows_opened: 318, h1_rejections: 0 }, faults: FaultReport { crashes: 1, recoveries: 1, messages_dropped: 109, messages_delayed: 2081, leases_expired: 7, retries: 150, slow_disk_ios: 0 }, latency: OnlineStats { count: 128, mean: 1.5784508671875006, m2: 321.55948852249065, min: 0.076097, max: 7.661942 }, blocking: OnlineStats { count: 135, mean: 0.49402044444444454, m2: 145.17023584991736, min: 0.0, max: 5.958236 }, client_cpu_utilization: 0.09549946511627908, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 156, total: 1248 } }"#
+        r#"RunMetrics { system: LoadSharing, clients: 6, update_fraction: 0.2, seed: 11, measured: 136, in_time: 127, failures: FailureBreakdown { expired: 7, deadlock: 0, subtask: 0, late: 1, shutdown: 0, site_crash: 1 }, cache: CacheReport { memory_hits: 161, disk_hits: 0, misses: 1187 }, response: ResponseReport { shared: OnlineStats { count: 927, mean: 0.12654815965480032, m2: 93.30972585608838, min: 0.0, max: 5.239105 }, exclusive: OnlineStats { count: 288, mean: 0.17956080555555548, m2: 106.11561605934708, min: 0.0, max: 5.960154 } }, messages: MessageStats { by_kind: [0, 0, 1397, 1250, 32, 64, 18, 43, 36, 0, 0, 0, 1, 1, 17, 16], bytes_by_kind: [0, 0, 74848, 2800000, 4096, 8192, 40320, 5504, 9216, 0, 0, 0, 1024, 256, 2176, 4096], transmissions: 1794, total_bytes: 2949728 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 1, subtasks: 2, forward_satisfied: 0, windows_opened: 355, h1_rejections: 0 }, faults: FaultReport { crashes: 1, recoveries: 1, messages_dropped: 114, messages_delayed: 2140, leases_expired: 7, retries: 225, slow_disk_ios: 0 }, latency: OnlineStats { count: 127, mean: 1.6425997559055123, m2: 313.4660849417835, min: 0.081892, max: 7.661941 }, blocking: OnlineStats { count: 133, mean: 0.5325975413533833, m2: 158.325913495469, min: 0.0, max: 5.960154 }, client_cpu_utilization: 0.09489248560354376, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 160, total: 1250 } }"#
     );
 }
 
@@ -147,6 +147,6 @@ fn load_sharing_restart_seed_11_matches_pinned_metrics() {
             FaultConfig::chaos_restart(1.0),
             900
         ),
-        r#"RunMetrics { system: LoadSharing, clients: 6, update_fraction: 0.2, seed: 11, measured: 489, in_time: 327, failures: FailureBreakdown { expired: 72, deadlock: 4, subtask: 1, late: 3, shutdown: 0, site_crash: 82 }, cache: CacheReport { memory_hits: 687, disk_hits: 0, misses: 3528 }, response: ResponseReport { shared: OnlineStats { count: 2376, mean: 0.21559465867003358, m2: 617.706255532769, min: 0.0, max: 7.023224 }, exclusive: OnlineStats { count: 725, mean: 0.30235025517241343, m2: 496.6996308537059, min: 0.0, max: 5.98516 } }, messages: MessageStats { by_kind: [0, 0, 5760, 3386, 91, 191, 65, 110, 121, 37, 0, 0, 5, 5, 50, 41], bytes_by_kind: [0, 0, 429984, 7584640, 11648, 24448, 145600, 14080, 30976, 165760, 0, 0, 5120, 1280, 6400, 10496], transmissions: 6708, total_bytes: 8430432 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 5, subtasks: 10, forward_satisfied: 43, windows_opened: 32, h1_rejections: 1 }, faults: FaultReport { crashes: 10, recoveries: 10, messages_dropped: 1904, messages_delayed: 5298, leases_expired: 40, retries: 2147, slow_disk_ios: 0 }, latency: OnlineStats { count: 327, mean: 1.9551124097859311, m2: 893.0701403512312, min: 0.069638, max: 8.08244 }, blocking: OnlineStats { count: 348, mean: 0.9185019741379312, m2: 687.8119613828648, min: 0.0, max: 7.023224 }, client_cpu_utilization: 0.06949882153392331, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 552, total: 3378 } }"#
+        r#"RunMetrics { system: LoadSharing, clients: 6, update_fraction: 0.2, seed: 11, measured: 489, in_time: 340, failures: FailureBreakdown { expired: 61, deadlock: 1, subtask: 1, late: 6, shutdown: 0, site_crash: 80 }, cache: CacheReport { memory_hits: 735, disk_hits: 0, misses: 3552 }, response: ResponseReport { shared: OnlineStats { count: 2416, mean: 0.21328771440397348, m2: 585.4956953161932, min: 0.0, max: 6.003807 }, exclusive: OnlineStats { count: 747, mean: 0.3387096813922358, m2: 610.8175732667661, min: 0.0, max: 6.870292 } }, messages: MessageStats { by_kind: [0, 0, 5756, 3468, 100, 191, 63, 112, 118, 0, 0, 0, 9, 9, 51, 44], bytes_by_kind: [0, 0, 426976, 7768320, 12800, 24448, 141120, 14336, 30208, 0, 0, 0, 9216, 2304, 6528, 11264], transmissions: 6712, total_bytes: 8447520 }, load_sharing: LoadSharingReport { shipped: 0, decomposed: 8, subtasks: 17, forward_satisfied: 0, windows_opened: 0, h1_rejections: 2 }, faults: FaultReport { crashes: 10, recoveries: 10, messages_dropped: 1881, messages_delayed: 5336, leases_expired: 31, retries: 2117, slow_disk_ios: 0 }, latency: OnlineStats { count: 340, mean: 2.0148639558823533, m2: 1071.0582987479572, min: 0.089496, max: 8.640255 }, blocking: OnlineStats { count: 369, mean: 0.9457757913279136, m2: 739.4873297110789, min: 0.0, max: 6.870292 }, client_cpu_utilization: 0.07203880897009966, server_cpu_utilization: 0.0, server_buffer: Ratio { hits: 598, total: 3472 } }"#
     );
 }
