@@ -36,7 +36,7 @@ const FLAGS: [(&str, &str, &str); 14] = [
     ("--quick", "", "shorter simulated runs (coarser numbers, same shapes)"),
     ("--restart", "", "trace/blame: add the server crash-restart profile (needs --chaos)"),
     ("--clients", "N", "cluster size of table4, faults, trace, blame and check"),
-    ("--seed", "S", "seed of a trace or blame run; base seed of check"),
+    ("--seed", "S", "seed of a trace or blame run; base seed of check (decimal, or hex after 0x)"),
     ("--out", "PATH", "trace: output directory; blame: JSON report file"),
     ("--jobs", "N", "sweep worker threads (absent = one per core); never changes output"),
     ("--system", "ce|cs|ls", "trace/blame: the system to run"),
@@ -116,6 +116,21 @@ where
         .map_err(|e| format!("invalid value for {flag}: {raw:?} ({e})"))
 }
 
+/// Strictly parses `--seed`: decimal, or hexadecimal after `0x`, the way
+/// EXPERIMENTS.md writes the default seed (`0x51735e1e`).
+fn seed_flag(args: &[String]) -> Result<Option<u64>, String> {
+    let Some(raw) = flag_value(args, "--seed") else {
+        return Ok(None);
+    };
+    let parsed = match raw.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => raw.parse(),
+    };
+    parsed
+        .map(Some)
+        .map_err(|e| format!("invalid value for --seed: {raw:?} ({e})"))
+}
+
 /// Strictly parses a count flag: present and zero is an error too.
 fn count_flag<T>(args: &[String], flag: &str, hint: &str) -> Result<Option<T>, String>
 where
@@ -176,7 +191,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let flags = Flags {
         clients: count_flag(args, "--clients", "")?,
-        seed: parsed_flag(args, "--seed")?,
+        seed: seed_flag(args)?,
         sweep: SweepOptions {
             jobs: count_flag(args, "--jobs", "; omit the flag to use one worker per core")?
                 .unwrap_or(0),

@@ -48,7 +48,8 @@ fn garbled_numeric_flags_are_rejected_not_defaulted() {
         (&["check", "--seeds"][..], "--seeds"),
         (&["faults", "--clients", "many"][..], "--clients"),
         (&["faults", "--jobs", "4.5"][..], "--jobs"),
-        (&["trace", "--seed", "0x7"][..], "--seed"),
+        (&["trace", "--seed", "0xzz"][..], "--seed"),
+        (&["trace", "--seed", "7e3"][..], "--seed"),
         (&["trace", "--chaos", "heavy"][..], "--chaos"),
         (&["trace", "--warmup"][..], "--warmup"),
     ] {
@@ -57,6 +58,18 @@ fn garbled_numeric_flags_are_rejected_not_defaulted() {
         let err = stderr_of(&out);
         assert!(err.contains(flag), "{args:?} stderr missing {flag:?}: {err}");
     }
+}
+
+/// `--seed` reads hex after `0x` as the number it names: the default seed
+/// written either way checks the same cases.
+#[test]
+fn a_hex_seed_is_the_decimal_seed() {
+    let check = |seed| repro(&["check", "--clients", "8", "--seeds", "1", "--seed", seed]);
+    let (hex, decimal) = (check("0x51735e1e"), check("1366515230"));
+    assert!(hex.status.success(), "{}", stderr_of(&hex));
+    assert!(decimal.status.success(), "{}", stderr_of(&decimal));
+    assert!(!hex.stdout.is_empty());
+    assert_eq!(hex.stdout, decimal.stdout);
 }
 
 #[test]

@@ -163,6 +163,10 @@ pub struct ClusterReport {
     pub metrics: RunMetrics,
     /// Every site's trace, merged by `(time, site, seq)`.
     pub trace: TraceData,
+    /// The most emptied message buffers any site kept for reuse when the
+    /// run ended. A buffer that crosses to another thread never comes back,
+    /// so each site keeps one spare of each kind, however long the run.
+    pub most_spare_buffers: usize,
 }
 
 impl ClusterReport {
@@ -298,6 +302,27 @@ mod tests {
                 assert!(report.terminated_clients > 0, "{system}: {report}");
             }
         }
+    }
+
+    /// LS at 16 clients sends conflict reports, load queries and load
+    /// replies across threads on every decision; the sites that handle them
+    /// keep one spare buffer of each kind, not one per message.
+    #[test]
+    fn ls_buffer_pools_stay_bounded_when_buffers_cross_threads() {
+        let mut cfg = config(SystemKind::LoadSharing);
+        cfg.experiment.clients = 16;
+        let report = judged(cfg);
+        let kinds = &report.trace.report;
+        let (decisions, decomposed) = (
+            kinds.kind_count("h2_choose"),
+            kinds.kind_count("decomposed"),
+        );
+        assert!(decisions > 0 && decomposed > 0, "{report}");
+        assert!(
+            report.most_spare_buffers <= 4,
+            "a site kept {} message buffers",
+            report.most_spare_buffers
+        );
     }
 
     #[test]

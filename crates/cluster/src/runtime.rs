@@ -97,7 +97,7 @@ fn site_main(
     inbox: &Receiver<Wire>,
     mut links: Links,
     progress: &Sender<u64>,
-) -> (TraceData, RunMetrics) {
+) -> SiteRun {
     let sink = EventSink::enabled(TRACE_CAPACITY_PER_SITE);
     sim.attach_sink(sink.clone());
     let mut reported = 0;
@@ -122,8 +122,13 @@ fn site_main(
     let trace = sink
         .finish()
         .unwrap_or_else(|| TraceData::merge(Vec::new()));
-    (trace, sim.finalize())
+    let spare_buffers = sim.spare_buffers();
+    (trace, sim.finalize(), spare_buffers)
 }
+
+/// What a site thread hands back: its trace, its metrics and the message
+/// buffers it kept for reuse.
+type SiteRun = (TraceData, RunMetrics, usize);
 
 /// The run's transactions, with each chaos-terminated client's cut to a
 /// random prefix, and the number of clients cut.
@@ -189,7 +194,7 @@ impl Cluster {
             SimDuration::from_secs_f64(cfg.chaos.max_callback_delay.as_secs_f64() / cfg.time_scale);
         let recall_rng = Prng::seed_from_u64(exp.runtime.seed).derive(0xCB);
         let parts = std::thread::scope(|scope| {
-            let handles: Vec<ScopedJoinHandle<'_, (TraceData, RunMetrics)>> = sites
+            let handles: Vec<ScopedJoinHandle<'_, SiteRun>> = sites
                 .iter()
                 .zip(receivers)
                 .map(|(&site, inbox)| {
@@ -224,15 +229,18 @@ impl Cluster {
             exp.runtime.seed,
         );
         let mut traces = Vec::with_capacity(parts.len());
-        for (trace, site_metrics) in parts {
+        let mut most_spare_buffers = 0;
+        for (trace, site_metrics, spare_buffers) in parts {
             metrics.add_outcomes(&site_metrics);
             traces.push(trace);
+            most_spare_buffers = most_spare_buffers.max(spare_buffers);
         }
         Ok(ClusterReport {
             generated,
             terminated_clients,
             metrics,
             trace: TraceData::merge(traces),
+            most_spare_buffers,
         })
     }
 }

@@ -18,7 +18,7 @@ use siteselect_types::{
     ObjectMap, SimDuration, SimTime, SiteId, TransactionId, TransactionSpec, TxnOutcome,
 };
 
-use super::{subtask_key, Cx, Ev, Msg, SiteDest, TKey, Want};
+use super::{subtask_key, Cx, Ev, Holding, Load, Msg, SiteDest, TKey, Want};
 use crate::cpu::EdfCpu;
 
 /// Fraction of a decomposed transaction's CPU demand spent synthesizing the
@@ -40,10 +40,6 @@ const SHIP_LOCALITY_MIN: f64 = 0.5;
 /// `FaultConfig::retry_backoff_base`; also how long a subtask result waits
 /// before it is re-sent to a crashed origin.
 const RETRY_BACKOFF_CAP: SimDuration = SimDuration::from_secs(8);
-
-/// H2's candidate sites with their conflicting-lock scores, in evaluation
-/// order. Inline for the usual handful; past eight it spills.
-type H2Scores = InlineVec<(ClientId, usize), 8>;
 
 /// Why an object fetch is outstanding at a client.
 #[derive(Debug)]
@@ -235,6 +231,13 @@ pub(crate) struct ClientSite {
     /// ascending range. Populated only while a sink is attached — pure
     /// observer, never read by simulation logic.
     lock_wait_from: BTreeMap<(TKey, ObjectId), (SimTime, Option<TKey>)>,
+    /// H2's scratch: the candidate sites of the last choice with their
+    /// conflicting-lock scores, in evaluation order.
+    h2_scored: Vec<(ClientId, usize)>,
+    /// Decomposition's scratch: each access of the transaction being
+    /// decomposed, with the site it is placed at and its position in the
+    /// access list, sorted by site and then position.
+    placement: Vec<(ClientId, u32, AccessSpec)>,
 }
 
 impl ClientSite {
@@ -252,6 +255,8 @@ impl ClientSite {
             atl_sum: 0.0,
             atl_count: 0,
             lock_wait_from: BTreeMap::new(),
+            h2_scored: Vec::new(),
+            placement: Vec::new(),
         }
     }
 
@@ -277,7 +282,7 @@ impl ClientSite {
 
     /// What the server's load table holds for this site: its id, the
     /// number of incomplete local units of work, and its ATL.
-    pub(crate) fn load_report(&self) -> (ClientId, usize, f64) {
+    pub(crate) fn load_report(&self) -> Load {
         (self.id, self.txns.len(), self.atl())
     }
 
@@ -382,7 +387,8 @@ impl ClientSite {
                 None
             };
             if let Some(reason) = reason {
-                let objects = run.spec.objects().collect();
+                let mut objects = cx.take_buf();
+                objects.extend(run.spec.objects());
                 let mut run = run;
                 run.state = RunState::AwaitInfo { reason };
                 self.txns.insert(key, run);
@@ -411,7 +417,7 @@ impl ClientSite {
             run.state = RunState::Acquiring;
             run.acquire_started = cx.now;
         }
-        let mut wants = cx.take_want_buf();
+        let mut wants = cx.take_buf();
         // By index: each access is copied out before the handlers below
         // borrow the site, and none of them touches the access list.
         let mut next = 0;
@@ -437,7 +443,7 @@ impl ClientSite {
                 if self.request_local_lock(cx, key, a.object, mode, promote) {
                     // Transaction aborted (local deadlock); nothing it
                     // staged goes out.
-                    cx.recycle_want_buf(wants);
+                    cx.recycle_buf(wants);
                     return;
                 }
             } else {
@@ -451,7 +457,7 @@ impl ClientSite {
             }
         }
         if wants.is_empty() {
-            cx.recycle_want_buf(wants);
+            cx.recycle_buf(wants);
             self.check_ready(cx, key);
             return;
         }
@@ -549,7 +555,7 @@ impl ClientSite {
     /// Sends a batch of the single want `w` on behalf of `txn`.
     fn request_one(&self, cx: &mut Cx, txn: TKey, w: Want) {
         let client = self.id;
-        let mut wants = cx.take_want_buf();
+        let mut wants = cx.take_buf();
         wants.push(w);
         let batch = Msg::RequestBatch {
             txn,
@@ -678,7 +684,9 @@ impl ClientSite {
                     self.resolve_fetch(cx, object, mode, with_data);
                 }
             }
-            Msg::ConflictReport { txn, conflicts } => self.on_conflict_report(cx, txn, conflicts),
+            answer @ (Msg::ConflictReport { .. } | Msg::LoadReply { .. }) => {
+                self.on_answer(cx, answer);
+            }
             Msg::Rejected { txn, expired } => {
                 let reason = if expired {
                     AbortReason::Expired
@@ -732,11 +740,6 @@ impl ClientSite {
             result @ (Msg::TxnResult { .. } | Msg::SubtaskResult { .. }) => {
                 self.on_result(cx, result);
             }
-            Msg::LoadReply {
-                txn,
-                locations,
-                loads,
-            } => self.on_load_reply(cx, txn, locations, loads),
             // Server-bound messages never arrive here.
             Msg::RequestBatch { .. }
             | Msg::ObjectReturn { .. }
@@ -744,6 +747,28 @@ impl ClientSite {
             | Msg::CancelWants { .. }
             | Msg::LoadQuery { .. }
             | Msg::TxnSubmit { .. } => unreachable!("server message delivered to client"),
+        }
+    }
+
+    /// A decision answer from the server: a conflict report feeds H2, a
+    /// load reply H1's fallback or the decomposition. Its buffers go back
+    /// to their pools once read.
+    fn on_answer(&mut self, cx: &mut Cx, answer: Msg) {
+        match answer {
+            Msg::ConflictReport { txn, conflicts } => {
+                self.on_conflict_report(cx, txn, &conflicts);
+                cx.recycle_buf(conflicts);
+            }
+            Msg::LoadReply {
+                txn,
+                locations,
+                loads,
+            } => {
+                self.on_load_reply(cx, txn, &locations, &loads);
+                cx.recycle_buf(locations);
+                cx.recycle_buf(loads);
+            }
+            _ => unreachable!("not a decision answer"),
         }
     }
 
@@ -844,7 +869,7 @@ impl ClientSite {
         &mut self,
         cx: &mut Cx,
         key: TKey,
-        conflicts: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
+        conflicts: &[Holding],
     ) {
         let Some(run) = self.txns.get(&key) else {
             return;
@@ -866,9 +891,11 @@ impl ClientSite {
         cx.sink
             .span(cx.now, site, unit, decision, run.acquire_started, None);
         if cx.cfg.load_sharing.h2_enabled && !shipped {
-            let (best, scored) = Self::h2_choose(self_id, accesses, &conflicts, &[]);
+            let scored = &mut self.h2_scored;
+            let best = Self::h2_choose(self_id, accesses, conflicts, &[], scored);
+            let scored = &self.h2_scored;
             cx.sink.emit(cx.now, SiteId::Client(self_id), || {
-                Self::h2_event(txn, self_id, best, &scored)
+                Self::h2_event(txn, self_id, best, scored)
             });
             // Ship only when the destination substantially reduces the
             // conflicting-lock count and already caches a significant share
@@ -887,7 +914,7 @@ impl ClientSite {
             if best != self_id
                 && cx.site_up(best)
                 && best_score <= SHIP_CONFLICT_RATIO * origin_score
-                && Self::holds_fraction(best, accesses, &conflicts) >= SHIP_LOCALITY_MIN
+                && Self::holds_fraction(best, accesses, conflicts) >= SHIP_LOCALITY_MIN
             {
                 self.ship_txn(cx, key, best);
                 return;
@@ -904,15 +931,17 @@ impl ClientSite {
     }
 
     /// H2: the site at which the transaction would wait for the fewest
-    /// conflicting locks; `loads` breaks ties. Also returns every candidate
-    /// with its score, in evaluation order (origin first, then holders as
-    /// discovered) — what the `H2Choose` trace event carries.
+    /// conflicting locks; `loads` breaks ties. `scored` is left holding
+    /// every candidate with its score, in evaluation order (origin first,
+    /// then holders as discovered) — what the `H2Choose` trace event
+    /// carries.
     fn h2_choose(
         origin: ClientId,
         accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
-        loads: &[(ClientId, usize, f64)],
-    ) -> (ClientId, H2Scores) {
+        locations: &[Holding],
+        loads: &[Load],
+        scored: &mut Vec<(ClientId, usize)>,
+    ) -> ClientId {
         let load_of = |c: ClientId| {
             loads
                 .iter()
@@ -920,13 +949,11 @@ impl ClientSite {
                 .map_or(0, |&(_, l, _)| l)
         };
         let origin_score = Self::h2_score(origin, accesses, locations);
-        let mut scored = H2Scores::new();
+        scored.clear();
         scored.push((origin, origin_score));
-        for (_, holders) in locations {
-            for &(c, _) in holders {
-                if !scored.iter().any(|&(s, _)| s == c) {
-                    scored.push((c, Self::h2_score(c, accesses, locations)));
-                }
+        for row in locations {
+            if !scored.iter().any(|&(s, _)| s == row.holder) {
+                scored.push((row.holder, Self::h2_score(row.holder, accesses, locations)));
             }
         }
         let best = scored
@@ -934,11 +961,10 @@ impl ClientSite {
             .map(|&(c, score)| (score, load_of(c), c.0, c))
             .min();
         // Ship only for a strict improvement in conflicting locks.
-        let chosen = match best {
+        match best {
             Some((score, _, _, c)) if score < origin_score => c,
             _ => origin,
-        };
-        (chosen, scored)
+        }
     }
 
     /// The `H2Choose` trace event for a choice `h2_choose` made.
@@ -946,7 +972,7 @@ impl ClientSite {
         txn: TransactionId,
         origin: ClientId,
         chosen: ClientId,
-        scored: &H2Scores,
+        scored: &[(ClientId, usize)],
     ) -> siteselect_obs::Event {
         siteselect_obs::Event::H2Choose {
             txn,
@@ -962,83 +988,97 @@ impl ClientSite {
         }
     }
 
+    /// The rows of `object` in a server answer, which lists an object's
+    /// rows together.
+    fn rows_of(rows: &[Holding], object: ObjectId) -> impl Iterator<Item = &Holding> + Clone {
+        rows.iter()
+            .skip_while(move |r| r.object != object)
+            .take_while(move |r| r.object == object)
+    }
+
     /// Fraction of the transaction's objects on which `site` holds a lock —
     /// the proxy for "how much of the required data is cached there".
-    fn holds_fraction(
-        site: ClientId,
-        accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
-    ) -> f64 {
+    fn holds_fraction(site: ClientId, accesses: &[AccessSpec], locations: &[Holding]) -> f64 {
         if accesses.is_empty() {
             return 0.0;
         }
         let held = accesses
             .iter()
-            .filter(|a| {
-                locations
-                    .iter()
-                    .find(|(o, _)| *o == a.object)
-                    .is_some_and(|(_, holders)| holders.iter().any(|(h, _)| *h == site))
-            })
+            .filter(|a| Self::rows_of(locations, a.object).any(|r| r.holder == site))
             .count();
         held as f64 / accesses.len() as f64
     }
 
     /// The number of conflicting locks transaction `accesses` would wait
     /// for if executed at `site` (the quantity H2 minimizes).
-    fn h2_score(
-        site: ClientId,
-        accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
-    ) -> usize {
+    fn h2_score(site: ClientId, accesses: &[AccessSpec], locations: &[Holding]) -> usize {
         accesses
             .iter()
             .map(|a| {
                 let mode = a.mode();
-                locations
-                    .iter()
-                    .find(|(o, _)| *o == a.object)
-                    .map_or(0, |(_, holders)| {
-                        holders
-                            .iter()
-                            .filter(|(h, m)| *h != site && !m.compatible_with(mode))
-                            .count()
-                    })
+                Self::rows_of(locations, a.object)
+                    .filter(|r| r.holder != site && !r.mode.compatible_with(mode))
+                    .count()
             })
             .sum()
     }
 
-    /// Partitions a decomposable transaction's accesses by their current
-    /// holding site: objects exclusively or primarily cached at one client
-    /// form that client's subtask; unheld objects stay with the origin.
+    /// Places each of a decomposable transaction's accesses at its object's
+    /// current holding site — the exclusive holder if there is one, else the
+    /// first holder; an unheld object stays with the origin — into
+    /// `placement`, sorted by site and then access position, so each
+    /// site's accesses are one run in access order.
     fn group_by_location(
         origin: ClientId,
         accesses: &[AccessSpec],
-        locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
-    ) -> Vec<(ClientId, Vec<AccessSpec>)> {
-        let mut groups: BTreeMap<ClientId, Vec<AccessSpec>> = BTreeMap::new();
-        for a in accesses {
-            let site = locations
-                .iter()
-                .find(|(o, _)| *o == a.object)
-                .and_then(|(_, holders)| {
-                    holders
-                        .iter()
-                        .find(|(_, m)| m.is_exclusive())
-                        .or_else(|| holders.first())
-                })
-                .map_or(origin, |&(c, _)| c);
-            groups.entry(site).or_default().push(*a);
+        locations: &[Holding],
+        placement: &mut Vec<(ClientId, u32, AccessSpec)>,
+    ) {
+        placement.clear();
+        for (at, a) in accesses.iter().enumerate() {
+            let rows = Self::rows_of(locations, a.object);
+            let site = rows
+                .clone()
+                .find(|r| r.mode.is_exclusive())
+                .or_else(|| rows.clone().next())
+                .map_or(origin, |r| r.holder);
+            placement.push((site, at as u32, *a));
         }
-        groups.into_iter().collect()
+        placement.sort_unstable_by_key(|&(site, at, _)| (site, at));
+    }
+
+    /// Keeps decomposition worthwhile: a remote site's run of `placement`
+    /// stays its own only if the site is up, the run carries at least two
+    /// objects (a single-object fetch is cheaper than a subtask) and fewer
+    /// than four remote runs came before it (the fan-out is capped at four
+    /// sites, as in the paper's illustration). Every other run is placed
+    /// at the origin. Returns the number of remote runs kept.
+    fn fold_into_origin(
+        origin: ClientId,
+        placement: &mut [(ClientId, u32, AccessSpec)],
+        site_up: impl Fn(ClientId) -> bool,
+    ) -> usize {
+        let mut remote = 0;
+        let mut rest = placement;
+        while let Some(&(site, ..)) = rest.first() {
+            let len = rest.iter().take_while(|p| p.0 == site).count();
+            let (run, tail) = rest.split_at_mut(len);
+            if site == origin || !site_up(site) || len < 2 || remote >= 4 {
+                run.iter_mut().for_each(|p| p.0 = origin);
+            } else {
+                remote += 1;
+            }
+            rest = tail;
+        }
+        remote
     }
 
     fn on_load_reply(
         &mut self,
         cx: &mut Cx,
         key: TKey,
-        locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
-        loads: Vec<(ClientId, usize, f64)>,
+        locations: &[Holding],
+        loads: &[Load],
     ) {
         let Some(run) = self.txns.get(&key) else {
             return;
@@ -1061,9 +1101,11 @@ impl ClientSite {
         match reason {
             InfoReason::H1Infeasible => {
                 let best = if cx.cfg.load_sharing.h2_enabled {
-                    let (best, scored) = Self::h2_choose(self_id, accesses, &locations, &loads);
+                    let scored = &mut self.h2_scored;
+                    let best = Self::h2_choose(self_id, accesses, locations, loads, scored);
+                    let scored = &self.h2_scored;
                     cx.sink.emit(cx.now, SiteId::Client(self_id), || {
-                        Self::h2_event(txn, self_id, best, &scored)
+                        Self::h2_event(txn, self_id, best, scored)
                     });
                     best
                 } else {
@@ -1083,25 +1125,12 @@ impl ClientSite {
                 }
             }
             InfoReason::Decompose => {
-                let raw = Self::group_by_location(self_id, accesses, &locations);
-                // Keep decomposition worthwhile: remote groups must carry at
-                // least two objects (a single-object fetch is cheaper than a
-                // subtask) and the fan-out is capped at four sites, as in
-                // the paper's illustration.
-                let mut origin_accs: Vec<AccessSpec> = Vec::new();
-                let mut groups: Vec<(ClientId, Vec<AccessSpec>)> = Vec::new();
-                for (site, accs) in raw {
-                    if site == self_id || !cx.site_up(site) || accs.len() < 2 || groups.len() >= 4 {
-                        origin_accs.extend(accs);
-                    } else {
-                        groups.push((site, accs));
-                    }
-                }
-                if !origin_accs.is_empty() {
-                    groups.push((self_id, origin_accs));
-                }
-                if groups.len() >= 2 {
-                    self.decompose(cx, key, groups);
+                let placement = &mut self.placement;
+                Self::group_by_location(self_id, accesses, locations, placement);
+                let remote = Self::fold_into_origin(self_id, placement, |c| cx.site_up(c));
+                let at_origin = placement.iter().any(|p| p.0 == self_id);
+                if remote + usize::from(at_origin) >= 2 {
+                    self.decompose(cx, key, remote);
                 } else {
                     self.begin_acquisition(cx, key);
                 }
@@ -1109,60 +1138,80 @@ impl ClientSite {
         }
     }
 
-    fn decompose(&mut self, cx: &mut Cx, key: TKey, groups: Vec<(ClientId, Vec<AccessSpec>)>) {
+    /// Decomposes `key` as `self.placement` places its accesses: each of
+    /// the `remote` runs placed at another site becomes that site's
+    /// subtask, in site order, and the accesses placed at the origin become
+    /// the last subtask. Only the subtasks' access lists are allocated, each
+    /// at its final size.
+    fn decompose(&mut self, cx: &mut Cx, key: TKey, remote: usize) {
         let Some(run) = self.txns.get_mut(&key) else {
             return;
         };
-        let parent_spec = run.spec.clone();
-        let total = parent_spec.accesses.len().max(1) as f64;
+        let origin = self.id;
+        let placement = std::mem::take(&mut self.placement);
+        let at_origin = placement.iter().filter(|p| p.0 == origin).count();
+        let subtasks = remote + usize::from(at_origin > 0);
+        let parent = &run.spec;
+        let (id, spec_origin, arrival, deadline) =
+            (parent.id, parent.origin, parent.arrival, parent.deadline);
+        let (total, cpu_demand) = (parent.accesses.len().max(1) as f64, parent.cpu_demand);
         run.state = RunState::AwaitSubtasks {
-            pending: groups.len() as u8,
+            pending: subtasks as u8,
             failed: false,
         };
-        if cx.measured_arrival(parent_spec.arrival) {
+        if cx.measured_arrival(arrival) {
             cx.metrics.load_sharing.decomposed += 1;
-            cx.metrics.load_sharing.subtasks += groups.len() as u64;
+            cx.metrics.load_sharing.subtasks += subtasks as u64;
         }
-        let subtasks = groups.len() as u32;
-        cx.sink
-            .emit(cx.now, SiteId::Client(parent_spec.origin), || {
-                siteselect_obs::Event::Decomposed {
-                    txn: parent_spec.id,
-                    subtasks,
-                }
-            });
-        let origin = self.id;
-        for (index, (site, accesses)) in groups.into_iter().enumerate() {
-            let index = index as u8;
-            let share = accesses.len() as f64 / total;
-            let mut spec = parent_spec.clone();
-            spec.accesses = accesses;
-            spec.cpu_demand = parent_spec
-                .cpu_demand
-                .mul_f64((1.0 - SYNTHESIS_FRACTION) * share);
-            spec.decomposable = false;
-            if site == origin {
-                let skey = subtask_key(key, index);
-                let kind = RunKind::Subtask {
-                    parent: key,
-                    index,
-                    origin,
-                };
-                self.txns.insert(skey, TxnRun::new(kind, spec, cx.now));
-                self.begin_acquisition(cx, skey);
-            } else {
-                cx.send_to_peer(
-                    site,
-                    0,
-                    Msg::SubtaskShip {
-                        parent: key,
-                        index,
-                        origin,
-                        spec,
-                        sent_at: cx.now,
-                    },
-                );
+        cx.sink.emit(cx.now, SiteId::Client(spec_origin), || {
+            siteselect_obs::Event::Decomposed {
+                txn: id,
+                subtasks: subtasks as u32,
             }
+        });
+        let subtask = |accesses: Vec<AccessSpec>| {
+            let share = accesses.len() as f64 / total;
+            TransactionSpec {
+                id,
+                origin: spec_origin,
+                arrival,
+                deadline,
+                cpu_demand: cpu_demand.mul_f64((1.0 - SYNTHESIS_FRACTION) * share),
+                accesses,
+                decomposable: false,
+            }
+        };
+        let mut index = 0u8;
+        let mut rest = placement.as_slice();
+        while let Some(&(site, ..)) = rest.first() {
+            let len = rest.iter().take_while(|p| p.0 == site).count();
+            let (run, tail) = rest.split_at(len);
+            rest = tail;
+            if site == origin {
+                continue;
+            }
+            let ship = Msg::SubtaskShip {
+                parent: key,
+                index,
+                origin,
+                spec: subtask(run.iter().map(|p| p.2).collect()),
+                sent_at: cx.now,
+            };
+            cx.send_to_peer(site, 0, ship);
+            index += 1;
+        }
+        let mut accesses = Vec::with_capacity(at_origin);
+        accesses.extend(placement.iter().filter(|p| p.0 == origin).map(|p| p.2));
+        self.placement = placement;
+        if !accesses.is_empty() {
+            let skey = subtask_key(key, index);
+            let kind = RunKind::Subtask {
+                parent: key,
+                index,
+                origin,
+            };
+            self.txns.insert(skey, TxnRun::new(kind, subtask(accesses), cx.now));
+            self.begin_acquisition(cx, skey);
         }
     }
 
@@ -1825,15 +1874,53 @@ impl ClientSite {
 mod tests {
     use super::*;
 
-    fn loc(o: u32, holders: &[(u16, LockMode)]) -> (ObjectId, Vec<(ClientId, LockMode)>) {
-        (
-            ObjectId(o),
-            holders.iter().map(|&(c, m)| (ClientId(c), m)).collect(),
-        )
+    /// The rows of object `o` in a server answer.
+    fn loc(o: u32, holders: &[(u16, LockMode)]) -> Vec<Holding> {
+        holders
+            .iter()
+            .map(|&(c, mode)| Holding {
+                object: ObjectId(o),
+                holder: ClientId(c),
+                mode,
+            })
+            .collect()
+    }
+
+    /// H2's choice and its scored candidates.
+    fn h2(
+        origin: ClientId,
+        accesses: &[AccessSpec],
+        locations: &[Holding],
+        loads: &[Load],
+    ) -> (ClientId, Vec<(ClientId, usize)>) {
+        let mut scored = Vec::new();
+        let best = ClientSite::h2_choose(origin, accesses, locations, loads, &mut scored);
+        (best, scored)
+    }
+
+    /// Decomposition's placement of `accesses` as runs: each site with the
+    /// accesses placed there, in site order.
+    fn groups(
+        origin: ClientId,
+        accesses: &[AccessSpec],
+        locations: &[Holding],
+    ) -> Vec<(ClientId, Vec<AccessSpec>)> {
+        let mut placement = Vec::new();
+        ClientSite::group_by_location(origin, accesses, locations, &mut placement);
+        let mut out: Vec<(ClientId, Vec<AccessSpec>)> = Vec::new();
+        for (site, _, a) in placement {
+            match out.last_mut() {
+                Some((last, run)) if *last == site => run.push(a),
+                _ => out.push((site, vec![a])),
+            }
+        }
+        out
     }
 
     use siteselect_locks::ForwardEntry;
     use siteselect_types::{ExperimentConfig, SystemKind};
+
+    use crate::clientserver::ServerSite;
 
     /// Client 0 of a four-client system on its own — no server, no peers —
     /// at t = 10 s.
@@ -2165,11 +2252,12 @@ mod tests {
             AccessSpec::write(ObjectId(1)),
             AccessSpec::write(ObjectId(2)),
         ];
-        let locations = vec![
+        let locations = [
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(5, LockMode::Exclusive)]),
-        ];
-        let (best, _) = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
+        ]
+        .concat();
+        let (best, _) = h2(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(5));
     }
 
@@ -2177,8 +2265,8 @@ mod tests {
     fn h2_stays_home_without_strict_improvement() {
         let accesses = vec![AccessSpec::read(ObjectId(1))];
         // A shared lock elsewhere does not conflict with a read.
-        let locations = vec![loc(1, &[(5, LockMode::Shared)])];
-        let (best, _) = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
+        let locations = loc(1, &[(5, LockMode::Shared)]);
+        let (best, _) = h2(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(0));
     }
 
@@ -2191,11 +2279,12 @@ mod tests {
         // Client 5 holds obj1 EL; client 6 holds obj2 EL. Either site still
         // waits for one conflicting lock; origin waits for two. Tie between
         // 5 and 6 broken by id.
-        let locations = vec![
+        let locations = [
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(6, LockMode::Exclusive)]),
-        ];
-        let (best, _) = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &[]);
+        ]
+        .concat();
+        let (best, _) = h2(ClientId(0), &accesses, &locations, &[]);
         assert_eq!(best, ClientId(5));
     }
 
@@ -2205,26 +2294,43 @@ mod tests {
             AccessSpec::write(ObjectId(1)),
             AccessSpec::write(ObjectId(2)),
         ];
-        let locations = vec![
+        let locations = [
             loc(1, &[(5, LockMode::Exclusive)]),
             loc(2, &[(6, LockMode::Exclusive)]),
-        ];
+        ]
+        .concat();
         let loads = vec![(ClientId(5), 10, 1.0), (ClientId(6), 1, 1.0)];
-        let (best, _) = ClientSite::h2_choose(ClientId(0), &accesses, &locations, &loads);
+        let (best, _) = h2(ClientId(0), &accesses, &locations, &loads);
         assert_eq!(best, ClientId(6));
     }
 
-    /// H2 as it was before `h2_choose` kept its scores: candidates
-    /// collected, scored for the choice, the choice and the origin scored
-    /// again, and — for the trace — candidates collected and scored once
-    /// more.
+    /// H2 as it was before `h2_choose` kept its scores and read flat rows:
+    /// over one holder list per object, candidates collected, scored for
+    /// the choice, the choice and the origin scored again, and — for the
+    /// trace — candidates collected and scored once more.
     fn two_pass_h2(
         origin: ClientId,
         accesses: &[AccessSpec],
         locations: &[(ObjectId, Vec<(ClientId, LockMode)>)],
-        loads: &[(ClientId, usize, f64)],
+        loads: &[Load],
     ) -> (ClientId, Vec<(ClientId, usize)>) {
-        let score = |c| ClientSite::h2_score(c, accesses, locations);
+        let score = |site| -> usize {
+            accesses
+                .iter()
+                .map(|a| {
+                    let mode = a.mode();
+                    locations
+                        .iter()
+                        .find(|(o, _)| *o == a.object)
+                        .map_or(0, |(_, holders)| {
+                            holders
+                                .iter()
+                                .filter(|(h, m)| *h != site && !m.compatible_with(mode))
+                                .count()
+                        })
+                })
+                .sum()
+        };
         let load_of = |c: ClientId| {
             loads
                 .iter()
@@ -2271,9 +2377,14 @@ mod tests {
                 })
                 .collect();
             // Up to 20 distinct holders, so a case can pass eight candidates.
+            // An answer lists an object once, its holders maybe none, and
+            // may list objects the transaction does not access.
             let mut locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)> = Vec::new();
             for _ in 0..objects {
                 let object = ObjectId(rng.below(objects as u64 + 2) as u32);
+                if locations.iter().any(|(o, _)| *o == object) {
+                    continue;
+                }
                 let mut holders = Vec::new();
                 for _ in 0..rng.below_usize(5) {
                     let mode = LockMode::for_write(rng.bernoulli(0.5));
@@ -2281,14 +2392,21 @@ mod tests {
                 }
                 locations.push((object, holders));
             }
-            let loads: Vec<(ClientId, usize, f64)> = (0..20)
+            let loads: Vec<Load> = (0..20)
                 .map(|c| (ClientId(c), rng.below_usize(4), 1.0))
                 .filter(|&(_, load, _)| load > 0)
                 .collect();
-            let (chosen, scored) = ClientSite::h2_choose(origin, &accesses, &locations, &loads);
+            let rows: Vec<Holding> = locations
+                .iter()
+                .flat_map(|(o, holders)| {
+                    let o = o.0;
+                    holders.iter().flat_map(move |&(c, m)| loc(o, &[(c.0, m)]))
+                })
+                .collect();
+            let (chosen, scored) = h2(origin, &accesses, &rows, &loads);
             let (want, want_scored) = two_pass_h2(origin, &accesses, &locations, &loads);
             assert_eq!(chosen, want);
-            assert_eq!(scored.to_vec(), want_scored);
+            assert_eq!(scored, want_scored);
             spilled += usize::from(scored.len() > 8);
         }
         assert!(spilled > 50, "only {spilled} cases passed eight candidates");
@@ -2301,41 +2419,195 @@ mod tests {
             AccessSpec::read(ObjectId(1)),
             AccessSpec::read(ObjectId(2)),
             AccessSpec::write(ObjectId(3)),
+            AccessSpec::read(ObjectId(4)),
         ];
-        let locations = vec![
-            (
-                ObjectId(1),
-                vec![
-                    (ClientId(5), LockMode::Shared),
-                    (ClientId(6), LockMode::Exclusive),
-                ],
-            ),
-            (ObjectId(2), vec![(ClientId(5), LockMode::Shared)]),
-            (ObjectId(3), vec![]),
-        ];
-        let groups = ClientSite::group_by_location(origin, &accesses, &locations);
-        // obj1 -> client 6 (EL holder wins), obj2 -> client 5, obj3 -> origin.
-        assert_eq!(groups.len(), 3);
-        let find = |c: u16| {
-            groups
-                .iter()
-                .find(|(id, _)| *id == ClientId(c))
-                .map(|(_, v)| v.clone())
-                .unwrap()
-        };
-        assert_eq!(find(6), vec![AccessSpec::read(ObjectId(1))]);
-        assert_eq!(find(5), vec![AccessSpec::read(ObjectId(2))]);
-        assert_eq!(find(0), vec![AccessSpec::write(ObjectId(3))]);
+        let locations = [
+            loc(1, &[(5, LockMode::Shared), (6, LockMode::Exclusive)]),
+            loc(2, &[(5, LockMode::Shared)]),
+            loc(4, &[(6, LockMode::Shared), (5, LockMode::Shared)]),
+        ]
+        .concat();
+        // obj1 -> client 6 (EL holder wins), obj2 -> client 5, obj3 ->
+        // origin, obj4 -> client 6 (first holder); by site, in access order.
+        assert_eq!(
+            groups(origin, &accesses, &locations),
+            vec![
+                (ClientId(0), vec![AccessSpec::write(ObjectId(3))]),
+                (ClientId(5), vec![AccessSpec::read(ObjectId(2))]),
+                (
+                    ClientId(6),
+                    vec![AccessSpec::read(ObjectId(1)), AccessSpec::read(ObjectId(4))]
+                ),
+            ]
+        );
     }
 
     #[test]
     fn unlisted_objects_default_to_origin() {
-        let groups =
-            ClientSite::group_by_location(ClientId(2), &[AccessSpec::read(ObjectId(9))], &[]);
         assert_eq!(
-            groups,
+            groups(ClientId(2), &[AccessSpec::read(ObjectId(9))], &[]),
             vec![(ClientId(2), vec![AccessSpec::read(ObjectId(9))])]
         );
+    }
+
+    /// Runs too small to ship, at a crashed site or past the fourth remote
+    /// site go to the origin, which runs last and keeps their site order.
+    #[test]
+    fn small_and_surplus_runs_fold_into_the_origin() {
+        let origin = ClientId(3);
+        let accesses: Vec<AccessSpec> = (0..12).map(|o| AccessSpec::read(ObjectId(o))).collect();
+        // Objects 0–1 at client 1, 2 at client 2, 3–4 at client 4 (down),
+        // 5–6 at 5, 7–8 at 6, 9–10 at 7 and 11 at 8.
+        let site_of = [1, 1, 2, 4, 4, 5, 5, 6, 6, 7, 7, 8];
+        let locations: Vec<Holding> = site_of
+            .iter()
+            .enumerate()
+            .flat_map(|(o, &c)| loc(o as u32, &[(c, LockMode::Shared)]))
+            .collect();
+        let mut placement = Vec::new();
+        ClientSite::group_by_location(origin, &accesses, &locations, &mut placement);
+        let remote = ClientSite::fold_into_origin(origin, &mut placement, |c| c != ClientId(4));
+        assert_eq!(remote, 4);
+        let at = |site: u16| -> Vec<u32> {
+            placement
+                .iter()
+                .filter(|p| p.0 == ClientId(site))
+                .map(|p| p.2.object.0)
+                .collect()
+        };
+        assert_eq!(at(3), [2, 3, 4, 11]);
+        for (site, objects) in [(1, [0, 1]), (5, [5, 6]), (6, [7, 8]), (7, [9, 10])] {
+            assert_eq!(at(site), objects);
+        }
+    }
+
+    /// Hands out what `cx` queued, as the driver would, until nothing is
+    /// left: the server's traffic to the server (a load query with a load
+    /// table from `cx`'s pool), the decision answers to `site`, and the
+    /// server's finished disk reads to the wire. Grants to `site` and
+    /// everything for another client are dropped, each recall noted in
+    /// `recalled`: the round ends at the decision.
+    fn exchange(
+        cx: &mut Cx,
+        server: &mut ServerSite,
+        site: &mut ClientSite,
+        recalled: &mut Vec<(ObjectId, ClientId)>,
+    ) {
+        while let Some((at, ev)) = cx.queue.pop() {
+            cx.now = at;
+            let mut msgs = match ev {
+                Ev::Deliver { msgs, .. } => msgs,
+                Ev::ServerFetchDone {
+                    to,
+                    item,
+                    scheduled_at,
+                    ..
+                } => {
+                    server.on_fetch_done(cx, to, item, scheduled_at);
+                    continue;
+                }
+                _ => continue,
+            };
+            for msg in msgs.drain(..) {
+                match msg {
+                    Msg::LoadQuery { txn, objects } => {
+                        let mut loads = cx.take_buf();
+                        loads.push(site.load_report());
+                        loads.extend((1..4).map(|c| (ClientId(c), 2, 1.0)));
+                        server.on_load_query(cx, txn, objects, loads);
+                    }
+                    msg @ (Msg::RequestBatch { .. } | Msg::CancelWants { .. }) => {
+                        server.on_msg(cx, msg);
+                    }
+                    msg @ (Msg::ConflictReport { .. } | Msg::LoadReply { .. }) => {
+                        site.on_msg(cx, msg);
+                    }
+                    Msg::Recall { object, .. } => recalled.extend(
+                        server
+                            .core
+                            .locks
+                            .holders(object)
+                            .filter(|&(c, _)| c != site.id)
+                            .map(|(c, _)| (object, c)),
+                    ),
+                    _ => {}
+                }
+            }
+            cx.queue.recycle(msgs);
+        }
+    }
+
+    /// A warm LS decision round at client 0, against a live server site,
+    /// allocates nothing but the access lists of the subtasks it builds.
+    /// The round is a decomposition (load query and reply, placement, two
+    /// remote subtasks and the origin's, whose grant-all goes out), a
+    /// grant-all that draws a conflict report H2 answers with a ship, and
+    /// an H1 rejection whose load reply H2 answers with a ship. Round `r`
+    /// runs on objects `10r + 1..`; between rounds the client forgets its
+    /// units and the recalled holders answer, so no state carries over
+    /// but capacity.
+    #[test]
+    fn a_warm_ls_decision_round_allocates_only_the_subtask_specs() {
+        use crate::counting_alloc::allocs;
+
+        let mut cfg = ExperimentConfig::paper(SystemKind::LoadSharing, 4, 0.05);
+        cfg.runtime.warmup = SimDuration::ZERO;
+        let mut server = ServerSite::new(&cfg);
+        let mut site = ClientSite::new(ClientId(0), &cfg.client, cfg.cpu.client_speed);
+        let mut cx = Cx::new(cfg);
+        // One job ahead of every newcomer, at H1's 1 s ATL prior.
+        let forever = SimDuration::from_secs(1_000_000);
+        let _ = site.cpu.submit(cx.now, u64::MAX, SimTime::MAX, forever);
+        let mut recalled = Vec::with_capacity(16);
+        let mut made = Vec::new();
+        for round in 0..3u32 {
+            let o = |i: u32| ObjectId(10 * round + i);
+            // Client 1 holds objects 1, 2 and 6, client 2 objects 3 and 4.
+            for (i, c) in [(1, 1), (2, 1), (6, 1), (3, 2), (4, 2)] {
+                let held = server.core.locks.request(o(i), ClientId(c), LockMode::Exclusive, SimTime::MAX);
+                assert_eq!(held, Acquire::Granted);
+            }
+            cx.now = SimTime::from_secs(100 * u64::from(round + 1));
+            let now = cx.now;
+            let spec = |seq: u64, objects: &[u32], slack_ms: u64, decomposable: bool| {
+                TransactionSpec {
+                    id: TransactionId::new(ClientId(0), 10 * u64::from(round) + seq),
+                    origin: ClientId(0),
+                    arrival: now,
+                    deadline: now + SimDuration::from_millis(slack_ms),
+                    cpu_demand: SimDuration::from_secs(1),
+                    accesses: objects.iter().map(|&i| AccessSpec::write(o(i))).collect(),
+                    decomposable,
+                }
+            };
+            let specs = [
+                spec(1, &[1, 2, 3, 4, 5], 100_000, true),
+                spec(2, &[6, 7], 100_000, false),
+                spec(3, &[6], 500, false),
+            ];
+            let before = allocs();
+            for spec in specs {
+                site.on_arrive(&mut cx, spec);
+                exchange(&mut cx, &mut server, &mut site, &mut recalled);
+            }
+            made.push(allocs() - before);
+            let ls = cx.metrics.load_sharing;
+            let want = 2 * u64::from(round + 1);
+            assert_eq!((ls.decomposed, ls.shipped, ls.h1_rejections), (want / 2, want, want / 2));
+            site.txns.clear();
+            site.fetches.clear();
+            for (object, from) in recalled.drain(..) {
+                let ack = Msg::CallbackAck {
+                    object,
+                    from,
+                    had_copy: true,
+                    sent_at: cx.now,
+                };
+                server.on_msg(&mut cx, ack);
+            }
+            cx.drain_deliveries();
+        }
+        assert_eq!(made[1..], [3, 3], "allocations per round: {made:?}");
     }
 
     /// Whether a unit of work is the site's own transaction, one shipped

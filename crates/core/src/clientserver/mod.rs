@@ -72,14 +72,78 @@ pub(crate) struct Want {
 /// One granted `(object, mode, with_data)` of a grant batch.
 pub(crate) type GrantItem = (ObjectId, LockMode, bool);
 
+/// One row of a server answer (a conflict report or a location reply):
+/// `holder` holds `object` in `mode`, or, for an object travelling down a
+/// forward chain, is the chain's tail and stands as its exclusive holder.
+/// An answer lists an object's rows together, in lock-table order, and
+/// its objects in the order they were asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Holding {
+    pub object: ObjectId,
+    pub holder: ClientId,
+    pub mode: LockMode,
+}
+
+/// One client's row of the server's load table: the client, its incomplete
+/// units of work and its average transaction latency (ATL).
+pub(crate) type Load = (ClientId, usize, f64);
+
+/// Emptied message buffers, one pool per element type: a site takes one
+/// for each message it builds and the site that handles the message gives
+/// it back, so a pool holds as many as were ever in flight at once.
+#[derive(Debug, Default)]
+pub(crate) struct BufPools {
+    wants: Vec<Vec<Want>>,
+    objects: Vec<Vec<ObjectId>>,
+    holdings: Vec<Vec<Holding>>,
+    loads: Vec<Vec<Load>>,
+}
+
+impl BufPools {
+    /// Buffers kept for reuse, over every pool.
+    fn spare(&self) -> usize {
+        self.wants.len() + self.objects.len() + self.holdings.len() + self.loads.len()
+    }
+}
+
+/// An element type whose message buffers [`Cx`] pools.
+pub(crate) trait Pooled: Sized {
+    /// The pool of this type's buffers.
+    fn pool(pools: &mut BufPools) -> &mut Vec<Vec<Self>>;
+}
+
+impl Pooled for Want {
+    fn pool(pools: &mut BufPools) -> &mut Vec<Vec<Self>> {
+        &mut pools.wants
+    }
+}
+
+impl Pooled for ObjectId {
+    fn pool(pools: &mut BufPools) -> &mut Vec<Vec<Self>> {
+        &mut pools.objects
+    }
+}
+
+impl Pooled for Holding {
+    fn pool(pools: &mut BufPools) -> &mut Vec<Vec<Self>> {
+        &mut pools.holdings
+    }
+}
+
+impl Pooled for Load {
+    fn pool(pools: &mut BufPools) -> &mut Vec<Vec<Self>> {
+        &mut pools.loads
+    }
+}
+
 /// Messages exchanged between sites (the payload of `Ev::Deliver`).
 #[derive(Debug, Clone)]
 pub(crate) enum Msg {
     /// Client → server: per-object requests of one transaction, physically
     /// batched. `grant_all` marks the LS first round ("grant everything or
-    /// tell me who conflicts"). `wants` comes from
-    /// [`Cx::take_want_buf`] and goes back through
-    /// [`Cx::recycle_want_buf`].
+    /// tell me who conflicts"). `wants`, like every buffer a message
+    /// carries, comes from [`Cx::take_buf`] and goes back through
+    /// [`Cx::recycle_buf`] at the site that handles the message.
     RequestBatch {
         txn: TKey,
         client: ClientId,
@@ -90,11 +154,9 @@ pub(crate) enum Msg {
     /// ships each grant as it becomes ready, so a batch of one is the rule).
     GrantBatch { items: InlineVec<GrantItem, 1> },
     /// Server → client: the LS grant-all round failed; here is who holds
-    /// what (input to H2).
-    ConflictReport {
-        txn: TKey,
-        conflicts: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
-    },
+    /// what (input to H2): the conflicting holders of each object that has
+    /// some.
+    ConflictReport { txn: TKey, conflicts: Vec<Holding> },
     /// Server → client: request refused (wait-for cycle or expired
     /// deadline).
     Rejected { txn: TKey, expired: bool },
@@ -132,11 +194,12 @@ pub(crate) enum Msg {
     /// Client → server: where are these objects, and how loaded is
     /// everyone? (H1/H2 and decomposition input.)
     LoadQuery { txn: TKey, objects: Vec<ObjectId> },
-    /// Server → client: locations and loads.
+    /// Server → client: every holder of each queried object, and the load
+    /// table.
     LoadReply {
         txn: TKey,
-        locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)>,
-        loads: Vec<(ClientId, usize, f64)>,
+        locations: Vec<Holding>,
+        loads: Vec<Load>,
     },
     /// Object hops down a forward list: server → client for the first hop
     /// (an object send), client → client (via directory) for the rest.
@@ -439,10 +502,8 @@ pub(crate) struct Cx {
     pub metrics: RunMetrics,
     pub sink: EventSink,
     pub specs: Vec<TransactionSpec>,
-    /// Emptied `RequestBatch::wants` vectors: a client takes one per batch
-    /// it sends and the server hands it back once the batch is handled, so
-    /// there are as many as batches were ever in flight at once.
-    want_bufs: Vec<Vec<Want>>,
+    /// The emptied buffers that messages carry, for the next message.
+    bufs: BufPools,
     /// Transactions submitted here (parents of decompositions count
     /// too) and transactions settled here. Their difference is what is in
     /// flight, and the sweep keeps ticking until it drains. A CE abort is
@@ -487,7 +548,7 @@ impl Cx {
             ),
             sink: EventSink::disabled(),
             specs: Vec::new(),
-            want_bufs: Vec::new(),
+            bufs: BufPools::default(),
             arrived: 0,
             settled: 0,
             warmup_end: SimTime::ZERO + cfg.runtime.warmup,
@@ -506,21 +567,23 @@ impl Cx {
         self.arrived - self.settled
     }
 
-    /// An empty `RequestBatch::wants` vector, a recycled one if any is spare.
-    pub(crate) fn take_want_buf(&mut self) -> Vec<Want> {
-        self.want_bufs.pop().unwrap_or_default()
+    /// An empty message buffer, a recycled one if any is spare.
+    pub(crate) fn take_buf<T: Pooled>(&mut self) -> Vec<T> {
+        T::pool(&mut self.bufs).pop().unwrap_or_default()
     }
 
-    /// Takes a `wants` vector back once its batch is handled (or was never
-    /// sent).
-    pub(crate) fn recycle_want_buf(&mut self, mut wants: Vec<Want>) {
+    /// Takes a message buffer back once its message is handled (or was
+    /// never sent).
+    pub(crate) fn recycle_buf<T: Pooled>(&mut self, mut buf: Vec<T>) {
+        let one_site = self.local.is_some();
+        let pool = T::pool(&mut self.bufs);
         // A one-site simulator's buffers cross to another thread and never
-        // come back, so it keeps one spare, not one per batch it is sent.
-        if self.local.is_some() && !self.want_bufs.is_empty() {
+        // come back, so it keeps one spare, not one per message it is sent.
+        if buf.capacity() == 0 || (one_site && !pool.is_empty()) {
             return;
         }
-        wants.clear();
-        self.want_bufs.push(wants);
+        buf.clear();
+        pool.push(buf);
     }
 
     /// True unless fault injection has `client` currently crashed.
@@ -633,10 +696,20 @@ impl Cx {
             Msg::ObjectForward { object, .. } => self.lost_forwards.push(object),
             // The request is re-driven by its retry timer; its buffer goes
             // back to the pool the retry takes from.
-            Msg::RequestBatch { wants, .. } => self.recycle_want_buf(wants),
+            Msg::RequestBatch { wants, .. } => self.recycle_buf(wants),
+            // A lost answer or query is recovered by the deadline sweep;
+            // its buffers go back to their pools.
+            Msg::ConflictReport { conflicts, .. } => self.recycle_buf(conflicts),
+            Msg::LoadQuery { objects, .. } => self.recycle_buf(objects),
+            Msg::LoadReply {
+                locations, loads, ..
+            } => {
+                self.recycle_buf(locations);
+                self.recycle_buf(loads);
+            }
             // Everything else is recovered by retries (requests/grants),
             // leases (recalls/acks/returns) or the deadline sweeps
-            // (queries, subtask traffic).
+            // (subtask traffic).
             _ => {}
         }
     }
@@ -713,7 +786,7 @@ impl ServerKind {
 #[derive(Debug)]
 pub struct Parcel {
     msg: Msg,
-    load: Option<(ClientId, usize, f64)>,
+    load: Option<Load>,
 }
 
 impl Parcel {
@@ -744,7 +817,7 @@ pub struct Simulator {
     server: ServerKind,
     /// A one-site server's load table: the last report each client
     /// piggybacked, by client index.
-    loads: Vec<Option<(ClientId, usize, f64)>>,
+    loads: Vec<Option<Load>>,
 }
 
 impl Simulator {
@@ -865,6 +938,14 @@ impl Simulator {
     #[must_use]
     pub fn settled(&self) -> u64 {
         self.cx.settled
+    }
+
+    /// Emptied message buffers this simulator keeps for reuse. A one-site
+    /// simulator keeps at most one of each kind, however many messages it
+    /// was sent: what crosses to another site never comes back.
+    #[must_use]
+    pub fn spare_buffers(&self) -> usize {
+        self.cx.bufs.spare()
     }
 
     /// Enables event tracing: the sink is shared with the fabric and the
@@ -1173,11 +1254,12 @@ impl Simulator {
             (SiteDest::Server, ServerKind::Centralized(server)) => server.on_msg(cx, msg),
             (SiteDest::Server, ServerKind::ClientServer(server)) => match msg {
                 Msg::LoadQuery { txn, objects } => {
-                    let loads = if cx.local.is_none() {
-                        self.clients.iter().map(ClientSite::load_report).collect()
+                    let mut loads = cx.take_buf();
+                    if cx.local.is_none() {
+                        loads.extend(self.clients.iter().map(ClientSite::load_report));
                     } else {
-                        self.loads.iter().flatten().copied().collect()
-                    };
+                        loads.extend(self.loads.iter().flatten().copied());
+                    }
                     server.on_load_query(cx, txn, objects, loads);
                 }
                 msg => server.on_msg(cx, msg),

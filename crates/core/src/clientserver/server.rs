@@ -11,8 +11,8 @@
 //! (the load table) go through the driver.
 
 use siteselect_locks::{
-    Acquire, CallbackTracker, ForwardEntry, ForwardList, Grants, QueueDiscipline, Targets,
-    WindowManager, WindowOffer,
+    Acquire, CallbackTracker, ForwardEntry, ForwardList, Grants, LockTable, QueueDiscipline,
+    Targets, WindowManager, WindowOffer,
 };
 use siteselect_net::MessageKind;
 use siteselect_obs::EventSink;
@@ -22,7 +22,7 @@ use siteselect_types::{
     TransactionId,
 };
 
-use super::{Cx, Ev, GrantItem, Msg, TKey, Want};
+use super::{Cx, Ev, GrantItem, Holding, Load, Msg, TKey, Want};
 use crate::server_core::ServerCore;
 
 /// Info the server tracks for a lock-table-queued want.
@@ -112,6 +112,9 @@ pub(crate) struct ServerSite {
     /// client), for one lease: an answer it sent by then answers a recall
     /// already settled.
     fenced: Vec<(ObjectId, ClientId, SimTime)>,
+    /// The holders the last recall newly messaged, kept so a recall of
+    /// more holders than it keeps inline reuses its spill.
+    fresh_targets: Targets,
     /// Sequence counter for the pseudo-transactions that apply returned
     /// objects to the durable store (tagged with the high bit so they can
     /// never collide with workload transaction ids).
@@ -135,6 +138,7 @@ impl ServerSite {
             held_recalls: Vec::new(),
             parked: Vec::new(),
             fenced: Vec::new(),
+            fresh_targets: Targets::new(),
             pseudo_seq: 0,
         }
     }
@@ -199,7 +203,7 @@ impl ServerSite {
                         self.handle_want(cx, txn, client, w);
                     }
                 }
-                cx.recycle_want_buf(wants);
+                cx.recycle_buf(wants);
             }
             Msg::ObjectReturn {
                 object,
@@ -238,40 +242,42 @@ impl ServerSite {
     /// then cancel its queued requests and ship the transaction to a
     /// better site (H2).
     fn grant_all(&mut self, cx: &mut Cx, txn: TKey, client: ClientId, wants: &[Want]) {
-        let conflicts: Vec<(ObjectId, Vec<(ClientId, LockMode)>)> = wants
-            .iter()
-            .filter_map(|w| {
-                let conflicting = self
-                    .core
-                    .locks
-                    .holders(w.object)
-                    .filter(|&(h, m)| h != client && !m.compatible_with(w.mode));
-                let holders: Vec<(ClientId, LockMode)> =
-                    self.or_route_tail(w.object, conflicting).collect();
-                (!holders.is_empty()).then_some((w.object, holders))
-            })
-            .collect();
+        let mut conflicts: Vec<Holding> = cx.take_buf();
+        for w in wants {
+            let conflicting = self
+                .core
+                .locks
+                .holders(w.object)
+                .filter(|&(h, m)| h != client && !m.compatible_with(w.mode));
+            let rows = Self::or_route_tail(&self.routing, w.object, conflicting);
+            conflicts.extend(rows.map(|(holder, mode)| Holding { object: w.object, holder, mode }));
+        }
         for &w in wants {
             self.handle_want(cx, txn, client, w);
         }
         if !conflicts.is_empty() {
-            let report = || Msg::ConflictReport { txn, conflicts };
+            let report = || Msg::ConflictReport {
+                txn,
+                conflicts: std::mem::take(&mut conflicts),
+            };
             cx.send_to_client(client, MessageKind::ConflictInfo, 0, report);
         }
+        // Empty, or the rows of a report the fabric lost.
+        cx.recycle_buf(conflicts);
     }
 
     /// `holders`, or — when there are none — the tail of the object's
     /// travelling forward list as its location (§4: "the server refers to
     /// the object's forward list and reports the last client in the list").
     fn or_route_tail<'a>(
-        &'a self,
+        routing: &'a ObjectMap<Route>,
         object: ObjectId,
         holders: impl Iterator<Item = (ClientId, LockMode)> + 'a,
     ) -> impl Iterator<Item = (ClientId, LockMode)> + 'a {
         let mut holders = holders.peekable();
         let tail = match holders.peek() {
             Some(_) => None,
-            None => self.routing.get(object).and_then(|r| r.list.last_client()),
+            None => routing.get(object).and_then(|r| r.list.last_client()),
         };
         holders.chain(tail.map(|last| (last, LockMode::Exclusive)))
     }
@@ -300,7 +306,10 @@ impl ServerSite {
                 return;
             }
         }
-        let conflicting = self.conflicting(w.object, client, w.mode);
+        let (locks, routing) = (&self.core.locks, &self.routing);
+        let contended = Self::conflicting(locks, routing, w.object, Some(client), w.mode)
+            .next()
+            .is_some();
 
         // Grouped-lock path: requests that arrive while the object is
         // already being chased (an outstanding recall, an open window, or a
@@ -310,10 +319,10 @@ impl ServerSite {
         // A routed object always batches: the server's copy is stale while
         // the chain travels (a chain client may write), so nothing may be
         // granted from it — not even to the chain's own tail, for whom
-        // `conflicting` filters to empty.
+        // the conflicting holders filter to none.
         let forward_eligible = ls
             && (self.routing.contains(w.object)
-                || (!conflicting.is_empty()
+                || (contended
                     && (self.windows.is_open(w.object) || self.callbacks.is_recalling(w.object))));
         if forward_eligible {
             let entry = ForwardEntry {
@@ -329,18 +338,26 @@ impl ServerSite {
             return;
         }
 
-        self.want_plain(cx, txn, client, w, conflicting);
+        self.want_plain(cx, txn, client, w);
     }
 
-    /// The holders whose locks on `object` conflict with `client` wanting
-    /// it in `mode`. A travelling forward list leaves the lock table empty;
+    /// The holders whose locks on `object` conflict with `requester`
+    /// wanting it in `mode` (every holder, for an exclusive want and no
+    /// requester). A travelling forward list leaves the lock table empty;
     /// the chain tail stands in as the holder so a request batches behind
     /// the chain instead of being granted against the in-flight copies.
-    fn conflicting(&self, object: ObjectId, client: ClientId, mode: LockMode) -> Targets {
-        self.or_route_tail(object, self.core.locks.holders(object))
-            .filter(|&(h, m)| h != client && !m.compatible_with(mode))
+    /// It reads two fields, not the site, so a recall can feed it to the
+    /// callback tracker without a list.
+    fn conflicting<'a>(
+        locks: &'a LockTable<ClientId>,
+        routing: &'a ObjectMap<Route>,
+        object: ObjectId,
+        requester: Option<ClientId>,
+        mode: LockMode,
+    ) -> impl Iterator<Item = ClientId> + 'a {
+        Self::or_route_tail(routing, object, locks.holders(object))
+            .filter(move |&(h, m)| requester != Some(h) && !m.compatible_with(mode))
             .map(|(h, _)| h)
-            .collect()
     }
 
     /// The plain (CS-RTDBS) path: queue in the lock table under deadlock
@@ -351,14 +368,15 @@ impl ServerSite {
         txn: TKey,
         client: ClientId,
         w: Want,
-        conflicting: Targets,
     ) {
         // A retransmitted request whose original is still queued must not
         // double-queue in the lock table.
         if self.waiting_wants.contains(w.object, client) {
             return;
         }
-        if self.core.locks.would_deadlock(client, conflicting.iter().copied()) {
+        let (locks, routing) = (&self.core.locks, &self.routing);
+        let conflicting = Self::conflicting(locks, routing, w.object, Some(client), w.mode);
+        if locks.would_deadlock(client, conflicting) {
             self.reject(cx, client, txn, false);
             return;
         }
@@ -382,7 +400,7 @@ impl ServerSite {
                         queued_at: cx.now,
                     },
                 );
-                self.recall(cx, w.object, w.mode, conflicting);
+                self.recall(cx, w.object, w.mode, Some(client));
             }
         }
     }
@@ -411,20 +429,32 @@ impl ServerSite {
         }
     }
 
-    /// Calls back `holders`' cached locks on `object` for a `desired`
-    /// request. A holder already being called back is not asked twice, and
-    /// a lost recall is recovered by the callback lease: the server
-    /// presumes the silent holder dead and reclaims. A holder whose grant
-    /// of `object` is still on the server disk is recalled right after that
-    /// grant goes on the wire, so the recall never overtakes it.
-    fn recall(&mut self, cx: &mut Cx, object: ObjectId, desired: LockMode, holders: Targets) {
-        for t in self.callbacks.begin_at(object, holders, cx.now) {
+    /// Calls back the cached locks on `object` that conflict with
+    /// `requester` wanting it in `desired` (see
+    /// [`conflicting`](Self::conflicting)). A holder already being called
+    /// back is not asked twice, and a lost recall is recovered by the
+    /// callback lease: the server presumes the silent holder dead and
+    /// reclaims. A holder whose grant of `object` is still on the server
+    /// disk is recalled right after that grant goes on the wire, so the
+    /// recall never overtakes it.
+    fn recall(
+        &mut self,
+        cx: &mut Cx,
+        object: ObjectId,
+        desired: LockMode,
+        requester: Option<ClientId>,
+    ) {
+        let mut fresh = std::mem::take(&mut self.fresh_targets);
+        let holders = Self::conflicting(&self.core.locks, &self.routing, object, requester, desired);
+        self.callbacks.begin_at(object, holders, cx.now, &mut fresh);
+        for &t in fresh.iter() {
             if self.on_disk(object, t) {
                 self.held_recalls.push((object, t, desired));
             } else {
                 Self::send_recall(cx, object, t, desired);
             }
         }
+        self.fresh_targets = fresh;
     }
 
     /// True if a grant of `object` to `client` waits on the server disk.
@@ -672,8 +702,7 @@ impl ServerSite {
             return;
         }
         if let Some(next) = self.core.locks.first_waiter(object) {
-            let holders = self.conflicting(object, next.owner, next.mode);
-            self.recall(cx, object, next.mode, holders);
+            self.recall(cx, object, next.mode, Some(next.owner));
         }
     }
 
@@ -759,8 +788,7 @@ impl ServerSite {
             if self.owes(object, e.client) {
                 self.park(e.client, txn, w);
             } else {
-                let conflicting = self.conflicting(object, e.client, mode);
-                self.want_plain(cx, txn, e.client, w, conflicting);
+                self.want_plain(cx, txn, e.client, w);
             }
         }
     }
@@ -803,7 +831,8 @@ impl ServerSite {
                 // later grants. A callback lease makes the loss recoverable
                 // (a dead holder is reclaimed at expiry); until then the
                 // batch keeps collecting.
-                self.callbacks.begin_at(object, [holder], cx.now);
+                self.callbacks
+                    .begin_at(object, [holder], cx.now, &mut self.fresh_targets);
             }
             // A holder remains but plain-path waiters are queued: let the
             // callback complete and collect a little longer.
@@ -815,8 +844,7 @@ impl ServerSite {
             }
             // The shared copies are called back first.
             None => {
-                let holders = self.core.locks.holders(object).map(|(h, _)| h).collect();
-                self.recall(cx, object, LockMode::Exclusive, holders);
+                self.recall(cx, object, LockMode::Exclusive, None);
             }
         }
         Some(run)
@@ -886,24 +914,26 @@ impl ServerSite {
         cx: &mut Cx,
         txn: TKey,
         objects: Vec<ObjectId>,
-        loads: Vec<(ClientId, usize, f64)>,
+        mut loads: Vec<Load>,
     ) {
-        let locations: Vec<(ObjectId, Vec<(ClientId, LockMode)>)> = objects
-            .iter()
-            .map(|&o| {
-                let holders = self.core.locks.holders(o);
-                (o, self.or_route_tail(o, holders).collect())
-            })
-            .collect();
+        let mut locations: Vec<Holding> = cx.take_buf();
+        for &object in &objects {
+            let rows = Self::or_route_tail(&self.routing, object, self.core.locks.holders(object));
+            locations.extend(rows.map(|(holder, mode)| Holding { object, holder, mode }));
+        }
+        cx.recycle_buf(objects);
         let client = TransactionId::from_raw(txn).origin();
         // A lost reply leaves the transaction in AwaitInfo until the
         // deadline sweep reaps it — a miss, never a hang.
         let reply = || Msg::LoadReply {
             txn,
-            locations,
-            loads,
+            locations: std::mem::take(&mut locations),
+            loads: std::mem::take(&mut loads),
         };
         cx.send_to_client(client, MessageKind::LoadReply, 0, reply);
+        // Empty once sent; a lost reply's buffers.
+        cx.recycle_buf(locations);
+        cx.recycle_buf(loads);
     }
 
     // ------------------------------------------------------------------
@@ -1113,9 +1143,8 @@ mod tests {
         });
         let head = ClientId(1);
         s.routing.insert(ObjectId(3), Route { head, list });
-        let holders: Vec<_> = s
-            .or_route_tail(ObjectId(3), std::iter::empty())
-            .collect();
+        let holders: Vec<_> =
+            ServerSite::or_route_tail(&s.routing, ObjectId(3), std::iter::empty()).collect();
         assert_eq!(holders, vec![(ClientId(3), LockMode::Exclusive)]);
     }
 
@@ -1170,7 +1199,7 @@ mod tests {
     fn want(s: &mut ServerSite, cx: &mut Cx, client: u16, object: ObjectId) -> TKey {
         let client = ClientId(client);
         let txn = TransactionId::new(client, 1).as_u64();
-        let mut wants = cx.take_want_buf();
+        let mut wants = cx.take_buf();
         wants.push(Want {
             object,
             mode: LockMode::Exclusive,
@@ -1373,7 +1402,7 @@ mod tests {
         s.core.buffer.insert(x);
         s.core.locks.request(x, a, LockMode::Shared, SimTime::MAX);
         want(&mut s, &mut cx, 1, x);
-        let mut wants = cx.take_want_buf();
+        let mut wants = cx.take_buf();
         let deadline = SimTime::from_secs(40);
         wants.push(Want { object: x, mode: LockMode::Shared, needs_data: true, deadline });
         let txn = TransactionId::new(a, 2).as_u64();

@@ -42,6 +42,11 @@ pub mod report;
 pub mod script;
 mod server_core;
 
+/// The allocation counter the unit tests of the decision path read.
+#[cfg(test)]
+#[path = "../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
 pub use clientserver::{Delivered, Parcel, Simulator};
 /// The [`Simulator`], by the name CE runs have always used.
 pub type CentralizedSim = Simulator;

@@ -58,6 +58,10 @@ type Owing = InlineVec<(ClientId, SimTime), 4>;
 #[derive(Debug, Clone, Default)]
 pub struct CallbackTracker {
     recalls: HashMap<ObjectId, Owing, FixedState>,
+    /// Emptied rows of `recalls` that had spilled to the heap: a completed
+    /// recall hands its row back and the next recall draws on it, so a
+    /// recall of many holders regrows no row.
+    spare_rows: Vec<Owing>,
     sink: EventSink,
 }
 
@@ -88,21 +92,30 @@ impl CallbackTracker {
         holders: impl IntoIterator<Item = ClientId>,
         _desired: LockMode,
     ) -> Targets {
-        self.begin_at(object, holders, SimTime::ZERO)
+        let mut fresh = Targets::new();
+        self.begin_at(object, holders, SimTime::ZERO, &mut fresh);
+        fresh
     }
 
     /// [`begin`](Self::begin) with the issue instant recorded, so unanswered
     /// callbacks can later be found by [`expired`](Self::expired). A holder
     /// already being recalled keeps its original issue time (it is not
-    /// re-messaged, so its lease keeps running).
+    /// re-messaged, so its lease keeps running). `fresh` is cleared and
+    /// left holding the holders to message: a caller that keeps it across
+    /// recalls keeps its spill too.
     pub fn begin_at(
         &mut self,
         object: ObjectId,
         holders: impl IntoIterator<Item = ClientId>,
         now: SimTime,
-    ) -> Targets {
-        let owing = self.recalls.entry(object).or_default();
-        let mut fresh = Targets::new();
+        fresh: &mut Targets,
+    ) {
+        fresh.clear();
+        let spare = &mut self.spare_rows;
+        let owing = self
+            .recalls
+            .entry(object)
+            .or_insert_with(|| spare.pop().unwrap_or_default());
         for h in holders {
             let pos = owing.iter().position(|&(c, _)| c >= h);
             let pos = pos.unwrap_or(owing.len());
@@ -112,14 +125,24 @@ impl CallbackTracker {
             }
         }
         if owing.is_empty() {
-            self.recalls.remove(&object);
+            self.forget(object);
         }
         if !fresh.is_empty() {
             let holders = fresh.len() as u32;
             self.sink
                 .emit(now, SiteId::Server, || Event::CallbackIssued { object, holders });
         }
-        fresh
+    }
+
+    /// Ends the recall of `object`, keeping its row for reuse if it owns
+    /// heap capacity.
+    fn forget(&mut self, object: ObjectId) {
+        if let Some(mut row) = self.recalls.remove(&object) {
+            if row.spilled() {
+                row.clear();
+                self.spare_rows.push(row);
+            }
+        }
     }
 
     /// Restarts the lease of `holder`'s outstanding callback on `object` at
@@ -171,7 +194,7 @@ impl CallbackTracker {
         owing.remove(pos);
         let remaining = owing.len();
         if remaining == 0 {
-            self.recalls.remove(&object);
+            self.forget(object);
             Some(RecallProgress::Complete)
         } else {
             Some(RecallProgress::Pending { remaining })
@@ -203,7 +226,7 @@ mod tests {
     fn a_renewed_callback_expires_one_lease_after_the_renewal() {
         let mut cb = CallbackTracker::new();
         let lease = SimDuration::from_secs(5);
-        cb.begin_at(OBJ, [ClientId(1), ClientId(2)], SimTime::ZERO);
+        cb.begin_at(OBJ, [ClientId(1), ClientId(2)], SimTime::ZERO, &mut Targets::new());
         cb.renew(OBJ, ClientId(2), SimTime::from_secs(3));
         cb.renew(ObjectId(9), ClientId(2), SimTime::from_secs(3));
         assert_eq!(cb.expired(SimTime::from_secs(5), lease), [(OBJ, ClientId(1))]);
@@ -252,6 +275,28 @@ mod tests {
         assert!(cb.outstanding(OBJ).eq([1, 2, 3, 4, 7, 8, 9].map(ClientId)));
     }
 
+    /// A completed recall of more holders than a row keeps inline gives
+    /// its row back, and the next such recall, of another object, draws on
+    /// it; a kept target buffer is cleared and refilled in place.
+    #[test]
+    fn a_completed_recall_hands_its_spilled_row_to_the_next() {
+        let mut cb = CallbackTracker::new();
+        let holders = [1, 2, 3, 4, 5, 6].map(ClientId);
+        let mut fresh = Targets::new();
+        cb.begin_at(OBJ, holders, SimTime::ZERO, &mut fresh);
+        assert!(fresh.spilled() && fresh.len() == 6);
+        for h in holders {
+            cb.acknowledge(OBJ, h);
+        }
+        assert!(!cb.is_recalling(OBJ));
+        assert_eq!(cb.spare_rows.len(), 1);
+        cb.begin_at(ObjectId(9), [ClientId(7)], SimTime::ZERO, &mut fresh);
+        assert_eq!(fresh.to_vec(), [ClientId(7)]);
+        assert!(fresh.spilled(), "the target buffer lost its spill");
+        assert!(cb.spare_rows.is_empty(), "the new recall took the spare row");
+        assert!(cb.recalls[&ObjectId(9)].spilled());
+    }
+
     #[test]
     fn unknown_acks_are_ignored() {
         let mut cb = CallbackTracker::new();
@@ -273,8 +318,9 @@ mod tests {
     fn leases_expire_only_after_the_full_lease() {
         let mut cb = CallbackTracker::new();
         let lease = SimDuration::from_secs(5);
-        cb.begin_at(OBJ, [ClientId(1)], SimTime::from_secs(10));
-        cb.begin_at(ObjectId(9), [ClientId(2)], SimTime::from_secs(12));
+        let fresh = &mut Targets::new();
+        cb.begin_at(OBJ, [ClientId(1)], SimTime::from_secs(10), fresh);
+        cb.begin_at(ObjectId(9), [ClientId(2)], SimTime::from_secs(12), fresh);
 
         assert!(cb.expired(SimTime::from_secs(14), lease).is_empty());
         assert_eq!(
@@ -297,7 +343,7 @@ mod tests {
     #[test]
     fn zero_lease_never_expires() {
         let mut cb = CallbackTracker::new();
-        cb.begin_at(OBJ, [ClientId(1)], SimTime::ZERO);
+        cb.begin_at(OBJ, [ClientId(1)], SimTime::ZERO, &mut Targets::new());
         assert!(cb.expired(SimTime::from_secs(10_000), SimDuration::ZERO).is_empty());
     }
 
@@ -305,9 +351,11 @@ mod tests {
     fn re_recall_keeps_the_original_lease_clock() {
         let mut cb = CallbackTracker::new();
         let lease = SimDuration::from_secs(5);
-        cb.begin_at(OBJ, [ClientId(1)], SimTime::from_secs(0));
+        let mut fresh = Targets::new();
+        cb.begin_at(OBJ, [ClientId(1)], SimTime::from_secs(0), &mut fresh);
+        assert_eq!(fresh.to_vec(), [ClientId(1)]);
         // Re-recalled later: not re-messaged, so the old clock keeps running.
-        let fresh = cb.begin_at(OBJ, [ClientId(1)], SimTime::from_secs(4));
+        cb.begin_at(OBJ, [ClientId(1)], SimTime::from_secs(4), &mut fresh);
         assert!(fresh.is_empty());
         assert_eq!(cb.expired(SimTime::from_secs(5), lease), vec![(OBJ, ClientId(1))]);
     }

@@ -14,7 +14,7 @@
 //! same globally popular objects.
 
 use siteselect_sim::Prng;
-use siteselect_types::{AccessPatternConfig, ClientId, ObjectId};
+use siteselect_types::{AccessPatternConfig, AccessSpec, ClientId, ObjectId};
 
 use crate::dist::Zipf;
 
@@ -103,25 +103,28 @@ impl LocalizedRw {
         }
     }
 
-    /// Draws `k` *distinct* object ids.
+    /// Draws `k` accesses to *distinct* objects, all reads, in draw order:
+    /// a transaction's access list, allocated once at its final size. The
+    /// caller draws the write flags afterwards.
     ///
     /// # Panics
     ///
     /// Panics if `k` exceeds the database size.
-    pub fn sample_distinct(&self, rng: &mut Prng, k: usize) -> Vec<ObjectId> {
+    pub fn sample_accesses(&self, rng: &mut Prng, k: usize) -> Vec<AccessSpec> {
         assert!(
             k as u64 <= u64::from(self.db_size),
             "cannot draw {k} distinct objects from {}",
             self.db_size
         );
-        let mut out: Vec<ObjectId> = Vec::with_capacity(k);
+        let mut out: Vec<AccessSpec> = Vec::with_capacity(k);
+        let drawn = |out: &[AccessSpec], o: ObjectId| out.iter().any(|a| a.object == o);
         // Rejection sampling; k (≈10) is far below the database size so the
         // expected number of extra draws is negligible.
         let mut guard = 0u32;
         while out.len() < k {
             let o = self.sample(rng);
-            if !out.contains(&o) {
-                out.push(o);
+            if !drawn(&out, o) {
+                out.push(AccessSpec::read(o));
             } else {
                 guard += 1;
                 if guard > 10_000 {
@@ -129,8 +132,8 @@ impl LocalizedRw {
                     let mut next = 0u32;
                     while out.len() < k {
                         let cand = ObjectId(next % self.db_size);
-                        if !out.contains(&cand) {
-                            out.push(cand);
+                        if !drawn(&out, cand) {
+                            out.push(AccessSpec::read(cand));
                         }
                         next += 1;
                     }
@@ -248,9 +251,10 @@ mod tests {
     fn distinct_sampling() {
         let p = LocalizedRw::new(ClientId(0), &cfg(), 10_000, 20);
         let mut rng = Prng::seed_from_u64(5);
-        let objs = p.sample_distinct(&mut rng, 10);
-        assert_eq!(objs.len(), 10);
-        let mut dedup = objs.clone();
+        let accesses = p.sample_accesses(&mut rng, 10);
+        assert_eq!((accesses.len(), accesses.capacity()), (10, 10));
+        assert!(accesses.iter().all(|a| !a.write));
+        let mut dedup: Vec<ObjectId> = accesses.iter().map(|a| a.object).collect();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 10);
@@ -262,8 +266,8 @@ mod tests {
         c.hot_region_objects = 4;
         let p = LocalizedRw::new(ClientId(0), &c, 5, 1);
         let mut rng = Prng::seed_from_u64(6);
-        let objs = p.sample_distinct(&mut rng, 5);
-        assert_eq!(objs.len(), 5);
+        let accesses = p.sample_accesses(&mut rng, 5);
+        assert_eq!(accesses.len(), 5);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use siteselect_sim::Prng;
 use siteselect_types::{
-    AccessSpec, ClientId, DeadlinePolicy, SimDuration, SimTime, TransactionSpec, WorkloadConfig,
+    ClientId, DeadlinePolicy, SimDuration, SimTime, TransactionSpec, WorkloadConfig,
 };
 
 use crate::access::LocalizedRw;
@@ -94,14 +94,11 @@ impl TransactionGenerator {
             DeadlinePolicy::ProportionalSlack { factor } => arrival + length.mul_f64(factor),
         };
         let k = self.sample_object_count();
-        let objects = self.pattern.sample_distinct(&mut self.rng, k);
-        let accesses = objects
-            .into_iter()
-            .map(|object| AccessSpec {
-                object,
-                write: self.rng.bernoulli(self.cfg.update_fraction),
-            })
-            .collect();
+        // Every object is drawn before any write flag, in this order.
+        let mut accesses = self.pattern.sample_accesses(&mut self.rng, k);
+        for access in &mut accesses {
+            access.write = self.rng.bernoulli(self.cfg.update_fraction);
+        }
         let decomposable = self.rng.bernoulli(self.cfg.decomposable_fraction);
         let id = siteselect_types::TransactionId::new(self.client, self.seq);
         self.seq += 1;
