@@ -6,9 +6,9 @@
 //! ```
 //!
 //! One target per invocation (default `all`). `--help` prints the targets
-//! and the flags of [`FLAGS`]; a flag outside that table, a second target,
-//! or a value flag without its value is a usage error, not something to
-//! skip over. Every sweep is a list of cells that
+//! and the flags of [`FLAGS`]; a flag outside that table, a flag given
+//! twice, a second target, or a value flag without its value is a usage
+//! error, not something to skip over. Every sweep is a list of cells that
 //! `siteselect_core::experiments::run_many` fans out over `--jobs` workers
 //! and merges in cell order, so output is byte-identical at every job
 //! count. `faults`, `trace`, `blame` and `check` are described on the
@@ -71,10 +71,12 @@ fn usage() -> String {
 }
 
 /// Checks the command line against [`FLAGS`] and returns its one target
-/// (`all` when none is named). An unknown flag, a value flag without its
-/// value, or a second target is an error that names the offender.
+/// (`all` when none is named). An unknown flag, a repeated flag, a value
+/// flag without its value, or a second target is an error that names the
+/// offender.
 fn parse_target(args: &[String]) -> Result<&str, String> {
     let mut target = None;
+    let mut seen = Vec::new();
     let mut rest = args.iter().map(String::as_str);
     while let Some(arg) = rest.next() {
         if !arg.starts_with("--") {
@@ -86,6 +88,10 @@ fn parse_target(args: &[String]) -> Result<&str, String> {
         let Some(&(_, value, _)) = FLAGS.iter().find(|(name, ..)| *name == arg) else {
             return Err(format!("unknown flag: {arg}"));
         };
+        if seen.contains(&arg) {
+            return Err(format!("{arg} given more than once"));
+        }
+        seen.push(arg);
         if !value.is_empty() && rest.next().is_none_or(|value| value.starts_with("--")) {
             return Err(format!("{arg} needs a value"));
         }
@@ -94,7 +100,7 @@ fn parse_target(args: &[String]) -> Result<&str, String> {
 }
 
 /// Returns the value following `flag`, if present ([`parse_target`] has
-/// already established that a present value flag has one).
+/// already established that a present value flag has one, once).
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == flag)
@@ -664,5 +670,55 @@ mod tests {
                 assert_eq!(replayed.config(), case.config(), "{cmd}");
             }
         }
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn a_repeated_flag_is_refused() {
+        for line in [
+            "check --seeds 3 --seeds 0",
+            "check --clients 4 --clients 0",
+            "all --quick --quick",
+        ] {
+            let flag = line.split_whitespace().nth(1).unwrap_or_default();
+            let err = parse_target(&argv(line)).expect_err(line);
+            assert_eq!(err, format!("{flag} given more than once"), "{line}");
+        }
+    }
+
+    /// Random command lines of known flags, targets and hostile values:
+    /// both parsers answer each with `Ok` or `Err`, and never panic.
+    #[test]
+    fn random_command_lines_are_answered_without_a_panic() {
+        const VALUES: [&str; 16] = [
+            "", "0", "1", "-1", "0x", "0xzz", "0xffffffffffffffff", "18446744073709551616",
+            "65536", "1e309", "NaN", "-0", "inf", "ls", "\u{0}", "héllo",
+        ];
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut ok, mut refused) = (0, 0);
+        for _ in 0..20_000 {
+            let args: Vec<String> = (0..next(9))
+                .map(|_| match next(3) {
+                    0 => FLAGS[next(FLAGS.len())].0,
+                    1 => TARGETS.split_whitespace().nth(next(16)).unwrap_or("--bogus"),
+                    _ => VALUES[next(VALUES.len())],
+                })
+                .map(String::from)
+                .collect();
+            match parse_target(&args).and_then(|_| parse_flags(&args)) {
+                Ok(_) => ok += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(ok > 0 && refused > 0, "{ok} accepted, {refused} refused");
     }
 }

@@ -325,6 +325,27 @@ mod tests {
         );
     }
 
+    /// The sites' load-sharing counters add up to what the merged trace
+    /// records, and every site's sends are counted.
+    #[test]
+    fn a_threaded_ls_run_adds_up_its_sites_counters() {
+        let report = judged(config(SystemKind::LoadSharing));
+        let records = &report.trace.records;
+        let subtasks: u64 = records
+            .iter()
+            .filter_map(|r| match r.event {
+                siteselect_obs::Event::Decomposed { subtasks, .. } => Some(u64::from(subtasks)),
+                _ => None,
+            })
+            .sum();
+        let ls = report.metrics.load_sharing;
+        assert_eq!(ls.decomposed, report.trace.report.kind_count("decomposed"), "{report}");
+        assert_eq!(ls.subtasks, subtasks, "{report}");
+        assert!(ls.decomposed > 0, "{report}");
+        let [(_, requests), ..] = report.metrics.messages.table4_rows();
+        assert!(requests > 0, "no client's sends counted: {report}");
+    }
+
     #[test]
     fn hostile_configs_are_refused_before_any_thread_starts() {
         let refused = |edit: &dyn Fn(&mut ClusterConfig), field: &str| {

@@ -231,7 +231,7 @@ impl Cluster {
         let mut traces = Vec::with_capacity(parts.len());
         let mut most_spare_buffers = 0;
         for (trace, site_metrics, spare_buffers) in parts {
-            metrics.add_outcomes(&site_metrics);
+            metrics.add_site(&site_metrics);
             traces.push(trace);
             most_spare_buffers = most_spare_buffers.max(spare_buffers);
         }

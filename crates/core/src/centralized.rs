@@ -200,13 +200,13 @@ impl CentralizedServer {
                         exclusive,
                     });
                 }
-                Acquire::Blocked { conflicts } => {
+                Acquire::Blocked { behind } => {
                     cx.sink.emit(cx.now, SiteId::Server, || Event::LockWait {
                         txn: id,
                         object,
                     });
                     if txn.blocked_on.is_none() {
-                        txn.blocked_on = conflicts.first().copied().map(TransactionId::from_raw);
+                        txn.blocked_on = Some(TransactionId::from_raw(behind));
                     }
                     txn.blocked.push(object);
                 }

@@ -230,7 +230,7 @@ pub(crate) struct ClientSite {
     /// lock waits, keyed `(txn, object)` so a unit's waits are one
     /// ascending range. Populated only while a sink is attached — pure
     /// observer, never read by simulation logic.
-    lock_wait_from: BTreeMap<(TKey, ObjectId), (SimTime, Option<TKey>)>,
+    lock_wait_from: BTreeMap<(TKey, ObjectId), (SimTime, TKey)>,
     /// H2's scratch: the candidate sites of the last choice with their
     /// conflicting-lock scores, in evaluation order.
     h2_scored: Vec<(ClientId, usize)>,
@@ -589,8 +589,7 @@ impl ClientSite {
             Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
                 self.lock_granted(cx, key, object, mode, promote);
             }
-            Acquire::Blocked { conflicts } => {
-                let blocker = conflicts.first().copied();
+            Acquire::Blocked { behind } => {
                 if let Some(run) = self.txns.get_mut(&key) {
                     run.needed.insert(object, mode, Need::LocalWait);
                     let (txn, origin) = (run.spec.id, run.spec.origin);
@@ -601,7 +600,7 @@ impl ClientSite {
                 // Trace-only wait-start bookkeeping for the lock-wait span
                 // emitted when the wait resolves (pure observer).
                 if cx.sink.is_enabled() {
-                    self.lock_wait_from.insert((key, object), (cx.now, blocker));
+                    self.lock_wait_from.insert((key, object), (cx.now, behind));
                 }
             }
         }
@@ -1458,15 +1457,10 @@ impl ClientSite {
     }
 
     /// Emits the lock-wait span of `key` at client `id` that started at
-    /// `started`, behind `blocker` if known.
-    fn lock_wait_span(
-        cx: &Cx,
-        id: ClientId,
-        key: TKey,
-        (started, blocker): (SimTime, Option<TKey>),
-    ) {
+    /// `started`, behind `blocker`.
+    fn lock_wait_span(cx: &Cx, id: ClientId, key: TKey, (started, blocker): (SimTime, TKey)) {
         let (site, unit) = (SiteId::Client(id), TransactionId::from_raw(key));
-        let blocker = blocker.map(TransactionId::from_raw);
+        let blocker = Some(TransactionId::from_raw(blocker));
         cx.sink
             .span(cx.now, site, unit, SpanKind::LockWait, started, blocker);
     }

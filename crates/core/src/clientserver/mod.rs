@@ -1052,7 +1052,9 @@ impl Simulator {
         let span = cx.now.duration_since(SimTime::ZERO).as_secs_f64().max(1e-9);
         match self.server {
             ServerKind::Centralized(server) => server.finalize(&mut cx, span),
-            ServerKind::Remote => {}
+            // A one-site terminal or client reports what it sent, for the
+            // threaded cluster to add up with the server's.
+            ServerKind::Remote => cx.metrics.messages = cx.fabric.stats().clone(),
             ServerKind::ClientServer(server) => {
                 debug_assert_eq!(server.core.locks.check_invariants(), Ok(()));
                 let busy: f64 = clients

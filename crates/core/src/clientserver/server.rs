@@ -28,9 +28,7 @@ use crate::server_core::ServerCore;
 /// Info the server tracks for a lock-table-queued want.
 #[derive(Debug, Clone, Copy)]
 struct WantInfo {
-    mode: LockMode,
-    needs_data: bool,
-    deadline: SimTime,
+    want: Want,
     /// The requesting transaction (for rejection notices).
     txn: TKey,
     /// When the want entered the server's lock queue (start of the
@@ -38,7 +36,10 @@ struct WantInfo {
     queued_at: SimTime,
 }
 
-/// The server's index of lock-table-queued wants, keyed `(object, client)`.
+/// The server's index of lock-table-queued wants, keyed `(object, client)`:
+/// an entry exactly while the lock table holds the client's request on the
+/// object, so whatever takes the request out of the table takes the entry
+/// too.
 ///
 /// Stored as one small vector per client: a client has at most a handful of
 /// requests queued at once, so a linear scan beats hashing the composite
@@ -389,17 +390,8 @@ impl ServerSite {
                 self.ship(cx, txn, client, (w.object, w.mode, w.needs_data));
             }
             Acquire::Blocked { .. } => {
-                self.waiting_wants.insert(
-                    w.object,
-                    client,
-                    WantInfo {
-                        mode: w.mode,
-                        needs_data: w.needs_data,
-                        deadline: w.deadline,
-                        txn,
-                        queued_at: cx.now,
-                    },
-                );
+                let info = WantInfo { want: w, txn, queued_at: cx.now };
+                self.waiting_wants.insert(w.object, client, info);
                 self.recall(cx, w.object, w.mode, Some(client));
             }
         }
@@ -602,7 +594,7 @@ impl ServerSite {
         let grants = if downgraded {
             self.core.locks.downgrade(object, from)
         } else {
-            self.core.locks.release(object, from)
+            self.release_answered(object, from)
         };
         self.apply_grants(cx, object, grants);
         self.unpark(cx, object, from);
@@ -622,7 +614,7 @@ impl ServerSite {
         cx.sink.emit(cx.now, SiteId::Server, || {
             siteselect_obs::Event::CallbackAcked { object, from }
         });
-        let grants = self.core.locks.release(object, from);
+        let grants = self.release_answered(object, from);
         self.apply_grants(cx, object, grants);
         if !had_copy {
             // The recalled holder could not serve the forward list that
@@ -632,6 +624,18 @@ impl ServerSite {
             }
         }
         self.unpark(cx, object, from);
+    }
+
+    /// Releases `client`'s lock on `object` on its answer. The release also
+    /// takes a request the client still has queued on the object out of the
+    /// lock table, so its want is parked, to be handled again (as
+    /// [`unpark`](Self::unpark) handles it) once the answer is in.
+    fn release_answered(&mut self, object: ObjectId, client: ClientId) -> Grants<ClientId> {
+        let grants = self.core.locks.release(object, client);
+        if let Some(info) = self.waiting_wants.remove(object, client) {
+            self.park(client, info.txn, info.want);
+        }
+        grants
     }
 
     /// True if `from`'s answer on `object`, sent at `sent_at`, answers a
@@ -674,7 +678,8 @@ impl ServerSite {
                 self.apply_grants(cx, object, grants);
                 continue;
             };
-            if cx.ls && cx.cfg.load_sharing.request_scheduling_enabled && info.deadline < cx.now {
+            let Want { mode, needs_data, deadline, .. } = info.want;
+            if cx.ls && cx.cfg.load_sharing.request_scheduling_enabled && deadline < cx.now {
                 // §3.3: do not ship to a transaction that already missed.
                 let grants = self.undo_grant(object, client, w.upgrade);
                 self.reject(cx, client, info.txn, true);
@@ -683,9 +688,7 @@ impl ServerSite {
             }
             if self.owes(object, client) {
                 let grants = self.undo_grant(object, client, w.upgrade);
-                let (mode, needs_data, deadline) = (info.mode, info.needs_data, info.deadline);
-                let want = Want { object, mode, needs_data, deadline };
-                self.park(client, info.txn, want);
+                self.park(client, info.txn, info.want);
                 self.apply_grants(cx, object, grants);
                 continue;
             }
@@ -695,7 +698,7 @@ impl ServerSite {
             let lock_wait = siteselect_obs::SpanKind::LockWait;
             cx.sink
                 .span(cx.now, SiteId::Server, txn, lock_wait, info.queued_at, None);
-            self.ship(cx, info.txn, client, (object, info.mode, info.needs_data));
+            self.ship(cx, info.txn, client, (object, mode, needs_data));
             shipped = true;
         }
         if !shipped {
@@ -857,31 +860,10 @@ impl ServerSite {
         };
         self.core.buffer.insert(object);
         if list.is_empty() {
-            // Single live entry: an ordinary tracked grant.
-            match self
-                .core
-                .locks
-                .request(object, entry.client, entry.mode, entry.deadline)
-            {
-                Acquire::Granted | Acquire::AlreadyHeld | Acquire::Upgraded => {
-                    self.ship(cx, entry.txn.as_u64(), entry.client, (object, entry.mode, true));
-                }
-                Acquire::Blocked { .. } => {
-                    // Another client claimed the object in the meantime:
-                    // fall back to the plain path.
-                    self.waiting_wants.insert(
-                        object,
-                        entry.client,
-                        WantInfo {
-                            mode: entry.mode,
-                            needs_data: true,
-                            deadline: entry.deadline,
-                            txn: entry.txn.as_u64(),
-                            queued_at: cx.now,
-                        },
-                    );
-                }
-            }
+            // Single live entry: an ordinary grant down the plain path.
+            let (mode, deadline) = (entry.mode, entry.deadline);
+            let w = Want { object, mode, needs_data: true, deadline };
+            self.want_plain(cx, entry.txn.as_u64(), entry.client, w);
             return;
         }
         // A real chain: route it untracked; the last client returns the
@@ -971,9 +953,10 @@ impl ServerSite {
             .retain(|&(_, _, at)| now.duration_since(at) < lease);
     }
 
-    /// Takes `holder`'s lock on `object` back without its answer; returns
-    /// the waiters that unblocks, to be granted from the server's own copy
-    /// once the holder's cached copy is fenced.
+    /// Takes `holder`'s lock on `object` back without its answer, with any
+    /// request it has queued there; returns the waiters that unblocks, to
+    /// be granted from the server's own copy once the holder's cached copy
+    /// is fenced.
     pub(crate) fn reclaim(
         &mut self,
         cx: &mut Cx,
@@ -986,6 +969,7 @@ impl ServerSite {
         });
         self.callbacks.acknowledge(object, holder);
         self.fence(object, holder, cx.now);
+        self.waiting_wants.remove(object, holder);
         self.core.locks.release(object, holder)
     }
 
@@ -1318,6 +1302,42 @@ mod tests {
             ),
             "{sent:?}"
         );
+    }
+
+    /// A and B (clients 0, 1) read `x`; A asks to write it, and B is
+    /// recalled. C (client 2) then asks to write it, and A is recalled.
+    /// A's answer releases its read lock, and with it its queued upgrade:
+    /// the request must be queued again, not lost.
+    #[test]
+    fn an_answer_that_drops_the_answerers_own_request_queues_it_again() {
+        let (mut s, mut cx) = site(SystemKind::ClientServer);
+        let x = ObjectId(1);
+        let (a, b, c) = (ClientId(0), ClientId(1), ClientId(2));
+        s.core.buffer.insert(x);
+        for reader in [a, b] {
+            s.core.locks.request(x, reader, LockMode::Shared, SimTime::MAX);
+        }
+        want(&mut s, &mut cx, 0, x);
+        want(&mut s, &mut cx, 2, x);
+        assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(1, "recall"), (0, "recall")]);
+        let queued = |s: &ServerSite, who| s.core.locks.waiters(x).iter().any(|w| w.owner == who);
+        let ack = |s: &mut ServerSite, cx: &mut Cx, from| {
+            let (object, had_copy, sent_at) = (x, true, cx.now);
+            s.on_msg(cx, Msg::CallbackAck { object, from, had_copy, sent_at });
+        };
+        ack(&mut s, &mut cx, a);
+        assert!(queued(&s, a) && s.waiting_wants.contains(x, a));
+        // A retransmission of A's request finds it queued.
+        want(&mut s, &mut cx, 0, x);
+        assert_eq!(s.core.locks.waiters(x).iter().filter(|w| w.owner == a).count(), 1);
+        // B's answer grants C, who is recalled for A; C's return grants A.
+        ack(&mut s, &mut cx, b);
+        assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(2, "grant"), (2, "recall")]);
+        let (object, from, downgraded, sent_at) = (x, c, false, cx.now);
+        s.on_msg(&mut cx, Msg::ObjectReturn { object, from, downgraded, sent_at });
+        assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(0, "grant")]);
+        assert_eq!(s.core.locks.held_mode(x, a), Some(LockMode::Exclusive));
+        assert!(!s.waiting_wants.contains(x, a));
     }
 
     #[test]

@@ -238,9 +238,15 @@ impl RunMetrics {
         in_time
     }
 
-    /// Adds the outcomes another site scored into these: how the metrics
-    /// of one-site simulators of one run combine.
-    pub fn add_outcomes(&mut self, other: &RunMetrics) {
+    /// Adds what another site of the same run counted into these: how the
+    /// metrics of one-site simulators of one run combine. Outcomes, cache
+    /// and response figures, messages (each site counts what it sent),
+    /// load-sharing counters, latency, blocking and the server buffer are
+    /// each counted at one site and add up. Two stay as they are: `faults`,
+    /// since a one-site simulator runs without injected faults, and the CPU
+    /// utilizations, each a share of one site's own span that a sum cannot
+    /// combine.
+    pub fn add_site(&mut self, other: &RunMetrics) {
         let (f, o) = (&mut self.failures, &other.failures);
         self.measured += other.measured;
         self.in_time += other.in_time;
@@ -250,6 +256,23 @@ impl RunMetrics {
         f.late += o.late;
         f.shutdown += o.shutdown;
         f.site_crash += o.site_crash;
+        let (c, o) = (&mut self.cache, &other.cache);
+        c.memory_hits += o.memory_hits;
+        c.disk_hits += o.disk_hits;
+        c.misses += o.misses;
+        self.response.shared.merge(&other.response.shared);
+        self.response.exclusive.merge(&other.response.exclusive);
+        self.messages.merge(&other.messages);
+        let (l, o) = (&mut self.load_sharing, &other.load_sharing);
+        l.shipped += o.shipped;
+        l.decomposed += o.decomposed;
+        l.subtasks += o.subtasks;
+        l.forward_satisfied += o.forward_satisfied;
+        l.windows_opened += o.windows_opened;
+        l.h1_rejections += o.h1_rejections;
+        self.latency.merge(&other.latency);
+        self.blocking.merge(&other.blocking);
+        self.server_buffer.merge(other.server_buffer);
     }
 
     /// Internal consistency: outcomes must cover every measured

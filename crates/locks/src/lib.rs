@@ -36,10 +36,10 @@
 //!     Acquire::Granted
 //! ));
 //! // B conflicts and must wait behind A.
-//! assert!(matches!(
+//! assert_eq!(
 //!     table.request(obj, b, LockMode::Shared, SimTime::from_secs(5)),
-//!     Acquire::Blocked { .. }
-//! ));
+//!     Acquire::Blocked { behind: a }
+//! );
 //! let granted = table.release(obj, a);
 //! assert_eq!(granted.len(), 1);
 //! assert_eq!(granted.first().map(|w| w.owner), Some(b));
@@ -57,6 +57,6 @@ pub mod window;
 
 pub use callback::{CallbackTracker, RecallProgress, Targets};
 pub use forward::{ForwardEntry, ForwardList};
-pub use table::{Acquire, Conflicts, Grants, LockTable, QueueDiscipline, Waiter};
+pub use table::{Acquire, Grants, LockTable, QueueDiscipline, Waiter};
 pub use waitfor::WaitForGraph;
 pub use window::{WindowManager, WindowOffer};

@@ -4,10 +4,11 @@
 //! [`crate::table::LockTable`], in both its layouts (the server's dense
 //! slab and a client's compact map), must be behaviorally
 //! indistinguishable from this implementation — identical grant orders,
-//! blocked-conflict reports and observable state for every operation
-//! sequence. The property test at the bottom of this module drives both
-//! tables with long random acquire/release/upgrade/downgrade/cancel
-//! sequences, on each layout, and asserts they never diverge.
+//! observable state and, for a blocked request, the first owner of the
+//! reference's conflict report, for every operation sequence. The
+//! property test at the bottom of this module drives both tables with
+//! long random acquire/release/upgrade/downgrade/cancel sequences, on
+//! each layout, and asserts they never diverge.
 
 use std::collections::HashMap;
 
@@ -15,8 +16,9 @@ use siteselect_types::{LockMode, ObjectId, SimTime};
 
 use crate::table::{LockOwner, QueueDiscipline};
 
-/// [`crate::table::Acquire`] as the reference reports it: the conflict list
-/// is the plain `Vec` the original returned.
+/// [`crate::table::Acquire`] as the reference reports it: the original
+/// returned every conflicting holder (or every waiter ahead) in a `Vec`,
+/// of which the table names the first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RefAcquire<O> {
     Granted,
@@ -402,16 +404,17 @@ mod property_tests {
             .collect()
     }
 
-    /// The table's answer with its inline conflict list spelled out
-    /// as the reference's `Vec`, element for element and in order.
-    fn as_ref_acquire(a: Acquire<ClientId>) -> RefAcquire<ClientId> {
-        match a {
-            Acquire::Granted => RefAcquire::Granted,
-            Acquire::AlreadyHeld => RefAcquire::AlreadyHeld,
-            Acquire::Upgraded => RefAcquire::Upgraded,
-            Acquire::Blocked { conflicts } => RefAcquire::Blocked {
-                conflicts: conflicts.into_iter().collect(),
-            },
+    /// True if the table's answer is the reference's: a blocked request
+    /// names the first owner of the reference's conflict list.
+    fn same_acquire(a: &Acquire<ClientId>, b: &RefAcquire<ClientId>) -> bool {
+        match (a, b) {
+            (Acquire::Blocked { behind }, RefAcquire::Blocked { conflicts }) => {
+                conflicts.first() == Some(behind)
+            }
+            (Acquire::Granted, RefAcquire::Granted)
+            | (Acquire::AlreadyHeld, RefAcquire::AlreadyHeld)
+            | (Acquire::Upgraded, RefAcquire::Upgraded) => true,
+            _ => false,
         }
     }
 
@@ -594,7 +597,8 @@ mod property_tests {
                 for obj in (HOT..objects).map(|i| table.id(i)) {
                     let a = lt.request(obj, hoarder, LockMode::Shared, SimTime::from_secs(100));
                     let b = oracle.request(obj, hoarder, LockMode::Shared, SimTime::from_secs(100));
-                    assert_eq!(as_ref_acquire(a), b, "hoarding {obj} diverges at step {step}");
+                    let same = same_acquire(&a, &b);
+                    assert!(same, "hoarding {obj} diverges at step {step}: {a:?} {b:?}");
                 }
                 let hoard = lt.locks_of(hoarder).len() as u32;
                 assert!(hoard > (objects - HOT) / 2 && (step > 0 || hoard == objects - HOT));
@@ -612,7 +616,8 @@ mod property_tests {
                 0..=3 => {
                     let a = lt.request(obj, owner, mode, deadline);
                     let b = oracle.request(obj, owner, mode, deadline);
-                    assert_eq!(as_ref_acquire(a), b, "request result diverges at step {step}");
+                    let same = same_acquire(&a, &b);
+                    assert!(same, "request result diverges at step {step}: {a:?} {b:?}");
                 }
                 4..=5 => {
                     let a = grants_new(obj, &lt.release(obj, owner));

@@ -71,16 +71,15 @@ pub enum Acquire<O> {
     AlreadyHeld,
     /// A held shared lock was upgraded to exclusive immediately.
     Upgraded,
-    /// The request conflicts and was queued behind the listed holders.
+    /// The request conflicts and was queued.
     Blocked {
-        /// Current holders whose locks conflict with the request.
-        conflicts: Conflicts<O>,
+        /// The first holder in grant order whose lock conflicts with the
+        /// request, or, when none does, the request queued first ahead of
+        /// it.
+        behind: O,
     },
 }
 
-/// The owners a blocked request waits behind: almost always one exclusive
-/// holder or a couple of readers, so the list lives inline.
-pub type Conflicts<O> = InlineVec<O, 4>;
 /// The waiters one release, downgrade or cancellation granted, in grant
 /// order: one writer or a short run of readers.
 pub type Grants<O> = InlineVec<Waiter<O>, 2>;
@@ -559,7 +558,8 @@ impl<O: LockOwner> LockTable<O> {
         // from the pool: inside a pre-seeded table it costs no allocation.
         let entry = self.objects.get_or_insert(object, &mut self.free);
 
-        if let Some(held) = entry.holder_mode(owner) {
+        let holds = entry.holder_mode(owner);
+        if let Some(held) = holds {
             if held.covers(mode) {
                 return Acquire::AlreadyHeld;
             }
@@ -568,36 +568,17 @@ impl<O: LockOwner> LockTable<O> {
                 entry.set_mode(owner, LockMode::Exclusive);
                 return Acquire::Upgraded;
             }
-            let others: Conflicts<O> = entry
-                .holders
-                .iter()
-                .filter(|h| h.owner != owner)
-                .map(|h| h.owner)
-                .collect();
-            let waiter = Waiter {
-                owner,
-                mode,
-                deadline,
-                upgrade: false,
-                seq,
-            };
-            // Upgrades go to the front of their discipline class so the
-            // upgrading holder cannot deadlock behind newcomers it blocks.
-            Self::insert_waiter(&mut entry.waiters, waiter, discipline, true);
-            self.waits_of.entry(owner).or_default().push(object);
-            return Acquire::Blocked { conflicts: others };
-        }
-
-        if !entry.has_conflict(owner, mode) && entry.waiters.is_empty() {
+        } else if !entry.has_conflict(owner, mode) && entry.waiters.is_empty() {
             let index = (&mut self.held_by, &mut self.spare_rows);
             Self::hold(index, entry, object, owner, mode);
             return Acquire::Granted;
         }
-        let mut blockers: Conflicts<O> = entry.conflicts_with(owner, mode).collect();
-        if blockers.is_empty() {
-            // Blocked behind queued waiters rather than holders.
-            blockers.extend(entry.waiters.iter().map(|w| w.owner));
-        }
+        // An upgrade is blocked by another holder, every one of whom
+        // conflicts with it; a newcomer by a holder or a queued request.
+        let ahead = entry.waiters.iter().map(|w| w.owner);
+        let Some(behind) = entry.conflicts_with(owner, mode).chain(ahead).next() else {
+            unreachable!("a request that is not granted is blocked by someone");
+        };
         let waiter = Waiter {
             owner,
             mode,
@@ -605,9 +586,11 @@ impl<O: LockOwner> LockTable<O> {
             upgrade: false,
             seq,
         };
-        Self::insert_waiter(&mut entry.waiters, waiter, discipline, false);
+        // Upgrades go to the front of their discipline class so the
+        // upgrading holder cannot deadlock behind newcomers it blocks.
+        Self::insert_waiter(&mut entry.waiters, waiter, discipline, holds.is_some());
         self.waits_of.entry(owner).or_default().push(object);
-        Acquire::Blocked { conflicts: blockers }
+        Acquire::Blocked { behind }
     }
 
     fn insert_waiter(
@@ -816,7 +799,8 @@ impl<O: LockOwner> LockTable<O> {
     }
 
     /// Holders whose locks conflict with a hypothetical request, in grant
-    /// order — the input to the paper's H2 site-selection heuristic.
+    /// order: the holders a caller hands [`would_deadlock`](Self::would_deadlock)
+    /// before it queues the request (CE's and a client's deadlock checks).
     pub fn conflicting_holders(
         &self,
         object: ObjectId,
@@ -1038,7 +1022,7 @@ mod tests {
         let mut lt = table();
         assert!(lt.request(OBJ, A, Exclusive, t(10)).is_granted());
         let r = lt.request(OBJ, B, Shared, t(10));
-        assert_eq!(r, Acquire::Blocked { conflicts: [A].into_iter().collect() });
+        assert_eq!(r, Acquire::Blocked { behind: A });
         let r = lt.request(OBJ, C, Exclusive, t(10));
         assert!(matches!(r, Acquire::Blocked { .. }));
         lt.check_invariants().unwrap();
@@ -1066,7 +1050,7 @@ mod tests {
         lt.request(OBJ, A, Shared, t(10));
         lt.request(OBJ, B, Shared, t(10));
         let r = lt.request(OBJ, A, Exclusive, t(10));
-        assert_eq!(r, Acquire::Blocked { conflicts: [B].into_iter().collect() });
+        assert_eq!(r, Acquire::Blocked { behind: B });
         let granted = lt.release(OBJ, B);
         assert_eq!(granted.len(), 1);
         assert_eq!(granted.get_copy(0).owner, A);

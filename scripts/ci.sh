@@ -197,8 +197,8 @@ expect_violation() {
     || { cat "$tmp/inject.err"; die "no file:line diagnostic or replay command for $1"; }
 }
 
-# The 8-client matrix, 240 cases at 30 clients and 24 at 60 (each once
-# found a fault-path race), two paper-scale runs whose callback races once
+# The 8-client matrix, 240 cases at 30 clients, 24 at 60 and 24 at the
+# paper's 100 (each once found a fault-path race), two paper-scale runs whose callback races once
 # failed an oracle (CS 50 clients seed 3, LS 100 clients seed 1; `repro
 # trace` exits non-zero on any violation), and the restart-path race,
 # closed and pinned as an ignored witness.
@@ -207,6 +207,7 @@ step_simcheck() {
   repro check --seeds 72
   repro check --clients 30 --seeds 240
   repro check --clients 60 --seeds 24
+  repro check --clients 100 --seeds 24
   repro trace --system cs --clients 50 --seed 3 --out "$tmp/cs50" > /dev/null
   repro trace --system ls --clients 100 --seed 1 --out "$tmp/ls100" > /dev/null
   repro check --seeds 18 --jobs 1 > "$tmp/sc.j1"
