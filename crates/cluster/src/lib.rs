@@ -230,6 +230,7 @@ impl std::fmt::Display for ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use siteselect_core::Simulator;
     use siteselect_types::{FaultConfig, SimTime};
 
     /// `system` at 8 clients for 100 simulated seconds.
@@ -344,6 +345,28 @@ mod tests {
         assert!(ls.decomposed > 0, "{report}");
         let [(_, requests), ..] = report.metrics.messages.table4_rows();
         assert!(requests > 0, "no client's sends counted: {report}");
+    }
+
+    /// A threaded run reads a CPU utilization in `(0, 1]` wherever the
+    /// one-thread simulator of the same run reads one, and 0 elsewhere.
+    #[test]
+    fn a_threaded_run_reports_the_cpu_utilizations_the_simulator_does() {
+        for system in SYSTEMS {
+            let cfg = config(system);
+            let alone = Simulator::new(cfg.experiment.clone()).run();
+            let report = judged(cfg);
+            let pairs = [
+                ("client", alone.client_cpu_utilization, report.metrics.client_cpu_utilization),
+                ("server", alone.server_cpu_utilization, report.metrics.server_cpu_utilization),
+            ];
+            for (cpu, alone, threaded) in pairs {
+                if alone > 0.0 {
+                    assert!(threaded > 0.0 && threaded <= 1.0, "{system} {cpu}: {threaded}");
+                } else {
+                    assert_eq!(threaded, 0.0, "{system} {cpu}");
+                }
+            }
+        }
     }
 
     #[test]

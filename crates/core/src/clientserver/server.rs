@@ -10,6 +10,8 @@
 //! revalidate cached locks) and the one thing it reads from all of them
 //! (the load table) go through the driver.
 
+use std::collections::HashMap;
+
 use siteselect_locks::{
     Acquire, CallbackTracker, ForwardEntry, ForwardList, Grants, LockTable, QueueDiscipline,
     Targets, WindowManager, WindowOffer,
@@ -18,15 +20,15 @@ use siteselect_net::MessageKind;
 use siteselect_obs::EventSink;
 use siteselect_sim::Prng;
 use siteselect_types::{
-    ClientId, ExperimentConfig, LockMode, ObjectId, ObjectMap, SimDuration, SimTime, SiteId,
-    TransactionId,
+    ClientId, ExperimentConfig, FixedState, InlineVec, LockMode, ObjectId, ObjectMap, SimDuration,
+    SimTime, SiteId, TransactionId,
 };
 
 use super::{Cx, Ev, GrantItem, Holding, Load, Msg, TKey, Want};
 use crate::server_core::ServerCore;
 
 /// Info the server tracks for a lock-table-queued want.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct WantInfo {
     want: Want,
     /// The requesting transaction (for rejection notices).
@@ -36,49 +38,35 @@ struct WantInfo {
     queued_at: SimTime,
 }
 
-/// The server's index of lock-table-queued wants, keyed `(object, client)`:
-/// an entry exactly while the lock table holds the client's request on the
-/// object, so whatever takes the request out of the table takes the entry
-/// too.
-///
-/// Stored as one small vector per client: a client has at most a handful of
-/// requests queued at once, so a linear scan beats hashing the composite
-/// key.
-struct WaitingWants {
-    per_client: Vec<Vec<(ObjectId, WantInfo)>>,
+/// Everything the server knows about one client on one object besides
+/// the lock table's entry. A link exists only while one of its fields
+/// holds something ([`ServerSite::with_link`] drops an emptied one).
+#[derive(Debug, Default, PartialEq)]
+struct Link {
+    /// The client's request the lock table queues on the object, with the
+    /// data to ship on grant: set exactly while the table queues it, so
+    /// whatever takes the request out of the table clears it too.
+    queued: Option<WantInfo>,
+    /// A request from the client while it still owes an answer on the
+    /// object, served when that answer arrives.
+    parked: Option<(TKey, Want)>,
+    /// When the read of each grant of the object to the client still on
+    /// the server disk was scheduled: a recall would overtake such a
+    /// grant, and one whose entry is gone (a lease reclaim or a crash
+    /// struck it) never ships.
+    on_disk: InlineVec<SimTime, 1>,
+    /// A recall (with the mode wanted) held until those grants are on the
+    /// wire.
+    held_recall: Option<LockMode>,
+    /// When a lease reclaim or a dead route last fenced the link, for one
+    /// lease: an answer the client sent by then answers a recall already
+    /// settled.
+    fenced_at: Option<SimTime>,
 }
 
-impl WaitingWants {
-    fn new(clients: usize) -> Self {
-        WaitingWants {
-            per_client: vec![Vec::new(); clients],
-        }
-    }
-
-    /// Records (or replaces) the want of `client` on `object`.
-    fn insert(&mut self, object: ObjectId, client: ClientId, info: WantInfo) {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
-        let list = &mut self.per_client[client.index()];
-        match list.iter_mut().find(|(o, _)| *o == object) {
-            Some(slot) => slot.1 = info,
-            None => list.push((object, info)),
-        }
-    }
-
-    /// Removes and returns the want of `client` on `object`, if any.
-    fn remove(&mut self, object: ObjectId, client: ClientId) -> Option<WantInfo> {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
-        let list = &mut self.per_client[client.index()];
-        let pos = list.iter().position(|(o, _)| *o == object)?;
-        Some(list.remove(pos).1)
-    }
-
-    /// True if `client` has a want queued on `object`.
-    fn contains(&self, object: ObjectId, client: ClientId) -> bool {
-        // detlint: allow(D9) — per_client is sized to the client count at construction
-        self.per_client[client.index()]
-            .iter()
-            .any(|(o, _)| *o == object)
+impl Link {
+    fn is_empty(&self) -> bool {
+        *self == Link::default()
     }
 }
 
@@ -97,22 +85,8 @@ pub(crate) struct ServerSite {
     windows: WindowManager,
     /// Forward chains currently travelling.
     routing: ObjectMap<Route>,
-    /// Lock-table-queued requests awaiting grant: data to ship on grant.
-    waiting_wants: WaitingWants,
-    /// One entry per grant waiting on the server disk, with when its read
-    /// was scheduled: a recall to the same (object, client) would overtake
-    /// it, and a grant whose entry is gone (a lease reclaim or a crash
-    /// struck it) never ships.
-    shipping: Vec<(ObjectId, ClientId, SimTime)>,
-    /// Recalls (with the mode wanted) held until that grant is on the wire.
-    held_recalls: Vec<(ObjectId, ClientId, LockMode)>,
-    /// Requests from clients that still owe an answer on the object, served
-    /// when that answer arrives.
-    parked: Vec<(ClientId, TKey, Want)>,
-    /// When a lease reclaim or a dead route last fenced each (object,
-    /// client), for one lease: an answer it sent by then answers a recall
-    /// already settled.
-    fenced: Vec<(ObjectId, ClientId, SimTime)>,
+    /// What the server knows about each (object, client) besides its lock.
+    links: HashMap<(ObjectId, ClientId), Link, FixedState>,
     /// The holders the last recall newly messaged, kept so a recall of
     /// more holders than it keeps inline reuses its spill.
     fresh_targets: Targets,
@@ -134,11 +108,7 @@ impl ServerSite {
             callbacks: CallbackTracker::new(),
             windows: WindowManager::new(cfg.load_sharing.collection_window),
             routing: ObjectMap::new(),
-            waiting_wants: WaitingWants::new(usize::from(cfg.clients)),
-            shipping: Vec::new(),
-            held_recalls: Vec::new(),
-            parked: Vec::new(),
-            fenced: Vec::new(),
+            links: HashMap::default(),
             fresh_targets: Targets::new(),
             pseudo_seq: 0,
         }
@@ -221,8 +191,7 @@ impl ServerSite {
             Msg::CancelWants { client, objects } => {
                 for object in objects {
                     let (_, grants) = self.core.locks.cancel_wait(object, client);
-                    self.waiting_wants.remove(object, client);
-                    self.parked.retain(|&(c, _, w)| (c, w.object) != (client, object));
+                    self.with_link((object, client), |l| (l.queued, l.parked) = (None, None));
                     self.apply_grants(cx, object, grants);
                 }
             }
@@ -372,7 +341,7 @@ impl ServerSite {
     ) {
         // A retransmitted request whose original is still queued must not
         // double-queue in the lock table.
-        if self.waiting_wants.contains(w.object, client) {
+        if self.links.get(&(w.object, client)).is_some_and(|l| l.queued.is_some()) {
             return;
         }
         let (locks, routing) = (&self.core.locks, &self.routing);
@@ -391,7 +360,7 @@ impl ServerSite {
             }
             Acquire::Blocked { .. } => {
                 let info = WantInfo { want: w, txn, queued_at: cx.now };
-                self.waiting_wants.insert(w.object, client, info);
+                self.with_link((w.object, client), |l| l.queued = Some(info));
                 self.recall(cx, w.object, w.mode, Some(client));
             }
         }
@@ -404,9 +373,7 @@ impl ServerSite {
 
     /// Parks `client`'s request until it answers the recall of `w.object`.
     fn park(&mut self, client: ClientId, txn: TKey, w: Want) {
-        self.parked
-            .retain(|&(c, _, p)| (c, p.object) != (client, w.object));
-        self.parked.push((client, txn, w));
+        self.with_link((w.object, client), |l| l.parked = Some((txn, w)));
     }
 
     /// `client` answered on `object` (or its lease ran out): its parked
@@ -414,9 +381,7 @@ impl ServerSite {
     /// request may have counted on (only a downgrade keeps it, and a second
     /// copy is harmless), so the grant carries the data.
     pub(crate) fn unpark(&mut self, cx: &mut Cx, object: ObjectId, client: ClientId) {
-        let at = self.parked.iter().position(|&(c, _, w)| (c, w.object) == (client, object));
-        if let Some(at) = at {
-            let (_, txn, w) = self.parked.swap_remove(at);
+        if let Some((txn, w)) = self.with_link((object, client), |l| l.parked.take()) {
             self.handle_want(cx, txn, client, Want { needs_data: true, ..w });
         }
     }
@@ -441,7 +406,7 @@ impl ServerSite {
         self.callbacks.begin_at(object, holders, cx.now, &mut fresh);
         for &t in fresh.iter() {
             if self.on_disk(object, t) {
-                self.held_recalls.push((object, t, desired));
+                self.with_link((object, t), |l| l.held_recall = Some(desired));
             } else {
                 Self::send_recall(cx, object, t, desired);
             }
@@ -451,7 +416,18 @@ impl ServerSite {
 
     /// True if a grant of `object` to `client` waits on the server disk.
     fn on_disk(&self, object: ObjectId, client: ClientId) -> bool {
-        self.shipping.iter().any(|&(o, c, _)| (o, c) == (object, client))
+        self.links.get(&(object, client)).is_some_and(|l| !l.on_disk.is_empty())
+    }
+
+    /// Applies `edit` to the link `key` names (a new one if there is none)
+    /// and drops the link if that leaves it empty.
+    fn with_link<R>(&mut self, key: (ObjectId, ClientId), edit: impl FnOnce(&mut Link) -> R) -> R {
+        let link = self.links.entry(key).or_default();
+        let out = edit(link);
+        if link.is_empty() {
+            self.links.remove(&key);
+        }
+        out
     }
 
     fn send_recall(cx: &mut Cx, object: ObjectId, to: ClientId, desired: LockMode) {
@@ -498,7 +474,7 @@ impl ServerSite {
         if ready {
             self.ship_now(cx, client, item);
         } else {
-            self.shipping.push((object, client, cx.now));
+            self.with_link((object, client), |l| l.on_disk.push(cx.now));
             let done = self.core.disk.schedule_batch(cx.now, 1);
             cx.queue.push(
                 done,
@@ -523,18 +499,16 @@ impl ServerSite {
         item: GrantItem,
         scheduled_at: SimTime,
     ) {
-        let key = (item.0, to);
-        let entry = (item.0, to, scheduled_at);
-        let Some(at) = self.shipping.iter().position(|&e| e == entry) else {
+        let shipped = self.with_link((item.0, to), |l| {
+            let at = l.on_disk.iter().position(|&t| t == scheduled_at)?;
+            l.on_disk.swap_remove(at);
+            Some(if l.on_disk.is_empty() { l.held_recall.take() } else { None })
+        });
+        let Some(held) = shipped else {
             return;
         };
-        self.shipping.swap_remove(at);
         self.ship_now(cx, to, item);
-        if self.on_disk(item.0, to) {
-            return;
-        }
-        if let Some(at) = self.held_recalls.iter().position(|&(o, c, _)| (o, c) == key) {
-            let (_, _, desired) = self.held_recalls.swap_remove(at);
+        if let Some(desired) = held {
             // The holder is asked only now, so its lease starts now.
             self.callbacks.renew(item.0, to, cx.now);
             Self::send_recall(cx, item.0, to, desired);
@@ -631,32 +605,28 @@ impl ServerSite {
     /// lock table, so its want is parked, to be handled again (as
     /// [`unpark`](Self::unpark) handles it) once the answer is in.
     fn release_answered(&mut self, object: ObjectId, client: ClientId) -> Grants<ClientId> {
-        let grants = self.core.locks.release(object, client);
-        if let Some(info) = self.waiting_wants.remove(object, client) {
-            self.park(client, info.txn, info.want);
-        }
-        grants
+        self.with_link((object, client), |l| {
+            l.parked = l.queued.take().map(|info| (info.txn, info.want)).or(l.parked);
+        });
+        self.core.locks.release(object, client)
     }
 
     /// True if `from`'s answer on `object`, sent at `sent_at`, answers a
     /// recall that a fence has settled since: it releases nothing and
     /// answers no newer recall.
     fn settled_before(&self, object: ObjectId, from: ClientId, sent_at: SimTime) -> bool {
-        let key = (object, from);
-        self.fenced
-            .iter()
-            .any(|&(o, c, at)| (o, c) == key && sent_at <= at)
+        let fenced_at = self.links.get(&(object, from)).and_then(|l| l.fenced_at);
+        fenced_at.is_some_and(|at| sent_at <= at)
     }
 
     /// Nothing sent under `client`'s lease on `object` acts after `now`:
     /// its grants still on the server disk never ship, a recall held
     /// behind them is moot, and its answers sent by now settle nothing.
     fn fence(&mut self, object: ObjectId, client: ClientId, now: SimTime) {
-        let key = (object, client);
-        self.shipping.retain(|&(o, c, _)| (o, c) != key);
-        self.held_recalls.retain(|&(o, c, _)| (o, c) != key);
-        self.fenced.retain(|&(o, c, _)| (o, c) != key);
-        self.fenced.push((object, client, now));
+        let link = self.links.entry((object, client)).or_default();
+        link.on_disk = InlineVec::new();
+        link.held_recall = None;
+        link.fenced_at = Some(now);
     }
 
     /// Completes grants that cascaded out of a release/downgrade/cancel. A
@@ -672,7 +642,7 @@ impl ServerSite {
         let mut shipped = false;
         for w in granted {
             let client = w.owner;
-            let Some(info) = self.waiting_wants.remove(object, client) else {
+            let Some(info) = self.with_link((object, client), |l| l.queued.take()) else {
                 // No want on file (cancelled or raced): undo the grant.
                 let grants = self.undo_grant(object, client, w.upgrade);
                 self.apply_grants(cx, object, grants);
@@ -927,7 +897,7 @@ impl ServerSite {
     pub(crate) fn sweep(&mut self, cx: &mut Cx) {
         let (expired, grants) = self.core.locks.cancel_expired(cx.now);
         for (object, waiter) in expired {
-            self.waiting_wants.remove(object, waiter.owner);
+            self.with_link((object, waiter.owner), |l| l.queued = None);
         }
         for (object, waiters) in grants {
             self.apply_grants(cx, object, waiters);
@@ -949,8 +919,11 @@ impl ServerSite {
     /// Forgets the fences older than `lease`: an answer that late is
     /// presumed lost, as the lease presumes its silent holder.
     pub(crate) fn forget_old_fences(&mut self, now: SimTime, lease: SimDuration) {
-        self.fenced
-            .retain(|&(_, _, at)| now.duration_since(at) < lease);
+        // detlint: allow(D2) — order-free: each link is trimmed and kept or dropped on its own
+        self.links.retain(|_, l| {
+            l.fenced_at = l.fenced_at.filter(|&at| now.duration_since(at) < lease);
+            !l.is_empty()
+        });
     }
 
     /// Takes `holder`'s lock on `object` back without its answer, with any
@@ -969,7 +942,7 @@ impl ServerSite {
         });
         self.callbacks.acknowledge(object, holder);
         self.fence(object, holder, cx.now);
-        self.waiting_wants.remove(object, holder);
+        self.with_link((object, holder), |l| l.queued = None);
         self.core.locks.release(object, holder)
     }
 
@@ -1017,12 +990,8 @@ impl ServerSite {
         self.callbacks = CallbackTracker::new();
         self.windows = WindowManager::new(cx.cfg.load_sharing.collection_window);
         self.attach_sink(&cx.sink);
-        self.routing = ObjectMap::new();
-        self.waiting_wants = WaitingWants::new(usize::from(cx.cfg.clients));
-        self.shipping.clear();
-        self.held_recalls.clear();
-        self.parked.clear();
-        self.fenced.clear();
+        self.routing.clear();
+        self.links.clear();
         ready
     }
 
@@ -1046,6 +1015,29 @@ impl ServerSite {
             }
         }
     }
+
+    /// Consistency check (tests and debug builds): no link is empty, and a
+    /// link's `queued` is set exactly while the lock table queues that
+    /// client's request on that object.
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
+        let locks = &self.core.locks;
+        // detlint: allow(D2) — a check that stops at the first fault: any order finds one
+        for (&(object, client), link) in &self.links {
+            let in_table = locks.waiters(object).iter().any(|w| w.owner == client);
+            if link.is_empty() || (link.queued.is_some() && !in_table) {
+                return Err(format!("{object}: {client:?}'s {link:?} disagrees with the table"));
+            }
+        }
+        let contended = (0..self.core.store.num_pages()).map(ObjectId);
+        for object in contended.filter(|&o| locks.first_waiter(o).is_some()) {
+            for w in locks.waiters(object) {
+                if self.links.get(&(object, w.owner)).is_none_or(|l| l.queued.is_none()) {
+                    return Err(format!("{object}: {:?} is queued with no want on file", w.owner));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1053,6 +1045,13 @@ mod tests {
     use super::super::SiteDest;
     use super::*;
     use siteselect_types::SystemKind;
+
+    impl ServerSite {
+        /// True if the link of `client` on `object` holds a queued request.
+        fn queues(&self, object: ObjectId, client: ClientId) -> bool {
+            self.links.get(&(object, client)).is_some_and(|l| l.queued.is_some())
+        }
+    }
 
     fn site(system: SystemKind) -> (ServerSite, Cx) {
         let mut cfg = ExperimentConfig::paper(system, 4, 0.05);
@@ -1098,7 +1097,7 @@ mod tests {
         );
         // ...the conflicted one queued with a recall to the holder...
         assert!(s.callbacks.is_recalling(ObjectId(1)));
-        assert!(s.waiting_wants.contains(ObjectId(1), ClientId(0)));
+        assert!(s.queues(ObjectId(1), ClientId(0)));
         let sent = cx.drain_deliveries();
         assert!(sent.iter().any(|(to, m)| {
             *to == SiteDest::Client(ClientId(1)) && matches!(m, Msg::Recall { .. })
@@ -1208,7 +1207,7 @@ mod tests {
         let (object, from, downgraded, sent_at) = (x, ClientId(0), false, cx.now);
         s.on_msg(&mut cx, Msg::ObjectReturn { object, from, downgraded, sent_at });
         assert_eq!(s.core.locks.held_mode(x, ClientId(1)), Some(LockMode::Exclusive));
-        assert!(s.waiting_wants.contains(x, ClientId(2)));
+        assert!(s.queues(x, ClientId(2)));
         cx.drain_deliveries();
         (s, cx, z)
     }
@@ -1219,7 +1218,7 @@ mod tests {
         // A waits for C, C for B, B for nobody: no cycle, so A queues and
         // C is recalled.
         want(&mut s, &mut cx, 0, z);
-        assert!(s.waiting_wants.contains(z, ClientId(0)));
+        assert!(s.queues(z, ClientId(0)));
         let sent = cx.drain_deliveries();
         assert!(
             matches!(
@@ -1235,7 +1234,7 @@ mod tests {
         let (mut s, mut cx, z) = x_regranted_to_b();
         // B waiting for C, who waits for B's X, closes a cycle.
         let txn = want(&mut s, &mut cx, 1, z);
-        assert!(!s.waiting_wants.contains(z, ClientId(1)));
+        assert!(!s.queues(z, ClientId(1)));
         let sent = cx.drain_deliveries();
         let b = SiteDest::Client(ClientId(1));
         assert!(
@@ -1284,7 +1283,7 @@ mod tests {
         // A asks again while it owes its answer: nothing is granted off its
         // registration, and nothing queues.
         want(&mut s, &mut cx, 0, x);
-        assert!(!s.waiting_wants.contains(x, ClientId(0)));
+        assert!(!s.queues(x, ClientId(0)));
         let sent = cx.drain_deliveries();
         assert!(matches!(&sent[..], [(_, Msg::Recall { .. })]), "{sent:?}");
         // A's answer grants B, and A's parked request then queues behind B,
@@ -1292,7 +1291,7 @@ mod tests {
         let (object, from, had_copy, sent_at) = (x, ClientId(0), true, cx.now);
         s.on_msg(&mut cx, Msg::CallbackAck { object, from, had_copy, sent_at });
         assert_eq!(s.core.locks.held_mode(x, ClientId(1)), Some(LockMode::Exclusive));
-        assert!(s.waiting_wants.contains(x, ClientId(0)));
+        assert!(s.queues(x, ClientId(0)));
         let sent = cx.drain_deliveries();
         let b = SiteDest::Client(ClientId(1));
         assert!(
@@ -1326,7 +1325,7 @@ mod tests {
             s.on_msg(cx, Msg::CallbackAck { object, from, had_copy, sent_at });
         };
         ack(&mut s, &mut cx, a);
-        assert!(queued(&s, a) && s.waiting_wants.contains(x, a));
+        assert!(queued(&s, a) && s.queues(x, a));
         // A retransmission of A's request finds it queued.
         want(&mut s, &mut cx, 0, x);
         assert_eq!(s.core.locks.waiters(x).iter().filter(|w| w.owner == a).count(), 1);
@@ -1337,7 +1336,7 @@ mod tests {
         s.on_msg(&mut cx, Msg::ObjectReturn { object, from, downgraded, sent_at });
         assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(0, "grant")]);
         assert_eq!(s.core.locks.held_mode(x, a), Some(LockMode::Exclusive));
-        assert!(!s.waiting_wants.contains(x, a));
+        assert!(!s.queues(x, a));
     }
 
     #[test]
@@ -1393,7 +1392,7 @@ mod tests {
         close_window_of(&mut s, &mut cx, x, &[(2, LockMode::Shared), (3, LockMode::Shared)]);
         assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(1, "downgrade")]);
         for c in [2, 3] {
-            assert!(s.waiting_wants.contains(x, ClientId(c)));
+            assert!(s.queues(x, ClientId(c)));
         }
         // The downgraded copy comes home and both readers are granted.
         s.core.buffer.insert(x);
@@ -1444,7 +1443,7 @@ mod tests {
         s.on_msg(&mut cx, Msg::CallbackAck { object, from: a, had_copy, sent_at });
         assert_eq!(s.core.locks.held_mode(x, a), Some(LockMode::Shared));
         assert!(s.owes(x, a), "the old answer does not answer the new recall");
-        assert!(s.waiting_wants.contains(x, c));
+        assert!(s.queues(x, c));
         assert!(cx.drain_deliveries().is_empty());
         // A's answer to the new recall releases the lock and grants C.
         let sent_at = cx.now;
@@ -1471,6 +1470,55 @@ mod tests {
         // The read completes: nothing goes to A.
         s.on_fetch_done(&mut cx, to, item, scheduled_at);
         assert!(cx.drain_deliveries().is_empty());
+    }
+
+    /// A (client 0) reads `x` with its grant on the server disk and asks
+    /// to write it while C (client 2) reads it too, so A's upgrade queues
+    /// and C is recalled; B's (client 1) write then recalls A, and that
+    /// recall is held behind A's grant. A lease reclaim of A settles all
+    /// three at once.
+    #[test]
+    fn a_lease_reclaim_settles_the_whole_link() {
+        let (mut s, mut cx) = site(SystemKind::ClientServer);
+        let (x, a, c) = (ObjectId(1), ClientId(0), ClientId(2));
+        let deadline = SimTime::from_secs(40);
+        let mut read = cx.take_buf();
+        read.push(Want { object: x, mode: LockMode::Shared, needs_data: true, deadline });
+        let txn = TransactionId::new(a, 1).as_u64();
+        s.on_msg(&mut cx, Msg::RequestBatch { txn, client: a, wants: read, grant_all: false });
+        s.core.locks.request(x, c, LockMode::Shared, SimTime::MAX);
+        want(&mut s, &mut cx, 0, x);
+        want(&mut s, &mut cx, 1, x);
+        assert_eq!(grants_and_recalls(&cx.drain_deliveries()), [(2, "recall")]);
+        let link = s.links.get(&(x, a)).expect("A's link");
+        assert!(link.queued.is_some() && !link.on_disk.is_empty() && link.held_recall.is_some());
+        let Some((_, Ev::ServerFetchDone { to, item, scheduled_at, .. })) = cx.queue.pop() else {
+            panic!("A's grant waits on the disk");
+        };
+        cx.now = SimTime::from_secs(5);
+        reclaim_lease(&mut s, &mut cx, x, a);
+        // A's request is gone from the table and from the link...
+        assert!(s.core.locks.waiters(x).iter().all(|w| w.owner != a));
+        assert!(!s.queues(x, a));
+        assert_eq!(s.check_invariants(), Ok(()));
+        // ...its grant stays home with the recall held behind it...
+        s.on_fetch_done(&mut cx, to, item, scheduled_at);
+        assert!(cx.drain_deliveries().is_empty());
+        // ...and once B gives up and A reads `x` again, A's answer sent by
+        // the fence releases nothing.
+        let objects = [x].into_iter().collect();
+        s.on_msg(&mut cx, Msg::CancelWants { client: ClientId(1), objects });
+        s.core.locks.request(x, a, LockMode::Shared, SimTime::MAX);
+        let (object, had_copy, sent_at) = (x, true, cx.now);
+        s.on_msg(&mut cx, Msg::CallbackAck { object, from: a, had_copy, sent_at });
+        assert_eq!(s.core.locks.held_mode(x, a), Some(LockMode::Shared));
+        assert!(cx.drain_deliveries().is_empty());
+        // One lease on, the fence is forgotten and the link with it.
+        let lease = SimDuration::from_secs(10);
+        s.forget_old_fences(cx.now + SimDuration::from_micros(lease.as_micros() - 1), lease);
+        assert!(s.links.contains_key(&(x, a)));
+        s.forget_old_fences(cx.now + lease, lease);
+        assert!(!s.links.contains_key(&(x, a)));
     }
 
     #[test]

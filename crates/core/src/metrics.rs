@@ -242,10 +242,11 @@ impl RunMetrics {
     /// metrics of one-site simulators of one run combine. Outcomes, cache
     /// and response figures, messages (each site counts what it sent),
     /// load-sharing counters, latency, blocking and the server buffer are
-    /// each counted at one site and add up. Two stay as they are: `faults`,
-    /// since a one-site simulator runs without injected faults, and the CPU
-    /// utilizations, each a share of one site's own span that a sum cannot
-    /// combine.
+    /// each counted at one site and add up. Each site reports its CPU
+    /// utilization as a share of its own span: a client site's adds its
+    /// `1 / clients` part of the clients' mean, and the server site's is
+    /// the server's. `faults` stays as it is, since a one-site simulator
+    /// runs without injected faults.
     pub fn add_site(&mut self, other: &RunMetrics) {
         let (f, o) = (&mut self.failures, &other.failures);
         self.measured += other.measured;
@@ -273,6 +274,8 @@ impl RunMetrics {
         self.latency.merge(&other.latency);
         self.blocking.merge(&other.blocking);
         self.server_buffer.merge(other.server_buffer);
+        self.client_cpu_utilization += other.client_cpu_utilization / f64::from(self.clients.max(1));
+        self.server_cpu_utilization += other.server_cpu_utilization;
     }
 
     /// Internal consistency: outcomes must cover every measured

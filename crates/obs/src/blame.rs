@@ -42,6 +42,7 @@ use crate::event::{outcome_str, Event};
 use crate::hist::LogHistogram;
 use crate::sink::{TraceData, TraceRecord};
 use crate::span::SpanKind;
+use crate::wire::Wire;
 
 /// Mask clearing the subtask-index bits (40..48) of a raw transaction id —
 /// see `subtask_key` in `siteselect-core`.
@@ -557,79 +558,65 @@ impl BlameReport {
         self.causes.iter().map(|c| c.total_us).sum()
     }
 
-    /// Machine-readable JSON (hand-rolled, integers only, deterministic).
+    /// Machine-readable JSON (integers only, deterministic), written with
+    /// the trace exporters' byte writer.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        let _ = write!(
-            out,
-            r#"{{"txns":{},"missed":{},"dropped_events":{},"total_us":{},"causes":["#,
-            self.txns,
-            self.missed,
-            self.dropped_events,
-            self.total_us()
-        );
+        let mut out = Wire::new();
+        out.uint(r#"{"txns":"#, self.txns);
+        out.uint(r#","missed":"#, self.missed);
+        out.uint(r#","dropped_events":"#, self.dropped_events);
+        out.uint(r#","total_us":"#, self.total_us());
+        out.lit(r#","causes":["#);
         for (i, c) in self.causes.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.lit(",");
             }
-            let _ = write!(
-                out,
-                r#"{{"cause":"{}","total_us":{},"missed_us":{},"txns":{},"p50_us":{},"p99_us":{},"max_us":{}}}"#,
-                c.kind.label(),
-                c.total_us,
-                c.missed_us,
-                c.txns,
-                c.hist.quantile(0.5),
-                c.hist.quantile(0.99),
-                c.hist.max()
-            );
+            out.label(r#"{"cause":""#, c.kind.label());
+            out.uint(r#","total_us":"#, c.total_us);
+            out.uint(r#","missed_us":"#, c.missed_us);
+            out.uint(r#","txns":"#, c.txns);
+            out.uint(r#","p50_us":"#, c.hist.quantile(0.5));
+            out.uint(r#","p99_us":"#, c.hist.quantile(0.99));
+            out.uint(r#","max_us":"#, c.hist.max());
+            out.lit("}");
         }
-        out.push_str(r#"],"worst":["#);
+        out.lit(r#"],"worst":["#);
         for (i, b) in self.worst.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.lit(",");
             }
-            let _ = write!(
-                out,
-                r#"{{"txn":"{}","outcome":"{}","latency_us":{},"deadline_us":{},"tardiness_us":{},"blame_us":{{"#,
-                b.txn,
-                outcome_str(b.outcome),
-                b.latency_us(),
-                b.deadline.as_micros(),
-                b.tardiness_us()
-            );
-            let mut first = true;
-            for (j, &us) in b.vector.iter().enumerate() {
-                if us > 0 {
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    let _ = write!(out, r#""{}":{us}"#, SpanKind::ALL[j].label());
+            out.id(r#"{"txn":""#, b.txn);
+            out.label(r#","outcome":""#, outcome_str(b.outcome));
+            out.uint(r#","latency_us":"#, b.latency_us());
+            out.uint(r#","deadline_us":"#, b.deadline.as_micros());
+            out.uint(r#","tardiness_us":"#, b.tardiness_us());
+            out.lit(r#","blame_us":{"#);
+            let blamed = b.vector.iter().enumerate().filter(|&(_, &us)| us > 0);
+            for (n, (j, &us)) in blamed.enumerate() {
+                if n > 0 {
+                    out.lit(",");
                 }
+                out.label(r#"""#, SpanKind::ALL[j].label());
+                out.uint(":", us);
             }
-            out.push_str(r#"},"path":["#);
+            out.lit(r#"},"path":["#);
             for (j, seg) in b.path.iter().enumerate() {
                 if j > 0 {
-                    out.push(',');
+                    out.lit(",");
                 }
-                let _ = write!(
-                    out,
-                    r#"{{"start_us":{},"end_us":{},"cause":"{}""#,
-                    seg.start_us,
-                    seg.end_us,
-                    seg.kind.label()
-                );
+                out.uint(r#"{"start_us":"#, seg.start_us);
+                out.uint(r#","end_us":"#, seg.end_us);
+                out.label(r#","cause":""#, seg.kind.label());
                 if let Some(blk) = seg.blocker {
-                    let _ = write!(out, r#","blocker":"{blk}""#);
+                    out.id(r#","blocker":""#, blk);
                 }
-                out.push('}');
+                out.lit("}");
             }
-            out.push_str("]}");
+            out.lit("]}");
         }
-        out.push_str("]}\n");
-        out
+        out.lit("]}\n");
+        out.into_string()
     }
 
     /// Renders the report as aligned plain text (deterministic).

@@ -137,7 +137,7 @@ impl Wire {
         Ok(())
     }
 
-    #[cfg(test)]
+    /// The buffered bytes as a string (a whole document written at once).
     pub(crate) fn into_string(self) -> String {
         String::from_utf8(self.buf).expect("the wire format is ASCII")
     }

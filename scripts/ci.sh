@@ -268,11 +268,14 @@ step_miri() {
   cargo +nightly miri test -p siteselect-obs --lib -- format_free_writer_matches_write_reference
 }
 
-# The second sweep's base seed rotates by date, so every night sees new
-# schedules and the printed replay command still pins the one it used.
+# The second base seed of each size rotates by date, so every night sees
+# new schedules and the printed replay command still pins the one it used.
 step_simcheck-nightly() {
+  local rotated="$((0x51AC0C43 + $(date -u +%Y%m%d)))"
   repro check --seeds 2000
-  repro check --seeds 2000 --seed "$((0x51AC0C43 + $(date -u +%Y%m%d)))"
+  repro check --seeds 2000 --seed "$rotated"
+  repro check --clients 30 --seeds 2000
+  repro check --clients 30 --seeds 2000 --seed "$rotated"
 }
 
 case "${1:-}" in
