@@ -30,6 +30,7 @@
 
 use std::collections::HashMap;
 
+use siteselect_locks::table::{ExpiredWaiters, UnblockedGrants};
 use siteselect_locks::{Acquire, QueueDiscipline};
 use siteselect_net::MessageKind;
 use siteselect_obs::{Event, SpanKind};
@@ -129,6 +130,14 @@ pub(crate) struct CentralizedServer {
     /// Keyed by transaction id with the fixed-state hasher, so the map
     /// rehashes (and allocates) at the same steps in every process.
     txns: HashMap<TKey, CeTxn, FixedState>,
+    /// Spare lists for the grants a release or a sweep unblocks. A grant
+    /// can abort its transaction, whose release needs a list of its own
+    /// before the first is done, so each call takes one and puts it back.
+    spare_grants: Vec<UnblockedGrants<TKey>>,
+    /// The sweep's scratch: the transactions past their deadline, and the
+    /// lock waiters.
+    dead: Vec<TKey>,
+    expired: ExpiredWaiters<TKey>,
 }
 
 impl CentralizedServer {
@@ -137,6 +146,9 @@ impl CentralizedServer {
             core: ServerCore::new(cfg, QueueDiscipline::Deadline),
             cpu: PsCpu::new(cfg.cpu.server_speed, cfg.server.max_concurrent_txns),
             txns: HashMap::default(),
+            spare_grants: Vec::new(),
+            dead: Vec::new(),
+            expired: Vec::new(),
         }
     }
 
@@ -284,12 +296,20 @@ impl CentralizedServer {
     }
 
     fn release_locks(&mut self, cx: &mut Cx, key: TKey) {
-        let grants = self.core.locks.release_all(key);
-        for (object, waiters) in grants {
+        let mut grants = self.spare_grants.pop().unwrap_or_default();
+        self.core.locks.release_all_into(key, &mut grants);
+        self.grant_all(cx, grants);
+    }
+
+    /// Hands each of `grants`' waiters its lock, in order, and keeps the
+    /// emptied list as a spare.
+    fn grant_all(&mut self, cx: &mut Cx, mut grants: UnblockedGrants<TKey>) {
+        for (object, waiters) in grants.drain(..) {
             for w in waiters {
                 self.on_lock_granted(cx, object, w.owner);
             }
         }
+        self.spare_grants.push(grants);
     }
 
     fn on_lock_granted(&mut self, cx: &mut Cx, object: ObjectId, key: TKey) {
@@ -424,28 +444,32 @@ impl CentralizedServer {
     /// doing useful work for feasible transactions.
     pub(crate) fn sweep(&mut self, cx: &mut Cx) {
         let now = cx.now;
-        let mut dead: Vec<TKey> = self
-            // detlint: allow(D2) — `dead.sort_unstable()` below, before the abort cascade
-            .txns
-            .iter()
-            .filter_map(|(&k, t)| spec_at(&cx.specs, t.spec).is_expired(now).then_some(k))
-            .collect();
+        let mut dead = std::mem::take(&mut self.dead);
+        dead.extend(
+            self
+                // detlint: allow(D2) — `dead.sort_unstable()` below, before the abort cascade
+                .txns
+                .iter()
+                .filter_map(|(&k, t)| spec_at(&cx.specs, t.spec).is_expired(now).then_some(k)),
+        );
         // HashMap iteration order is implementation-defined even with a
         // fixed hasher; the abort cascade (lock grants, CPU reschedules) is
         // order-sensitive, so sort to keep runs reproducible.
         dead.sort_unstable();
-        for key in dead {
+        for key in dead.drain(..) {
             self.abort_inflight(cx, key, AbortReason::Expired);
         }
-        let (expired, grants) = self.core.locks.cancel_expired(now);
-        for (_obj, waiter) in expired {
+        self.dead = dead;
+        let mut expired = std::mem::take(&mut self.expired);
+        let mut grants = self.spare_grants.pop().unwrap_or_default();
+        self.core
+            .locks
+            .cancel_expired_into(now, &mut expired, &mut grants);
+        for (_obj, waiter) in expired.drain(..) {
             self.abort_inflight(cx, waiter.owner, AbortReason::Expired);
         }
-        for (object, waiters) in grants {
-            for w in waiters {
-                self.on_lock_granted(cx, object, w.owner);
-            }
-        }
+        self.expired = expired;
+        self.grant_all(cx, grants);
     }
 
     /// The server crashes: besides what [`ServerCore::crash`] loses, every

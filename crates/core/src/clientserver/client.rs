@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use siteselect_locks::table::UnblockedGrants;
 use siteselect_locks::{Acquire, ForwardList, Grants, LockTable, QueueDiscipline};
 use siteselect_obs::SpanKind;
 use siteselect_storage::{CacheTier, ClientCache, DiskModel};
@@ -238,6 +239,12 @@ pub(crate) struct ClientSite {
     /// decomposed, with the site it is placed at and its position in the
     /// access list, sorted by site and then position.
     placement: Vec<(ClientId, u32, AccessSpec)>,
+    /// Spare lists for the grants a unit's release unblocks. A grant can
+    /// abort another unit, whose release needs a list of its own before
+    /// the first is done, so each release takes one and puts it back.
+    spare_grants: Vec<UnblockedGrants<TKey>>,
+    /// `abort_where`'s scratch: the doomed transactions, sorted.
+    doomed_keys: Vec<TKey>,
 }
 
 impl ClientSite {
@@ -257,6 +264,8 @@ impl ClientSite {
             lock_wait_from: BTreeMap::new(),
             h2_scored: Vec::new(),
             placement: Vec::new(),
+            spare_grants: Vec::new(),
+            doomed_keys: Vec::new(),
         }
     }
 
@@ -1277,10 +1286,12 @@ impl ClientSite {
             Self::lock_wait_span(cx, self.id, key, wait);
         }
         // Local locks and queued local waits.
-        let grants = self.local_locks.release_all(key);
-        for (object, waiters) in grants {
+        let mut grants = self.spare_grants.pop().unwrap_or_default();
+        self.local_locks.release_all_into(key, &mut grants);
+        for (object, waiters) in grants.drain(..) {
             self.on_local_grants(cx, object, waiters);
         }
+        self.spare_grants.push(grants);
         // Pending revokes may now be executable.
         for object in run.needed.objects() {
             self.try_execute_revoke(cx, object);
@@ -1823,17 +1834,20 @@ impl ClientSite {
     /// order is implementation-defined even with a fixed hasher, and the
     /// abort cascade is order-sensitive.
     fn abort_where(&mut self, cx: &mut Cx, reason: AbortReason, doomed: impl Fn(&TxnRun) -> bool) {
-        let mut keys: Vec<TKey> = self
-            // detlint: allow(D2) — `keys.sort_unstable()` below, before the abort cascade
-            .txns
-            .iter()
-            .filter(|(_, run)| doomed(run))
-            .map(|(&k, _)| k)
-            .collect();
+        let mut keys = std::mem::take(&mut self.doomed_keys);
+        keys.extend(
+            self
+                // detlint: allow(D2) — `keys.sort_unstable()` below, before the abort cascade
+                .txns
+                .iter()
+                .filter(|(_, run)| doomed(run))
+                .map(|(&k, _)| k),
+        );
         keys.sort_unstable();
-        for key in keys {
+        for key in keys.drain(..) {
             self.abort_txn(cx, key, reason);
         }
+        self.doomed_keys = keys;
     }
 
     /// The server gave up on this site's copy of `object` (an expired

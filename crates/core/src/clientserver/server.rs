@@ -12,6 +12,7 @@
 
 use std::collections::HashMap;
 
+use siteselect_locks::table::{ExpiredWaiters, UnblockedGrants};
 use siteselect_locks::{
     Acquire, CallbackTracker, ForwardEntry, ForwardList, Grants, LockTable, QueueDiscipline,
     Targets, WindowManager, WindowOffer,
@@ -90,6 +91,10 @@ pub(crate) struct ServerSite {
     /// The holders the last recall newly messaged, kept so a recall of
     /// more holders than it keeps inline reuses its spill.
     fresh_targets: Targets,
+    /// The sweep's scratch: the expired lock waiters, and the grants their
+    /// going unblocks.
+    expired: ExpiredWaiters<ClientId>,
+    swept: UnblockedGrants<ClientId>,
     /// Sequence counter for the pseudo-transactions that apply returned
     /// objects to the durable store (tagged with the high bit so they can
     /// never collide with workload transaction ids).
@@ -110,6 +115,8 @@ impl ServerSite {
             routing: ObjectMap::new(),
             links: HashMap::default(),
             fresh_targets: Targets::new(),
+            expired: Vec::new(),
+            swept: Vec::new(),
             pseudo_seq: 0,
         }
     }
@@ -895,13 +902,18 @@ impl ServerSite {
     /// Cancels lock-queue waiters whose deadline has passed and grants
     /// whoever they were holding up.
     pub(crate) fn sweep(&mut self, cx: &mut Cx) {
-        let (expired, grants) = self.core.locks.cancel_expired(cx.now);
-        for (object, waiter) in expired {
+        let mut expired = std::mem::take(&mut self.expired);
+        let mut grants = std::mem::take(&mut self.swept);
+        self.core
+            .locks
+            .cancel_expired_into(cx.now, &mut expired, &mut grants);
+        for (object, waiter) in expired.drain(..) {
             self.with_link((object, waiter.owner), |l| l.queued = None);
         }
-        for (object, waiters) in grants {
+        for (object, waiters) in grants.drain(..) {
             self.apply_grants(cx, object, waiters);
         }
+        (self.expired, self.swept) = (expired, grants);
     }
 
     /// Failure handling: the callbacks unanswered for longer than `lease`,

@@ -78,28 +78,32 @@ fn assert_within_budget(system: SystemKind, update_fraction: f64, budget: (f64, 
 
 #[test]
 fn client_server_run_stays_inside_its_allocation_budget() {
-    // Measured 4.257 (release) and 11.963 (debug); 4.928 and 12.045 when a
+    // Measured 3.013 (release) and 5.207 (debug); 4.240 and 11.915 when
+    // the lock tables boxed each object's state, 4.928 and 12.045 when a
     // blocked request listed every holder in its way, 7.729 and 13.415
     // when the generator drew its objects into a list of their own and a
     // recall of many holders regrew its rows.
-    assert_within_budget(SystemKind::ClientServer, 0.20, (4.47, 12.56));
+    assert_within_budget(SystemKind::ClientServer, 0.20, (3.16, 5.46));
 }
 
 #[test]
 fn load_sharing_run_stays_inside_its_allocation_budget() {
-    // Measured 4.051 (release) and 11.211 (debug); 4.500 and 11.288 when a
+    // Measured 3.271 (release) and 4.532 (debug); 4.044 and 11.184 when
+    // the lock tables boxed each object's state, 4.500 and 11.288 when a
     // blocked request listed every holder in its way, 13.100 and 15.265
     // when conflict reports, load replies and decomposition built nested
     // vectors for every object.
-    assert_within_budget(SystemKind::LoadSharing, 0.05, (4.25, 11.77));
+    assert_within_budget(SystemKind::LoadSharing, 0.05, (3.43, 4.75));
 }
 
 #[test]
 fn centralized_run_stays_inside_its_allocation_budget() {
-    // Measured 3.246 (release) and 6.821 (debug); 3.768 and 6.824 when a
+    // Measured 2.228 (release) and 5.812 (debug); 3.246 and 6.821 when the
+    // lock table boxed each object's state and a release or sweep
+    // collected its results into fresh lists, 3.768 and 6.824 when a
     // blocked request listed every holder in its way, 4.882 and 7.964 with
     // the generator's second list.
-    assert_within_budget(SystemKind::Centralized, 0.20, (3.40, 7.15));
+    assert_within_budget(SystemKind::Centralized, 0.20, (2.33, 6.10));
 }
 
 /// `whole_run` at seed 11 and 20 % updates under `chaos_restart(1.0)`:
@@ -133,22 +137,24 @@ fn assert_restart_within_budget(system: SystemKind, budget: (f64, f64)) {
 
 #[test]
 fn client_server_restart_run_stays_inside_its_allocation_budget() {
-    // Measured 9.406 (release) and 12.791 (debug); 9.679 / 12.831 when a
+    // Measured 6.660 (release) and 6.102 (debug); 9.267 / 12.711 when the
+    // lock tables boxed each object's state, 9.679 / 12.831 when a
     // blocked request listed every holder in its way, 11.506 / 14.126 before
     // the generator's and the recalls' allocations went, 11.892 / 14.297
     // when the lock table's owner rows regrew their spills after every
     // restart, and 24.908 in release when a crash rebuilt the lock table
     // and a dropped request lost its buffer.
-    assert_restart_within_budget(SystemKind::ClientServer, (9.87, 13.4));
+    assert_restart_within_budget(SystemKind::ClientServer, (6.99, 6.40));
 }
 
 #[test]
 fn load_sharing_restart_run_stays_inside_its_allocation_budget() {
-    // Measured 10.233 (release) and 13.147 (debug); 10.390 / 13.193 when a
+    // Measured 7.649 (release) and 6.564 (debug); 10.101 / 13.073 when the
+    // lock tables boxed each object's state, 10.390 / 13.193 when a
     // blocked request listed every holder in its way, 18.575 / 17.645 before
     // the decision answers were pooled, 18.955 / 17.816 with owner rows
     // regrown after restarts, 31.160 in release before that.
-    assert_restart_within_budget(SystemKind::LoadSharing, (10.74, 13.8));
+    assert_restart_within_budget(SystemKind::LoadSharing, (8.03, 6.89));
 }
 
 /// Allocations of one blame extraction over a traced CS crash-restart run
@@ -217,21 +223,26 @@ fn assert_heap_within(system: SystemKind, update_fraction: f64, budget: (i64, i6
 
 #[test]
 fn client_server_run_stays_inside_its_heap_budget() {
-    // Measured 17 290 644 (release) and 3 913 382 (debug) bytes: each
-    // client's cache and lock table are sized to what it holds.
+    // Measured 17 529 896 (release) and 3 988 934 (debug) bytes: each
+    // client's cache and lock table are sized to what it holds (17 253 528
+    // and 3 916 598 when the lock tables boxed each object's state; a slab
+    // carries up to a step of spare slots).
     assert_heap_within(SystemKind::ClientServer, 0.20, (18_100_000, 4_100_000));
 }
 
 #[test]
 fn load_sharing_run_stays_inside_its_heap_budget() {
-    // Measured 14 932 722 (release) and 3 768 546 (debug) bytes.
-    assert_heap_within(SystemKind::LoadSharing, 0.05, (15_600_000, 3_950_000));
+    // Measured 14 796 742 (release) and 3 863 570 (debug) bytes; 14 661 046
+    // and 3 791 586 when the lock tables boxed each object's state.
+    assert_heap_within(SystemKind::LoadSharing, 0.05, (15_530_000, 3_950_000));
 }
 
 #[test]
 fn centralized_run_stays_inside_its_heap_budget() {
-    // Measured 12 468 584 (release) and 2 049 850 (debug) bytes.
-    assert_heap_within(SystemKind::Centralized, 0.20, (12_990_000, 2_050_000));
+    // Measured 12 522 264 (release) and 2 006 298 (debug) bytes; 12 468 584
+    // and 2 049 850 when the server's lock table boxed each object's state
+    // behind an 8-byte slot an object.
+    assert_heap_within(SystemKind::Centralized, 0.20, (12_990_000, 2_040_000));
 }
 
 #[test]
@@ -281,7 +292,10 @@ fn centralized_steady_state_allocates_nothing() {
     }
     let after = allocs();
 
-    assert!(measured >= 100, "too few steady-state events measured: {measured}");
+    assert!(
+        measured >= 100,
+        "too few steady-state events measured: {measured}"
+    );
     assert_eq!(
         after - before,
         0,

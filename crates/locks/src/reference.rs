@@ -589,6 +589,9 @@ mod property_tests {
         let mut rng = Xorshift(seed);
         let mut lt = table.build(discipline, objects);
         let mut oracle: RefLockTable<ClientId> = RefLockTable::new(discipline);
+        // Kept from call to call, as the engine keeps them: each call must
+        // clear what the last one left.
+        let (mut granted, mut expired) = (Vec::new(), Vec::new());
 
         for step in 0..STEPS {
             // Top the hoard up now and then: releases and `release_all`
@@ -625,10 +628,10 @@ mod property_tests {
                     assert_eq!(a, b, "release grants diverge at step {step}");
                 }
                 6 => {
-                    let a: Vec<Grant> = lt
-                        .release_all(owner)
-                        .into_iter()
-                        .flat_map(|(o, ws)| grants_new(o, &ws))
+                    lt.release_all_into(owner, &mut granted);
+                    let a: Vec<Grant> = granted
+                        .iter()
+                        .flat_map(|(o, ws)| grants_new(*o, ws))
                         .collect();
                     let b: Vec<Grant> = oracle
                         .release_all(owner)
@@ -664,20 +667,20 @@ mod property_tests {
                 // Waiters expire now and then; the other steps change nothing.
                 _ if rng.below(4) == 0 => {
                     let now = SimTime::from_secs(rng.below(200));
-                    let (ea, ga) = lt.cancel_expired(now);
+                    lt.cancel_expired_into(now, &mut expired, &mut granted);
                     let (eb, gb) = oracle.cancel_expired(now);
-                    let ea: Vec<Grant> = ea
-                        .into_iter()
-                        .map(|(o, w)| (o, w.owner, w.mode, w.deadline))
+                    let ea: Vec<Grant> = expired
+                        .iter()
+                        .map(|&(o, w)| (o, w.owner, w.mode, w.deadline))
                         .collect();
                     let eb: Vec<Grant> = eb
                         .into_iter()
                         .map(|(o, w)| (o, w.owner, w.mode, w.deadline))
                         .collect();
                     assert_eq!(ea, eb, "cancel_expired pruning diverges at step {step}");
-                    let ga: Vec<Grant> = ga
-                        .into_iter()
-                        .flat_map(|(o, ws)| grants_new(o, &ws))
+                    let ga: Vec<Grant> = granted
+                        .iter()
+                        .flat_map(|(o, ws)| grants_new(*o, ws))
                         .collect();
                     let gb: Vec<Grant> = gb
                         .into_iter()

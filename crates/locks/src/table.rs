@@ -1,27 +1,29 @@
 //! A strict-2PL lock table with shared/exclusive modes, upgrades, downgrades
 //! and configurable waiter ordering.
 //!
-//! Per-object state is boxed, and the boxes live in one of two layouts:
+//! Per-object state lives by value in one slab of slots per table, and the
+//! two layouts differ only in how an object finds its slot:
 //!
-//! * **Dense**, a slab indexed by `ObjectId`, for the server's table, which
-//!   sees every object of the paper's 10 000-object database sooner or
-//!   later: a bounds-checked vector index replaces a hash and probe on
-//!   every request, release and promotion.
-//! * **Compact**, the objects with lock state only, found through a
-//!   [`SlotIndex`], for a client's local table, which locks a few objects
-//!   of that database at a time: its memory follows what the client has
-//!   locked, not the largest id it ever touched.
+//! * **Dense**, an index by `ObjectId` (4 bytes an object), for the
+//!   server's table, which sees every object of the paper's 10 000-object
+//!   database sooner or later: a bounds-checked vector index replaces a
+//!   hash and probe on every request, release and promotion.
+//! * **Compact**, a [`SlotIndex`] of the objects with lock state only, for
+//!   a client's local table, which locks a few objects of that database at
+//!   a time: its memory follows what the client has locked, not the
+//!   largest id it ever touched.
 //!
 //! A table starts compact; [`LockTable::reserve_objects`], which the server
 //! calls with the database size, is the one place that selects the dense
-//! layout. In both, an object whose state empties out returns its box to a
-//! recycling pool, so live boxes track the *concurrently* locked set and
-//! steady-state first-touch requests pop a warm box instead of allocating.
-//! Holder and waiter lists use [`InlineVec`] so the common one- or
-//! two-entry case never touches the heap. A crash forgets the whole table
-//! through [`LockTable::clear`], which sends every box back to the pool
-//! with its lists' spills and keeps the layout, so a restarted site
-//! refills the table from the pool instead of allocating a box an object.
+//! layout. In both, an object whose state empties out frees its slot, and
+//! the next object to gain state takes the last slot freed, so the slab
+//! tracks the *concurrently* locked set and a table allocates only when
+//! its slab grows. Holder and waiter lists use [`InlineVec`] so the common
+//! one- or two-entry case never touches the heap, and a freed slot keeps
+//! their spills for its next object. A crash forgets the whole table
+//! through [`LockTable::clear`], which frees every slot and keeps the
+//! slab, the spills and the index, so a restarted site refills the table
+//! without allocating.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -108,9 +110,9 @@ struct Holder<O> {
 #[derive(Debug)]
 struct ObjectLocks<O> {
     /// Two inline. At the server nearly every object is cached at three or
-    /// more clients at some point, so most boxes spill once, and keep the
-    /// spill through the recycling pool; six inline would save most of
-    /// those allocations but cost every box 32 bytes.
+    /// more clients at some point, so most slots spill once, and keep the
+    /// spill from object to object; six inline would save most of those
+    /// allocations but cost every slot 32 bytes.
     holders: InlineVec<Holder<O>, 2>,
     waiters: InlineVec<Waiter<O>, 2>,
 }
@@ -171,115 +173,160 @@ impl<O: LockOwner> ObjectLocks<O> {
     }
 }
 
-/// Upper bound on how many per-object boxes [`LockTable::reserve_objects`]
-/// pre-loads into the recycling pool. The pool only has to cover objects
-/// locked *concurrently* — bounded by in-flight transactions times accesses
-/// per transaction, far below the database size — so seeding is capped well
-/// under the paper's 10 000-object database.
+/// Slots a table's slab takes in one step: [`LockTable::reserve_objects`]
+/// reserves at most this many up front, and a slab this large or larger
+/// grows by this many at a time (a smaller one doubles). The slab only has
+/// to cover objects with lock state at once, but at the server, where
+/// clients cache their locks, that is most of the paper's 10 000-object
+/// database: steps of this size keep its spare capacity under one step
+/// without an allocation per object.
 const FREE_POOL_SEED: usize = 1024;
 
-/// A table's per-object state, in the layout
+/// A dense index entry with no slot: the object has no lock state.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Where a table finds an object's slot, in the layout
 /// [`LockTable::reserve_objects`] selects.
 #[derive(Debug)]
-enum Entries<O> {
-    /// Indexed by object id: `None` where an object has no state.
-    Dense(Vec<Option<Box<ObjectLocks<O>>>>),
-    /// The objects with state, in no particular order, and where each sits.
-    Compact {
-        index: SlotIndex,
-        live: Vec<(ObjectId, Box<ObjectLocks<O>>)>,
-    },
+enum Index {
+    /// Indexed by object id: [`NO_SLOT`] where an object has no state.
+    Dense(Vec<u32>),
+    /// The objects with state only.
+    Compact(SlotIndex),
+}
+
+/// A table's per-object state: one slab of slots, by value, and the index
+/// that finds an object's slot.
+#[derive(Debug)]
+struct Entries<O> {
+    index: Index,
+    slots: Vec<ObjectLocks<O>>,
+    /// The slots no object uses, the last freed on top. A freed slot keeps
+    /// its holder and waiter spills, so the next object to take it refills
+    /// them without allocating.
+    free: Vec<u32>,
 }
 
 impl<O: LockOwner> Entries<O> {
+    fn slot(&self, object: ObjectId) -> Option<usize> {
+        let at = match &self.index {
+            Index::Dense(by_id) => *by_id.get(object.index() as usize)?,
+            Index::Compact(index) => index.get(object)?,
+        };
+        (at != NO_SLOT).then_some(at as usize)
+    }
+
     fn get(&self, object: ObjectId) -> Option<&ObjectLocks<O>> {
-        match self {
-            Entries::Dense(slab) => slab.get(object.index() as usize)?.as_deref(),
-            Entries::Compact { index, live } => Some(&*live.get(index.get(object)? as usize)?.1),
-        }
+        self.slots.get(self.slot(object)?)
     }
 
     fn get_mut(&mut self, object: ObjectId) -> Option<&mut ObjectLocks<O>> {
-        match self {
-            Entries::Dense(slab) => slab.get_mut(object.index() as usize)?.as_deref_mut(),
-            Entries::Compact { index, live } => {
-                Some(&mut *live.get_mut(index.get(object)? as usize)?.1)
-            }
-        }
+        let at = self.slot(object)?;
+        self.slots.get_mut(at)
     }
 
-    /// `object`'s state, filled from the recycling pool if it has none (a
-    /// dense slab grows on demand).
-    fn get_or_insert(
-        &mut self,
-        object: ObjectId,
-        free: &mut Vec<Box<ObjectLocks<O>>>,
-    ) -> &mut ObjectLocks<O> {
-        match self {
-            Entries::Dense(slab) => {
+    /// `object`'s state, in the last freed slot if it has none (a dense
+    /// index grows on demand).
+    fn get_or_insert(&mut self, object: ObjectId) -> &mut ObjectLocks<O> {
+        // Lossless: a slab of `u32::MAX` slots would take hundreds of GB.
+        let next = self.free.last().copied().unwrap_or(self.slots.len() as u32);
+        let found = match &mut self.index {
+            Index::Dense(by_id) => {
                 let idx = object.index() as usize;
-                if idx >= slab.len() {
-                    slab.resize_with(idx + 1, || None);
+                if idx >= by_id.len() {
+                    by_id.resize(idx + 1, NO_SLOT);
                 }
-                slab[idx].get_or_insert_with(|| free.pop().unwrap_or_default())
+                // detlint: allow(D9) — resized above to cover `idx`
+                let at = &mut by_id[idx];
+                if *at == NO_SLOT {
+                    *at = next;
+                    None
+                } else {
+                    Some(*at)
+                }
             }
-            Entries::Compact { index, live } => {
-                // Lossless: at most one entry per `u32` object id.
-                let at = match index.get_or_insert(object, live.len() as u32) {
-                    Some(at) => at as usize,
-                    None => {
-                        live.push((object, free.pop().unwrap_or_default()));
-                        live.len() - 1
-                    }
-                };
-                // detlint: allow(D9) — the index holds positions in `live`, and a new one was just pushed
-                &mut live[at].1
-            }
-        }
+            Index::Compact(index) => index.get_or_insert(object, next),
+        };
+        let at = found.unwrap_or_else(|| self.take_slot()) as usize;
+        // detlint: allow(D9) — indexed slots and `take_slot`'s are in the slab
+        &mut self.slots[at]
     }
 
-    /// Takes out `object`'s state if it has some and no holder or waiter
-    /// is left in it.
-    fn take_unused(&mut self, object: ObjectId) -> Option<Box<ObjectLocks<O>>> {
-        match self {
-            Entries::Dense(slab) => {
-                let slot = slab.get_mut(object.index() as usize)?;
-                if slot.as_deref().is_some_and(ObjectLocks::is_unused) {
-                    slot.take()
-                } else {
-                    None
+    /// Takes the last freed slot, or a new one at the end of the slab,
+    /// growing the slab (and the free list with it) by at most one step.
+    fn take_slot(&mut self) -> u32 {
+        if let Some(at) = self.free.pop() {
+            return at;
+        }
+        let cap = self.slots.capacity();
+        if self.slots.len() == cap && cap >= FREE_POOL_SEED {
+            self.slots.reserve_exact(FREE_POOL_SEED);
+        }
+        self.slots.push(ObjectLocks::default());
+        // The free list never holds more than the slab: it grows with it,
+        // so a release never allocates.
+        self.free.reserve_exact(self.slots.capacity());
+        // Lossless: see `get_or_insert`.
+        (self.slots.len() - 1) as u32
+    }
+
+    /// Frees `object`'s slot if it has one and no holder or waiter is left
+    /// in it.
+    fn reclaim(&mut self, object: ObjectId) {
+        let Some(at) = self.slot(object) else {
+            return;
+        };
+        if !self.slots.get(at).is_some_and(ObjectLocks::is_unused) {
+            return;
+        }
+        match &mut self.index {
+            Index::Dense(by_id) => {
+                if let Some(entry) = by_id.get_mut(object.index() as usize) {
+                    *entry = NO_SLOT;
                 }
             }
-            Entries::Compact { index, live } => {
-                let at = index.get(object)? as usize;
-                if !live.get(at)?.1.is_unused() {
-                    return None;
-                }
+            Index::Compact(index) => {
                 index.remove(object);
-                let (_, boxed) = live.swap_remove(at);
-                if let Some(&(moved, _)) = live.get(at) {
-                    index.insert(moved, at as u32);
-                }
-                Some(boxed)
             }
         }
+        // Lossless: see `get_or_insert`.
+        self.free.push(at as u32);
+    }
+
+    /// Every object with state and its slot, in no particular order.
+    fn indexed(&self) -> impl Iterator<Item = (ObjectId, usize)> + '_ {
+        let (dense, compact) = match &self.index {
+            Index::Dense(by_id) => (Some(by_id), None),
+            Index::Compact(index) => (None, Some(index)),
+        };
+        let dense = dense.into_iter().flat_map(|by_id| {
+            by_id
+                .iter()
+                .enumerate()
+                .filter(|&(_, &at)| at != NO_SLOT)
+                .map(|(i, &at)| (ObjectId(i as u32), at))
+        });
+        let compact = compact.into_iter().flat_map(SlotIndex::iter);
+        dense.chain(compact).map(|(id, at)| (id, at as usize))
     }
 
     /// Every object with state and its state, in no particular order.
     fn iter(&self) -> impl Iterator<Item = (ObjectId, &ObjectLocks<O>)> {
-        let (dense, compact) = match self {
-            Entries::Dense(slab) => (Some(slab), None),
-            Entries::Compact { live, .. } => (None, Some(live)),
-        };
-        let dense = dense.into_iter().flat_map(|slab| {
-            slab.iter()
-                .enumerate()
-                .filter_map(|(i, e)| Some((ObjectId(i as u32), e.as_deref()?)))
-        });
-        let compact = compact
-            .into_iter()
-            .flat_map(|live| live.iter().map(|(id, e)| (*id, &**e)));
-        dense.chain(compact)
+        self.indexed()
+            .filter_map(|(id, at)| Some((id, self.slots.get(at)?)))
+    }
+
+    /// Frees every slot, keeping the slab, each slot's spills, and the
+    /// capacity of the index and the free list.
+    fn clear(&mut self) {
+        match &mut self.index {
+            Index::Dense(by_id) => by_id.fill(NO_SLOT),
+            Index::Compact(index) => index.clear(),
+        }
+        self.slots.iter_mut().for_each(ObjectLocks::clear);
+        self.free.clear();
+        // Lossless: see `get_or_insert`. Reversed, so slot 0 is taken first.
+        self.free.extend((0..self.slots.len() as u32).rev());
     }
 }
 
@@ -288,6 +335,10 @@ impl<O: LockOwner> Entries<O> {
 type HeldBy<O> = HashMap<O, HeldRow, FixedState>;
 /// One owner's row of [`HeldBy`].
 type HeldRow = InlineVec<ObjectId, 16>;
+/// The objects each owner waits on, one entry per queued request.
+type WaitsOf<O> = HashMap<O, WaitRow, FixedState>;
+/// One owner's row of [`WaitsOf`].
+type WaitRow = InlineVec<ObjectId, 4>;
 
 /// Scratch of [`LockTable::would_deadlock`], cleared but never shrunk: the
 /// owners expanded so far and those still to visit.
@@ -310,22 +361,16 @@ pub type UnblockedGrants<O> = Vec<(ObjectId, Grants<O>)>;
 /// starvation of queued writers); otherwise it waits in FIFO or deadline
 /// order. Releases promote the longest prefix of now-grantable waiters.
 ///
-/// Object state lives in the compact layout, which holds the objects with
-/// lock state only, until [`reserve_objects`](Self::reserve_objects)
-/// selects the dense one, a slab indexed by object id (see the
-/// [module docs](self)). Either way an emptied object's box is recycled
-/// through a free pool. A table never locks `ObjectId(u32::MAX)`: the
-/// compact layout's index reserves it.
+/// Object state lives in one slab of slots, found through the compact
+/// layout's index of the objects with lock state until
+/// [`reserve_objects`](Self::reserve_objects) selects the dense one, an
+/// index by object id (see the [module docs](self)). Either way an emptied
+/// object's slot is recycled through a free list. A table never locks
+/// `ObjectId(u32::MAX)`: the compact layout's index reserves it.
 #[derive(Debug)]
 pub struct LockTable<O> {
     discipline: QueueDiscipline,
     objects: Entries<O>,
-    // Retired per-object state, recycled by the next first-touch request.
-    // An object whose holders and waiters both empty out returns its box
-    // here, so live boxes stay proportional to the *concurrently* locked
-    // set (not every object ever touched) and steady-state requests never
-    // allocate: they pop a warm box instead.
-    free: Vec<Box<ObjectLocks<O>>>,
     // Both owner maps hash with `FixedState`: owners are program-generated
     // ids, and a process-random hasher would move the maps' rehash points
     // (and so the engine's allocation counts) from run to run.
@@ -338,7 +383,11 @@ pub struct LockTable<O> {
     // Reverse index of queued waiters (multiset: one entry per queued
     // waiter), so release_all never has to scan the whole slab for an
     // owner's pending requests.
-    waits_of: HashMap<O, InlineVec<ObjectId, 4>, FixedState>,
+    waits_of: WaitsOf<O>,
+    // Emptied rows of `waits_of` that had spilled, kept as `spare_rows`
+    // keeps `held_by`'s: an owner that waits on more objects than a row
+    // holds inline, again and again, regrows no row.
+    spare_waits: Vec<WaitRow>,
     // Recycled between release_all / cancel_expired calls so the per-
     // transaction cleanup path stays allocation-free at steady state.
     scratch: Vec<ObjectId>,
@@ -357,14 +406,15 @@ impl<O: LockOwner> LockTable<O> {
     pub fn new(discipline: QueueDiscipline) -> Self {
         LockTable {
             discipline,
-            objects: Entries::Compact {
-                index: SlotIndex::new(),
-                live: Vec::new(),
+            objects: Entries {
+                index: Index::Compact(SlotIndex::new()),
+                slots: Vec::new(),
+                free: Vec::new(),
             },
-            free: Vec::new(),
             held_by: HashMap::default(),
             spare_rows: Vec::new(),
             waits_of: HashMap::default(),
+            spare_waits: Vec::new(),
             scratch: Vec::new(),
             walk: RefCell::new(Walk { seen: HashSet::default(), stack: Vec::new() }),
             next_seq: 0,
@@ -375,7 +425,7 @@ impl<O: LockOwner> LockTable<O> {
 
     /// Removes one instance of `object` from `owner`'s waiting index.
     fn forget_wait_one(
-        waits_of: &mut HashMap<O, InlineVec<ObjectId, 4>, FixedState>,
+        (waits_of, spare_waits): (&mut WaitsOf<O>, &mut Vec<WaitRow>),
         owner: O,
         object: ObjectId,
     ) {
@@ -385,7 +435,7 @@ impl<O: LockOwner> LockTable<O> {
                 v.remove(pos);
             }
             if v.is_empty() {
-                waits_of.remove(&owner);
+                Self::spare(spare_waits, waits_of.remove(&owner));
             }
         }
     }
@@ -394,75 +444,70 @@ impl<O: LockOwner> LockTable<O> {
     /// (the counterpart of a `retain` that drops all of the owner's
     /// waiters on that object).
     fn forget_wait_all(
-        waits_of: &mut HashMap<O, InlineVec<ObjectId, 4>, FixedState>,
+        (waits_of, spare_waits): (&mut WaitsOf<O>, &mut Vec<WaitRow>),
         owner: O,
         object: ObjectId,
     ) {
         if let Some(v) = waits_of.get_mut(&owner) {
             v.retain(|&o| o != object);
             if v.is_empty() {
-                waits_of.remove(&owner);
+                Self::spare(spare_waits, waits_of.remove(&owner));
             }
         }
     }
 
-    /// Selects the dense layout, pre-sized for object ids `0..n`, and
-    /// seeds the recycling pool, so first-touch lock requests mid-run
-    /// neither grow the slab nor allocate per-object state. The server,
-    /// whose table sees the whole database, calls this at setup; a table
-    /// that never calls it stays compact, sized to what it has locked. The
-    /// slab still grows on demand past `n`, and the pool is capacity rather
-    /// than a limit — a workload that pins more objects at once than the
-    /// seed simply allocates the excess on demand.
+    /// Selects the dense layout, its index pre-sized for object ids
+    /// `0..n`, and reserves the first `min(n, 1 024)` slots of the slab in
+    /// one allocation, so first-touch lock requests mid-run neither grow
+    /// the index nor allocate per-object state until that many objects
+    /// hold state at once. The server, whose table sees the whole
+    /// database, calls this at setup; a table that never calls it stays
+    /// compact, sized to what it has locked. Past `n` the index grows on
+    /// demand, and past the reservation the slab grows by at most 1 024
+    /// slots a step.
     ///
     /// # Panics
     ///
     /// If the table is compact and already holds lock state: the layout is
     /// chosen before the first request.
     pub fn reserve_objects(&mut self, n: usize) {
-        if let Entries::Compact { live, .. } = &self.objects {
+        let entries = &mut self.objects;
+        if let Index::Compact(index) = &entries.index {
             assert!(
-                live.is_empty(),
+                index.is_empty(),
                 "reserve_objects comes before the first request"
             );
-            self.objects = Entries::Dense(Vec::new());
+            entries.index = Index::Dense(Vec::new());
         }
-        if let Entries::Dense(slab) = &mut self.objects {
-            if slab.len() < n {
-                slab.resize_with(n, || None);
+        if let Index::Dense(by_id) = &mut entries.index {
+            if by_id.len() < n {
+                by_id.resize(n, NO_SLOT);
             }
         }
-        let seed = n.min(FREE_POOL_SEED);
-        while self.free.len() < seed {
-            self.free.push(Box::default());
-        }
+        let reserve = n.min(FREE_POOL_SEED).saturating_sub(entries.slots.len());
+        entries.slots.reserve_exact(reserve);
+        entries
+            .free
+            .reserve_exact(entries.slots.capacity() - entries.free.len());
     }
 
     /// Forgets every lock and waiter, as a crash does, but keeps what the
-    /// table allocated: each object's box goes back to the recycling pool
-    /// with its holder and waiter spills, and the layout's slab or
-    /// [`SlotIndex`], the owner indexes' hash tables and the scratch keep
-    /// their capacity (each owner's row of the index goes). The table then
+    /// table allocated: every slot is freed with its holder and waiter
+    /// spills, and the slab, the layout's index, the owner indexes' hash
+    /// tables and the scratch keep their capacity (each owner's spilled row
+    /// of an owner index goes to that index's spares). The table then
     /// answers as a new one with the same layout, and refilling it to its
-    /// old size takes every box from the pool.
+    /// old size allocates nothing.
     pub fn clear(&mut self) {
-        let free = &mut self.free;
-        let mut recycle = |mut boxed: Box<ObjectLocks<O>>| {
-            boxed.clear();
-            free.push(boxed);
-        };
-        match &mut self.objects {
-            Entries::Dense(slab) => slab.iter_mut().filter_map(Option::take).for_each(recycle),
-            Entries::Compact { index, live } => {
-                index.clear();
-                live.drain(..).for_each(|(_, boxed)| recycle(boxed));
-            }
-        }
+        self.objects.clear();
         // detlint: allow(D2) — the order only picks which spare a later owner draws; `FixedState` fixes it
         for (_, row) in self.held_by.drain() {
-            Self::spare(&mut self.spare_rows, row);
+            Self::spare(&mut self.spare_rows, Some(row));
         }
-        self.waits_of.clear();
+        // detlint: allow(D2) — as above
+        for (_, row) in self.waits_of.drain() {
+            Self::spare(&mut self.spare_waits, Some(row));
+        }
         self.next_seq = 0;
     }
 
@@ -488,11 +533,15 @@ impl<O: LockOwner> LockTable<O> {
         entry.holders.push(Holder { owner, mode, slot });
     }
 
-    /// Keeps an emptied owner row for reuse if it owns heap capacity.
-    fn spare(spare_rows: &mut Vec<HeldRow>, mut row: HeldRow) {
-        if row.spilled() {
+    /// Keeps an emptied owner row, if any, for reuse if it owns heap
+    /// capacity.
+    fn spare<const N: usize>(
+        spares: &mut Vec<InlineVec<ObjectId, N>>,
+        row: Option<InlineVec<ObjectId, N>>,
+    ) {
+        if let Some(mut row) = row.filter(InlineVec::spilled) {
             row.clear();
-            spare_rows.push(row);
+            spares.push(row);
         }
     }
 
@@ -530,13 +579,6 @@ impl<O: LockOwner> LockTable<O> {
         self.visits.set(self.visits.get() + _n as u64);
     }
 
-    /// Returns an emptied object's box to the recycling pool.
-    fn reclaim(&mut self, object: ObjectId) {
-        if let Some(boxed) = self.objects.take_unused(object) {
-            self.free.push(boxed);
-        }
-    }
-
     /// Requests `mode` on `object` for `owner`.
     ///
     /// `deadline` orders the wait queue under
@@ -553,10 +595,10 @@ impl<O: LockOwner> LockTable<O> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let discipline = self.discipline;
-        // Borrows the entries and the pool alone, so the owner indexes can
-        // be updated with the entry in hand. A fresh object's state comes
-        // from the pool: inside a pre-seeded table it costs no allocation.
-        let entry = self.objects.get_or_insert(object, &mut self.free);
+        // Borrows the entries alone, so the owner indexes can be updated
+        // with the entry in hand. A fresh object takes a freed slot: inside
+        // the slab's capacity it costs no allocation.
+        let entry = self.objects.get_or_insert(object);
 
         let holds = entry.holder_mode(owner);
         if let Some(held) = holds {
@@ -589,7 +631,11 @@ impl<O: LockOwner> LockTable<O> {
         // Upgrades go to the front of their discipline class so the
         // upgrading holder cannot deadlock behind newcomers it blocks.
         Self::insert_waiter(&mut entry.waiters, waiter, discipline, holds.is_some());
-        self.waits_of.entry(owner).or_default().push(object);
+        let spare_waits = &mut self.spare_waits;
+        self.waits_of
+            .entry(owner)
+            .or_insert_with(|| spare_waits.pop().unwrap_or_default())
+            .push(object);
         Acquire::Blocked { behind }
     }
 
@@ -626,16 +672,27 @@ impl<O: LockOwner> LockTable<O> {
         let waiting = entry.waiters.len();
         entry.waiters.retain(|w| w.owner != owner);
         if entry.waiters.len() != waiting {
-            Self::forget_wait_all(&mut self.waits_of, owner, object);
+            let waits = (&mut self.waits_of, &mut self.spare_waits);
+            Self::forget_wait_all(waits, owner, object);
         }
         let granted = self.promote(object);
-        self.reclaim(object);
+        self.objects.reclaim(object);
         granted
     }
 
     /// Releases every lock `owner` holds or awaits; returns, per object, the
     /// newly granted waiters.
     pub fn release_all(&mut self, owner: O) -> UnblockedGrants<O> {
+        let mut out = Vec::new();
+        self.release_all_into(owner, &mut out);
+        out
+    }
+
+    /// [`release_all`](Self::release_all) into `out`, which it clears
+    /// first: a caller that keeps `out` from call to call allocates
+    /// nothing once it has grown.
+    pub fn release_all_into(&mut self, owner: O, out: &mut UnblockedGrants<O>) {
+        out.clear();
         // Held objects first (ascending), then awaited objects (ascending),
         // matching the order of the original held-then-slab-scan walk; an
         // object appearing in both lists is processed twice, which is a
@@ -643,32 +700,29 @@ impl<O: LockOwner> LockTable<O> {
         // scratch buffer so the common commit path never allocates.
         let mut work = std::mem::take(&mut self.scratch);
         work.clear();
-        if let Some(held) = self.held_by.remove(&owner) {
-            work.extend(held.iter().copied());
-            Self::spare(&mut self.spare_rows, held);
-        }
+        let held = self.held_by.remove(&owner);
+        work.extend(held.iter().flat_map(InlineVec::iter));
+        Self::spare(&mut self.spare_rows, held);
         work.sort_unstable();
         work.dedup();
         let split = work.len();
-        if let Some(queued) = self.waits_of.remove(&owner) {
-            work.extend(queued.iter().copied());
-        }
+        let queued = self.waits_of.remove(&owner);
+        work.extend(queued.iter().flat_map(InlineVec::iter));
+        Self::spare(&mut self.spare_waits, queued);
         work[split..].sort_unstable();
-        let mut out = Vec::new();
         for &obj in &work {
             if let Some(entry) = self.objects.get_mut(obj) {
                 entry.holders.retain(|h| h.owner != owner);
                 entry.waiters.retain(|w| w.owner != owner);
             }
             let granted = self.promote(obj);
-            self.reclaim(obj);
+            self.objects.reclaim(obj);
             if !granted.is_empty() {
                 out.push((obj, granted));
             }
         }
         work.clear();
         self.scratch = work;
-        out
     }
 
     /// Downgrades `owner`'s exclusive lock on `object` to shared (the
@@ -697,21 +751,37 @@ impl<O: LockOwner> LockTable<O> {
         entry.waiters.retain(|w| w.owner != owner);
         let removed = entry.waiters.len() != before;
         if removed {
-            Self::forget_wait_all(&mut self.waits_of, owner, object);
+            let waits = (&mut self.waits_of, &mut self.spare_waits);
+            Self::forget_wait_all(waits, owner, object);
         }
         let granted = if removed { self.promote(object) } else { Grants::new() };
-        self.reclaim(object);
+        self.objects.reclaim(object);
         (removed, granted)
     }
 
     /// Drops every queued waiter whose deadline precedes `now`; returns the
     /// cancelled waiters and any grants unblocked by the pruning.
     pub fn cancel_expired(&mut self, now: SimTime) -> (ExpiredWaiters<O>, UnblockedGrants<O>) {
-        let mut expired = Vec::new();
+        let (mut expired, mut grants) = (Vec::new(), Vec::new());
+        self.cancel_expired_into(now, &mut expired, &mut grants);
+        (expired, grants)
+    }
+
+    /// [`cancel_expired`](Self::cancel_expired) into `expired` and
+    /// `grants`, which it clears first: a caller that keeps them from
+    /// sweep to sweep allocates nothing once they have grown.
+    pub fn cancel_expired_into(
+        &mut self,
+        now: SimTime,
+        expired: &mut ExpiredWaiters<O>,
+        grants: &mut UnblockedGrants<O>,
+    ) {
+        expired.clear();
+        grants.clear();
         if self.waits_of.is_empty() {
             // Nothing is blocked anywhere: the sweep is free. This is the
             // common case, and it must not walk the object slab.
-            return (expired, Vec::new());
+            return;
         }
         // Visit only objects with queued waiters, straight from the
         // reverse index; pruning and promotion are no-ops elsewhere.
@@ -734,20 +804,19 @@ impl<O: LockOwner> LockTable<O> {
             }
             entry.waiters.retain(|w| w.deadline >= now);
         }
-        for &(obj, w) in &expired {
-            Self::forget_wait_one(&mut self.waits_of, w.owner, obj);
+        for &(obj, w) in expired.iter() {
+            let waits = (&mut self.waits_of, &mut self.spare_waits);
+            Self::forget_wait_one(waits, w.owner, obj);
         }
-        let mut grants = Vec::new();
         for &obj in &touched {
             let g = self.promote(obj);
-            self.reclaim(obj);
+            self.objects.reclaim(obj);
             if !g.is_empty() {
                 grants.push((obj, g));
             }
         }
         touched.clear();
         self.scratch = touched;
-        (expired, grants)
     }
 
     /// Promotes the longest grantable prefix of the wait queue.
@@ -763,7 +832,8 @@ impl<O: LockOwner> LockTable<O> {
                 if sole && held == LockMode::Shared && head.mode == LockMode::Exclusive {
                     entry.set_mode(head.owner, LockMode::Exclusive);
                     entry.waiters.remove(0);
-                    Self::forget_wait_one(&mut self.waits_of, head.owner, object);
+                    let waits = (&mut self.waits_of, &mut self.spare_waits);
+                    Self::forget_wait_one(waits, head.owner, object);
                     granted.push(Waiter {
                         upgrade: true,
                         ..head
@@ -776,7 +846,8 @@ impl<O: LockOwner> LockTable<O> {
                 let index = (&mut self.held_by, &mut self.spare_rows);
                 Self::hold(index, entry, object, head.owner, head.mode);
                 entry.waiters.remove(0);
-                Self::forget_wait_one(&mut self.waits_of, head.owner, object);
+                let waits = (&mut self.waits_of, &mut self.spare_waits);
+                Self::forget_wait_one(waits, head.owner, object);
                 granted.push(head);
             } else {
                 break;
@@ -898,19 +969,25 @@ impl<O: LockOwner> LockTable<O> {
     /// Internal consistency check (tests / debug builds): no conflicting
     /// holders coexist and the reverse index matches.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let Entries::Compact { index, live } = &self.objects {
-            for (at, &(obj, _)) in live.iter().enumerate() {
-                let indexed = index.get(obj);
-                if indexed != Some(at as u32) {
-                    return Err(format!(
-                        "{obj}: entry {at} of the compact layout, indexed {indexed:?}"
-                    ));
-                }
+        // The indexed objects and the free slots account for the slab.
+        let Entries { slots, free, .. } = &self.objects;
+        let mut indexed = 0;
+        for (obj, at) in self.objects.indexed() {
+            if at >= slots.len() {
+                return Err(format!("{obj}: slot {at} of a slab of {}", slots.len()));
             }
-            if index.len() != live.len() {
-                let (indexed, entries) = (index.len(), live.len());
-                return Err(format!("{indexed} indexed objects for {entries} entries"));
+            indexed += 1;
+        }
+        for &at in free {
+            if !slots.get(at as usize).is_some_and(ObjectLocks::is_unused) {
+                return Err(format!("free slot {at} is out of the slab or in use"));
             }
+        }
+        if indexed + free.len() != slots.len() {
+            let (free, slots) = (free.len(), slots.len());
+            return Err(format!(
+                "{indexed} indexed objects and {free} free slots in a slab of {slots}"
+            ));
         }
         let mut held = 0;
         for (obj, e) in self.objects.iter() {
@@ -1215,7 +1292,13 @@ mod tests {
     fn a_cleared_dense_table_refills_from_its_pool() {
         let mut lt = table();
         lt.reserve_objects(64);
-        assert_eq!(lt.free.len(), 64, "the pool is seeded");
+        let slab = |lt: &LockTable<ClientId>| (lt.objects.slots.len(), lt.objects.free.len());
+        assert_eq!(
+            lt.objects.slots.capacity(),
+            64,
+            "the first 64 slots are reserved"
+        );
+        assert_eq!(slab(&lt), (0, 0));
         // Two readers hold each object and a writer waits on it.
         let fill = |lt: &mut LockTable<ClientId>| {
             for obj in (0..200).map(ObjectId) {
@@ -1225,13 +1308,12 @@ mod tests {
             }
         };
         fill(&mut lt);
-        assert!(
-            lt.free.is_empty(),
-            "64 seeded boxes and 136 new ones in use"
-        );
+        assert_eq!(slab(&lt), (200, 0), "one slot an object, none free");
+        // Doubled from 64 to 128, then to 256: under a step, it doubles.
+        assert_eq!(lt.objects.slots.capacity(), 256);
         let owners = lt.held_by.capacity();
         lt.clear();
-        assert_eq!(lt.free.len(), 200, "every box went back to the pool");
+        assert_eq!(slab(&lt), (200, 200), "every slot was freed");
         assert_eq!((lt.active_objects(), lt.has_waiters()), (0, false));
         assert_eq!(lt.locks_of(A), Vec::<ObjectId>::new());
         assert!(
@@ -1239,16 +1321,26 @@ mod tests {
             "the owner index kept its capacity"
         );
         assert!(
-            matches!(lt.objects, Entries::Dense(_)),
+            matches!(lt.objects.index, Index::Dense(_)),
             "the layout stays dense"
         );
         lt.check_invariants().unwrap();
         fill(&mut lt);
-        assert!(
-            lt.free.is_empty(),
-            "the refill took every box from the pool"
-        );
+        assert_eq!(slab(&lt), (200, 0), "the refill took every freed slot");
         assert_eq!(lt.waiters(ObjectId(0)).len(), 1);
+        lt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_large_slab_grows_a_step_at_a_time() {
+        let mut lt = table();
+        lt.reserve_objects(10_000);
+        assert_eq!(lt.objects.slots.capacity(), FREE_POOL_SEED);
+        for obj in (0..2_500).map(ObjectId) {
+            assert!(lt.request(obj, A, Shared, t(10)).is_granted());
+        }
+        assert_eq!(lt.objects.slots.capacity(), 3 * FREE_POOL_SEED);
+        assert!(lt.objects.free.capacity() >= lt.objects.slots.capacity());
         lt.check_invariants().unwrap();
     }
 

@@ -463,6 +463,15 @@ impl SlotIndex {
         }
     }
 
+    /// Every id held and its slot, in bucket order: no order that means
+    /// anything, but the same for the same inserts and removals.
+    pub fn iter(&self) -> impl Iterator<Item = (ObjectId, u32)> + '_ {
+        self.buckets
+            .iter()
+            .filter(|&&(id, _)| id != VACANT)
+            .map(|&(id, slot)| (ObjectId(id), slot))
+    }
+
     /// Forgets every id, keeping the buckets: refilling the index to its
     /// old size allocates nothing.
     pub fn clear(&mut self) {
