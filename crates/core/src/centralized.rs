@@ -36,7 +36,7 @@ use siteselect_net::MessageKind;
 use siteselect_obs::{Event, SpanKind};
 use siteselect_sim::Prng;
 use siteselect_types::{
-    AbortReason, ExperimentConfig, FixedState, InlineVec, LockMode, ObjectId, SimDuration, SimTime,
+    AbortReason, ExperimentConfig, FixedState, LockMode, ObjectId, SimDuration, SimTime,
     SiteId, TransactionId, TransactionSpec, TxnOutcome,
 };
 
@@ -103,15 +103,17 @@ enum Phase {
     Cpu,
 }
 
-/// Per-transaction server state. The spec stays in the arena and the
-/// blocked list is inline (the paper's transactions touch at most 15
-/// objects), so creating and retiring one of these never heap-allocates.
+/// Per-transaction server state. The spec stays in the arena and the lock
+/// table records which objects it waits on, so creating and retiring one
+/// of these never heap-allocates.
 #[derive(Debug)]
 struct CeTxn {
     /// Index of the transaction's spec in `Cx::specs`.
     spec: u32,
     phase: Phase,
-    blocked: InlineVec<ObjectId, 16>,
+    /// Locks requested and not yet granted. A spec names each object
+    /// once, so each wait ends in exactly one grant (or an abort).
+    awaited: u16,
     wait_started: SimTime,
     blocked_total: SimDuration,
     /// Trace-only: the first conflicting holder seen at submit, reported as
@@ -184,7 +186,7 @@ impl CentralizedServer {
         let mut txn = CeTxn {
             spec: index,
             phase: Phase::Locks,
-            blocked: InlineVec::new(),
+            awaited: 0,
             wait_started: cx.now,
             blocked_total: SimDuration::ZERO,
             blocked_on: None,
@@ -220,11 +222,11 @@ impl CentralizedServer {
                     if txn.blocked_on.is_none() {
                         txn.blocked_on = Some(TransactionId::from_raw(behind));
                     }
-                    txn.blocked.push(object);
+                    txn.awaited += 1;
                 }
             }
         }
-        let ready = txn.blocked.is_empty();
+        let ready = txn.awaited == 0;
         self.txns.insert(key, txn);
         if ready {
             self.start_io(cx, key);
@@ -321,7 +323,7 @@ impl CentralizedServer {
             }
             return;
         };
-        txn.blocked.retain(|&o| o != object);
+        txn.awaited -= 1;
         let spec = spec_at(&cx.specs, txn.spec);
         let id = spec.id;
         let exclusive = spec.required_mode(object) == Some(LockMode::Exclusive);
@@ -333,7 +335,7 @@ impl CentralizedServer {
         if spec.is_expired(cx.now) {
             return self.abort_inflight(cx, key, AbortReason::Expired);
         }
-        if txn.blocked.is_empty() && txn.phase == Phase::Locks {
+        if txn.awaited == 0 && txn.phase == Phase::Locks {
             self.start_io(cx, key);
         }
     }
@@ -616,10 +618,9 @@ mod tests {
             s.core.locks.held_mode(object, writer),
             Some(LockMode::Exclusive)
         );
-        assert_eq!(
-            s.txns[&reader].blocked.iter().collect::<Vec<_>>(),
-            [&object]
-        );
+        assert_eq!(s.txns[&reader].awaited, 1);
+        let waiters = s.core.locks.waiters(object);
+        assert_eq!(waiters.iter().map(|w| w.owner).collect::<Vec<_>>(), [reader]);
         assert!(s.core.locks.would_deadlock(writer, [reader]));
         // The writer's commit grants the reader, which then commits too;
         // each result goes to its own terminal.
@@ -679,7 +680,7 @@ mod tests {
         assert_eq!(s.txns.len(), 3);
         let rejoin = s.crash(&mut cx).expect("the replay schedules a rejoin");
         assert!(rejoin > cx.now);
-        assert!(!s.core.server_up);
+        assert!(!cx.fabric.site_up(SiteId::Server));
         assert!(s.txns.is_empty());
         assert_eq!(cx.metrics.failures.site_crash, 3);
         assert_eq!(cx.inflight(), 0);

@@ -120,65 +120,50 @@ enum InfoReason {
     Decompose,
 }
 
-/// The objects a `TxnRun` must assemble, in struct-of-arrays layout:
-/// three parallel inline vectors (object, lock mode, progress) kept sorted
-/// by object id. Transactions touch 5–15 objects, so entries live inline
-/// (no per-transaction map nodes) and lookups are short linear scans; the
-/// sorted order reproduces the ascending iteration the previous `BTreeMap`
-/// gave, which release loops depend on for determinism.
+/// The objects a `TxnRun` must assemble: one row (object, lock mode,
+/// progress) per object, kept sorted by object id. Transactions touch 5–15
+/// objects, so the rows live inline (no per-transaction map nodes) and
+/// lookups are short linear scans; the sorted order reproduces the
+/// ascending iteration the previous `BTreeMap` gave, which release loops
+/// depend on for determinism.
 #[derive(Debug, Default)]
-struct NeededSet {
-    objs: InlineVec<ObjectId, 16>,
-    modes: InlineVec<LockMode, 16>,
-    needs: InlineVec<Need, 16>,
-}
+struct NeededSet(InlineVec<(ObjectId, LockMode, Need), 16>);
 
 impl NeededSet {
-    fn pos(&self, object: ObjectId) -> Option<usize> {
-        self.objs.iter().position(|&o| o == object)
+    fn row(&mut self, object: ObjectId) -> Option<&mut (ObjectId, LockMode, Need)> {
+        self.0.iter_mut().find(|r| r.0 == object)
     }
 
     /// Inserts or replaces the entry for `object`.
     fn insert(&mut self, object: ObjectId, mode: LockMode, need: Need) {
-        match self.pos(object) {
-            Some(i) => {
-                self.modes.set(i, mode);
-                self.needs.set(i, need);
-            }
-            None => {
-                let at = self
-                    .objs
-                    .iter()
-                    .position(|&o| o > object)
-                    .unwrap_or(self.objs.len());
-                self.objs.insert(at, object);
-                self.modes.insert(at, mode);
-                self.needs.insert(at, need);
-            }
+        if let Some(row) = self.row(object) {
+            *row = (object, mode, need);
+            return;
         }
+        let at = self.0.iter().position(|r| r.0 > object);
+        self.0.insert(at.unwrap_or(self.0.len()), (object, mode, need));
     }
 
     /// The recorded (mode, progress) of `object`, if present.
     fn get(&self, object: ObjectId) -> Option<(LockMode, Need)> {
-        self.pos(object)
-            .map(|i| (self.modes.get_copy(i), self.needs.get_copy(i)))
+        self.0.iter().find(|r| r.0 == object).map(|&(_, m, n)| (m, n))
     }
 
     /// Updates the progress of `object`; no-op if absent.
     fn set_need(&mut self, object: ObjectId, need: Need) {
-        if let Some(i) = self.pos(object) {
-            self.needs.set(i, need);
+        if let Some(row) = self.row(object) {
+            row.2 = need;
         }
     }
 
     /// The objects of this set, ascending.
     fn objects(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objs.iter().copied()
+        self.0.iter().map(|r| r.0)
     }
 
     /// True once every entry is `Need::Held`.
     fn all_held(&self) -> bool {
-        self.needs.iter().all(|&n| n == Need::Held)
+        self.0.iter().all(|r| r.2 == Need::Held)
     }
 }
 
@@ -1688,7 +1673,7 @@ impl ClientSite {
     /// nothing on its way down — the rest of the system learns of the
     /// failure only through timeouts and lease expiry.
     pub(crate) fn on_crash(&mut self, cx: &mut Cx) {
-        if !cx.set_site_up(self.id, false) {
+        if !cx.fabric.set_site_down(SiteId::Client(self.id)) {
             return; // already down (schedules can overlap at run end)
         }
         cx.metrics.faults.crashes += 1;
@@ -1698,7 +1683,6 @@ impl ClientSite {
                 site: SiteId::Client(id),
             }
         });
-        cx.fabric.set_site_down(SiteId::Client(id));
         // detlint: allow(D2) — `keys.sort_unstable()` on the next line, before the kill cascade
         let mut keys: Vec<TKey> = self.txns.keys().copied().collect();
         keys.sort_unstable(); // hash order is implementation-defined; kills cascade
@@ -1726,7 +1710,7 @@ impl ClientSite {
     /// A crashed site comes back up, cold: it accepts traffic again but
     /// remembers nothing (its caches were wiped at crash time).
     pub(crate) fn on_recover(&mut self, cx: &mut Cx) {
-        if !cx.set_site_up(self.id, true) {
+        if !cx.fabric.set_site_up(SiteId::Client(self.id)) {
             return;
         }
         cx.metrics.faults.recoveries += 1;
@@ -1736,7 +1720,6 @@ impl ClientSite {
                 site: SiteId::Client(id),
             }
         });
-        cx.fabric.set_site_up(SiteId::Client(id));
     }
 
     /// Retry timer for an outstanding fetch: if the fetch `sent_at` is

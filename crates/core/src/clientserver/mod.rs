@@ -519,8 +519,6 @@ pub(crate) struct Cx {
     /// In-flight deliveries refused at a crashed site's door (fabric-level
     /// drops are counted by the fabric itself).
     pub refused: u64,
-    /// Liveness of each client site (all true with faults off).
-    up: Vec<bool>,
     /// Objects whose client-to-client forward hop was lost in transit and
     /// whose chain the server has yet to hear is broken (the simulation's
     /// shortcut for the timeout a real server would run).
@@ -554,7 +552,6 @@ impl Cx {
             warmup_end: SimTime::ZERO + cfg.runtime.warmup,
             faults_active: cfg.faults.injects_faults(),
             refused: 0,
-            up: vec![true; usize::from(cfg.clients)],
             lost_forwards: Vec::new(),
             local: None,
             outbound: Vec::new(),
@@ -588,18 +585,7 @@ impl Cx {
 
     /// True unless fault injection has `client` currently crashed.
     pub(crate) fn site_up(&self, client: ClientId) -> bool {
-        self.up.get(client.index()).copied().unwrap_or(true)
-    }
-
-    /// Records `client` as crashed or recovered; false if it already was.
-    pub(crate) fn set_site_up(&mut self, client: ClientId, up: bool) -> bool {
-        match self.up.get_mut(client.index()) {
-            Some(slot) if *slot != up => {
-                *slot = up;
-                true
-            }
-            _ => false,
-        }
+        self.fabric.site_up(SiteId::Client(client))
     }
 
     /// Client-to-server traffic: one frame carrying `logical` per-object
@@ -1200,7 +1186,7 @@ impl Simulator {
             (ServerKind::Centralized(server), Ev::ServerCpu { generation }) => {
                 server.on_cpu_tick(cx, generation);
             }
-            (ServerKind::ClientServer(server), _) if !server.core.server_up => {}
+            (ServerKind::ClientServer(_), _) if !cx.fabric.site_up(SiteId::Server) => {}
             (
                 ServerKind::ClientServer(server),
                 Ev::ServerFetchDone {
@@ -1230,14 +1216,14 @@ impl Simulator {
         let cx = &mut self.cx;
         let up = match (to, &self.server) {
             (SiteDest::Client(c), _) => cx.site_up(c),
-            (SiteDest::Server, ServerKind::Centralized(server)) => {
+            (SiteDest::Server, ServerKind::Centralized(_)) => {
                 if let Some((unit, kind, sent_at)) = msg.trip() {
                     cx.sink
                         .span(cx.now, SiteId::Server, unit, kind, sent_at, None);
                 }
-                server.core.server_up
+                cx.fabric.site_up(SiteId::Server)
             }
-            (SiteDest::Server, ServerKind::ClientServer(server)) => server.core.server_up,
+            (SiteDest::Server, ServerKind::ClientServer(_)) => cx.fabric.site_up(SiteId::Server),
             // A client's one-site simulator sends its server traffic out.
             (SiteDest::Server, ServerKind::Remote) => false,
         };
@@ -1279,7 +1265,7 @@ impl Simulator {
         }
         match &mut self.server {
             ServerKind::Centralized(server) => server.sweep(&mut self.cx),
-            ServerKind::ClientServer(server) if server.core.server_up => {
+            ServerKind::ClientServer(_) if self.cx.fabric.site_up(SiteId::Server) => {
                 self.sweep_client_server();
             }
             _ => {}

@@ -993,7 +993,7 @@ impl ServerSite {
     /// outstanding requests die silently and are re-driven by retries or
     /// reaped by the deadline sweeps. Returns when to rejoin, if ever.
     pub(crate) fn crash(&mut self, cx: &mut Cx) -> Option<SimTime> {
-        if !self.core.server_up {
+        if !cx.fabric.site_up(SiteId::Server) {
             return None; // scheduled crash landed while already down
         }
         let ready = self
@@ -1056,7 +1056,7 @@ impl ServerSite {
 mod tests {
     use super::super::SiteDest;
     use super::*;
-    use siteselect_types::SystemKind;
+    use siteselect_types::{FaultConfig, SystemKind};
 
     impl ServerSite {
         /// True if the link of `client` on `object` holds a queued request.
@@ -1355,8 +1355,11 @@ mod tests {
     fn a_lost_first_hop_leaves_the_object_home() {
         let (mut s, mut cx) = site(SystemKind::LoadSharing);
         let object = ObjectId(4);
-        cx.fabric.set_site_down(SiteId::Client(ClientId(2)));
+        // Every message is lost in transit, the hop to client 2 included.
+        let loss = FaultConfig { loss_probability: 1.0, ..FaultConfig::default() };
+        cx.fabric.enable_faults(loss, Prng::seed_from_u64(1));
         close_window(&mut s, &mut cx, object, &[2, 3]);
+        assert_eq!(cx.fabric.dropped_messages(), 1);
         assert!(!s.routing.contains(object));
         // A chain that never started has no broken route to report.
         assert!(cx.lost_forwards.is_empty());

@@ -51,8 +51,6 @@ pub(crate) struct ServerCore<O: LockOwner> {
     pub disk: DiskModel,
     /// WAL-guarded durable home of the database.
     pub store: DurableStore,
-    /// False while the server is crashed and replaying its log.
-    pub server_up: bool,
     /// Crash-time draws: the torn staged-write tail kept by a crash and the
     /// reboot lag before replay starts. Its own stream, so restart draws
     /// never perturb the crash schedule; never advanced with faults off.
@@ -71,7 +69,6 @@ impl<O: LockOwner> ServerCore<O> {
             buffer: ClientCache::new(cfg.server.buffer_objects, 0),
             disk: DiskModel::new(cfg.server.disk.page_service_time),
             store: DurableStore::new(cfg.database.num_objects, cfg.server.buffer_objects.max(1)),
-            server_up: true,
             crash_prng: Prng::seed_from_u64(cfg.runtime.seed).derive(0xFA_E5),
             pending_recovery: None,
             crashed_at: None,
@@ -131,16 +128,14 @@ impl<O: LockOwner> ServerCore<O> {
         fabric: &mut Fabric,
         metrics: &mut RunMetrics,
     ) -> Option<SimTime> {
-        if !self.server_up {
+        if !fabric.set_site_down(SiteId::Server) {
             return None; // scheduled crash landed while already down
         }
-        self.server_up = false;
         self.crashed_at = Some(now);
         metrics.faults.crashes += 1;
         sink.emit(now, SiteId::Server, || Event::SiteCrash {
             site: SiteId::Server,
         });
-        fabric.set_site_down(SiteId::Server);
         self.locks.clear();
         self.buffer.clear();
         if cfg.faults.mean_recovery_time.is_zero() {
@@ -174,7 +169,6 @@ impl<O: LockOwner> ServerCore<O> {
         fabric: &mut Fabric,
         metrics: &mut RunMetrics,
     ) -> Option<SimTime> {
-        self.server_up = true;
         fabric.set_site_up(SiteId::Server);
         metrics.faults.recoveries += 1;
         let outcome = self.pending_recovery.take().unwrap_or_default();
@@ -261,7 +255,7 @@ mod tests {
             .crash(down, &cfg, &sink, &mut fabric, &mut metrics)
             .expect("a restart config schedules the rejoin");
         assert!(ready > down);
-        assert!(!core.server_up);
+        assert!(!fabric.site_up(SiteId::Server));
         assert_eq!(core.locks.held_mode(ObjectId(7), owner), None);
         assert!(!core.buffer.contains(ObjectId(7)));
         assert_eq!(metrics.faults.crashes, 1);
@@ -280,7 +274,7 @@ mod tests {
             core.rejoin(ready, &sink, &mut fabric, &mut metrics),
             Some(down)
         );
-        assert!(core.server_up);
+        assert!(fabric.site_up(SiteId::Server));
         assert_eq!(metrics.faults.recoveries, 1);
         assert_eq!(core.crashed_at, None);
         (outcome, ready)
@@ -308,7 +302,7 @@ mod tests {
         let sink = EventSink::disabled();
         let at = SimTime::from_secs(5);
         assert_eq!(core.crash(at, &cfg, &sink, &mut fabric, &mut metrics), None);
-        assert!(!core.server_up);
+        assert!(!fabric.site_up(SiteId::Server));
         assert!(core.pending_recovery.is_none());
     }
 }

@@ -10,8 +10,9 @@
 //!   its queues to refuse a request that would close a wait-for cycle
 //!   ("added to the request queue only if it does not cause a deadlock
 //!   cycle", §5.1).
-//! * [`WaitForGraph`] — the same check over a separately kept graph, used
-//!   by the threaded cluster.
+//! * [`WaitForGraph`] — the same check over a separately kept graph: a
+//!   map from each waiter to whom it waits for and a depth-first search.
+//!   No site keeps one; it stays as the plain model of the check.
 //! * [`CallbackTracker`] — the callback protocol with the paper's downgrade
 //!   optimization: a holder asked to give up an EL for a requester that only
 //!   wants an SL downgrades to SL and keeps the object (§2).
@@ -51,8 +52,6 @@ pub mod forward;
 mod reference;
 pub mod table;
 pub mod waitfor;
-#[cfg(test)]
-mod waitfor_reference;
 pub mod window;
 
 pub use callback::{CallbackTracker, RecallProgress, Targets};

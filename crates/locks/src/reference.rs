@@ -244,8 +244,8 @@ impl<O: LockOwner> RefLockTable<O> {
         (removed, granted)
     }
 
-    // The nested tuple return mirrors `LockTable::cancel_expired` so the
-    // property tests can diff the two implementations verbatim.
+    // The nested tuple return is the pair `LockTable::cancel_expired_into`
+    // fills, so the property tests can diff the two implementations verbatim.
     #[allow(clippy::type_complexity)]
     pub fn cancel_expired(
         &mut self,
@@ -594,7 +594,7 @@ mod property_tests {
         let (mut granted, mut expired) = (Vec::new(), Vec::new());
 
         for step in 0..STEPS {
-            // Top the hoard up now and then: releases and `release_all`
+            // Top the hoard up now and then: releases and `release_all_into`
             // eat into it, and the owner index must be exercised at depth.
             if objects > HOT && step % 256 == 0 {
                 for obj in (HOT..objects).map(|i| table.id(i)) {

@@ -348,7 +348,7 @@ struct Walk<O> {
     stack: Vec<O>,
 }
 
-/// Waiters cancelled by [`LockTable::cancel_expired`], tagged by object.
+/// Waiters cancelled by [`LockTable::cancel_expired_into`], tagged by object.
 pub type ExpiredWaiters<O> = Vec<(ObjectId, Waiter<O>)>;
 /// Grants unblocked by a pruning pass, grouped by object.
 pub type UnblockedGrants<O> = Vec<(ObjectId, Grants<O>)>;
@@ -376,20 +376,20 @@ pub struct LockTable<O> {
     // (and so the engine's allocation counts) from run to run.
     held_by: HeldBy<O>,
     // Emptied rows of `held_by` that had spilled to the heap. A crash's
-    // `clear` and `release_all` hand them back and `hold` draws on them,
-    // so a table refilled after a restart regrows no row; the rows of
+    // `clear` and `release_all_into` hand them back and `hold` draws on
+    // them, so a table refilled after a restart regrows no row; the rows of
     // owners that are gone are not kept in the index to get this.
     spare_rows: Vec<HeldRow>,
     // Reverse index of queued waiters (multiset: one entry per queued
-    // waiter), so release_all never has to scan the whole slab for an
+    // waiter), so release_all_into never has to scan the whole slab for an
     // owner's pending requests.
     waits_of: WaitsOf<O>,
     // Emptied rows of `waits_of` that had spilled, kept as `spare_rows`
     // keeps `held_by`'s: an owner that waits on more objects than a row
     // holds inline, again and again, regrows no row.
     spare_waits: Vec<WaitRow>,
-    // Recycled between release_all / cancel_expired calls so the per-
-    // transaction cleanup path stays allocation-free at steady state.
+    // Recycled between release_all_into / cancel_expired_into calls so the
+    // per-transaction cleanup path stays allocation-free at steady state.
     scratch: Vec<ObjectId>,
     // `would_deadlock` takes `&self`, so a caller can hand it holders
     // straight off this table; its scratch is the one interior-mutable part.
@@ -584,7 +584,7 @@ impl<O: LockOwner> LockTable<O> {
     /// `deadline` orders the wait queue under
     /// [`QueueDiscipline::Deadline`]; it is remembered either way so
     /// callers can prune expired waiters with
-    /// [`cancel_expired`](Self::cancel_expired).
+    /// [`cancel_expired_into`](Self::cancel_expired_into).
     pub fn request(
         &mut self,
         object: ObjectId,
@@ -680,17 +680,10 @@ impl<O: LockOwner> LockTable<O> {
         granted
     }
 
-    /// Releases every lock `owner` holds or awaits; returns, per object, the
-    /// newly granted waiters.
-    pub fn release_all(&mut self, owner: O) -> UnblockedGrants<O> {
-        let mut out = Vec::new();
-        self.release_all_into(owner, &mut out);
-        out
-    }
-
-    /// [`release_all`](Self::release_all) into `out`, which it clears
-    /// first: a caller that keeps `out` from call to call allocates
-    /// nothing once it has grown.
+    /// Releases every lock `owner` holds or awaits; puts, per object, the
+    /// newly granted waiters into `out`, which it clears first: a caller
+    /// that keeps `out` from call to call allocates nothing once it has
+    /// grown.
     pub fn release_all_into(&mut self, owner: O, out: &mut UnblockedGrants<O>) {
         out.clear();
         // Held objects first (ascending), then awaited objects (ascending),
@@ -759,17 +752,10 @@ impl<O: LockOwner> LockTable<O> {
         (removed, granted)
     }
 
-    /// Drops every queued waiter whose deadline precedes `now`; returns the
-    /// cancelled waiters and any grants unblocked by the pruning.
-    pub fn cancel_expired(&mut self, now: SimTime) -> (ExpiredWaiters<O>, UnblockedGrants<O>) {
-        let (mut expired, mut grants) = (Vec::new(), Vec::new());
-        self.cancel_expired_into(now, &mut expired, &mut grants);
-        (expired, grants)
-    }
-
-    /// [`cancel_expired`](Self::cancel_expired) into `expired` and
-    /// `grants`, which it clears first: a caller that keeps them from
-    /// sweep to sweep allocates nothing once they have grown.
+    /// Drops every queued waiter whose deadline precedes `now`; puts the
+    /// cancelled waiters into `expired` and any grants unblocked by the
+    /// pruning into `grants`, which it clears first: a caller that keeps
+    /// them from sweep to sweep allocates nothing once they have grown.
     pub fn cancel_expired_into(
         &mut self,
         now: SimTime,
@@ -1227,7 +1213,8 @@ mod tests {
         lt.request(OBJ, A, Exclusive, t(100));
         lt.request(OBJ, B, Exclusive, t(5));
         lt.request(OBJ, C, Exclusive, t(50));
-        let (expired, _grants) = lt.cancel_expired(t(10));
+        let (mut expired, mut grants) = (Vec::new(), Vec::new());
+        lt.cancel_expired_into(t(10), &mut expired, &mut grants);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].1.owner, B);
         assert_eq!(lt.waiters(OBJ).len(), 1);
@@ -1242,7 +1229,8 @@ mod tests {
         lt.request(o2, A, Shared, t(10));
         lt.request(o1, B, Shared, t(10));
         lt.request(o2, B, Exclusive, t(10));
-        let grants = lt.release_all(A);
+        let mut grants = Vec::new();
+        lt.release_all_into(A, &mut grants);
         assert_eq!(grants.len(), 2);
         assert_eq!(lt.locks_of(A), Vec::<ObjectId>::new());
         assert_eq!(lt.held_mode(o1, B), Some(Shared));
@@ -1349,7 +1337,9 @@ mod tests {
         let mut lt = table();
         assert!(lt.release(OBJ, A).is_empty());
         assert!(lt.downgrade(OBJ, A).is_empty());
-        assert!(lt.release_all(A).is_empty());
+        let mut grants = Vec::new();
+        lt.release_all_into(A, &mut grants);
+        assert!(grants.is_empty());
     }
 
     #[test]

@@ -123,13 +123,21 @@ impl Fabric {
     /// Marks `site` crashed: every message addressed to it is dropped until
     /// [`set_site_up`](Self::set_site_up). Usable without
     /// [`enable_faults`](Self::enable_faults) for pure liveness tracking.
-    pub fn set_site_down(&mut self, site: SiteId) {
-        self.fault_state().down.insert(site);
+    /// False if `site` was already down.
+    pub fn set_site_down(&mut self, site: SiteId) -> bool {
+        self.fault_state().down.insert(site)
     }
 
-    /// Marks `site` recovered; deliveries to it resume.
-    pub fn set_site_up(&mut self, site: SiteId) {
-        self.fault_state().down.remove(&site);
+    /// Marks `site` recovered; deliveries to it resume. False if `site`
+    /// was not down.
+    pub fn set_site_up(&mut self, site: SiteId) -> bool {
+        self.fault_state().down.remove(&site)
+    }
+
+    /// True unless `site` is marked crashed.
+    #[must_use]
+    pub fn site_up(&self, site: SiteId) -> bool {
+        self.faults.as_ref().is_none_or(|f| !f.down.contains(&site))
     }
 
     /// Messages lost so far (random loss plus deliveries to crashed sites).
@@ -483,7 +491,10 @@ mod tests {
     #[test]
     fn crashed_destination_drops_but_pays_wire_time() {
         let mut f = fabric(LanKind::SharedEthernet);
-        f.set_site_down(site(1));
+        assert!(f.site_up(site(1)));
+        assert!(f.set_site_down(site(1)));
+        assert!(!f.set_site_down(site(1)), "a second crash changes nothing");
+        assert!(!f.site_up(site(1)));
         let busy_before = f.busy_until();
         let d = f.try_send(SimTime::ZERO, SiteId::Server, site(1), MessageKind::ObjectSend, 1);
         assert_eq!(d, Delivery::Dropped);
@@ -492,7 +503,9 @@ mod tests {
         assert_eq!(f.stats().count(MessageKind::ObjectSend), 1);
         assert_eq!(f.dropped_messages(), 1);
 
-        f.set_site_up(site(1));
+        assert!(f.set_site_up(site(1)));
+        assert!(!f.set_site_up(site(1)), "a second recovery changes nothing");
+        assert!(f.site_up(site(1)));
         let d = f.try_send(SimTime::ZERO, SiteId::Server, site(1), MessageKind::ObjectSend, 1);
         assert!(matches!(d, Delivery::Delivered(_)));
     }

@@ -39,11 +39,10 @@ reference_tests() {
     || die "cargo test $* ran no test: its filter matches nothing"
 }
 
-# The wait-for graph, lock table in both layouts (and its deadlock walk and
-# a crash's clear), buffer pool and trace exporters against their reference
+# The lock table in both layouts (and its deadlock walk and a crash's
+# clear), buffer pool and trace exporters against their reference
 # implementations at the full case count (debug builds run a slice).
 step_references() {
-  reference_tests -p siteselect-locks waitfor
   reference_tests -p siteselect-locks --lib table_matches_hashmap_oracle
   reference_tests -p siteselect-locks --lib cleared_table
   reference_tests -p siteselect-locks --lib deadlock_walk

@@ -55,6 +55,7 @@ fn lock_table_never_grants_conflicting_holders() {
             QueueDiscipline::Fifo
         };
         let mut table: LockTable<ClientId> = LockTable::new(discipline);
+        let (mut grants, mut expired) = (Vec::new(), Vec::new());
         let ops = 1 + rng.below_usize(79);
         for _ in 0..ops {
             match lock_op(&mut rng) {
@@ -77,10 +78,11 @@ fn lock_table_never_grants_conflicting_holders() {
                     let _ = table.cancel_wait(ObjectId(obj.into()), ClientId(owner.into()));
                 }
                 LockOp::ReleaseAll { owner } => {
-                    let _ = table.release_all(ClientId(owner.into()));
+                    table.release_all_into(ClientId(owner.into()), &mut grants);
                 }
                 LockOp::Expire { now } => {
-                    let _ = table.cancel_expired(SimTime::from_secs(now.into()));
+                    let now = SimTime::from_secs(now.into());
+                    table.cancel_expired_into(now, &mut expired, &mut grants);
                 }
             }
             table.check_invariants().expect("lock table invariant violated");
@@ -120,20 +122,43 @@ fn blocked_requests_are_eventually_granted_on_release() {
 }
 
 // ------------------------------------------------------------------
-// Wait-for graph: the gate keeps the graph acyclic.
+// Wait-for graph: every verdict matches a transitive closure of the
+// edges, and the gate keeps the graph acyclic.
 // ------------------------------------------------------------------
+
+/// Which of 8 nodes reach which through one or more edges
+/// (Floyd–Warshall over the adjacency matrix).
+fn closure(edges: &[[bool; 8]; 8]) -> [[bool; 8]; 8] {
+    let mut reach = *edges;
+    for k in 0..8 {
+        for i in 0..8 {
+            for j in 0..8 {
+                reach[i][j] |= reach[i][k] && reach[k][j];
+            }
+        }
+    }
+    reach
+}
 
 #[test]
 fn wfg_gate_prevents_cycles() {
     for case in 0..CASES {
         let mut rng = Prng::seed_from_u64(0x3F6_0000 + case);
         let mut g: WaitForGraph<u8> = WaitForGraph::new();
-        let edges = 1 + rng.below_usize(59);
-        for _ in 0..edges {
+        let mut edges = [[false; 8]; 8];
+        let probes = 1 + rng.below_usize(59);
+        for _ in 0..probes {
             let a = rng.below(8) as u8;
-            let b = rng.below(8) as u8;
-            if a != b && !g.would_deadlock(a, [b]) {
-                g.add_waits(a, [b]);
+            let holders: Vec<u8> = (0..1 + rng.below(3)).map(|_| rng.below(8) as u8).collect();
+            let reach = closure(&edges);
+            let expected = holders.iter().any(|&h| h == a || reach[usize::from(h)][usize::from(a)]);
+            let verdict = g.would_deadlock(a, &holders);
+            assert_eq!(verdict, expected, "case {case}: would_deadlock({a}, {holders:?})");
+            if !verdict {
+                g.add_waits(a, holders.iter().copied());
+                for &h in &holders {
+                    edges[usize::from(a)][usize::from(h)] = true;
+                }
             }
             assert!(!g.has_cycle());
         }
