@@ -221,12 +221,13 @@ fn find_cycle(nodes: usize, edges: &[(u32, u32)]) -> Option<Vec<u32>> {
         first[n + 1] += first[n];
     }
     let mut color = vec![WHITE; nodes];
+    // (node, index of its next unvisited edge); empty between roots.
+    let mut stack: Vec<(usize, usize)> = Vec::new();
     for start in 0..nodes {
         if color[start] != WHITE {
             continue;
         }
-        // (node, index of its next unvisited edge)
-        let mut stack: Vec<(usize, usize)> = vec![(start, first[start])];
+        stack.push((start, first[start]));
         color[start] = GRAY;
         while let Some(&mut (node, ref mut next)) = stack.last_mut() {
             if *next < first[node + 1] {

@@ -6,8 +6,8 @@
 //! * The centralized hot loop, after warm-up, performs **zero** heap
 //!   allocations. That run uses a read-only workload (`update_fraction =
 //!   0`) so the append-only WAL — which grows by design — stays quiet and
-//!   the test isolates the submit→lock→I/O→commit→result path: pooled
-//!   event-queue slots, inline transaction state, the slab-backed caches,
+//!   the test isolates the submit→lock→I/O→commit→result path: recycled
+//!   event-queue nodes, inline transaction state, the slab-backed caches,
 //!   and the pre-sized lock table must all recycle without touching the
 //!   allocator.
 //! * Whole runs of the engines the benchmark measures — construction,
@@ -78,32 +78,35 @@ fn assert_within_budget(system: SystemKind, update_fraction: f64, budget: (f64, 
 
 #[test]
 fn client_server_run_stays_inside_its_allocation_budget() {
-    // Measured 3.013 (release) and 5.207 (debug); 4.240 and 11.915 when
-    // the lock tables boxed each object's state, 4.928 and 12.045 when a
-    // blocked request listed every holder in its way, 7.729 and 13.415
-    // when the generator drew its objects into a list of their own and a
-    // recall of many holders regrew its rows.
-    assert_within_budget(SystemKind::ClientServer, 0.20, (3.16, 5.46));
+    // Measured 2.915 (release) and 4.249 (debug); 3.013 and 5.207 when
+    // the event queue built 704 bucket vectors up front, 4.240 and 11.915
+    // when the lock tables boxed each object's state, 4.928 and 12.045
+    // when a blocked request listed every holder in its way, 7.729 and
+    // 13.415 when the generator drew its objects into a list of their own
+    // and a recall of many holders regrew its rows.
+    assert_within_budget(SystemKind::ClientServer, 0.20, (3.06, 4.46));
 }
 
 #[test]
 fn load_sharing_run_stays_inside_its_allocation_budget() {
-    // Measured 3.271 (release) and 4.532 (debug); 4.044 and 11.184 when
-    // the lock tables boxed each object's state, 4.500 and 11.288 when a
-    // blocked request listed every holder in its way, 13.100 and 15.265
-    // when conflict reports, load replies and decomposition built nested
-    // vectors for every object.
-    assert_within_budget(SystemKind::LoadSharing, 0.05, (3.43, 4.75));
+    // Measured 3.170 (release) and 3.579 (debug); 3.271 and 4.532 when
+    // the event queue built 704 bucket vectors up front, 4.044 and 11.184
+    // when the lock tables boxed each object's state, 4.500 and 11.288
+    // when a blocked request listed every holder in its way, 13.100 and
+    // 15.265 when conflict reports, load replies and decomposition built
+    // nested vectors for every object.
+    assert_within_budget(SystemKind::LoadSharing, 0.05, (3.32, 3.75));
 }
 
 #[test]
 fn centralized_run_stays_inside_its_allocation_budget() {
-    // Measured 2.228 (release) and 5.812 (debug); 3.246 and 6.821 when the
-    // lock table boxed each object's state and a release or sweep
+    // Measured 2.150 (release) and 5.069 (debug); 2.228 and 5.812 when the
+    // event queue built 704 bucket vectors up front, 3.246 and 6.821 when
+    // the lock table boxed each object's state and a release or sweep
     // collected its results into fresh lists, 3.768 and 6.824 when a
     // blocked request listed every holder in its way, 4.882 and 7.964 with
     // the generator's second list.
-    assert_within_budget(SystemKind::Centralized, 0.20, (2.33, 6.10));
+    assert_within_budget(SystemKind::Centralized, 0.20, (2.25, 5.31));
 }
 
 /// `whole_run` at seed 11 and 20 % updates under `chaos_restart(1.0)`:
@@ -137,24 +140,26 @@ fn assert_restart_within_budget(system: SystemKind, budget: (f64, f64)) {
 
 #[test]
 fn client_server_restart_run_stays_inside_its_allocation_budget() {
-    // Measured 6.660 (release) and 6.102 (debug); 9.267 / 12.711 when the
-    // lock tables boxed each object's state, 9.679 / 12.831 when a
+    // Measured 6.386 (release) and 4.580 (debug); 6.660 / 6.102 when the
+    // event queue built 704 bucket vectors up front, 9.267 / 12.711 when
+    // the lock tables boxed each object's state, 9.679 / 12.831 when a
     // blocked request listed every holder in its way, 11.506 / 14.126 before
     // the generator's and the recalls' allocations went, 11.892 / 14.297
     // when the lock table's owner rows regrew their spills after every
     // restart, and 24.908 in release when a crash rebuilt the lock table
     // and a dropped request lost its buffer.
-    assert_restart_within_budget(SystemKind::ClientServer, (6.99, 6.40));
+    assert_restart_within_budget(SystemKind::ClientServer, (6.70, 4.80));
 }
 
 #[test]
 fn load_sharing_restart_run_stays_inside_its_allocation_budget() {
-    // Measured 7.649 (release) and 6.564 (debug); 10.101 / 13.073 when the
-    // lock tables boxed each object's state, 10.390 / 13.193 when a
+    // Measured 7.380 (release) and 5.066 (debug); 7.649 / 6.564 when the
+    // event queue built 704 bucket vectors up front, 10.101 / 13.073 when
+    // the lock tables boxed each object's state, 10.390 / 13.193 when a
     // blocked request listed every holder in its way, 18.575 / 17.645 before
     // the decision answers were pooled, 18.955 / 17.816 with owner rows
     // regrown after restarts, 31.160 in release before that.
-    assert_restart_within_budget(SystemKind::LoadSharing, (8.03, 6.89));
+    assert_restart_within_budget(SystemKind::LoadSharing, (7.74, 5.31));
 }
 
 /// Allocations of one blame extraction over a traced CS crash-restart run
@@ -276,8 +281,9 @@ fn centralized_steady_state_allocates_nothing() {
 
     let mut sim = CentralizedSim::new(cfg);
     sim.prepare();
-    // Warm up: capacities (queue slots, lock-table maps, buffer slabs,
-    // scratch vectors) reach their steady-state sizes here.
+    // Warm up: capacities (the event queue's node slab and drain,
+    // lock-table maps, buffer slabs, scratch vectors) reach their
+    // steady-state sizes here.
     while sim.now() < warmup_end {
         assert!(sim.step(), "run drained before the warm-up window ended");
     }

@@ -1,52 +1,58 @@
 //! A deterministic, time-ordered event queue.
 //!
 //! Implemented as a hierarchical bucketed timer wheel rather than a binary
-//! heap: eleven levels of 64 slots each cover the full 64-bit microsecond
+//! heap: eleven levels of 64 buckets each cover the full 64-bit microsecond
 //! range, so a push is a couple of bit operations and a pop is an `O(1)`
-//! take from the current drain bucket, with the occasional lazy cascade of
-//! a higher-level slot as simulated time advances. A `BinaryHeap` pays a
-//! `log n` sift plus an `Entry` memmove chain on every operation; the
-//! wheel pays neither on the hot path, which is what the million-events
-//! per-second engines need.
+//! take from the sorted drain of the earliest bucket, with the occasional
+//! lazy cascade of a higher-level bucket as simulated time advances. A
+//! `BinaryHeap` pays a `log n` sift plus an entry memmove chain on every
+//! operation; the wheel pays neither on the hot path, which is what the
+//! million-events per-second engines need.
+//!
+//! Every event waiting in the wheel lives in one slab of nodes. A bucket is
+//! the index of its first node and each node links to the next, so a
+//! cascade relinks nodes and moves no event. Settling a level-0 bucket
+//! moves its events into the drain and puts their nodes on a free list,
+//! which the next push draws from. A queue therefore allocates a constant
+//! amount when it is built, and afterwards only when the slab or the drain
+//! reaches a new peak.
 
 use siteselect_types::SimTime;
 
-/// One queued event: fire time plus an insertion sequence number used to
-/// break ties FIFO.
+/// One event in the drain: fire time plus an insertion sequence number
+/// used to break ties FIFO.
 struct Entry<E> {
     at: u64,
     seq: u64,
     event: E,
 }
 
+/// One slab slot. A linked node holds an event waiting in the wheel and
+/// links to the next node of its bucket; a free node holds none and links
+/// to the next free node.
+struct Node<E> {
+    at: u64,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+/// The end of a bucket's list and of the free list.
+const NIL: u32 = u32::MAX;
+
 /// Bits of time consumed per wheel level.
 const SLOT_BITS: u32 = 6;
-/// Slots per level.
+/// Buckets per level.
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Levels needed to span a full 64-bit tick range (`11 * 6 = 66 >= 64`).
 const LEVELS: usize = 11;
 
-/// One wheel level: 64 buckets plus an occupancy bitmask so the earliest
-/// non-empty bucket is a single `trailing_zeros`.
-struct Level<E> {
+/// One wheel level: the first node of each of its 64 buckets plus an
+/// occupancy bitmask, so the earliest non-empty bucket is a single
+/// `trailing_zeros`.
+struct Level {
     occupied: u64,
-    slots: [Vec<Entry<E>>; SLOTS],
-}
-
-/// Initial capacity of every wheel slot. Slots allocate lazily on first
-/// push, which would dribble one small allocation per first-touched bucket
-/// across a run's steady state; seeding each with one grow's worth keeps the
-/// hot loop allocation-free (a slot only reallocates past this when a
-/// cascade actually lands five or more entries in one bucket).
-const SLOT_SEED_CAP: usize = 4;
-
-impl<E> Level<E> {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: std::array::from_fn(|_| Vec::with_capacity(SLOT_SEED_CAP)),
-        }
-    }
+    heads: [u32; SLOTS],
 }
 
 /// A future-event list for discrete-event simulation.
@@ -68,17 +74,19 @@ impl<E> Level<E> {
 /// assert!(q.is_empty());
 /// ```
 pub struct EventQueue<E> {
-    levels: Box<[Level<E>; LEVELS]>,
+    levels: Box<[Level; LEVELS]>,
+    /// Every node of the wheel, linked or free.
+    nodes: Vec<Node<E>>,
+    /// The first free node, `NIL` when every node is linked.
+    free: u32,
     /// The wheel origin: the bucket time of the current drain, and a lower
-    /// bound on every placed slot entry. Events pushed into the past
+    /// bound on every linked node's time. Events pushed into the past
     /// (allowed, like a heap) bypass the wheel and merge into the drain.
     cursor: u64,
-    /// The earliest bucket, moved out of its slot and sorted descending by
+    /// The earliest bucket, moved out of the wheel and sorted descending by
     /// `(at, seq)` so `pop` is a `Vec::pop` and `peek_time` reads the
     /// tail. Invariant: non-empty whenever `len > 0`.
     drain: Vec<Entry<E>>,
-    /// Reused cascade buffer (capacity recycles across cascades).
-    scratch: Vec<Entry<E>>,
     len: usize,
     /// Doubles as the total-pushed counter: every push takes one number.
     next_seq: u64,
@@ -96,14 +104,19 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
+    /// Creates an empty queue with room for `cap` pending events, in the
+    /// wheel or in the drain, before it allocates again.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
-            levels: Box::new(std::array::from_fn(|_| Level::new())),
+            levels: Box::new(std::array::from_fn(|_| Level {
+                occupied: 0,
+                heads: [NIL; SLOTS],
+            })),
+            nodes: Vec::with_capacity(cap),
+            free: NIL,
             cursor: 0,
             drain: Vec::with_capacity(cap),
-            scratch: Vec::new(),
             len: 0,
             next_seq: 0,
         }
@@ -114,80 +127,129 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let t = at.as_micros();
-        let entry = Entry { at: t, seq, event };
         if self.len == 0 {
             // Re-basing on the first push keeps the common drain-then-
             // refill pattern entirely inside the drain fast path.
             self.cursor = t;
-            self.drain.push(entry);
+            self.drain.push(Entry { at: t, seq, event });
         } else if t < self.cursor {
             // A push into the past (relative to the wheel origin). The
             // drain is sorted descending by (at, seq); splice the entry in
-            // so it pops in heap order. New sequence numbers are globally
-            // largest, so among equal times it lands before its peers
-            // (popped last), exactly as a heap would order it.
-            // A fresh sequence number is globally largest, so the entry is
-            // the queue's new minimum exactly when its time is strictly
-            // earliest: tail append. Equal-or-later times binary-search.
+            // so it pops in heap order. A fresh sequence number is
+            // globally largest, so the entry is the queue's new minimum
+            // exactly when its time is strictly earliest: tail append.
+            // Equal-or-later times binary-search.
+            let entry = Entry { at: t, seq, event };
             match self.drain.last() {
                 Some(tail) if t < tail.at => self.drain.push(entry),
                 _ => {
-                    let pos = self
-                        .drain
-                        .partition_point(|e| (e.at, e.seq) > (t, seq));
+                    let pos = self.drain.partition_point(|e| (e.at, e.seq) > (t, seq));
                     self.drain.insert(pos, entry);
                 }
             }
         } else {
-            self.place(entry);
+            let node = Node {
+                at: t,
+                seq,
+                next: NIL,
+                event: Some(event),
+            };
+            let i = if self.free == NIL {
+                // Every node is linked, so the slab holds exactly the
+                // events that are in the queue but not in the drain.
+                debug_assert_eq!(self.nodes.len(), self.len - self.drain.len());
+                // Lossless: a slab of `u32::MAX` nodes would take hundreds
+                // of GB.
+                let i = self.nodes.len() as u32;
+                self.nodes.push(node);
+                i
+            } else {
+                let i = self.free;
+                self.free = std::mem::replace(self.node(i), node).next;
+                i
+            };
+            self.link(i, t);
         }
         self.len += 1;
     }
 
-    /// Files a wheel entry (`entry.at >= self.cursor`) into its level/slot.
-    fn place(&mut self, entry: Entry<E>) {
-        let xor = entry.at ^ self.cursor;
+    /// The node at `i`.
+    fn node(&mut self, i: u32) -> &mut Node<E> {
+        // detlint: allow(D9) — every index in a bucket or the free list was handed out by `push` as a position in `nodes`, which never shrinks
+        &mut self.nodes[i as usize]
+    }
+
+    /// Links node `i`, firing at `at >= self.cursor`, into the head of its
+    /// level/bucket.
+    fn link(&mut self, i: u32, at: u64) {
+        let xor = at ^ self.cursor;
         let lvl = if xor == 0 { 0 } else { level_of(xor) };
-        let slot = ((entry.at >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        // detlint: allow(D9) — level_of(x) <= 63/SLOT_BITS = 10 < LEVELS; slot is masked to SLOTS-1
-        self.levels[lvl].slots[slot].push(entry);
-        // detlint: allow(D9) — same bounds as the line above
-        self.levels[lvl].occupied |= 1 << slot;
+        let slot = ((at >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
+        // detlint: allow(D9) — level_of(x) <= 63/SLOT_BITS = 10 < LEVELS
+        let level = &mut self.levels[lvl];
+        level.occupied |= 1 << slot;
+        // detlint: allow(D9) — slot is masked to SLOTS-1
+        let next = std::mem::replace(&mut level.heads[slot], i);
+        self.node(i).next = next;
+    }
+
+    /// Unlinks every node of bucket `slot` of level `lvl`, an occupied one,
+    /// and returns the first.
+    fn take_bucket(&mut self, lvl: usize, slot: usize) -> u32 {
+        // detlint: allow(D9) — callers pass a level below LEVELS with `slot` set in its mask
+        let level = &mut self.levels[lvl];
+        level.occupied &= !(1u64 << slot);
+        // detlint: allow(D9) — a mask bit is below 64 = SLOTS
+        std::mem::replace(&mut level.heads[slot], NIL)
     }
 
     /// Restores the drain invariant: advances the cursor to the earliest
-    /// occupied bucket, cascading higher-level slots down as needed, and
-    /// moves that bucket into the (empty) drain, sorted for FIFO pops.
+    /// occupied bucket, cascading higher-level buckets down as needed, and
+    /// moves that bucket's events into the (empty) drain, sorted for FIFO
+    /// pops.
     #[cold]
     fn settle(&mut self) {
         debug_assert!(self.drain.is_empty() && self.len > 0);
         loop {
-            // detlint: allow(D9) — 0 < LEVELS, a compile-time constant
-            let occ0 = self.levels[0].occupied;
-            if occ0 != 0 {
-                let slot = occ0.trailing_zeros() as usize;
+            let (lvl, slot) = self
+                .levels
+                .iter()
+                .enumerate()
+                .find_map(|(l, level)| {
+                    (level.occupied != 0).then(|| (l, level.occupied.trailing_zeros() as usize))
+                })
+                // detlint: allow(D9) — len > 0 and the drain is empty, so some bucket is occupied
+                .expect("len > 0 but every level is empty");
+            if lvl == 0 {
                 let bucket = (self.cursor & !(SLOTS as u64 - 1)) | slot as u64;
                 debug_assert!(bucket >= self.cursor);
                 self.cursor = bucket;
-                // detlint: allow(D9) — trailing_zeros of a nonzero u64 is <= 63 < SLOTS
-                self.levels[0].occupied &= !(1u64 << slot);
-                // detlint: allow(D9) — same bounds as the line above
-                std::mem::swap(&mut self.levels[0].slots[slot], &mut self.drain);
-                // A level-0 bucket is one exact tick, but cascades append
-                // out of sequence order; one in-place sort restores FIFO.
+                let mut i = self.take_bucket(0, slot);
+                while i != NIL {
+                    let freed = Node {
+                        at: 0,
+                        seq: 0,
+                        next: self.free,
+                        event: None,
+                    };
+                    let Node {
+                        at,
+                        seq,
+                        next,
+                        event,
+                    } = std::mem::replace(self.node(i), freed);
+                    self.free = i;
+                    if let Some(event) = event {
+                        self.drain.push(Entry { at, seq, event });
+                    }
+                    i = next;
+                }
+                // A level-0 bucket is one exact tick, but its list is in
+                // no particular order; one in-place sort restores FIFO.
                 self.drain
                     .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
                 return;
             }
-            let lvl = (1..LEVELS)
-                // detlint: allow(D9) — l ranges over 1..LEVELS
-                .find(|&l| self.levels[l].occupied != 0)
-                // detlint: allow(D9) — len > 0 implies some occupied bucket
-                .expect("len > 0 but every level is empty");
-            // detlint: allow(D9) — lvl < LEVELS from the find above
-            let slot = self.levels[lvl].occupied.trailing_zeros() as usize;
-            // detlint: allow(D9) — lvl < LEVELS; slot <= 63 < SLOTS (nonzero occupied)
-            self.levels[lvl].occupied &= !(1u64 << slot);
             let shift = SLOT_BITS * lvl as u32;
             // Bits strictly above this level; empty at the top level, where
             // the plain shift would overflow.
@@ -195,15 +257,14 @@ impl<E> EventQueue<E> {
             let base = (self.cursor & above) | ((slot as u64) << shift);
             debug_assert!(base > self.cursor);
             self.cursor = base;
-            debug_assert!(self.scratch.is_empty());
-            // detlint: allow(D9) — lvl < LEVELS and slot < SLOTS as established above
-            std::mem::swap(&mut self.levels[lvl].slots[slot], &mut self.scratch);
-            while let Some(e) = self.scratch.pop() {
-                debug_assert!(e.at >= self.cursor);
-                self.place(e);
+            let mut i = self.take_bucket(lvl, slot);
+            while i != NIL {
+                let node = self.node(i);
+                let (at, next) = (node.at, node.next);
+                debug_assert!(at >= self.cursor);
+                self.link(i, at);
+                i = next;
             }
-            // detlint: allow(D9) — same bounds as the swap above
-            std::mem::swap(&mut self.levels[lvl].slots[slot], &mut self.scratch);
         }
     }
 
@@ -257,20 +318,6 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Drops all queued events.
-    pub fn clear(&mut self) {
-        self.drain.clear();
-        for level in self.levels.iter_mut() {
-            while level.occupied != 0 {
-                let slot = level.occupied.trailing_zeros() as usize;
-                level.occupied &= !(1u64 << slot);
-                // detlint: allow(D9) — trailing_zeros of a nonzero u64 is <= 63 < SLOTS
-                level.slots[slot].clear();
-            }
-        }
-        self.len = 0;
     }
 }
 
@@ -328,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear_with_capacity() {
+    fn len_counts_queued_events() {
         let mut q = EventQueue::with_capacity(8);
         assert!(q.is_empty());
         q.push(SimTime::ZERO, ());
@@ -336,7 +383,7 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        q.clear();
+        q.pop();
         assert!(q.is_empty());
     }
 
@@ -415,4 +462,3 @@ mod tests {
         assert_eq!(q.pop(), Some((t, 'b')));
     }
 }
-

@@ -55,16 +55,18 @@ step_references() {
 # (debug builds run 30 clients x 400 s), a lock table whose refill and
 # re-waits allocate nothing (one slab of per-object state, spare wait rows),
 # a judged run (traced 8 clients x 150 s plus check_trace) inside its own,
-# a traced LS run at 100 clients inside the trace ring with at most two
-# window episodes a transaction, a warm LS decision round that allocates
-# only its subtask specs, and a threaded LS cluster whose sites keep one
-# spare message buffer of each kind.
+# an event queue that a few allocations build and that recycles its nodes
+# once warm, a traced LS run at 100 clients inside the trace ring with at
+# most two window episodes a transaction, a warm LS decision round that
+# allocates only its subtask specs, and a threaded LS cluster whose sites
+# keep one spare message buffer of each kind.
 step_alloc-budget() {
   cargo test --release -q -p siteselect-core --test alloc_steady_state
   reference_tests -p siteselect-locks --test table_allocs lock_table_
   reference_tests -p siteselect-core --lib a_warm_ls_decision_round
   reference_tests -p siteselect-cluster --lib ls_buffer_pools_stay_bounded
   cargo test --release -q -p siteselect-check --test alloc_judged
+  cargo test --release -q -p siteselect-sim --test queue_allocs
   cargo test --release -q -p siteselect-check --test trace_budget
 }
 

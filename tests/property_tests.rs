@@ -961,16 +961,25 @@ fn wheel_time(rng: &mut Prng, now: u64) -> u64 {
 /// under Miri, where each interpreted case costs ~10000x.
 const QUEUE_CASES: u64 = if cfg!(miri) { 48 } else { 10_000 };
 
+/// Operations of every 50th case: long enough that nodes freed by pops
+/// are taken again by later pushes and relinked through later cascades.
+const LONG_QUEUE_OPS: usize = if cfg!(miri) { 400 } else { 4_000 };
+
 #[test]
 fn event_queue_matches_heap_oracle() {
     // Randomized interleavings of push / pop / pop_before, asserting
-    // identical (time, FIFO-sequence) pop order against the heap model.
+    // identical (time, FIFO-sequence) pop order, length and next fire
+    // time against the heap model after every operation.
     for case in 0..QUEUE_CASES {
         let mut rng = Prng::seed_from_u64(0x0EE1_0000 + case);
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut oracle = HeapOracle::default();
         let mut now = 0u64;
-        let ops = 1 + rng.below_usize(40);
+        let ops = if case % 50 == 0 {
+            LONG_QUEUE_OPS
+        } else {
+            1 + rng.below_usize(40)
+        };
         for _ in 0..ops {
             match rng.below(4) {
                 0 | 1 => {
